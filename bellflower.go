@@ -224,7 +224,8 @@ var (
 	ErrServiceClosed = serve.ErrClosed
 
 	// ErrSchemaTooLarge is wrapped in errors for personal schemas larger
-	// than ServiceConfig.MaxSchemaNodes.
+	// than ServiceConfig.MaxSchemaNodes, and — by Matcher.Match too — for
+	// ones beyond the pipeline's fixed 64-node bound.
 	ErrSchemaTooLarge = serve.ErrSchemaTooLarge
 )
 

@@ -112,7 +112,7 @@ func run(args []string) error {
 		cacheSize    = fs.Int("cache", 0, "report cache capacity in entries per shard (0 = 256, negative = disabled)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "byte budget for the unified cache (all shards' reports + pre-pass results; 0 = unbounded)")
 		cacheTTL     = fs.Duration("cache-ttl", 0, "age cached entries out after this long (0 = never expire)")
-		maxNodes     = fs.Int("max-schema-nodes", 0, "reject personal schemas above this node count (0 = 64, negative = unlimited)")
+		maxNodes     = fs.Int("max-schema-nodes", 0, "reject personal schemas above this node count (0 = 64; negative = no service limit, the pipeline still refuses more than 64)")
 		timeout      = fs.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 		shards       = fs.Int("shards", 1, "partition the repository into this many shards and fan match requests out across them")
 		partition    = fs.String("partition", "clustered", "shard partition strategy: clustered (co-locate trees with overlapping vocabulary) or balanced (by node count)")

@@ -147,6 +147,29 @@ func TestHandleMatchTable(t *testing.T) {
 	})
 }
 
+// TestOversizedSchemaWithLimitDisabledIs413: -max-schema-nodes -1 turns the
+// service guard off; a 65-node schema then reaches the pipeline's own
+// bound, which must answer 413 like the guard would — it used to panic in a
+// worker goroutine and end the process.
+func TestOversizedSchemaWithLimitDisabledIs413(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		_, ts := testShardedService(t, bellflower.ServiceConfig{MaxSchemaNodes: -1}, shards)
+		kids := make([]string, 64)
+		for i := range kids {
+			kids[i] = fmt.Sprintf("title%d", i)
+		}
+		body := fmt.Sprintf(`{"personal":"book(%s)"}`, strings.Join(kids, ","))
+		resp, data := postJSON(t, ts.URL+"/v1/match", body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(data), "too large") {
+			t.Errorf("shards=%d: 65-node schema: status %d body %s, want 413 too large", shards, resp.StatusCode, data)
+		}
+		resp, data = postJSON(t, ts.URL+"/v1/match", `{"personal":"book(title,author)","options":{"delta":0.5}}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("shards=%d: daemon did not survive: status %d body %s", shards, resp.StatusCode, data)
+		}
+	}
+}
+
 func TestHandleMatchBadOptionsSurfaceAs400(t *testing.T) {
 	// Validation errors from deep in the pipeline must not become 500s.
 	_, ts := testService(t, bellflower.ServiceConfig{})

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"bellflower/internal/labeling"
 	"bellflower/internal/matcher"
@@ -51,86 +50,47 @@ func Agglomerative(ix *labeling.Index, cands *matcher.Candidates, cfg Agglomerat
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	elems := BuildElements(cands)
-	byTree := make(map[int][]int) // tree ID -> element indices
-	for i, e := range elems {
-		tid := ix.TreeID(e.Node)
-		byTree[tid] = append(byTree[tid], i)
+	if err := CheckPersonal(cands.Personal.Len()); err != nil {
+		return nil, err
 	}
-	tids := make([]int, 0, len(byTree))
-	for tid := range byTree {
-		tids = append(tids, tid)
+	st := newState(ix, cands)
+	defer st.release()
+	// Single linkage is the k-means join step run once over singleton
+	// clusters: a lone element is its own medoid, so "medoids within the
+	// threshold" links exactly the element pairs within it, and join's
+	// union-find leaves the connected components, each in the place of
+	// its first element with its members ascending.
+	st.data = resize(st.data, len(st.node))
+	for e := range st.node {
+		st.data[e] = int32(e)
+		st.clusters = append(st.clusters, clusterRef{off: int32(e), n: 1, medoid: int32(e)})
 	}
-	sort.Ints(tids)
-
+	st.cfg = Config{JoinThreshold: cfg.MergeThreshold}
+	st.join()
+	st.chunk(cfg.MaxClusterSize)
 	res := &Result{Iterations: 1}
-	for _, tid := range tids {
-		members := byTree[tid]
-		// Union-find over this tree's elements.
-		parent := make([]int, len(members))
-		for i := range parent {
-			parent[i] = i
-		}
-		var find func(int) int
-		find = func(x int) int {
-			for parent[x] != x {
-				parent[x] = parent[parent[x]]
-				x = parent[x]
-			}
-			return x
-		}
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				d := ix.DistanceID(elems[members[i]].Node.ID, elems[members[j]].Node.ID)
-				if d >= 0 && d <= cfg.MergeThreshold {
-					ri, rj := find(i), find(j)
-					if ri != rj {
-						parent[rj] = ri
-					}
-				}
-			}
-		}
-		comps := map[int][]int{} // root -> element indices
-		var order []int
-		for i, m := range members {
-			r := find(i)
-			if _, ok := comps[r]; !ok {
-				order = append(order, r)
-			}
-			comps[r] = append(comps[r], m)
-		}
-		for _, r := range order {
-			for _, chunk := range splitBySize(elems, comps[r], cfg.MaxClusterSize) {
-				cl := &Cluster{ID: len(res.Clusters), TreeID: tid}
-				for _, i := range chunk {
-					cl.Elements = append(cl.Elements, elems[i])
-				}
-				cl.Medoid = medoidOf(ix, cl.Elements)
-				res.Clusters = append(res.Clusters, cl)
-			}
-		}
-	}
+	res.Clusters, _ = st.emit()
 	return res, nil
 }
 
-// splitBySize chunks a component into preorder-contiguous pieces of at
-// most max elements (locality-preserving: preorder neighbours stay
-// together).
-func splitBySize(elems []Element, comp []int, max int) [][]int {
-	if max <= 0 || len(comp) <= max {
-		return [][]int{comp}
+// chunk cuts every cluster of more than max members (0 = unlimited) into
+// consecutive pieces of at most max. Members are in preorder, so a piece is
+// a run of preorder neighbours.
+func (st *state) chunk(max int) {
+	if max <= 0 {
+		return
 	}
-	sorted := append([]int(nil), comp...)
-	sort.Slice(sorted, func(a, b int) bool {
-		return elems[sorted[a]].Node.Pre < elems[sorted[b]].Node.Pre
-	})
-	var out [][]int
-	for start := 0; start < len(sorted); start += max {
-		end := start + max
-		if end > len(sorted) {
-			end = len(sorted)
+	out := st.spare[:0]
+	for _, ref := range st.clusters {
+		if int(ref.n) <= max {
+			out = append(out, ref)
+			continue
 		}
-		out = append(out, sorted[start:end])
+		for c := int32(0); c < ref.n; c += int32(max) {
+			piece := clusterRef{off: ref.off + c, n: min(int32(max), ref.n-c)}
+			piece.medoid = st.medoidOf(st.members(piece))
+			out = append(out, piece)
+		}
 	}
-	return out
+	st.clusters, st.spare = out, st.clusters
 }

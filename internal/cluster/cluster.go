@@ -1,9 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"bellflower/internal/labeling"
 	"bellflower/internal/matcher"
@@ -24,27 +24,36 @@ type Element struct {
 	BestSim float64
 }
 
-// BuildElements flattens candidate sets into the deduplicated element
-// universe the clusterer partitions.
-func BuildElements(cands *matcher.Candidates) []Element {
-	if cands.Personal.Len() > 64 {
-		panic("cluster: personal schemas with more than 64 nodes not supported")
+// MaxPersonalNodes is the largest personal schema the clusterer handles: an
+// Element's Mask has one bit per personal node.
+const MaxPersonalNodes = 64
+
+// ErrSchemaTooLarge is returned (wrapped) for personal schemas of more than
+// MaxPersonalNodes nodes; match with errors.Is. The pipeline and serving
+// layers re-export this one value, so a request rejected at any depth maps
+// to the same answer.
+var ErrSchemaTooLarge = errors.New("personal schema too large")
+
+// CheckPersonal returns an ErrSchemaTooLarge error for a personal schema of
+// n nodes when n exceeds MaxPersonalNodes.
+func CheckPersonal(n int) error {
+	if n > MaxPersonalNodes {
+		return fmt.Errorf("cluster: %w: %d nodes > the %d-node mask limit", ErrSchemaTooLarge, n, MaxPersonalNodes)
 	}
-	byID := make(map[int]int)
-	var out []Element
-	for i := range cands.Sets {
-		for _, c := range cands.Sets[i].Elems {
-			j, ok := byID[c.Node.ID]
-			if !ok {
-				j = len(out)
-				byID[c.Node.ID] = j
-				out = append(out, Element{Node: c.Node})
-			}
-			out[j].Mask |= 1 << uint(i)
-			if c.Sim > out[j].BestSim {
-				out[j].BestSim = c.Sim
-			}
-		}
+	return nil
+}
+
+// BuildElements flattens candidate sets into the deduplicated element
+// universe the clusterer partitions, in document order: by repository tree,
+// then by preorder position within the tree. It panics for personal schemas
+// beyond MaxPersonalNodes; callers taking outside input gate on
+// CheckPersonal first.
+func BuildElements(ix *labeling.Index, cands *matcher.Candidates) []Element {
+	st := newState(ix, cands)
+	defer st.release()
+	out := make([]Element, len(st.node))
+	for e := range out {
+		out[e] = st.element(int32(e))
 	}
 	return out
 }
@@ -92,7 +101,7 @@ const (
 	SeedMEmin Seeding = iota
 
 	// SeedEveryKth spreads centroids uniformly over the element universe
-	// (every k-th element in node-ID order, which follows document order).
+	// (every k-th element in document order).
 	// A deterministic baseline used by the seeding ablation benchmark.
 	SeedEveryKth
 )
@@ -193,7 +202,7 @@ type Result struct {
 // UsefulClusters returns the clusters able to produce complete mappings for
 // a personal schema with n nodes.
 func (r *Result) UsefulClusters(n int) []*Cluster {
-	full := fullMask(n)
+	full := FullMask(n)
 	var out []*Cluster
 	for _, c := range r.Clusters {
 		if c.Useful(full) {
@@ -203,11 +212,16 @@ func (r *Result) UsefulClusters(n int) []*Cluster {
 	return out
 }
 
-func fullMask(n int) uint64 {
-	if n >= 64 {
+// FullMask returns the mask with one bit set per node of an n-node personal
+// schema, n ≤ MaxPersonalNodes: what Cluster.Useful compares against.
+func FullMask(n int) uint64 {
+	if n > MaxPersonalNodes {
 		panic("cluster: personal schema too large for bitmask")
 	}
-	return (uint64(1) << uint(n)) - 1
+	if n == MaxPersonalNodes {
+		return math.MaxUint64
+	}
+	return uint64(1)<<uint(n) - 1
 }
 
 // KMeans runs the adapted k-means algorithm (Alg. 1 of the paper) over the
@@ -216,11 +230,15 @@ func KMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) (*Result,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	elems := BuildElements(cands)
-	st := &state{ix: ix, cfg: cfg, elems: elems}
+	if err := CheckPersonal(cands.Personal.Len()); err != nil {
+		return nil, err
+	}
+	st := newState(ix, cands)
+	defer st.release()
+	st.cfg = cfg
 	st.seed(cands)
-	res := &Result{}
-	prevClusters := len(st.medoids)
+	res := &Result{Moves: make([]int, 0, min(cfg.MaxIterations, 16))}
+	prevClusters := len(st.clusters)
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		moves := st.assign()
 		st.rebuild()
@@ -232,13 +250,13 @@ func KMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) (*Result,
 		res.Moves = append(res.Moves, moves)
 		// Convergence: element moves and cluster-count change both below
 		// the stability fraction.
-		stableMoves := float64(moves) <= cfg.Stability*float64(len(elems))
-		dc := len(st.medoids) - prevClusters
+		stableMoves := float64(moves) <= cfg.Stability*float64(len(st.node))
+		dc := len(st.clusters) - prevClusters
 		if dc < 0 {
 			dc = -dc
 		}
 		stableCount := float64(dc) <= cfg.Stability*math.Max(1, float64(prevClusters))
-		prevClusters = len(st.medoids)
+		prevClusters = len(st.clusters)
 		if iter > 0 && stableMoves && stableCount {
 			break
 		}
@@ -251,335 +269,22 @@ func KMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) (*Result,
 // that holds at least one mapping element becomes one cluster (the paper's
 // "tree clusters" rows).
 func TreeClusters(ix *labeling.Index, cands *matcher.Candidates) *Result {
-	elems := BuildElements(cands)
-	byTree := make(map[int][]Element)
-	for _, e := range elems {
-		tid := ix.TreeID(e.Node)
-		byTree[tid] = append(byTree[tid], e)
+	st := newState(ix, cands)
+	defer st.release()
+	n := len(st.node)
+	st.data = resize(st.data, n)
+	for lo := 0; lo < n; {
+		hi := lo
+		for ; hi < n && st.tree[hi] == st.tree[lo]; hi++ {
+			st.data[hi] = int32(hi)
+		}
+		// A tree's elements are a run of the universe, already in the
+		// order the kernel wants: no gather.
+		med := lo + ix.Medoid(st.node[lo:hi], &st.medoid)
+		st.clusters = append(st.clusters, clusterRef{off: int32(lo), n: int32(hi - lo), medoid: int32(med)})
+		lo = hi
 	}
-	tids := make([]int, 0, len(byTree))
-	for tid := range byTree {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
 	res := &Result{}
-	for _, tid := range tids {
-		members := byTree[tid]
-		c := &Cluster{ID: len(res.Clusters), Elements: members, TreeID: tid}
-		c.Medoid = medoidOf(ix, members)
-		res.Clusters = append(res.Clusters, c)
-	}
+	res.Clusters, _ = st.emit()
 	return res
-}
-
-// state is the per-run mutable bookkeeping of the k-means loop.
-type state struct {
-	ix    *labeling.Index
-	cfg   Config
-	elems []Element
-
-	// medoids holds the current centroid element indices.
-	medoids []int
-
-	// assignTo[i] is the cluster index of element i, or -1.
-	assignTo []int
-
-	// prevMedoidNode[i] is the medoid node ID element i was assigned to in
-	// the previous iteration (-1 initially); used to count moves.
-	prevMedoidNode []int
-
-	// members[c] lists element indices of cluster c.
-	members [][]int
-
-	// centroidsByTree groups current medoid indices by tree for fast
-	// assignment.
-	centroidsByTree map[int][]int
-}
-
-func (st *state) seed(cands *matcher.Candidates) {
-	switch st.cfg.Seeding {
-	case SeedEveryKth:
-		for i := 0; i < len(st.elems); i += st.cfg.SeedStride {
-			st.medoids = append(st.medoids, i)
-		}
-	default: // SeedMEmin
-		min := cands.MinSet()
-		if min < 0 {
-			return
-		}
-		bit := uint64(1) << uint(min)
-		for i, e := range st.elems {
-			if e.Mask&bit != 0 {
-				st.medoids = append(st.medoids, i)
-			}
-		}
-	}
-	st.assignTo = make([]int, len(st.elems))
-	st.prevMedoidNode = make([]int, len(st.elems))
-	for i := range st.prevMedoidNode {
-		st.prevMedoidNode[i] = -1
-	}
-}
-
-func (st *state) groupCentroids() {
-	st.centroidsByTree = make(map[int][]int)
-	for c, ei := range st.medoids {
-		tid := st.ix.TreeID(st.elems[ei].Node)
-		st.centroidsByTree[tid] = append(st.centroidsByTree[tid], c)
-	}
-}
-
-// assign gives every element to its nearest centroid (same tree only) and
-// returns the number of elements whose cluster identity (medoid node)
-// changed since the last iteration.
-func (st *state) assign() int {
-	st.groupCentroids()
-	moves := 0
-	for i := range st.elems {
-		e := &st.elems[i]
-		tid := st.ix.TreeID(e.Node)
-		best, bestC := math.Inf(1), -1
-		for _, c := range st.centroidsByTree[tid] {
-			m := st.elems[st.medoids[c]].Node
-			d := st.ix.DistanceID(e.Node.ID, m.ID)
-			eff := float64(d)
-			if st.cfg.SimBias > 0 {
-				eff *= 1 + st.cfg.SimBias*(1-e.BestSim)
-			}
-			if eff < best || (eff == best && bestC >= 0 && m.ID < st.elems[st.medoids[bestC]].Node.ID) {
-				best, bestC = eff, c
-			}
-		}
-		st.assignTo[i] = bestC
-		newMedoid := -1
-		if bestC >= 0 {
-			newMedoid = st.elems[st.medoids[bestC]].Node.ID
-		}
-		if newMedoid != st.prevMedoidNode[i] {
-			moves++
-		}
-		st.prevMedoidNode[i] = newMedoid
-	}
-	return moves
-}
-
-// rebuild regenerates member lists from assignments and drops empty
-// clusters.
-func (st *state) rebuild() {
-	st.members = make([][]int, len(st.medoids))
-	for i, c := range st.assignTo {
-		if c >= 0 {
-			st.members[c] = append(st.members[c], i)
-		}
-	}
-	st.compact()
-}
-
-// compact removes clusters with no members, renumbering the rest.
-func (st *state) compact() {
-	var med []int
-	var mem [][]int
-	for c := range st.medoids {
-		if len(st.members[c]) == 0 {
-			continue
-		}
-		med = append(med, st.medoids[c])
-		mem = append(mem, st.members[c])
-	}
-	st.medoids, st.members = med, mem
-}
-
-// recomputeMedoids sets each cluster's centroid to the member minimizing
-// the sum of path distances to the other members (the center of weight).
-func (st *state) recomputeMedoids() {
-	for c, mem := range st.members {
-		st.medoids[c] = st.medoidIndex(mem)
-	}
-}
-
-func (st *state) medoidIndex(mem []int) int {
-	if len(mem) == 1 {
-		return mem[0]
-	}
-	best, bestSum := mem[0], math.MaxInt
-	for _, i := range mem {
-		sum := 0
-		for _, j := range mem {
-			sum += st.ix.DistanceID(st.elems[i].Node.ID, st.elems[j].Node.ID)
-			if sum >= bestSum {
-				break
-			}
-		}
-		if sum < bestSum || (sum == bestSum && st.elems[i].Node.ID < st.elems[best].Node.ID) {
-			best, bestSum = i, sum
-		}
-	}
-	return best
-}
-
-func medoidOf(ix *labeling.Index, elems []Element) *schema.Node {
-	best, bestSum := 0, math.MaxInt
-	for i := range elems {
-		sum := 0
-		for j := range elems {
-			sum += ix.DistanceID(elems[i].Node.ID, elems[j].Node.ID)
-			if sum >= bestSum {
-				break
-			}
-		}
-		if sum < bestSum || (sum == bestSum && elems[i].Node.ID < elems[best].Node.ID) {
-			best, bestSum = i, sum
-		}
-	}
-	return elems[best].Node
-}
-
-// join merges clusters whose medoids lie within JoinThreshold of each other
-// (within the same tree), using union-find, then recomputes the medoids of
-// merged clusters.
-func (st *state) join() {
-	if st.cfg.JoinThreshold <= 0 || len(st.medoids) < 2 {
-		return
-	}
-	parent := make([]int, len(st.medoids))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	byTree := make(map[int][]int)
-	for c, ei := range st.medoids {
-		tid := st.ix.TreeID(st.elems[ei].Node)
-		byTree[tid] = append(byTree[tid], c)
-	}
-	for _, cs := range byTree {
-		for i := 0; i < len(cs); i++ {
-			for j := i + 1; j < len(cs); j++ {
-				a, b := cs[i], cs[j]
-				d := st.ix.DistanceID(st.elems[st.medoids[a]].Node.ID, st.elems[st.medoids[b]].Node.ID)
-				if d >= 0 && d <= st.cfg.JoinThreshold {
-					ra, rb := find(a), find(b)
-					if ra != rb {
-						parent[rb] = ra
-					}
-				}
-			}
-		}
-	}
-	merged := make(map[int][]int) // root -> member element indices
-	var order []int
-	for c := range st.medoids {
-		r := find(c)
-		if _, ok := merged[r]; !ok {
-			order = append(order, r)
-		}
-		merged[r] = append(merged[r], st.members[c]...)
-	}
-	if len(order) == len(st.medoids) {
-		return // nothing merged
-	}
-	var med []int
-	var mem [][]int
-	for _, r := range order {
-		m := merged[r]
-		med = append(med, st.medoidIndex(m))
-		mem = append(mem, m)
-	}
-	st.medoids, st.members = med, mem
-}
-
-// remove deletes clusters smaller than RemoveBelow; their elements become
-// free (unassigned) until the next iteration's assignment step.
-func (st *state) remove() {
-	if st.cfg.RemoveBelow <= 0 {
-		return
-	}
-	var med []int
-	var mem [][]int
-	for c := range st.medoids {
-		if len(st.members[c]) < st.cfg.RemoveBelow {
-			continue
-		}
-		med = append(med, st.medoids[c])
-		mem = append(mem, st.members[c])
-	}
-	st.medoids, st.members = med, mem
-}
-
-// split breaks clusters larger than SplitAbove around their (approximate)
-// farthest element pair: a double sweep finds two mutually distant members
-// which become the medoids of the halves.
-func (st *state) split() {
-	if st.cfg.SplitAbove <= 0 {
-		return
-	}
-	var med []int
-	var mem [][]int
-	for c := range st.medoids {
-		m := st.members[c]
-		if len(m) <= st.cfg.SplitAbove {
-			med = append(med, st.medoids[c])
-			mem = append(mem, m)
-			continue
-		}
-		a := st.farthestFrom(m, m[0])
-		b := st.farthestFrom(m, a)
-		var ma, mb []int
-		for _, i := range m {
-			da := st.ix.DistanceID(st.elems[i].Node.ID, st.elems[a].Node.ID)
-			db := st.ix.DistanceID(st.elems[i].Node.ID, st.elems[b].Node.ID)
-			if da <= db {
-				ma = append(ma, i)
-			} else {
-				mb = append(mb, i)
-			}
-		}
-		if len(ma) == 0 || len(mb) == 0 {
-			med = append(med, st.medoids[c])
-			mem = append(mem, m)
-			continue
-		}
-		med = append(med, st.medoidIndex(ma))
-		mem = append(mem, ma)
-		med = append(med, st.medoidIndex(mb))
-		mem = append(mem, mb)
-	}
-	st.medoids, st.members = med, mem
-}
-
-func (st *state) farthestFrom(mem []int, from int) int {
-	best, bestD := from, -1
-	for _, i := range mem {
-		d := st.ix.DistanceID(st.elems[i].Node.ID, st.elems[from].Node.ID)
-		if d > bestD || (d == bestD && st.elems[i].Node.ID < st.elems[best].Node.ID) {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
-// emit converts the final state into exported clusters.
-func (st *state) emit() ([]*Cluster, int) {
-	assigned := 0
-	out := make([]*Cluster, 0, len(st.medoids))
-	for c, mem := range st.members {
-		cl := &Cluster{
-			ID:       len(out),
-			Medoid:   st.elems[st.medoids[c]].Node,
-			TreeID:   st.ix.TreeID(st.elems[st.medoids[c]].Node),
-			Elements: make([]Element, 0, len(mem)),
-		}
-		for _, i := range mem {
-			cl.Elements = append(cl.Elements, st.elems[i])
-			assigned++
-		}
-		out = append(out, cl)
-	}
-	return out, len(st.elems) - assigned
 }

@@ -23,9 +23,9 @@ func fixture(personalSpec string, repoSpecs ...string) (*schema.Tree, *schema.Re
 }
 
 func TestBuildElements(t *testing.T) {
-	_, _, _, cands := fixture("book(title)",
+	_, _, ix, cands := fixture("book(title)",
 		"lib(book(title),title)")
-	elems := BuildElements(cands)
+	elems := BuildElements(ix, cands)
 	// repo nodes: lib, book, title, title — book matches bit0, titles bit1.
 	byName := map[string]Element{}
 	for _, e := range elems {
@@ -151,7 +151,7 @@ func TestKMeansElementConservation(t *testing.T) {
 			inClusters++
 		}
 	}
-	total := len(BuildElements(cands))
+	total := len(BuildElements(ix, cands))
 	if inClusters+res.Unassigned != total {
 		t.Errorf("conservation: %d clustered + %d unassigned != %d total",
 			inClusters, res.Unassigned, total)
@@ -251,10 +251,10 @@ func TestKMeansDeterminism(t *testing.T) {
 }
 
 func TestUsefulMask(t *testing.T) {
-	_, _, _, cands := fixture("book(title)", "lib(book(title))")
-	elems := BuildElements(cands)
+	_, _, ix, cands := fixture("book(title)", "lib(book(title))")
+	elems := BuildElements(ix, cands)
 	c := &Cluster{Elements: elems}
-	if !c.Useful(fullMask(2)) {
+	if !c.Useful(FullMask(2)) {
 		t.Errorf("cluster with both candidates should be useful; mask=%b", c.Mask())
 	}
 	// Drop the title element -> no longer useful.
@@ -265,20 +265,24 @@ func TestUsefulMask(t *testing.T) {
 		}
 	}
 	c2 := &Cluster{Elements: bookOnly}
-	if c2.Useful(fullMask(2)) {
+	if c2.Useful(FullMask(2)) {
 		t.Errorf("book-only cluster should not be useful")
 	}
 }
 
 // randomFixture builds a random repository plus candidates for properties.
 func randomFixture(rng *rand.Rand) (*labeling.Index, *matcher.Candidates) {
+	return randomFixtureSized(rng, 1+rng.Intn(5), 30)
+}
+
+// randomFixtureSized is randomFixture with nt trees of 2..maxN+1 nodes.
+func randomFixtureSized(rng *rand.Rand, nt, maxN int) (*labeling.Index, *matcher.Candidates) {
 	words := []string{"book", "title", "author", "name", "addr", "email", "isbn", "page"}
 	repo := schema.NewRepository()
-	nt := 1 + rng.Intn(5)
 	for t := 0; t < nt; t++ {
 		b := schema.NewBuilder("t")
 		nodes := []*schema.Node{b.Root(words[rng.Intn(len(words))])}
-		n := 2 + rng.Intn(30)
+		n := 2 + rng.Intn(maxN)
 		for i := 1; i < n; i++ {
 			p := nodes[rng.Intn(len(nodes))]
 			nodes = append(nodes, b.Element(p, words[rng.Intn(len(words))]))
@@ -331,7 +335,7 @@ func TestKMeansInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		return count+res.Unassigned == len(BuildElements(cands))
+		return count+res.Unassigned == len(BuildElements(ix, cands))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

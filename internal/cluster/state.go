@@ -1,0 +1,446 @@
+package cluster
+
+import (
+	"math"
+	"slices"
+	"sync"
+
+	"bellflower/internal/labeling"
+	"bellflower/internal/matcher"
+)
+
+// state is the working memory of one clustering run, flat and pooled: the
+// element universe as parallel arrays in document order, the clusters as
+// (offset, length, medoid) records over one shared member buffer, and the
+// scratch every step needs. Nothing in it is keyed by a map and nothing is
+// allocated per iteration; a run takes a state from statePool and returns
+// it, so a warm server clusters without touching the allocator until it
+// builds the Result.
+//
+// Two orderings carry the design. Elements are sorted by (tree, Euler
+// position) once, so a cluster's ascending member list is already in the
+// order labeling.Index.Medoid wants, and the elements of one tree are one
+// run of the arrays. Clusters are kept grouped by tree in ascending tree
+// order — seeding emits them that way and every step preserves it — so "the
+// centroids of this element's tree" is a run of the cluster list found by a
+// two-pointer walk, not a map lookup.
+type state struct {
+	ix  *labeling.Index
+	cfg Config
+
+	// The element universe, one entry per distinct candidate node.
+	node []int32   // repository node ID
+	tree []int32   // repository tree ID
+	mask []uint64  // Element.Mask
+	sim  []float64 // Element.BestSim
+
+	// assignTo[e] is the cluster index element e was last assigned to, -1
+	// for none; prevMedoid[e] the node ID of that cluster's medoid one
+	// iteration earlier (-1 initially), for counting moves.
+	assignTo   []int32
+	prevMedoid []int32
+
+	// clusters lists the current clusters; cluster c's members are
+	// data[c.off : c.off+c.n], ascending element indices. rebuild lays data
+	// out afresh every iteration and join appends merged member lists
+	// behind it, so data never exceeds twice the universe. spare is the
+	// other half of the double buffer join and split write into.
+	clusters, spare []clusterRef
+	data            []int32
+
+	src    []candRef              // load: the candidates behind the sort keys
+	keys   []uint64               // load: DocOrder<<32 | index into src
+	ids    []int32                // node IDs handed to the medoid kernel; split's overflow half
+	uf     []int32                // join: union-find parents; rebuild: per-cluster counters
+	slot   []int32                // join: component root -> output cluster
+	cursor []int32                // join: next free position of each output cluster
+	medoid labeling.MedoidScratch // the kernel's own buffers
+}
+
+// clusterRef is one cluster: a window of state.data and the element index of
+// its medoid.
+type clusterRef struct{ off, n, medoid int32 }
+
+// candRef is one (personal node, candidate) pair during load.
+type candRef struct {
+	node int32
+	set  uint8
+	sim  float64
+}
+
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// newState takes a state from the pool and loads the element universe of
+// cands into it. The caller releases it.
+func newState(ix *labeling.Index, cands *matcher.Candidates) *state {
+	if cands.Personal.Len() > MaxPersonalNodes {
+		panic("cluster: personal schemas with more than 64 nodes not supported")
+	}
+	st := statePool.Get().(*state)
+	st.ix = ix
+	st.clusters = st.clusters[:0]
+	st.load(cands)
+	return st
+}
+
+// release returns the state to the pool. The index is dropped so a pooled
+// state does not pin a retired repository generation.
+func (st *state) release() {
+	st.ix = nil
+	statePool.Put(st)
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	return s[:n]
+}
+
+// load deduplicates the candidate nodes of every set into the element
+// universe, sorted by document order: one sort of (DocOrder, candidate) keys,
+// then one pass that folds each run of equal nodes into an element.
+func (st *state) load(cands *matcher.Candidates) {
+	src, keys := st.src[:0], st.keys[:0]
+	for i := range cands.Sets {
+		for _, c := range cands.Sets[i].Elems {
+			keys = append(keys, uint64(st.ix.DocOrder(c.Node.ID))<<32|uint64(len(src)))
+			src = append(src, candRef{node: int32(c.Node.ID), set: uint8(i), sim: c.Sim})
+		}
+	}
+	slices.Sort(keys)
+	st.src, st.keys = src, keys
+
+	st.node, st.tree, st.mask, st.sim = st.node[:0], st.tree[:0], st.mask[:0], st.sim[:0]
+	last := int32(-1)
+	for _, k := range keys {
+		r := &src[uint32(k)]
+		if r.node != last {
+			last = r.node
+			st.node = append(st.node, r.node)
+			st.tree = append(st.tree, int32(st.ix.TreeOfID(int(r.node))))
+			st.mask = append(st.mask, 0)
+			st.sim = append(st.sim, 0)
+		}
+		e := len(st.node) - 1
+		st.mask[e] |= 1 << r.set
+		if r.sim > st.sim[e] {
+			st.sim[e] = r.sim
+		}
+	}
+}
+
+// element materializes element e.
+func (st *state) element(e int32) Element {
+	return Element{Node: st.ix.Repository().Node(int(st.node[e])), Mask: st.mask[e], BestSim: st.sim[e]}
+}
+
+// members returns cluster c's member element indices.
+func (st *state) members(c clusterRef) []int32 { return st.data[c.off : c.off+c.n] }
+
+// dist is the tree distance between elements a and b of one tree.
+func (st *state) dist(a, b int32) int {
+	return st.ix.DistanceID(int(st.node[a]), int(st.node[b]))
+}
+
+// medoidOf returns the member of mem (ascending element indices of one
+// tree) with the smallest sum of distances to the others, ties to the lowest
+// node ID: the exact center of weight, by the labeling kernel.
+func (st *state) medoidOf(mem []int32) int32 {
+	ids := st.ids[:0]
+	for _, e := range mem {
+		ids = append(ids, st.node[e])
+	}
+	st.ids = ids
+	return mem[st.ix.Medoid(ids, &st.medoid)]
+}
+
+func (st *state) seed(cands *matcher.Candidates) {
+	switch st.cfg.Seeding {
+	case SeedEveryKth:
+		for e := 0; e < len(st.node); e += st.cfg.SeedStride {
+			st.clusters = append(st.clusters, clusterRef{medoid: int32(e)})
+		}
+	default: // SeedMEmin
+		if min := cands.MinSet(); min >= 0 {
+			bit := uint64(1) << uint(min)
+			for e, m := range st.mask {
+				if m&bit != 0 {
+					st.clusters = append(st.clusters, clusterRef{medoid: int32(e)})
+				}
+			}
+		}
+	}
+	st.assignTo = resize(st.assignTo, len(st.node))
+	st.prevMedoid = resize(st.prevMedoid, len(st.node))
+	for e := range st.prevMedoid {
+		st.prevMedoid[e] = -1
+	}
+}
+
+// treeRun returns the end of the run of clusters, starting at c0, whose
+// medoids lie in the tree of cluster c0's.
+func (st *state) treeRun(c0 int) int {
+	t := st.tree[st.clusters[c0].medoid]
+	c1 := c0 + 1
+	for c1 < len(st.clusters) && st.tree[st.clusters[c1].medoid] == t {
+		c1++
+	}
+	return c1
+}
+
+// assign gives every element to its nearest centroid (same tree only) and
+// returns the number of elements whose cluster identity (medoid node)
+// changed since the last iteration.
+func (st *state) assign() int {
+	moves, c0, c1 := 0, 0, 0
+	for e := 0; e < len(st.node); {
+		// [c0, c1) becomes the run of clusters in this element's tree.
+		// Centroids are elements, so the runs of earlier trees are behind
+		// us and the next cluster is in this tree or a later one.
+		t := st.tree[e]
+		if c0 = c1; c0 < len(st.clusters) && st.tree[st.clusters[c0].medoid] == t {
+			c1 = st.treeRun(c0)
+		}
+		for ; e < len(st.node) && st.tree[e] == t; e++ {
+			bias := 1.0
+			if st.cfg.SimBias > 0 {
+				bias += st.cfg.SimBias * (1 - st.sim[e])
+			}
+			best, bestC, bestNode := math.Inf(1), int32(-1), int32(-1)
+			for c := c0; c < c1; c++ {
+				m := st.clusters[c].medoid
+				eff := float64(st.dist(int32(e), m)) * bias
+				if eff < best || (eff == best && bestC >= 0 && st.node[m] < bestNode) {
+					best, bestC, bestNode = eff, int32(c), st.node[m]
+				}
+			}
+			st.assignTo[e] = bestC
+			if bestNode != st.prevMedoid[e] {
+				moves++
+			}
+			st.prevMedoid[e] = bestNode
+		}
+	}
+	return moves
+}
+
+// rebuild regenerates the member lists from the assignments — a counting
+// sort, so every list comes out ascending — and drops empty clusters.
+func (st *state) rebuild() {
+	count := resize(st.uf, len(st.clusters))
+	clear(count)
+	for _, c := range st.assignTo {
+		if c >= 0 {
+			count[c]++
+		}
+	}
+	kept, off := st.clusters[:0], int32(0)
+	for c, n := range count {
+		if n == 0 {
+			continue
+		}
+		kept = append(kept, clusterRef{off: off, n: n, medoid: st.clusters[c].medoid})
+		count[c] = off // from here on: the cluster's fill cursor
+		off += n
+	}
+	st.clusters, st.uf = kept, count
+	st.data = resize(st.data, int(off))
+	for e, c := range st.assignTo {
+		if c >= 0 {
+			st.data[count[c]] = int32(e)
+			count[c]++
+		}
+	}
+}
+
+// recomputeMedoids sets each cluster's centroid to the member minimizing
+// the sum of path distances to the other members (the center of weight).
+func (st *state) recomputeMedoids() {
+	for c := range st.clusters {
+		st.clusters[c].medoid = st.medoidOf(st.members(st.clusters[c]))
+	}
+}
+
+// find is union-find lookup with path halving.
+func find(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// join merges clusters whose medoids lie within JoinThreshold of each other
+// (within the same tree), using union-find, then recomputes the medoids of
+// merged clusters. A merged cluster takes the place of its first part.
+func (st *state) join() {
+	k := len(st.clusters)
+	if st.cfg.JoinThreshold <= 0 || k < 2 {
+		return
+	}
+	parent := resize(st.uf, k)
+	st.uf = parent
+	for c := range parent {
+		parent[c] = int32(c)
+	}
+	merged := false
+	for c0 := 0; c0 < k; {
+		c1 := st.treeRun(c0)
+		for a := c0; a < c1; a++ {
+			for b := a + 1; b < c1; b++ {
+				if st.dist(st.clusters[a].medoid, st.clusters[b].medoid) <= st.cfg.JoinThreshold {
+					ra, rb := find(parent, int32(a)), find(parent, int32(b))
+					if ra != rb {
+						parent[rb] = ra
+						merged = true
+					}
+				}
+			}
+		}
+		c0 = c1
+	}
+	if !merged {
+		return
+	}
+
+	// Size every component; a component of several clusters loses its
+	// medoid (-1) and gets a fresh window behind the current data.
+	slot := resize(st.slot, k)
+	st.slot = slot
+	for c := range slot {
+		slot[c] = -1
+	}
+	out := st.spare[:0]
+	for c, ref := range st.clusters {
+		r := find(parent, int32(c))
+		if slot[r] < 0 {
+			slot[r] = int32(len(out))
+			out = append(out, ref)
+			continue
+		}
+		o := &out[slot[r]]
+		o.n += ref.n
+		o.medoid = -1
+	}
+	cursor := resize(st.cursor, len(out))
+	st.cursor = cursor
+	end := int32(len(st.data))
+	for s := range out {
+		if out[s].medoid < 0 {
+			out[s].off, cursor[s] = end, end
+			end += out[s].n
+		}
+	}
+	st.data = slices.Grow(st.data, int(end)-len(st.data))[:end]
+	for c, ref := range st.clusters {
+		if s := slot[find(parent, int32(c))]; out[s].medoid < 0 {
+			cursor[s] += int32(copy(st.data[cursor[s]:], st.members(ref)))
+		}
+	}
+	for s := range out {
+		if out[s].medoid < 0 {
+			mem := st.members(out[s])
+			slices.Sort(mem) // parts are ascending runs; the whole must be too
+			out[s].medoid = st.medoidOf(mem)
+		}
+	}
+	st.clusters, st.spare = out, st.clusters
+}
+
+// remove deletes clusters smaller than RemoveBelow; their elements become
+// free (unassigned) until the next iteration's assignment step.
+func (st *state) remove() {
+	if st.cfg.RemoveBelow <= 0 {
+		return
+	}
+	kept := st.clusters[:0]
+	for _, ref := range st.clusters {
+		if int(ref.n) >= st.cfg.RemoveBelow {
+			kept = append(kept, ref)
+		}
+	}
+	st.clusters = kept
+}
+
+// split breaks clusters larger than SplitAbove around their (approximate)
+// farthest element pair: a double sweep finds two mutually distant members,
+// and each member goes with the nearer of the two. The halves stay in the
+// cluster's window, ascending each.
+func (st *state) split() {
+	if st.cfg.SplitAbove <= 0 {
+		return
+	}
+	out := st.spare[:0]
+	for _, ref := range st.clusters {
+		if int(ref.n) <= st.cfg.SplitAbove {
+			out = append(out, ref)
+			continue
+		}
+		m := st.members(ref)
+		a := st.farthestFrom(m, m[0])
+		b := st.farthestFrom(m, a)
+		// Stable partition in place: a's side compacts to the front, b's
+		// side waits in st.ids (free until the next medoidOf).
+		na, rest := 0, st.ids[:0]
+		for _, e := range m {
+			if st.dist(e, a) <= st.dist(e, b) {
+				m[na] = e
+				na++
+			} else {
+				rest = append(rest, e)
+			}
+		}
+		st.ids = rest
+		if na == 0 || len(rest) == 0 {
+			out = append(out, ref) // m is untouched: nothing moved
+			continue
+		}
+		copy(m[na:], rest)
+		out = append(out,
+			clusterRef{off: ref.off, n: int32(na), medoid: st.medoidOf(m[:na])},
+			clusterRef{off: ref.off + int32(na), n: ref.n - int32(na), medoid: st.medoidOf(m[na:])})
+	}
+	st.clusters, st.spare = out, st.clusters
+}
+
+func (st *state) farthestFrom(mem []int32, from int32) int32 {
+	best, bestD := from, -1
+	for _, e := range mem {
+		d := st.dist(e, from)
+		if d > bestD || (d == bestD && st.node[e] < st.node[best]) {
+			best, bestD = e, d
+		}
+	}
+	return best
+}
+
+// emit converts the final state into exported clusters and counts the
+// elements left in none. The clusters share one backing array each for
+// their structs and their elements.
+func (st *state) emit() ([]*Cluster, int) {
+	assigned := 0
+	for _, ref := range st.clusters {
+		assigned += int(ref.n)
+	}
+	out := make([]*Cluster, len(st.clusters))
+	cls := make([]Cluster, len(st.clusters))
+	elems := make([]Element, 0, assigned)
+	repo := st.ix.Repository()
+	for c, ref := range st.clusters {
+		lo := len(elems)
+		for _, e := range st.members(ref) {
+			elems = append(elems, st.element(e))
+		}
+		cls[c] = Cluster{
+			ID:       c,
+			Medoid:   repo.Node(int(st.node[ref.medoid])),
+			TreeID:   int(st.tree[ref.medoid]),
+			Elements: elems[lo:len(elems):len(elems)],
+		}
+		out[c] = &cls[c]
+	}
+	return out, len(st.node) - assigned
+}

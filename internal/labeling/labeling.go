@@ -9,6 +9,13 @@
 // answers Distance/LCA queries in O(1) using an Euler tour with a sparse
 // table for range-minimum queries.
 //
+// The same tables carry the clusterer's third kernel: Index.Medoid finds a
+// member set's exact center of weight — the member minimizing the sum of
+// tree distances to all members, ties to the lowest node ID — from the
+// members' auxiliary tree in O(m) time plus m−1 LCA lookups for members in
+// document order (O(m log m) otherwise), against O(m²) lookups for the
+// pairwise scan. It always equals that scan run with full sums.
+//
 // For sharded serving, a View restricts one shared Index to a subset of the
 // repository's trees: shards answer every structural query through the
 // single resident index (member nodes are the repository's own node
@@ -153,6 +160,16 @@ func (ix *Index) TreeID(n *schema.Node) int { return int(ix.tree[n.ID]) }
 
 // Depth returns the node's depth within its tree.
 func (ix *Index) Depth(n *schema.Node) int { return int(ix.depth[n.ID]) }
+
+// TreeOfID is TreeID over a raw node ID.
+func (ix *Index) TreeOfID(id int) int { return int(ix.tree[id]) }
+
+// DocOrder returns the node's rank key in document order across the whole
+// forest: the position of its first occurrence in the Euler tour. Keys grow
+// with (tree, preorder position), so sorting nodes by DocOrder groups them
+// by tree and lists each tree's nodes ancestors-first — the order
+// Index.Medoid processes members in.
+func (ix *Index) DocOrder(id int) int32 { return ix.first[id] }
 
 // LCA returns the lowest common ancestor of a and b in O(1). It panics if
 // the nodes belong to different trees; call SameTree first when unsure.

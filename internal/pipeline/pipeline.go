@@ -141,11 +141,17 @@ type Options struct {
 	AdaptiveTopN bool
 }
 
+// ErrSchemaTooLarge is wrapped in the error every Runner entry point (and
+// ComputeClusters) returns for a personal schema of more than
+// cluster.MaxPersonalNodes nodes — the width of the clusterer's and the
+// mapping generator's per-personal-node bitmasks. It is the same value as
+// cluster.ErrSchemaTooLarge and serve.ErrSchemaTooLarge; match with
+// errors.Is.
+var ErrSchemaTooLarge = cluster.ErrSchemaTooLarge
+
 // Validate checks the option invariants shared by every pipeline entry
 // point: the objective parameters and the threshold range. Entry points
-// call it before any work; callers that front expensive precomputation
-// (e.g. a serving router's candidate pre-pass) can call it first to reject
-// malformed requests cheaply.
+// call it, through CheckRequest, before any work.
 func (o Options) Validate() error {
 	if err := o.Objective.Validate(); err != nil {
 		return err
@@ -373,6 +379,19 @@ func (r *Runner) checkOwned(n *schema.Node, what string) error {
 	return nil
 }
 
+// CheckRequest is the gate every entry point passes first: valid options,
+// and a personal schema the bitmask-based stages can represent (else an
+// ErrSchemaTooLarge error). Rejecting here keeps an oversized schema an
+// error for the caller instead of a panic inside a worker goroutine.
+// Callers that front expensive precomputation (the serving router's
+// candidate pre-pass) call it themselves to reject cheaply.
+func CheckRequest(personal *schema.Tree, opts Options) error {
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	return cluster.CheckPersonal(personal.Len())
+}
+
 // Run executes the full pipeline for one personal schema. It is equivalent
 // to RunContext with context.Background().
 func (r *Runner) Run(personal *schema.Tree, opts Options) (*Report, error) {
@@ -385,7 +404,7 @@ func (r *Runner) Run(personal *schema.Tree, opts Options) (*Report, error) {
 // inside the Parallelism fan-out, so a cancelled run stops early (within
 // one cluster's worth of work) and returns ctx.Err().
 func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Options) (*Report, error) {
-	if err := opts.Validate(); err != nil {
+	if err := CheckRequest(personal, opts); err != nil {
 		return nil, err
 	}
 	m := opts.Matcher
@@ -419,7 +438,7 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 // into the candidate set. The report's MatchTime is zero: element matching
 // happened upstream.
 func (r *Runner) RunWithCandidates(ctx context.Context, personal *schema.Tree, cands *matcher.Candidates, opts Options) (*Report, error) {
-	if err := opts.Validate(); err != nil {
+	if err := CheckRequest(personal, opts); err != nil {
 		return nil, err
 	}
 	if cands == nil {
@@ -460,7 +479,7 @@ func (r *Runner) RunWithCandidates(ctx context.Context, personal *schema.Tree, c
 // ClusterConfig, Agglomerative) are ignored. MatchTime and ClusterTime are
 // zero in the report: those stages ran upstream.
 func (r *Runner) RunWithClusters(ctx context.Context, personal *schema.Tree, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int, opts Options) (*Report, error) {
-	if err := opts.Validate(); err != nil {
+	if err := CheckRequest(personal, opts); err != nil {
 		return nil, err
 	}
 	if cands == nil {
@@ -489,6 +508,9 @@ func (r *Runner) RunWithClusters(ctx context.Context, personal *schema.Tree, can
 // or tree clustering for VariantTree. ix must be the labelling index of the
 // repository the candidates reference.
 func ComputeClusters(ix *labeling.Index, cands *matcher.Candidates, opts Options) (clusters []*cluster.Cluster, iterations int, err error) {
+	if err := cluster.CheckPersonal(cands.Personal.Len()); err != nil {
+		return nil, 0, err
+	}
 	if cfg, ok := opts.Variant.ClusterConfig(); ok {
 		if opts.ClusterConfig != nil {
 			cfg = *opts.ClusterConfig
@@ -689,7 +711,7 @@ func collectPartials(ctx context.Context, rep *Report, gen *mapgen.Generator, no
 // splitUseful partitions clusters by usefulness for an n-node personal
 // schema.
 func splitUseful(clusters []*cluster.Cluster, n int) (useful, nonUseful []*cluster.Cluster) {
-	full := uint64(1)<<uint(n) - 1
+	full := cluster.FullMask(n)
 	for _, cl := range clusters {
 		if cl.Useful(full) {
 			useful = append(useful, cl)

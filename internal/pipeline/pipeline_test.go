@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"bellflower/internal/cluster"
@@ -179,6 +181,50 @@ func TestRunValidation(t *testing.T) {
 	bad2.Objective.Alpha = 7
 	if _, err := r.Run(personBooks(), bad2); err == nil {
 		t.Errorf("bad alpha accepted")
+	}
+}
+
+// TestOversizedPersonalSchemaIsATypedError: every Runner entry point (and
+// ComputeClusters, which the router's pre-pass calls directly) refuses a
+// personal schema wider than the 64-bit candidate masks with
+// ErrSchemaTooLarge instead of panicking, and accepts exactly 64 nodes.
+func TestOversizedPersonalSchemaIsATypedError(t *testing.T) {
+	wide := func(n int) *schema.Tree {
+		b := schema.NewBuilder("wide")
+		// One matching root over leaves that match nothing: the search
+		// space stays trivial while the schema fills the mask.
+		root := b.Root("address")
+		for i := 1; i < n; i++ {
+			b.Element(root, fmt.Sprintf("zzqx%dkw", i))
+		}
+		return b.MustTree()
+	}
+	r := NewRunner(smallRepo())
+	ctx := context.Background()
+	opts := DefaultOptions()
+	opts.TopN, opts.AdaptiveTopN = 3, true
+
+	at := wide(cluster.MaxPersonalNodes)
+	if _, err := r.RunContext(ctx, at, opts); err != nil {
+		t.Fatalf("64-node personal schema refused: %v", err)
+	}
+
+	over := wide(cluster.MaxPersonalNodes + 1)
+	cands := r.MatchCandidates(over, matcher.NameMatcher{}, matcher.Config{MinSim: opts.MinSim})
+	_, errRun := r.RunContext(ctx, over, opts)
+	_, errCands := r.RunWithCandidates(ctx, over, cands, opts)
+	_, errClusters := r.RunWithClusters(ctx, over, cands, []*cluster.Cluster{}, 0, opts)
+	_, _, errCompute := ComputeClusters(r.Index(), cands, opts)
+	treeOpts := opts
+	treeOpts.Variant = VariantTree
+	_, _, errTree := ComputeClusters(r.Index(), cands, treeOpts)
+	for name, err := range map[string]error{
+		"RunContext": errRun, "RunWithCandidates": errCands, "RunWithClusters": errClusters,
+		"ComputeClusters": errCompute, "ComputeClusters(tree)": errTree,
+	} {
+		if !errors.Is(err, ErrSchemaTooLarge) {
+			t.Errorf("%s over 65 nodes: err = %v, want ErrSchemaTooLarge", name, err)
+		}
 	}
 }
 

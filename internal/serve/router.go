@@ -362,7 +362,7 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 		r.rejected.Add(1)
 		return nil, fmt.Errorf("serve: %w: %d nodes > limit %d", ErrSchemaTooLarge, personal.Len(), r.maxSchemaNodes)
 	}
-	if err := opts.Validate(); err != nil {
+	if err := pipeline.CheckRequest(personal, opts); err != nil {
 		r.rejected.Add(1)
 		return nil, err
 	}

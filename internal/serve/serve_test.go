@@ -588,3 +588,71 @@ func ExampleService() {
 	fmt.Println("found mappings:", len(rep.Mappings) > 0)
 	// Output: found mappings: true
 }
+
+// TestLeaderRechecksCacheAfterJoin pins the cache-miss → flight-join
+// window: a request that misses the cache just before an identical run
+// finishes used to win the (freed) flight key and run the pipeline a second
+// time. The hook lands a whole identical request inside that window; the
+// outer request must then serve the cached report, not start run two.
+func TestLeaderRechecksCacheAfterJoin(t *testing.T) {
+	s := NewFromRepository(testRepo(t), Config{Workers: 1})
+	defer s.Close()
+
+	var inner *pipeline.Report
+	nested := false
+	s.beforeJoin = func() {
+		if nested {
+			return
+		}
+		nested = true
+		var err error
+		if inner, err = s.Match(context.Background(), personal(), testOpts()); err != nil {
+			t.Errorf("nested request: %v", err)
+		}
+	}
+	outer, err := s.Match(context.Background(), personal(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outer != inner {
+		t.Error("outer request did not serve the report the finished run cached")
+	}
+	st := s.Stats()
+	if st.PipelineRuns != 1 {
+		t.Errorf("pipeline runs = %d, want 1: the request elected leader after the run finished must re-read the cache", st.PipelineRuns)
+	}
+	if st.InFlight != 0 {
+		t.Errorf("in flight = %d after both requests returned: the re-check must close the flight it opened", st.InFlight)
+	}
+}
+
+// TestOversizedSchemaWithLimitDisabled: with MaxSchemaNodes < 0 the
+// service-level guard is off, and a schema beyond the pipeline's 64-node
+// mask used to panic inside a worker goroutine, taking the process down.
+// It must come back as the same typed error, and the service must live on.
+func TestOversizedSchemaWithLimitDisabled(t *testing.T) {
+	wide := func(n int) *schema.Tree {
+		b := schema.NewBuilder("wide")
+		root := b.Root("book")
+		for i := 1; i < n; i++ {
+			b.Element(root, fmt.Sprintf("title%d", i))
+		}
+		return b.MustTree()
+	}
+	backends := map[string]Backend{
+		"service": NewFromRepository(testRepo(t), Config{MaxSchemaNodes: -1}),
+		"router":  NewRouterFromRepository(testRepo(t), 2, Config{MaxSchemaNodes: -1}),
+	}
+	for name, b := range backends {
+		if _, err := b.Match(context.Background(), wide(65), testOpts()); !errors.Is(err, ErrSchemaTooLarge) {
+			t.Errorf("%s: 65-node schema: err = %v, want ErrSchemaTooLarge", name, err)
+		}
+		if _, err := b.Match(context.Background(), wide(64), testOpts()); err != nil {
+			t.Errorf("%s: 64-node schema (the mask's full width) refused: %v", name, err)
+		}
+		if _, err := b.Match(context.Background(), personal(), testOpts()); err != nil {
+			t.Errorf("%s: service did not survive the oversized request: %v", name, err)
+		}
+		b.Close()
+	}
+}

@@ -24,8 +24,10 @@ import (
 var ErrClosed = errors.New("serve: service closed")
 
 // ErrSchemaTooLarge is wrapped in the error returned when a personal
-// schema exceeds Config.MaxSchemaNodes; match with errors.Is.
-var ErrSchemaTooLarge = errors.New("personal schema too large")
+// schema exceeds Config.MaxSchemaNodes — or, with that limit raised or
+// disabled, the pipeline's own pipeline.ErrSchemaTooLarge bound, which is
+// this same value; match with errors.Is.
+var ErrSchemaTooLarge = pipeline.ErrSchemaTooLarge
 
 // Config sizes the service. The zero value picks sensible defaults; use a
 // negative CacheSize or MaxSchemaNodes to disable that limit outright.
@@ -95,7 +97,8 @@ type Config struct {
 	// MaxSchemaNodes rejects personal schemas with more nodes than this
 	// before any work happens (the search space grows exponentially with
 	// personal-schema size, so this is the service's overload guard).
-	// Default 64; negative disables the check.
+	// Default 64; negative disables the check, leaving only the
+	// pipeline's own 64-node bound (same ErrSchemaTooLarge).
 	MaxSchemaNodes int
 
 	// DefaultTimeout bounds requests whose context carries no deadline.
@@ -166,6 +169,11 @@ type Service struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	once   sync.Once
+
+	// beforeJoin, when set, runs between a request's cache miss and its
+	// flight join: tests use it to land another request's whole run in
+	// that window. Always nil outside tests.
+	beforeJoin func()
 }
 
 // New starts a service around an existing runner (sharing its index).
@@ -364,8 +372,21 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 			s.ct.cacheMisses.Add(1)
 		}
 
+		if s.beforeJoin != nil {
+			s.beforeJoin()
+		}
 		c, leader := s.flight.join(key, s.root)
 		if leader {
+			// The cache was read before the join. An identical run that
+			// finished in between (the worker fills the cache, then frees
+			// the flight key) would leave this request leading a second,
+			// redundant run; the key is ours now, so a second look is
+			// decisive: serve from the cache and close the flight with it.
+			if rep, ok := s.cache.Get(key); ok {
+				s.flight.finish(key, c, rep, nil)
+				s.ct.observe(time.Since(start))
+				return rep, nil
+			}
 			t := &task{key: key, c: c, personal: personal, opts: opts,
 				cands: cands, clusters: clusters, iterations: iterations}
 			if trace.FromContext(ctx) != nil {
