@@ -545,8 +545,8 @@ var genSink int
 // work. Per shape, best of 3 passes each: exhaustive generate-then-
 // truncate, adaptive top-N sequential, adaptive top-N over 4 workers. A
 // final probe measures warm-search allocations on a near-miss schema at
-// δ=0.999 (full searches, nothing found, so the pooled state must make
-// the op allocation-free).
+// δ=0.999 (every cluster planned, nothing found, so the pooled state must
+// make the op allocation-free).
 func genKernelBench(repo *bellflower.Repository, iters int) (*genKernelResult, error) {
 	opts := pipeline.DefaultOptions()
 	ix := labeling.NewIndex(repo)
@@ -661,9 +661,9 @@ func genKernelBench(repo *bellflower.Repository, iters int) (*genKernelResult, e
 	}
 
 	// Warm-search allocation probe: misspelled vocabulary keeps element
-	// similarities below 1, and δ=0.999 then rejects every complete
-	// mapping — the searches run to their leaves but produce no output, so
-	// a warm op must allocate nothing.
+	// similarities below 1, so at δ=0.999 every cluster is planned and then
+	// cut off by its bound — the searches produce no output, and a warm op
+	// must allocate nothing.
 	probe := bellflower.MustParseSchema("bok(titel,autor,prce)")
 	probeCands := matcher.FindCandidates(probe, repo, matcher.NameMatcher{}, matcher.Config{MinSim: 0.3})
 	probeClusters, _, err := pipeline.ComputeClusters(ix, probeCands, opts)

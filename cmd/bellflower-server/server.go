@@ -295,7 +295,7 @@ type matchOptionsJSON struct {
 	StructureWeight float64  `json:"structure_weight,omitempty"`
 	Parallelism     int      `json:"parallelism,omitempty"`
 	Agglomerative   bool     `json:"agglomerative,omitempty"`
-	AdaptiveTopN    bool     `json:"adaptive_top_n,omitempty"`
+	AdaptiveTopN    bool     `json:"adaptive_top_n,omitempty"` // deprecated: accepted, ignored
 	OrderClusters   bool     `json:"order_clusters,omitempty"`
 	IncludePartials bool     `json:"include_partials,omitempty"`
 	TimeoutMS       int      `json:"timeout_ms,omitempty"`
@@ -321,6 +321,7 @@ func (o *matchOptionsJSON) build() (bellflower.Options, error) {
 	opts.TopN = o.TopN
 	opts.Parallelism = o.Parallelism
 	opts.Agglomerative = o.Agglomerative
+	//lint:ignore SA1019 still parsed so that old clients keep working; the pipeline ignores it
 	opts.AdaptiveTopN = o.AdaptiveTopN
 	opts.OrderClusters = o.OrderClusters
 	opts.IncludePartials = o.IncludePartials

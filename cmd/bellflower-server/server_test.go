@@ -81,6 +81,12 @@ func TestHandleMatchTable(t *testing.T) {
 			wantInBody: `"mappings"`,
 		},
 		{
+			name:       "deprecated adaptive_top_n still parses",
+			body:       `{"personal":"book(title,author)","options":{"delta":0.5,"top_n":2,"adaptive_top_n":true}}`,
+			wantStatus: http.StatusOK,
+			wantInBody: `"mappings"`,
+		},
+		{
 			name:       "bad json",
 			body:       `{"personal":`,
 			wantStatus: http.StatusBadRequest,

@@ -12,23 +12,31 @@
 // mappings generated is the paper's machine-independent efficiency
 // indicator (Tab. 1b).
 //
-// GenerateTopN / GenerateTopNParallel add the adaptive top-N variant: the
-// pruning threshold starts at δ and rises to the N-th best Δ found so far.
-// The parallel engine fans clusters out to workers that share one atomic
-// Δ-floor fed by a mutex-guarded global top-N heap, and dispatches
-// clusters best-first by a precomputed optimistic per-cluster bound, so
-// late clusters are often skipped without their restricted candidate sets
-// ever being built.
+// One engine runs every search (GenerateTopNParallel; Generate,
+// GenerateInCluster, GenerateTopN and GenerateTopNStop are thin entries
+// into it). A planning pass over the candidate sets decides each cluster's
+// usefulness, search-space size, optimistic Δ upper bound and restricted
+// candidate sets; workers then claim clusters and run one depth-first
+// search that prunes against a Δ-floor, stopping a level as soon as the
+// bound over the edge union as it stands falls below the floor (candidate
+// sets are in descending similarity, so every later candidate is below it
+// too). With n <= 0 the floor stays at δ and every mapping at or above it
+// is returned — the threshold search, under the configured Algorithm. With
+// n > 0 the floor starts at δ and rises to the N-th best Δ found so far: the
+// workers share one atomic floor fed by a mutex-guarded global top-N heap,
+// clusters are dispatched best-first by their bound (smaller search space
+// first among equals), and late clusters are often skipped without being
+// searched. The top-N list is handed back as a compact copy (Compact), so
+// what a caller retains pins no search memory.
 //
-// Ranked lists from independent searches — per-cluster lists within one
-// repository, or per-shard lists when a repository is partitioned across
-// several serve.Service instances — are combined with Rank and MergeRanked
-// respectively; both orderings are deterministic.
+// Ranked lists from independent searches — per-shard lists when a
+// repository is partitioned across several serve.Service instances — are
+// combined with MergeRanked; its ordering, like Rank's, is deterministic.
 //
 // # Determinism
 //
 // GenerateTopNParallel returns results bit-identical — scores AND order —
-// to the sequential adaptive search and to exhaustive generation truncated
+// to the inline search and, for n > 0, to exhaustive generation truncated
 // to N, for every worker count. Three properties carry the proof: the
 // shared floor never exceeds the Δ of the N-th best mapping under the full
 // Rank total order (descending Δ, then cluster ID, then image node IDs),
@@ -36,12 +44,14 @@
 // the first N mappings under that same total order. True top-N mappings
 // are therefore never pruned, never rejected and never evicted, whatever
 // the schedule; the final Rank pass fixes the order. The property and fuzz
-// tests in parallel_test.go pin this equivalence.
+// tests in parallel_test.go pin this equivalence against a test-local
+// enumerator (reference_test.go) that shares no code with the engine.
 //
-// The work counters are the one schedule-dependent output: under
-// parallelism, PartialMappings, CompleteMappings and the EngineStats
+// The work counters are the one schedule-dependent output: in a parallel
+// top-N search, PartialMappings, CompleteMappings and the EngineStats
 // skip/tightening figures depend on how fast the floor rose, which depends
-// on cluster interleaving. SearchSpace, UsefulClusters and the mappings
+// on cluster interleaving (a threshold search's floor never moves, so all
+// its counters are exact). SearchSpace, UsefulClusters and the mappings
 // themselves are exact and schedule-independent (they are computed in the
 // deterministic planning pass, including for clusters later skipped by
 // bound). With parallelism <= 1 the engine runs inline on the calling
@@ -50,13 +60,14 @@
 // # Concurrency
 //
 // A Generator is immutable after New: search state (assignment arrays,
-// restricted candidate sets, dense bitsets, dense edge union, result heap)
+// the planner's restricted candidate sets, dense bitsets, dense edge union,
+// result heap)
 // lives in a sync.Pool, acquired per call and per worker, never on the
 // Generator — so any number of goroutines may search through one Generator
 // at once, and a warm acquire→search→release cycle allocates nothing (the
 // AllocsPerRun pins in parallel_test.go enforce this). Clusters passed to
 // the generator must be disjoint node sets, which every clustering Result
 // in this codebase produces. The package-level helpers Rank, MergeRanked
-// and SearchSpaceSize are pure functions over their arguments (Rank sorts
-// its argument in place).
+// and Compact are pure functions over their arguments (Rank sorts its
+// argument in place).
 package mapgen

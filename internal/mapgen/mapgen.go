@@ -86,10 +86,8 @@ type Config struct {
 	// Threshold is δ: only mappings with Δ(s,t) ≥ δ are returned.
 	Threshold float64
 
-	// TopN truncates the final ranked list (0 = return all).
-	TopN int
-
-	// Algorithm selects BranchAndBound (default) or Exhaustive.
+	// Algorithm selects BranchAndBound (default) or Exhaustive. It governs
+	// the threshold search; a top-N search always bounds.
 	Algorithm Algorithm
 
 	// Stats, when non-nil, accumulates engine effectiveness counters
@@ -118,34 +116,17 @@ func New(cfg Config, ix *labeling.Index, ev *objective.Evaluator, cands *matcher
 	return &Generator{cfg: cfg, ix: ix, ev: ev, cands: cands}
 }
 
-// Generate runs the search over every cluster and returns the merged,
-// ranked mapping list (step ⑤) plus the accumulated counters.
+// Generate runs the threshold search over every cluster and returns the
+// merged, ranked mapping list (step ⑤) plus the accumulated counters.
 func (g *Generator) Generate(clusters []*cluster.Cluster) ([]Mapping, Counters) {
-	return g.generateStop(clusters, nil)
+	return g.GenerateTopNParallel(clusters, 0, 1, nil)
 }
 
-// generateStop is Generate with the cooperative stop hook of
-// GenerateTopNStop: consulted between clusters, a true return abandons the
-// search with whatever was found so far; nil never stops. One pooled
-// search state serves every cluster of the run.
-func (g *Generator) generateStop(clusters []*cluster.Cluster, stop func() bool) ([]Mapping, Counters) {
-	st := acquireState(g)
-	defer st.release()
-	var all []Mapping
-	var total Counters
-	for _, cl := range clusters {
-		if stop != nil && stop() {
-			break
-		}
-		ms, ctr := g.generateInCluster(st, cl)
-		all = append(all, ms...)
-		total.Add(ctr)
-	}
-	Rank(all)
-	if g.cfg.TopN > 0 && len(all) > g.cfg.TopN {
-		all = all[:g.cfg.TopN]
-	}
-	return all, total
+// GenerateInCluster searches a single cluster. Non-useful clusters return
+// no mappings and contribute nothing to the search space (they cannot
+// produce complete mappings).
+func (g *Generator) GenerateInCluster(cl *cluster.Cluster) ([]Mapping, Counters) {
+	return g.GenerateTopNParallel([]*cluster.Cluster{cl}, 0, 1, nil)
 }
 
 // rankLess is the deterministic total order of the final ranking:
@@ -189,140 +170,26 @@ func Rank(ms []Mapping) {
 	sort.Sort(mappingSorter(ms))
 }
 
-// restrictedInto fills st.sets with, per personal node, the candidate
-// list intersected with the cluster's members — descending-similarity
-// order preserved, backing arrays reused. ok is false when some personal
-// node has no candidate in the cluster (non-useful cluster, Sec. 2.3);
-// all sets are filled either way (the partial-mapping search needs the
-// covered ones). Membership is tested through the state's dense bitset;
-// the bits set here are cleared again before returning, keeping the cost
-// proportional to the cluster, not the repository.
-func (g *Generator) restrictedInto(st *searchState, cl *cluster.Cluster) (ok bool) {
-	for i := range cl.Elements {
-		st.member.Set(cl.Elements[i].Node.ID)
+// Compact returns a copy of ms that owns exactly the memory it needs: the
+// list's capacity equals its length, and the mappings' Images and Sims are
+// carved from two arrays of exactly their total size. A retained result
+// (a cached report) then pins neither a longer list's backing array nor
+// the emission slabs the search carved the originals from.
+func Compact(ms []Mapping) []Mapping {
+	if len(ms) == 0 {
+		return nil
 	}
-	ok = true
-	for i := 0; i < st.n; i++ {
-		set := st.sets[i][:0]
-		for _, c := range g.cands.Sets[i].Elems {
-			if st.member.Has(c.Node.ID) {
-				set = append(set, c)
-			}
-		}
-		st.sets[i] = set
-		if len(set) == 0 {
-			ok = false
-		}
+	n := len(ms[0].Images) // every mapping of one search spans the personal schema
+	out := make([]Mapping, len(ms))
+	images := make([]*schema.Node, len(ms)*n)
+	sims := make([]float64, len(ms)*n)
+	for i := range ms {
+		lo, hi := i*n, (i+1)*n
+		out[i] = ms[i]
+		out[i].Images = images[lo:hi:hi]
+		out[i].Sims = sims[lo:hi:hi]
+		copy(out[i].Images, ms[i].Images)
+		copy(out[i].Sims, ms[i].Sims)
 	}
-	for i := range cl.Elements {
-		st.member.Unset(cl.Elements[i].Node.ID)
-	}
-	return ok
-}
-
-// SearchSpaceSize returns Π_n |sets[n]| as float64.
-func SearchSpaceSize(sets [][]matcher.Candidate) float64 {
-	space := 1.0
-	for _, s := range sets {
-		space *= float64(len(s))
-	}
-	return space
-}
-
-// GenerateInCluster searches a single cluster. Non-useful clusters return
-// no mappings and contribute nothing to the search space (they cannot
-// produce complete mappings).
-func (g *Generator) GenerateInCluster(cl *cluster.Cluster) ([]Mapping, Counters) {
-	st := acquireState(g)
-	defer st.release()
-	return g.generateInCluster(st, cl)
-}
-
-// generateInCluster is GenerateInCluster against caller-provided search
-// state.
-func (g *Generator) generateInCluster(st *searchState, cl *cluster.Cluster) ([]Mapping, Counters) {
-	if !g.restrictedInto(st, cl) {
-		return nil, Counters{}
-	}
-	ctr := Counters{UsefulClusters: 1, SearchSpace: SearchSpaceSize(st.sets)}
-	st.fillSuffixBest()
-	s := search{g: g, st: st, cl: cl, n: st.n}
-	s.run(0, 0)
-	ctr.PartialMappings = s.partials
-	ctr.CompleteMappings = s.completes
-	ctr.Found = int64(len(s.out))
-	g.cfg.Stats.addPartials(ctr.PartialMappings)
-	return s.out, ctr
-}
-
-// search is the threshold-mode DFS over one cluster's restricted sets.
-// Work counters live in the struct (not behind a pointer) so the whole
-// search stays on the caller's stack.
-type search struct {
-	g         *Generator
-	st        *searchState
-	cl        *cluster.Cluster
-	n         int
-	partials  int64
-	completes int64
-	out       []Mapping
-}
-
-// run extends the partial mapping at personal preorder rank i with an
-// accumulated similarity sum. Personal nodes are assigned in preorder, so a
-// node's parent image is always available when the node is assigned; the
-// edge union therefore tracks |Et| of the partial mapping incrementally.
-func (s *search) run(i int, simSum float64) {
-	st := s.st
-	if i == s.n {
-		s.completes++
-		dsim := simSum / float64(s.n)
-		dpath := s.g.ev.DeltaPath(st.union.Size())
-		delta := s.g.ev.Combine(dsim, dpath)
-		if delta >= s.g.cfg.Threshold {
-			images, sims := st.emit(st.images, st.sims)
-			s.out = append(s.out, Mapping{
-				Images:    images,
-				Sims:      sims,
-				ClusterID: s.cl.ID,
-				Score: objective.Score{
-					Delta: delta, Sim: dsim, Path: dpath, Et: st.union.Size(),
-				},
-			})
-		}
-		return
-	}
-	personal := s.g.cands.Personal.NodeAt(i)
-	parent := personal.Parent()
-	for _, c := range st.sets[i] {
-		if st.used.Has(c.Node.ID) {
-			continue // "1 to 1": images must be distinct
-		}
-		s.partials++
-		mark := -1
-		if parent != nil {
-			mark = st.union.Push(st.images[parent.Pre], c.Node)
-		}
-		prune := false
-		if s.g.cfg.Algorithm == BranchAndBound {
-			// Admissible bound: unassigned nodes contribute at most their
-			// best similarity, and |Et| only grows, so DeltaPath of the
-			// current union is an upper bound on the final Δpath.
-			bound := s.g.ev.Combine(
-				(simSum+c.Sim+st.suffixBest[i+1])/float64(s.n),
-				s.g.ev.DeltaPath(st.union.Size()),
-			)
-			prune = bound < s.g.cfg.Threshold
-		}
-		if !prune {
-			st.images[i] = c.Node
-			st.sims[i] = c.Sim
-			st.used.Set(c.Node.ID)
-			s.run(i+1, simSum+c.Sim)
-			st.used.Unset(c.Node.ID)
-		}
-		if parent != nil {
-			st.union.Pop(mark)
-		}
-	}
+	return out
 }

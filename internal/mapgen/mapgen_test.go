@@ -99,7 +99,7 @@ func TestGenerateTopN(t *testing.T) {
 		"book(title)",
 		"lib(book(title),book(title),book(title))")
 	all, _ := f.gen(Config{Threshold: 0.5}).Generate(f.treeClusters())
-	top, _ := f.gen(Config{Threshold: 0.5, TopN: 2}).Generate(f.treeClusters())
+	top, _ := f.gen(Config{Threshold: 0.5}).GenerateTopN(f.treeClusters(), 2)
 	if len(all) <= 2 {
 		t.Skipf("need >2 mappings for the test, got %d", len(all))
 	}

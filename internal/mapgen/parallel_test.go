@@ -71,14 +71,21 @@ func randomCase(seed int64) (*labeling.Index, *objective.Evaluator, *matcher.Can
 	return ix, ev, cands, clusters
 }
 
-// checkParallelEquivalence runs the three-way identity — parallel adaptive
-// ≡ sequential adaptive ≡ exhaustive-then-truncate — for one seeded case
-// and reports whether it held.
+// checkParallelEquivalence runs the identity chain — parallel top-N ≡
+// sequential top-N ≡ enumerate-then-truncate, the enumeration being both
+// the engine's own Exhaustive threshold search (at every parallelism) and
+// the test-local reference that shares no code with it — for one seeded
+// case.
 func checkParallelEquivalence(t *testing.T, seed int64, n int, threshold float64) {
 	t.Helper()
 	ix, ev, cands, clusters := randomCase(seed)
 
-	exh, _ := New(Config{Threshold: threshold, Algorithm: Exhaustive}, ix, ev, cands).Generate(clusters)
+	exh, _ := refGenerate(ix, ev, cands, clusters, threshold, false)
+	for _, par := range []int{1, 3} {
+		own, _ := New(Config{Threshold: threshold, Algorithm: Exhaustive}, ix, ev, cands).
+			GenerateTopNParallel(clusters, 0, par, nil)
+		mappingsIdentical(t, "exhaustive threshold search vs reference", own, exh)
+	}
 	if len(exh) > n {
 		exh = exh[:n]
 	}
@@ -147,13 +154,15 @@ func TestGenerateTopNParallelCancellation(t *testing.T) {
 // allocFix returns a generator whose searches do real work (partial
 // mappings are generated) but keep no mapping — the configuration the
 // zero-allocation pins measure, so result copies don't hide a leak in the
-// search machinery itself.
+// search machinery itself. Names match exactly, so no cluster is cut off by
+// its similarity bound; the stretched paths then sink every mapping below
+// δ.
 func allocFix(t *testing.T) (*Generator, []*cluster.Cluster) {
 	t.Helper()
 	f := newFix(t, objective.DefaultParams(), 0.3,
 		"book(title,author)",
-		"lib(bok(titel,autor),bok(ttl,athr))",
-		"store(dept(bok(titel)))")
+		"lib(book(x(title),x(title)),y(author),y(author))",
+		"store(dept(book(z(title))),author)")
 	g := f.gen(Config{Threshold: 0.999})
 	clusters := f.treeClusters()
 	_, ctr := g.Generate(clusters)

@@ -52,8 +52,26 @@ type PartialMapping struct {
 func (g *Generator) GeneratePartialInCluster(cl *cluster.Cluster) ([]PartialMapping, Counters) {
 	st := acquireState(g)
 	defer st.release()
-	g.restrictedInto(st, cl) // fills every set; coverage decided below
 	n := st.n
+	// Restrict every candidate set to the cluster's members, descending
+	// similarity preserved, backing arrays reused; coverage is decided
+	// below. The member bits are cleared again right away, keeping the cost
+	// proportional to the cluster, not the repository.
+	for i := range cl.Elements {
+		st.member.Set(cl.Elements[i].Node.ID)
+	}
+	for i := 0; i < n; i++ {
+		set := st.sets[i][:0]
+		for _, c := range g.cands.Sets[i].Elems {
+			if st.member.Has(c.Node.ID) {
+				set = append(set, c)
+			}
+		}
+		st.sets[i] = set
+	}
+	for i := range cl.Elements {
+		st.member.Unset(cl.Elements[i].Node.ID)
+	}
 
 	var mask uint64
 	numCovered := 0

@@ -88,9 +88,9 @@ func (s *EngineStats) addPoolReuse() {
 }
 
 // searchState is the pooled, reusable storage of one mapping search: the
-// DFS assignment arrays, the restricted candidate sets (backing arrays
-// reused across clusters), the dense used/member bitsets, the dense edge
-// union and the adaptive engine's planning scratch. Acquire one with
+// DFS assignment arrays, the dense used/member bitsets, the dense edge
+// union, the engine's planning scratch and the partial-mapping search's
+// restricted candidate sets (backing arrays reused across clusters). Acquire one with
 // acquireState and return it with release; a warm acquire→search→release
 // cycle allocates nothing.
 //
@@ -104,15 +104,20 @@ type searchState struct {
 	images     []*schema.Node
 	sims       []float64
 	suffixBest []float64
-	sets       [][]matcher.Candidate
+	sets       [][]matcher.Candidate // GeneratePartialInCluster only
 	used       labeling.Bitset
 	member     labeling.Bitset
 	union      *objective.DenseEdgeUnion
 
-	// Adaptive-engine planning scratch.
+	// Engine planning scratch. planFlat holds every useful cluster's
+	// restricted sets back to back and planSets the slice headers into it;
+	// a run's plans (and through them its workers) read both until the run
+	// ends.
 	clusterOf []int32 // node ID → cluster index this run, -1 outside
-	planBest  []float64
-	planCount []int32
+	planCount []int32 // per (cluster, personal node): candidates inside
+	planPos   []int32 // per (cluster, personal node): fill position in planFlat
+	planFlat  []matcher.Candidate
+	planSets  [][]matcher.Candidate
 	plans     []clusterPlan
 	sorter    planSorter
 	heap      []Mapping
@@ -206,27 +211,35 @@ func (st *searchState) prepare(g *Generator) {
 
 // growPlanScratch sizes the per-(cluster, personal node) planning arrays.
 func (st *searchState) growPlanScratch(kn int) {
-	if cap(st.planBest) < kn {
-		st.planBest = make([]float64, kn)
+	if cap(st.planCount) < kn {
 		st.planCount = make([]int32, kn)
+		st.planPos = make([]int32, kn)
 	}
-	st.planBest = st.planBest[:kn]
 	st.planCount = st.planCount[:kn]
+	st.planPos = st.planPos[:kn]
+}
+
+// growPlanSets sizes the flat restricted-set storage for the given number
+// of candidates and slice headers.
+func (st *searchState) growPlanSets(cands, headers int) ([]matcher.Candidate, [][]matcher.Candidate) {
+	if cap(st.planFlat) < cands {
+		st.planFlat = make([]matcher.Candidate, cands)
+	}
+	if cap(st.planSets) < headers {
+		st.planSets = make([][]matcher.Candidate, headers)
+	}
+	return st.planFlat[:cands], st.planSets[:headers]
 }
 
 // fillSuffixBest computes the optimistic per-suffix similarity mass for
-// the bounding function over the current restricted sets:
+// the bounding function over a useful cluster's restricted sets:
 // suffixBest[i] = Σ_{j≥i} max sim of sets[j]. Restricted sets preserve
 // the candidate sets' descending-similarity order, so the head is the max.
-func (st *searchState) fillSuffixBest() {
+func (st *searchState) fillSuffixBest(sets [][]matcher.Candidate) {
 	sb := st.suffixBest
 	sb[st.n] = 0
 	for i := st.n - 1; i >= 0; i-- {
-		best := 0.0
-		if s := st.sets[i]; len(s) > 0 {
-			best = s[0].Sim
-		}
-		sb[i] = sb[i+1] + best
+		sb[i] = sb[i+1] + sets[i][0].Sim
 	}
 }
 

@@ -7,38 +7,32 @@ import (
 	"sync/atomic"
 
 	"bellflower/internal/cluster"
+	"bellflower/internal/matcher"
 	"bellflower/internal/objective"
 )
 
-// Top-N search: the paper notes that "schema matching systems are built to
-// deliver top-N mappings, or mappings with the similarity index above
-// certain numerical threshold δ". Generate implements the δ mode; this
-// file implements the top-N mode with an adaptive Branch & Bound whose
-// pruning threshold starts at δ and rises to the N-th best Δ found so far.
-// This is strictly more efficient than generating everything and
-// truncating, and it returns exactly the same top-N list (property- and
-// fuzz-tested).
+// The paper notes that "schema matching systems are built to deliver top-N
+// mappings, or mappings with the similarity index above certain numerical
+// threshold δ". One engine serves both: a depth-first Branch & Bound over
+// each useful cluster's restricted candidate sets, pruning against a
+// Δ-floor that every worker reads lock-free (an atomic float64) at every
+// prune point. In the δ mode (n <= 0) the floor stays at δ and every
+// mapping at or above it is kept. In the top-N mode the floor starts at δ
+// and is fed by a mutex-guarded global top-N heap — any worker's discovery
+// tightens every worker's bound — clusters are dispatched best-first by
+// their optimistic upper bound, and a cluster whose bound has fallen below
+// the floor by the time it is dispatched is skipped. The heap orders
+// mappings by the full deterministic Rank comparator (not Δ alone), and the
+// floor prunes only on strict "below", so the kept N-set is the unique
+// top-N under the total order — bit-identical (scores AND order) for every
+// worker count, equal to the inline search and to exhaustive-then-truncate
+// (see doc.go; property- and fuzz-tested).
 //
-// The search is a shared-bound parallel engine:
-//
-//   - One Δ-floor, read lock-free (an atomic float64) at every prune
-//     point, is fed by a mutex-guarded global top-N heap — any worker's
-//     discovery tightens every worker's bound.
-//   - Clusters are dispatched best-first, in descending order of an
-//     optimistic per-cluster upper bound precomputed in one pass over the
-//     candidate sets, so the floor rises as fast as possible; a cluster
-//     whose bound has fallen below the floor by the time it is dispatched
-//     is skipped without ever building its restricted sets.
-//   - The heap orders mappings by the full deterministic Rank comparator
-//     (not Δ alone), and the floor prunes only on strict "below", so the
-//     kept N-set is the unique top-N under the total order — the result
-//     is bit-identical (scores AND order) for every worker count, equal
-//     to the sequential search and to exhaustive-then-truncate.
-//
-// Counters caveat: under parallelism PartialMappings/CompleteMappings and
-// the skip/tightening stats depend on the floor's trajectory, which
+// Counters caveat: under top-N parallelism PartialMappings/CompleteMappings
+// and the skip/tightening stats depend on the floor's trajectory, which
 // depends on scheduling — only the mappings, SearchSpace and
-// UsefulClusters are schedule-independent.
+// UsefulClusters are schedule-independent. With a fixed floor (δ mode)
+// every counter is schedule-independent.
 
 // GenerateTopN searches the clusters for the n best mappings with
 // Δ ≥ the configured threshold. The returned list is ranked. Counters
@@ -50,33 +44,35 @@ func (g *Generator) GenerateTopN(clusters []*cluster.Cluster, n int) ([]Mapping,
 // GenerateTopNStop is GenerateTopN with a cooperative stop hook: stop is
 // consulted between clusters, and a true return abandons the search,
 // yielding whatever was found so far. A nil stop never stops. This is how
-// context cancellation reaches the adaptive search without mapgen
-// depending on context. n <= 0 falls back to the threshold-only search,
-// still honouring stop between clusters.
+// context cancellation reaches the search without mapgen depending on
+// context.
 func (g *Generator) GenerateTopNStop(clusters []*cluster.Cluster, n int, stop func() bool) ([]Mapping, Counters) {
 	return g.GenerateTopNParallel(clusters, n, 1, stop)
 }
 
-// GenerateTopNParallel is the adaptive top-N search fanned out over up to
-// parallelism workers sharing one adaptive floor. The returned list is
-// bit-identical — scores and order — to the sequential search and to
+// GenerateTopNParallel is the package's one search entry: the top-N search
+// for n > 0, the threshold search (every mapping with Δ ≥ δ, under the
+// configured Algorithm) for n <= 0, fanned out over up to parallelism
+// workers sharing one floor. The returned list is ranked and bit-identical
+// — scores and order — to the sequential search and, for n > 0, to
 // exhaustive generation truncated to n, for any parallelism (see the
-// package comment above for why). stop is consulted between clusters by
-// every worker; clusters must be disjoint (any clustering Result is).
-// parallelism <= 1 searches inline on the calling goroutine with fully
-// deterministic counters; n <= 0 falls back to the threshold-only search.
+// comment above for why); a top-N list is a compact copy (Compact). stop is
+// consulted between clusters by every worker; clusters must be disjoint
+// (any clustering Result is). parallelism <= 1 searches inline on the
+// calling goroutine with fully deterministic counters.
 func (g *Generator) GenerateTopNParallel(clusters []*cluster.Cluster, n, parallelism int, stop func() bool) ([]Mapping, Counters) {
-	if n <= 0 {
-		return g.generateStop(clusters, stop)
-	}
 	st := acquireState(g)
 	defer st.release()
 	var total Counters
-	plans := g.planClusters(st, clusters, &total)
+	plans := g.planClusters(st, clusters, &total, n > 0)
 
 	e := &st.eng
 	e.g, e.limit = g, n
-	e.heap = st.heap[:0]
+	e.prune = n > 0 || g.cfg.Algorithm == BranchAndBound
+	e.heap = nil
+	if n > 0 {
+		e.heap = st.heap[:0]
+	}
 	e.cursor.Store(0)
 	e.partials.Store(0)
 	e.completes.Store(0)
@@ -106,12 +102,16 @@ func (g *Generator) GenerateTopNParallel(clusters []*cluster.Cluster, n, paralle
 	total.PartialMappings = e.partials.Load()
 	total.CompleteMappings = e.completes.Load()
 	total.Found = int64(len(e.heap))
-	var out []Mapping
-	if len(e.heap) > 0 {
-		out = append([]Mapping(nil), e.heap...)
-		Rank(out)
+	out := e.heap // the δ mode hands its list over as it is
+	Rank(out)
+	if n > 0 {
+		// The heap's backing array stays with the pooled state, and most of
+		// what was emitted into the slabs has been displaced again: the
+		// result is a compact copy.
+		out = Compact(e.heap)
+		clear(e.heap)
+		st.heap = e.heap[:0]
 	}
-	st.heap = e.heap[:0] // keep the backing array for the next run
 	e.heap, e.g = nil, nil
 	if s := g.cfg.Stats; s != nil {
 		s.addPartials(total.PartialMappings)
@@ -121,85 +121,110 @@ func (g *Generator) GenerateTopNParallel(clusters []*cluster.Cluster, n, paralle
 	return out, total
 }
 
-// clusterPlan is one useful cluster scheduled for the adaptive search.
+// clusterPlan is one useful cluster scheduled for the search.
 type clusterPlan struct {
 	cl    *cluster.Cluster
-	bound float64 // optimistic upper bound on any mapping's Δ in the cluster
-	space float64 // exact Π |restricted set| search-space size
-	idx   int32   // original position: the deterministic tie-break
+	sets  [][]matcher.Candidate // per personal node: the candidates inside the cluster
+	bound float64               // optimistic upper bound on any mapping's Δ in the cluster
+	space float64               // exact Π |restricted set| search-space size
+	idx   int32                 // original position: the deterministic tie-break
 }
 
-// planSorter orders plans by descending bound, original position breaking
-// ties; it lives in the pooled state so sort.Sort sees a stable interface
-// value and the warm path allocates nothing.
+// planSorter orders plans by descending bound; among equal bounds the
+// smaller search space goes first (it raises the floor for less work),
+// then the original position. It lives in the pooled state so sort.Sort
+// sees a stable interface value and the warm path allocates nothing.
 type planSorter struct{ p []clusterPlan }
 
 func (s *planSorter) Len() int { return len(s.p) }
 func (s *planSorter) Less(i, j int) bool {
-	if s.p[i].bound != s.p[j].bound {
-		return s.p[i].bound > s.p[j].bound
+	a, b := &s.p[i], &s.p[j]
+	if a.bound != b.bound {
+		return a.bound > b.bound
 	}
-	return s.p[i].idx < s.p[j].idx
+	if a.space != b.space {
+		return a.space < b.space
+	}
+	return a.idx < b.idx
 }
 func (s *planSorter) Swap(i, j int) { s.p[i], s.p[j] = s.p[j], s.p[i] }
 
-// planClusters computes, in ONE pass over the candidate sets, every
-// cluster's usefulness, exact search-space size and optimistic Δ upper
-// bound (cluster-wide best-similarity mass combined with the maximal
-// Δpath), using a dense node→cluster map instead of per-cluster member
-// scans. UsefulClusters and SearchSpace are credited here for every
-// useful cluster — including ones the engine later skips by bound — so
-// those counters stay exact and schedule-independent. Non-useful clusters
-// yield no plan, matching the threshold search's accounting.
-func (g *Generator) planClusters(st *searchState, clusters []*cluster.Cluster, ctr *Counters) []clusterPlan {
+// planClusters computes, in two passes over the candidate sets, every
+// cluster's usefulness, exact search-space size, restricted candidate sets
+// and optimistic Δ upper bound (cluster-wide best-similarity mass combined
+// with the maximal Δpath), using a dense node→cluster map instead of
+// per-cluster member scans: the first pass counts candidates per (cluster,
+// personal node), the second drops each candidate of a useful cluster into
+// its slot of one flat array — descending-similarity order preserved —
+// which the plans' sets are views of. UsefulClusters and SearchSpace are
+// credited here for every useful cluster — including ones the engine later
+// skips by bound — so those counters stay exact and schedule-independent.
+// Non-useful clusters yield no plan (they cannot produce complete
+// mappings, Sec. 2.3). Plans come back best-first when bestFirst is set,
+// in the given cluster order otherwise.
+func (g *Generator) planClusters(st *searchState, clusters []*cluster.Cluster, ctr *Counters, bestFirst bool) []clusterPlan {
 	n := st.n
-	k := len(clusters)
-	st.growPlanScratch(k * n)
-	co := st.clusterOf
+	st.growPlanScratch(len(clusters) * n)
+	co, cnt, pos := st.clusterOf, st.planCount, st.planPos
 	for ci, cl := range clusters {
 		for i := range cl.Elements {
 			co[cl.Elements[i].Node.ID] = int32(ci)
 		}
 	}
-	best, cnt := st.planBest, st.planCount
 	for i := 0; i < n; i++ {
 		for _, c := range g.cands.Sets[i].Elems {
-			ci := co[c.Node.ID]
-			if ci < 0 {
-				continue
+			if ci := co[c.Node.ID]; ci >= 0 {
+				cnt[int(ci)*n+i]++
 			}
-			p := int(ci)*n + i
-			if cnt[p] == 0 {
-				best[p] = c.Sim // sets are sorted by descending sim
-			}
-			cnt[p]++
 		}
 	}
 	plans := st.plans[:0]
+	filled := 0
 	for ci, cl := range clusters {
-		space, sum := 1.0, 0.0
-		ok := true
 		row := ci * n
+		space := 1.0
 		for i := 0; i < n; i++ {
-			c := cnt[row+i]
-			if c == 0 {
-				ok = false
-				break
-			}
-			space *= float64(c)
-			sum += best[row+i]
+			space *= float64(cnt[row+i])
 		}
-		if !ok {
+		if space == 0 {
+			// Some personal node has no candidate here: unmap the members,
+			// so the fill pass leaves them out.
+			for i := range cl.Elements {
+				co[cl.Elements[i].Node.ID] = -1
+			}
 			continue
+		}
+		for i := 0; i < n; i++ {
+			pos[row+i] = int32(filled)
+			filled += int(cnt[row+i])
 		}
 		ctr.UsefulClusters++
 		ctr.SearchSpace += space
-		plans = append(plans, clusterPlan{
-			cl:    cl,
-			bound: g.ev.Combine(sum/float64(n), g.ev.DeltaPath(0)),
-			space: space,
-			idx:   int32(ci),
-		})
+		plans = append(plans, clusterPlan{cl: cl, space: space, idx: int32(ci)})
+	}
+	flat, sets := st.growPlanSets(filled, len(plans)*n)
+	for i := 0; i < n; i++ {
+		for _, c := range g.cands.Sets[i].Elems {
+			if ci := co[c.Node.ID]; ci >= 0 {
+				p := int(ci)*n + i
+				flat[pos[p]] = c
+				pos[p]++
+			}
+		}
+	}
+	top := g.ev.DeltaPath(0)
+	for pi := range plans {
+		p := &plans[pi]
+		row := int(p.idx) * n
+		p.sets = sets[pi*n : (pi+1)*n : (pi+1)*n]
+		sum := 0.0
+		for i := 0; i < n; i++ {
+			end := int(pos[row+i]) // the fill pass advanced every slot to its end
+			set := flat[end-int(cnt[row+i]) : end : end]
+			p.sets[i] = set
+			sum += set[0].Sim // sets are sorted by descending sim
+		}
+		p.bound = g.ev.Combine(sum/float64(n), top)
 	}
 	// Restore the scratch invariants: clusterOf back to -1, counts to 0.
 	for _, cl := range clusters {
@@ -207,23 +232,24 @@ func (g *Generator) planClusters(st *searchState, clusters []*cluster.Cluster, c
 			co[cl.Elements[i].Node.ID] = -1
 		}
 	}
-	for i := range cnt {
-		cnt[i] = 0
-	}
+	clear(cnt)
 	st.plans = plans
-	st.sorter.p = plans
-	sort.Sort(&st.sorter)
+	if bestFirst {
+		st.sorter.p = plans
+		sort.Sort(&st.sorter)
+	}
 	return plans
 }
 
-// engine is the shared state of one adaptive top-N run: the global heap
-// of kept mappings (mutex-guarded, worst-ranked entry at the root), the
-// atomic Δ-floor every worker prunes against, the dispatch cursor over
-// the bound-ordered plans, and the work counters. It is embedded in the
-// pooled search state, so a warm run allocates no engine either.
+// engine is the shared state of one search run: the kept mappings (in the
+// top-N mode a mutex-guarded heap with the worst-ranked entry at the root),
+// the atomic Δ-floor every worker prunes against, the dispatch cursor over
+// the plans, and the work counters. It is embedded in the pooled search
+// state, so a warm run allocates no engine either.
 type engine struct {
 	g     *Generator
-	limit int
+	limit int  // N of the top-N mode; <= 0 keeps every mapping at or above δ
+	prune bool // false only for the Exhaustive threshold search
 
 	mu          sync.Mutex
 	heap        []Mapping
@@ -239,12 +265,12 @@ type engine struct {
 // floor returns the current pruning bound; lock-free, monotone rising.
 func (e *engine) floor() float64 { return math.Float64frombits(e.floorBits.Load()) }
 
-// worker claims clusters off the shared cursor in best-first order until
-// the plans run out or stop fires. Clusters whose optimistic bound has
-// fallen strictly below the floor are skipped without building their
-// restricted sets.
+// worker claims clusters off the shared cursor in plan order until the
+// plans run out or stop fires. In the top-N mode a cluster whose optimistic
+// bound has fallen strictly below the floor is skipped.
 func (e *engine) worker(st *searchState, plans []clusterPlan, stop func() bool) {
-	var partials, completes, skipped int64
+	s := search{e: e, st: st, n: st.n}
+	var skipped int64
 	for {
 		if stop != nil && stop() {
 			break
@@ -253,27 +279,27 @@ func (e *engine) worker(st *searchState, plans []clusterPlan, stop func() bool) 
 		if i >= len(plans) {
 			break
 		}
-		p := plans[i]
-		if p.bound < e.floor() {
+		p := &plans[i]
+		if e.limit > 0 && p.bound < e.floor() {
 			skipped++
 			continue
 		}
-		e.searchCluster(st, p.cl, &partials, &completes)
+		s.cl, s.sets = p.cl, p.sets
+		st.fillSuffixBest(p.sets)
+		s.run(0, 0)
 	}
-	e.partials.Add(partials)
-	e.completes.Add(completes)
+	e.partials.Add(s.partials)
+	e.completes.Add(s.completes)
 	e.skipped.Add(skipped)
-}
-
-func (e *engine) searchCluster(st *searchState, cl *cluster.Cluster, partials, completes *int64) {
-	if !e.g.restrictedInto(st, cl) {
-		return // unreachable for planned clusters; cheap safety
+	if len(s.out) > 0 {
+		e.mu.Lock()
+		if e.heap == nil {
+			e.heap = s.out
+		} else {
+			e.heap = append(e.heap, s.out...)
+		}
+		e.mu.Unlock()
 	}
-	st.fillSuffixBest()
-	s := topNSearch{e: e, g: e.g, st: st, cl: cl, n: st.n}
-	s.run(0, 0)
-	*partials += s.partials
-	*completes += s.completes
 }
 
 // offer submits a complete mapping with Δ ≥ the floor at evaluation time.
@@ -340,58 +366,78 @@ func (e *engine) siftDown(i int) {
 	}
 }
 
-// topNSearch is the adaptive-threshold DFS: the threshold search with the
-// static δ replaced by the engine's rising floor, read lock-free at every
-// prune point. Pruning is strict (bound < floor) so equal-Δ ties are
-// decided by the heap's full comparator, never by the schedule.
-type topNSearch struct {
-	e  *engine
-	g  *Generator
-	st *searchState
-	cl *cluster.Cluster
-	n  int
+// search is one worker's DFS over the restricted sets of the cluster it
+// currently holds. Work counters and the δ mode's kept mappings live in
+// the struct (not behind a pointer) so the whole search stays on the
+// worker's stack.
+type search struct {
+	e    *engine
+	st   *searchState
+	cl   *cluster.Cluster
+	sets [][]matcher.Candidate
+	n    int
 
 	partials  int64
 	completes int64
+	out       []Mapping // δ mode only; the top-N mode offers to the engine's heap
 }
 
-func (s *topNSearch) run(i int, simSum float64) {
-	st := s.st
+// run extends the partial mapping at personal preorder rank i with an
+// accumulated similarity sum. Personal nodes are assigned in preorder, so a
+// node's parent image is always available when the node is assigned; the
+// edge union therefore tracks |Et| of the partial mapping incrementally.
+//
+// The bound is admissible: unassigned nodes contribute at most their best
+// similarity, and |Et| only grows, so Δpath of the current union is an
+// upper bound on the final Δpath. Pruning is strict (bound < floor) so
+// equal-Δ ties are decided by the heap's full comparator, never by the
+// schedule.
+func (s *search) run(i int, simSum float64) {
+	e, st := s.e, s.st
+	ev := e.g.ev
 	if i == s.n {
 		s.completes++
+		et := st.union.Size()
 		dsim := simSum / float64(s.n)
-		dpath := s.g.ev.DeltaPath(st.union.Size())
-		delta := s.g.ev.Combine(dsim, dpath)
-		if delta < s.e.floor() {
+		dpath := ev.DeltaPath(et)
+		delta := ev.Combine(dsim, dpath)
+		if delta < e.floor() {
 			return
 		}
 		images, sims := st.emit(st.images, st.sims)
-		s.e.offer(Mapping{
+		m := Mapping{
 			Images:    images,
 			Sims:      sims,
 			ClusterID: s.cl.ID,
-			Score: objective.Score{
-				Delta: delta, Sim: dsim, Path: dpath, Et: st.union.Size(),
-			},
-		})
+			Score:     objective.Score{Delta: delta, Sim: dsim, Path: dpath, Et: et},
+		}
+		if e.limit > 0 {
+			e.offer(m)
+		} else {
+			s.out = append(s.out, m)
+		}
 		return
 	}
-	personal := s.g.cands.Personal.NodeAt(i)
-	parent := personal.Parent()
-	for _, c := range st.sets[i] {
+	parent := e.g.cands.Personal.NodeAt(i).Parent()
+	rest := st.suffixBest[i+1]
+	before := ev.DeltaPath(st.union.Size())
+	for _, c := range s.sets[i] {
+		dsim := (simSum + c.Sim + rest) / float64(s.n)
+		// Sorted cut-off: the set is in descending similarity and no push
+		// shrinks the union, so once the bound over the union as it stands
+		// is below the floor, this candidate's and every later one's is.
+		if e.prune && ev.Combine(dsim, before) < e.floor() {
+			break
+		}
 		if st.used.Has(c.Node.ID) {
-			continue
+			continue // "1 to 1": images must be distinct
 		}
 		s.partials++
 		mark := -1
 		if parent != nil {
 			mark = st.union.Push(st.images[parent.Pre], c.Node)
 		}
-		bound := s.g.ev.Combine(
-			(simSum+c.Sim+st.suffixBest[i+1])/float64(s.n),
-			s.g.ev.DeltaPath(st.union.Size()),
-		)
-		if bound >= s.e.floor() {
+		if !e.prune || ev.Combine(dsim, ev.DeltaPath(st.union.Size())) >= e.floor() {
 			st.images[i] = c.Node
 			st.sims[i] = c.Sim
 			st.used.Set(c.Node.ID)

@@ -14,6 +14,7 @@ package objective
 
 import (
 	"fmt"
+	"math"
 
 	"bellflower/internal/labeling"
 	"bellflower/internal/schema"
@@ -58,8 +59,13 @@ type Evaluator struct {
 	params   Params
 	ix       *labeling.Index
 	personal *schema.Tree
-	es       int // |Es|
+	es       int       // |Es|
+	dpath    []float64 // dpath[et] = Eq. 2 at |Et| = et, see DeltaPath
 }
+
+// maxPathTable caps the Δpath table: K has no upper limit, and a table is
+// only worth its memory over the |Et| range a search actually visits.
+const maxPathTable = 4096
 
 // NewEvaluator returns an evaluator; it panics on invalid params so
 // configuration errors surface at construction time.
@@ -67,7 +73,15 @@ func NewEvaluator(params Params, ix *labeling.Index, personal *schema.Tree) *Eva
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	return &Evaluator{params: params, ix: ix, personal: personal, es: personal.NumEdges()}
+	e := &Evaluator{params: params, ix: ix, personal: personal, es: personal.NumEdges()}
+	// Δpath reaches 0 at |Et| = |Es|·(K+1); the table runs a little past it
+	// so that every non-trivial value is a lookup.
+	size := math.Min(math.Ceil(float64(e.es)*(params.K+2)), maxPathTable)
+	e.dpath = make([]float64, int(size))
+	for et := range e.dpath {
+		e.dpath[et] = e.deltaPath(et)
+	}
+	return e
 }
 
 // Params returns the evaluator's parameters.
@@ -112,7 +126,18 @@ func (e *Evaluator) Score(images []*schema.Node, sims []float64) Score {
 // |Et| ≥ |Es| always holds — the mapping subtree is a connected subtree
 // containing |Ns| distinct nodes — so the clamp only guards the upper side
 // for degenerate single-node schemas.)
+//
+// The mapping search evaluates Δpath at every node assignment, so the
+// values over the reachable |Et| range are tabulated per evaluator with the
+// same expression: a lookup is bit-identical to the formula.
 func (e *Evaluator) DeltaPath(et int) float64 {
+	if uint(et) < uint(len(e.dpath)) {
+		return e.dpath[et]
+	}
+	return e.deltaPath(et)
+}
+
+func (e *Evaluator) deltaPath(et int) float64 {
 	if e.es == 0 {
 		// A single-node personal schema has no paths to compare.
 		return 1

@@ -110,6 +110,35 @@ func TestDeltaPathClamping(t *testing.T) {
 	}
 }
 
+// The Δpath table is the formula, bit for bit: over |Et| 0…|Es|·(K+2) and a
+// stretch beyond (the table's end, where lookups fall back to the formula),
+// for the single-node schema, fractional and tiny K, and a K so large the
+// table is capped.
+func TestDeltaPathTableMatchesFormula(t *testing.T) {
+	formula := func(es int, k float64, et int) float64 {
+		if es == 0 {
+			return 1
+		}
+		return math.Max(0, math.Min(1, 1-float64(et-es)/(float64(es)*k)))
+	}
+	for _, spec := range []string{"a", "a(b)", "a(b,c(d))", "a(b(c(d(e(f(g))))),h,i,j)"} {
+		personal, _, ix := setup(spec, "r(x)")
+		es := personal.NumEdges()
+		for _, k := range []float64{0.01, 0.5, 1, 2.5, 4, 1e6} {
+			ev := NewEvaluator(Params{Alpha: 0.5, K: k}, ix, personal)
+			if len(ev.dpath) > maxPathTable {
+				t.Fatalf("%s K=%v: table of %d entries exceeds the cap", spec, k, len(ev.dpath))
+			}
+			end := int(math.Min(float64(es)*(k+2), 3*maxPathTable)) + 64
+			for et := 0; et <= end; et++ {
+				if got, want := ev.DeltaPath(et), formula(es, k, et); got != want {
+					t.Fatalf("%s K=%v: DeltaPath(%d) = %v, formula %v", spec, k, et, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAlphaExtremes(t *testing.T) {
 	personal, repo, ix := setup("a(b)", "a(x(b))")
 	tr := repo.Tree(0)

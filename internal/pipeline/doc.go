@@ -1,6 +1,6 @@
 // Package pipeline wires the full clustered schema matching architecture of
-// Fig. 3: element matching (matcher) → clustering (cluster) → per-cluster
-// mapping generation (mapgen) → one merged ranked list. It also exposes the
+// Fig. 3: element matching (matcher) → clustering (cluster) → mapping
+// generation over the useful clusters (mapgen) → one ranked list. It also exposes the
 // non-clustered baseline (tree clusters) and collects the timing and counter
 // instrumentation the experiments report.
 //
@@ -8,8 +8,14 @@
 // index once (the expensive O(N log N) build) and then executes any number
 // of runs against it. Options selects the clustering variant, objective
 // parameters, element matcher and the extensions (two-phase structural
-// rescoring, adaptive top-N, cluster ordering, partial mappings,
-// per-cluster parallel generation).
+// rescoring, cluster ordering, partial mappings, parallel generation).
+//
+// The generation stage is one call into one engine
+// (mapgen.GenerateTopNParallel): a request with TopN > 0 runs the bounded
+// top-N search, whatever its Parallelism and with or without a
+// StructureMatcher; TopN == 0 — the set is the answer — and the
+// Algorithm: Exhaustive experiment knob run the threshold search through
+// the same entry. Report.Counters describe the search that ran.
 //
 // # Concurrency
 //
@@ -18,8 +24,7 @@
 // RunContext call keeps its working state (candidates, clusters, report) on
 // its own stack — the serve package's worker pools depend on this.
 // RunContext honours cancellation cooperatively: the context is checked
-// between pipeline stages, between clusters during mapping generation, and
-// inside the Parallelism fan-out, so a cancelled run stops within one
-// cluster's worth of work. Reports are owned by the caller; the pipeline
+// between pipeline stages and, by every generation worker, between
+// clusters, so a cancelled run stops within one cluster's worth of work. Reports are owned by the caller; the pipeline
 // retains no reference to them.
 package pipeline

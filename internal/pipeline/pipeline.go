@@ -82,7 +82,11 @@ type Options struct {
 	// MinSim is the element-matching candidate threshold.
 	MinSim float64
 
-	// TopN truncates the ranked mapping list (0 = all).
+	// TopN asks for the N best mappings with Δ ≥ δ (0 = every mapping with
+	// Δ ≥ δ). A positive TopN runs the bounded top-N search — the pruning
+	// floor rises from δ to the N-th best Δ found so far — which returns
+	// exactly the list that generating everything and truncating would,
+	// for less work.
 	TopN int
 
 	// Variant selects the clustering configuration.
@@ -97,6 +101,9 @@ type Options struct {
 	Matcher matcher.Matcher
 
 	// Algorithm selects the mapping generator search (default B&B).
+	// mapgen.Exhaustive is the experiments' ablation knob: it enumerates
+	// the whole search space without bounding and, with a positive TopN,
+	// truncates afterwards.
 	Algorithm mapgen.Algorithm
 
 	// IncludePartials also collects partial mappings from non-useful
@@ -106,7 +113,8 @@ type Options struct {
 	// OrderClusters processes useful clusters in descending quality order
 	// (the Sec. 7 "ordering the clusters" extension); affects
 	// Report.FirstGoodAfter instrumentation and the order mappings are
-	// discovered, not the final ranking.
+	// discovered, not the final ranking. (A top-N search orders clusters by
+	// its own bound either way.)
 	OrderClusters bool
 
 	// StructureMatcher enables the paper's two-phase technique (Sec. 2.3,
@@ -121,9 +129,10 @@ type Options struct {
 	// 0.5 when a StructureMatcher is set).
 	StructureWeight float64
 
-	// Parallelism runs mapping generation over useful clusters with this
-	// many goroutines (0 or 1 = sequential). Results are deterministic:
-	// the final ranking is independent of completion order.
+	// Parallelism searches the useful clusters with this many workers
+	// sharing one pruning floor (0 or 1 = inline on the calling goroutine).
+	// The mappings are bit-identical for every worker count; under a
+	// positive TopN the work counters depend on the schedule.
 	Parallelism int
 
 	// Agglomerative replaces the adapted k-means with single-linkage
@@ -131,13 +140,10 @@ type Options struct {
 	// merge threshold). Ignored for VariantTree.
 	Agglomerative bool
 
-	// AdaptiveTopN uses the adaptive top-N Branch & Bound (the pruning
-	// threshold rises to the N-th best Δ found so far) instead of
-	// generating everything and truncating. Requires TopN > 0; it returns
-	// the same top-N list with less work. Composes with Parallelism: the
-	// workers share one adaptive bound and the result stays bit-identical
-	// to the sequential search for any worker count. Ignored when a
-	// StructureMatcher is configured (re-scoring needs the full list).
+	// AdaptiveTopN is accepted and ignored: every request with a positive
+	// TopN runs the bounded search it used to select.
+	//
+	// Deprecated: set TopN alone.
 	AdaptiveTopN bool
 }
 
@@ -199,7 +205,9 @@ type Report struct {
 	Iterations int
 
 	// Counters aggregates the mapping-generator indicators (Tab. 1a col 3
-	// = SearchSpace, Tab. 1b).
+	// = SearchSpace, Tab. 1b) of the search that ran: the paper's
+	// enumeration figures come from TopN == 0 runs; under a positive TopN
+	// the partial and complete counts are those of the bounded search.
 	Counters mapgen.Counters
 
 	// Mappings is the final ranked list (step ⑤).
@@ -218,7 +226,9 @@ type Report struct {
 	// FirstGoodAfter is the number of useful clusters processed before
 	// the first mapping with Δ ≥ δ appeared (1-based; 0 when none found).
 	// With OrderClusters it measures the cluster-ordering extension's
-	// time-to-first-mapping benefit.
+	// time-to-first-mapping benefit. A top-N search visits clusters by
+	// bound, not in processing order: there it is 1 whenever anything was
+	// found.
 	FirstGoodAfter int
 
 	// Incomplete marks a merged report that is missing one or more
@@ -400,9 +410,9 @@ func (r *Runner) Run(personal *schema.Tree, opts Options) (*Report, error) {
 
 // RunContext executes the full pipeline for one personal schema, honouring
 // the context's deadline and cancellation. Cancellation is checked between
-// pipeline stages, between useful clusters during mapping generation, and
-// inside the Parallelism fan-out, so a cancelled run stops early (within
-// one cluster's worth of work) and returns ctx.Err().
+// pipeline stages and, by every generation worker, between useful clusters,
+// so a cancelled run stops early (within one cluster's worth of work) and
+// returns ctx.Err().
 func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Options) (*Report, error) {
 	if err := CheckRequest(personal, opts); err != nil {
 		return nil, err
@@ -492,8 +502,8 @@ func (r *Runner) RunWithClusters(ctx context.Context, personal *schema.Tree, can
 		if cl.Len() == 0 {
 			continue
 		}
-		if err := r.checkOwned(cl.Elements[0].Node, fmt.Sprintf("cluster %d element", cl.ID)); err != nil {
-			return nil, err
+		if err := r.checkOwned(cl.Elements[0].Node, "cluster element"); err != nil {
+			return nil, fmt.Errorf("cluster %d: %w", cl.ID, err)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -563,24 +573,16 @@ func (r *Runner) runGeneration(ctx context.Context, personal *schema.Tree, cands
 		rep.ClusterSizes = append(rep.ClusterSizes, cl.Len())
 	}
 
-	// Stage 3: mapping generation per cluster (steps ④ and ⑤).
+	// Stage 3: mapping generation (steps ④ and ⑤).
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	t2 := time.Now()
 	_, gsp := trace.StartSpan(ctx, "pipeline.generate")
 	defer gsp.End()
-	ev := objective.NewEvaluator(opts.Objective, r.ix, personal)
-	genCfg := mapgen.Config{
-		Threshold: opts.Threshold,
-		Algorithm: opts.Algorithm,
-		Stats:     r.genStats,
-	}
-	gen := mapgen.New(genCfg, r.ix, ev, cands)
-
 	useful, nonUseful := splitUseful(clusters, personal.Len())
 	if opts.OrderClusters {
-		sortByQuality(useful, cands)
+		r.sortByQuality(useful, cands)
 	}
 	sizeSum := 0
 	for _, cl := range useful {
@@ -591,96 +593,36 @@ func (r *Runner) runGeneration(ctx context.Context, personal *schema.Tree, cands
 		rep.AvgElementsPerUsefulCluster = float64(sizeSum) / float64(len(useful))
 	}
 
-	// generateIn searches one useful cluster, applying the two-phase
-	// structural rescoring when configured.
-	generateIn := func(cl *cluster.Cluster) ([]mapgen.Mapping, mapgen.Counters) {
-		if opts.StructureMatcher == nil {
-			return gen.GenerateInCluster(cl)
-		}
-		w := opts.StructureWeight
-		if w == 0 {
-			w = 0.5
-		}
-		member := make(map[int]bool, len(cl.Elements))
-		for _, e := range cl.Elements {
-			member[e.Node.ID] = true
-		}
-		rescored := matcher.Rescore(cands, opts.StructureMatcher, w,
-			func(n *schema.Node) bool { return member[n.ID] })
-		return mapgen.New(genCfg, r.ix, ev, rescored).GenerateInCluster(cl)
+	ev := objective.NewEvaluator(opts.Objective, r.ix, personal)
+	genCfg := mapgen.Config{
+		Threshold: opts.Threshold,
+		Algorithm: opts.Algorithm,
+		Stats:     r.genStats,
 	}
-
-	if opts.AdaptiveTopN && opts.TopN > 0 && opts.StructureMatcher == nil {
-		ms, ctr := gen.GenerateTopNParallel(useful, opts.TopN, opts.Parallelism,
-			func() bool { return ctx.Err() != nil })
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rep.Counters = ctr
-		rep.Mappings = ms
-		if len(ms) > 0 {
-			rep.FirstGoodAfter = 1 // not meaningful under the global bound
-		}
-		if opts.IncludePartials {
-			if err := collectPartials(ctx, rep, gen, nonUseful); err != nil {
-				return nil, err
-			}
-		}
-		rep.GenTime = time.Since(t2)
-		return rep, nil
+	gen := mapgen.New(genCfg, r.ix, ev, cands)
+	complete := gen // searches the useful clusters; gen keeps the partial mappings
+	if opts.StructureMatcher != nil {
+		complete = mapgen.New(genCfg, r.ix, ev, r.rescoreUseful(cands, useful, opts))
 	}
-
-	perCluster := make([][]mapgen.Mapping, len(useful))
-	perCounter := make([]mapgen.Counters, len(useful))
-	if opts.Parallelism > 1 && len(useful) > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opts.Parallelism)
-		for i, cl := range useful {
-			wg.Add(1)
-			go func(i int, cl *cluster.Cluster) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				// A cancelled run skips the clusters still queued
-				// behind the semaphore.
-				if ctx.Err() != nil {
-					return
-				}
-				perCluster[i], perCounter[i] = generateIn(cl)
-			}(i, cl)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		for i, cl := range useful {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			perCluster[i], perCounter[i] = generateIn(cl)
-		}
+	// Every top-N request runs the bounded search; the threshold search is
+	// for requests whose answer is the whole set, and for the Exhaustive
+	// experiment knob, which enumerates first and truncates after.
+	n := opts.TopN
+	if opts.Algorithm == mapgen.Exhaustive {
+		n = 0
 	}
-	found := 0
-	for i := range perCluster {
-		found += len(perCluster[i])
+	ms, ctr := complete.GenerateTopNParallel(useful, n, opts.Parallelism,
+		func() bool { return ctx.Err() != nil })
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	var all []mapgen.Mapping // stays nil when nothing was found (wire round-trips as nil)
-	if found > 0 {
-		all = make([]mapgen.Mapping, 0, found)
+	rep.Counters = ctr
+	rep.FirstGoodAfter = firstGoodAfter(useful, ms, n)
+	if opts.TopN > 0 && len(ms) > opts.TopN {
+		// Copy on truncate: a report must not pin the full enumeration.
+		ms = mapgen.Compact(ms[:opts.TopN])
 	}
-	for i := range useful {
-		rep.Counters.Add(perCounter[i])
-		if len(perCluster[i]) > 0 && rep.FirstGoodAfter == 0 {
-			rep.FirstGoodAfter = i + 1
-		}
-		all = append(all, perCluster[i]...)
-	}
-	mapgen.Rank(all)
-	if opts.TopN > 0 && len(all) > opts.TopN {
-		all = all[:opts.TopN]
-	}
-	rep.Mappings = all
+	rep.Mappings = ms
 
 	if opts.IncludePartials {
 		if err := collectPartials(ctx, rep, gen, nonUseful); err != nil {
@@ -689,6 +631,54 @@ func (r *Runner) runGeneration(ctx context.Context, personal *schema.Tree, cands
 	}
 	rep.GenTime = time.Since(t2)
 	return rep, nil
+}
+
+// rescoreUseful is the second phase of the two-phase technique (Sec. 2.3):
+// the structure matcher rescores the candidates inside useful clusters. A
+// pair's blended similarity does not depend on which cluster holds it, so
+// one pass over the members of all useful clusters serves every cluster's
+// search.
+func (r *Runner) rescoreUseful(cands *matcher.Candidates, useful []*cluster.Cluster, opts Options) *matcher.Candidates {
+	w := opts.StructureWeight
+	if w == 0 {
+		w = 0.5
+	}
+	member := r.acquireMembers()
+	defer memberPool.Put(member)
+	for _, cl := range useful {
+		setMembers(member, cl, true)
+	}
+	rescored := matcher.Rescore(cands, opts.StructureMatcher, w,
+		func(n *schema.Node) bool { return member.Has(n.ID) })
+	for _, cl := range useful {
+		setMembers(member, cl, false)
+	}
+	return rescored
+}
+
+// firstGoodAfter recovers Report.FirstGoodAfter from the found mappings'
+// cluster IDs: the 1-based position, in processing order, of the first
+// useful cluster that produced a mapping. A top-N search (n > 0) visits
+// clusters by bound instead, where the figure means nothing: it reports 1
+// whenever anything was found.
+func firstGoodAfter(useful []*cluster.Cluster, ms []mapgen.Mapping, n int) int {
+	if len(ms) == 0 {
+		return 0
+	}
+	if n > 0 {
+		return 1
+	}
+	position := make(map[int]int, len(useful))
+	for i, cl := range useful {
+		position[cl.ID] = i + 1
+	}
+	first := len(useful)
+	for i := range ms {
+		if p := position[ms[i].ClusterID]; p < first {
+			first = p
+		}
+	}
+	return first
 }
 
 // collectPartials gathers ranked partial mappings from non-useful clusters,
@@ -722,38 +712,74 @@ func splitUseful(clusters []*cluster.Cluster, n int) (useful, nonUseful []*clust
 	return useful, nonUseful
 }
 
+// memberPool recycles the dense node-ID sets behind cluster-membership
+// tests. A set goes back to the pool fully clear.
+var memberPool = sync.Pool{New: func() any { return new(labeling.Bitset) }}
+
+// acquireMembers returns a clear pooled set covering every node ID of the
+// runner's repository; hand it back with memberPool.Put.
+func (r *Runner) acquireMembers() *labeling.Bitset {
+	member := memberPool.Get().(*labeling.Bitset)
+	member.Grow(r.repo.Len())
+	return member
+}
+
+// setMembers marks (on) or clears the cluster's member nodes in the set.
+func setMembers(member *labeling.Bitset, cl *cluster.Cluster, on bool) {
+	for i := range cl.Elements {
+		if id := cl.Elements[i].Node.ID; on {
+			member.Set(id)
+		} else {
+			member.Unset(id)
+		}
+	}
+}
+
 // ClusterQuality scores a cluster's potential to deliver good mappings: the
 // average, over personal nodes, of the best element similarity the cluster
 // offers for that node — an upper bound on any mapping's Δsim within the
 // cluster. (The Sec. 7 "ordering the clusters" future-work item.)
 func ClusterQuality(cl *cluster.Cluster, cands *matcher.Candidates) float64 {
-	n := cands.Personal.Len()
-	member := make(map[int]bool, len(cl.Elements))
-	for _, e := range cl.Elements {
-		member[e.Node.ID] = true
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		best := 0.0
+	size := 0
+	for i := range cands.Sets {
 		for _, c := range cands.Sets[i].Elems {
-			if member[c.Node.ID] && c.Sim > best {
-				best = c.Sim
-				break // sets are sorted by descending sim
-			}
+			size = max(size, c.Node.ID+1)
 		}
-		sum += best
 	}
-	return sum / float64(n)
+	member := memberPool.Get().(*labeling.Bitset)
+	defer memberPool.Put(member)
+	member.Grow(size)
+	return clusterQuality(member, cl, cands)
 }
 
-func sortByQuality(clusters []*cluster.Cluster, cands *matcher.Candidates) {
+// clusterQuality is ClusterQuality over a clear set that covers every
+// candidate's node ID; the set is clear again on return.
+func clusterQuality(member *labeling.Bitset, cl *cluster.Cluster, cands *matcher.Candidates) float64 {
+	setMembers(member, cl, true)
+	sum := 0.0
+	for i := range cands.Sets {
+		for _, c := range cands.Sets[i].Elems {
+			if member.Has(c.Node.ID) {
+				sum += c.Sim // sets are sorted by descending sim
+				break
+			}
+		}
+	}
+	setMembers(member, cl, false)
+	return sum / float64(cands.Personal.Len())
+}
+
+// sortByQuality orders clusters by descending ClusterQuality, stably.
+func (r *Runner) sortByQuality(clusters []*cluster.Cluster, cands *matcher.Candidates) {
 	type scored struct {
 		cl *cluster.Cluster
 		q  float64
 	}
+	member := r.acquireMembers()
+	defer memberPool.Put(member)
 	ss := make([]scored, len(clusters))
 	for i, cl := range clusters {
-		ss[i] = scored{cl, ClusterQuality(cl, cands)}
+		ss[i] = scored{cl, clusterQuality(member, cl, cands)}
 	}
 	sort.SliceStable(ss, func(i, j int) bool { return ss[i].q > ss[j].q })
 	for i := range ss {

@@ -202,7 +202,7 @@ func TestOversizedPersonalSchemaIsATypedError(t *testing.T) {
 	r := NewRunner(smallRepo())
 	ctx := context.Background()
 	opts := DefaultOptions()
-	opts.TopN, opts.AdaptiveTopN = 3, true
+	opts.TopN = 3
 
 	at := wide(cluster.MaxPersonalNodes)
 	if _, err := r.RunContext(ctx, at, opts); err != nil {

@@ -118,50 +118,55 @@ func TestParallelGenerationDeterminism(t *testing.T) {
 	}
 }
 
+// Every top-N request runs the bounded search — with or without the
+// deprecated AdaptiveTopN flag, which changes nothing — and returns exactly
+// the enumerate-then-truncate list for less work.
 func TestAdaptiveTopN(t *testing.T) {
 	r := NewRunner(smallRepo())
 	personal := personBooks()
-	trunc := DefaultOptions()
-	trunc.MinSim = 0.3
-	trunc.Variant = VariantMedium
-	trunc.TopN = 5
-	truncRep, err := r.Run(personal, trunc)
+	opts := DefaultOptions()
+	opts.MinSim = 0.3
+	opts.Variant = VariantMedium
+	want := enumerateThenTruncate(t, r, personal, opts, 5)
+	if len(want) != 5 {
+		t.Fatalf("fixture enumerates %d mappings, want at least 5", len(want))
+	}
+	fullRep, err := r.Run(personal, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive := trunc
-	adaptive.AdaptiveTopN = true
-	adaptiveRep, err := r.Run(personal, adaptive)
+	opts.TopN = 5
+	plainRep, err := r.Run(personal, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(adaptiveRep.Mappings) != len(truncRep.Mappings) {
-		t.Fatalf("adaptive found %d, truncation %d", len(adaptiveRep.Mappings), len(truncRep.Mappings))
+	sameMappings(t, "top-5", plainRep.Mappings, want)
+	opts.AdaptiveTopN = true
+	flaggedRep, err := r.Run(personal, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range truncRep.Mappings {
-		if truncRep.Mappings[i].Score.Delta != adaptiveRep.Mappings[i].Score.Delta {
-			t.Errorf("rank %d: Δ %v vs %v", i,
-				truncRep.Mappings[i].Score.Delta, adaptiveRep.Mappings[i].Score.Delta)
-		}
+	sameMappings(t, "top-5 with the deprecated flag", flaggedRep.Mappings, want)
+	if flaggedRep.Counters != plainRep.Counters {
+		t.Errorf("the deprecated flag changed the search: %+v vs %+v", flaggedRep.Counters, plainRep.Counters)
 	}
-	if adaptiveRep.Counters.PartialMappings > truncRep.Counters.PartialMappings {
-		t.Errorf("adaptive top-N did more work: %d vs %d partials",
-			adaptiveRep.Counters.PartialMappings, truncRep.Counters.PartialMappings)
+	if plainRep.Counters.PartialMappings >= fullRep.Counters.PartialMappings {
+		t.Errorf("bounded top-5 search did not save work: %d vs %d partials",
+			plainRep.Counters.PartialMappings, fullRep.Counters.PartialMappings)
 	}
 }
 
-// The adaptive top-N path composes with Parallelism: any worker count
-// returns the same mappings in the same order as the sequential adaptive
-// run (the engine's shared-bound determinism carried through the
-// pipeline).
+// The top-N search composes with Parallelism: any worker count returns the
+// enumerate-then-truncate mappings in the same order as the inline run (the
+// engine's shared-bound determinism carried through the pipeline).
 func TestAdaptiveTopNParallel(t *testing.T) {
 	r := NewRunner(smallRepo())
 	personal := personBooks()
 	opts := DefaultOptions()
 	opts.MinSim = 0.3
 	opts.Variant = VariantMedium
+	want := enumerateThenTruncate(t, r, personal, opts, 5)
 	opts.TopN = 5
-	opts.AdaptiveTopN = true
 	seqRep, err := r.Run(personal, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +174,7 @@ func TestAdaptiveTopNParallel(t *testing.T) {
 	if len(seqRep.Mappings) == 0 {
 		t.Fatal("fixture found no mappings")
 	}
+	sameMappings(t, "inline", seqRep.Mappings, want)
 	for _, par := range []int{2, 4, 8} {
 		popts := opts
 		popts.Parallelism = par

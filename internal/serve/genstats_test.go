@@ -8,13 +8,12 @@ import (
 	"bellflower/internal/pipeline"
 )
 
-// adaptiveOpts is testOpts with the adaptive parallel top-N engine on, so
-// generation-engine counters (partials, pool reuses, floor tightenings)
-// actually move.
+// adaptiveOpts is testOpts as a top-N request over two workers, so every
+// generation-engine counter (partials, pool reuses, floor tightenings)
+// actually moves.
 func adaptiveOpts() pipeline.Options {
 	opts := testOpts()
 	opts.TopN = 3
-	opts.AdaptiveTopN = true
 	opts.Parallelism = 2
 	return opts
 }

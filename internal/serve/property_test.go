@@ -55,11 +55,12 @@ func canonicalReport(rep *pipeline.Report) string {
 // strategies across shard counts 1–8, with partial-results mode both off
 // and on (alternating by shard count; a healthy fan-out must be identical
 // and never marked Incomplete either way), and truncated (top-N) reports
-// must carry the byte-identical Δ sequence with every mapping drawn from
-// the unsharded result. (Within an equal-Δ group straddling the
-// top-N cut the tie member chosen is shard-order-dependent by documented
-// design — the same latitude ID-based tie-breaking already has — so exact
-// byte identity is asserted on the untruncated report.) Both tree
+// must carry the byte-identical Δ sequence of the unsharded enumeration cut
+// to N, with every mapping drawn from the unsharded result. (Within an
+// equal-Δ group straddling the top-N cut the tie member chosen is
+// shard-order-dependent by documented design — the same latitude ID-based
+// tie-breaking already has — so exact byte identity is asserted on the
+// untruncated report.) Both tree
 // clustering and the k-means medium variant are covered: the router's
 // pre-pass clusters globally, so even the k-means variants are exact.
 func TestShardedEquivalenceProperty(t *testing.T) {
@@ -94,11 +95,13 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 		for _, k := range reportKeys(direct) {
 			fullKeys[k]++
 		}
+		// The top-N reference is the unsharded enumeration cut to N, never
+		// another top-N search.
 		truncated := opts
 		truncated.TopN = tc.topN
-		directTopN, err := pipeline.NewRunner(repo).Run(personal, truncated)
-		if err != nil {
-			t.Fatalf("seed %d: %v", tc.seed, err)
+		wantTopN := direct.Deltas()
+		if len(wantTopN) > tc.topN {
+			wantTopN = wantTopN[:tc.topN]
 		}
 		if len(direct.Mappings) == 0 {
 			t.Logf("seed %d: unsharded run found no mappings (personal %s); equivalence still checked", tc.seed, personal)
@@ -168,7 +171,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 					r.Close()
 					t.Fatalf("seed %d %v shards=%d topN: %v", tc.seed, strategy, shards, err)
 				}
-				dd, sd := directTopN.Deltas(), repTopN.Deltas()
+				dd, sd := wantTopN, repTopN.Deltas()
 				if len(dd) != len(sd) {
 					t.Fatalf("seed %d %v shards=%d: topN found %d mappings, want %d",
 						tc.seed, strategy, shards, len(sd), len(dd))
@@ -188,11 +191,10 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 					}
 				}
 
-				// The adaptive parallel top-N engine must be invisible in the
-				// results: same Δ sequence as plain truncation, every mapping
-				// from the unsharded full result, for any worker count.
+				// The engine's worker count must be invisible in the results:
+				// same Δ sequence as the truncated enumeration, every mapping
+				// from the unsharded full result.
 				adaptive := truncated
-				adaptive.AdaptiveTopN = true
 				adaptive.Parallelism = 1 + shards%4
 				repAdaptive, err := r.Match(context.Background(), personal, adaptive)
 				if err != nil {
@@ -226,8 +228,9 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 
 // TestShardedEquivalenceTopNDeltas pins the truncated-ranking guarantee on
 // its own: for every shard count and both strategies the top-N Δ sequence
-// is byte-identical to the unsharded one (mapping identity inside an
-// equal-Δ group straddling the cut is tie-arbitrary by documented design).
+// is byte-identical to the unsharded enumeration cut to N (mapping identity
+// inside an equal-Δ group straddling the cut is tie-arbitrary by documented
+// design).
 func TestShardedEquivalenceTopNDeltas(t *testing.T) {
 	repo := syntheticRepo(t, 500, 11)
 	rng := rand.New(rand.NewSource(11))
@@ -238,38 +241,39 @@ func TestShardedEquivalenceTopNDeltas(t *testing.T) {
 	opts.MinSim = 0.4
 	opts.Threshold = 0.55
 
+	full, err := pipeline.NewRunner(repo).Run(personal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Mappings) < 10 {
+		t.Fatalf("fixture enumerates %d mappings: every N below must truncate", len(full.Mappings))
+	}
 	for _, topN := range []int{1, 2, 5, 10} {
 		o := opts
 		o.TopN = topN
-		direct, err := pipeline.NewRunner(repo).Run(personal, o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dd := full.Deltas()[:topN] // enumerate, then truncate
 		for _, strategy := range []PartitionStrategy{PartitionBalanced, PartitionClustered} {
 			for _, shards := range []int{2, 5, 8} {
-				// Plain truncation and the adaptive parallel engine must
-				// produce the same Δ sequence through the sharded path.
-				for _, adaptive := range []bool{false, true} {
+				// Inline and over four workers: the same Δ sequence through
+				// the sharded path.
+				for _, parallelism := range []int{0, 4} {
 					ro := o
-					if adaptive {
-						ro.AdaptiveTopN = true
-						ro.Parallelism = 4
-					}
+					ro.Parallelism = parallelism
 					r := NewRouterWithPartition(repo, shards, Config{Workers: 2}, strategy)
 					rep, err := r.Match(context.Background(), personal, ro)
 					if err != nil {
 						r.Close()
 						t.Fatal(err)
 					}
-					dd, sd := direct.Deltas(), rep.Deltas()
+					sd := rep.Deltas()
 					if len(dd) != len(sd) {
-						t.Fatalf("topN=%d %v shards=%d adaptive=%v: %d mappings, want %d",
-							topN, strategy, shards, adaptive, len(sd), len(dd))
+						t.Fatalf("topN=%d %v shards=%d parallelism=%d: %d mappings, want %d",
+							topN, strategy, shards, parallelism, len(sd), len(dd))
 					}
 					for i := range dd {
 						if dd[i] != sd[i] {
-							t.Errorf("topN=%d %v shards=%d adaptive=%v rank %d: Δ=%v, want %v",
-								topN, strategy, shards, adaptive, i, sd[i], dd[i])
+							t.Errorf("topN=%d %v shards=%d parallelism=%d rank %d: Δ=%v, want %v",
+								topN, strategy, shards, parallelism, i, sd[i], dd[i])
 						}
 					}
 					r.Close()

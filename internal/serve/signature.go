@@ -16,9 +16,11 @@ import (
 //
 // The schema part serializes the tree in spec syntax including datatypes
 // and attribute markers (Tree.String omits datatypes, which the optional
-// TypeMatcher depends on). The options part spells out every Options field;
-// matchers render through matcher.Describe, whose canonical (address-free)
-// output makes structurally identical matchers share cache entries.
+// TypeMatcher depends on). The options part spells out every Options field
+// the pipeline reads — the deprecated, ignored AdaptiveTopN is left out, so
+// setting it splits neither the cache nor a flight; matchers render through
+// matcher.Describe, whose canonical (address-free) output makes
+// structurally identical matchers share cache entries.
 func Signature(personal *schema.Tree, opts pipeline.Options) string {
 	var b strings.Builder
 	writeNodeSig(&b, personal.Root())
@@ -87,10 +89,10 @@ func writeNodeSig(b *strings.Builder, n *schema.Node) {
 }
 
 func writeOptionsSig(b *strings.Builder, o pipeline.Options) {
-	fmt.Fprintf(b, "a=%g;k=%g;d=%g;ms=%g;tn=%d;v=%d;alg=%d;ip=%t;oc=%t;sw=%g;p=%d;agg=%t;atn=%t",
+	fmt.Fprintf(b, "a=%g;k=%g;d=%g;ms=%g;tn=%d;v=%d;alg=%d;ip=%t;oc=%t;sw=%g;p=%d;agg=%t",
 		o.Objective.Alpha, o.Objective.K, o.Threshold, o.MinSim, o.TopN,
 		int(o.Variant), int(o.Algorithm), o.IncludePartials, o.OrderClusters,
-		o.StructureWeight, o.Parallelism, o.Agglomerative, o.AdaptiveTopN)
+		o.StructureWeight, o.Parallelism, o.Agglomerative)
 	if o.ClusterConfig != nil {
 		fmt.Fprintf(b, ";cc=%+v", *o.ClusterConfig)
 	}

@@ -158,11 +158,12 @@ func TestDistributedEquivalence(t *testing.T) {
 		if len(direct.Mappings) == 0 {
 			t.Logf("seed %d: unsharded run found no mappings; equivalence still checked", tc.seed)
 		}
+		// The top-N reference is the unsharded enumeration cut to N.
 		topNOpts := opts
 		topNOpts.TopN = 5
-		directTopN, err := bellflower.NewMatcher(freshRepo(t, tc.nodes, tc.seed)).Match(personal, topNOpts)
-		if err != nil {
-			t.Fatalf("seed %d topN: %v", tc.seed, err)
+		wantTopN := direct.Deltas()
+		if len(wantTopN) > topNOpts.TopN {
+			wantTopN = wantTopN[:topNOpts.TopN]
 		}
 
 		for _, strategy := range []bellflower.PartitionStrategy{bellflower.PartitionBalanced, bellflower.PartitionClustered} {
@@ -188,10 +189,14 @@ func TestDistributedEquivalence(t *testing.T) {
 					t.Errorf("seed %d %v shards=%d: mapping elements %d, want %d",
 						tc.seed, strategy, shards, rep.MappingElements, direct.MappingElements)
 				}
-				// The adaptive parallel top-N engine, running inside the
+				// The top-N engine, running over three workers inside the
 				// remote shard processes, must carry the same Δ sequence
-				// across the wire as plain unsharded truncation.
+				// across the wire as the truncated unsharded enumeration. The
+				// deprecated flag rides along: it crosses both codecs, is in
+				// nobody's signature (the shard-side integrity check would
+				// answer 400 on drift) and changes nothing.
 				adaptive := topNOpts
+				//lint:ignore SA1019 pins that the deprecated field is ignored end to end
 				adaptive.AdaptiveTopN = true
 				adaptive.Parallelism = 3
 				repAd, err := backend.Match(context.Background(), personal, adaptive)
@@ -199,7 +204,7 @@ func TestDistributedEquivalence(t *testing.T) {
 					backend.Close()
 					t.Fatalf("seed %d %v shards=%d adaptive: %v", tc.seed, strategy, shards, err)
 				}
-				dd, ad := directTopN.Deltas(), repAd.Deltas()
+				dd, ad := wantTopN, repAd.Deltas()
 				if len(dd) != len(ad) {
 					t.Fatalf("seed %d %v shards=%d: adaptive topN found %d mappings, want %d",
 						tc.seed, strategy, shards, len(ad), len(dd))

@@ -239,7 +239,7 @@ type WireOptions struct {
 	IncludePartials bool               `json:"include_partials,omitempty"`
 	OrderClusters   bool               `json:"order_clusters,omitempty"`
 	Agglomerative   bool               `json:"agglomerative,omitempty"`
-	AdaptiveTopN    bool               `json:"adaptive_top_n,omitempty"`
+	AdaptiveTopN    bool               `json:"adaptive_top_n,omitempty"` // deprecated: carried, ignored by the pipeline
 	ClusterConfig   *WireClusterConfig `json:"cluster_config,omitempty"`
 }
 
@@ -338,7 +338,8 @@ func EncodeOptions(o pipeline.Options) (WireOptions, error) {
 		IncludePartials: o.IncludePartials,
 		OrderClusters:   o.OrderClusters,
 		Agglomerative:   o.Agglomerative,
-		AdaptiveTopN:    o.AdaptiveTopN,
+		//lint:ignore SA1019 the wire keeps the field; the pipeline ignores it
+		AdaptiveTopN: o.AdaptiveTopN,
 	}
 	if o.ClusterConfig != nil {
 		cc := encodeClusterConfig(*o.ClusterConfig)
@@ -370,7 +371,8 @@ func DecodeOptions(w WireOptions) (pipeline.Options, error) {
 		IncludePartials:  w.IncludePartials,
 		OrderClusters:    w.OrderClusters,
 		Agglomerative:    w.Agglomerative,
-		AdaptiveTopN:     w.AdaptiveTopN,
+		//lint:ignore SA1019 the wire keeps the field; the pipeline ignores it
+		AdaptiveTopN: w.AdaptiveTopN,
 	}
 	o.Objective.Alpha = w.Alpha
 	o.Objective.K = w.K

@@ -98,6 +98,7 @@ func TestOptionsCodecRoundTrip(t *testing.T) {
 	cases := []pipeline.Options{
 		pipeline.DefaultOptions(),
 		{Threshold: 0.5, MinSim: 0.3, TopN: 7, Variant: pipeline.VariantTree,
+			//lint:ignore SA1019 the deprecated field must still round-trip
 			Matcher: matcher.NameMatcher{TokenAware: true}, OrderClusters: true, AdaptiveTopN: true},
 		{Threshold: 0.9, Variant: pipeline.VariantLarge, Matcher: matcher.TypeMatcher{},
 			StructureMatcher: matcher.PathContextMatcher{}, StructureWeight: 0.25, Parallelism: 3},

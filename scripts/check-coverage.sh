@@ -2,8 +2,9 @@
 # Enforces statement-coverage floors on the packages whose correctness the
 # serving path leans on hardest. The floors sit below current coverage
 # (~91% each as of PR 3; cluster 98% and labeling 97% as of PR 15, whose
-# kernels are pinned to exhaustive references) so routine changes don't
-# trip them, but a PR that lands a subsystem without tests does.
+# kernels are pinned to exhaustive references; mapgen 94% and pipeline 89%
+# as of PR 19, which made one engine serve every request) so routine changes
+# don't trip them, but a PR that lands a subsystem without tests does.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +14,8 @@ declare -A floors=(
   ["./internal/shardrpc"]=80
   ["./internal/cluster"]=85
   ["./internal/labeling"]=85
+  ["./internal/mapgen"]=85
+  ["./internal/pipeline"]=80
 )
 
 fail=0
