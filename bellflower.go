@@ -643,6 +643,13 @@ func WritePrometheusMetrics(w io.Writer, b ServiceBackend) error {
 	return serve.WritePrometheusSnapshot(w, total, shards)
 }
 
+// AppendMatchTraceJSON appends body — a match response rendered by
+// ServiceBackend.MatchJSON — with the request's span tree spliced in as its
+// last field, "trace": what bellflower-server answers under ?trace=1.
+func AppendMatchTraceJSON(dst, body []byte, sum *TraceSummary) ([]byte, error) {
+	return serve.AppendTraceJSON(dst, body, sum)
+}
+
 // FormatMapping renders a mapping as "personal ↦ repository" pairs with the
 // similarity index, e.g.:
 //

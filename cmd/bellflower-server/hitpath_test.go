@@ -1,0 +1,453 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"bellflower"
+)
+
+// encodeIndented is the old writeJSON body: the reflection encoder with a
+// two-space indent.
+func encodeIndented(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The streamed batch body is byte for byte what encoding/json prints for
+// the same document in one piece — each result nested as a RawMessage, so
+// the reference re-indents the rendering with encoding/json's own indenter
+// — for a batch mixing cache hits, misses and every per-entry error, with
+// and without the span tree.
+func TestBatchBodyMatchesEncodingJSON(t *testing.T) {
+	_, ts := testService(t, bellflower.ServiceConfig{MaxSchemaNodes: 8})
+	requests := []string{
+		`{"personal":"book(title,author)","options":{"delta":0.5}}`,        // hit (warmed below)
+		`{"personal":"not a spec ((","options":{}}`,                        // 400
+		`{"personal":"customer(name,email)","options":{"delta":0.5}}`,      // miss
+		`{"personal":"a(b,c,d,e,f,g,h,i,j,k,l)"}`,                          // 413
+		`{"personal":"book(title,author)","options":{"delta":0.5}}`,        // hit, or a flight follower
+		`{"personal":"a<b>(c&d)","options":{"variant":"gigantic"}}`,        // 400 with HTML in the message
+		`{"personal":"item(name,price)","options":{"delta":0,"top_n":10}}`, // miss, many mappings
+		`{"personal":"zzz(qqq)","options":{"delta":1}}`,                    // miss, "mappings": []
+	}
+	if resp, data := postJSON(t, ts.URL+"/v1/match", requests[0]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: %d %s", resp.StatusCode, data)
+	}
+	batch := `{"requests":[` + strings.Join(requests, ",") + `]}`
+
+	type refEntry struct {
+		Result json.RawMessage `json:"result,omitempty"`
+		Error  string          `json:"error,omitempty"`
+		Status int             `json:"status"`
+	}
+	for _, traced := range []bool{false, true} {
+		url := ts.URL + "/v1/match/batch"
+		if traced {
+			url += "?trace=1"
+		}
+		resp, got := postJSON(t, url, batch)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch: %d %s", resp.StatusCode, got)
+		}
+		// What each entry answers on its own: the resident rendering (every
+		// successful entry is cached by now) or the error and its status.
+		var entries []refEntry
+		for i, rq := range requests {
+			r, data := postJSON(t, ts.URL+"/v1/match", rq)
+			e := refEntry{Status: r.StatusCode}
+			if r.StatusCode == http.StatusOK {
+				e.Result = data
+			} else {
+				var ej errorJSON
+				if err := json.Unmarshal(data, &ej); err != nil {
+					t.Fatalf("entry %d: %v", i, err)
+				}
+				e.Error = ej.Error
+			}
+			entries = append(entries, e)
+		}
+		ref := map[string]any{"results": entries}
+		if traced {
+			var tr struct {
+				Trace bellflower.TraceSummary `json:"trace"`
+			}
+			if err := json.Unmarshal(got, &tr); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Trace.Root != "serve.batch" {
+				t.Fatalf("batch trace root = %q", tr.Trace.Root)
+			}
+			ref["trace"] = tr.Trace
+		}
+		if want := encodeIndented(t, ref); !bytes.Equal(got, want) {
+			t.Errorf("traced=%v: streamed batch differs from encoding/json\n got: %s\nwant: %s", traced, got, want)
+		}
+	}
+}
+
+// ?trace=1 on /v1/match is the plain body with the span tree spliced in as
+// its last field — and the plain body is the cached rendering, untouched.
+func TestTracedMatchIsThePlainBodyPlusTrace(t *testing.T) {
+	_, ts := testService(t, bellflower.ServiceConfig{})
+	const rq = `{"personal":"book(title,author)","options":{"delta":0.5}}`
+	_, plain := postJSON(t, ts.URL+"/v1/match", rq)
+	resp, traced := postJSON(t, ts.URL+"/v1/match?trace=1", rq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced match: %d %s", resp.StatusCode, traced)
+	}
+	if got := resp.Header.Get("Content-Length"); got != fmt.Sprint(len(traced)) {
+		t.Errorf("Content-Length = %q for a %d-byte body", got, len(traced))
+	}
+	var tr struct {
+		Trace *bellflower.TraceSummary `json:"trace"`
+	}
+	if err := json.Unmarshal(traced, &tr); err != nil || tr.Trace == nil {
+		t.Fatalf("no trace in %s (%v)", traced, err)
+	}
+	want, err := bellflower.AppendMatchTraceJSON(nil, plain, tr.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(traced, want) {
+		t.Errorf("traced body is not plain + trace\n got: %s\nwant: %s", traced, want)
+	}
+	if _, again := postJSON(t, ts.URL+"/v1/match", rq); !bytes.Equal(again, plain) {
+		t.Error("the trace leaked into the cached rendering")
+	}
+}
+
+// gatedBackend holds every MatchJSON at a gate and records how many are
+// inside at once.
+type gatedBackend struct {
+	bellflower.ServiceBackend
+	gate           chan struct{}
+	inFlight, peak atomic.Int64
+}
+
+func (g *gatedBackend) MatchJSON(ctx context.Context, p *bellflower.Tree, o bellflower.Options) ([]byte, error) {
+	n := g.inFlight.Add(1)
+	defer g.inFlight.Add(-1)
+	for {
+		if peak := g.peak.Load(); n <= peak || g.peak.CompareAndSwap(peak, n) {
+			break
+		}
+	}
+	select {
+	case <-g.gate:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return g.ServiceBackend.MatchJSON(ctx, p, o)
+}
+
+// A batch runs on at most workers + queue depth goroutines, however many
+// entries it has; results stay in request order and per-entry failures stay
+// per entry.
+func TestBatchFanoutIsBounded(t *testing.T) {
+	cfg := bellflower.ServiceConfig{Workers: 2, QueueDepth: 3, MaxSchemaNodes: 8}
+	const bound = 5
+	gated := &gatedBackend{ServiceBackend: bellflower.NewService(testRepo3(), cfg), gate: make(chan struct{})}
+	srv := newRemoteServer(gated, testRepo3(), "gated", newQuietLogger())
+	srv.svcCfg = cfg
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(func() { ts.Close(); srv.closeNow() })
+
+	roots := []string{"book", "customer", "item"}
+	specs := map[string]string{"book": "book(title,author)", "customer": "customer(name,email)", "item": "item(name,price)"}
+	wantStatus := map[int]int{3: http.StatusGatewayTimeout, 10: http.StatusBadRequest, 20: http.StatusRequestEntityTooLarge}
+	var entries []string
+	for i := 0; i < 256; i++ {
+		switch wantStatus[i] {
+		case http.StatusBadRequest:
+			entries = append(entries, `{"personal":"broken(("}`)
+		case http.StatusRequestEntityTooLarge:
+			entries = append(entries, `{"personal":"a(b,c,d,e,f,g,h,i,j,k,l)"}`)
+		case http.StatusGatewayTimeout: // expires at the gate
+			entries = append(entries, `{"personal":"book(title)","options":{"timeout_ms":1}}`)
+		default:
+			entries = append(entries, fmt.Sprintf(`{"personal":%q,"options":{"delta":0.5}}`, specs[roots[i%3]]))
+		}
+	}
+
+	type result struct {
+		resp *http.Response
+		data []byte
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/match/batch", "application/json",
+			strings.NewReader(`{"requests":[`+strings.Join(entries, ",")+`]}`))
+		if err != nil {
+			t.Error(err)
+			done <- result{}
+			return
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		done <- result{resp, buf.Bytes()}
+	}()
+	waitFor(t, func() bool { return gated.inFlight.Load() == bound })
+	time.Sleep(20 * time.Millisecond) // room for an unbounded fan-out to overshoot
+	close(gated.gate)
+	res := <-done
+	if res.resp == nil || res.resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch failed: %+v %s", res.resp, res.data)
+	}
+	if peak := gated.peak.Load(); peak != bound {
+		t.Errorf("%d entries were in flight at once, want exactly the bound %d", peak, bound)
+	}
+
+	var out struct {
+		Results []struct {
+			Result *struct {
+				Mappings []struct {
+					Pairs []struct {
+						Personal string `json:"personal"`
+					} `json:"pairs"`
+				} `json:"mappings"`
+			} `json:"result"`
+			Error  string `json:"error"`
+			Status int    `json:"status"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(res.data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != len(entries) {
+		t.Fatalf("%d results for %d entries", len(out.Results), len(entries))
+	}
+	for i, r := range out.Results {
+		if want, failing := wantStatus[i]; failing {
+			if r.Status != want || r.Error == "" || r.Result != nil {
+				t.Errorf("entry %d: status %d error %q, want %d with an error and no result", i, r.Status, r.Error, want)
+			}
+			continue
+		}
+		if r.Status != http.StatusOK || r.Result == nil || len(r.Result.Mappings) == 0 {
+			t.Fatalf("entry %d: status %d, error %q", i, r.Status, r.Error)
+		}
+		if got, want := r.Result.Mappings[0].Pairs[0].Personal, "/"+roots[i%3]; got != want {
+			t.Errorf("entry %d answers %s, want %s: results left request order", i, got, want)
+		}
+	}
+}
+
+// Bodies must end after the JSON document: a second document or stray bytes
+// are a 400 on every endpoint that reads one, trailing whitespace is fine.
+func TestTrailingDataIsRejected(t *testing.T) {
+	_, ts := testService(t, bellflower.ServiceConfig{})
+	docs := map[string]string{
+		"/v1/match":       `{"personal":"a(b)"}`,
+		"/v1/match/batch": `{"requests":[{"personal":"a(b)"}]}`,
+		"/v1/rewrite":     `{"personal":"book(title)","query":"/book/title","options":{"delta":0.5}}`,
+		"/v1/repository":  `{"action":"synthetic","nodes":200,"seed":3}`,
+	}
+	for path, doc := range docs {
+		for _, tc := range []struct {
+			name, tail string
+			want       int
+		}{
+			{"second document", ` {"x":1}`, http.StatusBadRequest},
+			{"garbage", `garbage`, http.StatusBadRequest},
+			{"stray brace", `}`, http.StatusBadRequest},
+			{"whitespace", " \n\t\r\n", http.StatusOK},
+		} {
+			resp, body := postJSON(t, ts.URL+path, doc+tc.tail)
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with %s: status %d, want %d (%s)", path, tc.name, resp.StatusCode, tc.want, body)
+			}
+			if tc.want == http.StatusBadRequest && !strings.Contains(string(body), "bad request body") {
+				t.Errorf("%s with %s: body %q does not say why", path, tc.name, body)
+			}
+		}
+	}
+}
+
+// http.ResponseController must reach the real writer through the logging
+// wrapper, or a streamed batch could be neither flushed nor given a write
+// deadline.
+func TestStatusWriterUnwraps(t *testing.T) {
+	errs := make(chan error, 2)
+	h := logRequests(newQuietLogger(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rc := http.NewResponseController(w)
+		errs <- rc.SetWriteDeadline(time.Now().Add(time.Minute))
+		w.WriteHeader(http.StatusTeapot)
+		errs <- rc.Flush()
+	}))
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if deadline, flushed := <-errs, <-errs; resp.StatusCode != http.StatusTeapot || deadline != nil || flushed != nil {
+		t.Errorf("status %d, write deadline: %v, flush: %v", resp.StatusCode, deadline, flushed)
+	}
+}
+
+// After a repository swap the same request body is answered from the new
+// repository: the old generation's renderings are unreachable.
+func TestHotReloadNeverServesAnOldRendering(t *testing.T) {
+	for _, path := range []string{"/v1/match", "/v1/match/batch"} {
+		_, ts := testService(t, bellflower.ServiceConfig{})
+		rq := `{"personal":"book(title,author)","options":{"delta":0.3,"top_n":5}}`
+		if path == "/v1/match/batch" {
+			rq = `{"requests":[` + rq + `,` + rq + `]}`
+		}
+		_, old := postJSON(t, ts.URL+path, rq)
+		if _, again := postJSON(t, ts.URL+path, rq); !bytes.Equal(old, again) {
+			t.Fatalf("%s: warm response differs from the first", path)
+		}
+		if resp, data := postJSON(t, ts.URL+"/v1/repository", `{"action":"synthetic","nodes":400,"seed":9}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("swap: %d %s", resp.StatusCode, data)
+		}
+		_, fresh := postJSON(t, ts.URL+path, rq)
+		if bytes.Equal(fresh, old) {
+			t.Errorf("%s: the swapped-out repository's rendering was served", path)
+		}
+		if strings.Contains(string(fresh), "/lib/") || strings.Contains(string(fresh), "/store/") {
+			t.Errorf("%s: post-swap answer names the old repository's trees: %s", path, fresh)
+		}
+		var stats bellflower.ServiceStats
+		getJSON(t, ts.URL+"/v1/stats", &stats)
+		if stats.PipelineRuns != 1 || stats.CacheMisses == 0 {
+			t.Errorf("%s: new generation shows %d pipeline runs, %d misses; it must have run the request itself",
+				path, stats.PipelineRuns, stats.CacheMisses)
+		}
+	}
+}
+
+// --- the hit path, measured beside the code ---
+
+// discardResponse is an http.ResponseWriter that counts and drops the body.
+type discardResponse struct {
+	header http.Header
+	n      int
+	status int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(status int)      { d.status = status }
+func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// warmServer serves the benchmark's 9,759-node synthetic repository with
+// reqs already answered once, so every later identical request is a hit.
+func warmServer(tb testing.TB, reqs []string) (http.Handler, *server) {
+	tb.Helper()
+	cfg := bellflower.DefaultSyntheticConfig()
+	cfg.TargetNodes = 9759
+	cfg.Seed = 1
+	repo, err := bellflower.Synthetic(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := newServer(repo, "synthetic", bellflower.ServiceConfig{Workers: 2}, 1, bellflower.PartitionClustered, "", newQuietLogger())
+	tb.Cleanup(srv.closeNow)
+	h := srv.routes()
+	for _, rq := range reqs {
+		if w := serveOnce(h, "/v1/match", rq); w.status != http.StatusOK || w.n == 0 {
+			tb.Fatalf("warm-up %s: status %d, %d bytes", rq, w.status, w.n)
+		}
+	}
+	return h, srv
+}
+
+// serveOnce posts body to path in-process. The request is put together by
+// hand — httptest.NewRequest parses a request line and headers, a dozen
+// allocations that would blur the handler's own count.
+func serveOnce(h http.Handler, path, body string) *discardResponse {
+	w := &discardResponse{header: make(http.Header)}
+	h.ServeHTTP(w, &http.Request{
+		Method: http.MethodPost,
+		URL:    &url.URL{Path: path},
+		Body:   io.NopCloser(strings.NewReader(body)),
+	})
+	return w
+}
+
+// warmRequests are n distinct top_n: 10 requests over the synthetic
+// repository's vocabulary.
+func warmRequests(n int) []string {
+	specs := []string{"address(name,email)", "book(title,author)", "order(item,price)", "customer(name,address(city))"}
+	reqs := make([]string, n)
+	for i := range reqs {
+		reqs[i] = fmt.Sprintf(`{"personal":%q,"options":{"delta":%g,"top_n":10}}`, specs[i%len(specs)], 0.4+float64(i/len(specs))/100)
+	}
+	return reqs
+}
+
+func BenchmarkWarmMatch(b *testing.B) {
+	reqs := warmRequests(16)
+	h, _ := warmServer(b, reqs)
+	b.SetBytes(int64(serveOnce(h, "/v1/match", reqs[0]).n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := serveOnce(h, "/v1/match", reqs[i%len(reqs)]); w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+}
+
+func BenchmarkWarmBatch(b *testing.B) {
+	reqs := warmRequests(16)
+	h, _ := warmServer(b, reqs)
+	entries := make([]string, 64)
+	for i := range entries {
+		entries[i] = reqs[i%len(reqs)]
+	}
+	batch := `{"requests":[` + strings.Join(entries, ",") + `]}`
+	b.SetBytes(int64(serveOnce(h, "/v1/match/batch", batch).n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := serveOnce(h, "/v1/match/batch", batch); w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
+	}
+}
+
+// A cache hit costs a request decode, a schema parse, a signature and a
+// cache lookup — not a rendering. The parent commit allocated ~420 times per
+// warm /v1/match and ~370 per batch entry, nearly all of it re-rendering
+// the cached report; the ceilings keep the hit path from quietly going back
+// there. A single request also pays the per-request fixed costs a batch
+// spreads over its entries — the request trace and its ring summary (~27
+// allocations), the structured log line (~8) — which is why its ceiling is
+// the looser one.
+func TestWarmHitAllocationCeilings(t *testing.T) {
+	reqs := warmRequests(1)
+	h, srv := warmServer(t, reqs)
+	const runs = 100
+	if got := testing.AllocsPerRun(runs, func() { serveOnce(h, "/v1/match", reqs[0]) }); got > 75 {
+		t.Errorf("a warm /v1/match allocates %.0f times, ceiling 75", got)
+	}
+	const entries = 64
+	batch := `{"requests":[` + strings.Repeat(reqs[0]+",", entries-1) + reqs[0] + `]}`
+	if got := testing.AllocsPerRun(runs, func() { serveOnce(h, "/v1/match/batch", batch) }) / entries; got > 50 {
+		t.Errorf("a warm batch entry allocates %.0f times, ceiling 50", got)
+	}
+	total, _ := srv.cur.backend.Snapshot()
+	if total.PipelineRuns != 1 || total.CacheHits < runs*(1+entries) {
+		t.Errorf("the measured requests were not hits: %d pipeline runs, %d hits", total.PipelineRuns, total.CacheHits)
+	}
+}

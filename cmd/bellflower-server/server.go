@@ -1,17 +1,21 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -279,6 +283,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController (flush, write deadlines) reach the
+// real writer behind the logging wrapper.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // --- JSON wire types ---
 
 // matchOptionsJSON selects pipeline options over the wire; absent fields
@@ -382,88 +390,6 @@ type matchRequestJSON struct {
 	Options  *matchOptionsJSON `json:"options,omitempty"`
 }
 
-type pairJSON struct {
-	Personal   string `json:"personal"`
-	Repository string `json:"repository"`
-}
-
-type mappingJSON struct {
-	Delta   float64    `json:"delta"`
-	Sim     float64    `json:"sim"`
-	Path    float64    `json:"path"`
-	Cluster int        `json:"cluster"`
-	Pairs   []pairJSON `json:"pairs"`
-}
-
-type pipelineStatsJSON struct {
-	Variant         string  `json:"variant"`
-	MappingElements int     `json:"mapping_elements"`
-	Clusters        int     `json:"clusters"`
-	UsefulClusters  int     `json:"useful_clusters"`
-	SearchSpace     float64 `json:"search_space"`
-	PartialMappings int64   `json:"partial_mappings_generated"`
-	MatchMS         float64 `json:"match_ms"`
-	ClusterMS       float64 `json:"cluster_ms"`
-	GenMS           float64 `json:"gen_ms"`
-}
-
-type matchResponseJSON struct {
-	Mappings []mappingJSON     `json:"mappings"`
-	Partials int               `json:"partials,omitempty"`
-	Pipeline pipelineStatsJSON `json:"pipeline"`
-
-	// Incomplete marks a partial-results merge (-partial): one or more
-	// shards failed and the mappings cover only the shards that
-	// succeeded; ShardErrors says which failed and why. The element type
-	// carries its own wire tags ({"shard":N,"error":"..."}).
-	Incomplete  bool                    `json:"incomplete,omitempty"`
-	ShardErrors []bellflower.ShardError `json:"shard_errors,omitempty"`
-
-	// Trace is the request's span tree, present only under ?trace=1. A
-	// distributed fan-out returns ONE stitched tree: the router's
-	// prepass/fanout/merge spans with each shard's decode/match/encode
-	// spans grafted beneath the RPC round trips.
-	Trace *bellflower.TraceSummary `json:"trace,omitempty"`
-}
-
-func renderReport(personal *bellflower.Tree, rep *bellflower.Report) matchResponseJSON {
-	resp := matchResponseJSON{
-		Mappings:   make([]mappingJSON, 0, len(rep.Mappings)),
-		Partials:   len(rep.Partials),
-		Incomplete: rep.Incomplete,
-		Pipeline: pipelineStatsJSON{
-			Variant:         rep.Variant.String(),
-			MappingElements: rep.MappingElements,
-			Clusters:        rep.Clusters,
-			UsefulClusters:  rep.UsefulClusters,
-			SearchSpace:     rep.Counters.SearchSpace,
-			PartialMappings: rep.Counters.PartialMappings,
-			MatchMS:         float64(rep.MatchTime) / float64(time.Millisecond),
-			ClusterMS:       float64(rep.ClusterTime) / float64(time.Millisecond),
-			GenMS:           float64(rep.GenTime) / float64(time.Millisecond),
-		},
-	}
-	resp.ShardErrors = rep.ShardErrors
-	nodes := personal.Nodes()
-	for _, m := range rep.Mappings {
-		mj := mappingJSON{
-			Delta:   m.Score.Delta,
-			Sim:     m.Score.Sim,
-			Path:    m.Score.Path,
-			Cluster: m.ClusterID,
-			Pairs:   make([]pairJSON, 0, len(m.Images)),
-		}
-		for i, img := range m.Images {
-			mj.Pairs = append(mj.Pairs, pairJSON{
-				Personal:   nodes[i].PathString(),
-				Repository: img.PathString(),
-			})
-		}
-		resp.Mappings = append(resp.Mappings, mj)
-	}
-	return resp
-}
-
 type errorJSON struct {
 	Error string `json:"error"`
 }
@@ -478,7 +404,17 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		// Decode stops after the first JSON value; anything but whitespace
+		// after it makes the body malformed, not a request to serve half of.
+		if _, terr := dec.Token(); terr == nil {
+			err = errors.New("trailing data after the JSON document")
+		} else if terr != io.EOF {
+			err = terr
+		}
+	}
+	if err != nil {
 		// An oversized body is the client exceeding -max-body-bytes, not a
 		// malformed one: answer 413 so the client can tell the difference.
 		var mbe *http.MaxBytesError
@@ -511,29 +447,31 @@ func matchStatus(err error) int {
 	}
 }
 
-// runMatch parses one wire request and serves it through svc. Handlers
-// acquire the current generation once per request and pass its backend
+// runMatch parses one wire request and serves it through match — the
+// current generation's Match (the report) or MatchJSON (its rendering).
+// Handlers acquire the generation once per request and pass its method
 // down, so a concurrent repository swap cannot mix state from two
 // generations within one request.
-func (s *server) runMatch(ctx context.Context, svc bellflower.ServiceBackend, req matchRequestJSON) (*bellflower.Tree, *bellflower.Report, int, error) {
-	personal, err := bellflower.ParseSchema(req.Personal)
+func runMatch[T any](ctx context.Context, req matchRequestJSON,
+	match func(context.Context, *bellflower.Tree, bellflower.Options) (T, error)) (personal *bellflower.Tree, out T, status int, err error) {
+	personal, err = bellflower.ParseSchema(req.Personal)
 	if err != nil {
-		return nil, nil, http.StatusBadRequest, err
+		return nil, out, http.StatusBadRequest, err
 	}
 	opts, err := req.Options.build()
 	if err != nil {
-		return nil, nil, http.StatusBadRequest, err
+		return nil, out, http.StatusBadRequest, err
 	}
 	if d := req.Options.timeout(); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	rep, err := svc.Match(ctx, personal, opts)
+	out, err = match(ctx, personal, opts)
 	if err != nil {
-		return nil, nil, matchStatus(err), err
+		return nil, out, matchStatus(err), err
 	}
-	return personal, rep, http.StatusOK, nil
+	return personal, out, http.StatusOK, nil
 }
 
 func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
@@ -548,7 +486,7 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	ref := s.acquire()
 	defer ref.release()
 	ctx, tr, root := bellflower.StartRequestTrace(r.Context(), "serve.match")
-	personal, rep, status, err := s.runMatch(ctx, ref.backend, req)
+	_, body, status, err := runMatch(ctx, req, ref.backend.MatchJSON)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
@@ -557,11 +495,18 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, errorJSON{Error: err.Error()})
 		return
 	}
-	resp := renderReport(personal, rep)
 	if wantTrace(r) && sum.Tree != nil {
-		resp.Trace = &sum
+		if body, err = bellflower.AppendMatchTraceJSON(nil, body, &sum); err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
+			return
+		}
 	}
-	writeJSON(w, status, resp)
+	// body is the report's rendering, usually the bytes resident in its cache
+	// entry: written as they are, length known up front.
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // a failed write is the client gone; nothing to report to
 }
 
 // wantTrace reports whether the client asked for the inline span tree.
@@ -587,10 +532,12 @@ type batchRequestJSON struct {
 	Requests []matchRequestJSON `json:"requests"`
 }
 
-type batchEntryJSON struct {
-	Result *matchResponseJSON `json:"result,omitempty"`
-	Error  string             `json:"error,omitempty"`
-	Status int                `json:"status"`
+// batchEntry is one batch result waiting to be written: its "result" (the
+// rendered match response) or its "error" (the message as a JSON string).
+type batchEntry struct {
+	field  string
+	value  []byte
+	status int
 }
 
 func (s *server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
@@ -606,52 +553,99 @@ func (s *server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "empty batch"})
 		return
 	}
-	// Cap the per-request fan-out: the body limit alone still admits tens
-	// of thousands of tiny entries, each pinning a goroutine and a parsed
-	// schema behind the bounded worker pool.
+	// Cap the batch: the body limit alone still admits tens of thousands of
+	// tiny entries, each pinning a parsed schema and a result until the
+	// response is written.
 	const maxBatchEntries = 256
 	if len(req.Requests) > maxBatchEntries {
 		writeJSON(w, http.StatusRequestEntityTooLarge,
 			errorJSON{Error: fmt.Sprintf("batch of %d entries exceeds limit %d", len(req.Requests), maxBatchEntries)})
 		return
 	}
-	// Entries run concurrently through the service, which bounds actual
-	// pipeline concurrency by its worker pool and deduplicates identical
-	// entries; per-entry failures don't fail the batch.
-	entries := make([]batchEntryJSON, len(req.Requests))
+	entries := make([]batchEntry, len(req.Requests))
 	ref := s.acquire() // one generation for the whole batch
 	defer ref.release()
-	svc := ref.backend
 	// One trace spans the whole batch: every entry's spans record into it
 	// concurrently, so the tree shows the fan-out's real overlap.
 	ctx, tr, root := bellflower.StartRequestTrace(r.Context(), "serve.batch")
+	// Entries run concurrently on as many goroutines as the backend can hold
+	// requests, running or queued (more would only park behind its worker
+	// pool), each pulling the next index until none is left; the service
+	// deduplicates identical entries, and per-entry failures don't fail the
+	// batch.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(len(req.Requests))
-	for i, mr := range req.Requests {
-		go func(i int, mr matchRequestJSON) {
+	fanout := min(s.svcCfg.Capacity(), len(req.Requests))
+	wg.Add(fanout)
+	for g := 0; g < fanout; g++ {
+		go func() {
 			defer wg.Done()
-			ectx, esp := bellflower.StartTraceSpan(ctx, "batch.entry")
-			personal, rep, status, err := s.runMatch(ectx, svc, mr)
-			entries[i].Status = status
-			if err != nil {
-				esp.SetAttr("error", err.Error())
+			for i := int(next.Add(1)) - 1; i < len(req.Requests); i = int(next.Add(1)) - 1 {
+				ectx, esp := bellflower.StartTraceSpan(ctx, "batch.entry")
+				_, body, status, err := runMatch(ectx, req.Requests[i], ref.backend.MatchJSON)
+				if err != nil {
+					esp.SetAttr("error", err.Error())
+					msg, _ := json.Marshal(err.Error()) // a string always marshals
+					entries[i] = batchEntry{"error", msg, status}
+				} else {
+					entries[i] = batchEntry{"result", body, status}
+				}
+				esp.End()
 			}
-			esp.End()
-			if err != nil {
-				entries[i].Error = err.Error()
-				return
-			}
-			resp := renderReport(personal, rep)
-			entries[i].Result = &resp
-		}(i, mr)
+		}()
 	}
 	wg.Wait()
 	sum := s.finishTrace(tr, root)
-	out := map[string]any{"results": entries}
+	var traceJSON []byte
 	if wantTrace(r) {
-		out["trace"] = sum
+		var err error
+		if traceJSON, err = json.MarshalIndent(sum, "  ", "  "); err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
+			return
+		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err := writeBatch(w, entries, traceJSON); err != nil {
+		s.logger.Warn("batch response write failed", "error", err)
+	}
+}
+
+// writeBatch streams the batch response — {"results": [{"result": ...,
+// "status": 200} | {"error": "...", "status": N}, ...]} plus the optional
+// "trace" — through one buffered writer: each result is its rendering
+// copied with the nesting's line prefix, byte for byte what encoding/json
+// prints for the same document in one piece.
+func writeBatch(w io.Writer, entries []batchEntry, traceJSON []byte) error {
+	bw := bufio.NewWriterSize(w, 32<<10)
+	bw.WriteString("{\n  \"results\": [")
+	for i, e := range entries {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		bw.WriteString("\n    {\n      \"")
+		bw.WriteString(e.field)
+		bw.WriteString("\": ")
+		// A rendering ends in a newline the nested form has no use for; every
+		// other line break is followed by the entry's indent.
+		doc := bytes.TrimSuffix(e.value, []byte("\n"))
+		for nl := bytes.IndexByte(doc, '\n'); nl >= 0; nl = bytes.IndexByte(doc, '\n') {
+			bw.Write(doc[:nl+1])
+			bw.WriteString("      ")
+			doc = doc[nl+1:]
+		}
+		bw.Write(doc)
+		bw.WriteString(",\n      \"status\": ")
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(e.status), 10))
+		bw.WriteString("\n    }")
+	}
+	bw.WriteString("\n  ]")
+	if traceJSON != nil {
+		bw.WriteString(",\n  \"trace\": ")
+		bw.Write(traceJSON)
+	}
+	bw.WriteString("\n}\n")
+	return bw.Flush()
 }
 
 type rewriteRequestJSON struct {
@@ -678,7 +672,7 @@ func (s *server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	ref := s.acquire()
 	defer ref.release()
 	svc := ref.backend
-	personal, rep, status, err := s.runMatch(r.Context(), svc, matchRequestJSON{Personal: req.Personal, Options: req.Options})
+	personal, rep, status, err := runMatch(r.Context(), matchRequestJSON{Personal: req.Personal, Options: req.Options}, svc.Match)
 	if err != nil {
 		writeJSON(w, status, errorJSON{Error: err.Error()})
 		return

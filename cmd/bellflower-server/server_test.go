@@ -236,8 +236,12 @@ func TestCacheHitPathAndStats(t *testing.T) {
 	if err := json.Unmarshal(data, &stats); err != nil {
 		t.Fatalf("stats decode: %v (%s)", err, data)
 	}
-	if stats.CacheHits < 2 {
-		t.Errorf("cache hits = %d, want >= 2 after repeated identical requests", stats.CacheHits)
+	if stats.CacheHits != 2 || stats.CacheMisses != 1 || stats.Requests != 3 {
+		t.Errorf("hits/misses/requests = %d/%d/%d, want 2/1/3 after three identical requests",
+			stats.CacheHits, stats.CacheMisses, stats.Requests)
+	}
+	if stats.CacheBytes <= int64(len(first)) {
+		t.Errorf("cache_bytes = %d does not cover the %d-byte rendering it serves", stats.CacheBytes, len(first))
 	}
 	if stats.PipelineRuns != 1 {
 		t.Errorf("pipeline runs = %d, want 1", stats.PipelineRuns)
@@ -293,9 +297,9 @@ func TestHandleMatchBatch(t *testing.T) {
 	}
 	var out struct {
 		Results []struct {
-			Result *matchResponseJSON `json:"result"`
-			Error  string             `json:"error"`
-			Status int                `json:"status"`
+			Result map[string]any `json:"result"`
+			Error  string         `json:"error"`
+			Status int            `json:"status"`
 		} `json:"results"`
 	}
 	if err := json.Unmarshal(data, &out); err != nil {
@@ -312,6 +316,20 @@ func TestHandleMatchBatch(t *testing.T) {
 	}
 	if out.Results[2].Status != http.StatusOK {
 		t.Errorf("entry 2: status %d", out.Results[2].Status)
+	}
+
+	// The same batch again is two cache hits and the identical bytes: no
+	// pipeline run, no re-rendering drift.
+	var before, after bellflower.ServiceStats
+	getJSON(t, ts.URL+"/v1/stats", &before)
+	_, again := postJSON(t, ts.URL+"/v1/match/batch", body)
+	getJSON(t, ts.URL+"/v1/stats", &after)
+	if !bytes.Equal(again, data) {
+		t.Error("the repeated batch's body differs from the first")
+	}
+	if after.CacheHits-before.CacheHits != 2 || after.PipelineRuns != before.PipelineRuns || after.Requests-before.Requests != 2 {
+		t.Errorf("repeated batch: +%d hits, +%d runs, +%d requests; want +2, +0, +2",
+			after.CacheHits-before.CacheHits, after.PipelineRuns-before.PipelineRuns, after.Requests-before.Requests)
 	}
 
 	resp, _ = postJSON(t, ts.URL+"/v1/match/batch", `{"requests":[]}`)
@@ -535,18 +553,29 @@ func TestHotReloadDrainsInFlight(t *testing.T) {
 			}()
 			gen0 := srv.cur // the generation about to be retired
 
+			// Every goroutine keeps requesting until the swap has happened (and
+			// for at least perG requests), so the swap always lands on traffic
+			// however quickly a single request is answered.
 			const goroutines, perG = 6, 4
 			var wg sync.WaitGroup
-			var failures atomic.Int64
+			var failures, sent atomic.Int64
+			swapped := make(chan struct{})
 			for g := 0; g < goroutines; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					for i := 0; i < perG; i++ {
+					for i := 0; ; i++ {
+						if i >= perG {
+							select {
+							case <-swapped:
+								return
+							default:
+							}
+						}
 						// Unique schemas bypass cache and dedupe so every
 						// request runs the pipeline and holds its
 						// generation open for real work.
-						body := fmt.Sprintf(`{"personal":"press%d(title,author,year)","options":{"delta":0.5}}`, g*perG+i)
+						body := fmt.Sprintf(`{"personal":"press%d(title,author,year)","options":{"delta":0.5}}`, sent.Add(1))
 						resp, err := http.Post(ts.URL+"/v1/match", "application/json", strings.NewReader(body))
 						if err != nil {
 							failures.Add(1)
@@ -567,12 +596,13 @@ func TestHotReloadDrainsInFlight(t *testing.T) {
 			// server's own reference plus at least one handler's).
 			waitFor(t, func() bool { return gen0.refs.Load() > 1 })
 			resp, data := postJSON(t, ts.URL+"/v1/repository", `{"action":"synthetic","nodes":300,"seed":9}`)
+			close(swapped)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("swap: %d (%s)", resp.StatusCode, data)
 			}
 			wg.Wait()
 			if failures.Load() > 0 {
-				t.Fatalf("%d of %d requests failed across the reload; drain must cancel none", failures.Load(), goroutines*perG)
+				t.Fatalf("%d of %d requests failed across the reload; drain must cancel none", failures.Load(), sent.Load())
 			}
 
 			// The old generation closes exactly when its last request lets

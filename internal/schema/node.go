@@ -126,15 +126,37 @@ func (n *Node) Path() []string {
 	return rev
 }
 
+// AppendPath appends the slash-separated root-to-node name path, e.g.
+// "/lib/book/title", to dst and returns the extended slice. One upward
+// walk sizes the path and a second fills it from the end, so a dst with
+// enough spare capacity sees no allocation.
+func (n *Node) AppendPath(dst []byte) []byte {
+	size := 0
+	for m := n; m != nil; m = m.parent {
+		size += 1 + len(m.Name)
+	}
+	end := len(dst) + size
+	if end > cap(dst) {
+		grown := make([]byte, end, end+end/4)
+		copy(grown, dst)
+		dst = grown
+	} else {
+		dst = dst[:end]
+	}
+	for m := n; m != nil; m = m.parent {
+		end -= len(m.Name)
+		copy(dst[end:], m.Name)
+		end--
+		dst[end] = '/'
+	}
+	return dst
+}
+
 // PathString returns the slash-separated root-to-node name path, e.g.
 // "/lib/book/title".
 func (n *Node) PathString() string {
-	parts := n.Path()
-	out := ""
-	for _, p := range parts {
-		out += "/" + p
-	}
-	return out
+	var buf [128]byte // paths this short are built on the stack: one allocation, the string
+	return string(n.AppendPath(buf[:0]))
 }
 
 // String renders the node as name#id for diagnostics.

@@ -417,3 +417,60 @@ func TestSubtreeIntervalProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// pathStringLoop is the historical PathString (reverse Path, then
+// concatenate level by level): the reference AppendPath is pinned to.
+func pathStringLoop(n *Node) string {
+	out := ""
+	for _, p := range n.Path() {
+		out += "/" + p
+	}
+	return out
+}
+
+// Property: AppendPath and PathString agree with the historical loop on
+// every node of generated trees — single-node trees, bushy trees and
+// chains deeper than PathString's stack buffer — and AppendPath leaves
+// what dst already held alone.
+func TestAppendPathMatchesLoopProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	trees := []*Tree{randomTree(rng, 1)}
+	for i := 0; i < 50; i++ {
+		trees = append(trees, randomTree(rng, 1+rng.Intn(60)))
+	}
+	chain := NewBuilder("chain")
+	n := chain.Root("root")
+	for d := 0; d < 40; d++ {
+		n = chain.Element(n, strings.Repeat("x", 1+d%7)+"é<&")
+	}
+	trees = append(trees, chain.MustTree())
+	for _, tr := range trees {
+		for _, n := range tr.Nodes() {
+			want := pathStringLoop(n)
+			if got := n.PathString(); got != want {
+				t.Fatalf("PathString = %q, want %q", got, want)
+			}
+			if got := string(n.AppendPath([]byte("pre"))); got != "pre"+want {
+				t.Fatalf("AppendPath = %q, want %q", got, "pre"+want)
+			}
+		}
+	}
+	if depth := len(n.Path()); depth < 32 {
+		t.Fatalf("chain depth %d does not reach 32", depth)
+	}
+}
+
+func TestPathAllocations(t *testing.T) {
+	leaf := MustParseSpec("lib(book(data(title)))").Nodes()[3]
+	buf := make([]byte, 0, 64)
+	if got := testing.AllocsPerRun(100, func() { buf = leaf.AppendPath(buf[:0]) }); got != 0 {
+		t.Errorf("AppendPath into a buffer with capacity: %v allocs, want 0", got)
+	}
+	var s string
+	if got := testing.AllocsPerRun(100, func() { s = leaf.PathString() }); got != 1 {
+		t.Errorf("PathString: %v allocs, want 1", got)
+	}
+	if s != "/lib/book/data/title" {
+		t.Errorf("PathString = %q", s)
+	}
+}

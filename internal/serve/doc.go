@@ -12,7 +12,9 @@
 //     concurrent clients asking the same question trigger one pipeline run
 //     and share its report;
 //   - an LRU cache keyed by a canonical request signature serves repeated
-//     questions without running the pipeline at all.
+//     questions without running the pipeline at all — and, through
+//     MatchJSON, without rendering the answer again: a report's HTTP
+//     rendering (AppendReportJSON) is kept in the report's own cache entry.
 //
 // Per-request deadlines and cancellation are honoured end to end: a
 // request context expiring while queued or running releases the caller
@@ -80,8 +82,9 @@
 // # Memory governance
 //
 // All serving caches answer to one byte-budget memory governor: every
-// shard's report cache and the router's pre-pass cache charge their
-// entries — size-estimated in bytes — into a single account
+// shard's report cache (reports with their attached renderings) and the
+// router's pre-pass cache charge their entries — size-estimated in bytes
+// — into a single account
 // (Config.CacheBytes). When the budget is exceeded the governor evicts
 // the globally least-recently-used entry across every member cache,
 // whichever kind it is; per-cache entry-count caps (Config.CacheSize, the

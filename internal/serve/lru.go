@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"sync/atomic"
+
 	"bellflower/internal/pipeline"
 )
 
@@ -10,8 +12,20 @@ import (
 // alongside every other shard's reports and the router's pre-pass results.
 // Cached *pipeline.Report values are shared between callers and must be
 // treated as immutable.
+//
+// An entry is the report plus, once some request has asked for it, the
+// report's HTTP rendering (AppendReportJSON): one key, one LRU position,
+// one TTL and one governor charge for both, so eviction, expiry and a
+// replacing Put release them together.
 type reportCache struct {
 	space *cacheSpace
+}
+
+// cachedReport is the value behind one report-cache key. body is nil until
+// the first rendering is attached and never changes afterwards.
+type cachedReport struct {
+	rep  *pipeline.Report
+	body atomic.Pointer[[]byte]
 }
 
 // newReportCache registers a report space holding up to capacity entries
@@ -21,21 +35,49 @@ func newReportCache(gov *memGovernor, capacity int) *reportCache {
 	return &reportCache{space: gov.space(capacity)}
 }
 
-func (c *reportCache) Get(key string) (*pipeline.Report, bool) {
+// Get returns the report cached under key and its rendering, nil while none
+// has been attached.
+func (c *reportCache) Get(key string) (rep *pipeline.Report, body []byte, ok bool) {
 	v, ok := c.space.get(key)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
-	return v.(*pipeline.Report), true
+	cr := v.(*cachedReport)
+	if b := cr.body.Load(); b != nil {
+		body = *b
+	}
+	return cr.rep, body, true
 }
 
 func (c *reportCache) Put(key string, rep *pipeline.Report) {
-	c.space.put(key, rep, reportBytes(rep))
+	c.space.put(key, &cachedReport{rep: rep}, reportBytes(rep))
+}
+
+// Attach stores body as the rendering of the entry under key and charges it
+// to the governor, provided the entry is still resident and still holds rep
+// — an entry evicted or replaced since rep was read stays as it is. The
+// first rendering attached wins; Attach returns the one callers should
+// serve (the resident one when there is one, else body).
+func (c *reportCache) Attach(key string, rep *pipeline.Report, body []byte) []byte {
+	v, ok := c.space.get(key)
+	if !ok {
+		return body
+	}
+	cr := v.(*cachedReport)
+	if cr.rep != rep {
+		return body
+	}
+	if !cr.body.CompareAndSwap(nil, &body) {
+		return *cr.body.Load()
+	}
+	c.space.resize(key, cr, reportBytes(rep)+int64(len(body)))
+	return body
 }
 
 func (c *reportCache) Len() int { return c.space.len() }
 
 func (c *reportCache) Cap() int { return c.space.cap }
 
-// Bytes returns the cache's resident accounted bytes.
+// Bytes returns the cache's resident accounted bytes: reports and attached
+// renderings.
 func (c *reportCache) Bytes() int64 { return c.space.residentBytes() }

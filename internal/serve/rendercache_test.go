@@ -1,0 +1,275 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"sync"
+	"testing"
+	"time"
+
+	"bellflower/internal/pipeline"
+)
+
+// sameBytes reports whether a and b are the same slice, not merely equal.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// The rendering lives in the report's own cache entry: the first MatchJSON
+// renders and attaches, every later one returns those very bytes without a
+// pipeline run, and the governor charges the entry reportBytes + len(body).
+func TestMatchJSONServesTheResidentRendering(t *testing.T) {
+	s := NewFromRepository(testRepo(t), Config{Workers: 2})
+	defer s.Close()
+	ctx := context.Background()
+
+	first, err := s.MatchJSON(ctx, personal(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.MatchJSON(ctx, personal(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBytes(first, second) {
+		t.Error("the second MatchJSON did not return the resident rendering")
+	}
+	rep, err := s.Match(ctx, personal(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := AppendReportJSON(nil, personal(), rep); !bytes.Equal(first, want) {
+		t.Errorf("resident rendering differs from the report's:\n got: %s\nwant: %s", first, want)
+	}
+	st := s.Stats()
+	if st.Requests != 3 || st.CacheHits != 2 || st.CacheMisses != 1 || st.PipelineRuns != 1 || st.Latency.Count != 3 {
+		t.Errorf("requests=%d hits=%d misses=%d runs=%d observed=%d; want 3, 2, 1, 1, 3",
+			st.Requests, st.CacheHits, st.CacheMisses, st.PipelineRuns, st.Latency.Count)
+	}
+	if want := reportBytes(rep) + int64(len(first)); st.CacheBytes != want {
+		t.Errorf("CacheBytes = %d, want reportBytes + len(body) = %d", st.CacheBytes, want)
+	}
+	if used := auditGovernor(t, s.gov); used != st.CacheBytes {
+		t.Errorf("governor holds %d bytes, the report cache accounts %d", used, st.CacheBytes)
+	}
+}
+
+// An entry Match put there gets its rendering on the first MatchJSON — a
+// cache hit — and is charged for it exactly once.
+func TestMatchJSONAttachesToAnEntryMatchCached(t *testing.T) {
+	s := NewFromRepository(testRepo(t), Config{Workers: 2})
+	defer s.Close()
+	ctx := context.Background()
+	rep, err := s.Match(ctx, personal(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().CacheBytes; got != reportBytes(rep) {
+		t.Fatalf("CacheBytes = %d before any rendering, want %d", got, reportBytes(rep))
+	}
+	var body []byte
+	for i := 0; i < 3; i++ {
+		if body, err = s.MatchJSON(ctx, personal(), testOpts()); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.Stats().CacheBytes, reportBytes(rep)+int64(len(body)); got != want {
+			t.Fatalf("after MatchJSON %d: CacheBytes = %d, want %d", i+1, got, want)
+		}
+	}
+	if st := s.Stats(); st.PipelineRuns != 1 || st.CacheHits != 3 {
+		t.Errorf("runs=%d hits=%d, want 1 and 3", st.PipelineRuns, st.CacheHits)
+	}
+	auditGovernor(t, s.gov)
+}
+
+// Whatever removes the entry — the count cap, the byte budget, the TTL, a
+// drop — releases the rendering with the report: nothing stays charged and
+// the next identical request runs the pipeline again.
+func TestRenderingLeavesWithItsReport(t *testing.T) {
+	ctx := context.Background()
+	other := testOpts()
+	other.TopN = 7
+
+	t.Run("count cap", func(t *testing.T) {
+		s := NewFromRepository(testRepo(t), Config{Workers: 1, CacheSize: 1})
+		defer s.Close()
+		if _, err := s.MatchJSON(ctx, personal(), testOpts()); err != nil {
+			t.Fatal(err)
+		}
+		body, err := s.MatchJSON(ctx, personal(), other) // evicts the first entry
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, _, ok := s.cache.Get(Signature(personal(), other))
+		if !ok {
+			t.Fatal("the newer entry is not resident")
+		}
+		st := s.Stats()
+		if want := reportBytes(rep) + int64(len(body)); st.CacheBytes != want || st.CacheLen != 1 || st.CacheEvictions != 1 {
+			t.Errorf("CacheBytes=%d (want %d) CacheLen=%d evictions=%d", st.CacheBytes, want, st.CacheLen, st.CacheEvictions)
+		}
+		auditGovernor(t, s.gov)
+	})
+
+	t.Run("byte budget", func(t *testing.T) {
+		// The report alone fits; report + rendering does not, so attaching
+		// evicts the entry. The request is still answered.
+		probe := NewFromRepository(testRepo(t), Config{Workers: 1})
+		rep, err := probe.Match(ctx, personal(), testOpts())
+		probe.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewFromRepository(testRepo(t), Config{Workers: 1, CacheBytes: reportBytes(rep) + 64})
+		defer s.Close()
+		body, err := s.MatchJSON(ctx, personal(), testOpts())
+		if err != nil || len(body) == 0 {
+			t.Fatalf("MatchJSON: %d bytes, %v", len(body), err)
+		}
+		if st := s.Stats(); st.CacheBytes != 0 || st.CacheLen != 0 || st.CacheEvictions != 1 {
+			t.Errorf("CacheBytes=%d CacheLen=%d evictions=%d, want 0, 0, 1", st.CacheBytes, st.CacheLen, st.CacheEvictions)
+		}
+		auditGovernor(t, s.gov)
+	})
+
+	t.Run("ttl", func(t *testing.T) {
+		s := NewFromRepository(testRepo(t), Config{Workers: 1, CacheTTL: time.Hour})
+		defer s.Close()
+		now := time.Unix(5000, 0)
+		s.gov.mu.Lock()
+		s.gov.now = func() time.Time { return now }
+		s.gov.mu.Unlock()
+		stale, err := s.MatchJSON(ctx, personal(), testOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = now.Add(2 * time.Hour)
+		fresh, err := s.MatchJSON(ctx, personal(), testOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sameBytes(stale, fresh) {
+			t.Error("an expired rendering was served")
+		}
+		rep, _, _ := s.cache.Get(Signature(personal(), testOpts()))
+		st := s.Stats()
+		if want := reportBytes(rep) + int64(len(fresh)); st.CacheBytes != want || st.CacheExpired != 1 || st.PipelineRuns != 2 {
+			t.Errorf("CacheBytes=%d (want %d) expired=%d runs=%d", st.CacheBytes, want, st.CacheExpired, st.PipelineRuns)
+		}
+		auditGovernor(t, s.gov)
+	})
+
+	t.Run("drop", func(t *testing.T) {
+		g := newGovernor(0, 0)
+		c := newReportCache(g, 4)
+		rep := &pipeline.Report{}
+		c.Put("k", rep)
+		c.Attach("k", rep, []byte("rendered"))
+		if want := reportBytes(rep) + int64(len("rendered")); c.Bytes() != want {
+			t.Fatalf("Bytes = %d, want %d", c.Bytes(), want)
+		}
+		v, _ := c.space.get("k")
+		c.space.drop("k", v)
+		if _, _, ok := c.Get("k"); ok || c.Bytes() != 0 {
+			t.Errorf("after drop: resident=%v Bytes=%d", ok, c.Bytes())
+		}
+		auditGovernor(t, g)
+	})
+}
+
+// Concurrent first renderings of one entry: one wins, everybody serves the
+// winner's bytes, and the entry is charged for one body.
+func TestConcurrentFirstRenderingsChargeOnce(t *testing.T) {
+	s := NewFromRepository(testRepo(t), Config{Workers: 2})
+	defer s.Close()
+	ctx := context.Background()
+	rep, err := s.Match(ctx, personal(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 16
+	bodies := make([][]byte, callers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			b, err := s.MatchJSON(ctx, personal(), testOpts())
+			if err != nil {
+				t.Error(err)
+			}
+			bodies[i] = b
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, b := range bodies {
+		if !sameBytes(b, bodies[0]) {
+			t.Errorf("caller %d served a rendering of its own", i)
+		}
+	}
+	if got, want := s.Stats().CacheBytes, reportBytes(rep)+int64(len(bodies[0])); got != want {
+		t.Errorf("CacheBytes = %d after %d concurrent first renderings, want one body's charge %d", got, callers, want)
+	}
+	auditGovernor(t, s.gov)
+}
+
+// A rendering never brings an entry back: if the report was evicted, or the
+// key re-filled by a newer run, between reading it and attaching, the body
+// is served to its caller and the cache stays as it is.
+func TestAttachDoesNotResurrectOrOverwrite(t *testing.T) {
+	g := newGovernor(0, 0)
+	c := newReportCache(g, 1)
+	old, body := &pipeline.Report{}, []byte("old rendering")
+	c.Put("k", old)
+	c.Put("other", &pipeline.Report{}) // cap 1: evicts k
+	if got := c.Attach("k", old, body); !sameBytes(got, body) {
+		t.Error("Attach to an evicted entry did not hand the caller's body back")
+	}
+	if _, _, ok := c.Get("k"); ok || c.Len() != 1 {
+		t.Errorf("evicted entry resurrected: resident=%v len=%d", ok, c.Len())
+	}
+
+	newer := &pipeline.Report{Clusters: 1}
+	c.Put("k", newer) // the key now holds a newer run's report
+	if got := c.Attach("k", old, body); !sameBytes(got, body) {
+		t.Error("Attach against a replaced entry did not hand the caller's body back")
+	}
+	if rep, resident, ok := c.Get("k"); !ok || rep != newer || resident != nil {
+		t.Errorf("a stale rendering was attached to the newer report (rep=%p body=%q)", rep, resident)
+	}
+	if c.Bytes() != reportBytes(newer) {
+		t.Errorf("Bytes = %d, want the bare report's %d", c.Bytes(), reportBytes(newer))
+	}
+	auditGovernor(t, g)
+}
+
+// The router renders what it merged and keeps nothing: its shards' caches
+// hold reports only.
+func TestRouterMatchJSONCachesNothing(t *testing.T) {
+	router := NewRouterFromRepository(syntheticRepo(t, 400, 5), 2, Config{Workers: 2})
+	defer router.Close()
+	ctx := context.Background()
+	p, opts := personal(), testOpts()
+	rep, err := router.Match(ctx, p, opts) // warms the pre-pass and both shards
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := router.Stats()
+	body, err := router.MatchJSON(ctx, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := router.Stats()
+	if after.CacheBytes != before.CacheBytes || after.PipelineRuns != before.PipelineRuns {
+		t.Errorf("MatchJSON moved CacheBytes %d → %d, pipeline runs %d → %d",
+			before.CacheBytes, after.CacheBytes, before.PipelineRuns, after.PipelineRuns)
+	}
+	// A warm merge is rebuilt from the cached shard reports and the cached
+	// pre-pass, timings included, so it renders the same every time.
+	if want := AppendReportJSON(nil, p, rep); !bytes.Equal(body, want) {
+		t.Errorf("router rendering differs from its report's:\n got: %s\nwant: %s", body, want)
+	}
+}

@@ -28,6 +28,12 @@ type Backend interface {
 	// Match serves one match request; see Service.Match.
 	Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error)
 
+	// MatchJSON is Match returning the report's HTTP rendering
+	// (AppendReportJSON) — resident in the report's cache entry where the
+	// backend keeps one (Service.MatchJSON). The bytes may be shared and
+	// must be treated as read-only.
+	MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error)
+
 	// MatchBatch serves a batch concurrently, results in request order.
 	MatchBatch(ctx context.Context, reqs []Request) []Result
 
@@ -430,6 +436,17 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 		rep.ClusterTime = e.clusterDur
 	}
 	return rep, nil
+}
+
+// MatchJSON implements Backend: Match, then one rendering of the merged
+// report. The router caches no merged reports, so nothing is kept — the
+// shards' caches hold the per-shard reports the merge is rebuilt from.
+func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
+	rep, err := r.Match(ctx, personal, opts)
+	if err != nil {
+		return nil, err
+	}
+	return AppendReportJSON(nil, personal, rep), nil
 }
 
 // stagedShard is one shard's slice of the pre-pass result.

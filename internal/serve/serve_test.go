@@ -349,14 +349,14 @@ func TestReportCacheEviction(t *testing.T) {
 	c.Put("a", r())
 	c.Put("b", r())
 	c.Put("c", r()) // evicts a
-	if _, ok := c.Get("a"); ok {
+	if _, _, ok := c.Get("a"); ok {
 		t.Error("a should have been evicted")
 	}
-	if _, ok := c.Get("b"); !ok {
+	if _, _, ok := c.Get("b"); !ok {
 		t.Error("b missing")
 	}
 	c.Put("d", r()) // c is LRU now (b was just touched): evicts c
-	if _, ok := c.Get("c"); ok {
+	if _, _, ok := c.Get("c"); ok {
 		t.Error("c should have been evicted")
 	}
 	if c.Len() != 2 {
@@ -365,7 +365,7 @@ func TestReportCacheEviction(t *testing.T) {
 
 	disabled := newReportCache(newGovernor(0, 0), 0)
 	disabled.Put("x", r())
-	if _, ok := disabled.Get("x"); ok {
+	if _, _, ok := disabled.Get("x"); ok {
 		t.Error("disabled cache stored an entry")
 	}
 }

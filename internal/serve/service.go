@@ -128,6 +128,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Capacity is how many requests a service sized by c holds at once, running
+// or queued (defaults applied): the bound batch fan-outs size themselves by.
+func (c Config) Capacity() int {
+	c = c.withDefaults()
+	return c.Workers + c.QueueDepth
+}
+
 // task is one scheduled pipeline run. cands, when non-nil, is a
 // precomputed (projected) candidate set: the run skips element matching
 // via Runner.RunWithCandidates; when clusters is additionally non-nil the
@@ -293,7 +300,27 @@ func (s *Service) worker() {
 // cancelled as soon as no other caller is waiting on it. Requests without
 // a deadline get Config.DefaultTimeout when one is configured.
 func (s *Service) Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
-	return s.match(ctx, personal, opts, nil, nil, 0)
+	rep, _, err := s.match(ctx, personal, opts, nil, nil, 0)
+	return rep, err
+}
+
+// MatchJSON is Match returning the report's HTTP rendering
+// (AppendReportJSON). The rendering lives in the report's own cache entry:
+// a hit on an entry that has one returns those bytes without touching the
+// report; a miss, a flight join, or a hit on an entry only Match has read
+// so far renders once and attaches the result to the entry (same key, LRU
+// position and TTL; the governor is charged the body's length on top of
+// the report's). Counters and the latency histogram move exactly as for
+// Match. The returned bytes are shared and must be treated as read-only.
+func (s *Service) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
+	rep, hit, err := s.match(ctx, personal, opts, nil, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	if hit.body != nil {
+		return hit.body, nil
+	}
+	return s.cache.Attach(hit.key, rep, AppendReportJSON(nil, personal, rep)), nil
 }
 
 // MatchWithCandidates is Match with a precomputed element-matching result:
@@ -308,7 +335,8 @@ func (s *Service) MatchWithCandidates(ctx context.Context, personal *schema.Tree
 	if cands == nil {
 		return nil, errors.New("serve: MatchWithCandidates needs a candidate set")
 	}
-	return s.match(ctx, personal, opts, cands, nil, 0)
+	rep, _, err := s.match(ctx, personal, opts, cands, nil, 0)
+	return rep, err
 }
 
 // MatchWithClusters goes one stage deeper than MatchWithCandidates: the
@@ -325,24 +353,33 @@ func (s *Service) MatchWithClusters(ctx context.Context, personal *schema.Tree, 
 	if clusters == nil {
 		return nil, errors.New("serve: MatchWithClusters needs a cluster slice (possibly empty, never nil)")
 	}
-	return s.match(ctx, personal, opts, cands, clusters, iterations)
+	rep, _, err := s.match(ctx, personal, opts, cands, clusters, iterations)
+	return rep, err
 }
 
-// match is the shared body of Match, MatchWithCandidates and
+// cacheRef is where a served report sits in the report cache: its key and
+// the rendering resident beside it (nil when the report came from a run, or
+// from an entry nothing has been rendered for yet).
+type cacheRef struct {
+	key  string
+	body []byte
+}
+
+// match is the shared body of Match, MatchJSON, MatchWithCandidates and
 // MatchWithClusters.
-func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) (*pipeline.Report, error) {
+func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) (*pipeline.Report, cacheRef, error) {
 	s.ct.requests.Add(1)
 	if err := s.root.Err(); err != nil {
 		s.ct.rejected.Add(1)
-		return nil, ErrClosed
+		return nil, cacheRef{}, ErrClosed
 	}
 	if personal == nil || personal.Root() == nil {
 		s.ct.rejected.Add(1)
-		return nil, errors.New("serve: nil personal schema")
+		return nil, cacheRef{}, errors.New("serve: nil personal schema")
 	}
 	if max := s.cfg.MaxSchemaNodes; max > 0 && personal.Len() > max {
 		s.ct.rejected.Add(1)
-		return nil, fmt.Errorf("serve: %w: %d nodes > limit %d", ErrSchemaTooLarge, personal.Len(), max)
+		return nil, cacheRef{}, fmt.Errorf("serve: %w: %d nodes > limit %d", ErrSchemaTooLarge, personal.Len(), max)
 	}
 	if s.cfg.DefaultTimeout > 0 {
 		if _, ok := ctx.Deadline(); !ok {
@@ -356,7 +393,7 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 	key := Signature(personal, opts)
 	for attempt := 0; ; attempt++ {
 		_, csp := trace.StartSpan(ctx, "cache.lookup")
-		rep, ok := s.cache.Get(key)
+		rep, body, ok := s.cache.Get(key)
 		if csp != nil {
 			csp.SetAttr("hit", strconv.FormatBool(ok))
 			csp.End()
@@ -366,7 +403,7 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 				s.ct.cacheHits.Add(1)
 			}
 			s.ct.observe(time.Since(start))
-			return rep, nil
+			return rep, cacheRef{key, body}, nil
 		}
 		if attempt == 0 {
 			s.ct.cacheMisses.Add(1)
@@ -382,10 +419,10 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 			// the flight key) would leave this request leading a second,
 			// redundant run; the key is ours now, so a second look is
 			// decisive: serve from the cache and close the flight with it.
-			if rep, ok := s.cache.Get(key); ok {
+			if rep, body, ok := s.cache.Get(key); ok {
 				s.flight.finish(key, c, rep, nil)
 				s.ct.observe(time.Since(start))
-				return rep, nil
+				return rep, cacheRef{key, body}, nil
 			}
 			t := &task{key: key, c: c, personal: personal, opts: opts,
 				cands: cands, clusters: clusters, iterations: iterations}
@@ -400,11 +437,11 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 				// ones whose own contexts are still live).
 				s.flight.finish(key, c, nil, ctx.Err())
 				s.ct.errors.Add(1)
-				return nil, ctx.Err()
+				return nil, cacheRef{}, ctx.Err()
 			case <-s.root.Done():
 				s.flight.finish(key, c, nil, ErrClosed)
 				s.ct.errors.Add(1)
-				return nil, ErrClosed
+				return nil, cacheRef{}, ErrClosed
 			}
 		} else if attempt == 0 {
 			s.ct.deduped.Add(1)
@@ -427,15 +464,15 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 					continue
 				}
 				s.ct.errors.Add(1)
-				return nil, c.err
+				return nil, cacheRef{}, c.err
 			}
 			s.ct.observe(time.Since(start))
-			return c.rep, nil
+			return c.rep, cacheRef{key: key}, nil
 		case <-ctx.Done():
 			wsp.End()
 			s.flight.leave(key, c)
 			s.ct.errors.Add(1)
-			return nil, ctx.Err()
+			return nil, cacheRef{}, ctx.Err()
 		case <-s.root.Done():
 			wsp.End()
 			// Service closed while waiting; Close fails queued tasks, but
@@ -443,7 +480,7 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 			// the drain, so don't rely on c.done.
 			s.flight.leave(key, c)
 			s.ct.errors.Add(1)
-			return nil, ErrClosed
+			return nil, cacheRef{}, ErrClosed
 		}
 	}
 }
@@ -479,7 +516,7 @@ func (s *Service) MatchBatch(ctx context.Context, reqs []Request) []Result {
 
 // CapacityHint is the number of requests the service can hold (running or
 // queued); batch fan-outs — the Router's included — size themselves by it.
-func (s *Service) CapacityHint() int { return s.cfg.Workers + s.cfg.QueueDepth }
+func (s *Service) CapacityHint() int { return s.cfg.Capacity() }
 
 // matchBatch fans reqs out over at most fanout goroutines against match,
 // collecting results in request order.

@@ -2,8 +2,9 @@ package serve
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
+	"bellflower/internal/cluster"
 	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
 	"bellflower/internal/schema"
@@ -22,12 +23,14 @@ import (
 // matcher.Describe, whose canonical (address-free) output makes
 // structurally identical matchers share cache entries.
 func Signature(personal *schema.Tree, opts pipeline.Options) string {
-	var b strings.Builder
-	writeNodeSig(&b, personal.Root())
-	b.WriteByte('|')
-	writeOptionsSig(&b, opts)
-	return b.String()
+	b := appendNodeSig(make([]byte, 0, sigBufSize), personal.Root())
+	b = append(b, '|')
+	return string(appendOptionsSig(b, opts))
 }
+
+// sigBufSize keeps a typical signature's scratch buffer on the caller's
+// stack: the only allocation left is the returned string.
+const sigBufSize = 256
 
 // CandidateSignature identifies the inputs of the element-matching stage
 // alone: the personal schema, the element matcher and the MinSim threshold.
@@ -36,14 +39,17 @@ func Signature(personal *schema.Tree, opts pipeline.Options) string {
 // rest of their options (TopN, variant, δ ...) differ — deliberately
 // coarser than Signature.
 func CandidateSignature(personal *schema.Tree, opts pipeline.Options) string {
-	var b strings.Builder
-	writeNodeSig(&b, personal.Root())
-	fmt.Fprintf(&b, "|ms=%g", opts.MinSim)
+	return string(appendCandidateSig(make([]byte, 0, sigBufSize), personal, opts))
+}
+
+func appendCandidateSig(b []byte, personal *schema.Tree, opts pipeline.Options) []byte {
+	b = appendNodeSig(b, personal.Root())
+	b = appendSigFloat(append(b, "|ms="...), opts.MinSim)
 	if opts.Matcher != nil {
-		b.WriteString(";m=")
-		b.WriteString(matcher.Describe(opts.Matcher))
+		b = append(b, ";m="...)
+		b = append(b, matcher.Describe(opts.Matcher)...)
 	}
-	return b.String()
+	return b
 }
 
 // prepassSignature keys the router's shared pre-pass, which hoists both
@@ -52,56 +58,74 @@ func CandidateSignature(personal *schema.Tree, opts pipeline.Options) string {
 // — requests differing only in report-shaping options (TopN, δ, ordering,
 // partials, parallelism ...) share one pre-pass.
 func prepassSignature(personal *schema.Tree, opts pipeline.Options) string {
-	var b strings.Builder
-	b.WriteString(CandidateSignature(personal, opts))
-	fmt.Fprintf(&b, "|v=%d;agg=%t", int(opts.Variant), opts.Agglomerative)
-	if opts.ClusterConfig != nil {
-		fmt.Fprintf(&b, ";cc=%+v", *opts.ClusterConfig)
-	}
-	return b.String()
+	b := appendCandidateSig(make([]byte, 0, sigBufSize), personal, opts)
+	b = strconv.AppendInt(append(b, "|v="...), int64(opts.Variant), 10)
+	b = strconv.AppendBool(append(b, ";agg="...), opts.Agglomerative)
+	return string(appendClusterConfigSig(b, opts.ClusterConfig))
 }
 
-func writeNodeSig(b *strings.Builder, n *schema.Node) {
+func appendNodeSig(b []byte, n *schema.Node) []byte {
 	if n == nil {
-		b.WriteString("()")
-		return
+		return append(b, "()"...)
 	}
-	b.WriteString(n.Name)
+	b = append(b, n.Name...)
 	if n.Kind == schema.KindAttribute {
-		b.WriteByte('@')
+		b = append(b, '@')
 	}
 	if n.Type != "" {
-		b.WriteByte(':')
-		b.WriteString(n.Type)
+		b = append(b, ':')
+		b = append(b, n.Type...)
 	}
 	children := n.Children()
 	if len(children) == 0 {
-		return
+		return b
 	}
-	b.WriteByte('(')
+	b = append(b, '(')
 	for i, c := range children {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		writeNodeSig(b, c)
+		b = appendNodeSig(b, c)
 	}
-	b.WriteByte(')')
+	return append(b, ')')
 }
 
-func writeOptionsSig(b *strings.Builder, o pipeline.Options) {
-	fmt.Fprintf(b, "a=%g;k=%g;d=%g;ms=%g;tn=%d;v=%d;alg=%d;ip=%t;oc=%t;sw=%g;p=%d;agg=%t",
-		o.Objective.Alpha, o.Objective.K, o.Threshold, o.MinSim, o.TopN,
-		int(o.Variant), int(o.Algorithm), o.IncludePartials, o.OrderClusters,
-		o.StructureWeight, o.Parallelism, o.Agglomerative)
-	if o.ClusterConfig != nil {
-		fmt.Fprintf(b, ";cc=%+v", *o.ClusterConfig)
-	}
+func appendOptionsSig(b []byte, o pipeline.Options) []byte {
+	b = appendSigFloat(append(b, "a="...), o.Objective.Alpha)
+	b = appendSigFloat(append(b, ";k="...), o.Objective.K)
+	b = appendSigFloat(append(b, ";d="...), o.Threshold)
+	b = appendSigFloat(append(b, ";ms="...), o.MinSim)
+	b = strconv.AppendInt(append(b, ";tn="...), int64(o.TopN), 10)
+	b = strconv.AppendInt(append(b, ";v="...), int64(o.Variant), 10)
+	b = strconv.AppendInt(append(b, ";alg="...), int64(o.Algorithm), 10)
+	b = strconv.AppendBool(append(b, ";ip="...), o.IncludePartials)
+	b = strconv.AppendBool(append(b, ";oc="...), o.OrderClusters)
+	b = appendSigFloat(append(b, ";sw="...), o.StructureWeight)
+	b = strconv.AppendInt(append(b, ";p="...), int64(o.Parallelism), 10)
+	b = strconv.AppendBool(append(b, ";agg="...), o.Agglomerative)
+	b = appendClusterConfigSig(b, o.ClusterConfig)
 	if o.Matcher != nil {
-		b.WriteString(";m=")
-		b.WriteString(matcher.Describe(o.Matcher))
+		b = append(b, ";m="...)
+		b = append(b, matcher.Describe(o.Matcher)...)
 	}
 	if o.StructureMatcher != nil {
-		b.WriteString(";sm=")
-		b.WriteString(matcher.Describe(o.StructureMatcher))
+		b = append(b, ";sm="...)
+		b = append(b, matcher.Describe(o.StructureMatcher)...)
 	}
+	return b
+}
+
+// appendSigFloat appends f as fmt's %g prints it: strconv's shortest 'g'
+// form.
+func appendSigFloat(b []byte, f float64) []byte {
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
+}
+
+// appendClusterConfigSig spells out an explicit clustering configuration.
+// No wire surface sets one, so this stays on fmt's struct printer.
+func appendClusterConfigSig(b []byte, cc *cluster.Config) []byte {
+	if cc == nil {
+		return b
+	}
+	return fmt.Appendf(b, ";cc=%+v", *cc)
 }

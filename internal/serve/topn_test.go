@@ -67,8 +67,9 @@ func TestIgnoredAdaptiveOptionSharesOneRun(t *testing.T) {
 // cached report pins neither a longer list's backing array nor the search's
 // emission slabs. Checked on the structures (exact capacity, one compact
 // image array, estimate within the calibration band of the sweep) and on
-// the heap itself: thousands of cached reports grow the live heap by what
-// the governor accounts for, within the same band.
+// the heap itself: thousands of cached reports, each with its rendering
+// attached, grow the live heap by what the governor accounts for, within the
+// same band.
 func TestCachedTopNReportsPinWhatTheyAreCharged(t *testing.T) {
 	const reports = 3000
 	repo := syntheticRepo(t, 600, 600)
@@ -79,16 +80,15 @@ func TestCachedTopNReportsPinWhatTheyAreCharged(t *testing.T) {
 	opts.MinSim = 0.3
 	opts.TopN = 10
 
-	run := func(i int) *pipeline.Report {
+	distinct := func(i int) pipeline.Options {
 		o := opts
 		o.Threshold = 0.5 + float64(i)*1e-9 // a distinct signature, the same answer
-		rep, err := s.Match(context.Background(), p, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return o
 	}
-	first := run(0)
+	first, err := s.Match(context.Background(), p, distinct(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(first.Mappings) != opts.TopN {
 		t.Fatalf("fixture returns %d mappings, want a full top-%d", len(first.Mappings), opts.TopN)
 	}
@@ -110,12 +110,20 @@ func TestCachedTopNReportsPinWhatTheyAreCharged(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	chargedBefore := s.Stats().CacheBytes
+	var rendered int64
 	for i := 1; i < reports; i++ {
-		run(i)
+		body, err := s.MatchJSON(context.Background(), p, distinct(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rendered += int64(len(body))
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	charged := s.Stats().CacheBytes - chargedBefore
+	if want := (reports-1)*reportBytes(first) + rendered; charged != want {
+		t.Errorf("governor charged %d bytes for %d reports with renderings, want Σ(reportBytes + len(body)) = %d", charged, reports-1, want)
+	}
 	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if st := s.Stats(); st.CacheEvictions != 0 {
 		t.Fatalf("%d evictions: the cache must hold every report for the heap comparison", st.CacheEvictions)
