@@ -477,11 +477,6 @@ func NewDistributedService(repo *Repository, shardAddrs []string, cfg ServiceCon
 	if len(shardAddrs) == 0 {
 		return nil, errors.New("bellflower: NewDistributedService needs at least one shard address")
 	}
-	switch cfg.WireCodec {
-	case "", shardrpc.CodecAuto, shardrpc.CodecJSON, shardrpc.CodecBinary:
-	default:
-		return nil, fmt.Errorf("bellflower: unknown wire codec %q (want auto, json or binary)", cfg.WireCodec)
-	}
 	ix := labeling.NewIndex(repo)
 	views := serve.PartitionRepositoryViews(ix, len(shardAddrs), strategy)
 	if len(views) != len(shardAddrs) {
@@ -503,7 +498,7 @@ func NewDistributedService(repo *Repository, shardAddrs []string, cfg ServiceCon
 				return nil, fmt.Errorf("bellflower: shard %d: empty replica address in %q", i, shardAddrs[i])
 			}
 			replicas = append(replicas, shardrpc.NewRemoteShard(addr, v, descs[i],
-				shardrpc.RemoteShardConfig{Timeout: cfg.DefaultTimeout, Codec: cfg.WireCodec}))
+				shardrpc.RemoteShardConfig{Timeout: cfg.DefaultTimeout}))
 		}
 		groups[i] = shardrpc.NewReplicaSet(replicas, hcfg)
 		backends[i] = groups[i]

@@ -13,7 +13,6 @@ package bellflower
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,7 +217,7 @@ func BenchmarkAblationSeeding(b *testing.B) {
 	minSet := cands.MinSet()
 	stride := 1
 	if minSet >= 0 && len(cands.Sets[minSet].Elems) > 0 {
-		stride = benchMax(1, cands.TotalMappingElements()/len(cands.Sets[minSet].Elems))
+		stride = max(1, cands.TotalMappingElements()/len(cands.Sets[minSet].Elems))
 	}
 	cfgs := []struct {
 		name string
@@ -337,49 +336,31 @@ func BenchmarkElementMatching(b *testing.B) {
 // request). The sharded variants fan every request out across 4 repository
 // shards and merge the ranked lists — the same top-N report via
 // shard-parallel matching. "sharded4-cold" exercises the router's shared
-// candidate pre-pass (element matching once per candidate signature,
-// projected per shard); "sharded4-cold-noprepass" is the pre-PR-3 baseline
-// — the same shard services wrapped without a full-repository view, so
-// every shard re-runs element matching against its partition on every cold
-// request. Requests issue from parallel clients, as a daemon would see.
+// candidate pre-pass (element matching and clustering once per candidate
+// signature, projected per shard). Requests issue from parallel clients, as
+// a daemon would see.
 //
 // Memory footprint is part of the measurement: every variant reports
 // allocations (ReportAllocs) and an "index-bytes" gauge — the resident
-// labelling-index memory, deduplicated by index identity. The sharded
-// variants built from the repository run view-backed shards over ONE
-// shared index, so their index-bytes equal the unsharded figure; the
-// clone-based noprepass baseline shows what per-shard indexes cost.
+// labelling-index memory. The sharded variants run view-backed shards over
+// ONE shared index, so their index-bytes equal the unsharded figure.
 func BenchmarkServiceThroughput(b *testing.B) {
 	e := env(b)
 	for _, tc := range []struct {
-		name      string
-		shards    int
-		cold      bool
-		noPrepass bool
+		name   string
+		shards int
+		cold   bool
 	}{
 		{name: "warm", shards: 1},
 		{name: "cold", shards: 1, cold: true},
 		{name: "sharded4-warm", shards: 4},
 		{name: "sharded4-cold", shards: 4, cold: true},
-		{name: "sharded4-cold-noprepass", shards: 4, cold: true, noPrepass: true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var backend serve.Backend
-			switch {
-			case tc.shards > 1 && tc.noPrepass:
-				// Identical partitioning and worker split, but the shards
-				// are wrapped via NewRouter, which has no full repository
-				// to pre-match against.
-				cfg := serve.Config{Workers: benchMax(1, runtime.GOMAXPROCS(0)/tc.shards)}
-				parts := serve.PartitionRepositoryClustered(e.Repo, tc.shards)
-				shards := make([]*serve.Service, len(parts))
-				for i, p := range parts {
-					shards[i] = serve.NewFromRepository(p, cfg)
-				}
-				backend = serve.NewRouter(shards)
-			case tc.shards > 1:
+			if tc.shards > 1 {
 				backend = serve.NewRouterFromRepository(e.Repo, tc.shards, serve.Config{})
-			default:
+			} else {
 				backend = serve.New(e.Runner, serve.Config{})
 			}
 			defer backend.Close()
@@ -410,9 +391,8 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			b.ReportMetric(float64(st.CacheHits), "cache-hits")
 			b.ReportMetric(float64(st.PipelineRuns), "pipeline-runs")
 			b.ReportMetric(float64(st.CandidatePrePass), "prepass-runs")
-			// Resident labelling-index bytes (distinct indexes counted
-			// once): the shared-index shard variants must sit at the
-			// unsharded figure, the clone-based baseline above it.
+			// Resident labelling-index bytes: the shared-index shard variants
+			// must sit at the unsharded figure.
 			b.ReportMetric(float64(st.IndexBytes), "index-bytes")
 			b.ReportMetric(float64(st.CacheBytes), "cache-bytes")
 		})
@@ -443,11 +423,4 @@ func BenchmarkServiceBatch(b *testing.B) {
 			}
 		}
 	}
-}
-
-func benchMax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -125,7 +125,7 @@ func run(args []string) error {
 		slowMS       = fs.Int("slow-ms", 0, "log a full span breakdown for requests at least this many milliseconds long, and capture them in the /v1/traces slow ring (0 = disabled)")
 		debugAddr    = fs.String("debug-addr", "", "listen address for the debug listener (net/http/pprof profiles + expvar at /debug/vars); empty = disabled")
 		maxBodyBytes = fs.Int64("max-body-bytes", 0, "cap on public-API request bodies in bytes; oversized bodies are rejected with 413 (0 = 1 MiB; the shard wire endpoint keeps its own 64 MiB projection cap)")
-		wireCodec    = fs.String("wire-codec", "auto", "shard wire codec: auto (negotiate binary per shard via the stats handshake), json (legacy surface: full JSON payloads, no projection references) or binary (force binary); as -shard-of, json serves the legacy protocol only")
+		wireCodec    = fs.String("wire-codec", "auto", "deprecated no-op: the shard wire protocol is binary only; auto and binary are accepted and mean the same, json (the retired JSON codec) is refused")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -140,9 +140,11 @@ func run(args []string) error {
 		return errors.New("-data-dir (repository mutation) is not supported in distributed roles: every process must keep the same repository")
 	}
 	switch *wireCodec {
-	case "auto", "json", "binary":
+	case "auto", "binary":
+	case "json":
+		return errors.New("-wire-codec json: the JSON shard codec is retired; /v1/shard/match speaks binary only (drop the flag)")
 	default:
-		return fmt.Errorf("-wire-codec %q: want auto, json or binary", *wireCodec)
+		return fmt.Errorf("-wire-codec %q: want auto or binary", *wireCodec)
 	}
 	if *maxBodyBytes < 0 {
 		return fmt.Errorf("-max-body-bytes %d must not be negative", *maxBodyBytes)
@@ -167,7 +169,6 @@ func run(args []string) error {
 		PartialResults: *partial,
 		HealthInterval: *healthIntvl,
 		HealthFailures: *healthFails,
-		WireCodec:      *wireCodec,
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	st := repo.Stats()
@@ -187,9 +188,6 @@ func run(args []string) error {
 			return err
 		}
 		host.SetTraceRecorder(rec)
-		if *wireCodec == "json" {
-			host.SetJSONOnly()
-		}
 		hostStats := host.Service().RepositoryStats()
 		logger.Info("hosting shard",
 			"shard", idx, "shards", n, "repository", desc, "partition", strategy.String(),

@@ -779,8 +779,7 @@ func (s *server) handleRepository(w http.ResponseWriter, r *http.Request) {
 				writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 				return
 			}
-			// Save the original repository the backend was built from — shard
-			// repositories hold clones in partition order, not the input.
+			// Save the repository the backend was built from.
 			ref := s.acquire()
 			err = bellflower.SaveRepository(f, ref.repo)
 			ref.release()

@@ -107,11 +107,18 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-synthetic", "100", "-shard-of", "0/2", "-data-dir", t.TempDir()},
 		{"-synthetic", "100", "-remote-shards", "x:1", "-data-dir", t.TempDir()},
 		{"-synthetic", "100", "-shard-of", "9/2"},
+		{"-synthetic", "100", "-wire-codec", "gzip"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted an invalid flag combination", args)
 		}
+	}
+	// The JSON shard codec is gone; asking for it must say so instead of
+	// starting a daemon that would speak binary anyway.
+	err := run([]string{"-synthetic", "100", "-shard-of", "0/2", "-wire-codec", "json"})
+	if err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Errorf("-wire-codec json: err = %v, want a start-up error naming the retirement", err)
 	}
 }
 

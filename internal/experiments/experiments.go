@@ -20,6 +20,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -317,27 +318,43 @@ func (r *Fig6Result) Render() string {
 
 // EndToEnd compares total clustered time (clustering + generation) against
 // the non-clustered baseline, the paper's "0s + 106.3s vs 12.0s + 23.8s"
-// comparison.
+// comparison. Each total is the median of endToEndRuns runs.
 type EndToEnd struct {
 	TreeTotal   time.Duration
 	MediumTotal time.Duration
 	Speedup     float64
 }
 
+// endToEndRuns is the odd number of timed runs per variant RunEndToEnd
+// takes the median of, after one untimed warm-up run. A single sample
+// swings by a factor of two on a shared box — enough to invert the
+// comparison.
+const endToEndRuns = 5
+
 // RunEndToEnd measures the end-to-end efficiency improvement of medium
 // clustering.
 func RunEndToEnd(e *Env) (*EndToEnd, error) {
-	tree, err := e.Runner.Run(e.Personal, e.options(pipeline.VariantTree))
-	if err != nil {
+	median := func(v pipeline.Variant) (time.Duration, error) {
+		var times []time.Duration
+		for i := 0; i <= endToEndRuns; i++ {
+			rep, err := e.Runner.Run(e.Personal, e.options(v))
+			if err != nil {
+				return 0, err
+			}
+			if i > 0 { // run 0 warms pools and caches
+				times = append(times, rep.ClusterTime+rep.GenTime)
+			}
+		}
+		slices.Sort(times)
+		return times[endToEndRuns/2], nil
+	}
+	out := &EndToEnd{}
+	var err error
+	if out.TreeTotal, err = median(pipeline.VariantTree); err != nil {
 		return nil, err
 	}
-	med, err := e.Runner.Run(e.Personal, e.options(pipeline.VariantMedium))
-	if err != nil {
+	if out.MediumTotal, err = median(pipeline.VariantMedium); err != nil {
 		return nil, err
-	}
-	out := &EndToEnd{
-		TreeTotal:   tree.ClusterTime + tree.GenTime,
-		MediumTotal: med.ClusterTime + med.GenTime,
 	}
 	if out.MediumTotal > 0 {
 		out.Speedup = float64(out.TreeTotal) / float64(out.MediumTotal)
@@ -347,8 +364,8 @@ func RunEndToEnd(e *Env) (*EndToEnd, error) {
 
 // Render prints the comparison.
 func (r *EndToEnd) Render() string {
-	return fmt.Sprintf("End-to-end — tree: %v, medium clusters: %v, speedup: %.2fx\n",
-		r.TreeTotal.Round(time.Millisecond), r.MediumTotal.Round(time.Millisecond), r.Speedup)
+	return fmt.Sprintf("End-to-end (median of %d runs) — tree: %v, medium clusters: %v, speedup: %.2fx\n",
+		endToEndRuns, r.TreeTotal.Round(time.Millisecond), r.MediumTotal.Round(time.Millisecond), r.Speedup)
 }
 
 // LabelingIndex exposes the runner's index for benchmarks.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -200,8 +201,15 @@ func TestRunEndToEnd(t *testing.T) {
 	if res.TreeTotal <= 0 || res.MediumTotal <= 0 {
 		t.Errorf("times not measured: %+v", res)
 	}
-	if !strings.Contains(res.Render(), "speedup") {
-		t.Errorf("Render output: %s", res.Render())
+	if want := float64(res.TreeTotal) / float64(res.MediumTotal); res.Speedup != want {
+		t.Errorf("Speedup = %v, want tree/medium = %v", res.Speedup, want)
+	}
+	// A median needs an odd sample count, and more than one sample.
+	if endToEndRuns < 3 || endToEndRuns%2 == 0 {
+		t.Errorf("endToEndRuns = %d, want an odd count of at least 3", endToEndRuns)
+	}
+	if out := res.Render(); !strings.Contains(out, "speedup") || !strings.Contains(out, fmt.Sprintf("median of %d runs", endToEndRuns)) {
+		t.Errorf("Render output: %s", out)
 	}
 }
 

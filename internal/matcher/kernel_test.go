@@ -347,3 +347,31 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// benchCandidates keeps the benchmarked calls' results live.
+var benchCandidates *Candidates
+
+// BenchmarkFindCandidates is the element-matching head-to-head: the
+// vocabulary-deduplicated keyed kernel the serving path runs
+// (Vocabulary.FindCandidates) against the naive reference loop it is pinned
+// to (FindCandidatesAmong), over one duplication-heavy repository of about
+// 5,000 nodes.
+func BenchmarkFindCandidates(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	repo := randomKernelRepo(rng, 400, 12)
+	personal := randomKernelPersonal(rng, 5)
+	cfg := Config{MinSim: 0.45}
+	vocab := NewNameIndex(repo).Vocabulary(repo.Nodes())
+	b.Run("keyed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchCandidates = vocab.FindCandidates(personal, NameMatcher{}, cfg)
+		}
+	})
+	b.Run("naive", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchCandidates = FindCandidatesAmong(personal, repo.Nodes(), NameMatcher{}, cfg)
+		}
+	})
+}

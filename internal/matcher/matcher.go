@@ -386,8 +386,7 @@ func (c *Candidates) Rebind(personal *schema.Tree) *Candidates {
 
 // Restrict filters the candidates to the repository nodes for which keep
 // returns true — in the shared-index shard model, membership in one
-// shard's labeling.View. Unlike Project there is no clone-time remapping:
-// the surviving candidates keep their original node objects and their
+// shard's labeling.View. The surviving candidates keep their original node objects and their
 // (sim desc, node ID asc) order, so the result is byte-for-byte what
 // FindCandidatesAmong would have produced against the kept universe with
 // the same matcher and threshold. The per-set slices are freshly
@@ -406,45 +405,6 @@ func (c *Candidates) Restrict(keep func(*schema.Node) bool) *Candidates {
 				dst.Elems = append(dst.Elems, cand)
 			}
 		}
-	}
-	return out
-}
-
-// Project restricts the candidates to one shard of a partitioned
-// repository. cloneOf maps an original repository tree to its clone inside
-// the shard repository (the partitioner clones trees because a tree belongs
-// to exactly one repository); candidates living in trees outside the map
-// are dropped, the rest are translated to the clone's node with the same
-// preorder rank. Similarities are tree-local, so the result is exactly what
-// FindCandidates would have produced against the shard repository with the
-// same matcher and threshold — including the (sim desc, node ID asc) order,
-// which is re-established under the shard-local IDs.
-func (c *Candidates) Project(cloneOf map[*schema.Tree]*schema.Tree) *Candidates {
-	out := &Candidates{
-		Personal: c.Personal,
-		Sets:     make([]CandidateSet, len(c.Sets)),
-	}
-	for i := range c.Sets {
-		src := &c.Sets[i]
-		dst := &out.Sets[i]
-		dst.Personal = src.Personal
-		var elems []Candidate
-		for _, cand := range src.Elems {
-			clone, ok := cloneOf[cand.Node.Tree()]
-			if !ok {
-				continue
-			}
-			elems = append(elems, Candidate{Node: clone.NodeAt(cand.Node.Pre), Sim: cand.Sim})
-		}
-		// Equal-sim runs may interleave trees whose relative ID order
-		// changed across repositories; the sim ordering itself is intact.
-		sort.Slice(elems, func(a, b int) bool {
-			if elems[a].Sim != elems[b].Sim {
-				return elems[a].Sim > elems[b].Sim
-			}
-			return elems[a].Node.ID < elems[b].Node.ID
-		})
-		dst.Elems = elems
 	}
 	return out
 }

@@ -287,66 +287,44 @@ func TestFindCandidatesProperty(t *testing.T) {
 }
 
 // TestProjectMatchesShardLocalFindCandidates is the core exactness claim
-// of the serving layer's candidate pre-pass: projecting a full-repository
-// candidate set onto a shard yields byte-for-byte the candidates the shard
-// would have computed itself.
+// of the serving layer's candidate pre-pass: projecting (Restrict) the
+// full-repository candidate set onto a shard yields byte-for-byte the
+// candidates the shard computes itself with the keyed kernel over a
+// vocabulary of just its own trees' nodes — what the pre-pass-failure
+// fallback runs.
 func TestProjectMatchesShardLocalFindCandidates(t *testing.T) {
 	full := schema.NewRepository()
-	specs := []string{
+	for _, s := range []string{
 		"lib(address,book(authorName,data(title),shelf))",
 		"store(book(title,author,isbn@),order(id,customer(name,email)))",
 		"catalog(item(name,price),publisher(name,address))",
-	}
-	for _, s := range specs {
+	} {
 		full.MustAdd(schema.MustParseSpec(s))
 	}
 	personal := schema.MustParseSpec("book(title,author)")
 	cfg := Config{MinSim: 0.3}
-	cands := FindCandidates(personal, full, NameMatcher{}, cfg)
+	ni := NewNameIndex(full)
+	cands := ni.Vocabulary(full.Nodes()).FindCandidates(personal, NameMatcher{}, cfg)
 
-	// Shard: trees 0 and 2, added in the opposite order so shard-local IDs
-	// disagree with the full repository's.
-	shard := schema.NewRepository()
-	c2 := full.Tree(2).Clone()
-	c0 := full.Tree(0).Clone()
-	shard.MustAdd(c2)
-	shard.MustAdd(c0)
-	cloneOf := map[*schema.Tree]*schema.Tree{
-		full.Tree(2): c2,
-		full.Tree(0): c0,
+	// Shard: trees 2 and 0, listed in the opposite order to the repository.
+	var shardNodes []*schema.Node
+	member := make(map[*schema.Tree]bool)
+	for _, id := range []int{2, 0} {
+		member[full.Tree(id)] = true
+		shardNodes = append(shardNodes, full.Tree(id).Nodes()...)
 	}
-
-	got := cands.Project(cloneOf)
-	want := FindCandidates(personal, shard, NameMatcher{}, cfg)
-	if got.Personal != personal {
-		t.Fatal("projection lost the personal schema")
+	got := cands.Restrict(func(n *schema.Node) bool { return member[n.Tree()] })
+	want := ni.Vocabulary(shardNodes).FindCandidates(personal, NameMatcher{}, cfg)
+	if want.TotalMappingElements() == 0 {
+		t.Fatal("shard has no candidates; comparison is vacuous")
 	}
-	if len(got.Sets) != len(want.Sets) {
-		t.Fatalf("projection has %d sets, want %d", len(got.Sets), len(want.Sets))
-	}
-	for i := range want.Sets {
-		g, w := got.Sets[i].Elems, want.Sets[i].Elems
-		if len(g) != len(w) {
-			t.Fatalf("set %d: %d candidates, want %d", i, len(g), len(w))
-		}
-		for j := range w {
-			if g[j].Node != w[j].Node || g[j].Sim != w[j].Sim {
-				t.Errorf("set %d rank %d: (%v, %v), want (%v, %v)",
-					i, j, g[j].Node, g[j].Sim, w[j].Node, w[j].Sim)
-			}
-		}
-	}
-
-	// An empty clone map projects to all-empty candidate sets.
-	none := cands.Project(map[*schema.Tree]*schema.Tree{})
-	if n := none.TotalMappingElements(); n != 0 {
-		t.Errorf("empty projection kept %d mapping elements", n)
-	}
+	assertSameCandidates(t, "projection vs shard-local", got, want)
 }
 
-// TestProjectPartitionCovers checks that projecting through a disjoint
-// partition of the repository's trees splits the candidate multiset
-// without losing or duplicating a pair.
+// TestProjectPartitionCovers checks that projecting (Restrict) through a
+// disjoint partition of the repository's trees splits the candidate
+// multiset without losing or duplicating a pair, and that projecting onto
+// no tree keeps nothing.
 func TestProjectPartitionCovers(t *testing.T) {
 	full := schema.NewRepository()
 	for _, s := range []string{
@@ -357,14 +335,18 @@ func TestProjectPartitionCovers(t *testing.T) {
 	personal := schema.MustParseSpec("book(title,name)")
 	cands := FindCandidates(personal, full, NameMatcher{}, Config{MinSim: 0.2})
 
-	shardTrees := [][]int{{0, 2}, {1}}
+	shardTrees := [][]int{{0, 2}, {1}, {}}
 	total := 0
 	for _, ids := range shardTrees {
-		cloneOf := make(map[*schema.Tree]*schema.Tree)
+		member := make(map[*schema.Tree]bool)
 		for _, id := range ids {
-			cloneOf[full.Tree(id)] = full.Tree(id).Clone()
+			member[full.Tree(id)] = true
 		}
-		total += cands.Project(cloneOf).TotalMappingElements()
+		got := cands.Restrict(func(n *schema.Node) bool { return member[n.Tree()] })
+		if len(ids) == 0 && got.TotalMappingElements() != 0 {
+			t.Errorf("empty projection kept %d mapping elements", got.TotalMappingElements())
+		}
+		total += got.TotalMappingElements()
 	}
 	if total != cands.TotalMappingElements() {
 		t.Errorf("projections cover %d mapping elements, want %d", total, cands.TotalMappingElements())
@@ -398,7 +380,7 @@ func TestRebind(t *testing.T) {
 // TestRestrictEqualsFindCandidatesAmong: restricting a full-repository
 // candidate set to one shard's trees is byte-for-byte what element
 // matching against only those trees' nodes would have produced — the
-// exactness the shared-index shard projection relies on, with no clone
+// exactness the shared-index shard projection relies on, with no
 // remapping and no re-sort.
 func TestRestrictEqualsFindCandidatesAmong(t *testing.T) {
 	repo := schema.NewRepository()

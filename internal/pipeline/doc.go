@@ -10,6 +10,12 @@
 // parameters, element matcher and the extensions (two-phase structural
 // rescoring, cluster ordering, partial mappings, parallel generation).
 //
+// A Runner has two entry points: RunContext (Run) executes all three
+// stages, and RunWithClusters executes generation only over candidates and
+// clusters computed upstream — how a sharded router's shards, scoped to
+// their views by NewViewRunnerWithNameIndex, consume the router's one
+// global matching and clustering pass.
+//
 // The generation stage is one call into one engine
 // (mapgen.GenerateTopNParallel): a request with TopN > 0 runs the bounded
 // top-N search, whatever its Parallelism and with or without a

@@ -269,8 +269,8 @@ func (r *Report) Deltas() []float64 {
 
 // Runner executes matching runs against a fixed repository, reusing the
 // labelling index across runs. A Runner may be scoped to a shard view
-// (NewViewRunner): element matching then considers only the view's member
-// trees while every structural query still goes through the one shared
+// (NewViewRunnerWithNameIndex): element matching then considers only the
+// view's member trees while every structural query still goes through the one shared
 // index — this is how sharded serving keeps a single resident index.
 //
 // A Runner is safe for concurrent use: the repository, labelling index and
@@ -293,14 +293,6 @@ func NewRunner(repo *schema.Repository) *Runner {
 	return newRunner(repo, labeling.NewIndex(repo), nil, matcher.NewNameIndex(repo))
 }
 
-// NewRunnerFromIndex wraps an already-built labelling index, sharing it
-// instead of re-indexing the repository — the serving router uses this for
-// its full-repository pre-pass runner so router and shards hold one index.
-// A fresh name index is built; use NewRunnerFromIndexes to share one.
-func NewRunnerFromIndex(ix *labeling.Index) *Runner {
-	return newRunner(ix.Repository(), ix, nil, matcher.NewNameIndex(ix.Repository()))
-}
-
 // NewRunnerFromIndexes wraps already-built labelling and name indexes,
 // sharing both: the serving layer builds each index once per repository
 // generation and hands them to the pre-pass runner and every shard runner.
@@ -308,19 +300,11 @@ func NewRunnerFromIndexes(ix *labeling.Index, ni *matcher.NameIndex) *Runner {
 	return newRunner(ix.Repository(), ix, nil, ni)
 }
 
-// NewViewRunner builds a runner restricted to a shard view: candidate
-// matching covers only the view's member trees, and precomputed candidates
-// or clusters handed to RunWithCandidates / RunWithClusters must lie inside
-// the view. The underlying index (and its memory) is shared with every
-// other runner over the same index. A fresh name index is built; sharded
-// serving uses NewViewRunnerWithNameIndex so all shards share one.
-func NewViewRunner(view *labeling.View) *Runner {
-	return newRunner(view.Repository(), view.Index(), view, matcher.NewNameIndex(view.Repository()))
-}
-
-// NewViewRunnerWithNameIndex is NewViewRunner sharing an already-built name
-// index, so every shard over one repository generation pays zero extra
-// memory for it.
+// NewViewRunnerWithNameIndex builds a runner restricted to a shard view:
+// candidate matching covers only the view's member trees, and precomputed
+// candidates and clusters handed to RunWithClusters must lie inside the
+// view. The labelling index and the name index (and their memory) are
+// shared with every other runner of the same repository generation.
 func NewViewRunnerWithNameIndex(view *labeling.View, ni *matcher.NameIndex) *Runner {
 	return newRunner(view.Repository(), view.Index(), view, ni)
 }
@@ -430,57 +414,29 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 	_, msp := trace.StartSpan(ctx, "pipeline.match")
 	cands := r.MatchCandidates(personal, m, matcher.Config{MinSim: opts.MinSim})
 	msp.End()
-	return r.runFromCandidates(ctx, personal, cands, time.Since(t0), opts)
-}
+	matchTime := time.Since(t0)
 
-// RunWithCandidates executes the clustering and mapping-generation stages
-// against precomputed element-matching candidates, skipping the quadratic
-// FindCandidates step. The serving layer's shared candidate pre-pass uses
-// it: the router matches the personal schema against the full repository
-// once, restricts the candidate set onto each shard view
-// (matcher.Candidates.Restrict) and hands every shard its slice — in the
-// distributed topology the slice additionally crosses a process boundary
-// in the view's local-ID space (internal/shardrpc) before landing here.
-//
-// cands must describe personal and reference nodes of this runner's
-// repository (a projected set must be projected onto this repository's
-// trees); Options.Matcher and Options.MinSim are ignored — they are baked
-// into the candidate set. The report's MatchTime is zero: element matching
-// happened upstream.
-func (r *Runner) RunWithCandidates(ctx context.Context, personal *schema.Tree, cands *matcher.Candidates, opts Options) (*Report, error) {
-	if err := CheckRequest(personal, opts); err != nil {
+	// Stage 2: clustering (step c).
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cands == nil {
-		return nil, fmt.Errorf("pipeline: RunWithCandidates needs a candidate set")
+	t1 := time.Now()
+	_, csp := trace.StartSpan(ctx, "pipeline.cluster")
+	clusters, iterations, err := ComputeClusters(r.ix, cands, opts)
+	csp.End()
+	if err != nil {
+		return nil, err
 	}
-	if cands.Personal != personal {
-		return nil, fmt.Errorf("pipeline: candidate set was computed for a different personal schema")
-	}
-	// Spot-check node ownership: a candidate set computed against (or
-	// restricted to) another repository or another shard's view would index
-	// foreign IDs into this runner's dense per-node arrays. Checking each
-	// set's head is cheap and catches the realistic mistake — handing a
-	// shard the full-repository set, or another shard's restriction.
-	for i := range cands.Sets {
-		if len(cands.Sets[i].Elems) == 0 {
-			continue
-		}
-		if err := r.checkOwned(cands.Sets[i].Elems[0].Node, "candidate node"); err != nil {
-			return nil, err
-		}
-	}
-	return r.runFromCandidates(ctx, personal, cands, 0, opts)
+	return r.runGeneration(ctx, personal, cands, clusters, iterations, matchTime, time.Since(t1), opts)
 }
 
 // RunWithClusters executes only the mapping-generation stage: both the
 // element-matching candidates and the clusters come precomputed. It is the
-// deepest pre-staging entry point — the serving router uses it to run
-// matching AND clustering once globally (clusters never span repository
-// trees, so a global clustering projects exactly onto tree-level shards)
-// and hand every shard just its clusters, making the sharded k-means
-// variants identical to an unsharded run rather than a per-shard
-// approximation.
+// one pre-staged entry point — the serving router uses it to run matching
+// AND clustering once globally (clusters never span repository trees, so a
+// global clustering projects exactly onto tree-level shards) and hand every
+// shard just its clusters, making the sharded k-means variants identical to
+// an unsharded run rather than a per-shard approximation.
 //
 // cands and clusters must reference nodes of this runner's repository and
 // belong together (clusters built from cands under the same Options);
@@ -497,6 +453,20 @@ func (r *Runner) RunWithClusters(ctx context.Context, personal *schema.Tree, can
 	}
 	if cands.Personal != personal {
 		return nil, fmt.Errorf("pipeline: candidate set was computed for a different personal schema")
+	}
+	// Spot-check node ownership: a candidate set or cluster computed against
+	// (or restricted to) another repository or another shard's view would
+	// index foreign IDs into this runner's dense per-node arrays. Checking
+	// each set's and cluster's head is cheap and catches the realistic
+	// mistake — handing a shard the full-repository set, or another shard's
+	// restriction.
+	for i := range cands.Sets {
+		if len(cands.Sets[i].Elems) == 0 {
+			continue
+		}
+		if err := r.checkOwned(cands.Sets[i].Elems[0].Node, "candidate node"); err != nil {
+			return nil, err
+		}
 	}
 	for _, cl := range clusters {
 		if cl.Len() == 0 {
@@ -542,26 +512,8 @@ func ComputeClusters(ix *labeling.Index, cands *matcher.Candidates, opts Options
 	return cluster.TreeClusters(ix, cands).Clusters, 0, nil
 }
 
-// runFromCandidates is the shared tail of RunContext and RunWithCandidates:
-// clustering and per-cluster mapping generation over an existing candidate
-// set. matchTime is recorded in the report as the element-matching cost.
-func (r *Runner) runFromCandidates(ctx context.Context, personal *schema.Tree, cands *matcher.Candidates, matchTime time.Duration, opts Options) (*Report, error) {
-	// Stage 2: clustering (step c).
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t1 := time.Now()
-	_, csp := trace.StartSpan(ctx, "pipeline.cluster")
-	clusters, iterations, err := ComputeClusters(r.ix, cands, opts)
-	csp.End()
-	if err != nil {
-		return nil, err
-	}
-	return r.runGeneration(ctx, personal, cands, clusters, iterations, matchTime, time.Since(t1), opts)
-}
-
-// runGeneration is the mapping-generation stage shared by every entry
-// point, instrumenting the report with the provided stage durations.
+// runGeneration is the mapping-generation stage shared by both entry
+// points, instrumenting the report with the provided stage durations.
 func (r *Runner) runGeneration(ctx context.Context, personal *schema.Tree, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int, matchTime, clusterTime time.Duration, opts Options) (*Report, error) {
 	rep := &Report{Variant: opts.Variant}
 	rep.MatchTime = matchTime

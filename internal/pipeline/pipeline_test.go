@@ -212,14 +212,13 @@ func TestOversizedPersonalSchemaIsATypedError(t *testing.T) {
 	over := wide(cluster.MaxPersonalNodes + 1)
 	cands := r.MatchCandidates(over, matcher.NameMatcher{}, matcher.Config{MinSim: opts.MinSim})
 	_, errRun := r.RunContext(ctx, over, opts)
-	_, errCands := r.RunWithCandidates(ctx, over, cands, opts)
 	_, errClusters := r.RunWithClusters(ctx, over, cands, []*cluster.Cluster{}, 0, opts)
 	_, _, errCompute := ComputeClusters(r.Index(), cands, opts)
 	treeOpts := opts
 	treeOpts.Variant = VariantTree
 	_, _, errTree := ComputeClusters(r.Index(), cands, treeOpts)
 	for name, err := range map[string]error{
-		"RunContext": errRun, "RunWithCandidates": errCands, "RunWithClusters": errClusters,
+		"RunContext": errRun, "RunWithClusters": errClusters,
 		"ComputeClusters": errCompute, "ComputeClusters(tree)": errTree,
 	} {
 		if !errors.Is(err, ErrSchemaTooLarge) {
@@ -359,10 +358,10 @@ func TestReportDerived(t *testing.T) {
 	var _ = objective.DefaultParams()
 }
 
-// TestRunWithCandidatesMatchesRunContext: handing RunContext's own stage-1
-// output to RunWithCandidates must reproduce the full run exactly (the
+// TestRunWithClustersMatchesRunContext: handing the first two stages' own
+// output to RunWithClusters must reproduce the full run exactly (the
 // serving pre-pass depends on this equivalence).
-func TestRunWithCandidatesMatchesRunContext(t *testing.T) {
+func TestRunWithClustersMatchesRunContext(t *testing.T) {
 	repo := smallRepo()
 	r := NewRunner(repo)
 	personal := personBooks()
@@ -378,16 +377,20 @@ func TestRunWithCandidatesMatchesRunContext(t *testing.T) {
 		}
 		cands := matcher.FindCandidates(personal, repo, matcher.NameMatcher{},
 			matcher.Config{MinSim: opts.MinSim})
-		got, err := r.RunWithCandidates(context.Background(), personal, cands, opts)
+		clusters, iterations, err := ComputeClusters(r.Index(), cands, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.RunWithClusters(context.Background(), personal, cands, clusters, iterations, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.MappingElements != want.MappingElements {
 			t.Errorf("%v: mapping elements %d, want %d", v, got.MappingElements, want.MappingElements)
 		}
-		if got.Clusters != want.Clusters || got.UsefulClusters != want.UsefulClusters {
-			t.Errorf("%v: clusters %d/%d, want %d/%d", v,
-				got.Clusters, got.UsefulClusters, want.Clusters, want.UsefulClusters)
+		if got.Clusters != want.Clusters || got.UsefulClusters != want.UsefulClusters || got.Iterations != want.Iterations {
+			t.Errorf("%v: clusters %d/%d after %d iterations, want %d/%d after %d", v,
+				got.Clusters, got.UsefulClusters, got.Iterations, want.Clusters, want.UsefulClusters, want.Iterations)
 		}
 		if len(got.Mappings) != len(want.Mappings) {
 			t.Fatalf("%v: %d mappings, want %d", v, len(got.Mappings), len(want.Mappings))
@@ -403,44 +406,56 @@ func TestRunWithCandidatesMatchesRunContext(t *testing.T) {
 				}
 			}
 		}
-		if got.MatchTime != 0 {
-			t.Errorf("%v: MatchTime = %v, want 0 (matching happened upstream)", v, got.MatchTime)
+		if got.MatchTime != 0 || got.ClusterTime != 0 {
+			t.Errorf("%v: MatchTime = %v, ClusterTime = %v, want 0 (both stages happened upstream)",
+				v, got.MatchTime, got.ClusterTime)
 		}
 	}
 }
 
-// TestRunWithCandidatesValidation: malformed inputs are rejected before
-// any pipeline work.
-func TestRunWithCandidatesValidation(t *testing.T) {
+// TestRunWithClustersValidation: malformed inputs are rejected before any
+// pipeline work.
+func TestRunWithClustersValidation(t *testing.T) {
 	repo := smallRepo()
 	r := NewRunner(repo)
 	personal := personBooks()
 	opts := DefaultOptions()
 	cands := matcher.FindCandidates(personal, repo, matcher.NameMatcher{},
 		matcher.Config{MinSim: opts.MinSim})
+	clusters, iterations, err := ComputeClusters(r.Index(), cands, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 
-	if _, err := r.RunWithCandidates(context.Background(), personal, nil, opts); err == nil {
+	if _, err := r.RunWithClusters(ctx, personal, nil, clusters, iterations, opts); err == nil {
 		t.Error("nil candidate set accepted")
 	}
 	other := personBooks()
-	if _, err := r.RunWithCandidates(context.Background(), other, cands, opts); err == nil {
+	if _, err := r.RunWithClusters(ctx, other, cands, clusters, iterations, opts); err == nil {
 		t.Error("candidates for a different personal schema accepted")
 	}
 	bad := opts
 	bad.Threshold = 1.5
-	if _, err := r.RunWithCandidates(context.Background(), personal, cands, bad); err == nil {
+	if _, err := r.RunWithClusters(ctx, personal, cands, clusters, iterations, bad); err == nil {
 		t.Error("out-of-range threshold accepted")
 	}
-	// Candidates computed against a different repository: foreign node IDs
-	// must be refused, not silently indexed into this runner's arrays.
+	// Candidates or clusters computed against a different repository:
+	// foreign node IDs must be refused, not silently indexed into this
+	// runner's arrays.
 	foreign := NewRunner(smallRepo())
-	if _, err := foreign.RunWithCandidates(context.Background(), personal, cands, opts); err == nil {
+	if _, err := foreign.RunWithClusters(ctx, personal, cands, nil, 0, opts); err == nil {
 		t.Error("foreign candidate set accepted")
 	}
+	ownCands := matcher.FindCandidates(personal, foreign.Repository(), matcher.NameMatcher{},
+		matcher.Config{MinSim: opts.MinSim})
+	if _, err := foreign.RunWithClusters(ctx, personal, ownCands, clusters, iterations, opts); err == nil {
+		t.Error("foreign clusters accepted")
+	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := r.RunWithCandidates(ctx, personal, cands, opts); err == nil {
+	if _, err := r.RunWithClusters(cctx, personal, cands, clusters, iterations, opts); err == nil {
 		t.Error("cancelled context not honoured")
 	}
 }

@@ -35,45 +35,43 @@
 // concentrate in the shards that speak its vocabulary. Service and Router
 // both implement Backend, the surface the HTTP daemon serves.
 //
-// Shards built by the Router constructors are VIEWS, not copies: the
-// router indexes the repository exactly once and each shard service runs
-// on a labeling.View — a set of member trees plus a dense global↔local
-// node-ID translation — over that single shared labeling.Index
-// (PartitionRepositoryViews). Structural queries, mapping generation and
-// query rewriting all read the one immutable index, so resident index
-// memory is independent of the shard count (Stats.IndexBytes, which
-// counts distinct indexes once, pins this; it used to be ~2× the index
-// for a sharded deployment). The clone-based PartitionRepository helpers
-// remain for topologies that need genuinely separate repositories, e.g.
-// Services wrapped by NewRouter.
+// Shards are VIEWS, not copies: the router indexes the repository exactly
+// once and each shard runs on a labeling.View — a set of member trees plus
+// a dense global↔local node-ID translation — over that single shared
+// labeling.Index (PartitionRepositoryViews, the only partitioner).
+// Structural queries, mapping generation and query rewriting all read the
+// one immutable index, so resident index memory is independent of the
+// shard count (Stats.IndexBytes pins this).
 //
 // # Transport-agnostic shards
 //
 // The Router reaches its shards only through the narrow ShardBackend
-// interface — the three match entry points plus stats and close — so a
-// shard need not live in this process at all. NewRouterWithShardBackends
-// assembles a router over externally built backends;
-// internal/shardrpc.RemoteShard implements ShardBackend as an HTTP client
-// for a shard hosted by another process (bellflower-server -shard-of),
-// with the shard view's dense local-ID space as the wire ID space.
+// interface — one staged match entry point (MatchStaged) plus stats and
+// close — so a shard need not live in this process at all.
+// NewRouterWithShardBackends assembles a router over externally built
+// backends; internal/shardrpc.RemoteShard implements ShardBackend as an
+// HTTP client for a shard hosted by another process (bellflower-server
+// -shard-of), with the shard view's dense local-ID space as the wire ID
+// space.
 // Remote-shard failures flow through the same partial-results machinery
 // as local ones: per-shard errors, Report.Incomplete, per-shard metric
 // series.
 //
 // # Candidate pre-pass
 //
-// Routers built from a whole repository run the cold-path stages once per
-// request shape instead of once per shard: element matching and clustering
-// execute against the full repository, keyed by a pre-pass signature
+// Every router runs the cold-path stages once per request shape instead of
+// once per shard: element matching and clustering execute against the full
+// repository, keyed by a pre-pass signature
 // (personal schema + matcher + MinSim + clustering options) with in-flight
 // sharing, and the results are projected onto each shard. Because shards
 // are views of the same repository, projection is pure filtering —
 // matcher.Candidates.Restrict keeps each shard's member-tree candidates
 // with their original node objects and order, and each global cluster
 // (clusters never span trees) is handed wholesale to its owning shard.
-// Shards then run only mapping generation (Service.MatchWithClusters →
-// pipeline.Runner.RunWithClusters). The projection is exact, so reports
-// are identical to per-shard computation — and because clustering is
+// Shards then run only mapping generation (ShardBackend.MatchStaged with
+// the projection as its Staged argument → pipeline.Runner.RunWithClusters).
+// The projection is exact, so reports are identical to per-shard
+// computation — and because clustering is
 // global, even the k-means variants reproduce the unsharded result
 // exactly, which per-shard clustering only approximates. The pre-pass
 // executions are counted by Stats.CandidatePrePass, surfaced in /v1/stats
@@ -103,11 +101,11 @@
 // marked Incomplete and carries per-shard errors
 // (pipeline.Report.ShardErrors); requests that fail on every shard still
 // error. A failed PRE-PASS also degrades under partial results: the
-// request falls back to full per-shard pipelines instead of failing
-// (counted by Stats.PrePassFallbacks; the k-means variants then cluster
-// per shard, the documented no-pre-pass approximation), unless the
-// caller's own context has expired. Stats.PartialResults counts the
-// degraded merges.
+// request falls back to full per-shard pipelines (MatchStaged with the
+// zero Staged) instead of failing (counted by Stats.PrePassFallbacks; the
+// k-means variants then cluster per shard, an approximation of the global
+// clustering), unless the caller's own context has expired.
+// Stats.PartialResults counts the degraded merges.
 //
 // # Concurrency
 //

@@ -30,11 +30,8 @@ func fuzzRepo(rng *rand.Rand, maxTrees int) *schema.Repository {
 }
 
 // FuzzPartitionRepository checks the partition invariants both strategies
-// promise, for arbitrary repositories and shard counts: shard repositories
-// are structurally valid, no shard is empty, no tree is lost or
-// duplicated, node totals are preserved, and trees are never split — the
-// clustering distance between nodes of different trees is infinite, so
-// intact trees are exactly what "clusters never span shards" requires.
+// promise (checkPartitionInvariants), plus determinism and the clustered
+// strategy's load cap, for arbitrary repositories and shard counts.
 func FuzzPartitionRepository(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(4), false)
 	f.Add(int64(2), uint8(1), uint8(8), true)
@@ -47,52 +44,17 @@ func FuzzPartitionRepository(f *testing.F) {
 		if clustered {
 			strategy = PartitionClustered
 		}
-		parts, cloneOf := partitionRepository(repo, int(n), strategy)
-		if len(parts) != len(cloneOf) {
-			t.Fatalf("%d parts but %d clone maps", len(parts), len(cloneOf))
-		}
-		wantShards := int(n)
-		if wantShards > repo.NumTrees() {
-			wantShards = repo.NumTrees()
-		}
-		if wantShards < 1 {
-			wantShards = 1
-		}
-		if len(parts) != wantShards {
-			t.Fatalf("%d shards, want %d (n=%d over %d trees)", len(parts), wantShards, n, repo.NumTrees())
-		}
-
-		trees, nodes := 0, 0
-		assignedShard := make(map[*schema.Tree]int) // original tree -> shard
-		for i, p := range parts {
-			if repo.NumTrees() > 0 && p.NumTrees() == 0 {
-				t.Errorf("shard %d is empty", i)
-			}
-			if err := p.Validate(); err != nil {
-				t.Errorf("shard %d invalid: %v", i, err)
-			}
-			trees += p.NumTrees()
-			nodes += p.Len()
-			if len(cloneOf[i]) != p.NumTrees() {
-				t.Errorf("shard %d: %d clone entries for %d trees", i, len(cloneOf[i]), p.NumTrees())
-			}
-			for orig, clone := range cloneOf[i] {
-				if prev, dup := assignedShard[orig]; dup {
-					t.Errorf("tree %q assigned to shards %d and %d", orig.Name, prev, i)
+		views := partitionViews(repo, int(n), strategy)
+		checkPartitionInvariants(t, repo, int(n), views)
+		checkPartitionDeterministic(t, repo, int(n), strategy, views)
+		if clustered {
+			// A shard is eligible while under twice the ceiling average, so
+			// the tree that fills it overshoots by at most its own size.
+			capacity := 2*((repo.Len()+len(views)-1)/len(views)) + repo.Stats().MaxTree
+			for i, v := range views {
+				if v.Len() > capacity {
+					t.Errorf("shard %d holds %d nodes, cap %d", i, v.Len(), capacity)
 				}
-				assignedShard[orig] = i
-				if orig.String() != clone.String() || orig.Len() != clone.Len() {
-					t.Errorf("shard %d: clone of %q differs structurally", i, orig.Name)
-				}
-			}
-		}
-		if trees != repo.NumTrees() || nodes != repo.Len() {
-			t.Errorf("partition covers %d trees / %d nodes, want %d / %d",
-				trees, nodes, repo.NumTrees(), repo.Len())
-		}
-		for _, orig := range repo.Trees() {
-			if _, ok := assignedShard[orig]; !ok {
-				t.Errorf("tree %q lost by the partition", orig.Name)
 			}
 		}
 	})

@@ -346,10 +346,9 @@ func TestRouterUnifiedGovernor(t *testing.T) {
 	auditGovernor(t, r.gov)
 }
 
-// TestRouterSharedIndexFootprint pins the tentpole claim with numbers: a
-// view-backed router's resident index bytes equal an unsharded service's,
-// for every shard count, while the clone-based NewRouter topology grows
-// with its per-shard indexes (plus holds no full index at all).
+// TestRouterSharedIndexFootprint pins the shared-index claim with numbers:
+// a router's resident index bytes equal an unsharded service's, for every
+// shard count.
 func TestRouterSharedIndexFootprint(t *testing.T) {
 	repo := syntheticRepo(t, 400, 5)
 	unsharded := NewFromRepository(repo, Config{Workers: 1})
@@ -367,22 +366,6 @@ func TestRouterSharedIndexFootprint(t *testing.T) {
 				shards, total.IndexBytes, want)
 		}
 		r.Close()
-	}
-
-	// The legacy clone-based wrap keeps per-shard indexes: its footprint is
-	// the sum of the partition indexes, which the dedup must count fully.
-	parts := PartitionRepositoryClustered(repo, 4)
-	cloneShards := make([]*Service, len(parts))
-	var sum int64
-	for i, p := range parts {
-		cloneShards[i] = NewFromRepository(p, Config{Workers: 1})
-		sum += cloneShards[i].Index().MemoryBytes()
-	}
-	nr := NewRouter(cloneShards)
-	defer nr.Close()
-	total, _ := nr.Snapshot()
-	if total.IndexBytes != sum {
-		t.Errorf("clone-based router IndexBytes = %d, want the per-shard sum %d", total.IndexBytes, sum)
 	}
 }
 

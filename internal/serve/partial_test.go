@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bellflower/internal/pipeline"
-	"bellflower/internal/schema"
 )
 
 // TestRouterPartialResultsFanOut: with partial results enabled, a fan-out
@@ -79,17 +78,12 @@ func TestRouterPartialResultsFanOut(t *testing.T) {
 }
 
 // TestRouterSetPartialResultsRuntimeToggle: the option can be flipped on a
-// live router, including one wrapped around pre-existing services.
+// live router.
 func TestRouterSetPartialResultsRuntimeToggle(t *testing.T) {
-	parts := PartitionRepositoryClustered(testRepo(t), 2)
-	shards := make([]*Service, len(parts))
-	for i, p := range parts {
-		shards[i] = NewFromRepository(p, Config{Workers: 1})
-	}
-	r := NewRouter(shards)
+	r := NewRouterFromRepository(testRepo(t), 2, Config{Workers: 1})
 	defer r.Close()
 	if r.PartialResults() {
-		t.Fatal("NewRouter enabled partial results by default")
+		t.Fatal("partial results enabled by default")
 	}
 	r.Shard(0).Close()
 	if _, err := r.Match(context.Background(), personal(), testOpts()); err == nil {
@@ -119,25 +113,18 @@ func mutateTopN(o pipeline.Options, n int) pipeline.Options {
 // succeeded — a client timeout or disconnect must never come back as a
 // 200 Incomplete merge.
 func TestPartialResultsDoNotMaskCallerExpiry(t *testing.T) {
-	// A no-pre-pass wrap so matching runs per shard: the fast shard
-	// completes, the slow shard outlives the request deadline — a mixed
-	// outcome at fan-out merge time, with the caller's context expired.
-	fast := schema.NewRepository()
-	fast.MustAdd(schema.MustParseSpec("store(book(title,author))"))
-	slow := schema.NewRepository()
-	slow.MustAdd(schema.MustParseSpec("archive(tome(slowpoke,author))"))
-	r := NewRouter([]*Service{
-		NewFromRepository(fast, Config{Workers: 1}),
-		NewFromRepository(slow, Config{Workers: 1}),
-	})
-	defer r.Close()
-	r.SetPartialResults(true)
+	// The fast shard completes, the slow shard outlives the request deadline
+	// — a mixed outcome at fan-out merge time, with the caller's context
+	// expired.
+	slow := &stubShard{serve: func(ctx context.Context) (*pipeline.Report, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}}
+	r := stubRouter(t, Config{PartialResults: true}, &stubShard{rep: stubReport(0.9)}, slow)
 
-	opts := testOpts()
-	opts.Matcher = slowMatcher{trigger: "slowpoke", delay: 300 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	rep, err := r.Match(ctx, personal(), opts)
+	rep, err := r.Match(ctx, personal(), testOpts())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v (report %v), want DeadlineExceeded — partial mode must not absorb the caller's own expiry", err, rep)
 	}

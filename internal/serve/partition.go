@@ -9,8 +9,8 @@ import (
 	"bellflower/internal/schema"
 )
 
-// PartitionStrategy selects how PartitionRepository-style helpers and the
-// Router constructors distribute repository trees across shards.
+// PartitionStrategy selects how PartitionRepositoryViews and the Router
+// constructors distribute repository trees across shards.
 type PartitionStrategy int
 
 const (
@@ -61,13 +61,13 @@ func ParsePartitionStrategy(s string) (PartitionStrategy, error) {
 // PartitionRepositoryViews splits the index's repository into up to n
 // disjoint shard VIEWS: each shard is a labeling.View over the one shared
 // index — a set of member trees plus a global↔local ID translation —
-// instead of a cloned sub-repository with an index of its own. This is the
-// partitioner the Router constructors use; it keeps every distribution
-// guarantee of the clone-based helpers (each tree in exactly one shard, no
-// shard empty, deterministic split, n clamped to [1, number of trees])
-// while the resident index memory stays one full-repository copy
-// regardless of n. The tree-ID descriptors inside the views are also the
-// natural wire payload for a future out-of-process shard client.
+// instead of a cloned sub-repository with an index of its own, so the
+// resident index memory stays one full-repository copy regardless of n.
+// Each tree lands in exactly one shard, no shard is empty (an empty
+// repository yields one empty shard), the split is deterministic for a
+// given repository, and n is clamped to [1, number of trees]. The tree-ID
+// descriptors inside the views are the shard wire protocol's ID space
+// (internal/shardrpc).
 func PartitionRepositoryViews(ix *labeling.Index, n int, strategy PartitionStrategy) []*labeling.View {
 	assigned := assignTrees(ix.Repository().Trees(), n, strategy)
 	views := make([]*labeling.View, len(assigned))
@@ -75,52 +75,6 @@ func PartitionRepositoryViews(ix *labeling.Index, n int, strategy PartitionStrat
 		views[i] = labeling.NewView(ix, trees)
 	}
 	return views
-}
-
-// PartitionRepository splits a repository into up to n disjoint shard
-// repositories with the balanced strategy. Trees are cloned (a tree belongs
-// to exactly one repository) and distributed largest first, each into the
-// currently lightest shard by node count, ties to the lowest shard index —
-// deterministic for a given repository. n is clamped to [1, number of
-// trees], so no shard is ever empty (an empty repository yields one empty
-// shard).
-//
-// The clone-based partitioners exist for deployments that need genuinely
-// independent repositories (separate processes, or Services wrapped by
-// NewRouter); in-process sharding uses PartitionRepositoryViews, which
-// shares one index across the shards instead of cloning.
-func PartitionRepository(repo *schema.Repository, n int) []*schema.Repository {
-	parts, _ := partitionRepository(repo, n, PartitionBalanced)
-	return parts
-}
-
-// PartitionRepositoryClustered splits a repository into up to n disjoint
-// shard repositories with the vocabulary-aware clustered strategy (see
-// PartitionClustered). It keeps every guarantee of PartitionRepository —
-// each tree lands in exactly one shard, no shard is empty, the split is
-// deterministic — but trades exact node-count balance (bounded by a 2×
-// average-load cap) for vocabulary co-location.
-func PartitionRepositoryClustered(repo *schema.Repository, n int) []*schema.Repository {
-	parts, _ := partitionRepository(repo, n, PartitionClustered)
-	return parts
-}
-
-// partitionRepository builds the shard repositories and, for each shard,
-// the original-tree → clone map the candidate pre-pass projects through.
-func partitionRepository(repo *schema.Repository, n int, strategy PartitionStrategy) ([]*schema.Repository, []map[*schema.Tree]*schema.Tree) {
-	assigned := assignTrees(repo.Trees(), n, strategy)
-	parts := make([]*schema.Repository, len(assigned))
-	cloneOf := make([]map[*schema.Tree]*schema.Tree, len(assigned))
-	for i, trees := range assigned {
-		parts[i] = schema.NewRepository()
-		cloneOf[i] = make(map[*schema.Tree]*schema.Tree, len(trees))
-		for _, t := range trees {
-			c := t.Clone()
-			parts[i].MustAdd(c)
-			cloneOf[i][t] = c
-		}
-	}
-	return parts, cloneOf
 }
 
 // assignTrees distributes the original trees over up to n shards according

@@ -110,34 +110,31 @@ func TestRouterPrePassConcurrentSharing(t *testing.T) {
 	}
 }
 
-// TestRouterPrePassMatchesNoPrePassRouter: the same shard services behind
-// a pre-pass router and a plain NewRouter wrap (no full-repository view)
-// must produce identical reports — the pre-pass is a pure speedup.
+// TestRouterPrePassMatchesNoPrePassRouter: the staged pre-pass path and
+// the same shards' own full pipelines, merged — what the pre-pass-failure
+// fallback serves — must produce identical reports: the pre-pass is a pure
+// speedup.
 func TestRouterPrePassMatchesNoPrePassRouter(t *testing.T) {
 	repo := testRepo(t)
 	withPre := NewRouterFromRepository(repo, 2, Config{})
 	defer withPre.Close()
-	// Identical partitioning, but wrapped without the full repository.
-	parts := PartitionRepositoryClustered(repo, 2)
-	shards := make([]*Service, len(parts))
-	for i, p := range parts {
-		shards[i] = NewFromRepository(p, Config{})
-	}
-	without := NewRouter(shards)
+	// Identical partitioning; the shards are asked directly, so nothing is
+	// staged and no report cache is shared with withPre.
+	without := NewRouterFromRepository(repo, 2, Config{})
 	defer without.Close()
-	if without.fullRunner != nil {
-		t.Fatal("NewRouter unexpectedly enabled the pre-pass")
-	}
 
 	opts := testOpts()
 	a, err := withPre.Match(context.Background(), personal(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := without.Match(context.Background(), personal(), opts)
-	if err != nil {
-		t.Fatal(err)
+	reps := make([]*pipeline.Report, without.NumShards())
+	for i := range reps {
+		if reps[i], err = without.Shard(i).Match(context.Background(), personal(), opts); err != nil {
+			t.Fatal(err)
+		}
 	}
+	b := mergeReports(reps, opts.TopN)
 	if withPre.Stats().CandidatePrePass != 1 || without.Stats().CandidatePrePass != 0 {
 		t.Errorf("prepass counters = %d / %d, want 1 / 0",
 			withPre.Stats().CandidatePrePass, without.Stats().CandidatePrePass)

@@ -1,38 +1,20 @@
 package serve
 
-import (
-	"sync/atomic"
-
-	"bellflower/internal/cluster"
-	"bellflower/internal/matcher"
-)
-
-// Projection is one decoded pre-pass payload as a shard server receives
-// it: the projected candidate sets (bound to SOME structurally identical
-// personal tree — callers rebind via matcher.Candidates.Rebind before
-// use) plus the translated clusters and the clustering iteration count.
-// HasCandidates/HasClusters mirror the wire request's flags, so a cached
-// projection reproduces the exact staged-call shape of the request that
-// populated it.
-type Projection struct {
-	HasCandidates bool
-	Candidates    *matcher.Candidates
-	HasClusters   bool
-	Clusters      []*cluster.Cluster
-	Iterations    int
-}
+import "sync/atomic"
 
 // projectionBytes estimates a cached projection's resident size.
-func projectionBytes(p Projection) int64 {
+func projectionBytes(p Staged) int64 {
 	b := int64(structSlack)
-	if p.Candidates != nil {
-		b += candidatesBytes(p.Candidates)
+	if p.Cands != nil {
+		b += candidatesBytes(p.Cands)
 	}
 	return b + clustersBytes(p.Clusters)
 }
 
 // ProjectionCache is a shard server's content-addressed projection store:
-// entries are keyed by the projection digest the wire protocol computes
+// decoded pre-pass payloads (Staged values, their candidates bound to SOME
+// structurally identical personal tree — rebind before use) are keyed by
+// the projection digest the wire protocol computes
 // (shardrpc.ProjectionDigest) and charged, size-estimated, into the
 // service's memory governor — so cached projections compete for the same
 // -cache-bytes budget as reports and age out under the same TTL. A repeat
@@ -63,18 +45,18 @@ func (s *Service) NewProjectionCache() *ProjectionCache {
 
 // Get returns the projection cached under the digest, counting the
 // lookup as a hit or miss.
-func (p *ProjectionCache) Get(digest string) (Projection, bool) {
+func (p *ProjectionCache) Get(digest string) (Staged, bool) {
 	v, ok := p.sp.get(digest)
 	if !ok {
 		p.misses.Add(1)
-		return Projection{}, false
+		return Staged{}, false
 	}
 	p.hits.Add(1)
-	return v.(Projection), true
+	return v.(Staged), true
 }
 
 // Put caches the projection under its digest.
-func (p *ProjectionCache) Put(digest string, proj Projection) {
+func (p *ProjectionCache) Put(digest string, proj Staged) {
 	p.sp.put(digest, proj, projectionBytes(proj))
 }
 

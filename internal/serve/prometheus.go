@@ -51,10 +51,8 @@ func WritePrometheus(w io.Writer, st Stats, shards int) error {
 	counter("bellflower_gen_pool_reuses_total", "Mapping-generation search states acquired warm from the pool instead of allocating fresh state.", st.GenPoolReuses)
 
 	const wb = "bellflower_wire_bytes_total"
-	fmt.Fprintf(ew, "# HELP %s Shard-RPC body bytes by direction and codec, counted at the shard server (in = request bodies received, out = response bodies sent).\n# TYPE %s counter\n", wb, wb)
-	fmt.Fprintf(ew, "%s{dir=\"in\",codec=\"json\"} %d\n", wb, st.WireBytes.InJSON)
+	fmt.Fprintf(ew, "# HELP %s Shard-RPC match body bytes by direction, counted at the shard server (in = request bodies received, out = response bodies sent); the wire speaks one codec.\n# TYPE %s counter\n", wb, wb)
 	fmt.Fprintf(ew, "%s{dir=\"in\",codec=\"binary\"} %d\n", wb, st.WireBytes.InBinary)
-	fmt.Fprintf(ew, "%s{dir=\"out\",codec=\"json\"} %d\n", wb, st.WireBytes.OutJSON)
 	fmt.Fprintf(ew, "%s{dir=\"out\",codec=\"binary\"} %d\n", wb, st.WireBytes.OutBinary)
 
 	gauge("bellflower_shards", "Repository shards served by this process.", int64(shards))

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bellflower/internal/cluster"
 	"bellflower/internal/labeling"
 	"bellflower/internal/mapgen"
 	"bellflower/internal/matcher"
@@ -70,33 +69,23 @@ var (
 	_ Backend = (*Router)(nil)
 )
 
-// ShardBackend is the narrow surface the Router demands of one shard: the
-// three match entry points (full pipeline, generation after a projected
-// candidate set, generation after projected candidates AND clusters), a
-// stats snapshot and teardown. A shard is ANY implementation — an
-// in-process view-backed Service, or a client for a shard hosted in
-// another process (internal/shardrpc.RemoteShard speaks the wire protocol
-// behind bellflower-server's -shard-of mode). The router reaches shards
-// only through this interface, so local and remote topologies are
-// interchangeable; everything shard-internal (report caches, worker pools,
-// indexes) stays behind it.
+// ShardBackend is the narrow surface the Router demands of one shard: one
+// staged match entry point, a stats snapshot and teardown. A shard is ANY
+// implementation — an in-process view-backed Service, or a client for a
+// shard hosted in another process (internal/shardrpc.RemoteShard speaks the
+// wire protocol behind bellflower-server's -shard-of mode). The router
+// reaches shards only through this interface, so local and remote
+// topologies are interchangeable; everything shard-internal (report caches,
+// worker pools, indexes) stays behind it.
 //
-// Implementations must be safe for concurrent use. The candidate sets and
-// clusters handed to the staged entry points are projections onto the
-// shard's tree set (see labeling.View); implementations must treat them as
-// read-only.
+// Implementations must be safe for concurrent use.
 type ShardBackend interface {
-	// Match serves one request through the shard's full pipeline; see
-	// Service.Match.
-	Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error)
-
-	// MatchWithCandidates is Match with element matching precomputed; see
-	// Service.MatchWithCandidates.
-	MatchWithCandidates(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates) (*pipeline.Report, error)
-
-	// MatchWithClusters is Match with matching AND clustering precomputed;
-	// see Service.MatchWithClusters.
-	MatchWithClusters(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) (*pipeline.Report, error)
+	// MatchStaged serves one request on the shard. staged is the router's
+	// pre-pass result projected onto the shard's tree set (see
+	// labeling.View), after which the shard runs mapping generation only;
+	// the zero Staged asks for the shard's full pipeline. See
+	// Service.MatchStaged.
+	MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged Staged) (*pipeline.Report, error)
 
 	// Stats returns a snapshot of the shard's instrumentation.
 	Stats() Stats
@@ -120,54 +109,50 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // advertise a capacity (CapacityHint); see Router.MatchBatch.
 const defaultShardCapacityHint = 8
 
-// Router fans match requests out across repository shards — one Service per
-// repository partition — and merges the per-shard ranked mapping lists into
-// a single global report. Candidate matching is per-tree and clusters never
-// span repository trees (cross-tree distance is infinite), so partitioning
-// at tree granularity loses no candidate mappings, and a pre-pass router
-// (below) reproduces the unsharded report exactly — for every clustering
-// variant — up to the ordering of equal-Δ ties (golden- and
-// property-tested). Without the pre-pass (NewRouter over pre-existing
-// services), tree clustering remains exact but the k-means variants
-// cluster per shard — centroid seeding uses the repository-wide MEmin and
-// termination is a global stability criterion when unsharded — so they
-// may keep or drop a different set of low-ranked mappings: the same class
-// of controlled approximation the clustering step itself introduces.
+// Router fans match requests out across repository shards — one
+// ShardBackend per repository partition — and merges the per-shard ranked
+// mapping lists into a single global report. Candidate matching is per-tree
+// and clusters never span repository trees (cross-tree distance is
+// infinite), so partitioning at tree granularity loses no candidate
+// mappings, and the router reproduces the unsharded report exactly — for
+// every clustering variant — up to the ordering of equal-Δ ties (golden-
+// and property-tested).
 //
-// Routers built from a whole repository (NewRouterFromRepository,
-// NewRouterWithPartition) index the repository exactly ONCE and run their
-// shards as labeling.Views over that shared index — a shard is a set of
-// member trees plus an ID translation, not a cloned sub-repository, so
-// resident index memory does not grow with the shard count. They
-// additionally run a shared pre-pass: element matching — the
-// O(|personal| × |repo|) cold-path stage — and clustering execute once
-// against the full repository per pre-pass signature (personal schema +
-// matcher + MinSim + clustering options; see CandidateSignature), are
-// cached under the unified memory governor, and the results are projected
-// onto each shard by pure filtering (matcher.Candidates.Restrict for the
-// candidates; clusters never span trees, so each global cluster is handed
-// wholesale to its owning shard). Shard services then run only mapping
-// generation, via Service.MatchWithClusters. The projection is exact, and
-// because clustering is global the k-means variants produce the SAME
-// clusters as an unsharded run — pre-pass routers drop the per-shard
-// clustering approximation described above. Routers wrapped around
-// pre-existing shard services (NewRouter) have no full-repository view and
-// fall back to the per-shard pipeline.
+// Every router indexes the repository exactly ONCE and sees its shards as
+// labeling.Views over that shared index — a shard is a set of member trees
+// plus an ID translation, not a cloned sub-repository, so resident index
+// memory does not grow with the shard count. Every router runs a shared
+// pre-pass: element matching — the O(|personal| × |repo|) cold-path stage —
+// and clustering execute once against the full repository per pre-pass
+// signature (personal schema + matcher + MinSim + clustering options; see
+// CandidateSignature), are cached under the unified memory governor, and
+// the results are projected onto each shard by pure filtering
+// (matcher.Candidates.Restrict for the candidates; clusters never span
+// trees, so each global cluster is handed wholesale to its owning shard).
+// Shards then run only mapping generation, via ShardBackend.MatchStaged.
+// The projection is exact, and because clustering is global the k-means
+// variants produce the SAME clusters as an unsharded run. Only a FAILED
+// pre-pass under partial results asks the shards for their full pipelines
+// (see Match), where the k-means variants cluster per shard — centroid
+// seeding uses the repository-wide MEmin and termination is a global
+// stability criterion when unsharded — and may keep or drop a different set
+// of low-ranked mappings.
 //
-// Create with NewRouter or NewRouterFromRepository and release with Close.
-// A Router is safe for use from many goroutines.
+// Create with NewRouterFromRepository, NewRouterWithPartition or
+// NewRouterWithShardBackends and release with Close. A Router is safe for
+// use from many goroutines.
 type Router struct {
 	shards  []ShardBackend
 	locals  []*Service           // locals[i] is shards[i] when it lives in-process, nil for remote backends
-	shardOf map[*schema.Tree]int // routes mappings back to their shard
+	shardOf map[*schema.Tree]int // routes clusters and mappings to their shard
 	once    sync.Once
 	closed  atomic.Bool
 	partial atomic.Bool // opt-in partial-results fan-out
 
-	// Pre-pass state; fullRunner == nil disables the pre-pass.
+	// Pre-pass state.
 	fullRunner     *pipeline.Runner // shares the one index with the shard views
-	views          []*labeling.View // per shard: the view its service runs on
-	gov            *memGovernor     // unified cache governor shared with the shards
+	views          []*labeling.View // per shard: the view its backend serves
+	gov            *memGovernor     // unified cache governor shared with the local shards
 	prepass        *prepassCache
 	prepassSem     chan struct{} // bounds concurrent pre-pass executions to the shard worker budget
 	maxSchemaNodes int           // mirror of the shard services' guard
@@ -189,44 +174,18 @@ type Router struct {
 	stMerge   histogram
 }
 
-// NewRouter wraps existing shard services in a router, taking ownership of
-// them (Router.Close closes every shard). The services' served trees
-// (Service.Trees) must be disjoint. It panics on an empty shard list.
-func NewRouter(shards []*Service) *Router {
-	if len(shards) == 0 {
-		panic("serve: NewRouter needs at least one shard")
-	}
-	r := &Router{
-		shards:  make([]ShardBackend, len(shards)),
-		locals:  append([]*Service(nil), shards...),
-		shardOf: make(map[*schema.Tree]int),
-	}
-	for i, s := range r.locals {
-		r.shards[i] = s
-		for _, t := range s.Trees() {
-			r.shardOf[t] = i
-		}
-	}
-	return r
-}
-
 // NewRouterFromRepository partitions the repository into up to n shards
-// with the DefaultPartitionStrategy, indexes each partition and starts one
-// Service per shard; it is NewRouterWithPartition with the default
-// strategy.
+// with the DefaultPartitionStrategy; it is NewRouterWithPartition with the
+// default strategy.
 func NewRouterFromRepository(repo *schema.Repository, n int, cfg Config) *Router {
 	return NewRouterWithPartition(repo, n, cfg, DefaultPartitionStrategy)
 }
 
 // NewRouterWithPartition partitions the repository with the given strategy
 // (see PartitionStrategy) into shard VIEWS over one shared labelling index
-// — the repository is indexed exactly once, and each shard service runs on
-// a lightweight labeling.View (member trees plus ID translation) instead
-// of a cloned sub-repository with an index of its own. It starts one
-// Service per shard and enables the shared candidate pre-pass, which runs
-// against the same index. When cfg.Workers is 0 each shard gets GOMAXPROCS
-// divided by the shard count (at least 1), so the default total worker
-// budget matches an unsharded Service instead of multiplying by n.
+// and starts one Service per view. When cfg.Workers is 0 each shard gets
+// GOMAXPROCS divided by the shard count (at least 1), so the default total
+// worker budget matches an unsharded Service instead of multiplying by n.
 //
 // The router also owns the unified memory governor: every shard's report
 // cache and the pre-pass cache charge into one byte budget
@@ -245,18 +204,16 @@ func NewRouterWithPartition(repo *schema.Repository, n int, cfg Config, strategy
 	gov := newGovernor(cfg.CacheBytes, cfg.CacheTTL)
 	shardCfg := cfg
 	shardCfg.gov = gov
-	shards := make([]*Service, len(views))
+	backends := make([]ShardBackend, len(views))
 	for i, v := range views {
-		shards[i] = New(pipeline.NewViewRunnerWithNameIndex(v, ni), shardCfg)
+		backends[i] = New(pipeline.NewViewRunnerWithNameIndex(v, ni), shardCfg)
 	}
-	r := NewRouter(shards)
 	// The pre-pass runs on request goroutines (it must complete even when
 	// its leader's own shard work would be queued); bound its concurrency
 	// to the summed shard worker budget so a burst of distinct cold
 	// requests cannot run more CPU-bound matching than the operator sized
 	// the service for.
-	r.enablePrepass(ix, ni, views, gov, cfg, cfg.withDefaults().Workers*len(views))
-	return r
+	return newRouter(ix, ni, views, backends, gov, cfg, cfg.withDefaults().Workers*len(views))
 }
 
 // NewRouterWithShardBackends assembles a router over externally built shard
@@ -265,8 +222,7 @@ func NewRouterWithPartition(repo *schema.Repository, n int, cfg Config, strategy
 // labelling index of the full repository and views[i] the shard view
 // backend i serves (the router routes clusters and rewrites by view
 // membership, and the views' tree descriptors are the backends' wire ID
-// space). The router takes ownership of the backends (Close closes them),
-// runs the shared pre-pass against ix exactly like NewRouterWithPartition,
+// space). The router takes ownership of the backends (Close closes them)
 // and — because remote shards burn no local CPU — bounds pre-pass
 // concurrency to one local worker budget instead of the summed per-shard
 // budgets. It panics when views and backends disagree in length or are
@@ -275,42 +231,40 @@ func NewRouterWithShardBackends(ix *labeling.Index, views []*labeling.View, back
 	if len(backends) == 0 || len(views) != len(backends) {
 		panic(fmt.Sprintf("serve: NewRouterWithShardBackends: %d views for %d backends", len(views), len(backends)))
 	}
-	r := &Router{
-		shards:  append([]ShardBackend(nil), backends...),
-		locals:  make([]*Service, len(backends)),
-		shardOf: make(map[*schema.Tree]int),
-	}
-	for i, b := range backends {
-		r.locals[i], _ = b.(*Service)
-		for _, t := range views[i].Trees() {
-			r.shardOf[t] = i
-		}
-	}
-	r.enablePrepass(ix, matcher.NewNameIndex(ix.Repository()), views, newGovernor(cfg.CacheBytes, cfg.CacheTTL), cfg, cfg.withDefaults().Workers)
-	return r
+	return newRouter(ix, matcher.NewNameIndex(ix.Repository()), views, backends,
+		newGovernor(cfg.CacheBytes, cfg.CacheTTL), cfg, cfg.withDefaults().Workers)
 }
 
-// enablePrepass switches the router onto the shared pre-pass path: one
-// full-repository runner over ix and ni, per-shard views for projection,
-// and the pre-pass cache under gov. prepassConc bounds concurrent pre-pass
-// executions.
-func (r *Router) enablePrepass(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View, gov *memGovernor, cfg Config, prepassConc int) {
-	r.fullRunner = pipeline.NewRunnerFromIndexes(ix, ni)
+// newRouter wires the one topology: backends[i] serves views[i], the
+// pre-pass runs on a full-repository runner over ix and ni with its cache
+// under gov, and prepassConc bounds concurrent pre-pass executions.
+func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View, backends []ShardBackend, gov *memGovernor, cfg Config, prepassConc int) *Router {
+	r := &Router{
+		shards:         append([]ShardBackend(nil), backends...),
+		locals:         make([]*Service, len(backends)),
+		shardOf:        make(map[*schema.Tree]int),
+		fullRunner:     pipeline.NewRunnerFromIndexes(ix, ni),
+		views:          views,
+		gov:            gov,
+		prepass:        newPrepassCache(gov, prepassCacheSize),
+		prepassSem:     make(chan struct{}, prepassConc),
+		maxSchemaNodes: cfg.withDefaults().MaxSchemaNodes,
+	}
+	r.partial.Store(cfg.PartialResults)
 	// One EngineStats across the pre-pass runner and every local shard
 	// runner, so generation counters accumulate into a single figure per
 	// repository generation (the NameIndex kernel-counter discipline).
 	gs := r.fullRunner.GenStats()
-	for _, s := range r.locals {
-		if s != nil {
+	for i, b := range backends {
+		if s, ok := b.(*Service); ok {
+			r.locals[i] = s
 			s.runner.ShareGenStats(gs)
 		}
+		for _, t := range views[i].Trees() {
+			r.shardOf[t] = i
+		}
 	}
-	r.views = views
-	r.gov = gov
-	r.partial.Store(cfg.PartialResults)
-	r.prepassSem = make(chan struct{}, prepassConc)
-	r.prepass = newPrepassCache(gov, prepassCacheSize)
-	r.maxSchemaNodes = cfg.withDefaults().MaxSchemaNodes
+	return r
 }
 
 // SetPartialResults switches the partial-results fan-out on or off at
@@ -350,10 +304,7 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 		return nil, ErrClosed
 	}
 	if len(r.shards) == 1 {
-		return r.shards[0].Match(ctx, personal, opts)
-	}
-	if r.fullRunner == nil {
-		return r.fanOut(ctx, personal, opts, nil)
+		return r.shards[0].MatchStaged(ctx, personal, opts, Staged{})
 	}
 
 	// Pre-pass: validate cheaply (the rejections the shard services would
@@ -385,9 +336,8 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 		// failed pre-pass falls back to full per-shard pipelines instead of
 		// failing the request — the shards can still match and cluster
 		// their own slices (for the k-means variants that is the documented
-		// per-shard approximation, the same one no-pre-pass NewRouter
-		// topologies serve). The caller's own expiry still errors: a dead
-		// request must not be answered with a degraded success.
+		// per-shard approximation). The caller's own expiry still errors: a
+		// dead request must not be answered with a degraded success.
 		if r.partial.Load() && ctx.Err() == nil && !ctxError(err) {
 			r.prepassFallbacks.Add(1)
 			return r.fanOut(ctx, personal, opts, nil)
@@ -399,14 +349,12 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 	// equal pre-pass signatures guarantee structural identity, so rebind
 	// to this request's tree before restricting per shard.
 	cands := e.cands.Rebind(personal)
-	staged := make([]stagedShard, len(r.shards))
+	staged := make([]Staged, len(r.shards))
 	for i := range r.shards {
 		// Shards are views of the same repository the pre-pass matched
 		// against, so projection is pure filtering — candidates keep their
-		// original node objects and order; no clone-time ID remapping.
-		staged[i].cands = cands.Restrict(r.views[i].Contains)
-		staged[i].clusters = []*cluster.Cluster{} // non-nil: a shard may legitimately get zero clusters
-		staged[i].iterations = e.iterations
+		// original node objects and order.
+		staged[i] = Staged{Cands: cands.Restrict(r.views[i].Contains), Iterations: e.iterations}
 	}
 	for _, cl := range e.clusters {
 		if cl.Len() == 0 {
@@ -417,9 +365,8 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 			continue // defensive: a cluster outside the partition cannot be served
 		}
 		// Clusters never span trees, so a global cluster belongs wholesale
-		// to one shard and is handed over as-is (shared, read-only) — the
-		// preorder-rank translation the clone model needed is gone.
-		staged[i].clusters = append(staged[i].clusters, cl)
+		// to one shard and is handed over as-is (shared, read-only).
+		staged[i].Clusters = append(staged[i].Clusters, cl)
 	}
 	rep, err := r.fanOut(ctx, personal, opts, staged)
 	if err != nil {
@@ -447,13 +394,6 @@ func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipe
 		return nil, err
 	}
 	return AppendReportJSON(nil, personal, rep), nil
-}
-
-// stagedShard is one shard's slice of the pre-pass result.
-type stagedShard struct {
-	cands      *matcher.Candidates
-	clusters   []*cluster.Cluster
-	iterations int
 }
 
 // runPrepass returns the full-repository matching + clustering result for
@@ -523,12 +463,12 @@ func (r *Router) runPrepass(ctx context.Context, personal *schema.Tree, opts pip
 }
 
 // fanOut sends the request to every shard concurrently — with the i-th
-// pre-staged slice when the pre-pass ran, through plain Match when staged
-// is nil — and merges the per-shard reports. Under strict routing (the
+// pre-staged slice when the pre-pass ran, asking for the shard's full
+// pipeline when staged is nil — and merges the per-shard reports. Under strict routing (the
 // default) any shard error fails the request; with partial results
 // enabled, a partially failed fan-out merges the shards that succeeded
 // and marks the report Incomplete with the per-shard errors.
-func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged []stagedShard) (*pipeline.Report, error) {
+func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged []Staged) (*pipeline.Report, error) {
 	fanStart := time.Now()
 	fctx, fsp := trace.StartSpan(ctx, "fanout")
 	defer fsp.End()
@@ -555,12 +495,11 @@ func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipelin
 			defer wg.Done()
 			sctx, ssp := trace.StartSpan(fctx, "shard")
 			ssp.SetAttrInt("shard", int64(i))
+			var st Staged
 			if staged != nil {
-				reps[i], errs[i] = s.MatchWithClusters(sctx, personal, opts,
-					staged[i].cands, staged[i].clusters, staged[i].iterations)
-			} else {
-				reps[i], errs[i] = s.Match(sctx, personal, opts)
+				st = staged[i]
 			}
+			reps[i], errs[i] = s.MatchStaged(sctx, personal, opts, st)
 			if errs[i] != nil {
 				ssp.SetAttr("error", errs[i].Error())
 			}
@@ -674,30 +613,21 @@ func (r *Router) MatchBatch(ctx context.Context, reqs []Request) []Result {
 }
 
 // RewriteQuery translates a personal-schema query through a mapping
-// discovered by Match. Routers with a full-repository index (every
-// pre-pass router, including remote-shard topologies) rewrite locally —
-// the mapping's image nodes are the router's own repository nodes, so no
-// shard round-trip is needed. Clone-based NewRouter topologies have no
-// shared index and route to the owning shard's service instead.
+// discovered by Match. The router rewrites locally — the mapping's image
+// nodes are its own repository nodes, so no shard round-trip is needed,
+// remote shards included.
 func (r *Router) RewriteQuery(q string, personal *schema.Tree, mp mapgen.Mapping) (string, error) {
 	if len(mp.Images) == 0 {
 		return "", errors.New("serve: empty mapping")
 	}
-	i, ok := r.shardOf[mp.Images[0].Tree()]
-	if !ok {
+	if _, ok := r.shardOf[mp.Images[0].Tree()]; !ok {
 		return "", errors.New("serve: mapping does not belong to this router's shards")
 	}
-	if r.fullRunner != nil {
-		parsed, err := query.Parse(q)
-		if err != nil {
-			return "", err
-		}
-		return query.Rewrite(parsed, personal, mp, r.fullRunner.Index())
+	parsed, err := query.Parse(q)
+	if err != nil {
+		return "", err
 	}
-	if s := r.locals[i]; s != nil {
-		return s.RewriteQuery(q, personal, mp)
-	}
-	return "", errors.New("serve: cannot rewrite through a remote shard without a shared index")
+	return query.Rewrite(parsed, personal, mp, r.fullRunner.Index())
 }
 
 // Stats returns the per-shard snapshots rolled up into one (see MergeStats
@@ -715,8 +645,7 @@ func (r *Router) Stats() Stats {
 // Resident-memory gauges are refined here with knowledge MergeStats lacks:
 // IndexBytes counts each distinct labelling index once (view-backed shards
 // all share the router's single index, so a sharded rollup equals the
-// unsharded figure; clone-based NewRouter shards sum their separate
-// indexes), and CacheBytes covers the unified governor's whole account —
+// unsharded figure), and CacheBytes covers the unified governor's whole account —
 // every shard's reports plus the pre-pass cache.
 func (r *Router) Snapshot() (Stats, []Stats) {
 	shards := r.ShardStats()
@@ -732,7 +661,12 @@ func (r *Router) Snapshot() (Stats, []Stats) {
 	total.Stages = mergeStages(total.Stages, r.routerStages())
 	total.IndexBytes = r.indexBytes()
 	total.NameIndexBytes, total.DistinctVocabRatio, total.SimCallsSaved, total.MatchPrunes = r.nameIndexStats()
-	total.PartialMappings, total.ClustersSkippedByBound, total.FloorTightenings, total.GenPoolReuses = r.genStats()
+	// The pre-pass runner and every local shard runner accumulate into one
+	// EngineStats (wired in newRouter), so the sharded figures equal the
+	// unsharded ones.
+	gs := r.fullRunner.GenStats().Snapshot()
+	total.PartialMappings, total.ClustersSkippedByBound, total.FloorTightenings, total.GenPoolReuses =
+		gs.PartialMappings, gs.ClustersSkippedByBound, gs.FloorTightenings, gs.PoolReuses
 	total.CacheBytes, total.CacheByteBudget, total.CacheEvictions, total.CacheExpired = r.governorStats()
 	// Remote shards' caches and indexes are resident in THEIR processes;
 	// their snapshots carry the figures, so the rollup adds them on top of
@@ -771,10 +705,11 @@ func (r *Router) routerStages() map[string]LatencyStats {
 }
 
 // governorStats sums the cache-governor figures across the router,
-// counting each distinct governor exactly once: a view-backed router's
-// shards all share its one governor (so the figures ARE that governor's,
-// pre-pass included), while clone-based NewRouter shards each own one and
-// their accounts add up. Remote shards keep their caches in their own
+// counting each distinct governor exactly once: the shards
+// NewRouterWithPartition starts all share the router's one governor (so the
+// figures ARE that governor's, pre-pass included), while local services
+// handed to NewRouterWithShardBackends each own one and their accounts add
+// up. Remote shards keep their caches in their own
 // process; their cache figures arrive through their Stats snapshots, not
 // through a local governor.
 func (r *Router) governorStats() (used, budget, evictions, expired int64) {
@@ -804,12 +739,9 @@ func (r *Router) governorStats() (used, budget, evictions, expired int64) {
 // indexes live in their own processes and are not this process's memory).
 func (r *Router) indexBytes() int64 {
 	seen := make(map[*labeling.Index]bool, len(r.locals)+1)
-	var b int64
-	if r.fullRunner != nil {
-		ix := r.fullRunner.Index()
-		seen[ix] = true
-		b += ix.MemoryBytes()
-	}
+	ix := r.fullRunner.Index()
+	seen[ix] = true
+	b := ix.MemoryBytes()
 	for _, s := range r.locals {
 		if s == nil {
 			continue
@@ -844,45 +776,13 @@ func (r *Router) nameIndexStats() (bytes int64, ratio float64, saved, prunes int
 		saved += ks.SavedCalls
 		prunes += ks.PruneHits
 	}
-	if r.fullRunner != nil {
-		add(r.fullRunner.NameIndex())
-	}
+	add(r.fullRunner.NameIndex())
 	for _, s := range r.locals {
 		if s != nil {
 			add(s.runner.NameIndex())
 		}
 	}
 	return bytes, ratio, saved, prunes
-}
-
-// genStats rolls the generation-engine counters up across the router,
-// counting each distinct LOCAL EngineStats exactly once — the pre-pass
-// runner and every view-backed shard runner share one (wired in
-// enablePrepass), so the sharded figures equal the unsharded ones. Remote
-// shards' figures arrive through their Stats snapshots and are added on
-// top by Snapshot, like the other resident-process counters.
-func (r *Router) genStats() (partials, skipped, tightenings, reuses int64) {
-	seen := make(map[*mapgen.EngineStats]bool, len(r.locals)+1)
-	add := func(gs *mapgen.EngineStats) {
-		if gs == nil || seen[gs] {
-			return
-		}
-		seen[gs] = true
-		snap := gs.Snapshot()
-		partials += snap.PartialMappings
-		skipped += snap.ClustersSkippedByBound
-		tightenings += snap.FloorTightenings
-		reuses += snap.PoolReuses
-	}
-	if r.fullRunner != nil {
-		add(r.fullRunner.GenStats())
-	}
-	for _, s := range r.locals {
-		if s != nil {
-			add(s.runner.GenStats())
-		}
-	}
-	return partials, skipped, tightenings, reuses
 }
 
 // ShardStats returns one snapshot per shard, in shard order. Snapshots
@@ -903,14 +803,13 @@ func (r *Router) ShardStats() []Stats {
 	return out
 }
 
-// RepositoryStats aggregates the per-shard served-tree statistics: tree
-// and node counts summed, extrema taken across shards. Pre-pass routers
-// (views non-nil) read the views directly — shard backends, remote ones
-// included, never need to answer repository questions; clone-based
-// NewRouter topologies ask their local services.
+// RepositoryStats aggregates the shard views' served-tree statistics: tree
+// and node counts summed, extrema taken across shards. Shard backends,
+// remote ones included, never need to answer repository questions.
 func (r *Router) RepositoryStats() schema.Stats {
 	var out schema.Stats
-	add := func(i int, st schema.Stats) {
+	for i, v := range r.views {
+		st := v.Stats()
 		out.Trees += st.Trees
 		out.Nodes += st.Nodes
 		if st.MaxDepth > out.MaxDepth {
@@ -922,15 +821,6 @@ func (r *Router) RepositoryStats() schema.Stats {
 		if i == 0 || st.MinTree < out.MinTree {
 			out.MinTree = st.MinTree
 		}
-	}
-	if r.views != nil {
-		for i, v := range r.views {
-			add(i, v.Stats())
-		}
-		return out
-	}
-	for i, s := range r.locals {
-		add(i, s.RepositoryStats())
 	}
 	return out
 }

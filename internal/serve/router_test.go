@@ -27,65 +27,6 @@ func syntheticRepo(t testing.TB, nodes int, seed int64) *schema.Repository {
 	return repo
 }
 
-func TestPartitionRepository(t *testing.T) {
-	repo := syntheticRepo(t, 600, 3)
-	parts := PartitionRepository(repo, 4)
-	if len(parts) != 4 {
-		t.Fatalf("got %d parts, want 4", len(parts))
-	}
-	trees, nodes := 0, 0
-	for i, p := range parts {
-		if p.NumTrees() == 0 {
-			t.Errorf("shard %d is empty", i)
-		}
-		if err := p.Validate(); err != nil {
-			t.Errorf("shard %d invalid: %v", i, err)
-		}
-		trees += p.NumTrees()
-		nodes += p.Len()
-	}
-	if trees != repo.NumTrees() || nodes != repo.Len() {
-		t.Errorf("partition covers %d trees / %d nodes, want %d / %d",
-			trees, nodes, repo.NumTrees(), repo.Len())
-	}
-	// Every input tree lands in exactly one shard, and the split is
-	// deterministic.
-	seen := make(map[string]int)
-	for _, p := range parts {
-		for _, tr := range p.Trees() {
-			seen[tr.String()]++
-		}
-	}
-	for _, tr := range repo.Trees() {
-		if seen[tr.String()] < 1 {
-			t.Errorf("tree %q missing from every shard", tr.Name)
-		}
-	}
-	again := PartitionRepository(repo, 4)
-	for i := range parts {
-		if parts[i].NumTrees() != again[i].NumTrees() || parts[i].Len() != again[i].Len() {
-			t.Errorf("shard %d not deterministic: %d/%d trees, %d/%d nodes",
-				i, parts[i].NumTrees(), again[i].NumTrees(), parts[i].Len(), again[i].Len())
-		}
-	}
-	// Balance: no shard should carry more than half the forest when four
-	// shards split a many-tree repository.
-	for i, p := range parts {
-		if p.Len() > repo.Len()/2 {
-			t.Errorf("shard %d holds %d of %d nodes; partition is unbalanced", i, p.Len(), repo.Len())
-		}
-	}
-
-	// Clamping: more shards than trees, and degenerate n.
-	small := testRepo(t) // 3 trees
-	if got := len(PartitionRepository(small, 10)); got != 3 {
-		t.Errorf("10 shards over 3 trees produced %d parts, want 3", got)
-	}
-	if got := len(PartitionRepository(small, 0)); got != 1 {
-		t.Errorf("0 shards produced %d parts, want 1", got)
-	}
-}
-
 // reportKeys renders each mapping shard-independently: the score plus the
 // repository tree name and image paths. Node and cluster IDs are
 // shard-local and excluded on purpose.
@@ -227,19 +168,18 @@ func TestRouterClusteredVariantExactWithPrePass(t *testing.T) {
 		t.Errorf("iterations %d, want %d", sharded.Iterations, direct.Iterations)
 	}
 
-	// Per-shard clustering (no pre-pass): well-formed, but no exactness
+	// Per-shard clustering (the shards' own full pipelines, as the
+	// pre-pass-failure fallback serves them): well-formed, but no exactness
 	// claim.
-	parts := PartitionRepositoryClustered(repo, 4)
-	shards := make([]*Service, len(parts))
-	for i, p := range parts {
-		shards[i] = NewFromRepository(p, Config{})
-	}
-	noPre := NewRouter(shards)
+	noPre := NewRouterFromRepository(repo, 4, Config{})
 	defer noPre.Close()
-	perShard, err := noPre.Match(context.Background(), personal, opts)
-	if err != nil {
-		t.Fatal(err)
+	reps := make([]*pipeline.Report, noPre.NumShards())
+	for i := range reps {
+		if reps[i], err = noPre.Shard(i).Match(context.Background(), personal, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
+	perShard := mergeReports(reps, opts.TopN)
 	if len(perShard.Mappings) == 0 {
 		t.Errorf("per-shard medium clustering found no mappings")
 	}
@@ -269,19 +209,19 @@ func (m slowMatcher) Similarity(p, r *schema.Node) float64 {
 }
 
 func TestRouterDeadlineOnOneShard(t *testing.T) {
-	fast := schema.NewRepository()
-	fast.MustAdd(schema.MustParseSpec("store(book(title,author))"))
-	slow := schema.NewRepository()
-	slow.MustAdd(schema.MustParseSpec("archive(tome(slowpoke,author))"))
-
-	r := NewRouter([]*Service{
-		NewFromRepository(fast, Config{Workers: 1}),
-		NewFromRepository(slow, Config{Workers: 1}),
-	})
+	// One tree per shard (equal sizes, balanced: repository order). The
+	// element matcher never sleeps, so the pre-pass is fast; the structure
+	// matcher rescores inside each shard's generation stage and sleeps only
+	// where "slowpoke" lives.
+	repo := schema.NewRepository()
+	repo.MustAdd(schema.MustParseSpec("store(book(title,author))"))
+	repo.MustAdd(schema.MustParseSpec("archive(tome(slowpoke,author))"))
+	r := NewRouterWithPartition(repo, 2, Config{Workers: 1}, PartitionBalanced)
 	defer r.Close()
 
 	opts := testOpts()
-	opts.Matcher = slowMatcher{trigger: "slowpoke", delay: 300 * time.Millisecond}
+	opts.Matcher = slowMatcher{}
+	opts.StructureMatcher = slowMatcher{trigger: "slowpoke", delay: 100 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()

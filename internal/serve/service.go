@@ -84,16 +84,6 @@ type Config struct {
 	// in-process topologies.
 	HealthFailures int
 
-	// WireCodec selects the shard-RPC request codec a DISTRIBUTED router
-	// speaks to its remote shards: "auto" (or empty, the default)
-	// negotiates per shard through the stats handshake — binary payloads
-	// and projection references with shards that advertise the binary
-	// codec, plain JSON with the ones that don't; "json" pins the legacy
-	// JSON surface (what a pre-codec router sends); "binary" forces the
-	// binary codec without waiting for a handshake. Ignored by in-process
-	// topologies.
-	WireCodec string
-
 	// MaxSchemaNodes rejects personal schemas with more nodes than this
 	// before any work happens (the search space grows exponentially with
 	// personal-schema size, so this is the service's overload guard).
@@ -135,18 +125,38 @@ func (c Config) Capacity() int {
 	return c.Workers + c.QueueDepth
 }
 
-// task is one scheduled pipeline run. cands, when non-nil, is a
-// precomputed (projected) candidate set: the run skips element matching
-// via Runner.RunWithCandidates; when clusters is additionally non-nil the
-// run skips clustering too, via Runner.RunWithClusters.
+// Staged carries the stages that already ran upstream of a shard: the
+// router's pre-pass matches and clusters once against the full repository
+// and hands every shard its projection — the candidate set restricted to
+// the shard's trees and the clusters that live in them. The zero value
+// means nothing is staged: the shard runs the full pipeline. A shard
+// server's ProjectionCache stores the same value under its content address.
+//
+// Cands and Clusters are read-only to the receiver; Cands may be bound to a
+// structurally identical personal tree (rebind with Candidates.Rebind).
+type Staged struct {
+	// Cands is the projected element-matching result; nil means unstaged,
+	// and the other fields are then ignored.
+	Cands *matcher.Candidates
+
+	// Clusters are the clusters built from Cands that lie on this shard
+	// (possibly none — a shard may hold no cluster of a query).
+	Clusters []*cluster.Cluster
+
+	// Iterations is the upstream clustering's iteration count, echoed into
+	// the report.
+	Iterations int
+}
+
+// task is one scheduled pipeline run: generation only over staged.Clusters
+// (Runner.RunWithClusters) when a projection is staged, the full pipeline
+// otherwise.
 type task struct {
-	key        string
-	c          *call
-	personal   *schema.Tree
-	opts       pipeline.Options
-	cands      *matcher.Candidates
-	clusters   []*cluster.Cluster
-	iterations int
+	key      string
+	c        *call
+	personal *schema.Tree
+	opts     pipeline.Options
+	staged   Staged
 
 	// tctx carries the scheduling leader's trace position (and nothing
 	// else): the worker adopts it onto the detached run context so
@@ -268,12 +278,9 @@ func (s *Service) worker() {
 			runCtx, rsp := trace.StartSpan(runCtx, "pipeline.run")
 			var rep *pipeline.Report
 			var err error
-			switch {
-			case t.clusters != nil:
-				rep, err = s.runner.RunWithClusters(runCtx, t.personal, t.cands, t.clusters, t.iterations, t.opts)
-			case t.cands != nil:
-				rep, err = s.runner.RunWithCandidates(runCtx, t.personal, t.cands, t.opts)
-			default:
+			if st := t.staged; st.Cands != nil {
+				rep, err = s.runner.RunWithClusters(runCtx, t.personal, st.Cands, st.Clusters, st.Iterations, t.opts)
+			} else {
 				rep, err = s.runner.RunContext(runCtx, t.personal, t.opts)
 			}
 			if err != nil {
@@ -300,8 +307,7 @@ func (s *Service) worker() {
 // cancelled as soon as no other caller is waiting on it. Requests without
 // a deadline get Config.DefaultTimeout when one is configured.
 func (s *Service) Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
-	rep, _, err := s.match(ctx, personal, opts, nil, nil, 0)
-	return rep, err
+	return s.MatchStaged(ctx, personal, opts, Staged{})
 }
 
 // MatchJSON is Match returning the report's HTTP rendering
@@ -313,7 +319,7 @@ func (s *Service) Match(ctx context.Context, personal *schema.Tree, opts pipelin
 // the report's). Counters and the latency histogram move exactly as for
 // Match. The returned bytes are shared and must be treated as read-only.
 func (s *Service) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
-	rep, hit, err := s.match(ctx, personal, opts, nil, nil, 0)
+	rep, hit, err := s.match(ctx, personal, opts, Staged{})
 	if err != nil {
 		return nil, err
 	}
@@ -323,37 +329,16 @@ func (s *Service) MatchJSON(ctx context.Context, personal *schema.Tree, opts pip
 	return s.cache.Attach(hit.key, rep, AppendReportJSON(nil, personal, rep)), nil
 }
 
-// MatchWithCandidates is Match with a precomputed element-matching result:
-// the pipeline run skips FindCandidates and proceeds straight to
-// clustering (Runner.RunWithCandidates). cands must be the candidate set
-// this service's repository would produce for (personal, opts) — in the
-// sharded setup, the router's full-repository pre-pass projected onto this
-// shard — so the report, and therefore the cache entry under the shared
-// request signature, is identical to a from-scratch Match. Cache,
-// deduplication and instrumentation behave exactly as in Match.
-func (s *Service) MatchWithCandidates(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates) (*pipeline.Report, error) {
-	if cands == nil {
-		return nil, errors.New("serve: MatchWithCandidates needs a candidate set")
-	}
-	rep, _, err := s.match(ctx, personal, opts, cands, nil, 0)
-	return rep, err
-}
-
-// MatchWithClusters goes one stage deeper than MatchWithCandidates: the
-// clusters come precomputed too, and the pipeline run is generation only
-// (Runner.RunWithClusters). The sharded router's pre-pass uses it to run
-// matching and clustering once globally. clusters must be non-nil (an
-// empty, non-nil slice is a valid projection: a shard may hold none of the
-// query's clusters) and must have been built from cands under the same
-// options against this service's repository.
-func (s *Service) MatchWithClusters(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) (*pipeline.Report, error) {
-	if cands == nil {
-		return nil, errors.New("serve: MatchWithClusters needs a candidate set")
-	}
-	if clusters == nil {
-		return nil, errors.New("serve: MatchWithClusters needs a cluster slice (possibly empty, never nil)")
-	}
-	rep, _, err := s.match(ctx, personal, opts, cands, clusters, iterations)
+// MatchStaged implements ShardBackend: Match with the stages the caller
+// already ran. A staged projection makes the pipeline run generation only
+// (Runner.RunWithClusters); it must be what this service's repository would
+// produce for (personal, opts) — in the sharded setup, the router's
+// full-repository pre-pass projected onto this shard — so the report, and
+// therefore the cache entry under the shared request signature, is
+// identical to a from-scratch Match. Cache, deduplication and
+// instrumentation behave exactly as in Match.
+func (s *Service) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged Staged) (*pipeline.Report, error) {
+	rep, _, err := s.match(ctx, personal, opts, staged)
 	return rep, err
 }
 
@@ -365,9 +350,8 @@ type cacheRef struct {
 	body []byte
 }
 
-// match is the shared body of Match, MatchJSON, MatchWithCandidates and
-// MatchWithClusters.
-func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) (*pipeline.Report, cacheRef, error) {
+// match is the shared body of MatchStaged and MatchJSON.
+func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged Staged) (*pipeline.Report, cacheRef, error) {
 	s.ct.requests.Add(1)
 	if err := s.root.Err(); err != nil {
 		s.ct.rejected.Add(1)
@@ -424,8 +408,7 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 				s.ct.observe(time.Since(start))
 				return rep, cacheRef{key, body}, nil
 			}
-			t := &task{key: key, c: c, personal: personal, opts: opts,
-				cands: cands, clusters: clusters, iterations: iterations}
+			t := &task{key: key, c: c, personal: personal, opts: opts, staged: staged}
 			if trace.FromContext(ctx) != nil {
 				t.tctx = ctx
 			}

@@ -8,40 +8,34 @@ import (
 	"bellflower/internal/cluster"
 	"bellflower/internal/labeling"
 	"bellflower/internal/mapgen"
-	"bellflower/internal/matcher"
 	"bellflower/internal/objective"
 	"bellflower/internal/pipeline"
 	"bellflower/internal/schema"
 )
 
-// stubShard is a ShardBackend that records which entry point served each
-// request — the router must reach shards ONLY through the interface, so a
+// stubShard is a ShardBackend that records which kind of request it was
+// handed — the router must reach shards ONLY through the interface, so a
 // stub is a complete shard.
 type stubShard struct {
 	rep         *pipeline.Report
-	matchCalls  atomic.Int64 // full-pipeline requests
-	stagedCalls atomic.Int64 // pre-pass (candidates/clusters) requests
+	serve       func(ctx context.Context) (*pipeline.Report, error) // overrides rep when set
+	matchCalls  atomic.Int64                                        // full-pipeline requests (zero Staged)
+	stagedCalls atomic.Int64                                        // pre-pass (staged projection) requests
 	closed      atomic.Bool
 }
 
-func (s *stubShard) Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
+func (s *stubShard) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged Staged) (*pipeline.Report, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	s.matchCalls.Add(1)
-	return s.rep, nil
-}
-
-func (s *stubShard) MatchWithCandidates(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates) (*pipeline.Report, error) {
-	s.stagedCalls.Add(1)
-	return s.rep, nil
-}
-
-func (s *stubShard) MatchWithClusters(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) (*pipeline.Report, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
+	if staged.Cands != nil {
+		s.stagedCalls.Add(1)
+	} else {
+		s.matchCalls.Add(1)
 	}
-	s.stagedCalls.Add(1)
+	if s.serve != nil {
+		return s.serve(ctx)
+	}
 	return s.rep, nil
 }
 
@@ -55,24 +49,31 @@ func stubReport(delta float64) *pipeline.Report {
 	}
 }
 
+// backendRouter is stubRouter over two stubs answering Δ 0.9 and 0.8.
 func backendRouter(t *testing.T, cfg Config) (*Router, []*stubShard) {
 	t.Helper()
-	repo := testRepo(t)
-	ix := labeling.NewIndex(repo)
-	views := PartitionRepositoryViews(ix, 2, PartitionClustered)
 	stubs := []*stubShard{{rep: stubReport(0.9)}, {rep: stubReport(0.8)}}
+	return stubRouter(t, cfg, stubs...), stubs
+}
+
+// stubRouter assembles a router over the test repository with one stub per
+// shard view.
+func stubRouter(t *testing.T, cfg Config, stubs ...*stubShard) *Router {
+	t.Helper()
+	ix := labeling.NewIndex(testRepo(t))
+	views := PartitionRepositoryViews(ix, len(stubs), PartitionClustered)
 	backends := make([]ShardBackend, len(stubs))
 	for i := range stubs {
 		backends[i] = stubs[i]
 	}
 	r := NewRouterWithShardBackends(ix, views, backends, cfg)
 	t.Cleanup(r.Close)
-	return r, stubs
+	return r
 }
 
 // TestPrePassFailureDegradation: when the shared pre-pass fails for a
 // non-context reason, a partial-results router falls back to full
-// per-shard pipelines (ShardBackend.Match) instead of failing the request,
+// per-shard pipelines (the zero Staged) instead of failing the request,
 // counts the fallback, and a strict router still errors.
 func TestPrePassFailureDegradation(t *testing.T) {
 	// An invalid cluster-config override passes Options.Validate but fails
@@ -134,7 +135,7 @@ func TestPrePassFailureDegradation(t *testing.T) {
 
 // TestRouterWithShardBackendsPrepassPath: healthy requests through a
 // backend-assembled router take the staged pre-pass path — matching and
-// clustering run ONCE in the router, shards see only MatchWithClusters.
+// clustering run ONCE in the router, shards see only staged requests.
 func TestRouterWithShardBackendsPrepassPath(t *testing.T) {
 	r, stubs := backendRouter(t, Config{})
 	rep, err := r.Match(context.Background(), personal(), testOpts())

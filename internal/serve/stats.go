@@ -287,10 +287,9 @@ type Stats struct {
 	ProjectionCacheHits   int64 `json:"projection_cache_hits,omitempty"`
 	ProjectionCacheMisses int64 `json:"projection_cache_misses,omitempty"`
 
-	// WireBytes breaks the shard wire traffic down by direction and codec,
-	// counted where the bytes enter/leave the shard server (request bodies
-	// in, response bodies out). The split is what proves the binary codec's
-	// win in production, not just in benchmarks.
+	// WireBytes breaks the shard wire traffic down by direction, counted
+	// where the bytes enter/leave the shard server (request bodies in,
+	// response bodies out).
 	WireBytes WireByteStats `json:"wire_bytes"`
 
 	// Latency is the end-to-end request latency histogram.
@@ -304,10 +303,12 @@ type Stats struct {
 	Stages map[string]LatencyStats `json:"stages,omitempty"`
 }
 
-// WireByteStats counts shard-RPC body bytes by direction and codec, from
-// the shard server's perspective: In is request bodies received, Out is
+// WireByteStats counts shard-RPC match body bytes by direction, from the
+// shard server's perspective: In is request bodies received, Out is
 // response bodies sent. Exported to Prometheus as
-// bellflower_wire_bytes_total{dir,codec}.
+// bellflower_wire_bytes_total{dir,codec="binary"}. The JSON fields belong
+// to the retired JSON match codec and stay zero; they remain because
+// benchmark/ledger.go sums all four.
 type WireByteStats struct {
 	InJSON    int64 `json:"in_json"`
 	InBinary  int64 `json:"in_binary"`

@@ -8,51 +8,35 @@ import (
 	"math"
 )
 
-// The binary wire codec. JSON is the protocol's lingua franca — every
-// shard speaks it forever — but the hot match payloads (candidate sets,
-// translated clusters, ranked reports) are dense arrays of small local
-// IDs and float64s, which JSON inflates 5–10×. This codec writes the same
-// wire structs as length-prefixed binary: uvarints for counts and IDs,
-// zig-zag varints for signed integers, fixed 8-byte little-endian bits
-// for float64s, and uvarint-length-prefixed UTF-8 for strings.
+// The binary wire codec — the only codec /v1/shard/match speaks. The hot
+// match payloads (candidate sets, translated clusters, ranked reports) are
+// dense arrays of small local IDs and float64s, which JSON inflates 5–10×.
+// This codec writes the wire structs as length-prefixed binary: uvarints
+// for counts and IDs, zig-zag varints for signed integers, fixed 8-byte
+// little-endian bits for float64s, and uvarint-length-prefixed UTF-8 for
+// strings.
 //
-// The codec is a pure transport: it encodes and decodes the SAME wire
-// structs (MatchRequest, MatchResponse) as the JSON codec, so everything
-// downstream of the parse — descriptor verification, signature checks,
-// Decode* semantics — is codec-agnostic, and decode(binary(x)) equals
-// decode(json(x)) structurally for every request the client can build
-// (pinned by FuzzShardWire).
+// The codec is a pure transport: it encodes and decodes the wire structs
+// (MatchRequest, MatchResponse), so everything downstream of the parse —
+// descriptor verification, signature checks, Decode* semantics — sees
+// plain structs, and decode(binary(x)) equals decode(json(x)) structurally
+// for every request the client can build (pinned by FuzzShardWire, which
+// keeps the structs' JSON tags as its reference encoding).
 //
-// Negotiation: a shard advertises its codecs in the /v1/shard/stats
-// handshake (StatsResponse.Codecs); a shard that does not advertise —
-// any pre-codec build — is spoken to in JSON, so binary routers interop
-// with JSON-only shards during a rolling upgrade. Requests declare their
-// codec via Content-Type; responses mirror the request's codec. The
-// first body byte is a version, so the format can evolve without a new
-// content type.
+// Requests and responses carry ContentTypeBinary; the shard answers any
+// other or absent Content-Type with 415 (Unsupported Media Type) rather
+// than guessing. Error bodies and /v1/shard/stats are JSON. The first body
+// byte is a version, so the format can evolve without a new content type.
 
-// ContentTypeJSON and ContentTypeBinary are the match-request media
-// types. A request with any other Content-Type is rejected with 415
-// (Unsupported Media Type) rather than guessed at.
-const (
-	ContentTypeJSON   = "application/json"
-	ContentTypeBinary = "application/x-bellflower-shard"
-)
-
-// Codec names as advertised in StatsResponse.Codecs and accepted by the
-// -wire-codec flag.
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
-)
+// ContentTypeBinary is the match request and response media type.
+const ContentTypeBinary = "application/x-bellflower-shard"
 
 // binaryVersion is the first byte of every binary body.
 const binaryVersion = 1
 
 // binWriter accumulates the binary encoding. Slices are written as
 // uvarint(len+1) with 0 meaning nil, so the decoder reproduces the
-// encoder's nil-vs-empty distinction exactly (the JSON codec preserves
-// it too, via null vs []).
+// encoder's nil-vs-empty distinction exactly.
 type binWriter struct {
 	b []byte
 }
@@ -379,7 +363,7 @@ func (r *binReader) options() WireOptions {
 
 // projection writes the projected pre-pass payload — exactly the fields
 // ProjectionDigest hashes, so the digest is a pure function of this
-// section's bytes regardless of the request's transport codec.
+// section's bytes.
 func (w *binWriter) projection(req *MatchRequest) {
 	w.bool(req.HasCandidates)
 	w.slice(len(req.Candidates), req.Candidates == nil)
@@ -566,8 +550,7 @@ const (
 
 // EncodeBinaryMatchRequest renders a match request in the binary wire
 // format. The result decodes back to a structurally identical
-// MatchRequest (including nil-vs-empty slice distinctions), which is what
-// makes the binary and JSON transports interchangeable above the parse.
+// MatchRequest (including nil-vs-empty slice distinctions).
 func EncodeBinaryMatchRequest(req *MatchRequest) []byte {
 	w := &binWriter{b: make([]byte, 0, 256)}
 	w.u8(binaryVersion)
@@ -643,18 +626,15 @@ func DecodeBinaryMatchResponse(b []byte) (*MatchResponse, error) {
 // ProjectionDigest content-addresses a request's projected pre-pass
 // payload: a hash over the BINARY encoding of (HasCandidates, Candidates,
 // HasClusters, Clusters, Iterations). Both sides compute it from wire
-// structs, so the address is independent of the transport codec — a
-// projection cached off a binary request is found by a JSON request with
-// the same shape, and vice versa. The shard recomputes the digest over
-// every full payload it caches, so a corrupt or mislabelled projection is
-// rejected (400) instead of poisoning the cache.
+// structs. The shard recomputes the digest over every full payload it
+// caches, so a corrupt or mislabelled projection is rejected (400) instead
+// of poisoning the cache.
 func ProjectionDigest(req *MatchRequest) string {
 	// Canonicalize the top-level nil-vs-empty distinction before hashing:
-	// Candidates/Clusters are omitempty on the JSON wire, so an encoder's
-	// empty-but-non-nil slice (a zero-cluster projection) arrives as nil —
-	// the digest must hash both spellings identically or a legitimate JSON
-	// request would fail the shard's recomputation. The flags still
-	// distinguish "no projection" from "empty projection".
+	// an empty-but-non-nil slice (a zero-cluster projection) and nil — what
+	// the structs' omitempty JSON reference form decodes to — must hash
+	// identically. The flags still distinguish "no projection" from "empty
+	// projection".
 	c := *req
 	if len(c.Candidates) == 0 {
 		c.Candidates = nil

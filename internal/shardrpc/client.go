@@ -8,15 +8,12 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"bellflower/internal/cluster"
 	"bellflower/internal/labeling"
-	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
 	"bellflower/internal/schema"
 	"bellflower/internal/serve"
@@ -31,14 +28,6 @@ import (
 // server's 409 maps back to this error).
 var ErrDescriptorMismatch = fmt.Errorf("shardrpc: shard descriptor mismatch: %w", serve.ErrShardMismatch)
 
-// Codec modes accepted by RemoteShardConfig.Codec.
-const (
-	// CodecAuto negotiates: binary (and projection references) when the
-	// shard's stats handshake advertises it, JSON otherwise — the mode
-	// that makes rolling upgrades safe.
-	CodecAuto = "auto"
-)
-
 // RemoteShardConfig tunes one remote shard client.
 type RemoteShardConfig struct {
 	// Timeout bounds each match attempt on top of the request context (a
@@ -52,13 +41,6 @@ type RemoteShardConfig struct {
 	// MaxConcurrent is the shard's advertised request capacity
 	// (CapacityHint), sizing the router's batch fan-out. Default 16.
 	MaxConcurrent int
-
-	// Codec selects the match-request codec: CodecAuto (default)
-	// negotiates via the stats handshake; CodecBinary forces binary (and
-	// projection references) without waiting for a handshake; CodecJSON
-	// pins the legacy JSON surface — full payloads, no projection
-	// references — exactly what a pre-codec client sends.
-	Codec string
 
 	// HTTPClient overrides the transport (tests inject
 	// httptest.Server.Client()). By default the client builds a dedicated
@@ -106,11 +88,9 @@ func newShardTransportClient(maxConcurrent int) *http.Client {
 // with a ShardError instead of a failed request. Remote 504/503 map back
 // to context.DeadlineExceeded / serve.ErrClosed so the daemon's status
 // mapping and the router's strict mode treat remote shards like local
-// ones. Two responses are protocol turns rather than failures and are
+// ones. One response is a protocol turn rather than a failure and is
 // handled inside the attempt, on the same endpoint: 428
-// (projection-needed — resend with the full projection) and 415 under
-// auto negotiation (the shard stopped speaking binary — fall back to
-// JSON and stay there until a handshake re-advertises).
+// (projection-needed — resend with the full projection).
 type RemoteShard struct {
 	base string
 	view *labeling.View
@@ -121,16 +101,11 @@ type RemoteShard struct {
 	closed       atomic.Bool
 	unreachables atomic.Int64 // REQUESTS that exhausted their attempts without an HTTP response
 
-	// binaryOK tracks the negotiated capability: set when the shard's
-	// stats handshake (Check, health probes, stats scrapes) advertises
-	// the binary codec, cleared when it stops — or when a binary request
-	// bounces with 415 (a rolled-back shard mid-flight).
-	binaryOK atomic.Bool
-
 	// projKnown holds the projection digests this shard has confirmed
 	// cached (any 200 to a request that carried the digest). A slim
 	// request (ProjectionRef) is sent only for known digests; a 428
-	// forgets the digest and retries with the full payload.
+	// forgets the digest and retries with the full payload. The set is
+	// cleared when it reaches maxKnownProjections.
 	projMu    sync.Mutex
 	projKnown map[string]struct{}
 
@@ -157,9 +132,6 @@ func NewRemoteShard(addr string, view *labeling.View, desc Descriptor, cfg Remot
 	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 16
-	}
-	if cfg.Codec == "" {
-		cfg.Codec = CodecAuto
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
@@ -192,19 +164,11 @@ func (rs *RemoteShard) Close() {
 	rs.hc.CloseIdleConnections()
 }
 
-// useBinary reports whether the next request goes out in the binary
-// codec; binary capability also gates projection references (a shard
-// advertising the codec resolves them too).
-func (rs *RemoteShard) useBinary() bool {
-	switch rs.cfg.Codec {
-	case CodecBinary:
-		return true
-	case CodecJSON:
-		return false
-	default:
-		return rs.binaryOK.Load()
-	}
-}
+// maxKnownProjections bounds projKnown. The shard's own projection cache
+// holds far fewer entries (serve's projectionCacheSize), so almost every
+// remembered digest is stale long before the cap; clearing the set costs at
+// most one full-payload resend per digest that was still live.
+const maxKnownProjections = 4096
 
 func (rs *RemoteShard) knowsProjection(hash string) bool {
 	rs.projMu.Lock()
@@ -216,6 +180,9 @@ func (rs *RemoteShard) knowsProjection(hash string) bool {
 func (rs *RemoteShard) markProjection(hash string) {
 	rs.projMu.Lock()
 	defer rs.projMu.Unlock()
+	if len(rs.projKnown) >= maxKnownProjections {
+		clear(rs.projKnown)
+	}
 	rs.projKnown[hash] = struct{}{}
 }
 
@@ -225,57 +192,15 @@ func (rs *RemoteShard) forgetProjection(hash string) {
 	delete(rs.projKnown, hash)
 }
 
-// noteCodecs records the shard's codec advertisement from a stats
-// handshake. An empty advertisement is a pre-codec (or JSON-only) shard.
-func (rs *RemoteShard) noteCodecs(codecs []string) {
-	rs.binaryOK.Store(slices.Contains(codecs, CodecBinary))
-}
-
-// Match implements serve.ShardBackend over the wire (full per-shard
-// pipeline on the remote side).
-func (rs *RemoteShard) Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
-	return rs.match(ctx, personal, opts, nil, false, nil, false, 0)
-}
-
-// MatchWithCandidates implements serve.ShardBackend over the wire.
-func (rs *RemoteShard) MatchWithCandidates(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates) (*pipeline.Report, error) {
-	if cands == nil {
-		return nil, fmt.Errorf("shardrpc: MatchWithCandidates needs a candidate set")
-	}
-	return rs.match(ctx, personal, opts, cands, true, nil, false, 0)
-}
-
-// MatchWithClusters implements serve.ShardBackend over the wire — the
-// router's pre-pass path: projected candidates and translated clusters
-// ship in local-ID space, the remote shard runs generation only.
-func (rs *RemoteShard) MatchWithClusters(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) (*pipeline.Report, error) {
-	if cands == nil {
-		return nil, fmt.Errorf("shardrpc: MatchWithClusters needs a candidate set")
-	}
-	if clusters == nil {
-		return nil, fmt.Errorf("shardrpc: MatchWithClusters needs a cluster slice (possibly empty, never nil)")
-	}
-	return rs.match(ctx, personal, opts, cands, true, clusters, true, iterations)
-}
-
-func (rs *RemoteShard) match(ctx context.Context, personal *schema.Tree, opts pipeline.Options,
-	cands *matcher.Candidates, hasCands bool, clusters []*cluster.Cluster, hasClusters bool, iterations int) (*pipeline.Report, error) {
+// MatchStaged implements serve.ShardBackend over the wire. With a staged
+// projection — the router's pre-pass path — the projected candidates and
+// clusters ship in local-ID space and the remote shard runs generation
+// only; the zero Staged asks for the remote shard's full pipeline.
+func (rs *RemoteShard) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*pipeline.Report, error) {
 	if rs.closed.Load() {
 		return nil, serve.ErrClosed
 	}
-	if personal == nil || personal.Root() == nil {
-		return nil, fmt.Errorf("shardrpc: nil personal schema")
-	}
-	encStart := time.Now()
-	_, esp := trace.StartSpan(ctx, "rpc.encode")
-	enc, err := rs.encodeRequest(personal, opts, cands, hasCands, clusters, hasClusters, iterations)
-	if err == nil {
-		// Pre-marshal the body the first attempt will most likely send, so
-		// the encode timer prices the real serialization work.
-		enc.body(rs.useBinary(), rs.slimEligible(enc))
-	}
-	esp.End()
-	rs.stEncode.Observe(time.Since(encStart))
+	enc, err := rs.encode(ctx, personal, opts, staged)
 	if err != nil {
 		return nil, err
 	}
@@ -310,68 +235,47 @@ func (rs *RemoteShard) match(ctx context.Context, personal *schema.Tree, opts pi
 }
 
 // encodedRequest is one match request translated to wire structs, with
-// its projection digest and lazily marshalled bodies per (codec, slim)
-// shape. Replicas of one shard share a single encodedRequest — they hold
-// the same view and descriptor — while each picks the body its own
-// negotiation state calls for.
+// its projection digest and lazily marshalled bodies: the full request and,
+// when a projection is staged, the slim one that references it by digest.
+// Replicas of one shard share a single encodedRequest — they hold the same
+// view and descriptor — while each picks the body its own projection
+// knowledge calls for. One request's attempts run one after another, so the
+// bodies need no lock.
 type encodedRequest struct {
-	req  MatchRequest
-	hash string // projection digest; "" when no projection is staged
-
-	mu     sync.Mutex
-	bodies map[string][]byte
+	req        MatchRequest
+	hash       string // projection digest; "" when no projection is staged
+	full, slim []byte
 }
 
-// body marshals (and caches) the request in the given shape. slim strips
-// the projection payload and sets ProjectionRef — valid only when hash is
-// non-empty.
-func (e *encodedRequest) body(binary, slim bool) []byte {
-	key := "j"
-	if binary {
-		key = "b"
-	}
+// body marshals (and keeps) the request in the given shape. slim sets
+// ProjectionRef, which leaves the projection payload out of the encoding —
+// valid only when hash is non-empty.
+func (e *encodedRequest) body(slim bool) []byte {
+	b := &e.full
 	if slim {
-		key += "s"
+		b = &e.slim
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if b, ok := e.bodies[key]; ok {
-		return b
+	if *b == nil {
+		req := e.req
+		req.ProjectionRef = slim
+		*b = EncodeBinaryMatchRequest(&req)
 	}
-	req := e.req
-	if slim {
-		req.ProjectionRef = true
-		req.HasCandidates = false
-		req.Candidates = nil
-		req.HasClusters = false
-		req.Clusters = nil
-		req.Iterations = 0
-	} else if !binary {
-		// The full JSON body is the LEGACY surface — byte-compatible with
-		// what a pre-codec client sends. A pre-codec shard decodes with
-		// DisallowUnknownFields, so the projection-cache fields must not
-		// appear (JSON is only ever spoken to shards that did not
-		// negotiate binary, which includes every pre-codec build).
-		req.ProjectionHash = ""
-	}
-	var b []byte
-	if binary {
-		b = EncodeBinaryMatchRequest(&req)
-	} else {
-		// Marshalling wire structs cannot fail: every field is a plain
-		// value type.
-		b, _ = json.Marshal(req)
-	}
-	if e.bodies == nil {
-		e.bodies = make(map[string][]byte, 2)
-	}
-	e.bodies[key] = b
-	return b
+	return *b
 }
 
-// encodeRequest builds the wire request and its projection digest.
-func (rs *RemoteShard) encodeRequest(personal *schema.Tree, opts pipeline.Options,
-	cands *matcher.Candidates, hasCands bool, clusters []*cluster.Cluster, hasClusters bool, iterations int) (*encodedRequest, error) {
+// encode translates one request to the wire — structs, projection digest
+// and the body the first attempt will most likely send, so the encode
+// timer prices the real serialization work.
+func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*encodedRequest, error) {
+	if personal == nil || personal.Root() == nil {
+		return nil, fmt.Errorf("shardrpc: nil personal schema")
+	}
+	start := time.Now()
+	_, esp := trace.StartSpan(ctx, "rpc.encode")
+	defer func() {
+		esp.End()
+		rs.stEncode.Observe(time.Since(start))
+	}()
 	wopts, err := EncodeOptions(opts)
 	if err != nil {
 		return nil, err
@@ -381,46 +285,36 @@ func (rs *RemoteShard) encodeRequest(personal *schema.Tree, opts pipeline.Option
 		Personal:   EncodeTree(personal),
 		Signature:  serve.Signature(personal, opts),
 		Options:    wopts,
-		Iterations: iterations,
 	}}
-	if hasCands {
-		enc.req.HasCandidates = true
-		if enc.req.Candidates, err = EncodeCandidates(rs.view, cands); err != nil {
+	if staged.Cands != nil {
+		enc.req.HasCandidates, enc.req.HasClusters = true, true
+		enc.req.Iterations = staged.Iterations
+		if enc.req.Candidates, err = EncodeCandidates(rs.view, staged.Cands); err != nil {
 			return nil, err
 		}
-	}
-	if hasClusters {
-		enc.req.HasClusters = true
-		if enc.req.Clusters, err = EncodeClusters(rs.view, clusters); err != nil {
+		if enc.req.Clusters, err = EncodeClusters(rs.view, staged.Clusters); err != nil {
 			return nil, err
 		}
-	}
-	if hasCands {
 		enc.hash = ProjectionDigest(&enc.req)
 		enc.req.ProjectionHash = enc.hash
 	}
+	enc.body(rs.slim(enc))
 	return enc, nil
 }
 
-// slimEligible reports whether projection references may be used for this
-// request at all: there must be a staged projection, and the shard must
-// have negotiated the capability (forced-JSON clients never slim — that
-// is the legacy surface).
-func (rs *RemoteShard) slimEligible(enc *encodedRequest) bool {
-	return enc.hash != "" && rs.useBinary()
+// slim reports whether this shard is known to hold the request's staged
+// projection, so the request may reference it instead of shipping it.
+func (rs *RemoteShard) slim(enc *encodedRequest) bool {
+	return enc.hash != "" && rs.knowsProjection(enc.hash)
 }
 
 // send runs one HTTP exchange.
-func (rs *RemoteShard) send(cctx, rctx context.Context, body []byte, binary bool) (*http.Response, error) {
+func (rs *RemoteShard) send(cctx, rctx context.Context, body []byte) (*http.Response, error) {
 	hreq, err := http.NewRequestWithContext(cctx, http.MethodPost, rs.base+"/v1/shard/match", bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("shardrpc: %w", err)
 	}
-	if binary {
-		hreq.Header.Set("Content-Type", ContentTypeBinary)
-	} else {
-		hreq.Header.Set("Content-Type", ContentTypeJSON)
-	}
+	hreq.Header.Set("Content-Type", ContentTypeBinary)
 	if hv := trace.HeaderValue(rctx); hv != "" {
 		hreq.Header.Set(trace.Header, hv)
 	}
@@ -429,10 +323,10 @@ func (rs *RemoteShard) send(cctx, rctx context.Context, body []byte, binary bool
 
 // post runs one match attempt. transport reports whether the failure
 // happened below the protocol (no HTTP response decoded), i.e. whether a
-// retry could help. Protocol turns — 428 projection-needed, 415 under
-// auto negotiation — are resolved inside the attempt, on this same
-// endpoint: they are answers, not failures, so they must not trigger
-// replica failover or count against health.
+// retry could help. The one protocol turn — 428 projection-needed — is
+// resolved inside the attempt, on this same endpoint: it is an answer, not
+// a failure, so it must not trigger replica failover or count against
+// health.
 func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipeline.Report, transport bool, err error) {
 	cctx := ctx
 	if rs.cfg.Timeout > 0 {
@@ -446,41 +340,21 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 	rctx, rsp := trace.StartSpan(cctx, "rpc.roundtrip")
 	defer rsp.End()
 
-	binary := rs.useBinary()
-	slim := rs.slimEligible(enc) && rs.knowsProjection(enc.hash)
+	slim := rs.slim(enc)
 	rtStart := time.Now()
-	resp, err := rs.send(cctx, rctx, enc.body(binary, slim), binary)
-	if err != nil {
-		rsp.SetAttr("error", err.Error())
-		return nil, true, fmt.Errorf("shardrpc: shard %s unreachable: %w", rs.base, err)
-	}
-	if resp.StatusCode == http.StatusPreconditionRequired && slim {
+	resp, err := rs.send(cctx, rctx, enc.body(slim))
+	if err == nil && resp.StatusCode == http.StatusPreconditionRequired && slim {
 		// Projection-needed: the shard no longer holds the projection
 		// (restart, eviction). Resend with the payload inlined — same
 		// endpoint, same attempt.
 		drain(resp)
 		rs.forgetProjection(enc.hash)
 		rsp.SetAttr("projection", "resent")
-		slim = false
-		resp, err = rs.send(cctx, rctx, enc.body(binary, false), binary)
-		if err != nil {
-			rsp.SetAttr("error", err.Error())
-			return nil, true, fmt.Errorf("shardrpc: shard %s unreachable: %w", rs.base, err)
-		}
+		resp, err = rs.send(cctx, rctx, enc.body(false))
 	}
-	if resp.StatusCode == http.StatusUnsupportedMediaType && binary && rs.cfg.Codec != CodecBinary {
-		// The shard stopped speaking binary (rolled back mid-upgrade).
-		// Fall back to the legacy JSON surface for this and later requests
-		// until a stats handshake re-advertises the codec.
-		drain(resp)
-		rs.binaryOK.Store(false)
-		rsp.SetAttr("codec", "json-fallback")
-		binary, slim = false, false
-		resp, err = rs.send(cctx, rctx, enc.body(false, false), false)
-		if err != nil {
-			rsp.SetAttr("error", err.Error())
-			return nil, true, fmt.Errorf("shardrpc: shard %s unreachable: %w", rs.base, err)
-		}
+	if err != nil {
+		rsp.SetAttr("error", err.Error())
+		return nil, true, fmt.Errorf("shardrpc: shard %s unreachable: %w", rs.base, err)
 	}
 	rs.stRoundtrip.Observe(time.Since(rtStart))
 	defer resp.Body.Close()
@@ -491,20 +365,12 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 
 	decStart := time.Now()
 	_, dsp := trace.StartSpan(rctx, "rpc.decode")
-	var mr MatchResponse
-	if resp.Header.Get("Content-Type") == ContentTypeBinary {
-		raw, rerr := io.ReadAll(io.LimitReader(resp.Body, maxMatchBody))
-		if rerr == nil {
-			var pm *MatchResponse
-			if pm, rerr = DecodeBinaryMatchResponse(raw); rerr == nil {
-				mr = *pm
-			}
-		}
-		if rerr != nil {
-			dsp.End()
-			return nil, true, fmt.Errorf("shardrpc: shard %s: bad response: %w", rs.base, rerr)
-		}
-	} else if err := json.NewDecoder(io.LimitReader(resp.Body, maxMatchBody)).Decode(&mr); err != nil {
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxMatchBody))
+	var mr *MatchResponse
+	if err == nil {
+		mr, err = DecodeBinaryMatchResponse(raw)
+	}
+	if err != nil {
 		dsp.End()
 		return nil, true, fmt.Errorf("shardrpc: shard %s: bad response: %w", rs.base, err)
 	}
@@ -516,7 +382,7 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 	}
 	// The shard served a request that carried the projection digest — it
 	// now holds the projection, so later identical shapes can go slim.
-	if rs.slimEligible(enc) {
+	if enc.hash != "" {
 		rs.markProjection(enc.hash)
 	}
 	// Stitch the shard-side spans into the caller's trace. A decode
@@ -564,9 +430,7 @@ func (rs *RemoteShard) statusError(resp *http.Response) error {
 // Check probes the shard server's health and verifies that it hosts
 // exactly the shard this client was built for — the descriptor handshake
 // that catches topology mismatches (wrong -shard-of index, different
-// partition strategy, different repository) at wiring time. The same
-// exchange negotiates the wire codec: the shard's advertisement decides
-// whether this client sends binary payloads and projection references.
+// partition strategy, different repository) at wiring time.
 func (rs *RemoteShard) Check(ctx context.Context) error {
 	sr, err := rs.fetchStats(ctx)
 	if err != nil {
@@ -645,8 +509,5 @@ func (rs *RemoteShard) fetchStats(ctx context.Context) (StatsResponse, error) {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sr); err != nil {
 		return sr, fmt.Errorf("shardrpc: shard %s: bad stats response: %w", rs.base, err)
 	}
-	// Every stats exchange refreshes the codec negotiation — health
-	// probes keep it current through upgrades and rollbacks.
-	rs.noteCodecs(sr.Codecs)
 	return sr, nil
 }

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
-	"strings"
 	"testing"
 
 	"bellflower/internal/matcher"
@@ -36,36 +36,48 @@ func postRaw(t *testing.T, srv *httptest.Server, ct string, body []byte) *http.R
 	return resp
 }
 
-// stagedFixture returns a staged-candidates request shape against ts — the
-// projection-carrying path the cache protocol runs on.
-func stagedFixture(t *testing.T, ts *testShard) (*schema.Tree, pipeline.Options, *matcher.Candidates) {
+// stagedFixture returns a request shape with the router's pre-pass staged
+// for ts's shard — the projection-carrying path the cache protocol runs on.
+func stagedFixture(t *testing.T, ts *testShard) (*schema.Tree, pipeline.Options, serve.Staged) {
 	t.Helper()
 	personal := schema.MustParseSpec("address(name,email)")
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.35
-	cands := matcher.FindCandidates(personal, ts.clientRepo, matcher.NameMatcher{}, matcher.Config{MinSim: opts.MinSim}).
-		Restrict(ts.clientView.Contains)
-	return personal, opts, cands
-}
-
-// TestShardServerContentType pins the codec dispatch: the declared
-// Content-Type decides the decoder, a mismatched or unknown one is
-// rejected (415 unknown, 400 when the body does not decode in the
-// declared codec), and the response mirrors the request codec while error
-// bodies stay JSON.
-func TestShardServerContentType(t *testing.T) {
-	ts := shardUnderTest(t)
-	personal := schema.MustParseSpec("book(title,author)")
-	goodOpts, err := EncodeOptions(pipeline.DefaultOptions())
+	cands := matcher.FindCandidates(personal, ts.clientRepo, matcher.NameMatcher{}, matcher.Config{MinSim: opts.MinSim})
+	clusters, iterations, err := pipeline.ComputeClusters(ts.clientIx, cands, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := MatchRequest{Descriptor: ts.host.Descriptor(), Personal: EncodeTree(personal), Options: goodOpts}
+	return personal, opts, serve.Staged{
+		Cands:      cands.Restrict(ts.clientView.Contains),
+		Clusters:   clustersForView(ts.clientView, clusters),
+		Iterations: iterations,
+	}
+}
+
+// TestShardServerContentType pins the wire edge of /v1/shard/match: only
+// the binary media type is served (anything else, an absent header
+// included, is 415 — never guessed at), a body that does not decode as
+// binary version 1 is 400, candidates and clusters are staged together or
+// not at all, success responses are binary and error bodies JSON.
+func TestShardServerContentType(t *testing.T) {
+	ts := shardUnderTest(t)
+	personal, opts, staged := stagedFixture(t, ts)
+	enc, err := ts.rs.encode(context.Background(), personal, opts, staged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := enc.req
+	binBody := EncodeBinaryMatchRequest(&good)
 	jsonBody, err := json.Marshal(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binBody := EncodeBinaryMatchRequest(&good)
+	badVersion := append([]byte{binaryVersion + 1}, binBody[1:]...)
+	candsOnly := good
+	candsOnly.HasClusters, candsOnly.Clusters, candsOnly.ProjectionHash = false, nil, ""
+	clustersOnly := good
+	clustersOnly.HasCandidates, clustersOnly.Candidates, clustersOnly.ProjectionHash = false, nil, ""
 
 	cases := []struct {
 		name string
@@ -73,14 +85,17 @@ func TestShardServerContentType(t *testing.T) {
 		body []byte
 		want int
 	}{
-		{"unknown media type", "text/plain", jsonBody, http.StatusUnsupportedMediaType},
-		{"unparseable content type", ";;;", jsonBody, http.StatusUnsupportedMediaType},
-		{"binary body labeled json", ContentTypeJSON, binBody, http.StatusBadRequest},
+		{"unknown media type", "text/plain", binBody, http.StatusUnsupportedMediaType},
+		{"unparseable content type", ";;;", binBody, http.StatusUnsupportedMediaType},
+		{"absent content type", "", binBody, http.StatusUnsupportedMediaType},
+		{"json", "application/json", jsonBody, http.StatusUnsupportedMediaType},
+		{"json with charset parameter", "application/json; charset=utf-8", jsonBody, http.StatusUnsupportedMediaType},
 		{"json body labeled binary", ContentTypeBinary, jsonBody, http.StatusBadRequest},
-		{"json with charset parameter", "application/json; charset=utf-8", jsonBody, http.StatusOK},
-		{"absent content type defaults to json", "", jsonBody, http.StatusOK},
+		{"bad version byte", ContentTypeBinary, badVersion, http.StatusBadRequest},
+		{"candidates without clusters", ContentTypeBinary, EncodeBinaryMatchRequest(&candsOnly), http.StatusBadRequest},
+		{"clusters without candidates", ContentTypeBinary, EncodeBinaryMatchRequest(&clustersOnly), http.StatusBadRequest},
 		{"binary", ContentTypeBinary, binBody, http.StatusOK},
-		{"json", ContentTypeJSON, jsonBody, http.StatusOK},
+		{"binary with parameter", ContentTypeBinary + "; v=1", binBody, http.StatusOK},
 	}
 	for _, tc := range cases {
 		resp := postRaw(t, ts.srv, tc.ct, tc.body)
@@ -88,123 +103,30 @@ func TestShardServerContentType(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 			continue
 		}
-		wantCT := ContentTypeJSON
-		if tc.want == http.StatusOK && tc.ct == ContentTypeBinary {
-			wantCT = ContentTypeBinary
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := resp.Header.Get("Content-Type"); got != wantCT {
-			t.Errorf("%s: response Content-Type %q, want %q", tc.name, got, wantCT)
-		}
-		if tc.want == http.StatusOK && tc.ct == ContentTypeBinary {
-			raw, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
+		if tc.want == http.StatusOK {
+			if got := resp.Header.Get("Content-Type"); got != ContentTypeBinary {
+				t.Errorf("%s: response Content-Type %q, want %q", tc.name, got, ContentTypeBinary)
 			}
 			if _, err := DecodeBinaryMatchResponse(raw); err != nil {
 				t.Errorf("%s: undecodable binary response: %v", tc.name, err)
 			}
+			continue
+		}
+		var e errorJSON
+		if got := resp.Header.Get("Content-Type"); got != "application/json" || json.Unmarshal(raw, &e) != nil || e.Error == "" {
+			t.Errorf("%s: error body %q (%s) is not the JSON error form", tc.name, raw, got)
 		}
 	}
 
-	// Both directions of both codecs were exercised above.
+	// Only bodies that passed the media-type gate are counted, and only as
+	// binary.
 	wb := ts.host.Stats().WireBytes
-	if wb.InJSON == 0 || wb.InBinary == 0 || wb.OutJSON == 0 || wb.OutBinary == 0 {
-		t.Errorf("wire byte counters missed traffic: %+v", wb)
-	}
-}
-
-// TestShardServerJSONOnly pins the legacy surface emulation: a JSON-only
-// shard rejects binary bodies with 415 and the projection-cache fields
-// like the unknown fields they are to a pre-codec decoder, advertises no
-// codecs, and an auto client negotiates down to JSON against it —
-// including falling back mid-flight when its negotiation state is stale.
-func TestShardServerJSONOnly(t *testing.T) {
-	ts := shardUnderTest(t, (*ShardServer).SetJSONOnly)
-	personal := schema.MustParseSpec("book(title,author)")
-	goodOpts, err := EncodeOptions(pipeline.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := MatchRequest{Descriptor: ts.host.Descriptor(), Personal: EncodeTree(personal), Options: goodOpts}
-	jsonBody, err := json.Marshal(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if resp := postRaw(t, ts.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&good)); resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Errorf("binary against JSON-only shard: %d, want 415", resp.StatusCode)
-	}
-	if resp := postRaw(t, ts.srv, ContentTypeJSON, jsonBody); resp.StatusCode != http.StatusOK {
-		t.Errorf("legacy JSON request: %d, want 200", resp.StatusCode)
-	}
-	hashed := good
-	hashed.ProjectionHash = "deadbeef"
-	if b, _ := json.Marshal(hashed); postRaw(t, ts.srv, ContentTypeJSON, b).StatusCode != http.StatusBadRequest {
-		t.Error("JSON-only shard accepted a projection hash a pre-codec decoder would reject")
-	}
-	ref := good
-	ref.ProjectionRef = true
-	ref.ProjectionHash = "deadbeef"
-	if b, _ := json.Marshal(ref); postRaw(t, ts.srv, ContentTypeJSON, b).StatusCode != http.StatusBadRequest {
-		t.Error("JSON-only shard accepted a projection reference")
-	}
-
-	// No codec advertisement — indistinguishable from a pre-codec build.
-	if cs := ts.host.Codecs(); cs != nil {
-		t.Errorf("JSON-only shard advertises %v", cs)
-	}
-	sresp, err := http.Get(ts.srv.URL + "/v1/shard/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var sr StatsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	if len(sr.Codecs) != 0 {
-		t.Errorf("stats handshake advertises %v, want nothing", sr.Codecs)
-	}
-
-	// An auto client handshakes down to JSON and serves normally.
-	if err := ts.rs.Check(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if ts.rs.useBinary() {
-		t.Error("auto client negotiated binary against a JSON-only shard")
-	}
-	staged, opts, cands := stagedFixture(t, ts)
-	if _, err := ts.rs.MatchWithCandidates(context.Background(), staged, opts, cands); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rollback tolerance: a client whose negotiation state is stale (the
-	// shard rolled back after advertising binary) gets a 415, falls back
-	// to JSON inside the same attempt, and clears the capability — no
-	// failed request, no unreachable mark.
-	ts.rs.binaryOK.Store(true)
-	if _, err := ts.rs.MatchWithCandidates(context.Background(), staged, opts, cands); err != nil {
-		t.Fatalf("stale binary negotiation did not fall back: %v", err)
-	}
-	if ts.rs.useBinary() {
-		t.Error("415 did not clear the negotiated capability")
-	}
-	if n := ts.rs.unreachables.Load(); n != 0 {
-		t.Errorf("codec fallback charged %d unreachable requests", n)
-	}
-	wb := ts.host.Stats().WireBytes
-	if wb.InBinary != 0 || wb.OutBinary != 0 {
-		t.Errorf("JSON-only shard counted binary wire bytes: %+v", wb)
-	}
-	if wb.InJSON == 0 || wb.OutJSON == 0 {
-		t.Errorf("JSON traffic not counted: %+v", wb)
-	}
-
-	// A client FORCED to binary must fail loudly instead of degrading.
-	rsb := NewRemoteShard(ts.srv.URL, ts.clientView, ts.host.Descriptor(), RemoteShardConfig{Codec: CodecBinary})
-	defer rsb.Close()
-	if _, err := rsb.Match(context.Background(), personal, pipeline.DefaultOptions()); err == nil || !strings.Contains(err.Error(), "415") {
-		t.Errorf("forced binary against JSON-only shard: err = %v, want HTTP 415", err)
+	if wb.InBinary == 0 || wb.OutBinary == 0 || wb.InJSON != 0 || wb.OutJSON != 0 {
+		t.Errorf("wire byte counters %+v, want binary traffic only", wb)
 	}
 }
 
@@ -215,15 +137,14 @@ func TestShardServerJSONOnly(t *testing.T) {
 // 428 protocol turn inside the same attempt.
 func TestProjectionCacheProtocol(t *testing.T) {
 	ts := shardUnderTest(t)
-	rs := NewRemoteShard(ts.srv.URL, ts.clientView, ts.host.Descriptor(), RemoteShardConfig{Codec: CodecBinary})
-	defer rs.Close()
-	personal, opts, cands := stagedFixture(t, ts)
+	rs := ts.rs
+	personal, opts, staged := stagedFixture(t, ts)
 
-	first, err := rs.MatchWithCandidates(context.Background(), personal, opts, cands)
+	first, err := rs.MatchStaged(context.Background(), personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := rs.encodeRequest(personal, opts, cands, true, nil, false, 0)
+	enc, err := rs.encode(context.Background(), personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +157,12 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	if st := ts.host.Stats(); st.ProjectionCacheHits != 0 || st.ProjectionCacheMisses != 0 {
 		t.Fatalf("full request touched the projection cache: hits=%d misses=%d", st.ProjectionCacheHits, st.ProjectionCacheMisses)
 	}
-	fullLen, slimLen := len(enc.body(true, false)), len(enc.body(true, true))
+	fullLen, slimLen := len(enc.body(false)), len(enc.body(true))
 	if slimLen >= fullLen {
 		t.Fatalf("slim body (%d bytes) not smaller than full (%d bytes)", slimLen, fullLen)
 	}
 
-	second, err := rs.MatchWithCandidates(context.Background(), personal, opts, cands)
+	second, err := rs.MatchStaged(context.Background(), personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +181,10 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	// the digest is cached. The slim request bounces 428 and the client
 	// resends the full payload on the same endpoint, in the same attempt.
 	ts2 := shardUnderTest(t)
-	rs2 := NewRemoteShard(ts2.srv.URL, ts.clientView, ts2.host.Descriptor(), RemoteShardConfig{Codec: CodecBinary})
+	rs2 := NewRemoteShard(ts2.srv.URL, ts.clientView, ts2.host.Descriptor(), RemoteShardConfig{})
 	defer rs2.Close()
 	rs2.markProjection(enc.hash) // stale knowledge, as after a shard restart
-	third, err := rs2.MatchWithCandidates(context.Background(), personal, opts, cands)
+	third, err := rs2.MatchStaged(context.Background(), personal, opts, staged)
 	if err != nil {
 		t.Fatalf("projection-needed turn did not recover: %v", err)
 	}
@@ -277,7 +198,7 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	if !rs2.knowsProjection(enc.hash) {
 		t.Error("digest not re-learned after the full resend")
 	}
-	if _, err := rs2.MatchWithCandidates(context.Background(), personal, opts, cands); err != nil {
+	if _, err := rs2.MatchStaged(context.Background(), personal, opts, staged); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := ts2.host.Stats(); st2.ProjectionCacheHits != 1 {
@@ -316,7 +237,7 @@ func TestProjectionCacheProtocol(t *testing.T) {
 // drained).
 func TestRemoteShardConnectionReuse(t *testing.T) {
 	ts := shardUnderTest(t)
-	rs := NewRemoteShard(ts.srv.URL, ts.clientView, ts.host.Descriptor(), RemoteShardConfig{Codec: CodecBinary, MaxConcurrent: 8})
+	rs := NewRemoteShard(ts.srv.URL, ts.clientView, ts.host.Descriptor(), RemoteShardConfig{MaxConcurrent: 8})
 	defer rs.Close()
 	tr, ok := rs.hc.Transport.(*http.Transport)
 	if !ok {
@@ -335,10 +256,10 @@ func TestRemoteShardConnectionReuse(t *testing.T) {
 			}
 		},
 	})
-	personal, opts, cands := stagedFixture(t, ts)
+	personal, opts, staged := stagedFixture(t, ts)
 	const n = 4
 	for i := 0; i < n; i++ {
-		if _, err := rs.MatchWithCandidates(ctx, personal, opts, cands); err != nil {
+		if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,5 +268,53 @@ func TestRemoteShardConnectionReuse(t *testing.T) {
 	}
 	if reused < n-2 {
 		t.Errorf("only %d/%d requests reused a pooled connection", reused, conns)
+	}
+}
+
+// TestProjKnownBounded: the client's memory of which projections a shard
+// holds is capped — ten caps' worth of distinct projections never leaves
+// more than maxKnownProjections digests behind, and every request is still
+// answered (a forgotten digest costs one full-payload send, never an error).
+func TestProjKnownBounded(t *testing.T) {
+	ts := shardUnderTest(t)
+	rs := ts.rs
+	personal, opts, staged := stagedFixture(t, ts)
+	ctx := context.Background()
+
+	// Real round trips across the boundary where the set is cleared; the
+	// iteration count is part of the digest, so each request is a distinct
+	// projection (and, being outside the signature, a report-cache hit on
+	// the shard after the first).
+	for i := 0; i < maxKnownProjections-2; i++ {
+		rs.markProjection(fmt.Sprintf("filler-%d", i))
+	}
+	for i := 0; i < 5; i++ {
+		staged.Iterations = 1000 + i
+		if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
+			t.Fatalf("request %d across the cap: %v", i, err)
+		}
+		if n := len(rs.projKnown); n > maxKnownProjections {
+			t.Fatalf("projKnown holds %d digests after request %d, cap %d", n, i, maxKnownProjections)
+		}
+	}
+	// The latest digest survived the clear, so its repeat goes out slim.
+	hits := ts.host.Stats().ProjectionCacheHits
+	if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
+		t.Fatal(err)
+	}
+	if got := ts.host.Stats().ProjectionCacheHits; got != hits+1 {
+		t.Errorf("repeat after the clear: projection cache hits %d → %d, want a slim request", hits, got)
+	}
+
+	// Ten caps' worth of distinct digests.
+	for i := 0; i < 10*maxKnownProjections; i++ {
+		rs.markProjection(fmt.Sprintf("digest-%d", i))
+		if n := len(rs.projKnown); n > maxKnownProjections {
+			t.Fatalf("projKnown holds %d digests after %d marks, cap %d", n, i+1, maxKnownProjections)
+		}
+	}
+	// A digest the clear forgot is simply sent in full again.
+	if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
+		t.Fatalf("request after its digest was forgotten: %v", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -88,19 +87,14 @@ type shardFleet struct {
 	addrs   []string
 }
 
-// startFleet hosts the fleet; shards listed in jsonOnly are switched to
-// the legacy JSON-only wire surface before their handlers are mounted
-// (simulating not-yet-upgraded processes in a rolling upgrade).
-func startFleet(t testing.TB, nodes int, seed int64, n int, strategy bellflower.PartitionStrategy, jsonOnly ...int) *shardFleet {
+// startFleet hosts the fleet.
+func startFleet(t testing.TB, nodes int, seed int64, n int, strategy bellflower.PartitionStrategy) *shardFleet {
 	t.Helper()
 	f := &shardFleet{}
 	for i := 0; i < n; i++ {
 		host, err := bellflower.NewShardHost(freshRepo(t, nodes, seed), i, n, bellflower.ServiceConfig{Workers: 2}, strategy)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if slices.Contains(jsonOnly, i) {
-			host.SetJSONOnly()
 		}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/v1/shard/match", host.HandleMatch)
@@ -192,7 +186,7 @@ func TestDistributedEquivalence(t *testing.T) {
 				// The top-N engine, running over three workers inside the
 				// remote shard processes, must carry the same Δ sequence
 				// across the wire as the truncated unsharded enumeration. The
-				// deprecated flag rides along: it crosses both codecs, is in
+				// deprecated flag rides along: it crosses the wire, is in
 				// nobody's signature (the shard-side integrity check would
 				// answer 400 on drift) and changes nothing.
 				adaptive := topNOpts
@@ -215,7 +209,32 @@ func TestDistributedEquivalence(t *testing.T) {
 							tc.seed, strategy, shards, i, ad[i], dd[i])
 					}
 				}
+				// The same request again — whatever mix of report, pre-pass
+				// and projection caches serves it, the answer must not drift.
+				again, err := backend.Match(context.Background(), personal, opts)
+				if err != nil {
+					backend.Close()
+					t.Fatalf("seed %d %v shards=%d repeat: %v", tc.seed, strategy, shards, err)
+				}
+				if got := canonicalReport(again); got != want {
+					t.Errorf("seed %d %v shards=%d: repeated distributed report drifted", tc.seed, strategy, shards)
+				}
 				backend.Close()
+				// Every shard was reached, over the one codec; anything else is
+				// refused by media type, not guessed at.
+				for i, host := range fleet.hosts {
+					if wb := host.Stats().WireBytes; wb.InBinary == 0 || wb.OutBinary == 0 || wb.InJSON != 0 || wb.OutJSON != 0 {
+						t.Errorf("seed %d %v shards=%d: shard %d wire bytes %+v, want binary traffic only", tc.seed, strategy, shards, i, wb)
+					}
+				}
+				resp, err := http.Post(fleet.addrs[0]+"/v1/shard/match", "application/json", strings.NewReader("{}"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusUnsupportedMediaType {
+					t.Errorf("seed %d %v shards=%d: JSON match body answered %d, want 415", tc.seed, strategy, shards, resp.StatusCode)
+				}
 				fleet.stop()
 			}
 		}
@@ -318,7 +337,7 @@ func TestDistributedDescriptorMismatch(t *testing.T) {
 	desc.Strategy = "balanced" // doctored
 	rs := shardrpc.NewRemoteShard(fleet.addrs[0], views[0], desc, shardrpc.RemoteShardConfig{})
 	personal := schema.MustParseSpec("book(title,author)")
-	if _, err := rs.Match(context.Background(), personal, pipeline.DefaultOptions()); !errors.Is(err, shardrpc.ErrDescriptorMismatch) {
+	if _, err := rs.MatchStaged(context.Background(), personal, pipeline.DefaultOptions(), serve.Staged{}); !errors.Is(err, shardrpc.ErrDescriptorMismatch) {
 		t.Fatalf("doctored descriptor: err = %v, want ErrDescriptorMismatch", err)
 	}
 
@@ -379,7 +398,7 @@ func TestRemoteShardRetryOnce(t *testing.T) {
 	personal := schema.MustParseSpec("address(name,email)")
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.4
-	rep, err := rs.Match(context.Background(), personal, opts)
+	rep, err := rs.MatchStaged(context.Background(), personal, opts, serve.Staged{})
 	if err != nil {
 		t.Fatalf("retry did not rescue the request: %v", err)
 	}

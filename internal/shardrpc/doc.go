@@ -25,16 +25,24 @@
 // own repository nodes, after which merging is indistinguishable from the
 // in-process fan-out.
 //
+// /v1/shard/match speaks ONE codec, the length-prefixed binary encoding of
+// binary.go (Content-Type application/x-bellflower-shard; anything else is
+// 415). There is no negotiation: router and shards are deployed from the
+// same build. A repeated projection travels as its content hash alone; a
+// shard that no longer caches it answers 428 and the client resends the
+// payload in the same attempt. JSON remains for /v1/shard/stats and error
+// bodies.
+//
 // # Pieces
 //
 // ShardServer adapts one view-backed serve.Service to the two HTTP
 // endpoints (/v1/shard/match, /v1/shard/stats) that bellflower-server
 // exposes in -shard-of mode. RemoteShard is the client: it implements
-// serve.ShardBackend with per-attempt timeouts, one retry on transport
-// errors, and a Check health probe that verifies the remote descriptor —
-// failures surface as per-shard errors, feeding the router's
+// serve.ShardBackend (MatchStaged) with per-attempt timeouts, one retry on
+// transport errors, and a Check health probe that verifies the remote
+// descriptor — failures surface as per-shard errors, feeding the router's
 // partial-results machinery (Report.Incomplete, ShardErrors, per-shard
 // metrics). Integrity is belt-and-braces: requests carry the router's
 // canonical request signature and the shard recomputes it after decoding,
-// so any codec disagreement is a 400, never a silently different report.
+// so any encoding disagreement is a 400, never a silently different report.
 package shardrpc

@@ -285,7 +285,7 @@ func TestReplicaFailoverPrefersOtherReplica(t *testing.T) {
 	personal := randomPersonal(rand.New(rand.NewSource(seed)), routerRepo, 2)
 	opts := bellflower.DefaultOptions()
 	opts.MinSim = 0.4
-	rep, err := group.Match(context.Background(), personal, opts)
+	rep, err := group.MatchStaged(context.Background(), personal, opts, serve.Staged{})
 	if err != nil {
 		t.Fatalf("failover to the live replica did not rescue the request: %v", err)
 	}
@@ -330,7 +330,7 @@ func TestReplicaFailoverPrefersOtherReplica(t *testing.T) {
 	defer srv.Close()
 	single := shardrpc.NewReplicaSet([]*shardrpc.RemoteShard{mk(srv.URL)}, serve.HealthConfig{})
 	defer single.Close()
-	if _, err := single.Match(context.Background(), personal, opts); err != nil {
+	if _, err := single.MatchStaged(context.Background(), personal, opts, serve.Staged{}); err != nil {
 		t.Fatalf("single-replica retry-once did not rescue the request: %v", err)
 	}
 	if !killed.Load() {

@@ -211,7 +211,7 @@ func FuzzShardWire(f *testing.F) {
 
 		// Report round trip on the first view.
 		v := views[0]
-		rep, err := pipeline.NewViewRunner(v).Run(personal, opts)
+		rep, err := viewRunner(v).Run(personal, opts)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

@@ -7,10 +7,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"bellflower/internal/cluster"
-	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
 	"bellflower/internal/schema"
 	"bellflower/internal/serve"
@@ -55,9 +52,8 @@ var _ serve.HealthReporter = (*ReplicaSet)(nil)
 // NewReplicaSet groups replica clients for one shard. All replicas must
 // expect the same descriptor (they serve copies of the same shard); it
 // panics on an empty set or a descriptor disagreement — both programmer
-// errors, like NewRouter's empty-shard panic. hcfg tunes the per-replica
-// health monitors; monitors start passive — call StartHealth to launch
-// the background probe loops.
+// errors. hcfg tunes the per-replica health monitors; monitors start
+// passive — call StartHealth to launch the background probe loops.
 func NewReplicaSet(replicas []*RemoteShard, hcfg serve.HealthConfig) *ReplicaSet {
 	if len(replicas) == 0 {
 		panic("shardrpc: NewReplicaSet needs at least one replica")
@@ -169,57 +165,21 @@ func (z *ReplicaSet) Check(ctx context.Context) error {
 	return nil
 }
 
-// Match implements serve.ShardBackend with replica failover.
-func (z *ReplicaSet) Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
-	return z.match(ctx, personal, opts, nil, false, nil, false, 0)
-}
-
-// MatchWithCandidates implements serve.ShardBackend with replica failover.
-func (z *ReplicaSet) MatchWithCandidates(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates) (*pipeline.Report, error) {
-	if cands == nil {
-		return nil, fmt.Errorf("shardrpc: MatchWithCandidates needs a candidate set")
-	}
-	return z.match(ctx, personal, opts, cands, true, nil, false, 0)
-}
-
-// MatchWithClusters implements serve.ShardBackend with replica failover.
-func (z *ReplicaSet) MatchWithClusters(ctx context.Context, personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) (*pipeline.Report, error) {
-	if cands == nil {
-		return nil, fmt.Errorf("shardrpc: MatchWithClusters needs a candidate set")
-	}
-	if clusters == nil {
-		return nil, fmt.Errorf("shardrpc: MatchWithClusters needs a cluster slice (possibly empty, never nil)")
-	}
-	return z.match(ctx, personal, opts, cands, true, clusters, true, iterations)
-}
-
-// match encodes the request ONCE (all replicas share the descriptor and
-// view, so one encoded request serves every attempt — each replica picks
-// the body shape its own codec negotiation and projection-cache knowledge
-// call for) and walks the attempt order:
-// healthy replicas first, rotated round-robin so concurrent requests
-// spread across the group; unhealthy replicas last, as a live-traffic
-// last resort when every healthy attempt failed. A transport error feeds
-// the failing replica's monitor and moves on; an HTTP-level error is the
+// MatchStaged implements serve.ShardBackend with replica failover. It
+// encodes the request ONCE (all replicas share the descriptor and view, so
+// one encoded request serves every attempt — each replica picks the body
+// shape its own projection-cache knowledge calls for) and walks the attempt
+// order: healthy replicas first, rotated round-robin so concurrent requests
+// spread across the group; unhealthy replicas last, as a live-traffic last
+// resort when every healthy attempt failed. A transport error feeds the
+// failing replica's monitor and moves on; an HTTP-level error is the
 // shard's authoritative answer and returns immediately, exactly like
 // RemoteShard's retry-once.
-func (z *ReplicaSet) match(ctx context.Context, personal *schema.Tree, opts pipeline.Options,
-	cands *matcher.Candidates, hasCands bool, clusters []*cluster.Cluster, hasClusters bool, iterations int) (*pipeline.Report, error) {
+func (z *ReplicaSet) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*pipeline.Report, error) {
 	if z.closed.Load() {
 		return nil, serve.ErrClosed
 	}
-	if personal == nil || personal.Root() == nil {
-		return nil, fmt.Errorf("shardrpc: nil personal schema")
-	}
-	primary := z.replicas[0]
-	encStart := time.Now()
-	_, esp := trace.StartSpan(ctx, "rpc.encode")
-	enc, err := primary.encodeRequest(personal, opts, cands, hasCands, clusters, hasClusters, iterations)
-	if err == nil {
-		enc.body(primary.useBinary(), primary.slimEligible(enc))
-	}
-	esp.End()
-	primary.stEncode.Observe(time.Since(encStart))
+	enc, err := z.replicas[0].encode(ctx, personal, opts, staged)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package shardrpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,10 +10,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"bellflower/internal/cluster"
 	"bellflower/internal/labeling"
-	"bellflower/internal/matcher"
-	"bellflower/internal/pipeline"
 	"bellflower/internal/schema"
 	"bellflower/internal/serve"
 	"bellflower/internal/trace"
@@ -30,14 +26,14 @@ const maxMatchBody = 64 << 20
 // HandleMatch and HandleStats are the handlers bellflower-server mounts at
 // /v1/shard/match and /v1/shard/stats in -shard-of mode. The server
 // decodes requests against its own view, verifies the caller's descriptor
-// and request signature, and serves through the exact Service entry points
-// an in-process router would call — so a remote fan-out's per-shard
-// reports, caches and dedupe behave identically to the local topology.
+// and request signature, and serves through the same Service.MatchStaged an
+// in-process router would call — so a remote fan-out's per-shard reports,
+// caches and dedupe behave identically to the local topology.
 //
-// Requests declare their codec via Content-Type (application/json or
-// application/x-bellflower-shard); the response mirrors it. Error bodies
-// are always JSON. A mismatched Content-Type is rejected with 415 rather
-// than guessed at — codec negotiation must never silently mis-decode.
+// Match requests and responses are binary (Content-Type
+// application/x-bellflower-shard); any other or absent Content-Type is
+// rejected with 415 rather than guessed at. Error bodies and the stats
+// endpoint are JSON.
 type ShardServer struct {
 	svc   *serve.Service
 	view  *labeling.View
@@ -45,31 +41,18 @@ type ShardServer struct {
 	rec   *trace.Recorder // optional local ring; see SetTraceRecorder
 	projc *serve.ProjectionCache
 
-	// jsonOnly restricts the shard to the JSON codec and disables
-	// projection references — the legacy wire surface, for rolling
-	// upgrades and mixed-fleet testing. See SetJSONOnly.
-	jsonOnly bool
-
-	// Wire traffic counters (body bytes by direction and codec), surfaced
+	// Wire traffic counters (match body bytes by direction), surfaced
 	// through Stats.
-	inJSON, inBinary, outJSON, outBinary atomic.Int64
+	in, out atomic.Int64
 }
 
-// NewShardServer wraps a Service running on view (pipeline.NewViewRunner)
-// with the shard's descriptor. The server speaks both codecs and resolves
-// projection references out of a content-addressed cache charged to the
-// service's memory governor.
+// NewShardServer wraps a Service running on view
+// (pipeline.NewViewRunnerWithNameIndex) with the shard's descriptor. The
+// server resolves projection references out of a content-addressed cache
+// charged to the service's memory governor.
 func NewShardServer(svc *serve.Service, view *labeling.View, desc Descriptor) *ShardServer {
 	return &ShardServer{svc: svc, view: view, desc: desc, projc: svc.NewProjectionCache()}
 }
-
-// SetJSONOnly restricts the shard to the legacy JSON wire surface: binary
-// requests are rejected with 415, projection references with 400, and the
-// stats handshake stops advertising codecs — exactly how a pre-codec
-// build answers, so rolling-upgrade interop is testable against current
-// code. Not safe to call concurrently with traffic; set it before
-// mounting the handlers.
-func (s *ShardServer) SetJSONOnly() { s.jsonOnly = true }
 
 // SetTraceRecorder attaches a local trace ring: every traced match is
 // observed into it, so a shard host can serve its own /v1/traces even
@@ -87,14 +70,12 @@ func (s *ShardServer) Service() *serve.Service { return s.svc }
 func (s *ShardServer) Descriptor() Descriptor { return s.desc }
 
 // Stats returns the service's snapshot with the shard server's transport
-// counters folded in (wire bytes by direction and codec). The projection
-// cache counters are already the service's own.
+// counters folded in (wire bytes by direction). The projection cache
+// counters are already the service's own.
 func (s *ShardServer) Stats() serve.Stats {
 	st := s.svc.Stats()
-	st.WireBytes.InJSON += s.inJSON.Load()
-	st.WireBytes.InBinary += s.inBinary.Load()
-	st.WireBytes.OutJSON += s.outJSON.Load()
-	st.WireBytes.OutBinary += s.outBinary.Load()
+	st.WireBytes.InBinary += s.in.Load()
+	st.WireBytes.OutBinary += s.out.Load()
 	return st
 }
 
@@ -105,16 +86,6 @@ func (s *ShardServer) Stats() serve.Stats {
 // uses this instead of the bare service snapshot.
 func (s *ShardServer) WritePrometheus(w io.Writer) error {
 	return serve.WritePrometheus(w, s.Stats(), 1)
-}
-
-// Codecs lists the codecs this shard accepts, as advertised in the stats
-// handshake. A JSON-only shard advertises nothing — indistinguishable
-// from a pre-codec build, which is the point.
-func (s *ShardServer) Codecs() []string {
-	if s.jsonOnly {
-		return nil
-	}
-	return []string{CodecJSON, CodecBinary}
 }
 
 // Close shuts the underlying service down.
@@ -148,25 +119,18 @@ func matchStatus(err error) int {
 	}
 }
 
-// requestCodec resolves a match request's Content-Type to a codec name.
-// An absent Content-Type means JSON (curl-friendliness); anything other
-// than the two match media types is a 415 — never guessed at.
-func requestCodec(r *http.Request) (string, error) {
+// checkContentType accepts only the binary match media type; anything
+// else — an absent header included — is a 415, never guessed at.
+func checkContentType(r *http.Request) error {
 	ct := r.Header.Get("Content-Type")
-	if ct == "" {
-		return CodecJSON, nil
-	}
 	mt, _, err := mime.ParseMediaType(ct)
 	if err != nil {
-		return "", fmt.Errorf("unparseable Content-Type %q", ct)
+		return fmt.Errorf("missing or unparseable Content-Type %q (want %s)", ct, ContentTypeBinary)
 	}
-	switch mt {
-	case ContentTypeJSON:
-		return CodecJSON, nil
-	case ContentTypeBinary:
-		return CodecBinary, nil
+	if mt != ContentTypeBinary {
+		return fmt.Errorf("unsupported Content-Type %q (want %s)", mt, ContentTypeBinary)
 	}
-	return "", fmt.Errorf("unsupported Content-Type %q (want %s or %s)", mt, ContentTypeJSON, ContentTypeBinary)
+	return nil
 }
 
 // HandleMatch serves POST /v1/shard/match. A request arriving with an
@@ -179,12 +143,8 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "POST required"})
 		return
 	}
-	codec, cerr := requestCodec(r)
-	if cerr == nil && codec == CodecBinary && s.jsonOnly {
-		cerr = fmt.Errorf("unsupported Content-Type %q (this shard speaks %s only)", ContentTypeBinary, ContentTypeJSON)
-	}
-	if cerr != nil {
-		writeJSON(w, http.StatusUnsupportedMediaType, errorJSON{Error: cerr.Error()})
+	if err := checkContentType(r); err != nil {
+		writeJSON(w, http.StatusUnsupportedMediaType, errorJSON{Error: err.Error()})
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxMatchBody)
@@ -215,30 +175,11 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 		fail(dsp, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	var req MatchRequest
-	if codec == CodecBinary {
-		s.inBinary.Add(int64(len(body)))
-		preq, err := DecodeBinaryMatchRequest(body)
-		if err != nil {
-			fail(dsp, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
-		req = *preq
-	} else {
-		s.inJSON.Add(int64(len(body)))
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			fail(dsp, http.StatusBadRequest, "bad request body: "+err.Error())
-			return
-		}
-		if s.jsonOnly && (req.ProjectionRef || req.ProjectionHash != "") {
-			// A pre-codec build's strict decoder rejects these fields as
-			// unknown; the emulation must too, or mixed-fleet tests would
-			// pass against traffic a real legacy shard refuses.
-			fail(dsp, http.StatusBadRequest, `bad request body: json: unknown field "projection_hash"`)
-			return
-		}
+	s.in.Add(int64(len(body)))
+	req, err := DecodeBinaryMatchRequest(body)
+	if err != nil {
+		fail(dsp, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
 	}
 	// A descriptor mismatch means the caller partitioned differently (or
 	// holds a different repository): serving would return mappings in the
@@ -270,108 +211,15 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if req.ProjectionRef {
-		// The request references its projection by content address instead
-		// of shipping it. Resolve or ask for the payload — 428 tells the
-		// client to retry once with the projection inlined; it is a
-		// protocol turn, not a failure, so clients neither fail over nor
-		// count it against replica health.
-		if s.jsonOnly {
-			fail(dsp, http.StatusBadRequest, "projection references unsupported (JSON-only shard)")
-			return
-		}
-		if req.ProjectionHash == "" {
-			fail(dsp, http.StatusBadRequest, "projection reference without projection hash")
-			return
-		}
-		proj, ok := s.projc.Get(req.ProjectionHash)
-		if !ok {
-			fail(dsp, http.StatusPreconditionRequired,
-				fmt.Sprintf("projection-needed: %s is not cached on this shard", req.ProjectionHash))
-			return
-		}
-		req.HasCandidates = proj.HasCandidates
-		req.HasClusters = proj.HasClusters
-		req.Iterations = proj.Iterations
-		var cands *matcher.Candidates
-		if proj.Candidates != nil {
-			// The cached candidates are bound to the structurally identical
-			// personal tree of the request that populated the entry; rebind
-			// them to THIS request's decoded tree (O(|personal|), slices
-			// shared).
-			cands = proj.Candidates.Rebind(personal)
-		}
-		dsp.End()
-		s.runMatch(ctx, w, codec, hv, tr, root, req, personal, opts, cands, proj.Clusters)
+	staged, status, msg := s.stagedFor(req, personal)
+	if status != 0 {
+		fail(dsp, status, msg)
 		return
-	}
-
-	var cands *matcher.Candidates
-	var clusters []*cluster.Cluster
-	if req.HasClusters && !req.HasCandidates {
-		fail(dsp, http.StatusBadRequest, "clusters staged without candidates")
-		return
-	}
-	// A full payload carrying a content address must actually hash to it —
-	// self-verifying, so a corrupt or mislabelled projection is rejected
-	// instead of cached under the wrong key.
-	if req.ProjectionHash != "" {
-		if got := ProjectionDigest(&req); got != req.ProjectionHash {
-			fail(dsp, http.StatusBadRequest,
-				fmt.Sprintf("projection digest mismatch: payload hashes to %s, request claims %s", got, req.ProjectionHash))
-			return
-		}
-	}
-	if req.HasCandidates {
-		if cands, err = DecodeCandidates(s.view, personal, req.Candidates); err != nil {
-			fail(dsp, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	if req.HasClusters {
-		// DecodeClusters returns a non-nil slice even for zero clusters —
-		// a staged-empty projection is valid (MatchWithClusters requires
-		// non-nil).
-		if clusters, err = DecodeClusters(s.view, req.Clusters); err != nil {
-			fail(dsp, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	if req.ProjectionHash != "" && req.HasCandidates && !s.jsonOnly {
-		s.projc.Put(req.ProjectionHash, serve.Projection{
-			HasCandidates: req.HasCandidates,
-			Candidates:    cands,
-			HasClusters:   req.HasClusters,
-			Clusters:      clusters,
-			Iterations:    req.Iterations,
-		})
 	}
 	dsp.End()
-	s.runMatch(ctx, w, codec, hv, tr, root, req, personal, opts, cands, clusters)
-}
-
-// runMatch executes the decoded request through the service and writes the
-// response in the request's codec.
-func (s *ShardServer) runMatch(ctx context.Context, w http.ResponseWriter, codec, hv string,
-	tr *trace.Trace, root *trace.Span, req MatchRequest,
-	personal *schema.Tree, opts pipeline.Options, cands *matcher.Candidates, clusters []*cluster.Cluster) {
-	fail := func(sp *trace.Span, status int, msg string) {
-		sp.SetAttr("error", msg)
-		sp.End()
-		writeJSON(w, status, errorJSON{Error: msg})
-	}
 
 	mctx, msp := trace.StartSpan(ctx, "match")
-	var rep *pipeline.Report
-	var err error
-	switch {
-	case req.HasClusters:
-		rep, err = s.svc.MatchWithClusters(mctx, personal, opts, cands, clusters, req.Iterations)
-	case req.HasCandidates:
-		rep, err = s.svc.MatchWithCandidates(mctx, personal, opts, cands)
-	default:
-		rep, err = s.svc.Match(mctx, personal, opts)
-	}
+	rep, err := s.svc.MatchStaged(mctx, personal, opts, staged)
 	if err != nil {
 		fail(msp, matchStatus(err), err.Error())
 		return
@@ -393,32 +241,74 @@ func (s *ShardServer) runMatch(ctx context.Context, w http.ResponseWriter, codec
 		root.End()
 		resp.Spans = EncodeSpans(tr.Spans())
 	}
-	if codec == CodecBinary {
-		b := EncodeBinaryMatchResponse(&resp)
-		s.outBinary.Add(int64(len(b)))
-		w.Header().Set("Content-Type", ContentTypeBinary)
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(b)
-		return
-	}
-	b, err := json.Marshal(resp)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
-		return
-	}
-	s.outJSON.Add(int64(len(b)))
-	w.Header().Set("Content-Type", ContentTypeJSON)
+	b := EncodeBinaryMatchResponse(&resp)
+	s.out.Add(int64(len(b)))
+	w.Header().Set("Content-Type", ContentTypeBinary)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
 }
 
+// stagedFor resolves what the request stages: a projection reference out of
+// the projection cache, an inlined projection by decoding (and caching) it,
+// the zero Staged when the request asks for the full pipeline. A non-zero
+// status is the rejection to answer with.
+func (s *ShardServer) stagedFor(req *MatchRequest, personal *schema.Tree) (staged serve.Staged, status int, msg string) {
+	if req.ProjectionRef {
+		// The request references its projection by content address instead
+		// of shipping it. Resolve or ask for the payload — 428 tells the
+		// client to retry once with the projection inlined; it is a
+		// protocol turn, not a failure, so clients neither fail over nor
+		// count it against replica health.
+		if req.ProjectionHash == "" {
+			return staged, http.StatusBadRequest, "projection reference without projection hash"
+		}
+		var ok bool
+		if staged, ok = s.projc.Get(req.ProjectionHash); !ok {
+			return staged, http.StatusPreconditionRequired,
+				fmt.Sprintf("projection-needed: %s is not cached on this shard", req.ProjectionHash)
+		}
+		// The cached candidates are bound to the structurally identical
+		// personal tree of the request that populated the entry; rebind
+		// them to THIS request's decoded tree (O(|personal|), slices
+		// shared).
+		staged.Cands = staged.Cands.Rebind(personal)
+		return staged, 0, ""
+	}
+	if req.HasCandidates != req.HasClusters {
+		return staged, http.StatusBadRequest, "candidates and clusters must be staged together"
+	}
+	// A full payload carrying a content address must actually hash to it —
+	// self-verifying, so a corrupt or mislabelled projection is rejected
+	// instead of cached under the wrong key.
+	if req.ProjectionHash != "" {
+		if got := ProjectionDigest(req); got != req.ProjectionHash {
+			return staged, http.StatusBadRequest,
+				fmt.Sprintf("projection digest mismatch: payload hashes to %s, request claims %s", got, req.ProjectionHash)
+		}
+	}
+	if !req.HasCandidates {
+		return staged, 0, ""
+	}
+	var err error
+	staged.Iterations = req.Iterations
+	if staged.Cands, err = DecodeCandidates(s.view, personal, req.Candidates); err != nil {
+		return staged, http.StatusBadRequest, err.Error()
+	}
+	if staged.Clusters, err = DecodeClusters(s.view, req.Clusters); err != nil {
+		return staged, http.StatusBadRequest, err.Error()
+	}
+	if req.ProjectionHash != "" {
+		s.projc.Put(req.ProjectionHash, staged)
+	}
+	return staged, 0, ""
+}
+
 // HandleStats serves GET /v1/shard/stats: the shard's instrumentation
-// snapshot plus its descriptor (the health-check handshake) and codec
-// advertisement (the feature-negotiation handshake).
+// snapshot plus its descriptor (the health-check handshake).
 func (s *ShardServer) HandleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "GET required"})
 		return
 	}
-	writeJSON(w, http.StatusOK, StatsResponse{Descriptor: s.desc, Codecs: s.Codecs(), Stats: s.Stats()})
+	writeJSON(w, http.StatusOK, StatsResponse{Descriptor: s.desc, Stats: s.Stats()})
 }

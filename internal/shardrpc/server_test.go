@@ -1,9 +1,7 @@
 package shardrpc
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -30,17 +28,19 @@ type testShard struct {
 	clientView *labeling.View
 }
 
-func shardUnderTest(t *testing.T, mods ...func(*ShardServer)) *testShard {
+// viewRunner builds a runner scoped to v with a name index of its own.
+func viewRunner(v *labeling.View) *pipeline.Runner {
+	return pipeline.NewViewRunnerWithNameIndex(v, matcher.NewNameIndex(v.Repository()))
+}
+
+func shardUnderTest(t *testing.T) *testShard {
 	t.Helper()
 	serverRepo := testRepo(t, 400, 17)
 	six := labeling.NewIndex(serverRepo)
 	sviews := serve.PartitionRepositoryViews(six, 2, serve.PartitionClustered)
-	svc := serve.New(pipeline.NewViewRunner(sviews[0]), serve.Config{Workers: 2})
+	svc := serve.New(viewRunner(sviews[0]), serve.Config{Workers: 2})
 	host := NewShardServer(svc, sviews[0], ViewDescriptor(sviews[0], 0, 2, serve.PartitionClustered))
 	t.Cleanup(host.Close)
-	for _, mod := range mods {
-		mod(host)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/shard/match", host.HandleMatch)
 	mux.HandleFunc("/v1/shard/stats", host.HandleStats)
@@ -56,21 +56,13 @@ func shardUnderTest(t *testing.T, mods ...func(*ShardServer)) *testShard {
 
 func postMatch(t *testing.T, srv *httptest.Server, req MatchRequest) *http.Response {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/v1/shard/match", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-	return resp
+	return postRaw(t, srv, ContentTypeBinary, EncodeBinaryMatchRequest(&req))
 }
 
 // TestShardServerRejections pins the protocol's failure statuses: wrong
-// method, malformed body, mismatched descriptor, malformed tree, staged
-// clusters without candidates, signature drift, and a closed service.
+// method, malformed body, mismatched descriptor, malformed tree, signature
+// drift, and a closed service (media type and staging flags:
+// TestShardServerContentType).
 func TestShardServerRejections(t *testing.T) {
 	ts := shardUnderTest(t)
 	host, srv, rs := ts.host, ts.srv, ts.rs
@@ -95,10 +87,8 @@ func TestShardServerRejections(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if resp, err := http.Post(srv.URL+"/v1/shard/match", "application/json", bytes.NewReader([]byte("{nope"))); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: %v %v, want 400", resp.StatusCode, err)
-	} else {
-		resp.Body.Close()
+	if resp := postRaw(t, srv, ContentTypeBinary, EncodeBinaryMatchRequest(&good)[:9]); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("truncated body: %d, want 400", resp.StatusCode)
 	}
 
 	doctored := good
@@ -111,12 +101,6 @@ func TestShardServerRejections(t *testing.T) {
 	badTree.Personal = WireTree{Name: "broken", Nodes: []WireNode{{Depth: 3, Name: "x"}}}
 	if resp := postMatch(t, srv, badTree); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed tree: %d, want 400", resp.StatusCode)
-	}
-
-	clustersOnly := good
-	clustersOnly.HasClusters = true
-	if resp := postMatch(t, srv, clustersOnly); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("clusters without candidates: %d, want 400", resp.StatusCode)
 	}
 
 	drifted := good
@@ -142,78 +126,67 @@ func TestShardServerRejections(t *testing.T) {
 	if resp := postMatch(t, srv, good); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("closed service: %d, want 503", resp.StatusCode)
 	}
-	if _, err := rs.Match(context.Background(), personal, pipeline.DefaultOptions()); !errors.Is(err, serve.ErrClosed) {
+	if _, err := rs.MatchStaged(context.Background(), personal, pipeline.DefaultOptions(), serve.Staged{}); !errors.Is(err, serve.ErrClosed) {
 		t.Errorf("client error for closed shard = %v, want ErrClosed", err)
 	}
 	rs.Close()
-	if _, err := rs.Match(context.Background(), personal, pipeline.DefaultOptions()); !errors.Is(err, serve.ErrClosed) {
+	if _, err := rs.MatchStaged(context.Background(), personal, pipeline.DefaultOptions(), serve.Staged{}); !errors.Is(err, serve.ErrClosed) {
 		t.Errorf("closed client error = %v, want ErrClosed", err)
 	}
 }
 
-// TestRemoteShardStagedPaths drives MatchWithCandidates and
-// MatchWithClusters over a real HTTP hop and checks the responses equal
-// the same calls against an equivalent in-process service — including a
-// run with partial mappings, which exercise the report codec's -1
-// (uncovered rank) encoding.
+// TestRemoteShardStagedPaths drives MatchStaged — with the pre-pass
+// projection staged, and with nothing staged — over a real HTTP hop and
+// checks the responses equal the same calls against an equivalent
+// in-process service, including a run with partial mappings, which exercise
+// the report codec's -1 (uncovered rank) encoding.
 func TestRemoteShardStagedPaths(t *testing.T) {
 	ts := shardUnderTest(t)
-	rs, clientRepo, cix := ts.rs, ts.clientRepo, ts.clientIx
-	local := serve.New(pipeline.NewViewRunner(ts.clientView), serve.Config{Workers: 2})
+	rs := ts.rs
+	local := serve.New(viewRunner(ts.clientView), serve.Config{Workers: 2})
 	defer local.Close()
+	ctx := context.Background()
 
-	personal := schema.MustParseSpec("address(name,email)")
-	opts := pipeline.DefaultOptions()
-	opts.MinSim = 0.35
+	personal, opts, staged := stagedFixture(t, ts)
 	opts.IncludePartials = true
-
-	cands := matcher.FindCandidates(personal, clientRepo, matcher.NameMatcher{}, matcher.Config{MinSim: opts.MinSim}).
-		Restrict(ts.clientView.Contains)
-	wantCand, err := local.MatchWithCandidates(context.Background(), personal, opts, cands)
+	// Node pointers differ across repository copies; assertReportsEquivalent
+	// compares structurally via path strings and scores.
+	want, err := local.MatchStaged(ctx, personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCand, err := rs.MatchWithCandidates(context.Background(), personal, opts, cands)
+	got, err := rs.MatchStaged(ctx, personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node pointers differ across repository copies; compare structurally
-	// via path strings and scores.
-	assertReportsEquivalent(t, "MatchWithCandidates", gotCand, wantCand)
-
-	clusters, iters, err := pipeline.ComputeClusters(cix, matcher.FindCandidates(personal, clientRepo, matcher.NameMatcher{}, matcher.Config{MinSim: opts.MinSim}), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	myClusters := clustersForView(ts.clientView, clusters)
-	wantCl, err := local.MatchWithClusters(context.Background(), personal, opts, cands, myClusters, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCl, err := rs.MatchWithClusters(context.Background(), personal, opts, cands, myClusters, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReportsEquivalent(t, "MatchWithClusters", gotCl, wantCl)
-
-	// Nil-argument guards.
-	if _, err := rs.MatchWithCandidates(context.Background(), personal, opts, nil); err == nil {
-		t.Error("nil candidates accepted")
-	}
-	if _, err := rs.MatchWithClusters(context.Background(), personal, opts, cands, nil, 0); err == nil {
-		t.Error("nil clusters accepted")
+	assertReportsEquivalent(t, "staged", got, want)
+	if len(want.Partials) == 0 {
+		t.Error("fixture produced no partial mappings; the -1 encoding went unexercised")
 	}
 
-	// Remote stats reflect the served work and the descriptor handshake.
-	if err := rs.Check(context.Background()); err != nil {
+	// Nothing staged: the remote shard runs its own full pipeline. A fresh
+	// request shape, so neither side answers from its report cache.
+	full := opts
+	full.TopN = 7
+	if want, err = local.MatchStaged(ctx, personal, full, serve.Staged{}); err != nil {
 		t.Fatal(err)
 	}
-	// Both staged calls share one request signature, so the shard served
-	// the second from its report cache: exactly one pipeline run.
-	if st := rs.Stats(); st.PipelineRuns != 1 || st.CacheHits != 1 {
-		t.Errorf("remote stats report %d runs / %d cache hits, want 1 / 1", st.PipelineRuns, st.CacheHits)
+	if got, err = rs.MatchStaged(ctx, personal, full, serve.Staged{}); err != nil {
+		t.Fatal(err)
 	}
-	_ = ts.host
+	assertReportsEquivalent(t, "unstaged", got, want)
+
+	// Remote stats reflect the served work and the descriptor handshake: a
+	// repeat of the staged request is the shard's report-cache hit.
+	if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Check(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := rs.Stats(); st.PipelineRuns != 2 || st.CacheHits != 1 {
+		t.Errorf("remote stats report %d runs / %d cache hits, want 2 / 1", st.PipelineRuns, st.CacheHits)
+	}
 }
 
 // clustersForView keeps the clusters whose elements live in the view's

@@ -725,9 +725,13 @@ func DecodeReport(v *labeling.View, wr WireReport) (*pipeline.Report, error) {
 	return rep, nil
 }
 
-// MatchRequest is the /v1/shard/match request body. HasCandidates /
-// HasClusters distinguish "absent" from "present but empty" — a shard may
-// legitimately be handed zero clusters for a query.
+// MatchRequest is the /v1/shard/match request body (binary on the wire;
+// the JSON tags are the reference form FuzzShardWire compares against).
+// HasCandidates and HasClusters are set together when the router's pre-pass
+// projection is staged — they distinguish "absent" from "present but
+// empty", a shard may legitimately be handed zero clusters for a query —
+// and both clear asks for the shard's full pipeline; a request setting only
+// one is rejected.
 //
 // ProjectionHash content-addresses the projected pre-pass payload
 // (ProjectionDigest). A full request carries it alongside the payload so
@@ -760,17 +764,11 @@ type MatchResponse struct {
 	Spans  []WireSpan `json:"spans,omitempty"`
 }
 
-// StatsResponse is the /v1/shard/stats body: the shard's instrumentation
-// snapshot plus its descriptor, which doubles as the health-check
-// handshake (RemoteShard.Check verifies it against the router's own
-// partition). Codecs advertises the match codecs the shard accepts
-// ("json", "binary") — the feature-negotiation half of the handshake: a
-// shard that omits it (any pre-codec build) is spoken to in JSON, so a
-// binary-capable router interops with JSON-only shards during a rolling
-// upgrade. A shard advertising "binary" also resolves projection
-// references (ProjectionRef requests).
+// StatsResponse is the /v1/shard/stats body (JSON): the shard's
+// instrumentation snapshot plus its descriptor, which doubles as the
+// health-check handshake (RemoteShard.Check verifies it against the
+// router's own partition).
 type StatsResponse struct {
 	Descriptor Descriptor  `json:"descriptor"`
-	Codecs     []string    `json:"codecs,omitempty"`
 	Stats      serve.Stats `json:"stats"`
 }

@@ -266,7 +266,7 @@ func TestStagedWireRoundTrip(t *testing.T) {
 
 	// Report round trip against a view-backed run.
 	v := views[0]
-	rep, err := pipeline.NewViewRunner(v).Run(personal, opts)
+	rep, err := viewRunner(v).Run(personal, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
