@@ -1,8 +1,9 @@
 package bellflower
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (Sec. 5), plus ablation benchmarks for the design choices
-// DESIGN.md calls out. Run with:
+// evaluation (Sec. 5), plus ablation benchmarks for the design choices the
+// package docs of internal/mapgen, internal/cluster and internal/labeling
+// call out. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -182,7 +183,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices from DESIGN.md §6) ---
+// --- Ablation benchmarks (design choices from the mapgen, cluster and labeling package docs) ---
 
 // BenchmarkAblationBnB compares Branch & Bound against exhaustive
 // enumeration on the tree baseline — the paper's "30 times less partial

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -94,6 +95,66 @@ func TestShardModeRoutes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("public /v1/match in shard mode: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestOneGroupRouterStatsCarryReplicaHealth: a distributed router over ONE
+// shard served by two replicas (-remote-shards "a|b") answers /v1/stats in
+// the flat single-shard shape, and that shape carries the replica health
+// /metrics already exports as bellflower_shard_healthy.
+func TestOneGroupRouterStatsCarryReplicaHealth(t *testing.T) {
+	logger := slog.New(slog.NewJSONHandler(io.Discard, nil))
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		repo, err := bellflower.Synthetic(syntheticCfg(600, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		host, err := bellflower.NewShardHost(repo, 0, 1, bellflower.ServiceConfig{Workers: 1}, bellflower.PartitionClustered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer host.Close()
+		replica := httptest.NewServer(shardRoutes(host, nil, logger))
+		defer replica.Close()
+		addrs = append(addrs, replica.URL)
+	}
+	repo, err := bellflower.Synthetic(syntheticCfg(600, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := bellflower.NewDistributedService(repo, []string{strings.Join(addrs, "|")},
+		bellflower.ServiceConfig{Workers: 1, HealthInterval: -1}, bellflower.PartitionClustered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := newRemoteServer(backend, repo, "test", logger)
+	defer router.closeNow()
+	srv := httptest.NewServer(router.routes())
+	defer srv.Close()
+
+	var st struct {
+		Requests *int64 `json:"requests"` // present only in the flat shape
+		Replicas []struct {
+			Addr    string `json:"addr"`
+			Healthy bool   `json:"healthy"`
+		} `json:"replicas"`
+	}
+	getJSON(t, srv.URL+"/v1/stats", &st)
+	if st.Requests == nil {
+		t.Fatal("/v1/stats of a one-shard router is not the flat shape")
+	}
+	if len(st.Replicas) != 2 {
+		t.Fatalf("/v1/stats carries %d replicas entries, want 2: %+v", len(st.Replicas), st.Replicas)
+	}
+	_, metrics := getBody(t, srv.URL+"/metrics")
+	for i, r := range st.Replicas {
+		if r.Addr != addrs[i] || !r.Healthy {
+			t.Errorf("replica %d = %+v, want healthy %s", i, r, addrs[i])
+		}
+		if want := fmt.Sprintf("bellflower_shard_healthy{shard=\"0\",replica=%q} 1", r.Addr); !strings.Contains(string(metrics), want) {
+			t.Errorf("/metrics missing %s", want)
+		}
 	}
 }
 

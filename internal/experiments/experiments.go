@@ -12,10 +12,10 @@
 //   - Figure 6 — percentage of preserved mappings vs δ for α ∈
 //     {0.25, 0.50, 0.75} (medium clusters).
 //
-// The repository is synthetic (see repogen and DESIGN.md §3); absolute
-// numbers differ from the paper but the shapes — orderings, reduction
-// factors, curve directions — are the reproduction target, recorded in
-// EXPERIMENTS.md.
+// The repository is synthetic (see the package doc of repogen for the
+// substitution); absolute numbers differ from the paper but the shapes —
+// orderings, reduction factors, curve directions — are the reproduction
+// target; cmd/experiments prints them.
 package experiments
 
 import (

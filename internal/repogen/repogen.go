@@ -4,7 +4,7 @@
 // DTDs and XML schemas with 178 252 element/attribute nodes over 3889 trees,
 // from which experiment repositories of 2500–10 200 elements were sampled.
 // That collection is not available, so this package is the documented
-// substitution (DESIGN.md §3): a seeded generator that produces forests with
+// substitution: a seeded generator that produces forests with
 // the properties the experiments depend on — realistic element vocabularies
 // with heavy name reuse across trees (so the element matcher yields dense
 // mapping-element sets), misspellings and naming-convention noise (so fuzzy

@@ -49,10 +49,10 @@
 // interface — one staged match entry point (MatchStaged) plus stats and
 // close — so a shard need not live in this process at all.
 // NewRouterWithShardBackends assembles a router over externally built
-// backends; internal/shardrpc.RemoteShard implements ShardBackend as an
-// HTTP client for a shard hosted by another process (bellflower-server
-// -shard-of), with the shard view's dense local-ID space as the wire ID
-// space.
+// backends; internal/shardrpc.ReplicaSet implements ShardBackend over one
+// or more HTTP clients for a shard hosted by other processes
+// (bellflower-server -shard-of), with the shard view's dense local-ID space
+// as the wire ID space.
 // Remote-shard failures flow through the same partial-results machinery
 // as local ones: per-shard errors, Report.Incomplete, per-shard metric
 // series.
@@ -106,6 +106,27 @@
 // k-means variants then cluster per shard, an approximation of the global
 // clustering), unless the caller's own context has expired.
 // Stats.PartialResults counts the degraded merges.
+//
+// # Stats and the metric table
+//
+// Stats is the one snapshot every surface reads: /v1/stats is its JSON,
+// /metrics its Prometheus exposition. Each int, int64 and float64 field of
+// Stats is declared exactly once, as a row of the metric table (metrics in
+// metrics.go): the field, its Prometheus family name, type and help, its
+// per-shard bellflower_shard_* series if it has one, and its merge rule.
+// There are two rules. A sum field is per-service work or capacity and adds
+// up across snapshots. A shared field is a figure of a resource one process
+// keeps once — the labelling index, the name index, the generation
+// counters, the memory governor: MergeStats keeps the maximum, and
+// Router.Snapshot reads the router's own resources once (in-process shards
+// run on exactly those) and adds the snapshots of shards in other
+// processes. MergeStats, that rollup, WritePrometheus and the per-shard
+// families all iterate the table, and the README's metric table is the
+// exporter's HELP/TYPE output. Adding a counter is three steps: the Stats
+// field, its table row, and the line that increments it; tests fail when
+// the first two disagree or the README is stale. The counters themselves
+// stay plain atomics on the structs that own them — the table is read only
+// when a snapshot is taken, merged or exposed, never on a request.
 //
 // # Concurrency
 //

@@ -244,17 +244,17 @@ func TestRouterSkipsUnhealthyShard(t *testing.T) {
 }
 
 // TestStatsHealthFields: rollup semantics of the control-plane fields —
-// Failovers and HealthSkips sum, per-replica snapshots never survive into
-// a rollup (their shard identity would be lost).
+// Failovers and HealthSkips sum, per-replica snapshots concatenate in shard
+// order (a one-shard rollup must not lose them).
 func TestStatsHealthFields(t *testing.T) {
 	a := Stats{Failovers: 2, HealthSkips: 1, Replicas: []ReplicaHealth{{Addr: "a", Healthy: true}}}
-	b := Stats{Failovers: 3, HealthSkips: 4}
+	b := Stats{Failovers: 3, HealthSkips: 4, Replicas: []ReplicaHealth{{Addr: "b"}}}
 	m := MergeStats(a, b)
 	if m.Failovers != 5 || m.HealthSkips != 5 {
 		t.Fatalf("merged Failovers=%d HealthSkips=%d, want 5 and 5", m.Failovers, m.HealthSkips)
 	}
-	if m.Replicas != nil {
-		t.Fatalf("rollup carries replica snapshots: %+v", m.Replicas)
+	if len(m.Replicas) != 2 || m.Replicas[0].Addr != "a" || m.Replicas[1].Addr != "b" {
+		t.Fatalf("rollup replicas = %+v, want a then b", m.Replicas)
 	}
 }
 

@@ -57,12 +57,12 @@ func TestRouterPrePassRunsOncePerSignature(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := r.Stats()
+	st, shards := r.Snapshot()
 	if st.CandidatePrePass != 1 {
 		t.Errorf("CandidatePrePass = %d, want 1 (three requests, one candidate signature)", st.CandidatePrePass)
 	}
 	// Per-shard snapshots never carry the router-level counter.
-	for i, ss := range r.ShardStats() {
+	for i, ss := range shards {
 		if ss.CandidatePrePass != 0 {
 			t.Errorf("shard %d reports CandidatePrePass %d, want 0", i, ss.CandidatePrePass)
 		}

@@ -3,13 +3,15 @@ package serve
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
+	"strings"
 )
 
 // WritePrometheus renders a stats snapshot in the Prometheus text
-// exposition format (version 0.0.4): the service counters as counters, the
-// occupancy figures as gauges, and the request latency histogram with
-// cumulative buckets in seconds. shards is the backend's fan-out width
+// exposition format (version 0.0.4): the metric table's counters and gauges
+// (see metrics), the shard wire bytes, and the request and per-stage latency
+// histograms with cumulative buckets. shards is the backend's fan-out width
 // (Backend.NumShards); pass a rolled-up snapshot (Backend.Stats) so the
 // scrape covers every shard.
 //
@@ -17,115 +19,92 @@ import (
 // and documented in the README; change them only with a migration note.
 func WritePrometheus(w io.Writer, st Stats, shards int) error {
 	ew := &errWriter{w: w}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(ew, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	v := reflect.ValueOf(&st).Elem()
+	scalars := func(typ string) {
+		for i := range metrics {
+			if m := &metrics[i]; m.typ == typ {
+				writeHeader(ew, m.name, m.help, m.typ)
+				writeSample(ew, m.name, "", v.Field(m.index))
+			}
+		}
 	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(ew, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gaugeF := func(name, help string, v float64) {
-		fmt.Fprintf(ew, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-
-	counter("bellflower_requests_total", "Match requests received (batch entries count individually; a sharded request counts once per shard).", st.Requests)
-	counter("bellflower_cache_hits_total", "Requests served from the report cache.", st.CacheHits)
-	counter("bellflower_cache_misses_total", "Requests that consulted the flight group.", st.CacheMisses)
-	counter("bellflower_deduped_in_flight_total", "Requests that joined an identical in-flight run.", st.DedupedInFlight)
-	counter("bellflower_pipeline_runs_total", "Matching pipeline executions completed.", st.PipelineRuns)
-	counter("bellflower_candidate_prepass_total", "Full-repository candidate pre-pass executions (router-level element matching, shared across shards).", st.CandidatePrePass)
-	counter("bellflower_partial_results_total", "Fanned-out requests served as Incomplete merges under the partial-results option.", st.PartialResults)
-	counter("bellflower_prepass_fallback_total", "Requests degraded to full per-shard pipelines after a pre-pass failure (partial-results option).", st.PrePassFallbacks)
-	counter("bellflower_failovers_total", "Match attempts retried on a different replica after a transport error.", st.Failovers)
-	counter("bellflower_health_skips_total", "Shards skipped by the partial-results fan-out because every replica was unhealthy (no request sent).", st.HealthSkips)
-	counter("bellflower_errors_total", "Requests that finished with an error, including cancellations and deadline expiries.", st.Errors)
-	counter("bellflower_rejected_total", "Requests refused before running (closed service, oversized or nil schema).", st.Rejected)
-	counter("bellflower_cache_evictions_total", "Cache entries evicted for space (byte budget or entry-count cap).", st.CacheEvictions)
-	counter("bellflower_cache_expired_total", "Cache entries dropped because their TTL passed.", st.CacheExpired)
-	counter("bellflower_projection_cache_hits_total", "Shard-server projection references resolved from the content-addressed projection cache (the projection never crossed the wire).", st.ProjectionCacheHits)
-	counter("bellflower_projection_cache_misses_total", "Shard-server projection references answered 428 projection-needed (the client retried with the full payload).", st.ProjectionCacheMisses)
-	counter("bellflower_sim_calls_saved_total", "Similarity evaluations avoided by the matching kernel's vocabulary dedup (distinct keys scored once, fanned out to nodes).", st.SimCallsSaved)
-	counter("bellflower_match_prunes_total", "Edit-distance passes skipped by the matching kernel's length-difference pruning bound.", st.MatchPrunes)
-	counter("bellflower_partial_mappings_total", "Partial mappings generated by the mapping search — the paper's machine-independent work indicator, accumulated across requests.", st.PartialMappings)
-	counter("bellflower_clusters_skipped_by_bound_total", "Useful clusters the adaptive top-N engine skipped because their optimistic bound fell below the shared floor before dispatch.", st.ClustersSkippedByBound)
-	counter("bellflower_floor_tightenings_total", "Rises of the adaptive top-N engine's shared pruning floor (a found mapping displaced the weakest kept one or filled the heap).", st.FloorTightenings)
-	counter("bellflower_gen_pool_reuses_total", "Mapping-generation search states acquired warm from the pool instead of allocating fresh state.", st.GenPoolReuses)
+	scalars(counter)
 
 	const wb = "bellflower_wire_bytes_total"
-	fmt.Fprintf(ew, "# HELP %s Shard-RPC match body bytes by direction, counted at the shard server (in = request bodies received, out = response bodies sent); the wire speaks one codec.\n# TYPE %s counter\n", wb, wb)
+	writeHeader(ew, wb, "Shard-RPC match body bytes by direction, counted at the shard server (in = request bodies received, out = response bodies sent); the wire speaks one codec.", counter)
 	fmt.Fprintf(ew, "%s{dir=\"in\",codec=\"binary\"} %d\n", wb, st.WireBytes.InBinary)
 	fmt.Fprintf(ew, "%s{dir=\"out\",codec=\"binary\"} %d\n", wb, st.WireBytes.OutBinary)
 
-	gauge("bellflower_shards", "Repository shards served by this process.", int64(shards))
-	gauge("bellflower_workers", "Pipeline worker goroutines across all shards.", int64(st.Workers))
-	gauge("bellflower_queue_depth", "Runs waiting for a worker right now.", int64(st.QueueDepth))
-	gauge("bellflower_queue_capacity", "Bounded run-queue capacity.", int64(st.QueueCapacity))
-	gauge("bellflower_in_flight", "Distinct deduplicated runs executing or queued.", int64(st.InFlight))
-	gauge("bellflower_report_cache_entries", "Reports currently cached.", int64(st.CacheLen))
-	gauge("bellflower_report_cache_capacity", "Report cache capacity.", int64(st.CacheCap))
-	gauge("bellflower_cache_bytes", "Resident size-estimated bytes across the unified cache (reports + pre-pass).", st.CacheBytes)
-	gauge("bellflower_cache_byte_budget", "Unified cache byte budget (0 = unbounded).", st.CacheByteBudget)
-	gauge("bellflower_index_bytes", "Resident labelling-index bytes (distinct indexes counted once; view-backed shards share one).", st.IndexBytes)
-	gauge("bellflower_name_index_bytes", "Resident name-similarity-index bytes of the matching kernel (distinct indexes counted once; view-backed shards share one).", st.NameIndexBytes)
-	gaugeF("bellflower_distinct_vocab_ratio", "Distinct (name, datatype) keys over repository nodes; its inverse is the matching kernel's vocabulary-dedup factor.", st.DistinctVocabRatio)
+	writeHeader(ew, "bellflower_shards", "Repository shards served by this process.", gauge)
+	fmt.Fprintf(ew, "bellflower_shards %d\n", shards)
+	scalars(gauge)
 
 	const hist = "bellflower_request_latency_seconds"
-	fmt.Fprintf(ew, "# HELP %s End-to-end request latency.\n# TYPE %s histogram\n", hist, hist)
-	cum := int64(0)
-	for i, ub := range st.Latency.BucketsMS {
-		if i < len(st.Latency.Counts) {
-			cum += st.Latency.Counts[i]
-		}
-		fmt.Fprintf(ew, "%s_bucket{le=\"%g\"} %d\n", hist, ub/1000, cum)
-	}
-	fmt.Fprintf(ew, "%s_bucket{le=\"+Inf\"} %d\n", hist, st.Latency.Count)
-	fmt.Fprintf(ew, "%s_sum %g\n", hist, st.Latency.SumMS/1000)
-	fmt.Fprintf(ew, "%s_count %d\n", hist, st.Latency.Count)
+	writeHeader(ew, hist, "End-to-end request latency.", "histogram")
+	writeHistogram(ew, hist, "", 1000, st.Latency)
 
 	if len(st.Stages) > 0 {
 		const stageHist = "bellflower_stage_duration_ms"
-		fmt.Fprintf(ew, "# HELP %s Per-stage latency by pipeline/serving stage, in milliseconds.\n# TYPE %s histogram\n", stageHist, stageHist)
+		writeHeader(ew, stageHist, "Per-stage latency by pipeline/serving stage, in milliseconds.", "histogram")
 		names := make([]string, 0, len(st.Stages))
 		for name := range st.Stages {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			ls := st.Stages[name]
-			cum := int64(0)
-			for i, ub := range ls.BucketsMS {
-				if i < len(ls.Counts) {
-					cum += ls.Counts[i]
-				}
-				fmt.Fprintf(ew, "%s_bucket{stage=%q,le=\"%g\"} %d\n", stageHist, name, ub, cum)
-			}
-			fmt.Fprintf(ew, "%s_bucket{stage=%q,le=\"+Inf\"} %d\n", stageHist, name, ls.Count)
-			fmt.Fprintf(ew, "%s_sum{stage=%q} %g\n", stageHist, name, ls.SumMS)
-			fmt.Fprintf(ew, "%s_count{stage=%q} %d\n", stageHist, name, ls.Count)
+			writeHistogram(ew, stageHist, fmt.Sprintf("stage=%q", name), 1, st.Stages[name])
 		}
 	}
 	return ew.err
 }
 
-// shardSeries is the per-shard metric family written by
-// WritePrometheusSnapshot: one labelled series per shard alongside the
-// unlabelled rollup.
-var shardSeries = []struct {
-	name, typ, help string
-	value           func(Stats) int64
-}{
-	{"bellflower_shard_requests_total", "counter", "Match requests received by the shard.", func(s Stats) int64 { return s.Requests }},
-	{"bellflower_shard_cache_hits_total", "counter", "Shard requests served from its report cache.", func(s Stats) int64 { return s.CacheHits }},
-	{"bellflower_shard_cache_misses_total", "counter", "Shard requests that consulted the flight group.", func(s Stats) int64 { return s.CacheMisses }},
-	{"bellflower_shard_deduped_in_flight_total", "counter", "Shard requests that joined an identical in-flight run.", func(s Stats) int64 { return s.DedupedInFlight }},
-	{"bellflower_shard_pipeline_runs_total", "counter", "Pipeline executions completed by the shard.", func(s Stats) int64 { return s.PipelineRuns }},
-	{"bellflower_shard_errors_total", "counter", "Shard requests that finished with an error.", func(s Stats) int64 { return s.Errors }},
-	{"bellflower_shard_rejected_total", "counter", "Shard requests refused before running.", func(s Stats) int64 { return s.Rejected }},
-	{"bellflower_shard_queue_depth", "gauge", "Runs waiting for one of the shard's workers right now.", func(s Stats) int64 { return int64(s.QueueDepth) }},
-	{"bellflower_shard_in_flight", "gauge", "Distinct deduplicated runs executing or queued on the shard.", func(s Stats) int64 { return int64(s.InFlight) }},
-	{"bellflower_shard_report_cache_entries", "gauge", "Reports currently cached by the shard.", func(s Stats) int64 { return int64(s.CacheLen) }},
-	{"bellflower_shard_cache_bytes", "gauge", "Resident size-estimated bytes of the shard's report cache.", func(s Stats) int64 { return s.CacheBytes }},
-	{"bellflower_shard_failovers_total", "counter", "Shard match attempts retried on a different replica after a transport error.", func(s Stats) int64 { return s.Failovers }},
+func writeHeader(w io.Writer, name, help, typ string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
+
+// writeSample writes one sample line of a metric-table field: labels is the
+// brace-enclosed label set or empty, v the int or float64 field value.
+func writeSample(w io.Writer, name, labels string, v reflect.Value) {
+	if v.Kind() == reflect.Float64 {
+		fmt.Fprintf(w, "%s%s %g\n", name, labels, v.Float())
+		return
+	}
+	fmt.Fprintf(w, "%s%s %d\n", name, labels, v.Int())
+}
+
+// writeHistogram writes one histogram's cumulative buckets, sum and count.
+// label is an optional `key="value"` pair carried by every line; perUnit
+// converts the snapshot's milliseconds to the family's unit (1000 for
+// seconds).
+func writeHistogram(w io.Writer, name, label string, perUnit float64, ls LatencyStats) {
+	bucketLabel, braced := label, ""
+	if label != "" {
+		bucketLabel, braced = label+",", "{"+label+"}"
+	}
+	cum := int64(0)
+	for i, ub := range ls.BucketsMS {
+		if i < len(ls.Counts) {
+			cum += ls.Counts[i]
+		}
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, bucketLabel, ub/perUnit, cum)
+	}
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, bucketLabel, ls.Count)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, braced, ls.SumMS/perUnit)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, braced, ls.Count)
+}
+
+// shardMetrics are the metric-table rows with a per-shard series, in the
+// per-shard families' exposition order.
+var shardMetrics = func() []*metric {
+	var ms []*metric
+	for i := range metrics {
+		if metrics[i].shard > 0 {
+			ms = append(ms, &metrics[i])
+		}
+	}
+	sort.Slice(ms, func(a, b int) bool { return ms[a].shard < ms[b].shard })
+	return ms
+}()
 
 // WritePrometheusSnapshot renders a backend's coherent snapshot
 // (Backend.Snapshot): the rolled-up metrics of WritePrometheus, followed —
@@ -137,18 +116,18 @@ var shardSeries = []struct {
 // backed by replica groups additionally emit one
 // bellflower_shard_healthy{shard,replica} gauge per replica (1 healthy,
 // 0 marked down) — even for a single-shard fan-out, where the other
-// per-shard series would duplicate the rollup but replica health exists
-// nowhere else.
+// per-shard series would duplicate the rollup.
 func WritePrometheusSnapshot(w io.Writer, total Stats, shards []Stats) error {
 	if err := WritePrometheus(w, total, len(shards)); err != nil {
 		return err
 	}
 	ew := &errWriter{w: w}
 	if len(shards) > 1 {
-		for _, m := range shardSeries {
-			fmt.Fprintf(ew, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
-			for i, st := range shards {
-				fmt.Fprintf(ew, "%s{shard=\"%d\"} %d\n", m.name, i, m.value(st))
+		for _, m := range shardMetrics {
+			name := "bellflower_shard_" + strings.TrimPrefix(m.name, "bellflower_")
+			writeHeader(ew, name, m.shardHelp, m.typ)
+			for i := range shards {
+				writeSample(ew, name, fmt.Sprintf("{shard=\"%d\"}", i), reflect.ValueOf(&shards[i]).Elem().Field(m.index))
 			}
 		}
 	}
@@ -156,8 +135,7 @@ func WritePrometheusSnapshot(w io.Writer, total Stats, shards []Stats) error {
 	for i, st := range shards {
 		for _, rh := range st.Replicas {
 			if !wroteHealthHeader {
-				const name = "bellflower_shard_healthy"
-				fmt.Fprintf(ew, "# HELP %s Replica health per shard: 1 healthy, 0 marked unhealthy by the control plane.\n# TYPE %s gauge\n", name, name)
+				writeHeader(ew, "bellflower_shard_healthy", "Replica health per shard: 1 healthy, 0 marked unhealthy by the control plane.", gauge)
 				wroteHealthHeader = true
 			}
 			v := 0

@@ -45,13 +45,10 @@ type Backend interface {
 	// summed, so one fanned-out request counts once per shard.
 	Stats() Stats
 
-	// ShardStats returns one snapshot per shard (length NumShards).
-	ShardStats() []Stats
-
-	// Snapshot returns the rollup and the per-shard snapshots it was
-	// computed from, taken together: total's shard-derived fields always
-	// equal the sum of the shards (plus any router-level counters), which
-	// separate Stats and ShardStats calls cannot promise under traffic.
+	// Snapshot returns the rollup and one snapshot per shard (length
+	// NumShards) that it was computed from, taken together: total's
+	// shard-derived fields always equal the sum of the shards (plus any
+	// router-level counters).
 	Snapshot() (total Stats, shards []Stats)
 
 	// RepositoryStats summarizes the repository across all shards.
@@ -72,7 +69,7 @@ var (
 // ShardBackend is the narrow surface the Router demands of one shard: one
 // staged match entry point, a stats snapshot and teardown. A shard is ANY
 // implementation — an in-process view-backed Service, or a client for a
-// shard hosted in another process (internal/shardrpc.RemoteShard speaks the
+// shard hosted in another process (internal/shardrpc.ReplicaSet speaks the
 // wire protocol behind bellflower-server's -shard-of mode). The router
 // reaches shards only through this interface, so local and remote
 // topologies are interchangeable; everything shard-internal (report caches,
@@ -143,7 +140,7 @@ const defaultShardCapacityHint = 8
 // use from many goroutines.
 type Router struct {
 	shards  []ShardBackend
-	locals  []*Service           // locals[i] is shards[i] when it lives in-process, nil for remote backends
+	locals  []*Service           // the shards when they are this process's own services (NewRouterWithPartition); nil when they are external backends
 	shardOf map[*schema.Tree]int // routes clusters and mappings to their shard
 	once    sync.Once
 	closed  atomic.Bool
@@ -204,21 +201,34 @@ func NewRouterWithPartition(repo *schema.Repository, n int, cfg Config, strategy
 	gov := newGovernor(cfg.CacheBytes, cfg.CacheTTL)
 	shardCfg := cfg
 	shardCfg.gov = gov
+	locals := make([]*Service, len(views))
 	backends := make([]ShardBackend, len(views))
 	for i, v := range views {
-		backends[i] = New(pipeline.NewViewRunnerWithNameIndex(v, ni), shardCfg)
+		locals[i] = New(pipeline.NewViewRunnerWithNameIndex(v, ni), shardCfg)
+		backends[i] = locals[i]
 	}
 	// The pre-pass runs on request goroutines (it must complete even when
 	// its leader's own shard work would be queued); bound its concurrency
 	// to the summed shard worker budget so a burst of distinct cold
 	// requests cannot run more CPU-bound matching than the operator sized
 	// the service for.
-	return newRouter(ix, ni, views, backends, gov, cfg, cfg.withDefaults().Workers*len(views))
+	r := newRouter(ix, ni, views, backends, gov, cfg, cfg.withDefaults().Workers*len(views))
+	// One EngineStats across the pre-pass runner and every shard runner, so
+	// generation counters accumulate into a single figure per repository
+	// generation (the NameIndex kernel-counter discipline). With the one
+	// index, name index and governor above, every shared field of a shard's
+	// Stats is then the router's own figure.
+	r.locals = locals
+	for _, s := range locals {
+		s.runner.ShareGenStats(r.fullRunner.GenStats())
+	}
+	return r
 }
 
 // NewRouterWithShardBackends assembles a router over externally built shard
-// backends — typically shardrpc.RemoteShard clients for shards hosted in
-// other processes, though any ShardBackend mix works. ix must be the
+// backends — shardrpc.ReplicaSet clients for shards hosted in other
+// processes, or test stubs. Their caches and indexes are not this router's:
+// the stats rollup adds their shared figures on top of its own. ix must be the
 // labelling index of the full repository and views[i] the shard view
 // backend i serves (the router routes clusters and rewrites by view
 // membership, and the views' tree descriptors are the backends' wire ID
@@ -241,7 +251,6 @@ func NewRouterWithShardBackends(ix *labeling.Index, views []*labeling.View, back
 func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View, backends []ShardBackend, gov *memGovernor, cfg Config, prepassConc int) *Router {
 	r := &Router{
 		shards:         append([]ShardBackend(nil), backends...),
-		locals:         make([]*Service, len(backends)),
 		shardOf:        make(map[*schema.Tree]int),
 		fullRunner:     pipeline.NewRunnerFromIndexes(ix, ni),
 		views:          views,
@@ -251,16 +260,8 @@ func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View
 		maxSchemaNodes: cfg.withDefaults().MaxSchemaNodes,
 	}
 	r.partial.Store(cfg.PartialResults)
-	// One EngineStats across the pre-pass runner and every local shard
-	// runner, so generation counters accumulate into a single figure per
-	// repository generation (the NameIndex kernel-counter discipline).
-	gs := r.fullRunner.GenStats()
-	for i, b := range backends {
-		if s, ok := b.(*Service); ok {
-			r.locals[i] = s
-			s.runner.ShareGenStats(gs)
-		}
-		for _, t := range views[i].Trees() {
+	for i, v := range views {
+		for _, t := range v.Trees() {
 			r.shardOf[t] = i
 		}
 	}
@@ -599,7 +600,7 @@ func mergeReports(reps []*pipeline.Report, topN int) *pipeline.Report {
 // MatchBatch serves a batch of requests concurrently through the router,
 // results in request order. The goroutine fan-out is bounded by the summed
 // capacity of the shards: shards advertising CapacityHint (Service,
-// shardrpc.RemoteShard) are sized exactly, others at a flat default.
+// shardrpc.ReplicaSet) are sized exactly, others at a flat default.
 func (r *Router) MatchBatch(ctx context.Context, reqs []Request) []Result {
 	fanout := 0
 	for _, s := range r.shards {
@@ -630,25 +631,37 @@ func (r *Router) RewriteQuery(q string, personal *schema.Tree, mp mapgen.Mapping
 	return query.Rewrite(parsed, personal, mp, r.fullRunner.Index())
 }
 
-// Stats returns the per-shard snapshots rolled up into one (see MergeStats
-// for the summing semantics), plus the router-level counters — pre-pass
-// executions, and the requests rejected or failed above the shards on the
-// pre-pass path — which appear only in the rollup, never in ShardStats.
+// Stats returns the rollup of Snapshot.
 func (r *Router) Stats() Stats {
 	total, _ := r.Snapshot()
 	return total
 }
 
 // Snapshot implements Backend: the rollup and the per-shard snapshots it
-// was computed from, taken once — shard-derived fields of total always
-// equal the per-shard sums, with the router-level counters added on top.
-// Resident-memory gauges are refined here with knowledge MergeStats lacks:
-// IndexBytes counts each distinct labelling index once (view-backed shards
-// all share the router's single index, so a sharded rollup equals the
-// unsharded figure), and CacheBytes covers the unified governor's whole account —
-// every shard's reports plus the pre-pass cache.
+// was computed from, taken once. The rollup is MergeStats of the shards plus
+// what only the router knows: its own counters and stage histograms — the
+// pre-pass, and requests rejected or failed above the shards — its pre-pass
+// cache's bytes, and the shared fields (see metrics), read once from the
+// router's own index, name index, generation counters and governor. In-process
+// shards run on exactly those resources, so a sharded rollup equals the
+// unsharded figure; external shards keep their own in their own processes,
+// and their snapshots' figures add on top for a fleet-wide total.
+//
+// Shard snapshots are taken concurrently: a remote shard's Stats is a
+// network fetch with its own timeout, and a scrape of a fleet with several
+// dead shards must pay that timeout once, not once per dead shard.
 func (r *Router) Snapshot() (Stats, []Stats) {
-	shards := r.ShardStats()
+	shards := make([]Stats, len(r.shards))
+	var wg sync.WaitGroup
+	wg.Add(len(r.shards))
+	for i, s := range r.shards {
+		go func(i int, s ShardBackend) {
+			defer wg.Done()
+			shards[i] = s.Stats()
+		}(i, s)
+	}
+	wg.Wait()
+
 	total := MergeStats(shards...)
 	total.CandidatePrePass += r.prepassRuns.Load()
 	rejected, errored := r.rejected.Load(), r.errored.Load()
@@ -658,39 +671,13 @@ func (r *Router) Snapshot() (Stats, []Stats) {
 	total.PartialResults += r.partialMerges.Load()
 	total.PrePassFallbacks += r.prepassFallbacks.Load()
 	total.HealthSkips += r.healthSkips.Load()
+	total.CacheBytes += r.prepass.space.residentBytes()
 	total.Stages = mergeStages(total.Stages, r.routerStages())
-	total.IndexBytes = r.indexBytes()
-	total.NameIndexBytes, total.DistinctVocabRatio, total.SimCallsSaved, total.MatchPrunes = r.nameIndexStats()
-	// The pre-pass runner and every local shard runner accumulate into one
-	// EngineStats (wired in newRouter), so the sharded figures equal the
-	// unsharded ones.
-	gs := r.fullRunner.GenStats().Snapshot()
-	total.PartialMappings, total.ClustersSkippedByBound, total.FloorTightenings, total.GenPoolReuses =
-		gs.PartialMappings, gs.ClustersSkippedByBound, gs.FloorTightenings, gs.PoolReuses
-	total.CacheBytes, total.CacheByteBudget, total.CacheEvictions, total.CacheExpired = r.governorStats()
-	// Remote shards' caches and indexes are resident in THEIR processes;
-	// their snapshots carry the figures, so the rollup adds them on top of
-	// the local dedup — the total then reflects fleet-wide residency.
-	for i, st := range shards {
-		if r.locals[i] != nil {
-			continue
-		}
-		total.CacheBytes += st.CacheBytes
-		total.CacheByteBudget += st.CacheByteBudget
-		total.CacheEvictions += st.CacheEvictions
-		total.CacheExpired += st.CacheExpired
-		total.IndexBytes += st.IndexBytes
-		total.NameIndexBytes += st.NameIndexBytes
-		total.SimCallsSaved += st.SimCallsSaved
-		total.MatchPrunes += st.MatchPrunes
-		total.PartialMappings += st.PartialMappings
-		total.ClustersSkippedByBound += st.ClustersSkippedByBound
-		total.FloorTightenings += st.FloorTightenings
-		total.GenPoolReuses += st.GenPoolReuses
-		if st.DistinctVocabRatio > total.DistinctVocabRatio {
-			total.DistinctVocabRatio = st.DistinctVocabRatio
-		}
+	own, remote := residentStats(r.gov, r.fullRunner), shards
+	if r.locals != nil {
+		remote = nil // in-process shards report own's resources, not further ones
 	}
+	rollupShared(&total, &own, remote)
 	return total, shards
 }
 
@@ -702,105 +689,6 @@ func (r *Router) routerStages() map[string]LatencyStats {
 	addStage(m, StageFanout, &r.stFanout)
 	addStage(m, StageMerge, &r.stMerge)
 	return m
-}
-
-// governorStats sums the cache-governor figures across the router,
-// counting each distinct governor exactly once: the shards
-// NewRouterWithPartition starts all share the router's one governor (so the
-// figures ARE that governor's, pre-pass included), while local services
-// handed to NewRouterWithShardBackends each own one and their accounts add
-// up. Remote shards keep their caches in their own
-// process; their cache figures arrive through their Stats snapshots, not
-// through a local governor.
-func (r *Router) governorStats() (used, budget, evictions, expired int64) {
-	seen := make(map[*memGovernor]bool, len(r.locals)+1)
-	add := func(g *memGovernor) {
-		if g == nil || seen[g] {
-			return
-		}
-		seen[g] = true
-		u, b, e, x := g.snapshot()
-		used += u
-		budget += b
-		evictions += e
-		expired += x
-	}
-	add(r.gov)
-	for _, s := range r.locals {
-		if s != nil {
-			add(s.gov)
-		}
-	}
-	return used, budget, evictions, expired
-}
-
-// indexBytes sums the resident labelling-index memory across the router,
-// counting each distinct LOCAL index exactly once (remote shards' resident
-// indexes live in their own processes and are not this process's memory).
-func (r *Router) indexBytes() int64 {
-	seen := make(map[*labeling.Index]bool, len(r.locals)+1)
-	ix := r.fullRunner.Index()
-	seen[ix] = true
-	b := ix.MemoryBytes()
-	for _, s := range r.locals {
-		if s == nil {
-			continue
-		}
-		if ix := s.Index(); !seen[ix] {
-			seen[ix] = true
-			b += ix.MemoryBytes()
-		}
-	}
-	return b
-}
-
-// nameIndexStats rolls the keyed matching kernel's figures up across the
-// router, counting each distinct LOCAL name index exactly once — view-backed
-// shards and the pre-pass runner all share the router's single index, so the
-// sharded figures equal the unsharded ones (the memory gauge proves no
-// per-shard duplication, and the shared counters are not multiplied by the
-// shard count). The distinct-vocabulary ratio reports the largest universe's
-// ratio rather than a sum, matching MergeStats' shared-gauge semantics.
-func (r *Router) nameIndexStats() (bytes int64, ratio float64, saved, prunes int64) {
-	seen := make(map[*matcher.NameIndex]bool, len(r.locals)+1)
-	add := func(ni *matcher.NameIndex) {
-		if ni == nil || seen[ni] {
-			return
-		}
-		seen[ni] = true
-		bytes += ni.MemoryBytes()
-		if dr := ni.DistinctRatio(); dr > ratio {
-			ratio = dr
-		}
-		ks := ni.KernelStats()
-		saved += ks.SavedCalls
-		prunes += ks.PruneHits
-	}
-	add(r.fullRunner.NameIndex())
-	for _, s := range r.locals {
-		if s != nil {
-			add(s.runner.NameIndex())
-		}
-	}
-	return bytes, ratio, saved, prunes
-}
-
-// ShardStats returns one snapshot per shard, in shard order. Snapshots
-// are taken concurrently: a remote shard's Stats is a network fetch with
-// its own timeout, and a scrape of a fleet with several dead shards must
-// pay that timeout once, not once per dead shard.
-func (r *Router) ShardStats() []Stats {
-	out := make([]Stats, len(r.shards))
-	var wg sync.WaitGroup
-	wg.Add(len(r.shards))
-	for i, s := range r.shards {
-		go func(i int, s ShardBackend) {
-			defer wg.Done()
-			out[i] = s.Stats()
-		}(i, s)
-	}
-	wg.Wait()
-	return out
 }
 
 // RepositoryStats aggregates the shard views' served-tree statistics: tree
@@ -829,8 +717,13 @@ func (r *Router) RepositoryStats() schema.Stats {
 func (r *Router) NumShards() int { return len(r.shards) }
 
 // Shard returns the i-th shard's in-process service (for inspection; the
-// router retains ownership), or nil when that shard is a remote backend.
-func (r *Router) Shard(i int) *Service { return r.locals[i] }
+// router retains ownership), or nil when the shards are external backends.
+func (r *Router) Shard(i int) *Service {
+	if r.locals == nil {
+		return nil
+	}
+	return r.locals[i]
+}
 
 // ShardBackendAt returns the i-th shard backend — always non-nil, remote
 // or local. The router retains ownership.

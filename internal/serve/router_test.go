@@ -283,11 +283,10 @@ func TestRouterStatsRollup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	per := r.ShardStats()
+	st, per := r.Snapshot()
 	if len(per) != 2 {
-		t.Fatalf("ShardStats returned %d entries, want 2", len(per))
+		t.Fatalf("Snapshot returned %d shard entries, want 2", len(per))
 	}
-	st := r.Stats()
 	// Each router-level request counts once per shard in the rollup.
 	if st.Requests != 4 {
 		t.Errorf("rolled-up requests = %d, want 4 (2 requests × 2 shards)", st.Requests)

@@ -541,9 +541,6 @@ func (s *Service) RewriteQuery(q string, personal *schema.Tree, mp mapgen.Mappin
 	return query.Rewrite(parsed, personal, mp, s.runner.Index())
 }
 
-// ShardStats implements Backend: a plain service is its own single shard.
-func (s *Service) ShardStats() []Stats { return []Stats{s.Stats()} }
-
 // Snapshot implements Backend: one snapshot serves as both rollup and the
 // single shard's entry.
 func (s *Service) Snapshot() (Stats, []Stats) {
@@ -565,43 +562,48 @@ func (s *Service) RepositoryStats() schema.Stats {
 // NumShards implements Backend; a plain service is one shard.
 func (s *Service) NumShards() int { return 1 }
 
+// residentStats snapshots the shared fields of Stats (see metrics): the
+// figures of the resources one process keeps once — gov's account, and the
+// labelling index, name index and generation counters behind runner. A
+// Service reports the ones it runs on; a Router reports its own once for all
+// its in-process shards.
+func residentStats(gov *memGovernor, runner *pipeline.Runner) Stats {
+	gs := runner.GenStats().Snapshot()
+	st := Stats{
+		IndexBytes:             runner.Index().MemoryBytes(),
+		PartialMappings:        gs.PartialMappings,
+		ClustersSkippedByBound: gs.ClustersSkippedByBound,
+		FloorTightenings:       gs.FloorTightenings,
+		GenPoolReuses:          gs.PoolReuses,
+	}
+	_, st.CacheByteBudget, st.CacheEvictions, st.CacheExpired = gov.snapshot()
+	if ni := runner.NameIndex(); ni != nil {
+		ks := ni.KernelStats()
+		st.NameIndexBytes, st.DistinctVocabRatio = ni.MemoryBytes(), ni.DistinctRatio()
+		st.SimCallsSaved, st.MatchPrunes = ks.SavedCalls, ks.PruneHits
+	}
+	return st
+}
+
 // Stats returns a point-in-time snapshot of the service's counters.
 func (s *Service) Stats() Stats {
-	_, budget, evictions, expired := s.gov.snapshot()
-	st := Stats{
-		CacheBytes:      s.cache.Bytes(),
-		CacheByteBudget: budget,
-		CacheEvictions:  evictions,
-		CacheExpired:    expired,
-		IndexBytes:      s.runner.Index().MemoryBytes(),
-		Requests:        s.ct.requests.Load(),
-		CacheHits:       s.ct.cacheHits.Load(),
-		CacheMisses:     s.ct.cacheMisses.Load(),
-		DedupedInFlight: s.ct.deduped.Load(),
-		PipelineRuns:    s.ct.runs.Load(),
-		Errors:          s.ct.errors.Load(),
-		Rejected:        s.ct.rejected.Load(),
-		QueueDepth:      len(s.queue),
-		QueueCapacity:   cap(s.queue),
-		InFlight:        s.flight.inFlight(),
-		Workers:         s.cfg.Workers,
-		CacheLen:        s.cache.Len(),
-		CacheCap:        s.cache.Cap(),
-		Latency:         s.ct.lat.snapshot(),
-		Stages:          s.ct.snapshotStages(),
-	}
-	if ni := s.runner.NameIndex(); ni != nil {
-		st.NameIndexBytes = ni.MemoryBytes()
-		st.DistinctVocabRatio = ni.DistinctRatio()
-		ks := ni.KernelStats()
-		st.SimCallsSaved = ks.SavedCalls
-		st.MatchPrunes = ks.PruneHits
-	}
-	gs := s.runner.GenStats().Snapshot()
-	st.PartialMappings = gs.PartialMappings
-	st.ClustersSkippedByBound = gs.ClustersSkippedByBound
-	st.FloorTightenings = gs.FloorTightenings
-	st.GenPoolReuses = gs.PoolReuses
+	st := residentStats(s.gov, s.runner)
+	st.CacheBytes = s.cache.Bytes()
+	st.Requests = s.ct.requests.Load()
+	st.CacheHits = s.ct.cacheHits.Load()
+	st.CacheMisses = s.ct.cacheMisses.Load()
+	st.DedupedInFlight = s.ct.deduped.Load()
+	st.PipelineRuns = s.ct.runs.Load()
+	st.Errors = s.ct.errors.Load()
+	st.Rejected = s.ct.rejected.Load()
+	st.QueueDepth = len(s.queue)
+	st.QueueCapacity = cap(s.queue)
+	st.InFlight = s.flight.inFlight()
+	st.Workers = s.cfg.Workers
+	st.CacheLen = s.cache.Len()
+	st.CacheCap = s.cache.Cap()
+	st.Latency = s.ct.lat.snapshot()
+	st.Stages = s.ct.snapshotStages()
 	if pc := s.projc.Load(); pc != nil {
 		st.ProjectionCacheHits = pc.hits.Load()
 		st.ProjectionCacheMisses = pc.misses.Load()

@@ -25,13 +25,13 @@ func init() {
 // one bucket layout, which keeps the Prometheus exposition uniform).
 type histogram struct {
 	count atomic.Int64
-	sumUS atomic.Int64 // microseconds, to keep atomics integral
+	sumNS atomic.Int64 // nanoseconds: a cache hit takes ~3 µs, coarser units would truncate it
 	bkt   [numLatencyBuckets]atomic.Int64
 }
 
 func (h *histogram) observe(d time.Duration) {
 	h.count.Add(1)
-	h.sumUS.Add(d.Microseconds())
+	h.sumNS.Add(d.Nanoseconds())
 	ms := float64(d) / float64(time.Millisecond)
 	for i, ub := range latencyBucketsMS {
 		if ms <= ub {
@@ -45,7 +45,7 @@ func (h *histogram) observe(d time.Duration) {
 func (h *histogram) snapshot() LatencyStats {
 	ls := LatencyStats{
 		Count:     h.count.Load(),
-		SumMS:     float64(h.sumUS.Load()) / 1000,
+		SumMS:     float64(h.sumNS.Load()) / 1e6,
 		BucketsMS: append([]float64(nil), latencyBucketsMS...),
 		Counts:    make([]int64, len(latencyBucketsMS)+1),
 	}
@@ -200,28 +200,28 @@ type Stats struct {
 
 	// CacheByteBudget is the governor's byte budget (Config.CacheBytes);
 	// 0 means unbounded. Shards of one router share a single governor, so
-	// the rollup reports the shared budget once (max, not sum).
+	// the rollup reports the shared budget once (a shared field).
 	CacheByteBudget int64 `json:"cache_byte_budget"`
 
 	// CacheEvictions counts entries evicted for space — byte budget or
 	// entry-count cap — and CacheExpired counts entries dropped by the
 	// TTL. Governor-level: shards sharing a governor report the same
-	// figures, and the rollup carries them once (max, not sum).
+	// figures, and the rollup carries them once (shared fields).
 	CacheEvictions int64 `json:"cache_evictions"`
 	CacheExpired   int64 `json:"cache_expired"`
 
 	// IndexBytes is the resident labelling-index memory serving this
 	// backend. View-backed shards share one full-repository index, so a
 	// sharded rollup equals the unsharded figure — the gauge that proves
-	// the per-shard index duplication is gone. Backends compute it
-	// deduplicating by index identity (see Router.Snapshot).
+	// the per-shard index duplication is gone (a shared field: the router
+	// reads its one index, see Router.Snapshot).
 	IndexBytes int64 `json:"index_bytes"`
 
 	// NameIndexBytes is the resident memory of the matching kernel's
 	// name-similarity index (the interned (name, datatype) vocabulary with
 	// precomputed scoring inputs). Like IndexBytes it is shared by every
 	// view-backed shard of one router, so the sharded rollup equals the
-	// unsharded figure; backends dedup by index identity (Router.Snapshot).
+	// unsharded figure (a shared field).
 	NameIndexBytes int64 `json:"name_index_bytes"`
 
 	// DistinctVocabRatio is distinct (name, datatype) keys divided by
@@ -235,7 +235,7 @@ type Stats struct {
 	// MatchPrunes counts edit-distance passes skipped by the
 	// length-difference bound. Both live on the shared name index, so
 	// shards of one router report the same totals and the rollup carries
-	// them once (identity-dedup in Router.Snapshot, max in MergeStats).
+	// them once (shared fields).
 	SimCallsSaved int64 `json:"sim_calls_saved"`
 	MatchPrunes   int64 `json:"match_prunes"`
 
@@ -275,8 +275,9 @@ type Stats struct {
 	HealthSkips int64 `json:"health_skips,omitempty"`
 
 	// Replicas holds the control-plane health snapshot of each replica
-	// behind this shard (replica-group shards only; absent elsewhere and
-	// in rollups, where per-shard identity would be lost).
+	// behind this shard (replica-group shards only; absent elsewhere). A
+	// rollup lists every shard's replicas in shard order; the per-shard
+	// snapshots say which shard each belongs to.
 	Replicas []ReplicaHealth `json:"replicas,omitempty"`
 
 	// ProjectionCacheHits / ProjectionCacheMisses count shard-server
@@ -426,87 +427,29 @@ func mergeStages(dst map[string]LatencyStats, src map[string]LatencyStats) map[s
 	return dst
 }
 
-// MergeStats rolls several snapshots (typically one per shard) into one:
-// counters, capacities and histogram buckets are summed and the latency
-// mean recomputed from the summed totals. Because a Router fans each
-// request out to every shard, a rolled-up snapshot counts one fanned-out
-// request once per shard; shard-relative ratios (hit rates, dedupe rates)
-// remain meaningful.
+// MergeStats rolls several snapshots (typically one per shard) into one.
+// Every scalar merges by its rule in the metric table (see metrics): sum
+// fields — counters, capacities, CacheBytes — add up, shared fields keep the
+// maximum, because shards of one router report the same resident index,
+// engine counters and memory governor and summing would multiply one
+// structure by the shard count. Replica health concatenates in argument
+// order, wire bytes and histogram buckets add, and the latency mean and
+// quantiles are recomputed from the merged totals — so merging one snapshot
+// returns it, and merging is associative.
 //
-// Gauges and counters of possibly-shared resources — IndexBytes,
-// NameIndexBytes, DistinctVocabRatio, SimCallsSaved, MatchPrunes,
-// PartialMappings, ClustersSkippedByBound, FloorTightenings,
-// GenPoolReuses, CacheByteBudget, CacheEvictions, CacheExpired — merge as
-// the maximum, not the sum:
-// view-backed shards of one router share a single index and a single
-// memory governor, and summing would multiply one resident structure by
-// the shard count. The max is only a fallback for bare snapshot merging
-// (it under-reports shards that own independent governors/indexes);
-// Router.Snapshot overrides all of these by deduplicating the actual
-// indexes and governors by identity, which is exact for every topology —
-// prefer Snapshot figures when a backend is at hand. CacheBytes sums:
-// per-shard report spaces are disjoint.
+// Because a Router fans each request out to every shard, a rolled-up
+// snapshot counts one fanned-out request once per shard; shard-relative
+// ratios (hit rates, dedupe rates) remain meaningful. The maximum is only
+// the bare-snapshot answer for shared fields (it under-reports snapshots of
+// different processes); Router.Snapshot reads the resources themselves —
+// prefer its figures when a backend is at hand.
 func MergeStats(ss ...Stats) Stats {
 	var out Stats
-	for _, st := range ss {
-		out.CacheBytes += st.CacheBytes
-		if st.CacheByteBudget > out.CacheByteBudget {
-			out.CacheByteBudget = st.CacheByteBudget
-		}
-		if st.CacheEvictions > out.CacheEvictions {
-			out.CacheEvictions = st.CacheEvictions
-		}
-		if st.CacheExpired > out.CacheExpired {
-			out.CacheExpired = st.CacheExpired
-		}
-		if st.IndexBytes > out.IndexBytes {
-			out.IndexBytes = st.IndexBytes
-		}
-		if st.NameIndexBytes > out.NameIndexBytes {
-			out.NameIndexBytes = st.NameIndexBytes
-		}
-		if st.DistinctVocabRatio > out.DistinctVocabRatio {
-			out.DistinctVocabRatio = st.DistinctVocabRatio
-		}
-		if st.SimCallsSaved > out.SimCallsSaved {
-			out.SimCallsSaved = st.SimCallsSaved
-		}
-		if st.MatchPrunes > out.MatchPrunes {
-			out.MatchPrunes = st.MatchPrunes
-		}
-		if st.PartialMappings > out.PartialMappings {
-			out.PartialMappings = st.PartialMappings
-		}
-		if st.ClustersSkippedByBound > out.ClustersSkippedByBound {
-			out.ClustersSkippedByBound = st.ClustersSkippedByBound
-		}
-		if st.FloorTightenings > out.FloorTightenings {
-			out.FloorTightenings = st.FloorTightenings
-		}
-		if st.GenPoolReuses > out.GenPoolReuses {
-			out.GenPoolReuses = st.GenPoolReuses
-		}
-		out.PartialResults += st.PartialResults
-		out.PrePassFallbacks += st.PrePassFallbacks
-		out.Failovers += st.Failovers
-		out.HealthSkips += st.HealthSkips
-		out.ProjectionCacheHits += st.ProjectionCacheHits
-		out.ProjectionCacheMisses += st.ProjectionCacheMisses
+	for i := range ss {
+		st := &ss[i]
+		mergeScalars(&out, st)
+		out.Replicas = append(out.Replicas, st.Replicas...)
 		out.WireBytes.add(st.WireBytes)
-		out.Requests += st.Requests
-		out.CacheHits += st.CacheHits
-		out.CacheMisses += st.CacheMisses
-		out.DedupedInFlight += st.DedupedInFlight
-		out.PipelineRuns += st.PipelineRuns
-		out.CandidatePrePass += st.CandidatePrePass
-		out.Errors += st.Errors
-		out.Rejected += st.Rejected
-		out.QueueDepth += st.QueueDepth
-		out.QueueCapacity += st.QueueCapacity
-		out.InFlight += st.InFlight
-		out.Workers += st.Workers
-		out.CacheLen += st.CacheLen
-		out.CacheCap += st.CacheCap
 		mergeLatency(&out.Latency, st.Latency)
 		out.Stages = mergeStages(out.Stages, st.Stages)
 	}

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bellflower/internal/labeling"
@@ -75,21 +74,19 @@ func newShardTransportClient(maxConcurrent int) *http.Client {
 	}}
 }
 
-// RemoteShard is a serve.ShardBackend that forwards match traffic to a
-// shard hosted in another process (bellflower-server -shard-of) over the
-// wire protocol of this package. Node references cross the wire in the
+// RemoteShard is the client for ONE shard server (bellflower-server
+// -shard-of) speaking the wire protocol of this package: it encodes requests,
+// runs single match attempts and fetches stats. It is not a shard backend by
+// itself — a ReplicaSet of one or more RemoteShards is, and owns the attempt
+// policy (retry, failover, health). Node references cross the wire in the
 // shard view's local-ID space; the client re-resolves them through its OWN
 // view of its OWN repository copy, so decoded reports merge exactly like
 // in-process shard reports.
 //
-// Failure semantics: transport errors are retried once (a fresh attempt,
-// honouring the caller's context), then surface as this shard's error —
-// under the router's partial-results mode that means Report.Incomplete
-// with a ShardError instead of a failed request. Remote 504/503 map back
-// to context.DeadlineExceeded / serve.ErrClosed so the daemon's status
-// mapping and the router's strict mode treat remote shards like local
-// ones. One response is a protocol turn rather than a failure and is
-// handled inside the attempt, on the same endpoint: 428
+// Remote 504/503 map back to context.DeadlineExceeded / serve.ErrClosed so
+// the daemon's status mapping and the router's strict mode treat remote
+// shards like local ones. One response is a protocol turn rather than a
+// failure and is handled inside the attempt, on the same endpoint: 428
 // (projection-needed — resend with the full projection).
 type RemoteShard struct {
 	base string
@@ -97,9 +94,6 @@ type RemoteShard struct {
 	desc Descriptor
 	hc   *http.Client
 	cfg  RemoteShardConfig
-
-	closed       atomic.Bool
-	unreachables atomic.Int64 // REQUESTS that exhausted their attempts without an HTTP response
 
 	// projKnown holds the projection digests this shard has confirmed
 	// cached (any 200 to a request that carried the digest). A slim
@@ -116,8 +110,6 @@ type RemoteShard struct {
 	stRoundtrip serve.StageTimer
 	stDecode    serve.StageTimer
 }
-
-var _ serve.ShardBackend = (*RemoteShard)(nil)
 
 // NewRemoteShard returns a client for the shard server at addr
 // ("host:port" or a full http:// URL). view must be the caller's own view
@@ -157,12 +149,9 @@ func (rs *RemoteShard) Descriptor() Descriptor { return rs.desc }
 // CapacityHint implements the router's batch-sizing probe.
 func (rs *RemoteShard) CapacityHint() int { return rs.cfg.MaxConcurrent }
 
-// Close marks the client closed; later matches fail with serve.ErrClosed.
-// The remote server is NOT shut down — it belongs to its own process.
-func (rs *RemoteShard) Close() {
-	rs.closed.Store(true)
-	rs.hc.CloseIdleConnections()
-}
+// Close releases the client's idle connections. The remote server is NOT
+// shut down — it belongs to its own process.
+func (rs *RemoteShard) Close() { rs.hc.CloseIdleConnections() }
 
 // maxKnownProjections bounds projKnown. The shard's own projection cache
 // holds far fewer entries (serve's projectionCacheSize), so almost every
@@ -190,48 +179,6 @@ func (rs *RemoteShard) forgetProjection(hash string) {
 	rs.projMu.Lock()
 	defer rs.projMu.Unlock()
 	delete(rs.projKnown, hash)
-}
-
-// MatchStaged implements serve.ShardBackend over the wire. With a staged
-// projection — the router's pre-pass path — the projected candidates and
-// clusters ship in local-ID space and the remote shard runs generation
-// only; the zero Staged asks for the remote shard's full pipeline.
-func (rs *RemoteShard) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*pipeline.Report, error) {
-	if rs.closed.Load() {
-		return nil, serve.ErrClosed
-	}
-	enc, err := rs.encode(ctx, personal, opts, staged)
-	if err != nil {
-		return nil, err
-	}
-
-	// Retry-once: a transport failure (connection refused/reset, per-shard
-	// timeout) gets one fresh attempt while the caller's context is still
-	// live; HTTP-level errors are the shard's answer and are not retried.
-	// Only a request that EXHAUSTS its attempts counts as unreachable — a
-	// first attempt rescued by its retry is a served request, not an
-	// error (Stats would otherwise report outages that never happened).
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if attempt > 0 && ctx.Err() != nil {
-			break
-		}
-		rep, transport, err := rs.post(ctx, enc)
-		if err == nil {
-			return rep, nil
-		}
-		lastErr = err
-		if !transport {
-			return nil, err
-		}
-	}
-	// A caller whose own context expired mid-attempt did not discover an
-	// unreachable shard — don't charge phantom outages to a healthy one.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rs.unreachables.Add(1)
-	return nil, lastErr
 }
 
 // encodedRequest is one match request translated to wire structs, with
@@ -265,7 +212,10 @@ func (e *encodedRequest) body(slim bool) []byte {
 
 // encode translates one request to the wire — structs, projection digest
 // and the body the first attempt will most likely send, so the encode
-// timer prices the real serialization work.
+// timer prices the real serialization work. With a staged projection — the
+// router's pre-pass path — the projected candidates and clusters ship in
+// local-ID space and the remote shard runs generation only; the zero Staged
+// asks for the remote shard's full pipeline.
 func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*encodedRequest, error) {
 	if personal == nil || personal.Root() == nil {
 		return nil, fmt.Errorf("shardrpc: nil personal schema")
@@ -442,35 +392,26 @@ func (rs *RemoteShard) Check(ctx context.Context) error {
 	return nil
 }
 
-// Stats implements serve.ShardBackend: the REMOTE shard's snapshot,
-// fetched best-effort with the stats timeout. Requests that exhausted
-// their transport attempts never reached the shard, so the client folds
-// them in as requests + errors (retry-rescued requests count only on the
-// shard, as the successes they are); an unreachable shard reports just
-// those client-side figures instead of going silent.
+// Stats returns the REMOTE shard's snapshot, fetched best-effort with the
+// stats timeout, with this client's RPC stage timers folded in; an
+// unreachable shard reports just the client-side figures instead of going
+// silent.
 func (rs *RemoteShard) Stats() serve.Stats {
 	ctx, cancel := context.WithTimeout(context.Background(), rs.cfg.StatsTimeout)
 	defer cancel()
-	te := rs.unreachables.Load()
 	sr, err := rs.fetchStats(ctx)
 	if err != nil {
-		st := serve.Stats{Requests: te, Errors: te}
-		rs.addClientStages(&st)
-		return st
+		return rs.clientStats()
 	}
-	st := sr.Stats
-	st.Requests += te
-	st.Errors += te
-	rs.addClientStages(&st)
-	return st
+	rs.addClientStages(&sr.Stats)
+	return sr.Stats
 }
 
-// clientStats is the client-side-only snapshot — exhausted requests plus
-// the RPC stage timers — used for a replica already marked unhealthy, so
-// a stats scrape does not pay StatsTimeout per dead replica.
+// clientStats is the client-side-only snapshot — the RPC stage timers —
+// used for a replica already marked unhealthy, so a stats scrape does not
+// pay StatsTimeout per dead replica.
 func (rs *RemoteShard) clientStats() serve.Stats {
-	te := rs.unreachables.Load()
-	st := serve.Stats{Requests: te, Errors: te}
+	var st serve.Stats
 	rs.addClientStages(&st)
 	return st
 }

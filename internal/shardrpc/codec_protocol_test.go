@@ -137,10 +137,10 @@ func TestShardServerContentType(t *testing.T) {
 // 428 protocol turn inside the same attempt.
 func TestProjectionCacheProtocol(t *testing.T) {
 	ts := shardUnderTest(t)
-	rs := ts.rs
+	rs, set := ts.rs, ts.set
 	personal, opts, staged := stagedFixture(t, ts)
 
-	first, err := rs.MatchStaged(context.Background(), personal, opts, staged)
+	first, err := set.MatchStaged(context.Background(), personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestProjectionCacheProtocol(t *testing.T) {
 		t.Fatalf("slim body (%d bytes) not smaller than full (%d bytes)", slimLen, fullLen)
 	}
 
-	second, err := rs.MatchStaged(context.Background(), personal, opts, staged)
+	second, err := set.MatchStaged(context.Background(), personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +182,10 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	// resends the full payload on the same endpoint, in the same attempt.
 	ts2 := shardUnderTest(t)
 	rs2 := NewRemoteShard(ts2.srv.URL, ts.clientView, ts2.host.Descriptor(), RemoteShardConfig{})
-	defer rs2.Close()
+	set2 := NewReplicaSet([]*RemoteShard{rs2}, serve.HealthConfig{})
+	defer set2.Close()
 	rs2.markProjection(enc.hash) // stale knowledge, as after a shard restart
-	third, err := rs2.MatchStaged(context.Background(), personal, opts, staged)
+	third, err := set2.MatchStaged(context.Background(), personal, opts, staged)
 	if err != nil {
 		t.Fatalf("projection-needed turn did not recover: %v", err)
 	}
@@ -192,13 +193,13 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	if st2 := ts2.host.Stats(); st2.ProjectionCacheMisses != 1 {
 		t.Errorf("restart: misses = %d, want exactly the bounced slim request", st2.ProjectionCacheMisses)
 	}
-	if n := rs2.unreachables.Load(); n != 0 {
+	if n := set2.unreachables.Load(); n != 0 {
 		t.Errorf("protocol turn charged %d unreachable requests", n)
 	}
 	if !rs2.knowsProjection(enc.hash) {
 		t.Error("digest not re-learned after the full resend")
 	}
-	if _, err := rs2.MatchStaged(context.Background(), personal, opts, staged); err != nil {
+	if _, err := set2.MatchStaged(context.Background(), personal, opts, staged); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := ts2.host.Stats(); st2.ProjectionCacheHits != 1 {
@@ -238,7 +239,8 @@ func TestProjectionCacheProtocol(t *testing.T) {
 func TestRemoteShardConnectionReuse(t *testing.T) {
 	ts := shardUnderTest(t)
 	rs := NewRemoteShard(ts.srv.URL, ts.clientView, ts.host.Descriptor(), RemoteShardConfig{MaxConcurrent: 8})
-	defer rs.Close()
+	set := NewReplicaSet([]*RemoteShard{rs}, serve.HealthConfig{})
+	defer set.Close()
 	tr, ok := rs.hc.Transport.(*http.Transport)
 	if !ok {
 		t.Fatal("client does not run on a dedicated http.Transport")
@@ -259,7 +261,7 @@ func TestRemoteShardConnectionReuse(t *testing.T) {
 	personal, opts, staged := stagedFixture(t, ts)
 	const n = 4
 	for i := 0; i < n; i++ {
-		if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
+		if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +279,7 @@ func TestRemoteShardConnectionReuse(t *testing.T) {
 // answered (a forgotten digest costs one full-payload send, never an error).
 func TestProjKnownBounded(t *testing.T) {
 	ts := shardUnderTest(t)
-	rs := ts.rs
+	rs, set := ts.rs, ts.set
 	personal, opts, staged := stagedFixture(t, ts)
 	ctx := context.Background()
 
@@ -290,7 +292,7 @@ func TestProjKnownBounded(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		staged.Iterations = 1000 + i
-		if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
+		if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
 			t.Fatalf("request %d across the cap: %v", i, err)
 		}
 		if n := len(rs.projKnown); n > maxKnownProjections {
@@ -299,7 +301,7 @@ func TestProjKnownBounded(t *testing.T) {
 	}
 	// The latest digest survived the clear, so its repeat goes out slim.
 	hits := ts.host.Stats().ProjectionCacheHits
-	if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
+	if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
 		t.Fatal(err)
 	}
 	if got := ts.host.Stats().ProjectionCacheHits; got != hits+1 {
@@ -314,7 +316,7 @@ func TestProjKnownBounded(t *testing.T) {
 		}
 	}
 	// A digest the clear forgot is simply sent in full again.
-	if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
+	if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
 		t.Fatalf("request after its digest was forgotten: %v", err)
 	}
 }

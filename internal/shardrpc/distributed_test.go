@@ -335,7 +335,8 @@ func TestDistributedDescriptorMismatch(t *testing.T) {
 	views := serve.PartitionRepositoryViews(ix, 2, serve.PartitionClustered)
 	desc := shardrpc.ViewDescriptor(views[0], 0, 2, serve.PartitionClustered)
 	desc.Strategy = "balanced" // doctored
-	rs := shardrpc.NewRemoteShard(fleet.addrs[0], views[0], desc, shardrpc.RemoteShardConfig{})
+	rs := shardrpc.NewReplicaSet([]*shardrpc.RemoteShard{
+		shardrpc.NewRemoteShard(fleet.addrs[0], views[0], desc, shardrpc.RemoteShardConfig{})}, serve.HealthConfig{})
 	personal := schema.MustParseSpec("book(title,author)")
 	if _, err := rs.MatchStaged(context.Background(), personal, pipeline.DefaultOptions(), serve.Staged{}); !errors.Is(err, shardrpc.ErrDescriptorMismatch) {
 		t.Fatalf("doctored descriptor: err = %v, want ErrDescriptorMismatch", err)
@@ -346,8 +347,8 @@ func TestDistributedDescriptorMismatch(t *testing.T) {
 	// handshake). The fan-out must hard-fail the request instead of
 	// degrading to an Incomplete merge — a misconfigured shard's absence
 	// is not a failure to tolerate but wrong answers to refuse.
-	healthy := shardrpc.NewRemoteShard(fleet.addrs[1], views[1],
-		shardrpc.ViewDescriptor(views[1], 1, 2, serve.PartitionClustered), shardrpc.RemoteShardConfig{})
+	healthy := shardrpc.NewReplicaSet([]*shardrpc.RemoteShard{shardrpc.NewRemoteShard(fleet.addrs[1], views[1],
+		shardrpc.ViewDescriptor(views[1], 1, 2, serve.PartitionClustered), shardrpc.RemoteShardConfig{})}, serve.HealthConfig{})
 	router := serve.NewRouterWithShardBackends(ix, views,
 		[]serve.ShardBackend{rs, healthy}, serve.Config{Workers: 1, PartialResults: true})
 	defer router.Close()
@@ -393,8 +394,9 @@ func TestRemoteShardRetryOnce(t *testing.T) {
 	routerRepo := freshRepo(t, nodes, seed)
 	ix := labeling.NewIndex(routerRepo)
 	views := serve.PartitionRepositoryViews(ix, 1, serve.PartitionClustered)
-	rs := shardrpc.NewRemoteShard(srv.URL, views[0],
-		shardrpc.ViewDescriptor(views[0], 0, 1, serve.PartitionClustered), shardrpc.RemoteShardConfig{})
+	rs := shardrpc.NewReplicaSet([]*shardrpc.RemoteShard{shardrpc.NewRemoteShard(srv.URL, views[0],
+		shardrpc.ViewDescriptor(views[0], 0, 1, serve.PartitionClustered), shardrpc.RemoteShardConfig{})}, serve.HealthConfig{})
+	defer rs.Close()
 	personal := schema.MustParseSpec("address(name,email)")
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.4

@@ -37,12 +37,16 @@
 //
 // ShardServer adapts one view-backed serve.Service to the two HTTP
 // endpoints (/v1/shard/match, /v1/shard/stats) that bellflower-server
-// exposes in -shard-of mode. RemoteShard is the client: it implements
-// serve.ShardBackend (MatchStaged) with per-attempt timeouts, one retry on
-// transport errors, and a Check health probe that verifies the remote
-// descriptor — failures surface as per-shard errors, feeding the router's
-// partial-results machinery (Report.Incomplete, ShardErrors, per-shard
-// metrics). Integrity is belt-and-braces: requests carry the router's
+// exposes in -shard-of mode. RemoteShard is the client for one such server:
+// request encoding, single match attempts with a per-attempt timeout, stats,
+// and a Check health probe that verifies the remote descriptor. ReplicaSet
+// groups the clients of one shard's replicas and implements
+// serve.ShardBackend (MatchStaged): it owns the attempt policy — round-robin
+// over healthy replicas, failover on transport errors, a second attempt for
+// a lone replica — and the health monitors; failures surface as per-shard
+// errors, feeding the router's partial-results machinery
+// (Report.Incomplete, ShardErrors, per-shard metrics). Integrity is
+// belt-and-braces: requests carry the router's
 // canonical request signature and the shard recomputes it after decoding,
 // so any encoding disagreement is a 400, never a silently different report.
 package shardrpc

@@ -19,11 +19,12 @@ import (
 // view). Requests load-balance across the healthy replicas (round-robin),
 // and a transport error mid-request FAILS OVER to the next replica in the
 // same attempt — one replica dying yields a complete report, not an
-// Incomplete merge. This subsumes RemoteShard's retry-once: the retry
-// budget is one attempt per replica (plus the unhealthy ones as a last
-// resort), so a retry prefers a DIFFERENT machine over the one that just
-// failed; a single-replica set degenerates to exactly the old
-// retry-once-on-the-same-endpoint behaviour.
+// Incomplete merge. The retry budget is one attempt per replica (plus the
+// unhealthy ones as a last resort), so a retry prefers a DIFFERENT machine
+// over the one that just failed; a single-replica set retries once on the
+// same endpoint. A request that exhausts its attempts surfaces as this
+// shard's error — under the router's partial-results mode that means
+// Report.Incomplete with a ShardError instead of a failed request.
 //
 // Each replica carries a serve.HealthMonitor: transport errors during
 // live traffic count toward its failure threshold, and StartHealth runs
@@ -173,8 +174,9 @@ func (z *ReplicaSet) Check(ctx context.Context) error {
 // spread across the group; unhealthy replicas last, as a live-traffic last
 // resort when every healthy attempt failed. A transport error feeds the
 // failing replica's monitor and moves on; an HTTP-level error is the
-// shard's authoritative answer and returns immediately, exactly like
-// RemoteShard's retry-once.
+// shard's authoritative answer and returns immediately. Only a request that
+// EXHAUSTS its attempts counts as unreachable — one rescued by a later
+// attempt is a served request, not an error.
 func (z *ReplicaSet) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*pipeline.Report, error) {
 	if z.closed.Load() {
 		return nil, serve.ErrClosed
@@ -222,8 +224,8 @@ func (z *ReplicaSet) MatchStaged(ctx context.Context, personal *schema.Tree, opt
 
 // attemptOrder builds this request's replica attempt sequence: the
 // healthy replicas rotated by the round-robin cursor, then the unhealthy
-// ones (same rotation) as a last resort. A single-entry order is doubled
-// so one replica keeps the historical retry-once on transport errors.
+// ones (same rotation) as a last resort. A single-entry order is doubled:
+// one replica gets a second, fresh attempt on a transport error.
 func (z *ReplicaSet) attemptOrder() []int {
 	n := len(z.replicas)
 	start := int(z.cursor.Add(1)-1) % n
@@ -246,9 +248,11 @@ func (z *ReplicaSet) attemptOrder() []int {
 // into one shard-level figure (requests spread across replicas, so the
 // sum is the shard's total work), with the group's control-plane surface
 // attached — per-replica health snapshots (Stats.Replicas) and the
-// failover counter. Only healthy replicas are asked for their remote
-// stats; a replica already marked unhealthy contributes its client-side
-// figures without paying a stats timeout per scrape.
+// failover counter. Requests that exhausted every attempt never reached a
+// shard, so the set folds them in as requests + errors. Only healthy
+// replicas are asked for their remote stats; a replica already marked
+// unhealthy contributes its client-side figures without paying a stats
+// timeout per scrape.
 func (z *ReplicaSet) Stats() serve.Stats {
 	parts := make([]serve.Stats, len(z.replicas))
 	health := make([]serve.ReplicaHealth, len(z.replicas))

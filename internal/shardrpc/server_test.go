@@ -23,6 +23,7 @@ type testShard struct {
 	host       *ShardServer
 	srv        *httptest.Server
 	rs         *RemoteShard
+	set        *ReplicaSet // the one-replica shard backend over rs
 	clientRepo *schema.Repository
 	clientIx   *labeling.Index
 	clientView *labeling.View
@@ -51,7 +52,8 @@ func shardUnderTest(t *testing.T) *testShard {
 	cix := labeling.NewIndex(clientRepo)
 	cviews := serve.PartitionRepositoryViews(cix, 2, serve.PartitionClustered)
 	rs := NewRemoteShard(srv.URL, cviews[0], ViewDescriptor(cviews[0], 0, 2, serve.PartitionClustered), RemoteShardConfig{})
-	return &testShard{host: host, srv: srv, rs: rs, clientRepo: clientRepo, clientIx: cix, clientView: cviews[0]}
+	return &testShard{host: host, srv: srv, rs: rs, set: NewReplicaSet([]*RemoteShard{rs}, serve.HealthConfig{}),
+		clientRepo: clientRepo, clientIx: cix, clientView: cviews[0]}
 }
 
 func postMatch(t *testing.T, srv *httptest.Server, req MatchRequest) *http.Response {
@@ -65,7 +67,7 @@ func postMatch(t *testing.T, srv *httptest.Server, req MatchRequest) *http.Respo
 // TestShardServerContentType).
 func TestShardServerRejections(t *testing.T) {
 	ts := shardUnderTest(t)
-	host, srv, rs := ts.host, ts.srv, ts.rs
+	host, srv, rs, set := ts.host, ts.srv, ts.rs, ts.set
 	personal := schema.MustParseSpec("book(title,author)")
 	goodOpts, err := EncodeOptions(pipeline.DefaultOptions())
 	if err != nil {
@@ -126,11 +128,11 @@ func TestShardServerRejections(t *testing.T) {
 	if resp := postMatch(t, srv, good); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("closed service: %d, want 503", resp.StatusCode)
 	}
-	if _, err := rs.MatchStaged(context.Background(), personal, pipeline.DefaultOptions(), serve.Staged{}); !errors.Is(err, serve.ErrClosed) {
+	if _, err := set.MatchStaged(context.Background(), personal, pipeline.DefaultOptions(), serve.Staged{}); !errors.Is(err, serve.ErrClosed) {
 		t.Errorf("client error for closed shard = %v, want ErrClosed", err)
 	}
-	rs.Close()
-	if _, err := rs.MatchStaged(context.Background(), personal, pipeline.DefaultOptions(), serve.Staged{}); !errors.Is(err, serve.ErrClosed) {
+	set.Close()
+	if _, err := set.MatchStaged(context.Background(), personal, pipeline.DefaultOptions(), serve.Staged{}); !errors.Is(err, serve.ErrClosed) {
 		t.Errorf("closed client error = %v, want ErrClosed", err)
 	}
 }
@@ -142,7 +144,7 @@ func TestShardServerRejections(t *testing.T) {
 // the report codec's -1 (uncovered rank) encoding.
 func TestRemoteShardStagedPaths(t *testing.T) {
 	ts := shardUnderTest(t)
-	rs := ts.rs
+	rs, set := ts.rs, ts.set
 	local := serve.New(viewRunner(ts.clientView), serve.Config{Workers: 2})
 	defer local.Close()
 	ctx := context.Background()
@@ -155,7 +157,7 @@ func TestRemoteShardStagedPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rs.MatchStaged(ctx, personal, opts, staged)
+	got, err := set.MatchStaged(ctx, personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +173,14 @@ func TestRemoteShardStagedPaths(t *testing.T) {
 	if want, err = local.MatchStaged(ctx, personal, full, serve.Staged{}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err = rs.MatchStaged(ctx, personal, full, serve.Staged{}); err != nil {
+	if got, err = set.MatchStaged(ctx, personal, full, serve.Staged{}); err != nil {
 		t.Fatal(err)
 	}
 	assertReportsEquivalent(t, "unstaged", got, want)
 
 	// Remote stats reflect the served work and the descriptor handshake: a
 	// repeat of the staged request is the shard's report-cache hit.
-	if _, err := rs.MatchStaged(ctx, personal, opts, staged); err != nil {
+	if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
 		t.Fatal(err)
 	}
 	if err := rs.Check(ctx); err != nil {

@@ -40,28 +40,6 @@ for name in $(grep -oE 'fs\.[A-Za-z0-9]+\("[a-z][a-z-]*"' cmd/bellflower-server/
   fi
 done
 
-# Metrics: every bellflower_* Prometheus metric named anywhere in the
-# README must be emitted by the exporter, so renamed or retired series
-# cannot linger in the docs (labels and histogram suffixes stripped; the
-# exporter writes the bare family name in its HELP/TYPE lines).
-for metric in $(grep -oE 'bellflower_[a-z_]+' README.md | sed -E 's/_(bucket|sum|count)$//' | sort -u); do
-  if ! grep -q "$metric" internal/serve/prometheus.go; then
-    echo "README references metric $metric, which internal/serve/prometheus.go does not emit" >&2
-    fail=1
-  fi
-done
-
-# ... and the reverse: every bellflower_* metric family the exporter
-# emits (a quoted name in prometheus.go, including the per-shard series)
-# must be named somewhere in the README, so new series cannot ship
-# undocumented.
-for metric in $(grep -oE '"bellflower_[a-z_]+"' internal/serve/prometheus.go | tr -d '"' | sort -u); do
-  if ! grep -q "$metric" README.md; then
-    echo "exporter emits metric $metric, which README.md does not document" >&2
-    fail=1
-  fi
-done
-
 # Debug endpoints: when the README documents the -debug-addr listener,
 # the paths it names must be mounted by debugRoutes.
 for ep in /debug/pprof/ /debug/vars; do
