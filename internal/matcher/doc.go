@@ -16,9 +16,13 @@
 // SynonymMatcher's dictionary is mutable only through AddGroup, which
 // callers invoke during setup) and safe for concurrent Similarity calls —
 // FindCandidates may be running on many goroutines against one matcher at
-// once. Candidates values returned by FindCandidates are read-only
-// snapshots; Rescore builds a new Candidates rather than mutating its
-// input. Custom Matcher implementations supplied through
-// pipeline.Options.Matcher must offer the same guarantee when used with
-// the serve package, whose worker pools share one Options value.
+// once. A NameIndex and its Vocabularies are shared the same way: the
+// index's score-row memo is mutex-guarded, its stored rows are immutable and
+// shared by every caller that hits them, and each call still allocates the
+// Elems of its result afresh, so no two Candidates alias. Candidates values
+// returned by FindCandidates are read-only snapshots; Rescore builds a new
+// Candidates rather than mutating its input. Custom Matcher implementations
+// supplied through pipeline.Options.Matcher must offer the same guarantee
+// when used with the serve package, whose worker pools share one Options
+// value.
 package matcher

@@ -1,8 +1,9 @@
 package matcher
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -53,6 +54,7 @@ type personalScratch struct {
 	prep    strsim.Prepared
 	synFold string
 	typFold string
+	row     []rowEntry // scoreRow's reusable output buffer
 }
 
 // scoreFunc scores one (personal node, interned key) pair. Implementations
@@ -130,195 +132,191 @@ func pruneEligible(m Matcher) bool {
 	return ok && !nm.TokenAware && nm.Metric == strsim.MetricFuzzy
 }
 
-// parallelThreshold is the (personal × vocab) pair count below which the
-// keyed kernel stays on one goroutine — tiny requests finish before worker
-// spin-up pays for itself.
+// parallelThreshold is the (missed personal nodes × index keys) pair count
+// below which the keyed kernel stays on one goroutine — tiny requests, and
+// requests served mostly from the row memo, finish before worker spin-up pays
+// for itself.
 const parallelThreshold = 1 << 12
 
-// FindCandidates is the vocabulary-deduplicated element-matching kernel:
-// FindCandidatesAmong over the vocabulary's universe, scoring each distinct
-// (personal-name, repo-key) pair once and fanning the score out to every
-// node sharing the key — O(|personal| × |vocab|) similarity calls instead of
-// O(|personal| × |nodes|). The per-personal-node outer loop runs on a
-// bounded worker set, each worker scoring with reusable zero-allocation
-// scratch, and the pure fuzzy matcher additionally skips OSA passes its
-// length-difference bound proves cannot clear cfg.MinSim.
+// MatchInfo counts the personal nodes of one Match call whose score row was
+// found in the row memo, and those looked up and missing. Matchers the memo
+// does not hold count as neither.
+type MatchInfo struct{ MemoHits, MemoMisses int }
+
+// FindCandidates is Match without the memo report.
+func (v *Vocabulary) FindCandidates(personal *schema.Tree, m Matcher, cfg Config) *Candidates {
+	c, _ := v.Match(personal, m, cfg)
+	return c
+}
+
+// Match is the vocabulary-deduplicated element-matching kernel:
+// FindCandidatesAmong over the vocabulary's universe, as row → emit. A
+// personal node's row (scoreRow) is every index key scoring above cfg.MinSim,
+// best first: one similarity call per distinct (name, datatype) key instead
+// of one per node, on zero-allocation scratch, the pure fuzzy matcher
+// skipping OSA passes its length-difference bound proves cannot clear MinSim.
+// Rows span the whole index, not one universe's keys, so those of
+// value-identified matchers (memoKey) live in the NameIndex's bounded memo
+// for every view to share, and a recurring personal name is scored once per
+// repository generation; rows are resolved first and only the misses scored,
+// on a bounded worker set when there are enough. Each set is then emitted by
+// copying the node groups of its row's keys in row order — no per-set sort.
 //
 // The result is bit-identical — scores and order — to the naive reference
-// kernel FindCandidatesAmong(personal, v.Nodes(), m, cfg): dedup only reuses
-// scores across equal (Name, Type) keys, pruning only skips pairs the MinSim
-// filter would drop, and the (sim desc, node ID asc) candidate order is a
-// total order independent of evaluation schedule. Matchers that are not
-// property-local (structure matchers, unknown implementations) fall back to
-// the naive kernel.
-func (v *Vocabulary) FindCandidates(personal *schema.Tree, m Matcher, cfg Config) *Candidates {
-	if v.ni == nil || !isPropertyLocal(m) {
-		if v.ni != nil {
-			v.ni.fallbacks.Add(1)
+// kernel FindCandidatesAmong over the same universe, hit or miss: dedup only
+// reuses scores across equal (Name, Type) keys, pruning only skips pairs the
+// MinSim filter would drop, a stored row is the row the call would have
+// computed, and (sim desc, node ID asc) is a total order independent of
+// evaluation schedule. Matchers that are not property-local (structure
+// matchers, unknown implementations) fall back to the naive kernel.
+func (v *Vocabulary) Match(personal *schema.Tree, m Matcher, cfg Config) (*Candidates, MatchInfo) {
+	ni := v.ni
+	if ni == nil || !isPropertyLocal(m) {
+		if ni != nil {
+			ni.fallbacks.Add(1)
 		}
-		return FindCandidatesAmong(personal, v.nodes, m, cfg)
-	}
-	out := &Candidates{
-		Personal: personal,
-		Sets:     make([]CandidateSet, personal.Len()),
+		return FindCandidatesAmong(personal, v.nodes, m, cfg), MatchInfo{}
 	}
 	pnodes := personal.Nodes()
-	if len(pnodes) == 0 {
-		return out
-	}
-	score := compileScore(m)
-	prune := pruneEligible(m)
-
-	var simCalls, saved, prunes atomic.Int64
-	process := func(ps *personalScratch, i int) {
-		p := pnodes[i]
-		ps.node = p
-		ps.prep = strsim.Prepare(p.Name)
-		ps.synFold = fold(p.Name)
-		ps.typFold = fold(p.Type)
-		var nPrunes int64
-		var elems []Candidate
-		var topK *candidateHeap
-		if cfg.MaxPerNode > 0 {
-			topK = newCandidateHeap(cfg.MaxPerNode)
-		}
-		for gi, ki := range v.keys {
-			key := &v.ni.keys[ki]
-			var s float64
-			if prune {
-				var pruned bool
-				s, pruned = ps.sc.FuzzyBounded(&ps.prep, &key.prep, cfg.MinSim)
-				if pruned {
-					nPrunes++
-					continue
-				}
-			} else {
-				s = score(ps, key)
-			}
-			if s > cfg.MinSim {
-				for _, rn := range v.groups[gi] {
-					if topK != nil {
-						topK.offer(Candidate{Node: rn, Sim: s})
-					} else {
-						elems = append(elems, Candidate{Node: rn, Sim: s})
-					}
-				}
-			}
-		}
-		if topK != nil {
-			elems = topK.sorted()
-		} else {
-			sort.Slice(elems, func(a, b int) bool { return candidateBefore(elems[a], elems[b]) })
-		}
+	out := &Candidates{Personal: personal, Sets: make([]CandidateSet, len(pnodes))}
+	var info MatchInfo
+	var missed []int
+	for i, p := range pnodes {
 		out.Sets[i].Personal = p
-		out.Sets[i].Elems = elems
-		simCalls.Add(int64(len(v.keys)) - nPrunes)
-		saved.Add(int64(len(v.nodes) - len(v.keys)))
-		prunes.Add(nPrunes)
+		if k, ok := memoKey(m, p, cfg.MinSim); ok {
+			if row, ok := ni.memo.get(k); ok {
+				out.Sets[i].Elems = v.emit(row, cfg.MaxPerNode)
+				info.MemoHits++
+				continue
+			}
+			info.MemoMisses++
+		}
+		missed = append(missed, i)
+	}
+	if len(missed) == 0 {
+		return out, info
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pnodes) {
-		workers = len(pnodes)
-	}
-	if len(pnodes)*len(v.keys) < parallelThreshold {
-		workers = 1
-	}
-	if workers <= 1 {
+	score, prune := compileScore(m), pruneEligible(m)
+	var next atomic.Int64
+	work := func() {
 		var ps personalScratch
-		for i := range pnodes {
-			process(&ps, i)
+		for j := int(next.Add(1)) - 1; j < len(missed); j = int(next.Add(1)) - 1 {
+			p := pnodes[missed[j]]
+			ps.node, ps.prep = p, strsim.Prepare(p.Name)
+			ps.synFold, ps.typFold = fold(p.Name), fold(p.Type)
+			row := ni.scoreRow(&ps, score, prune, cfg.MinSim)
+			if k, ok := memoKey(m, p, cfg.MinSim); ok {
+				row = slices.Clone(row) // stored rows are immutable; ps.row is reused
+				ni.memo.put(k, row)
+			}
+			out.Sets[missed[j]].Elems = v.emit(row, cfg.MaxPerNode)
+			ni.savedCalls.Add(int64(max(0, len(v.nodes)-len(ni.keys))))
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+	}
+	var wg sync.WaitGroup
+	if len(missed)*len(ni.keys) >= parallelThreshold {
+		for w := min(runtime.GOMAXPROCS(0), len(missed)); w > 1; w-- {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var ps personalScratch
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(pnodes) {
-						return
-					}
-					process(&ps, i)
-				}
+				work()
 			}()
 		}
-		wg.Wait()
 	}
-	v.ni.simCalls.Add(simCalls.Load())
-	v.ni.savedCalls.Add(saved.Load())
-	v.ni.pruneHits.Add(prunes.Load())
-	return out
+	work() // the caller is the first worker
+	wg.Wait()
+	return out, info
 }
 
-// candidateBefore is the kernel's total candidate order: descending
-// similarity, ties broken by ascending node ID. Node IDs are unique, so the
-// order is strict and any correct selection algorithm yields the same
-// sequence.
-func candidateBefore(a, b Candidate) bool {
-	if a.Sim != b.Sim {
-		return a.Sim > b.Sim
-	}
-	return a.Node.ID < b.Node.ID
-}
-
-// candidateHeap keeps the best k candidates seen so far as a min-heap under
-// candidateBefore (the root is the worst retained candidate), replacing the
-// naive kernel's collect-everything-then-sort when MaxPerNode bounds the
-// result.
-type candidateHeap struct {
-	k     int
-	elems []Candidate
-}
-
-func newCandidateHeap(k int) *candidateHeap {
-	return &candidateHeap{k: k, elems: make([]Candidate, 0, k)}
-}
-
-func (h *candidateHeap) offer(c Candidate) {
-	if len(h.elems) < h.k {
-		h.elems = append(h.elems, c)
-		// Sift up: parents rank after (are worse than) their children.
-		i := len(h.elems) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !candidateBefore(h.elems[parent], h.elems[i]) {
-				break
+// scoreRow scores ps's personal node against every interned key and returns
+// the keys above minSim ordered (sim desc, key asc), in ps's reusable buffer.
+func (ni *NameIndex) scoreRow(ps *personalScratch, score scoreFunc, prune bool, minSim float64) []rowEntry {
+	row, prunes := ps.row[:0], 0
+	for ki := range ni.keys {
+		key := &ni.keys[ki]
+		var s float64
+		if prune {
+			var pruned bool
+			if s, pruned = ps.sc.FuzzyBounded(&ps.prep, &key.prep, minSim); pruned {
+				prunes++
+				continue
 			}
-			h.elems[parent], h.elems[i] = h.elems[i], h.elems[parent]
-			i = parent
+		} else {
+			s = score(ps, key)
 		}
-		return
+		if s > minSim {
+			row = append(row, rowEntry{sim: s, key: int32(ki)})
+		}
 	}
-	if !candidateBefore(c, h.elems[0]) {
-		return // not better than the worst retained candidate
-	}
-	h.elems[0] = c
-	// Sift down.
-	i := 0
-	for {
-		worst := i
-		if l := 2*i + 1; l < len(h.elems) && candidateBefore(h.elems[worst], h.elems[l]) {
-			worst = l
+	slices.SortFunc(row, func(a, b rowEntry) int {
+		if a.sim != b.sim {
+			return cmp.Compare(b.sim, a.sim)
 		}
-		if r := 2*i + 2; r < len(h.elems) && candidateBefore(h.elems[worst], h.elems[r]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h.elems[i], h.elems[worst] = h.elems[worst], h.elems[i]
-		i = worst
-	}
+		return cmp.Compare(a.key, b.key)
+	})
+	ps.row = row
+	ni.simCalls.Add(int64(len(ni.keys) - prunes))
+	ni.pruneHits.Add(int64(prunes))
+	return row
 }
 
-func (h *candidateHeap) sorted() []Candidate {
-	if len(h.elems) == 0 {
+// mergeGroups is how many node groups of one equal-score run emit merges in
+// place — each merge may shift the run built so far — before it appends the
+// rest and sorts the run by ID when it closes, which keeps a matcher with few
+// distinct scores (datatype, synonym) at O(n log n) per run.
+const mergeGroups = 16
+
+// emit produces one candidate set from a score row: each row key present in
+// this universe contributes its node group at the key's score. Rows are
+// score-descending and groups ID-ascending, so copying groups in row order
+// yields (sim desc, node ID asc) once the groups inside a run of equal score
+// are merged by ID. k > 0 keeps the best k (MaxPerNode).
+func (v *Vocabulary) emit(row []rowEntry, k int) []Candidate {
+	total := 0
+	for _, e := range row {
+		total += len(v.groups[e.key])
+	}
+	if total == 0 {
 		return nil // the naive kernel leaves empty sets nil
 	}
-	sort.Slice(h.elems, func(a, b int) bool { return candidateBefore(h.elems[a], h.elems[b]) })
-	return h.elems
+	elems := make([]Candidate, 0, total)
+	run, groups := 0, 0 // the current run starts at elems[run] and holds groups groups
+	closeRun := func() {
+		if groups > mergeGroups {
+			slices.SortFunc(elems[run:], func(a, b Candidate) int { return a.Node.ID - b.Node.ID })
+		}
+		run, groups = len(elems), 0
+	}
+	for i, e := range row {
+		if i > 0 && e.sim != row[i-1].sim {
+			closeRun()
+			if k > 0 && len(elems) >= k {
+				break
+			}
+		}
+		group := v.groups[e.key]
+		if len(group) == 0 {
+			continue // the key is absent from this universe
+		}
+		a, b := len(elems)-1, len(group)-1
+		elems = elems[:len(elems)+len(group)]
+		if groups++; groups > mergeGroups {
+			a = run - 1 // no merging: plain copy
+		}
+		for w := len(elems) - 1; b >= 0; w-- {
+			if a >= run && elems[a].Node.ID > group[b].ID {
+				elems[w] = elems[a]
+				a--
+			} else {
+				elems[w] = Candidate{Node: group[b], Sim: e.sim}
+				b--
+			}
+		}
+	}
+	closeRun()
+	if k > 0 && len(elems) > k {
+		elems = slices.Clone(elems[:k]) // do not pin the untruncated buffer
+	}
+	return elems
 }

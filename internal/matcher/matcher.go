@@ -1,8 +1,9 @@
 package matcher
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"bellflower/internal/schema"
@@ -349,18 +350,24 @@ func FindCandidatesAmong(personal *schema.Tree, nodes []*schema.Node, m Matcher,
 				elems = append(elems, Candidate{Node: r, Sim: s})
 			}
 		}
-		sort.Slice(elems, func(a, b int) bool {
-			if elems[a].Sim != elems[b].Sim {
-				return elems[a].Sim > elems[b].Sim
-			}
-			return elems[a].Node.ID < elems[b].Node.ID
-		})
+		slices.SortFunc(elems, candidateCompare)
 		if cfg.MaxPerNode > 0 && len(elems) > cfg.MaxPerNode {
 			elems = elems[:cfg.MaxPerNode]
 		}
 		out.Sets[i].Elems = elems
 	}
 	return out
+}
+
+// candidateCompare is the kernels' total candidate order: descending
+// similarity, ties broken by ascending node ID. Node IDs are unique, so the
+// order is strict and any correct sorting or merging algorithm yields the
+// same sequence.
+func candidateCompare(a, b Candidate) int {
+	if a.Sim != b.Sim {
+		return cmp.Compare(b.Sim, a.Sim)
+	}
+	return cmp.Compare(a.Node.ID, b.Node.ID)
 }
 
 // Rebind returns the candidates with the personal schema replaced by

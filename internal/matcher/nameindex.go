@@ -1,6 +1,9 @@
 package matcher
 
 import (
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 
 	"bellflower/internal/schema"
@@ -17,12 +20,15 @@ import (
 // Repository vocabularies are tiny relative to node counts (the same element
 // names recur across trees), which is what makes the keyed kernel's
 // vocabulary dedup pay: scoring one personal node costs O(|vocab|)
-// similarity calls instead of O(|nodes|).
+// similarity calls instead of O(|nodes|). The index also owns the score-row
+// memo (rowMemo), so rows are shared by the same runners and views and die
+// with the repository generation.
 type NameIndex struct {
 	repo  *schema.Repository
 	keyOf []int32 // node ID -> index into keys
 	keys  []nameKey
-	bytes int64
+	bytes int64 // of the interned vocabulary; the memo accounts for itself
+	memo  rowMemo
 
 	// Kernel effectiveness counters, accumulated by Vocabulary.FindCandidates.
 	simCalls   atomic.Int64
@@ -75,9 +81,6 @@ func NewNameIndex(repo *schema.Repository) *NameIndex {
 	return ni
 }
 
-// Repository returns the repository the index was built from.
-func (ni *NameIndex) Repository() *schema.Repository { return ni.repo }
-
 // Keys returns the number of distinct (name, datatype) keys.
 func (ni *NameIndex) Keys() int { return len(ni.keys) }
 
@@ -93,8 +96,12 @@ func (ni *NameIndex) DistinctRatio() float64 {
 	return float64(len(ni.keys)) / float64(len(ni.keyOf))
 }
 
-// MemoryBytes estimates the resident size of the index.
-func (ni *NameIndex) MemoryBytes() int64 { return ni.bytes }
+// MemoryBytes estimates the resident size of the index, memoised rows
+// included.
+func (ni *NameIndex) MemoryBytes() int64 {
+	_, _, memo := ni.memo.snapshot()
+	return ni.bytes + memo
+}
 
 // KernelStats is a snapshot of the keyed kernel's effectiveness counters.
 type KernelStats struct {
@@ -110,16 +117,115 @@ type KernelStats struct {
 	// NaiveFallbacks is the number of kernel invocations that fell back to
 	// the naive reference loop (non-local matcher or foreign universe).
 	NaiveFallbacks int64
+	// MemoHits and MemoMisses count personal nodes whose score row was found
+	// in, or looked up and missing from, the row memo; a hit adds nothing to
+	// the counters above. MemoBytes is the memo's bounded resident size.
+	MemoHits, MemoMisses, MemoBytes int64
 }
 
 // KernelStats returns a snapshot of the kernel counters.
 func (ni *NameIndex) KernelStats() KernelStats {
-	return KernelStats{
+	ks := KernelStats{
 		SimCalls:       ni.simCalls.Load(),
 		SavedCalls:     ni.savedCalls.Load(),
 		PruneHits:      ni.pruneHits.Load(),
 		NaiveFallbacks: ni.fallbacks.Load(),
 	}
+	ks.MemoHits, ks.MemoMisses, ks.MemoBytes = ni.memo.snapshot()
+	return ks
+}
+
+// rowEntry is one index key scoring above MinSim for some personal node.
+type rowEntry struct {
+	sim float64
+	key int32 // index into NameIndex.keys
+}
+
+// rowKey identifies a memoised score row: the personal property the matcher
+// reads, the matcher's value and MinSim. Only matchers whose value is their
+// whole scoring function get one (memoKey); every field is comparable.
+type rowKey struct {
+	name, typ string      // NameMatcher reads only the name, TypeMatcher only the type
+	nm        NameMatcher // zero for TypeMatcher
+	isType    bool
+	minSim    float64
+}
+
+// memoKey returns the memo key of p's row under m, or false for a matcher the
+// memo does not hold: *SynonymMatcher and *Combined are identified by pointer
+// (built per request, it would never recur), and a foreign PropertyLocal
+// matcher may not even be hashable.
+func memoKey(m Matcher, p *schema.Node, minSim float64) (rowKey, bool) {
+	switch mm := m.(type) {
+	case NameMatcher:
+		return rowKey{name: p.Name, nm: mm, minSim: minSim}, true
+	case TypeMatcher:
+		return rowKey{typ: p.Type, isType: true, minSim: minSim}, true
+	}
+	return rowKey{}, false
+}
+
+// memoGenBytes bounds one generation of the row memo; at most two are
+// resident, so the memo never exceeds twice this.
+const memoGenBytes = 1 << 20
+
+// rowMemo is the bounded store of score rows, in two generations: inserts go
+// to cur, and a full cur becomes old, dropping the previous old. A hit in old
+// re-inserts the row into cur, so a name that recurs at least once per
+// generation survives any stream of one-off names without an LRU list. Rows
+// are immutable once stored.
+type rowMemo struct {
+	mu                 sync.Mutex
+	cur, old           map[rowKey][]rowEntry
+	curBytes, oldBytes int64
+	hits, misses       int64
+}
+
+func (mm *rowMemo) get(k rowKey) ([]rowEntry, bool) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	row, ok := mm.cur[k]
+	if !ok {
+		if row, ok = mm.old[k]; ok {
+			mm.insert(k, row)
+		}
+	}
+	if ok {
+		mm.hits++
+	} else {
+		mm.misses++
+	}
+	return row, ok
+}
+
+func (mm *rowMemo) put(k rowKey, row []rowEntry) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	mm.insert(k, row)
+}
+
+// insert stores row in the current generation unless a racing miss already
+// did, starting a new generation when it would not fit. The key's strings are
+// cloned: a parsed schema's names may alias the request body they were cut
+// from. Called with mu held.
+func (mm *rowMemo) insert(k rowKey, row []rowEntry) {
+	cost := int64(128 + len(k.name) + len(k.typ) + 16*len(row))
+	if _, ok := mm.cur[k]; ok || cost > memoGenBytes {
+		return
+	}
+	if mm.cur == nil || mm.curBytes+cost > memoGenBytes {
+		mm.old, mm.oldBytes = mm.cur, mm.curBytes
+		mm.cur, mm.curBytes = make(map[rowKey][]rowEntry), 0
+	}
+	k.name, k.typ = strings.Clone(k.name), strings.Clone(k.typ)
+	mm.cur[k] = row
+	mm.curBytes += cost
+}
+
+func (mm *rowMemo) snapshot() (hits, misses, bytes int64) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	return mm.hits, mm.misses, mm.curBytes + mm.oldBytes
 }
 
 // Vocabulary is one node universe (a whole repository or a shard view's
@@ -129,8 +235,7 @@ func (ni *NameIndex) KernelStats() KernelStats {
 type Vocabulary struct {
 	ni     *NameIndex
 	nodes  []*schema.Node   // the universe, in its original order
-	keys   []int32          // distinct key indexes present, in first-appearance order
-	groups [][]*schema.Node // nodes per key, parallel to keys
+	groups [][]*schema.Node // index key -> the universe's nodes carrying it, ascending by node ID
 }
 
 // Vocabulary groups a node universe by the index's interned keys. Every node
@@ -138,39 +243,16 @@ type Vocabulary struct {
 // yields a vocabulary that always takes the naive path (the kernel cannot
 // vouch for its dedup there).
 func (ni *NameIndex) Vocabulary(nodes []*schema.Node) *Vocabulary {
-	v := &Vocabulary{ni: ni, nodes: nodes}
-	slot := make(map[int32]int, 64)
+	v := &Vocabulary{ni: ni, nodes: nodes, groups: make([][]*schema.Node, len(ni.keys))}
 	for _, n := range nodes {
 		if n.ID < 0 || n.ID >= len(ni.keyOf) || ni.repo.Node(n.ID) != n {
 			return &Vocabulary{nodes: nodes} // foreign universe: naive only
 		}
 		ki := ni.keyOf[n.ID]
-		gi, ok := slot[ki]
-		if !ok {
-			gi = len(v.keys)
-			slot[ki] = gi
-			v.keys = append(v.keys, ki)
-			v.groups = append(v.groups, nil)
-		}
-		v.groups[gi] = append(v.groups[gi], n)
+		v.groups[ki] = append(v.groups[ki], n)
+	}
+	for _, g := range v.groups { // a universe need not list its nodes in ID order
+		slices.SortFunc(g, func(a, b *schema.Node) int { return a.ID - b.ID })
 	}
 	return v
-}
-
-// Index returns the name index the vocabulary was grouped under, or nil for
-// a naive-only vocabulary.
-func (v *Vocabulary) Index() *NameIndex { return v.ni }
-
-// Nodes returns the vocabulary's node universe.
-func (v *Vocabulary) Nodes() []*schema.Node { return v.nodes }
-
-// Keys returns the number of distinct keys present in the universe.
-func (v *Vocabulary) Keys() int { return len(v.keys) }
-
-// DistinctRatio returns Keys/len(Nodes) for this universe.
-func (v *Vocabulary) DistinctRatio() float64 {
-	if len(v.nodes) == 0 {
-		return 0
-	}
-	return float64(len(v.keys)) / float64(len(v.nodes))
 }

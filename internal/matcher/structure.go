@@ -1,6 +1,8 @@
 package matcher
 
 import (
+	"slices"
+
 	"bellflower/internal/schema"
 	"bellflower/internal/strsim"
 )
@@ -144,21 +146,7 @@ func Rescore(c *Candidates, structure Matcher, weight float64, keep func(*schema
 			s := (1-weight)*cand.Sim + weight*structure.Similarity(src.Personal, cand.Node)
 			dst.Elems = append(dst.Elems, Candidate{Node: cand.Node, Sim: s})
 		}
-		sortCandidates(dst.Elems)
+		slices.SortFunc(dst.Elems, candidateCompare)
 	}
 	return out
-}
-
-func sortCandidates(elems []Candidate) {
-	// insertion sort: rescored lists are mostly ordered already and small
-	for i := 1; i < len(elems); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &elems[j-1], &elems[j]
-			if b.Sim > a.Sim || (b.Sim == a.Sim && b.Node.ID < a.Node.ID) {
-				*a, *b = *b, *a
-			} else {
-				break
-			}
-		}
-	}
 }

@@ -412,7 +412,12 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 	}
 	t0 := time.Now()
 	_, msp := trace.StartSpan(ctx, "pipeline.match")
-	cands := r.MatchCandidates(personal, m, matcher.Config{MinSim: opts.MinSim})
+	cands, info := r.vocab.Match(personal, m, matcher.Config{MinSim: opts.MinSim})
+	if msp != nil {
+		msp.SetAttrInt("candidates", int64(cands.TotalMappingElements()))
+		msp.SetAttrInt("memo_hits", int64(info.MemoHits))
+		msp.SetAttrInt("memo_misses", int64(info.MemoMisses))
+	}
 	msp.End()
 	matchTime := time.Since(t0)
 

@@ -12,6 +12,7 @@ import (
 	"bellflower/internal/objective"
 	"bellflower/internal/repogen"
 	"bellflower/internal/schema"
+	"bellflower/internal/trace"
 )
 
 func smallRepo() *schema.Repository {
@@ -457,5 +458,37 @@ func TestRunWithClustersValidation(t *testing.T) {
 	cancel()
 	if _, err := r.RunWithClusters(cctx, personal, cands, clusters, iterations, opts); err == nil {
 		t.Error("cancelled context not honoured")
+	}
+}
+
+// TestMatchSpanAttrs: the pipeline.match span says how many mapping elements
+// the stage produced and how the kernel's row memo served it — all misses on
+// a fresh runner, all hits on the repeat.
+func TestMatchSpanAttrs(t *testing.T) {
+	r := NewRunner(smallRepo())
+	personal := personBooks()
+	for pass, want := range []map[string]string{
+		{"memo_hits": "0", "memo_misses": "3"},
+		{"memo_hits": "3", "memo_misses": "0"},
+	} {
+		ctx, tr, root := trace.New(context.Background(), "test")
+		rep, err := r.RunContext(ctx, personal, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		want["candidates"] = fmt.Sprint(rep.MappingElements)
+		var got map[string]string
+		for _, sp := range tr.Spans() {
+			if sp.Name == "pipeline.match" {
+				got = make(map[string]string)
+				for _, a := range sp.Attrs {
+					got[a.Key] = a.Value
+				}
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("pass %d: pipeline.match attrs %v, want %v", pass, got, want)
+		}
 	}
 }

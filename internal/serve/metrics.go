@@ -75,6 +75,8 @@ var metrics = []metric{
 	{field: "ProjectionCacheMisses", name: "bellflower_projection_cache_misses_total", typ: counter, help: "Shard-server projection references answered 428 projection-needed (the client retried with the full payload)."},
 	{field: "SimCallsSaved", name: "bellflower_sim_calls_saved_total", typ: counter, rule: shared, help: "Similarity evaluations avoided by the matching kernel's vocabulary dedup (distinct keys scored once, fanned out to nodes)."},
 	{field: "MatchPrunes", name: "bellflower_match_prunes_total", typ: counter, rule: shared, help: "Edit-distance passes skipped by the matching kernel's length-difference pruning bound."},
+	{field: "MatchMemoHits", name: "bellflower_match_memo_hits_total", typ: counter, rule: shared, help: "Personal nodes whose score row the matching kernel served from the name index's row memo (no similarity call)."},
+	{field: "MatchMemoMisses", name: "bellflower_match_memo_misses_total", typ: counter, rule: shared, help: "Personal nodes whose score row was looked up in the row memo and had to be scored (matchers the memo does not hold count as neither)."},
 	{field: "PartialMappings", name: "bellflower_partial_mappings_total", typ: counter, rule: shared, help: "Partial mappings generated by the mapping search — the paper's machine-independent work indicator, accumulated across requests."},
 	{field: "ClustersSkippedByBound", name: "bellflower_clusters_skipped_by_bound_total", typ: counter, rule: shared, help: "Useful clusters the adaptive top-N engine skipped because their optimistic bound fell below the shared floor before dispatch."},
 	{field: "FloorTightenings", name: "bellflower_floor_tightenings_total", typ: counter, rule: shared, help: "Rises of the adaptive top-N engine's shared pruning floor (a found mapping displaced the weakest kept one or filled the heap)."},
@@ -94,6 +96,7 @@ var metrics = []metric{
 	{field: "CacheByteBudget", name: "bellflower_cache_byte_budget", typ: gauge, rule: shared, help: "Unified cache byte budget (0 = unbounded)."},
 	{field: "IndexBytes", name: "bellflower_index_bytes", typ: gauge, rule: shared, help: "Resident labelling-index bytes (distinct indexes counted once; view-backed shards share one)."},
 	{field: "NameIndexBytes", name: "bellflower_name_index_bytes", typ: gauge, rule: shared, help: "Resident name-similarity-index bytes of the matching kernel (distinct indexes counted once; view-backed shards share one)."},
+	{field: "MatchMemoBytes", name: "bellflower_match_memo_bytes", typ: gauge, rule: shared, help: "Resident bytes of the matching kernel's score-row memo (bounded; included in bellflower_name_index_bytes)."},
 	{field: "DistinctVocabRatio", name: "bellflower_distinct_vocab_ratio", typ: gauge, rule: shared, help: "Distinct (name, datatype) keys over repository nodes; its inverse is the matching kernel's vocabulary-dedup factor."},
 }
 

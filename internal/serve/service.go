@@ -581,6 +581,7 @@ func residentStats(gov *memGovernor, runner *pipeline.Runner) Stats {
 		ks := ni.KernelStats()
 		st.NameIndexBytes, st.DistinctVocabRatio = ni.MemoryBytes(), ni.DistinctRatio()
 		st.SimCallsSaved, st.MatchPrunes = ks.SavedCalls, ks.PruneHits
+		st.MatchMemoHits, st.MatchMemoMisses, st.MatchMemoBytes = ks.MemoHits, ks.MemoMisses, ks.MemoBytes
 	}
 	return st
 }

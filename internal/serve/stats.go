@@ -239,6 +239,16 @@ type Stats struct {
 	SimCallsSaved int64 `json:"sim_calls_saved"`
 	MatchPrunes   int64 `json:"match_prunes"`
 
+	// MatchMemoHits and MatchMemoMisses count personal nodes whose score
+	// row the matching kernel found in, or had to compute into, the name
+	// index's row memo (a hit adds to neither SimCallsSaved nor
+	// MatchPrunes); MatchMemoBytes is the memo's bounded resident size,
+	// already included in NameIndexBytes. On the shared name index like
+	// the two above (shared fields).
+	MatchMemoHits   int64 `json:"match_memo_hits"`
+	MatchMemoMisses int64 `json:"match_memo_misses"`
+	MatchMemoBytes  int64 `json:"match_memo_bytes"`
+
 	// Generation-engine counters, accumulated on one EngineStats shared by
 	// every runner of a repository generation (the same sharing discipline
 	// as SimCallsSaved/MatchPrunes): PartialMappings is the paper's
