@@ -16,6 +16,9 @@
 // document order (O(m log m) otherwise), against O(m²) lookups for the
 // pairwise scan. It always equals that scan run with full sums.
 //
+// Beside the O(1) tables the index keeps a flat parent-ID array next to the
+// depths (ParentDepth) for walks that visit a path node by node.
+//
 // For sharded serving, a View restricts one shared Index to a subset of the
 // repository's trees: shards answer every structural query through the
 // single resident index (member nodes are the repository's own node
@@ -38,9 +41,10 @@ type Index struct {
 	repo *schema.Repository
 
 	// Per node (indexed by Node.ID):
-	depth []int32 // node depth within its tree
-	tree  []int32 // owning tree ID
-	first []int32 // first occurrence of the node in the Euler tour
+	depth  []int32 // node depth within its tree
+	parent []int32 // parent node ID, -1 at a root
+	tree   []int32 // owning tree ID
+	first  []int32 // first occurrence of the node in the Euler tour
 
 	// Euler tour of the whole forest; tours of individual trees are
 	// concatenated (queries never cross trees because first-occurrence
@@ -57,10 +61,11 @@ type Index struct {
 func NewIndex(repo *schema.Repository) *Index {
 	n := repo.Len()
 	ix := &Index{
-		repo:  repo,
-		depth: make([]int32, n),
-		tree:  make([]int32, n),
-		first: make([]int32, n),
+		repo:   repo,
+		depth:  make([]int32, n),
+		parent: make([]int32, n),
+		tree:   make([]int32, n),
+		first:  make([]int32, n),
 	}
 	ix.euler = make([]int32, 0, 2*n)
 	for _, t := range repo.Trees() {
@@ -100,6 +105,10 @@ func (ix *Index) tourTree(t *schema.Tree) {
 func (ix *Index) visit(n *schema.Node, t *schema.Tree) {
 	id := n.ID
 	ix.depth[id] = int32(n.Depth)
+	ix.parent[id] = -1
+	if p := n.Parent(); p != nil {
+		ix.parent[id] = int32(p.ID)
+	}
 	ix.tree[id] = int32(t.ID)
 	ix.first[id] = int32(len(ix.euler))
 	ix.euler = append(ix.euler, int32(id))
@@ -143,7 +152,7 @@ func (ix *Index) Repository() *schema.Repository { return ix.repo }
 // — serve stats and the throughput benchmark report it so a second
 // full-repository copy cannot reappear unnoticed.
 func (ix *Index) MemoryBytes() int64 {
-	b := int64(len(ix.depth)+len(ix.tree)+len(ix.first)+len(ix.euler)) * 4
+	b := int64(len(ix.depth)+len(ix.parent)+len(ix.tree)+len(ix.first)+len(ix.euler)) * 4
 	for k := 1; k < len(ix.sparse); k++ { // sparse[0] aliases euler
 		b += int64(len(ix.sparse[k])) * 4
 	}
@@ -170,6 +179,12 @@ func (ix *Index) TreeOfID(id int) int { return int(ix.tree[id]) }
 // by tree and lists each tree's nodes ancestors-first — the order
 // Index.Medoid processes members in.
 func (ix *Index) DocOrder(id int) int32 { return ix.first[id] }
+
+// ParentDepth returns the index's own per-node parent-ID (-1 at a root) and
+// depth arrays, read-only, for walks that visit a path node by node: the
+// mapping search's paths are a few edges long, and climbing the deeper end
+// until both meet beats an LCA query plus a chase through Node.Parent.
+func (ix *Index) ParentDepth() (parent, depth []int32) { return ix.parent, ix.depth }
 
 // LCA returns the lowest common ancestor of a and b in O(1). It panics if
 // the nodes belong to different trees; call SameTree first when unsure.

@@ -92,23 +92,28 @@ func cutSubtree(rng *rand.Rand, root *schema.Node, k int) *schema.Tree {
 
 // BenchmarkGenerateTopN measures the generation stage of a top-N request at
 // paper scale, inline and over 2 and 4 workers sharing the floor; one op is
-// one request. Two shapes: cold-topn is the repository benchmark's workload
+// one request. Three shapes: cold-topn is the repository benchmark's workload
 // of that name (top 10 at δ 0.75, the floor rises within a few clusters);
-// slow-floor (top 50 at δ 0.5) keeps the floor low for most of the search,
-// which is where sharing it across workers has something to win.
-// partials/op is the paper's machine-independent work indicator
-// (deterministic at parallelism 1). Run with -cpu 2 to reproduce the
-// repository benchmark's GOMAXPROCS.
+// tail is the same over its 7-node personal schemas only, the requests that
+// set that workload's p99; slow-floor (top 50 at δ 0.5) keeps the floor low
+// for most of the search, which is where sharing it across workers has
+// something to win. partials/op is the paper's machine-independent work
+// indicator (deterministic at parallelism 1). Run with -cpu 2 to reproduce
+// the repository benchmark's GOMAXPROCS.
 func BenchmarkGenerateTopN(b *testing.B) {
-	cases := benchCases()
 	for _, shape := range []struct {
 		name  string
 		n     int
 		delta float64
-	}{{"cold-topn", 10, 0.75}, {"slow-floor", 50, 0.5}} {
-		gens := make([]*Generator, len(cases))
-		for i, c := range cases {
-			gens[i] = New(Config{Threshold: shape.delta}, c.ix, c.ev, c.cands)
+		k     int // personal-schema size to keep; 0 keeps every case
+	}{{"cold-topn", 10, 0.75, 0}, {"tail", 10, 0.75, 7}, {"slow-floor", 50, 0.5, 0}} {
+		var cases []benchCase
+		var gens []*Generator
+		for _, c := range benchCases() {
+			if shape.k == 0 || c.cands.Personal.Len() == shape.k {
+				cases = append(cases, c)
+				gens = append(gens, New(Config{Threshold: shape.delta}, c.ix, c.ev, c.cands))
+			}
 		}
 		for _, par := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/parallelism=%d", shape.name, par), func(b *testing.B) {

@@ -18,11 +18,11 @@
 // usefulness, search-space size, optimistic Δ upper bound and restricted
 // candidate sets; workers then claim clusters and run one depth-first
 // search that prunes against a Δ-floor, stopping a level as soon as the
-// bound over the edge union as it stands falls below the floor (candidate
-// sets are in descending similarity, so every later candidate is below it
-// too). With n <= 0 the floor stays at δ and every mapping at or above it
-// is returned — the threshold search, under the configured Algorithm. With
-// n > 0 the floor starts at δ and rises to the N-th best Δ found so far: the
+// bound over the mapped subtree as it stands falls below the floor
+// (candidate sets are in descending similarity, so every later candidate
+// is below it too). With n <= 0 the floor stays at δ and every mapping at
+// or above it is returned — the threshold search, under the configured
+// Algorithm. With n > 0 the floor starts at δ and rises to the N-th best Δ found so far: the
 // workers share one atomic floor fed by a mutex-guarded global top-N heap,
 // clusters are dispatched best-first by their bound (smaller search space
 // first among equals), and late clusters are often skipped without being
@@ -33,6 +33,23 @@
 // repository is partitioned across several serve.Service instances — are
 // combined with MergeRanked; its ordering, like Rank's, is deterministic.
 //
+// # The bound
+//
+// A partial mapping's optimistic Δ is α·(similarities so far + the best
+// similarity of every unassigned node)/|Ns| + (1−α)·Δpath(|Et| + z), the
+// subtree look-ahead. Admissible because (1) personal nodes are assigned in
+// preorder, every pushed path starts at an image, so the pushed node set T
+// is connected and |Et| = |T| − 1; (2) the remaining images are distinct
+// nodes that are not images yet, so each of the z remaining personal nodes
+// with no unused in-cluster candidate inside T adds a node, hence an edge,
+// of its own; (3) Δpath never rises with |Et|. z is taken over T as it
+// stands, node i included, for the cut-off before the push (|Es| at the
+// root), and over the grown T, the new image used, for the test after it.
+//
+// The similarity part is summed in another order than the Δ it bounds and
+// can come out a few ulps under it, so every prune site — cluster skip,
+// cut-off, per-candidate test — goes through belowFloor (slack 1e-12).
+//
 // # Determinism
 //
 // GenerateTopNParallel returns results bit-identical — scores AND order —
@@ -40,12 +57,15 @@
 // to N, for every worker count. Three properties carry the proof: the
 // shared floor never exceeds the Δ of the N-th best mapping under the full
 // Rank total order (descending Δ, then cluster ID, then image node IDs),
-// pruning rejects only on strict "bound below floor", and the heap keeps
-// the first N mappings under that same total order. True top-N mappings
+// pruning rejects only a bound clearly below the floor (a computed bound is
+// an upper bound only up to rounding: a strict "bound < floor" once dropped
+// a mapping that tied the floor and out-ranked what was kept), and the heap
+// keeps the first N mappings under that same total order. True top-N mappings
 // are therefore never pruned, never rejected and never evicted, whatever
 // the schedule; the final Rank pass fixes the order. The property and fuzz
-// tests in parallel_test.go pin this equivalence against a test-local
-// enumerator (reference_test.go) that shares no code with the engine.
+// tests in parallel_test.go and lookahead_test.go pin this equivalence
+// against a test-local enumerator (reference_test.go) that shares no code
+// with the engine.
 //
 // The work counters are the one schedule-dependent output: in a parallel
 // top-N search, PartialMappings, CompleteMappings and the EngineStats
@@ -60,10 +80,9 @@
 // # Concurrency
 //
 // A Generator is immutable after New: search state (assignment arrays,
-// the planner's restricted candidate sets, dense bitsets, dense edge union,
-// result heap)
-// lives in a sync.Pool, acquired per call and per worker, never on the
-// Generator — so any number of goroutines may search through one Generator
+// the planner's restricted candidate sets, dense bitsets, the subtree
+// tracker, result heap) lives in a sync.Pool, acquired per call and per
+// worker, never on the Generator — so any number of goroutines may search through one Generator
 // at once, and a warm acquire→search→release cycle allocates nothing (the
 // AllocsPerRun pins in parallel_test.go enforce this). Clusters passed to
 // the generator must be disjoint node sets, which every clustering Result

@@ -119,7 +119,8 @@ func TestGenerateTopNParallelEquivalence(t *testing.T) {
 }
 
 // FuzzGenerateTopNParallel is the fuzz-harness form of the equivalence
-// property, so the corpus can grow counterexamples across runs.
+// properties (the fixed-shape cases of randomCase and the random shapes of
+// shapedCase), so the corpus can grow counterexamples across runs.
 func FuzzGenerateTopNParallel(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0))
 	f.Add(int64(7), uint8(3), uint8(2))
@@ -128,6 +129,7 @@ func FuzzGenerateTopNParallel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, thRaw uint8) {
 		thresholds := []float64{0, 0.3, 0.5, 0.75, 0.9}
 		checkParallelEquivalence(t, seed, 1+int(nRaw)%9, thresholds[int(thRaw)%len(thresholds)])
+		checkShapedEquivalence(t, seed, 1+int(nRaw)%12, thresholds[int(thRaw)%len(thresholds)])
 	})
 }
 

@@ -53,6 +53,11 @@ func (g *Generator) GeneratePartialInCluster(cl *cluster.Cluster) ([]PartialMapp
 	st := acquireState(g)
 	defer st.release()
 	n := st.n
+	if st.union == nil {
+		st.union = objective.NewDenseEdgeUnion(g.ix)
+	} else {
+		st.union.Retarget(g.ix)
+	}
 	// Restrict every candidate set to the cluster's members, descending
 	// similarity preserved, backing arrays reused; coverage is decided
 	// below. The member bits are cleared again right away, keeping the cost
@@ -209,7 +214,7 @@ func (ps *partialSearch) run(k int, simSum float64) {
 				(simSum+c.Sim+st.suffixBest[k+1])/float64(ps.n),
 				ps.deltaPath(st.union.Size()),
 			)
-			prune = bound < ps.g.cfg.Threshold
+			prune = belowFloor(bound, ps.g.cfg.Threshold)
 		}
 		if !prune {
 			st.images[i] = c.Node

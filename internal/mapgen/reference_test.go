@@ -11,13 +11,14 @@ import (
 )
 
 // refGenerate is the tests' independent reference generator: a plain
-// recursive search sharing nothing with the engine — map-based membership
-// and edge union, complete mappings scored through Evaluator.Score. With
-// bound unset it enumerates every 1-to-1 combination (the reference for
-// results); with bound set it prunes exactly as the search did before the
-// sorted cut-off — after the push, one candidate at a time — and its
-// partial-mapping count is the reference for work. The list comes back
-// ranked.
+// recursive search sharing nothing with the engine — map-based membership,
+// |Et| recounted from the mapped paths at every step (Index.PathLengthSum),
+// complete mappings scored through Evaluator.Score. With bound unset it
+// enumerates every 1-to-1 combination (the reference for results); with
+// bound set it prunes exactly as the search did before the
+// sorted cut-off and the subtree look-ahead — after the push, one candidate
+// at a time, Δpath of the union as it stands — and its partial-mapping
+// count is the reference for work. The list comes back ranked.
 func refGenerate(ix *labeling.Index, ev *objective.Evaluator, cands *matcher.Candidates,
 	clusters []*cluster.Cluster, threshold float64, bound bool) (ms []Mapping, partials int64) {
 	n := cands.Personal.Len()
@@ -46,7 +47,7 @@ func refGenerate(ix *labeling.Index, ev *objective.Evaluator, cands *matcher.Can
 		}
 		images, sims := make([]*schema.Node, n), make([]float64, n)
 		used := map[int]bool{}
-		union := objective.NewEdgeUnion(ix)
+		var paths [][2]*schema.Node // (parent image, image) of the nodes assigned so far
 		var rec func(i int, simSum float64)
 		rec = func(i int, simSum float64) {
 			if i == n {
@@ -66,18 +67,19 @@ func refGenerate(ix *labeling.Index, ev *objective.Evaluator, cands *matcher.Can
 					continue
 				}
 				partials++
-				var touched []int
 				if parent != nil {
-					touched = union.Push(images[parent.Pre], c.Node)
+					paths = append(paths, [2]*schema.Node{images[parent.Pre], c.Node})
 				}
-				optimistic := ev.Combine((simSum+c.Sim+suffixBest[i+1])/float64(n), ev.DeltaPath(union.Size()))
-				if !bound || optimistic >= threshold {
+				optimistic := ev.Combine((simSum+c.Sim+suffixBest[i+1])/float64(n), ev.DeltaPath(ix.PathLengthSum(paths)))
+				if !bound || optimistic >= threshold-1e-12 { // the engine's ulp slack, see belowFloor
 					images[i], sims[i] = c.Node, c.Sim
 					used[c.Node.ID] = true
 					rec(i+1, simSum+c.Sim)
 					used[c.Node.ID] = false
 				}
-				union.Pop(touched)
+				if parent != nil {
+					paths = paths[:len(paths)-1]
+				}
 			}
 		}
 		rec(0, 0)

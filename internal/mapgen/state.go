@@ -88,17 +88,18 @@ func (s *EngineStats) addPoolReuse() {
 }
 
 // searchState is the pooled, reusable storage of one mapping search: the
-// DFS assignment arrays, the dense used/member bitsets, the dense edge
-// union, the engine's planning scratch and the partial-mapping search's
+// DFS assignment arrays, the dense used/member bitsets, the subtree
+// tracker, the engine's planning scratch and the partial-mapping search's
 // restricted candidate sets (backing arrays reused across clusters). Acquire one with
 // acquireState and return it with release; a warm acquire→search→release
 // cycle allocates nothing.
 //
 // Invariants between uses (what makes pooling safe): the bitsets are
-// fully clear, the edge union is empty, clusterOf is all -1 and planCount
-// is all zero. Searches restore these on every path — set bits are unset
-// when backtracking or when a cluster finishes, pushes are popped, and
-// the planner re-clears exactly the entries it wrote.
+// fully clear, the subtree tracker and the edge union are empty, clusterOf
+// is all -1 and planCount is all zero. Searches restore these on every
+// path — set bits are unset when backtracking or when a cluster finishes,
+// pushes are popped, candidate masks cleared, and the planner re-clears
+// exactly the entries it wrote.
 type searchState struct {
 	n          int // personal-schema size currently prepared for
 	images     []*schema.Node
@@ -107,7 +108,8 @@ type searchState struct {
 	sets       [][]matcher.Candidate // GeneratePartialInCluster only
 	used       labeling.Bitset
 	member     labeling.Bitset
-	union      *objective.DenseEdgeUnion
+	tree       subtree                   // the searches' mapping-subtree tracker
+	union      *objective.DenseEdgeUnion // GeneratePartialInCluster only
 
 	// Engine planning scratch. planFlat holds every useful cluster's
 	// restricted sets back to back and planSets the slice headers into it;
@@ -194,11 +196,7 @@ func (st *searchState) prepare(g *Generator) {
 	st.sets = st.sets[:n]
 	st.used.Grow(m)
 	st.member.Grow(m)
-	if st.union == nil {
-		st.union = objective.NewDenseEdgeUnion(g.ix)
-	} else {
-		st.union.Retarget(g.ix)
-	}
+	st.tree.retarget(g.ix)
 	if len(st.clusterOf) < m {
 		grown := make([]int32, m)
 		copy(grown, st.clusterOf)

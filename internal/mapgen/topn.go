@@ -23,10 +23,10 @@ import (
 // their optimistic upper bound, and a cluster whose bound has fallen below
 // the floor by the time it is dispatched is skipped. The heap orders
 // mappings by the full deterministic Rank comparator (not Δ alone), and the
-// floor prunes only on strict "below", so the kept N-set is the unique
-// top-N under the total order — bit-identical (scores AND order) for every
-// worker count, equal to the inline search and to exhaustive-then-truncate
-// (see doc.go; property- and fuzz-tested).
+// floor prunes only what is clearly below it (belowFloor), so the kept
+// N-set is the unique top-N under the total order — bit-identical (scores
+// AND order) for every worker count, equal to the inline search and to
+// exhaustive-then-truncate (see doc.go; property- and fuzz-tested).
 //
 // Counters caveat: under top-N parallelism PartialMappings/CompleteMappings
 // and the skip/tightening stats depend on the floor's trajectory, which
@@ -265,11 +265,17 @@ type engine struct {
 // floor returns the current pruning bound; lock-free, monotone rising.
 func (e *engine) floor() float64 { return math.Float64frombits(e.floorBits.Load()) }
 
+// belowFloor is the one pruning test: a bound sums similarities in another
+// order than the Δ it bounds and may come out a few ulps under it, so only a
+// bound clearly below the floor prunes (the slack covers 64 similarities in
+// [0,1] many times over; pruning less is always safe).
+func belowFloor(bound, floor float64) bool { return bound < floor-1e-12 }
+
 // worker claims clusters off the shared cursor in plan order until the
 // plans run out or stop fires. In the top-N mode a cluster whose optimistic
-// bound has fallen strictly below the floor is skipped.
+// bound has fallen below the floor is skipped.
 func (e *engine) worker(st *searchState, plans []clusterPlan, stop func() bool) {
-	s := search{e: e, st: st, n: st.n}
+	s := search{e: e, st: st, n: st.n, all: 1<<uint(st.n) - 1}
 	var skipped int64
 	for {
 		if stop != nil && stop() {
@@ -280,13 +286,15 @@ func (e *engine) worker(st *searchState, plans []clusterPlan, stop func() bool) 
 			break
 		}
 		p := &plans[i]
-		if e.limit > 0 && p.bound < e.floor() {
+		if e.limit > 0 && belowFloor(p.bound, e.floor()) {
 			skipped++
 			continue
 		}
 		s.cl, s.sets = p.cl, p.sets
 		st.fillSuffixBest(p.sets)
+		st.tree.setCandidates(p.sets, true)
 		s.run(0, 0)
+		st.tree.setCandidates(p.sets, false)
 	}
 	e.partials.Add(s.partials)
 	e.completes.Add(s.completes)
@@ -376,6 +384,7 @@ type search struct {
 	cl   *cluster.Cluster
 	sets [][]matcher.Candidate
 	n    int
+	all  uint64 // one bit per personal node
 
 	partials  int64
 	completes int64
@@ -384,20 +393,20 @@ type search struct {
 
 // run extends the partial mapping at personal preorder rank i with an
 // accumulated similarity sum. Personal nodes are assigned in preorder, so a
-// node's parent image is always available when the node is assigned; the
-// edge union therefore tracks |Et| of the partial mapping incrementally.
+// node's parent image is always available when the node is assigned and the
+// tracked node set T stays connected.
 //
-// The bound is admissible: unassigned nodes contribute at most their best
-// similarity, and |Et| only grows, so Δpath of the current union is an
-// upper bound on the final Δpath. Pruning is strict (bound < floor) so
+// The bound is admissible (doc.go): unassigned nodes contribute at most
+// their best similarity, and Δpath is taken at subtree.edgesAtLeast, which
+// the final |Et| cannot undercut. Pruning goes through belowFloor, so
 // equal-Δ ties are decided by the heap's full comparator, never by the
-// schedule.
+// schedule or a rounding.
 func (s *search) run(i int, simSum float64) {
 	e, st := s.e, s.st
-	ev := e.g.ev
+	ev, t := e.g.ev, &st.tree
 	if i == s.n {
 		s.completes++
-		et := st.union.Size()
+		et := t.nodes - 1
 		dsim := simSum / float64(s.n)
 		dpath := ev.DeltaPath(et)
 		delta := ev.Combine(dsim, dpath)
@@ -418,34 +427,39 @@ func (s *search) run(i int, simSum float64) {
 		}
 		return
 	}
-	parent := e.g.cands.Personal.NodeAt(i).Parent()
+	from := int32(-1) // the parent's image; the root's path is its own image
+	if parent := e.g.cands.Personal.NodeAt(i).Parent(); parent != nil {
+		from = int32(st.images[parent.Pre].ID)
+	}
 	rest := st.suffixBest[i+1]
-	before := ev.DeltaPath(st.union.Size())
+	later := s.all &^ (2<<uint(i) - 1) // personal nodes after i
+	// Sorted cut-off: the set is in descending similarity and the look-ahead
+	// over T as it stands holds for every candidate, so once that bound is
+	// below the floor, every later candidate's is too.
+	before := ev.DeltaPath(t.edgesAtLeast(later | 1<<uint(i)))
 	for _, c := range s.sets[i] {
 		dsim := (simSum + c.Sim + rest) / float64(s.n)
-		// Sorted cut-off: the set is in descending similarity and no push
-		// shrinks the union, so once the bound over the union as it stands
-		// is below the floor, this candidate's and every later one's is.
-		if e.prune && ev.Combine(dsim, before) < e.floor() {
+		if e.prune && belowFloor(ev.Combine(dsim, before), e.floor()) {
 			break
 		}
 		if st.used.Has(c.Node.ID) {
 			continue // "1 to 1": images must be distinct
 		}
 		s.partials++
-		mark := -1
-		if parent != nil {
-			mark = st.union.Push(st.images[parent.Pre], c.Node)
+		id := int32(c.Node.ID)
+		if i == 0 {
+			from = id
 		}
-		if !e.prune || ev.Combine(dsim, ev.DeltaPath(st.union.Size())) >= e.floor() {
+		mark := t.push(from, id)
+		t.adjust(id, -1) // an image is no longer a free candidate
+		if !e.prune || !belowFloor(ev.Combine(dsim, ev.DeltaPath(t.edgesAtLeast(later))), e.floor()) {
 			st.images[i] = c.Node
 			st.sims[i] = c.Sim
 			st.used.Set(c.Node.ID)
 			s.run(i+1, simSum+c.Sim)
 			st.used.Unset(c.Node.ID)
 		}
-		if parent != nil {
-			st.union.Pop(mark)
-		}
+		t.adjust(id, 1)
+		t.pop(mark)
 	}
 }

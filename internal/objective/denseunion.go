@@ -5,7 +5,8 @@ import (
 	"bellflower/internal/schema"
 )
 
-// DenseEdgeUnion is the allocation-free counterpart of EdgeUnion: the
+// DenseEdgeUnion maintains |Et|, the size of the union of the mapped paths,
+// as a search assigns and retracts personal nodes, without allocating: the
 // per-edge refcounts live in a dense int32 array indexed by node ID (an
 // edge is identified by its child endpoint) and the undo information is an
 // internal LIFO stack of touched IDs, addressed by integer marks instead
@@ -18,10 +19,10 @@ import (
 // reverse order of acquisition (exactly the depth-first search pattern).
 // A DenseEdgeUnion is not safe for concurrent use; each search owns one.
 type DenseEdgeUnion struct {
-	ix    *labeling.Index
-	count []int32
-	stack []int32
-	size  int
+	parent, depth []int32 // the index's flat arrays (labeling.Index.ParentDepth)
+	count         []int32
+	stack         []int32
+	size          int
 }
 
 // NewDenseEdgeUnion returns an empty union sized for the index's
@@ -41,7 +42,7 @@ func (u *DenseEdgeUnion) Retarget(ix *labeling.Index) {
 	if u.size != 0 || len(u.stack) != 0 {
 		panic("objective: DenseEdgeUnion.Retarget on a non-empty union")
 	}
-	u.ix = ix
+	u.parent, u.depth = ix.ParentDepth()
 	if n := ix.Repository().Len(); n > len(u.count) {
 		if n <= cap(u.count) {
 			u.count = u.count[:n]
@@ -57,21 +58,23 @@ func (u *DenseEdgeUnion) Retarget(ix *labeling.Index) {
 func (u *DenseEdgeUnion) Size() int { return u.size }
 
 // Push adds the path between a and b (same tree) and returns the mark to
-// Pop back to.
+// Pop back to. The deeper endpoint climbs the flat parent array until the
+// two meet: no LCA query, no pointer chase.
 func (u *DenseEdgeUnion) Push(a, b *schema.Node) int {
 	mark := len(u.stack)
-	l := u.ix.LCA(a, b)
-	for n := a; n != l; n = n.Parent() {
-		u.push(n.ID)
-	}
-	for n := b; n != l; n = n.Parent() {
-		u.push(n.ID)
+	x, y := int32(a.ID), int32(b.ID)
+	for x != y {
+		if u.depth[x] > u.depth[y] {
+			x, y = y, x
+		}
+		u.push(y) // the deeper end
+		y = u.parent[y]
 	}
 	return mark
 }
 
-func (u *DenseEdgeUnion) push(id int) {
-	u.stack = append(u.stack, int32(id))
+func (u *DenseEdgeUnion) push(id int32) {
+	u.stack = append(u.stack, id)
 	u.count[id]++
 	if u.count[id] == 1 {
 		u.size++

@@ -428,6 +428,11 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 	t1 := time.Now()
 	_, csp := trace.StartSpan(ctx, "pipeline.cluster")
 	clusters, iterations, err := ComputeClusters(r.ix, cands, opts)
+	if csp != nil {
+		csp.SetAttrInt("elements", int64(cands.TotalMappingElements()))
+		csp.SetAttrInt("clusters", int64(len(clusters)))
+		csp.SetAttrInt("iterations", int64(iterations))
+	}
 	csp.End()
 	if err != nil {
 		return nil, err
@@ -574,6 +579,9 @@ func (r *Runner) runGeneration(ctx context.Context, personal *schema.Tree, cands
 		return nil, err
 	}
 	rep.Counters = ctr
+	gsp.SetAttrInt("useful_clusters", int64(rep.UsefulClusters))
+	gsp.SetAttrInt("partials", ctr.PartialMappings)
+	gsp.SetAttrInt("complete", ctr.CompleteMappings)
 	rep.FirstGoodAfter = firstGoodAfter(useful, ms, n)
 	if opts.TopN > 0 && len(ms) > opts.TopN {
 		// Copy on truncate: a report must not pin the full enumeration.

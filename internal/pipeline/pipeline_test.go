@@ -492,3 +492,44 @@ func TestMatchSpanAttrs(t *testing.T) {
 		}
 	}
 }
+
+// The cluster and generate spans carry the request features that explain a
+// slow request from /v1/traces alone, equal to the report's own figures.
+func TestClusterGenerateSpanAttrs(t *testing.T) {
+	ctx, tr, root := trace.New(context.Background(), "test")
+	rep, err := NewRunner(smallRepo()).RunContext(ctx, personBooks(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if rep.Counters.PartialMappings == 0 {
+		t.Fatal("fixture generated no partial mapping")
+	}
+	want := map[string]string{
+		"pipeline.cluster": fmt.Sprint(map[string]string{
+			"elements":   fmt.Sprint(rep.MappingElements),
+			"clusters":   fmt.Sprint(rep.Clusters),
+			"iterations": fmt.Sprint(rep.Iterations),
+		}),
+		"pipeline.generate": fmt.Sprint(map[string]string{
+			"useful_clusters": fmt.Sprint(rep.UsefulClusters),
+			"partials":        fmt.Sprint(rep.Counters.PartialMappings),
+			"complete":        fmt.Sprint(rep.Counters.CompleteMappings),
+		}),
+	}
+	for _, sp := range tr.Spans() {
+		if w, ok := want[sp.Name]; ok {
+			got := make(map[string]string)
+			for _, a := range sp.Attrs {
+				got[a.Key] = a.Value
+			}
+			if fmt.Sprint(got) != w {
+				t.Errorf("%s attrs %v, want %v", sp.Name, got, w)
+			}
+			delete(want, sp.Name)
+		}
+	}
+	for name := range want {
+		t.Errorf("no %s span recorded", name)
+	}
+}
