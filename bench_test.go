@@ -302,24 +302,6 @@ func BenchmarkAblationClusterer(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelism measures the parallel per-cluster
-// generation extension.
-func BenchmarkAblationParallelism(b *testing.B) {
-	e := env(b)
-	names := map[int]string{1: "sequential", 4: "parallel4"}
-	for _, workers := range []int{1, 4} {
-		b.Run(names[workers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := benchOptions(e, pipeline.VariantMedium)
-				opts.Parallelism = workers
-				if _, err := e.Runner.Run(e.Personal, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkElementMatching isolates step ② — the quadratic candidate
 // search — at paper scale.
 func BenchmarkElementMatching(b *testing.B) {

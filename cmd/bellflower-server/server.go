@@ -301,7 +301,6 @@ type matchOptionsJSON struct {
 	Matcher         string   `json:"matcher,omitempty"` // name|token|synonym|type
 	Structure       string   `json:"structure,omitempty"`
 	StructureWeight float64  `json:"structure_weight,omitempty"`
-	Parallelism     int      `json:"parallelism,omitempty"`
 	Agglomerative   bool     `json:"agglomerative,omitempty"`
 	AdaptiveTopN    bool     `json:"adaptive_top_n,omitempty"` // deprecated: accepted, ignored
 	OrderClusters   bool     `json:"order_clusters,omitempty"`
@@ -327,7 +326,6 @@ func (o *matchOptionsJSON) build() (bellflower.Options, error) {
 		opts.MinSim = *o.MinSim
 	}
 	opts.TopN = o.TopN
-	opts.Parallelism = o.Parallelism
 	opts.Agglomerative = o.Agglomerative
 	//lint:ignore SA1019 still parsed so that old clients keep working; the pipeline ignores it
 	opts.AdaptiveTopN = o.AdaptiveTopN

@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,6 +96,12 @@ func TestHandleMatchTable(t *testing.T) {
 			body:       `{"personal":"a(b)","nonsense":1}`,
 			wantStatus: http.StatusBadRequest,
 			wantInBody: "bad request body",
+		},
+		{
+			name:       "retired parallelism key",
+			body:       `{"personal":"book(title,author)","options":{"parallelism":4}}`,
+			wantStatus: http.StatusBadRequest,
+			wantInBody: `unknown field \"parallelism\"`,
 		},
 		{
 			name:       "bad spec",
@@ -668,8 +673,9 @@ func TestShardedStatsRollupAndEquivalence(t *testing.T) {
 	_, sharded := testShardedService(t, bellflower.ServiceConfig{}, 2)
 	_, plain := testService(t, bellflower.ServiceConfig{})
 
+	// The sharded answer is the unsharded one, rank for rank.
 	const body = `{"personal":"book(title,author)","options":{"delta":0.5}}`
-	mappingSet := func(ts *httptest.Server) []string {
+	mappingList := func(ts *httptest.Server) []string {
 		resp, data := postJSON(t, ts.URL+"/v1/match", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("match: %d (%s)", resp.StatusCode, data)
@@ -690,10 +696,9 @@ func TestShardedStatsRollupAndEquivalence(t *testing.T) {
 		for i, m := range out.Mappings {
 			keys[i] = fmt.Sprintf("%.9f|%v", m.Delta, m.Pairs)
 		}
-		sort.Strings(keys)
 		return keys
 	}
-	got, want := mappingSet(sharded), mappingSet(plain)
+	got, want := mappingList(sharded), mappingList(plain)
 	if len(got) == 0 || len(got) != len(want) {
 		t.Fatalf("sharded server found %d mappings, unsharded %d", len(got), len(want))
 	}

@@ -52,7 +52,6 @@ func run(args []string) error {
 		agg          = fs.Bool("agglomerative", false, "use agglomerative clustering instead of k-means")
 		structure    = fs.String("structure", "", "two-phase structure matcher: path|child|leaf")
 		structWeight = fs.Float64("structure-weight", 0.5, "blend weight of the structure matcher")
-		parallel     = fs.Int("parallel", 0, "generate mappings over clusters with N goroutines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,7 +88,6 @@ func run(args []string) error {
 	opts.TopN = *topN
 	opts.IncludePartials = *partials
 	opts.Agglomerative = *agg
-	opts.Parallelism = *parallel
 	if *structure != "" {
 		sm, err := bellflower.NewStructureMatcher(*structure)
 		if err != nil {

@@ -76,11 +76,7 @@ func TestMatcherConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				j := jobs[(g*iters+i)%len(jobs)]
-				opts := makeOpts(j.variant)
-				if (g+i)%2 == 1 {
-					opts.Parallelism = 2 // mix in the internal fan-out too
-				}
-				rep, err := m.Match(bellflower.MustParseSchema(j.spec), opts)
+				rep, err := m.Match(bellflower.MustParseSchema(j.spec), makeOpts(j.variant))
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

@@ -60,17 +60,7 @@ func main() {
 	fmt.Printf("two-phase (path):    %4d clusters, %5d mappings, %v\n",
 		twoRep.Clusters, len(twoRep.Mappings), twoRep.TotalTime().Round(time.Millisecond))
 
-	// 4. Parallel per-cluster generation.
-	par := base
-	par.Parallelism = 4
-	parRep, err := m.Match(personal, par)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("parallel (4 workers):%4d clusters, %5d mappings, %v\n",
-		parRep.Clusters, len(parRep.Mappings), parRep.TotalTime().Round(time.Millisecond))
-
-	// 5. Cost model: calibrate on the plain run, predict the break-even
+	// 4. Cost model: calibrate on the plain run, predict the break-even
 	// cluster count for this problem shape.
 	model, err := bellflower.CalibrateCostModel(
 		plain.ClusterTime.Seconds(),

@@ -1,7 +1,6 @@
 package mapgen
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -91,15 +90,13 @@ func cutSubtree(rng *rand.Rand, root *schema.Node, k int) *schema.Tree {
 }
 
 // BenchmarkGenerateTopN measures the generation stage of a top-N request at
-// paper scale, inline and over 2 and 4 workers sharing the floor; one op is
-// one request. Three shapes: cold-topn is the repository benchmark's workload
-// of that name (top 10 at δ 0.75, the floor rises within a few clusters);
-// tail is the same over its 7-node personal schemas only, the requests that
-// set that workload's p99; slow-floor (top 50 at δ 0.5) keeps the floor low
-// for most of the search, which is where sharing it across workers has
-// something to win. partials/op is the paper's machine-independent work
-// indicator (deterministic at parallelism 1). Run with -cpu 2 to reproduce
-// the repository benchmark's GOMAXPROCS.
+// paper scale; one op is one request. Three shapes: cold-topn is the
+// repository benchmark's workload of that name (top 10 at δ 0.75, the floor
+// rises within a few clusters); tail is the same over its 7-node personal
+// schemas only, the requests that set that workload's p99; slow-floor (top
+// 50 at δ 0.5) keeps the floor low for most of the search. partials/op is
+// the paper's machine-independent work indicator (deterministic). Run with
+// -cpu 2 to reproduce the repository benchmark's GOMAXPROCS.
 func BenchmarkGenerateTopN(b *testing.B) {
 	for _, shape := range []struct {
 		name  string
@@ -115,19 +112,17 @@ func BenchmarkGenerateTopN(b *testing.B) {
 				gens = append(gens, New(Config{Threshold: shape.delta}, c.ix, c.ev, c.cands))
 			}
 		}
-		for _, par := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/parallelism=%d", shape.name, par), func(b *testing.B) {
-				var partials int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ms, ctr := gens[i%len(cases)].GenerateTopNParallel(cases[i%len(cases)].clusters, shape.n, par, nil)
-					partials += ctr.PartialMappings
-					benchSink = len(ms)
-				}
-				b.ReportMetric(float64(partials)/float64(b.N), "partials/op")
-			})
-		}
+		b.Run(shape.name, func(b *testing.B) {
+			var partials int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ms, ctr := gens[i%len(cases)].GenerateTopN(cases[i%len(cases)].clusters, shape.n)
+				partials += ctr.PartialMappings
+				benchSink = len(ms)
+			}
+			b.ReportMetric(float64(partials)/float64(b.N), "partials/op")
+		})
 	}
 }
 

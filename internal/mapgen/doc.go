@@ -12,26 +12,27 @@
 // mappings generated is the paper's machine-independent efficiency
 // indicator (Tab. 1b).
 //
-// One engine runs every search (GenerateTopNParallel; Generate,
-// GenerateInCluster, GenerateTopN and GenerateTopNStop are thin entries
-// into it). A planning pass over the candidate sets decides each cluster's
-// usefulness, search-space size, optimistic Δ upper bound and restricted
-// candidate sets; workers then claim clusters and run one depth-first
-// search that prunes against a Δ-floor, stopping a level as soon as the
-// bound over the mapped subtree as it stands falls below the floor
-// (candidate sets are in descending similarity, so every later candidate
-// is below it too). With n <= 0 the floor stays at δ and every mapping at
-// or above it is returned — the threshold search, under the configured
-// Algorithm. With n > 0 the floor starts at δ and rises to the N-th best Δ found so far: the
-// workers share one atomic floor fed by a mutex-guarded global top-N heap,
-// clusters are dispatched best-first by their bound (smaller search space
-// first among equals), and late clusters are often skipped without being
-// searched. The top-N list is handed back as a compact copy (Compact), so
-// what a caller retains pins no search memory.
+// One search runs every request (GenerateTopNStop; Generate,
+// GenerateInCluster and GenerateTopN are thin entries into it), on the
+// calling goroutine. A planning pass over the candidate sets decides each
+// cluster's usefulness, search-space size, optimistic Δ upper bound and
+// restricted candidate sets; the search then visits the clusters in turn
+// with one depth-first search that prunes against a Δ-floor, stopping a
+// level as soon as the bound over the mapped subtree as it stands falls
+// below the floor (candidate sets are in descending similarity, so every
+// later candidate is below it too). With n <= 0 the floor stays at δ and
+// every mapping at or above it is returned — the threshold search, under
+// the configured Algorithm. With n > 0 the floor starts at δ and rises to
+// the N-th best Δ found so far, kept in a top-N heap; clusters are visited
+// best-first by their bound (smaller search space first among equals), and
+// late clusters are often skipped without being searched. The top-N list
+// is handed back as a compact copy (Compact), so what a caller retains pins
+// no search memory.
 //
 // Ranked lists from independent searches — per-shard lists when a
 // repository is partitioned across several serve.Service instances — are
-// combined with MergeRanked; its ordering, like Rank's, is deterministic.
+// combined with MergeRanked, which compares with Rank's own order; partial
+// mappings are ordered by RankPartials.
 //
 // # The bound
 //
@@ -52,41 +53,38 @@
 //
 // # Determinism
 //
-// GenerateTopNParallel returns results bit-identical — scores AND order —
-// to the inline search and, for n > 0, to exhaustive generation truncated
-// to N, for every worker count. Three properties carry the proof: the
-// shared floor never exceeds the Δ of the N-th best mapping under the full
-// Rank total order (descending Δ, then cluster ID, then image node IDs),
-// pruning rejects only a bound clearly below the floor (a computed bound is
-// an upper bound only up to rounding: a strict "bound < floor" once dropped
-// a mapping that tied the floor and out-ranked what was kept), and the heap
-// keeps the first N mappings under that same total order. True top-N mappings
-// are therefore never pruned, never rejected and never evicted, whatever
-// the schedule; the final Rank pass fixes the order. The property and fuzz
-// tests in parallel_test.go and lookahead_test.go pin this equivalence
-// against a test-local enumerator (reference_test.go) that shares no code
-// with the engine.
+// GenerateTopNStop returns, for n > 0, results bit-identical — scores AND
+// order — to exhaustive generation truncated to N. Three properties carry
+// the proof: the floor never exceeds the Δ of the N-th best mapping under
+// the full Rank total order (descending Δ, then cluster ID, then image node
+// IDs), pruning rejects only a bound clearly below the floor (a computed
+// bound is an upper bound only up to rounding: a strict "bound < floor"
+// once dropped a mapping that tied the floor and out-ranked what was kept),
+// and the heap keeps the first N mappings under that same total order.
+// True top-N mappings are therefore never pruned, never rejected and never
+// evicted; the final Rank pass fixes the order. The property and fuzz tests
+// in equivalence_test.go and lookahead_test.go pin this equivalence against a
+// test-local enumerator (reference_test.go) that shares no code with the
+// search.
 //
-// The work counters are the one schedule-dependent output: in a parallel
-// top-N search, PartialMappings, CompleteMappings and the EngineStats
-// skip/tightening figures depend on how fast the floor rose, which depends
-// on cluster interleaving (a threshold search's floor never moves, so all
-// its counters are exact). SearchSpace, UsefulClusters and the mappings
-// themselves are exact and schedule-independent (they are computed in the
-// deterministic planning pass, including for clusters later skipped by
-// bound). With parallelism <= 1 the engine runs inline on the calling
-// goroutine and every counter is deterministic.
+// The search is sequential, so every output is a function of the inputs:
+// the mappings, and every counter — SearchSpace and UsefulClusters (from
+// the planning pass, including clusters later skipped by bound),
+// PartialMappings, CompleteMappings and the EngineStats skip and
+// tightening figures.
 //
 // # Concurrency
 //
 // A Generator is immutable after New: search state (assignment arrays,
 // the planner's restricted candidate sets, dense bitsets, the subtree
-// tracker, result heap) lives in a sync.Pool, acquired per call and per
-// worker, never on the Generator — so any number of goroutines may search through one Generator
-// at once, and a warm acquire→search→release cycle allocates nothing (the
-// AllocsPerRun pins in parallel_test.go enforce this). Clusters passed to
-// the generator must be disjoint node sets, which every clustering Result
-// in this codebase produces. The package-level helpers Rank, MergeRanked
-// and Compact are pure functions over their arguments (Rank sorts its
-// argument in place).
+// tracker, result heap) lives in a sync.Pool, acquired per call, never on
+// the Generator — so any number of goroutines may search through one
+// Generator at once, and a warm acquire→search→release cycle allocates
+// nothing (the AllocsPerRun pins in equivalence_test.go enforce this). One
+// call never starts a goroutine. EngineStats is the one value shared by
+// concurrent calls, and its counters are atomic. Clusters passed to the
+// generator must be disjoint node sets, which every clustering Result in
+// this codebase produces. The package-level helpers Rank, RankPartials,
+// MergeRanked and Compact are pure functions over their arguments (the two
+// Rank functions sort their argument in place).
 package mapgen

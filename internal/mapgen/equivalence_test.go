@@ -2,7 +2,6 @@ package mapgen
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -15,8 +14,7 @@ import (
 )
 
 // mappingsIdentical asserts full bit-identity — scores, order, cluster,
-// images, sims — the guarantee GenerateTopNParallel makes for every
-// worker count.
+// images, sims — the guarantee the search makes against the reference.
 func mappingsIdentical(t *testing.T, label string, got, want []Mapping) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -71,46 +69,39 @@ func randomCase(seed int64) (*labeling.Index, *objective.Evaluator, *matcher.Can
 	return ix, ev, cands, clusters
 }
 
-// checkParallelEquivalence runs the identity chain — parallel top-N ≡
-// sequential top-N ≡ enumerate-then-truncate, the enumeration being both
-// the engine's own Exhaustive threshold search (at every parallelism) and
-// the test-local reference that shares no code with it — for one seeded
-// case.
-func checkParallelEquivalence(t *testing.T, seed int64, n int, threshold float64) {
+// checkTopNEquivalence runs the identity chain — top-N ≡
+// enumerate-then-truncate, the enumeration being both the engine's own
+// Exhaustive threshold search and the test-local reference that shares no
+// code with it — for one seeded case, and pins that a repeated search
+// (warm pooled state) repeats every counter.
+func checkTopNEquivalence(t *testing.T, seed int64, n int, threshold float64) {
 	t.Helper()
 	ix, ev, cands, clusters := randomCase(seed)
 
 	exh, _ := refGenerate(ix, ev, cands, clusters, threshold, false)
-	for _, par := range []int{1, 3} {
-		own, _ := New(Config{Threshold: threshold, Algorithm: Exhaustive}, ix, ev, cands).
-			GenerateTopNParallel(clusters, 0, par, nil)
-		mappingsIdentical(t, "exhaustive threshold search vs reference", own, exh)
-	}
+	own, _ := New(Config{Threshold: threshold, Algorithm: Exhaustive}, ix, ev, cands).Generate(clusters)
+	mappingsIdentical(t, "exhaustive threshold search vs reference", own, exh)
 	if len(exh) > n {
 		exh = exh[:n]
 	}
-	seq, seqCtr := New(Config{Threshold: threshold}, ix, ev, cands).GenerateTopN(clusters, n)
-	mappingsIdentical(t, "sequential vs exhaustive", seq, exh)
-
-	for _, par := range []int{2, 3, 4, 8} {
-		got, ctr := New(Config{Threshold: threshold}, ix, ev, cands).GenerateTopNParallel(clusters, n, par, nil)
-		mappingsIdentical(t, "parallel", got, seq)
-		if ctr.SearchSpace != seqCtr.SearchSpace || ctr.UsefulClusters != seqCtr.UsefulClusters {
-			t.Fatalf("parallelism %d: space %v / useful %d, want %v / %d (schedule leaked into exact counters)",
-				par, ctr.SearchSpace, ctr.UsefulClusters, seqCtr.SearchSpace, seqCtr.UsefulClusters)
-		}
+	g := New(Config{Threshold: threshold}, ix, ev, cands)
+	top, ctr := g.GenerateTopN(clusters, n)
+	mappingsIdentical(t, "top-N vs exhaustive", top, exh)
+	again, againCtr := g.GenerateTopN(clusters, n)
+	mappingsIdentical(t, "repeated top-N", again, top)
+	if againCtr != ctr {
+		t.Fatalf("repeated top-N counters %+v, first run %+v", againCtr, ctr)
 	}
 }
 
 // Property: for random repositories, matchers, clusterings, N and δ, the
-// parallel adaptive search returns results bit-identical to the
-// sequential adaptive search and to exhaustive generation truncated to N,
-// for every parallelism, and the schedule-independent counters agree.
-func TestGenerateTopNParallelEquivalence(t *testing.T) {
+// adaptive search returns results bit-identical to exhaustive generation
+// truncated to N.
+func TestGenerateTopNEquivalence(t *testing.T) {
 	thresholds := []float64{0, 0.3, 0.5, 0.75, 0.9}
 	f := func(seed int64, nRaw, thRaw uint8) bool {
 		n := 1 + int(nRaw)%9
-		checkParallelEquivalence(t, seed, n, thresholds[int(thRaw)%len(thresholds)])
+		checkTopNEquivalence(t, seed, n, thresholds[int(thRaw)%len(thresholds)])
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -120,7 +111,9 @@ func TestGenerateTopNParallelEquivalence(t *testing.T) {
 
 // FuzzGenerateTopNParallel is the fuzz-harness form of the equivalence
 // properties (the fixed-shape cases of randomCase and the random shapes of
-// shapedCase), so the corpus can grow counterexamples across runs.
+// shapedCase), so the corpus can grow counterexamples across runs. The
+// name predates the single-threaded search; the corpus directory and CI
+// refer to it.
 func FuzzGenerateTopNParallel(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0))
 	f.Add(int64(7), uint8(3), uint8(2))
@@ -128,23 +121,27 @@ func FuzzGenerateTopNParallel(f *testing.F) {
 	f.Add(int64(-99), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, thRaw uint8) {
 		thresholds := []float64{0, 0.3, 0.5, 0.75, 0.9}
-		checkParallelEquivalence(t, seed, 1+int(nRaw)%9, thresholds[int(thRaw)%len(thresholds)])
+		checkTopNEquivalence(t, seed, 1+int(nRaw)%9, thresholds[int(thRaw)%len(thresholds)])
 		checkShapedEquivalence(t, seed, 1+int(nRaw)%12, thresholds[int(thRaw)%len(thresholds)])
 	})
 }
 
-// TestGenerateTopNParallelCancellation races workers against a stop signal
-// that fires mid-search; under -race this doubles as the engine's data-race
-// stress. Whatever survives must still be a prefix-consistent ranked list.
-func TestGenerateTopNParallelCancellation(t *testing.T) {
+// TestGenerateTopNCancellation fires the stop hook after 0..4 clusters:
+// the search consults it no more once it fired, and whatever survives is
+// still a ranked list.
+func TestGenerateTopNCancellation(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		ix, ev, cands, clusters := randomCase(seed)
 		g := New(Config{Threshold: 0.3}, ix, ev, cands)
-		var calls atomic.Int64
-		cutoff := seed % 5 // stop after 0..4 stop-hook consultations
-		ms, _ := g.GenerateTopNParallel(clusters, 5, 4, func() bool {
-			return calls.Add(1) > cutoff
+		calls := 0
+		cutoff := int(seed % 5) // stop after 0..4 stop-hook consultations
+		ms, _ := g.GenerateTopNStop(clusters, 5, func() bool {
+			calls++
+			return calls > cutoff
 		})
+		if calls > cutoff+1 {
+			t.Fatalf("seed %d: search went on after the stop hook fired (%d calls)", seed, calls)
+		}
 		for i := 1; i < len(ms); i++ {
 			if rankLess(&ms[i], &ms[i-1]) {
 				t.Fatalf("seed %d: cancelled result unranked at %d", seed, i)

@@ -1,27 +1,27 @@
 package mapgen
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"bellflower/internal/objective"
+	"bellflower/internal/schema"
 )
 
 // FuzzMergeRanked drives the k-way ranked merge with randomized input
 // lists (seeded, so every failure reproduces) and checks the merge
 // contract the Router depends on:
 //
-//   - the output length is the total input size, truncated to topN;
-//   - Δ is non-increasing;
-//   - each input list's mappings keep their relative order (stability);
-//   - within a maximal equal-Δ run, earlier lists come first;
-//   - the output Δ sequence equals the combined input Δ multiset sorted
-//     descending (truncated), and every output mapping is one of the
-//     inputs, never duplicated or invented.
+//   - merging equals concatenating the lists, ranking the concatenation
+//     with Rank and truncating it to topN, compared rank by rank on the
+//     comparator's keys (Δ, cluster ID, image IDs);
+//   - every output mapping is one of the inputs, never duplicated or
+//     invented, and each input list's mappings keep their relative order.
 //
-// Mappings are tagged through ClusterID = 1000*list + position, which the
-// merge must pass through untouched.
+// Δ, cluster IDs and image IDs come from coarse grids, so ties at every
+// level of the comparator are common. Sims[0] tags each mapping with
+// 1000*list + position, which the merge must pass through untouched.
 func FuzzMergeRanked(f *testing.F) {
 	f.Add(int64(1), uint8(3), int16(0))
 	f.Add(int64(2), uint8(1), int16(5))
@@ -29,63 +29,56 @@ func FuzzMergeRanked(f *testing.F) {
 	f.Add(int64(42), uint8(0), int16(-1))
 	f.Fuzz(func(t *testing.T, seed int64, numLists uint8, topN int16) {
 		rng := rand.New(rand.NewSource(seed))
+		nodes := []*schema.Node{{ID: 0}, {ID: 1}, {ID: 2}}
 		lists := make([][]Mapping, int(numLists)%7)
-		var allDeltas []float64
-		total := 0
+		var all []Mapping
 		for li := range lists {
-			n := rng.Intn(9)
-			deltas := make([]float64, n)
-			for i := range deltas {
-				// A coarse grid forces plenty of cross-list ties.
-				deltas[i] = float64(rng.Intn(5)) / 4
-			}
-			sort.Sort(sort.Reverse(sort.Float64Slice(deltas)))
-			for i, d := range deltas {
+			for i := rng.Intn(9); i > 0; i-- {
 				lists[li] = append(lists[li], Mapping{
-					Score:     objective.Score{Delta: d},
-					ClusterID: 1000*li + i,
+					Score:     objective.Score{Delta: float64(rng.Intn(5)) / 4},
+					ClusterID: rng.Intn(3),
+					Images:    []*schema.Node{nodes[rng.Intn(3)], nodes[rng.Intn(3)]},
 				})
 			}
-			allDeltas = append(allDeltas, deltas...)
-			total += n
+			Rank(lists[li])
+			for i := range lists[li] {
+				lists[li][i].Sims = []float64{float64(1000*li + i)}
+			}
+			all = append(all, lists[li]...)
 		}
 
 		merged := MergeRanked(lists, int(topN))
-
-		want := total
-		if tn := int(topN); tn > 0 && tn < want {
-			want = tn
+		Rank(all)
+		if tn := int(topN); tn > 0 && tn < len(all) {
+			all = all[:tn]
 		}
-		if len(merged) != want {
-			t.Fatalf("merged %d mappings, want %d (total %d, topN %d)", len(merged), want, total, topN)
+		if len(merged) != len(all) {
+			t.Fatalf("merged %d mappings, concatenate-then-Rank keeps %d (topN %d)", len(merged), len(all), topN)
 		}
-
-		sort.Sort(sort.Reverse(sort.Float64Slice(allDeltas)))
+		same := func(a, b *Mapping) bool { return !rankLess(a, b) && !rankLess(b, a) }
+		key := func(m *Mapping) string {
+			return fmt.Sprintf("Δ=%v cluster %d images %d,%d", m.Score.Delta, m.ClusterID, m.Images[0].ID, m.Images[1].ID)
+		}
 		lastPos := make(map[int]int) // list -> last seen position
-		seen := make(map[int]bool)   // ClusterID tags
-		for i, m := range merged {
-			if m.Score.Delta != allDeltas[i] {
-				t.Fatalf("rank %d: Δ=%v, want %v (not the global ranking)", i, m.Score.Delta, allDeltas[i])
+		seen := make(map[int]bool)   // tags
+		for i := range merged {
+			m := &merged[i]
+			if !same(m, &all[i]) {
+				t.Fatalf("rank %d: %s, concatenate-then-Rank has %s", i, key(m), key(&all[i]))
 			}
-			li, pos := m.ClusterID/1000, m.ClusterID%1000
-			if li < 0 || li >= len(lists) || pos >= len(lists[li]) ||
-				lists[li][pos].Score.Delta != m.Score.Delta {
-				t.Fatalf("rank %d: mapping tag %d does not identify an input", i, m.ClusterID)
+			tag := int(m.Sims[0])
+			li, pos := tag/1000, tag%1000
+			if li >= len(lists) || pos >= len(lists[li]) || !same(m, &lists[li][pos]) {
+				t.Fatalf("rank %d: mapping tag %d does not identify an input", i, tag)
 			}
-			if seen[m.ClusterID] {
-				t.Fatalf("rank %d: mapping tag %d emitted twice", i, m.ClusterID)
+			if seen[tag] {
+				t.Fatalf("rank %d: mapping tag %d emitted twice", i, tag)
 			}
-			seen[m.ClusterID] = true
+			seen[tag] = true
 			if last, ok := lastPos[li]; ok && pos <= last {
 				t.Fatalf("rank %d: list %d position %d after %d (stability broken)", i, li, pos, last)
 			}
 			lastPos[li] = pos
-			if i > 0 && merged[i-1].Score.Delta == m.Score.Delta {
-				prevList := merged[i-1].ClusterID / 1000
-				if prevList > li {
-					t.Fatalf("rank %d: tie resolved to list %d after list %d", i, li, prevList)
-				}
-			}
 		}
 	})
 }

@@ -58,7 +58,7 @@ func shapedCase(seed int64) (*labeling.Index, *objective.Evaluator, *matcher.Can
 }
 
 // checkShapedEquivalence pins, for one shaped case, the B&B threshold
-// search and the top-N search (inline and over three workers) bit-identical
+// search and the top-N search bit-identical
 // to the code-sharing-free enumerator. Cases whose search space is too
 // large to enumerate are skipped; it reports whether the case ran.
 func checkShapedEquivalence(t *testing.T, seed int64, n int, threshold float64) bool {
@@ -76,8 +76,6 @@ func checkShapedEquivalence(t *testing.T, seed int64, n int, threshold float64) 
 		want = want[:n]
 	}
 	mappingsIdentical(t, "shaped top-N vs truncated reference", top, want)
-	par, _ := g.GenerateTopNParallel(clusters, n, 3, nil)
-	mappingsIdentical(t, "shaped parallel top-N", par, want)
 	return true
 }
 

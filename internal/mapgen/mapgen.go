@@ -119,22 +119,22 @@ func New(cfg Config, ix *labeling.Index, ev *objective.Evaluator, cands *matcher
 // Generate runs the threshold search over every cluster and returns the
 // merged, ranked mapping list (step ⑤) plus the accumulated counters.
 func (g *Generator) Generate(clusters []*cluster.Cluster) ([]Mapping, Counters) {
-	return g.GenerateTopNParallel(clusters, 0, 1, nil)
+	return g.GenerateTopNStop(clusters, 0, nil)
 }
 
 // GenerateInCluster searches a single cluster. Non-useful clusters return
 // no mappings and contribute nothing to the search space (they cannot
 // produce complete mappings).
 func (g *Generator) GenerateInCluster(cl *cluster.Cluster) ([]Mapping, Counters) {
-	return g.GenerateTopNParallel([]*cluster.Cluster{cl}, 0, 1, nil)
+	return g.GenerateTopNStop([]*cluster.Cluster{cl}, 0, nil)
 }
 
 // rankLess is the deterministic total order of the final ranking:
 // descending Δ, then ascending cluster ID, then ascending image node IDs.
 // Two distinct mappings always differ somewhere along this chain (one
 // cluster is searched exactly once, and two mappings from one cluster
-// differ in some image), so the order is total — the property the
-// adaptive top-N engine's schedule-independence rests on.
+// differ in some image), so the order is total — the property the top-N
+// heap's exactness and MergeRanked's agreement with Rank rest on.
 func rankLess(a, b *Mapping) bool {
 	if a.Score.Delta != b.Score.Delta {
 		return a.Score.Delta > b.Score.Delta

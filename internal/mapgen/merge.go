@@ -3,20 +3,16 @@ package mapgen
 import "container/heap"
 
 // MergeRanked merges mapping lists that are each already ranked (the order
-// produced by Rank: descending Δ with deterministic tie-breaking) into one
-// ranked list, truncated to the best topN entries when topN > 0.
+// produced by Rank) into one ranked list, truncated to the best topN entries
+// when topN > 0.
 //
-// The merge is deterministic and stable: mappings keep their within-list
-// order, and when mappings from different lists tie on Δ the one from the
-// earlier list wins. Node IDs and cluster IDs are only comparable within one
-// list (each shard of a sharded repository assigns its own dense IDs), so
-// cross-list ties are resolved by list position rather than by the ID-based
-// tie-breaking Rank applies within a list.
-//
-// Duplicate mappings — the same Δ and images discovered by more than one
-// list, e.g. because two shards hold copies of the same schema tree — are
-// preserved, exactly as Rank preserves mappings of duplicated trees within
-// one repository.
+// The merge compares heads with Rank's own comparator, so it returns the
+// list Rank would make of the lists' concatenation, cut to topN. That is
+// what makes a sharded answer the unsharded one: every shard is a view over
+// one labelling index and searches whole clusters of one global
+// clustering, so node and cluster IDs mean the same thing in every list.
+// Mappings equal under the comparator — the same cluster and images, which
+// only a list handed in twice produces — are all kept.
 func MergeRanked(lists [][]Mapping, topN int) []Mapping {
 	total := 0
 	nonEmpty := 0
@@ -42,9 +38,9 @@ func MergeRanked(lists [][]Mapping, topN int) []Mapping {
 	}
 
 	h := make(mergeHeap, 0, nonEmpty)
-	for i, l := range lists {
+	for _, l := range lists {
 		if len(l) > 0 {
-			h = append(h, mergeCursor{list: i, mappings: l})
+			h = append(h, mergeCursor{mappings: l})
 		}
 	}
 	heap.Init(&h)
@@ -64,22 +60,17 @@ func MergeRanked(lists [][]Mapping, topN int) []Mapping {
 
 // mergeCursor is one input list's read position in the k-way merge.
 type mergeCursor struct {
-	list     int
 	mappings []Mapping
 	pos      int
 }
 
 // mergeHeap is a min-heap whose top is the next mapping of the merged order:
-// highest Δ first, earlier list first on ties.
+// the Rank-first head.
 type mergeHeap []mergeCursor
 
 func (h mergeHeap) Len() int { return len(h) }
 func (h mergeHeap) Less(i, j int) bool {
-	a, b := h[i].mappings[h[i].pos], h[j].mappings[h[j].pos]
-	if a.Score.Delta != b.Score.Delta {
-		return a.Score.Delta > b.Score.Delta
-	}
-	return h[i].list < h[j].list
+	return rankLess(&h[i].mappings[h[i].pos], &h[j].mappings[h[j].pos])
 }
 func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeCursor)) }

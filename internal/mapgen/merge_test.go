@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bellflower/internal/objective"
+	"bellflower/internal/schema"
 )
 
 // tagged builds a mapping with the given Δ and a ClusterID tag so tests can
@@ -31,21 +32,42 @@ func assertRanked(t *testing.T, ms []Mapping) {
 
 func TestMergeRankedOrderingAndStability(t *testing.T) {
 	lists := [][]Mapping{
-		{tagged(0.9, 100), tagged(0.7, 101), tagged(0.5, 102)},
+		{tagged(0.9, 100), tagged(0.7, 301), tagged(0.5, 102)},
 		{tagged(0.8, 200), tagged(0.7, 201)},
-		{tagged(0.7, 300)},
+		{tagged(0.7, 101)},
 	}
 	got := MergeRanked(lists, 0)
 	if len(got) != 6 {
 		t.Fatalf("merged %d mappings, want 6", len(got))
 	}
 	assertRanked(t, got)
-	// Equal-Δ ties resolve by list index: 0.7 entries come out in list order.
-	wantTags := []int{100, 200, 101, 201, 300, 102}
+	// Equal-Δ ties resolve as Rank resolves them, by cluster ID — not by
+	// which list a mapping came from.
+	wantTags := []int{100, 200, 101, 201, 301, 102}
 	for i, m := range got {
 		if m.ClusterID != wantTags[i] {
-			t.Errorf("position %d: tag %d, want %d (ties must prefer earlier lists)", i, m.ClusterID, wantTags[i])
+			t.Errorf("position %d: tag %d, want %d (ties must follow Rank)", i, m.ClusterID, wantTags[i])
 		}
+	}
+}
+
+// Within one cluster ID, equal-Δ ties go by image node IDs, exactly as in
+// Rank: the lists' order does not matter.
+func TestMergeRankedTiesByImages(t *testing.T) {
+	img := func(ids ...int) Mapping {
+		m := tagged(0.5, 3)
+		for _, id := range ids {
+			m.Images = append(m.Images, &schema.Node{ID: id})
+		}
+		return m
+	}
+	got := MergeRanked([][]Mapping{{img(4, 9)}, {img(2, 7), img(4, 8)}}, 2)
+	if len(got) != 2 {
+		t.Fatalf("merged %d mappings, want 2", len(got))
+	}
+	if got[0].Images[0].ID != 2 || got[1].Images[1].ID != 8 {
+		t.Errorf("merged images [%d %d], [%d %d]; want [2 7], [4 8]",
+			got[0].Images[0].ID, got[0].Images[1].ID, got[1].Images[0].ID, got[1].Images[1].ID)
 	}
 }
 
@@ -93,9 +115,8 @@ func TestMergeRankedSingleListCopies(t *testing.T) {
 }
 
 func TestMergeRankedDuplicatesPreserved(t *testing.T) {
-	// Two shards holding copies of the same schema tree discover the same
-	// mapping; both survive the merge, exactly as Rank keeps mappings of
-	// duplicated trees within one repository.
+	// A mapping handed in twice survives twice, exactly as Rank keeps
+	// every entry of its argument.
 	dup := tagged(0.75, 9)
 	got := MergeRanked([][]Mapping{{dup}, {dup}}, 0)
 	if len(got) != 2 || got[0].Score.Delta != 0.75 || got[1].Score.Delta != 0.75 {

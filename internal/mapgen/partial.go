@@ -2,6 +2,7 @@ package mapgen
 
 import (
 	"math"
+	"sort"
 
 	"bellflower/internal/cluster"
 	"bellflower/internal/objective"
@@ -138,6 +139,36 @@ func (g *Generator) GeneratePartialInCluster(cl *cluster.Cluster) ([]PartialMapp
 	ctr.Found = int64(len(ps.out))
 	g.cfg.Stats.addPartials(ctr.PartialMappings)
 	return ps.out, ctr
+}
+
+// RankPartials sorts partial mappings into their one total order:
+// descending Δ, then ascending cluster ID, then image node IDs position by
+// position, an uncovered (nil) position first. Two partial mappings of one
+// cluster cover the same personal nodes and differ in some image, so the
+// order is total: concatenated shard lists rank to the unsharded list.
+func RankPartials(ps []PartialMapping) {
+	sort.Slice(ps, func(i, j int) bool { return partialLess(&ps[i], &ps[j]) })
+}
+
+func partialLess(a, b *PartialMapping) bool {
+	if a.Score.Delta != b.Score.Delta {
+		return a.Score.Delta > b.Score.Delta
+	}
+	if a.ClusterID != b.ClusterID {
+		return a.ClusterID < b.ClusterID
+	}
+	for k, x := range a.Images {
+		switch y := b.Images[k]; {
+		case x == y: // the same node, or both uncovered
+		case x == nil:
+			return true
+		case y == nil:
+			return false
+		case x.ID != y.ID:
+			return x.ID < y.ID
+		}
+	}
+	return false
 }
 
 // contractedEdge is an edge of the personal tree contracted onto the

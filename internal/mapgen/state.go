@@ -34,14 +34,15 @@ type EngineSnapshot struct {
 	// work indicator, accumulated across requests.
 	PartialMappings int64
 
-	// ClustersSkippedByBound counts useful clusters the adaptive top-N
-	// engine never searched because their optimistic upper bound fell
-	// below the shared Δ-floor by the time they were dispatched.
+	// ClustersSkippedByBound counts useful clusters a top-N search never
+	// searched because their optimistic upper bound fell below its Δ-floor
+	// by the time their turn came.
 	ClustersSkippedByBound int64
 
-	// FloorTightenings counts rises of the shared adaptive floor — every
+	// FloorTightenings counts rises of a top-N search's Δ-floor — every
 	// time a discovered mapping displaced the weakest kept one (or filled
-	// the top-N heap) and raised the pruning bound for all workers.
+	// the top-N heap) and raised the pruning bound for the rest of the
+	// search.
 	FloorTightenings int64
 
 	// PoolReuses counts search-state acquisitions served warm from the
@@ -89,7 +90,7 @@ func (s *EngineStats) addPoolReuse() {
 
 // searchState is the pooled, reusable storage of one mapping search: the
 // DFS assignment arrays, the dense used/member bitsets, the subtree
-// tracker, the engine's planning scratch and the partial-mapping search's
+// tracker, the planning scratch and the partial-mapping search's
 // restricted candidate sets (backing arrays reused across clusters). Acquire one with
 // acquireState and return it with release; a warm acquire→search→release
 // cycle allocates nothing.
@@ -111,10 +112,9 @@ type searchState struct {
 	tree       subtree                   // the searches' mapping-subtree tracker
 	union      *objective.DenseEdgeUnion // GeneratePartialInCluster only
 
-	// Engine planning scratch. planFlat holds every useful cluster's
-	// restricted sets back to back and planSets the slice headers into it;
-	// a run's plans (and through them its workers) read both until the run
-	// ends.
+	// Planning scratch. planFlat holds every useful cluster's restricted
+	// sets back to back and planSets the slice headers into it; a run's
+	// plans read both until the run ends.
 	clusterOf []int32 // node ID → cluster index this run, -1 outside
 	planCount []int32 // per (cluster, personal node): candidates inside
 	planPos   []int32 // per (cluster, personal node): fill position in planFlat
@@ -122,8 +122,7 @@ type searchState struct {
 	planSets  [][]matcher.Candidate
 	plans     []clusterPlan
 	sorter    planSorter
-	heap      []Mapping
-	eng       engine
+	heap      []Mapping // the top-N search's heap, backing array reused
 
 	// imgSlab and simSlab are append-only chunks whose tails are carved
 	// into emitted Mapping Images/Sims slices: one chunk allocation serves

@@ -8,7 +8,7 @@
 // index once (the expensive O(N log N) build) and then executes any number
 // of runs against it. Options selects the clustering variant, objective
 // parameters, element matcher and the extensions (two-phase structural
-// rescoring, cluster ordering, partial mappings, parallel generation).
+// rescoring, cluster ordering, partial mappings).
 //
 // A Runner has two entry points: RunContext (Run) executes all three
 // stages, and RunWithClusters executes generation only over candidates and
@@ -16,12 +16,15 @@
 // their views by NewViewRunnerWithNameIndex, consume the router's one
 // global matching and clustering pass.
 //
-// The generation stage is one call into one engine
-// (mapgen.GenerateTopNParallel): a request with TopN > 0 runs the bounded
-// top-N search, whatever its Parallelism and with or without a
-// StructureMatcher; TopN == 0 — the set is the answer — and the
-// Algorithm: Exhaustive experiment knob run the threshold search through
-// the same entry. Report.Counters describe the search that ran.
+// The generation stage is one call into one search, on the calling
+// goroutine (mapgen.GenerateTopNStop): a request with TopN > 0 runs the
+// bounded top-N search, with or without a StructureMatcher; TopN == 0 —
+// the set is the answer — and the Algorithm: Exhaustive experiment knob
+// run the threshold search through the same entry. Report.Counters
+// describe the search that ran and are a function of the request alone.
+// Mappings come back in mapgen.Rank order and partial mappings in
+// mapgen.RankPartials order, both total orders over global node and
+// cluster IDs, so a sharded router's merge reproduces this report exactly.
 //
 // # Concurrency
 //
@@ -30,7 +33,7 @@
 // RunContext call keeps its working state (candidates, clusters, report) on
 // its own stack — the serve package's worker pools depend on this.
 // RunContext honours cancellation cooperatively: the context is checked
-// between pipeline stages and, by every generation worker, between
-// clusters, so a cancelled run stops within one cluster's worth of work. Reports are owned by the caller; the pipeline
-// retains no reference to them.
+// between pipeline stages and, by the generation search, between clusters,
+// so a cancelled run stops within one cluster's worth of work. Reports are
+// owned by the caller; the pipeline retains no reference to them.
 package pipeline

@@ -129,12 +129,6 @@ type Options struct {
 	// 0.5 when a StructureMatcher is set).
 	StructureWeight float64
 
-	// Parallelism searches the useful clusters with this many workers
-	// sharing one pruning floor (0 or 1 = inline on the calling goroutine).
-	// The mappings are bit-identical for every worker count; under a
-	// positive TopN the work counters depend on the schedule.
-	Parallelism int
-
 	// Agglomerative replaces the adapted k-means with single-linkage
 	// threshold clustering (the variant's join threshold becomes the
 	// merge threshold). Ignored for VariantTree.
@@ -573,8 +567,7 @@ func (r *Runner) runGeneration(ctx context.Context, personal *schema.Tree, cands
 	if opts.Algorithm == mapgen.Exhaustive {
 		n = 0
 	}
-	ms, ctr := complete.GenerateTopNParallel(useful, n, opts.Parallelism,
-		func() bool { return ctx.Err() != nil })
+	ms, ctr := complete.GenerateTopNStop(useful, n, func() bool { return ctx.Err() != nil })
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -646,8 +639,9 @@ func firstGoodAfter(useful []*cluster.Cluster, ms []mapgen.Mapping, n int) int {
 	return first
 }
 
-// collectPartials gathers ranked partial mappings from non-useful clusters,
-// checking for cancellation between clusters.
+// collectPartials gathers partial mappings from non-useful clusters,
+// checking for cancellation between clusters, and ranks them
+// (mapgen.RankPartials).
 func collectPartials(ctx context.Context, rep *Report, gen *mapgen.Generator, nonUseful []*cluster.Cluster) error {
 	for _, cl := range nonUseful {
 		if err := ctx.Err(); err != nil {
@@ -657,9 +651,7 @@ func collectPartials(ctx context.Context, rep *Report, gen *mapgen.Generator, no
 		_ = ctr // partial counters are not part of the paper's tables
 		rep.Partials = append(rep.Partials, pms...)
 	}
-	sort.Slice(rep.Partials, func(i, j int) bool {
-		return rep.Partials[i].Score.Delta > rep.Partials[j].Score.Delta
-	})
+	mapgen.RankPartials(rep.Partials)
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bellflower/internal/mapgen"
@@ -18,7 +19,7 @@ import (
 // whole set — cut to the first n entries of its ranking.
 func enumerateThenTruncate(t testing.TB, r *Runner, personal *schema.Tree, opts Options, n int) []mapgen.Mapping {
 	t.Helper()
-	opts.TopN, opts.Parallelism = 0, 0
+	opts.TopN = 0
 	rep, err := r.Run(personal, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,12 +66,13 @@ func randomPersonal(rng *rand.Rand, repo *schema.Repository, k int) *schema.Tree
 
 // TestTopNEqualsEnumerateThenTruncate is the pipeline-level equivalence
 // property: over random repositories and personal schemas of 2–7 nodes,
-// every clustering (the four variants and agglomerative), δ, N, worker
-// count, with and without the two-phase structure matcher, and with the
+// every clustering (the four variants and agglomerative), δ and N, with
+// and without the two-phase structure matcher, and with the
 // partial-mapping and cluster-ordering extensions rotating through, a
-// top-N report carries exactly the mappings — scores and order — of the
-// enumerate-then-truncate reference, owns its memory, and agrees with the
-// reference on every schedule-independent figure.
+// top-N report carries exactly the mappings — scores and order — and the
+// partial mappings of the enumerate-then-truncate reference, owns its
+// memory, and agrees with the reference on every figure the bound does
+// not change.
 func TestTopNEqualsEnumerateThenTruncate(t *testing.T) {
 	type clustering struct {
 		variant       Variant
@@ -109,42 +111,42 @@ func TestTopNEqualsEnumerateThenTruncate(t *testing.T) {
 						if len(want) > n {
 							want = want[:n]
 						}
-						for _, par := range []int{0, 1, 4} {
-							combo++
-							o := opts
-							o.TopN, o.Parallelism = n, par
-							o.IncludePartials, o.OrderClusters = combo&1 != 0, combo&2 != 0
-							o.AdaptiveTopN = combo&4 != 0 // ignored
-							label := fmt.Sprintf("seed %d %v agg=%v δ=%v sm=%v N=%d par=%d partials=%v order=%v",
-								seed, cl.variant, cl.agglomerative, delta, sm != nil, n, par, o.IncludePartials, o.OrderClusters)
-							rep, err := r.Run(personal, o)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
+						combo++
+						o := opts
+						o.TopN = n
+						o.IncludePartials, o.OrderClusters = combo&1 != 0, combo&2 != 0
+						o.AdaptiveTopN = combo&4 != 0 // ignored
+						label := fmt.Sprintf("seed %d %v agg=%v δ=%v sm=%v N=%d partials=%v order=%v",
+							seed, cl.variant, cl.agglomerative, delta, sm != nil, n, o.IncludePartials, o.OrderClusters)
+						rep, err := r.Run(personal, o)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						sameMappings(t, label, rep.Mappings, want)
+						if cap(rep.Mappings) != len(rep.Mappings) {
+							t.Errorf("%s: report holds %d mappings in a backing array of %d", label, len(rep.Mappings), cap(rep.Mappings))
+						}
+						if rep.Counters.SearchSpace != ref.Counters.SearchSpace || rep.UsefulClusters != ref.UsefulClusters ||
+							rep.Clusters != ref.Clusters || rep.MappingElements != ref.MappingElements {
+							t.Errorf("%s: exact figures differ: %+v vs reference %+v", label, rep.Counters, ref.Counters)
+						}
+						if rep.Counters.PartialMappings > ref.Counters.PartialMappings {
+							t.Errorf("%s: bounded search generated %d partial mappings, enumeration %d",
+								label, rep.Counters.PartialMappings, ref.Counters.PartialMappings)
+						}
+						if o.IncludePartials {
+							if len(rep.Partials) != len(ref.Partials) {
+								t.Fatalf("%s: %d partial mappings, want %d", label, len(rep.Partials), len(ref.Partials))
 							}
-							sameMappings(t, label, rep.Mappings, want)
-							if cap(rep.Mappings) != len(rep.Mappings) {
-								t.Errorf("%s: report holds %d mappings in a backing array of %d", label, len(rep.Mappings), cap(rep.Mappings))
-							}
-							if rep.Counters.SearchSpace != ref.Counters.SearchSpace || rep.UsefulClusters != ref.UsefulClusters ||
-								rep.Clusters != ref.Clusters || rep.MappingElements != ref.MappingElements {
-								t.Errorf("%s: exact figures differ: %+v vs reference %+v", label, rep.Counters, ref.Counters)
-							}
-							if rep.Counters.PartialMappings > ref.Counters.PartialMappings {
-								t.Errorf("%s: bounded search generated %d partial mappings, enumeration %d",
-									label, rep.Counters.PartialMappings, ref.Counters.PartialMappings)
-							}
-							if o.IncludePartials {
-								if len(rep.Partials) != len(ref.Partials) {
-									t.Fatalf("%s: %d partial mappings, want %d", label, len(rep.Partials), len(ref.Partials))
+							for i := range ref.Partials {
+								g, w := &rep.Partials[i], &ref.Partials[i]
+								if g.Score != w.Score || g.ClusterID != w.ClusterID || !slices.Equal(g.Images, w.Images) {
+									t.Fatalf("%s: partial %d is %+v in cluster %d, want %+v in cluster %d",
+										label, i, g.Score, g.ClusterID, w.Score, w.ClusterID)
 								}
-								for i := range ref.Partials {
-									if rep.Partials[i].Score != ref.Partials[i].Score {
-										t.Fatalf("%s: partial %d scores %+v, want %+v", label, i, rep.Partials[i].Score, ref.Partials[i].Score)
-									}
-								}
-							} else if len(rep.Partials) != 0 {
-								t.Errorf("%s: partial mappings nobody asked for", label)
 							}
+						} else if len(rep.Partials) != 0 {
+							t.Errorf("%s: partial mappings nobody asked for", label)
 						}
 					}
 					// The Exhaustive knob enumerates first and truncates
@@ -191,19 +193,16 @@ func (m cancelOnRescore) Similarity(p, r *schema.Node) float64 {
 func TestRunContextCancelledMidGeneration(t *testing.T) {
 	r := NewRunner(smallRepo())
 	for _, topN := range []int{0, 5} {
-		for _, parallelism := range []int{0, 4} {
-			ctx, cancel := context.WithCancel(context.Background())
-			opts := DefaultOptions()
-			opts.MinSim = 0.3
-			opts.TopN, opts.Parallelism = topN, parallelism
-			opts.StructureMatcher = cancelOnRescore{cancel}
-			rep, err := r.RunContext(ctx, personBooks(), opts)
-			if !errors.Is(err, context.Canceled) || rep != nil {
-				t.Errorf("TopN %d parallelism %d: report %v, err %v; want no report and context.Canceled",
-					topN, parallelism, rep != nil, err)
-			}
-			cancel()
+		ctx, cancel := context.WithCancel(context.Background())
+		opts := DefaultOptions()
+		opts.MinSim = 0.3
+		opts.TopN = topN
+		opts.StructureMatcher = cancelOnRescore{cancel}
+		rep, err := r.RunContext(ctx, personBooks(), opts)
+		if !errors.Is(err, context.Canceled) || rep != nil {
+			t.Errorf("TopN %d: report %v, err %v; want no report and context.Canceled", topN, rep != nil, err)
 		}
+		cancel()
 	}
 }
 

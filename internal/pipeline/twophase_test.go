@@ -78,46 +78,6 @@ func TestTwoPhaseDefaultWeight(t *testing.T) {
 	}
 }
 
-func TestParallelGenerationDeterminism(t *testing.T) {
-	r := NewRunner(smallRepo())
-	personal := personBooks()
-	seq := DefaultOptions()
-	seq.MinSim = 0.3
-	seq.Variant = VariantMedium
-	seqRep, err := r.Run(personal, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := seq
-	par.Parallelism = 8
-	parRep, err := r.Run(personal, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqRep.Mappings) != len(parRep.Mappings) {
-		t.Fatalf("parallel found %d mappings, sequential %d",
-			len(parRep.Mappings), len(seqRep.Mappings))
-	}
-	for i := range seqRep.Mappings {
-		a, b := seqRep.Mappings[i], parRep.Mappings[i]
-		if a.Score.Delta != b.Score.Delta {
-			t.Fatalf("rank %d: Δ %v vs %v", i, a.Score.Delta, b.Score.Delta)
-		}
-		for j := range a.Images {
-			if a.Images[j] != b.Images[j] {
-				t.Fatalf("rank %d image %d differs", i, j)
-			}
-		}
-	}
-	if seqRep.Counters.PartialMappings != parRep.Counters.PartialMappings {
-		t.Errorf("counters differ: %d vs %d",
-			seqRep.Counters.PartialMappings, parRep.Counters.PartialMappings)
-	}
-	if seqRep.FirstGoodAfter != parRep.FirstGoodAfter {
-		t.Errorf("FirstGoodAfter differs: %d vs %d", seqRep.FirstGoodAfter, parRep.FirstGoodAfter)
-	}
-}
-
 // Every top-N request runs the bounded search — with or without the
 // deprecated AdaptiveTopN flag, which changes nothing — and returns exactly
 // the enumerate-then-truncate list for less work.
@@ -153,53 +113,5 @@ func TestAdaptiveTopN(t *testing.T) {
 	if plainRep.Counters.PartialMappings >= fullRep.Counters.PartialMappings {
 		t.Errorf("bounded top-5 search did not save work: %d vs %d partials",
 			plainRep.Counters.PartialMappings, fullRep.Counters.PartialMappings)
-	}
-}
-
-// The top-N search composes with Parallelism: any worker count returns the
-// enumerate-then-truncate mappings in the same order as the inline run (the
-// engine's shared-bound determinism carried through the pipeline).
-func TestAdaptiveTopNParallel(t *testing.T) {
-	r := NewRunner(smallRepo())
-	personal := personBooks()
-	opts := DefaultOptions()
-	opts.MinSim = 0.3
-	opts.Variant = VariantMedium
-	want := enumerateThenTruncate(t, r, personal, opts, 5)
-	opts.TopN = 5
-	seqRep, err := r.Run(personal, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqRep.Mappings) == 0 {
-		t.Fatal("fixture found no mappings")
-	}
-	sameMappings(t, "inline", seqRep.Mappings, want)
-	for _, par := range []int{2, 4, 8} {
-		popts := opts
-		popts.Parallelism = par
-		parRep, err := r.Run(personal, popts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(parRep.Mappings) != len(seqRep.Mappings) {
-			t.Fatalf("parallelism %d: %d mappings, want %d", par, len(parRep.Mappings), len(seqRep.Mappings))
-		}
-		for i := range seqRep.Mappings {
-			a, b := seqRep.Mappings[i], parRep.Mappings[i]
-			if a.Score != b.Score || a.ClusterID != b.ClusterID {
-				t.Fatalf("parallelism %d rank %d: %+v vs %+v", par, i, a.Score, b.Score)
-			}
-			for j := range a.Images {
-				if a.Images[j] != b.Images[j] {
-					t.Fatalf("parallelism %d rank %d image %d differs", par, i, j)
-				}
-			}
-		}
-		if parRep.Counters.SearchSpace != seqRep.Counters.SearchSpace ||
-			parRep.Counters.UsefulClusters != seqRep.Counters.UsefulClusters {
-			t.Errorf("parallelism %d: exact counters differ: %+v vs %+v",
-				par, parRep.Counters, seqRep.Counters)
-		}
 	}
 }

@@ -8,13 +8,11 @@ import (
 	"bellflower/internal/pipeline"
 )
 
-// adaptiveOpts is testOpts as a top-N request over two workers, so every
-// generation-engine counter (partials, pool reuses, floor tightenings)
-// actually moves.
+// adaptiveOpts is testOpts as a top-N request, so every generation-engine
+// counter (partials, pool reuses, floor tightenings) actually moves.
 func adaptiveOpts() pipeline.Options {
 	opts := testOpts()
 	opts.TopN = 3
-	opts.Parallelism = 2
 	return opts
 }
 

@@ -78,8 +78,8 @@ var metrics = []metric{
 	{field: "MatchMemoHits", name: "bellflower_match_memo_hits_total", typ: counter, rule: shared, help: "Personal nodes whose score row the matching kernel served from the name index's row memo (no similarity call)."},
 	{field: "MatchMemoMisses", name: "bellflower_match_memo_misses_total", typ: counter, rule: shared, help: "Personal nodes whose score row was looked up in the row memo and had to be scored (matchers the memo does not hold count as neither)."},
 	{field: "PartialMappings", name: "bellflower_partial_mappings_total", typ: counter, rule: shared, help: "Partial mappings generated by the mapping search — the paper's machine-independent work indicator, accumulated across requests."},
-	{field: "ClustersSkippedByBound", name: "bellflower_clusters_skipped_by_bound_total", typ: counter, rule: shared, help: "Useful clusters the adaptive top-N engine skipped because their optimistic bound fell below the shared floor before dispatch."},
-	{field: "FloorTightenings", name: "bellflower_floor_tightenings_total", typ: counter, rule: shared, help: "Rises of the adaptive top-N engine's shared pruning floor (a found mapping displaced the weakest kept one or filled the heap)."},
+	{field: "ClustersSkippedByBound", name: "bellflower_clusters_skipped_by_bound_total", typ: counter, rule: shared, help: "Useful clusters a top-N search skipped because their optimistic bound fell below its pruning floor before their turn."},
+	{field: "FloorTightenings", name: "bellflower_floor_tightenings_total", typ: counter, rule: shared, help: "Rises of a top-N search's pruning floor (a found mapping displaced the weakest kept one or filled the heap)."},
 	{field: "GenPoolReuses", name: "bellflower_gen_pool_reuses_total", typ: counter, rule: shared, help: "Mapping-generation search states acquired warm from the pool instead of allocating fresh state."},
 
 	{field: "Workers", name: "bellflower_workers", typ: gauge, help: "Pipeline worker goroutines across all shards."},

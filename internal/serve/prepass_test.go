@@ -18,11 +18,10 @@ func TestCandidateSignature(t *testing.T) {
 	b := testOpts()
 
 	// Options outside the element-matching stage must not split the
-	// pre-pass key: TopN, threshold, variant, parallelism...
+	// pre-pass key: TopN, threshold, variant...
 	b.TopN = 99
 	b.Threshold = 0.9
 	b.Variant = pipeline.VariantTree
-	b.Parallelism = 4
 	if CandidateSignature(p, a) != CandidateSignature(p, b) {
 		t.Error("candidate signature depends on options that cannot change the candidates")
 	}

@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"bellflower/internal/pipeline"
@@ -27,40 +25,15 @@ func randomPersonal(rng *rand.Rand, repo *schema.Repository, extraNodes int) *sc
 	return b.MustTree()
 }
 
-// canonicalReport serializes a ranked report into a shard-independent
-// canonical form: one key per mapping (Δ, repository tree name, image
-// paths) in rank order, with runs of equal-Δ mappings sorted within the
-// run. Rank order within a tie is the one place sharded and unsharded runs
-// may legitimately differ (ID-based tie-breaking is shard-local), so the
-// canonical form is byte-identical exactly when the reports agree
-// everywhere else.
-func canonicalReport(rep *pipeline.Report) string {
-	keys := reportKeys(rep)
-	i := 0
-	for i < len(keys) {
-		j := i + 1
-		for j < len(keys) && rep.Mappings[j].Score.Delta == rep.Mappings[i].Score.Delta {
-			j++
-		}
-		sort.Strings(keys[i:j])
-		i = j
-	}
-	return strings.Join(keys, "\n")
-}
-
 // TestShardedEquivalenceProperty is the randomized equivalence harness:
 // for seeded random repositories and personal schemas, the sharded report
-// — served by view-backed shards sharing ONE labelling index — must be
-// byte-identical (canonical form) to the unsharded one for BOTH partition
-// strategies across shard counts 1–8, with partial-results mode both off
-// and on (alternating by shard count; a healthy fan-out must be identical
-// and never marked Incomplete either way), and truncated (top-N) reports
-// must carry the byte-identical Δ sequence of the unsharded enumeration cut
-// to N, with every mapping drawn from the unsharded result. (Within an
-// equal-Δ group straddling the top-N cut the tie member chosen is
-// shard-order-dependent by documented design — the same latitude ID-based
-// tie-breaking already has — so exact byte identity is asserted on the
-// untruncated report.) Both tree
+// — served by view-backed shards sharing ONE labelling index — must carry
+// exactly the unsharded report's mappings and partial mappings, rank for
+// rank (rankKeys: Δ, cluster ID, image IDs), for BOTH partition strategies
+// across shard counts 1–8, with partial-results mode both off and on
+// (alternating by shard count; a healthy fan-out must be identical and
+// never marked Incomplete either way); a top-N report must be exactly the
+// unsharded enumeration cut to N, ties at the cut included. Both tree
 // clustering and the k-means medium variant are covered: the router's
 // pre-pass clusters globally, so even the k-means variants are exact.
 func TestShardedEquivalenceProperty(t *testing.T) {
@@ -85,24 +58,16 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 		opts.Variant = tc.variant
 		opts.MinSim = 0.4
 		opts.Threshold = 0.6
+		opts.IncludePartials = true
 
 		direct, err := pipeline.NewRunner(repo).Run(personal, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
 		}
-		want := canonicalReport(direct)
-		fullKeys := make(map[string]int)
-		for _, k := range reportKeys(direct) {
-			fullKeys[k]++
-		}
-		// The top-N reference is the unsharded enumeration cut to N, never
-		// another top-N search.
+		want := rankKeys(direct)
 		truncated := opts
 		truncated.TopN = tc.topN
-		wantTopN := direct.Deltas()
-		if len(wantTopN) > tc.topN {
-			wantTopN = wantTopN[:tc.topN]
-		}
+		wantTopN := rankKeys(cutReport(direct, tc.topN))
 		if len(direct.Mappings) == 0 {
 			t.Logf("seed %d: unsharded run found no mappings (personal %s); equivalence still checked", tc.seed, personal)
 		}
@@ -136,7 +101,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 					t.Errorf("seed %d %v shards=%d: healthy fan-out marked incomplete (partial=%v)",
 						tc.seed, strategy, shards, partial)
 				}
-				if got := canonicalReport(rep); got != want {
+				if got := rankKeys(rep); got != want {
 					t.Errorf("seed %d %v shards=%d: sharded report differs from unsharded (partial=%v)\n--- unsharded\n%s\n--- sharded\n%s",
 						tc.seed, strategy, shards, partial, want, got)
 				}
@@ -164,61 +129,15 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 						tc.seed, strategy, shards, st.NameIndexBytes, r.fullRunner.NameIndex().MemoryBytes())
 				}
 
-				// Truncated report: identical Δ sequence, every mapping a
-				// member of the unsharded full result.
+				// Truncated report: the unsharded enumeration cut to N.
 				repTopN, err := r.Match(context.Background(), personal, truncated)
 				if err != nil {
 					r.Close()
 					t.Fatalf("seed %d %v shards=%d topN: %v", tc.seed, strategy, shards, err)
 				}
-				dd, sd := wantTopN, repTopN.Deltas()
-				if len(dd) != len(sd) {
-					t.Fatalf("seed %d %v shards=%d: topN found %d mappings, want %d",
-						tc.seed, strategy, shards, len(sd), len(dd))
-				}
-				for i := range dd {
-					if dd[i] != sd[i] {
-						t.Errorf("seed %d %v shards=%d: topN rank %d Δ=%v, want %v",
-							tc.seed, strategy, shards, i, sd[i], dd[i])
-					}
-				}
-				seen := make(map[string]int)
-				for _, k := range reportKeys(repTopN) {
-					seen[k]++
-					if seen[k] > fullKeys[k] {
-						t.Errorf("seed %d %v shards=%d: topN mapping %s not in (or over-counted vs) the unsharded result",
-							tc.seed, strategy, shards, k)
-					}
-				}
-
-				// The engine's worker count must be invisible in the results:
-				// same Δ sequence as the truncated enumeration, every mapping
-				// from the unsharded full result.
-				adaptive := truncated
-				adaptive.Parallelism = 1 + shards%4
-				repAdaptive, err := r.Match(context.Background(), personal, adaptive)
-				if err != nil {
-					r.Close()
-					t.Fatalf("seed %d %v shards=%d adaptive: %v", tc.seed, strategy, shards, err)
-				}
-				ad := repAdaptive.Deltas()
-				if len(ad) != len(dd) {
-					t.Fatalf("seed %d %v shards=%d: adaptive topN found %d mappings, want %d",
-						tc.seed, strategy, shards, len(ad), len(dd))
-				}
-				for i := range dd {
-					if dd[i] != ad[i] {
-						t.Errorf("seed %d %v shards=%d: adaptive topN rank %d Δ=%v, want %v",
-							tc.seed, strategy, shards, i, ad[i], dd[i])
-					}
-				}
-				seenAd := make(map[string]int)
-				for _, k := range reportKeys(repAdaptive) {
-					seenAd[k]++
-					if seenAd[k] > fullKeys[k] {
-						t.Errorf("seed %d %v shards=%d: adaptive topN mapping %s not in the unsharded result",
-							tc.seed, strategy, shards, k)
-					}
+				if got := rankKeys(repTopN); got != wantTopN {
+					t.Errorf("seed %d %v shards=%d: top-%d report differs\n--- unsharded, cut\n%s--- sharded\n%s",
+						tc.seed, strategy, shards, tc.topN, wantTopN, got)
 				}
 				r.Close()
 			}
@@ -227,10 +146,8 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 }
 
 // TestShardedEquivalenceTopNDeltas pins the truncated-ranking guarantee on
-// its own: for every shard count and both strategies the top-N Δ sequence
-// is byte-identical to the unsharded enumeration cut to N (mapping identity
-// inside an equal-Δ group straddling the cut is tie-arbitrary by documented
-// design).
+// its own: for every shard count and both strategies the top-N report is
+// exactly the unsharded enumeration cut to N, mapping for mapping.
 func TestShardedEquivalenceTopNDeltas(t *testing.T) {
 	repo := syntheticRepo(t, 500, 11)
 	rng := rand.New(rand.NewSource(11))
@@ -251,34 +168,50 @@ func TestShardedEquivalenceTopNDeltas(t *testing.T) {
 	for _, topN := range []int{1, 2, 5, 10} {
 		o := opts
 		o.TopN = topN
-		dd := full.Deltas()[:topN] // enumerate, then truncate
+		want := rankKeys(cutReport(full, topN)) // enumerate, then truncate
 		for _, strategy := range []PartitionStrategy{PartitionBalanced, PartitionClustered} {
 			for _, shards := range []int{2, 5, 8} {
-				// Inline and over four workers: the same Δ sequence through
-				// the sharded path.
-				for _, parallelism := range []int{0, 4} {
-					ro := o
-					ro.Parallelism = parallelism
-					r := NewRouterWithPartition(repo, shards, Config{Workers: 2}, strategy)
-					rep, err := r.Match(context.Background(), personal, ro)
-					if err != nil {
-						r.Close()
-						t.Fatal(err)
-					}
-					sd := rep.Deltas()
-					if len(dd) != len(sd) {
-						t.Fatalf("topN=%d %v shards=%d parallelism=%d: %d mappings, want %d",
-							topN, strategy, shards, parallelism, len(sd), len(dd))
-					}
-					for i := range dd {
-						if dd[i] != sd[i] {
-							t.Errorf("topN=%d %v shards=%d parallelism=%d rank %d: Δ=%v, want %v",
-								topN, strategy, shards, parallelism, i, sd[i], dd[i])
-						}
-					}
-					r.Close()
+				r := NewRouterWithPartition(repo, shards, Config{Workers: 2}, strategy)
+				rep, err := r.Match(context.Background(), personal, o)
+				r.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := rankKeys(rep); got != want {
+					t.Errorf("topN=%d %v shards=%d:\n%swant\n%s", topN, strategy, shards, got, want)
 				}
 			}
 		}
+	}
+}
+
+// A tie straddling the top-N cut, found by a scratch sweep: three balanced
+// shards must answer this top 3 with the unsharded run's mappings from
+// clusters 2 and 11, not with another cluster's mappings at the same Δ —
+// the merge has to break the tie exactly as Rank does.
+func TestShardedTopNTieAtCutSeed8(t *testing.T) {
+	repo := syntheticRepo(t, 600, 8)
+	personal := randomPersonal(rand.New(rand.NewSource(8*7919)), repo, 2)
+	opts := pipeline.DefaultOptions()
+	opts.Variant = pipeline.VariantTree
+	opts.MinSim = 0.4
+	opts.Threshold = 0.5
+
+	full, err := pipeline.NewRunner(repo).Run(personal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Mappings) < 4 || full.Mappings[2].Score.Delta != full.Mappings[3].Score.Delta {
+		t.Fatal("fixture lost its tie at the top-3 cut")
+	}
+	opts.TopN = 3
+	r := NewRouterWithPartition(repo, 3, Config{Workers: 1}, PartitionBalanced)
+	defer r.Close()
+	rep, err := r.Match(context.Background(), personal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := rankKeys(cutReport(full, 3)), rankKeys(rep); got != want {
+		t.Errorf("sharded top 3:\n%swant\n%s", got, want)
 	}
 }

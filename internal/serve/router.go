@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,8 +111,8 @@ const defaultShardCapacityHint = 8
 // and clusters never span repository trees (cross-tree distance is
 // infinite), so partitioning at tree granularity loses no candidate
 // mappings, and the router reproduces the unsharded report exactly — for
-// every clustering variant — up to the ordering of equal-Δ ties (golden-
-// and property-tested).
+// every clustering variant, rank for rank, ties included (golden- and
+// property-tested).
 //
 // Every router indexes the repository exactly ONCE and sees its shards as
 // labeling.Views over that shared index — a shard is a set of member trees
@@ -281,8 +280,8 @@ func (r *Router) SetPartialResults(on bool) { r.partial.Store(on) }
 func (r *Router) PartialResults() bool { return r.partial.Load() }
 
 // Match fans the request out to every shard concurrently and merges the
-// per-shard reports into one global report: mappings rank-merged (stable,
-// ties across shards resolved by shard index) and truncated to opts.TopN,
+// per-shard reports into one global report: mappings merged in Rank order
+// and truncated to opts.TopN, partial mappings in RankPartials order,
 // counters summed, stage times reported as the slowest shard's (the shards
 // run concurrently). ctx bounds the whole fan-out; each shard honours it
 // exactly as Service.Match does.
@@ -556,7 +555,11 @@ func (r *Router) merge(ctx context.Context, reps []*pipeline.Report, topN int) *
 	return rep
 }
 
-// mergeReports combines per-shard reports of one fanned-out request.
+// mergeReports combines per-shard reports of one fanned-out request. Node
+// and cluster IDs are global (every shard is a view over one index and
+// searches whole clusters of one pre-pass), so ranking by the generator's
+// own total orders gives the unsharded report's mappings and partials, in
+// its order.
 func mergeReports(reps []*pipeline.Report, topN int) *pipeline.Report {
 	merged := &pipeline.Report{Variant: reps[0].Variant}
 	lists := make([][]mapgen.Mapping, len(reps))
@@ -591,9 +594,7 @@ func mergeReports(reps []*pipeline.Report, topN int) *pipeline.Report {
 		merged.AvgElementsPerUsefulCluster = weightedAvg / float64(merged.UsefulClusters)
 	}
 	merged.Mappings = mapgen.MergeRanked(lists, topN)
-	sort.SliceStable(merged.Partials, func(i, j int) bool {
-		return merged.Partials[i].Score.Delta > merged.Partials[j].Score.Delta
-	})
+	mapgen.RankPartials(merged.Partials)
 	return merged
 }
 

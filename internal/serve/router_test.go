@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -27,9 +26,9 @@ func syntheticRepo(t testing.TB, nodes int, seed int64) *schema.Repository {
 	return repo
 }
 
-// reportKeys renders each mapping shard-independently: the score plus the
-// repository tree name and image paths. Node and cluster IDs are
-// shard-local and excluded on purpose.
+// reportKeys renders each mapping by its score plus the repository tree
+// name and image paths — no cluster IDs, which a shard's own clustering
+// (no pre-pass) numbers locally.
 func reportKeys(rep *pipeline.Report) []string {
 	keys := make([]string, len(rep.Mappings))
 	for i, m := range rep.Mappings {
@@ -43,6 +42,45 @@ func reportKeys(rep *pipeline.Report) []string {
 		keys[i] = b.String()
 	}
 	return keys
+}
+
+// rankKeys renders a report's ranked output exactly: one line per mapping
+// (Δ, cluster ID, image node IDs) in rank order, then one per partial
+// mapping (an uncovered position as -). Node and cluster IDs are global —
+// every shard is a view over one index and searches whole clusters of one
+// pre-pass — so a sharded report reproduces the unsharded keys line for
+// line.
+func rankKeys(rep *pipeline.Report) string {
+	var b strings.Builder
+	for _, m := range rep.Mappings {
+		fmt.Fprintf(&b, "%v c%d", m.Score.Delta, m.ClusterID)
+		for _, img := range m.Images {
+			fmt.Fprintf(&b, " %d", img.ID)
+		}
+		b.WriteByte('\n')
+	}
+	for _, p := range rep.Partials {
+		fmt.Fprintf(&b, "partial %v c%d", p.Score.Delta, p.ClusterID)
+		for _, img := range p.Images {
+			if img == nil {
+				b.WriteString(" -")
+			} else {
+				fmt.Fprintf(&b, " %d", img.ID)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// cutReport is the unsharded enumeration cut to its first n mappings: the
+// reference for a top-N request, never another top-N search.
+func cutReport(rep *pipeline.Report, n int) *pipeline.Report {
+	cut := *rep
+	if len(cut.Mappings) > n {
+		cut.Mappings = cut.Mappings[:n]
+	}
+	return &cut
 }
 
 func TestRouterGoldenVsUnsharded(t *testing.T) {
@@ -71,25 +109,16 @@ func TestRouterGoldenVsUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The full δ-mode result must be identical as a multiset of
-	// (Δ, image paths); ordering may legitimately differ within equal-Δ
-	// ties because ID-based tie-breaking is shard-local.
-	want, got := reportKeys(direct), reportKeys(sharded)
-	sort.Strings(want)
-	sort.Strings(got)
-	if len(want) != len(got) {
-		t.Fatalf("sharded found %d mappings, unsharded %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("mapping multiset differs at %d:\n  unsharded %s\n  sharded   %s", i, want[i], got[i])
-		}
+	// The full δ-mode result must be identical, rank for rank.
+	if want, got := rankKeys(direct), rankKeys(sharded); got != want {
+		t.Fatalf("sharded report differs:\n--- unsharded\n%s--- sharded\n%s", want, got)
 	}
 
-	// Rolled-up instrumentation must agree with the unsharded run for the
-	// tree-cluster variant: the same clusters are searched, just elsewhere.
-	if sharded.Counters.SearchSpace != direct.Counters.SearchSpace {
-		t.Errorf("search space %v, want %v", sharded.Counters.SearchSpace, direct.Counters.SearchSpace)
+	// Rolled-up instrumentation must agree with the unsharded run: the same
+	// clusters are searched against a fixed δ floor, just elsewhere, so
+	// every counter sums to the unsharded one.
+	if sharded.Counters != direct.Counters {
+		t.Errorf("counters %+v, want %+v", sharded.Counters, direct.Counters)
 	}
 	if sharded.UsefulClusters != direct.UsefulClusters {
 		t.Errorf("useful clusters %d, want %d", sharded.UsefulClusters, direct.UsefulClusters)
@@ -98,36 +127,25 @@ func TestRouterGoldenVsUnsharded(t *testing.T) {
 		t.Errorf("mapping elements %d, want %d", sharded.MappingElements, direct.MappingElements)
 	}
 
-	// Top-N truncation: the global top-N scores must match exactly.
+	// Top-N truncation: the global top N, mapping for mapping.
 	for _, topN := range []int{1, 3, 10} {
 		o := opts
 		o.TopN = topN
-		d, err := pipeline.NewRunner(repo).Run(personal, o)
-		if err != nil {
-			t.Fatal(err)
-		}
 		s, err := r.Match(context.Background(), personal, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dd, sd := d.Deltas(), s.Deltas()
-		if len(dd) != len(sd) {
-			t.Fatalf("topN=%d: sharded %d mappings, unsharded %d", topN, len(sd), len(dd))
-		}
-		for i := range dd {
-			if dd[i] != sd[i] {
-				t.Errorf("topN=%d rank %d: Δ %v, want %v", topN, i, sd[i], dd[i])
-			}
+		if want, got := rankKeys(cutReport(direct, topN)), rankKeys(s); got != want {
+			t.Errorf("topN=%d: sharded\n%swant\n%s", topN, got, want)
 		}
 	}
 }
 
 // TestRouterClusteredVariantExactWithPrePass: a pre-pass router clusters
 // once globally, so even the k-means variants — historically a per-shard
-// approximation — now reproduce the unsharded result exactly (as a
-// multiset; equal-Δ tie order is shard-local). A NewRouter wrap without
-// the full-repository view still clusters per shard, where only
-// well-formedness is promised.
+// approximation — reproduce the unsharded result exactly, rank for rank.
+// The shards' own full pipelines (no pre-pass) cluster per shard, where
+// only well-formedness is promised.
 func TestRouterClusteredVariantExactWithPrePass(t *testing.T) {
 	repo := syntheticRepo(t, 900, 7)
 	personal := schema.MustParseSpec("address(name,email)")
@@ -149,16 +167,8 @@ func TestRouterClusteredVariantExactWithPrePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := reportKeys(direct), reportKeys(sharded)
-	sort.Strings(want)
-	sort.Strings(got)
-	if len(want) != len(got) {
-		t.Fatalf("sharded found %d mappings, unsharded %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("k-means mapping multiset differs at %d:\n  unsharded %s\n  sharded   %s", i, want[i], got[i])
-		}
+	if want, got := rankKeys(direct), rankKeys(sharded); got != want {
+		t.Fatalf("k-means sharded report differs:\n--- unsharded\n%s--- sharded\n%s", want, got)
 	}
 	if sharded.Clusters != direct.Clusters || sharded.UsefulClusters != direct.UsefulClusters {
 		t.Errorf("clusters %d/%d, want %d/%d (global clustering must project exactly)",
@@ -253,7 +263,7 @@ func TestRouterRewriteRoutesToOwningShard(t *testing.T) {
 	for i, m := range rep.Mappings {
 		got, err := r.RewriteQuery("/book/title", personal(), m)
 		if err != nil {
-			t.Fatalf("mapping %d (shard-local cluster %d): %v", i, m.ClusterID, err)
+			t.Fatalf("mapping %d (cluster %d): %v", i, m.ClusterID, err)
 		}
 		if len(got) == 0 || got[0] != '/' {
 			t.Errorf("mapping %d rewrote to %q", i, got)

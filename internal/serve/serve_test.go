@@ -384,7 +384,6 @@ func TestSignature(t *testing.T) {
 		func(o *pipeline.Options) { o.Variant = pipeline.VariantTree },
 		func(o *pipeline.Options) { o.Matcher = matcher.NameMatcher{TokenAware: true} },
 		func(o *pipeline.Options) { o.StructureMatcher = matcher.PathContextMatcher{} },
-		func(o *pipeline.Options) { o.Parallelism = 4 },
 		func(o *pipeline.Options) { o.Agglomerative = true },
 	} {
 		o := testOpts()

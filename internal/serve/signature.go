@@ -56,7 +56,7 @@ func appendCandidateSig(b []byte, personal *schema.Tree, opts pipeline.Options) 
 // element matching and clustering: the candidate signature extended with
 // every option the clustering stage consumes. Still coarser than Signature
 // — requests differing only in report-shaping options (TopN, δ, ordering,
-// partials, parallelism ...) share one pre-pass.
+// partials ...) share one pre-pass.
 func prepassSignature(personal *schema.Tree, opts pipeline.Options) string {
 	b := appendCandidateSig(make([]byte, 0, sigBufSize), personal, opts)
 	b = strconv.AppendInt(append(b, "|v="...), int64(opts.Variant), 10)
@@ -101,7 +101,6 @@ func appendOptionsSig(b []byte, o pipeline.Options) []byte {
 	b = strconv.AppendBool(append(b, ";ip="...), o.IncludePartials)
 	b = strconv.AppendBool(append(b, ";oc="...), o.OrderClusters)
 	b = appendSigFloat(append(b, ";sw="...), o.StructureWeight)
-	b = strconv.AppendInt(append(b, ";p="...), int64(o.Parallelism), 10)
 	b = strconv.AppendBool(append(b, ";agg="...), o.Agglomerative)
 	b = appendClusterConfigSig(b, o.ClusterConfig)
 	if o.Matcher != nil {

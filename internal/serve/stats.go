@@ -253,9 +253,8 @@ type Stats struct {
 	// every runner of a repository generation (the same sharing discipline
 	// as SimCallsSaved/MatchPrunes): PartialMappings is the paper's
 	// machine-independent work indicator summed across requests;
-	// ClustersSkippedByBound counts useful clusters the adaptive top-N
-	// engine dropped before building their restricted sets;
-	// FloorTightenings counts rises of the shared adaptive Δ-floor;
+	// ClustersSkippedByBound counts useful clusters a top-N search skipped
+	// by bound; FloorTightenings counts rises of a top-N search's Δ-floor;
 	// GenPoolReuses counts warm search-state acquisitions from the pool.
 	PartialMappings        int64 `json:"partial_mappings"`
 	ClustersSkippedByBound int64 `json:"clusters_skipped_by_bound"`

@@ -31,8 +31,9 @@ import (
 // ContentTypeBinary is the match request and response media type.
 const ContentTypeBinary = "application/x-bellflower-shard"
 
-// binaryVersion is the first byte of every binary body.
-const binaryVersion = 1
+// binaryVersion is the first byte of every binary body. Version 2 dropped
+// the options' generation worker-count varint.
+const binaryVersion = 2
 
 // binWriter accumulates the binary encoding. Slices are written as
 // uvarint(len+1) with 0 meaning nil, so the decoder reproduces the
@@ -299,7 +300,6 @@ func (w *binWriter) options(o WireOptions) {
 	w.str(o.Matcher)
 	w.str(o.Structure)
 	w.f64(o.StructureWeight)
-	w.varint(int64(o.Parallelism))
 	var flags byte
 	if o.IncludePartials {
 		flags |= 1
@@ -340,7 +340,6 @@ func (r *binReader) options() WireOptions {
 		Structure: r.str(),
 	}
 	o.StructureWeight = r.f64()
-	o.Parallelism = int(r.varint())
 	flags := r.u8()
 	o.IncludePartials = flags&1 != 0
 	o.OrderClusters = flags&2 != 0

@@ -27,7 +27,7 @@ func binTestRequest() *MatchRequest {
 		Options: WireOptions{
 			Alpha: 0.5, K: 2, Threshold: 0.8, MinSim: 0.3, TopN: 5,
 			Variant: 2, Algorithm: 1, Matcher: "token", Structure: "path",
-			StructureWeight: 0.25, Parallelism: 3,
+			StructureWeight: 0.25,
 			IncludePartials: true, OrderClusters: true, AdaptiveTopN: true,
 			ClusterConfig: &cc,
 		},

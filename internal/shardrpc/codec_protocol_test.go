@@ -58,8 +58,10 @@ func stagedFixture(t *testing.T, ts *testShard) (*schema.Tree, pipeline.Options,
 // TestShardServerContentType pins the wire edge of /v1/shard/match: only
 // the binary media type is served (anything else, an absent header
 // included, is 415 — never guessed at), a body that does not decode as
-// binary version 1 is 400, candidates and clusters are staged together or
-// not at all, success responses are binary and error bodies JSON.
+// the current binary version is 400 (version 1 bodies included: they still
+// carried the retired worker-count varint), candidates and clusters are
+// staged together or not at all, success responses are binary and error
+// bodies JSON.
 func TestShardServerContentType(t *testing.T) {
 	ts := shardUnderTest(t)
 	personal, opts, staged := stagedFixture(t, ts)
@@ -74,6 +76,7 @@ func TestShardServerContentType(t *testing.T) {
 		t.Fatal(err)
 	}
 	badVersion := append([]byte{binaryVersion + 1}, binBody[1:]...)
+	retiredVersion := append([]byte{1}, binBody[1:]...)
 	candsOnly := good
 	candsOnly.HasClusters, candsOnly.Clusters, candsOnly.ProjectionHash = false, nil, ""
 	clustersOnly := good
@@ -92,6 +95,7 @@ func TestShardServerContentType(t *testing.T) {
 		{"json with charset parameter", "application/json; charset=utf-8", jsonBody, http.StatusUnsupportedMediaType},
 		{"json body labeled binary", ContentTypeBinary, jsonBody, http.StatusBadRequest},
 		{"bad version byte", ContentTypeBinary, badVersion, http.StatusBadRequest},
+		{"retired version 1", ContentTypeBinary, retiredVersion, http.StatusBadRequest},
 		{"candidates without clusters", ContentTypeBinary, EncodeBinaryMatchRequest(&candsOnly), http.StatusBadRequest},
 		{"clusters without candidates", ContentTypeBinary, EncodeBinaryMatchRequest(&clustersOnly), http.StatusBadRequest},
 		{"binary", ContentTypeBinary, binBody, http.StatusOK},

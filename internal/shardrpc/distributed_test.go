@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"testing"
 
@@ -46,36 +45,42 @@ func randomPersonal(rng *rand.Rand, repo *schema.Repository, extraNodes int) *sc
 	return b.MustTree()
 }
 
-// reportKeys and canonicalReport mirror the serve package's equivalence
-// harness: shard-independent mapping keys, equal-Δ runs sorted so the only
-// legitimate divergence (tie order) is normalized away.
-func reportKeys(rep *pipeline.Report) []string {
-	keys := make([]string, len(rep.Mappings))
-	for i, m := range rep.Mappings {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%.12f", m.Score.Delta)
+// rankKeys and cutReport mirror the serve package's equivalence harness:
+// one line per mapping (Δ, cluster ID, image node IDs) in rank order, then
+// one per partial mapping (an uncovered position as -). Every process
+// builds the same deterministic repository and the pre-pass clusters once,
+// so node and cluster IDs agree across the wire and a distributed report
+// reproduces the unsharded keys line for line.
+func rankKeys(rep *pipeline.Report) string {
+	var b strings.Builder
+	for _, m := range rep.Mappings {
+		fmt.Fprintf(&b, "%v c%d", m.Score.Delta, m.ClusterID)
 		for _, img := range m.Images {
-			b.WriteString("|")
-			b.WriteString(img.Tree().Name)
-			b.WriteString(img.PathString())
+			fmt.Fprintf(&b, " %d", img.ID)
 		}
-		keys[i] = b.String()
+		b.WriteByte('\n')
 	}
-	return keys
+	for _, p := range rep.Partials {
+		fmt.Fprintf(&b, "partial %v c%d", p.Score.Delta, p.ClusterID)
+		for _, img := range p.Images {
+			if img == nil {
+				b.WriteString(" -")
+			} else {
+				fmt.Fprintf(&b, " %d", img.ID)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
-func canonicalReport(rep *pipeline.Report) string {
-	keys := reportKeys(rep)
-	i := 0
-	for i < len(keys) {
-		j := i + 1
-		for j < len(keys) && rep.Mappings[j].Score.Delta == rep.Mappings[i].Score.Delta {
-			j++
-		}
-		sort.Strings(keys[i:j])
-		i = j
+// cutReport is the unsharded enumeration cut to its first n mappings.
+func cutReport(rep *pipeline.Report, n int) *pipeline.Report {
+	cut := *rep
+	if len(cut.Mappings) > n {
+		cut.Mappings = cut.Mappings[:n]
 	}
-	return strings.Join(keys, "\n")
+	return &cut
 }
 
 // shardFleet hosts n shard servers over httptest, each with its own
@@ -119,8 +124,9 @@ func (f *shardFleet) stop() {
 
 // TestDistributedEquivalence is the acceptance harness for remote shards:
 // a distributed match — router in this process, every shard behind a real
-// HTTP hop with its OWN repository copy — must be byte-identical
-// (canonical form) to the unsharded report, for both partition strategies,
+// HTTP hop with its OWN repository copy — must carry exactly the unsharded
+// report's mappings and partial mappings, rank for rank, and a top-N
+// request exactly its cut to N, for both partition strategies,
 // several shard counts, and both the tree and k-means clustering variants
 // (the pre-pass clusters globally, so k-means stays exact even when the
 // generation runs in other processes).
@@ -143,22 +149,20 @@ func TestDistributedEquivalence(t *testing.T) {
 		opts.Variant = tc.variant
 		opts.MinSim = 0.4
 		opts.Threshold = 0.6
+		opts.IncludePartials = true
 
 		direct, err := bellflower.NewMatcher(freshRepo(t, tc.nodes, tc.seed)).Match(personal, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
 		}
-		want := canonicalReport(direct)
+		want := rankKeys(direct)
 		if len(direct.Mappings) == 0 {
 			t.Logf("seed %d: unsharded run found no mappings; equivalence still checked", tc.seed)
 		}
 		// The top-N reference is the unsharded enumeration cut to N.
 		topNOpts := opts
 		topNOpts.TopN = 5
-		wantTopN := direct.Deltas()
-		if len(wantTopN) > topNOpts.TopN {
-			wantTopN = wantTopN[:topNOpts.TopN]
-		}
+		wantTopN := rankKeys(cutReport(direct, topNOpts.TopN))
 
 		for _, strategy := range []bellflower.PartitionStrategy{bellflower.PartitionBalanced, bellflower.PartitionClustered} {
 			for _, shards := range []int{2, 3, 5} {
@@ -175,39 +179,30 @@ func TestDistributedEquivalence(t *testing.T) {
 				if rep.Incomplete || len(rep.ShardErrors) != 0 {
 					t.Errorf("seed %d %v shards=%d: healthy distributed fan-out marked incomplete", tc.seed, strategy, shards)
 				}
-				if got := canonicalReport(rep); got != want {
-					t.Errorf("seed %d %v shards=%d: distributed report differs from unsharded\n--- unsharded\n%s\n--- distributed\n%s",
+				if got := rankKeys(rep); got != want {
+					t.Errorf("seed %d %v shards=%d: distributed report differs from unsharded\n--- unsharded\n%s--- distributed\n%s",
 						tc.seed, strategy, shards, want, got)
 				}
 				if rep.MappingElements != direct.MappingElements {
 					t.Errorf("seed %d %v shards=%d: mapping elements %d, want %d",
 						tc.seed, strategy, shards, rep.MappingElements, direct.MappingElements)
 				}
-				// The top-N engine, running over three workers inside the
-				// remote shard processes, must carry the same Δ sequence
-				// across the wire as the truncated unsharded enumeration. The
-				// deprecated flag rides along: it crosses the wire, is in
-				// nobody's signature (the shard-side integrity check would
-				// answer 400 on drift) and changes nothing.
+				// The top-N search inside the remote shard processes must
+				// carry exactly the truncated unsharded enumeration across the
+				// wire. The deprecated flag rides along: it crosses the wire,
+				// is in nobody's signature (the shard-side integrity check
+				// would answer 400 on drift) and changes nothing.
 				adaptive := topNOpts
 				//lint:ignore SA1019 pins that the deprecated field is ignored end to end
 				adaptive.AdaptiveTopN = true
-				adaptive.Parallelism = 3
 				repAd, err := backend.Match(context.Background(), personal, adaptive)
 				if err != nil {
 					backend.Close()
 					t.Fatalf("seed %d %v shards=%d adaptive: %v", tc.seed, strategy, shards, err)
 				}
-				dd, ad := wantTopN, repAd.Deltas()
-				if len(dd) != len(ad) {
-					t.Fatalf("seed %d %v shards=%d: adaptive topN found %d mappings, want %d",
-						tc.seed, strategy, shards, len(ad), len(dd))
-				}
-				for i := range dd {
-					if dd[i] != ad[i] {
-						t.Errorf("seed %d %v shards=%d: adaptive topN rank %d Δ=%v, want %v",
-							tc.seed, strategy, shards, i, ad[i], dd[i])
-					}
+				if got := rankKeys(repAd); got != wantTopN {
+					t.Errorf("seed %d %v shards=%d: distributed top-%d differs\n--- unsharded, cut\n%s--- distributed\n%s",
+						tc.seed, strategy, shards, topNOpts.TopN, wantTopN, got)
 				}
 				// The same request again — whatever mix of report, pre-pass
 				// and projection caches serves it, the answer must not drift.
@@ -216,7 +211,7 @@ func TestDistributedEquivalence(t *testing.T) {
 					backend.Close()
 					t.Fatalf("seed %d %v shards=%d repeat: %v", tc.seed, strategy, shards, err)
 				}
-				if got := canonicalReport(again); got != want {
+				if got := rankKeys(again); got != want {
 					t.Errorf("seed %d %v shards=%d: repeated distributed report drifted", tc.seed, strategy, shards)
 				}
 				backend.Close()

@@ -208,7 +208,7 @@ func TestDistributedEquivalenceReplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canonicalReport(direct)
+	want := rankKeys(direct)
 
 	// Strict routing, background probing off: replica state moves only on
 	// live-traffic transport errors, so the dead replica keeps being
@@ -228,8 +228,8 @@ func TestDistributedEquivalenceReplicated(t *testing.T) {
 	if rep.Incomplete {
 		t.Fatal("healthy replicated fan-out marked incomplete")
 	}
-	if got := canonicalReport(rep); got != want {
-		t.Fatalf("replicated report differs from unsharded\n--- unsharded\n%s\n--- replicated\n%s", want, got)
+	if got := rankKeys(rep); got != want {
+		t.Fatalf("replicated report differs from unsharded\n--- unsharded\n%s--- replicated\n%s", want, got)
 	}
 
 	// Kill replica A of EVERY shard.
@@ -246,8 +246,8 @@ func TestDistributedEquivalenceReplicated(t *testing.T) {
 		if rep.Incomplete || len(rep.ShardErrors) != 0 {
 			t.Fatalf("request %d after replica death incomplete: %+v — one dead replica must not degrade the report", i, rep.ShardErrors)
 		}
-		if got := canonicalReport(rep); got != want {
-			t.Fatalf("request %d after replica death differs from unsharded\n--- unsharded\n%s\n--- got\n%s", i, want, got)
+		if got := rankKeys(rep); got != want {
+			t.Fatalf("request %d after replica death differs from unsharded\n--- unsharded\n%s--- got\n%s", i, want, got)
 		}
 	}
 	total, perShard := backend.Snapshot()

@@ -235,7 +235,6 @@ type WireOptions struct {
 	Matcher         string             `json:"matcher,omitempty"`
 	Structure       string             `json:"structure,omitempty"`
 	StructureWeight float64            `json:"structure_weight,omitempty"`
-	Parallelism     int                `json:"parallelism,omitempty"`
 	IncludePartials bool               `json:"include_partials,omitempty"`
 	OrderClusters   bool               `json:"order_clusters,omitempty"`
 	Agglomerative   bool               `json:"agglomerative,omitempty"`
@@ -334,7 +333,6 @@ func EncodeOptions(o pipeline.Options) (WireOptions, error) {
 		Matcher:         m,
 		Structure:       sm,
 		StructureWeight: o.StructureWeight,
-		Parallelism:     o.Parallelism,
 		IncludePartials: o.IncludePartials,
 		OrderClusters:   o.OrderClusters,
 		Agglomerative:   o.Agglomerative,
@@ -367,7 +365,6 @@ func DecodeOptions(w WireOptions) (pipeline.Options, error) {
 		Algorithm:        mapgen.Algorithm(w.Algorithm),
 		StructureMatcher: sm,
 		StructureWeight:  w.StructureWeight,
-		Parallelism:      w.Parallelism,
 		IncludePartials:  w.IncludePartials,
 		OrderClusters:    w.OrderClusters,
 		Agglomerative:    w.Agglomerative,

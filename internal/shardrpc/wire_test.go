@@ -101,7 +101,7 @@ func TestOptionsCodecRoundTrip(t *testing.T) {
 			//lint:ignore SA1019 the deprecated field must still round-trip
 			Matcher: matcher.NameMatcher{TokenAware: true}, OrderClusters: true, AdaptiveTopN: true},
 		{Threshold: 0.9, Variant: pipeline.VariantLarge, Matcher: matcher.TypeMatcher{},
-			StructureMatcher: matcher.PathContextMatcher{}, StructureWeight: 0.25, Parallelism: 3},
+			StructureMatcher: matcher.PathContextMatcher{}, StructureWeight: 0.25},
 		{Variant: pipeline.VariantSmall, Matcher: matcher.DefaultSynonyms(),
 			Agglomerative: true, IncludePartials: true, ClusterConfig: &cc},
 	}
