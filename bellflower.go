@@ -183,12 +183,6 @@ type (
 	// hits, in-flight dedupe, queue depth and the latency histogram.
 	ServiceStats = serve.Stats
 
-	// MatchRequest is one entry of Service.MatchBatch.
-	MatchRequest = serve.Request
-
-	// MatchResult pairs a MatchBatch entry's report with its error.
-	MatchResult = serve.Result
-
 	// ShardBackend is the narrow per-shard serving surface a
 	// ShardedService fans out over — implemented by Service (in-process
 	// shards) and by the remote shard client behind NewDistributedService.
@@ -391,8 +385,7 @@ func NewService(repo *Repository, cfg ServiceConfig) *Service {
 // clustering execute once against the full repository per request shape
 // and are projected onto each shard, so shards run only mapping
 // generation. Cache memory — every shard's report cache plus the pre-pass
-// cache — is governed by one byte budget (ServiceConfig.CacheBytes) with
-// an optional TTL (ServiceConfig.CacheTTL), and
+// cache — is governed by one byte budget (ServiceConfig.CacheBytes), and
 // ServiceConfig.PartialResults opts into merging partially failed
 // fan-outs as Incomplete reports instead of failing them.
 //

@@ -381,29 +381,3 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkServiceBatch measures MatchBatch with a mixed batch: one
-// duplicate pair (dedupe/cache) and distinct entries.
-func BenchmarkServiceBatch(b *testing.B) {
-	e := env(b)
-	svc := serve.New(e.Runner, serve.Config{})
-	defer svc.Close()
-	personals := []*schema.Tree{
-		e.Personal,
-		schema.MustParseSpec("customer(name,email,address)"),
-		e.Personal, // duplicate of entry 0
-		schema.MustParseSpec("order(id,item(name,price))"),
-	}
-	reqs := make([]serve.Request, len(personals))
-	for i, p := range personals {
-		reqs[i] = serve.Request{Personal: p, Opts: benchOptions(e, pipeline.VariantMedium)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, res := range svc.MatchBatch(context.Background(), reqs) {
-			if res.Err != nil {
-				b.Fatalf("entry %d: %v", j, res.Err)
-			}
-		}
-	}
-}

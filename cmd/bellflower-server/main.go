@@ -15,9 +15,10 @@
 // the repository is indexed once regardless of N — and cold-path element
 // matching and clustering run once per request shape in a shared pre-pass
 // projected onto the shards, which run only mapping generation. Cache
-// memory across all shards answers to one byte budget (-cache-bytes) with
-// an optional TTL (-cache-ttl); -partial serves partially failed fan-outs
-// as incomplete reports instead of errors.
+// memory across all shards answers to one byte budget (-cache-bytes);
+// entries never expire, because a repository swap replaces the whole
+// backend and its caches. -partial serves partially failed fan-outs as
+// incomplete reports instead of errors.
 //
 // The same fan-out also runs ACROSS PROCESSES. Every process loads the
 // same repository (same -repo-file or the same -synthetic/-seed pair) and
@@ -73,7 +74,8 @@
 //
 // Per-request deadlines come from options.timeout_ms (or the -timeout
 // default); an expired deadline cancels the underlying pipeline run and
-// returns 504.
+// returns 504. A run that panics answers 500 to every request sharing it,
+// with the stack on its trace span, and the daemon keeps serving.
 package main
 
 import (
@@ -111,7 +113,6 @@ func run(args []string) error {
 		queue        = fs.Int("queue", 0, "request queue depth (0 = 4x workers)")
 		cacheSize    = fs.Int("cache", 0, "report cache capacity in entries per shard (0 = 256, negative = disabled)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "byte budget for the unified cache (all shards' reports + pre-pass results; 0 = unbounded)")
-		cacheTTL     = fs.Duration("cache-ttl", 0, "age cached entries out after this long (0 = never expire)")
 		maxNodes     = fs.Int("max-schema-nodes", 0, "reject personal schemas above this node count (0 = 64; negative = no service limit, the pipeline still refuses more than 64)")
 		timeout      = fs.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 		shards       = fs.Int("shards", 1, "partition the repository into this many shards and fan match requests out across them")
@@ -163,7 +164,6 @@ func run(args []string) error {
 		QueueDepth:     *queue,
 		CacheSize:      *cacheSize,
 		CacheBytes:     *cacheBytes,
-		CacheTTL:       *cacheTTL,
 		MaxSchemaNodes: *maxNodes,
 		DefaultTimeout: *timeout,
 		PartialResults: *partial,

@@ -210,7 +210,7 @@ func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/match", s.handleMatch)
-	mux.HandleFunc("/v1/match/batch", s.handleMatchBatch)
+	mux.HandleFunc("/v1/match/batch", s.handleBatch)
 	mux.HandleFunc("/v1/rewrite", s.handleRewrite)
 	mux.HandleFunc("/v1/repository", s.handleRepository)
 	mux.HandleFunc("/v1/stats", s.handleStats)
@@ -538,7 +538,7 @@ type batchEntry struct {
 	status int
 }
 
-func (s *server) handleMatchBatch(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "POST required"})
 		return

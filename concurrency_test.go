@@ -112,7 +112,7 @@ func TestMatchContextDeadline(t *testing.T) {
 }
 
 // TestServiceFacade exercises the re-exported service API end to end:
-// NewService, Match, MatchBatch, Stats, Close.
+// NewService, sequential and concurrent Match, Stats, Close.
 func TestServiceFacade(t *testing.T) {
 	svc := bellflower.NewService(concurrencyRepo(t), bellflower.ServiceConfig{Workers: 2})
 	defer svc.Close()
@@ -127,15 +127,17 @@ func TestServiceFacade(t *testing.T) {
 	if _, err := svc.Match(context.Background(), personal, opts); err != nil {
 		t.Fatal(err)
 	}
-	results := svc.MatchBatch(context.Background(), []bellflower.MatchRequest{
-		{Personal: personal, Opts: opts},
-		{Personal: bellflower.MustParseSchema("customer(name,email)"), Opts: opts},
-	})
-	for i, res := range results {
-		if res.Err != nil {
-			t.Errorf("batch entry %d: %v", i, res.Err)
-		}
+	var wg sync.WaitGroup
+	for i, p := range []*bellflower.Tree{personal, bellflower.MustParseSchema("customer(name,email)")} {
+		wg.Add(1)
+		go func(i int, p *bellflower.Tree) {
+			defer wg.Done()
+			if _, err := svc.Match(context.Background(), p, opts); err != nil {
+				t.Errorf("concurrent request %d: %v", i, err)
+			}
+		}(i, p)
 	}
+	wg.Wait()
 	st := svc.Stats()
 	if st.Requests != 4 {
 		t.Errorf("requests = %d, want 4", st.Requests)

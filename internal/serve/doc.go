@@ -8,9 +8,10 @@
 // load on the expensive resource (the matching pipeline). Two layers
 // exploit request overlap before any work is scheduled:
 //
-//   - a singleflight group deduplicates identical in-flight requests — N
+//   - a flight group deduplicates identical in-flight requests — N
 //     concurrent clients asking the same question trigger one pipeline run
-//     and share its report;
+//     and share its report (flightGroup, the package's one in-flight
+//     sharing type; the router's pre-pass shares its runs through it too);
 //   - an LRU cache keyed by a canonical request signature serves repeated
 //     questions without running the pipeline at all — and, through
 //     MatchJSON, without rendering the answer again: a report's HTTP
@@ -19,7 +20,11 @@
 // Per-request deadlines and cancellation are honoured end to end: a
 // request context expiring while queued or running releases the caller
 // immediately, and when the last waiter of a shared run has gone the run
-// itself is cancelled via pipeline.Runner.RunContext.
+// itself is cancelled via pipeline.Runner.RunContext. A run that panics
+// does not take the process down: the panic is recovered, the flight
+// finishes with an error ("serve: pipeline run panicked: ...") that every
+// waiter receives and Stats.Errors counts, and the stack is attached to
+// the run's pipeline.run (or the router's prepass) span.
 //
 // # Sharding: one index, shard views
 //
@@ -62,8 +67,10 @@
 // Every router runs the cold-path stages once per request shape instead of
 // once per shard: element matching and clustering execute against the full
 // repository, keyed by a pre-pass signature
-// (personal schema + matcher + MinSim + clustering options) with in-flight
-// sharing, and the results are projected onto each shard. Because shards
+// (personal schema + matcher + MinSim + clustering options), shared in
+// flight through the same flight group type a Service uses and cached once
+// they succeed (a failed pre-pass is not cached), and the results are
+// projected onto each shard. Because shards
 // are views of the same repository, projection is pure filtering —
 // matcher.Candidates.Restrict keeps each shard's member-tree candidates
 // with their original node objects and order, and each global cluster
@@ -86,18 +93,19 @@
 // (Config.CacheBytes). When the budget is exceeded the governor evicts
 // the globally least-recently-used entry across every member cache,
 // whichever kind it is; per-cache entry-count caps (Config.CacheSize, the
-// pre-pass's 64) remain as secondary limits, and an optional TTL
-// (Config.CacheTTL) ages entries out so stale reports die between
-// repository swaps. Stats exposes the account (CacheBytes,
-// CacheByteBudget, CacheEvictions, CacheExpired) alongside IndexBytes.
+// pre-pass's 64) remain as secondary limits. Entries have no TTL: a
+// governor belongs to one backend over one immutable repository, and a
+// repository swap builds a new backend, so no cached entry can go stale.
+// Stats exposes the account (CacheBytes, CacheByteBudget, CacheEvictions)
+// alongside IndexBytes.
 //
 // # Partial-results fan-out
 //
 // Router fan-out is strict by default: any shard error fails the whole
 // request, because a merge missing one shard's mappings would present a
-// wrong top-N as authoritative. Config.PartialResults (or
-// Router.SetPartialResults) opts availability-over-completeness callers
-// into merging the shards that succeeded when others fail: the report is
+// wrong top-N as authoritative. Config.PartialResults, fixed for the
+// router's lifetime, opts availability-over-completeness callers into
+// merging the shards that succeeded when others fail: the report is
 // marked Incomplete and carries per-shard errors
 // (pipeline.Report.ShardErrors); requests that fail on every shard still
 // error. A failed PRE-PASS also degrades under partial results: the

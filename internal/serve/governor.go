@@ -3,7 +3,6 @@ package serve
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"bellflower/internal/cluster"
 	"bellflower/internal/matcher"
@@ -11,17 +10,18 @@ import (
 )
 
 // memGovernor is the unified memory governor behind every cache the
-// serving layer keeps: the per-shard report caches and the router's
-// candidate pre-pass cache all charge their entries, size-estimated in
-// bytes, into one governor. Eviction is size-aware and global — when the
-// byte budget is exceeded, the least-recently-used entry across ALL
-// member caches goes, whatever kind it is — so an operator bounds total
-// cache memory with a single knob (Config.CacheBytes / -cache-bytes)
-// instead of sizing N shard caches and a pre-pass LRU independently.
-// Per-cache entry-count caps (Config.CacheSize, prepassCacheSize) are
-// still enforced as secondary limits, and an optional TTL
-// (Config.CacheTTL / -cache-ttl) ages entries out of every member cache
-// so stale reports cannot outlive backend swaps indefinitely.
+// serving layer keeps: the per-shard report caches, the router's candidate
+// pre-pass cache and a shard server's projection cache all charge their
+// finished entries, size-estimated in bytes, into one governor. Eviction
+// is size-aware and global — when the byte budget is exceeded, the
+// least-recently-used entry across ALL member caches goes, whatever kind
+// it is — so an operator bounds total cache memory with a single knob
+// (Config.CacheBytes / -cache-bytes) instead of sizing N shard caches and
+// a pre-pass LRU independently. Per-cache entry-count caps
+// (Config.CacheSize, prepassCacheSize) are still enforced as secondary
+// limits. Entries never expire: a governor belongs to one backend, which
+// serves one immutable repository, and a repository swap builds a new
+// backend with a new governor.
 //
 // A governor is safe for concurrent use. All state is guarded by one
 // mutex; member caches (cacheSpace) share the governor's LRU list and
@@ -29,24 +29,20 @@ import (
 // signatures in different shards never collide.
 type memGovernor struct {
 	mu       sync.Mutex
-	maxBytes int64         // 0 = no byte bound
-	ttl      time.Duration // 0 = entries never expire
-	now      func() time.Time
+	maxBytes int64 // 0 = no byte bound
 
 	used      int64
 	order     *list.List // *govEntry; front = most recently used
 	evictions int64      // entries evicted for space (bytes or count)
-	expired   int64      // entries dropped because their TTL passed
 }
 
 // govEntry is one resident cache entry, owned by a cacheSpace and
 // accounted by the governor.
 type govEntry struct {
-	space  *cacheSpace
-	key    string
-	val    any
-	bytes  int64
-	expire time.Time // zero: never expires
+	space *cacheSpace
+	key   string
+	val   any
+	bytes int64
 }
 
 // cacheSpace is one member cache of a governor: its own key namespace and
@@ -58,14 +54,11 @@ type cacheSpace struct {
 	bytes int64 // resident bytes of this space's entries
 }
 
-func newGovernor(maxBytes int64, ttl time.Duration) *memGovernor {
+func newGovernor(maxBytes int64) *memGovernor {
 	if maxBytes < 0 {
 		maxBytes = 0
 	}
-	if ttl < 0 {
-		ttl = 0
-	}
-	return &memGovernor{maxBytes: maxBytes, ttl: ttl, now: time.Now, order: list.New()}
+	return &memGovernor{maxBytes: maxBytes, order: list.New()}
 }
 
 // space registers a member cache holding up to capacity entries; a
@@ -76,18 +69,10 @@ func (g *memGovernor) space(capacity int) *cacheSpace {
 }
 
 // snapshot returns the governor-level gauges and counters.
-func (g *memGovernor) snapshot() (used, budget, evictions, expired int64) {
+func (g *memGovernor) snapshot() (used, budget, evictions int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.used, g.maxBytes, g.evictions, g.expired
-}
-
-// expiry computes a new entry's expiration time under the governor's TTL.
-func (g *memGovernor) expiry() time.Time {
-	if g.ttl <= 0 {
-		return time.Time{}
-	}
-	return g.now().Add(g.ttl)
+	return g.used, g.maxBytes, g.evictions
 }
 
 // remove unlinks an entry and returns its bytes to the account. Callers
@@ -124,8 +109,7 @@ func (g *memGovernor) enforce(s *cacheSpace) {
 	}
 }
 
-// get returns the live entry for key, expiring it lazily when its TTL has
-// passed.
+// get returns the entry for key, marking it most recently used.
 func (s *cacheSpace) get(key string) (any, bool) {
 	if s.cap <= 0 {
 		return nil, false
@@ -137,14 +121,8 @@ func (s *cacheSpace) get(key string) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*govEntry)
-	if !e.expire.IsZero() && g.now().After(e.expire) {
-		g.remove(el)
-		g.expired++
-		return nil, false
-	}
 	g.order.MoveToFront(el)
-	return e.val, true
+	return el.Value.(*govEntry).val, true
 }
 
 // put inserts or replaces the entry for key, charging bytes to the
@@ -162,10 +140,9 @@ func (s *cacheSpace) put(key string, val any, bytes int64) {
 		g.used += bytes - e.bytes
 		s.bytes += bytes - e.bytes
 		e.val, e.bytes = val, bytes
-		e.expire = g.expiry()
 		g.order.MoveToFront(el)
 	} else {
-		e := &govEntry{space: s, key: key, val: val, bytes: bytes, expire: g.expiry()}
+		e := &govEntry{space: s, key: key, val: val, bytes: bytes}
 		s.byKey[key] = g.order.PushFront(e)
 		g.used += bytes
 		s.bytes += bytes
@@ -173,32 +150,8 @@ func (s *cacheSpace) put(key string, val any, bytes int64) {
 	g.enforce(s)
 }
 
-// getOrCreate returns the live entry for key, or inserts the value built
-// by create (charged at zero bytes — callers report the real size with
-// resize once it is known) and reports created = true. The check and
-// insert are one atomic step, which is what in-flight sharing needs.
-func (s *cacheSpace) getOrCreate(key string, create func() any) (val any, created bool) {
-	g := s.gov
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if el, ok := s.byKey[key]; ok {
-		e := el.Value.(*govEntry)
-		if e.expire.IsZero() || !g.now().After(e.expire) {
-			g.order.MoveToFront(el)
-			return e.val, false
-		}
-		g.remove(el)
-		g.expired++
-	}
-	v := create()
-	e := &govEntry{space: s, key: key, val: v, expire: g.expiry()}
-	s.byKey[key] = g.order.PushFront(e)
-	g.enforce(s)
-	return v, true
-}
-
-// resize re-accounts the entry under key with its now-known byte size, if
-// it is still resident and still holds val.
+// resize re-accounts the entry under key with a new byte size, if it is
+// still resident and still holds val.
 func (s *cacheSpace) resize(key string, val any, bytes int64) {
 	g := s.gov
 	g.mu.Lock()
@@ -215,17 +168,6 @@ func (s *cacheSpace) resize(key string, val any, bytes int64) {
 	s.bytes += bytes - e.bytes
 	e.bytes = bytes
 	g.enforce(s)
-}
-
-// drop removes the entry under key if it still holds val, so a transient
-// failure is not served to later identical requests.
-func (s *cacheSpace) drop(key string, val any) {
-	g := s.gov
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if el, ok := s.byKey[key]; ok && el.Value.(*govEntry).val == val {
-		g.remove(el)
-	}
 }
 
 // len returns the space's resident entry count.

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 
 	"bellflower/internal/mapgen"
 	"bellflower/internal/pipeline"
@@ -46,13 +45,13 @@ func auditGovernor(t *testing.T, g *memGovernor) int64 {
 }
 
 func TestGovernorByteBudgetEviction(t *testing.T) {
-	g := newGovernor(100, 0)
+	g := newGovernor(100)
 	s := g.space(100)
 
 	s.put("a", "A", 40)
 	s.put("b", "B", 40)
 	auditGovernor(t, g)
-	if used, _, _, _ := g.snapshot(); used != 80 {
+	if used, _, _ := g.snapshot(); used != 80 {
 		t.Fatalf("used = %d, want 80", used)
 	}
 
@@ -68,7 +67,7 @@ func TestGovernorByteBudgetEviction(t *testing.T) {
 	if got := auditGovernor(t, g); got != 70 {
 		t.Errorf("resident bytes = %d, want 70", got)
 	}
-	if _, _, evictions, _ := g.snapshot(); evictions != 1 {
+	if _, _, evictions := g.snapshot(); evictions != 1 {
 		t.Errorf("evictions = %d, want 1", evictions)
 	}
 
@@ -90,14 +89,14 @@ func TestGovernorByteBudgetEviction(t *testing.T) {
 	if _, ok := s.get("huge"); ok {
 		t.Error("oversized entry stayed cached")
 	}
-	if used, _, _, _ := g.snapshot(); used > 100 {
+	if used, _, _ := g.snapshot(); used > 100 {
 		t.Errorf("used = %d exceeds the budget", used)
 	}
 	auditGovernor(t, g)
 }
 
 func TestGovernorEvictsAcrossSpaces(t *testing.T) {
-	g := newGovernor(100, 0)
+	g := newGovernor(100)
 	reports := g.space(100)
 	prepass := g.space(100)
 
@@ -116,7 +115,7 @@ func TestGovernorEvictsAcrossSpaces(t *testing.T) {
 }
 
 func TestGovernorCountCapPerSpace(t *testing.T) {
-	g := newGovernor(0, 0) // no byte bound: count caps alone
+	g := newGovernor(0) // no byte bound: count caps alone
 	a := g.space(2)
 	b := g.space(100)
 
@@ -136,86 +135,41 @@ func TestGovernorCountCapPerSpace(t *testing.T) {
 	auditGovernor(t, g)
 }
 
-func TestGovernorTTL(t *testing.T) {
-	g := newGovernor(0, time.Minute)
-	now := time.Unix(1000, 0)
-	g.now = func() time.Time { return now }
+func TestGovernorResize(t *testing.T) {
+	g := newGovernor(100)
 	s := g.space(10)
 
-	s.put("a", "A", 10)
-	if _, ok := s.get("a"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	now = now.Add(59 * time.Second)
-	if _, ok := s.get("a"); !ok {
-		t.Fatal("entry expired before its TTL")
-	}
-	// get refreshes recency but not the TTL clock: expiry is from insert.
-	now = now.Add(2 * time.Second)
-	if _, ok := s.get("a"); ok {
-		t.Fatal("entry served after its TTL")
-	}
-	if _, _, _, expired := g.snapshot(); expired != 1 {
-		t.Errorf("expired = %d, want 1", expired)
-	}
-	if used, _, _, _ := g.snapshot(); used != 0 {
-		t.Errorf("expired entry still accounted: used = %d", used)
-	}
-	auditGovernor(t, g)
-
-	// getOrCreate treats an expired entry as absent and recreates it.
-	s.put("b", "B", 5)
-	now = now.Add(2 * time.Minute)
-	v, created := s.getOrCreate("b", func() any { return "B2" })
-	if !created || v != "B2" {
-		t.Errorf("getOrCreate over an expired entry returned (%v, %v)", v, created)
-	}
-	auditGovernor(t, g)
-}
-
-func TestGovernorResizeAndDrop(t *testing.T) {
-	g := newGovernor(100, 0)
-	s := g.space(10)
-
-	v, created := s.getOrCreate("k", func() any { return "V" })
-	if !created {
-		t.Fatal("first getOrCreate did not create")
-	}
-	if used, _, _, _ := g.snapshot(); used != 0 {
-		t.Fatalf("in-flight entry charged %d bytes before settling", used)
-	}
+	v := "V"
+	s.put("k", v, 10)
 	s.resize("k", v, 42)
-	if used, _, _, _ := g.snapshot(); used != 42 {
-		t.Fatalf("settled entry accounts %d bytes, want 42", used)
+	if used, _, _ := g.snapshot(); used != 42 {
+		t.Fatalf("resized entry accounts %d bytes, want 42", used)
 	}
-	// Resizing with a stale value is a no-op; dropping with the live value
-	// returns the bytes.
+	// Resizing with a stale value, or a key that is not resident, is a
+	// no-op; growing past the budget evicts.
 	s.resize("k", "other", 9999)
-	if used, _, _, _ := g.snapshot(); used != 42 {
-		t.Error("resize with a foreign value re-accounted the entry")
+	s.resize("absent", v, 9999)
+	if used, _, _ := g.snapshot(); used != 42 {
+		t.Error("resize with a foreign value or key re-accounted an entry")
 	}
-	s.drop("k", "other")
-	if _, ok := s.get("k"); !ok {
-		t.Error("drop with a foreign value removed the entry")
-	}
-	s.drop("k", v)
+	s.resize("k", v, 101)
 	if _, ok := s.get("k"); ok {
-		t.Error("entry survived drop")
+		t.Error("entry resized past the whole budget stayed resident")
 	}
-	if used, _, _, _ := g.snapshot(); used != 0 {
-		t.Errorf("dropped entry still accounted: used = %d", used)
+	if used, _, _ := g.snapshot(); used != 0 {
+		t.Errorf("evicted entry still accounted: used = %d", used)
 	}
 	auditGovernor(t, g)
 }
 
 func TestGovernorDisabledSpace(t *testing.T) {
-	g := newGovernor(100, 0)
+	g := newGovernor(100)
 	s := g.space(0)
 	s.put("a", "A", 10)
 	if _, ok := s.get("a"); ok {
 		t.Error("disabled space stored an entry")
 	}
-	if used, _, _, _ := g.snapshot(); used != 0 {
+	if used, _, _ := g.snapshot(); used != 0 {
 		t.Errorf("disabled space charged %d bytes", used)
 	}
 }
@@ -267,46 +221,12 @@ func TestServiceCacheByteAccounting(t *testing.T) {
 	auditGovernor(t, s.gov)
 }
 
-// TestServiceCacheTTLExpiresReports: a cached report older than the TTL is
-// recomputed, not served.
-func TestServiceCacheTTLExpiresReports(t *testing.T) {
-	s := NewFromRepository(testRepo(t), Config{Workers: 2, CacheTTL: time.Hour})
-	defer s.Close()
-	now := time.Unix(5000, 0)
-	s.gov.mu.Lock()
-	s.gov.now = func() time.Time { return now }
-	s.gov.mu.Unlock()
-
-	if _, err := s.Match(context.Background(), personal(), testOpts()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Match(context.Background(), personal(), testOpts()); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.CacheHits != 1 || st.PipelineRuns != 1 {
-		t.Fatalf("warm path broken before expiry: hits=%d runs=%d", st.CacheHits, st.PipelineRuns)
-	}
-
-	now = now.Add(2 * time.Hour)
-	if _, err := s.Match(context.Background(), personal(), testOpts()); err != nil {
-		t.Fatal(err)
-	}
-	st = s.Stats()
-	if st.PipelineRuns != 2 {
-		t.Errorf("pipeline runs = %d, want 2 (expired report must be recomputed)", st.PipelineRuns)
-	}
-	if st.CacheExpired != 1 {
-		t.Errorf("CacheExpired = %d, want 1", st.CacheExpired)
-	}
-}
-
 // TestRouterUnifiedGovernor: the shards of one view-backed router and its
 // pre-pass cache all charge one governor, and the rollup reports the
 // governor's account (reports + pre-pass), a single shared budget, and a
 // single shared index.
 func TestRouterUnifiedGovernor(t *testing.T) {
-	r := NewRouterFromRepository(testRepo(t), 3, Config{Workers: 1, CacheBytes: 1 << 20, CacheTTL: time.Hour})
+	r := NewRouterFromRepository(testRepo(t), 3, Config{Workers: 1, CacheBytes: 1 << 20})
 	defer r.Close()
 
 	for i := 0; i < 3; i++ {
@@ -329,7 +249,7 @@ func TestRouterUnifiedGovernor(t *testing.T) {
 	for _, st := range shards {
 		shardCache += st.CacheBytes
 	}
-	prepassBytes := r.prepass.space.residentBytes()
+	prepassBytes := r.prepass.residentBytes()
 	if prepassBytes <= 0 {
 		t.Error("pre-pass entries not byte-accounted")
 	}

@@ -233,9 +233,10 @@ func TestRouterSkipsUnhealthyShard(t *testing.T) {
 
 	// Strict routing ignores the health verdict: the shard is attempted.
 	down.healthy.Store(false)
-	r.SetPartialResults(false)
+	strict := NewRouterWithShardBackends(ix, views, []ShardBackend{down, up}, Config{})
+	defer strict.Close()
 	before := down.stagedCalls.Load()
-	if _, err := r.Match(context.Background(), personal(), testOpts()); err != nil {
+	if _, err := strict.Match(context.Background(), personal(), testOpts()); err != nil {
 		t.Fatal(err)
 	}
 	if down.stagedCalls.Load() != before+1 {

@@ -8,15 +8,14 @@ import (
 
 // reportCache is one service's completed-report cache, keyed by request
 // signature: a member space of the unified memory governor, so its entries
-// compete for the shared byte budget (and age under the shared TTL)
-// alongside every other shard's reports and the router's pre-pass results.
-// Cached *pipeline.Report values are shared between callers and must be
-// treated as immutable.
+// compete for the shared byte budget alongside every other shard's reports
+// and the router's pre-pass results. Cached *pipeline.Report values are
+// shared between callers and must be treated as immutable.
 //
 // An entry is the report plus, once some request has asked for it, the
-// report's HTTP rendering (AppendReportJSON): one key, one LRU position,
-// one TTL and one governor charge for both, so eviction, expiry and a
-// replacing Put release them together.
+// report's HTTP rendering (AppendReportJSON): one key, one LRU position and
+// one governor charge for both, so eviction and a replacing Put release
+// them together.
 type reportCache struct {
 	space *cacheSpace
 }

@@ -27,9 +27,6 @@ func TestRouterPartialResultsFanOut(t *testing.T) {
 	// Partial: the same topology merges the two healthy shards.
 	r := NewRouterFromRepository(repo, 3, Config{Workers: 1, PartialResults: true})
 	defer r.Close()
-	if !r.PartialResults() {
-		t.Fatal("Config.PartialResults did not enable the option")
-	}
 	whole, err := r.Match(context.Background(), personal(), testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -75,37 +72,6 @@ func TestRouterPartialResultsFanOut(t *testing.T) {
 	if _, err := r.Match(context.Background(), personal(), opts); !errors.Is(err, ErrClosed) {
 		t.Fatalf("all-shards-failed err = %v, want ErrClosed", err)
 	}
-}
-
-// TestRouterSetPartialResultsRuntimeToggle: the option can be flipped on a
-// live router.
-func TestRouterSetPartialResultsRuntimeToggle(t *testing.T) {
-	r := NewRouterFromRepository(testRepo(t), 2, Config{Workers: 1})
-	defer r.Close()
-	if r.PartialResults() {
-		t.Fatal("partial results enabled by default")
-	}
-	r.Shard(0).Close()
-	if _, err := r.Match(context.Background(), personal(), testOpts()); err == nil {
-		t.Fatal("strict wrap served a partially failed fan-out")
-	}
-	r.SetPartialResults(true)
-	rep, err := r.Match(context.Background(), personal(), testOpts())
-	if err != nil {
-		t.Fatalf("partial wrap failed: %v", err)
-	}
-	if !rep.Incomplete || len(rep.ShardErrors) != 1 || rep.ShardErrors[0].Shard != 0 {
-		t.Fatalf("report = incomplete:%v errors:%+v, want incomplete with shard 0", rep.Incomplete, rep.ShardErrors)
-	}
-	r.SetPartialResults(false)
-	if _, err := r.Match(context.Background(), personal(), mutateTopN(testOpts(), 91)); err == nil {
-		t.Fatal("disabling partial results did not restore strict routing")
-	}
-}
-
-func mutateTopN(o pipeline.Options, n int) pipeline.Options {
-	o.TopN = n
-	return o
 }
 
 // TestPartialResultsDoNotMaskCallerExpiry: when the REQUEST's own context

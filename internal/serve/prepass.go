@@ -16,59 +16,13 @@ import (
 const prepassCacheSize = 64
 
 // prepassEntry is one full-repository pre-pass result — the candidate set
-// and the clusters built from it — inserted into the cache before it is
-// computed: done closes when the fields are set, so concurrent requests
-// for the same signature share one matching+clustering run (the leader)
-// instead of each paying the cold-path cost.
+// and the clusters built from it. Concurrent requests for one pre-pass
+// signature share one matching+clustering run through the router's flight
+// group; only a finished, successful entry enters the cache.
 type prepassEntry struct {
-	done       chan struct{}
 	cands      *matcher.Candidates
 	clusters   []*cluster.Cluster
 	iterations int
 	matchDur   time.Duration
 	clusterDur time.Duration
-	// err is set for failed entries: deterministic clustering
-	// configuration errors stay cached (same signature → same error),
-	// while a leader whose context expired records the context error and
-	// drops the entry so the next request retries fresh.
-	err error
-}
-
-// prepassCache stores pre-pass entries keyed by the pre-pass signature
-// (prepassSignature: schema + matcher + MinSim + clustering options), with
-// built-in in-flight sharing, as a member space of the unified memory
-// governor: completed entries are byte-accounted (settle) and compete with
-// the report caches for the shared budget. Entries evicted — or dropped —
-// while still computing stay valid for the waiters holding them; every
-// entry eventually has its done channel closed.
-type prepassCache struct {
-	space *cacheSpace
-}
-
-func newPrepassCache(gov *memGovernor, capacity int) *prepassCache {
-	return &prepassCache{space: gov.space(capacity)}
-}
-
-// join returns the entry for key, creating it when absent. leader is true
-// for the caller that must compute the entry, settle (or drop) it, and
-// close done.
-func (c *prepassCache) join(key string) (e *prepassEntry, leader bool) {
-	v, created := c.space.getOrCreate(key, func() any {
-		return &prepassEntry{done: make(chan struct{})}
-	})
-	return v.(*prepassEntry), created
-}
-
-// settle charges a completed entry's actual size to the governor (entries
-// enter the cache at zero bytes because their size is unknown until the
-// leader finishes).
-func (c *prepassCache) settle(key string, e *prepassEntry) {
-	c.space.resize(key, e, prepassEntryBytes(e))
-}
-
-// drop removes the entry from the cache if it is still the one stored
-// under key, so a later identical request starts a fresh computation
-// instead of inheriting a transient failure.
-func (c *prepassCache) drop(key string, e *prepassEntry) {
-	c.space.drop(key, e)
 }

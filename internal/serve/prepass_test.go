@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
@@ -217,13 +218,100 @@ func TestRouterLevelStatsCounters(t *testing.T) {
 	if got := r.Stats().Errors; got < 1 {
 		t.Errorf("rollup errors = %d, want >= 1 after a pre-pass context expiry", got)
 	}
-	// The dropped entry must not poison the key: a live retry succeeds and
-	// runs a fresh pre-pass.
+	// A failed pre-pass is not cached, so it cannot poison the key: a live
+	// retry succeeds and runs a fresh pre-pass.
 	before := r.Stats().CandidatePrePass
 	if _, err := r.Match(context.Background(), personal(), opts); err != nil {
-		t.Fatalf("retry after dropped pre-pass entry: %v", err)
+		t.Fatalf("retry after a failed pre-pass: %v", err)
 	}
 	if got := r.Stats().CandidatePrePass; got != before+1 {
-		t.Errorf("pre-pass runs = %d, want %d (dropped entry must be recomputed)", got, before+1)
+		t.Errorf("pre-pass runs = %d, want %d (a failed pre-pass must be recomputed)", got, before+1)
+	}
+}
+
+// manualDeadline is a context whose deadline the test fires by hand, so a
+// pre-pass leader can be held waiting until its followers have joined.
+type manualDeadline struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c manualDeadline) Done() <-chan struct{} { return c.done }
+
+func (c manualDeadline) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
+// waitPrePassWaiters blocks until the in-flight pre-pass under key has n
+// waiters.
+func waitPrePassWaiters(t *testing.T, r *Router, key string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.prepassFlight.mu.Lock()
+		w := 0
+		if c := r.prepassFlight.calls[key]; c != nil {
+			w = c.waiters
+		}
+		r.prepassFlight.mu.Unlock()
+		if w == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters on the pre-pass, want %d", w, n)
+		}
+	}
+}
+
+// TestRouterPrePassLeaderGivesUpReleasesFollowers: a pre-pass leader whose
+// deadline expires while it waits for a prepassSem slot fails with its own
+// error; its followers, whose contexts are live, retry, and one more
+// pre-pass serves them all.
+func TestRouterPrePassLeaderGivesUpReleasesFollowers(t *testing.T) {
+	r := NewRouterFromRepository(testRepo(t), 2, Config{Workers: 1})
+	defer r.Close()
+	for len(r.prepassSem) < cap(r.prepassSem) {
+		r.prepassSem <- struct{}{} // every slot taken: no pre-pass can start
+	}
+	key := prepassSignature(personal(), testOpts())
+
+	leaderCtx := manualDeadline{Context: context.Background(), done: make(chan struct{})}
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := r.Match(leaderCtx, personal(), testOpts())
+		leaderErr <- err
+	}()
+	waitPrePassWaiters(t, r, key, 1)
+	const followers = 3
+	errs := make(chan error, followers)
+	for i := 0; i < followers; i++ {
+		go func() {
+			_, err := r.Match(context.Background(), personal(), testOpts())
+			errs <- err
+		}()
+	}
+	waitPrePassWaiters(t, r, key, 1+followers)
+	before := r.Stats().CandidatePrePass
+
+	close(leaderCtx.done)
+	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leader err = %v, want DeadlineExceeded", err)
+	}
+	// Free the slots; the buffer is FIFO, so these receives take the test's
+	// own tokens even if a retrying follower has queued one behind them.
+	for i := 0; i < cap(r.prepassSem); i++ {
+		<-r.prepassSem
+	}
+	for i := 0; i < followers; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("follower: %v", err)
+		}
+	}
+	if got := r.Stats().CandidatePrePass; got != before+1 {
+		t.Errorf("CandidatePrePass = %d, want %d", got, before+1)
 	}
 }

@@ -17,8 +17,8 @@ func projectionBytes(p Staged) int64 {
 // the projection digest the wire protocol computes
 // (shardrpc.ProjectionDigest) and charged, size-estimated, into the
 // service's memory governor — so cached projections compete for the same
-// -cache-bytes budget as reports and age out under the same TTL. A repeat
-// request shape then ships a 32-byte hash instead of the full projection.
+// -cache-bytes budget as reports. A repeat request shape then ships a
+// 32-byte hash instead of the full projection.
 //
 // Get and Put are safe for concurrent use. Hits/misses are surfaced in
 // the service's Stats (ProjectionCacheHits/Misses) and exported as

@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"bellflower/internal/pipeline"
 )
@@ -82,9 +81,9 @@ func TestMatchJSONAttachesToAnEntryMatchCached(t *testing.T) {
 	auditGovernor(t, s.gov)
 }
 
-// Whatever removes the entry — the count cap, the byte budget, the TTL, a
-// drop — releases the rendering with the report: nothing stays charged and
-// the next identical request runs the pipeline again.
+// Whatever removes or replaces the entry — the count cap, the byte budget,
+// a newer report under the same key — releases the rendering with the
+// report: nothing stays charged for it.
 func TestRenderingLeavesWithItsReport(t *testing.T) {
 	ctx := context.Background()
 	other := testOpts()
@@ -132,35 +131,8 @@ func TestRenderingLeavesWithItsReport(t *testing.T) {
 		auditGovernor(t, s.gov)
 	})
 
-	t.Run("ttl", func(t *testing.T) {
-		s := NewFromRepository(testRepo(t), Config{Workers: 1, CacheTTL: time.Hour})
-		defer s.Close()
-		now := time.Unix(5000, 0)
-		s.gov.mu.Lock()
-		s.gov.now = func() time.Time { return now }
-		s.gov.mu.Unlock()
-		stale, err := s.MatchJSON(ctx, personal(), testOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = now.Add(2 * time.Hour)
-		fresh, err := s.MatchJSON(ctx, personal(), testOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sameBytes(stale, fresh) {
-			t.Error("an expired rendering was served")
-		}
-		rep, _, _ := s.cache.Get(Signature(personal(), testOpts()))
-		st := s.Stats()
-		if want := reportBytes(rep) + int64(len(fresh)); st.CacheBytes != want || st.CacheExpired != 1 || st.PipelineRuns != 2 {
-			t.Errorf("CacheBytes=%d (want %d) expired=%d runs=%d", st.CacheBytes, want, st.CacheExpired, st.PipelineRuns)
-		}
-		auditGovernor(t, s.gov)
-	})
-
-	t.Run("drop", func(t *testing.T) {
-		g := newGovernor(0, 0)
+	t.Run("replacement", func(t *testing.T) {
+		g := newGovernor(0)
 		c := newReportCache(g, 4)
 		rep := &pipeline.Report{}
 		c.Put("k", rep)
@@ -168,10 +140,10 @@ func TestRenderingLeavesWithItsReport(t *testing.T) {
 		if want := reportBytes(rep) + int64(len("rendered")); c.Bytes() != want {
 			t.Fatalf("Bytes = %d, want %d", c.Bytes(), want)
 		}
-		v, _ := c.space.get("k")
-		c.space.drop("k", v)
-		if _, _, ok := c.Get("k"); ok || c.Bytes() != 0 {
-			t.Errorf("after drop: resident=%v Bytes=%d", ok, c.Bytes())
+		newer := &pipeline.Report{Clusters: 1}
+		c.Put("k", newer)
+		if got, body, ok := c.Get("k"); !ok || got != newer || body != nil || c.Bytes() != reportBytes(newer) {
+			t.Errorf("after replacement: resident=%v newer=%v body=%q Bytes=%d", ok, got == newer, body, c.Bytes())
 		}
 		auditGovernor(t, g)
 	})
@@ -220,7 +192,7 @@ func TestConcurrentFirstRenderingsChargeOnce(t *testing.T) {
 // key re-filled by a newer run, between reading it and attaching, the body
 // is served to its caller and the cache stays as it is.
 func TestAttachDoesNotResurrectOrOverwrite(t *testing.T) {
-	g := newGovernor(0, 0)
+	g := newGovernor(0)
 	c := newReportCache(g, 1)
 	old, body := &pipeline.Report{}, []byte("old rendering")
 	c.Put("k", old)

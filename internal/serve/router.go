@@ -32,9 +32,6 @@ type Backend interface {
 	// must be treated as read-only.
 	MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error)
 
-	// MatchBatch serves a batch concurrently, results in request order.
-	MatchBatch(ctx context.Context, reqs []Request) []Result
-
 	// RewriteQuery translates a personal-schema XPath query through a
 	// mapping discovered by Match on this backend.
 	RewriteQuery(q string, personal *schema.Tree, mp mapgen.Mapping) (string, error)
@@ -101,10 +98,6 @@ var _ ShardBackend = (*Service)(nil)
 // containing a mismatch error fails even with partial results enabled.
 var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 
-// defaultShardCapacityHint sizes batch fan-outs for shards that do not
-// advertise a capacity (CapacityHint); see Router.MatchBatch.
-const defaultShardCapacityHint = 8
-
 // Router fans match requests out across repository shards — one
 // ShardBackend per repository partition — and merges the per-shard ranked
 // mapping lists into a single global report. Candidate matching is per-tree
@@ -121,8 +114,9 @@ const defaultShardCapacityHint = 8
 // pre-pass: element matching — the O(|personal| × |repo|) cold-path stage —
 // and clustering execute once against the full repository per pre-pass
 // signature (personal schema + matcher + MinSim + clustering options; see
-// CandidateSignature), are cached under the unified memory governor, and
-// the results are projected onto each shard by pure filtering
+// CandidateSignature), shared in flight like a Service's pipeline runs,
+// cached under the unified memory governor once they succeed, and the
+// results are projected onto each shard by pure filtering
 // (matcher.Candidates.Restrict for the candidates; clusters never span
 // trees, so each global cluster is handed wholesale to its owning shard).
 // Shards then run only mapping generation, via ShardBackend.MatchStaged.
@@ -143,13 +137,14 @@ type Router struct {
 	shardOf map[*schema.Tree]int // routes clusters and mappings to their shard
 	once    sync.Once
 	closed  atomic.Bool
-	partial atomic.Bool // opt-in partial-results fan-out
+	partial bool // Config.PartialResults: opt-in partial-results fan-out
 
 	// Pre-pass state.
 	fullRunner     *pipeline.Runner // shares the one index with the shard views
 	views          []*labeling.View // per shard: the view its backend serves
 	gov            *memGovernor     // unified cache governor shared with the local shards
-	prepass        *prepassCache
+	prepass        *cacheSpace      // finished pre-pass entries by prepassSignature
+	prepassFlight  *flightGroup[*prepassEntry]
 	prepassSem     chan struct{} // bounds concurrent pre-pass executions to the shard worker budget
 	maxSchemaNodes int           // mirror of the shard services' guard
 
@@ -185,8 +180,8 @@ func NewRouterFromRepository(repo *schema.Repository, n int, cfg Config) *Router
 //
 // The router also owns the unified memory governor: every shard's report
 // cache and the pre-pass cache charge into one byte budget
-// (cfg.CacheBytes) with a shared TTL (cfg.CacheTTL). cfg.PartialResults
-// opts into the partial-results fan-out (see SetPartialResults).
+// (cfg.CacheBytes). cfg.PartialResults opts into the partial-results
+// fan-out (see Match).
 func NewRouterWithPartition(repo *schema.Repository, n int, cfg Config, strategy PartitionStrategy) *Router {
 	ix := labeling.NewIndex(repo)
 	ni := matcher.NewNameIndex(repo)
@@ -197,7 +192,7 @@ func NewRouterWithPartition(repo *schema.Repository, n int, cfg Config, strategy
 			cfg.Workers = 1
 		}
 	}
-	gov := newGovernor(cfg.CacheBytes, cfg.CacheTTL)
+	gov := newGovernor(cfg.CacheBytes)
 	shardCfg := cfg
 	shardCfg.gov = gov
 	locals := make([]*Service, len(views))
@@ -241,7 +236,7 @@ func NewRouterWithShardBackends(ix *labeling.Index, views []*labeling.View, back
 		panic(fmt.Sprintf("serve: NewRouterWithShardBackends: %d views for %d backends", len(views), len(backends)))
 	}
 	return newRouter(ix, matcher.NewNameIndex(ix.Repository()), views, backends,
-		newGovernor(cfg.CacheBytes, cfg.CacheTTL), cfg, cfg.withDefaults().Workers)
+		newGovernor(cfg.CacheBytes), cfg, cfg.withDefaults().Workers)
 }
 
 // newRouter wires the one topology: backends[i] serves views[i], the
@@ -254,11 +249,12 @@ func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View
 		fullRunner:     pipeline.NewRunnerFromIndexes(ix, ni),
 		views:          views,
 		gov:            gov,
-		prepass:        newPrepassCache(gov, prepassCacheSize),
+		partial:        cfg.PartialResults,
+		prepass:        gov.space(prepassCacheSize),
+		prepassFlight:  newFlightGroup[*prepassEntry](),
 		prepassSem:     make(chan struct{}, prepassConc),
 		maxSchemaNodes: cfg.withDefaults().MaxSchemaNodes,
 	}
-	r.partial.Store(cfg.PartialResults)
 	for i, v := range views {
 		for _, t := range v.Trees() {
 			r.shardOf[t] = i
@@ -266,18 +262,6 @@ func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View
 	}
 	return r
 }
-
-// SetPartialResults switches the partial-results fan-out on or off at
-// runtime (Config.PartialResults sets the initial state): when enabled, a
-// fanned-out request whose shards PARTIALLY fail returns a merged report
-// built from the successful shards, marked Incomplete with per-shard
-// errors, instead of failing outright. Requests that fail on every shard
-// — or during the pre-pass, before any shard ran — still return an error.
-// Safe to call concurrently with Match.
-func (r *Router) SetPartialResults(on bool) { r.partial.Store(on) }
-
-// PartialResults reports whether the partial-results fan-out is enabled.
-func (r *Router) PartialResults() bool { return r.partial.Load() }
 
 // Match fans the request out to every shard concurrently and merges the
 // per-shard reports into one global report: mappings merged in Rank order
@@ -291,9 +275,9 @@ func (r *Router) PartialResults() bool { return r.partial.Load() }
 // silently incomplete merge: a report missing one shard's mappings would
 // present a wrong top-N as authoritative. Shards that already completed
 // contribute their reports to their own caches, so a retry is cheap.
-// With partial results enabled (Config.PartialResults /
-// SetPartialResults) a partially failed fan-out instead returns the
-// successful shards' merge marked Incomplete with per-shard errors —
+// With partial results enabled (Config.PartialResults) a partially failed
+// fan-out instead returns the successful shards' merge marked Incomplete
+// with per-shard errors —
 // unless ctx itself has expired, every shard failed, or a shard reported
 // a topology mismatch (ErrShardMismatch), which still error. A FAILED
 // PRE-PASS also degrades under partial results: the request falls back to
@@ -325,12 +309,10 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 	}
 	_, psp := trace.StartSpan(ctx, "prepass")
 	e, err := r.runPrepass(ctx, personal, opts)
-	if psp != nil {
-		if err != nil {
-			psp.SetAttr("error", err.Error())
-		}
-		psp.End()
+	if err != nil {
+		setSpanError(psp, err)
 	}
+	psp.End()
 	if err != nil {
 		// Pre-pass-failure degradation: with partial results enabled, a
 		// failed pre-pass falls back to full per-shard pipelines instead of
@@ -338,7 +320,7 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 		// their own slices (for the k-means variants that is the documented
 		// per-shard approximation). The caller's own expiry still errors: a
 		// dead request must not be answered with a degraded success.
-		if r.partial.Load() && ctx.Err() == nil && !ctxError(err) {
+		if r.partial && ctx.Err() == nil && !ctxError(err) {
 			r.prepassFallbacks.Add(1)
 			return r.fanOut(ctx, personal, opts, nil)
 		}
@@ -397,69 +379,81 @@ func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipe
 }
 
 // runPrepass returns the full-repository matching + clustering result for
-// the request, sharing and caching the computation per pre-pass signature.
-// Execution is CPU-bound and runs on the caller's goroutine, so leaders
-// first acquire a slot from prepassSem — sized to the shard worker budget
-// — honouring their context while they wait; a leader that gives up
-// records the context error, drops the cache entry and releases its
-// followers. Followers whose own context expires return ctx.Err() without
-// abandoning the shared computation; followers that inherit a leader's
-// context error retry with their own live context, like the flight group's
-// follower-retry in Service.Match.
+// the request: the cached entry, or one run per pre-pass signature shared
+// through prepassFlight. Only a successful run is cached; a failed one
+// fails its waiters and nothing else. Followers whose own context expires
+// leave without abandoning the shared run; followers that inherit another
+// caller's context error retry with their own live context, as in
+// Service.match.
 func (r *Router) runPrepass(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*prepassEntry, error) {
 	key := prepassSignature(personal, opts)
 	for {
-		e, leader := r.prepass.join(key)
+		if v, ok := r.prepass.get(key); ok {
+			return v.(*prepassEntry), nil
+		}
+		// The pre-pass runs on its leader's goroutine and is not
+		// cancellable, so the flight's run context has no owner to derive
+		// from.
+		c, leader := r.prepassFlight.join(key, context.Background())
 		if leader {
-			// Check the context before the select: with a free slot AND an
-			// expired context both ready, select would choose arbitrarily,
-			// and an already-dead request must never start the computation.
-			err := ctx.Err()
-			if err == nil {
-				select {
-				case r.prepassSem <- struct{}{}:
-				case <-ctx.Done():
-					err = ctx.Err()
-				}
+			// A run that finished between the miss and the join cached its
+			// entry before freeing the key: look again before computing.
+			var e *prepassEntry
+			var err error
+			if v, ok := r.prepass.get(key); ok {
+				e = v.(*prepassEntry)
+			} else if e, err = r.computePrepass(ctx, personal, opts); err == nil {
+				r.prepass.put(key, e, prepassEntryBytes(e))
 			}
-			if err != nil {
-				e.err = err
-				r.prepass.drop(key, e)
-				close(e.done)
-				return nil, err
-			}
-			m := opts.Matcher
-			if m == nil {
-				m = matcher.NameMatcher{}
-			}
-			t0 := time.Now()
-			e.cands = r.fullRunner.MatchCandidates(personal, m, matcher.Config{MinSim: opts.MinSim})
-			e.matchDur = time.Since(t0)
-			t1 := time.Now()
-			e.clusters, e.iterations, e.err = pipeline.ComputeClusters(r.fullRunner.Index(), e.cands, opts)
-			e.clusterDur = time.Since(t1)
-			<-r.prepassSem
-			r.prepassRuns.Add(1)
-			r.stPrepass.observe(e.matchDur + e.clusterDur)
-			// Charge the completed entry's actual size to the unified
-			// governor (it entered the cache at zero bytes).
-			r.prepass.settle(key, e)
-			close(e.done)
-		} else {
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if e.err != nil && ctxError(e.err) && ctx.Err() == nil {
-				continue // inherited another caller's expiry; retry fresh
-			}
+			r.prepassFlight.finish(key, c, e, err)
+			return e, err
 		}
-		if e.err != nil {
-			return nil, e.err
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			r.prepassFlight.leave(key, c)
+			return nil, ctx.Err()
 		}
-		return e, nil
+		if c.err != nil && ctxError(c.err) && ctx.Err() == nil {
+			continue // inherited another caller's expiry; retry fresh
+		}
+		return c.val, c.err
 	}
+}
+
+// computePrepass runs element matching and clustering against the full
+// repository. The work is CPU-bound and runs on the caller's goroutine, so
+// it first takes a prepassSem slot — sized to the shard worker budget —
+// and gives up with the context error if ctx ends while it waits. A panic
+// comes back as an error, with the slot released.
+func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (e *prepassEntry, err error) {
+	// Check the context before the select: with a free slot AND an expired
+	// context both ready, select would choose arbitrarily, and an
+	// already-dead request must never start the computation.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	select {
+	case r.prepassSem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-r.prepassSem }()
+	defer recoverRun(&err)
+	m := opts.Matcher
+	if m == nil {
+		m = matcher.NameMatcher{}
+	}
+	e = &prepassEntry{}
+	t0 := time.Now()
+	e.cands = r.fullRunner.MatchCandidates(personal, m, matcher.Config{MinSim: opts.MinSim})
+	e.matchDur = time.Since(t0)
+	t1 := time.Now()
+	e.clusters, e.iterations, err = pipeline.ComputeClusters(r.fullRunner.Index(), e.cands, opts)
+	e.clusterDur = time.Since(t1)
+	r.prepassRuns.Add(1)
+	r.stPrepass.observe(e.matchDur + e.clusterDur)
+	return e, err
 }
 
 // fanOut sends the request to every shard concurrently — with the i-th
@@ -474,7 +468,6 @@ func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipelin
 	defer fsp.End()
 	reps := make([]*pipeline.Report, len(r.shards))
 	errs := make([]error, len(r.shards))
-	partial := r.partial.Load()
 	var wg sync.WaitGroup
 	for i, s := range r.shards {
 		// Control-plane skip: under partial results a shard whose backend
@@ -483,7 +476,7 @@ func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipelin
 		// nothing instead of a doomed per-shard timeout. Strict routing
 		// still attempts it: the request must fail anyway if the shard is
 		// truly down, and a just-recovered shard deserves the attempt.
-		if partial {
+		if r.partial {
 			if hr, ok := s.(HealthReporter); ok && !hr.Healthy() {
 				errs[i] = fmt.Errorf("serve: shard %d skipped: %w", i, ErrShardUnhealthy)
 				r.healthSkips.Add(1)
@@ -533,7 +526,7 @@ func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipelin
 				return nil, err
 			}
 		}
-		if !partial || len(ok) == 0 || ctx.Err() != nil {
+		if !r.partial || len(ok) == 0 || ctx.Err() != nil {
 			return nil, firstErr
 		}
 		rep := r.merge(fctx, ok, opts.TopN)
@@ -598,22 +591,6 @@ func mergeReports(reps []*pipeline.Report, topN int) *pipeline.Report {
 	return merged
 }
 
-// MatchBatch serves a batch of requests concurrently through the router,
-// results in request order. The goroutine fan-out is bounded by the summed
-// capacity of the shards: shards advertising CapacityHint (Service,
-// shardrpc.ReplicaSet) are sized exactly, others at a flat default.
-func (r *Router) MatchBatch(ctx context.Context, reqs []Request) []Result {
-	fanout := 0
-	for _, s := range r.shards {
-		if h, ok := s.(interface{ CapacityHint() int }); ok {
-			fanout += h.CapacityHint()
-		} else {
-			fanout += defaultShardCapacityHint
-		}
-	}
-	return matchBatch(ctx, reqs, fanout, r.Match)
-}
-
 // RewriteQuery translates a personal-schema query through a mapping
 // discovered by Match. The router rewrites locally — the mapping's image
 // nodes are its own repository nodes, so no shard round-trip is needed,
@@ -672,7 +649,7 @@ func (r *Router) Snapshot() (Stats, []Stats) {
 	total.PartialResults += r.partialMerges.Load()
 	total.PrePassFallbacks += r.prepassFallbacks.Load()
 	total.HealthSkips += r.healthSkips.Load()
-	total.CacheBytes += r.prepass.space.residentBytes()
+	total.CacheBytes += r.prepass.residentBytes()
 	total.Stages = mergeStages(total.Stages, r.routerStages())
 	own, remote := residentStats(r.gov, r.fullRunner), shards
 	if r.locals != nil {

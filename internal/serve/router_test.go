@@ -316,23 +316,10 @@ func TestRouterStatsRollup(t *testing.T) {
 	}
 }
 
-func TestRouterMatchBatchAndClose(t *testing.T) {
+func TestRouterClose(t *testing.T) {
 	r := NewRouterFromRepository(testRepo(t), 2, Config{})
-
-	reqs := []Request{
-		{Personal: personal(), Opts: testOpts()},
-		{Personal: nil, Opts: testOpts()},
-		{Personal: personal(), Opts: testOpts()},
-	}
-	results := r.MatchBatch(context.Background(), reqs)
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Errorf("valid entries failed: %v, %v", results[0].Err, results[2].Err)
-	}
-	if results[1].Err == nil {
-		t.Error("nil personal schema accepted")
+	if _, err := r.Match(context.Background(), personal(), testOpts()); err != nil {
+		t.Fatal(err)
 	}
 
 	r.Close()

@@ -244,60 +244,6 @@ func TestRejections(t *testing.T) {
 	}
 }
 
-func TestMatchBatch(t *testing.T) {
-	s := NewFromRepository(testRepo(t), Config{})
-	defer s.Close()
-
-	reqs := []Request{
-		{Personal: personal(), Opts: testOpts()},
-		{Personal: schema.MustParseSpec("customer(name,email)"), Opts: testOpts()},
-		{Personal: nil, Opts: testOpts()},
-		{Personal: personal(), Opts: testOpts()}, // duplicate of entry 0
-	}
-	results := s.MatchBatch(context.Background(), reqs)
-	if len(results) != len(reqs) {
-		t.Fatalf("got %d results, want %d", len(results), len(reqs))
-	}
-	if results[0].Err != nil || results[1].Err != nil || results[3].Err != nil {
-		t.Fatalf("unexpected errors: %v %v %v", results[0].Err, results[1].Err, results[3].Err)
-	}
-	if results[2].Err == nil {
-		t.Error("nil schema entry should fail")
-	}
-	if results[0].Report == nil || len(results[0].Report.Mappings) == 0 {
-		t.Error("entry 0 found no mappings")
-	}
-	// Entries 0 and 3 are identical: at most one pipeline run between them.
-	if st := s.Stats(); st.PipelineRuns > 2 {
-		t.Errorf("pipeline runs = %d, want <= 2 for a batch with one duplicate", st.PipelineRuns)
-	}
-}
-
-func TestMatchBatchLargerThanFanout(t *testing.T) {
-	// A batch far bigger than Workers+QueueDepth must complete without
-	// pinning one goroutine per entry.
-	s := NewFromRepository(testRepo(t), Config{Workers: 2, QueueDepth: 2})
-	defer s.Close()
-
-	reqs := make([]Request, 100)
-	for i := range reqs {
-		spec := []string{"book(title,author)", "customer(name,email)", "item(name,price)"}[i%3]
-		reqs[i] = Request{Personal: schema.MustParseSpec(spec), Opts: testOpts()}
-	}
-	results := s.MatchBatch(context.Background(), reqs)
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("entry %d: %v", i, res.Err)
-		}
-		if res.Report == nil {
-			t.Fatalf("entry %d: nil report", i)
-		}
-	}
-	if st := s.Stats(); st.PipelineRuns > 3 {
-		t.Errorf("pipeline runs = %d, want <= 3 (three distinct signatures)", st.PipelineRuns)
-	}
-}
-
 func TestRewriteQuery(t *testing.T) {
 	s := NewFromRepository(testRepo(t), Config{})
 	defer s.Close()
@@ -344,7 +290,7 @@ func TestStatsLatencyHistogram(t *testing.T) {
 }
 
 func TestReportCacheEviction(t *testing.T) {
-	c := newReportCache(newGovernor(0, 0), 2)
+	c := newReportCache(newGovernor(0), 2)
 	r := func() *pipeline.Report { return &pipeline.Report{} }
 	c.Put("a", r())
 	c.Put("b", r())
@@ -363,7 +309,7 @@ func TestReportCacheEviction(t *testing.T) {
 		t.Errorf("len = %d, want 2", c.Len())
 	}
 
-	disabled := newReportCache(newGovernor(0, 0), 0)
+	disabled := newReportCache(newGovernor(0), 0)
 	disabled.Put("x", r())
 	if _, _, ok := disabled.Get("x"); ok {
 		t.Error("disabled cache stored an entry")

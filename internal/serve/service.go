@@ -52,21 +52,16 @@ type Config struct {
 	// 0 or negative = no byte bound (entry-count caps still apply).
 	CacheBytes int64
 
-	// CacheTTL ages cache entries out: an entry older than the TTL is
-	// dropped on access instead of served, so stale reports do not
-	// outlive repository swaps indefinitely. 0 or negative = no expiry.
-	CacheTTL time.Duration
-
 	// PartialResults opts a sharded Router into partial-results fan-out:
 	// when some (not all) shards fail, the merged report is built from
 	// the shards that succeeded and marked Incomplete with per-shard
 	// errors, instead of the whole request failing. Ignored by a plain
-	// Service. See Router.SetPartialResults.
+	// Service. See Router.Match.
 	PartialResults bool
 
 	// gov, when set by a Router, makes this service charge its report
 	// cache into the router's shared memory governor instead of owning
-	// one; CacheBytes/CacheTTL are then the router's to interpret.
+	// one; CacheBytes is then the router's to interpret.
 	gov *memGovernor
 
 	// HealthInterval is the base period of the background health probes a
@@ -153,7 +148,7 @@ type Staged struct {
 // otherwise.
 type task struct {
 	key      string
-	c        *call
+	c        *call[*pipeline.Report]
 	personal *schema.Tree
 	opts     pipeline.Options
 	staged   Staged
@@ -173,7 +168,7 @@ type Service struct {
 	cfg    Config
 
 	queue  chan *task
-	flight *flightGroup
+	flight *flightGroup[*pipeline.Report]
 	gov    *memGovernor
 	cache  *reportCache
 	ct     counters
@@ -198,14 +193,14 @@ func New(runner *pipeline.Runner, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	gov := cfg.gov
 	if gov == nil {
-		gov = newGovernor(cfg.CacheBytes, cfg.CacheTTL)
+		gov = newGovernor(cfg.CacheBytes)
 	}
 	root, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		runner: runner,
 		cfg:    cfg,
 		queue:  make(chan *task, cfg.QueueDepth),
-		flight: newFlightGroup(),
+		flight: newFlightGroup[*pipeline.Report](),
 		gov:    gov,
 		cache:  newReportCache(gov, cfg.CacheSize),
 		root:   root,
@@ -276,15 +271,9 @@ func (s *Service) worker() {
 				runCtx = trace.Adopt(runCtx, t.tctx)
 			}
 			runCtx, rsp := trace.StartSpan(runCtx, "pipeline.run")
-			var rep *pipeline.Report
-			var err error
-			if st := t.staged; st.Cands != nil {
-				rep, err = s.runner.RunWithClusters(runCtx, t.personal, st.Cands, st.Clusters, st.Iterations, t.opts)
-			} else {
-				rep, err = s.runner.RunContext(runCtx, t.personal, t.opts)
-			}
+			rep, err := s.run(runCtx, t)
 			if err != nil {
-				rsp.SetAttr("error", err.Error())
+				setSpanError(rsp, err)
 			}
 			rsp.End()
 			s.ct.runs.Add(1)
@@ -295,6 +284,15 @@ func (s *Service) worker() {
 			s.flight.finish(t.key, t.c, rep, err)
 		}
 	}
+}
+
+// run executes one task's pipeline; a panic comes back as an error.
+func (s *Service) run(ctx context.Context, t *task) (rep *pipeline.Report, err error) {
+	defer recoverRun(&err)
+	if st := t.staged; st.Cands != nil {
+		return s.runner.RunWithClusters(ctx, t.personal, st.Cands, st.Clusters, st.Iterations, t.opts)
+	}
+	return s.runner.RunContext(ctx, t.personal, t.opts)
 }
 
 // Match serves one match request. Identical concurrent requests share one
@@ -314,9 +312,9 @@ func (s *Service) Match(ctx context.Context, personal *schema.Tree, opts pipelin
 // (AppendReportJSON). The rendering lives in the report's own cache entry:
 // a hit on an entry that has one returns those bytes without touching the
 // report; a miss, a flight join, or a hit on an entry only Match has read
-// so far renders once and attaches the result to the entry (same key, LRU
-// position and TTL; the governor is charged the body's length on top of
-// the report's). Counters and the latency histogram move exactly as for
+// so far renders once and attaches the result to the entry (same key and
+// LRU position; the governor is charged the body's length on top of the
+// report's). Counters and the latency histogram move exactly as for
 // Match. The returned bytes are shared and must be treated as read-only.
 func (s *Service) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
 	rep, hit, err := s.match(ctx, personal, opts, Staged{})
@@ -450,7 +448,7 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 				return nil, cacheRef{}, c.err
 			}
 			s.ct.observe(time.Since(start))
-			return c.rep, cacheRef{key: key}, nil
+			return c.val, cacheRef{key: key}, nil
 		case <-ctx.Done():
 			wsp.End()
 			s.flight.leave(key, c)
@@ -473,60 +471,6 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 // than the one inspecting it.
 func ctxError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Request is one entry of a MatchBatch call.
-type Request struct {
-	Personal *schema.Tree
-	Opts     pipeline.Options
-}
-
-// Result pairs a batch entry's report with its error; exactly one of the
-// two is set.
-type Result struct {
-	Report *pipeline.Report
-	Err    error
-}
-
-// MatchBatch serves a batch of requests concurrently and returns results
-// in request order. Identical entries within one batch are deduplicated
-// like any other concurrent requests. Goroutine fan-out is bounded (a
-// huge batch must not pin one goroutine per entry behind the worker
-// pool); pipeline concurrency stays bounded by the pool itself.
-func (s *Service) MatchBatch(ctx context.Context, reqs []Request) []Result {
-	return matchBatch(ctx, reqs, s.CapacityHint(), s.Match)
-}
-
-// CapacityHint is the number of requests the service can hold (running or
-// queued); batch fan-outs — the Router's included — size themselves by it.
-func (s *Service) CapacityHint() int { return s.cfg.Capacity() }
-
-// matchBatch fans reqs out over at most fanout goroutines against match,
-// collecting results in request order.
-func matchBatch(ctx context.Context, reqs []Request, fanout int,
-	match func(context.Context, *schema.Tree, pipeline.Options) (*pipeline.Report, error)) []Result {
-	results := make([]Result, len(reqs))
-	if fanout > len(reqs) {
-		fanout = len(reqs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(fanout)
-	for g := 0; g < fanout; g++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rep, err := match(ctx, reqs[i].Personal, reqs[i].Opts)
-				results[i] = Result{Report: rep, Err: err}
-			}
-		}()
-	}
-	for i := range reqs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return results
 }
 
 // RewriteQuery translates an XPath query over the personal schema into a
@@ -576,7 +520,7 @@ func residentStats(gov *memGovernor, runner *pipeline.Runner) Stats {
 		FloorTightenings:       gs.FloorTightenings,
 		GenPoolReuses:          gs.PoolReuses,
 	}
-	_, st.CacheByteBudget, st.CacheEvictions, st.CacheExpired = gov.snapshot()
+	_, st.CacheByteBudget, st.CacheEvictions = gov.snapshot()
 	if ni := runner.NameIndex(); ni != nil {
 		ks := ni.KernelStats()
 		st.NameIndexBytes, st.DistinctVocabRatio = ni.MemoryBytes(), ni.DistinctRatio()

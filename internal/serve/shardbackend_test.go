@@ -156,13 +156,12 @@ func TestRouterWithShardBackendsPrepassPath(t *testing.T) {
 		t.Errorf("CandidatePrePass = %d, want 1", st.CandidatePrePass)
 	}
 
-	// Partial-results fan-out over the interface: close one stub, the
-	// other's report survives as an Incomplete merge.
-	r.SetPartialResults(true)
+	// Partial-results fan-out over the interface: a partial router over the
+	// same stubs, one of them closed — the other's report survives as an
+	// Incomplete merge.
+	partial := stubRouter(t, Config{PartialResults: true}, stubs...)
 	stubs[1].Close()
-	opts := testOpts()
-	opts.TopN = 55 // fresh pre-pass signature not needed, but fresh request shape
-	rep, err = r.Match(context.Background(), personal(), opts)
+	rep, err = partial.Match(context.Background(), personal(), testOpts())
 	if err != nil {
 		t.Fatalf("partial fan-out over backends failed: %v", err)
 	}

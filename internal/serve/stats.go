@@ -204,11 +204,9 @@ type Stats struct {
 	CacheByteBudget int64 `json:"cache_byte_budget"`
 
 	// CacheEvictions counts entries evicted for space — byte budget or
-	// entry-count cap — and CacheExpired counts entries dropped by the
-	// TTL. Governor-level: shards sharing a governor report the same
-	// figures, and the rollup carries them once (shared fields).
+	// entry-count cap. Governor-level: shards sharing a governor report the
+	// same figure, and the rollup carries it once (a shared field).
 	CacheEvictions int64 `json:"cache_evictions"`
-	CacheExpired   int64 `json:"cache_expired"`
 
 	// IndexBytes is the resident labelling-index memory serving this
 	// backend. View-backed shards share one full-repository index, so a

@@ -37,29 +37,25 @@ type RemoteShardConfig struct {
 	// StatsTimeout bounds Stats and Check probes. Default 2s.
 	StatsTimeout time.Duration
 
-	// MaxConcurrent is the shard's advertised request capacity
-	// (CapacityHint), sizing the router's batch fan-out. Default 16.
-	MaxConcurrent int
-
 	// HTTPClient overrides the transport (tests inject
 	// httptest.Server.Client()). By default the client builds a dedicated
-	// http.Transport sized for replica fan-out — MaxIdleConnsPerHost at
-	// least MaxConcurrent, bounded dial/TLS timeouts — instead of
+	// http.Transport sized for replica fan-out — shardConns idle
+	// connections per host, bounded dial/TLS timeouts — instead of
 	// inheriting the shared default transport's 2 pooled connections per
 	// host. No client-level timeout either way; deadlines come from
 	// Timeout/ctx.
 	HTTPClient *http.Client
 }
 
+// shardConns is how many concurrent requests one shard client keeps
+// pooled connections for.
+const shardConns = 16
+
 // newShardTransportClient builds the dedicated per-shard HTTP client: the
 // shared http.DefaultTransport caps idle pooled connections at 2 per
-// host, which serializes a MaxConcurrent-wide fan-out onto 2 reused
-// connections plus fresh handshakes for the rest.
-func newShardTransportClient(maxConcurrent int) *http.Client {
-	perHost := maxConcurrent
-	if perHost < 2 {
-		perHost = 2
-	}
+// host, which serializes a concurrent fan-out onto 2 reused connections
+// plus fresh handshakes for the rest.
+func newShardTransportClient() *http.Client {
 	return &http.Client{Transport: &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
 		DialContext: (&net.Dialer{
@@ -68,8 +64,8 @@ func newShardTransportClient(maxConcurrent int) *http.Client {
 		}).DialContext,
 		TLSHandshakeTimeout:   10 * time.Second,
 		ExpectContinueTimeout: 1 * time.Second,
-		MaxIdleConns:          4 * perHost,
-		MaxIdleConnsPerHost:   perHost,
+		MaxIdleConns:          4 * shardConns,
+		MaxIdleConnsPerHost:   shardConns,
 		IdleConnTimeout:       90 * time.Second,
 	}}
 }
@@ -122,12 +118,9 @@ func NewRemoteShard(addr string, view *labeling.View, desc Descriptor, cfg Remot
 	if cfg.StatsTimeout <= 0 {
 		cfg.StatsTimeout = 2 * time.Second
 	}
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 16
-	}
 	hc := cfg.HTTPClient
 	if hc == nil {
-		hc = newShardTransportClient(cfg.MaxConcurrent)
+		hc = newShardTransportClient()
 	}
 	return &RemoteShard{
 		base:      strings.TrimSuffix(addr, "/"),
@@ -145,9 +138,6 @@ func (rs *RemoteShard) Addr() string { return rs.base }
 // Descriptor returns the descriptor this client expects the remote side to
 // host.
 func (rs *RemoteShard) Descriptor() Descriptor { return rs.desc }
-
-// CapacityHint implements the router's batch-sizing probe.
-func (rs *RemoteShard) CapacityHint() int { return rs.cfg.MaxConcurrent }
 
 // Close releases the client's idle connections. The remote server is NOT
 // shut down — it belongs to its own process.

@@ -242,15 +242,15 @@ func TestProjectionCacheProtocol(t *testing.T) {
 // drained).
 func TestRemoteShardConnectionReuse(t *testing.T) {
 	ts := shardUnderTest(t)
-	rs := NewRemoteShard(ts.srv.URL, ts.clientView, ts.host.Descriptor(), RemoteShardConfig{MaxConcurrent: 8})
+	rs := NewRemoteShard(ts.srv.URL, ts.clientView, ts.host.Descriptor(), RemoteShardConfig{})
 	set := NewReplicaSet([]*RemoteShard{rs}, serve.HealthConfig{})
 	defer set.Close()
 	tr, ok := rs.hc.Transport.(*http.Transport)
 	if !ok {
 		t.Fatal("client does not run on a dedicated http.Transport")
 	}
-	if tr.MaxIdleConnsPerHost < 8 {
-		t.Fatalf("MaxIdleConnsPerHost = %d, want >= MaxConcurrent (8): the shared default transport's 2 idle slots serialize a shard fan-out", tr.MaxIdleConnsPerHost)
+	if tr.MaxIdleConnsPerHost != shardConns {
+		t.Fatalf("MaxIdleConnsPerHost = %d, want shardConns (%d): the shared default transport's 2 idle slots serialize a shard fan-out", tr.MaxIdleConnsPerHost, shardConns)
 	}
 
 	var conns, reused int

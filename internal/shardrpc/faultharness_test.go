@@ -343,10 +343,11 @@ func TestReplicaFailoverPrefersOtherReplica(t *testing.T) {
 
 // TestDistributedHealthStressRace is the -race stress for the control
 // plane: fast background probes, fault-flapping proxies, concurrent match
-// traffic, partial-mode toggling and stats/metrics scraping all race on
-// the shard state transitions, ending in a Close under fire. It asserts
-// no data races and no panics, not outcomes — under flapping faults both
-// complete, incomplete and failed requests are legitimate.
+// traffic through a strict and a partial-results router over the same
+// shard servers, and stats/metrics scraping all race on the shard state
+// transitions, ending in a Close under fire. It asserts no data races and
+// no panics, not outcomes — under flapping faults both complete,
+// incomplete and failed requests are legitimate.
 func TestDistributedHealthStressRace(t *testing.T) {
 	const nodes, seed, shards = 300, 81, 2
 	fleetA := startFleet(t, nodes, seed, shards, bellflower.PartitionClustered)
@@ -361,16 +362,20 @@ func TestDistributedHealthStressRace(t *testing.T) {
 	}
 
 	routerRepo := freshRepo(t, nodes, seed)
-	backend, err := bellflower.NewDistributedService(routerRepo, addrs,
-		bellflower.ServiceConfig{
-			Workers:        2,
-			PartialResults: true,
-			HealthInterval: 5 * time.Millisecond,
-			HealthFailures: 2,
-			DefaultTimeout: 2 * time.Second,
-		}, bellflower.PartitionClustered)
-	if err != nil {
-		t.Fatal(err)
+	var backends []bellflower.ServiceBackend // strict, then partial
+	for _, partial := range []bool{false, true} {
+		backend, err := bellflower.NewDistributedService(routerRepo, addrs,
+			bellflower.ServiceConfig{
+				Workers:        2,
+				PartialResults: partial,
+				HealthInterval: 5 * time.Millisecond,
+				HealthFailures: 2,
+				DefaultTimeout: 2 * time.Second,
+			}, bellflower.PartitionClustered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends = append(backends, backend)
 	}
 
 	opts := bellflower.DefaultOptions()
@@ -380,7 +385,7 @@ func TestDistributedHealthStressRace(t *testing.T) {
 
 	var wg sync.WaitGroup
 	// Match traffic: rotating personals and cache-busting top_n, mirroring
-	// the hot-reload stress shape.
+	// the hot-reload stress shape, half of it through each router.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -390,7 +395,7 @@ func TestDistributedHealthStressRace(t *testing.T) {
 				o := opts
 				o.TopN = 3 + (g*6+i)%7
 				personal := randomPersonal(rng, routerRepo, 1+i%3)
-				_, _ = backend.Match(context.Background(), personal, o)
+				_, _ = backends[g%2].Match(context.Background(), personal, o)
 			}
 		}(g)
 	}
@@ -416,19 +421,19 @@ func TestDistributedHealthStressRace(t *testing.T) {
 			p.SetLatency(0)
 		}
 	}()
-	// Scraper: snapshots + Prometheus rendering + partial-mode toggling
-	// race against the health transitions.
+	// Scraper: snapshots + Prometheus rendering of both routers race
+	// against the health transitions.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			total, perShard := backend.Snapshot()
+			total, perShard := backends[i%2].Snapshot()
 			_ = serve.WritePrometheusSnapshot(io.Discard, total, perShard)
-			backend.SetPartialResults(i%4 != 3)
 			time.Sleep(3 * time.Millisecond)
 		}
-		backend.SetPartialResults(true)
 	}()
 	wg.Wait()
-	backend.Close() // stops monitors under whatever state the chaos left
+	for _, b := range backends {
+		b.Close() // stops monitors under whatever state the chaos left
+	}
 }

@@ -115,16 +115,6 @@ func (z *ReplicaSet) Healthy() bool {
 	return false
 }
 
-// CapacityHint sizes the router's batch fan-out: replicas share the load,
-// so the group's capacity is the sum of theirs.
-func (z *ReplicaSet) CapacityHint() int {
-	n := 0
-	for _, r := range z.replicas {
-		n += r.CapacityHint()
-	}
-	return n
-}
-
 // Check probes every replica concurrently (full descriptor handshake).
 // Any reachable replica hosting a WRONG descriptor is a hard error — a
 // replica group must never mix topologies. Otherwise one verified replica

@@ -118,7 +118,7 @@ func TestShardServerRejections(t *testing.T) {
 	}
 
 	// Accessors, for completeness of the host surface.
-	if host.Service() == nil || rs.Addr() != srv.URL || rs.CapacityHint() <= 0 || !rs.Descriptor().Equal(host.Descriptor()) {
+	if host.Service() == nil || rs.Addr() != srv.URL || !rs.Descriptor().Equal(host.Descriptor()) {
 		t.Error("host/client accessors inconsistent")
 	}
 
