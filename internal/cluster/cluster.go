@@ -18,10 +18,6 @@ type Element struct {
 	// Mask has bit i set when the node is a candidate for the personal
 	// node with preorder rank i.
 	Mask uint64
-
-	// BestSim is the node's best element similarity across the personal
-	// nodes it serves; used only by the hybrid distance extension.
-	BestSim float64
 }
 
 // MaxPersonalNodes is the largest personal schema the clusterer handles: an
@@ -137,12 +133,6 @@ type Config struct {
 
 	// SeedStride is the k of SeedEveryKth (ignored otherwise; minimum 1).
 	SeedStride int
-
-	// SimBias is the hybrid-distance extension: the effective assignment
-	// distance is pathDist × (1 + SimBias × (1 − BestSim)), pulling
-	// high-similarity elements toward centroids. 0 = pure path distance
-	// (the paper's measure).
-	SimBias float64
 }
 
 // DefaultConfig returns the paper's "medium clusters" configuration.
@@ -172,9 +162,6 @@ func (c Config) Validate() error {
 	if c.JoinThreshold < 0 || c.RemoveBelow < 0 || c.SplitAbove < 0 {
 		return fmt.Errorf("cluster: negative threshold")
 	}
-	if c.SimBias < 0 {
-		return fmt.Errorf("cluster: negative SimBias")
-	}
 	if c.Seeding == SeedEveryKth && c.SeedStride < 1 {
 		return fmt.Errorf("cluster: SeedEveryKth requires SeedStride >= 1")
 	}
@@ -197,6 +184,13 @@ type Result struct {
 	// holds no centroid, or their cluster was removed in the final
 	// iteration).
 	Unassigned int
+
+	// MedoidRuns counts the medoid-kernel runs of a k-means run: the
+	// recompute step's, plus one per cluster join merged and per half
+	// split cut. MedoidsKept counts the clusters the recompute step skipped
+	// because their member set had not changed, and so neither had their
+	// medoid. Both are zero for the other algorithms.
+	MedoidRuns, MedoidsKept int
 }
 
 // UsefulClusters returns the clusters able to produce complete mappings for
@@ -237,6 +231,7 @@ func KMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) (*Result,
 	defer st.release()
 	st.cfg = cfg
 	st.seed(cands)
+	ix.BuildAuxForest(st.node, &st.forest)
 	res := &Result{Moves: make([]int, 0, min(cfg.MaxIterations, 16))}
 	prevClusters := len(st.clusters)
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
@@ -262,6 +257,7 @@ func KMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) (*Result,
 		}
 	}
 	res.Clusters, res.Unassigned = st.emit()
+	res.MedoidRuns, res.MedoidsKept = st.medoidRuns, st.medoidsKept
 	return res, nil
 }
 

@@ -37,9 +37,6 @@ func TestBuildElements(t *testing.T) {
 	if byName["title"].Mask != 2 {
 		t.Errorf("title mask = %b", byName["title"].Mask)
 	}
-	if byName["book"].BestSim != 1 {
-		t.Errorf("book best sim = %v", byName["book"].BestSim)
-	}
 	// no duplicates
 	seen := map[int]bool{}
 	for _, e := range elems {
@@ -59,7 +56,6 @@ func TestConfigValidate(t *testing.T) {
 		{MaxIterations: 5, Stability: -1},
 		{MaxIterations: 5, Stability: 2},
 		{MaxIterations: 5, Stability: 0.05, JoinThreshold: -1},
-		{MaxIterations: 5, Stability: 0.05, SimBias: -0.5},
 		{MaxIterations: 5, Stability: 0.05, Seeding: SeedEveryKth, SeedStride: 0},
 	}
 	for i, c := range bad {

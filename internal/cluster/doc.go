@@ -49,8 +49,29 @@
 // and clusters come out tree by tree. The k-means working state is flat
 // arrays keyed by that order and lives in a sync.Pool: a warm run allocates
 // only its Result (five allocations, pinned by a test). No step builds a
-// map. Assignment and join keep their pairwise loops; they are a minor share
-// of the stage.
+// map.
+//
+// # Assignment and the clean-cluster rule
+//
+// The universe in document order is also the input of its auxiliary forest
+// (labeling.AuxForest): the elements plus the LCAs of document-adjacent
+// elements of one tree, built once per run with m−1 LCA lookups. Every
+// iteration's assignment is one multi-source nearest-centroid pass over that
+// forest (AuxForest.Nearest): the medoids are the sources, a bottom-up and a
+// top-down pass keep the smallest (distance, medoid node ID) per vertex, and
+// each element's vertex then names its cluster — the pairwise loop's answer,
+// tie rule included, with no distance query at all. Before this, every
+// element paid one LCA lookup per centroid of its tree per iteration, the
+// largest share of the stage.
+//
+// Medoids are recomputed only where members changed. rebuild knows each
+// element's cluster from the previous iteration's member windows; a cluster
+// every new member of which already belonged to it, and whose size is
+// unchanged, has the same member set and so the same medoid, and the
+// recompute step keeps it (Result.MedoidsKept). join's merged clusters and
+// split's halves are new member sets and are always recomputed. Both rules
+// are exact by construction; the reference suite, which recomputes every
+// medoid and scans every centroid, pins them.
 //
 // Personal schemas are limited to MaxPersonalNodes (64) nodes, the width of
 // Element.Mask; KMeans and Agglomerative return ErrSchemaTooLarge beyond it.

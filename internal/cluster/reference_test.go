@@ -120,9 +120,6 @@ func (st *refState) assignAndRebuild() int {
 		best, bestC := math.Inf(1), -1
 		for _, c := range byTree[st.ix.TreeID(e.Node)] {
 			eff := float64(st.dist(i, st.medoids[c]))
-			if st.cfg.SimBias > 0 {
-				eff *= 1 + st.cfg.SimBias*(1-e.BestSim)
-			}
 			if eff < best || (eff == best && bestC >= 0 &&
 				st.elems[st.medoids[c]].Node.ID < st.elems[st.medoids[bestC]].Node.ID) {
 				best, bestC = eff, c
@@ -240,14 +237,14 @@ func (st *refState) split() {
 }
 
 // describe renders a result completely: every cluster with its medoid, tree
-// and members (node, mask, best similarity) in order, plus the run counters.
+// and members (node, mask) in order, plus the run counters.
 func describe(r *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "iterations=%d moves=%v unassigned=%d\n", r.Iterations, r.Moves, r.Unassigned)
 	for _, c := range r.Clusters {
 		fmt.Fprintf(&b, "#%d tree=%d medoid=%d:", c.ID, c.TreeID, c.Medoid.ID)
 		for _, e := range c.Elements {
-			fmt.Fprintf(&b, " %d/%x/%.3f", e.Node.ID, e.Mask, e.BestSim)
+			fmt.Fprintf(&b, " %d/%x", e.Node.ID, e.Mask)
 		}
 		b.WriteByte('\n')
 	}
@@ -255,7 +252,7 @@ func describe(r *Result) string {
 }
 
 // kmeansConfigs covers every knob: the three paper variants, reclustering
-// steps on and off, forced splits, both seedings and the similarity bias.
+// steps on and off, forced splits and both seedings.
 func kmeansConfigs() map[string]Config {
 	base := func(mut func(*Config)) Config {
 		c := DefaultConfig()
@@ -272,7 +269,6 @@ func kmeansConfigs() map[string]Config {
 		"split-4":     base(func(c *Config) { c.SplitAbove, c.JoinThreshold = 4, 6 }),
 		"split-only":  base(func(c *Config) { c.SplitAbove, c.JoinThreshold, c.RemoveBelow = 3, 0, 0 }),
 		"run-out":     base(func(c *Config) { c.Stability, c.MaxIterations = 0, 7 }),
-		"sim-bias":    base(func(c *Config) { c.SimBias = 0.75 }),
 		"every-3rd":   base(func(c *Config) { c.Seeding, c.SeedStride = SeedEveryKth, 3 }),
 		"every-40th":  base(func(c *Config) { c.Seeding, c.SeedStride, c.SplitAbove = SeedEveryKth, 40, 6 }),
 		"one-and-all": base(func(c *Config) { c.MaxIterations, c.JoinThreshold = 1, 40 }),
@@ -296,6 +292,33 @@ func TestKMeansMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzKMeansEquivalence: the flat pooled state equals the straight-line
+// reference on any random repository the fuzzer can reach, under any of the
+// reference suite's configurations.
+func FuzzKMeansEquivalence(f *testing.F) {
+	names := make([]string, 0, len(kmeansConfigs()))
+	for name := range kmeansConfigs() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	f.Add(int64(1), uint8(2), uint8(120), uint8(0))
+	f.Add(int64(2), uint8(0), uint8(255), uint8(7))
+	f.Add(int64(3), uint8(3), uint8(30), uint8(11))
+	f.Fuzz(func(t *testing.T, seed int64, trees, maxN, config uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		ix, cands := randomFixtureSized(rng, 1+int(trees%5), 1+int(maxN))
+		name := names[int(config)%len(names)]
+		cfg := kmeansConfigs()[name]
+		got, err := KMeans(ix, cands, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := describe(got), describe(refKMeans(ix, cands, cfg)); g != w {
+			t.Fatalf("seed %d config %s: flat state diverged from the reference\n got: %s\nwant: %s", seed, name, g, w)
+		}
+	})
 }
 
 // TestMedoidsAreExactEverywhere: whichever algorithm formed a cluster, its

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"slices"
 	"sync"
 
@@ -19,20 +18,20 @@ import (
 //
 // Two orderings carry the design. Elements are sorted by (tree, Euler
 // position) once, so a cluster's ascending member list is already in the
-// order labeling.Index.Medoid wants, and the elements of one tree are one
-// run of the arrays. Clusters are kept grouped by tree in ascending tree
-// order — seeding emits them that way and every step preserves it — so "the
-// centroids of this element's tree" is a run of the cluster list found by a
-// two-pointer walk, not a map lookup.
+// order labeling.Index.Medoid wants, the elements of one tree are one run of
+// the arrays, and the universe is a valid input for its auxiliary forest,
+// over which assignment runs. Clusters are kept grouped by tree in ascending
+// tree order — seeding emits them that way and every step preserves it — so
+// the clusters of one tree, the pairs join compares, are a run of the
+// cluster list.
 type state struct {
 	ix  *labeling.Index
 	cfg Config
 
 	// The element universe, one entry per distinct candidate node.
-	node []int32   // repository node ID
-	tree []int32   // repository tree ID
-	mask []uint64  // Element.Mask
-	sim  []float64 // Element.BestSim
+	node []int32  // repository node ID
+	tree []int32  // repository tree ID
+	mask []uint64 // Element.Mask
 
 	// assignTo[e] is the cluster index element e was last assigned to, -1
 	// for none; prevMedoid[e] the node ID of that cluster's medoid one
@@ -48,24 +47,32 @@ type state struct {
 	clusters, spare []clusterRef
 	data            []int32
 
+	// k-means assignment: the universe's auxiliary forest, built once per
+	// run, and each iteration's centroids and nearest-centroid labels.
+	forest  labeling.AuxForest
+	sources []int32 // element index of each cluster's medoid
+	reach   []labeling.Reach
+
 	src    []candRef              // load: the candidates behind the sort keys
 	keys   []uint64               // load: DocOrder<<32 | index into src
 	ids    []int32                // node IDs handed to the medoid kernel; split's overflow half
 	uf     []int32                // join: union-find parents; rebuild: per-cluster counters
+	owner  []int32                // rebuild: the cluster each element belonged to before assignment
 	slot   []int32                // join: component root -> output cluster
 	cursor []int32                // join: next free position of each output cluster
 	medoid labeling.MedoidScratch // the kernel's own buffers
+
+	medoidRuns, medoidsKept int // Result.MedoidRuns, Result.MedoidsKept
 }
 
 // clusterRef is one cluster: a window of state.data and the element index of
-// its medoid.
+// its medoid, -1 while the medoid needs computing.
 type clusterRef struct{ off, n, medoid int32 }
 
 // candRef is one (personal node, candidate) pair during load.
 type candRef struct {
 	node int32
 	set  uint8
-	sim  float64
 }
 
 var statePool = sync.Pool{New: func() any { return new(state) }}
@@ -79,6 +86,7 @@ func newState(ix *labeling.Index, cands *matcher.Candidates) *state {
 	st := statePool.Get().(*state)
 	st.ix = ix
 	st.clusters = st.clusters[:0]
+	st.medoidRuns, st.medoidsKept = 0, 0
 	st.load(cands)
 	return st
 }
@@ -107,13 +115,13 @@ func (st *state) load(cands *matcher.Candidates) {
 	for i := range cands.Sets {
 		for _, c := range cands.Sets[i].Elems {
 			keys = append(keys, uint64(st.ix.DocOrder(c.Node.ID))<<32|uint64(len(src)))
-			src = append(src, candRef{node: int32(c.Node.ID), set: uint8(i), sim: c.Sim})
+			src = append(src, candRef{node: int32(c.Node.ID), set: uint8(i)})
 		}
 	}
 	slices.Sort(keys)
 	st.src, st.keys = src, keys
 
-	st.node, st.tree, st.mask, st.sim = st.node[:0], st.tree[:0], st.mask[:0], st.sim[:0]
+	st.node, st.tree, st.mask = st.node[:0], st.tree[:0], st.mask[:0]
 	last := int32(-1)
 	for _, k := range keys {
 		r := &src[uint32(k)]
@@ -122,19 +130,14 @@ func (st *state) load(cands *matcher.Candidates) {
 			st.node = append(st.node, r.node)
 			st.tree = append(st.tree, int32(st.ix.TreeOfID(int(r.node))))
 			st.mask = append(st.mask, 0)
-			st.sim = append(st.sim, 0)
 		}
-		e := len(st.node) - 1
-		st.mask[e] |= 1 << r.set
-		if r.sim > st.sim[e] {
-			st.sim[e] = r.sim
-		}
+		st.mask[len(st.node)-1] |= 1 << r.set
 	}
 }
 
 // element materializes element e.
 func (st *state) element(e int32) Element {
-	return Element{Node: st.ix.Repository().Node(int(st.node[e])), Mask: st.mask[e], BestSim: st.sim[e]}
+	return Element{Node: st.ix.Repository().Node(int(st.node[e])), Mask: st.mask[e]}
 }
 
 // members returns cluster c's member element indices.
@@ -154,6 +157,7 @@ func (st *state) medoidOf(mem []int32) int32 {
 		ids = append(ids, st.node[e])
 	}
 	st.ids = ids
+	st.medoidRuns++
 	return mem[st.ix.Medoid(ids, &st.medoid)]
 }
 
@@ -191,50 +195,58 @@ func (st *state) treeRun(c0 int) int {
 	return c1
 }
 
-// assign gives every element to its nearest centroid (same tree only) and
-// returns the number of elements whose cluster identity (medoid node)
-// changed since the last iteration.
+// assign gives every element to its nearest centroid (same tree only, ties
+// to the lowest medoid node ID) and returns the number of elements whose
+// cluster identity (medoid node) changed since the last iteration. The
+// centroids are the sources of one Nearest pass over the universe's
+// auxiliary forest: two linear passes, no distance query.
 func (st *state) assign() int {
-	moves, c0, c1 := 0, 0, 0
-	for e := 0; e < len(st.node); {
-		// [c0, c1) becomes the run of clusters in this element's tree.
-		// Centroids are elements, so the runs of earlier trees are behind
-		// us and the next cluster is in this tree or a later one.
-		t := st.tree[e]
-		if c0 = c1; c0 < len(st.clusters) && st.tree[st.clusters[c0].medoid] == t {
-			c1 = st.treeRun(c0)
+	src := st.sources[:0]
+	for _, c := range st.clusters {
+		src = append(src, c.medoid)
+	}
+	st.sources = src
+	st.reach = st.forest.Nearest(src, st.reach)
+	moves := 0
+	for e, v := range st.forest.At {
+		r := st.reach[v]
+		node := int32(-1)
+		if r.Source >= 0 {
+			node = r.Node
 		}
-		for ; e < len(st.node) && st.tree[e] == t; e++ {
-			bias := 1.0
-			if st.cfg.SimBias > 0 {
-				bias += st.cfg.SimBias * (1 - st.sim[e])
-			}
-			best, bestC, bestNode := math.Inf(1), int32(-1), int32(-1)
-			for c := c0; c < c1; c++ {
-				m := st.clusters[c].medoid
-				eff := float64(st.dist(int32(e), m)) * bias
-				if eff < best || (eff == best && bestC >= 0 && st.node[m] < bestNode) {
-					best, bestC, bestNode = eff, int32(c), st.node[m]
-				}
-			}
-			st.assignTo[e] = bestC
-			if bestNode != st.prevMedoid[e] {
-				moves++
-			}
-			st.prevMedoid[e] = bestNode
+		st.assignTo[e] = r.Source
+		if node != st.prevMedoid[e] {
+			moves++
 		}
+		st.prevMedoid[e] = node
 	}
 	return moves
 }
 
 // rebuild regenerates the member lists from the assignments — a counting
-// sort, so every list comes out ascending — and drops empty clusters.
+// sort, so every list comes out ascending — and drops empty clusters. A
+// cluster is clean when every element assigned to it already belonged to it
+// and it kept its size: the same member set, so the same medoid. Every other
+// cluster's medoid becomes -1, for recomputeMedoids.
 func (st *state) rebuild() {
+	owner := resize(st.owner, len(st.node))
+	st.owner = owner
+	for e := range owner {
+		owner[e] = -1
+	}
+	for c, ref := range st.clusters {
+		for _, e := range st.members(ref) {
+			owner[e] = int32(c)
+		}
+	}
 	count := resize(st.uf, len(st.clusters))
 	clear(count)
-	for _, c := range st.assignTo {
+	for e, c := range st.assignTo {
 		if c >= 0 {
 			count[c]++
+			if owner[e] != c {
+				st.clusters[c].medoid = -1
+			}
 		}
 	}
 	kept, off := st.clusters[:0], int32(0)
@@ -242,7 +254,11 @@ func (st *state) rebuild() {
 		if n == 0 {
 			continue
 		}
-		kept = append(kept, clusterRef{off: off, n: n, medoid: st.clusters[c].medoid})
+		medoid := st.clusters[c].medoid
+		if n != st.clusters[c].n {
+			medoid = -1
+		}
+		kept = append(kept, clusterRef{off: off, n: n, medoid: medoid})
 		count[c] = off // from here on: the cluster's fill cursor
 		off += n
 	}
@@ -256,10 +272,16 @@ func (st *state) rebuild() {
 	}
 }
 
-// recomputeMedoids sets each cluster's centroid to the member minimizing
-// the sum of path distances to the other members (the center of weight).
+// recomputeMedoids sets the centroid of each cluster rebuild marked to the
+// member minimizing the sum of path distances to the other members (the
+// center of weight). A clean cluster keeps its medoid: the medoid is a
+// function of the member set.
 func (st *state) recomputeMedoids() {
 	for c := range st.clusters {
+		if st.clusters[c].medoid >= 0 {
+			st.medoidsKept++
+			continue
+		}
 		st.clusters[c].medoid = st.medoidOf(st.members(st.clusters[c]))
 	}
 }

@@ -9,12 +9,20 @@
 // answers Distance/LCA queries in O(1) using an Euler tour with a sparse
 // table for range-minimum queries.
 //
-// The same tables carry the clusterer's third kernel: Index.Medoid finds a
-// member set's exact center of weight — the member minimizing the sum of
-// tree distances to all members, ties to the lowest node ID — from the
-// members' auxiliary tree in O(m) time plus m−1 LCA lookups for members in
-// document order (O(m log m) otherwise), against O(m²) lookups for the
-// pairwise scan. It always equals that scan run with full sums.
+// On top of the tables sits the auxiliary forest (AuxForest) of a node list
+// in document order: the listed nodes plus the LCAs of adjacent ones, built
+// with one stack and m−1 LCA lookups, in which path lengths are tree
+// distances. Passes over its edges replace pairwise distance queries, and
+// the clusterer's two kernels are such passes. Index.Medoid finds a member
+// set's exact center of weight — the member minimizing the sum of tree
+// distances to all members, ties to the lowest node ID — by rerooting
+// distance sums over the members' forest, in O(m) plus the build for members
+// in document order (O(m log m) otherwise), against O(m²) lookups for the
+// pairwise scan. AuxForest.Nearest gives every vertex its nearest source
+// (ties to the lowest node ID) in two linear passes; k-means assignment runs
+// it over the forest of the whole element universe with the medoids as
+// sources, once per iteration, instead of one distance query per (element,
+// centroid) pair. Both always equal their pairwise scans.
 //
 // Beside the O(1) tables the index keeps a flat parent-ID array next to the
 // depths (ParentDepth) for walks that visit a path node by node.
@@ -221,8 +229,8 @@ func (ix *Index) Distance(a, b *schema.Node) int {
 	return int(ix.depth[a.ID] + ix.depth[b.ID] - 2*ix.depth[l])
 }
 
-// DistanceID is Distance over raw node IDs, avoiding pointer loads in hot
-// loops (k-means assignment computes millions of distances).
+// DistanceID is Distance over raw node IDs, avoiding pointer loads in the
+// clusterer's pairwise loops (join's medoid pairs, split's sweeps).
 func (ix *Index) DistanceID(a, b int) int {
 	if ix.tree[a] != ix.tree[b] {
 		return -1

@@ -199,7 +199,17 @@ func (v *Vocabulary) Match(personal *schema.Tree, m Matcher, cfg Config) (*Candi
 
 	score, prune := compileScore(m), pruneEligible(m)
 	var next atomic.Int64
+	// A worker that panics (a matcher's Similarity can) hands the value to
+	// the caller, which re-panics once every worker is done, so the panic
+	// surfaces on the calling goroutine where its recovery can see it.
+	var panicOnce sync.Once
+	var panicked any
 	work := func() {
+		defer func() {
+			if v := recover(); v != nil {
+				panicOnce.Do(func() { panicked = v })
+			}
+		}()
 		var ps personalScratch
 		for j := int(next.Add(1)) - 1; j < len(missed); j = int(next.Add(1)) - 1 {
 			p := pnodes[missed[j]]
@@ -226,6 +236,9 @@ func (v *Vocabulary) Match(personal *schema.Tree, m Matcher, cfg Config) (*Candi
 	}
 	work() // the caller is the first worker
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	return out, info
 }
 

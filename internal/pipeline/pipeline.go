@@ -421,17 +421,20 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 	}
 	t1 := time.Now()
 	_, csp := trace.StartSpan(ctx, "pipeline.cluster")
-	clusters, iterations, err := ComputeClusters(r.ix, cands, opts)
-	if csp != nil {
-		csp.SetAttrInt("elements", int64(cands.TotalMappingElements()))
-		csp.SetAttrInt("clusters", int64(len(clusters)))
-		csp.SetAttrInt("iterations", int64(iterations))
-	}
-	csp.End()
+	res, err := computeClusters(r.ix, cands, opts)
 	if err != nil {
+		csp.End()
 		return nil, err
 	}
-	return r.runGeneration(ctx, personal, cands, clusters, iterations, matchTime, time.Since(t1), opts)
+	if csp != nil {
+		csp.SetAttrInt("elements", int64(cands.TotalMappingElements()))
+		csp.SetAttrInt("clusters", int64(len(res.Clusters)))
+		csp.SetAttrInt("iterations", int64(res.Iterations))
+		csp.SetAttrInt("medoid_runs", int64(res.MedoidRuns))
+		csp.SetAttrInt("medoids_kept", int64(res.MedoidsKept))
+	}
+	csp.End()
+	return r.runGeneration(ctx, personal, cands, res.Clusters, res.Iterations, matchTime, time.Since(t1), opts)
 }
 
 // RunWithClusters executes only the mapping-generation stage: both the
@@ -492,28 +495,33 @@ func (r *Runner) RunWithClusters(ctx context.Context, personal *schema.Tree, can
 // or tree clustering for VariantTree. ix must be the labelling index of the
 // repository the candidates reference.
 func ComputeClusters(ix *labeling.Index, cands *matcher.Candidates, opts Options) (clusters []*cluster.Cluster, iterations int, err error) {
-	if err := cluster.CheckPersonal(cands.Personal.Len()); err != nil {
+	res, err := computeClusters(ix, cands, opts)
+	if err != nil {
 		return nil, 0, err
 	}
-	if cfg, ok := opts.Variant.ClusterConfig(); ok {
-		if opts.ClusterConfig != nil {
-			cfg = *opts.ClusterConfig
-		}
-		var res *cluster.Result
-		if opts.Agglomerative {
-			res, err = cluster.Agglomerative(ix, cands, cluster.AgglomerativeConfig{
-				MergeThreshold: cfg.JoinThreshold,
-				MaxClusterSize: cfg.SplitAbove,
-			})
-		} else {
-			res, err = cluster.KMeans(ix, cands, cfg)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.Clusters, res.Iterations, nil
+	return res.Clusters, res.Iterations, nil
+}
+
+// computeClusters is ComputeClusters with the whole clustering result, run
+// counters included.
+func computeClusters(ix *labeling.Index, cands *matcher.Candidates, opts Options) (*cluster.Result, error) {
+	if err := cluster.CheckPersonal(cands.Personal.Len()); err != nil {
+		return nil, err
 	}
-	return cluster.TreeClusters(ix, cands).Clusters, 0, nil
+	cfg, ok := opts.Variant.ClusterConfig()
+	if !ok {
+		return cluster.TreeClusters(ix, cands), nil
+	}
+	if opts.ClusterConfig != nil {
+		cfg = *opts.ClusterConfig
+	}
+	if opts.Agglomerative {
+		return cluster.Agglomerative(ix, cands, cluster.AgglomerativeConfig{
+			MergeThreshold: cfg.JoinThreshold,
+			MaxClusterSize: cfg.SplitAbove,
+		})
+	}
+	return cluster.KMeans(ix, cands, cfg)
 }
 
 // runGeneration is the mapping-generation stage shared by both entry

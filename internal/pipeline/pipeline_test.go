@@ -494,10 +494,13 @@ func TestMatchSpanAttrs(t *testing.T) {
 }
 
 // The cluster and generate spans carry the request features that explain a
-// slow request from /v1/traces alone, equal to the report's own figures.
+// slow request from /v1/traces alone, equal to the report's own figures and
+// the clustering run's medoid counters.
 func TestClusterGenerateSpanAttrs(t *testing.T) {
 	ctx, tr, root := trace.New(context.Background(), "test")
-	rep, err := NewRunner(smallRepo()).RunContext(ctx, personBooks(), DefaultOptions())
+	r := NewRunner(smallRepo())
+	opts := DefaultOptions()
+	rep, err := r.RunContext(ctx, personBooks(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,11 +508,21 @@ func TestClusterGenerateSpanAttrs(t *testing.T) {
 	if rep.Counters.PartialMappings == 0 {
 		t.Fatal("fixture generated no partial mapping")
 	}
+	cands := r.vocab.FindCandidates(personBooks(), matcher.NameMatcher{}, matcher.Config{MinSim: opts.MinSim})
+	res, err := computeClusters(r.ix, cands, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MedoidRuns == 0 || res.MedoidsKept == 0 {
+		t.Fatalf("fixture ran %d medoids and kept %d, want both counters exercised", res.MedoidRuns, res.MedoidsKept)
+	}
 	want := map[string]string{
 		"pipeline.cluster": fmt.Sprint(map[string]string{
-			"elements":   fmt.Sprint(rep.MappingElements),
-			"clusters":   fmt.Sprint(rep.Clusters),
-			"iterations": fmt.Sprint(rep.Iterations),
+			"elements":     fmt.Sprint(rep.MappingElements),
+			"clusters":     fmt.Sprint(rep.Clusters),
+			"iterations":   fmt.Sprint(rep.Iterations),
+			"medoid_runs":  fmt.Sprint(res.MedoidRuns),
+			"medoids_kept": fmt.Sprint(res.MedoidsKept),
 		}),
 		"pipeline.generate": fmt.Sprint(map[string]string{
 			"useful_clusters": fmt.Sprint(rep.UsefulClusters),

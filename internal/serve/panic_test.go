@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -85,6 +87,42 @@ func TestPanickingRunFailsItsFlight(t *testing.T) {
 				t.Fatalf("good request after the panics: %v", err)
 			}
 		})
+	}
+}
+
+// panicLocalMatcher is panicMatcher declared property-local, so the keyed
+// matching kernel scores it, on parallel workers when a request misses
+// enough (personal node, key) pairs.
+type panicLocalMatcher struct{ panicMatcher }
+
+func (panicLocalMatcher) PropertyLocal() bool { return true }
+
+// TestPanicOnMatchingWorkerFailsTheRun: a panic on one of the matching
+// kernel's own worker goroutines reaches the run's recovery like any other —
+// the request gets the error and the process survives to serve the next one.
+func TestPanicOnMatchingWorkerFailsTheRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	b := schema.NewBuilder("wide")
+	root := b.Root("wide")
+	for i := 0; i < 1024; i++ {
+		b.Element(root, fmt.Sprintf("field%d", i))
+	}
+	repo := schema.NewRepository()
+	repo.MustAdd(b.MustTree())
+	s := NewFromRepository(repo, Config{Workers: 1})
+	defer s.Close()
+	// 5 personal nodes × 1,025 keys, all missed: past the kernel's 4,096-pair
+	// threshold for scoring on GOMAXPROCS workers.
+	wide := schema.MustParseSpec("book(title,author,isbn,price)")
+	bad := testOpts()
+	bad.Matcher = panicLocalMatcher{}
+	_, err := s.Match(context.Background(), wide, bad)
+	var pe *panicError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "panicked: similarity exploded") {
+		t.Fatalf("err = %v, want the recovered panic", err)
+	}
+	if _, err := s.Match(context.Background(), wide, testOpts()); err != nil {
+		t.Fatalf("good request after the panic: %v", err)
 	}
 }
 

@@ -115,7 +115,7 @@ func TestSignaturesMatchTheirFmtReference(t *testing.T) {
 		o.Objective.Alpha, o.Objective.K = float(), float()
 		if rng.Intn(3) == 0 {
 			o.ClusterConfig = &cluster.Config{JoinThreshold: rng.Intn(5), RemoveBelow: rng.Intn(3),
-				MaxIterations: rng.Intn(50), Stability: float(), SimBias: float()}
+				MaxIterations: rng.Intn(50), Stability: float()}
 		}
 		if got, want := Signature(p, o), fmtSignature(p, o); got != want {
 			t.Fatalf("Signature = %q, fmt reference %q", got, want)

@@ -32,8 +32,9 @@ import (
 const ContentTypeBinary = "application/x-bellflower-shard"
 
 // binaryVersion is the first byte of every binary body. Version 2 dropped
-// the options' generation worker-count varint.
-const binaryVersion = 2
+// the options' generation worker-count varint; version 3 the cluster
+// config's similarity bias and the clusters' per-element similarities.
+const binaryVersion = 3
 
 // binWriter accumulates the binary encoding. Slices are written as
 // uvarint(len+1) with 0 meaning nil, so the decoder reproduces the
@@ -323,7 +324,6 @@ func (w *binWriter) options(o WireOptions) {
 		w.f64(cc.Stability)
 		w.varint(int64(cc.Seeding))
 		w.varint(int64(cc.SeedStride))
-		w.f64(cc.SimBias)
 	}
 }
 
@@ -354,7 +354,6 @@ func (r *binReader) options() WireOptions {
 			Stability:     r.f64(),
 			Seeding:       int(r.varint()),
 			SeedStride:    int(r.varint()),
-			SimBias:       r.f64(),
 		}
 	}
 	return o
@@ -378,7 +377,6 @@ func (w *binWriter) projection(req *MatchRequest) {
 		w.varint(int64(c.Medoid))
 		w.i32s(c.Local)
 		w.u64s(c.Masks)
-		w.f64s(c.Sims)
 	}
 	w.varint(int64(req.Iterations))
 }
@@ -401,7 +399,6 @@ func (r *binReader) projection(req *MatchRequest) {
 				Medoid: int32(r.varint()),
 				Local:  r.i32s(),
 				Masks:  r.u64s(),
-				Sims:   r.f64s(),
 			}
 		}
 	}

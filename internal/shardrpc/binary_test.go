@@ -12,7 +12,7 @@ import (
 // config, candidate sets (including an empty one), clusters (including a
 // negative medoid) and iterations.
 func binTestRequest() *MatchRequest {
-	cc := WireClusterConfig{JoinThreshold: 3, RemoveBelow: 1, SplitAbove: 9, MaxIterations: 4, Stability: 0.75, Seeding: 1, SeedStride: 2, SimBias: 0.5}
+	cc := WireClusterConfig{JoinThreshold: 3, RemoveBelow: 1, SplitAbove: 9, MaxIterations: 4, Stability: 0.75, Seeding: 1, SeedStride: 2}
 	req := &MatchRequest{
 		Descriptor: Descriptor{
 			Shard: 1, NumShards: 4, Strategy: "clustered",
@@ -39,8 +39,8 @@ func binTestRequest() *MatchRequest {
 		},
 		HasClusters: true,
 		Clusters: []WireCluster{
-			{ID: 0, TreeID: 2, Medoid: 7, Local: []int32{7, 8}, Masks: []uint64{3, 5}, Sims: []float64{0.9, 0.4}},
-			{ID: 1, TreeID: 5, Medoid: -1, Local: []int32{}, Masks: []uint64{}, Sims: []float64{}},
+			{ID: 0, TreeID: 2, Medoid: 7, Local: []int32{7, 8}, Masks: []uint64{3, 5}},
+			{ID: 1, TreeID: 5, Medoid: -1, Local: []int32{}, Masks: []uint64{}},
 		},
 		Iterations: 6,
 	}

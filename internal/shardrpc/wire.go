@@ -189,7 +189,6 @@ type WireClusterConfig struct {
 	Stability     float64 `json:"stability"`
 	Seeding       int     `json:"seeding"`
 	SeedStride    int     `json:"seed_stride"`
-	SimBias       float64 `json:"sim_bias"`
 }
 
 func encodeClusterConfig(c cluster.Config) WireClusterConfig {
@@ -201,7 +200,6 @@ func encodeClusterConfig(c cluster.Config) WireClusterConfig {
 		Stability:     c.Stability,
 		Seeding:       int(c.Seeding),
 		SeedStride:    c.SeedStride,
-		SimBias:       c.SimBias,
 	}
 }
 
@@ -214,7 +212,6 @@ func decodeClusterConfig(w WireClusterConfig) cluster.Config {
 		Stability:     w.Stability,
 		Seeding:       cluster.Seeding(w.Seeding),
 		SeedStride:    w.SeedStride,
-		SimBias:       w.SimBias,
 	}
 }
 
@@ -448,12 +445,11 @@ func DecodeCandidates(v *labeling.View, personal *schema.Tree, sets []WireCandid
 // WireCluster is one cluster in local-ID form: parallel arrays for the
 // member elements plus the medoid and owning tree.
 type WireCluster struct {
-	ID     int       `json:"id"`
-	TreeID int       `json:"tree_id"`
-	Medoid int32     `json:"medoid"` // local ID, -1 when unset
-	Local  []int32   `json:"local"`
-	Masks  []uint64  `json:"masks"`
-	Sims   []float64 `json:"sims"`
+	ID     int      `json:"id"`
+	TreeID int      `json:"tree_id"`
+	Medoid int32    `json:"medoid"` // local ID, -1 when unset
+	Local  []int32  `json:"local"`
+	Masks  []uint64 `json:"masks"`
 }
 
 // EncodeClusters translates clusters (whole, never split — clusters never
@@ -467,7 +463,6 @@ func EncodeClusters(v *labeling.View, cls []*cluster.Cluster) ([]WireCluster, er
 			Medoid: -1,
 			Local:  make([]int32, len(cl.Elements)),
 			Masks:  make([]uint64, len(cl.Elements)),
-			Sims:   make([]float64, len(cl.Elements)),
 		}
 		if cl.Medoid != nil {
 			lid := v.LocalID(cl.Medoid)
@@ -483,7 +478,6 @@ func EncodeClusters(v *labeling.View, cls []*cluster.Cluster) ([]WireCluster, er
 			}
 			wc.Local[j] = int32(lid)
 			wc.Masks[j] = e.Mask
-			wc.Sims[j] = e.BestSim
 		}
 		out[i] = wc
 	}
@@ -494,8 +488,8 @@ func EncodeClusters(v *labeling.View, cls []*cluster.Cluster) ([]WireCluster, er
 func DecodeClusters(v *labeling.View, wcs []WireCluster) ([]*cluster.Cluster, error) {
 	out := make([]*cluster.Cluster, len(wcs))
 	for i, wc := range wcs {
-		if len(wc.Local) != len(wc.Masks) || len(wc.Local) != len(wc.Sims) {
-			return nil, fmt.Errorf("shardrpc: cluster %d: mismatched element arrays (%d/%d/%d)", wc.ID, len(wc.Local), len(wc.Masks), len(wc.Sims))
+		if len(wc.Local) != len(wc.Masks) {
+			return nil, fmt.Errorf("shardrpc: cluster %d: mismatched element arrays (%d/%d)", wc.ID, len(wc.Local), len(wc.Masks))
 		}
 		cl := &cluster.Cluster{ID: wc.ID, TreeID: wc.TreeID}
 		if wc.Medoid >= 0 {
@@ -510,7 +504,7 @@ func DecodeClusters(v *labeling.View, wcs []WireCluster) ([]*cluster.Cluster, er
 				if lid < 0 || int(lid) >= v.Len() {
 					return nil, fmt.Errorf("shardrpc: cluster %d: local ID %d outside view of %d nodes", wc.ID, lid, v.Len())
 				}
-				cl.Elements[j] = cluster.Element{Node: v.Node(int(lid)), Mask: wc.Masks[j], BestSim: wc.Sims[j]}
+				cl.Elements[j] = cluster.Element{Node: v.Node(int(lid)), Mask: wc.Masks[j]}
 			}
 			if got := v.TreeID(cl.Elements[0].Node); got != wc.TreeID {
 				return nil, fmt.Errorf("shardrpc: cluster %d claims tree %d but its elements live in tree %d", wc.ID, wc.TreeID, got)
