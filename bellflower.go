@@ -598,16 +598,6 @@ func StartTraceSpan(ctx context.Context, name string) (context.Context, *TraceSp
 	return trace.StartSpan(ctx, name)
 }
 
-// TraceFromContext returns the context's request trace, or nil.
-func TraceFromContext(ctx context.Context) *RequestTrace { return trace.FromContext(ctx) }
-
-// SetTracingEnabled turns request-trace creation on or off process-wide
-// (on by default): an operational kill switch, and the benchmark
-// harness's no-trace baseline. Disabling stops NEW traces; requests
-// already carrying one finish normally, and the always-on instrumentation
-// downstream degrades to its nil fast path.
-func SetTracingEnabled(v bool) { trace.SetEnabled(v) }
-
 // NewTraceRecorder builds a bounded ring of recent trace summaries plus a
 // separate ring for traces at least slowThreshold long (0 disables slow
 // capture). Non-positive caps select the defaults (64 recent, 32 slow).
@@ -615,11 +605,6 @@ func SetTracingEnabled(v bool) { trace.SetEnabled(v) }
 func NewTraceRecorder(recentCap, slowCap int, slowThreshold time.Duration) *TraceRecorder {
 	return trace.NewRecorder(recentCap, slowCap, slowThreshold)
 }
-
-// MergeServiceStats rolls per-shard stats snapshots into one: counters,
-// capacities and histogram buckets are summed and the latency mean
-// recomputed. A fanned-out request counts once per shard in the rollup.
-func MergeServiceStats(ss ...ServiceStats) ServiceStats { return serve.MergeStats(ss...) }
 
 // WritePrometheusMetrics renders a serving backend's stats snapshot in the
 // Prometheus text exposition format — the payload behind the

@@ -21,8 +21,6 @@ import (
 
 	"bellflower/internal/cluster"
 	"bellflower/internal/experiments"
-
-	"bellflower/internal/mapgen"
 	"bellflower/internal/matcher"
 	"bellflower/internal/objective"
 	"bellflower/internal/pipeline"
@@ -184,68 +182,6 @@ func BenchmarkEndToEnd(b *testing.B) {
 }
 
 // --- Ablation benchmarks (design choices from the mapgen, cluster and labeling package docs) ---
-
-// BenchmarkAblationBnB compares Branch & Bound against exhaustive
-// enumeration on the tree baseline — the paper's "30 times less partial
-// mappings" observation.
-func BenchmarkAblationBnB(b *testing.B) {
-	e := env(b)
-	for _, alg := range []mapgen.Algorithm{mapgen.BranchAndBound, mapgen.Exhaustive} {
-		b.Run(alg.String(), func(b *testing.B) {
-			var rep *pipeline.Report
-			for i := 0; i < b.N; i++ {
-				opts := benchOptions(e, pipeline.VariantTree)
-				opts.Algorithm = alg
-				var err error
-				rep, err = e.Runner.Run(e.Personal, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(rep.Counters.PartialMappings), "partials")
-		})
-	}
-}
-
-// BenchmarkAblationSeeding compares MEmin seeding against uniform seeding
-// with a similar centroid count.
-func BenchmarkAblationSeeding(b *testing.B) {
-	e := env(b)
-	cands := matcher.FindCandidates(e.Personal, e.Repo, matcher.NameMatcher{},
-		matcher.Config{MinSim: e.Setup.MinSim})
-	ix := e.Runner.Index()
-	n := e.Personal.Len()
-	minSet := cands.MinSet()
-	stride := 1
-	if minSet >= 0 && len(cands.Sets[minSet].Elems) > 0 {
-		stride = max(1, cands.TotalMappingElements()/len(cands.Sets[minSet].Elems))
-	}
-	cfgs := []struct {
-		name string
-		cfg  cluster.Config
-	}{
-		{"memin", cluster.DefaultConfig()},
-		{"uniform", func() cluster.Config {
-			c := cluster.DefaultConfig()
-			c.Seeding = cluster.SeedEveryKth
-			c.SeedStride = stride
-			return c
-		}()},
-	}
-	for _, tc := range cfgs {
-		b.Run(tc.name, func(b *testing.B) {
-			var useful int
-			for i := 0; i < b.N; i++ {
-				res, err := cluster.KMeans(ix, cands, tc.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				useful = len(res.UsefulClusters(n))
-			}
-			b.ReportMetric(float64(useful), "useful-clusters")
-		})
-	}
-}
 
 // BenchmarkAblationDistance compares the O(1) labelling-based tree distance
 // against naive parent walking, the hot operation of k-means assignment.

@@ -18,8 +18,8 @@ import (
 // else — a 500, a crash — is a finding.
 //
 // The repository is small, with small trees, and personal schemas are
-// capped at 4 nodes, so even a body that asks for every mapping (no top_n,
-// δ 0) stays cheap; the short default timeout bounds the rest.
+// capped at 4 nodes, so even a body that asks for the most mappings it can
+// (top_n 1000, δ 0) stays cheap; the short default timeout bounds the rest.
 func FuzzMatchBody(f *testing.F) {
 	cfg := bellflower.DefaultSyntheticConfig()
 	cfg.TargetNodes, cfg.MeanTreeSize, cfg.Seed = 120, 6, 7
@@ -39,6 +39,8 @@ func FuzzMatchBody(f *testing.F) {
   "options": {"delta": 0.6, "top_n": 5, "variant": "medium", "timeout_ms": 2000}
 }`)
 	f.Add(`{"personal":"book(title,author)"}`)
+	// Options without top_n: the daemon's default N, never every mapping.
+	f.Add(`{"personal":"book(title,author)","options":{"delta":0}}`)
 
 	f.Fuzz(func(t *testing.T, body string) {
 		rec := httptest.NewRecorder()

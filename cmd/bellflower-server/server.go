@@ -289,8 +289,18 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // --- JSON wire types ---
 
+// defaultTopN is the N of a request without top_n (or with 0), the CLI's
+// -topn default; maxTopN is the largest N a request may ask for. Together
+// they keep every HTTP request on the bounded top-N search: top_n 0 in
+// the library means every mapping with Δ ≥ δ, millions of them at five or
+// more personal nodes on a paper-scale repository.
+const (
+	defaultTopN = 10
+	maxTopN     = 1000
+)
+
 // matchOptionsJSON selects pipeline options over the wire; absent fields
-// keep the library defaults (DefaultOptions).
+// keep the library defaults (DefaultOptions), except top_n (defaultTopN).
 type matchOptionsJSON struct {
 	Delta           *float64 `json:"delta,omitempty"`
 	Alpha           *float64 `json:"alpha,omitempty"`
@@ -310,6 +320,7 @@ type matchOptionsJSON struct {
 
 func (o *matchOptionsJSON) build() (bellflower.Options, error) {
 	opts := bellflower.DefaultOptions()
+	opts.TopN = defaultTopN
 	if o == nil {
 		return opts, nil
 	}
@@ -325,7 +336,12 @@ func (o *matchOptionsJSON) build() (bellflower.Options, error) {
 	if o.MinSim != nil {
 		opts.MinSim = *o.MinSim
 	}
-	opts.TopN = o.TopN
+	if o.TopN < 0 || o.TopN > maxTopN {
+		return opts, fmt.Errorf("top_n %d outside [0,%d]", o.TopN, maxTopN)
+	}
+	if o.TopN > 0 {
+		opts.TopN = o.TopN
+	}
 	opts.Agglomerative = o.Agglomerative
 	//lint:ignore SA1019 still parsed so that old clients keep working; the pipeline ignores it
 	opts.AdaptiveTopN = o.AdaptiveTopN

@@ -190,6 +190,110 @@ func TestHandleMatchBadOptionsSurfaceAs400(t *testing.T) {
 	}
 }
 
+// TestMatchOptionsTopNBound: a request without top_n, or with 0, asks for
+// the defaultTopN best mappings; a negative top_n or one above maxTopN is a
+// 400 that names the bound.
+func TestMatchOptionsTopNBound(t *testing.T) {
+	for _, tc := range []struct {
+		options string // the "options" object; empty sends none
+		want    int    // the TopN built; 0 expects an error
+	}{
+		{"", defaultTopN},
+		{`{"delta":0.5}`, defaultTopN},
+		{`{"top_n":0}`, defaultTopN},
+		{`{"top_n":3}`, 3},
+		{`{"top_n":1000}`, maxTopN},
+		{`{"top_n":-1}`, 0},
+		{`{"top_n":1001}`, 0},
+	} {
+		var o *matchOptionsJSON
+		if tc.options != "" {
+			o = new(matchOptionsJSON)
+			if err := json.Unmarshal([]byte(tc.options), o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opts, err := o.build()
+		switch {
+		case tc.want == 0 && (err == nil || !strings.Contains(err.Error(), "1000")):
+			t.Errorf("options %s: err %v, want one naming the bound 1000", tc.options, err)
+		case tc.want != 0 && (err != nil || opts.TopN != tc.want):
+			t.Errorf("options %s: TopN %d, err %v; want %d", tc.options, opts.TopN, err, tc.want)
+		}
+	}
+
+	_, ts := testService(t, bellflower.ServiceConfig{})
+	for _, body := range []string{
+		`{"personal":"book(title,author)","options":{"top_n":-1}}`,
+		`{"personal":"book(title,author)","options":{"top_n":1001}}`,
+	} {
+		if resp, data := postJSON(t, ts.URL+"/v1/match", body); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "1000") {
+			t.Errorf("%s: status %d (%s), want 400 naming the bound", body, resp.StatusCode, data)
+		}
+	}
+}
+
+// TestMatchWithoutTopNIsBounded: a /v1/match body without top_n, and a
+// batch entry without one, return the defaultTopN best mappings — the head
+// of what a larger top_n returns — not every mapping above δ.
+func TestMatchWithoutTopNIsBounded(t *testing.T) {
+	cfg := bellflower.DefaultSyntheticConfig()
+	cfg.TargetNodes, cfg.Seed = 800, 3
+	repo, err := bellflower.Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(repo, "synthetic", bellflower.ServiceConfig{}, 1, bellflower.PartitionClustered, "", newQuietLogger())
+	ts := httptest.NewServer(srv.routes())
+	defer func() {
+		ts.Close()
+		srv.closeNow()
+	}()
+	type mappingsJSON struct {
+		Mappings []json.RawMessage `json:"mappings"`
+	}
+	match := func(options string) []json.RawMessage {
+		resp, data := postJSON(t, ts.URL+"/v1/match", `{"personal":"address(name,email)","options":`+options+`}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("options %s: status %d (%s)", options, resp.StatusCode, data)
+		}
+		var out mappingsJSON
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Mappings
+	}
+	all := match(`{"delta":0.3,"top_n":1000}`)
+	if len(all) <= defaultTopN {
+		t.Fatalf("fixture has %d mappings above δ, want more than %d", len(all), defaultTopN)
+	}
+	got := match(`{"delta":0.3}`)
+	if len(got) != defaultTopN {
+		t.Fatalf("no top_n: %d mappings, want %d", len(got), defaultTopN)
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], all[i]) {
+			t.Fatalf("no top_n: mapping %d is %s, want %s", i, got[i], all[i])
+		}
+	}
+
+	resp, data := postJSON(t, ts.URL+"/v1/match/batch", `{"requests":[{"personal":"address(name,email)","options":{"delta":0.3}}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d (%s)", resp.StatusCode, data)
+	}
+	var batch struct {
+		Results []struct {
+			Result mappingsJSON `json:"result"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(data, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Results) != 1 || len(batch.Results[0].Result.Mappings) != defaultTopN {
+		t.Errorf("batch entry without top_n: %+v, want %d mappings", batch.Results, defaultTopN)
+	}
+}
+
 func TestDeadlineExceededReturns504(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a paper-scale repository")
@@ -209,7 +313,7 @@ func TestDeadlineExceededReturns504(t *testing.T) {
 	}()
 
 	resp, body := postJSON(t, ts.URL+"/v1/match",
-		`{"personal":"book(title,author,publisher(name,address),isbn)","options":{"timeout_ms":1}}`)
+		`{"personal":"book(title,author,publisher(name,address),isbn)","options":{"top_n":1000,"timeout_ms":1}}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body: %s)", resp.StatusCode, body)
 	}
@@ -810,13 +914,13 @@ func TestHotReloadColdPrePassRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				// Unique top_n busts the report cache (cold path); three
+				// A unique top_n busts the report cache (cold path); three
 				// distinct personal schemas rotate the candidate signature
 				// so pre-pass sharing and pre-pass execution both happen
 				// concurrently with the swaps.
 				body := fmt.Sprintf(
 					`{"personal":"press%d(title,author,year)","options":{"delta":0.5,"top_n":%d}}`,
-					g%3, 1000000+uniq.Add(1))
+					g%3, 100+uniq.Add(1))
 				resp, err := http.Post(ts.URL+"/v1/match", "application/json", strings.NewReader(body))
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)

@@ -87,21 +87,6 @@ func (c *Cluster) Useful(full uint64) bool { return c.Mask()&full == full }
 // Len returns the number of member elements.
 func (c *Cluster) Len() int { return len(c.Elements) }
 
-// Seeding selects the initial centroids.
-type Seeding int
-
-const (
-	// SeedMEmin declares every element of the smallest candidate set a
-	// centroid — the paper's heuristic: each useful cluster needs at least
-	// one element from MEmin, so MEmin members mark all viable regions.
-	SeedMEmin Seeding = iota
-
-	// SeedEveryKth spreads centroids uniformly over the element universe
-	// (every k-th element in document order).
-	// A deterministic baseline used by the seeding ablation benchmark.
-	SeedEveryKth
-)
-
 // Config controls the clustering run. The zero value is not valid; use
 // DefaultConfig as a starting point.
 type Config struct {
@@ -127,12 +112,6 @@ type Config struct {
 	// than Stability × #elements switch clusters and the cluster count
 	// changes by less than Stability × #clusters (the paper uses 5%).
 	Stability float64
-
-	// Seeding selects the centroid initialization strategy.
-	Seeding Seeding
-
-	// SeedStride is the k of SeedEveryKth (ignored otherwise; minimum 1).
-	SeedStride int
 }
 
 // DefaultConfig returns the paper's "medium clusters" configuration.
@@ -147,7 +126,6 @@ func DefaultConfig() Config {
 		SplitAbove:    60,
 		MaxIterations: 12,
 		Stability:     0.05,
-		Seeding:       SeedMEmin,
 	}
 }
 
@@ -161,9 +139,6 @@ func (c Config) Validate() error {
 	}
 	if c.JoinThreshold < 0 || c.RemoveBelow < 0 || c.SplitAbove < 0 {
 		return fmt.Errorf("cluster: negative threshold")
-	}
-	if c.Seeding == SeedEveryKth && c.SeedStride < 1 {
-		return fmt.Errorf("cluster: SeedEveryKth requires SeedStride >= 1")
 	}
 	return nil
 }

@@ -56,7 +56,6 @@ func TestConfigValidate(t *testing.T) {
 		{MaxIterations: 5, Stability: -1},
 		{MaxIterations: 5, Stability: 2},
 		{MaxIterations: 5, Stability: 0.05, JoinThreshold: -1},
-		{MaxIterations: 5, Stability: 0.05, Seeding: SeedEveryKth, SeedStride: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -193,11 +192,11 @@ func TestRemoveReclusteringDropsTinyClusters(t *testing.T) {
 }
 
 func TestSplitLimitsClusterSize(t *testing.T) {
-	// One big tree, all elements match: a single seed would form one huge
-	// cluster; SplitAbove must cap the size.
+	// One big tree, every b matches: the single MEmin seed (the root r)
+	// would form one huge cluster; SplitAbove must cap the size.
 	spec := "r(a(b,b,b,b),a(b,b,b,b),a(b,b,b,b),a(b,b,b,b))"
-	_, _, ix, cands := fixture("b", spec)
-	cfg := Config{SplitAbove: 5, MaxIterations: 12, Stability: 0.0, Seeding: SeedEveryKth, SeedStride: 1000}
+	_, _, ix, cands := fixture("r(b)", spec)
+	cfg := Config{SplitAbove: 5, MaxIterations: 12, Stability: 0.0}
 	res, err := KMeans(ix, cands, cfg)
 	if err != nil {
 		t.Fatal(err)

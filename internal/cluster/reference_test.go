@@ -49,17 +49,10 @@ type refState struct {
 
 func refKMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) *Result {
 	st := &refState{ix: ix, cfg: cfg, elems: BuildElements(ix, cands)}
-	switch cfg.Seeding {
-	case SeedEveryKth:
-		for i := 0; i < len(st.elems); i += cfg.SeedStride {
-			st.medoids = append(st.medoids, i)
-		}
-	default:
-		if min := cands.MinSet(); min >= 0 {
-			for i, e := range st.elems {
-				if e.Mask&(1<<uint(min)) != 0 {
-					st.medoids = append(st.medoids, i)
-				}
+	if min := cands.MinSet(); min >= 0 {
+		for i, e := range st.elems {
+			if e.Mask&(1<<uint(min)) != 0 {
+				st.medoids = append(st.medoids, i)
 			}
 		}
 	}
@@ -252,7 +245,7 @@ func describe(r *Result) string {
 }
 
 // kmeansConfigs covers every knob: the three paper variants, reclustering
-// steps on and off, forced splits and both seedings.
+// steps on and off, forced splits and a run-out of iterations.
 func kmeansConfigs() map[string]Config {
 	base := func(mut func(*Config)) Config {
 		c := DefaultConfig()
@@ -269,8 +262,6 @@ func kmeansConfigs() map[string]Config {
 		"split-4":     base(func(c *Config) { c.SplitAbove, c.JoinThreshold = 4, 6 }),
 		"split-only":  base(func(c *Config) { c.SplitAbove, c.JoinThreshold, c.RemoveBelow = 3, 0, 0 }),
 		"run-out":     base(func(c *Config) { c.Stability, c.MaxIterations = 0, 7 }),
-		"every-3rd":   base(func(c *Config) { c.Seeding, c.SeedStride = SeedEveryKth, 3 }),
-		"every-40th":  base(func(c *Config) { c.Seeding, c.SeedStride, c.SplitAbove = SeedEveryKth, 40, 6 }),
 		"one-and-all": base(func(c *Config) { c.MaxIterations, c.JoinThreshold = 1, 40 }),
 	}
 }

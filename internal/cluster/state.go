@@ -161,19 +161,15 @@ func (st *state) medoidOf(mem []int32) int32 {
 	return mem[st.ix.Medoid(ids, &st.medoid)]
 }
 
+// seed declares every element of the smallest candidate set (MEmin) a
+// centroid — the paper's heuristic: each useful cluster needs at least one
+// element from MEmin, so MEmin members mark all viable regions.
 func (st *state) seed(cands *matcher.Candidates) {
-	switch st.cfg.Seeding {
-	case SeedEveryKth:
-		for e := 0; e < len(st.node); e += st.cfg.SeedStride {
-			st.clusters = append(st.clusters, clusterRef{medoid: int32(e)})
-		}
-	default: // SeedMEmin
-		if min := cands.MinSet(); min >= 0 {
-			bit := uint64(1) << uint(min)
-			for e, m := range st.mask {
-				if m&bit != 0 {
-					st.clusters = append(st.clusters, clusterRef{medoid: int32(e)})
-				}
+	if min := cands.MinSet(); min >= 0 {
+		bit := uint64(1) << uint(min)
+		for e, m := range st.mask {
+			if m&bit != 0 {
+				st.clusters = append(st.clusters, clusterRef{medoid: int32(e)})
 			}
 		}
 	}

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"bellflower/internal/cluster"
-	"bellflower/internal/labeling"
 	"bellflower/internal/matcher"
 	"bellflower/internal/objective"
 	"bellflower/internal/pipeline"
@@ -367,6 +366,3 @@ func (r *EndToEnd) Render() string {
 	return fmt.Sprintf("End-to-end (median of %d runs) — tree: %v, medium clusters: %v, speedup: %.2fx\n",
 		endToEndRuns, r.TreeTotal.Round(time.Millisecond), r.MediumTotal.Round(time.Millisecond), r.Speedup)
 }
-
-// LabelingIndex exposes the runner's index for benchmarks.
-func (e *Env) LabelingIndex() *labeling.Index { return e.Runner.Index() }

@@ -3,14 +3,15 @@
 // within a cluster, scores them with the objective function, and returns
 // every schema mapping with Δ(s,t) ≥ δ.
 //
-// Two search algorithms are provided. Exhaustive enumerates the full
-// search space (the O(|MEn|^|Ns|) baseline). BranchAndBound, the paper's
-// choice (an adaptation of the B&B scheme of Kreher & Stinson), extends
-// partial mappings in personal-schema preorder and prunes with an
-// admissible bounding function, so it discovers exactly the same mappings
-// while generating far fewer partial mappings. The number of partial
-// mappings generated is the paper's machine-independent efficiency
-// indicator (Tab. 1b).
+// The search is the paper's Branch & Bound (an adaptation of the scheme of
+// Kreher & Stinson): it extends partial mappings in personal-schema
+// preorder and prunes with an admissible bounding function, so it
+// discovers exactly the mappings that enumerating the full search space
+// (the O(|MEn|^|Ns|) baseline) would, while generating far fewer partial
+// mappings. The number of partial mappings generated is the paper's
+// machine-independent efficiency indicator (Tab. 1b). The enumeration
+// itself lives only in the tests, as a reference that shares no code with
+// the search (reference_test.go).
 //
 // One search runs every request (GenerateTopNStop; Generate,
 // GenerateInCluster and GenerateTopN are thin entries into it), on the
@@ -21,13 +22,12 @@
 // level as soon as the bound over the mapped subtree as it stands falls
 // below the floor (candidate sets are in descending similarity, so every
 // later candidate is below it too). With n <= 0 the floor stays at δ and
-// every mapping at or above it is returned — the threshold search, under
-// the configured Algorithm. With n > 0 the floor starts at δ and rises to
-// the N-th best Δ found so far, kept in a top-N heap; clusters are visited
-// best-first by their bound (smaller search space first among equals), and
-// late clusters are often skipped without being searched. The top-N list
-// is handed back as a compact copy (Compact), so what a caller retains pins
-// no search memory.
+// every mapping at or above it is returned — the threshold search. With
+// n > 0 the floor starts at δ and rises to the N-th best Δ found so far,
+// kept in a top-N heap; clusters are visited best-first by their bound
+// (smaller search space first among equals), and late clusters are often
+// skipped without being searched. The top-N list is handed back as a
+// compact copy (Compact), so what a caller retains pins no search memory.
 //
 // Ranked lists from independent searches — per-shard lists when a
 // repository is partitioned across several serve.Service instances — are

@@ -69,22 +69,21 @@ func randomCase(seed int64) (*labeling.Index, *objective.Evaluator, *matcher.Can
 	return ix, ev, cands, clusters
 }
 
-// checkTopNEquivalence runs the identity chain — top-N ≡
-// enumerate-then-truncate, the enumeration being both the engine's own
-// Exhaustive threshold search and the test-local reference that shares no
-// code with it — for one seeded case, and pins that a repeated search
-// (warm pooled state) repeats every counter.
+// checkTopNEquivalence runs the identity chain — the threshold search ≡
+// the test-local enumeration that shares no code with it, and top-N ≡
+// enumerate-then-truncate — for one seeded case, and pins that a repeated
+// search (warm pooled state) repeats every counter.
 func checkTopNEquivalence(t *testing.T, seed int64, n int, threshold float64) {
 	t.Helper()
 	ix, ev, cands, clusters := randomCase(seed)
 
 	exh, _ := refGenerate(ix, ev, cands, clusters, threshold, false)
-	own, _ := New(Config{Threshold: threshold, Algorithm: Exhaustive}, ix, ev, cands).Generate(clusters)
-	mappingsIdentical(t, "exhaustive threshold search vs reference", own, exh)
+	g := New(Config{Threshold: threshold}, ix, ev, cands)
+	own, _ := g.Generate(clusters)
+	mappingsIdentical(t, "threshold search vs enumeration", own, exh)
 	if len(exh) > n {
 		exh = exh[:n]
 	}
-	g := New(Config{Threshold: threshold}, ix, ev, cands)
 	top, ctr := g.GenerateTopN(clusters, n)
 	mappingsIdentical(t, "top-N vs exhaustive", top, exh)
 	again, againCtr := g.GenerateTopN(clusters, n)

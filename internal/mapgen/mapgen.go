@@ -11,29 +11,6 @@ import (
 	"bellflower/internal/schema"
 )
 
-// Algorithm selects the search strategy.
-type Algorithm int
-
-const (
-	// BranchAndBound prunes partial mappings whose optimistic bound falls
-	// below the threshold δ.
-	BranchAndBound Algorithm = iota
-	// Exhaustive enumerates every combination; the ablation baseline.
-	Exhaustive
-)
-
-// String returns the algorithm name.
-func (a Algorithm) String() string {
-	switch a {
-	case BranchAndBound:
-		return "branch-and-bound"
-	case Exhaustive:
-		return "exhaustive"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
 // Mapping is one discovered schema mapping s ↦ t.
 type Mapping struct {
 	// Images[i] is the repository node the personal node with preorder
@@ -85,10 +62,6 @@ func (c *Counters) Add(other Counters) {
 type Config struct {
 	// Threshold is δ: only mappings with Δ(s,t) ≥ δ are returned.
 	Threshold float64
-
-	// Algorithm selects BranchAndBound (default) or Exhaustive. It governs
-	// the threshold search; a top-N search always bounds.
-	Algorithm Algorithm
 
 	// Stats, when non-nil, accumulates engine effectiveness counters
 	// (partial mappings, bound skips, floor tightenings, pool reuses)
@@ -153,8 +126,8 @@ func rankLess(a, b *Mapping) bool {
 
 // mappingSorter sorts mappings under rankLess through a concrete
 // sort.Interface: no reflection-based swapper and no by-value Mapping
-// copies in the comparator — ranking is the hottest part of exhaustive
-// generation in mapping-dense clusters.
+// copies in the comparator — ranking is the hottest part of a threshold
+// search in mapping-dense clusters.
 type mappingSorter []Mapping
 
 func (s mappingSorter) Len() int           { return len(s) }

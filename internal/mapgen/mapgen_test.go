@@ -1,6 +1,7 @@
 package mapgen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,25 +178,20 @@ func TestScoreMatchesEvaluator(t *testing.T) {
 	}
 }
 
+// The threshold search returns exactly the mappings of the test-local
+// enumeration (reference_test.go), with never more partial mappings.
 func TestExhaustiveEqualsBranchAndBound(t *testing.T) {
 	f := newFix(t, objective.Params{Alpha: 0.5, K: 4}, 0.3,
 		"book(title,author)",
 		"lib(book(title,author),book(titel,autor),paper(title,author))",
 		"store(dept(book(title,author(name))))")
 	for _, delta := range []float64{0.4, 0.6, 0.75, 0.9} {
-		bb, bbCtr := f.gen(Config{Threshold: delta, Algorithm: BranchAndBound}).Generate(f.treeClusters())
-		ex, exCtr := f.gen(Config{Threshold: delta, Algorithm: Exhaustive}).Generate(f.treeClusters())
-		if len(bb) != len(ex) {
-			t.Fatalf("δ=%v: B&B found %d, exhaustive %d", delta, len(bb), len(ex))
-		}
-		for i := range bb {
-			if math.Abs(bb[i].Score.Delta-ex[i].Score.Delta) > 1e-12 {
-				t.Errorf("δ=%v: rank %d deltas differ: %v vs %v", delta, i, bb[i].Score.Delta, ex[i].Score.Delta)
-			}
-		}
-		if bbCtr.PartialMappings > exCtr.PartialMappings {
-			t.Errorf("δ=%v: B&B generated more partials (%d) than exhaustive (%d)",
-				delta, bbCtr.PartialMappings, exCtr.PartialMappings)
+		bb, bbCtr := f.gen(Config{Threshold: delta}).Generate(f.treeClusters())
+		ex, exPartials := refGenerate(f.ix, f.ev, f.cands, f.treeClusters(), delta, false)
+		mappingsIdentical(t, fmt.Sprintf("δ=%v: B&B vs enumeration", delta), bb, ex)
+		if bbCtr.PartialMappings > exPartials {
+			t.Errorf("δ=%v: B&B generated more partials (%d) than enumeration (%d)",
+				delta, bbCtr.PartialMappings, exPartials)
 		}
 	}
 }
@@ -204,10 +200,10 @@ func TestBnBPrunesAtHighThreshold(t *testing.T) {
 	f := newFix(t, objective.Params{Alpha: 0.5, K: 4}, 0.3,
 		"book(title,author)",
 		"lib(book(title,author),bok(titel,autor),bk(ttle,athr))")
-	_, bb := f.gen(Config{Threshold: 0.95, Algorithm: BranchAndBound}).Generate(f.treeClusters())
-	_, ex := f.gen(Config{Threshold: 0.95, Algorithm: Exhaustive}).Generate(f.treeClusters())
-	if bb.PartialMappings >= ex.PartialMappings {
-		t.Errorf("B&B should prune at δ=0.95: %d vs %d partials", bb.PartialMappings, ex.PartialMappings)
+	_, bb := f.gen(Config{Threshold: 0.95}).Generate(f.treeClusters())
+	_, ex := refGenerate(f.ix, f.ev, f.cands, f.treeClusters(), 0.95, false)
+	if bb.PartialMappings >= ex {
+		t.Errorf("B&B should prune at δ=0.95: %d vs %d partials", bb.PartialMappings, ex)
 	}
 }
 
@@ -291,9 +287,9 @@ func TestGeneratePartialTooFewCovered(t *testing.T) {
 	}
 }
 
-// Property: on random fixtures, B&B and exhaustive return identical mapping
-// sets (same size, same score multiset) — i.e. the bounding function is
-// admissible — and B&B never generates more partial mappings.
+// Property: on random fixtures, B&B and the enumeration return identical
+// mapping sets (same size, same score multiset) — i.e. the bounding
+// function is admissible — and B&B never generates more partial mappings.
 func TestBnBAdmissibleProperty(t *testing.T) {
 	words := []string{"book", "title", "author", "name", "isbn", "data"}
 	f := func(seed int64, alphaPct, deltaPct uint8) bool {
@@ -316,10 +312,8 @@ func TestBnBAdmissibleProperty(t *testing.T) {
 		ev := objective.NewEvaluator(objective.Params{Alpha: alpha, K: 4}, ix, personal)
 		clusters := cluster.TreeClusters(ix, cands).Clusters
 
-		bbG := New(Config{Threshold: delta, Algorithm: BranchAndBound}, ix, ev, cands)
-		exG := New(Config{Threshold: delta, Algorithm: Exhaustive}, ix, ev, cands)
-		bb, bbCtr := bbG.Generate(clusters)
-		ex, exCtr := exG.Generate(clusters)
+		bb, bbCtr := New(Config{Threshold: delta}, ix, ev, cands).Generate(clusters)
+		ex, exPartials := refGenerate(ix, ev, cands, clusters, delta, false)
 		if len(bb) != len(ex) {
 			return false
 		}
@@ -328,7 +322,7 @@ func TestBnBAdmissibleProperty(t *testing.T) {
 				return false
 			}
 		}
-		return bbCtr.PartialMappings <= exCtr.PartialMappings
+		return bbCtr.PartialMappings <= exPartials
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

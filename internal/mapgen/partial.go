@@ -239,15 +239,11 @@ func (ps *partialSearch) run(k int, simSum float64) {
 		if parent >= 0 {
 			mark = st.union.Push(st.images[parent], c.Node)
 		}
-		prune := false
-		if ps.g.cfg.Algorithm == BranchAndBound {
-			bound := ps.g.ev.Combine(
-				(simSum+c.Sim+st.suffixBest[k+1])/float64(ps.n),
-				ps.deltaPath(st.union.Size()),
-			)
-			prune = belowFloor(bound, ps.g.cfg.Threshold)
-		}
-		if !prune {
+		bound := ps.g.ev.Combine(
+			(simSum+c.Sim+st.suffixBest[k+1])/float64(ps.n),
+			ps.deltaPath(st.union.Size()),
+		)
+		if !belowFloor(bound, ps.g.cfg.Threshold) {
 			st.images[i] = c.Node
 			st.sims[i] = c.Sim
 			st.used.Set(c.Node.ID)

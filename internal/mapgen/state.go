@@ -127,7 +127,7 @@ type searchState struct {
 	// imgSlab and simSlab are append-only chunks whose tails are carved
 	// into emitted Mapping Images/Sims slices: one chunk allocation serves
 	// slabRuns emissions instead of two allocations per mapping, which is
-	// most of the GC pressure of mapping-dense exhaustive searches. Carved
+	// most of the GC pressure of mapping-dense threshold searches. Carved
 	// regions are capped (three-index slices) and handed off to the
 	// results, never recycled — continuing to carve a chunk's tail later,
 	// even from another search, touches disjoint memory. Dropped on

@@ -31,8 +31,7 @@ func (g *Generator) GenerateTopN(clusters []*cluster.Cluster, n int) ([]Mapping,
 }
 
 // GenerateTopNStop is the package's one search entry: the top-N search for
-// n > 0, the threshold search (every mapping with Δ ≥ δ, under the
-// configured Algorithm) for n <= 0. The returned list is ranked and, for
+// n > 0, the threshold search (every mapping with Δ ≥ δ) for n <= 0. The returned list is ranked and, for
 // n > 0, bit-identical — scores and order — to exhaustive generation
 // truncated to n; a top-N list is a compact copy (Compact). stop is
 // consulted between clusters, and a true return abandons the search,
@@ -47,8 +46,7 @@ func (g *Generator) GenerateTopNStop(clusters []*cluster.Cluster, n int, stop fu
 
 	s := search{
 		g: g, st: st, n: st.n, all: 1<<uint(st.n) - 1,
-		limit: n, prune: n > 0 || g.cfg.Algorithm == BranchAndBound,
-		floor: g.cfg.Threshold,
+		limit: n, floor: g.cfg.Threshold,
 	}
 	if n > 0 {
 		s.kept = st.heap[:0]
@@ -226,7 +224,6 @@ type search struct {
 	n     int
 	all   uint64 // one bit per personal node
 	limit int    // N of the top-N mode; <= 0 keeps every mapping at or above δ
-	prune bool   // false only for the Exhaustive threshold search
 	floor float64
 
 	kept        []Mapping
@@ -346,7 +343,7 @@ func (s *search) run(i int, simSum float64) {
 	before := ev.DeltaPath(t.edgesAtLeast(later | 1<<uint(i)))
 	for _, c := range s.sets[i] {
 		dsim := (simSum + c.Sim + rest) / float64(s.n)
-		if s.prune && belowFloor(ev.Combine(dsim, before), s.floor) {
+		if belowFloor(ev.Combine(dsim, before), s.floor) {
 			break
 		}
 		if st.used.Has(c.Node.ID) {
@@ -359,7 +356,7 @@ func (s *search) run(i int, simSum float64) {
 		}
 		mark := t.push(from, id)
 		t.adjust(id, -1) // an image is no longer a free candidate
-		if !s.prune || !belowFloor(ev.Combine(dsim, ev.DeltaPath(t.edgesAtLeast(later))), s.floor) {
+		if !belowFloor(ev.Combine(dsim, ev.DeltaPath(t.edgesAtLeast(later))), s.floor) {
 			st.images[i] = c.Node
 			st.sims[i] = c.Sim
 			st.used.Set(c.Node.ID)

@@ -185,7 +185,7 @@ func (v *Vocabulary) Match(personal *schema.Tree, m Matcher, cfg Config) (*Candi
 		out.Sets[i].Personal = p
 		if k, ok := memoKey(m, p, cfg.MinSim); ok {
 			if row, ok := ni.memo.get(k); ok {
-				out.Sets[i].Elems = v.emit(row, cfg.MaxPerNode)
+				out.Sets[i].Elems = v.emit(row)
 				info.MemoHits++
 				continue
 			}
@@ -220,7 +220,7 @@ func (v *Vocabulary) Match(personal *schema.Tree, m Matcher, cfg Config) (*Candi
 				row = slices.Clone(row) // stored rows are immutable; ps.row is reused
 				ni.memo.put(k, row)
 			}
-			out.Sets[missed[j]].Elems = v.emit(row, cfg.MaxPerNode)
+			out.Sets[missed[j]].Elems = v.emit(row)
 			ni.savedCalls.Add(int64(max(0, len(v.nodes)-len(ni.keys))))
 		}
 	}
@@ -284,8 +284,8 @@ const mergeGroups = 16
 // this universe contributes its node group at the key's score. Rows are
 // score-descending and groups ID-ascending, so copying groups in row order
 // yields (sim desc, node ID asc) once the groups inside a run of equal score
-// are merged by ID. k > 0 keeps the best k (MaxPerNode).
-func (v *Vocabulary) emit(row []rowEntry, k int) []Candidate {
+// are merged by ID.
+func (v *Vocabulary) emit(row []rowEntry) []Candidate {
 	total := 0
 	for _, e := range row {
 		total += len(v.groups[e.key])
@@ -304,9 +304,6 @@ func (v *Vocabulary) emit(row []rowEntry, k int) []Candidate {
 	for i, e := range row {
 		if i > 0 && e.sim != row[i-1].sim {
 			closeRun()
-			if k > 0 && len(elems) >= k {
-				break
-			}
 		}
 		group := v.groups[e.key]
 		if len(group) == 0 {
@@ -328,8 +325,5 @@ func (v *Vocabulary) emit(row []rowEntry, k int) []Candidate {
 		}
 	}
 	closeRun()
-	if k > 0 && len(elems) > k {
-		elems = slices.Clone(elems[:k]) // do not pin the untruncated buffer
-	}
 	return elems
 }

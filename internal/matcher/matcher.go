@@ -311,10 +311,6 @@ type Config struct {
 	// as a mapping element. The paper keeps all non-zero pairs; a small
 	// positive threshold bounds noise on large repositories.
 	MinSim float64
-
-	// MaxPerNode truncates each MEn to its best MaxPerNode candidates
-	// (0 = unlimited). An efficiency guard, off in paper-faithful runs.
-	MaxPerNode int
 }
 
 // FindCandidates cross-compares every personal node with every repository
@@ -351,9 +347,6 @@ func FindCandidatesAmong(personal *schema.Tree, nodes []*schema.Node, m Matcher,
 			}
 		}
 		slices.SortFunc(elems, candidateCompare)
-		if cfg.MaxPerNode > 0 && len(elems) > cfg.MaxPerNode {
-			elems = elems[:cfg.MaxPerNode]
-		}
 		out.Sets[i].Elems = elems
 	}
 	return out

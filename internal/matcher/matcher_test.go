@@ -199,15 +199,6 @@ func TestCandidatesMinSet(t *testing.T) {
 	}
 }
 
-func TestMaxPerNode(t *testing.T) {
-	personal := schema.MustParseSpec("book")
-	repo := buildRepo("lib(book,book,book,book,book)")
-	cands := FindCandidates(personal, repo, NameMatcher{}, Config{MinSim: 0.1, MaxPerNode: 2})
-	if got := len(cands.Set(personal.Root()).Elems); got != 2 {
-		t.Errorf("MaxPerNode not applied: %d", got)
-	}
-}
-
 func TestMappingElementNodes(t *testing.T) {
 	personal := schema.MustParseSpec("book(title)")
 	repo := buildRepo("lib(book(title),title)")

@@ -38,10 +38,10 @@ func uniqueNameRepo(rng *rand.Rand, trees, perTree int) *schema.Repository {
 
 // TestMemoStreamEquivalenceProperty sends a request stream with recurring and
 // fresh names through ONE NameIndex serving the full vocabulary and two
-// disjoint view vocabularies, under every matcher family and the MinSim ×
-// MaxPerNode grid. Every call — first sight or served from the memo, a row
-// stored by another universe or another configuration's neighbour — must be
-// bit-identical to the naive kernel over that call's universe.
+// disjoint view vocabularies, under every matcher family and MinSim. Every
+// call — first sight or served from the memo, a row stored by another
+// universe — must be bit-identical to the naive kernel over that call's
+// universe.
 func TestMemoStreamEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	repo := randomKernelRepo(rng, 8, 12)
@@ -74,14 +74,12 @@ func TestMemoStreamEquivalenceProperty(t *testing.T) {
 
 	for name, m := range kernelMatchers() {
 		for _, ms := range []float64{0, 0.3, 0.45, 0.7} {
-			for _, k := range []int{0, 1, 3, 17} {
-				cfg := Config{MinSim: ms, MaxPerNode: k}
-				for si, personal := range stream {
-					for uname, nodes := range universes {
-						want := FindCandidatesAmong(personal, nodes, m, cfg)
-						got := vocabs[uname].FindCandidates(personal, m, cfg)
-						assertSameCandidates(t, fmt.Sprintf("%s minSim=%v maxPerNode=%d request %d universe %s", name, ms, k, si, uname), got, want)
-					}
+			cfg := Config{MinSim: ms}
+			for si, personal := range stream {
+				for uname, nodes := range universes {
+					want := FindCandidatesAmong(personal, nodes, m, cfg)
+					got := vocabs[uname].FindCandidates(personal, m, cfg)
+					assertSameCandidates(t, fmt.Sprintf("%s minSim=%v request %d universe %s", name, ms, si, uname), got, want)
 				}
 			}
 		}
@@ -269,17 +267,15 @@ func TestEmitOrderOnUnsortedUniverse(t *testing.T) {
 	vocab := ni.Vocabulary(nodes)
 	personal := randomKernelPersonal(rng, 7)
 	for name, m := range kernelMatchers() {
-		for _, k := range []int{0, 5} {
-			cfg := Config{MinSim: 0.3, MaxPerNode: k}
-			want := FindCandidatesAmong(personal, nodes, m, cfg)
-			for _, pass := range []string{"miss", "hit"} {
-				got := vocab.FindCandidates(personal, m, cfg)
-				assertSameCandidates(t, fmt.Sprintf("%s k=%d %s", name, k, pass), got, want)
-				for i := range got.Sets {
-					for j := 1; j < len(got.Sets[i].Elems); j++ {
-						if candidateCompare(got.Sets[i].Elems[j-1], got.Sets[i].Elems[j]) >= 0 {
-							t.Fatalf("%s k=%d: set %d out of order at %d", name, k, i, j)
-						}
+		cfg := Config{MinSim: 0.3}
+		want := FindCandidatesAmong(personal, nodes, m, cfg)
+		for _, pass := range []string{"miss", "hit"} {
+			got := vocab.FindCandidates(personal, m, cfg)
+			assertSameCandidates(t, fmt.Sprintf("%s %s", name, pass), got, want)
+			for i := range got.Sets {
+				for j := 1; j < len(got.Sets[i].Elems); j++ {
+					if candidateCompare(got.Sets[i].Elems[j-1], got.Sets[i].Elems[j]) >= 0 {
+						t.Fatalf("%s: set %d out of order at %d", name, i, j)
 					}
 				}
 			}

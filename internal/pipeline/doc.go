@@ -19,8 +19,8 @@
 // The generation stage is one call into one search, on the calling
 // goroutine (mapgen.GenerateTopNStop): a request with TopN > 0 runs the
 // bounded top-N search, with or without a StructureMatcher; TopN == 0 —
-// the set is the answer — and the Algorithm: Exhaustive experiment knob
-// run the threshold search through the same entry. Report.Counters
+// the set is the answer — runs the threshold search through the same
+// entry. Both are the paper's Branch & Bound. Report.Counters
 // describe the search that ran and are a function of the request alone.
 // Mappings come back in mapgen.Rank order and partial mappings in
 // mapgen.RankPartials order, both total orders over global node and

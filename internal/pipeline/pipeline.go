@@ -100,12 +100,6 @@ type Options struct {
 	// fuzzy name matcher).
 	Matcher matcher.Matcher
 
-	// Algorithm selects the mapping generator search (default B&B).
-	// mapgen.Exhaustive is the experiments' ablation knob: it enumerates
-	// the whole search space without bounding and, with a positive TopN,
-	// truncates afterwards.
-	Algorithm mapgen.Algorithm
-
 	// IncludePartials also collects partial mappings from non-useful
 	// clusters (the Sec. 2.3 extension).
 	IncludePartials bool
@@ -558,24 +552,15 @@ func (r *Runner) runGeneration(ctx context.Context, personal *schema.Tree, cands
 	}
 
 	ev := objective.NewEvaluator(opts.Objective, r.ix, personal)
-	genCfg := mapgen.Config{
-		Threshold: opts.Threshold,
-		Algorithm: opts.Algorithm,
-		Stats:     r.genStats,
-	}
+	genCfg := mapgen.Config{Threshold: opts.Threshold, Stats: r.genStats}
 	gen := mapgen.New(genCfg, r.ix, ev, cands)
 	complete := gen // searches the useful clusters; gen keeps the partial mappings
 	if opts.StructureMatcher != nil {
 		complete = mapgen.New(genCfg, r.ix, ev, r.rescoreUseful(cands, useful, opts))
 	}
 	// Every top-N request runs the bounded search; the threshold search is
-	// for requests whose answer is the whole set, and for the Exhaustive
-	// experiment knob, which enumerates first and truncates after.
-	n := opts.TopN
-	if opts.Algorithm == mapgen.Exhaustive {
-		n = 0
-	}
-	ms, ctr := complete.GenerateTopNStop(useful, n, func() bool { return ctx.Err() != nil })
+	// for requests whose answer is the whole set.
+	ms, ctr := complete.GenerateTopNStop(useful, opts.TopN, func() bool { return ctx.Err() != nil })
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -583,11 +568,7 @@ func (r *Runner) runGeneration(ctx context.Context, personal *schema.Tree, cands
 	gsp.SetAttrInt("useful_clusters", int64(rep.UsefulClusters))
 	gsp.SetAttrInt("partials", ctr.PartialMappings)
 	gsp.SetAttrInt("complete", ctr.CompleteMappings)
-	rep.FirstGoodAfter = firstGoodAfter(useful, ms, n)
-	if opts.TopN > 0 && len(ms) > opts.TopN {
-		// Copy on truncate: a report must not pin the full enumeration.
-		ms = mapgen.Compact(ms[:opts.TopN])
-	}
+	rep.FirstGoodAfter = firstGoodAfter(useful, ms, opts.TopN)
 	rep.Mappings = ms
 
 	if opts.IncludePartials {

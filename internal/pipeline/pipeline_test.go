@@ -313,29 +313,6 @@ func TestClusterQualityValue(t *testing.T) {
 	}
 }
 
-func TestExhaustiveAlgorithmOption(t *testing.T) {
-	r := NewRunner(smallRepo())
-	opts := DefaultOptions()
-	opts.MinSim = 0.3
-	opts.Variant = VariantTree
-	bb, err := r.Run(personBooks(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Algorithm = mapgen.Exhaustive
-	ex, err := r.Run(personBooks(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bb.Mappings) != len(ex.Mappings) {
-		t.Errorf("B&B (%d) and exhaustive (%d) disagree", len(bb.Mappings), len(ex.Mappings))
-	}
-	if bb.Counters.PartialMappings >= ex.Counters.PartialMappings {
-		t.Errorf("B&B should generate fewer partials: %d vs %d",
-			bb.Counters.PartialMappings, ex.Counters.PartialMappings)
-	}
-}
-
 func TestReportDerived(t *testing.T) {
 	r := NewRunner(smallRepo())
 	opts := DefaultOptions()

@@ -149,25 +149,6 @@ func TestTopNEqualsEnumerateThenTruncate(t *testing.T) {
 							t.Errorf("%s: partial mappings nobody asked for", label)
 						}
 					}
-					// The Exhaustive knob enumerates first and truncates
-					// after: same list, and the truncation copies.
-					o := opts
-					o.TopN, o.Algorithm = 5, mapgen.Exhaustive
-					rep, err := r.Run(personal, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := ref.Mappings
-					if len(want) > 5 {
-						want = want[:5]
-					}
-					sameMappings(t, "exhaustive then truncate", rep.Mappings, want)
-					if cap(rep.Mappings) != len(rep.Mappings) {
-						t.Errorf("truncated exhaustive report pins %d mappings for %d", cap(rep.Mappings), len(rep.Mappings))
-					}
-					if rep.FirstGoodAfter != ref.FirstGoodAfter {
-						t.Errorf("exhaustive FirstGoodAfter = %d, threshold search %d", rep.FirstGoodAfter, ref.FirstGoodAfter)
-					}
 				}
 			}
 		}

@@ -46,10 +46,21 @@ func (q *Query) String() string {
 		b.WriteString("/")
 		b.WriteString(s.Name)
 		for _, p := range s.Predicates {
-			fmt.Fprintf(&b, "[%s=%q]", strings.Join(p.Path, "/"), p.Value)
+			writePredicate(&b, strings.Join(p.Path, "/"), p.Value)
 		}
 	}
 	return b.String()
+}
+
+// writePredicate appends [path=value] with value as an XPath string
+// literal: XPath has no escapes, so a value holding a double quote goes in
+// single quotes (Parse never yields a value holding both).
+func writePredicate(b *strings.Builder, path, value string) {
+	quote := `"`
+	if strings.Contains(value, `"`) {
+		quote = "'"
+	}
+	b.WriteString("[" + path + "=" + quote + value + quote + "]")
 }
 
 // Parse parses an absolute XPath-subset query: /step[pred]/step/...
@@ -248,7 +259,7 @@ func writePredicates(b *strings.Builder, st Step, personalNode *schema.Node, m m
 		}
 		// Drop the leading slash of the relative path inside a predicate.
 		relPath := strings.TrimPrefix(rel.String(), "/")
-		fmt.Fprintf(b, "[%s=%q]", relPath, pred.Value)
+		writePredicate(b, relPath, pred.Value)
 	}
 	return nil
 }

@@ -100,6 +100,9 @@ func ReadRepository(r io.Reader) (*Repository, error) {
 		if depth > len(stack) || (depth == 0 && len(stack) > 0) {
 			return nil, fmt.Errorf("schema: line %d: depth %d does not follow preorder", line, depth)
 		}
+		if depth > 0 && stack[depth-1].Kind == KindAttribute {
+			return nil, fmt.Errorf("schema: line %d: attribute %q cannot have children", line, stack[depth-1].Name)
+		}
 		var n *Node
 		switch {
 		case depth == 0:

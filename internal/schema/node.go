@@ -83,12 +83,6 @@ func (n *Node) Tree() *Tree { return n.tree }
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return len(n.children) == 0 }
 
-// IsRoot reports whether the node is the root of its tree.
-func (n *Node) IsRoot() bool { return n.parent == nil }
-
-// NumDescendants returns the number of proper descendants of the node.
-func (n *Node) NumDescendants() int { return n.sub - 1 }
-
 // SubtreeSize returns the number of nodes in the subtree rooted at n,
 // including n itself. The subtree occupies the preorder interval
 // [Pre, Pre+SubtreeSize()) within its tree.
@@ -101,16 +95,6 @@ func (n *Node) IsAncestorOf(m *Node) bool {
 		return false
 	}
 	return n.Pre < m.Pre && n.Post > m.Post
-}
-
-// Ancestors returns the chain of ancestors from the node's parent up to the
-// tree root.
-func (n *Node) Ancestors() []*Node {
-	var out []*Node
-	for p := n.parent; p != nil; p = p.parent {
-		out = append(out, p)
-	}
-	return out
 }
 
 // Path returns the node names from the tree root down to the node, e.g.

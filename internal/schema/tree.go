@@ -56,17 +56,6 @@ func (t *Tree) MaxDepth() int {
 	return max
 }
 
-// FindAll returns all nodes in the tree whose name equals name.
-func (t *Tree) FindAll(name string) []*Node {
-	var out []*Node
-	for _, n := range t.nodes {
-		if n.Name == name {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Find returns the first (preorder) node whose name equals name, or nil.
 func (t *Tree) Find(name string) *Node {
 	for _, n := range t.nodes {

@@ -19,13 +19,6 @@ func walkNode(n *Node, fn func(n *Node) bool) {
 	}
 }
 
-// WalkRepository visits every node of every tree in the forest in ID order.
-func WalkRepository(r *Repository, fn func(n *Node) bool) {
-	for _, t := range r.trees {
-		Walk(t, fn)
-	}
-}
-
 // Leaves returns the leaves of the tree in preorder.
 func Leaves(t *Tree) []*Node {
 	var out []*Node

@@ -108,12 +108,10 @@
 // merging the shards that succeeded when others fail: the report is
 // marked Incomplete and carries per-shard errors
 // (pipeline.Report.ShardErrors); requests that fail on every shard still
-// error. A failed PRE-PASS also degrades under partial results: the
-// request falls back to full per-shard pipelines (MatchStaged with the
-// zero Staged) instead of failing (counted by Stats.PrePassFallbacks; the
-// k-means variants then cluster per shard, an approximation of the global
-// clustering), unless the caller's own context has expired.
-// Stats.PartialResults counts the degraded merges.
+// error. A failed pre-pass fails the request in both modes: it fails only
+// for an expired context, an invalid clustering configuration or a panic,
+// and every shard would run the same code on the same input and fail the
+// same way. Stats.PartialResults counts the degraded merges.
 //
 // # Stats and the metric table
 //

@@ -36,40 +36,25 @@ type HealthReporter interface {
 type HealthConfig struct {
 	// Interval is the base probe period. Every wait is jittered ±20% so a
 	// fleet of monitors started together does not thunder against the
-	// same shard forever. Default 5s.
+	// same shard forever. Each probe is bounded by Interval, capped at
+	// maxProbeTimeout. Default 5s.
 	Interval time.Duration
-
-	// Timeout bounds each probe. Default: Interval capped at 2s.
-	Timeout time.Duration
 
 	// FailureThreshold is the number of CONSECUTIVE failures — background
 	// probes and live-traffic transport errors count alike — after which
 	// the target is marked unhealthy. Default 3.
 	FailureThreshold int
-
-	// SuccessThreshold is the number of consecutive successful probes an
-	// unhealthy target needs before it is re-admitted. Only probes count:
-	// a probe is a full Check (for a remote shard that verifies the
-	// descriptor handshake), so recovery is always gated on topology
-	// re-verification, never on a lucky request. Default 1.
-	SuccessThreshold int
 }
+
+// maxProbeTimeout caps the bound on one probe.
+const maxProbeTimeout = 2 * time.Second
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = c.Interval
-		if c.Timeout > 2*time.Second {
-			c.Timeout = 2 * time.Second
-		}
-	}
 	if c.FailureThreshold <= 0 {
 		c.FailureThreshold = 3
-	}
-	if c.SuccessThreshold <= 0 {
-		c.SuccessThreshold = 1
 	}
 	return c
 }
@@ -117,7 +102,6 @@ type HealthMonitor struct {
 	mu          sync.Mutex
 	healthy     bool
 	failures    int // consecutive failures (probe or traffic)
-	successes   int // consecutive probe successes while unhealthy
 	probes      int64
 	transitions int64
 	lastErr     string
@@ -143,8 +127,8 @@ func NewHealthMonitor(name string, check func(ctx context.Context) error, cfg He
 }
 
 // Start launches the background probe loop: every Interval (jittered
-// ±20%) the check runs under Timeout and feeds the state machine. Idempotent;
-// stop it with Stop.
+// ±20%) the check runs under min(Interval, maxProbeTimeout) and feeds the
+// state machine. Idempotent; stop it with Stop.
 func (m *HealthMonitor) Start() {
 	m.startOnce.Do(func() { go m.loop() })
 }
@@ -181,9 +165,12 @@ func (m *HealthMonitor) jitter(rng *rand.Rand) time.Duration {
 
 // Probe runs one health check immediately (the loop's body; exported so
 // tests and eager callers can drive the state machine without waiting out
-// an interval) and reports the resulting verdict.
+// an interval) and reports the resulting verdict. One clean probe re-admits
+// an unhealthy target: a probe is a full check (for a remote shard it
+// re-verifies the descriptor handshake), so recovery is always gated on
+// topology re-verification, never on a lucky request.
 func (m *HealthMonitor) Probe() bool {
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), min(m.cfg.Interval, maxProbeTimeout))
 	err := m.check(ctx)
 	cancel()
 
@@ -197,12 +184,8 @@ func (m *HealthMonitor) Probe() bool {
 	m.lastErr = ""
 	m.failures = 0
 	if !m.healthy {
-		m.successes++
-		if m.successes >= m.cfg.SuccessThreshold {
-			m.healthy = true
-			m.transitions++
-			m.successes = 0
-		}
+		m.healthy = true
+		m.transitions++
 	}
 	return m.healthy
 }
@@ -220,7 +203,6 @@ func (m *HealthMonitor) recordFailureLocked(err error) {
 	if err != nil {
 		m.lastErr = err.Error()
 	}
-	m.successes = 0
 	m.failures++
 	if m.healthy && m.failures >= m.cfg.FailureThreshold {
 		m.healthy = false
@@ -251,7 +233,6 @@ func (m *HealthMonitor) MarkUnhealthy(err error) {
 	if err != nil {
 		m.lastErr = err.Error()
 	}
-	m.successes = 0
 	if m.failures < m.cfg.FailureThreshold {
 		m.failures = m.cfg.FailureThreshold
 	}

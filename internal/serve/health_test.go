@@ -90,12 +90,12 @@ func TestHealthMonitorStateMachine(t *testing.T) {
 	}
 }
 
-// TestHealthMonitorSuccessThreshold: with SuccessThreshold 2 one clean
-// probe is not enough to re-admit; and an interleaved failure resets the
-// recovery streak.
-func TestHealthMonitorSuccessThreshold(t *testing.T) {
+// TestHealthMonitorOneCleanProbeReadmits: a failed probe keeps a marked-down
+// replica down however often it repeats, and the first clean probe
+// re-admits it.
+func TestHealthMonitorOneCleanProbeReadmits(t *testing.T) {
 	var f flakyCheck
-	m := NewHealthMonitor("shard-b", f.check, HealthConfig{FailureThreshold: 1, SuccessThreshold: 2})
+	m := NewHealthMonitor("shard-b", f.check, HealthConfig{FailureThreshold: 1})
 	defer m.Stop()
 
 	f.fail.Store(true)
@@ -103,21 +103,17 @@ func TestHealthMonitorSuccessThreshold(t *testing.T) {
 	if m.Healthy() {
 		t.Fatal("threshold 1 did not mark down on the first failure")
 	}
-	f.fail.Store(false)
-	m.Probe()
-	if m.Healthy() {
-		t.Fatal("re-admitted after 1 clean probe, want 2")
+	for i := 0; i < 3; i++ {
+		if m.Probe() {
+			t.Fatalf("failed probe %d re-admitted the replica", i+1)
+		}
 	}
-	f.fail.Store(true)
-	m.Probe() // resets the recovery streak
 	f.fail.Store(false)
-	m.Probe()
-	if m.Healthy() {
-		t.Fatal("recovery streak survived an interleaved failure")
+	if !m.Probe() {
+		t.Fatal("one clean probe did not re-admit the replica")
 	}
-	m.Probe()
-	if !m.Healthy() {
-		t.Fatal("2 consecutive clean probes did not re-admit")
+	if s := m.Snapshot(); s.Transitions != 2 || s.ConsecutiveFailures != 0 {
+		t.Fatalf("re-admitted snapshot wrong: %+v", s)
 	}
 }
 

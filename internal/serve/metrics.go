@@ -61,7 +61,6 @@ var metrics = []metric{
 		help: "Matching pipeline executions completed.", shardHelp: "Pipeline executions completed by the shard."},
 	{field: "CandidatePrePass", name: "bellflower_candidate_prepass_total", typ: counter, help: "Full-repository candidate pre-pass executions (router-level element matching, shared across shards)."},
 	{field: "PartialResults", name: "bellflower_partial_results_total", typ: counter, help: "Fanned-out requests served as Incomplete merges under the partial-results option."},
-	{field: "PrePassFallbacks", name: "bellflower_prepass_fallback_total", typ: counter, help: "Requests degraded to full per-shard pipelines after a pre-pass failure (partial-results option)."},
 	{field: "Failovers", name: "bellflower_failovers_total", typ: counter, shard: 12,
 		help: "Match attempts retried on a different replica after a transport error.", shardHelp: "Shard match attempts retried on a different replica after a transport error."},
 	{field: "HealthSkips", name: "bellflower_health_skips_total", typ: counter, help: "Shards skipped by the partial-results fan-out because every replica was unhealthy (no request sent)."},

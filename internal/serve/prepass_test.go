@@ -111,9 +111,8 @@ func TestRouterPrePassConcurrentSharing(t *testing.T) {
 }
 
 // TestRouterPrePassMatchesNoPrePassRouter: the staged pre-pass path and
-// the same shards' own full pipelines, merged — what the pre-pass-failure
-// fallback serves — must produce identical reports: the pre-pass is a pure
-// speedup.
+// the same shards' own full pipelines, merged, must produce identical
+// reports: the pre-pass is a pure speedup.
 func TestRouterPrePassMatchesNoPrePassRouter(t *testing.T) {
 	repo := testRepo(t)
 	withPre := NewRouterFromRepository(repo, 2, Config{})

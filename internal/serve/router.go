@@ -121,12 +121,7 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // trees, so each global cluster is handed wholesale to its owning shard).
 // Shards then run only mapping generation, via ShardBackend.MatchStaged.
 // The projection is exact, and because clustering is global the k-means
-// variants produce the SAME clusters as an unsharded run. Only a FAILED
-// pre-pass under partial results asks the shards for their full pipelines
-// (see Match), where the k-means variants cluster per shard — centroid
-// seeding uses the repository-wide MEmin and termination is a global
-// stability criterion when unsharded — and may keep or drop a different set
-// of low-ranked mappings.
+// variants produce the SAME clusters as an unsharded run.
 //
 // Create with NewRouterFromRepository, NewRouterWithPartition or
 // NewRouterWithShardBackends and release with Close. A Router is safe for
@@ -151,12 +146,11 @@ type Router struct {
 	// Router-level instrumentation: work and rejections that happen above
 	// the shards on the pre-pass path and would otherwise be invisible in
 	// every per-shard snapshot. Folded into Stats().
-	prepassRuns      atomic.Int64 // full-repository pre-pass executions
-	rejected         atomic.Int64 // requests refused before reaching any shard
-	errored          atomic.Int64 // requests failed during the pre-pass (ctx expiry)
-	partialMerges    atomic.Int64 // fan-outs served as Incomplete merges
-	prepassFallbacks atomic.Int64 // pre-pass failures degraded to full per-shard pipelines
-	healthSkips      atomic.Int64 // shards skipped by the fan-out as unhealthy (no request sent)
+	prepassRuns   atomic.Int64 // full-repository pre-pass executions
+	rejected      atomic.Int64 // requests refused before reaching any shard
+	errored       atomic.Int64 // requests failed during the pre-pass
+	partialMerges atomic.Int64 // fan-outs served as Incomplete merges
+	healthSkips   atomic.Int64 // shards skipped by the fan-out as unhealthy (no request sent)
 
 	// Router-level stage histograms (folded into Stats().Stages):
 	// pre-pass executions, fan-out wall time, merge time.
@@ -279,10 +273,9 @@ func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View
 // fan-out instead returns the successful shards' merge marked Incomplete
 // with per-shard errors —
 // unless ctx itself has expired, every shard failed, or a shard reported
-// a topology mismatch (ErrShardMismatch), which still error. A FAILED
-// PRE-PASS also degrades under partial results: the request falls back to
-// full per-shard pipelines (counted by Stats.PrePassFallbacks) instead of
-// failing, unless the failure is the caller's own context expiring.
+// a topology mismatch (ErrShardMismatch), which still error. A failed
+// pre-pass fails the request in both modes: the shards would run the same
+// matching and clustering on the same input and fail the same way.
 func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
 	if r.closed.Load() {
 		return nil, ErrClosed
@@ -314,16 +307,6 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 	}
 	psp.End()
 	if err != nil {
-		// Pre-pass-failure degradation: with partial results enabled, a
-		// failed pre-pass falls back to full per-shard pipelines instead of
-		// failing the request — the shards can still match and cluster
-		// their own slices (for the k-means variants that is the documented
-		// per-shard approximation). The caller's own expiry still errors: a
-		// dead request must not be answered with a degraded success.
-		if r.partial && ctx.Err() == nil && !ctxError(err) {
-			r.prepassFallbacks.Add(1)
-			return r.fanOut(ctx, personal, opts, nil)
-		}
 		r.errored.Add(1)
 		return nil, err
 	}
@@ -456,12 +439,11 @@ func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts
 	return e, err
 }
 
-// fanOut sends the request to every shard concurrently — with the i-th
-// pre-staged slice when the pre-pass ran, asking for the shard's full
-// pipeline when staged is nil — and merges the per-shard reports. Under strict routing (the
-// default) any shard error fails the request; with partial results
-// enabled, a partially failed fan-out merges the shards that succeeded
-// and marks the report Incomplete with the per-shard errors.
+// fanOut sends the request to every shard concurrently, each with its
+// pre-staged slice, and merges the per-shard reports. Under strict routing
+// (the default) any shard error fails the request; with partial results
+// enabled, a partially failed fan-out merges the shards that succeeded and
+// marks the report Incomplete with the per-shard errors.
 func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged []Staged) (*pipeline.Report, error) {
 	fanStart := time.Now()
 	fctx, fsp := trace.StartSpan(ctx, "fanout")
@@ -488,11 +470,7 @@ func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipelin
 			defer wg.Done()
 			sctx, ssp := trace.StartSpan(fctx, "shard")
 			ssp.SetAttrInt("shard", int64(i))
-			var st Staged
-			if staged != nil {
-				st = staged[i]
-			}
-			reps[i], errs[i] = s.MatchStaged(sctx, personal, opts, st)
+			reps[i], errs[i] = s.MatchStaged(sctx, personal, opts, staged[i])
 			if errs[i] != nil {
 				ssp.SetAttr("error", errs[i].Error())
 			}
@@ -647,7 +625,6 @@ func (r *Router) Snapshot() (Stats, []Stats) {
 	total.Rejected += rejected
 	total.Errors += errored
 	total.PartialResults += r.partialMerges.Load()
-	total.PrePassFallbacks += r.prepassFallbacks.Load()
 	total.HealthSkips += r.healthSkips.Load()
 	total.CacheBytes += r.prepass.residentBytes()
 	total.Stages = mergeStages(total.Stages, r.routerStages())
@@ -702,10 +679,6 @@ func (r *Router) Shard(i int) *Service {
 	}
 	return r.locals[i]
 }
-
-// ShardBackendAt returns the i-th shard backend — always non-nil, remote
-// or local. The router retains ownership.
-func (r *Router) ShardBackendAt(i int) ShardBackend { return r.shards[i] }
 
 // Close closes every shard concurrently and blocks until all have drained.
 // It is idempotent; Match calls after Close return ErrClosed.

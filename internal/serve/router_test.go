@@ -178,9 +178,8 @@ func TestRouterClusteredVariantExactWithPrePass(t *testing.T) {
 		t.Errorf("iterations %d, want %d", sharded.Iterations, direct.Iterations)
 	}
 
-	// Per-shard clustering (the shards' own full pipelines, as the
-	// pre-pass-failure fallback serves them): well-formed, but no exactness
-	// claim.
+	// Per-shard clustering (the shards' own full pipelines): well-formed,
+	// but no exactness claim.
 	noPre := NewRouterFromRepository(repo, 4, Config{})
 	defer noPre.Close()
 	reps := make([]*pipeline.Report, noPre.NumShards())

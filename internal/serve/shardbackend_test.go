@@ -71,65 +71,50 @@ func stubRouter(t *testing.T, cfg Config, stubs ...*stubShard) *Router {
 	return r
 }
 
-// TestPrePassFailureDegradation: when the shared pre-pass fails for a
-// non-context reason, a partial-results router falls back to full
-// per-shard pipelines (the zero Staged) instead of failing the request,
-// counts the fallback, and a strict router still errors.
-func TestPrePassFailureDegradation(t *testing.T) {
-	// An invalid cluster-config override passes Options.Validate but fails
-	// ComputeClusters inside the pre-pass — a deterministic pre-pass
-	// failure the stub shards are immune to.
-	badOpts := testOpts()
-	badOpts.Variant = pipeline.VariantMedium
-	badOpts.ClusterConfig = &cluster.Config{} // MaxIterations 0 → invalid
+// invalidClusterOpts passes Options.Validate but fails ComputeClusters: a
+// deterministic pre-pass failure.
+func invalidClusterOpts() pipeline.Options {
+	o := testOpts()
+	o.Variant = pipeline.VariantMedium
+	o.ClusterConfig = &cluster.Config{} // MaxIterations 0 → invalid
+	return o
+}
 
-	strict, strictStubs := backendRouter(t, Config{})
-	if _, err := strict.Match(context.Background(), personal(), badOpts); err == nil {
-		t.Fatal("strict router served a request whose pre-pass failed")
-	}
-	if got := strict.Stats().PrePassFallbacks; got != 0 {
-		t.Errorf("strict PrePassFallbacks = %d, want 0", got)
-	}
-	if n := strictStubs[0].matchCalls.Load() + strictStubs[1].matchCalls.Load(); n != 0 {
-		t.Errorf("strict router reached shards %d times after a pre-pass failure", n)
-	}
-
-	r, stubs := backendRouter(t, Config{PartialResults: true})
-	rep, err := r.Match(context.Background(), personal(), badOpts)
-	if err != nil {
-		t.Fatalf("partial-results router did not degrade: %v", err)
-	}
-	if rep.Incomplete {
-		t.Error("fully successful degraded fan-out marked Incomplete")
-	}
-	if len(rep.Mappings) != 2 {
-		t.Fatalf("degraded merge has %d mappings, want 2", len(rep.Mappings))
-	}
-	if rep.Mappings[0].Score.Delta != 0.9 || rep.Mappings[1].Score.Delta != 0.8 {
-		t.Errorf("degraded merge not rank-merged: %+v", rep.Mappings)
-	}
-	for i, s := range stubs {
-		if s.matchCalls.Load() != 1 || s.stagedCalls.Load() != 0 {
-			t.Errorf("shard %d: match=%d staged=%d, want the full-pipeline path exactly once",
-				i, s.matchCalls.Load(), s.stagedCalls.Load())
+// TestPrePassFailureFailsFast: a failed pre-pass fails the request under
+// strict and partial-results routing alike, reaches no shard, and counts
+// once in errors.
+func TestPrePassFailureFailsFast(t *testing.T) {
+	for _, partial := range []bool{false, true} {
+		r, stubs := backendRouter(t, Config{PartialResults: partial})
+		if _, err := r.Match(context.Background(), personal(), invalidClusterOpts()); err == nil {
+			t.Fatalf("partial=%v: router served a request whose pre-pass failed", partial)
+		}
+		for i, s := range stubs {
+			if n := s.matchCalls.Load() + s.stagedCalls.Load(); n != 0 {
+				t.Errorf("partial=%v: shard %d reached %d times after a pre-pass failure", partial, i, n)
+			}
+		}
+		if st := r.Stats(); st.Errors != 1 || st.Requests != 1 {
+			t.Errorf("partial=%v: errors=%d requests=%d, want 1 and 1", partial, st.Errors, st.Requests)
 		}
 	}
-	st := r.Stats()
-	if st.PrePassFallbacks != 1 {
-		t.Errorf("PrePassFallbacks = %d, want 1", st.PrePassFallbacks)
-	}
-	if st.Errors != 0 {
-		t.Errorf("degraded request counted as an error (%d)", st.Errors)
-	}
+}
 
-	// The caller's own expiry must NOT degrade: a dead request errors.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.Match(ctx, personal(), badOpts); err == nil {
-		t.Error("cancelled request served a degraded merge")
+// TestPrePassFailureOnServiceShards: real shards run the same matching and
+// clustering on the same input as the pre-pass, so a request whose
+// pre-pass fails would fail on every in-process Service shard too — no
+// shard can turn it into an answer, partial results or not.
+func TestPrePassFailureOnServiceShards(t *testing.T) {
+	r := NewRouterWithPartition(testRepo(t), 2, Config{PartialResults: true}, PartitionClustered)
+	defer r.Close()
+	if _, err := r.Match(context.Background(), personal(), invalidClusterOpts()); err == nil {
+		t.Fatal("partial-results router served a request with an invalid cluster configuration")
 	}
-	if got := r.Stats().PrePassFallbacks; got != 1 {
-		t.Errorf("PrePassFallbacks after cancelled request = %d, want still 1", got)
+	for i := 0; i < r.NumShards(); i++ {
+		_, err := r.Shard(i).MatchStaged(context.Background(), personal(), invalidClusterOpts(), Staged{})
+		if err == nil {
+			t.Errorf("shard %d ran its full pipeline under an invalid cluster configuration", i)
+		}
 	}
 }
 

@@ -97,7 +97,6 @@ func appendOptionsSig(b []byte, o pipeline.Options) []byte {
 	b = appendSigFloat(append(b, ";ms="...), o.MinSim)
 	b = strconv.AppendInt(append(b, ";tn="...), int64(o.TopN), 10)
 	b = strconv.AppendInt(append(b, ";v="...), int64(o.Variant), 10)
-	b = strconv.AppendInt(append(b, ";alg="...), int64(o.Algorithm), 10)
 	b = strconv.AppendBool(append(b, ";ip="...), o.IncludePartials)
 	b = strconv.AppendBool(append(b, ";oc="...), o.OrderClusters)
 	b = appendSigFloat(append(b, ";sw="...), o.StructureWeight)

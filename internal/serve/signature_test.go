@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"bellflower/internal/cluster"
-	"bellflower/internal/mapgen"
 	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
 	"bellflower/internal/schema"
@@ -24,9 +23,9 @@ func fmtSignature(personal *schema.Tree, o pipeline.Options) string {
 	var b strings.Builder
 	fmtNodeSig(&b, personal.Root())
 	b.WriteByte('|')
-	fmt.Fprintf(&b, "a=%g;k=%g;d=%g;ms=%g;tn=%d;v=%d;alg=%d;ip=%t;oc=%t;sw=%g;agg=%t",
+	fmt.Fprintf(&b, "a=%g;k=%g;d=%g;ms=%g;tn=%d;v=%d;ip=%t;oc=%t;sw=%g;agg=%t",
 		o.Objective.Alpha, o.Objective.K, o.Threshold, o.MinSim, o.TopN,
-		int(o.Variant), int(o.Algorithm), o.IncludePartials, o.OrderClusters,
+		int(o.Variant), o.IncludePartials, o.OrderClusters,
 		o.StructureWeight, o.Agglomerative)
 	if o.ClusterConfig != nil {
 		fmt.Fprintf(&b, ";cc=%+v", *o.ClusterConfig)
@@ -107,8 +106,7 @@ func TestSignaturesMatchTheirFmtReference(t *testing.T) {
 		p := schema.MustParseSpec(specs[rng.Intn(len(specs))])
 		o := pipeline.Options{
 			Threshold: float(), MinSim: float(), StructureWeight: float(),
-			TopN:    rng.Intn(2000) - 5,
-			Variant: pipeline.Variant(rng.Intn(5)), Algorithm: mapgen.Algorithm(rng.Intn(3)),
+			TopN: rng.Intn(2000) - 5, Variant: pipeline.Variant(rng.Intn(5)),
 			IncludePartials: rng.Intn(2) == 0, OrderClusters: rng.Intn(2) == 0, Agglomerative: rng.Intn(2) == 0,
 			Matcher: matchers[rng.Intn(len(matchers))], StructureMatcher: structures[rng.Intn(len(structures))],
 		}

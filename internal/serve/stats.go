@@ -264,12 +264,6 @@ type Stats struct {
 	// for a plain Service and in per-shard snapshots).
 	PartialResults int64 `json:"partial_results"`
 
-	// PrePassFallbacks counts requests whose shared pre-pass FAILED and
-	// that were degraded — under the partial-results option — to full
-	// per-shard pipelines instead of failing (router-level; always 0 for
-	// a plain Service and in per-shard snapshots).
-	PrePassFallbacks int64 `json:"prepass_fallbacks"`
-
 	// Failovers counts match attempts retried on a DIFFERENT replica after
 	// a transport error (replica-group shards only; always 0 for a plain
 	// Service). Present in per-shard snapshots and summed into rollups.

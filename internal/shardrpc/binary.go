@@ -33,8 +33,10 @@ const ContentTypeBinary = "application/x-bellflower-shard"
 
 // binaryVersion is the first byte of every binary body. Version 2 dropped
 // the options' generation worker-count varint; version 3 the cluster
-// config's similarity bias and the clusters' per-element similarities.
-const binaryVersion = 3
+// config's similarity bias and the clusters' per-element similarities;
+// version 4 the options' search-algorithm varint and the cluster config's
+// seeding and seed-stride varints.
+const binaryVersion = 4
 
 // binWriter accumulates the binary encoding. Slices are written as
 // uvarint(len+1) with 0 meaning nil, so the decoder reproduces the
@@ -297,7 +299,6 @@ func (w *binWriter) options(o WireOptions) {
 	w.f64(o.MinSim)
 	w.varint(int64(o.TopN))
 	w.varint(int64(o.Variant))
-	w.varint(int64(o.Algorithm))
 	w.str(o.Matcher)
 	w.str(o.Structure)
 	w.f64(o.StructureWeight)
@@ -322,8 +323,6 @@ func (w *binWriter) options(o WireOptions) {
 		w.varint(int64(cc.SplitAbove))
 		w.varint(int64(cc.MaxIterations))
 		w.f64(cc.Stability)
-		w.varint(int64(cc.Seeding))
-		w.varint(int64(cc.SeedStride))
 	}
 }
 
@@ -335,7 +334,6 @@ func (r *binReader) options() WireOptions {
 		MinSim:    r.f64(),
 		TopN:      int(r.varint()),
 		Variant:   int(r.varint()),
-		Algorithm: int(r.varint()),
 		Matcher:   r.str(),
 		Structure: r.str(),
 	}
@@ -352,8 +350,6 @@ func (r *binReader) options() WireOptions {
 			SplitAbove:    int(r.varint()),
 			MaxIterations: int(r.varint()),
 			Stability:     r.f64(),
-			Seeding:       int(r.varint()),
-			SeedStride:    int(r.varint()),
 		}
 	}
 	return o

@@ -12,7 +12,7 @@ import (
 // config, candidate sets (including an empty one), clusters (including a
 // negative medoid) and iterations.
 func binTestRequest() *MatchRequest {
-	cc := WireClusterConfig{JoinThreshold: 3, RemoveBelow: 1, SplitAbove: 9, MaxIterations: 4, Stability: 0.75, Seeding: 1, SeedStride: 2}
+	cc := WireClusterConfig{JoinThreshold: 3, RemoveBelow: 1, SplitAbove: 9, MaxIterations: 4, Stability: 0.75}
 	req := &MatchRequest{
 		Descriptor: Descriptor{
 			Shard: 1, NumShards: 4, Strategy: "clustered",
@@ -26,7 +26,7 @@ func binTestRequest() *MatchRequest {
 		Signature: "sig-1",
 		Options: WireOptions{
 			Alpha: 0.5, K: 2, Threshold: 0.8, MinSim: 0.3, TopN: 5,
-			Variant: 2, Algorithm: 1, Matcher: "token", Structure: "path",
+			Variant: 2, Matcher: "token", Structure: "path",
 			StructureWeight: 0.25,
 			IncludePartials: true, OrderClusters: true, AdaptiveTopN: true,
 			ClusterConfig: &cc,

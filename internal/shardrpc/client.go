@@ -34,9 +34,6 @@ type RemoteShardConfig struct {
 	// context only.
 	Timeout time.Duration
 
-	// StatsTimeout bounds Stats and Check probes. Default 2s.
-	StatsTimeout time.Duration
-
 	// HTTPClient overrides the transport (tests inject
 	// httptest.Server.Client()). By default the client builds a dedicated
 	// http.Transport sized for replica fan-out — shardConns idle
@@ -50,6 +47,9 @@ type RemoteShardConfig struct {
 // shardConns is how many concurrent requests one shard client keeps
 // pooled connections for.
 const shardConns = 16
+
+// statsTimeout bounds one Stats fetch.
+const statsTimeout = 2 * time.Second
 
 // newShardTransportClient builds the dedicated per-shard HTTP client: the
 // shared http.DefaultTransport caps idle pooled connections at 2 per
@@ -114,9 +114,6 @@ type RemoteShard struct {
 func NewRemoteShard(addr string, view *labeling.View, desc Descriptor, cfg RemoteShardConfig) *RemoteShard {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
-	}
-	if cfg.StatsTimeout <= 0 {
-		cfg.StatsTimeout = 2 * time.Second
 	}
 	hc := cfg.HTTPClient
 	if hc == nil {
@@ -387,7 +384,7 @@ func (rs *RemoteShard) Check(ctx context.Context) error {
 // unreachable shard reports just the client-side figures instead of going
 // silent.
 func (rs *RemoteShard) Stats() serve.Stats {
-	ctx, cancel := context.WithTimeout(context.Background(), rs.cfg.StatsTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), statsTimeout)
 	defer cancel()
 	sr, err := rs.fetchStats(ctx)
 	if err != nil {
@@ -399,7 +396,7 @@ func (rs *RemoteShard) Stats() serve.Stats {
 
 // clientStats is the client-side-only snapshot — the RPC stage timers —
 // used for a replica already marked unhealthy, so a stats scrape does not
-// pay StatsTimeout per dead replica.
+// pay statsTimeout per dead replica.
 func (rs *RemoteShard) clientStats() serve.Stats {
 	var st serve.Stats
 	rs.addClientStages(&st)

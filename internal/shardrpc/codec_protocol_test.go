@@ -59,9 +59,11 @@ func stagedFixture(t *testing.T, ts *testShard) (*schema.Tree, pipeline.Options,
 // the binary media type is served (anything else, an absent header
 // included, is 415 — never guessed at), a body that does not decode as
 // the current binary version is 400 (version 1 bodies included: they still
-// carried the retired worker-count varint; and version 2 bodies: they still
+// carried the retired worker-count varint; version 2 bodies: they still
 // carried the retired similarity bias and per-element similarities of the
-// clusters), candidates and clusters are
+// clusters; and version 3 bodies: they still carried the retired
+// search-algorithm, seeding and seed-stride varints), candidates and
+// clusters are
 // staged together or not at all, success responses are binary and error
 // bodies JSON.
 func TestShardServerContentType(t *testing.T) {
@@ -80,6 +82,7 @@ func TestShardServerContentType(t *testing.T) {
 	badVersion := append([]byte{binaryVersion + 1}, binBody[1:]...)
 	retiredV1 := append([]byte{1}, binBody[1:]...)
 	retiredV2 := append([]byte{2}, binBody[1:]...)
+	retiredV3 := append([]byte{3}, binBody[1:]...)
 	candsOnly := good
 	candsOnly.HasClusters, candsOnly.Clusters, candsOnly.ProjectionHash = false, nil, ""
 	clustersOnly := good
@@ -100,6 +103,7 @@ func TestShardServerContentType(t *testing.T) {
 		{"bad version byte", ContentTypeBinary, badVersion, http.StatusBadRequest},
 		{"retired version 1", ContentTypeBinary, retiredV1, http.StatusBadRequest},
 		{"retired version 2", ContentTypeBinary, retiredV2, http.StatusBadRequest},
+		{"retired version 3", ContentTypeBinary, retiredV3, http.StatusBadRequest},
 		{"candidates without clusters", ContentTypeBinary, EncodeBinaryMatchRequest(&candsOnly), http.StatusBadRequest},
 		{"clusters without candidates", ContentTypeBinary, EncodeBinaryMatchRequest(&clustersOnly), http.StatusBadRequest},
 		{"binary", ContentTypeBinary, binBody, http.StatusOK},

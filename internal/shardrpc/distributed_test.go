@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bellflower"
+	"bellflower/internal/cluster"
 	"bellflower/internal/labeling"
 	"bellflower/internal/pipeline"
 	"bellflower/internal/repogen"
@@ -312,6 +313,35 @@ func TestDistributedShardDeath(t *testing.T) {
 	late.Close()
 }
 
+// TestDistributedPrePassFailure: a request whose pre-pass fails (an invalid
+// cluster configuration) errors on a partial-results router over the test
+// fleet, and every shard host fails the same request through its own full
+// pipeline — no remote shard could have turned it into an answer.
+func TestDistributedPrePassFailure(t *testing.T) {
+	const nodes, seed = 300, 43
+	fleet := startFleet(t, nodes, seed, 2, bellflower.PartitionClustered)
+	routerRepo := freshRepo(t, nodes, seed)
+	backend, err := bellflower.NewDistributedService(routerRepo, fleet.addrs,
+		bellflower.ServiceConfig{Workers: 2, PartialResults: true}, bellflower.PartitionClustered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	personal := randomPersonal(rand.New(rand.NewSource(seed)), routerRepo, 2)
+	opts := bellflower.DefaultOptions()
+	opts.MinSim = 0.4
+	opts.ClusterConfig = &cluster.Config{} // MaxIterations 0 → invalid
+
+	if _, err := backend.Match(context.Background(), personal, opts); err == nil {
+		t.Fatal("partial-results distributed router served a request with an invalid cluster configuration")
+	}
+	for i, host := range fleet.hosts {
+		if _, err := host.Service().MatchStaged(context.Background(), personal, opts, serve.Staged{}); err == nil {
+			t.Errorf("shard host %d ran its full pipeline under an invalid cluster configuration", i)
+		}
+	}
+}
+
 // TestDistributedDescriptorMismatch: a router partitioned with a different
 // strategy than the shard servers must fail the health handshake with
 // ErrDescriptorMismatch — never serve mappings from a mismatched ID space.
@@ -431,9 +461,6 @@ func TestDistributedTraceStitching(t *testing.T) {
 	opts.MinSim = 0.4
 
 	ctx, tr, root := bellflower.StartRequestTrace(context.Background(), "test.match")
-	if tr == nil {
-		t.Fatal("tracing disabled; cannot run stitching test")
-	}
 	if _, err := backend.Match(ctx, personal, opts); err != nil {
 		t.Fatal(err)
 	}

@@ -99,10 +99,6 @@ func (z *ReplicaSet) Descriptor() Descriptor { return z.replicas[0].desc }
 // Replicas reports the group size.
 func (z *ReplicaSet) Replicas() int { return len(z.replicas) }
 
-// Monitor returns the i-th replica's health monitor (for tests and
-// eager probing; the set retains ownership).
-func (z *ReplicaSet) Monitor(i int) *serve.HealthMonitor { return z.mons[i] }
-
 // Healthy implements serve.HealthReporter: the shard is serviceable while
 // at least one replica is. The router's partial-results fan-out skips the
 // shard — without sending anything — only when this is false.

@@ -187,8 +187,6 @@ type WireClusterConfig struct {
 	SplitAbove    int     `json:"split_above"`
 	MaxIterations int     `json:"max_iterations"`
 	Stability     float64 `json:"stability"`
-	Seeding       int     `json:"seeding"`
-	SeedStride    int     `json:"seed_stride"`
 }
 
 func encodeClusterConfig(c cluster.Config) WireClusterConfig {
@@ -198,8 +196,6 @@ func encodeClusterConfig(c cluster.Config) WireClusterConfig {
 		SplitAbove:    c.SplitAbove,
 		MaxIterations: c.MaxIterations,
 		Stability:     c.Stability,
-		Seeding:       int(c.Seeding),
-		SeedStride:    c.SeedStride,
 	}
 }
 
@@ -210,8 +206,6 @@ func decodeClusterConfig(w WireClusterConfig) cluster.Config {
 		SplitAbove:    w.SplitAbove,
 		MaxIterations: w.MaxIterations,
 		Stability:     w.Stability,
-		Seeding:       cluster.Seeding(w.Seeding),
-		SeedStride:    w.SeedStride,
 	}
 }
 
@@ -228,7 +222,6 @@ type WireOptions struct {
 	MinSim          float64            `json:"min_sim"`
 	TopN            int                `json:"top_n,omitempty"`
 	Variant         int                `json:"variant"`
-	Algorithm       int                `json:"algorithm,omitempty"`
 	Matcher         string             `json:"matcher,omitempty"`
 	Structure       string             `json:"structure,omitempty"`
 	StructureWeight float64            `json:"structure_weight,omitempty"`
@@ -326,7 +319,6 @@ func EncodeOptions(o pipeline.Options) (WireOptions, error) {
 		MinSim:          o.MinSim,
 		TopN:            o.TopN,
 		Variant:         int(o.Variant),
-		Algorithm:       int(o.Algorithm),
 		Matcher:         m,
 		Structure:       sm,
 		StructureWeight: o.StructureWeight,
@@ -359,7 +351,6 @@ func DecodeOptions(w WireOptions) (pipeline.Options, error) {
 		TopN:             w.TopN,
 		Variant:          pipeline.Variant(w.Variant),
 		Matcher:          m,
-		Algorithm:        mapgen.Algorithm(w.Algorithm),
 		StructureMatcher: sm,
 		StructureWeight:  w.StructureWeight,
 		IncludePartials:  w.IncludePartials,

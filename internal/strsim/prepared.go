@@ -66,9 +66,6 @@ func Prepare(s string) Prepared {
 	}
 }
 
-// Tokens returns the number of tokens in the prepared form.
-func (p *Prepared) Tokens() int { return len(p.tokens) }
-
 // MemoryBytes estimates the heap footprint of the prepared form, including
 // slice headers.
 func (p *Prepared) MemoryBytes() int64 {

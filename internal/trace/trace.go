@@ -63,21 +63,6 @@ func newID() ID {
 	return ID(x)
 }
 
-// disabled is the global tracing kill switch (see SetEnabled): when set,
-// New and Resume return nil traces, so every downstream StartSpan takes
-// the nil fast path.
-var disabled atomic.Bool
-
-// SetEnabled turns trace creation on or off process-wide. Tracing is on
-// by default; disabling it is an operational escape hatch (and the bench
-// harness's no-trace baseline) — requests already in flight keep their
-// traces, new requests get none. Nil-safety everywhere downstream makes
-// the flip safe at any time.
-func SetEnabled(v bool) { disabled.Store(!v) }
-
-// Enabled reports whether trace creation is on.
-func Enabled() bool { return !disabled.Load() }
-
 // Attr is one key=value annotation on a span.
 type Attr struct {
 	Key   string `json:"key"`
@@ -189,12 +174,8 @@ type active struct {
 
 // New begins a trace with a root span named name and returns the derived
 // context carrying it. The caller must End the root span before reading
-// the trace. When tracing is disabled (SetEnabled(false)) it returns the
-// context unchanged with a nil trace and span, both safe to use.
+// the trace.
 func New(ctx context.Context, name string) (context.Context, *Trace, *Span) {
-	if disabled.Load() {
-		return ctx, nil, nil
-	}
 	return resume(ctx, name, newID(), 0)
 }
 
@@ -272,9 +253,6 @@ func ParseHeader(v string) (traceID, parent ID, err error) {
 // the sender can Graft them into one stitched tree. An empty or
 // malformed value starts a fresh root trace instead.
 func Resume(ctx context.Context, headerValue, name string) (context.Context, *Trace, *Span) {
-	if disabled.Load() {
-		return ctx, nil, nil
-	}
 	if headerValue != "" {
 		if traceID, parent, err := ParseHeader(headerValue); err == nil {
 			return resume(ctx, name, traceID, parent)
