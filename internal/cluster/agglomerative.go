@@ -53,7 +53,7 @@ func Agglomerative(ix *labeling.Index, cands *matcher.Candidates, cfg Agglomerat
 	if err := CheckPersonal(cands.Personal.Len()); err != nil {
 		return nil, err
 	}
-	st := newState(ix, cands)
+	st := newState(ix, cands, -1)
 	defer st.release()
 	// Single linkage is the k-means join step run once over singleton
 	// clusters: a lone element is its own medoid, so "medoids within the
@@ -69,7 +69,7 @@ func Agglomerative(ix *labeling.Index, cands *matcher.Candidates, cfg Agglomerat
 	st.join()
 	st.chunk(cfg.MaxClusterSize)
 	res := &Result{Iterations: 1}
-	res.Clusters, _ = st.emit()
+	st.emit(res)
 	return res, nil
 }
 

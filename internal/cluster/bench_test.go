@@ -67,13 +67,14 @@ func cutSubtree(rng *rand.Rand, root *schema.Node, k int) *schema.Tree {
 
 // BenchmarkKMeans measures one k-means run of the serving default ("medium
 // clusters") per op, cycling through the fixed request list. medoid_runs/op
-// counts medoid-kernel runs and medoids_kept/op the clusters whose medoid
-// the unchanged-members rule kept; both are exact per request, so their
-// means depend only on b.N.
+// counts medoid-kernel runs, medoids_kept/op the clusters whose medoid the
+// unchanged-members rule kept and loaded/op the elements of the trees
+// holding an MEmin candidate, the only ones a run stores; all three are
+// exact per request, so their means depend only on b.N.
 func BenchmarkKMeans(b *testing.B) {
 	ix, cands := benchKMeansInput()
 	cfg := DefaultConfig()
-	var runs, kept int
+	var runs, kept, loaded int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,7 +84,9 @@ func BenchmarkKMeans(b *testing.B) {
 		}
 		runs += res.MedoidRuns
 		kept += res.MedoidsKept
+		loaded += res.Loaded
 	}
 	b.ReportMetric(float64(runs)/float64(b.N), "medoid_runs/op")
 	b.ReportMetric(float64(kept)/float64(b.N), "medoids_kept/op")
+	b.ReportMetric(float64(loaded)/float64(b.N), "loaded/op")
 }

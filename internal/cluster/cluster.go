@@ -45,7 +45,7 @@ func CheckPersonal(n int) error {
 // beyond MaxPersonalNodes; callers taking outside input gate on
 // CheckPersonal first.
 func BuildElements(ix *labeling.Index, cands *matcher.Candidates) []Element {
-	st := newState(ix, cands)
+	st := newState(ix, cands, -1)
 	defer st.release()
 	out := make([]Element, len(st.node))
 	for e := range out {
@@ -160,6 +160,11 @@ type Result struct {
 	// iteration).
 	Unassigned int
 
+	// Loaded counts the elements the run stored and clustered. KMeans loads
+	// only the trees holding an MEmin candidate, because no other tree can
+	// receive a centroid; the other algorithms load every element.
+	Loaded int
+
 	// MedoidRuns counts the medoid-kernel runs of a k-means run: the
 	// recompute step's, plus one per cluster join merged and per half
 	// split cut. MedoidsKept counts the clusters the recompute step skipped
@@ -202,7 +207,7 @@ func KMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) (*Result,
 	if err := CheckPersonal(cands.Personal.Len()); err != nil {
 		return nil, err
 	}
-	st := newState(ix, cands)
+	st := newState(ix, cands, cands.MinSet())
 	defer st.release()
 	st.cfg = cfg
 	st.seed(cands)
@@ -219,8 +224,9 @@ func KMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) (*Result,
 		res.Iterations++
 		res.Moves = append(res.Moves, moves)
 		// Convergence: element moves and cluster-count change both below
-		// the stability fraction.
-		stableMoves := float64(moves) <= cfg.Stability*float64(len(st.node))
+		// the stability fraction. The fraction is of every element, loaded
+		// or not.
+		stableMoves := float64(moves) <= cfg.Stability*float64(st.all)
 		dc := len(st.clusters) - prevClusters
 		if dc < 0 {
 			dc = -dc
@@ -231,7 +237,7 @@ func KMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) (*Result,
 			break
 		}
 	}
-	res.Clusters, res.Unassigned = st.emit()
+	st.emit(res)
 	res.MedoidRuns, res.MedoidsKept = st.medoidRuns, st.medoidsKept
 	return res, nil
 }
@@ -240,7 +246,7 @@ func KMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) (*Result,
 // that holds at least one mapping element becomes one cluster (the paper's
 // "tree clusters" rows).
 func TreeClusters(ix *labeling.Index, cands *matcher.Candidates) *Result {
-	st := newState(ix, cands)
+	st := newState(ix, cands, -1)
 	defer st.release()
 	n := len(st.node)
 	st.data = resize(st.data, n)
@@ -256,6 +262,6 @@ func TreeClusters(ix *labeling.Index, cands *matcher.Candidates) *Result {
 		lo = hi
 	}
 	res := &Result{}
-	res.Clusters, _ = st.emit()
+	st.emit(res)
 	return res
 }

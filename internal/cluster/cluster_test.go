@@ -361,3 +361,28 @@ func TestJoinThresholdMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKMeansSeededUniverse: k-means stores only the trees holding an MEmin
+// candidate, yet the stop test and Unassigned still count every element.
+// MEmin is {a}, so tree 0 (a and three b's) is loaded and the ten b's of
+// tree 1 are not. The first iteration moves the four loaded elements to a,
+// the second to the medoid b, and four moves are within 30% of all fourteen
+// elements but not of the four loaded: the run stops after two iterations,
+// as the reference over the whole universe does.
+func TestKMeansSeededUniverse(t *testing.T) {
+	_, _, ix, cands := fixture("a(b)", "r(a,x(b,b,b))", "s(b,b,b,b,b,b,b,b,b,b)")
+	cfg := Config{MaxIterations: 12, Stability: 0.3}
+	res, err := KMeans(ix, cands, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Loaded != 4 || res.Unassigned != 10 || res.Iterations != 2 {
+		t.Errorf("loaded %d, unassigned %d, %d iterations; want 4, 10, 2", res.Loaded, res.Unassigned, res.Iterations)
+	}
+	if got, want := describe(res), describe(refKMeans(ix, cands, cfg)); got != want {
+		t.Errorf("seeded run diverged from the reference\n got: %s\nwant: %s", got, want)
+	}
+	if tc := TreeClusters(ix, cands); tc.Loaded != 14 {
+		t.Errorf("TreeClusters loaded %d elements, want all 14", tc.Loaded)
+	}
+}

@@ -46,10 +46,25 @@
 // Everything is clustered over one element universe in document order —
 // by tree, then by preorder position — so member lists are always in the
 // order the kernel wants, the elements of a tree are one contiguous run,
-// and clusters come out tree by tree. The k-means working state is flat
-// arrays keyed by that order and lives in a sync.Pool: a warm run allocates
-// only its Result (five allocations, pinned by a test). No step builds a
-// map.
+// and clusters come out tree by tree. Document order is node-ID order
+// (schema.Repository numbers each tree in preorder), so the universe is
+// read off a bitmap of candidate IDs in one scan, without a sort, and each
+// candidate finds its element by the rank of its bit. The k-means working
+// state is flat arrays keyed by that order and lives in a sync.Pool: a warm
+// run allocates only its Result (five allocations, pinned by a test). No
+// step builds a map.
+//
+// # The seeded universe
+//
+// KMeans loads only the elements of trees that hold an MEmin candidate
+// (Result.Loaded). This is exact, not a heuristic cut: every centroid is an
+// MEmin element or grows from one inside its tree (join merges clusters of
+// one tree, split halves one), so an element of any other tree is never
+// assigned, never moves and ends in no cluster. Those elements are counted
+// without being stored: the stop test's Stability × #elements and
+// Result.Unassigned use the full count, so every result is what the full
+// universe gives. On the paper-scale benchmark about 56% of the elements
+// are loaded. BuildElements, TreeClusters and Agglomerative use every tree.
 //
 // # Assignment and the clean-cluster rule
 //

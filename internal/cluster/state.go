@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -11,27 +12,34 @@ import (
 // state is the working memory of one clustering run, flat and pooled: the
 // element universe as parallel arrays in document order, the clusters as
 // (offset, length, medoid) records over one shared member buffer, and the
-// scratch every step needs. Nothing in it is keyed by a map and nothing is
-// allocated per iteration; a run takes a state from statePool and returns
-// it, so a warm server clusters without touching the allocator until it
-// builds the Result.
+// scratch every step needs. Nothing in it is keyed by a map, nothing is
+// allocated per iteration and nothing is sized by the repository beyond one
+// bit per node; a run takes a state from statePool and returns it, so a warm
+// server clusters without touching the allocator until it builds the Result.
 //
-// Two orderings carry the design. Elements are sorted by (tree, Euler
-// position) once, so a cluster's ascending member list is already in the
-// order labeling.Index.Medoid wants, the elements of one tree are one run of
-// the arrays, and the universe is a valid input for its auxiliary forest,
-// over which assignment runs. Clusters are kept grouped by tree in ascending
-// tree order — seeding emits them that way and every step preserves it — so
-// the clusters of one tree, the pairs join compares, are a run of the
-// cluster list.
+// The universe k-means loads is seeded (see the package doc): only trees
+// holding an MEmin candidate are stored; the other trees' elements are only
+// counted, for the stop test and Result.Unassigned.
+//
+// Two orderings carry the design. Node-ID order is document order
+// (schema.Repository numbers trees in order and each tree in preorder), so
+// the universe read off a bitmap of candidate IDs is sorted without a sort:
+// a cluster's ascending member list is already in the order
+// labeling.Index.Medoid wants, the elements of one tree are one run of the
+// arrays, and the universe is a valid input for its auxiliary forest, over
+// which assignment runs. Clusters are kept grouped by tree in ascending tree
+// order — seeding emits them that way and every step preserves it — so the
+// clusters of one tree, the pairs join compares, are a run of the cluster
+// list.
 type state struct {
 	ix  *labeling.Index
 	cfg Config
 
-	// The element universe, one entry per distinct candidate node.
+	// The element universe, one entry per distinct candidate node loaded.
 	node []int32  // repository node ID
 	tree []int32  // repository tree ID
 	mask []uint64 // Element.Mask
+	all  int      // distinct candidate nodes of every tree, loaded or not
 
 	// assignTo[e] is the cluster index element e was last assigned to, -1
 	// for none; prevMedoid[e] the node ID of that cluster's medoid one
@@ -53,8 +61,9 @@ type state struct {
 	sources []int32 // element index of each cluster's medoid
 	reach   []labeling.Reach
 
-	src    []candRef              // load: the candidates behind the sort keys
-	keys   []uint64               // load: DocOrder<<32 | index into src
+	marks  []uint64               // load: one bit per node ID, clear between runs
+	rank   []int32                // load: elements listed before each word of marks
+	seeded []uint64               // load: one bit per tree ID, clear between runs
 	ids    []int32                // node IDs handed to the medoid kernel; split's overflow half
 	uf     []int32                // join: union-find parents; rebuild: per-cluster counters
 	owner  []int32                // rebuild: the cluster each element belonged to before assignment
@@ -69,17 +78,12 @@ type state struct {
 // its medoid, -1 while the medoid needs computing.
 type clusterRef struct{ off, n, medoid int32 }
 
-// candRef is one (personal node, candidate) pair during load.
-type candRef struct {
-	node int32
-	set  uint8
-}
-
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // newState takes a state from the pool and loads the element universe of
-// cands into it. The caller releases it.
-func newState(ix *labeling.Index, cands *matcher.Candidates) *state {
+// cands into it: the trees holding a candidate of set seeds, or every tree
+// when seeds is negative. The caller releases it.
+func newState(ix *labeling.Index, cands *matcher.Candidates, seeds int) *state {
 	if cands.Personal.Len() > MaxPersonalNodes {
 		panic("cluster: personal schemas with more than 64 nodes not supported")
 	}
@@ -87,7 +91,7 @@ func newState(ix *labeling.Index, cands *matcher.Candidates) *state {
 	st.ix = ix
 	st.clusters = st.clusters[:0]
 	st.medoidRuns, st.medoidsKept = 0, 0
-	st.load(cands)
+	st.load(cands, seeds)
 	return st
 }
 
@@ -108,31 +112,68 @@ func resize[T any](s []T, n int) []T {
 }
 
 // load deduplicates the candidate nodes of every set into the element
-// universe, sorted by document order: one sort of (DocOrder, candidate) keys,
-// then one pass that folds each run of equal nodes into an element.
-func (st *state) load(cands *matcher.Candidates) {
-	src, keys := st.src[:0], st.keys[:0]
+// universe, in document order, without a sort: it marks every candidate's ID
+// in a bitmap, lists the set bits of the kept trees in ID order, and ORs each
+// candidate's set into the mask of its element, whose index is the rank of
+// its bit — the elements listed before its word plus a popcount within it.
+// Only the words between the lowest and the highest candidate are read and
+// cleared.
+func (st *state) load(cands *matcher.Candidates, seeds int) {
+	repo := st.ix.Repository()
+	var seeded []uint64
+	if seeds >= 0 {
+		seeded = resize(st.seeded, (repo.NumTrees()+63)/64)
+		st.seeded = seeded
+		for _, c := range cands.Sets[seeds].Elems {
+			t := st.ix.TreeOfID(c.Node.ID)
+			seeded[t>>6] |= 1 << (t & 63)
+		}
+	}
+	marks := resize(st.marks, (repo.Len()+63)/64)
+	st.marks = marks
+	lo, hi := len(marks), 0
 	for i := range cands.Sets {
 		for _, c := range cands.Sets[i].Elems {
-			keys = append(keys, uint64(st.ix.DocOrder(c.Node.ID))<<32|uint64(len(src)))
-			src = append(src, candRef{node: int32(c.Node.ID), set: uint8(i)})
+			w := c.Node.ID >> 6
+			marks[w] |= 1 << (c.Node.ID & 63)
+			lo, hi = min(lo, w), max(hi, w+1)
 		}
 	}
-	slices.Sort(keys)
-	st.src, st.keys = src, keys
+	if lo > hi { // no candidates
+		lo = hi
+	}
+	marks = marks[lo:hi]
 
-	st.node, st.tree, st.mask = st.node[:0], st.tree[:0], st.mask[:0]
-	last := int32(-1)
-	for _, k := range keys {
-		r := &src[uint32(k)]
-		if r.node != last {
-			last = r.node
-			st.node = append(st.node, r.node)
-			st.tree = append(st.tree, int32(st.ix.TreeOfID(int(r.node))))
-			st.mask = append(st.mask, 0)
+	rank := resize(st.rank, len(marks))
+	st.rank = rank
+	st.node, st.tree, st.all = st.node[:0], st.tree[:0], 0
+	for w, word := range marks {
+		rank[w] = int32(len(st.node))
+		st.all += bits.OnesCount64(word)
+		for rest := word; rest != 0; rest &= rest - 1 {
+			id := (lo+w)<<6 | bits.TrailingZeros64(rest)
+			t := st.ix.TreeOfID(id)
+			if seeded != nil && seeded[t>>6]&(1<<(t&63)) == 0 {
+				word &^= rest & -rest // not loaded: no rank either
+				continue
+			}
+			st.node = append(st.node, int32(id))
+			st.tree = append(st.tree, int32(t))
 		}
-		st.mask[len(st.node)-1] |= 1 << r.set
+		marks[w] = word
 	}
+	st.mask = resize(st.mask, len(st.node))
+	clear(st.mask)
+	for i := range cands.Sets {
+		for _, c := range cands.Sets[i].Elems {
+			w, bit := c.Node.ID>>6-lo, uint64(1)<<(c.Node.ID&63)
+			if word := marks[w]; word&bit != 0 {
+				st.mask[rank[w]+int32(bits.OnesCount64(word&(bit-1)))] |= 1 << i
+			}
+		}
+	}
+	clear(marks)
+	clear(seeded)
 }
 
 // element materializes element e.
@@ -435,10 +476,10 @@ func (st *state) farthestFrom(mem []int32, from int32) int32 {
 	return best
 }
 
-// emit converts the final state into exported clusters and counts the
-// elements left in none. The clusters share one backing array each for
-// their structs and their elements.
-func (st *state) emit() ([]*Cluster, int) {
+// emit converts the final state into res's exported clusters and counts
+// the elements loaded and the elements left in no cluster. The clusters
+// share one backing array each for their structs and their elements.
+func (st *state) emit(res *Result) {
 	assigned := 0
 	for _, ref := range st.clusters {
 		assigned += int(ref.n)
@@ -460,5 +501,5 @@ func (st *state) emit() ([]*Cluster, int) {
 		}
 		out[c] = &cls[c]
 	}
-	return out, len(st.node) - assigned
+	res.Clusters, res.Loaded, res.Unassigned = out, len(st.node), st.all-assigned
 }

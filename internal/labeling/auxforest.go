@@ -39,7 +39,7 @@ type AuxVertex struct {
 }
 
 // BuildAuxForest fills f with the auxiliary forest of ids, which must be in
-// document order (non-decreasing DocOrder; checked) and may span trees:
+// document order — non-decreasing node IDs, checked — and may span trees:
 // O(m) plus one LCA lookup per adjacent pair of the same tree.
 //
 // The construction keeps one stack, the chain from the current tree's root
@@ -68,14 +68,13 @@ func (ix *Index) BuildAuxForest(ids []int32, f *AuxForest) {
 	for k, id := range ids {
 		if k > 0 {
 			prev := ids[k-1]
-			if ix.first[id] < ix.first[prev] {
+			if id < prev {
 				panic("labeling: BuildAuxForest input not in document order")
 			}
 			if ix.tree[id] != ix.tree[prev] {
 				flush()
 			} else {
-				l := int32(ix.lcaID(int(prev), int(id)))
-				dl := ix.depth[l]
+				l, dl := ix.lca(prev, id)
 				for len(stack) >= 2 && verts[stack[len(stack)-2]].Depth >= dl {
 					leave(stack[len(stack)-2])
 				}

@@ -7,8 +7,7 @@ import (
 )
 
 // forestParents returns a parent array of nt trees of up to maxN nodes each,
-// in the shapes shapedParents draws, relabelled by one random permutation so
-// that node IDs follow neither trees nor document order.
+// in the shapes shapedParents draws.
 func forestParents(rng *rand.Rand, nt, maxN, shape int) []int32 {
 	var p []int32
 	for t := 0; t < nt; t++ {
@@ -20,27 +19,18 @@ func forestParents(rng *rand.Rand, nt, maxN, shape int) []int32 {
 			p = append(p, par)
 		}
 	}
-	perm := rng.Perm(len(p))
-	out := make([]int32, len(p))
-	for i, par := range p {
-		if par < 0 {
-			out[perm[i]] = -1
-		} else {
-			out[perm[i]] = int32(perm[par])
-		}
-	}
-	return out
+	return p
 }
 
 // docOrdered draws m distinct nodes of ix (all of them when m exceeds the
-// forest) and returns them in document order.
+// forest) and returns them in document order: ascending IDs.
 func docOrdered(rng *rand.Rand, ix *Index, m int) []int32 {
-	ids := make([]int32, 0, len(ix.first))
-	for _, k := range rng.Perm(len(ix.first)) {
+	ids := make([]int32, 0, len(ix.tree))
+	for _, k := range rng.Perm(len(ix.tree)) {
 		ids = append(ids, int32(k))
 	}
 	ids = ids[:min(m, len(ids))]
-	slices.SortFunc(ids, func(a, b int32) int { return int(ix.first[a] - ix.first[b]) })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -108,28 +98,23 @@ func checkNearest(t testing.TB, ix *Index, ids, sources []int32, f *AuxForest) {
 
 // TestNearestTieGoesToLowestID: two sources equidistant from a query across
 // the branching vertex between them — the lowest node ID wins, whatever the
-// document order or the order the sources are given in.
+// order the sources are given in. IDs are document order, so the winner is
+// also the earlier of the two in the forest; what the pass must not do is
+// prefer the source listed first or the one it reaches first.
 func TestNearestTieGoesToLowestID(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		// A centre (node 0) with four leaves, children shuffled: IDs say
-		// nothing about document order.
-		ix := indexFromParents([]int32{-1, 0, 0, 0, 0}, rng)
-		ids := []int32{1, 2, 3, 4}
-		slices.SortFunc(ids, func(a, b int32) int { return int(ix.first[a] - ix.first[b]) })
-		pos := func(id int32) int32 { return int32(slices.Index(ids, id)) }
-		var f AuxForest
-		ix.BuildAuxForest(ids, &f)
-		for _, sources := range [][]int32{{pos(4), pos(2)}, {pos(2), pos(4)}} {
-			reach := f.Nearest(sources, nil)
-			for _, q := range []int32{1, 3} {
-				r := reach[f.At[pos(q)]]
-				if r.Node != 2 || r.Dist != 2 || ids[sources[r.Source]] != 2 {
-					t.Fatalf("seed %d sources %v: leaf %d reached %+v, want leaf 2 at distance 2", seed, sources, q, r)
-				}
+	ix := NewIndex(buildRepo("c(l1,l2,l3,l4)")) // centre 0, leaves 1–4
+	ids := []int32{1, 2, 3, 4}
+	var f AuxForest
+	ix.BuildAuxForest(ids, &f)
+	for _, sources := range [][]int32{{3, 1}, {1, 3}} { // leaves 4 and 2
+		reach := f.Nearest(sources, nil)
+		for _, q := range []int32{0, 2} { // leaves 1 and 3
+			r := reach[f.At[q]]
+			if r.Node != 2 || r.Dist != 2 || ids[sources[r.Source]] != 2 {
+				t.Fatalf("sources %v: leaf %d reached %+v, want leaf 2 at distance 2", sources, ids[q], r)
 			}
 		}
-		checkNearest(t, ix, ids, []int32{pos(4), pos(2)}, &f)
+		checkNearest(t, ix, ids, sources, &f)
 	}
 }
 
@@ -151,14 +136,20 @@ func TestNearestWithoutSources(t *testing.T) {
 	}
 }
 
+// TestBuildAuxForestRejectsUnorderedInput: document order is ascending node
+// IDs, within a tree and across trees.
 func TestBuildAuxForestRejectsUnorderedInput(t *testing.T) {
-	ix := NewIndex(buildRepo("a(b,c)"))
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-order input accepted")
-		}
-	}()
-	ix.BuildAuxForest([]int32{2, 1}, &AuxForest{})
+	ix := NewIndex(buildRepo("a(b,c)", "x(y)"))
+	for _, ids := range [][]int32{{2, 1}, {4, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("out-of-order input %v accepted", ids)
+				}
+			}()
+			ix.BuildAuxForest(ids, &AuxForest{})
+		}()
+	}
 }
 
 func TestNearestMatchesPairwiseProperty(t *testing.T) {

@@ -5,24 +5,32 @@
 // The paper's Bellflower system "uses node labeling techniques [12] to
 // provide low-cost computation of path lengths" because the k-means
 // clustering distance measure is evaluated very often (Sec. 4). This package
-// is that substrate: an Index is built once per repository in O(N log N) and
-// answers Distance/LCA queries in O(1) using an Euler tour with a sparse
-// table for range-minimum queries.
+// is that substrate: an Index is built once per repository in O(N log T)
+// (T the largest tree) and answers Distance/LCA queries in O(1) with one
+// range minimum over node IDs.
+//
+// Everything rests on the repository's numbering (schema.Repository): node
+// IDs run tree by tree and, within a tree, in preorder, so node-ID order is
+// document order and every subtree is one ID range starting at its root.
+// NewIndex checks this in O(N). Then, for u < v in one tree, LCA(u, v) is
+// the parent of the shallowest node with ID in (u, v] — that node is a child
+// of the LCA on the path to v — and a sparse table of per-node keys ordered
+// by depth answers the minimum with two lookups.
 //
 // On top of the tables sits the auxiliary forest (AuxForest) of a node list
-// in document order: the listed nodes plus the LCAs of adjacent ones, built
-// with one stack and m−1 LCA lookups, in which path lengths are tree
-// distances. Passes over its edges replace pairwise distance queries, and
-// the clusterer's two kernels are such passes. Index.Medoid finds a member
-// set's exact center of weight — the member minimizing the sum of tree
-// distances to all members, ties to the lowest node ID — by rerooting
-// distance sums over the members' forest, in O(m) plus the build for members
-// in document order (O(m log m) otherwise), against O(m²) lookups for the
-// pairwise scan. AuxForest.Nearest gives every vertex its nearest source
-// (ties to the lowest node ID) in two linear passes; k-means assignment runs
-// it over the forest of the whole element universe with the medoids as
-// sources, once per iteration, instead of one distance query per (element,
-// centroid) pair. Both always equal their pairwise scans.
+// in document order (ascending IDs): the listed nodes plus the LCAs of
+// adjacent ones, built with one stack and m−1 LCA lookups, in which path
+// lengths are tree distances. Passes over its edges replace pairwise distance
+// queries, and the clusterer's two kernels are such passes. Index.Medoid
+// finds a member set's exact center of weight — the member minimizing the
+// sum of tree distances to all members, ties to the lowest node ID — by
+// rerooting distance sums over the members' forest, in O(m) plus the build
+// for members in ascending ID order (O(m log m) otherwise), against O(m²)
+// lookups for the pairwise scan. AuxForest.Nearest gives every vertex its
+// nearest source (ties to the lowest node ID) in two linear passes; k-means
+// assignment runs it over the forest of its element universe with the
+// medoids as sources, once per iteration, instead of one distance query per
+// (element, centroid) pair. Both always equal their pairwise scans.
 //
 // Beside the O(1) tables the index keeps a flat parent-ID array next to the
 // depths (ParentDepth) for walks that visit a path node by node.
@@ -39,12 +47,13 @@ package labeling
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"bellflower/internal/schema"
 )
 
 // Index answers structural queries over one repository in O(1) after an
-// O(N log N) build. The Index is immutable and safe for concurrent use.
+// O(N log T) build. The Index is immutable and safe for concurrent use.
 type Index struct {
 	repo *schema.Repository
 
@@ -52,20 +61,21 @@ type Index struct {
 	depth  []int32 // node depth within its tree
 	parent []int32 // parent node ID, -1 at a root
 	tree   []int32 // owning tree ID
-	first  []int32 // first occurrence of the node in the Euler tour
 
-	// Euler tour of the whole forest; tours of individual trees are
-	// concatenated (queries never cross trees because first-occurrence
-	// indices of nodes in different trees are compared only after the tree
-	// check).
-	euler []int32 // node IDs in tour order
-
-	// sparse[k][i] = node ID with minimum depth in euler[i : i+2^k]
-	sparse [][]int32
-	log2   []uint8 // floor(log2(i)) for i in [1, len(euler)]
+	// sparse[k][i] is the smallest key of the nodes with IDs i .. i+2^k−1.
+	// A node's key orders it by depth first. When depth and parent ID fit
+	// in 32 bits together the key is depth<<shift | parent, and the
+	// minimum names the LCA and its depth outright; otherwise it is the
+	// node's rank in (depth, ID) order and byRank maps the rank to the
+	// parent. Levels stop at the largest tree, because a query window never
+	// leaves its tree.
+	sparse [][]uint32
+	shift  uint8
+	byRank []int32 // nil while keys pack
 }
 
-// NewIndex builds the labelling index for a repository.
+// NewIndex builds the labelling index for a repository. It panics if node-ID
+// order is not document order, which schema.Repository guarantees.
 func NewIndex(repo *schema.Repository) *Index {
 	n := repo.Len()
 	ix := &Index{
@@ -73,98 +83,111 @@ func NewIndex(repo *schema.Repository) *Index {
 		depth:  make([]int32, n),
 		parent: make([]int32, n),
 		tree:   make([]int32, n),
-		first:  make([]int32, n),
 	}
-	ix.euler = make([]int32, 0, 2*n)
+	// One pass in ID order checks the numbering: every node's parent is on
+	// the chain from its tree's root down to the node listed before it,
+	// which holds exactly when each tree's IDs are consecutive and preorder.
+	var chain []int32
+	next, maxDepth, maxTree := 0, int32(0), 1
 	for _, t := range repo.Trees() {
-		ix.tourTree(t)
+		chain = chain[:0]
+		for _, node := range t.Nodes() {
+			id := int32(node.ID)
+			p := int32(-1)
+			if node.Parent() != nil {
+				p = int32(node.Parent().ID)
+				for len(chain) > 0 && chain[len(chain)-1] != p {
+					chain = chain[:len(chain)-1]
+				}
+			}
+			if node.ID != next || (p < 0) != (len(chain) == 0) {
+				panic(fmt.Sprintf("labeling: NewIndex: node %v (ID %d) breaks document order", node, node.ID))
+			}
+			next++
+			chain = append(chain, id)
+			ix.depth[id] = int32(len(chain) - 1)
+			ix.parent[id] = p
+			ix.tree[id] = int32(t.ID)
+			maxDepth = max(maxDepth, ix.depth[id])
+		}
+		maxTree = max(maxTree, t.Len())
 	}
-	ix.buildSparse()
+	ix.buildSparse(maxTree, bits.Len32(uint32(maxDepth))+bits.Len(uint(n)) <= 32)
 	return ix
 }
 
-func (ix *Index) tourTree(t *schema.Tree) {
-	// Iterative Euler tour to keep stack depth independent of tree shape.
-	type frame struct {
-		node *schema.Node
-		next int // next child index to visit
-	}
-	root := t.Root()
-	stack := []frame{{node: root}}
-	ix.visit(root, t)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		kids := f.node.Children()
-		if f.next < len(kids) {
-			c := kids[f.next]
-			f.next++
-			ix.visit(c, t)
-			stack = append(stack, frame{node: c})
-			continue
+// buildSparse builds the range-minimum table over packed keys when pack is
+// set, over rank keys otherwise.
+func (ix *Index) buildSparse(maxTree int, pack bool) {
+	n := len(ix.depth)
+	keys := make([]uint32, n)
+	ix.shift, ix.byRank = uint8(bits.Len(uint(n))), nil
+	if pack {
+		for id, d := range ix.depth {
+			keys[id] = uint32(d)<<ix.shift | uint32(max(ix.parent[id], 0)) // a root never lies inside a window
 		}
-		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			// returning to the parent: record it again in the tour
-			ix.euler = append(ix.euler, int32(stack[len(stack)-1].node.ID))
+	} else {
+		// Counting sort by depth: ranks follow (depth, ID).
+		at := make([]int32, slices.Max(ix.depth)+2)
+		for _, d := range ix.depth {
+			at[d+1]++
+		}
+		for d := 1; d < len(at); d++ {
+			at[d] += at[d-1]
+		}
+		ix.byRank = make([]int32, n)
+		for id, d := range ix.depth {
+			keys[id] = uint32(at[d])
+			ix.byRank[at[d]] = ix.parent[id]
+			at[d]++
 		}
 	}
-}
-
-func (ix *Index) visit(n *schema.Node, t *schema.Tree) {
-	id := n.ID
-	ix.depth[id] = int32(n.Depth)
-	ix.parent[id] = -1
-	if p := n.Parent(); p != nil {
-		ix.parent[id] = int32(p.ID)
-	}
-	ix.tree[id] = int32(t.ID)
-	ix.first[id] = int32(len(ix.euler))
-	ix.euler = append(ix.euler, int32(id))
-}
-
-func (ix *Index) buildSparse() {
-	m := len(ix.euler)
-	if m == 0 {
-		return
-	}
-	levels := bits.Len(uint(m))
-	ix.sparse = make([][]int32, levels)
-	ix.sparse[0] = ix.euler // level 0 is the tour itself
-	for k := 1; k < levels; k++ {
-		width := 1 << k
-		prev := ix.sparse[k-1]
-		row := make([]int32, m-width+1)
-		half := width / 2
+	// A window (u, v] of one tree is at most maxTree−1 IDs long.
+	ix.sparse = make([][]uint32, max(1, bits.Len(uint(maxTree-1))))
+	ix.sparse[0] = keys
+	for k := 1; k < len(ix.sparse); k++ {
+		prev, half := ix.sparse[k-1], 1<<(k-1)
+		row := make([]uint32, n-2*half+1)
 		for i := range row {
-			a, b := prev[i], prev[i+half]
-			if ix.depth[a] <= ix.depth[b] {
-				row[i] = a
-			} else {
-				row[i] = b
-			}
+			row[i] = min(prev[i], prev[i+half])
 		}
 		ix.sparse[k] = row
 	}
-	ix.log2 = make([]uint8, m+1)
-	for i := 2; i <= m; i++ {
-		ix.log2[i] = ix.log2[i/2] + 1
+}
+
+// lca returns the lowest common ancestor of nodes a and b of one tree and
+// its depth: for a < b, the parent of the shallowest node with ID in (a, b],
+// found as the smaller key of two overlapping power-of-two windows.
+func (ix *Index) lca(a, b int32) (l, depth int32) {
+	if a == b {
+		return a, ix.depth[a]
 	}
+	if a > b {
+		a, b = b, a
+	}
+	k := bits.Len32(uint32(b-a)) - 1
+	row := ix.sparse[k]
+	key := min(row[a+1], row[b+1-1<<k])
+	if ix.byRank != nil {
+		l = ix.byRank[key]
+		return l, ix.depth[l]
+	}
+	return int32(key & (1<<ix.shift - 1)), int32(key>>ix.shift) - 1
 }
 
 // Repository returns the repository the index was built over.
 func (ix *Index) Repository() *schema.Repository { return ix.repo }
 
 // MemoryBytes estimates the index's resident bytes: the per-node label
-// arrays, the Euler tour and the sparse RMQ table (whose level 0 aliases
-// the tour and is counted once). This is the figure sharding de-duplicates
-// — serve stats and the throughput benchmark report it so a second
-// full-repository copy cannot reappear unnoticed.
+// arrays and the sparse range-minimum table over node IDs. This is the
+// figure sharding de-duplicates — serve stats and the throughput benchmark
+// report it so a second full-repository copy cannot reappear unnoticed.
 func (ix *Index) MemoryBytes() int64 {
-	b := int64(len(ix.depth)+len(ix.parent)+len(ix.tree)+len(ix.first)+len(ix.euler)) * 4
-	for k := 1; k < len(ix.sparse); k++ { // sparse[0] aliases euler
-		b += int64(len(ix.sparse[k])) * 4
+	b := int64(len(ix.depth)+len(ix.parent)+len(ix.tree)+len(ix.byRank)) * 4
+	for _, row := range ix.sparse {
+		b += int64(len(row)) * 4
 	}
-	return b + int64(len(ix.log2))
+	return b
 }
 
 // SameTree reports whether the two nodes belong to the same tree.
@@ -180,13 +203,6 @@ func (ix *Index) Depth(n *schema.Node) int { return int(ix.depth[n.ID]) }
 
 // TreeOfID is TreeID over a raw node ID.
 func (ix *Index) TreeOfID(id int) int { return int(ix.tree[id]) }
-
-// DocOrder returns the node's rank key in document order across the whole
-// forest: the position of its first occurrence in the Euler tour. Keys grow
-// with (tree, preorder position), so sorting nodes by DocOrder groups them
-// by tree and lists each tree's nodes ancestors-first — the order
-// Index.Medoid processes members in.
-func (ix *Index) DocOrder(id int) int32 { return ix.first[id] }
 
 // ParentDepth returns the index's own per-node parent-ID (-1 at a root) and
 // depth arrays, read-only, for walks that visit a path node by node: the
@@ -204,18 +220,8 @@ func (ix *Index) LCA(a, b *schema.Node) *schema.Node {
 }
 
 func (ix *Index) lcaID(a, b int) int {
-	i, j := ix.first[a], ix.first[b]
-	if i > j {
-		i, j = j, i
-	}
-	length := j - i + 1
-	k := ix.log2[length]
-	left := ix.sparse[k][i]
-	right := ix.sparse[k][j-int32(1)<<k+1]
-	if ix.depth[left] <= ix.depth[right] {
-		return int(left)
-	}
-	return int(right)
+	l, _ := ix.lca(int32(a), int32(b))
+	return int(l)
 }
 
 // Distance returns the number of edges on the path between a and b in O(1),
@@ -225,8 +231,8 @@ func (ix *Index) Distance(a, b *schema.Node) int {
 	if ix.tree[a.ID] != ix.tree[b.ID] {
 		return -1
 	}
-	l := ix.lcaID(a.ID, b.ID)
-	return int(ix.depth[a.ID] + ix.depth[b.ID] - 2*ix.depth[l])
+	_, dl := ix.lca(int32(a.ID), int32(b.ID))
+	return int(ix.depth[a.ID] + ix.depth[b.ID] - 2*dl)
 }
 
 // DistanceID is Distance over raw node IDs, avoiding pointer loads in the
@@ -235,8 +241,8 @@ func (ix *Index) DistanceID(a, b int) int {
 	if ix.tree[a] != ix.tree[b] {
 		return -1
 	}
-	l := ix.lcaID(a, b)
-	return int(ix.depth[a] + ix.depth[b] - 2*ix.depth[l])
+	_, dl := ix.lca(int32(a), int32(b))
+	return int(ix.depth[a] + ix.depth[b] - 2*dl)
 }
 
 // IsAncestor reports whether a is an ancestor of b (inclusive: a node is its

@@ -194,6 +194,70 @@ func TestPathLengthSumSharedEdges(t *testing.T) {
 	}
 }
 
+// checkLCA compares LCA, Distance and DistanceID with parent walks on pairs
+// of random nodes of ix's repository, same-tree and cross-tree.
+func checkLCA(t testing.TB, ix *Index, rng *rand.Rand, pairs int) {
+	t.Helper()
+	repo := ix.Repository()
+	for i := 0; i < pairs; i++ {
+		a := repo.Node(rng.Intn(repo.Len()))
+		b := repo.Node(rng.Intn(repo.Len()))
+		if i%4 != 0 { // mostly pairs of one tree
+			ns := a.Tree().Nodes()
+			b = ns[rng.Intn(len(ns))]
+		}
+		want := -1
+		if a.Tree() == b.Tree() {
+			want = a.Tree().Distance(a, b)
+			if got, l := ix.LCA(a, b), schema.LCA(a, b); got != l {
+				t.Fatalf("LCA(%d, %d) = %d, parent walk %d", a.ID, b.ID, got.ID, l.ID)
+			}
+		}
+		if got := ix.Distance(a, b); got != want {
+			t.Fatalf("Distance(%d, %d) = %d, parent walk %d", a.ID, b.ID, got, want)
+		}
+		if got := ix.DistanceID(a.ID, b.ID); got != want {
+			t.Fatalf("DistanceID(%d, %d) = %d, parent walk %d", a.ID, b.ID, got, want)
+		}
+	}
+}
+
+// FuzzLCA: the range minimum over node IDs answers LCA and Distance as a
+// parent walk does, over forests of every shape shapedParents draws, built
+// through schema.Builder and Repository, under both key encodings.
+func FuzzLCA(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint16(60), uint8(2), false)
+	f.Add(int64(2), uint8(0), uint16(500), uint8(0), true) // one long path
+	f.Add(int64(3), uint8(5), uint16(1), uint8(1), false)  // single nodes
+	f.Add(int64(4), uint8(2), uint16(300), uint8(4), true)
+	f.Fuzz(func(t *testing.T, seed int64, trees uint8, maxN uint16, shape uint8, rankKeys bool) {
+		rng := rand.New(rand.NewSource(seed))
+		ix := indexFromParents(forestParents(rng, 1+int(trees%6), 1+int(maxN%600), int(shape)), rng)
+		if rankKeys {
+			ix.buildSparse(ix.Repository().Stats().MaxTree, false)
+		}
+		checkLCA(t, ix, rng, 300)
+	})
+}
+
+// TestIndexRankKeys: a path deep enough that depth and parent ID no longer
+// pack into 32 bits switches the table to rank keys, with the same answers.
+func TestIndexRankKeys(t *testing.T) {
+	b := schema.NewBuilder("path")
+	n := b.Root("n")
+	for b.Size() < 1<<16+1 {
+		n = b.Element(n, "n")
+	}
+	repo := schema.NewRepository()
+	repo.MustAdd(b.MustTree())
+	repo.MustAdd(schema.MustParseSpec("a(b(c),d)"))
+	ix := NewIndex(repo)
+	if ix.byRank == nil {
+		t.Fatal("a 65,537-deep path still packs its keys")
+	}
+	checkLCA(t, ix, rand.New(rand.NewSource(1)), 200)
+}
+
 func BenchmarkIndexBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	repo := randomForest(rng, 100, 100)

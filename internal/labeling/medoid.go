@@ -5,8 +5,8 @@ import "slices"
 // MedoidScratch holds the buffers Index.Medoid reuses between calls. The
 // zero value is ready to use; a scratch serves one goroutine at a time.
 type MedoidScratch struct {
-	keys   []uint64 // first-occurrence<<32 | position, for unsorted input only
-	sorted []int32  // the members in Euler order, for unsorted input only
+	keys   []uint64 // node ID<<32 | position, for unsorted input only
+	sorted []int32  // the members in ascending ID order, for unsorted input only
 	forest AuxForest
 	w      []weight // per vertex of forest
 }
@@ -23,9 +23,9 @@ type weight struct {
 // and equals an exhaustive O(m²) scan with full integer sums.
 //
 // ids must be non-empty and name nodes of one tree; both are checked. Members
-// already in Euler (document) order, which is how the clusterer keeps them,
-// cost O(m) plus m−1 LCA lookups; any other order costs an O(m log m) sort
-// first. A node listed twice counts twice.
+// already in ascending ID order — document order, which is how the clusterer
+// keeps them — cost O(m) plus m−1 LCA lookups; any other order costs an
+// O(m log m) sort first. A node listed twice counts twice.
 //
 // The sums come from the members' auxiliary tree (BuildAuxForest) and a
 // two-pass rerooting over its edges, whose lengths are depth differences:
@@ -42,7 +42,7 @@ func (ix *Index) Medoid(ids []int32, sc *MedoidScratch) int {
 		if ix.tree[ids[k]] != tree {
 			panic("labeling: Medoid members in different trees")
 		}
-		if ix.first[ids[k]] < ix.first[ids[k-1]] {
+		if ids[k] < ids[k-1] {
 			sorted = false
 		}
 	}
@@ -58,7 +58,7 @@ func (ix *Index) Medoid(ids []int32, sc *MedoidScratch) int {
 	seq, keys := ids, sc.keys[:0]
 	if !sorted {
 		for k, id := range ids {
-			keys = append(keys, uint64(ix.first[id])<<32|uint64(k))
+			keys = append(keys, uint64(id)<<32|uint64(k))
 		}
 		slices.Sort(keys)
 		seq = sc.sorted[:0]

@@ -3,7 +3,10 @@ package labeling
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"bellflower/internal/schema"
 )
 
 // referenceMedoid is the exhaustive definition Index.Medoid must equal: the
@@ -23,14 +26,12 @@ func referenceMedoid(ix *Index, ids []int32) int {
 	return best
 }
 
-// indexFromParents builds an Index straight from a parent array (-1 marks a
-// root; every root starts a tree), visiting children in the order given by
-// kidOrder. Unlike NewIndex over a schema.Repository, node IDs here need not
-// follow document order, which is the case the Medoid contract separates:
-// members are processed in Euler order, ties are broken by ID.
+// indexFromParents builds a repository from a parent array (-1 marks a
+// root; every root starts a tree), adding each node's children in random
+// order, and indexes it. The index numbers nodes as every repository does —
+// tree by tree, in preorder — so its IDs are not the array's positions.
 func indexFromParents(parent []int32, rng *rand.Rand) *Index {
-	n := len(parent)
-	kids := make([][]int32, n)
+	kids := make([][]int32, len(parent))
 	var roots []int32
 	for v, p := range parent {
 		if p < 0 {
@@ -39,40 +40,25 @@ func indexFromParents(parent []int32, rng *rand.Rand) *Index {
 			kids[p] = append(kids[p], int32(v))
 		}
 	}
-	for _, k := range kids {
-		rng.Shuffle(len(k), func(i, j int) { k[i], k[j] = k[j], k[i] })
-	}
-	ix := &Index{depth: make([]int32, n), tree: make([]int32, n), first: make([]int32, n)}
-	type frame struct {
-		v    int32
-		next int
-	}
-	for t, r := range roots {
-		stack := []frame{{v: r}}
-		ix.depth[r], ix.tree[r], ix.first[r] = 0, int32(t), int32(len(ix.euler))
-		ix.euler = append(ix.euler, r)
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(kids[f.v]) {
-				c := kids[f.v][f.next]
-				f.next++
-				ix.depth[c], ix.tree[c], ix.first[c] = int32(len(stack)), int32(t), int32(len(ix.euler))
-				ix.euler = append(ix.euler, c)
-				stack = append(stack, frame{v: c})
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				ix.euler = append(ix.euler, stack[len(stack)-1].v)
+	repo := schema.NewRepository()
+	for _, r := range roots {
+		b := schema.NewBuilder("t")
+		var grow func(v int32, at *schema.Node)
+		grow = func(v int32, at *schema.Node) {
+			k := kids[v]
+			rng.Shuffle(len(k), func(i, j int) { k[i], k[j] = k[j], k[i] })
+			for _, c := range k {
+				grow(c, b.Element(at, "n"))
 			}
 		}
+		grow(r, b.Root("n"))
+		repo.MustAdd(b.MustTree())
 	}
-	ix.buildSparse()
-	return ix
+	return NewIndex(repo)
 }
 
 // shapedParents returns a one-tree parent array of n nodes in the given
-// shape, relabelled by a random permutation so IDs carry no structure.
+// shape.
 func shapedParents(rng *rand.Rand, shape, n int) []int32 {
 	p := make([]int32, n)
 	p[0] = -1
@@ -98,34 +84,21 @@ func shapedParents(rng *rand.Rand, shape, n int) []int32 {
 			}
 		}
 	}
-	perm := rng.Perm(n)
-	out := make([]int32, n)
-	for i, par := range p {
-		if par < 0 {
-			out[perm[i]] = -1
-		} else {
-			out[perm[i]] = int32(perm[par])
-		}
-	}
-	return out
+	return p
 }
 
 // checkMedoid compares the kernel with the reference on one member list,
-// in the order given and in Euler order (the clusterer's fast path).
+// in the order given and in ascending ID order (the clusterer's fast path).
 func checkMedoid(t testing.TB, ix *Index, ids []int32, sc *MedoidScratch) {
 	t.Helper()
 	want := ids[referenceMedoid(ix, ids)]
 	if got := ids[ix.Medoid(ids, sc)]; got != want {
 		t.Fatalf("Medoid(%v) = node %d, exhaustive reference = node %d", ids, got, want)
 	}
-	sorted := append([]int32(nil), ids...)
-	for i := 1; i < len(sorted); i++ { // insertion sort by Euler position
-		for j := i; j > 0 && ix.first[sorted[j]] < ix.first[sorted[j-1]]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
 	if got := sorted[ix.Medoid(sorted, sc)]; got != want {
-		t.Fatalf("Medoid(Euler-sorted %v) = node %d, exhaustive reference = node %d", sorted, got, want)
+		t.Fatalf("Medoid(sorted %v) = node %d, exhaustive reference = node %d", sorted, got, want)
 	}
 }
 
@@ -152,10 +125,9 @@ func TestMedoidMatchesReferenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var ix *Index
 		if seed%3 == 0 {
-			// Repository-built: IDs follow document order.
 			ix = NewIndex(randomForest(rng, 1+rng.Intn(4), 80))
 		} else {
-			// Hand-built: IDs are a random relabelling, ID order ≠ Euler order.
+			// Paths, stars, random trees, caterpillars, chains into bushes.
 			ix = indexFromParents(shapedParents(rng, int(seed), 1+rng.Intn(120)), rng)
 		}
 		for trial := 0; trial < 8; trial++ {
@@ -204,7 +176,7 @@ func TestMedoidRejectsBadInput(t *testing.T) {
 func TestMedoidWarmScratchDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ix := indexFromParents(shapedParents(rng, 2, 400), rng)
-	ids := pickMembers(rng, ix, 60) // random order: exercises the sort path too
+	ids := pickMembers(rng, ix, 60) // shuffled: exercises the sort path too
 	var sc MedoidScratch
 	ix.Medoid(ids, &sc)
 	if n := testing.AllocsPerRun(50, func() { ix.Medoid(ids, &sc) }); n != 0 {
@@ -226,29 +198,15 @@ func FuzzMedoidEquivalence(f *testing.F) {
 	})
 }
 
-// benchMembers draws m members from a preorder window of a large random
-// tree — clusters are local — and returns them in Euler order.
+// benchMembers draws m members from a preorder (ID) window of a large
+// random tree — clusters are local — and returns them in ascending ID order.
 func benchMembers(rng *rand.Rand, ix *Index, m int) []int32 {
-	n := len(ix.first)
-	byPre := make([]int32, 0, n)
-	seen := make(map[int32]bool, n)
-	for _, id := range ix.euler {
-		if !seen[id] {
-			seen[id] = true
-			byPre = append(byPre, id)
-		}
-	}
-	lo := rng.Intn(n - 3*m)
-	window := byPre[lo : lo+3*m]
+	lo := rng.Intn(len(ix.tree) - 3*m)
 	var ids []int32
 	for _, k := range rng.Perm(3 * m)[:m] {
-		ids = append(ids, window[k])
+		ids = append(ids, int32(lo+k))
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ix.first[ids[j]] < ix.first[ids[j-1]]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	return ids
 }
 

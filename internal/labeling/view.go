@@ -19,7 +19,7 @@ import (
 //
 // A View is immutable and safe for concurrent use. Build one with NewView;
 // the construction is O(repository size) in time and keeps O(repository
-// size) int32 translation state — small next to the Euler/sparse tables of
+// size) int32 translation state — small next to the range-minimum table of
 // the Index it avoids duplicating.
 type View struct {
 	ix    *Index

@@ -132,8 +132,8 @@ func TestIndexMemoryBytes(t *testing.T) {
 	repo := viewRepo(t)
 	ix := NewIndex(repo)
 	b := ix.MemoryBytes()
-	// Lower bound: the three per-node arrays plus the Euler tour.
-	if min := int64(repo.Len())*3*4 + int64(2*repo.Len()-repo.NumTrees())*4; b < min {
+	// Lower bound: the three per-node arrays plus the table's per-node keys.
+	if min := int64(repo.Len()) * 4 * 4; b < min {
 		t.Errorf("MemoryBytes = %d, want >= %d", b, min)
 	}
 	// Views must be cheap next to the index they avoid duplicating; for a

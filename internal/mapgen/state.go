@@ -128,10 +128,12 @@ type searchState struct {
 	// into emitted Mapping Images/Sims slices: one chunk allocation serves
 	// slabRuns emissions instead of two allocations per mapping, which is
 	// most of the GC pressure of mapping-dense threshold searches. Carved
-	// regions are capped (three-index slices) and handed off to the
-	// results, never recycled — continuing to carve a chunk's tail later,
-	// even from another search, touches disjoint memory. Dropped on
-	// release so a pooled state never pins emitted results or a swapped
+	// regions are capped (three-index slices) and never recycled while a
+	// result may hold them. The δ mode and partial mappings hand them off
+	// to their results, so release drops a carved chunk. A top-N search
+	// returns a compact copy instead, so it truncates the chunk and clears
+	// its pointers, and the next search reuses it. Between uses a chunk is
+	// empty: a pooled state never pins emitted results or a swapped
 	// repository generation.
 	imgSlab []*schema.Node
 	simSlab []float64
@@ -240,14 +242,22 @@ func (st *searchState) fillSuffixBest(sets [][]matcher.Candidate) {
 	}
 }
 
+// reuseSlabs empties the emission chunks for the next search once nothing
+// refers to what was carved from them: the top-N search's result is a
+// compact copy.
+func (st *searchState) reuseSlabs() {
+	clear(st.imgSlab)
+	st.imgSlab, st.simSlab = st.imgSlab[:0], st.simSlab[:0]
+}
+
 // release hands the state back to the pool. Node pointers in the
 // assignment array are dropped so a pooled state does not pin a swapped
 // repository generation; the candidate backing arrays are overwritten on
-// next use.
+// next use. A chunk something was carved from went out with the results.
 func (st *searchState) release() {
-	for i := range st.images {
-		st.images[i] = nil
+	clear(st.images)
+	if len(st.imgSlab) > 0 {
+		st.imgSlab, st.simSlab = nil, nil
 	}
-	st.imgSlab, st.simSlab = nil, nil
 	statePool.Put(st)
 }

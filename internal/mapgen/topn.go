@@ -75,10 +75,11 @@ func (g *Generator) GenerateTopNStop(clusters []*cluster.Cluster, n int, stop fu
 	if n > 0 {
 		// The heap's backing array stays with the pooled state, and most of
 		// what was emitted into the slabs has been displaced again: the
-		// result is a compact copy.
+		// result is a compact copy, and the slabs stay for the next search.
 		out = Compact(s.kept)
 		clear(s.kept)
 		st.heap = s.kept[:0]
+		st.reuseSlabs()
 	}
 	g.cfg.Stats.addPartials(s.partials)
 	g.cfg.Stats.addSkipped(s.skipped)
@@ -238,15 +239,25 @@ type search struct {
 // not full everything is kept; once full, a newcomer that Rank-precedes
 // the current worst displaces it. Either way the floor rises to the
 // worst kept Δ — the adaptive tightening.
+//
+// m's Images and Sims are the search's live assignment arrays. A kept
+// newcomer gets a copy: carved from the emission slab while the heap
+// fills, written over the displaced mapping's once it is full — so a
+// search carves at most N regions however many mappings it displaces.
 func (s *search) offer(m Mapping) {
 	if len(s.kept) < s.limit {
+		m.Images, m.Sims = s.st.emit(m.Images, m.Sims)
 		s.kept = append(s.kept, m)
 		s.siftUp(len(s.kept) - 1)
 		if len(s.kept) == s.limit {
 			s.tighten(s.kept[0].Score.Delta)
 		}
 	} else if rankLess(&m, &s.kept[0]) {
-		s.kept[0] = m
+		old := &s.kept[0]
+		copy(old.Images, m.Images)
+		copy(old.Sims, m.Sims)
+		m.Images, m.Sims = old.Images, old.Sims
+		*old = m
 		s.siftDown(0)
 		s.tighten(s.kept[0].Score.Delta)
 	}
@@ -317,16 +328,16 @@ func (s *search) run(i int, simSum float64) {
 		if delta < s.floor {
 			return
 		}
-		images, sims := st.emit(st.images, st.sims)
 		m := Mapping{
-			Images:    images,
-			Sims:      sims,
+			Images:    st.images,
+			Sims:      st.sims,
 			ClusterID: s.cl.ID,
 			Score:     objective.Score{Delta: delta, Sim: dsim, Path: dpath, Et: et},
 		}
 		if s.limit > 0 {
 			s.offer(m)
 		} else {
+			m.Images, m.Sims = st.emit(st.images, st.sims)
 			s.kept = append(s.kept, m)
 		}
 		return

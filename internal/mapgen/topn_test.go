@@ -3,6 +3,7 @@ package mapgen
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -145,5 +146,37 @@ func TestGenerateTopNProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGenerateTopNWarmBytes pins what a warm top-N request allocates: its
+// compact result and little more. The emission slab stays with the pooled
+// state, and a displaced mapping's storage takes the next kept one, so a
+// search carves at most N regions and a warm one carves them from memory it
+// already has. A fresh 128-mapping slab per request alone would cost
+// 128 × k × 16 bytes, 10 KiB at k = 5.
+func TestGenerateTopNWarmBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	cases := benchCases()
+	gens := make([]*Generator, len(cases))
+	for i, c := range cases {
+		gens[i] = New(Config{Threshold: 0.75}, c.ix, c.ev, c.cands)
+	}
+	run := func(i int) { gens[i%len(cases)].GenerateTopN(cases[i%len(cases)].clusters, 10) }
+	for i := 0; i < 2*len(cases); i++ {
+		run(i)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 10 * 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run(i)
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 4096 {
+		t.Errorf("a warm top-10 request allocates %d bytes, want <= 4096", perOp)
 	}
 }

@@ -422,6 +422,7 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 	}
 	if csp != nil {
 		csp.SetAttrInt("elements", int64(cands.TotalMappingElements()))
+		csp.SetAttrInt("elements_loaded", int64(res.Loaded))
 		csp.SetAttrInt("clusters", int64(len(res.Clusters)))
 		csp.SetAttrInt("iterations", int64(res.Iterations))
 		csp.SetAttrInt("medoid_runs", int64(res.MedoidRuns))

@@ -472,7 +472,7 @@ func TestMatchSpanAttrs(t *testing.T) {
 
 // The cluster and generate spans carry the request features that explain a
 // slow request from /v1/traces alone, equal to the report's own figures and
-// the clustering run's medoid counters.
+// the clustering run's loaded-element and medoid counters.
 func TestClusterGenerateSpanAttrs(t *testing.T) {
 	ctx, tr, root := trace.New(context.Background(), "test")
 	r := NewRunner(smallRepo())
@@ -490,16 +490,17 @@ func TestClusterGenerateSpanAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MedoidRuns == 0 || res.MedoidsKept == 0 {
-		t.Fatalf("fixture ran %d medoids and kept %d, want both counters exercised", res.MedoidRuns, res.MedoidsKept)
+	if res.MedoidRuns == 0 || res.MedoidsKept == 0 || res.Loaded == 0 {
+		t.Fatalf("fixture loaded %d elements, ran %d medoids and kept %d, want every counter exercised", res.Loaded, res.MedoidRuns, res.MedoidsKept)
 	}
 	want := map[string]string{
 		"pipeline.cluster": fmt.Sprint(map[string]string{
-			"elements":     fmt.Sprint(rep.MappingElements),
-			"clusters":     fmt.Sprint(rep.Clusters),
-			"iterations":   fmt.Sprint(rep.Iterations),
-			"medoid_runs":  fmt.Sprint(res.MedoidRuns),
-			"medoids_kept": fmt.Sprint(res.MedoidsKept),
+			"elements":        fmt.Sprint(rep.MappingElements),
+			"elements_loaded": fmt.Sprint(res.Loaded),
+			"clusters":        fmt.Sprint(rep.Clusters),
+			"iterations":      fmt.Sprint(rep.Iterations),
+			"medoid_runs":     fmt.Sprint(res.MedoidRuns),
+			"medoids_kept":    fmt.Sprint(res.MedoidsKept),
 		}),
 		"pipeline.generate": fmt.Sprint(map[string]string{
 			"useful_clusters": fmt.Sprint(rep.UsefulClusters),

@@ -9,6 +9,13 @@ import (
 // repository R. Node IDs are assigned densely across the whole forest when a
 // tree is added, so per-node auxiliary arrays (labels, candidate marks,
 // cluster assignments) can be indexed by Node.ID.
+//
+// Node-ID order is document order: Add numbers trees in insertion order and
+// each tree's nodes consecutively in preorder (Tree.Nodes), so a tree's
+// nodes are one ID range, every subtree is the range starting at its root,
+// and an ancestor's ID is below its descendants'. The labelling index
+// (labeling.NewIndex checks it) and the clusterer rely on this: sorting
+// nodes by ID groups them by tree and lists each tree ancestors-first.
 type Repository struct {
 	trees []*Tree
 	nodes []*Node
@@ -17,9 +24,10 @@ type Repository struct {
 // NewRepository returns an empty repository.
 func NewRepository() *Repository { return &Repository{} }
 
-// Add inserts a tree into the repository, assigning the tree ID and dense
-// node IDs. A tree can belong to at most one repository; adding it twice or
-// adding it to two repositories is an error.
+// Add inserts a tree into the repository, assigning the next tree ID and the
+// next dense node IDs in the tree's preorder. A tree can belong to at most
+// one repository; adding it twice or adding it to two repositories is an
+// error.
 func (r *Repository) Add(t *Tree) error {
 	if t == nil || t.root == nil {
 		return errors.New("schema: cannot add empty tree")

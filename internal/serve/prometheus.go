@@ -40,12 +40,12 @@ func WritePrometheus(w io.Writer, st Stats, shards int) error {
 	scalars(gauge)
 
 	const hist = "bellflower_request_latency_seconds"
-	writeHeader(ew, hist, "End-to-end request latency.", "histogram")
+	writeHeader(ew, hist, "End-to-end request latency; 1-2-5 log buckets from 10 µs to 5 s.", "histogram")
 	writeHistogram(ew, hist, "", 1000, st.Latency)
 
 	if len(st.Stages) > 0 {
 		const stageHist = "bellflower_stage_duration_ms"
-		writeHeader(ew, stageHist, "Per-stage latency by pipeline/serving stage, in milliseconds.", "histogram")
+		writeHeader(ew, stageHist, "Per-stage latency by pipeline/serving stage, in milliseconds, on the request latency's buckets.", "histogram")
 		names := make([]string, 0, len(st.Stages))
 		for name := range st.Stages {
 			names = append(names, name)

@@ -316,3 +316,25 @@ func TestLatencyQuantiles(t *testing.T) {
 		t.Errorf("merged P50MS %g != recomputed %g", m.Latency.P50MS, m.Latency.Quantile(0.5))
 	}
 }
+
+// TestHistogramResolvesSubMillisecond: a 0.3 ms observation — about what a
+// clustering run costs — lands in a bucket below 1 ms, and the quantiles
+// interpolated from it stay below 1 ms too, in the request and the stage
+// histograms alike (they share one layout).
+func TestHistogramResolvesSubMillisecond(t *testing.T) {
+	var c counters
+	c.observe(300 * time.Microsecond)
+	c.observeStages(0, 300*time.Microsecond, 0)
+	for name, ls := range map[string]LatencyStats{"request": c.lat.snapshot(), "cluster stage": c.stCluster.snapshot()} {
+		i := 0
+		for ls.Counts[i] == 0 {
+			i++
+		}
+		if i >= len(ls.BucketsMS) || ls.BucketsMS[i] >= 1 || (i > 0 && ls.BucketsMS[i-1] >= 0.3) {
+			t.Errorf("%s: 0.3 ms counted in bucket %d of %v", name, i, ls.BucketsMS)
+		}
+		if ls.P50MS >= 1 || ls.P99MS >= 1 {
+			t.Errorf("%s: p50 %.3f ms, p99 %.3f ms from one 0.3 ms observation", name, ls.P50MS, ls.P99MS)
+		}
+	}
+}

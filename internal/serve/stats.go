@@ -6,12 +6,19 @@ import (
 	"time"
 )
 
-// latencyBucketsMS are the histogram upper bounds in milliseconds; an extra
-// implicit +Inf bucket catches everything slower.
-var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+// latencyBucketsMS are the histogram upper bounds in milliseconds, 1-2-5
+// log steps from 10 µs to 5 s, one layout for the request and every stage
+// histogram; an extra implicit +Inf bucket catches everything slower. The
+// pipeline stages and a cache hit run well under a millisecond, so the
+// bounds must resolve tenths of one.
+var latencyBucketsMS = []float64{
+	0.01, 0.02, 0.05, 0.1, 0.2, 0.5,
+	1, 2, 5, 10, 20, 50, 100, 200, 500,
+	1000, 2000, 5000,
+}
 
 // numLatencyBuckets is len(latencyBucketsMS) plus the +Inf overflow bucket.
-const numLatencyBuckets = 13
+const numLatencyBuckets = 19
 
 func init() {
 	if numLatencyBuckets != len(latencyBucketsMS)+1 {
