@@ -14,8 +14,9 @@
 // document order and every subtree is one ID range starting at its root.
 // NewIndex checks this in O(N). Then, for u < v in one tree, LCA(u, v) is
 // the parent of the shallowest node with ID in (u, v] — that node is a child
-// of the LCA on the path to v — and a sparse table of per-node keys ordered
-// by depth answers the minimum with two lookups.
+// of the LCA on the path to v — and a sparse table over each node's rank in
+// (depth, ID) order answers the minimum with two lookups, one more mapping
+// the winning rank to its parent.
 //
 // On top of the tables sits the auxiliary forest (AuxForest) of a node list
 // in document order (ascending IDs): the listed nodes plus the LCAs of
@@ -47,7 +48,6 @@ package labeling
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"bellflower/internal/schema"
 )
@@ -62,16 +62,12 @@ type Index struct {
 	parent []int32 // parent node ID, -1 at a root
 	tree   []int32 // owning tree ID
 
-	// sparse[k][i] is the smallest key of the nodes with IDs i .. i+2^k−1.
-	// A node's key orders it by depth first. When depth and parent ID fit
-	// in 32 bits together the key is depth<<shift | parent, and the
-	// minimum names the LCA and its depth outright; otherwise it is the
-	// node's rank in (depth, ID) order and byRank maps the rank to the
-	// parent. Levels stop at the largest tree, because a query window never
-	// leaves its tree.
+	// sparse[k][i] is the smallest key of the nodes with IDs i .. i+2^k−1,
+	// a node's key being its rank in (depth, ID) order; byRank maps a rank
+	// to that node's parent ID. Levels stop at the largest tree, because a
+	// query window never leaves its tree.
 	sparse [][]uint32
-	shift  uint8
-	byRank []int32 // nil while keys pack
+	byRank []int32
 }
 
 // NewIndex builds the labelling index for a repository. It panics if node-ID
@@ -88,7 +84,7 @@ func NewIndex(repo *schema.Repository) *Index {
 	// the chain from its tree's root down to the node listed before it,
 	// which holds exactly when each tree's IDs are consecutive and preorder.
 	var chain []int32
-	next, maxDepth, maxTree := 0, int32(0), 1
+	next := 0
 	for _, t := range repo.Trees() {
 		chain = chain[:0]
 		for _, node := range t.Nodes() {
@@ -108,42 +104,27 @@ func NewIndex(repo *schema.Repository) *Index {
 			ix.depth[id] = int32(len(chain) - 1)
 			ix.parent[id] = p
 			ix.tree[id] = int32(t.ID)
-			maxDepth = max(maxDepth, ix.depth[id])
 		}
-		maxTree = max(maxTree, t.Len())
 	}
-	ix.buildSparse(maxTree, bits.Len32(uint32(maxDepth))+bits.Len(uint(n)) <= 32)
-	return ix
-}
+	st := repo.Stats()
 
-// buildSparse builds the range-minimum table over packed keys when pack is
-// set, over rank keys otherwise.
-func (ix *Index) buildSparse(maxTree int, pack bool) {
-	n := len(ix.depth)
-	keys := make([]uint32, n)
-	ix.shift, ix.byRank = uint8(bits.Len(uint(n))), nil
-	if pack {
-		for id, d := range ix.depth {
-			keys[id] = uint32(d)<<ix.shift | uint32(max(ix.parent[id], 0)) // a root never lies inside a window
-		}
-	} else {
-		// Counting sort by depth: ranks follow (depth, ID).
-		at := make([]int32, slices.Max(ix.depth)+2)
-		for _, d := range ix.depth {
-			at[d+1]++
-		}
-		for d := 1; d < len(at); d++ {
-			at[d] += at[d-1]
-		}
-		ix.byRank = make([]int32, n)
-		for id, d := range ix.depth {
-			keys[id] = uint32(at[d])
-			ix.byRank[at[d]] = ix.parent[id]
-			at[d]++
-		}
+	// Counting sort by depth: ranks follow (depth, ID).
+	at := make([]int32, st.MaxDepth+2)
+	for _, d := range ix.depth {
+		at[d+1]++
 	}
-	// A window (u, v] of one tree is at most maxTree−1 IDs long.
-	ix.sparse = make([][]uint32, max(1, bits.Len(uint(maxTree-1))))
+	for d := 1; d < len(at); d++ {
+		at[d] += at[d-1]
+	}
+	keys := make([]uint32, n)
+	ix.byRank = make([]int32, n)
+	for id, d := range ix.depth {
+		keys[id] = uint32(at[d])
+		ix.byRank[at[d]] = ix.parent[id]
+		at[d]++
+	}
+	// A window (u, v] of one tree is at most MaxTree−1 IDs long.
+	ix.sparse = make([][]uint32, max(1, bits.Len(uint(max(st.MaxTree-1, 0)))))
 	ix.sparse[0] = keys
 	for k := 1; k < len(ix.sparse); k++ {
 		prev, half := ix.sparse[k-1], 1<<(k-1)
@@ -153,6 +134,7 @@ func (ix *Index) buildSparse(maxTree int, pack bool) {
 		}
 		ix.sparse[k] = row
 	}
+	return ix
 }
 
 // lca returns the lowest common ancestor of nodes a and b of one tree and
@@ -167,12 +149,8 @@ func (ix *Index) lca(a, b int32) (l, depth int32) {
 	}
 	k := bits.Len32(uint32(b-a)) - 1
 	row := ix.sparse[k]
-	key := min(row[a+1], row[b+1-1<<k])
-	if ix.byRank != nil {
-		l = ix.byRank[key]
-		return l, ix.depth[l]
-	}
-	return int32(key & (1<<ix.shift - 1)), int32(key>>ix.shift) - 1
+	l = ix.byRank[min(row[a+1], row[b+1-1<<k])]
+	return l, ix.depth[l]
 }
 
 // Repository returns the repository the index was built over.

@@ -224,38 +224,17 @@ func checkLCA(t testing.TB, ix *Index, rng *rand.Rand, pairs int) {
 
 // FuzzLCA: the range minimum over node IDs answers LCA and Distance as a
 // parent walk does, over forests of every shape shapedParents draws, built
-// through schema.Builder and Repository, under both key encodings.
+// through schema.Builder and Repository.
 func FuzzLCA(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint16(60), uint8(2), false)
-	f.Add(int64(2), uint8(0), uint16(500), uint8(0), true) // one long path
-	f.Add(int64(3), uint8(5), uint16(1), uint8(1), false)  // single nodes
-	f.Add(int64(4), uint8(2), uint16(300), uint8(4), true)
-	f.Fuzz(func(t *testing.T, seed int64, trees uint8, maxN uint16, shape uint8, rankKeys bool) {
+	f.Add(int64(1), uint8(3), uint16(60), uint8(2))
+	f.Add(int64(2), uint8(0), uint16(500), uint8(0)) // one long path
+	f.Add(int64(3), uint8(5), uint16(1), uint8(1))   // single nodes
+	f.Add(int64(4), uint8(2), uint16(300), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, trees uint8, maxN uint16, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		ix := indexFromParents(forestParents(rng, 1+int(trees%6), 1+int(maxN%600), int(shape)), rng)
-		if rankKeys {
-			ix.buildSparse(ix.Repository().Stats().MaxTree, false)
-		}
 		checkLCA(t, ix, rng, 300)
 	})
-}
-
-// TestIndexRankKeys: a path deep enough that depth and parent ID no longer
-// pack into 32 bits switches the table to rank keys, with the same answers.
-func TestIndexRankKeys(t *testing.T) {
-	b := schema.NewBuilder("path")
-	n := b.Root("n")
-	for b.Size() < 1<<16+1 {
-		n = b.Element(n, "n")
-	}
-	repo := schema.NewRepository()
-	repo.MustAdd(b.MustTree())
-	repo.MustAdd(schema.MustParseSpec("a(b(c),d)"))
-	ix := NewIndex(repo)
-	if ix.byRank == nil {
-		t.Fatal("a 65,537-deep path still packs its keys")
-	}
-	checkLCA(t, ix, rand.New(rand.NewSource(1)), 200)
 }
 
 func BenchmarkIndexBuild(b *testing.B) {

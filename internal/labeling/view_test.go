@@ -132,8 +132,9 @@ func TestIndexMemoryBytes(t *testing.T) {
 	repo := viewRepo(t)
 	ix := NewIndex(repo)
 	b := ix.MemoryBytes()
-	// Lower bound: the three per-node arrays plus the table's per-node keys.
-	if min := int64(repo.Len()) * 4 * 4; b < min {
+	// Lower bound: the four per-node arrays (depth, parent, tree, byRank)
+	// plus the table's per-node keys.
+	if min := int64(repo.Len()) * 5 * 4; b < min {
 		t.Errorf("MemoryBytes = %d, want >= %d", b, min)
 	}
 	// Views must be cheap next to the index they avoid duplicating; for a

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -102,6 +103,31 @@ func TestMergeStats(t *testing.T) {
 	// Merging nothing yields a zero snapshot, not a panic.
 	if z := MergeStats(); z.Requests != 0 || z.Latency.Count != 0 {
 		t.Errorf("empty merge = %+v", z)
+	}
+}
+
+// TestMergeStatsAcrossBucketLayouts: a snapshot from a build with the
+// older 1 ms–5 s layout folds into the current one by upper bound, never by
+// index, and keeps every observation.
+func TestMergeStatsAcrossBucketLayouts(t *testing.T) {
+	var h histogram
+	h.observe(300 * time.Microsecond)
+	old := LatencyStats{
+		Count: 4, SumMS: 3040,
+		BucketsMS: []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000},
+		Counts:    []int64{0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 2}, // 10, 25 and twice +Inf
+	}
+	got := MergeStats(Stats{Latency: h.snapshot()}, Stats{Latency: old}).Latency
+	want := make([]int64, numLatencyBuckets)
+	want[5] = 1                   // the local 0.3 ms observation (≤ 0.5 ms)
+	want[9] = 1                   // old ≤ 10 ms
+	want[11] = 1                  // old ≤ 25 ms, under 50 ms
+	want[numLatencyBuckets-1] = 2 // +Inf stays +Inf
+	if !slices.Equal(got.BucketsMS, latencyBucketsMS) || !slices.Equal(got.Counts, want) {
+		t.Errorf("merged buckets %v counts %v, want counts %v", got.BucketsMS, got.Counts, want)
+	}
+	if got.Count != 5 || got.P50MS <= 5 {
+		t.Errorf("merged count %d p50 %.3f ms, want 5 and above 5 ms", got.Count, got.P50MS)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -394,7 +395,10 @@ func (ls *LatencyStats) fillQuantiles() {
 }
 
 // mergeLatency folds b into a (summing counts, sums and buckets) and
-// recomputes the derived mean and quantiles.
+// recomputes the derived mean and quantiles. Each of b's buckets adds into
+// a's first bucket whose bound is at or above b's, so a snapshot from a
+// build with another bucket layout (a shard daemon mid-upgrade) is counted
+// under a bound that still holds its observations.
 func mergeLatency(a *LatencyStats, b LatencyStats) {
 	a.Count += b.Count
 	a.SumMS += b.SumMS
@@ -402,9 +406,13 @@ func mergeLatency(a *LatencyStats, b LatencyStats) {
 		a.BucketsMS = append([]float64(nil), b.BucketsMS...)
 		a.Counts = append([]int64(nil), b.Counts...)
 	} else {
-		for j := range b.Counts {
-			if j < len(a.Counts) {
-				a.Counts[j] += b.Counts[j]
+		for j, cnt := range b.Counts {
+			ub := math.Inf(1)
+			if j < len(b.BucketsMS) {
+				ub = b.BucketsMS[j]
+			}
+			if i := sort.SearchFloat64s(a.BucketsMS, ub); i < len(a.Counts) {
+				a.Counts[i] += cnt
 			}
 		}
 	}
