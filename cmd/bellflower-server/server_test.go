@@ -294,26 +294,46 @@ func TestMatchWithoutTopNIsBounded(t *testing.T) {
 	}
 }
 
+// blockingMatcher holds the run that calls it until release is closed,
+// signalling started on its first call: a request that occupies a worker
+// for exactly as long as a test needs.
+type blockingMatcher struct {
+	bellflower.ElementMatcher
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (m *blockingMatcher) Similarity(p, r *bellflower.Node) float64 {
+	m.once.Do(func() { close(m.started) })
+	<-m.release
+	return m.ElementMatcher.Similarity(p, r)
+}
+
+// TestDeadlineExceededReturns504: a request whose deadline expires before
+// its run finishes is answered 504. The single worker is held by another
+// run for the whole test, so the 1 ms request always expires in the queue.
 func TestDeadlineExceededReturns504(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs a paper-scale repository")
+	srv, ts := testService(t, bellflower.ServiceConfig{Workers: 1})
+	block := &blockingMatcher{
+		ElementMatcher: bellflower.NewNameMatcher(false),
+		started:        make(chan struct{}),
+		release:        make(chan struct{}),
 	}
-	cfg := bellflower.DefaultSyntheticConfig()
-	cfg.TargetNodes = 5000
-	repo, err := bellflower.Synthetic(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svcCfg := bellflower.ServiceConfig{}
-	srv := newServer(repo, "synthetic", svcCfg, 1, bellflower.PartitionClustered, "", newQuietLogger())
-	ts := httptest.NewServer(srv.routes())
-	defer func() {
-		ts.Close()
-		srv.closeNow()
+	opts := bellflower.DefaultOptions()
+	opts.Matcher = block
+	held := make(chan error, 1)
+	go func() {
+		_, err := srv.cur.backend.Match(context.Background(), bellflower.MustParseSchema("address(name,email)"), opts)
+		held <- err
 	}()
+	<-block.started
 
 	resp, body := postJSON(t, ts.URL+"/v1/match",
 		`{"personal":"book(title,author,publisher(name,address),isbn)","options":{"top_n":1000,"timeout_ms":1}}`)
+	close(block.release)
+	if err := <-held; err != nil {
+		t.Fatalf("the request holding the worker failed: %v", err)
+	}
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body: %s)", resp.StatusCode, body)
 	}

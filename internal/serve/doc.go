@@ -68,13 +68,18 @@
 // once per shard: element matching and clustering execute against the full
 // repository, keyed by a pre-pass signature
 // (personal schema + matcher + MinSim + clustering options), shared in
-// flight through the same flight group type a Service uses and cached once
-// they succeed (a failed pre-pass is not cached), and the results are
-// projected onto each shard. Because shards
+// flight through the same flight group type a Service uses, projected
+// onto each shard, and cached once they succeed (a failed pre-pass is not
+// cached). Because shards
 // are views of the same repository, projection is pure filtering —
 // matcher.Candidates.Restrict keeps each shard's member-tree candidates
 // with their original node objects and order, and each global cluster
 // (clusters never span trees) is handed wholesale to its owning shard.
+// Projection happens once per cache entry, which holds the per-shard
+// projections rather than the full result: a repeat only rebinds each
+// shard's candidates to its own personal tree, and each projection carries
+// a memo cell (Staged.Memo) in which a remote shard's client keeps the
+// projection digest, so a repeat encodes no projection either.
 // Shards then run only mapping generation (ShardBackend.MatchStaged with
 // the projection as its Staged argument → pipeline.Runner.RunWithClusters).
 // The projection is exact, so reports are identical to per-shard

@@ -196,6 +196,7 @@ func (s *cacheSpace) residentBytes() int64 {
 const (
 	wordBytes   = 8
 	structSlack = 128 // flat per-entry overhead: struct fields + map/list bookkeeping
+	memoBytes   = 64  // a Staged memo cell holding a projection digest
 )
 
 // mappingBytes estimates one ranked mapping's resident size.
@@ -237,11 +238,12 @@ func clustersBytes(cls []*cluster.Cluster) int64 {
 	return b
 }
 
-// prepassEntryBytes estimates a completed pre-pass entry's resident size.
+// prepassEntryBytes estimates a completed pre-pass entry's resident size:
+// every shard's projection, memo cell included.
 func prepassEntryBytes(e *prepassEntry) int64 {
 	b := int64(structSlack)
-	if e.cands != nil {
-		b += candidatesBytes(e.cands)
+	for _, p := range e.shards {
+		b += projectionBytes(p)
 	}
-	return b + clustersBytes(e.clusters)
+	return b
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -131,11 +132,21 @@ func TestGovernorEstimatorCalibration(t *testing.T) {
 		checkBand(t, fmt.Sprintf("clustersBytes(nodes=%d)", nodes),
 			clustersBytes(clusters), measuredClustersBytes(clusters))
 
-		// Pre-pass entries combine both.
-		e := &prepassEntry{cands: cands, clusters: clusters}
-		checkBand(t, fmt.Sprintf("prepassEntryBytes(nodes=%d)", nodes),
-			prepassEntryBytes(e),
-			int64(unsafe.Sizeof(*e))+measuredCandidatesBytes(cands)+measuredClustersBytes(clusters))
+		// Pre-pass entries hold both, projected onto the shards, each shard
+		// with a memo cell holding a projection digest.
+		r := NewRouterFromRepository(repo, 2, Config{})
+		e := &prepassEntry{shards: r.project(cands, clusters, 1)}
+		r.Close()
+		if len(e.shards) != 2 {
+			t.Fatalf("nodes=%d: %d shards, want a multi-shard entry", nodes, len(e.shards))
+		}
+		measured := int64(unsafe.Sizeof(*e)) + int64(cap(e.shards))*int64(unsafe.Sizeof(Staged{}))
+		for _, p := range e.shards {
+			p.Memo.Store(strings.Repeat("0", 32))
+			measured += measuredCandidatesBytes(p.Cands) + measuredClustersBytes(p.Clusters) +
+				int64(unsafe.Sizeof(*p.Memo)) + int64(unsafe.Sizeof("")) + 32
+		}
+		checkBand(t, fmt.Sprintf("prepassEntryBytes(nodes=%d)", nodes), prepassEntryBytes(e), measured)
 
 		// And a real report end to end.
 		rep, err := runner.Run(p, opts)

@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"time"
-
-	"bellflower/internal/cluster"
-	"bellflower/internal/matcher"
-)
+import "time"
 
 // prepassCacheSize bounds the router's candidate pre-pass cache by entry
 // count (a secondary limit under the unified byte budget). Candidate sets
@@ -15,14 +10,15 @@ import (
 // personal schemas covers most traffic.
 const prepassCacheSize = 64
 
-// prepassEntry is one full-repository pre-pass result — the candidate set
-// and the clusters built from it. Concurrent requests for one pre-pass
-// signature share one matching+clustering run through the router's flight
-// group; only a finished, successful entry enters the cache.
+// prepassEntry is one full-repository pre-pass result, already projected:
+// per shard, the candidates on its trees, the clusters that live there and
+// a memo cell for its backend. The shards partition the candidates, so the
+// entry holds what the full candidate set and cluster list would. Concurrent
+// requests for one pre-pass signature share one matching+clustering run
+// through the router's flight group; only a finished, successful entry
+// enters the cache.
 type prepassEntry struct {
-	cands      *matcher.Candidates
-	clusters   []*cluster.Cluster
-	iterations int
+	shards     []Staged
 	matchDur   time.Duration
 	clusterDur time.Duration
 }

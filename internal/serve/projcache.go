@@ -2,11 +2,14 @@ package serve
 
 import "sync/atomic"
 
-// projectionBytes estimates a cached projection's resident size.
+// projectionBytes estimates a projection's resident size.
 func projectionBytes(p Staged) int64 {
 	b := int64(structSlack)
 	if p.Cands != nil {
 		b += candidatesBytes(p.Cands)
+	}
+	if p.Memo != nil {
+		b += memoBytes
 	}
 	return b + clustersBytes(p.Clusters)
 }

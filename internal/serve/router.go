@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bellflower/internal/cluster"
 	"bellflower/internal/labeling"
 	"bellflower/internal/mapgen"
 	"bellflower/internal/matcher"
@@ -115,11 +116,13 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // and clustering execute once against the full repository per pre-pass
 // signature (personal schema + matcher + MinSim + clustering options; see
 // CandidateSignature), shared in flight like a Service's pipeline runs,
-// cached under the unified memory governor once they succeed, and the
-// results are projected onto each shard by pure filtering
+// projected onto each shard by pure filtering
 // (matcher.Candidates.Restrict for the candidates; clusters never span
-// trees, so each global cluster is handed wholesale to its owning shard).
-// Shards then run only mapping generation, via ShardBackend.MatchStaged.
+// trees, so each global cluster is handed wholesale to its owning shard)
+// and cached, projected, under the unified memory governor once they
+// succeed. A repeat only rebinds each shard's candidates to its own
+// personal tree. Shards then run only mapping generation, via
+// ShardBackend.MatchStaged.
 // The projection is exact, and because clustering is global the k-means
 // variants produce the SAME clusters as an unsharded run.
 //
@@ -310,28 +313,14 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 		r.errored.Add(1)
 		return nil, err
 	}
-	// A cache hit may carry an earlier request's personal-tree instance;
-	// equal pre-pass signatures guarantee structural identity, so rebind
-	// to this request's tree before restricting per shard.
-	cands := e.cands.Rebind(personal)
-	staged := make([]Staged, len(r.shards))
-	for i := range r.shards {
-		// Shards are views of the same repository the pre-pass matched
-		// against, so projection is pure filtering — candidates keep their
-		// original node objects and order.
-		staged[i] = Staged{Cands: cands.Restrict(r.views[i].Contains), Iterations: e.iterations}
-	}
-	for _, cl := range e.clusters {
-		if cl.Len() == 0 {
-			continue
-		}
-		i, ok := r.shardOf[cl.Elements[0].Node.Tree()]
-		if !ok {
-			continue // defensive: a cluster outside the partition cannot be served
-		}
-		// Clusters never span trees, so a global cluster belongs wholesale
-		// to one shard and is handed over as-is (shared, read-only).
-		staged[i].Clusters = append(staged[i].Clusters, cl)
+	// The entry is already projected per shard. A cache hit may carry an
+	// earlier request's personal-tree instance; equal pre-pass signatures
+	// guarantee structural identity, so rebind each shard's candidates to
+	// this request's tree (O(|personal|), candidate slices shared).
+	staged := make([]Staged, len(e.shards))
+	for i, st := range e.shards {
+		st.Cands = st.Cands.Rebind(personal)
+		staged[i] = st
 	}
 	rep, err := r.fanOut(ctx, personal, opts, staged)
 	if err != nil {
@@ -405,7 +394,8 @@ func (r *Router) runPrepass(ctx context.Context, personal *schema.Tree, opts pip
 }
 
 // computePrepass runs element matching and clustering against the full
-// repository. The work is CPU-bound and runs on the caller's goroutine, so
+// repository and projects the result onto the shards. The work is
+// CPU-bound and runs on the caller's goroutine, so
 // it first takes a prepassSem slot — sized to the shard worker budget —
 // and gives up with the context error if ctx ends while it waits. A panic
 // comes back as an error, with the slot released.
@@ -429,14 +419,42 @@ func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts
 	}
 	e = &prepassEntry{}
 	t0 := time.Now()
-	e.cands = r.fullRunner.MatchCandidates(personal, m, matcher.Config{MinSim: opts.MinSim})
+	cands := r.fullRunner.MatchCandidates(personal, m, matcher.Config{MinSim: opts.MinSim})
 	e.matchDur = time.Since(t0)
 	t1 := time.Now()
-	e.clusters, e.iterations, err = pipeline.ComputeClusters(r.fullRunner.Index(), e.cands, opts)
+	clusters, iterations, err := pipeline.ComputeClusters(r.fullRunner.Index(), cands, opts)
 	e.clusterDur = time.Since(t1)
 	r.prepassRuns.Add(1)
 	r.stPrepass.observe(e.matchDur + e.clusterDur)
-	return e, err
+	if err != nil {
+		return nil, err
+	}
+	e.shards = r.project(cands, clusters, iterations)
+	return e, nil
+}
+
+// project splits one full-repository pre-pass result into the per-shard
+// projections, each with a fresh memo cell. Shards are views of the same
+// repository the pre-pass matched against, so projection is pure
+// filtering: candidates keep their original node objects and order, and
+// since clusters never span trees, each global cluster is handed wholesale
+// to the one shard that owns its tree (shared, read-only).
+func (r *Router) project(cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) []Staged {
+	staged := make([]Staged, len(r.views))
+	for i, v := range r.views {
+		staged[i] = Staged{Cands: cands.Restrict(v.Contains), Iterations: iterations, Memo: new(atomic.Value)}
+	}
+	for _, cl := range clusters {
+		if cl.Len() == 0 {
+			continue
+		}
+		i, ok := r.shardOf[cl.Elements[0].Node.Tree()]
+		if !ok {
+			continue // defensive: a cluster outside the partition cannot be served
+		}
+		staged[i].Clusters = append(staged[i].Clusters, cl)
+	}
+	return staged
 }
 
 // fanOut sends the request to every shard concurrently, each with its

@@ -123,9 +123,11 @@ func (c Config) Capacity() int {
 // Staged carries the stages that already ran upstream of a shard: the
 // router's pre-pass matches and clusters once against the full repository
 // and hands every shard its projection — the candidate set restricted to
-// the shard's trees and the clusters that live in them. The zero value
-// means nothing is staged: the shard runs the full pipeline. A shard
-// server's ProjectionCache stores the same value under its content address.
+// the shard's trees and the clusters that live in them. The router projects
+// once, when it computes a pre-pass entry, and hands the same projection to
+// every request the entry serves. The zero value means nothing is staged:
+// the shard runs the full pipeline. A shard server's ProjectionCache stores
+// the same value under its content address.
 //
 // Cands and Clusters are read-only to the receiver; Cands may be bound to a
 // structurally identical personal tree (rebind with Candidates.Rebind).
@@ -141,6 +143,15 @@ type Staged struct {
 	// Iterations is the upstream clustering's iteration count, echoed into
 	// the report.
 	Iterations int
+
+	// Memo is a cell that lives and dies with the projection: the router
+	// allocates one per pre-pass entry and shard, and nil means none. The
+	// shard's backend may fill it once (CompareAndSwap from nil) with a
+	// value that depends only on the projection and the backend's own
+	// view, then read it back on later requests instead of recomputing
+	// it: the remote client stores the projection digest there. Nothing
+	// else reads or writes it.
+	Memo *atomic.Value
 }
 
 // task is one scheduled pipeline run: generation only over staged.Clusters

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"bellflower/internal/cluster"
 	"bellflower/internal/labeling"
@@ -21,6 +23,7 @@ type stubShard struct {
 	serve       func(ctx context.Context) (*pipeline.Report, error) // overrides rep when set
 	matchCalls  atomic.Int64                                        // full-pipeline requests (zero Staged)
 	stagedCalls atomic.Int64                                        // pre-pass (staged projection) requests
+	seen        func(personal *schema.Tree, staged Staged)          // called with every request when set
 	closed      atomic.Bool
 }
 
@@ -32,6 +35,9 @@ func (s *stubShard) MatchStaged(ctx context.Context, personal *schema.Tree, opts
 		s.stagedCalls.Add(1)
 	} else {
 		s.matchCalls.Add(1)
+	}
+	if s.seen != nil {
+		s.seen(personal, staged)
 	}
 	if s.serve != nil {
 		return s.serve(ctx)
@@ -152,5 +158,104 @@ func TestRouterWithShardBackendsPrepassPath(t *testing.T) {
 	}
 	if !rep.Incomplete || len(rep.ShardErrors) != 1 || rep.ShardErrors[0].Shard != 1 {
 		t.Fatalf("incomplete=%v errors=%+v, want incomplete with shard 1", rep.Incomplete, rep.ShardErrors)
+	}
+}
+
+// recordingRouter is backendRouter whose stubs record every request they
+// are handed: seen[i] lists shard i's (personal tree, projection) pairs in
+// arrival order. Each stub fills its projection's memo cell the way a
+// remote client stores a digest.
+func recordingRouter(t *testing.T) (*Router, [][]recordedRequest) {
+	t.Helper()
+	seen := make([][]recordedRequest, 2)
+	stubs := []*stubShard{{rep: stubReport(0.9)}, {rep: stubReport(0.8)}}
+	for i, s := range stubs {
+		s.seen = func(personal *schema.Tree, staged Staged) {
+			staged.Memo.CompareAndSwap(nil, fmt.Sprintf("digest-of-shard-%d", i))
+			seen[i] = append(seen[i], recordedRequest{personal, staged})
+		}
+	}
+	return stubRouter(t, Config{}, stubs...), seen
+}
+
+type recordedRequest struct {
+	personal *schema.Tree
+	staged   Staged
+}
+
+// TestRouterRepeatReusesProjection: a repeat served from a pre-pass entry
+// hands every shard the entry's own projection — the same memo cell and
+// the same candidate element slices as the first request (nothing was
+// restricted again) — with the candidates rebound to the repeat's own
+// personal tree, a different instance of the same schema.
+func TestRouterRepeatReusesProjection(t *testing.T) {
+	r, seen := recordingRouter(t)
+	first, second := personal(), personal()
+	for _, p := range []*schema.Tree{first, second} {
+		if _, err := r.Match(context.Background(), p, testOpts()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := r.Stats().CandidatePrePass; n != 1 {
+		t.Fatalf("CandidatePrePass = %d, want both requests served by one entry", n)
+	}
+	elems := 0
+	for i, reqs := range seen {
+		if len(reqs) != 2 {
+			t.Fatalf("shard %d saw %d requests, want 2", i, len(reqs))
+		}
+		a, b := reqs[0].staged, reqs[1].staged
+		if a.Memo == nil || a.Memo != b.Memo {
+			t.Errorf("shard %d: memo cells %p and %p, want one cell per entry and shard", i, a.Memo, b.Memo)
+		}
+		if i > 0 && a.Memo == seen[0][0].staged.Memo {
+			t.Errorf("shard %d shares shard 0's memo cell", i)
+		}
+		for k, want := range []*schema.Tree{first, second} {
+			got := reqs[k].staged.Cands
+			if reqs[k].personal != want || got.Personal != want {
+				t.Fatalf("shard %d request %d: candidates bound to %p, want the caller's own tree %p", i, k, got.Personal, want)
+			}
+			for j := range got.Sets {
+				if got.Sets[j].Personal != want.NodeAt(j) {
+					t.Fatalf("shard %d request %d set %d: personal node not rebound", i, k, j)
+				}
+			}
+		}
+		for j := range a.Cands.Sets {
+			x, y := a.Cands.Sets[j].Elems, b.Cands.Sets[j].Elems
+			if len(x) != len(y) || unsafe.SliceData(x) != unsafe.SliceData(y) {
+				t.Errorf("shard %d set %d: repeat got a fresh candidate slice", i, j)
+			}
+			elems += len(x)
+		}
+		if len(a.Clusters) != len(b.Clusters) || unsafe.SliceData(a.Clusters) != unsafe.SliceData(b.Clusters) {
+			t.Errorf("shard %d: repeat got a fresh cluster list", i)
+		}
+	}
+	if elems == 0 {
+		t.Fatal("no candidates reached any shard: the check is vacuous")
+	}
+}
+
+// TestPrepassBytesFlatOnRepeats: the governor charges a pre-pass entry once,
+// memo cells included, so repeats of one request — which fill those cells —
+// do not grow the router's pre-pass cache bytes.
+func TestPrepassBytesFlatOnRepeats(t *testing.T) {
+	r, _ := recordingRouter(t)
+	var after []int64
+	for i := 0; i < 4; i++ {
+		if _, err := r.Match(context.Background(), personal(), testOpts()); err != nil {
+			t.Fatal(err)
+		}
+		after = append(after, r.prepass.residentBytes())
+	}
+	if after[0] <= 0 {
+		t.Fatalf("pre-pass cache holds %d bytes after the first request", after[0])
+	}
+	for i, b := range after {
+		if b != after[0] {
+			t.Fatalf("pre-pass cache bytes after request %d: %d, want %d (the first request's)", i, b, after[0])
+		}
 	}
 }

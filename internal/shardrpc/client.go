@@ -168,41 +168,69 @@ func (rs *RemoteShard) forgetProjection(hash string) {
 	delete(rs.projKnown, hash)
 }
 
-// encodedRequest is one match request translated to wire structs, with
-// its projection digest and lazily marshalled bodies: the full request and,
-// when a projection is staged, the slim one that references it by digest.
-// Replicas of one shard share a single encodedRequest — they hold the same
-// view and descriptor — while each picks the body its own projection
-// knowledge calls for. One request's attempts run one after another, so the
-// bodies need no lock.
+// encodedRequest is one match request translated to the wire, with its
+// projection digest and lazily built bodies: the full request and, when a
+// projection is staged, the slim one that references it by digest. The
+// projection's wire structs are built only for a full body, from the staged
+// projection the request retains. Replicas of one shard share a single
+// encodedRequest — they hold the same view and descriptor — while each picks
+// the body its own projection knowledge calls for. One request's attempts
+// run one after another, so the bodies need no lock.
 type encodedRequest struct {
-	req        MatchRequest
+	req        MatchRequest // projection payload filled in with the full body
+	staged     serve.Staged
+	view       *labeling.View
 	hash       string // projection digest; "" when no projection is staged
 	full, slim []byte
 }
 
-// body marshals (and keeps) the request in the given shape. slim sets
+// body returns (and keeps) the request in the given shape. slim sets
 // ProjectionRef, which leaves the projection payload out of the encoding —
 // valid only when hash is non-empty.
-func (e *encodedRequest) body(slim bool) []byte {
-	b := &e.full
+func (e *encodedRequest) body(slim bool) ([]byte, error) {
 	if slim {
-		b = &e.slim
+		if e.slim == nil {
+			req := e.req
+			req.ProjectionRef = true
+			e.slim = EncodeBinaryMatchRequest(&req)
+		}
+		return e.slim, nil
 	}
-	if *b == nil {
-		req := e.req
-		req.ProjectionRef = slim
-		*b = EncodeBinaryMatchRequest(&req)
+	if e.full == nil {
+		if err := e.encodeProjection(); err != nil {
+			return nil, err
+		}
+		e.full = EncodeBinaryMatchRequest(&e.req)
 	}
-	return *b
+	return e.full, nil
 }
 
-// encode translates one request to the wire — structs, projection digest
-// and the body the first attempt will most likely send, so the encode
-// timer prices the real serialization work. With a staged projection — the
-// router's pre-pass path — the projected candidates and clusters ship in
-// local-ID space and the remote shard runs generation only; the zero Staged
-// asks for the remote shard's full pipeline.
+// encodeProjection translates the staged projection to wire structs in the
+// view's local-ID space, once.
+func (e *encodedRequest) encodeProjection() error {
+	if e.staged.Cands == nil || e.req.Candidates != nil {
+		return nil
+	}
+	cands, err := EncodeCandidates(e.view, e.staged.Cands)
+	if err != nil {
+		return err
+	}
+	clusters, err := EncodeClusters(e.view, e.staged.Clusters)
+	if err != nil {
+		return err
+	}
+	e.req.Candidates, e.req.Clusters = cands, clusters
+	return nil
+}
+
+// encode translates one request to the wire — the projection digest and the
+// body the first attempt will most likely send, so the encode timer prices
+// the real serialization work. With a staged projection — the router's
+// pre-pass path — the projected candidates and clusters ship in local-ID
+// space and the remote shard runs generation only; the zero Staged asks for
+// the remote shard's full pipeline. The projection's digest is computed once
+// per staged memo cell: a repeat that finds it there and goes slim encodes
+// no projection at all.
 func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*encodedRequest, error) {
 	if personal == nil || personal.Root() == nil {
 		return nil, fmt.Errorf("shardrpc: nil personal schema")
@@ -217,25 +245,36 @@ func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts p
 	if err != nil {
 		return nil, err
 	}
-	enc := &encodedRequest{req: MatchRequest{
-		Descriptor: rs.desc,
-		Personal:   EncodeTree(personal),
-		Signature:  serve.Signature(personal, opts),
-		Options:    wopts,
-	}}
+	enc := &encodedRequest{
+		req: MatchRequest{
+			Descriptor: rs.desc,
+			Personal:   EncodeTree(personal),
+			Signature:  serve.Signature(personal, opts),
+			Options:    wopts,
+		},
+		staged: staged,
+		view:   rs.view,
+	}
 	if staged.Cands != nil {
 		enc.req.HasCandidates, enc.req.HasClusters = true, true
 		enc.req.Iterations = staged.Iterations
-		if enc.req.Candidates, err = EncodeCandidates(rs.view, staged.Cands); err != nil {
-			return nil, err
+		if staged.Memo != nil {
+			enc.hash, _ = staged.Memo.Load().(string)
 		}
-		if enc.req.Clusters, err = EncodeClusters(rs.view, staged.Clusters); err != nil {
-			return nil, err
+		if enc.hash == "" {
+			if err := enc.encodeProjection(); err != nil {
+				return nil, err
+			}
+			enc.full, enc.hash = encodeDigestedRequest(&enc.req)
+			if staged.Memo != nil {
+				staged.Memo.CompareAndSwap(nil, enc.hash)
+			}
 		}
-		enc.hash = ProjectionDigest(&enc.req)
 		enc.req.ProjectionHash = enc.hash
 	}
-	enc.body(rs.slim(enc))
+	if _, err := enc.body(rs.slim(enc)); err != nil {
+		return nil, err
+	}
 	return enc, nil
 }
 
@@ -278,16 +317,24 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 	defer rsp.End()
 
 	slim := rs.slim(enc)
+	body, err := enc.body(slim)
+	if err != nil {
+		return nil, false, err
+	}
 	rtStart := time.Now()
-	resp, err := rs.send(cctx, rctx, enc.body(slim))
+	resp, err := rs.send(cctx, rctx, body)
 	if err == nil && resp.StatusCode == http.StatusPreconditionRequired && slim {
 		// Projection-needed: the shard no longer holds the projection
 		// (restart, eviction). Resend with the payload inlined — same
-		// endpoint, same attempt.
+		// endpoint, same attempt; the full body is built from the retained
+		// projection, so it hashes to the digest the slim one carried.
 		drain(resp)
 		rs.forgetProjection(enc.hash)
 		rsp.SetAttr("projection", "resent")
-		resp, err = rs.send(cctx, rctx, enc.body(false))
+		if body, err = enc.body(false); err != nil {
+			return nil, false, err
+		}
+		resp, err = rs.send(cctx, rctx, body)
 	}
 	if err != nil {
 		rsp.SetAttr("error", err.Error())

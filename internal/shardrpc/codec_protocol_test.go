@@ -55,6 +55,16 @@ func stagedFixture(t *testing.T, ts *testShard) (*schema.Tree, pipeline.Options,
 	}
 }
 
+// mustBody returns the encoded request's body in the given shape.
+func mustBody(t *testing.T, enc *encodedRequest, slim bool) []byte {
+	t.Helper()
+	b, err := enc.body(slim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestShardServerContentType pins the wire edge of /v1/shard/match: only
 // the binary media type is served (anything else, an absent header
 // included, is 415 — never guessed at), a body that does not decode as
@@ -169,7 +179,7 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	if st := ts.host.Stats(); st.ProjectionCacheHits != 0 || st.ProjectionCacheMisses != 0 {
 		t.Fatalf("full request touched the projection cache: hits=%d misses=%d", st.ProjectionCacheHits, st.ProjectionCacheMisses)
 	}
-	fullLen, slimLen := len(enc.body(false)), len(enc.body(true))
+	fullLen, slimLen := len(mustBody(t, enc, false)), len(mustBody(t, enc, true))
 	if slimLen >= fullLen {
 		t.Fatalf("slim body (%d bytes) not smaller than full (%d bytes)", slimLen, fullLen)
 	}
