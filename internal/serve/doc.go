@@ -78,7 +78,7 @@
 // Projection happens once per cache entry, which holds the per-shard
 // projections rather than the full result: a repeat only rebinds each
 // shard's candidates to its own personal tree, and each projection carries
-// a memo cell (Staged.Memo) in which a remote shard's client keeps the
+// a digest cell (Staged.Digest) in which a remote shard's client keeps the
 // projection digest, so a repeat encodes no projection either.
 // Shards then run only mapping generation (ShardBackend.MatchStaged with
 // the projection as its Staged argument → pipeline.Runner.RunWithClusters).

@@ -196,7 +196,7 @@ func (s *cacheSpace) residentBytes() int64 {
 const (
 	wordBytes   = 8
 	structSlack = 128 // flat per-entry overhead: struct fields + map/list bookkeeping
-	memoBytes   = 64  // a Staged memo cell holding a projection digest
+	digestBytes = 64  // a Staged digest cell holding a projection digest
 )
 
 // mappingBytes estimates one ranked mapping's resident size.
@@ -239,7 +239,7 @@ func clustersBytes(cls []*cluster.Cluster) int64 {
 }
 
 // prepassEntryBytes estimates a completed pre-pass entry's resident size:
-// every shard's projection, memo cell included.
+// every shard's projection, digest cell included.
 func prepassEntryBytes(e *prepassEntry) int64 {
 	b := int64(structSlack)
 	for _, p := range e.shards {

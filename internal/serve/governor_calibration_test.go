@@ -133,7 +133,7 @@ func TestGovernorEstimatorCalibration(t *testing.T) {
 			clustersBytes(clusters), measuredClustersBytes(clusters))
 
 		// Pre-pass entries hold both, projected onto the shards, each shard
-		// with a memo cell holding a projection digest.
+		// with a digest cell holding a projection digest.
 		r := NewRouterFromRepository(repo, 2, Config{})
 		e := &prepassEntry{shards: r.project(cands, clusters, 1)}
 		r.Close()
@@ -142,9 +142,10 @@ func TestGovernorEstimatorCalibration(t *testing.T) {
 		}
 		measured := int64(unsafe.Sizeof(*e)) + int64(cap(e.shards))*int64(unsafe.Sizeof(Staged{}))
 		for _, p := range e.shards {
-			p.Memo.Store(strings.Repeat("0", 32))
+			digest := strings.Repeat("0", 32)
+			p.Digest.Store(&digest)
 			measured += measuredCandidatesBytes(p.Cands) + measuredClustersBytes(p.Clusters) +
-				int64(unsafe.Sizeof(*p.Memo)) + int64(unsafe.Sizeof("")) + 32
+				int64(unsafe.Sizeof(*p.Digest)) + int64(unsafe.Sizeof(digest)) + int64(len(digest))
 		}
 		checkBand(t, fmt.Sprintf("prepassEntryBytes(nodes=%d)", nodes), prepassEntryBytes(e), measured)
 

@@ -12,7 +12,7 @@ const prepassCacheSize = 64
 
 // prepassEntry is one full-repository pre-pass result, already projected:
 // per shard, the candidates on its trees, the clusters that live there and
-// a memo cell for its backend. The shards partition the candidates, so the
+// a digest cell for its backend. The shards partition the candidates, so the
 // entry holds what the full candidate set and cluster list would. Concurrent
 // requests for one pre-pass signature share one matching+clustering run
 // through the router's flight group; only a finished, successful entry

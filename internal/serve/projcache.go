@@ -8,8 +8,8 @@ func projectionBytes(p Staged) int64 {
 	if p.Cands != nil {
 		b += candidatesBytes(p.Cands)
 	}
-	if p.Memo != nil {
-		b += memoBytes
+	if p.Digest != nil {
+		b += digestBytes
 	}
 	return b + clustersBytes(p.Clusters)
 }

@@ -434,7 +434,7 @@ func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts
 }
 
 // project splits one full-repository pre-pass result into the per-shard
-// projections, each with a fresh memo cell. Shards are views of the same
+// projections, each with a fresh digest cell. Shards are views of the same
 // repository the pre-pass matched against, so projection is pure
 // filtering: candidates keep their original node objects and order, and
 // since clusters never span trees, each global cluster is handed wholesale
@@ -442,7 +442,7 @@ func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts
 func (r *Router) project(cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) []Staged {
 	staged := make([]Staged, len(r.views))
 	for i, v := range r.views {
-		staged[i] = Staged{Cands: cands.Restrict(v.Contains), Iterations: iterations, Memo: new(atomic.Value)}
+		staged[i] = Staged{Cands: cands.Restrict(v.Contains), Iterations: iterations, Digest: new(atomic.Pointer[string])}
 	}
 	for _, cl := range clusters {
 		if cl.Len() == 0 {

@@ -144,14 +144,12 @@ type Staged struct {
 	// the report.
 	Iterations int
 
-	// Memo is a cell that lives and dies with the projection: the router
-	// allocates one per pre-pass entry and shard, and nil means none. The
-	// shard's backend may fill it once (CompareAndSwap from nil) with a
-	// value that depends only on the projection and the backend's own
-	// view, then read it back on later requests instead of recomputing
-	// it: the remote client stores the projection digest there. Nothing
-	// else reads or writes it.
-	Memo *atomic.Value
+	// Digest caches the projection's wire digest for a remote shard's
+	// client. The router allocates one cell per pre-pass entry and shard,
+	// so it lives and dies with the projection; nil means no cache. The
+	// client fills it once (CompareAndSwap from nil) and reads it back on
+	// later requests instead of re-encoding and re-hashing the projection.
+	Digest *atomic.Pointer[string]
 }
 
 // task is one scheduled pipeline run: generation only over staged.Clusters

@@ -163,15 +163,16 @@ func TestRouterWithShardBackendsPrepassPath(t *testing.T) {
 
 // recordingRouter is backendRouter whose stubs record every request they
 // are handed: seen[i] lists shard i's (personal tree, projection) pairs in
-// arrival order. Each stub fills its projection's memo cell the way a
-// remote client stores a digest.
+// arrival order. Each stub fills its projection's digest cell the way a
+// remote client does.
 func recordingRouter(t *testing.T) (*Router, [][]recordedRequest) {
 	t.Helper()
 	seen := make([][]recordedRequest, 2)
 	stubs := []*stubShard{{rep: stubReport(0.9)}, {rep: stubReport(0.8)}}
 	for i, s := range stubs {
 		s.seen = func(personal *schema.Tree, staged Staged) {
-			staged.Memo.CompareAndSwap(nil, fmt.Sprintf("digest-of-shard-%d", i))
+			h := fmt.Sprintf("digest-of-shard-%d", i)
+			staged.Digest.CompareAndSwap(nil, &h)
 			seen[i] = append(seen[i], recordedRequest{personal, staged})
 		}
 	}
@@ -184,7 +185,7 @@ type recordedRequest struct {
 }
 
 // TestRouterRepeatReusesProjection: a repeat served from a pre-pass entry
-// hands every shard the entry's own projection — the same memo cell and
+// hands every shard the entry's own projection — the same digest cell and
 // the same candidate element slices as the first request (nothing was
 // restricted again) — with the candidates rebound to the repeat's own
 // personal tree, a different instance of the same schema.
@@ -205,11 +206,11 @@ func TestRouterRepeatReusesProjection(t *testing.T) {
 			t.Fatalf("shard %d saw %d requests, want 2", i, len(reqs))
 		}
 		a, b := reqs[0].staged, reqs[1].staged
-		if a.Memo == nil || a.Memo != b.Memo {
-			t.Errorf("shard %d: memo cells %p and %p, want one cell per entry and shard", i, a.Memo, b.Memo)
+		if a.Digest == nil || a.Digest != b.Digest {
+			t.Errorf("shard %d: digest cells %p and %p, want one cell per entry and shard", i, a.Digest, b.Digest)
 		}
-		if i > 0 && a.Memo == seen[0][0].staged.Memo {
-			t.Errorf("shard %d shares shard 0's memo cell", i)
+		if i > 0 && a.Digest == seen[0][0].staged.Digest {
+			t.Errorf("shard %d shares shard 0's digest cell", i)
 		}
 		for k, want := range []*schema.Tree{first, second} {
 			got := reqs[k].staged.Cands
@@ -238,24 +239,41 @@ func TestRouterRepeatReusesProjection(t *testing.T) {
 	}
 }
 
-// TestPrepassBytesFlatOnRepeats: the governor charges a pre-pass entry once,
-// memo cells included, so repeats of one request — which fill those cells —
-// do not grow the router's pre-pass cache bytes.
-func TestPrepassBytesFlatOnRepeats(t *testing.T) {
+// TestPrepassEntryChargesDigestCells: the governor charges a pre-pass entry
+// once, when it is cached, for every shard's projection and digest cell, so
+// the charge covers the digests the shards' clients store there later and
+// repeats of one request — which fill those cells — do not grow it.
+func TestPrepassEntryChargesDigestCells(t *testing.T) {
 	r, _ := recordingRouter(t)
-	var after []int64
-	for i := 0; i < 4; i++ {
+	if _, err := r.Match(context.Background(), personal(), testOpts()); err != nil {
+		t.Fatal(err)
+	}
+	v, ok := r.prepass.get(prepassSignature(personal(), testOpts()))
+	if !ok {
+		t.Fatal("the first request cached no pre-pass entry")
+	}
+	e := v.(*prepassEntry)
+	bare := &prepassEntry{shards: append([]Staged(nil), e.shards...)}
+	for i, p := range e.shards {
+		if h := p.Digest.Load(); h == nil || *h == "" {
+			t.Fatalf("shard %d: digest cell not filled by the first request", i)
+		}
+		bare.shards[i].Digest = nil
+	}
+	charged := r.prepass.residentBytes()
+	if want := prepassEntryBytes(e); charged != want {
+		t.Fatalf("pre-pass cache charged %d bytes, want prepassEntryBytes = %d", charged, want)
+	}
+	if want := prepassEntryBytes(bare) + int64(len(e.shards))*digestBytes; charged != want {
+		t.Fatalf("pre-pass cache charged %d bytes, want %d: the entry without digest cells plus %d per shard",
+			charged, want, digestBytes)
+	}
+	for i := 0; i < 3; i++ {
 		if _, err := r.Match(context.Background(), personal(), testOpts()); err != nil {
 			t.Fatal(err)
 		}
-		after = append(after, r.prepass.residentBytes())
-	}
-	if after[0] <= 0 {
-		t.Fatalf("pre-pass cache holds %d bytes after the first request", after[0])
-	}
-	for i, b := range after {
-		if b != after[0] {
-			t.Fatalf("pre-pass cache bytes after request %d: %d, want %d (the first request's)", i, b, after[0])
+		if b := r.prepass.residentBytes(); b != charged {
+			t.Fatalf("pre-pass cache bytes after repeat %d: %d, want %d", i+1, b, charged)
 		}
 	}
 }

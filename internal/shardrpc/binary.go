@@ -545,17 +545,6 @@ const (
 // MatchRequest (including nil-vs-empty slice distinctions).
 func EncodeBinaryMatchRequest(req *MatchRequest) []byte {
 	w := &binWriter{b: make([]byte, 0, 256)}
-	w.requestHead(req, req.ProjectionHash)
-	w.options(req.Options)
-	if !req.ProjectionRef {
-		w.projection(req)
-	}
-	return w.b
-}
-
-// requestHead writes a match request's fields up to its projection digest,
-// with hash as the digest; the options and the projection section follow.
-func (w *binWriter) requestHead(req *MatchRequest, hash string) {
 	w.u8(binaryVersion)
 	var flags byte
 	if req.ProjectionRef {
@@ -565,37 +554,12 @@ func (w *binWriter) requestHead(req *MatchRequest, hash string) {
 	w.descriptor(req.Descriptor)
 	w.tree(req.Personal)
 	w.str(req.Signature)
-	w.str(hash)
-}
-
-// digestLen is the length of a projection digest: 16 SHA-256 bytes in hex.
-const digestLen = 32
-
-// encodeDigestedRequest renders req's full body, projection inlined, with
-// the projection's digest as its ProjectionHash, and returns the body and
-// the digest. The body equals EncodeBinaryMatchRequest of req with
-// ProjectionHash = ProjectionDigest(req), but the projection section is
-// written once, into the body, and the digest hashes those bytes. A digest
-// always has digestLen characters, so its slot is reserved up front and
-// filled in last. req.ProjectionRef must be false.
-func encodeDigestedRequest(req *MatchRequest) ([]byte, string) {
-	var zero [digestLen]byte
-	w := &binWriter{b: make([]byte, 0, 512)}
-	w.requestHead(req, string(zero[:]))
-	slot := len(w.b) - digestLen
+	w.str(req.ProjectionHash)
 	w.options(req.Options)
-	start := len(w.b)
-	w.projection(req)
-	var digest string
-	if len(req.Candidates) == 0 || len(req.Clusters) == 0 {
-		// An empty slice and nil write different bytes but must hash alike;
-		// ProjectionDigest hashes the canonical form.
-		digest = ProjectionDigest(req)
-	} else {
-		digest = digestOf(w.b[start:])
+	if !req.ProjectionRef {
+		w.projection(req)
 	}
-	copy(w.b[slot:], digest)
-	return w.b, digest
+	return w.b
 }
 
 // DecodeBinaryMatchRequest parses a binary match request body.
@@ -672,11 +636,6 @@ func ProjectionDigest(req *MatchRequest) string {
 	}
 	w := &binWriter{b: make([]byte, 0, 512)}
 	w.projection(&c)
-	return digestOf(w.b)
-}
-
-// digestOf is the digest of a canonical projection section's bytes.
-func digestOf(section []byte) string {
-	sum := sha256.Sum256(section)
-	return hex.EncodeToString(sum[:digestLen/2])
+	sum := sha256.Sum256(w.b)
+	return hex.EncodeToString(sum[:16])
 }

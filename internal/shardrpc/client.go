@@ -229,7 +229,7 @@ func (e *encodedRequest) encodeProjection() error {
 // pre-pass path — the projected candidates and clusters ship in local-ID
 // space and the remote shard runs generation only; the zero Staged asks for
 // the remote shard's full pipeline. The projection's digest is computed once
-// per staged memo cell: a repeat that finds it there and goes slim encodes
+// per staged digest cell: a repeat that finds it there and goes slim encodes
 // no projection at all.
 func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*encodedRequest, error) {
 	if personal == nil || personal.Root() == nil {
@@ -258,16 +258,19 @@ func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts p
 	if staged.Cands != nil {
 		enc.req.HasCandidates, enc.req.HasClusters = true, true
 		enc.req.Iterations = staged.Iterations
-		if staged.Memo != nil {
-			enc.hash, _ = staged.Memo.Load().(string)
+		if staged.Digest != nil {
+			if h := staged.Digest.Load(); h != nil {
+				enc.hash = *h
+			}
 		}
 		if enc.hash == "" {
 			if err := enc.encodeProjection(); err != nil {
 				return nil, err
 			}
-			enc.full, enc.hash = encodeDigestedRequest(&enc.req)
-			if staged.Memo != nil {
-				staged.Memo.CompareAndSwap(nil, enc.hash)
+			h := ProjectionDigest(&enc.req)
+			enc.hash = h
+			if staged.Digest != nil {
+				staged.Digest.CompareAndSwap(nil, &h)
 			}
 		}
 		enc.req.ProjectionHash = enc.hash

@@ -31,8 +31,8 @@
 // same build. A repeated projection travels as its content hash alone; a
 // shard that no longer caches it answers 428 and the client resends the
 // payload in the same attempt. The client computes that hash once per
-// router pre-pass entry and keeps it in the projection's memo cell
-// (serve.Staged.Memo), so a repeat encodes no projection; the payload's
+// router pre-pass entry and keeps it in the projection's digest cell
+// (serve.Staged.Digest), so a repeat encodes no projection; the payload's
 // wire form is built only when a full body is sent. JSON remains for
 // /v1/shard/stats and error bodies.
 //

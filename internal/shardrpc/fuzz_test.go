@@ -1,7 +1,6 @@
 package shardrpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -154,7 +153,7 @@ func FuzzShardWire(f *testing.F) {
 		if err != nil {
 			t.Fatalf("clusters: %v", err)
 		}
-		for vi, v := range views {
+		for _, v := range views {
 			restricted := cands.Restrict(v.Contains)
 			ws, err := EncodeCandidates(v, restricted)
 			if err != nil {
@@ -207,31 +206,6 @@ func FuzzShardWire(f *testing.F) {
 						t.Fatalf("cluster %d element %d drifted", i, j)
 					}
 				}
-			}
-
-			// The one-pass full body hashes its own projection section: its
-			// digest is ProjectionDigest and its bytes the two-pass
-			// encoding's, on every view — one holding no cluster (an empty,
-			// non-nil cluster list) included.
-			preq := &MatchRequest{
-				Descriptor:    ViewDescriptor(v, vi, len(views), strategy),
-				Personal:      EncodeTree(personal),
-				Signature:     serve.Signature(personal, opts),
-				Options:       wo,
-				HasCandidates: true,
-				Candidates:    ws,
-				HasClusters:   true,
-				Clusters:      wcs,
-				Iterations:    int(variant),
-			}
-			body, digest := encodeDigestedRequest(preq)
-			want := *preq
-			want.ProjectionHash = ProjectionDigest(preq)
-			if digest != want.ProjectionHash {
-				t.Fatalf("view %d: one-pass digest %q, ProjectionDigest %q", vi, digest, want.ProjectionHash)
-			}
-			if !bytes.Equal(body, EncodeBinaryMatchRequest(&want)) {
-				t.Fatalf("view %d: one-pass full body differs from the two-pass encoding", vi)
 			}
 		}
 

@@ -108,7 +108,7 @@ func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
 }
 
 // TestRouterConcurrentRepeats: concurrent requests of one shape share one
-// pre-pass entry and its memo cells — whichever request fills a cell first,
+// pre-pass entry and its digest cells — whichever request fills a cell first,
 // every report matches the one-at-a-time answer. Run under -race.
 func TestRouterConcurrentRepeats(t *testing.T) {
 	opts := pipeline.DefaultOptions()
@@ -146,7 +146,7 @@ func TestRouterConcurrentRepeats(t *testing.T) {
 	}
 }
 
-// TestHotEncodeAllocsFlat: once a projection's digest sits in its memo cell
+// TestHotEncodeAllocsFlat: once a projection's digest sits in its digest cell
 // and the shard knows it, encoding a request builds only the slim body, so
 // its allocations do not grow with the candidate count.
 func TestHotEncodeAllocsFlat(t *testing.T) {
@@ -164,14 +164,14 @@ func TestHotEncodeAllocsFlat(t *testing.T) {
 			Cands:      cands.Restrict(ts.clientView.Contains),
 			Clusters:   clustersForView(ts.clientView, clusters),
 			Iterations: iterations,
-			Memo:       new(atomic.Value),
+			Digest:     new(atomic.Pointer[string]),
 		}
 		enc, err := ts.rs.encode(context.Background(), personal, opts, staged)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if staged.Memo.Load() != enc.hash {
-			t.Fatal("a cold encode left the memo cell empty")
+		if h := staged.Digest.Load(); h == nil || *h != enc.hash {
+			t.Fatal("a cold encode left the digest cell empty")
 		}
 		ts.rs.markProjection(enc.hash)
 		allocs = testing.AllocsPerRun(20, func() {
