@@ -200,7 +200,7 @@ func BenchmarkAblationDistance(b *testing.B) {
 	b.Run("labeled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			ix.Distance(p.a, p.b)
+			ix.DistanceID(p.a.ID, p.b.ID)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {

@@ -50,6 +50,40 @@ func testShardedService(t *testing.T, cfg bellflower.ServiceConfig, shards int) 
 	return srv, ts
 }
 
+// testDistributedServer serves a router over shard daemons of testRepo3
+// running in this process, and returns the daemons so a test can take one
+// down.
+func testDistributedServer(t *testing.T, cfg bellflower.ServiceConfig, shards int) (*httptest.Server, []*httptest.Server) {
+	t.Helper()
+	var addrs []string
+	var daemons []*httptest.Server
+	for i := 0; i < shards; i++ {
+		host, err := bellflower.NewShardHost(testRepo3(), i, shards, bellflower.ServiceConfig{Workers: 1}, bellflower.PartitionClustered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := httptest.NewServer(shardRoutes(host, nil, newQuietLogger()))
+		t.Cleanup(func() {
+			d.Close()
+			host.Close()
+		})
+		addrs = append(addrs, d.URL)
+		daemons = append(daemons, d)
+	}
+	repo := testRepo3()
+	backend, err := bellflower.NewDistributedService(repo, addrs, cfg, bellflower.PartitionClustered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newRemoteServer(backend, repo, "test", newQuietLogger())
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.closeNow()
+	})
+	return ts, daemons
+}
+
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -1043,12 +1077,8 @@ func TestStatsReportCandidatePrePass(t *testing.T) {
 // /v1/stats counts the partial merge; without it the same failure is an
 // error status.
 func TestPartialResultsEndpoint(t *testing.T) {
-	srv, ts := testShardedService(t, bellflower.ServiceConfig{PartialResults: true}, 3)
-	router, ok := srv.cur.backend.(*bellflower.ShardedService)
-	if !ok {
-		t.Fatalf("backend is %T, want *bellflower.ShardedService", srv.cur.backend)
-	}
-	router.Shard(1).Close()
+	ts, shards := testDistributedServer(t, bellflower.ServiceConfig{PartialResults: true}, 3)
+	shards[1].Close()
 
 	resp, data := postJSON(t, ts.URL+"/v1/match", `{"personal":"book(title,author)","options":{"delta":0.5}}`)
 	if resp.StatusCode != http.StatusOK {
@@ -1079,8 +1109,8 @@ func TestPartialResultsEndpoint(t *testing.T) {
 	}
 
 	// Strict server: same dead shard, hard failure.
-	strictSrv, strictTS := testShardedService(t, bellflower.ServiceConfig{}, 3)
-	strictSrv.cur.backend.(*bellflower.ShardedService).Shard(1).Close()
+	strictTS, strictShards := testDistributedServer(t, bellflower.ServiceConfig{}, 3)
+	strictShards[1].Close()
 	resp, _ = postJSON(t, strictTS.URL+"/v1/match", `{"personal":"book(title,author)","options":{"delta":0.5}}`)
 	if resp.StatusCode == http.StatusOK {
 		t.Errorf("strict server served a partially failed fan-out with 200")

@@ -57,8 +57,8 @@ func TestAgglomerativeTreePureAndDisjoint(t *testing.T) {
 		}
 	}
 	// Agglomerative never drops elements.
-	if total != len(BuildElements(ix, cands)) {
-		t.Errorf("element conservation: %d of %d", total, len(BuildElements(ix, cands)))
+	if total != len(buildElements(ix, cands)) {
+		t.Errorf("element conservation: %d of %d", total, len(buildElements(ix, cands)))
 	}
 	if res.Unassigned != 0 {
 		t.Errorf("unassigned = %d", res.Unassigned)

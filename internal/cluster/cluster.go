@@ -39,21 +39,6 @@ func CheckPersonal(n int) error {
 	return nil
 }
 
-// BuildElements flattens candidate sets into the deduplicated element
-// universe the clusterer partitions, in document order: by repository tree,
-// then by preorder position within the tree. It panics for personal schemas
-// beyond MaxPersonalNodes; callers taking outside input gate on
-// CheckPersonal first.
-func BuildElements(ix *labeling.Index, cands *matcher.Candidates) []Element {
-	st := newState(ix, cands, -1)
-	defer st.release()
-	out := make([]Element, len(st.node))
-	for e := range out {
-		out[e] = st.element(int32(e))
-	}
-	return out
-}
-
 // Cluster is a group of mapping elements from a single repository tree.
 type Cluster struct {
 	// ID is the cluster's index in the result.
@@ -171,19 +156,6 @@ type Result struct {
 	// because their member set had not changed, and so neither had their
 	// medoid. Both are zero for the other algorithms.
 	MedoidRuns, MedoidsKept int
-}
-
-// UsefulClusters returns the clusters able to produce complete mappings for
-// a personal schema with n nodes.
-func (r *Result) UsefulClusters(n int) []*Cluster {
-	full := FullMask(n)
-	var out []*Cluster
-	for _, c := range r.Clusters {
-		if c.Useful(full) {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // FullMask returns the mask with one bit set per node of an n-node personal

@@ -22,10 +22,34 @@ func fixture(personalSpec string, repoSpecs ...string) (*schema.Tree, *schema.Re
 	return personal, repo, ix, cands
 }
 
+// buildElements returns the whole element universe the clusterer's state
+// loads, in document order.
+func buildElements(ix *labeling.Index, cands *matcher.Candidates) []Element {
+	st := newState(ix, cands, -1)
+	defer st.release()
+	out := make([]Element, len(st.node))
+	for e := range out {
+		out[e] = st.element(int32(e))
+	}
+	return out
+}
+
+// usefulClusters counts the clusters able to produce complete mappings for
+// a personal schema with n nodes.
+func usefulClusters(res *Result, n int) int {
+	useful := 0
+	for _, c := range res.Clusters {
+		if c.Useful(FullMask(n)) {
+			useful++
+		}
+	}
+	return useful
+}
+
 func TestBuildElements(t *testing.T) {
 	_, _, ix, cands := fixture("book(title)",
 		"lib(book(title),title)")
-	elems := BuildElements(ix, cands)
+	elems := buildElements(ix, cands)
 	// repo nodes: lib, book, title, title — book matches bit0, titles bit1.
 	byName := map[string]Element{}
 	for _, e := range elems {
@@ -82,9 +106,8 @@ func TestTreeClustersBaseline(t *testing.T) {
 			}
 		}
 	}
-	useful := res.UsefulClusters(personal.Len())
-	if len(useful) != 2 {
-		t.Errorf("useful tree clusters = %d, want 2", len(useful))
+	if useful := usefulClusters(res, personal.Len()); useful != 2 {
+		t.Errorf("useful tree clusters = %d, want 2", useful)
 	}
 }
 
@@ -121,7 +144,7 @@ func TestKMeansBasic(t *testing.T) {
 		_ = c.Useful(full) // must not panic
 	}
 	// at least one useful cluster should exist (both book subtrees qualify)
-	if len(res.UsefulClusters(personal.Len())) == 0 {
+	if usefulClusters(res, personal.Len()) == 0 {
 		t.Errorf("no useful clusters")
 	}
 }
@@ -146,7 +169,7 @@ func TestKMeansElementConservation(t *testing.T) {
 			inClusters++
 		}
 	}
-	total := len(BuildElements(ix, cands))
+	total := len(buildElements(ix, cands))
 	if inClusters+res.Unassigned != total {
 		t.Errorf("conservation: %d clustered + %d unassigned != %d total",
 			inClusters, res.Unassigned, total)
@@ -247,7 +270,7 @@ func TestKMeansDeterminism(t *testing.T) {
 
 func TestUsefulMask(t *testing.T) {
 	_, _, ix, cands := fixture("book(title)", "lib(book(title))")
-	elems := BuildElements(ix, cands)
+	elems := buildElements(ix, cands)
 	c := &Cluster{Elements: elems}
 	if !c.Useful(FullMask(2)) {
 		t.Errorf("cluster with both candidates should be useful; mask=%b", c.Mask())
@@ -330,7 +353,7 @@ func TestKMeansInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		return count+res.Unassigned == len(BuildElements(ix, cands))
+		return count+res.Unassigned == len(buildElements(ix, cands))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -64,7 +64,7 @@
 // without being stored: the stop test's Stability × #elements and
 // Result.Unassigned use the full count, so every result is what the full
 // universe gives. On the paper-scale benchmark about 56% of the elements
-// are loaded. BuildElements, TreeClusters and Agglomerative use every tree.
+// are loaded. TreeClusters and Agglomerative use every tree.
 //
 // # Assignment and the clean-cluster rule
 //

@@ -48,7 +48,7 @@ type refState struct {
 }
 
 func refKMeans(ix *labeling.Index, cands *matcher.Candidates, cfg Config) *Result {
-	st := &refState{ix: ix, cfg: cfg, elems: BuildElements(ix, cands)}
+	st := &refState{ix: ix, cfg: cfg, elems: buildElements(ix, cands)}
 	if min := cands.MinSet(); min >= 0 {
 		for i, e := range st.elems {
 			if e.Mask&(1<<uint(min)) != 0 {
@@ -476,7 +476,9 @@ func TestPersonalSizeBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("64-node personal schema refused: %v", err)
 	}
-	_ = res.UsefulClusters(MaxPersonalNodes) // must not panic at the boundary
+	for _, c := range res.Clusters {
+		_ = c.Useful(FullMask(MaxPersonalNodes)) // must not panic at the boundary
+	}
 	if _, err := Agglomerative(ix, at, AgglomerativeConfig{MergeThreshold: 2}); err != nil {
 		t.Fatalf("64-node personal schema refused: %v", err)
 	}

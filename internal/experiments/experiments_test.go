@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bellflower/internal/pipeline"
+	"bellflower/internal/stats"
 )
 
 // testEnv builds a reduced-scale environment so the full experiment suite
@@ -81,6 +82,14 @@ func TestRunTable1Shape(t *testing.T) {
 	}
 }
 
+// singletons returns the count of the histogram's [1,1] bucket.
+func singletons(h *stats.Histogram) int {
+	if bs := h.Buckets(); len(bs) > 0 {
+		return bs[0].Count
+	}
+	return 0
+}
+
 func TestRunFig4Shape(t *testing.T) {
 	e := testEnv(t)
 	res, err := RunFig4(e)
@@ -100,11 +109,11 @@ func TestRunFig4Shape(t *testing.T) {
 		t.Errorf("join&remove (%d) should not exceed join (%d)", joinRemove.Clusters, join.Clusters)
 	}
 	// Tiny clusters: join&remove eliminates the singleton bucket.
-	if joinRemove.Hist.Count(1) != 0 {
-		t.Errorf("join&remove left %d singleton clusters", joinRemove.Hist.Count(1))
+	if singletons(joinRemove.Hist) != 0 {
+		t.Errorf("join&remove left %d singleton clusters", singletons(joinRemove.Hist))
 	}
 	// no-reclustering has the most tiny clusters.
-	if none.Hist.Count(1) < joinRemove.Hist.Count(1) {
+	if singletons(none.Hist) < singletons(joinRemove.Hist) {
 		t.Errorf("tiny cluster ordering violated")
 	}
 	out := res.Render()

@@ -13,13 +13,6 @@ type Bitset struct {
 	words []uint64
 }
 
-// NewBitset returns a bitset able to hold IDs 0..n-1, all clear.
-func NewBitset(n int) *Bitset {
-	b := &Bitset{}
-	b.Grow(n)
-	return b
-}
-
 // Grow extends the bitset to hold IDs 0..n-1, preserving existing bits.
 // It never shrinks.
 func (b *Bitset) Grow(n int) {
@@ -36,9 +29,6 @@ func (b *Bitset) Grow(n int) {
 	b.words = grown
 }
 
-// Len returns the capacity in bits.
-func (b *Bitset) Len() int { return len(b.words) * 64 }
-
 // Set marks id.
 func (b *Bitset) Set(id int) { b.words[id>>6] |= 1 << uint(id&63) }
 
@@ -47,12 +37,3 @@ func (b *Bitset) Unset(id int) { b.words[id>>6] &^= 1 << uint(id&63) }
 
 // Has reports whether id is marked.
 func (b *Bitset) Has(id int) bool { return b.words[id>>6]&(1<<uint(id&63)) != 0 }
-
-// Reset clears every bit. O(Len/64); callers that marked only a few IDs
-// (cluster membership) clear them individually instead, keeping the cost
-// proportional to what was set.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}

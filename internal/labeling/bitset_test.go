@@ -6,10 +6,8 @@ import (
 )
 
 func TestBitsetBasics(t *testing.T) {
-	b := NewBitset(130)
-	if b.Len() < 130 {
-		t.Fatalf("Len() = %d after NewBitset(130)", b.Len())
-	}
+	var b Bitset
+	b.Grow(130)
 	for _, id := range []int{0, 1, 63, 64, 65, 127, 129} {
 		if b.Has(id) {
 			t.Fatalf("fresh bitset has %d set", id)
@@ -23,16 +21,11 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Has(64) || !b.Has(63) || !b.Has(65) {
 		t.Error("Unset(64) disturbed neighbours or failed")
 	}
-	b.Reset()
-	for _, id := range []int{0, 63, 65, 129} {
-		if b.Has(id) {
-			t.Errorf("Reset left %d set", id)
-		}
-	}
 }
 
 func TestBitsetGrowPreservesBits(t *testing.T) {
-	b := NewBitset(10)
+	var b Bitset
+	b.Grow(10)
 	b.Set(3)
 	b.Set(9)
 	b.Grow(5) // never shrinks
@@ -54,7 +47,8 @@ func TestBitsetGrowPreservesBits(t *testing.T) {
 func TestBitsetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 500
-	b := NewBitset(n)
+	var b Bitset
+	b.Grow(n)
 	ref := map[int]bool{}
 	for op := 0; op < 20000; op++ {
 		id := rng.Intn(n)

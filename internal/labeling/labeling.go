@@ -41,8 +41,8 @@
 // single resident index (member nodes are the repository's own node
 // objects) and carry only a dense global↔local node-ID translation, so
 // index memory stays one full-repository copy regardless of shard count.
-// Index.MemoryBytes and View.MemoryBytes expose the resident footprint for
-// stats and benchmarks.
+// Index.MemoryBytes exposes the resident footprint for stats and
+// benchmarks.
 package labeling
 
 import (
@@ -176,9 +176,6 @@ func (ix *Index) SameTree(a, b *schema.Node) bool {
 // TreeID returns the tree ID of the node.
 func (ix *Index) TreeID(n *schema.Node) int { return int(ix.tree[n.ID]) }
 
-// Depth returns the node's depth within its tree.
-func (ix *Index) Depth(n *schema.Node) int { return int(ix.depth[n.ID]) }
-
 // TreeOfID is TreeID over a raw node ID.
 func (ix *Index) TreeOfID(id int) int { return int(ix.tree[id]) }
 
@@ -202,34 +199,17 @@ func (ix *Index) lcaID(a, b int) int {
 	return int(l)
 }
 
-// Distance returns the number of edges on the path between a and b in O(1),
-// or -1 if the nodes belong to different trees (the clustering code treats
-// cross-tree distance as infinite).
-func (ix *Index) Distance(a, b *schema.Node) int {
-	if ix.tree[a.ID] != ix.tree[b.ID] {
-		return -1
-	}
-	_, dl := ix.lca(int32(a.ID), int32(b.ID))
-	return int(ix.depth[a.ID] + ix.depth[b.ID] - 2*dl)
-}
-
-// DistanceID is Distance over raw node IDs, avoiding pointer loads in the
-// clusterer's pairwise loops (join's medoid pairs, split's sweeps).
+// DistanceID returns the number of edges on the path between the nodes with
+// IDs a and b in O(1), or -1 if they belong to different trees (the
+// clustering code treats cross-tree distance as infinite). It takes raw
+// node IDs, avoiding pointer loads in the clusterer's pairwise loops
+// (join's medoid pairs, split's sweeps).
 func (ix *Index) DistanceID(a, b int) int {
 	if ix.tree[a] != ix.tree[b] {
 		return -1
 	}
 	_, dl := ix.lca(int32(a), int32(b))
 	return int(ix.depth[a] + ix.depth[b] - 2*dl)
-}
-
-// IsAncestor reports whether a is an ancestor of b (inclusive: a node is its
-// own ancestor for this predicate's purposes when a == b).
-func (ix *Index) IsAncestor(a, b *schema.Node) bool {
-	if ix.tree[a.ID] != ix.tree[b.ID] {
-		return false
-	}
-	return ix.lcaID(a.ID, b.ID) == a.ID
 }
 
 // PathLengthSum returns the total number of edges in the union of the tree

@@ -43,7 +43,7 @@ func TestIndexPaperExample(t *testing.T) {
 		{data, title, 1, data},
 	}
 	for _, tc := range tests {
-		if got := ix.Distance(tc.a, tc.b); got != tc.d {
+		if got := ix.DistanceID(tc.a.ID, tc.b.ID); got != tc.d {
 			t.Errorf("Distance(%v,%v) = %d, want %d", tc.a, tc.b, got, tc.d)
 		}
 		if got := ix.LCA(tc.a, tc.b); got != tc.lca {
@@ -60,11 +60,8 @@ func TestCrossTree(t *testing.T) {
 	if ix.SameTree(a, y) {
 		t.Errorf("SameTree across trees = true")
 	}
-	if got := ix.Distance(a, y); got != -1 {
+	if got := ix.DistanceID(a.ID, y.ID); got != -1 {
 		t.Errorf("cross-tree Distance = %d, want -1", got)
-	}
-	if ix.IsAncestor(a, y) {
-		t.Errorf("cross-tree IsAncestor = true")
 	}
 	defer func() {
 		if recover() == nil {
@@ -74,30 +71,11 @@ func TestCrossTree(t *testing.T) {
 	ix.LCA(a, y)
 }
 
-func TestIsAncestor(t *testing.T) {
-	repo := buildRepo("r(a(x,y(q)),b(z))")
-	ix := NewIndex(repo)
-	tr := repo.Tree(0)
-	n := func(name string) *schema.Node { return tr.Find(name) }
-	if !ix.IsAncestor(n("r"), n("q")) {
-		t.Errorf("r should be ancestor of q")
-	}
-	if !ix.IsAncestor(n("a"), n("a")) {
-		t.Errorf("IsAncestor is inclusive")
-	}
-	if ix.IsAncestor(n("q"), n("a")) {
-		t.Errorf("q is not an ancestor of a")
-	}
-	if ix.IsAncestor(n("b"), n("q")) {
-		t.Errorf("b is not an ancestor of q")
-	}
-}
-
 func TestSingleNodeTrees(t *testing.T) {
 	repo := buildRepo("a", "b", "c")
 	ix := NewIndex(repo)
 	a := repo.Tree(0).Root()
-	if got := ix.Distance(a, a); got != 0 {
+	if got := ix.DistanceID(a.ID, a.ID); got != 0 {
 		t.Errorf("self distance = %d", got)
 	}
 	if got := ix.LCA(a, a); got != a {
@@ -133,13 +111,13 @@ func TestIndexMatchesNaiveProperty(t *testing.T) {
 			ns := tr.Nodes()
 			a := ns[rng.Intn(len(ns))]
 			b := ns[rng.Intn(len(ns))]
-			if ix.Distance(a, b) != tr.Distance(a, b) {
+			if ix.DistanceID(a.ID, b.ID) != tr.Distance(a, b) {
 				return false
 			}
 			if ix.LCA(a, b) != schema.LCA(a, b) {
 				return false
 			}
-			if ix.Depth(a) != a.Depth {
+			if _, depth := ix.ParentDepth(); int(depth[a.ID]) != a.Depth {
 				return false
 			}
 		}
@@ -161,11 +139,11 @@ func TestPathLengthSumProperty(t *testing.T) {
 		ns := repo.Tree(0).Nodes()
 		pick := func() *schema.Node { return ns[rng.Intn(len(ns))] }
 		a, b, c := pick(), pick(), pick()
-		if ix.PathLengthSum([][2]*schema.Node{{a, b}}) != ix.Distance(a, b) {
+		if ix.PathLengthSum([][2]*schema.Node{{a, b}}) != ix.DistanceID(a.ID, b.ID) {
 			return false
 		}
 		union := ix.PathLengthSum([][2]*schema.Node{{a, b}, {a, c}})
-		dab, dac := ix.Distance(a, b), ix.Distance(a, c)
+		dab, dac := ix.DistanceID(a.ID, b.ID), ix.DistanceID(a.ID, c.ID)
 		if union > dab+dac {
 			return false
 		}
@@ -213,7 +191,7 @@ func checkLCA(t testing.TB, ix *Index, rng *rand.Rand, pairs int) {
 				t.Fatalf("LCA(%d, %d) = %d, parent walk %d", a.ID, b.ID, got.ID, l.ID)
 			}
 		}
-		if got := ix.Distance(a, b); got != want {
+		if got := ix.DistanceID(a.ID, b.ID); got != want {
 			t.Fatalf("Distance(%d, %d) = %d, parent walk %d", a.ID, b.ID, got, want)
 		}
 		if got := ix.DistanceID(a.ID, b.ID); got != want {
@@ -255,6 +233,6 @@ func BenchmarkDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := ns[i%len(ns)]
 		c := ns[(i*7+3)%len(ns)]
-		ix.Distance(a, c)
+		ix.DistanceID(a.ID, c.ID)
 	}
 }

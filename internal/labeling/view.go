@@ -8,10 +8,10 @@ import (
 
 // View is a lightweight restriction of an Index to a subset of the
 // repository's trees — the substrate of shared-index sharding. A shard
-// backed by a View answers Tree/Depth/LCA/Distance queries through the one
-// repository-wide Index (its member nodes ARE the repository's nodes, no
-// clones), so any number of views share a single resident index instead of
-// each shard building its own. A View additionally carries a dense
+// backed by a View answers depth, LCA and distance queries through the one
+// repository-wide Index (View.Index; its member nodes ARE the repository's
+// nodes, no clones), so any number of views share a single resident index
+// instead of each shard building its own. A View additionally carries a dense
 // global↔local node-ID translation: local IDs number the member nodes
 // 0..Len()-1 in repository order, giving out-of-process shard clients (and
 // per-shard auxiliary arrays) a compact ID space without materializing a
@@ -25,10 +25,9 @@ type View struct {
 	ix    *Index
 	trees []*schema.Tree
 
-	memberTree []bool         // indexed by tree ID
-	local      []int32        // global node ID → local ID, -1 outside the view
-	global     []int32        // local ID → global node ID
-	nodes      []*schema.Node // member nodes in local-ID order, built once
+	local  []int32        // global node ID → local ID, -1 outside the view
+	global []int32        // local ID → global node ID
+	nodes  []*schema.Node // member nodes in local-ID order, built once
 }
 
 // NewView builds a view of the index restricted to the given trees, which
@@ -38,10 +37,9 @@ type View struct {
 func NewView(ix *Index, trees []*schema.Tree) *View {
 	repo := ix.Repository()
 	v := &View{
-		ix:         ix,
-		trees:      append([]*schema.Tree(nil), trees...),
-		memberTree: make([]bool, repo.NumTrees()),
-		local:      make([]int32, repo.Len()),
+		ix:    ix,
+		trees: append([]*schema.Tree(nil), trees...),
+		local: make([]int32, repo.Len()),
 	}
 	for i := range v.local {
 		v.local[i] = -1
@@ -55,10 +53,9 @@ func NewView(ix *Index, trees []*schema.Tree) *View {
 		if t.ID < 0 || t.ID >= repo.NumTrees() || repo.Tree(t.ID) != t {
 			panic(fmt.Sprintf("labeling: NewView: tree %q does not belong to the index's repository", t.Name))
 		}
-		if v.memberTree[t.ID] {
+		if v.local[t.Root().ID] >= 0 {
 			panic(fmt.Sprintf("labeling: NewView: tree %q listed twice", t.Name))
 		}
-		v.memberTree[t.ID] = true
 		for _, node := range t.Nodes() {
 			v.local[node.ID] = int32(len(v.global))
 			v.global = append(v.global, int32(node.ID))
@@ -84,12 +81,6 @@ func (v *View) NumTrees() int { return len(v.trees) }
 // Len returns the total number of member nodes.
 func (v *View) Len() int { return len(v.global) }
 
-// ContainsTree reports whether the tree is a member of the view.
-func (v *View) ContainsTree(t *schema.Tree) bool {
-	return t != nil && t.ID >= 0 && t.ID < len(v.memberTree) && v.memberTree[t.ID] &&
-		v.ix.Repository().Tree(t.ID) == t
-}
-
 // Contains reports whether the repository node belongs to a member tree.
 func (v *View) Contains(n *schema.Node) bool {
 	return n != nil && n.ID >= 0 && n.ID < len(v.local) && v.local[n.ID] >= 0 &&
@@ -105,10 +96,6 @@ func (v *View) LocalID(n *schema.Node) int {
 	return int(v.local[n.ID])
 }
 
-// GlobalID is the inverse of LocalID: the repository-wide node ID of local
-// ID l. It panics when l is out of range.
-func (v *View) GlobalID(l int) int { return int(v.global[l]) }
-
 // Node returns the member node with the given local ID.
 func (v *View) Node(l int) *schema.Node { return v.ix.Repository().Node(int(v.global[l])) }
 
@@ -119,43 +106,11 @@ func (v *View) Node(l int) *schema.Node { return v.ix.Repository().Node(int(v.gl
 // O(view) per request. The returned slice must not be modified.
 func (v *View) Nodes() []*schema.Node { return v.nodes }
 
-// Depth returns the member node's depth within its tree (Index.Depth
-// restricted to the view). It panics for nodes outside the view.
-func (v *View) Depth(n *schema.Node) int {
-	v.mustContain(n, "Depth")
-	return v.ix.Depth(n)
-}
-
 // TreeID returns the repository-wide tree ID of the member node. It panics
 // for nodes outside the view.
 func (v *View) TreeID(n *schema.Node) int {
 	v.mustContain(n, "TreeID")
 	return v.ix.TreeID(n)
-}
-
-// SameTree reports whether two member nodes share a tree. It panics for
-// nodes outside the view.
-func (v *View) SameTree(a, b *schema.Node) bool {
-	v.mustContain(a, "SameTree")
-	v.mustContain(b, "SameTree")
-	return v.ix.SameTree(a, b)
-}
-
-// LCA returns the lowest common ancestor of two member nodes of one tree in
-// O(1). It panics for nodes outside the view or in different trees.
-func (v *View) LCA(a, b *schema.Node) *schema.Node {
-	v.mustContain(a, "LCA")
-	v.mustContain(b, "LCA")
-	return v.ix.LCA(a, b)
-}
-
-// Distance returns the path length between two member nodes in O(1), or -1
-// when they belong to different trees. It panics for nodes outside the
-// view.
-func (v *View) Distance(a, b *schema.Node) int {
-	v.mustContain(a, "Distance")
-	v.mustContain(b, "Distance")
-	return v.ix.Distance(a, b)
 }
 
 func (v *View) mustContain(n *schema.Node, op string) {
@@ -182,14 +137,4 @@ func (v *View) Stats() schema.Stats {
 		}
 	}
 	return s
-}
-
-// MemoryBytes estimates the view's own resident bytes — the translation
-// arrays, the cached member-node slice and the tree list, NOT the shared
-// index (see Index.MemoryBytes). The point of views is that this figure
-// stays O(repository) words per view while the index is held once.
-func (v *View) MemoryBytes() int64 {
-	return int64(len(v.local))*4 + int64(len(v.global))*4 +
-		int64(len(v.memberTree)) + int64(len(v.trees))*8 +
-		int64(len(v.nodes))*8
 }

@@ -49,7 +49,7 @@ func TestViewMembershipAndTranslation(t *testing.T) {
 			t.Fatalf("local ID %d assigned twice", l)
 		}
 		seen[l] = true
-		if v.GlobalID(l) != n.ID || v.Node(l) != n {
+		if v.Node(l) != n {
 			t.Fatalf("translation round-trip failed for %v (local %d)", n, l)
 		}
 		if !v.Contains(n) {
@@ -60,19 +60,13 @@ func TestViewMembershipAndTranslation(t *testing.T) {
 		t.Fatalf("%d local IDs for %d member nodes", len(seen), wantLen)
 	}
 
-	// Non-member tree and nodes are outside.
-	if v.ContainsTree(repo.Tree(1)) {
-		t.Error("non-member tree reported as member")
-	}
+	// Non-member nodes are outside.
 	for _, n := range repo.Tree(1).Nodes() {
 		if v.Contains(n) || v.LocalID(n) != -1 {
 			t.Errorf("non-member node %v reported inside the view", n)
 		}
 	}
-	if !v.ContainsTree(repo.Tree(0)) || !v.ContainsTree(repo.Tree(2)) {
-		t.Error("member tree not reported as member")
-	}
-	if v.Contains(nil) || v.ContainsTree(nil) {
+	if v.Contains(nil) {
 		t.Error("nil accepted as member")
 	}
 	// A structurally foreign node (same IDs, different repository) must not
@@ -88,31 +82,19 @@ func TestViewStructuralQueriesMatchIndex(t *testing.T) {
 	ix := NewIndex(repo)
 	v := NewView(ix, []*schema.Tree{repo.Tree(0)})
 
-	tr := repo.Tree(0)
-	for _, a := range tr.Nodes() {
-		if v.Depth(a) != ix.Depth(a) || v.TreeID(a) != ix.TreeID(a) {
+	for _, a := range repo.Tree(0).Nodes() {
+		if v.TreeID(a) != ix.TreeID(a) {
 			t.Fatalf("view disagrees with index on %v", a)
-		}
-		for _, b := range tr.Nodes() {
-			if v.Distance(a, b) != ix.Distance(a, b) {
-				t.Fatalf("Distance(%v,%v) differs from index", a, b)
-			}
-			if v.LCA(a, b) != ix.LCA(a, b) {
-				t.Fatalf("LCA(%v,%v) differs from index", a, b)
-			}
-			if !v.SameTree(a, b) {
-				t.Fatalf("SameTree(%v,%v) = false within one tree", a, b)
-			}
 		}
 	}
 
 	// Queries on nodes outside the view panic rather than answer quietly.
 	defer func() {
 		if recover() == nil {
-			t.Error("Depth of a non-member node did not panic")
+			t.Error("TreeID of a non-member node did not panic")
 		}
 	}()
-	v.Depth(repo.Tree(1).Root())
+	v.TreeID(repo.Tree(1).Root())
 }
 
 func TestViewStats(t *testing.T) {
@@ -137,14 +119,9 @@ func TestIndexMemoryBytes(t *testing.T) {
 	if min := int64(repo.Len()) * 5 * 4; b < min {
 		t.Errorf("MemoryBytes = %d, want >= %d", b, min)
 	}
-	// Views must be cheap next to the index they avoid duplicating; for a
-	// tiny repository just assert the figure is positive and independent
-	// of how many views exist.
-	v1 := NewView(ix, repo.Trees())
-	v2 := NewView(ix, repo.Trees()[:1])
-	if v1.MemoryBytes() <= 0 || v2.MemoryBytes() <= 0 {
-		t.Error("view MemoryBytes not positive")
-	}
+	// Views share the index: building them leaves its footprint alone.
+	NewView(ix, repo.Trees())
+	NewView(ix, repo.Trees()[:1])
 	if ix.MemoryBytes() != b {
 		t.Error("creating views changed the index footprint")
 	}

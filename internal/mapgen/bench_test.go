@@ -117,7 +117,7 @@ func BenchmarkGenerateTopN(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ms, ctr := gens[i%len(cases)].GenerateTopN(cases[i%len(cases)].clusters, shape.n)
+				ms, ctr := gens[i%len(cases)].GenerateTopNStop(cases[i%len(cases)].clusters, shape.n, nil)
 				partials += ctr.PartialMappings
 				benchSink = len(ms)
 			}

@@ -13,9 +13,8 @@
 // itself lives only in the tests, as a reference that shares no code with
 // the search (reference_test.go).
 //
-// One search runs every request (GenerateTopNStop; Generate,
-// GenerateInCluster and GenerateTopN are thin entries into it), on the
-// calling goroutine. A planning pass over the candidate sets decides each
+// One search runs every request (GenerateTopNStop), on the calling
+// goroutine. A planning pass over the candidate sets decides each
 // cluster's usefulness, search-space size, optimistic Δ upper bound and
 // restricted candidate sets; the search then visits the clusters in turn
 // with one depth-first search that prunes against a Δ-floor, stopping a

@@ -79,14 +79,14 @@ func checkTopNEquivalence(t *testing.T, seed int64, n int, threshold float64) {
 
 	exh, _ := refGenerate(ix, ev, cands, clusters, threshold, false)
 	g := New(Config{Threshold: threshold}, ix, ev, cands)
-	own, _ := g.Generate(clusters)
+	own, _ := g.GenerateTopNStop(clusters, 0, nil)
 	mappingsIdentical(t, "threshold search vs enumeration", own, exh)
 	if len(exh) > n {
 		exh = exh[:n]
 	}
-	top, ctr := g.GenerateTopN(clusters, n)
+	top, ctr := g.GenerateTopNStop(clusters, n, nil)
 	mappingsIdentical(t, "top-N vs exhaustive", top, exh)
-	again, againCtr := g.GenerateTopN(clusters, n)
+	again, againCtr := g.GenerateTopNStop(clusters, n, nil)
 	mappingsIdentical(t, "repeated top-N", again, top)
 	if againCtr != ctr {
 		t.Fatalf("repeated top-N counters %+v, first run %+v", againCtr, ctr)
@@ -163,7 +163,7 @@ func allocFix(t *testing.T) (*Generator, []*cluster.Cluster) {
 		"store(dept(book(z(title))),author)")
 	g := f.gen(Config{Threshold: 0.999})
 	clusters := f.treeClusters()
-	_, ctr := g.Generate(clusters)
+	_, ctr := g.GenerateTopNStop(clusters, 0, nil)
 	if ctr.PartialMappings == 0 || ctr.Found != 0 {
 		t.Fatalf("alloc fixture must search without keeping: %+v", ctr)
 	}
@@ -178,15 +178,15 @@ func TestSearchAllocationFree(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	g, clusters := allocFix(t)
-	g.GenerateTopN(clusters, 3) // warm the pool and every backing array
+	g.GenerateTopNStop(clusters, 3, nil) // warm the pool and every backing array
 
-	if n := testing.AllocsPerRun(50, func() { g.Generate(clusters) }); n > 0 {
+	if n := testing.AllocsPerRun(50, func() { g.GenerateTopNStop(clusters, 0, nil) }); n > 0 {
 		t.Errorf("warm Generate allocates %v times per run", n)
 	}
-	if n := testing.AllocsPerRun(50, func() { g.GenerateTopN(clusters, 3) }); n > 0 {
+	if n := testing.AllocsPerRun(50, func() { g.GenerateTopNStop(clusters, 3, nil) }); n > 0 {
 		t.Errorf("warm GenerateTopN allocates %v times per run", n)
 	}
-	if n := testing.AllocsPerRun(50, func() { g.GenerateInCluster(clusters[0]) }); n > 0 {
+	if n := testing.AllocsPerRun(50, func() { g.GenerateTopNStop(clusters[:1], 0, nil) }); n > 0 {
 		t.Errorf("warm GenerateInCluster allocates %v times per run", n)
 	}
 }

@@ -65,12 +65,12 @@ func checkShapedEquivalence(t *testing.T, seed int64, n int, threshold float64) 
 	t.Helper()
 	ix, ev, cands, clusters := shapedCase(seed)
 	g := New(Config{Threshold: threshold}, ix, ev, cands)
-	top, ctr := g.GenerateTopN(clusters, n)
+	top, ctr := g.GenerateTopNStop(clusters, n, nil)
 	if ctr.SearchSpace > 30000 {
 		return false
 	}
 	want, _ := refGenerate(ix, ev, cands, clusters, threshold, false)
-	all, _ := g.Generate(clusters)
+	all, _ := g.GenerateTopNStop(clusters, 0, nil)
 	mappingsIdentical(t, "shaped threshold search vs reference", all, want)
 	if len(want) > n {
 		want = want[:n]
@@ -114,7 +114,7 @@ func TestSubtreeBoundNeverAddsWork(t *testing.T) {
 			ix, ev, cands, clusters := corpus.gen(seed)
 			g := New(Config{Threshold: corpus.delta}, ix, ev, cands)
 			for _, cl := range clusters {
-				_, ctr := g.GenerateInCluster(cl)
+				_, ctr := g.GenerateTopNStop([]*cluster.Cluster{cl}, 0, nil)
 				_, ref := refGenerate(ix, ev, cands, []*cluster.Cluster{cl}, corpus.delta, true)
 				if ctr.PartialMappings > ref {
 					t.Errorf("%s seed %d cluster %d: %d partial mappings, old bound %d",
@@ -150,8 +150,8 @@ func TestSubtreeBoundWidestSchema(t *testing.T) {
 	if len(want) != 16 || want[0].Score.Delta != 1 {
 		t.Fatalf("fixture: %d reference mappings, best %+v", len(want), want[0].Score)
 	}
-	got, _ := f.gen(Config{Threshold: 0.5}).Generate(clusters)
+	got, _ := f.gen(Config{Threshold: 0.5}).GenerateTopNStop(clusters, 0, nil)
 	mappingsIdentical(t, "64-node chain threshold search", got, want)
-	top, _ := f.gen(Config{Threshold: 0.5}).GenerateTopN(clusters, 3)
+	top, _ := f.gen(Config{Threshold: 0.5}).GenerateTopNStop(clusters, 3, nil)
 	mappingsIdentical(t, "64-node chain top-3", top, want[:3])
 }

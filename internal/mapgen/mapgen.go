@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"bellflower/internal/cluster"
 	"bellflower/internal/labeling"
 	"bellflower/internal/matcher"
 	"bellflower/internal/objective"
@@ -87,19 +86,6 @@ func New(cfg Config, ix *labeling.Index, ev *objective.Evaluator, cands *matcher
 		panic(fmt.Sprintf("mapgen: threshold %v outside [0,1]", cfg.Threshold))
 	}
 	return &Generator{cfg: cfg, ix: ix, ev: ev, cands: cands}
-}
-
-// Generate runs the threshold search over every cluster and returns the
-// merged, ranked mapping list (step ⑤) plus the accumulated counters.
-func (g *Generator) Generate(clusters []*cluster.Cluster) ([]Mapping, Counters) {
-	return g.GenerateTopNStop(clusters, 0, nil)
-}
-
-// GenerateInCluster searches a single cluster. Non-useful clusters return
-// no mappings and contribute nothing to the search space (they cannot
-// produce complete mappings).
-func (g *Generator) GenerateInCluster(cl *cluster.Cluster) ([]Mapping, Counters) {
-	return g.GenerateTopNStop([]*cluster.Cluster{cl}, 0, nil)
 }
 
 // rankLess is the deterministic total order of the final ranking:

@@ -48,7 +48,7 @@ func TestGenerateExactMatch(t *testing.T) {
 		"book(title,author)",
 		"lib(book(title,author))")
 	g := f.gen(Config{Threshold: 0.9})
-	ms, ctr := g.Generate(f.treeClusters())
+	ms, ctr := g.GenerateTopNStop(f.treeClusters(), 0, nil)
 	if len(ms) == 0 {
 		t.Fatalf("no mappings found; counters %+v", ctr)
 	}
@@ -70,7 +70,7 @@ func TestGenerateRespectsThreshold(t *testing.T) {
 		"lib(book(title,author),book(titel,autor))")
 	for _, delta := range []float64{0.5, 0.75, 0.9, 0.99} {
 		g := f.gen(Config{Threshold: delta})
-		ms, _ := g.Generate(f.treeClusters())
+		ms, _ := g.GenerateTopNStop(f.treeClusters(), 0, nil)
 		for _, m := range ms {
 			if m.Score.Delta < delta {
 				t.Errorf("δ=%v: mapping with Delta=%v returned", delta, m.Score.Delta)
@@ -84,7 +84,7 @@ func TestGenerateRanking(t *testing.T) {
 		"book(title,author)",
 		"lib(book(title,author),book(titel,autor),paper(title,author))")
 	g := f.gen(Config{Threshold: 0.5})
-	ms, _ := g.Generate(f.treeClusters())
+	ms, _ := g.GenerateTopNStop(f.treeClusters(), 0, nil)
 	if len(ms) < 2 {
 		t.Fatalf("want several mappings, got %d", len(ms))
 	}
@@ -99,8 +99,8 @@ func TestGenerateTopN(t *testing.T) {
 	f := newFix(t, objective.DefaultParams(), 0.3,
 		"book(title)",
 		"lib(book(title),book(title),book(title))")
-	all, _ := f.gen(Config{Threshold: 0.5}).Generate(f.treeClusters())
-	top, _ := f.gen(Config{Threshold: 0.5}).GenerateTopN(f.treeClusters(), 2)
+	all, _ := f.gen(Config{Threshold: 0.5}).GenerateTopNStop(f.treeClusters(), 0, nil)
+	top, _ := f.gen(Config{Threshold: 0.5}).GenerateTopNStop(f.treeClusters(), 2, nil)
 	if len(all) <= 2 {
 		t.Skipf("need >2 mappings for the test, got %d", len(all))
 	}
@@ -119,7 +119,7 @@ func TestInjectivity(t *testing.T) {
 		"a(x,x)",
 		"r(a(x))")
 	g := f.gen(Config{Threshold: 0})
-	ms, _ := g.Generate(f.treeClusters())
+	ms, _ := g.GenerateTopNStop(f.treeClusters(), 0, nil)
 	for _, m := range ms {
 		if m.Images[1] == m.Images[2] {
 			t.Fatalf("mapping reuses a repository node: %v", m.Images)
@@ -135,7 +135,7 @@ func TestMappingsStayWithinCluster(t *testing.T) {
 	clusters := f.treeClusters()
 	g := f.gen(Config{Threshold: 0.5})
 	for _, cl := range clusters {
-		ms, _ := g.GenerateInCluster(cl)
+		ms, _ := g.GenerateTopNStop([]*cluster.Cluster{cl}, 0, nil)
 		member := map[int]bool{}
 		for _, e := range cl.Elements {
 			member[e.Node.ID] = true
@@ -155,7 +155,7 @@ func TestNonUsefulClusterProducesNothing(t *testing.T) {
 		"book(title,zzzz)",
 		"lib(book(title))")
 	g := f.gen(Config{Threshold: 0})
-	ms, ctr := g.Generate(f.treeClusters())
+	ms, ctr := g.GenerateTopNStop(f.treeClusters(), 0, nil)
 	if len(ms) != 0 || ctr.UsefulClusters != 0 {
 		t.Errorf("non-useful cluster produced %d mappings, %d useful", len(ms), ctr.UsefulClusters)
 	}
@@ -166,7 +166,7 @@ func TestScoreMatchesEvaluator(t *testing.T) {
 		"book(title,author)",
 		"lib(address,book(authorName,data(title),shelf))")
 	g := f.gen(Config{Threshold: 0.3})
-	ms, _ := g.Generate(f.treeClusters())
+	ms, _ := g.GenerateTopNStop(f.treeClusters(), 0, nil)
 	if len(ms) == 0 {
 		t.Fatalf("no mappings")
 	}
@@ -186,7 +186,7 @@ func TestExhaustiveEqualsBranchAndBound(t *testing.T) {
 		"lib(book(title,author),book(titel,autor),paper(title,author))",
 		"store(dept(book(title,author(name))))")
 	for _, delta := range []float64{0.4, 0.6, 0.75, 0.9} {
-		bb, bbCtr := f.gen(Config{Threshold: delta}).Generate(f.treeClusters())
+		bb, bbCtr := f.gen(Config{Threshold: delta}).GenerateTopNStop(f.treeClusters(), 0, nil)
 		ex, exPartials := refGenerate(f.ix, f.ev, f.cands, f.treeClusters(), delta, false)
 		mappingsIdentical(t, fmt.Sprintf("δ=%v: B&B vs enumeration", delta), bb, ex)
 		if bbCtr.PartialMappings > exPartials {
@@ -200,7 +200,7 @@ func TestBnBPrunesAtHighThreshold(t *testing.T) {
 	f := newFix(t, objective.Params{Alpha: 0.5, K: 4}, 0.3,
 		"book(title,author)",
 		"lib(book(title,author),bok(titel,autor),bk(ttle,athr))")
-	_, bb := f.gen(Config{Threshold: 0.95}).Generate(f.treeClusters())
+	_, bb := f.gen(Config{Threshold: 0.95}).GenerateTopNStop(f.treeClusters(), 0, nil)
 	_, ex := refGenerate(f.ix, f.ev, f.cands, f.treeClusters(), 0.95, false)
 	if bb.PartialMappings >= ex {
 		t.Errorf("B&B should prune at δ=0.95: %d vs %d partials", bb.PartialMappings, ex)
@@ -212,7 +212,7 @@ func TestSearchSpaceCounter(t *testing.T) {
 		"book(title)",
 		"lib(book(title),book(title))")
 	g := f.gen(Config{Threshold: 0})
-	_, ctr := g.Generate(f.treeClusters())
+	_, ctr := g.GenerateTopNStop(f.treeClusters(), 0, nil)
 	// 2 book candidates × 2 title candidates = 4 combinations
 	if ctr.SearchSpace != 4 {
 		t.Errorf("SearchSpace = %v, want 4", ctr.SearchSpace)
@@ -243,7 +243,7 @@ func TestGeneratePartialInCluster(t *testing.T) {
 	}
 	g := f.gen(Config{Threshold: 0.3})
 	// Complete generation finds nothing...
-	ms, _ := g.GenerateInCluster(clusters[0])
+	ms, _ := g.GenerateTopNStop(clusters[:1], 0, nil)
 	if len(ms) != 0 {
 		t.Fatalf("complete mappings from non-useful cluster: %d", len(ms))
 	}
@@ -312,7 +312,7 @@ func TestBnBAdmissibleProperty(t *testing.T) {
 		ev := objective.NewEvaluator(objective.Params{Alpha: alpha, K: 4}, ix, personal)
 		clusters := cluster.TreeClusters(ix, cands).Clusters
 
-		bb, bbCtr := New(Config{Threshold: delta}, ix, ev, cands).Generate(clusters)
+		bb, bbCtr := New(Config{Threshold: delta}, ix, ev, cands).GenerateTopNStop(clusters, 0, nil)
 		ex, exPartials := refGenerate(ix, ev, cands, clusters, delta, false)
 		if len(bb) != len(ex) {
 			return false
@@ -351,7 +351,7 @@ func TestMappingWellFormedProperty(t *testing.T) {
 		cands := matcher.FindCandidates(personal, repo, matcher.NameMatcher{}, matcher.Config{MinSim: 0.4})
 		ev := objective.NewEvaluator(objective.DefaultParams(), ix, personal)
 		g := New(Config{Threshold: 0.5}, ix, ev, cands)
-		ms, _ := g.Generate(cluster.TreeClusters(ix, cands).Clusters)
+		ms, _ := g.GenerateTopNStop(cluster.TreeClusters(ix, cands).Clusters, 0, nil)
 		for _, m := range ms {
 			tid := ix.TreeID(m.Images[0])
 			seen := map[int]bool{}

@@ -47,7 +47,7 @@ type PartialMapping struct {
 // partial mappings over exactly the personal nodes that have candidates in
 // the cluster. Returns nil when fewer than two personal nodes are covered
 // (a single mapped node is not an informative partial mapping). Counters
-// are accumulated like in GenerateInCluster. The DFS runs on the same
+// are accumulated like in GenerateTopNStop. The DFS runs on the same
 // pooled search state as the complete-mapping searches — dense bitset for
 // the 1-to-1 check, dense edge union, pooled suffixBest.
 func (g *Generator) GeneratePartialInCluster(cl *cluster.Cluster) ([]PartialMapping, Counters) {

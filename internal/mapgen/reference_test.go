@@ -107,7 +107,7 @@ func TestSortedCutoffNeverAddsWork(t *testing.T) {
 			ix, ev, cands, clusters := randomCase(seed)
 			g := New(Config{Threshold: delta}, ix, ev, cands)
 			want, refPartials := refGenerate(ix, ev, cands, clusters, delta, true)
-			got, ctr := g.Generate(clusters)
+			got, ctr := g.GenerateTopNStop(clusters, 0, nil)
 			mappingsIdentical(t, "threshold search vs pre-cut-off reference", got, want)
 			if ctr.PartialMappings > refPartials {
 				t.Errorf("δ=%v seed %d: threshold search generated %d partial mappings, pre-cut-off search %d",
@@ -115,14 +115,14 @@ func TestSortedCutoffNeverAddsWork(t *testing.T) {
 			}
 			saved += refPartials - ctr.PartialMappings
 			for _, cl := range clusters {
-				_, oneCtr := g.GenerateInCluster(cl)
+				_, oneCtr := g.GenerateTopNStop([]*cluster.Cluster{cl}, 0, nil)
 				_, refOne := refGenerate(ix, ev, cands, []*cluster.Cluster{cl}, delta, true)
 				if oneCtr.PartialMappings > refOne {
 					t.Errorf("δ=%v seed %d cluster %d: %d partial mappings, pre-cut-off search %d",
 						delta, seed, cl.ID, oneCtr.PartialMappings, refOne)
 				}
 			}
-			top, topCtr := g.GenerateTopN(clusters, 5)
+			top, topCtr := g.GenerateTopNStop(clusters, 5, nil)
 			if len(want) > 5 {
 				want = want[:5]
 			}
@@ -161,7 +161,7 @@ func TestBnBPartialsOnTreeBaseline(t *testing.T) {
 	ev := objective.NewEvaluator(objective.Params{Alpha: 0.5, K: 4}, ix, personal)
 	clusters := cluster.TreeClusters(ix, cands).Clusters
 
-	got, ctr := New(Config{Threshold: 0.75}, ix, ev, cands).Generate(clusters)
+	got, ctr := New(Config{Threshold: 0.75}, ix, ev, cands).GenerateTopNStop(clusters, 0, nil)
 	want, enumerated := refGenerate(ix, ev, cands, clusters, 0.75, false)
 	mappingsIdentical(t, "B&B vs enumeration on the tree baseline", got, want)
 	if ctr.PartialMappings > enumerated {

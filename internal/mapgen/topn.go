@@ -23,13 +23,6 @@ import (
 // order — equal to exhaustive-then-truncate (see doc.go; property- and
 // fuzz-tested).
 
-// GenerateTopN searches the clusters for the n best mappings with
-// Δ ≥ the configured threshold. The returned list is ranked. Counters
-// reflect the adaptively pruned search.
-func (g *Generator) GenerateTopN(clusters []*cluster.Cluster, n int) ([]Mapping, Counters) {
-	return g.GenerateTopNStop(clusters, n, nil)
-}
-
 // GenerateTopNStop is the package's one search entry: the top-N search for
 // n > 0, the threshold search (every mapping with Δ ≥ δ) for n <= 0. The returned list is ranked and, for
 // n > 0, bit-identical — scores and order — to exhaustive generation

@@ -21,8 +21,8 @@ func TestGenerateTopNMatchesTruncation(t *testing.T) {
 		"store(dept(book(title,author(name))))")
 	clusters := f.treeClusters()
 	for _, n := range []int{1, 3, 5, 100} {
-		full, _ := f.gen(Config{Threshold: 0.5}).Generate(clusters)
-		top, _ := f.gen(Config{Threshold: 0.5}).GenerateTopN(clusters, n)
+		full, _ := f.gen(Config{Threshold: 0.5}).GenerateTopNStop(clusters, 0, nil)
+		top, _ := f.gen(Config{Threshold: 0.5}).GenerateTopNStop(clusters, n, nil)
 		want := len(full)
 		if want > n {
 			want = n
@@ -44,8 +44,8 @@ func TestGenerateTopNPrunesMore(t *testing.T) {
 		"lib(book(title,author),book(titel,autor),paper(title,author),bok(ttl,athr))",
 		"store(dept(book(title,author(name))),book(title,author))")
 	clusters := f.treeClusters()
-	_, fullCtr := f.gen(Config{Threshold: 0.3}).Generate(clusters)
-	_, topCtr := f.gen(Config{Threshold: 0.3}).GenerateTopN(clusters, 1)
+	_, fullCtr := f.gen(Config{Threshold: 0.3}).GenerateTopNStop(clusters, 0, nil)
+	_, topCtr := f.gen(Config{Threshold: 0.3}).GenerateTopNStop(clusters, 1, nil)
 	if topCtr.PartialMappings >= fullCtr.PartialMappings {
 		t.Errorf("top-1 search should prune harder: %d vs %d partials",
 			topCtr.PartialMappings, fullCtr.PartialMappings)
@@ -86,7 +86,7 @@ func TestGenerateTopNStop(t *testing.T) {
 		if cl.ID != first {
 			continue
 		}
-		full, _ := f.gen(Config{Threshold: 0.5}).GenerateInCluster(cl)
+		full, _ := f.gen(Config{Threshold: 0.5}).GenerateTopNStop([]*cluster.Cluster{cl}, 0, nil)
 		if len(ms) != len(full) {
 			t.Errorf("stop after first cluster: %d mappings, want %d (cluster %d only)", len(ms), len(full), first)
 		}
@@ -97,8 +97,8 @@ func TestGenerateTopNZeroFallsBack(t *testing.T) {
 	f := newFix(t, objective.DefaultParams(), 0.4,
 		"book(title)", "lib(book(title))")
 	clusters := f.treeClusters()
-	all, _ := f.gen(Config{Threshold: 0.5}).Generate(clusters)
-	zero, _ := f.gen(Config{Threshold: 0.5}).GenerateTopN(clusters, 0)
+	all, _ := f.gen(Config{Threshold: 0.5}).GenerateTopNStop(clusters, 1000, nil)
+	zero, _ := f.gen(Config{Threshold: 0.5}).GenerateTopNStop(clusters, 0, nil)
 	if len(zero) != len(all) {
 		t.Errorf("n=0 should return everything: %d vs %d", len(zero), len(all))
 	}
@@ -127,8 +127,8 @@ func TestGenerateTopNProperty(t *testing.T) {
 		clusters := cluster.TreeClusters(ix, cands).Clusters
 		n := 1 + int(nRaw)%8
 
-		full, _ := New(Config{Threshold: 0.5}, ix, ev, cands).Generate(clusters)
-		top, topCtr := New(Config{Threshold: 0.5}, ix, ev, cands).GenerateTopN(clusters, n)
+		full, _ := New(Config{Threshold: 0.5}, ix, ev, cands).GenerateTopNStop(clusters, 0, nil)
+		top, topCtr := New(Config{Threshold: 0.5}, ix, ev, cands).GenerateTopNStop(clusters, n, nil)
 		want := len(full)
 		if want > n {
 			want = n
@@ -141,7 +141,7 @@ func TestGenerateTopNProperty(t *testing.T) {
 				return false
 			}
 		}
-		_, fullCtr := New(Config{Threshold: 0.5}, ix, ev, cands).Generate(clusters)
+		_, fullCtr := New(Config{Threshold: 0.5}, ix, ev, cands).GenerateTopNStop(clusters, 0, nil)
 		return topCtr.PartialMappings <= fullCtr.PartialMappings
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -164,7 +164,7 @@ func TestGenerateTopNWarmBytes(t *testing.T) {
 	for i, c := range cases {
 		gens[i] = New(Config{Threshold: 0.75}, c.ix, c.ev, c.cands)
 	}
-	run := func(i int) { gens[i%len(cases)].GenerateTopN(cases[i%len(cases)].clusters, 10) }
+	run := func(i int) { gens[i%len(cases)].GenerateTopNStop(cases[i%len(cases)].clusters, 10, nil) }
 	for i := 0; i < 2*len(cases); i++ {
 		run(i)
 	}

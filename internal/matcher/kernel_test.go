@@ -148,11 +148,11 @@ func TestKernelEquivalenceParallel(t *testing.T) {
 	}
 	ni := NewNameIndex(repo)
 	vocab := ni.Vocabulary(repo.Nodes())
-	if ni.Keys() < 500 {
-		t.Fatalf("expected a large vocabulary, got %d keys", ni.Keys())
+	if len(ni.keys) < 500 {
+		t.Fatalf("expected a large vocabulary, got %d keys", len(ni.keys))
 	}
 	personal := randomKernelPersonal(rng, 16)
-	if personal.Len()*ni.Keys() < parallelThreshold {
+	if personal.Len()*len(ni.keys) < parallelThreshold {
 		t.Fatalf("test repo too small to exercise the parallel path")
 	}
 	for _, m := range []Matcher{NameMatcher{}, NameMatcher{TokenAware: true}} {
@@ -234,8 +234,8 @@ func TestKernelStatsCounters(t *testing.T) {
 	repo := randomKernelRepo(rng, 6, 20)
 	ni := NewNameIndex(repo)
 	vocab := ni.Vocabulary(repo.Nodes())
-	if ni.Keys() >= ni.Nodes() {
-		t.Fatalf("duplication-heavy repo should have fewer keys (%d) than nodes (%d)", ni.Keys(), ni.Nodes())
+	if len(ni.keys) >= len(ni.keyOf) {
+		t.Fatalf("duplication-heavy repo should have fewer keys (%d) than nodes (%d)", len(ni.keys), len(ni.keyOf))
 	}
 	if r := ni.DistinctRatio(); r <= 0 || r >= 1 {
 		t.Fatalf("distinct ratio %v outside (0,1)", r)

@@ -263,9 +263,6 @@ type Candidates struct {
 	Sets     []CandidateSet
 }
 
-// Set returns the candidate set of the given personal node.
-func (c *Candidates) Set(p *schema.Node) *CandidateSet { return &c.Sets[p.Pre] }
-
 // TotalMappingElements returns the number of (personal node, repository
 // node) candidate pairs — the paper's "mapping elements" count (4520 in the
 // reference experiment).
@@ -292,17 +289,6 @@ func (c *Candidates) MinSet() int {
 		}
 	}
 	return best
-}
-
-// Sim returns the similarity recorded for (personal node, repository node),
-// or 0 if the repository node is not a candidate for that personal node.
-func (c *Candidates) Sim(p, r *schema.Node) float64 {
-	for _, cand := range c.Sets[p.Pre].Elems {
-		if cand.Node == r {
-			return cand.Sim
-		}
-	}
-	return 0
 }
 
 // Config controls candidate generation.
@@ -407,30 +393,4 @@ func (c *Candidates) Restrict(keep func(*schema.Node) bool) *Candidates {
 		}
 	}
 	return out
-}
-
-// MappingElementNodes returns the deduplicated repository nodes that are a
-// candidate for at least one personal node, together with a bitmask (one bit
-// per personal node, by preorder rank) of which personal nodes they serve.
-// This is the element universe the clusterer partitions.
-func (c *Candidates) MappingElementNodes() ([]*schema.Node, []uint64) {
-	if c.Personal.Len() > 64 {
-		panic("matcher: personal schemas with more than 64 nodes not supported by bitmask")
-	}
-	byID := make(map[int]int) // node ID -> index in out
-	var nodes []*schema.Node
-	var masks []uint64
-	for i := range c.Sets {
-		for _, cand := range c.Sets[i].Elems {
-			j, ok := byID[cand.Node.ID]
-			if !ok {
-				j = len(nodes)
-				byID[cand.Node.ID] = j
-				nodes = append(nodes, cand.Node)
-				masks = append(masks, 0)
-			}
-			masks[j] |= 1 << uint(i)
-		}
-	}
-	return nodes, masks
 }

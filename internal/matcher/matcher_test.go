@@ -142,7 +142,7 @@ func TestFindCandidates(t *testing.T) {
 	if len(cands.Sets) != 3 {
 		t.Fatalf("want 3 candidate sets, got %d", len(cands.Sets))
 	}
-	bookSet := cands.Set(personal.Find("book"))
+	bookSet := &cands.Sets[personal.Find("book").Pre]
 	if len(bookSet.Elems) < 2 {
 		t.Fatalf("book should match at least the two 'book' nodes, got %d", len(bookSet.Elems))
 	}
@@ -157,7 +157,7 @@ func TestFindCandidates(t *testing.T) {
 		}
 	}
 	// author set should include authorName and author
-	authorSet := cands.Set(personal.Find("author"))
+	authorSet := &cands.Sets[personal.Find("author").Pre]
 	foundAuthor, foundAuthorName := false, false
 	for _, c := range authorSet.Elems {
 		switch c.Node.Name {
@@ -196,48 +196,6 @@ func TestCandidatesMinSet(t *testing.T) {
 	c2 := FindCandidates(p2, repo, NameMatcher{}, Config{MinSim: 0.9})
 	if got := c2.MinSet(); got != -1 {
 		t.Errorf("MinSet on empty candidates = %d, want -1", got)
-	}
-}
-
-func TestMappingElementNodes(t *testing.T) {
-	personal := schema.MustParseSpec("book(title)")
-	repo := buildRepo("lib(book(title),title)")
-	cands := FindCandidates(personal, repo, NameMatcher{}, Config{MinSim: 0.9})
-	nodes, masks := cands.MappingElementNodes()
-	if len(nodes) != len(masks) {
-		t.Fatalf("nodes/masks length mismatch")
-	}
-	// repo has one 'book' (candidate for personal book = bit 0) and two
-	// 'title' nodes (bit 1).
-	var bookMask, titleMask uint64
-	for i, n := range nodes {
-		switch n.Name {
-		case "book":
-			bookMask |= masks[i]
-		case "title":
-			titleMask |= masks[i]
-		}
-	}
-	if bookMask != 1 {
-		t.Errorf("book mask = %b, want 1", bookMask)
-	}
-	if titleMask != 2 {
-		t.Errorf("title mask = %b, want 10", titleMask)
-	}
-}
-
-func TestSimLookup(t *testing.T) {
-	personal := schema.MustParseSpec("book")
-	repo := buildRepo("lib(book,zebra)")
-	cands := FindCandidates(personal, repo, NameMatcher{}, Config{MinSim: 0.5})
-	p := personal.Root()
-	book := repo.Tree(0).Find("book")
-	zebra := repo.Tree(0).Find("zebra")
-	if got := cands.Sim(p, book); got != 1 {
-		t.Errorf("Sim(book,book) = %v", got)
-	}
-	if got := cands.Sim(p, zebra); got != 0 {
-		t.Errorf("Sim(book,zebra) = %v, want 0 (not a candidate)", got)
 	}
 }
 

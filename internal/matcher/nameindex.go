@@ -81,14 +81,9 @@ func NewNameIndex(repo *schema.Repository) *NameIndex {
 	return ni
 }
 
-// Keys returns the number of distinct (name, datatype) keys.
-func (ni *NameIndex) Keys() int { return len(ni.keys) }
-
-// Nodes returns the number of repository nodes the index covers.
-func (ni *NameIndex) Nodes() int { return len(ni.keyOf) }
-
-// DistinctRatio returns Keys/Nodes — the fraction of the node universe that
-// is distinct vocabulary. The keyed kernel's dedup win is its inverse.
+// DistinctRatio returns distinct (name, datatype) keys over covered nodes —
+// the fraction of the node universe that is distinct vocabulary. The keyed
+// kernel's dedup win is its inverse.
 func (ni *NameIndex) DistinctRatio() float64 {
 	if len(ni.keyOf) == 0 {
 		return 0

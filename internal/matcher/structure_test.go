@@ -113,7 +113,7 @@ func TestRescore(t *testing.T) {
 	// weight 1: pure structure — the nested title (under book, like the
 	// personal schema's) must outrank the stray top-level title.
 	structural := Rescore(cands, PathContextMatcher{}, 1, nil)
-	titleSet := structural.Set(personal.Find("title"))
+	titleSet := &structural.Sets[personal.Find("title").Pre]
 	if len(titleSet.Elems) < 2 {
 		t.Fatalf("title candidates = %d", len(titleSet.Elems))
 	}

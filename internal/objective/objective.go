@@ -87,9 +87,6 @@ func NewEvaluator(params Params, ix *labeling.Index, personal *schema.Tree) *Eva
 // Params returns the evaluator's parameters.
 func (e *Evaluator) Params() Params { return e.params }
 
-// Personal returns the personal schema the evaluator was built for.
-func (e *Evaluator) Personal() *schema.Tree { return e.personal }
-
 // Score evaluates a complete mapping. images[i] is the repository image of
 // the personal node with preorder rank i; sims[i] is its element similarity
 // sim(n, n′). All images must lie in one repository tree.
@@ -156,6 +153,3 @@ func (e *Evaluator) deltaPath(et int) float64 {
 func (e *Evaluator) Combine(dsim, dpath float64) float64 {
 	return e.params.Alpha*dsim + (1-e.params.Alpha)*dpath
 }
-
-// NumEdges returns |Es| of the personal schema.
-func (e *Evaluator) NumEdges() int { return e.es }

@@ -682,25 +682,12 @@ func setMembers(member *labeling.Bitset, cl *cluster.Cluster, on bool) {
 	}
 }
 
-// ClusterQuality scores a cluster's potential to deliver good mappings: the
+// clusterQuality scores a cluster's potential to deliver good mappings: the
 // average, over personal nodes, of the best element similarity the cluster
 // offers for that node — an upper bound on any mapping's Δsim within the
-// cluster. (The Sec. 7 "ordering the clusters" future-work item.)
-func ClusterQuality(cl *cluster.Cluster, cands *matcher.Candidates) float64 {
-	size := 0
-	for i := range cands.Sets {
-		for _, c := range cands.Sets[i].Elems {
-			size = max(size, c.Node.ID+1)
-		}
-	}
-	member := memberPool.Get().(*labeling.Bitset)
-	defer memberPool.Put(member)
-	member.Grow(size)
-	return clusterQuality(member, cl, cands)
-}
-
-// clusterQuality is ClusterQuality over a clear set that covers every
-// candidate's node ID; the set is clear again on return.
+// cluster. (The Sec. 7 "ordering the clusters" future-work item.) member
+// is a clear set that covers every candidate's node ID; it is clear again on
+// return.
 func clusterQuality(member *labeling.Bitset, cl *cluster.Cluster, cands *matcher.Candidates) float64 {
 	setMembers(member, cl, true)
 	sum := 0.0
@@ -716,7 +703,7 @@ func clusterQuality(member *labeling.Bitset, cl *cluster.Cluster, cands *matcher
 	return sum / float64(cands.Personal.Len())
 }
 
-// sortByQuality orders clusters by descending ClusterQuality, stably.
+// sortByQuality orders clusters by descending clusterQuality, stably.
 func (r *Runner) sortByQuality(clusters []*cluster.Cluster, cands *matcher.Candidates) {
 	type scored struct {
 		cl *cluster.Cluster

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bellflower/internal/cluster"
+	"bellflower/internal/labeling"
 	"bellflower/internal/mapgen"
 	"bellflower/internal/matcher"
 	"bellflower/internal/objective"
@@ -307,7 +308,9 @@ func TestClusterQualityValue(t *testing.T) {
 	personal := personBooks()
 	cands := matcher.FindCandidates(personal, repo, matcher.NameMatcher{}, matcher.Config{MinSim: 0.5})
 	cl := cluster.TreeClusters(r.Index(), cands).Clusters[0]
-	q := ClusterQuality(cl, cands)
+	var member labeling.Bitset
+	member.Grow(repo.Len())
+	q := clusterQuality(&member, cl, cands)
 	if q < 0.9 {
 		t.Errorf("perfect-match cluster quality = %v, want ~1", q)
 	}

@@ -70,7 +70,7 @@ func fixture(t *testing.T) (*schema.Tree, mapgen.Mapping, *labeling.Index) {
 	cands := matcher.FindCandidates(personal, repo, matcher.NameMatcher{}, matcher.Config{MinSim: 0.4})
 	ev := objective.NewEvaluator(objective.DefaultParams(), ix, personal)
 	g := mapgen.New(mapgen.Config{Threshold: 0.5}, ix, ev, cands)
-	ms, _ := g.Generate(cluster.TreeClusters(ix, cands).Clusters)
+	ms, _ := g.GenerateTopNStop(cluster.TreeClusters(ix, cands).Clusters, 0, nil)
 	if len(ms) == 0 {
 		t.Fatalf("fixture produced no mappings")
 	}

@@ -19,7 +19,6 @@ package repogen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"bellflower/internal/schema"
 )
@@ -353,22 +352,4 @@ func (g *generator) name(concept string) string {
 		}
 	}
 	return name
-}
-
-// Concepts returns the sorted concept vocabulary (for documentation and
-// tests).
-func Concepts() []string {
-	set := map[string]bool{}
-	for c, kids := range productions {
-		set[c] = true
-		for _, k := range kids {
-			set[k] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package repogen
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -115,7 +116,7 @@ func TestGenerateNoiseProducesVariants(t *testing.T) {
 	}
 	// Noise must create names beyond the clean concept list.
 	clean := map[string]bool{}
-	for _, c := range Concepts() {
+	for _, c := range concepts() {
 		clean[c] = true
 	}
 	noisy := 0
@@ -135,7 +136,7 @@ func TestGenerateZeroNoise(t *testing.T) {
 	cfg.NoiseRate = 0
 	repo := MustGenerate(cfg)
 	clean := map[string]bool{}
-	for _, c := range Concepts() {
+	for _, c := range concepts() {
 		clean[c] = true
 	}
 	for _, n := range repo.Nodes() {
@@ -191,8 +192,25 @@ func TestTreeNames(t *testing.T) {
 	}
 }
 
+// concepts returns the sorted concept vocabulary of the productions.
+func concepts() []string {
+	set := map[string]bool{}
+	for c, kids := range productions {
+		set[c] = true
+		for _, k := range kids {
+			set[k] = true
+		}
+	}
+	out := make([]string, 0, len(set))
+	for c := range set {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestConcepts(t *testing.T) {
-	cs := Concepts()
+	cs := concepts()
 	if len(cs) < 30 {
 		t.Errorf("vocabulary too small: %d concepts", len(cs))
 	}

@@ -78,9 +78,8 @@ func (b *Builder) add(parent *Node, name string, kind NodeKind, typ string) *Nod
 // Size returns the number of nodes added so far.
 func (b *Builder) Size() int { return b.count }
 
-// Tree finalizes the builder: it assigns preorder/postorder/depth/subtree
-// labels and returns the immutable tree. The builder cannot be used
-// afterwards.
+// Tree finalizes the builder: it assigns preorder and depth labels and
+// returns the immutable tree. The builder cannot be used afterwards.
 func (b *Builder) Tree() (*Tree, error) {
 	if b.done {
 		return nil, errors.New("schema: Builder.Tree called twice")
@@ -90,22 +89,15 @@ func (b *Builder) Tree() (*Tree, error) {
 	}
 	b.done = true
 	t := &Tree{ID: -1, Name: b.name, root: b.root, nodes: make([]*Node, 0, b.count)}
-	pre, post := 0, 0
-	var rec func(n *Node, depth int) int
-	rec = func(n *Node, depth int) int {
+	var rec func(n *Node, depth int)
+	rec = func(n *Node, depth int) {
 		n.tree = t
 		n.Depth = depth
-		n.Pre = pre
-		pre++
+		n.Pre = len(t.nodes)
 		t.nodes = append(t.nodes, n)
-		size := 1
 		for _, c := range n.children {
-			size += rec(c, depth+1)
+			rec(c, depth+1)
 		}
-		n.sub = size
-		n.Post = post
-		post++
-		return size
 	}
 	rec(b.root, 0)
 	if len(t.nodes) != b.count {

@@ -58,16 +58,12 @@ type Node struct {
 	// Pre is the node's preorder rank within its tree (root = 0).
 	Pre int
 
-	// Post is the node's postorder rank within its tree.
-	Post int
-
 	// Depth is the number of edges from the tree root (root = 0).
 	Depth int
 
 	parent   *Node
 	children []*Node
 	tree     *Tree
-	sub      int // subtree size (including the node itself); set at freeze
 }
 
 // Parent returns the node's parent, or nil for a tree root.
@@ -82,20 +78,6 @@ func (n *Node) Tree() *Tree { return n.tree }
 
 // IsLeaf reports whether the node has no children.
 func (n *Node) IsLeaf() bool { return len(n.children) == 0 }
-
-// SubtreeSize returns the number of nodes in the subtree rooted at n,
-// including n itself. The subtree occupies the preorder interval
-// [Pre, Pre+SubtreeSize()) within its tree.
-func (n *Node) SubtreeSize() int { return n.sub }
-
-// IsAncestorOf reports whether n is a proper ancestor of m. Both nodes must
-// belong to the same tree; nodes of different trees are never related.
-func (n *Node) IsAncestorOf(m *Node) bool {
-	if n.tree != m.tree || n == m {
-		return false
-	}
-	return n.Pre < m.Pre && n.Post > m.Post
-}
 
 // Path returns the node names from the tree root down to the node, e.g.
 // ["lib", "book", "title"].

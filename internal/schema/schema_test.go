@@ -39,15 +39,6 @@ func TestBuilderBasic(t *testing.T) {
 	if id.Kind != KindAttribute || !id.IsLeaf() {
 		t.Errorf("id should be a leaf attribute")
 	}
-	if author.SubtreeSize() != 3 {
-		t.Errorf("author subtree size = %d, want 3", author.SubtreeSize())
-	}
-	if !book.IsAncestorOf(first) || first.IsAncestorOf(book) {
-		t.Errorf("ancestry wrong for book/first")
-	}
-	if book.IsAncestorOf(book) {
-		t.Errorf("node must not be its own ancestor")
-	}
 	if got := first.PathString(); got != "/book/author/first" {
 		t.Errorf("PathString = %q", got)
 	}
@@ -210,20 +201,6 @@ func TestDistanceAndPath(t *testing.T) {
 		if got := tr.Distance(tc.a, tc.b); got != tc.d {
 			t.Errorf("Distance(%v,%v) = %d, want %d", tc.a, tc.b, got, tc.d)
 		}
-		path := tr.PathBetween(tc.a, tc.b)
-		if len(path) != tc.d+1 {
-			t.Errorf("PathBetween(%v,%v) has %d nodes, want %d", tc.a, tc.b, len(path), tc.d+1)
-		}
-		if path[0] != tc.a || path[len(path)-1] != tc.b {
-			t.Errorf("PathBetween(%v,%v) endpoints wrong: %v", tc.a, tc.b, path)
-		}
-		// consecutive path nodes must be adjacent (parent/child)
-		for i := 1; i < len(path); i++ {
-			u, v := path[i-1], path[i]
-			if u.Parent() != v && v.Parent() != u {
-				t.Errorf("PathBetween(%v,%v): %v and %v not adjacent", tc.a, tc.b, u, v)
-			}
-		}
 	}
 }
 
@@ -242,59 +219,6 @@ func TestLCA(t *testing.T) {
 		if got := LCA(get(tc.a), get(tc.b)); got.Name != tc.want {
 			t.Errorf("LCA(%s,%s) = %v, want %s", tc.a, tc.b, got, tc.want)
 		}
-	}
-}
-
-func TestWalkSkipsSubtree(t *testing.T) {
-	tr := MustParseSpec("r(a(x,y),b(z))")
-	var visited []string
-	Walk(tr, func(n *Node) bool {
-		visited = append(visited, n.Name)
-		return n.Name != "a" // skip a's children
-	})
-	want := "r a b z"
-	if got := strings.Join(visited, " "); got != want {
-		t.Errorf("Walk order = %q, want %q", got, want)
-	}
-}
-
-func TestLeaves(t *testing.T) {
-	tr := MustParseSpec("r(a(x,y),b(z),c)")
-	var names []string
-	for _, n := range Leaves(tr) {
-		names = append(names, n.Name)
-	}
-	if got := strings.Join(names, " "); got != "x y z c" {
-		t.Errorf("Leaves = %q", got)
-	}
-}
-
-func TestClone(t *testing.T) {
-	orig := MustParseSpec("book(title,author(first,last),isbn@)")
-	cp := orig.Clone()
-	if err := cp.Validate(); err != nil {
-		t.Fatalf("clone invalid: %v", err)
-	}
-	if cp.String() != orig.String() {
-		t.Errorf("clone = %q, want %q", cp.String(), orig.String())
-	}
-	if cp.ID != -1 {
-		t.Errorf("clone ID = %d, want -1", cp.ID)
-	}
-	// Clones must not share nodes.
-	if cp.Root() == orig.Root() {
-		t.Errorf("clone shares root with original")
-	}
-	if cp.Find("isbn").Kind != KindAttribute {
-		t.Errorf("clone lost attribute kind")
-	}
-}
-
-func TestNames(t *testing.T) {
-	tr := MustParseSpec("b(a,c(a),b)")
-	got := tr.Names()
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("Names = %v", got)
 	}
 }
 
@@ -386,27 +310,29 @@ func TestSpecRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: subtree sizes computed at freeze match a recount, and preorder
-// intervals nest properly.
+// Property: preorder labels number every subtree as one contiguous interval
+// starting at its root.
 func TestSubtreeIntervalProperty(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		tr := randomTree(r, 1+int(size)%50)
 		for _, n := range tr.Nodes() {
-			count := 0
-			Walk(tr, func(m *Node) bool {
-				if m == n || n.IsAncestorOf(m) {
-					count++
+			under := func(m *Node) bool {
+				for ; m != nil; m = m.Parent() {
+					if m == n {
+						return true
+					}
 				}
-				return true
-			})
-			if count != n.SubtreeSize() {
 				return false
 			}
-			// every descendant's Pre must fall in [n.Pre, n.Pre+size)
+			count := 0
 			for _, m := range tr.Nodes() {
-				in := m.Pre >= n.Pre && m.Pre < n.Pre+n.SubtreeSize()
-				if in != (m == n || n.IsAncestorOf(m)) {
+				if under(m) {
+					count++
+				}
+			}
+			for _, m := range tr.Nodes() {
+				if in := m.Pre >= n.Pre && m.Pre < n.Pre+count; in != under(m) {
 					return false
 				}
 			}

@@ -3,7 +3,6 @@ package schema
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -90,33 +89,6 @@ func (t *Tree) Distance(a, b *Node) int {
 	return d
 }
 
-// PathBetween returns the nodes on the unique path from a to b inclusive.
-func (t *Tree) PathBetween(a, b *Node) []*Node {
-	if a.tree != t || b.tree != t {
-		panic("schema: PathBetween called with foreign node")
-	}
-	var up, down []*Node
-	x, y := a, b
-	for x.Depth > y.Depth {
-		up = append(up, x)
-		x = x.parent
-	}
-	for y.Depth > x.Depth {
-		down = append(down, y)
-		y = y.parent
-	}
-	for x != y {
-		up = append(up, x)
-		down = append(down, y)
-		x, y = x.parent, y.parent
-	}
-	up = append(up, x)
-	for i := len(down) - 1; i >= 0; i-- {
-		up = append(up, down[i])
-	}
-	return up
-}
-
 // String renders the tree in compact spec syntax (see ParseSpec).
 func (t *Tree) String() string {
 	if t.root == nil {
@@ -146,7 +118,7 @@ func writeSpec(b *strings.Builder, n *Node) {
 }
 
 // Validate checks the structural invariants of the tree: exactly one root,
-// consistent parent/child links, correct pre/post/depth/subtree labels and
+// consistent parent/child links, correct preorder and depth labels and
 // node ownership. It returns nil when the tree is well formed. It exists so
 // that tests (including property-based tests) can assert internal
 // consistency after every construction path.
@@ -192,65 +164,11 @@ func (t *Tree) Validate() error {
 		} else if n != t.root {
 			return fmt.Errorf("schema: non-root node %v has no parent", n)
 		}
-		size := 1
 		for _, c := range n.children {
 			if c.parent != n {
 				return fmt.Errorf("schema: child %v of %v has wrong parent", c, n)
 			}
-			size += c.sub
-		}
-		if n.sub != size {
-			return fmt.Errorf("schema: node %v subtree size %d, want %d", n, n.sub, size)
-		}
-	}
-	// Postorder ranks must be a permutation consistent with ancestry.
-	post := make([]int, len(t.nodes))
-	for _, n := range t.nodes {
-		if n.Post < 0 || n.Post >= len(t.nodes) {
-			return fmt.Errorf("schema: node %v post rank %d out of range", n, n.Post)
-		}
-		post[n.Post]++
-	}
-	for i, c := range post {
-		if c != 1 {
-			return fmt.Errorf("schema: post rank %d used %d times", i, c)
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the tree that belongs to no repository.
-func (t *Tree) Clone() *Tree {
-	if t.root == nil {
-		return &Tree{ID: -1, Name: t.Name}
-	}
-	b := NewBuilder(t.Name)
-	var rec func(src *Node, dstParent *Node)
-	rec = func(src *Node, dstParent *Node) {
-		dst := b.add(dstParent, src.Name, src.Kind, src.Type)
-		for _, c := range src.children {
-			rec(c, dst)
-		}
-	}
-	rec(t.root, nil)
-	out, err := b.Tree()
-	if err != nil {
-		// A valid tree always clones into a valid tree.
-		panic("schema: Clone produced invalid tree: " + err.Error())
-	}
-	return out
-}
-
-// Names returns the sorted set of distinct node names in the tree.
-func (t *Tree) Names() []string {
-	set := make(map[string]bool)
-	for _, n := range t.nodes {
-		set[n.Name] = true
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

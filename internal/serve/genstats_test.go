@@ -26,7 +26,7 @@ func TestRouterGenStatsSharedAndDeduped(t *testing.T) {
 
 	shared := r.fullRunner.GenStats()
 	for i := 0; i < r.NumShards(); i++ {
-		if r.Shard(i).Runner().GenStats() != shared {
+		if localShard(r, i).runner.GenStats() != shared {
 			t.Fatalf("shard %d owns private generation counters", i)
 		}
 	}

@@ -197,8 +197,8 @@ func TestServiceCacheByteAccounting(t *testing.T) {
 	if st.CacheByteBudget != 600 {
 		t.Errorf("CacheByteBudget = %d, want 600", st.CacheByteBudget)
 	}
-	if st.IndexBytes != s.Index().MemoryBytes() {
-		t.Errorf("IndexBytes = %d, want %d", st.IndexBytes, s.Index().MemoryBytes())
+	if st.IndexBytes != s.runner.Index().MemoryBytes() {
+		t.Errorf("IndexBytes = %d, want %d", st.IndexBytes, s.runner.Index().MemoryBytes())
 	}
 
 	// Distinct requests with distinct signatures churn the cache; the
@@ -236,11 +236,12 @@ func TestRouterUnifiedGovernor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, s := range r.locals {
+	for i := range r.shards {
+		s := localShard(r, i)
 		if s.gov != r.gov {
 			t.Fatalf("shard %d owns a private governor", i)
 		}
-		if s.Index() != r.fullRunner.Index() {
+		if s.runner.Index() != r.fullRunner.Index() {
 			t.Fatalf("shard %d owns a private index", i)
 		}
 	}

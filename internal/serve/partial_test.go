@@ -19,7 +19,7 @@ func TestRouterPartialResultsFanOut(t *testing.T) {
 	// Strict (default): killing one shard fails every fanned-out request.
 	strict := NewRouterFromRepository(repo, 3, Config{Workers: 1})
 	defer strict.Close()
-	strict.Shard(1).Close()
+	localShard(strict, 1).Close()
 	if _, err := strict.Match(context.Background(), personal(), testOpts()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("strict router err = %v, want ErrClosed", err)
 	}
@@ -35,7 +35,7 @@ func TestRouterPartialResultsFanOut(t *testing.T) {
 		t.Fatalf("fully successful fan-out marked incomplete: %+v", whole.ShardErrors)
 	}
 
-	r.Shard(1).Close()
+	localShard(r, 1).Close()
 	opts := testOpts()
 	opts.TopN = 77 // fresh signature: the healthy shards must recompute, not serve caches
 	rep, err := r.Match(context.Background(), personal(), opts)
@@ -66,8 +66,8 @@ func TestRouterPartialResultsFanOut(t *testing.T) {
 	}
 
 	// All shards failing still fails the request, Incomplete or not.
-	r.Shard(0).Close()
-	r.Shard(2).Close()
+	localShard(r, 0).Close()
+	localShard(r, 2).Close()
 	opts.TopN = 78
 	if _, err := r.Match(context.Background(), personal(), opts); !errors.Is(err, ErrClosed) {
 		t.Fatalf("all-shards-failed err = %v, want ErrClosed", err)

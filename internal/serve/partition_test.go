@@ -145,8 +145,8 @@ func TestPartitionClusteredColocatesVocabulary(t *testing.T) {
 	for i, v := range views {
 		vocab := make(map[string]bool)
 		for _, tr := range v.Trees() {
-			for _, name := range tr.Names() {
-				vocab[strings.ToLower(name)] = true
+			for _, n := range tr.Nodes() {
+				vocab[strings.ToLower(n.Name)] = true
 			}
 		}
 		if vocab["book"] && vocab["patient"] {

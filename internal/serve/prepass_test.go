@@ -13,33 +13,33 @@ import (
 	"bellflower/internal/schema"
 )
 
+// TestCandidateSignature: the element-matching part of the pre-pass key
+// splits on every matching input and on nothing that only shapes the report.
 func TestCandidateSignature(t *testing.T) {
 	p := personal()
 	a := testOpts()
 	b := testOpts()
 
-	// Options outside the element-matching stage must not split the
-	// pre-pass key: TopN, threshold, variant...
+	// Options outside the pre-pass stages must not split the key.
 	b.TopN = 99
 	b.Threshold = 0.9
-	b.Variant = pipeline.VariantTree
-	if CandidateSignature(p, a) != CandidateSignature(p, b) {
-		t.Error("candidate signature depends on options that cannot change the candidates")
+	if prepassSignature(p, a) != prepassSignature(p, b) {
+		t.Error("pre-pass signature depends on options that cannot change the candidates")
 	}
 
 	// Matching-relevant inputs must split it.
 	c := testOpts()
 	c.MinSim = a.MinSim + 0.1
-	if CandidateSignature(p, a) == CandidateSignature(p, c) {
-		t.Error("MinSim change not reflected in candidate signature")
+	if prepassSignature(p, a) == prepassSignature(p, c) {
+		t.Error("MinSim change not reflected in pre-pass signature")
 	}
 	d := testOpts()
 	d.Matcher = matcher.NameMatcher{TokenAware: true}
-	if CandidateSignature(p, a) == CandidateSignature(p, d) {
-		t.Error("matcher change not reflected in candidate signature")
+	if prepassSignature(p, a) == prepassSignature(p, d) {
+		t.Error("matcher change not reflected in pre-pass signature")
 	}
-	if CandidateSignature(p, a) == CandidateSignature(schema.MustParseSpec("order(id)"), a) {
-		t.Error("schema change not reflected in candidate signature")
+	if prepassSignature(p, a) == prepassSignature(schema.MustParseSpec("order(id)"), a) {
+		t.Error("schema change not reflected in pre-pass signature")
 	}
 }
 
@@ -129,7 +129,7 @@ func TestRouterPrePassMatchesNoPrePassRouter(t *testing.T) {
 	}
 	reps := make([]*pipeline.Report, without.NumShards())
 	for i := range reps {
-		if reps[i], err = without.Shard(i).Match(context.Background(), personal(), opts); err != nil {
+		if reps[i], err = localShard(without, i).Match(context.Background(), personal(), opts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -62,6 +62,3 @@ func (p *ProjectionCache) Get(digest string) (Staged, bool) {
 func (p *ProjectionCache) Put(digest string, proj Staged) {
 	p.sp.put(digest, proj, projectionBytes(proj))
 }
-
-// Len returns the resident entry count.
-func (p *ProjectionCache) Len() int { return p.sp.len() }

@@ -82,13 +82,13 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 				// Shards are views over ONE shared index: that is the
 				// memory model the equivalence is now proving exact.
 				for i := 0; i < r.NumShards(); i++ {
-					if r.Shard(i).Index() != r.fullRunner.Index() {
+					if localShard(r, i).runner.Index() != r.fullRunner.Index() {
 						t.Fatalf("seed %d %v shards=%d: shard %d owns a private index", tc.seed, strategy, shards, i)
 					}
-					if r.Shard(i).Runner().NameIndex() != r.fullRunner.NameIndex() {
+					if localShard(r, i).runner.NameIndex() != r.fullRunner.NameIndex() {
 						t.Fatalf("seed %d %v shards=%d: shard %d owns a private name index", tc.seed, strategy, shards, i)
 					}
-					if r.Shard(i).Runner().View() == nil {
+					if localShard(r, i).runner.View() == nil {
 						t.Fatalf("seed %d %v shards=%d: shard %d is not view-backed", tc.seed, strategy, shards, i)
 					}
 				}

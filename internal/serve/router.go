@@ -114,15 +114,14 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // memory does not grow with the shard count. Every router runs a shared
 // pre-pass: element matching — the O(|personal| × |repo|) cold-path stage —
 // and clustering execute once against the full repository per pre-pass
-// signature (personal schema + matcher + MinSim + clustering options; see
-// CandidateSignature), shared in flight like a Service's pipeline runs,
-// projected onto each shard by pure filtering
-// (matcher.Candidates.Restrict for the candidates; clusters never span
-// trees, so each global cluster is handed wholesale to its owning shard)
-// and cached, projected, under the unified memory governor once they
-// succeed. A repeat only rebinds each shard's candidates to its own
-// personal tree. Shards then run only mapping generation, via
-// ShardBackend.MatchStaged.
+// signature (personal schema + matcher + MinSim + clustering options),
+// shared in flight like a Service's pipeline runs, projected onto each
+// shard by pure filtering (matcher.Candidates.Restrict for the candidates;
+// clusters never span trees, so each global cluster is handed wholesale to
+// its owning shard) and cached, projected, under the unified memory
+// governor once they succeed. A repeat only rebinds each shard's
+// candidates to its own personal tree. Shards then run only mapping
+// generation, via ShardBackend.MatchStaged.
 // The projection is exact, and because clustering is global the k-means
 // variants produce the SAME clusters as an unsharded run.
 //
@@ -131,7 +130,7 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // use from many goroutines.
 type Router struct {
 	shards  []ShardBackend
-	locals  []*Service           // the shards when they are this process's own services (NewRouterWithPartition); nil when they are external backends
+	local   bool                 // the shards are this process's own services (NewRouterWithPartition), not external backends
 	shardOf map[*schema.Tree]int // routes clusters and mappings to their shard
 	once    sync.Once
 	closed  atomic.Bool
@@ -209,7 +208,7 @@ func NewRouterWithPartition(repo *schema.Repository, n int, cfg Config, strategy
 	// generation (the NameIndex kernel-counter discipline). With the one
 	// index, name index and governor above, every shared field of a shard's
 	// Stats is then the router's own figure.
-	r.locals = locals
+	r.local = true
 	for _, s := range locals {
 		s.runner.ShareGenStats(r.fullRunner.GenStats())
 	}
@@ -647,7 +646,7 @@ func (r *Router) Snapshot() (Stats, []Stats) {
 	total.CacheBytes += r.prepass.residentBytes()
 	total.Stages = mergeStages(total.Stages, r.routerStages())
 	own, remote := residentStats(r.gov, r.fullRunner), shards
-	if r.locals != nil {
+	if r.local {
 		remote = nil // in-process shards report own's resources, not further ones
 	}
 	rollupShared(&total, &own, remote)
@@ -688,15 +687,6 @@ func (r *Router) RepositoryStats() schema.Stats {
 
 // NumShards reports the fan-out width.
 func (r *Router) NumShards() int { return len(r.shards) }
-
-// Shard returns the i-th shard's in-process service (for inspection; the
-// router retains ownership), or nil when the shards are external backends.
-func (r *Router) Shard(i int) *Service {
-	if r.locals == nil {
-		return nil
-	}
-	return r.locals[i]
-}
 
 // Close closes every shard concurrently and blocks until all have drained.
 // It is idempotent; Match calls after Close return ErrClosed.

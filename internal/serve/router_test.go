@@ -14,6 +14,10 @@ import (
 	"bellflower/internal/schema"
 )
 
+// localShard returns the i-th shard of a router built over in-process
+// services.
+func localShard(r *Router, i int) *Service { return r.shards[i].(*Service) }
+
 func syntheticRepo(t testing.TB, nodes int, seed int64) *schema.Repository {
 	t.Helper()
 	cfg := repogen.DefaultConfig()
@@ -184,7 +188,7 @@ func TestRouterClusteredVariantExactWithPrePass(t *testing.T) {
 	defer noPre.Close()
 	reps := make([]*pipeline.Report, noPre.NumShards())
 	for i := range reps {
-		if reps[i], err = noPre.Shard(i).Match(context.Background(), personal, opts); err != nil {
+		if reps[i], err = localShard(noPre, i).Match(context.Background(), personal, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,8 +246,8 @@ func TestRouterDeadlineOnOneShard(t *testing.T) {
 		t.Errorf("router released the caller after %v", elapsed)
 	}
 	// The fast shard completed its run and cached the result for a retry.
-	waitUntil(t, func() bool { return r.Shard(0).Stats().PipelineRuns == 1 })
-	if errs := r.Shard(1).Stats().Errors; errs == 0 {
+	waitUntil(t, func() bool { return localShard(r, 0).Stats().PipelineRuns == 1 })
+	if errs := localShard(r, 1).Stats().Errors; errs == 0 {
 		t.Error("slow shard recorded no error for the expired request")
 	}
 }

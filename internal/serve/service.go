@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bellflower/internal/cluster"
-	"bellflower/internal/labeling"
 	"bellflower/internal/mapgen"
 	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
@@ -227,26 +226,9 @@ func NewFromRepository(repo *schema.Repository, cfg Config) *Service {
 	return New(pipeline.NewRunner(repo), cfg)
 }
 
-// Runner returns the underlying pipeline runner.
-func (s *Service) Runner() *pipeline.Runner { return s.runner }
-
 // Repository returns the repository being served. For a view-backed shard
-// this is the FULL shared repository (views do not clone trees); use Trees
-// for the shard's own member trees.
+// this is the FULL shared repository (views do not clone trees).
 func (s *Service) Repository() *schema.Repository { return s.runner.Repository() }
-
-// Trees returns the trees this service actually serves: the shard view's
-// member trees for a view-backed shard, the whole repository otherwise.
-func (s *Service) Trees() []*schema.Tree {
-	if v := s.runner.View(); v != nil {
-		return v.Trees()
-	}
-	return s.runner.Repository().Trees()
-}
-
-// Index returns the runner's labelling index (used for query rewriting).
-// View-backed shards of one router all return the same shared index.
-func (s *Service) Index() *labeling.Index { return s.runner.Index() }
 
 // Close stops the workers, cancels in-flight runs and fails queued
 // requests with ErrClosed. It blocks until the workers have exited.

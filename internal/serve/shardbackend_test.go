@@ -117,7 +117,7 @@ func TestPrePassFailureOnServiceShards(t *testing.T) {
 		t.Fatal("partial-results router served a request with an invalid cluster configuration")
 	}
 	for i := 0; i < r.NumShards(); i++ {
-		_, err := r.Shard(i).MatchStaged(context.Background(), personal(), invalidClusterOpts(), Staged{})
+		_, err := localShard(r, i).MatchStaged(context.Background(), personal(), invalidClusterOpts(), Staged{})
 		if err == nil {
 			t.Errorf("shard %d ran its full pipeline under an invalid cluster configuration", i)
 		}

@@ -32,16 +32,10 @@ func Signature(personal *schema.Tree, opts pipeline.Options) string {
 // stack: the only allocation left is the returned string.
 const sigBufSize = 256
 
-// CandidateSignature identifies the inputs of the element-matching stage
-// alone: the personal schema, the element matcher and the MinSim threshold.
-// Two requests with equal candidate signatures produce the same
-// matcher.FindCandidates result against a fixed repository even when the
-// rest of their options (TopN, variant, δ ...) differ — deliberately
-// coarser than Signature.
-func CandidateSignature(personal *schema.Tree, opts pipeline.Options) string {
-	return string(appendCandidateSig(make([]byte, 0, sigBufSize), personal, opts))
-}
-
+// appendCandidateSig appends the inputs of the element-matching stage alone:
+// the personal schema, the element matcher and the MinSim threshold. Two
+// requests that agree on them produce the same matcher.FindCandidates
+// result against a fixed repository.
 func appendCandidateSig(b []byte, personal *schema.Tree, opts pipeline.Options) []byte {
 	b = appendNodeSig(b, personal.Root())
 	b = appendSigFloat(append(b, "|ms="...), opts.MinSim)

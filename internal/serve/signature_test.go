@@ -118,9 +118,6 @@ func TestSignaturesMatchTheirFmtReference(t *testing.T) {
 		if got, want := Signature(p, o), fmtSignature(p, o); got != want {
 			t.Fatalf("Signature = %q, fmt reference %q", got, want)
 		}
-		if got, want := CandidateSignature(p, o), fmtCandidateSignature(p, o); got != want {
-			t.Fatalf("CandidateSignature = %q, fmt reference %q", got, want)
-		}
 		if got, want := prepassSignature(p, o), fmtPrepassSignature(p, o); got != want {
 			t.Fatalf("prepassSignature = %q, fmt reference %q", got, want)
 		}

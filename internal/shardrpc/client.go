@@ -129,13 +129,6 @@ func NewRemoteShard(addr string, view *labeling.View, desc Descriptor, cfg Remot
 	}
 }
 
-// Addr returns the shard server's base URL.
-func (rs *RemoteShard) Addr() string { return rs.base }
-
-// Descriptor returns the descriptor this client expects the remote side to
-// host.
-func (rs *RemoteShard) Descriptor() Descriptor { return rs.desc }
-
 // Close releases the client's idle connections. The remote server is NOT
 // shut down — it belongs to its own process.
 func (rs *RemoteShard) Close() { rs.hc.CloseIdleConnections() }

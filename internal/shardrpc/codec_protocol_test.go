@@ -203,7 +203,7 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	// the digest is cached. The slim request bounces 428 and the client
 	// resends the full payload on the same endpoint, in the same attempt.
 	ts2 := shardUnderTest(t)
-	rs2 := NewRemoteShard(ts2.srv.URL, ts.clientView, ts2.host.Descriptor(), RemoteShardConfig{})
+	rs2 := NewRemoteShard(ts2.srv.URL, ts.clientView, ts2.host.desc, RemoteShardConfig{})
 	set2 := NewReplicaSet([]*RemoteShard{rs2}, serve.HealthConfig{})
 	defer set2.Close()
 	rs2.markProjection(enc.hash) // stale knowledge, as after a shard restart
@@ -236,7 +236,7 @@ func TestProjectionCacheProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	slim := MatchRequest{
-		Descriptor: ts2.host.Descriptor(), Personal: EncodeTree(personal),
+		Descriptor: ts2.host.desc, Personal: EncodeTree(personal),
 		Signature: serve.Signature(personal, opts), Options: wopts,
 		ProjectionRef: true, ProjectionHash: "no-such-digest",
 	}
@@ -260,7 +260,7 @@ func TestProjectionCacheProtocol(t *testing.T) {
 // drained).
 func TestRemoteShardConnectionReuse(t *testing.T) {
 	ts := shardUnderTest(t)
-	rs := NewRemoteShard(ts.srv.URL, ts.clientView, ts.host.Descriptor(), RemoteShardConfig{})
+	rs := NewRemoteShard(ts.srv.URL, ts.clientView, ts.host.desc, RemoteShardConfig{})
 	set := NewReplicaSet([]*RemoteShard{rs}, serve.HealthConfig{})
 	defer set.Close()
 	tr, ok := rs.hc.Transport.(*http.Transport)

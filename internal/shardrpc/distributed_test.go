@@ -466,7 +466,7 @@ func TestDistributedTraceStitching(t *testing.T) {
 	}
 	root.End()
 
-	tree := tr.Tree()
+	tree := tr.Summarize().Tree
 	if tree == nil {
 		t.Fatal("traced request produced no span tree")
 	}

@@ -179,7 +179,7 @@ func FuzzShardWire(f *testing.F) {
 
 			var mine []*cluster.Cluster
 			for _, cl := range clusters {
-				if cl.Len() > 0 && v.ContainsTree(cl.Elements[0].Node.Tree()) {
+				if cl.Len() > 0 && v.Contains(cl.Elements[0].Node) {
 					mine = append(mine, cl)
 				}
 			}
@@ -240,7 +240,7 @@ func FuzzShardWire(f *testing.F) {
 			}
 			var mine []*cluster.Cluster
 			for _, cl := range clusters {
-				if cl.Len() > 0 && v.ContainsTree(cl.Elements[0].Node.Tree()) {
+				if cl.Len() > 0 && v.Contains(cl.Elements[0].Node) {
 					mine = append(mine, cl)
 				}
 			}
@@ -310,13 +310,14 @@ func FuzzShardWire(f *testing.F) {
 		if err != nil {
 			t.Fatalf("header %q failed to parse: %v", hv, err)
 		}
-		if tid != ftr.ID() || hparent != froot.ID {
+		ftid := ftr.Summarize().TraceID
+		if tid.String() != ftid || hparent != froot.ID {
 			t.Fatalf("header drifted: %q decoded to (%s,%s), want (%s,%s)",
-				hv, tid, hparent, ftr.ID(), froot.ID)
+				hv, tid, hparent, ftid, froot.ID)
 		}
 		sctx, str, sroot := trace.Resume(context.Background(), hv, "shard.serve")
-		if str.ID() != ftr.ID() {
-			t.Fatalf("resumed trace id %s, want the sender's %s", str.ID(), ftr.ID())
+		if got := str.Summarize().TraceID; got != ftid {
+			t.Fatalf("resumed trace id %s, want the sender's %s", got, ftid)
 		}
 		if sroot.Parent != froot.ID {
 			t.Fatalf("resumed root parented to %s, want the sender's span %s", sroot.Parent, froot.ID)

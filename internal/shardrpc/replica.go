@@ -92,13 +92,6 @@ func (z *ReplicaSet) Addr() string {
 	return strings.Join(addrs, "|")
 }
 
-// Descriptor returns the shard descriptor every replica is expected to
-// host.
-func (z *ReplicaSet) Descriptor() Descriptor { return z.replicas[0].desc }
-
-// Replicas reports the group size.
-func (z *ReplicaSet) Replicas() int { return len(z.replicas) }
-
 // Healthy implements serve.HealthReporter: the shard is serviceable while
 // at least one replica is. The router's partial-results fan-out skips the
 // shard — without sending anything — only when this is false.

@@ -66,9 +66,6 @@ func (s *ShardServer) SetTraceRecorder(rec *trace.Recorder) { s.rec = rec }
 // additional endpoints — metrics, health — against it).
 func (s *ShardServer) Service() *serve.Service { return s.svc }
 
-// Descriptor returns the shard's descriptor.
-func (s *ShardServer) Descriptor() Descriptor { return s.desc }
-
 // Stats returns the service's snapshot with the shard server's transport
 // counters folded in (wire bytes by direction). The projection cache
 // counters are already the service's own.

@@ -74,7 +74,7 @@ func TestShardServerRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := MatchRequest{
-		Descriptor: host.Descriptor(),
+		Descriptor: host.desc,
 		Personal:   EncodeTree(personal),
 		Options:    goodOpts,
 	}
@@ -118,7 +118,7 @@ func TestShardServerRejections(t *testing.T) {
 	}
 
 	// Accessors, for completeness of the host surface.
-	if host.Service() == nil || rs.Addr() != srv.URL || !rs.Descriptor().Equal(host.Descriptor()) {
+	if host.Service() == nil || rs.base != srv.URL || !rs.desc.Equal(host.desc) {
 		t.Error("host/client accessors inconsistent")
 	}
 
@@ -197,7 +197,7 @@ func TestRemoteShardStagedPaths(t *testing.T) {
 func clustersForView(v *labeling.View, cls []*cluster.Cluster) []*cluster.Cluster {
 	out := []*cluster.Cluster{}
 	for _, cl := range cls {
-		if cl.Len() > 0 && v.ContainsTree(cl.Elements[0].Node.Tree()) {
+		if cl.Len() > 0 && v.Contains(cl.Elements[0].Node) {
 			out = append(out, cl)
 		}
 	}

@@ -242,7 +242,7 @@ func TestStagedWireRoundTrip(t *testing.T) {
 
 		var mine []*cluster.Cluster
 		for _, cl := range clusters {
-			if cl.Len() > 0 && v.ContainsTree(cl.Elements[0].Node.Tree()) {
+			if cl.Len() > 0 && v.Contains(cl.Elements[0].Node) {
 				mine = append(mine, cl)
 			}
 		}

@@ -1,23 +1,19 @@
 // Package stats provides the small statistical utilities the experiment
 // harness reports with: power-of-two histograms (the bucket scheme of the
-// paper's Fig. 4), summary statistics, and preserved-mapping curves
-// (Figs. 5 and 6).
+// paper's Fig. 4) and preserved-mapping curves (Figs. 5 and 6).
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
 
 // Histogram counts values into power-of-two buckets [1,1], [2,3], [4,7],
 // [8,15], ... exactly as the paper's Fig. 4 groups cluster sizes. Values
-// below 1 are counted in an underflow bucket.
+// below 1 fall in no bucket.
 type Histogram struct {
-	counts    []int
-	underflow int
-	total     int
+	counts []int
 }
 
 // NewHistogram returns an empty histogram.
@@ -25,9 +21,7 @@ func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe adds a value.
 func (h *Histogram) Observe(v int) {
-	h.total++
 	if v < 1 {
-		h.underflow++
 		return
 	}
 	b := 0
@@ -39,9 +33,6 @@ func (h *Histogram) Observe(v int) {
 	}
 	h.counts[b]++
 }
-
-// Total returns the number of observed values.
-func (h *Histogram) Total() int { return h.total }
 
 // Bucket describes one histogram bucket.
 type Bucket struct {
@@ -56,21 +47,6 @@ func (h *Histogram) Buckets() []Bucket {
 		out = append(out, Bucket{Lo: 1 << b, Hi: 1<<(b+1) - 1, Count: c})
 	}
 	return out
-}
-
-// Count returns the count of the bucket containing v.
-func (h *Histogram) Count(v int) int {
-	if v < 1 {
-		return h.underflow
-	}
-	b := 0
-	for x := v; x > 1; x >>= 1 {
-		b++
-	}
-	if b >= len(h.counts) {
-		return 0
-	}
-	return h.counts[b]
 }
 
 // Render draws the histogram as rows of "[lo,hi] count ####" bars scaled to
@@ -92,51 +68,6 @@ func (h *Histogram) Render(width int) string {
 		fmt.Fprintf(&sb, "[%d,%d]\t%d\t%s\n", b.Lo, b.Hi, b.Count, strings.Repeat("#", bar))
 	}
 	return sb.String()
-}
-
-// Summary holds the usual descriptive statistics.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Median float64
-	StdDev float64
-}
-
-// Summarize computes descriptive statistics of vs. An empty input yields a
-// zero Summary.
-func Summarize(vs []float64) Summary {
-	if len(vs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(vs), Min: vs[0], Max: vs[0]}
-	sum := 0.0
-	for _, v := range vs {
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(len(vs))
-	varSum := 0.0
-	for _, v := range vs {
-		d := v - s.Mean
-		varSum += d * d
-	}
-	s.StdDev = math.Sqrt(varSum / float64(len(vs)))
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
 }
 
 // CurvePoint is one (threshold, fraction-preserved) sample of a

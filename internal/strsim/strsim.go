@@ -96,12 +96,6 @@ func osaInto[T byte | rune](a, b []T, prev2, prev, cur []int) int {
 	return prev[lb]
 }
 
-// Distance returns the raw optimal-string-alignment edit distance between a
-// and b on case-folded runes.
-func Distance(a, b string) int {
-	return osaDistance(foldRunes(a), foldRunes(b))
-}
-
 // Tokenize splits an element name into lower-case word tokens: camelCase
 // humps, digit runs, and '_', '-', '.', ':', '/' and whitespace delimiters
 // all break tokens. "authorName" -> ["author","name"];
@@ -252,16 +246,4 @@ func trigramJaccard(ga, gb []string) float64 {
 	}
 	union := len(ga) + len(gb) - inter
 	return float64(inter) / float64(union)
-}
-
-// NameSimilarity is the similarity used by the default name matcher: the
-// maximum of the whole-string fuzzy similarity and the token-wise
-// similarity. Taking the max keeps exact/near-exact matches at 1.0 while
-// still crediting reordered or differently delimited compounds.
-func NameSimilarity(a, b string) float64 {
-	s := CompareStringFuzzy(a, b)
-	if t := TokenSimilarity(a, b); t > s {
-		s = t
-	}
-	return s
 }

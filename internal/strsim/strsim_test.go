@@ -7,6 +7,10 @@ import (
 	"testing/quick"
 )
 
+// distance is the raw optimal-string-alignment edit distance between a and
+// b on case-folded runes.
+func distance(a, b string) int { return osaDistance(foldRunes(a), foldRunes(b)) }
+
 func TestCompareStringFuzzyBasics(t *testing.T) {
 	tests := []struct {
 		a, b string
@@ -48,7 +52,7 @@ func TestDistance(t *testing.T) {
 		{"author", "authorName", 4},
 	}
 	for _, tc := range tests {
-		if got := Distance(tc.a, tc.b); got != tc.want {
+		if got := distance(tc.a, tc.b); got != tc.want {
 			t.Errorf("Distance(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
@@ -114,23 +118,6 @@ func TestTrigramSimilarity(t *testing.T) {
 	}
 }
 
-func TestNameSimilarityDominates(t *testing.T) {
-	// NameSimilarity is the max of its components, so it can never be
-	// smaller than either.
-	pairs := [][2]string{
-		{"authorName", "author"},
-		{"email", "e-mail"},
-		{"tel", "telephone"},
-		{"address", "addr"},
-	}
-	for _, p := range pairs {
-		n := NameSimilarity(p[0], p[1])
-		if n < CompareStringFuzzy(p[0], p[1]) || n < TokenSimilarity(p[0], p[1]) {
-			t.Errorf("NameSimilarity(%q,%q) = %v below a component", p[0], p[1], n)
-		}
-	}
-}
-
 func randString(rng *rand.Rand, n int) string {
 	letters := "abcdefgXYZ_-"
 	b := make([]byte, n)
@@ -173,14 +160,14 @@ func TestDistanceProperties(t *testing.T) {
 		a := randString(rng, rng.Intn(10))
 		b := randString(rng, rng.Intn(10))
 		c := randString(rng, rng.Intn(10))
-		dab := Distance(a, b)
-		if dab != Distance(b, a) {
+		dab := distance(a, b)
+		if dab != distance(b, a) {
 			return false
 		}
 		if (dab == 0) != (strings.EqualFold(a, b)) {
 			return false
 		}
-		if dab > Distance(a, c)+Distance(c, b) {
+		if dab > distance(a, c)+distance(c, b) {
 			return false
 		}
 		return true
@@ -200,7 +187,7 @@ func TestDistanceEditBound(t *testing.T) {
 		ra := []byte(a)
 		ra[rng.Intn(len(ra))] = "abcdefg"[rng.Intn(7)]
 		a2 := string(ra)
-		d1, d2 := Distance(a, b), Distance(a2, b)
+		d1, d2 := distance(a, b), distance(a2, b)
 		diff := d1 - d2
 		if diff < 0 {
 			diff = -diff
@@ -215,11 +202,5 @@ func TestDistanceEditBound(t *testing.T) {
 func BenchmarkCompareStringFuzzy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		CompareStringFuzzy("authorName", "nameOfTheAuthor")
-	}
-}
-
-func BenchmarkNameSimilarity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		NameSimilarity("shippingAddress", "ship_to_address")
 	}
 }

@@ -135,9 +135,6 @@ func (t *Trace) append(s *Span) {
 	t.mu.Unlock()
 }
 
-// ID returns the trace's identifier.
-func (t *Trace) ID() ID { return t.id }
-
 // Spans returns a snapshot of the finished spans, ordered by start time.
 func (t *Trace) Spans() []*Span {
 	t.mu.Lock()

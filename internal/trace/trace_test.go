@@ -39,7 +39,7 @@ func TestSpanTreeParentage(t *testing.T) {
 	sib.End()
 	root.End()
 
-	tree := tr.Tree()
+	tree := tr.Summarize().Tree
 	if tree == nil || tree.Name != "request" {
 		t.Fatalf("root = %+v, want request", tree)
 	}
@@ -80,8 +80,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseHeader(%q): %v", hv, err)
 	}
-	if traceID != tr.ID() {
-		t.Fatalf("trace id drifted over the header: %s vs %s", traceID, tr.ID())
+	if traceID != tr.id {
+		t.Fatalf("trace id drifted over the header: %s vs %s", traceID, tr.id)
 	}
 	if parent != rpc.ID {
 		t.Fatalf("parent drifted over the header: %s vs %s", parent, rpc.ID)
@@ -104,8 +104,8 @@ func TestResumeStitchesOneTrace(t *testing.T) {
 
 	// Shard side: resume from the header, do work, export spans.
 	sctx, str, sroot := Resume(context.Background(), hv, "shard.serve")
-	if str.ID() != rtr.ID() {
-		t.Fatalf("resumed trace id %s, want %s", str.ID(), rtr.ID())
+	if str.id != rtr.id {
+		t.Fatalf("resumed trace id %s, want %s", str.id, rtr.id)
 	}
 	_, work := StartSpan(sctx, "match")
 	work.End()
@@ -120,7 +120,7 @@ func TestResumeStitchesOneTrace(t *testing.T) {
 	rpc.End()
 	rroot.End()
 
-	tree := rtr.Tree()
+	tree := rtr.Summarize().Tree
 	if tree.Name != "request" {
 		t.Fatalf("root %q, want request", tree.Name)
 	}
@@ -148,7 +148,7 @@ func TestResumeStitchesOneTrace(t *testing.T) {
 func TestResumeBadHeaderFallsBack(t *testing.T) {
 	_, tr, root := Resume(context.Background(), "garbage", "r")
 	root.End()
-	if tr.ID() == 0 {
+	if tr.id == 0 {
 		t.Fatal("fallback trace must have a fresh id")
 	}
 	if got := tr.Spans()[0].Parent; got != 0 {
@@ -266,7 +266,7 @@ func TestConcurrentSpans(t *testing.T) {
 	if got := len(tr.Spans()); got != 33 {
 		t.Fatalf("recorded %d spans, want 33", got)
 	}
-	tree := tr.Tree()
+	tree := tr.Summarize().Tree
 	if len(tree.Children) != 16 {
 		t.Fatalf("root has %d children, want 16", len(tree.Children))
 	}

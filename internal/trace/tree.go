@@ -30,14 +30,10 @@ type Summary struct {
 	Tree       *Node     `json:"tree,omitempty"`
 }
 
-// Tree builds the span tree from the finished spans. Spans whose parent
-// never finished (or lives in a snapshot taken mid-flight) attach to the
-// root; with no spans at all Tree returns nil.
-func (t *Trace) Tree() *Node {
-	root, _ := t.buildTree()
-	return root
-}
-
+// buildTree builds the span tree from the finished spans and returns its
+// root node and root span. Spans whose parent never finished (or lives in a
+// snapshot taken mid-flight) attach to the root; with no spans at all the
+// root is nil.
 func (t *Trace) buildTree() (*Node, *Span) {
 	spans := t.Spans()
 	if len(spans) == 0 {

@@ -20,7 +20,7 @@ func FuzzInferSchema(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
-		tr, err := InferString(doc)
+		tr, err := inferString(doc)
 		if err != nil {
 			return
 		}

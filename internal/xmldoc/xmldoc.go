@@ -77,11 +77,6 @@ func Infer(r io.Reader) (*schema.Tree, error) {
 	return b.Tree()
 }
 
-// InferString is Infer over a string, for tests and fixtures.
-func InferString(s string) (*schema.Tree, error) {
-	return Infer(strings.NewReader(s))
-}
-
 // inferred is a merged element declaration under construction.
 type inferred struct {
 	name      string

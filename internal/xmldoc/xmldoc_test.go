@@ -3,10 +3,15 @@ package xmldoc
 import (
 	"strings"
 	"testing"
+
+	"bellflower/internal/schema"
 )
 
+// inferString is Infer over a string.
+func inferString(s string) (*schema.Tree, error) { return Infer(strings.NewReader(s)) }
+
 func TestInferSimple(t *testing.T) {
-	tr, err := InferString(`
+	tr, err := inferString(`
 <lib>
   <address>Main St</address>
   <book isbn="1"><title>Iliad</title><author>Homer</author></book>
@@ -26,7 +31,7 @@ func TestInferSimple(t *testing.T) {
 }
 
 func TestInferAttributesMergedOnce(t *testing.T) {
-	tr, err := InferString(`<r><e a="1" b="2"/><e a="3" c="4"/></r>`)
+	tr, err := inferString(`<r><e a="1" b="2"/><e a="3" c="4"/></r>`)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -36,7 +41,7 @@ func TestInferAttributesMergedOnce(t *testing.T) {
 }
 
 func TestInferNamespaceDeclarationsSkipped(t *testing.T) {
-	tr, err := InferString(`<r xmlns="http://x" xmlns:p="http://y"><p:e p:a="1"/></r>`)
+	tr, err := inferString(`<r xmlns="http://x" xmlns:p="http://y"><p:e p:a="1"/></r>`)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -46,7 +51,7 @@ func TestInferNamespaceDeclarationsSkipped(t *testing.T) {
 }
 
 func TestInferDeepMerge(t *testing.T) {
-	tr, err := InferString(`
+	tr, err := inferString(`
 <orders>
   <order><item><sku>a</sku></item></order>
   <order><item><sku>b</sku><qty>2</qty></item><total>9</total></order>
@@ -67,7 +72,7 @@ func TestInferErrors(t *testing.T) {
 		"two roots":  `<a/><b/>`,
 	}
 	for name, src := range cases {
-		if _, err := InferString(src); err == nil {
+		if _, err := inferString(src); err == nil {
 			t.Errorf("%s: error expected", name)
 		}
 	}
@@ -81,14 +86,14 @@ func TestInferDepthBound(t *testing.T) {
 	for i := 0; i < MaxDepth+2; i++ {
 		b.WriteString("</e>")
 	}
-	if _, err := InferString(b.String()); err == nil {
+	if _, err := inferString(b.String()); err == nil {
 		t.Errorf("over-deep document accepted")
 	}
 }
 
 func TestInferredTreeIsMatchable(t *testing.T) {
 	// End-to-end sanity: an inferred tree should slot into a repository.
-	tr, err := InferString(`<contact><name>x</name><email>y</email></contact>`)
+	tr, err := inferString(`<contact><name>x</name><email>y</email></contact>`)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}

@@ -54,7 +54,7 @@ func FuzzParseXSD(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
-		trees, err := ParseString(doc)
+		trees, err := parseString(doc)
 		if err != nil {
 			return
 		}

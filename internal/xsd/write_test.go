@@ -17,7 +17,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err := Write(&buf, orig); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	trees, err := ParseString(buf.String())
+	trees, err := parseString(buf.String())
 	if err != nil {
 		t.Fatalf("Parse(Write()): %v\n%s", err, buf.String())
 	}
@@ -42,7 +42,7 @@ func TestWriteMultipleTrees(t *testing.T) {
 	if err := Write(&buf, a, b); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	trees, err := ParseString(buf.String())
+	trees, err := parseString(buf.String())
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestWriteParseRoundTripProperty(t *testing.T) {
 		if err := Write(&buf, tr); err != nil {
 			return false
 		}
-		back, err := ParseString(buf.String())
+		back, err := parseString(buf.String())
 		if err != nil || len(back) != 1 {
 			return false
 		}

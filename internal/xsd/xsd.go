@@ -87,11 +87,6 @@ func Parse(r io.Reader) ([]*schema.Tree, error) {
 	return trees, nil
 }
 
-// ParseString is Parse over a string, for tests and fixtures.
-func ParseString(s string) ([]*schema.Tree, error) {
-	return Parse(strings.NewReader(s))
-}
-
 type parser struct {
 	types    map[string]*xsdComplexType
 	elements map[string]*xsdElement

@@ -3,10 +3,15 @@ package xsd
 import (
 	"strings"
 	"testing"
+
+	"bellflower/internal/schema"
 )
 
+// parseString is Parse over a string.
+func parseString(s string) ([]*schema.Tree, error) { return Parse(strings.NewReader(s)) }
+
 func TestParseInlineComplexType(t *testing.T) {
-	trees, err := ParseString(`
+	trees, err := parseString(`
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="book">
     <xs:complexType>
@@ -47,7 +52,7 @@ func TestParseInlineComplexType(t *testing.T) {
 }
 
 func TestParseNamedTypeAndRef(t *testing.T) {
-	trees, err := ParseString(`
+	trees, err := parseString(`
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:complexType name="AddressType">
     <xs:sequence>
@@ -88,7 +93,7 @@ func TestParseNamedTypeAndRef(t *testing.T) {
 }
 
 func TestParseChoiceAndAll(t *testing.T) {
-	trees, err := ParseString(`
+	trees, err := parseString(`
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   <xsd:element name="payment">
     <xsd:complexType>
@@ -118,7 +123,7 @@ func TestParseChoiceAndAll(t *testing.T) {
 }
 
 func TestParseNestedGroups(t *testing.T) {
-	trees, err := ParseString(`
+	trees, err := parseString(`
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="order">
     <xs:complexType>
@@ -148,7 +153,7 @@ func TestParseNestedGroups(t *testing.T) {
 }
 
 func TestParseRecursiveTypeRejected(t *testing.T) {
-	_, err := ParseString(`
+	_, err := parseString(`
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:complexType name="Node">
     <xs:sequence>
@@ -163,7 +168,7 @@ func TestParseRecursiveTypeRejected(t *testing.T) {
 }
 
 func TestParseRecursiveRefRejected(t *testing.T) {
-	_, err := ParseString(`
+	_, err := parseString(`
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="a">
     <xs:complexType><xs:sequence><xs:element ref="b"/></xs:sequence></xs:complexType>
@@ -179,7 +184,7 @@ func TestParseRecursiveRefRejected(t *testing.T) {
 
 func TestParseSiblingRefsAllowed(t *testing.T) {
 	// The same ref used twice as siblings is NOT recursion.
-	trees, err := ParseString(`
+	trees, err := parseString(`
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="pair">
     <xs:complexType>
@@ -214,14 +219,14 @@ func TestParseErrors(t *testing.T) {
 		"anonymous type": `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:complexType/><xs:element name="a"/></xs:schema>`,
 	}
 	for name, src := range cases {
-		if _, err := ParseString(src); err == nil {
+		if _, err := parseString(src); err == nil {
 			t.Errorf("%s: error expected", name)
 		}
 	}
 }
 
 func TestParseUnknownTypeBecomesLeaf(t *testing.T) {
-	trees, err := ParseString(`
+	trees, err := parseString(`
 <xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="a" type="ext:SomeForeignType"/>
 </xs:schema>`)
