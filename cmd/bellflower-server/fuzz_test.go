@@ -41,6 +41,9 @@ func FuzzMatchBody(f *testing.F) {
 	f.Add(`{"personal":"book(title,author)"}`)
 	// Options without top_n: the daemon's default N, never every mapping.
 	f.Add(`{"personal":"book(title,author)","options":{"delta":0}}`)
+	// A structure weight outside [0,1] used to reach the rescoring stage
+	// and panic (HTTP 500).
+	f.Add(`{"personal":"book(title,author)","options":{"structure":"path","structure_weight":2}}`)
 
 	f.Fuzz(func(t *testing.T, body string) {
 		rec := httptest.NewRecorder()

@@ -388,6 +388,9 @@ func (o *matchOptionsJSON) build() (bellflower.Options, error) {
 	if opts.MinSim < 0 || opts.MinSim > 1 {
 		return opts, fmt.Errorf("min_sim %v outside [0,1]", opts.MinSim)
 	}
+	if opts.StructureWeight < 0 || opts.StructureWeight > 1 {
+		return opts, fmt.Errorf("structure_weight %v outside [0,1]", opts.StructureWeight)
+	}
 	return opts, nil
 }
 

@@ -167,6 +167,18 @@ func TestHandleMatchTable(t *testing.T) {
 			wantStatus: http.StatusBadRequest,
 			wantInBody: "threshold",
 		},
+		{
+			name:       "structure weight above 1",
+			body:       `{"personal":"book(title,author)","options":{"structure":"path","structure_weight":2}}`,
+			wantStatus: http.StatusBadRequest,
+			wantInBody: "structure_weight",
+		},
+		{
+			name:       "negative structure weight",
+			body:       `{"personal":"book(title,author)","options":{"structure":"path","structure_weight":-0.5}}`,
+			wantStatus: http.StatusBadRequest,
+			wantInBody: "structure_weight",
+		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package bellflower
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -162,6 +163,22 @@ func TestNewStructureMatcherFacade(t *testing.T) {
 	}
 	if len(rep.Mappings) == 0 || rep.Mappings[0].Images[0].Tree().ID != 0 {
 		t.Errorf("two-phase matching did not prefer the structurally faithful tree")
+	}
+
+	// A blend weight outside [0,1], NaN included, is an error before any
+	// work, not a panic in the rescoring stage.
+	for _, w := range []float64{2, -0.5, math.NaN()} {
+		opts.StructureWeight = w
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("structure weight %v: Match panicked: %v", w, r)
+				}
+			}()
+			if _, err := m.Match(MustParseSchema("book(title,author)"), opts); err == nil {
+				t.Errorf("structure weight %v accepted", w)
+			}
+		}()
 	}
 }
 

@@ -2,6 +2,7 @@ package mapgen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,6 @@ import (
 	"bellflower/internal/matcher"
 	"bellflower/internal/objective"
 	"bellflower/internal/schema"
-	"bellflower/internal/strsim"
 )
 
 // mappingsIdentical asserts full bit-identity — scores, order, cluster,
@@ -35,18 +35,57 @@ func mappingsIdentical(t *testing.T, label string, got, want []Mapping) {
 	}
 }
 
+// caseWords is randomCase's vocabulary, and the index of tableMatcher's
+// rows and columns.
+var caseWords = []string{"book", "title", "author", "name", "data", "isbn", "press"}
+
+// tableMatcher scores a pair of caseWords by lookup. Its two tables hold,
+// written exactly, the scores of two name metrics the matcher package once
+// offered (Jaro–Winkler, and bigram cosine with token awareness), so the
+// corpora randomCase draws with them stay byte-identical.
+type tableMatcher struct {
+	name string
+	sims [7][7]float64
+}
+
+func (m tableMatcher) Name() string { return m.name }
+
+func (m tableMatcher) Similarity(p, r *schema.Node) float64 {
+	return m.sims[slices.Index(caseWords, p.Name)][slices.Index(caseWords, r.Name)]
+}
+
+var (
+	jaroWinklerTable = tableMatcher{"table(jaro-winkler)", [7][7]float64{
+		{1, 0, 0.47222222222222215, 0, 0, 0, 0},
+		{0, 1, 0.45555555555555555, 0.48333333333333334, 0.48333333333333334, 0.48333333333333334, 0},
+		{0.47222222222222215, 0.45555555555555555, 1, 0.47222222222222215, 0.611111111111111, 0, 0},
+		{0, 0.48333333333333334, 0.47222222222222215, 1, 0.5, 0, 0.48333333333333334},
+		{0, 0.48333333333333334, 0.611111111111111, 0.5, 1, 0, 0},
+		{0, 0.48333333333333334, 0, 0, 0, 1, 0},
+		{0, 0, 0, 0.48333333333333334, 0, 0, 1},
+	}}
+	bigramCosineTable = tableMatcher{"table(bigram-cosine)", [7][7]float64{
+		{1, 0, 0.16666666666666663, 0, 0, 0, 0},
+		{0, 1.0000000000000002, 0.16666666666666663, 0.19999999999999996, 0.19999999999999996, 0.19999999999999996, 0},
+		{0.16666666666666663, 0.16666666666666663, 1, 0, 0.16666666666666663, 0, 0},
+		{0, 0.19999999999999996, 0, 1, 0.25, 0, 0},
+		{0, 0.19999999999999996, 0.16666666666666663, 0.25, 1, 0, 0},
+		{0, 0.19999999999999996, 0, 0, 0, 1, 0},
+		{0, 0, 0, 0, 0, 0, 1.0000000000000002},
+	}}
+)
+
 // randomCase builds a random repository, candidate set and clustering from
 // a seed; shared by the property test and the fuzz harness.
 func randomCase(seed int64) (*labeling.Index, *objective.Evaluator, *matcher.Candidates, []*cluster.Cluster) {
-	words := []string{"book", "title", "author", "name", "data", "isbn", "press"}
 	rng := rand.New(rand.NewSource(seed))
 	repo := schema.NewRepository()
 	for tr := 0; tr < 1+rng.Intn(4); tr++ {
 		b := schema.NewBuilder("t")
-		nodes := []*schema.Node{b.Root(words[rng.Intn(len(words))])}
+		nodes := []*schema.Node{b.Root(caseWords[rng.Intn(len(caseWords))])}
 		for i := 1; i < 3+rng.Intn(14); i++ {
 			p := nodes[rng.Intn(len(nodes))]
-			nodes = append(nodes, b.Element(p, words[rng.Intn(len(words))]))
+			nodes = append(nodes, b.Element(p, caseWords[rng.Intn(len(caseWords))]))
 		}
 		repo.MustAdd(b.MustTree())
 	}
@@ -54,8 +93,8 @@ func randomCase(seed int64) (*labeling.Index, *objective.Evaluator, *matcher.Can
 	ix := labeling.NewIndex(repo)
 	matchers := []matcher.Matcher{
 		matcher.NameMatcher{},
-		matcher.NameMatcher{Metric: strsim.MetricJaroWinkler},
-		matcher.NameMatcher{TokenAware: true, Metric: strsim.MetricBigramCosine},
+		jaroWinklerTable,
+		bigramCosineTable,
 	}
 	cands := matcher.FindCandidates(personal, repo, matchers[rng.Intn(len(matchers))],
 		matcher.Config{MinSim: 0.3})

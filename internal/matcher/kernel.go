@@ -69,9 +69,9 @@ type scoreFunc func(ps *personalScratch, key *nameKey) float64
 func compileScore(m Matcher) scoreFunc {
 	switch mm := m.(type) {
 	case NameMatcher:
-		metric, tokenAware := mm.Metric, mm.TokenAware
+		tokenAware := mm.TokenAware
 		return func(ps *personalScratch, key *nameKey) float64 {
-			s := ps.sc.Similarity(metric, &ps.prep, &key.prep)
+			s := ps.sc.Fuzzy(&ps.prep, &key.prep)
 			if tokenAware {
 				if t := ps.sc.TokenSimilarity(&ps.prep, &key.prep); t > s {
 					s = t
@@ -126,10 +126,10 @@ func compileScore(m Matcher) scoreFunc {
 
 // pruneEligible reports whether the length-difference bound applies: only
 // the pure fuzzy name matcher's score is capped by 1 − |la−lb|/max(la,lb).
-// Token awareness and the other metrics can exceed it.
+// Token awareness can exceed it.
 func pruneEligible(m Matcher) bool {
 	nm, ok := m.(NameMatcher)
-	return ok && !nm.TokenAware && nm.Metric == strsim.MetricFuzzy
+	return ok && !nm.TokenAware
 }
 
 // parallelThreshold is the (missed personal nodes × index keys) pair count

@@ -19,27 +19,22 @@ type Matcher interface {
 	Similarity(p, r *schema.Node) float64
 }
 
-// NameMatcher compares element names with a string similarity metric — the
-// single matcher the paper's Bellflower system uses. The zero value is the
-// paper-faithful configuration (CompareStringFuzzy).
+// NameMatcher compares element names with CompareStringFuzzy — the single
+// matcher the paper's Bellflower system uses. The zero value is the
+// paper-faithful configuration.
 type NameMatcher struct {
 	// TokenAware additionally credits reordered compound names
 	// ("authorName" vs "name_of_author"). The paper's matcher is pure
 	// CompareStringFuzzy; token awareness is an extension, off by default.
 	TokenAware bool
-
-	// Metric selects the underlying string similarity; the zero value is
-	// the paper's fuzzy edit-distance measure. See strsim.Metric for the
-	// alternatives (Jaro–Winkler, trigram Jaccard, bigram cosine).
-	Metric strsim.Metric
 }
 
 // Name implements Matcher.
-func (m NameMatcher) Name() string { return "name(" + m.Metric.String() + ")" }
+func (NameMatcher) Name() string { return "name(fuzzy)" }
 
 // Similarity implements Matcher.
 func (m NameMatcher) Similarity(p, r *schema.Node) float64 {
-	s := m.Metric.Similarity(p.Name, r.Name)
+	s := strsim.CompareStringFuzzy(p.Name, r.Name)
 	if m.TokenAware {
 		if t := strsim.TokenSimilarity(p.Name, r.Name); t > s {
 			s = t
@@ -216,6 +211,12 @@ func Describe(m Matcher) string {
 	case *SynonymMatcher:
 		// fmt sorts map keys, so the dictionary renders deterministically.
 		return fmt.Sprintf("synonym%+v", mm.dict)
+	case NameMatcher:
+		// The rendering NameMatcher had when it also named its metric, kept
+		// byte for byte: request signatures, which a shard server checks
+		// against the router's, must not differ between builds that share
+		// the wire format.
+		return fmt.Sprintf("matcher.NameMatcher{TokenAware:%t Metric:fuzzy}", mm.TokenAware)
 	default:
 		return fmt.Sprintf("%T%+v", m, m)
 	}

@@ -37,6 +37,23 @@ func TestNameMatcher(t *testing.T) {
 	if token <= plain {
 		t.Errorf("token-aware should beat plain on reordered compounds: %v <= %v", token, plain)
 	}
+
+	// Reports and request signatures carry these strings; they are the
+	// ones NameMatcher rendered when it still had a metric switch.
+	if got := ta.Name(); got != "name(fuzzy)" {
+		t.Errorf("Name() = %q", got)
+	}
+	for _, c := range []struct {
+		m    NameMatcher
+		want string
+	}{
+		{m, "matcher.NameMatcher{TokenAware:false Metric:fuzzy}"},
+		{ta, "matcher.NameMatcher{TokenAware:true Metric:fuzzy}"},
+	} {
+		if got := Describe(c.m); got != c.want {
+			t.Errorf("Describe(%#v) = %q, want %q", c.m, got, c.want)
+		}
+	}
 }
 
 func TestSynonymMatcher(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"bellflower/internal/schema"
-	"bellflower/internal/strsim"
 )
 
 // flatPersonal builds a personal schema whose root's children carry names.
@@ -132,7 +131,7 @@ func TestMemoConcurrentEviction(t *testing.T) {
 	repo := uniqueNameRepo(rand.New(rand.NewSource(5)), 3, 120)
 	ni := NewNameIndex(repo)
 	vocab := ni.Vocabulary(repo.Nodes())
-	m, cfg := NameMatcher{Metric: strsim.MetricJaroWinkler}, Config{} // MinSim 0: rows hold nearly every key
+	m, cfg := NameMatcher{TokenAware: true}, Config{} // MinSim 0, unpruned: rows hold nearly every key
 	const workers, calls = 6, 40
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -186,7 +185,7 @@ func TestMemoBound(t *testing.T) {
 	ni := NewNameIndex(repo)
 	vocab := ni.Vocabulary(repo.Nodes())
 	base := ni.MemoryBytes()
-	m, cfg := NameMatcher{Metric: strsim.MetricJaroWinkler}, Config{}
+	m, cfg := NameMatcher{TokenAware: true}, Config{}
 	var stored int64 // row bytes offered to the memo
 	calls := 0
 	for ; stored < 10*2*memoGenBytes; calls++ {

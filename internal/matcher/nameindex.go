@@ -11,11 +11,11 @@ import (
 )
 
 // NameIndex interns every distinct (name, datatype) key of a repository and
-// caches the key's prepared similarity inputs (folded form, token list,
-// trigram set, bigram vector) plus the ASCII folds the synonym and datatype
-// matchers use. It is computed once per repository generation — alongside
-// labeling.Index — and shared by every runner, view and shard over that
-// repository, so shards pay no extra memory for it.
+// caches the key's prepared similarity inputs (folded form and token list)
+// plus the ASCII folds the synonym and datatype matchers use. It is computed
+// once per repository generation — alongside labeling.Index — and shared by
+// every runner, view and shard over that repository, so shards pay no extra
+// memory for it.
 //
 // Repository vocabularies are tiny relative to node counts (the same element
 // names recur across trees), which is what makes the keyed kernel's

@@ -144,14 +144,18 @@ type Options struct {
 var ErrSchemaTooLarge = cluster.ErrSchemaTooLarge
 
 // Validate checks the option invariants shared by every pipeline entry
-// point: the objective parameters and the threshold range. Entry points
-// call it, through CheckRequest, before any work.
+// point: the objective parameters, the threshold range and the structure
+// weight range (NaN included). Entry points call it, through CheckRequest,
+// before any work.
 func (o Options) Validate() error {
 	if err := o.Objective.Validate(); err != nil {
 		return err
 	}
 	if o.Threshold < 0 || o.Threshold > 1 {
 		return fmt.Errorf("pipeline: threshold %v outside [0,1]", o.Threshold)
+	}
+	if w := o.StructureWeight; !(w >= 0 && w <= 1) {
+		return fmt.Errorf("pipeline: structure weight %v outside [0,1]", w)
 	}
 	return nil
 }

@@ -33,15 +33,6 @@ type RemoteShardConfig struct {
 	// per-shard deadline; the fan-out's own context still applies). 0 =
 	// context only.
 	Timeout time.Duration
-
-	// HTTPClient overrides the transport (tests inject
-	// httptest.Server.Client()). By default the client builds a dedicated
-	// http.Transport sized for replica fan-out — shardConns idle
-	// connections per host, bounded dial/TLS timeouts — instead of
-	// inheriting the shared default transport's 2 pooled connections per
-	// host. No client-level timeout either way; deadlines come from
-	// Timeout/ctx.
-	HTTPClient *http.Client
 }
 
 // shardConns is how many concurrent requests one shard client keeps
@@ -54,7 +45,8 @@ const statsTimeout = 2 * time.Second
 // newShardTransportClient builds the dedicated per-shard HTTP client: the
 // shared http.DefaultTransport caps idle pooled connections at 2 per
 // host, which serializes a concurrent fan-out onto 2 reused connections
-// plus fresh handshakes for the rest.
+// plus fresh handshakes for the rest. It has no client-level timeout:
+// deadlines come from RemoteShardConfig.Timeout and the request context.
 func newShardTransportClient() *http.Client {
 	return &http.Client{Transport: &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
@@ -115,15 +107,11 @@ func NewRemoteShard(addr string, view *labeling.View, desc Descriptor, cfg Remot
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = newShardTransportClient()
-	}
 	return &RemoteShard{
 		base:      strings.TrimSuffix(addr, "/"),
 		view:      view,
 		desc:      desc,
-		hc:        hc,
+		hc:        newShardTransportClient(),
 		cfg:       cfg,
 		projKnown: make(map[string]struct{}),
 	}

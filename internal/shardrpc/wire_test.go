@@ -12,7 +12,6 @@ import (
 	"bellflower/internal/repogen"
 	"bellflower/internal/schema"
 	"bellflower/internal/serve"
-	"bellflower/internal/strsim"
 )
 
 func testRepo(t testing.TB, nodes int, seed int64) *schema.Repository {
@@ -136,7 +135,7 @@ func TestOptionsCodecRoundTrip(t *testing.T) {
 
 	// Matchers without a wire name must refuse to encode.
 	notEncodable := []pipeline.Options{
-		{Matcher: matcher.NameMatcher{Metric: strsim.MetricJaroWinkler}},
+		{Matcher: matcher.NewCombined(matcher.Weighted{Matcher: matcher.NameMatcher{}, Weight: 1})},
 		{Matcher: matcher.NewSynonymMatcher([]string{"a", "b"})},
 		{StructureMatcher: matcher.NameMatcher{}},
 	}

@@ -6,17 +6,14 @@ import (
 )
 
 // Prepared is the precomputed similarity input for one string: its folded
-// form (byte-level when pure ASCII), folded token list, sorted trigram set
-// and bigram count vector. Preparing once and scoring many times removes the
-// per-pair fold/tokenize/gram work from the matching kernel; every Scorer
-// method over Prepared values returns results bit-identical to its
-// string-based counterpart, so callers may mix the two freely.
+// form (byte-level when pure ASCII) and folded token list. Preparing once
+// and scoring many times removes the per-pair fold/tokenize work from the
+// matching kernel; every Scorer method over Prepared values returns results
+// bit-identical to its string-based counterpart, so callers may mix the two
+// freely.
 type Prepared struct {
-	f       foldedText
-	tokens  []foldedText
-	tris    []string
-	bigrams []gram
-	norm    float64
+	f      foldedText
+	tokens []foldedText
 }
 
 // foldedText is a case-folded string in its cheapest exact representation:
@@ -56,14 +53,7 @@ func Prepare(s string) Prepared {
 	for i, t := range toks {
 		pt[i] = newFoldedText(t)
 	}
-	bi, norm := ngramVec(s, 2)
-	return Prepared{
-		f:       newFoldedText(s),
-		tokens:  pt,
-		tris:    trigramSet(s),
-		bigrams: bi,
-		norm:    norm,
-	}
+	return Prepared{f: newFoldedText(s), tokens: pt}
 }
 
 // MemoryBytes estimates the heap footprint of the prepared form, including
@@ -74,13 +64,7 @@ func (p *Prepared) MemoryBytes() int64 {
 		t := &p.tokens[i]
 		b += 48 + int64(len(t.ascii)+4*len(t.runes))
 	}
-	for _, g := range p.tris {
-		b += 16 + int64(len(g))
-	}
-	for _, g := range p.bigrams {
-		b += 24 + int64(len(g.g))
-	}
-	return b + 96
+	return b + 72 // the Prepared value itself
 }
 
 // Scorer evaluates similarities over Prepared values with reusable scratch
@@ -90,7 +74,6 @@ func (p *Prepared) MemoryBytes() int64 {
 type Scorer struct {
 	prev2, prev, cur []int  // OSA rolling rows
 	used             []bool // token greedy-match scratch
-	ma, mb           []bool // Jaro matched-character scratch
 	ra, rb           []rune // ASCII widening scratch for mixed-width pairs
 }
 
@@ -215,65 +198,4 @@ func (sc *Scorer) TokenSimilarity(a, b *Prepared) float64 {
 		total += best
 	}
 	return total / float64(len(tb))
-}
-
-func (sc *Scorer) matchScratch(la, lb int) (ma, mb []bool) {
-	if cap(sc.ma) < la {
-		sc.ma = make([]bool, la)
-	}
-	if cap(sc.mb) < lb {
-		sc.mb = make([]bool, lb)
-	}
-	ma, mb = sc.ma[:la], sc.mb[:lb]
-	for i := range ma {
-		ma[i] = false
-	}
-	for j := range mb {
-		mb[j] = false
-	}
-	return ma, mb
-}
-
-func (sc *Scorer) jaroFolded(a, b *foldedText) float64 {
-	if a.ascii != nil && b.ascii != nil {
-		ma, mb := sc.matchScratch(len(a.ascii), len(b.ascii))
-		return jaroFoldedRunes(a.ascii, b.ascii, ma, mb)
-	}
-	ra := widen(a, &sc.ra)
-	rb := widen(b, &sc.rb)
-	ma, mb := sc.matchScratch(len(ra), len(rb))
-	return jaroFoldedRunes(ra, rb, ma, mb)
-}
-
-func runeAt(f *foldedText, i int) rune {
-	if f.ascii != nil {
-		return rune(f.ascii[i])
-	}
-	return f.runes[i]
-}
-
-// JaroWinkler is JaroWinklerSimilarity over prepared forms.
-func (sc *Scorer) JaroWinkler(a, b *Prepared) float64 {
-	j := sc.jaroFolded(&a.f, &b.f)
-	prefix := 0
-	for prefix < a.f.length() && prefix < b.f.length() && prefix < 4 &&
-		runeAt(&a.f, prefix) == runeAt(&b.f, prefix) {
-		prefix++
-	}
-	return j + float64(prefix)*0.1*(1-j)
-}
-
-// Similarity evaluates the metric over prepared forms; results are
-// bit-identical to Metric.Similarity on the original strings.
-func (sc *Scorer) Similarity(m Metric, a, b *Prepared) float64 {
-	switch m {
-	case MetricJaroWinkler:
-		return sc.JaroWinkler(a, b)
-	case MetricTrigramJaccard:
-		return trigramJaccard(a.tris, b.tris)
-	case MetricBigramCosine:
-		return cosineVec(a.bigrams, a.norm, b.bigrams, b.norm)
-	default:
-		return sc.Fuzzy(a, b)
-	}
 }

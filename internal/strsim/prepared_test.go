@@ -43,9 +43,6 @@ func TestPreparedBitIdentical(t *testing.T) {
 		}{
 			{"fuzzy", CompareStringFuzzy(a, b), sc.Fuzzy(&pa, &pb)},
 			{"token", TokenSimilarity(a, b), sc.TokenSimilarity(&pa, &pb)},
-			{"trigram", TrigramSimilarity(a, b), sc.Similarity(MetricTrigramJaccard, &pa, &pb)},
-			{"bigram", NGramCosineSimilarity(a, b, 2), sc.Similarity(MetricBigramCosine, &pa, &pb)},
-			{"jaro-winkler", JaroWinklerSimilarity(a, b), sc.Similarity(MetricJaroWinkler, &pa, &pb)},
 		}
 		for _, c := range checks {
 			if c.want != c.got {
@@ -80,7 +77,7 @@ func TestFuzzyBoundedExact(t *testing.T) {
 }
 
 // TestScorerZeroAllocs pins the warm-scorer allocation count at zero for
-// every metric, so the kernel's allocation win can't silently rot.
+// every Scorer method, so the kernel's allocation win can't silently rot.
 func TestScorerZeroAllocs(t *testing.T) {
 	var sc Scorer
 	pa, pb := Prepare("authorName"), Prepare("name_of_the_author")
@@ -88,7 +85,6 @@ func TestScorerZeroAllocs(t *testing.T) {
 	// Warm the scratch buffers.
 	sc.Fuzzy(&pa, &pb)
 	sc.TokenSimilarity(&pa, &pb)
-	sc.JaroWinkler(&pa, &pb)
 	cases := []struct {
 		name string
 		fn   func()
@@ -96,9 +92,6 @@ func TestScorerZeroAllocs(t *testing.T) {
 		{"Fuzzy", func() { sc.Fuzzy(&pa, &pb) }},
 		{"FuzzyBounded", func() { sc.FuzzyBounded(&pa, &pc, 0.45) }},
 		{"TokenSimilarity", func() { sc.TokenSimilarity(&pa, &pb) }},
-		{"JaroWinkler", func() { sc.JaroWinkler(&pa, &pb) }},
-		{"TrigramJaccard", func() { sc.Similarity(MetricTrigramJaccard, &pa, &pb) }},
-		{"BigramCosine", func() { sc.Similarity(MetricBigramCosine, &pa, &pb) }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(200, c.fn); n != 0 {
@@ -144,9 +137,6 @@ func FuzzPreparedEquivalence(f *testing.F) {
 		}
 		if got, want := sc.TokenSimilarity(&pa, &pb), TokenSimilarity(a, b); got != want {
 			t.Fatalf("TokenSimilarity(%q, %q) = %v, want %v", a, b, got, want)
-		}
-		if got, want := sc.Similarity(MetricJaroWinkler, &pa, &pb), JaroWinklerSimilarity(a, b); got != want {
-			t.Fatalf("JaroWinkler(%q, %q) = %v, want %v", a, b, got, want)
 		}
 		got, pruned := sc.FuzzyBounded(&pa, &pb, 0.45)
 		if want := CompareStringFuzzy(a, b); pruned {

@@ -9,14 +9,12 @@
 // canonical open reimplementation of that description: 1 - dist/maxLen on
 // case-folded input.
 //
-// The package additionally offers token-aware and n-gram similarities used
-// by the extended matchers (XML element names are frequently camelCase or
+// The package additionally offers a token-aware similarity used by the
+// extended name matcher (XML element names are frequently camelCase or
 // delimiter-separated compounds such as "authorName" or "author_name").
 package strsim
 
 import (
-	"sort"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -186,64 +184,4 @@ func TokenSimilarity(a, b string) float64 {
 	}
 	// Average over the longer list: unmatched tokens dilute the score.
 	return total / float64(len(tb))
-}
-
-// TrigramSimilarity returns the Jaccard similarity of the character trigram
-// sets of a and b (case-folded, padded with '^' and '$'). It is cheap and
-// robust for long names; the approximate-string-join literature the paper
-// cites [10] builds on exactly this kind of q-gram overlap.
-func TrigramSimilarity(a, b string) float64 {
-	return trigramJaccard(trigramSet(a), trigramSet(b))
-}
-
-// trigramSet returns the sorted distinct trigrams of the padded, case-folded
-// text. The sorted-slice representation replaces the earlier per-call map:
-// prepared forms can share it and set operations run as linear merges.
-func trigramSet(s string) []string {
-	folded := strings.ToLower(strings.TrimSpace(s))
-	if folded == "" {
-		return nil
-	}
-	padded := "^^" + folded + "$$"
-	runes := []rune(padded)
-	out := make([]string, 0, len(runes))
-	for i := 0; i+3 <= len(runes); i++ {
-		out = append(out, string(runes[i:i+3]))
-	}
-	sort.Strings(out)
-	w := 0
-	for i, g := range out {
-		if i == 0 || g != out[w-1] {
-			out[w] = g
-			w++
-		}
-	}
-	return out[:w]
-}
-
-// trigramJaccard is the Jaccard similarity of two sorted distinct trigram
-// slices, computed as a linear merge.
-func trigramJaccard(ga, gb []string) float64 {
-	if len(ga) == 0 && len(gb) == 0 {
-		return 1
-	}
-	if len(ga) == 0 || len(gb) == 0 {
-		return 0
-	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(ga) && j < len(gb) {
-		switch {
-		case ga[i] == gb[j]:
-			inter++
-			i++
-			j++
-		case ga[i] < gb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(ga) + len(gb) - inter
-	return float64(inter) / float64(union)
 }

@@ -101,23 +101,6 @@ func TestTokenSimilarity(t *testing.T) {
 	}
 }
 
-func TestTrigramSimilarity(t *testing.T) {
-	if got := TrigramSimilarity("book", "book"); !close(got, 1) {
-		t.Errorf("identical = %v", got)
-	}
-	if got := TrigramSimilarity("", ""); !close(got, 1) {
-		t.Errorf("both empty = %v", got)
-	}
-	if got := TrigramSimilarity("book", ""); !close(got, 0) {
-		t.Errorf("one empty = %v", got)
-	}
-	sim := TrigramSimilarity("address", "addresses")
-	dis := TrigramSimilarity("address", "quantum")
-	if sim <= dis {
-		t.Errorf("trigram ordering wrong: sim=%v dis=%v", sim, dis)
-	}
-}
-
 func randString(rng *rand.Rand, n int) string {
 	letters := "abcdefgXYZ_-"
 	b := make([]byte, n)

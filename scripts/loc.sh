@@ -28,7 +28,7 @@ git ls-files '*.go' |
       group && /^\t[A-Za-z]/ { exported += names($0); next }
       /^type [A-Za-z0-9_]*(Config|Options) struct \{$/ { settings = 1 }
       settings && /^}/ { settings = 0 }
-      settings && /^\t[A-Z][A-Za-z0-9_]*(, [A-Za-z0-9_]+)* [^ ]/ { settable += names($0) }
+      settings && /^\t[A-Z][A-Za-z0-9_]*(, [A-Za-z0-9_]+)*[ \t]+[^ \t]/ { settable += names($0) }
       /^func (\([^)]*\) )?[A-Z]/ { exported++ }
       /^(var|const|type) [A-Z]/ { exported += names(substr($0, index($0, " ") + 1)) }
       END { printf "%s %d %d %d\n", pkg, NR, exported, settable }

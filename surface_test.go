@@ -21,9 +21,16 @@ import (
 // and const of an internal package, and every exported field of a struct
 // named *Config or *Options in one, must be referenced by a non-test file of
 // the root module or of benchmark/, outside its own declaration. A method
-// that satisfies an interface the program uses counts as referenced. The
-// few exemptions live in surfaceAllowlistFile, one reason per line; an entry
-// that no longer exempts anything fails too, so the list can only shrink.
+// that satisfies an interface the program uses counts as referenced. And
+// every exported field of an exported struct in an internal package that
+// such a file reads must also be written by one: a field the program reads
+// but never sets is always zero, a constant posing as a knob. A write is a
+// composite-literal key or a positional literal, the left side of an
+// assignment or ++/-- (every field along the selector chain: a.B.C = x
+// writes B and C), &a.B, or a pointer-receiver method called on the field.
+// The few exemptions live in surfaceAllowlistFile, one reason per line; an
+// entry that no longer exempts anything fails too, so the list can only
+// shrink.
 
 const (
 	surfaceAllowlistFile = "testdata/exported_surface.allow"
@@ -51,9 +58,11 @@ func TestExportedSurface(t *testing.T) {
 
 // TestExportedSurfaceScanner runs the scanner over a fixture module
 // (testdata/surface) and its benchmark-like second module. It must flag an
-// exported func nothing calls, one that only lib_test.go calls and a Config
-// field nothing sets; it must not flag ByName's sort.Interface methods or
-// BenchOnly, which only the second module calls.
+// exported func nothing calls, one that only lib_test.go calls, a Config
+// field nothing sets, a field that is only read and one only lib_test.go
+// writes; it must not flag ByName's sort.Interface methods, BenchOnly, which
+// only the second module calls, or the fields written only through a nested
+// selector or a pointer-method call.
 func TestExportedSurfaceScanner(t *testing.T) {
 	root := filepath.Join("testdata", "surface")
 	scan, err := scanSurface(root, filepath.Join(root, "bench"))
@@ -62,10 +71,16 @@ func TestExportedSurfaceScanner(t *testing.T) {
 	}
 	var got []string
 	for _, f := range scan {
-		got = append(got, f.id+" "+f.pos)
+		line := f.id + " " + f.pos
+		if f.unwritten {
+			line += " unwritten"
+		}
+		got = append(got, line)
 	}
 	want := []string{
 		"internal/lib.Config.Unset internal/lib/lib.go:12",
+		"internal/lib.Stats.ReadOnly internal/lib/lib.go:39 unwritten",
+		"internal/lib.Stats.TestWritten internal/lib/lib.go:43 unwritten",
 		"internal/lib.TestOnly internal/lib/lib.go:25",
 		"internal/lib.Unused internal/lib/lib.go:22",
 	}
@@ -75,7 +90,7 @@ func TestExportedSurfaceScanner(t *testing.T) {
 
 	// An entry per finding, or one for the whole package, exempts them all.
 	for _, allow := range []map[string]string{
-		{"internal/lib.Config.Unset": "r", "internal/lib.TestOnly": "r", "internal/lib.Unused": "r"},
+		{"internal/lib.Config.Unset": "r", "internal/lib.Stats.ReadOnly": "r", "internal/lib.Stats.TestWritten": "r", "internal/lib.TestOnly": "r", "internal/lib.Unused": "r"},
 		{"internal/lib": "r"},
 	} {
 		if msgs := scan.check(allow); len(msgs) != 0 {
@@ -86,24 +101,28 @@ func TestExportedSurfaceScanner(t *testing.T) {
 	// or gone.
 	msgs := scan.check(map[string]string{"internal/lib": "r", "internal/lib.Used": "r", "internal/lib.Gone": "r"})
 	want = []string{
-		"testdata/exported_surface.allow: stale entry internal/lib.Gone: it is referenced outside tests or no longer exists",
-		"testdata/exported_surface.allow: stale entry internal/lib.Used: it is referenced outside tests or no longer exists",
+		"testdata/exported_surface.allow: stale entry internal/lib.Gone: it is referenced (and, if read, written) outside tests or no longer exists",
+		"testdata/exported_surface.allow: stale entry internal/lib.Used: it is referenced (and, if read, written) outside tests or no longer exists",
 	}
 	if strings.Join(msgs, "\n") != strings.Join(want, "\n") {
 		t.Errorf("stale entries reported:\n%s\nwant:\n%s", strings.Join(msgs, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-// surfaceFinding is one unreferenced identifier: id is its module-relative
-// package path and name ("internal/serve.Router.Shard"), pos its file:line
-// relative to the first module scanned.
-type surfaceFinding struct{ id, pos string }
+// surfaceFinding is one unreferenced identifier, or one field read but
+// never written (unwritten): id is its module-relative package path and
+// name ("internal/serve.Router.Shard"), pos its file:line relative to the
+// first module scanned.
+type surfaceFinding struct {
+	id, pos   string
+	unwritten bool
+}
 
 type surfaceFindings []surfaceFinding
 
-// check returns one message per unreferenced identifier that allow does not
-// exempt and one per allow entry that exempts nothing. An entry names an
-// identifier, or a whole package by its path.
+// check returns one message per finding that allow does not exempt and one
+// per allow entry that exempts nothing. An entry names an identifier, or a
+// whole package by its path.
 func (fs surfaceFindings) check(allow map[string]string) []string {
 	var msgs []string
 	used := map[string]bool{}
@@ -115,6 +134,8 @@ func (fs surfaceFindings) check(allow map[string]string) []string {
 			used[f.id] = true
 		case allow[pkg] != "":
 			used[pkg] = true
+		case f.unwritten:
+			msgs = append(msgs, fmt.Sprintf("%s: %s is read but never written outside _test.go files", f.pos, f.id))
 		default:
 			msgs = append(msgs, fmt.Sprintf("%s: %s has no reference outside its declaration and _test.go files", f.pos, f.id))
 		}
@@ -122,7 +143,7 @@ func (fs surfaceFindings) check(allow map[string]string) []string {
 	var stale []string
 	for id := range allow {
 		if !used[id] {
-			stale = append(stale, fmt.Sprintf("%s: stale entry %s: it is referenced outside tests or no longer exists", surfaceAllowlistFile, id))
+			stale = append(stale, fmt.Sprintf("%s: stale entry %s: it is referenced (and, if read, written) outside tests or no longer exists", surfaceAllowlistFile, id))
 		}
 	}
 	sort.Strings(stale)
@@ -171,7 +192,8 @@ type surfaceScanner struct {
 
 // scanSurface type-checks the non-test files of the modules rooted at dirs
 // (one go.mod each; nested modules, testdata and dot directories are
-// skipped) and returns the identifiers nothing references.
+// skipped) and returns the identifiers nothing references and the fields
+// read but never written.
 func scanSurface(dirs ...string) (surfaceFindings, error) {
 	s := &surfaceScanner{fset: token.NewFileSet(), pkgs: map[string]*surfacePkg{}, std: importer.Default()}
 	for _, dir := range dirs {
@@ -265,9 +287,10 @@ func (s *surfaceScanner) check(p *surfacePkg) error {
 		return nil
 	}
 	p.info = &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: s}
 	tp, err := conf.Check(p.path, s.fset, p.files, p.info)
@@ -279,18 +302,20 @@ func (s *surfaceScanner) check(p *surfacePkg) error {
 }
 
 // surfaceDecl is a candidate identifier and the source range of its own
-// declaration, inside which references to it do not count.
+// declaration, inside which references to it do not count. mustRef and
+// mustWrite say which rules it is held to.
 type surfaceDecl struct {
-	id         string
-	pos, end   token.Pos
-	recv       *types.Named // for methods: the receiver's base type
-	referenced bool
+	id                  string
+	pos, end            token.Pos
+	recv                *types.Named // for methods: the receiver's base type
+	mustRef, mustWrite  bool
+	referenced, written bool
 }
 
 func (s *surfaceScanner) analyze(root string, paths []string) (surfaceFindings, error) {
 	decls := map[types.Object]*surfaceDecl{}
 	add := func(p *surfacePkg, obj types.Object, name string, node ast.Node) *surfaceDecl {
-		d := &surfaceDecl{id: p.rel + "." + name, pos: node.Pos(), end: node.End()}
+		d := &surfaceDecl{id: p.rel + "." + name, pos: node.Pos(), end: node.End(), mustRef: true}
 		decls[obj] = d
 		return d
 	}
@@ -325,13 +350,15 @@ func (s *surfaceScanner) analyze(root string, paths []string) (surfaceFindings, 
 								add(p, p.info.Defs[spec.Name], spec.Name.Name, spec)
 							}
 							st, ok := spec.Type.(*ast.StructType)
-							if !ok || !(strings.HasSuffix(spec.Name.Name, "Config") || strings.HasSuffix(spec.Name.Name, "Options")) {
+							settings := strings.HasSuffix(spec.Name.Name, "Config") || strings.HasSuffix(spec.Name.Name, "Options")
+							if !ok || !(settings || spec.Name.IsExported()) {
 								continue
 							}
 							for _, field := range st.Fields.List {
 								for _, name := range field.Names {
 									if name.IsExported() {
-										add(p, p.info.Defs[name], spec.Name.Name+"."+name.Name, field)
+										d := add(p, p.info.Defs[name], spec.Name.Name+"."+name.Name, field)
+										d.mustRef, d.mustWrite = settings, spec.Name.IsExported()
 									}
 								}
 							}
@@ -375,10 +402,16 @@ func (s *surfaceScanner) analyze(root string, paths []string) (surfaceFindings, 
 		}
 	}
 
+	for _, path := range paths {
+		markWrites(s.pkgs[path], decls)
+	}
+
 	ifaces := s.usedInterfaces(paths)
 	var res surfaceFindings
 	for obj, d := range decls {
-		if d.referenced || (d.recv != nil && satisfiesUsed(d.recv, obj.Name(), ifaces)) {
+		unwritten := d.mustWrite && d.referenced && !d.written
+		unreferenced := d.mustRef && !d.referenced && !(d.recv != nil && satisfiesUsed(d.recv, obj.Name(), ifaces))
+		if !unwritten && !unreferenced {
 			continue
 		}
 		pos := s.fset.Position(d.pos)
@@ -386,10 +419,105 @@ func (s *surfaceScanner) analyze(root string, paths []string) (surfaceFindings, 
 		if err != nil {
 			return nil, err
 		}
-		res = append(res, surfaceFinding{id: d.id, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line)})
+		res = append(res, surfaceFinding{id: d.id, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line), unwritten: unwritten})
 	}
 	sort.Slice(res, func(i, j int) bool { return res[i].id < res[j].id })
 	return res, nil
+}
+
+// markWrites marks written every field of decls that p's files write: a
+// composite-literal key or position, the left side of an assignment or
+// ++/-- (every field along its selector chain, through index expressions),
+// the operand of &, and the operand of a pointer-receiver method call or
+// method value.
+func markWrites(p *surfacePkg, decls map[types.Object]*surfaceDecl) {
+	mark := func(f *types.Var) {
+		if d := decls[origin(f)]; d != nil {
+			d.written = true
+		}
+	}
+	// path marks the fields a selection's index path steps through from t.
+	path := func(t types.Type, index []int) {
+		for _, i := range index {
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return
+			}
+			mark(st.Field(i))
+			t = st.Field(i).Type()
+		}
+	}
+	chain := func(e ast.Expr) {
+		for e != nil {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				sel := p.info.Selections[x]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				path(sel.Recv(), sel.Index())
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					chain(lhs)
+				}
+			case *ast.IncDecStmt:
+				chain(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					chain(n.X)
+				}
+			case *ast.CompositeLit:
+				t := p.info.TypeOf(n)
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if f, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							mark(f)
+						}
+					} else {
+						mark(st.Field(i))
+					}
+				}
+			case *ast.SelectorExpr:
+				// x.M() with M on *T and x an addressable T takes &x.
+				sel := p.info.Selections[n]
+				if sel == nil || sel.Kind() != types.MethodVal || sel.Indirect() {
+					break
+				}
+				if _, ok := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); !ok {
+					break
+				}
+				if _, ok := p.info.TypeOf(n.X).Underlying().(*types.Pointer); ok {
+					break
+				}
+				path(sel.Recv(), sel.Index()[:len(sel.Index())-1])
+				chain(n.X)
+			}
+			return true
+		})
+	}
 }
 
 func isInternal(rel string) bool { return strings.Contains("/"+rel+"/", "/internal/") }
