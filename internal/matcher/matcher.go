@@ -373,24 +373,37 @@ func (c *Candidates) Rebind(personal *schema.Tree) *Candidates {
 
 // Restrict filters the candidates to the repository nodes for which keep
 // returns true — in the shared-index shard model, membership in one
-// shard's labeling.View. The surviving candidates keep their original node objects and their
-// (sim desc, node ID asc) order, so the result is byte-for-byte what
-// FindCandidatesAmong would have produced against the kept universe with
-// the same matcher and threshold. The per-set slices are freshly
-// allocated; the nodes are shared.
+// shard's labeling.View. The surviving candidates keep their original node
+// objects and their (sim desc, node ID asc) order, so the result is
+// byte-for-byte what FindCandidatesAmong would have produced against the
+// kept universe with the same matcher and threshold. keep runs twice per
+// candidate: the survivors are counted first, then every set's are cut from
+// one fresh slab, each set's capacity capped at its length (a set left
+// empty is nil). The nodes are shared.
 func (c *Candidates) Restrict(keep func(*schema.Node) bool) *Candidates {
+	total := 0
+	for i := range c.Sets {
+		for _, cand := range c.Sets[i].Elems {
+			if keep(cand.Node) {
+				total++
+			}
+		}
+	}
+	slab := make([]Candidate, 0, total)
 	out := &Candidates{
 		Personal: c.Personal,
 		Sets:     make([]CandidateSet, len(c.Sets)),
 	}
 	for i := range c.Sets {
-		src := &c.Sets[i]
-		dst := &out.Sets[i]
-		dst.Personal = src.Personal
-		for _, cand := range src.Elems {
+		start := len(slab)
+		for _, cand := range c.Sets[i].Elems {
 			if keep(cand.Node) {
-				dst.Elems = append(dst.Elems, cand)
+				slab = append(slab, cand)
 			}
+		}
+		out.Sets[i].Personal = c.Sets[i].Personal
+		if len(slab) > start {
+			out.Sets[i].Elems = slab[start:len(slab):len(slab)]
 		}
 	}
 	return out

@@ -392,11 +392,16 @@ func TestRestrictEqualsFindCandidatesAmong(t *testing.T) {
 		}
 	}
 	// The restriction shares node objects with the original (no clones).
+	// The sets share one slab, each capped at its length, so appending to
+	// one set cannot overwrite the next.
 	for i := range got.Sets {
 		for _, c := range got.Sets[i].Elems {
 			if repo.Node(c.Node.ID) != c.Node {
 				t.Fatalf("restricted candidate %v is not the repository's own node", c.Node)
 			}
+		}
+		if e := got.Sets[i].Elems; cap(e) != len(e) {
+			t.Fatalf("set %d: %d candidates with capacity %d", i, len(e), cap(e))
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The binary wire codec — the only codec /v1/shard/match speaks. The hot
@@ -23,6 +24,12 @@ import (
 // for every request the client can build (pinned by FuzzShardWire, which
 // keeps the structs' JSON tags as its reference encoding).
 //
+// Every body is written in one pass into a buffer of its exact size: each
+// appendX writer has an xSize twin, and the encoders append to a local
+// slice (b = appendX(b, …)) rather than through a pointer, which would pay a
+// GC write barrier per value. The decoder cuts the projection's per-set
+// arrays from one slab per element type, counted before it decodes.
+//
 // Requests and responses carry ContentTypeBinary; the shard answers any
 // other or absent Content-Type with 415 (Unsupported Media Type) rather
 // than guessing. Error bodies and /v1/shard/stats are JSON. The first body
@@ -38,64 +45,86 @@ const ContentTypeBinary = "application/x-bellflower-shard"
 // seeding and seed-stride varints.
 const binaryVersion = 4
 
-// binWriter accumulates the binary encoding. Slices are written as
-// uvarint(len+1) with 0 meaning nil, so the decoder reproduces the
-// encoder's nil-vs-empty distinction exactly.
-type binWriter struct {
-	b []byte
-}
+// --- writers and their sizes ---
+//
+// Slices are written as uvarint(len+1) with 0 meaning nil, so the decoder
+// reproduces the encoder's nil-vs-empty distinction exactly.
 
-func (w *binWriter) u8(v byte)        { w.b = append(w.b, v) }
-func (w *binWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *binWriter) varint(v int64)   { w.b = binary.AppendVarint(w.b, v) }
-func (w *binWriter) bool(v bool) {
+func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+func varintSize(v int64) int   { return uvarintSize(uint64(v<<1) ^ uint64(v>>63)) }
+func strSize(s string) int     { return uvarintSize(uint64(len(s))) + len(s) }
+
+func appendBool(b []byte, v bool) []byte {
 	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
+		return append(b, 1)
 	}
-}
-func (w *binWriter) f64(v float64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v))
-}
-func (w *binWriter) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.b = append(w.b, s...)
+	return append(b, 0)
 }
 
-// slice writes the nil-aware length prefix and returns the element count
-// to emit (callers loop themselves, keeping element layout local).
-func (w *binWriter) slice(n int, isNil bool) {
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendSlice writes the nil-aware length prefix; callers loop over the
+// elements themselves, keeping element layout local.
+func appendSlice(b []byte, n int, isNil bool) []byte {
 	if isNil {
-		w.uvarint(0)
-		return
+		return append(b, 0)
 	}
-	w.uvarint(uint64(n) + 1)
+	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
-func (w *binWriter) i32s(v []int32) {
-	w.slice(len(v), v == nil)
-	for _, x := range v {
-		w.varint(int64(x))
+func sliceSize(n int, isNil bool) int {
+	if isNil {
+		return 1
 	}
+	return uvarintSize(uint64(n) + 1)
 }
-func (w *binWriter) ints(v []int) {
-	w.slice(len(v), v == nil)
+
+func appendVarints[T int | int32](b []byte, v []T) []byte {
+	b = appendSlice(b, len(v), v == nil)
 	for _, x := range v {
-		w.varint(int64(x))
+		b = binary.AppendVarint(b, int64(x))
 	}
+	return b
 }
-func (w *binWriter) f64s(v []float64) {
-	w.slice(len(v), v == nil)
+
+func varintsSize[T int | int32](v []T) int {
+	n := sliceSize(len(v), v == nil)
 	for _, x := range v {
-		w.f64(x)
+		n += varintSize(int64(x))
 	}
+	return n
 }
-func (w *binWriter) u64s(v []uint64) {
-	w.slice(len(v), v == nil)
+
+func appendF64s(b []byte, v []float64) []byte {
+	b = appendSlice(b, len(v), v == nil)
 	for _, x := range v {
-		w.uvarint(x)
+		b = appendF64(b, x)
 	}
+	return b
+}
+
+func f64sSize(v []float64) int { return sliceSize(len(v), v == nil) + 8*len(v) }
+
+func appendU64s(b []byte, v []uint64) []byte {
+	b = appendSlice(b, len(v), v == nil)
+	for _, x := range v {
+		b = binary.AppendUvarint(b, x)
+	}
+	return b
+}
+
+func u64sSize(v []uint64) int {
+	n := sliceSize(len(v), v == nil)
+	for _, x := range v {
+		n += uvarintSize(x)
+	}
+	return n
 }
 
 // binReader consumes a binary body with a latched error, so decode code
@@ -138,18 +167,10 @@ func (r *binReader) uvarint() uint64 {
 	return v
 }
 
-func (r *binReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad varint at byte %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
+func (r *binReader) varint() int64 { return unzigzag(r.uvarint()) }
+
+// unzigzag inverts the zig-zag mapping binary.AppendVarint writes.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 func (r *binReader) bool() bool { return r.u8() != 0 }
 
@@ -196,60 +217,127 @@ func (r *binReader) slice() (int, bool) {
 	return n, true
 }
 
-func (r *binReader) i32s() []int32 {
+// skip steps over n bytes.
+func (r *binReader) skip(n int) {
+	if r.err != nil {
+		return
+	}
+	if n > len(r.b)-r.off {
+		r.fail("truncated at byte %d", r.off)
+		return
+	}
+	r.off += n
+}
+
+// skipVarints reads a slice prefix and steps over that many varints
+// without decoding them, returning the count. A varint ends at its first
+// byte below 0x80, so whole words are skipped by counting those bytes while
+// more than a word's worth of varints remain.
+func (r *binReader) skipVarints() int {
+	n, _ := r.slice()
+	k, off := n, r.off
+	for k > 8 && off+8 <= len(r.b) {
+		k -= bits.OnesCount64(^binary.LittleEndian.Uint64(r.b[off:]) & 0x8080808080808080)
+		off += 8
+	}
+	for ; k > 0; off++ {
+		if off >= len(r.b) {
+			r.fail("truncated at byte %d", off)
+			return n
+		}
+		if r.b[off] < 0x80 {
+			k--
+		}
+	}
+	r.off = off
+	return n
+}
+
+// cut returns the next n elements of *slab, capacity capped at n, or a
+// fresh slice when there is no slab or it is short. A present but empty
+// list stays non-nil either way.
+func cut[T any](slab *[]T, n int) []T {
+	if slab == nil || *slab == nil || n > len(*slab) {
+		return make([]T, n)
+	}
+	s := *slab
+	*slab = s[n:]
+	return s[:n:n]
+}
+
+// The array readers decode into their slab with a local offset; the loop
+// body is the inlined binary.Uvarint.
+
+func varints[T int | int32](r *binReader, slab *[]T) []T {
 	n, ok := r.slice()
 	if !ok {
 		return nil
 	}
-	v := make([]int32, n)
+	v := cut(slab, n)
+	off := r.off
 	for i := range v {
-		v[i] = int32(r.varint())
+		u, k := binary.Uvarint(r.b[off:])
+		if k <= 0 {
+			r.fail("bad varint at byte %d", off)
+			return v
+		}
+		v[i] = T(unzigzag(u))
+		off += k
 	}
+	r.off = off
 	return v
 }
-func (r *binReader) ints() []int {
+
+func (r *binReader) f64s(slab *[]float64) []float64 {
 	n, ok := r.slice()
 	if !ok {
 		return nil
 	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = int(r.varint())
+	if 8*n > len(r.b)-r.off {
+		r.fail("truncated float64s at byte %d", r.off)
+		return nil
 	}
+	v := cut(slab, n)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off+8*i:]))
+	}
+	r.off += 8 * n
 	return v
 }
-func (r *binReader) f64s() []float64 {
+func (r *binReader) u64s(slab *[]uint64) []uint64 {
 	n, ok := r.slice()
 	if !ok {
 		return nil
 	}
-	v := make([]float64, n)
+	v := cut(slab, n)
+	off := r.off
 	for i := range v {
-		v[i] = r.f64()
+		u, k := binary.Uvarint(r.b[off:])
+		if k <= 0 {
+			r.fail("bad uvarint at byte %d", off)
+			return v
+		}
+		v[i] = u
+		off += k
 	}
-	return v
-}
-func (r *binReader) u64s() []uint64 {
-	n, ok := r.slice()
-	if !ok {
-		return nil
-	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = r.uvarint()
-	}
+	r.off = off
 	return v
 }
 
 // --- composite sections ---
 
-func (w *binWriter) descriptor(d Descriptor) {
-	w.varint(int64(d.Shard))
-	w.varint(int64(d.NumShards))
-	w.str(d.Strategy)
-	w.ints(d.TreeIDs)
-	w.varint(int64(d.RepoNodes))
-	w.str(d.RepoHash)
+func appendDescriptor(b []byte, d Descriptor) []byte {
+	b = binary.AppendVarint(b, int64(d.Shard))
+	b = binary.AppendVarint(b, int64(d.NumShards))
+	b = appendStr(b, d.Strategy)
+	b = appendVarints(b, d.TreeIDs)
+	b = binary.AppendVarint(b, int64(d.RepoNodes))
+	return appendStr(b, d.RepoHash)
+}
+
+func descriptorSize(d Descriptor) int {
+	return varintSize(int64(d.Shard)) + varintSize(int64(d.NumShards)) + strSize(d.Strategy) +
+		varintsSize(d.TreeIDs) + varintSize(int64(d.RepoNodes)) + strSize(d.RepoHash)
 }
 
 func (r *binReader) descriptor() Descriptor {
@@ -257,21 +345,30 @@ func (r *binReader) descriptor() Descriptor {
 		Shard:     int(r.varint()),
 		NumShards: int(r.varint()),
 		Strategy:  r.str(),
-		TreeIDs:   r.ints(),
+		TreeIDs:   varints[int](r, nil),
 		RepoNodes: int(r.varint()),
 		RepoHash:  r.str(),
 	}
 }
 
-func (w *binWriter) tree(t WireTree) {
-	w.str(t.Name)
-	w.slice(len(t.Nodes), t.Nodes == nil)
+func appendTree(b []byte, t WireTree) []byte {
+	b = appendStr(b, t.Name)
+	b = appendSlice(b, len(t.Nodes), t.Nodes == nil)
 	for _, n := range t.Nodes {
-		w.varint(int64(n.Depth))
-		w.bool(n.Attr)
-		w.str(n.Name)
-		w.str(n.Type)
+		b = binary.AppendVarint(b, int64(n.Depth))
+		b = appendBool(b, n.Attr)
+		b = appendStr(b, n.Name)
+		b = appendStr(b, n.Type)
 	}
+	return b
+}
+
+func treeSize(t WireTree) int {
+	size := strSize(t.Name) + sliceSize(len(t.Nodes), t.Nodes == nil)
+	for _, n := range t.Nodes {
+		size += varintSize(int64(n.Depth)) + 1 + strSize(n.Name) + strSize(n.Type)
+	}
+	return size
 }
 
 func (r *binReader) tree() WireTree {
@@ -292,16 +389,16 @@ func (r *binReader) tree() WireTree {
 	return t
 }
 
-func (w *binWriter) options(o WireOptions) {
-	w.f64(o.Alpha)
-	w.f64(o.K)
-	w.f64(o.Threshold)
-	w.f64(o.MinSim)
-	w.varint(int64(o.TopN))
-	w.varint(int64(o.Variant))
-	w.str(o.Matcher)
-	w.str(o.Structure)
-	w.f64(o.StructureWeight)
+func appendOptions(b []byte, o WireOptions) []byte {
+	b = appendF64(b, o.Alpha)
+	b = appendF64(b, o.K)
+	b = appendF64(b, o.Threshold)
+	b = appendF64(b, o.MinSim)
+	b = binary.AppendVarint(b, int64(o.TopN))
+	b = binary.AppendVarint(b, int64(o.Variant))
+	b = appendStr(b, o.Matcher)
+	b = appendStr(b, o.Structure)
+	b = appendF64(b, o.StructureWeight)
 	var flags byte
 	if o.IncludePartials {
 		flags |= 1
@@ -315,15 +412,26 @@ func (w *binWriter) options(o WireOptions) {
 	if o.AdaptiveTopN {
 		flags |= 8
 	}
-	w.u8(flags)
-	w.bool(o.ClusterConfig != nil)
+	b = append(b, flags)
+	b = appendBool(b, o.ClusterConfig != nil)
 	if cc := o.ClusterConfig; cc != nil {
-		w.varint(int64(cc.JoinThreshold))
-		w.varint(int64(cc.RemoveBelow))
-		w.varint(int64(cc.SplitAbove))
-		w.varint(int64(cc.MaxIterations))
-		w.f64(cc.Stability)
+		b = binary.AppendVarint(b, int64(cc.JoinThreshold))
+		b = binary.AppendVarint(b, int64(cc.RemoveBelow))
+		b = binary.AppendVarint(b, int64(cc.SplitAbove))
+		b = binary.AppendVarint(b, int64(cc.MaxIterations))
+		b = appendF64(b, cc.Stability)
 	}
+	return b
+}
+
+func optionsSize(o WireOptions) int {
+	size := 5*8 + varintSize(int64(o.TopN)) + varintSize(int64(o.Variant)) +
+		strSize(o.Matcher) + strSize(o.Structure) + 2
+	if cc := o.ClusterConfig; cc != nil {
+		size += varintSize(int64(cc.JoinThreshold)) + varintSize(int64(cc.RemoveBelow)) +
+			varintSize(int64(cc.SplitAbove)) + varintSize(int64(cc.MaxIterations)) + 8
+	}
+	return size
 }
 
 func (r *binReader) options() WireOptions {
@@ -355,34 +463,80 @@ func (r *binReader) options() WireOptions {
 	return o
 }
 
-// projection writes the projected pre-pass payload — exactly the fields
-// ProjectionDigest hashes, so the digest is a pure function of this
-// section's bytes.
-func (w *binWriter) projection(req *MatchRequest) {
-	w.bool(req.HasCandidates)
-	w.slice(len(req.Candidates), req.Candidates == nil)
+// appendProjection writes the projected pre-pass payload — exactly the
+// fields ProjectionDigest hashes, so the digest is a pure function of this
+// section's bytes (see projectionDigest).
+func appendProjection(b []byte, req *MatchRequest) []byte {
+	b = appendBool(b, req.HasCandidates)
+	b = appendSlice(b, len(req.Candidates), req.Candidates == nil)
 	for _, s := range req.Candidates {
-		w.i32s(s.Local)
-		w.f64s(s.Sims)
+		b = appendVarints(b, s.Local)
+		b = appendF64s(b, s.Sims)
 	}
-	w.bool(req.HasClusters)
-	w.slice(len(req.Clusters), req.Clusters == nil)
+	b = appendBool(b, req.HasClusters)
+	b = appendSlice(b, len(req.Clusters), req.Clusters == nil)
 	for _, c := range req.Clusters {
-		w.varint(int64(c.ID))
-		w.varint(int64(c.TreeID))
-		w.varint(int64(c.Medoid))
-		w.i32s(c.Local)
-		w.u64s(c.Masks)
+		b = binary.AppendVarint(b, int64(c.ID))
+		b = binary.AppendVarint(b, int64(c.TreeID))
+		b = binary.AppendVarint(b, int64(c.Medoid))
+		b = appendVarints(b, c.Local)
+		b = appendU64s(b, c.Masks)
 	}
-	w.varint(int64(req.Iterations))
+	return binary.AppendVarint(b, int64(req.Iterations))
 }
 
+func projectionSize(req *MatchRequest) int {
+	size := 2 + sliceSize(len(req.Candidates), req.Candidates == nil) +
+		sliceSize(len(req.Clusters), req.Clusters == nil) + varintSize(int64(req.Iterations))
+	for _, s := range req.Candidates {
+		size += varintsSize(s.Local) + f64sSize(s.Sims)
+	}
+	for _, c := range req.Clusters {
+		size += varintSize(int64(c.ID)) + varintSize(int64(c.TreeID)) + varintSize(int64(c.Medoid)) +
+			varintsSize(c.Local) + u64sSize(c.Masks)
+	}
+	return size
+}
+
+// projectionCounts pre-scans the projection section at r's offset for the
+// element totals of its per-set arrays. r is a copy, so the scan moves
+// nothing in the caller's reader; ok is false for a malformed section,
+// whose fault the decode proper reports.
+func (r binReader) projectionCounts() (locals, sims, masks int, ok bool) {
+	r.bool()
+	n, _ := r.slice()
+	for i := 0; i < n && r.err == nil; i++ {
+		locals += r.skipVarints()
+		k, _ := r.slice()
+		r.skip(8 * k)
+		sims += k
+	}
+	r.bool()
+	n, _ = r.slice()
+	for i := 0; i < n && r.err == nil; i++ {
+		r.varint()
+		r.varint()
+		r.varint()
+		locals += r.skipVarints()
+		masks += r.skipVarints()
+	}
+	return locals, sims, masks, r.err == nil
+}
+
+// projection decodes the projection section, cutting every set's local
+// IDs, similarities and masks from one slab per element type.
 func (r *binReader) projection(req *MatchRequest) {
+	var locals []int32
+	var sims []float64
+	var masks []uint64
+	if nl, ns, nm, ok := r.projectionCounts(); ok {
+		locals, sims, masks = make([]int32, nl), make([]float64, ns), make([]uint64, nm)
+	}
 	req.HasCandidates = r.bool()
 	if n, ok := r.slice(); ok {
 		req.Candidates = make([]WireCandidateSet, n)
 		for i := range req.Candidates {
-			req.Candidates[i] = WireCandidateSet{Local: r.i32s(), Sims: r.f64s()}
+			req.Candidates[i] = WireCandidateSet{Local: varints(r, &locals), Sims: r.f64s(&sims)}
 		}
 	}
 	req.HasClusters = r.bool()
@@ -393,58 +547,79 @@ func (r *binReader) projection(req *MatchRequest) {
 				ID:     int(r.varint()),
 				TreeID: int(r.varint()),
 				Medoid: int32(r.varint()),
-				Local:  r.i32s(),
-				Masks:  r.u64s(),
+				Local:  varints(r, &locals),
+				Masks:  r.u64s(&masks),
 			}
 		}
 	}
 	req.Iterations = int(r.varint())
 }
 
-func (w *binWriter) score(s WireScore) {
-	w.f64(s.Delta)
-	w.f64(s.Sim)
-	w.f64(s.Path)
-	w.varint(int64(s.Et))
+func appendScore(b []byte, s WireScore) []byte {
+	b = appendF64(b, s.Delta)
+	b = appendF64(b, s.Sim)
+	b = appendF64(b, s.Path)
+	return binary.AppendVarint(b, int64(s.Et))
 }
+
+func scoreSize(s WireScore) int { return 3*8 + varintSize(int64(s.Et)) }
 
 func (r *binReader) score() WireScore {
 	return WireScore{Delta: r.f64(), Sim: r.f64(), Path: r.f64(), Et: int(r.varint())}
 }
 
-func (w *binWriter) report(rep WireReport) {
-	w.varint(int64(rep.Variant))
-	w.varint(int64(rep.MappingElements))
-	w.varint(int64(rep.Clusters))
-	w.varint(int64(rep.UsefulClusters))
-	w.f64(rep.AvgElementsPerUsefulCluster)
-	w.ints(rep.ClusterSizes)
-	w.varint(int64(rep.Iterations))
-	w.f64(rep.Counters.SearchSpace)
-	w.varint(rep.Counters.PartialMappings)
-	w.varint(rep.Counters.CompleteMappings)
-	w.varint(rep.Counters.Found)
-	w.varint(int64(rep.Counters.UsefulClusters))
-	w.slice(len(rep.Mappings), rep.Mappings == nil)
+func appendReport(b []byte, rep *WireReport) []byte {
+	b = binary.AppendVarint(b, int64(rep.Variant))
+	b = binary.AppendVarint(b, int64(rep.MappingElements))
+	b = binary.AppendVarint(b, int64(rep.Clusters))
+	b = binary.AppendVarint(b, int64(rep.UsefulClusters))
+	b = appendF64(b, rep.AvgElementsPerUsefulCluster)
+	b = appendVarints(b, rep.ClusterSizes)
+	b = binary.AppendVarint(b, int64(rep.Iterations))
+	b = appendF64(b, rep.Counters.SearchSpace)
+	b = binary.AppendVarint(b, rep.Counters.PartialMappings)
+	b = binary.AppendVarint(b, rep.Counters.CompleteMappings)
+	b = binary.AppendVarint(b, rep.Counters.Found)
+	b = binary.AppendVarint(b, int64(rep.Counters.UsefulClusters))
+	b = appendSlice(b, len(rep.Mappings), rep.Mappings == nil)
 	for _, m := range rep.Mappings {
-		w.i32s(m.Local)
-		w.f64s(m.Sims)
-		w.score(m.Score)
-		w.varint(int64(m.ClusterID))
+		b = appendVarints(b, m.Local)
+		b = appendF64s(b, m.Sims)
+		b = appendScore(b, m.Score)
+		b = binary.AppendVarint(b, int64(m.ClusterID))
 	}
-	w.slice(len(rep.Partials), rep.Partials == nil)
+	b = appendSlice(b, len(rep.Partials), rep.Partials == nil)
 	for _, p := range rep.Partials {
-		w.i32s(p.Local)
-		w.f64s(p.Sims)
-		w.uvarint(p.CoveredMask)
-		w.varint(int64(p.Covered))
-		w.score(p.Score)
-		w.varint(int64(p.ClusterID))
+		b = appendVarints(b, p.Local)
+		b = appendF64s(b, p.Sims)
+		b = binary.AppendUvarint(b, p.CoveredMask)
+		b = binary.AppendVarint(b, int64(p.Covered))
+		b = appendScore(b, p.Score)
+		b = binary.AppendVarint(b, int64(p.ClusterID))
 	}
-	w.varint(rep.MatchNS)
-	w.varint(rep.ClusterNS)
-	w.varint(rep.GenNS)
-	w.varint(int64(rep.FirstGoodAfter))
+	b = binary.AppendVarint(b, rep.MatchNS)
+	b = binary.AppendVarint(b, rep.ClusterNS)
+	b = binary.AppendVarint(b, rep.GenNS)
+	return binary.AppendVarint(b, int64(rep.FirstGoodAfter))
+}
+
+func reportSize(rep *WireReport) int {
+	size := varintSize(int64(rep.Variant)) + varintSize(int64(rep.MappingElements)) +
+		varintSize(int64(rep.Clusters)) + varintSize(int64(rep.UsefulClusters)) + 8 +
+		varintsSize(rep.ClusterSizes) + varintSize(int64(rep.Iterations)) + 8 +
+		varintSize(rep.Counters.PartialMappings) + varintSize(rep.Counters.CompleteMappings) +
+		varintSize(rep.Counters.Found) + varintSize(int64(rep.Counters.UsefulClusters)) +
+		sliceSize(len(rep.Mappings), rep.Mappings == nil) + sliceSize(len(rep.Partials), rep.Partials == nil) +
+		varintSize(rep.MatchNS) + varintSize(rep.ClusterNS) + varintSize(rep.GenNS) +
+		varintSize(int64(rep.FirstGoodAfter))
+	for _, m := range rep.Mappings {
+		size += varintsSize(m.Local) + f64sSize(m.Sims) + scoreSize(m.Score) + varintSize(int64(m.ClusterID))
+	}
+	for _, p := range rep.Partials {
+		size += varintsSize(p.Local) + f64sSize(p.Sims) + uvarintSize(p.CoveredMask) +
+			varintSize(int64(p.Covered)) + scoreSize(p.Score) + varintSize(int64(p.ClusterID))
+	}
+	return size
 }
 
 func (r *binReader) report() WireReport {
@@ -455,7 +630,7 @@ func (r *binReader) report() WireReport {
 		UsefulClusters:  int(r.varint()),
 	}
 	rep.AvgElementsPerUsefulCluster = r.f64()
-	rep.ClusterSizes = r.ints()
+	rep.ClusterSizes = varints[int](r, nil)
 	rep.Iterations = int(r.varint())
 	rep.Counters.SearchSpace = r.f64()
 	rep.Counters.PartialMappings = r.varint()
@@ -466,8 +641,8 @@ func (r *binReader) report() WireReport {
 		rep.Mappings = make([]WireMapping, n)
 		for i := range rep.Mappings {
 			rep.Mappings[i] = WireMapping{
-				Local: r.i32s(),
-				Sims:  r.f64s(),
+				Local: varints[int32](r, nil),
+				Sims:  r.f64s(nil),
 				Score: r.score(),
 			}
 			rep.Mappings[i].ClusterID = int(r.varint())
@@ -477,8 +652,8 @@ func (r *binReader) report() WireReport {
 		rep.Partials = make([]WirePartial, n)
 		for i := range rep.Partials {
 			rep.Partials[i] = WirePartial{
-				Local:       r.i32s(),
-				Sims:        r.f64s(),
+				Local:       varints[int32](r, nil),
+				Sims:        r.f64s(nil),
 				CoveredMask: r.uvarint(),
 				Covered:     int(r.varint()),
 				Score:       r.score(),
@@ -493,20 +668,33 @@ func (r *binReader) report() WireReport {
 	return rep
 }
 
-func (w *binWriter) spans(spans []WireSpan) {
-	w.slice(len(spans), spans == nil)
+func appendSpans(b []byte, spans []WireSpan) []byte {
+	b = appendSlice(b, len(spans), spans == nil)
 	for _, s := range spans {
-		w.str(s.ID)
-		w.str(s.Parent)
-		w.str(s.Name)
-		w.varint(s.StartNS)
-		w.varint(s.DurNS)
-		w.slice(len(s.Attrs), s.Attrs == nil)
+		b = appendStr(b, s.ID)
+		b = appendStr(b, s.Parent)
+		b = appendStr(b, s.Name)
+		b = binary.AppendVarint(b, s.StartNS)
+		b = binary.AppendVarint(b, s.DurNS)
+		b = appendSlice(b, len(s.Attrs), s.Attrs == nil)
 		for _, a := range s.Attrs {
-			w.str(a.Key)
-			w.str(a.Value)
+			b = appendStr(b, a.Key)
+			b = appendStr(b, a.Value)
 		}
 	}
+	return b
+}
+
+func spansSize(spans []WireSpan) int {
+	size := sliceSize(len(spans), spans == nil)
+	for _, s := range spans {
+		size += strSize(s.ID) + strSize(s.Parent) + strSize(s.Name) +
+			varintSize(s.StartNS) + varintSize(s.DurNS) + sliceSize(len(s.Attrs), s.Attrs == nil)
+		for _, a := range s.Attrs {
+			size += strSize(a.Key) + strSize(a.Value)
+		}
+	}
+	return size
 }
 
 func (r *binReader) spans() []WireSpan {
@@ -544,32 +732,68 @@ const (
 // format. The result decodes back to a structurally identical
 // MatchRequest (including nil-vs-empty slice distinctions).
 func EncodeBinaryMatchRequest(req *MatchRequest) []byte {
-	w := &binWriter{b: make([]byte, 0, 256)}
-	w.u8(binaryVersion)
+	b, _, _ := encodeRequest(req)
+	return b
+}
+
+// encodeRequest renders req into a buffer of its exact size. hashAt is
+// where the bytes of the ProjectionHash string start, proj where the
+// projection section starts (len(b) for a slim request).
+func encodeRequest(req *MatchRequest) (b []byte, hashAt, proj int) {
+	size := 2 + descriptorSize(req.Descriptor) + treeSize(req.Personal) + strSize(req.Signature) +
+		strSize(req.ProjectionHash) + optionsSize(req.Options)
+	if !req.ProjectionRef {
+		size += projectionSize(req)
+	}
+	b = make([]byte, 0, size)
 	var flags byte
 	if req.ProjectionRef {
 		flags |= binFlagProjectionRef
 	}
-	w.u8(flags)
-	w.descriptor(req.Descriptor)
-	w.tree(req.Personal)
-	w.str(req.Signature)
-	w.str(req.ProjectionHash)
-	w.options(req.Options)
+	b = append(b, binaryVersion, flags)
+	b = appendDescriptor(b, req.Descriptor)
+	b = appendTree(b, req.Personal)
+	b = appendStr(b, req.Signature)
+	hashAt = len(b) + uvarintSize(uint64(len(req.ProjectionHash)))
+	b = appendStr(b, req.ProjectionHash)
+	b = appendOptions(b, req.Options)
+	proj = len(b)
 	if !req.ProjectionRef {
-		w.projection(req)
+		b = appendProjection(b, req)
 	}
-	return w.b
+	return b, hashAt, proj
+}
+
+// encodeDigestedRequest renders a full request whose projection digest is
+// not known yet and stamps it with that digest, in one pass over the
+// projection: every digest has the same width, so the header reserves the
+// digest's bytes and they are filled in once the section is written and
+// hashed. It sets req.ProjectionHash, and the body is byte-identical to
+// EncodeBinaryMatchRequest(req) from then on.
+func encodeDigestedRequest(req *MatchRequest) []byte {
+	req.ProjectionHash = reservedDigest
+	b, hashAt, proj := encodeRequest(req)
+	req.ProjectionHash = projectionDigest(req, b[proj:])
+	copy(b[hashAt:], req.ProjectionHash)
+	return b
 }
 
 // DecodeBinaryMatchRequest parses a binary match request body.
 func DecodeBinaryMatchRequest(b []byte) (*MatchRequest, error) {
+	req, _, err := decodeRequest(b)
+	return req, err
+}
+
+// decodeRequest parses a binary match request body and reports where its
+// projection section starts (len(b) for a slim request), so the digest can
+// be checked over the bytes as received.
+func decodeRequest(b []byte) (req *MatchRequest, proj int, err error) {
 	r := &binReader{b: b}
 	if v := r.u8(); r.err == nil && v != binaryVersion {
-		return nil, fmt.Errorf("shardrpc: binary: unsupported wire version %d (want %d)", v, binaryVersion)
+		return nil, 0, fmt.Errorf("shardrpc: binary: unsupported wire version %d (want %d)", v, binaryVersion)
 	}
 	flags := r.u8()
-	req := &MatchRequest{
+	req = &MatchRequest{
 		Descriptor:     r.descriptor(),
 		Personal:       r.tree(),
 		Signature:      r.str(),
@@ -577,26 +801,26 @@ func DecodeBinaryMatchRequest(b []byte) (*MatchRequest, error) {
 		Options:        r.options(),
 		ProjectionRef:  flags&binFlagProjectionRef != 0,
 	}
+	proj = r.off
 	if !req.ProjectionRef {
 		r.projection(req)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, 0, r.err
 	}
 	if r.off != len(b) {
-		return nil, fmt.Errorf("shardrpc: binary: %d trailing bytes after match request", len(b)-r.off)
+		return nil, 0, fmt.Errorf("shardrpc: binary: %d trailing bytes after match request", len(b)-r.off)
 	}
-	return req, nil
+	return req, proj, nil
 }
 
 // EncodeBinaryMatchResponse renders a match response in the binary wire
 // format.
 func EncodeBinaryMatchResponse(resp *MatchResponse) []byte {
-	w := &binWriter{b: make([]byte, 0, 256)}
-	w.u8(binaryVersion)
-	w.report(resp.Report)
-	w.spans(resp.Spans)
-	return w.b
+	b := make([]byte, 0, 1+reportSize(&resp.Report)+spansSize(resp.Spans))
+	b = append(b, binaryVersion)
+	b = appendReport(b, &resp.Report)
+	return appendSpans(b, resp.Spans)
 }
 
 // DecodeBinaryMatchResponse parses a binary match response body.
@@ -616,11 +840,13 @@ func DecodeBinaryMatchResponse(b []byte) (*MatchResponse, error) {
 }
 
 // ProjectionDigest content-addresses a request's projected pre-pass
-// payload: a hash over the BINARY encoding of (HasCandidates, Candidates,
-// HasClusters, Clusters, Iterations). Both sides compute it from wire
-// structs. The shard recomputes the digest over every full payload it
-// caches, so a corrupt or mislabelled projection is rejected (400) instead
-// of poisoning the cache.
+// payload: the SHA-256 (first 16 bytes, hex) of the binary encoding of
+// (HasCandidates, Candidates, HasClusters, Clusters, Iterations) — the
+// projection section of a full request body, with an empty top-level list
+// written as nil. The client hashes the section it sends and the shard the
+// section it receives (projectionDigest); for every body the encoder
+// produces both equal this value, and the shard rejects (400) a payload
+// that hashes to anything else instead of caching it.
 func ProjectionDigest(req *MatchRequest) string {
 	// Canonicalize the top-level nil-vs-empty distinction before hashing:
 	// an empty-but-non-nil slice (a zero-cluster projection) and nil — what
@@ -634,8 +860,25 @@ func ProjectionDigest(req *MatchRequest) string {
 	if len(c.Clusters) == 0 {
 		c.Clusters = nil
 	}
-	w := &binWriter{b: make([]byte, 0, 512)}
-	w.projection(&c)
-	sum := sha256.Sum256(w.b)
+	return digestOf(appendProjection(make([]byte, 0, projectionSize(&c)), &c))
+}
+
+// projectionDigest is ProjectionDigest(req) computed from the bytes of
+// req's projection section: their hash, so a section that encodes the
+// right values non-canonically does not match. The exception is a
+// top-level list that is empty but non-nil — the one case ProjectionDigest
+// canonicalises — where the section is re-encoded from req.
+func projectionDigest(req *MatchRequest, section []byte) string {
+	if (req.Candidates != nil && len(req.Candidates) == 0) || (req.Clusters != nil && len(req.Clusters) == 0) {
+		return ProjectionDigest(req)
+	}
+	return digestOf(section)
+}
+
+func digestOf(section []byte) string {
+	sum := sha256.Sum256(section)
 	return hex.EncodeToString(sum[:16])
 }
+
+// reservedDigest holds a digest's place in a body until the digest is known.
+var reservedDigest = string(make([]byte, hex.EncodedLen(16)))

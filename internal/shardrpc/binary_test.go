@@ -1,6 +1,8 @@
 package shardrpc
 
 import (
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -48,6 +50,37 @@ func binTestRequest() *MatchRequest {
 	return req
 }
 
+// binTestRequests are the request shapes of the codec tests: the full
+// request, its slim form, empty-but-present and nil projection lists (the
+// digest's canonicalised case and its plain twin), and a request with no
+// projection staged.
+func binTestRequests() map[string]*MatchRequest {
+	full := binTestRequest()
+	slim := *full
+	slim.ProjectionRef = true
+	slim.HasCandidates, slim.Candidates = false, nil
+	slim.HasClusters, slim.Clusters = false, nil
+	slim.Iterations = 0
+	noClusters := *full
+	noClusters.Clusters = []WireCluster{}
+	nilClusters := *full
+	nilClusters.Clusters = nil
+	noCandidates := *full
+	noCandidates.Candidates = []WireCandidateSet{}
+	unstaged := *full
+	unstaged.HasCandidates, unstaged.Candidates, unstaged.HasClusters, unstaged.Clusters = false, nil, false, nil
+	reqs := map[string]*MatchRequest{
+		"full": full, "slim": &slim, "empty clusters": &noClusters, "nil clusters": &nilClusters,
+		"empty candidates": &noCandidates, "unstaged": &unstaged,
+	}
+	for _, r := range reqs {
+		if !r.ProjectionRef {
+			r.ProjectionHash = ProjectionDigest(r)
+		}
+	}
+	return reqs
+}
+
 func binTestResponse() *MatchResponse {
 	return &MatchResponse{
 		Report: WireReport{
@@ -80,6 +113,18 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, req) {
 		t.Fatalf("binary round trip drifted:\n%+v\nvs\n%+v", got, req)
+	}
+	// The decoded sets share slabs, each capped at its length, so
+	// appending to one cannot overwrite the next.
+	for i, s := range got.Candidates {
+		if cap(s.Local) != len(s.Local) || cap(s.Sims) != len(s.Sims) {
+			t.Errorf("candidate set %d: capacities %d/%d exceed lengths %d/%d", i, cap(s.Local), cap(s.Sims), len(s.Local), len(s.Sims))
+		}
+	}
+	for i, c := range got.Clusters {
+		if cap(c.Local) != len(c.Local) || cap(c.Masks) != len(c.Masks) {
+			t.Errorf("cluster %d: capacities %d/%d exceed lengths %d/%d", i, cap(c.Local), cap(c.Masks), len(c.Local), len(c.Masks))
+		}
 	}
 
 	var jsonTripped MatchRequest
@@ -130,6 +175,78 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, resp) {
 		t.Fatalf("binary round trip drifted:\n%+v\nvs\n%+v", got, resp)
+	}
+}
+
+// TestBinaryBodiesPinned pins the version-4 bytes of binTestRequest (full
+// and slim) and binTestResponse, and two digests, so a change to the
+// encoders cannot move the wire format unnoticed.
+func TestBinaryBodiesPinned(t *testing.T) {
+	reqs := binTestRequests()
+	pins := []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"full request", EncodeBinaryMatchRequest(reqs["full"]), "0400020809636c7573746572656404060e18b80608616162626363646408706572736f6e616c04000004626f6f6b000200057469746c6506737472696e670201046973626e06737472696e67057369672d31203335626664353066383939636638386266373433383130653335633335613663000000000000e03f00000000000000409a9999999999e93f333333333333d33f0a0405746f6b656e0470617468000000000000d03f0b0106021208000000000000e83f0104040812f001041f85eb51b81eed3f000000000000e03f000000000000d03f0000020002000000000000f03f010300040e030e10030305020a0101010c"},
+		{"slim request", EncodeBinaryMatchRequest(reqs["slim"]), "0401020809636c7573746572656404060e18b80608616162626363646408706572736f6e616c04000004626f6f6b000200057469746c6506737472696e670201046973626e06737472696e67057369672d31203335626664353066383939636638386266373433383130653335633335613663000000000000e03f00000000000000409a9999999999e93f333333333333d33f0a0405746f6b656e0470617468000000000000d03f0b0106021208000000000000e83f"},
+		{"response", EncodeBinaryMatchResponse(binTestResponse()), "0404060804000000000000f83f050400020206000000000000604022080804020402040604000000000000f03f000000000000e03f000000000000d03fcdccccccccccec3f9a9999999999e93f666666666666e63f0604020402010604000000000000f03f0000000000000000000000000000d03f05049a9999999999d93f333333333333d33f9a9999999999c93f0400f2c001cc0a868e0b0403026131000b73686172642e7365727665c801880e02016b01760262320261310b73746167652e6d61746368ac02d80400"},
+	}
+	for _, p := range pins {
+		if got := hex.EncodeToString(p.got); got != p.want {
+			t.Errorf("%s:\n got %s\nwant %s", p.name, got, p.want)
+		}
+	}
+	if d := reqs["full"].ProjectionHash; d != "35bfd50f899cf88bf743810e35c35a6c" {
+		t.Errorf("digest %s moved", d)
+	}
+	if d := reqs["empty clusters"].ProjectionHash; d != "25499f3d79815f2ca3810f75d8198fbf" {
+		t.Errorf("empty-clusters digest %s moved", d)
+	}
+}
+
+// TestBinaryBodiesSizedExactly: every encoder sizes its buffer to the body
+// it writes, so no body grows or carries spare capacity.
+func TestBinaryBodiesSizedExactly(t *testing.T) {
+	for name, req := range binTestRequests() {
+		if b := EncodeBinaryMatchRequest(req); cap(b) != len(b) {
+			t.Errorf("%s: %d-byte body in a %d-byte buffer", name, len(b), cap(b))
+		}
+		if d := ProjectionDigest(req); d == "" {
+			t.Errorf("%s: empty digest", name)
+		}
+	}
+	if b := EncodeBinaryMatchResponse(binTestResponse()); cap(b) != len(b) {
+		t.Errorf("response: %d-byte body in a %d-byte buffer", len(b), cap(b))
+	}
+}
+
+// TestClientBodyMatchesEncoder: for every codec-test request with a
+// projection, the client's one-pass body — the projection written once,
+// its digest filled in after — is EncodeBinaryMatchRequest's byte for byte,
+// the digest is ProjectionDigest's, and the shard's check over the section
+// as received agrees.
+func TestClientBodyMatchesEncoder(t *testing.T) {
+	for name, req := range binTestRequests() {
+		if req.ProjectionRef {
+			continue
+		}
+		client := *req
+		client.ProjectionHash = ""
+		body := encodeDigestedRequest(&client)
+		if client.ProjectionHash != req.ProjectionHash {
+			t.Errorf("%s: client digest %q, want %q", name, client.ProjectionHash, req.ProjectionHash)
+		}
+		if !bytes.Equal(body, EncodeBinaryMatchRequest(req)) {
+			t.Errorf("%s: client body differs from the encoder's", name)
+		}
+		dec, proj, err := decodeRequest(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := projectionDigest(dec, body[proj:]); got != req.ProjectionHash {
+			t.Errorf("%s: received section hashes to %q, want %q", name, got, req.ProjectionHash)
+		}
 	}
 }
 

@@ -210,8 +210,10 @@ func (e *encodedRequest) encodeProjection() error {
 // pre-pass path — the projected candidates and clusters ship in local-ID
 // space and the remote shard runs generation only; the zero Staged asks for
 // the remote shard's full pipeline. The projection's digest is computed once
-// per staged digest cell: a repeat that finds it there and goes slim encodes
-// no projection at all.
+// per staged digest cell, as the hash of the full body's projection section
+// while that body is written: a cold request encodes its projection once,
+// and a repeat that finds the digest in the cell and goes slim encodes no
+// projection at all.
 func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*encodedRequest, error) {
 	if personal == nil || personal.Root() == nil {
 		return nil, fmt.Errorf("shardrpc: nil personal schema")
@@ -248,7 +250,8 @@ func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts p
 			if err := enc.encodeProjection(); err != nil {
 				return nil, err
 			}
-			h := ProjectionDigest(&enc.req)
+			enc.full = encodeDigestedRequest(&enc.req)
+			h := enc.req.ProjectionHash
 			enc.hash = h
 			if staged.Digest != nil {
 				staged.Digest.CompareAndSwap(nil, &h)
@@ -333,7 +336,7 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 
 	decStart := time.Now()
 	_, dsp := trace.StartSpan(rctx, "rpc.decode")
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxMatchBody))
+	raw, err := readBody(io.LimitReader(resp.Body, maxMatchBody), resp.ContentLength)
 	var mr *MatchResponse
 	if err == nil {
 		mr, err = DecodeBinaryMatchResponse(raw)

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"reflect"
+	"strings"
 	"testing"
 
 	"bellflower/internal/matcher"
@@ -251,6 +253,36 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	forged.ProjectionHash = "forged"
 	if resp := postRaw(t, ts2.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&forged)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("digest mismatch: %d, want 400", resp.StatusCode)
+	}
+
+	// The digest is checked over the bytes received, not over a re-encoding
+	// of what they decode to: a projection whose last varint (Iterations) is
+	// padded to a non-minimal two bytes decodes to the valid structs under
+	// the valid claim, yet is a 400 — and is not cached, so a fresh shard
+	// still answers a reference to that digest 428.
+	valid := EncodeBinaryMatchRequest(&enc.req)
+	last := valid[len(valid)-1]
+	if last >= 0x80 {
+		t.Fatalf("Iterations varint ends in %#x, not a one-byte varint", last)
+	}
+	padded := append(valid[:len(valid)-1:len(valid)-1], last|0x80, 0x00)
+	want, err := DecodeBinaryMatchRequest(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeBinaryMatchRequest(padded); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("padded body does not decode to the valid request: %v", err)
+	}
+	ts3 := shardUnderTest(t)
+	resp := postRaw(t, ts3.srv, ContentTypeBinary, padded)
+	var e errorJSON
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(e.Error, "projection digest mismatch") {
+		t.Errorf("padded projection: %d %q, want 400 projection digest mismatch", resp.StatusCode, e.Error)
+	}
+	slim.ProjectionHash = enc.hash
+	if resp := postRaw(t, ts3.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&slim)); resp.StatusCode != http.StatusPreconditionRequired {
+		t.Errorf("reference after the rejected padded body: %d, want 428 (nothing cached)", resp.StatusCode)
 	}
 }
 

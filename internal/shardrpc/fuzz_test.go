@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -282,6 +283,23 @@ func FuzzShardWire(f *testing.F) {
 			}
 			if d := ProjectionDigest(&jdec); d != breq.ProjectionHash {
 				t.Fatalf("projection digest drifted over JSON: %q vs %q", d, breq.ProjectionHash)
+			}
+			// The client's one-pass body and digest are the encoder's, and
+			// the shard's check over the section as received agrees with
+			// ProjectionDigest — through the empty-list fallback whenever
+			// the view owns no cluster.
+			body := EncodeBinaryMatchRequest(breq)
+			client := *breq
+			client.ProjectionHash = ""
+			if got := encodeDigestedRequest(&client); !bytes.Equal(got, body) || client.ProjectionHash != breq.ProjectionHash {
+				t.Fatalf("client body or digest %q differs from the encoder's (digest %q)", client.ProjectionHash, breq.ProjectionHash)
+			}
+			sreq, proj, err := decodeRequest(body)
+			if err != nil {
+				t.Fatalf("binary request decode: %v", err)
+			}
+			if d := projectionDigest(sreq, body[proj:]); d != breq.ProjectionHash {
+				t.Fatalf("shard's check over the received section gives %q, want %q", d, breq.ProjectionHash)
 			}
 
 			bresp := &MatchResponse{Report: wr}

@@ -1,10 +1,13 @@
 package shardrpc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,6 +199,153 @@ func TestHotEncodeAllocsFlat(t *testing.T) {
 	if few != many || many > ceiling {
 		t.Fatalf("hot encode allocs: %v for %d candidates, %v for %d; want equal and at most %d",
 			few, nFew, many, nMany, ceiling)
+	}
+}
+
+// paperCold is one cold request at the paper's scale, projected onto every
+// shard of the default two-way partition the way the router's pre-pass
+// projects it, with a client per shard that only encodes.
+type paperCold struct {
+	personal *schema.Tree
+	opts     pipeline.Options
+	staged   []serve.Staged // no digest cells: every encode is cold
+	clients  []*RemoteShard
+}
+
+func newPaperCold(tb testing.TB) *paperCold {
+	tb.Helper()
+	repo := repogen.MustGenerate(repogen.DefaultConfig())
+	ix := labeling.NewIndex(repo)
+	views := serve.PartitionRepositoryViews(ix, 2, serve.PartitionClustered)
+	pc := &paperCold{personal: schema.MustParseSpec("address(name,email,phone,city)"), opts: pipeline.DefaultOptions()}
+	cands := matcher.FindCandidates(pc.personal, repo, matcher.NameMatcher{}, matcher.Config{MinSim: pc.opts.MinSim})
+	clusters, iterations, err := pipeline.ComputeClusters(ix, cands, pc.opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, v := range views {
+		pc.staged = append(pc.staged, serve.Staged{
+			Cands:      cands.Restrict(v.Contains),
+			Clusters:   clustersForView(v, clusters),
+			Iterations: iterations,
+		})
+		// Encoding never dials; the address only names the client.
+		rs := NewRemoteShard("shard.invalid", v, ViewDescriptor(v, i, len(views), serve.PartitionClustered), RemoteShardConfig{})
+		tb.Cleanup(rs.Close)
+		pc.clients = append(pc.clients, rs)
+	}
+	return pc
+}
+
+// encode runs a cold encode of shard i's request.
+func (pc *paperCold) encode(tb testing.TB, i int) *encodedRequest {
+	tb.Helper()
+	enc, err := pc.clients[i].encode(context.Background(), pc.personal, pc.opts, pc.staged[i])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
+// call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestColdBodiesMatchEncoder: at the paper's scale the client's one-pass
+// full body of each shard's cold request is EncodeBinaryMatchRequest's, byte
+// for byte, and the digest it sends is ProjectionDigest's — shard 1, which
+// owns no cluster, through the empty-list fallback — and the shard's check
+// over the received section agrees.
+func TestColdBodiesMatchEncoder(t *testing.T) {
+	pc := newPaperCold(t)
+	for i := range pc.staged {
+		enc := pc.encode(t, i)
+		if !bytes.Equal(enc.full, EncodeBinaryMatchRequest(&enc.req)) {
+			t.Fatalf("shard %d: the client's full body differs from the encoder's", i)
+		}
+		want := ProjectionDigest(&enc.req)
+		if enc.hash != want || enc.req.ProjectionHash != want {
+			t.Fatalf("shard %d: client digest %q (request carries %q), want %q", i, enc.hash, enc.req.ProjectionHash, want)
+		}
+		req, proj, err := decodeRequest(enc.full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := projectionDigest(req, enc.full[proj:]); got != want {
+			t.Fatalf("shard %d: the received section hashes to %q, want %q", i, got, want)
+		}
+	}
+	if cl := pc.staged[1].Clusters; len(cl) != 0 {
+		t.Fatalf("shard 1 owns %d clusters: the request no longer covers the empty-list digest", len(cl))
+	}
+}
+
+// TestColdWireAllocs: at the paper's scale a cold request's ~35 KB body to
+// shard 0 costs the router's encode at most half the 369,597 bytes it cost
+// when the projection was encoded twice (for the digest, then for the body)
+// into buffers that grew by doubling, and the shard's decode plus digest
+// check at most half the 218,162 bytes they cost when the check re-encoded
+// the decoded structs.
+func TestColdWireAllocs(t *testing.T) {
+	pc := newPaperCold(t)
+	var enc *encodedRequest
+	encBytes := bytesPerRun(10, func() { enc = pc.encode(t, 0) })
+	body := enc.full
+	if n := len(body); n < 30<<10 || n > 40<<10 {
+		t.Fatalf("shard 0 body is %d bytes, want the ~35 KB request", n)
+	}
+	decBytes := bytesPerRun(10, func() {
+		req, proj, err := decodeRequest(body)
+		if err != nil || projectionDigest(req, body[proj:]) != req.ProjectionHash {
+			t.Fatalf("decode: %v, or the digest check failed", err)
+		}
+	})
+	t.Logf("%d-byte body: encode %.0f B, decode and verify %.0f B", len(body), encBytes, decBytes)
+	if encBytes > 369597/2 {
+		t.Errorf("cold encode allocates %.0f bytes, want at most %d", encBytes, 369597/2)
+	}
+	if decBytes > 218162/2 {
+		t.Errorf("decode and digest check allocate %.0f bytes, want at most %d", decBytes, 218162/2)
+	}
+}
+
+// BenchmarkRouterColdRemote is a distinct request per op through a router
+// over two remote shards at the paper's scale: each op runs the pre-pass,
+// ships each shard its full projection over loopback HTTP, and each shard
+// decodes, verifies and caches it and generates over it.
+func BenchmarkRouterColdRemote(b *testing.B) {
+	repo := repogen.MustGenerate(repogen.DefaultConfig())
+	rr := newRemoteRouter(b, func() *schema.Repository { return repo }, 2)
+	// Every op varies the root and last child over the repository's
+	// vocabulary, so no two ops share a pre-pass entry or a projection.
+	seen := map[string]bool{}
+	var names []string
+	for _, n := range repo.Nodes() {
+		if !seen[n.Name] {
+			seen[n.Name] = true
+			names = append(names, n.Name)
+		}
+	}
+	sort.Strings(names)
+	opts := pipeline.DefaultOptions()
+	opts.TopN = 10
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec := fmt.Sprintf("%s(name,email,%s)", names[i%len(names)], names[(i/len(names)+7*i)%len(names)])
+		if _, err := rr.Match(context.Background(), schema.MustParseSpec(spec), opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

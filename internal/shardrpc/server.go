@@ -8,6 +8,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 
 	"bellflower/internal/labeling"
@@ -167,13 +168,13 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	_, dsp := trace.StartSpan(ctx, "decode")
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
 		fail(dsp, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
 	s.in.Add(int64(len(body)))
-	req, err := DecodeBinaryMatchRequest(body)
+	req, proj, err := decodeRequest(body)
 	if err != nil {
 		fail(dsp, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -208,7 +209,7 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	staged, status, msg := s.stagedFor(req, personal)
+	staged, status, msg := s.stagedFor(req, personal, body[proj:])
 	if status != 0 {
 		fail(dsp, status, msg)
 		return
@@ -241,15 +242,17 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 	b := EncodeBinaryMatchResponse(&resp)
 	s.out.Add(int64(len(b)))
 	w.Header().Set("Content-Type", ContentTypeBinary)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
 }
 
 // stagedFor resolves what the request stages: a projection reference out of
 // the projection cache, an inlined projection by decoding (and caching) it,
-// the zero Staged when the request asks for the full pipeline. A non-zero
-// status is the rejection to answer with.
-func (s *ShardServer) stagedFor(req *MatchRequest, personal *schema.Tree) (staged serve.Staged, status int, msg string) {
+// the zero Staged when the request asks for the full pipeline. section is
+// the projection section of the body as received. A non-zero status is the
+// rejection to answer with.
+func (s *ShardServer) stagedFor(req *MatchRequest, personal *schema.Tree, section []byte) (staged serve.Staged, status int, msg string) {
 	if req.ProjectionRef {
 		// The request references its projection by content address instead
 		// of shipping it. Resolve or ask for the payload — 428 tells the
@@ -276,9 +279,11 @@ func (s *ShardServer) stagedFor(req *MatchRequest, personal *schema.Tree) (stage
 	}
 	// A full payload carrying a content address must actually hash to it —
 	// self-verifying, so a corrupt or mislabelled projection is rejected
-	// instead of cached under the wrong key.
+	// instead of cached under the wrong key. The hash is over the bytes as
+	// received, so a section that decodes to the right structs through a
+	// non-canonical encoding is rejected too.
 	if req.ProjectionHash != "" {
-		if got := ProjectionDigest(req); got != req.ProjectionHash {
+		if got := projectionDigest(req, section); got != req.ProjectionHash {
 			return staged, http.StatusBadRequest,
 				fmt.Sprintf("projection digest mismatch: payload hashes to %s, request claims %s", got, req.ProjectionHash)
 		}
@@ -298,6 +303,20 @@ func (s *ShardServer) stagedFor(req *MatchRequest, personal *schema.Tree) (stage
 		s.projc.Put(req.ProjectionHash, staged)
 	}
 	return staged, 0, ""
+}
+
+// readBody reads a match body into one buffer of its declared length n. An
+// unknown length (-1), or one above maxMatchBody, is read to EOF instead,
+// within whatever bound r applies.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > maxMatchBody {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // HandleStats serves GET /v1/shard/stats: the shard's instrumentation

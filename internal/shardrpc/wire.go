@@ -378,18 +378,19 @@ type WireCandidateSet struct {
 
 // EncodeCandidates translates a candidate set (already restricted to the
 // view) into local-ID wire form. A candidate outside the view is an
-// encoding error — it would silently vanish from the shard's result.
+// encoding error — it would silently vanish from the shard's result. Every
+// set's arrays are cut from one slab per element type; a set without
+// candidates keeps nil arrays.
 func EncodeCandidates(v *labeling.View, c *matcher.Candidates) ([]WireCandidateSet, error) {
 	out := make([]WireCandidateSet, len(c.Sets))
+	total := c.TotalMappingElements()
+	locals, sims := make([]int32, total), make([]float64, total)
 	for i := range c.Sets {
 		elems := c.Sets[i].Elems
 		if len(elems) == 0 {
 			continue
 		}
-		ws := WireCandidateSet{
-			Local: make([]int32, len(elems)),
-			Sims:  make([]float64, len(elems)),
-		}
+		ws := WireCandidateSet{Local: cut(&locals, len(elems)), Sims: cut(&sims, len(elems))}
 		for j, cand := range elems {
 			lid := v.LocalID(cand.Node)
 			if lid < 0 {
@@ -404,7 +405,8 @@ func EncodeCandidates(v *labeling.View, c *matcher.Candidates) ([]WireCandidateS
 }
 
 // DecodeCandidates rebuilds a candidate set against the shard's own view,
-// bound to the decoded personal tree.
+// bound to the decoded personal tree. Every set's candidates are cut from
+// one slab; a set without candidates keeps nil.
 func DecodeCandidates(v *labeling.View, personal *schema.Tree, sets []WireCandidateSet) (*matcher.Candidates, error) {
 	if len(sets) != personal.Len() {
 		return nil, fmt.Errorf("shardrpc: %d candidate sets for a %d-node personal schema", len(sets), personal.Len())
@@ -413,6 +415,11 @@ func DecodeCandidates(v *labeling.View, personal *schema.Tree, sets []WireCandid
 		Personal: personal,
 		Sets:     make([]matcher.CandidateSet, len(sets)),
 	}
+	total := 0
+	for i := range sets {
+		total += len(sets[i].Local)
+	}
+	slab := make([]matcher.Candidate, total)
 	for i := range sets {
 		if len(sets[i].Local) != len(sets[i].Sims) {
 			return nil, fmt.Errorf("shardrpc: candidate set %d: %d IDs, %d sims", i, len(sets[i].Local), len(sets[i].Sims))
@@ -421,7 +428,7 @@ func DecodeCandidates(v *labeling.View, personal *schema.Tree, sets []WireCandid
 		if len(sets[i].Local) == 0 {
 			continue
 		}
-		elems := make([]matcher.Candidate, len(sets[i].Local))
+		elems := cut(&slab, len(sets[i].Local))
 		for j, lid := range sets[i].Local {
 			if lid < 0 || int(lid) >= v.Len() {
 				return nil, fmt.Errorf("shardrpc: candidate set %d: local ID %d outside view of %d nodes", i, lid, v.Len())
@@ -444,16 +451,22 @@ type WireCluster struct {
 }
 
 // EncodeClusters translates clusters (whole, never split — clusters never
-// span trees, so each belongs wholesale to one shard) into local-ID form.
+// span trees, so each belongs wholesale to one shard) into local-ID form,
+// cutting every cluster's arrays from one slab per element type.
 func EncodeClusters(v *labeling.View, cls []*cluster.Cluster) ([]WireCluster, error) {
 	out := make([]WireCluster, len(cls))
+	total := 0
+	for _, cl := range cls {
+		total += len(cl.Elements)
+	}
+	locals, masks := make([]int32, total), make([]uint64, total)
 	for i, cl := range cls {
 		wc := WireCluster{
 			ID:     cl.ID,
 			TreeID: cl.TreeID,
 			Medoid: -1,
-			Local:  make([]int32, len(cl.Elements)),
-			Masks:  make([]uint64, len(cl.Elements)),
+			Local:  cut(&locals, len(cl.Elements)),
+			Masks:  cut(&masks, len(cl.Elements)),
 		}
 		if cl.Medoid != nil {
 			lid := v.LocalID(cl.Medoid)
@@ -475,14 +488,22 @@ func EncodeClusters(v *labeling.View, cls []*cluster.Cluster) ([]WireCluster, er
 	return out, nil
 }
 
-// DecodeClusters rebuilds clusters against the shard's own view.
+// DecodeClusters rebuilds clusters against the shard's own view. The
+// clusters and their elements are cut from one slab each.
 func DecodeClusters(v *labeling.View, wcs []WireCluster) ([]*cluster.Cluster, error) {
 	out := make([]*cluster.Cluster, len(wcs))
+	cls := make([]cluster.Cluster, len(wcs))
+	total := 0
+	for i := range wcs {
+		total += len(wcs[i].Local)
+	}
+	slab := make([]cluster.Element, total)
 	for i, wc := range wcs {
 		if len(wc.Local) != len(wc.Masks) {
 			return nil, fmt.Errorf("shardrpc: cluster %d: mismatched element arrays (%d/%d)", wc.ID, len(wc.Local), len(wc.Masks))
 		}
-		cl := &cluster.Cluster{ID: wc.ID, TreeID: wc.TreeID}
+		cl := &cls[i]
+		cl.ID, cl.TreeID = wc.ID, wc.TreeID
 		if wc.Medoid >= 0 {
 			if int(wc.Medoid) >= v.Len() {
 				return nil, fmt.Errorf("shardrpc: cluster %d: medoid local ID %d outside view", wc.ID, wc.Medoid)
@@ -490,7 +511,7 @@ func DecodeClusters(v *labeling.View, wcs []WireCluster) ([]*cluster.Cluster, er
 			cl.Medoid = v.Node(int(wc.Medoid))
 		}
 		if len(wc.Local) > 0 {
-			cl.Elements = make([]cluster.Element, len(wc.Local))
+			cl.Elements = cut(&slab, len(wc.Local))
 			for j, lid := range wc.Local {
 				if lid < 0 || int(lid) >= v.Len() {
 					return nil, fmt.Errorf("shardrpc: cluster %d: local ID %d outside view of %d nodes", wc.ID, lid, v.Len())

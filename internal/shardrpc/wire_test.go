@@ -232,6 +232,11 @@ func TestStagedWireRoundTrip(t *testing.T) {
 			if len(a) != len(b) {
 				t.Fatalf("view %d set %d: %d elems, want %d", vi, i, len(b), len(a))
 			}
+			// Encoder and decoder cut every set from a slab, capped at its
+			// length so appending to one cannot overwrite the next.
+			if cap(b) != len(b) || cap(ws[i].Local) != len(ws[i].Local) || cap(ws[i].Sims) != len(ws[i].Sims) {
+				t.Fatalf("view %d set %d: a slab cut is not capped at its length", vi, i)
+			}
 			for j := range a {
 				if a[j].Node != b[j].Node || a[j].Sim != b[j].Sim {
 					t.Fatalf("view %d set %d elem %d differs", vi, i, j)
@@ -260,6 +265,12 @@ func TestStagedWireRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotCls, mine) && len(mine) > 0 {
 			t.Fatalf("view %d: clusters differ after round trip", vi)
+		}
+		for i := range wcs {
+			if cap(wcs[i].Local) != len(wcs[i].Local) || cap(wcs[i].Masks) != len(wcs[i].Masks) ||
+				cap(gotCls[i].Elements) != len(gotCls[i].Elements) {
+				t.Fatalf("view %d cluster %d: a slab cut is not capped at its length", vi, i)
+			}
 		}
 	}
 
