@@ -24,11 +24,11 @@ import (
 // for every request the client can build (pinned by FuzzShardWire, which
 // keeps the structs' JSON tags as its reference encoding).
 //
-// Every body is written in one pass into a buffer of its exact size: each
-// appendX writer has an xSize twin, and the encoders append to a local
-// slice (b = appendX(b, …)) rather than through a pointer, which would pay a
-// GC write barrier per value. The decoder cuts the projection's per-set
-// arrays from one slab per element type, counted before it decodes.
+// Every body is written in one pass into a buffer sized before writing: a
+// request's from projectionSize, the one exact size the codec keeps (the
+// projection is nearly all of a full body), plus a generous bound on its
+// header. The encoders append to a local slice (b = appendX(b, …)) rather
+// than through a pointer, which would pay a GC write barrier per value.
 //
 // Requests and responses carry ContentTypeBinary; the shard answers any
 // other or absent Content-Type with 415 (Unsupported Media Type) rather
@@ -45,14 +45,13 @@ const ContentTypeBinary = "application/x-bellflower-shard"
 // seeding and seed-stride varints.
 const binaryVersion = 4
 
-// --- writers and their sizes ---
+// --- writers ---
 //
 // Slices are written as uvarint(len+1) with 0 meaning nil, so the decoder
 // reproduces the encoder's nil-vs-empty distinction exactly.
 
 func uvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 func varintSize(v int64) int   { return uvarintSize(uint64(v<<1) ^ uint64(v>>63)) }
-func strSize(s string) int     { return uvarintSize(uint64(len(s))) + len(s) }
 
 func appendBool(b []byte, v bool) []byte {
 	if v {
@@ -217,63 +216,15 @@ func (r *binReader) slice() (int, bool) {
 	return n, true
 }
 
-// skip steps over n bytes.
-func (r *binReader) skip(n int) {
-	if r.err != nil {
-		return
-	}
-	if n > len(r.b)-r.off {
-		r.fail("truncated at byte %d", r.off)
-		return
-	}
-	r.off += n
-}
+// The array readers decode with a local offset; the loop body is the
+// inlined binary.Uvarint.
 
-// skipVarints reads a slice prefix and steps over that many varints
-// without decoding them, returning the count. A varint ends at its first
-// byte below 0x80, so whole words are skipped by counting those bytes while
-// more than a word's worth of varints remain.
-func (r *binReader) skipVarints() int {
-	n, _ := r.slice()
-	k, off := n, r.off
-	for k > 8 && off+8 <= len(r.b) {
-		k -= bits.OnesCount64(^binary.LittleEndian.Uint64(r.b[off:]) & 0x8080808080808080)
-		off += 8
-	}
-	for ; k > 0; off++ {
-		if off >= len(r.b) {
-			r.fail("truncated at byte %d", off)
-			return n
-		}
-		if r.b[off] < 0x80 {
-			k--
-		}
-	}
-	r.off = off
-	return n
-}
-
-// cut returns the next n elements of *slab, capacity capped at n, or a
-// fresh slice when there is no slab or it is short. A present but empty
-// list stays non-nil either way.
-func cut[T any](slab *[]T, n int) []T {
-	if slab == nil || *slab == nil || n > len(*slab) {
-		return make([]T, n)
-	}
-	s := *slab
-	*slab = s[n:]
-	return s[:n:n]
-}
-
-// The array readers decode into their slab with a local offset; the loop
-// body is the inlined binary.Uvarint.
-
-func varints[T int | int32](r *binReader, slab *[]T) []T {
+func varints[T int | int32](r *binReader) []T {
 	n, ok := r.slice()
 	if !ok {
 		return nil
 	}
-	v := cut(slab, n)
+	v := make([]T, n)
 	off := r.off
 	for i := range v {
 		u, k := binary.Uvarint(r.b[off:])
@@ -288,7 +239,7 @@ func varints[T int | int32](r *binReader, slab *[]T) []T {
 	return v
 }
 
-func (r *binReader) f64s(slab *[]float64) []float64 {
+func (r *binReader) f64s() []float64 {
 	n, ok := r.slice()
 	if !ok {
 		return nil
@@ -297,19 +248,20 @@ func (r *binReader) f64s(slab *[]float64) []float64 {
 		r.fail("truncated float64s at byte %d", r.off)
 		return nil
 	}
-	v := cut(slab, n)
+	v := make([]float64, n)
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off+8*i:]))
 	}
 	r.off += 8 * n
 	return v
 }
-func (r *binReader) u64s(slab *[]uint64) []uint64 {
+
+func (r *binReader) u64s() []uint64 {
 	n, ok := r.slice()
 	if !ok {
 		return nil
 	}
-	v := cut(slab, n)
+	v := make([]uint64, n)
 	off := r.off
 	for i := range v {
 		u, k := binary.Uvarint(r.b[off:])
@@ -335,17 +287,12 @@ func appendDescriptor(b []byte, d Descriptor) []byte {
 	return appendStr(b, d.RepoHash)
 }
 
-func descriptorSize(d Descriptor) int {
-	return varintSize(int64(d.Shard)) + varintSize(int64(d.NumShards)) + strSize(d.Strategy) +
-		varintsSize(d.TreeIDs) + varintSize(int64(d.RepoNodes)) + strSize(d.RepoHash)
-}
-
 func (r *binReader) descriptor() Descriptor {
 	return Descriptor{
 		Shard:     int(r.varint()),
 		NumShards: int(r.varint()),
 		Strategy:  r.str(),
-		TreeIDs:   varints[int](r, nil),
+		TreeIDs:   varints[int](r),
 		RepoNodes: int(r.varint()),
 		RepoHash:  r.str(),
 	}
@@ -361,14 +308,6 @@ func appendTree(b []byte, t WireTree) []byte {
 		b = appendStr(b, n.Type)
 	}
 	return b
-}
-
-func treeSize(t WireTree) int {
-	size := strSize(t.Name) + sliceSize(len(t.Nodes), t.Nodes == nil)
-	for _, n := range t.Nodes {
-		size += varintSize(int64(n.Depth)) + 1 + strSize(n.Name) + strSize(n.Type)
-	}
-	return size
 }
 
 func (r *binReader) tree() WireTree {
@@ -422,16 +361,6 @@ func appendOptions(b []byte, o WireOptions) []byte {
 		b = appendF64(b, cc.Stability)
 	}
 	return b
-}
-
-func optionsSize(o WireOptions) int {
-	size := 5*8 + varintSize(int64(o.TopN)) + varintSize(int64(o.Variant)) +
-		strSize(o.Matcher) + strSize(o.Structure) + 2
-	if cc := o.ClusterConfig; cc != nil {
-		size += varintSize(int64(cc.JoinThreshold)) + varintSize(int64(cc.RemoveBelow)) +
-			varintSize(int64(cc.SplitAbove)) + varintSize(int64(cc.MaxIterations)) + 8
-	}
-	return size
 }
 
 func (r *binReader) options() WireOptions {
@@ -498,45 +427,13 @@ func projectionSize(req *MatchRequest) int {
 	return size
 }
 
-// projectionCounts pre-scans the projection section at r's offset for the
-// element totals of its per-set arrays. r is a copy, so the scan moves
-// nothing in the caller's reader; ok is false for a malformed section,
-// whose fault the decode proper reports.
-func (r binReader) projectionCounts() (locals, sims, masks int, ok bool) {
-	r.bool()
-	n, _ := r.slice()
-	for i := 0; i < n && r.err == nil; i++ {
-		locals += r.skipVarints()
-		k, _ := r.slice()
-		r.skip(8 * k)
-		sims += k
-	}
-	r.bool()
-	n, _ = r.slice()
-	for i := 0; i < n && r.err == nil; i++ {
-		r.varint()
-		r.varint()
-		r.varint()
-		locals += r.skipVarints()
-		masks += r.skipVarints()
-	}
-	return locals, sims, masks, r.err == nil
-}
-
-// projection decodes the projection section, cutting every set's local
-// IDs, similarities and masks from one slab per element type.
+// projection decodes the projection section.
 func (r *binReader) projection(req *MatchRequest) {
-	var locals []int32
-	var sims []float64
-	var masks []uint64
-	if nl, ns, nm, ok := r.projectionCounts(); ok {
-		locals, sims, masks = make([]int32, nl), make([]float64, ns), make([]uint64, nm)
-	}
 	req.HasCandidates = r.bool()
 	if n, ok := r.slice(); ok {
 		req.Candidates = make([]WireCandidateSet, n)
 		for i := range req.Candidates {
-			req.Candidates[i] = WireCandidateSet{Local: varints(r, &locals), Sims: r.f64s(&sims)}
+			req.Candidates[i] = WireCandidateSet{Local: varints[int32](r), Sims: r.f64s()}
 		}
 	}
 	req.HasClusters = r.bool()
@@ -547,8 +444,8 @@ func (r *binReader) projection(req *MatchRequest) {
 				ID:     int(r.varint()),
 				TreeID: int(r.varint()),
 				Medoid: int32(r.varint()),
-				Local:  varints(r, &locals),
-				Masks:  r.u64s(&masks),
+				Local:  varints[int32](r),
+				Masks:  r.u64s(),
 			}
 		}
 	}
@@ -561,8 +458,6 @@ func appendScore(b []byte, s WireScore) []byte {
 	b = appendF64(b, s.Path)
 	return binary.AppendVarint(b, int64(s.Et))
 }
-
-func scoreSize(s WireScore) int { return 3*8 + varintSize(int64(s.Et)) }
 
 func (r *binReader) score() WireScore {
 	return WireScore{Delta: r.f64(), Sim: r.f64(), Path: r.f64(), Et: int(r.varint())}
@@ -603,25 +498,6 @@ func appendReport(b []byte, rep *WireReport) []byte {
 	return binary.AppendVarint(b, int64(rep.FirstGoodAfter))
 }
 
-func reportSize(rep *WireReport) int {
-	size := varintSize(int64(rep.Variant)) + varintSize(int64(rep.MappingElements)) +
-		varintSize(int64(rep.Clusters)) + varintSize(int64(rep.UsefulClusters)) + 8 +
-		varintsSize(rep.ClusterSizes) + varintSize(int64(rep.Iterations)) + 8 +
-		varintSize(rep.Counters.PartialMappings) + varintSize(rep.Counters.CompleteMappings) +
-		varintSize(rep.Counters.Found) + varintSize(int64(rep.Counters.UsefulClusters)) +
-		sliceSize(len(rep.Mappings), rep.Mappings == nil) + sliceSize(len(rep.Partials), rep.Partials == nil) +
-		varintSize(rep.MatchNS) + varintSize(rep.ClusterNS) + varintSize(rep.GenNS) +
-		varintSize(int64(rep.FirstGoodAfter))
-	for _, m := range rep.Mappings {
-		size += varintsSize(m.Local) + f64sSize(m.Sims) + scoreSize(m.Score) + varintSize(int64(m.ClusterID))
-	}
-	for _, p := range rep.Partials {
-		size += varintsSize(p.Local) + f64sSize(p.Sims) + uvarintSize(p.CoveredMask) +
-			varintSize(int64(p.Covered)) + scoreSize(p.Score) + varintSize(int64(p.ClusterID))
-	}
-	return size
-}
-
 func (r *binReader) report() WireReport {
 	rep := WireReport{
 		Variant:         int(r.varint()),
@@ -630,7 +506,7 @@ func (r *binReader) report() WireReport {
 		UsefulClusters:  int(r.varint()),
 	}
 	rep.AvgElementsPerUsefulCluster = r.f64()
-	rep.ClusterSizes = varints[int](r, nil)
+	rep.ClusterSizes = varints[int](r)
 	rep.Iterations = int(r.varint())
 	rep.Counters.SearchSpace = r.f64()
 	rep.Counters.PartialMappings = r.varint()
@@ -641,8 +517,8 @@ func (r *binReader) report() WireReport {
 		rep.Mappings = make([]WireMapping, n)
 		for i := range rep.Mappings {
 			rep.Mappings[i] = WireMapping{
-				Local: varints[int32](r, nil),
-				Sims:  r.f64s(nil),
+				Local: varints[int32](r),
+				Sims:  r.f64s(),
 				Score: r.score(),
 			}
 			rep.Mappings[i].ClusterID = int(r.varint())
@@ -652,8 +528,8 @@ func (r *binReader) report() WireReport {
 		rep.Partials = make([]WirePartial, n)
 		for i := range rep.Partials {
 			rep.Partials[i] = WirePartial{
-				Local:       varints[int32](r, nil),
-				Sims:        r.f64s(nil),
+				Local:       varints[int32](r),
+				Sims:        r.f64s(),
 				CoveredMask: r.uvarint(),
 				Covered:     int(r.varint()),
 				Score:       r.score(),
@@ -683,18 +559,6 @@ func appendSpans(b []byte, spans []WireSpan) []byte {
 		}
 	}
 	return b
-}
-
-func spansSize(spans []WireSpan) int {
-	size := sliceSize(len(spans), spans == nil)
-	for _, s := range spans {
-		size += strSize(s.ID) + strSize(s.Parent) + strSize(s.Name) +
-			varintSize(s.StartNS) + varintSize(s.DurNS) + sliceSize(len(s.Attrs), s.Attrs == nil)
-		for _, a := range s.Attrs {
-			size += strSize(a.Key) + strSize(a.Value)
-		}
-	}
-	return size
 }
 
 func (r *binReader) spans() []WireSpan {
@@ -736,12 +600,11 @@ func EncodeBinaryMatchRequest(req *MatchRequest) []byte {
 	return b
 }
 
-// encodeRequest renders req into a buffer of its exact size. hashAt is
-// where the bytes of the ProjectionHash string start, proj where the
-// projection section starts (len(b) for a slim request).
+// encodeRequest renders req into one buffer, sized so it never grows.
+// hashAt is where the bytes of the ProjectionHash string start, proj where
+// the projection section starts (len(b) for a slim request).
 func encodeRequest(req *MatchRequest) (b []byte, hashAt, proj int) {
-	size := 2 + descriptorSize(req.Descriptor) + treeSize(req.Personal) + strSize(req.Signature) +
-		strSize(req.ProjectionHash) + optionsSize(req.Options)
+	size := headerBound(req)
 	if !req.ProjectionRef {
 		size += projectionSize(req)
 	}
@@ -754,14 +617,28 @@ func encodeRequest(req *MatchRequest) (b []byte, hashAt, proj int) {
 	b = appendDescriptor(b, req.Descriptor)
 	b = appendTree(b, req.Personal)
 	b = appendStr(b, req.Signature)
-	hashAt = len(b) + uvarintSize(uint64(len(req.ProjectionHash)))
 	b = appendStr(b, req.ProjectionHash)
+	hashAt = len(b) - len(req.ProjectionHash)
 	b = appendOptions(b, req.Options)
 	proj = len(b)
 	if !req.ProjectionRef {
 		b = appendProjection(b, req)
 	}
 	return b, hashAt, proj
+}
+
+// headerBound bounds a request's bytes before its projection section from
+// above: its strings and arrays at their worst-case widths, plus 256 bytes
+// for the fixed-width fields and the at most 18 other varints and length
+// prefixes around them.
+func headerBound(req *MatchRequest) int {
+	d, o := &req.Descriptor, &req.Options
+	n := 256 + len(d.Strategy) + len(d.RepoHash) + binary.MaxVarintLen64*len(d.TreeIDs) +
+		len(req.Personal.Name) + len(req.Signature) + len(req.ProjectionHash) + len(o.Matcher) + len(o.Structure)
+	for _, nd := range req.Personal.Nodes {
+		n += 3*binary.MaxVarintLen64 + 1 + len(nd.Name) + len(nd.Type)
+	}
+	return n
 }
 
 // encodeDigestedRequest renders a full request whose projection digest is
@@ -814,10 +691,14 @@ func decodeRequest(b []byte) (req *MatchRequest, proj int, err error) {
 	return req, proj, nil
 }
 
+// responseRoom is the buffer a response body starts in. A ranked report
+// with its spans is about 1 KB; a larger one grows the buffer as it goes.
+const responseRoom = 2 << 10
+
 // EncodeBinaryMatchResponse renders a match response in the binary wire
 // format.
 func EncodeBinaryMatchResponse(resp *MatchResponse) []byte {
-	b := make([]byte, 0, 1+reportSize(&resp.Report)+spansSize(resp.Spans))
+	b := make([]byte, 0, responseRoom)
 	b = append(b, binaryVersion)
 	b = appendReport(b, &resp.Report)
 	return appendSpans(b, resp.Spans)

@@ -205,19 +205,17 @@ func TestBinaryBodiesPinned(t *testing.T) {
 	}
 }
 
-// TestBinaryBodiesSizedExactly: every encoder sizes its buffer to the body
-// it writes, so no body grows or carries spare capacity.
-func TestBinaryBodiesSizedExactly(t *testing.T) {
+// TestBinaryRequestNeverRegrows: a request body is written into the one
+// buffer encodeRequest sizes for it — the projection's exact size plus the
+// header's bound — so encoding it allocates once.
+func TestBinaryRequestNeverRegrows(t *testing.T) {
 	for name, req := range binTestRequests() {
-		if b := EncodeBinaryMatchRequest(req); cap(b) != len(b) {
-			t.Errorf("%s: %d-byte body in a %d-byte buffer", name, len(b), cap(b))
+		if allocs := testing.AllocsPerRun(20, func() { EncodeBinaryMatchRequest(req) }); allocs != 1 {
+			t.Errorf("%s: %v allocations per encode, want 1", name, allocs)
 		}
-		if d := ProjectionDigest(req); d == "" {
-			t.Errorf("%s: empty digest", name)
+		if b, _, proj := encodeRequest(req); proj > headerBound(req) {
+			t.Errorf("%s: %d-byte header over its %d-byte bound (%d-byte body)", name, proj, headerBound(req), len(b))
 		}
-	}
-	if b := EncodeBinaryMatchResponse(binTestResponse()); cap(b) != len(b) {
-		t.Errorf("response: %d-byte body in a %d-byte buffer", len(b), cap(b))
 	}
 }
 

@@ -250,6 +250,12 @@ func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts p
 			if err := enc.encodeProjection(); err != nil {
 				return nil, err
 			}
+			// The digest comes from writing the full body, so it is built
+			// even when this shard turns out to know the digest already
+			// (another pre-pass entry projected identically). That costs
+			// what hashing the projection alone would, plus a header under
+			// 1 KB; the body stays for a 428 resend or a replica that
+			// lacks the digest.
 			enc.full = encodeDigestedRequest(&enc.req)
 			h := enc.req.ProjectionHash
 			enc.hash = h

@@ -31,10 +31,11 @@
 // same build. A repeated projection travels as its content hash alone; a
 // shard that no longer caches it answers 428 and the client resends the
 // payload in the same attempt. A cold request is one pass over its bytes
-// on each side: the client writes the full body once, into a buffer of its
-// exact size, and its digest is the hash of that body's projection section;
-// the shard reads the body into one buffer of its Content-Length and checks
-// the digest by hashing the section as received, so a body is cached only
+// on each side: the client writes the full body once, into a buffer sized
+// so it never grows, and its digest is the hash of that body's projection
+// section; the shard reads the body into one buffer of its Content-Length
+// (trusted up to 1 MiB; a larger declared body is read as it arrives) and
+// checks the digest by hashing the section as received, so a body is cached only
 // under the hash of the bytes that crossed the wire. The client keeps the
 // digest in the projection's digest cell (serve.Staged.Digest) once per
 // router pre-pass entry, so a repeat encodes no projection; the payload's

@@ -273,6 +273,9 @@ func TestColdBodiesMatchEncoder(t *testing.T) {
 		if !bytes.Equal(enc.full, EncodeBinaryMatchRequest(&enc.req)) {
 			t.Fatalf("shard %d: the client's full body differs from the encoder's", i)
 		}
+		if size := headerBound(&enc.req) + projectionSize(&enc.req); cap(enc.full) != size {
+			t.Errorf("shard %d: %d-byte body regrew its %d-byte buffer to %d", i, len(enc.full), size, cap(enc.full))
+		}
 		want := ProjectionDigest(&enc.req)
 		if enc.hash != want || enc.req.ProjectionHash != want {
 			t.Fatalf("shard %d: client digest %q (request carries %q), want %q", i, enc.hash, enc.req.ProjectionHash, want)

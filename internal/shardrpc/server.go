@@ -305,11 +305,19 @@ func (s *ShardServer) stagedFor(req *MatchRequest, personal *schema.Tree, sectio
 	return staged, 0, ""
 }
 
-// readBody reads a match body into one buffer of its declared length n. An
-// unknown length (-1), or one above maxMatchBody, is read to EOF instead,
-// within whatever bound r applies.
+// maxPresizedBody caps how much of a declared Content-Length readBody
+// allocates before any byte arrives. Real match bodies are tens of KB; a
+// larger declared length is read as it arrives instead, so a peer that
+// declares a huge body and trickles (or never sends) it pins no more than
+// this per connection.
+const maxPresizedBody = 1 << 20
+
+// readBody reads a match body. A declared length n up to maxPresizedBody
+// is read into one buffer of exactly n bytes; an unknown length (-1), or a
+// larger one, is read to EOF as the bytes arrive, within whatever bound r
+// applies.
 func readBody(r io.Reader, n int64) ([]byte, error) {
-	if n < 0 || n > maxMatchBody {
+	if n < 0 || n > maxPresizedBody {
 		return io.ReadAll(r)
 	}
 	b := make([]byte, n)

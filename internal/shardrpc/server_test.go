@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"bellflower/internal/cluster"
@@ -59,6 +61,30 @@ func shardUnderTest(t *testing.T) *testShard {
 func postMatch(t *testing.T, srv *httptest.Server, req MatchRequest) *http.Response {
 	t.Helper()
 	return postRaw(t, srv, ContentTypeBinary, EncodeBinaryMatchRequest(&req))
+}
+
+// TestShardServerDeclaredLengthNotTrusted: a body that declares a large
+// Content-Length but sends a few bytes is a 400, and the shard allocates for
+// the bytes that arrived — never more than maxPresizedBody up front — not
+// for the declaration.
+func TestShardServerDeclaredLengthNotTrusted(t *testing.T) {
+	ts := shardUnderTest(t)
+	for _, declared := range []int64{maxMatchBody, maxPresizedBody + 1, maxPresizedBody, 4 << 10} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/shard/match", strings.NewReader("\x04\x00short"))
+		r.Header.Set("Content-Type", ContentTypeBinary)
+		r.ContentLength = declared
+		w := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ts.host.HandleMatch(w, r)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("declared %d: status %d, want 400 (%s)", declared, w.Code, w.Body)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxPresizedBody {
+			t.Errorf("declared %d: allocated %d bytes for a 7-byte body", declared, got)
+		}
+	}
 }
 
 // TestShardServerRejections pins the protocol's failure statuses: wrong

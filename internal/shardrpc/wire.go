@@ -376,6 +376,14 @@ type WireCandidateSet struct {
 	Sims  []float64 `json:"sims"`
 }
 
+// cut returns the next n elements of *slab, capacity capped at n so no set
+// can append into its neighbour.
+func cut[T any](slab *[]T, n int) []T {
+	s := *slab
+	*slab = s[n:]
+	return s[:n:n]
+}
+
 // EncodeCandidates translates a candidate set (already restricted to the
 // view) into local-ID wire form. A candidate outside the view is an
 // encoding error — it would silently vanish from the shard's result. Every
