@@ -238,7 +238,7 @@ func shardRoutes(host *bellflower.ShardHost, rec *bellflower.TraceRecorder, logg
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// The host's own snapshot, not the bare service's: the wire-byte and
-		// projection-cache counters live on the shard server.
+		// slim-request counters live on the shard server.
 		if err := host.WritePrometheus(w); err != nil {
 			logger.Error("metrics write failed", "error", err)
 		}
@@ -379,19 +379,7 @@ func (o *matchOptionsJSON) build() (bellflower.Options, error) {
 		opts.StructureWeight = o.StructureWeight
 	}
 	// Validate here so malformed parameters are 400s, not pipeline 500s.
-	if err := opts.Objective.Validate(); err != nil {
-		return opts, err
-	}
-	if opts.Threshold < 0 || opts.Threshold > 1 {
-		return opts, fmt.Errorf("threshold (delta) %v outside [0,1]", opts.Threshold)
-	}
-	if opts.MinSim < 0 || opts.MinSim > 1 {
-		return opts, fmt.Errorf("min_sim %v outside [0,1]", opts.MinSim)
-	}
-	if opts.StructureWeight < 0 || opts.StructureWeight > 1 {
-		return opts, fmt.Errorf("structure_weight %v outside [0,1]", opts.StructureWeight)
-	}
-	return opts, nil
+	return opts, opts.Validate()
 }
 
 // timeout returns the per-request deadline, 0 when unset.

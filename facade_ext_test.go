@@ -182,6 +182,29 @@ func TestNewStructureMatcherFacade(t *testing.T) {
 	}
 }
 
+// TestMinSimOutOfRangeFacade: a candidate similarity threshold outside
+// [0,1], NaN included, is an error before any work — at −0.1 every
+// repository node would otherwise be a candidate of every personal node.
+func TestMinSimOutOfRangeFacade(t *testing.T) {
+	cfg := DefaultSyntheticConfig()
+	cfg.TargetNodes = 600
+	repo, err := Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMatcher(repo)
+	opts := DefaultOptions()
+	for _, s := range []float64{-0.1, 1.5, math.NaN()} {
+		opts.MinSim = s
+		rep, err := m.Match(MustParseSchema("book(title,author)"), opts)
+		if err == nil {
+			t.Errorf("min_sim %v accepted: %d mapping elements", s, rep.MappingElements)
+		} else if !strings.Contains(err.Error(), "min_sim") {
+			t.Errorf("min_sim %v: error %q does not name min_sim", s, err)
+		}
+	}
+}
+
 func TestAgglomerativeFacade(t *testing.T) {
 	cfg := DefaultSyntheticConfig()
 	cfg.TargetNodes = 1200

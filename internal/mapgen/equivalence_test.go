@@ -78,6 +78,11 @@ var (
 // randomCase builds a random repository, candidate set and clustering from
 // a seed; shared by the property test and the fuzz harness.
 func randomCase(seed int64) (*labeling.Index, *objective.Evaluator, *matcher.Candidates, []*cluster.Cluster) {
+	return randomCaseFor(seed, "book(title,author,press)")
+}
+
+// randomCaseFor is randomCase for another personal schema over caseWords.
+func randomCaseFor(seed int64, personalSpec string) (*labeling.Index, *objective.Evaluator, *matcher.Candidates, []*cluster.Cluster) {
 	rng := rand.New(rand.NewSource(seed))
 	repo := schema.NewRepository()
 	for tr := 0; tr < 1+rng.Intn(4); tr++ {
@@ -89,7 +94,7 @@ func randomCase(seed int64) (*labeling.Index, *objective.Evaluator, *matcher.Can
 		}
 		repo.MustAdd(b.MustTree())
 	}
-	personal := schema.MustParseSpec("book(title,author,press)")
+	personal := schema.MustParseSpec(personalSpec)
 	ix := labeling.NewIndex(repo)
 	matchers := []matcher.Matcher{
 		matcher.NameMatcher{},

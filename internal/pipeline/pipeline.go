@@ -144,18 +144,22 @@ type Options struct {
 var ErrSchemaTooLarge = cluster.ErrSchemaTooLarge
 
 // Validate checks the option invariants shared by every pipeline entry
-// point: the objective parameters, the threshold range and the structure
-// weight range (NaN included). Entry points call it, through CheckRequest,
-// before any work.
+// point: the objective parameters, the threshold range, and the MinSim and
+// structure weight ranges (NaN included). Entry points call it, through
+// CheckRequest, before any work. Messages name the options as the JSON
+// request bodies do.
 func (o Options) Validate() error {
 	if err := o.Objective.Validate(); err != nil {
 		return err
 	}
 	if o.Threshold < 0 || o.Threshold > 1 {
-		return fmt.Errorf("pipeline: threshold %v outside [0,1]", o.Threshold)
+		return fmt.Errorf("pipeline: threshold (delta) %v outside [0,1]", o.Threshold)
+	}
+	if s := o.MinSim; !(s >= 0 && s <= 1) {
+		return fmt.Errorf("pipeline: min_sim %v outside [0,1]", s)
 	}
 	if w := o.StructureWeight; !(w >= 0 && w <= 1) {
-		return fmt.Errorf("pipeline: structure weight %v outside [0,1]", w)
+		return fmt.Errorf("pipeline: structure_weight %v outside [0,1]", w)
 	}
 	return nil
 }

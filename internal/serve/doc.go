@@ -77,9 +77,9 @@
 // (clusters never span trees) is handed wholesale to its owning shard.
 // Projection happens once per cache entry, which holds the per-shard
 // projections rather than the full result: a repeat only rebinds each
-// shard's candidates to its own personal tree, and each projection carries
-// a digest cell (Staged.Digest) in which a remote shard's client keeps the
-// projection digest, so a repeat encodes no projection either.
+// shard's candidates to its own personal tree. A remote shard that has
+// answered the request before gets a slim request instead, answered from
+// its report cache, so a repeat encodes no projection either.
 // Shards then run only mapping generation (ShardBackend.MatchStaged with
 // the projection as its Staged argument → pipeline.Runner.RunWithClusters).
 // The projection is exact, so reports are identical to per-shard
@@ -91,10 +91,10 @@
 //
 // # Memory governance
 //
-// All serving caches answer to one byte-budget memory governor: every
-// shard's report cache (reports with their attached renderings) and the
-// router's pre-pass cache charge their entries — size-estimated in bytes
-// — into a single account
+// All serving caches answer to one byte-budget memory governor. It has two
+// member caches: every shard's report cache (reports with their attached
+// renderings) and the router's pre-pass cache charge their entries —
+// size-estimated in bytes — into a single account
 // (Config.CacheBytes). When the budget is exceeded the governor evicts
 // the globally least-recently-used entry across every member cache,
 // whichever kind it is; per-cache entry-count caps (Config.CacheSize, the

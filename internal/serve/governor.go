@@ -9,19 +9,18 @@ import (
 	"bellflower/internal/pipeline"
 )
 
-// memGovernor is the unified memory governor behind every cache the
-// serving layer keeps: the per-shard report caches, the router's candidate
-// pre-pass cache and a shard server's projection cache all charge their
-// finished entries, size-estimated in bytes, into one governor. Eviction
-// is size-aware and global — when the byte budget is exceeded, the
-// least-recently-used entry across ALL member caches goes, whatever kind
-// it is — so an operator bounds total cache memory with a single knob
-// (Config.CacheBytes / -cache-bytes) instead of sizing N shard caches and
-// a pre-pass LRU independently. Per-cache entry-count caps
-// (Config.CacheSize, prepassCacheSize) are still enforced as secondary
-// limits. Entries never expire: a governor belongs to one backend, which
-// serves one immutable repository, and a repository swap builds a new
-// backend with a new governor.
+// memGovernor is the unified memory governor behind every cache the serving
+// layer keeps: the per-shard report caches and the router's candidate
+// pre-pass cache both charge their finished entries, size-estimated in
+// bytes, into one governor. Eviction is size-aware and global — when the
+// byte budget is exceeded, the least-recently-used entry across ALL member
+// caches goes, whatever kind it is — so an operator bounds total cache
+// memory with a single knob (Config.CacheBytes / -cache-bytes) instead of
+// sizing N shard caches and a pre-pass LRU independently. Per-cache
+// entry-count caps (Config.CacheSize, prepassCacheSize) are still enforced
+// as secondary limits. Entries never expire: a governor belongs to one
+// backend, which serves one immutable repository, and a repository swap
+// builds a new backend with a new governor.
 //
 // A governor is safe for concurrent use. All state is guarded by one
 // mutex; member caches (cacheSpace) share the governor's LRU list and
@@ -196,7 +195,6 @@ func (s *cacheSpace) residentBytes() int64 {
 const (
 	wordBytes   = 8
 	structSlack = 128 // flat per-entry overhead: struct fields + map/list bookkeeping
-	digestBytes = 64  // a Staged digest cell holding a projection digest
 )
 
 // mappingBytes estimates one ranked mapping's resident size.
@@ -239,11 +237,11 @@ func clustersBytes(cls []*cluster.Cluster) int64 {
 }
 
 // prepassEntryBytes estimates a completed pre-pass entry's resident size:
-// every shard's projection, digest cell included.
+// every shard's projection.
 func prepassEntryBytes(e *prepassEntry) int64 {
 	b := int64(structSlack)
 	for _, p := range e.shards {
-		b += projectionBytes(p)
+		b += structSlack + candidatesBytes(p.Cands) + clustersBytes(p.Clusters)
 	}
 	return b
 }

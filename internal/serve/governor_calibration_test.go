@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -132,8 +131,7 @@ func TestGovernorEstimatorCalibration(t *testing.T) {
 		checkBand(t, fmt.Sprintf("clustersBytes(nodes=%d)", nodes),
 			clustersBytes(clusters), measuredClustersBytes(clusters))
 
-		// Pre-pass entries hold both, projected onto the shards, each shard
-		// with a digest cell holding a projection digest.
+		// Pre-pass entries hold both, projected onto the shards.
 		r := NewRouterFromRepository(repo, 2, Config{})
 		e := &prepassEntry{shards: r.project(cands, clusters, 1)}
 		r.Close()
@@ -142,10 +140,7 @@ func TestGovernorEstimatorCalibration(t *testing.T) {
 		}
 		measured := int64(unsafe.Sizeof(*e)) + int64(cap(e.shards))*int64(unsafe.Sizeof(Staged{}))
 		for _, p := range e.shards {
-			digest := strings.Repeat("0", 32)
-			p.Digest.Store(&digest)
-			measured += measuredCandidatesBytes(p.Cands) + measuredClustersBytes(p.Clusters) +
-				int64(unsafe.Sizeof(*p.Digest)) + int64(unsafe.Sizeof(digest)) + int64(len(digest))
+			measured += measuredCandidatesBytes(p.Cands) + measuredClustersBytes(p.Clusters)
 		}
 		checkBand(t, fmt.Sprintf("prepassEntryBytes(nodes=%d)", nodes), prepassEntryBytes(e), measured)
 

@@ -69,8 +69,8 @@ var metrics = []metric{
 	{field: "Rejected", name: "bellflower_rejected_total", typ: counter, shard: 7,
 		help: "Requests refused before running (closed service, oversized or nil schema).", shardHelp: "Shard requests refused before running."},
 	{field: "CacheEvictions", name: "bellflower_cache_evictions_total", typ: counter, rule: shared, help: "Cache entries evicted for space (byte budget or entry-count cap)."},
-	{field: "ProjectionCacheHits", name: "bellflower_projection_cache_hits_total", typ: counter, help: "Shard-server projection references resolved from the content-addressed projection cache (the projection never crossed the wire)."},
-	{field: "ProjectionCacheMisses", name: "bellflower_projection_cache_misses_total", typ: counter, help: "Shard-server projection references answered 428 projection-needed (the client retried with the full payload)."},
+	{field: "ProjectionCacheHits", name: "bellflower_projection_cache_hits_total", typ: counter, help: "Shard-server slim requests answered from the report cache (the projection never crossed the wire)."},
+	{field: "ProjectionCacheMisses", name: "bellflower_projection_cache_misses_total", typ: counter, help: "Shard-server slim requests answered 428 report-needed (the client resent the full request)."},
 	{field: "SimCallsSaved", name: "bellflower_sim_calls_saved_total", typ: counter, rule: shared, help: "Similarity evaluations avoided by the matching kernel's vocabulary dedup (distinct keys scored once, fanned out to nodes)."},
 	{field: "MatchPrunes", name: "bellflower_match_prunes_total", typ: counter, rule: shared, help: "Edit-distance passes skipped by the matching kernel's length-difference pruning bound."},
 	{field: "MatchMemoHits", name: "bellflower_match_memo_hits_total", typ: counter, rule: shared, help: "Personal nodes whose score row the matching kernel served from the name index's row memo (no similarity call)."},

@@ -433,15 +433,15 @@ func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts
 }
 
 // project splits one full-repository pre-pass result into the per-shard
-// projections, each with a fresh digest cell. Shards are views of the same
-// repository the pre-pass matched against, so projection is pure
-// filtering: candidates keep their original node objects and order, and
-// since clusters never span trees, each global cluster is handed wholesale
-// to the one shard that owns its tree (shared, read-only).
+// projections. Shards are views of the same repository the pre-pass matched
+// against, so projection is pure filtering: candidates keep their original
+// node objects and order, and since clusters never span trees, each global
+// cluster is handed wholesale to the one shard that owns its tree (shared,
+// read-only).
 func (r *Router) project(cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) []Staged {
 	staged := make([]Staged, len(r.views))
 	for i, v := range r.views {
-		staged[i] = Staged{Cands: cands.Restrict(v.Contains), Iterations: iterations, Digest: new(atomic.Pointer[string])}
+		staged[i] = Staged{Cands: cands.Restrict(v.Contains), Iterations: iterations}
 	}
 	for _, cl := range clusters {
 		if cl.Len() == 0 {

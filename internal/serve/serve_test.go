@@ -91,6 +91,44 @@ func TestCacheHit(t *testing.T) {
 	}
 }
 
+// TestMatchCached: a cache-only lookup misses without counting anything,
+// answers a repeat with Match's own report as one request and one cache hit,
+// and answers nothing once the service is closed.
+func TestMatchCached(t *testing.T) {
+	s := NewFromRepository(testRepo(t), Config{})
+	defer s.Close()
+
+	if rep, ok := s.MatchCached(personal(), testOpts()); ok || rep != nil {
+		t.Fatal("cold lookup answered")
+	}
+	if st := s.Stats(); st.Requests != 0 || st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Fatalf("a miss counted: requests %d hits %d misses %d", st.Requests, st.CacheHits, st.CacheMisses)
+	}
+	want, err := s.Match(context.Background(), personal(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.MatchCached(personal(), testOpts())
+	if !ok || got != want {
+		t.Fatalf("repeat: hit %v, same report %v", ok, got == want)
+	}
+	st := s.Stats()
+	if st.Requests != 2 || st.CacheHits != 1 || st.CacheMisses != 1 || st.PipelineRuns != 1 || st.Latency.Count != 2 {
+		t.Errorf("requests %d hits %d misses %d runs %d latency samples %d, want 2/1/1/1/2",
+			st.Requests, st.CacheHits, st.CacheMisses, st.PipelineRuns, st.Latency.Count)
+	}
+	other := testOpts()
+	other.TopN = 3
+	if _, ok := s.MatchCached(personal(), other); ok {
+		t.Error("other options answered from the cache")
+	}
+
+	s.Close()
+	if _, ok := s.MatchCached(personal(), testOpts()); ok {
+		t.Error("closed service answered from its cache")
+	}
+}
+
 // gateMatcher blocks every similarity computation until released, so tests
 // can hold a pipeline run open deterministically.
 type gateMatcher struct {

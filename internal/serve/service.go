@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bellflower/internal/cluster"
@@ -125,8 +124,7 @@ func (c Config) Capacity() int {
 // the shard's trees and the clusters that live in them. The router projects
 // once, when it computes a pre-pass entry, and hands the same projection to
 // every request the entry serves. The zero value means nothing is staged:
-// the shard runs the full pipeline. A shard server's ProjectionCache stores
-// the same value under its content address.
+// the shard runs the full pipeline.
 //
 // Cands and Clusters are read-only to the receiver; Cands may be bound to a
 // structurally identical personal tree (rebind with Candidates.Rebind).
@@ -142,13 +140,6 @@ type Staged struct {
 	// Iterations is the upstream clustering's iteration count, echoed into
 	// the report.
 	Iterations int
-
-	// Digest caches the projection's wire digest for a remote shard's
-	// client. The router allocates one cell per pre-pass entry and shard,
-	// so it lives and dies with the projection; nil means no cache. The
-	// client fills it once (CompareAndSwap from nil) and reads it back on
-	// later requests instead of re-encoding and re-hashing the projection.
-	Digest *atomic.Pointer[string]
 }
 
 // task is one scheduled pipeline run: generation only over staged.Clusters
@@ -180,10 +171,6 @@ type Service struct {
 	gov    *memGovernor
 	cache  *reportCache
 	ct     counters
-
-	// projc is the shard server's content-addressed projection cache,
-	// registered via NewProjectionCache; nil on every other topology.
-	projc atomic.Pointer[ProjectionCache]
 
 	root   context.Context // service lifetime; parent of every run context
 	cancel context.CancelFunc
@@ -329,6 +316,26 @@ func (s *Service) MatchJSON(ctx context.Context, personal *schema.Tree, opts pip
 func (s *Service) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged Staged) (*pipeline.Report, error) {
 	rep, _, err := s.match(ctx, personal, opts, staged)
 	return rep, err
+}
+
+// MatchCached answers (personal, opts) from the report cache alone, without
+// scheduling anything: the report Match would return for a repeat, or false.
+// A hit counts as one request served from the cache; a miss counts nothing,
+// because the Match that follows it counts. A closed service answers
+// nothing.
+func (s *Service) MatchCached(personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, bool) {
+	if s.root.Err() != nil {
+		return nil, false
+	}
+	start := time.Now()
+	rep, _, ok := s.cache.Get(Signature(personal, opts))
+	if !ok {
+		return nil, false
+	}
+	s.ct.requests.Add(1)
+	s.ct.cacheHits.Add(1)
+	s.ct.observe(time.Since(start))
+	return rep, true
 }
 
 // cacheRef is where a served report sits in the report cache: its key and
@@ -540,10 +547,5 @@ func (s *Service) Stats() Stats {
 	st.CacheCap = s.cache.Cap()
 	st.Latency = s.ct.lat.snapshot()
 	st.Stages = s.ct.snapshotStages()
-	if pc := s.projc.Load(); pc != nil {
-		st.ProjectionCacheHits = pc.hits.Load()
-		st.ProjectionCacheMisses = pc.misses.Load()
-		st.CacheBytes += pc.sp.residentBytes()
-	}
 	return st
 }

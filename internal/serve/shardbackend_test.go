@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -163,16 +162,13 @@ func TestRouterWithShardBackendsPrepassPath(t *testing.T) {
 
 // recordingRouter is backendRouter whose stubs record every request they
 // are handed: seen[i] lists shard i's (personal tree, projection) pairs in
-// arrival order. Each stub fills its projection's digest cell the way a
-// remote client does.
+// arrival order.
 func recordingRouter(t *testing.T) (*Router, [][]recordedRequest) {
 	t.Helper()
 	seen := make([][]recordedRequest, 2)
 	stubs := []*stubShard{{rep: stubReport(0.9)}, {rep: stubReport(0.8)}}
 	for i, s := range stubs {
 		s.seen = func(personal *schema.Tree, staged Staged) {
-			h := fmt.Sprintf("digest-of-shard-%d", i)
-			staged.Digest.CompareAndSwap(nil, &h)
 			seen[i] = append(seen[i], recordedRequest{personal, staged})
 		}
 	}
@@ -185,8 +181,8 @@ type recordedRequest struct {
 }
 
 // TestRouterRepeatReusesProjection: a repeat served from a pre-pass entry
-// hands every shard the entry's own projection — the same digest cell and
-// the same candidate element slices as the first request (nothing was
+// hands every shard the entry's own projection — the same candidate element
+// slices and cluster list as the first request (nothing was
 // restricted again) — with the candidates rebound to the repeat's own
 // personal tree, a different instance of the same schema.
 func TestRouterRepeatReusesProjection(t *testing.T) {
@@ -206,12 +202,6 @@ func TestRouterRepeatReusesProjection(t *testing.T) {
 			t.Fatalf("shard %d saw %d requests, want 2", i, len(reqs))
 		}
 		a, b := reqs[0].staged, reqs[1].staged
-		if a.Digest == nil || a.Digest != b.Digest {
-			t.Errorf("shard %d: digest cells %p and %p, want one cell per entry and shard", i, a.Digest, b.Digest)
-		}
-		if i > 0 && a.Digest == seen[0][0].staged.Digest {
-			t.Errorf("shard %d shares shard 0's digest cell", i)
-		}
 		for k, want := range []*schema.Tree{first, second} {
 			got := reqs[k].staged.Cands
 			if reqs[k].personal != want || got.Personal != want {
@@ -236,44 +226,5 @@ func TestRouterRepeatReusesProjection(t *testing.T) {
 	}
 	if elems == 0 {
 		t.Fatal("no candidates reached any shard: the check is vacuous")
-	}
-}
-
-// TestPrepassEntryChargesDigestCells: the governor charges a pre-pass entry
-// once, when it is cached, for every shard's projection and digest cell, so
-// the charge covers the digests the shards' clients store there later and
-// repeats of one request — which fill those cells — do not grow it.
-func TestPrepassEntryChargesDigestCells(t *testing.T) {
-	r, _ := recordingRouter(t)
-	if _, err := r.Match(context.Background(), personal(), testOpts()); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := r.prepass.get(prepassSignature(personal(), testOpts()))
-	if !ok {
-		t.Fatal("the first request cached no pre-pass entry")
-	}
-	e := v.(*prepassEntry)
-	bare := &prepassEntry{shards: append([]Staged(nil), e.shards...)}
-	for i, p := range e.shards {
-		if h := p.Digest.Load(); h == nil || *h == "" {
-			t.Fatalf("shard %d: digest cell not filled by the first request", i)
-		}
-		bare.shards[i].Digest = nil
-	}
-	charged := r.prepass.residentBytes()
-	if want := prepassEntryBytes(e); charged != want {
-		t.Fatalf("pre-pass cache charged %d bytes, want prepassEntryBytes = %d", charged, want)
-	}
-	if want := prepassEntryBytes(bare) + int64(len(e.shards))*digestBytes; charged != want {
-		t.Fatalf("pre-pass cache charged %d bytes, want %d: the entry without digest cells plus %d per shard",
-			charged, want, digestBytes)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := r.Match(context.Background(), personal(), testOpts()); err != nil {
-			t.Fatal(err)
-		}
-		if b := r.prepass.residentBytes(); b != charged {
-			t.Fatalf("pre-pass cache bytes after repeat %d: %d, want %d", i+1, b, charged)
-		}
 	}
 }

@@ -289,11 +289,11 @@ type Stats struct {
 	// snapshots say which shard each belongs to.
 	Replicas []ReplicaHealth `json:"replicas,omitempty"`
 
-	// ProjectionCacheHits / ProjectionCacheMisses count shard-server
-	// lookups of content-addressed projection references: a hit served the
-	// request without the projection ever crossing the wire; a miss made
-	// the shard answer 428 (projection-needed) and cost the client one
-	// full-payload retry. Always 0 off the shard-hosting path.
+	// ProjectionCacheHits / ProjectionCacheMisses count a shard server's
+	// slim requests: a hit was answered from the report cache without the
+	// projection ever crossing the wire; a miss made the shard answer 428
+	// (report-needed) and cost the client one full resend. Always 0 off the
+	// shard-hosting path.
 	ProjectionCacheHits   int64 `json:"projection_cache_hits,omitempty"`
 	ProjectionCacheMisses int64 `json:"projection_cache_misses,omitempty"`
 

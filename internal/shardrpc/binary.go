@@ -392,9 +392,8 @@ func (r *binReader) options() WireOptions {
 	return o
 }
 
-// appendProjection writes the projected pre-pass payload — exactly the
-// fields ProjectionDigest hashes, so the digest is a pure function of this
-// section's bytes (see projectionDigest).
+// appendProjection writes the projected pre-pass payload, the last section
+// of a full request body.
 func appendProjection(b []byte, req *MatchRequest) []byte {
 	b = appendBool(b, req.HasCandidates)
 	b = appendSlice(b, len(req.Candidates), req.Candidates == nil)
@@ -593,22 +592,15 @@ const (
 )
 
 // EncodeBinaryMatchRequest renders a match request in the binary wire
-// format. The result decodes back to a structurally identical
-// MatchRequest (including nil-vs-empty slice distinctions).
+// format, into one buffer sized so it never grows. The result decodes back
+// to a structurally identical MatchRequest (including nil-vs-empty slice
+// distinctions).
 func EncodeBinaryMatchRequest(req *MatchRequest) []byte {
-	b, _, _ := encodeRequest(req)
-	return b
-}
-
-// encodeRequest renders req into one buffer, sized so it never grows.
-// hashAt is where the bytes of the ProjectionHash string start, proj where
-// the projection section starts (len(b) for a slim request).
-func encodeRequest(req *MatchRequest) (b []byte, hashAt, proj int) {
 	size := headerBound(req)
 	if !req.ProjectionRef {
 		size += projectionSize(req)
 	}
-	b = make([]byte, 0, size)
+	b := make([]byte, 0, size)
 	var flags byte
 	if req.ProjectionRef {
 		flags |= binFlagProjectionRef
@@ -618,13 +610,11 @@ func encodeRequest(req *MatchRequest) (b []byte, hashAt, proj int) {
 	b = appendTree(b, req.Personal)
 	b = appendStr(b, req.Signature)
 	b = appendStr(b, req.ProjectionHash)
-	hashAt = len(b) - len(req.ProjectionHash)
 	b = appendOptions(b, req.Options)
-	proj = len(b)
 	if !req.ProjectionRef {
 		b = appendProjection(b, req)
 	}
-	return b, hashAt, proj
+	return b
 }
 
 // headerBound bounds a request's bytes before its projection section from
@@ -641,36 +631,14 @@ func headerBound(req *MatchRequest) int {
 	return n
 }
 
-// encodeDigestedRequest renders a full request whose projection digest is
-// not known yet and stamps it with that digest, in one pass over the
-// projection: every digest has the same width, so the header reserves the
-// digest's bytes and they are filled in once the section is written and
-// hashed. It sets req.ProjectionHash, and the body is byte-identical to
-// EncodeBinaryMatchRequest(req) from then on.
-func encodeDigestedRequest(req *MatchRequest) []byte {
-	req.ProjectionHash = reservedDigest
-	b, hashAt, proj := encodeRequest(req)
-	req.ProjectionHash = projectionDigest(req, b[proj:])
-	copy(b[hashAt:], req.ProjectionHash)
-	return b
-}
-
 // DecodeBinaryMatchRequest parses a binary match request body.
 func DecodeBinaryMatchRequest(b []byte) (*MatchRequest, error) {
-	req, _, err := decodeRequest(b)
-	return req, err
-}
-
-// decodeRequest parses a binary match request body and reports where its
-// projection section starts (len(b) for a slim request), so the digest can
-// be checked over the bytes as received.
-func decodeRequest(b []byte) (req *MatchRequest, proj int, err error) {
 	r := &binReader{b: b}
 	if v := r.u8(); r.err == nil && v != binaryVersion {
-		return nil, 0, fmt.Errorf("shardrpc: binary: unsupported wire version %d (want %d)", v, binaryVersion)
+		return nil, fmt.Errorf("shardrpc: binary: unsupported wire version %d (want %d)", v, binaryVersion)
 	}
 	flags := r.u8()
-	req = &MatchRequest{
+	req := &MatchRequest{
 		Descriptor:     r.descriptor(),
 		Personal:       r.tree(),
 		Signature:      r.str(),
@@ -678,17 +646,16 @@ func decodeRequest(b []byte) (req *MatchRequest, proj int, err error) {
 		Options:        r.options(),
 		ProjectionRef:  flags&binFlagProjectionRef != 0,
 	}
-	proj = r.off
 	if !req.ProjectionRef {
 		r.projection(req)
 	}
 	if r.err != nil {
-		return nil, 0, r.err
+		return nil, r.err
 	}
 	if r.off != len(b) {
-		return nil, 0, fmt.Errorf("shardrpc: binary: %d trailing bytes after match request", len(b)-r.off)
+		return nil, fmt.Errorf("shardrpc: binary: %d trailing bytes after match request", len(b)-r.off)
 	}
-	return req, proj, nil
+	return req, nil
 }
 
 // responseRoom is the buffer a response body starts in. A ranked report
@@ -724,10 +691,8 @@ func DecodeBinaryMatchResponse(b []byte) (*MatchResponse, error) {
 // payload: the SHA-256 (first 16 bytes, hex) of the binary encoding of
 // (HasCandidates, Candidates, HasClusters, Clusters, Iterations) — the
 // projection section of a full request body, with an empty top-level list
-// written as nil. The client hashes the section it sends and the shard the
-// section it receives (projectionDigest); for every body the encoder
-// produces both equal this value, and the shard rejects (400) a payload
-// that hashes to anything else instead of caching it.
+// written as nil. Nothing on the request path computes or checks it; it
+// names a projection for tools that compare encodings.
 func ProjectionDigest(req *MatchRequest) string {
 	// Canonicalize the top-level nil-vs-empty distinction before hashing:
 	// an empty-but-non-nil slice (a zero-cluster projection) and nil — what
@@ -741,25 +706,6 @@ func ProjectionDigest(req *MatchRequest) string {
 	if len(c.Clusters) == 0 {
 		c.Clusters = nil
 	}
-	return digestOf(appendProjection(make([]byte, 0, projectionSize(&c)), &c))
-}
-
-// projectionDigest is ProjectionDigest(req) computed from the bytes of
-// req's projection section: their hash, so a section that encodes the
-// right values non-canonically does not match. The exception is a
-// top-level list that is empty but non-nil — the one case ProjectionDigest
-// canonicalises — where the section is re-encoded from req.
-func projectionDigest(req *MatchRequest, section []byte) string {
-	if (req.Candidates != nil && len(req.Candidates) == 0) || (req.Clusters != nil && len(req.Clusters) == 0) {
-		return ProjectionDigest(req)
-	}
-	return digestOf(section)
-}
-
-func digestOf(section []byte) string {
-	sum := sha256.Sum256(section)
+	sum := sha256.Sum256(appendProjection(make([]byte, 0, projectionSize(&c)), &c))
 	return hex.EncodeToString(sum[:16])
 }
-
-// reservedDigest holds a digest's place in a body until the digest is known.
-var reservedDigest = string(make([]byte, hex.EncodedLen(16)))

@@ -1,7 +1,6 @@
 package shardrpc
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"reflect"
@@ -206,44 +205,20 @@ func TestBinaryBodiesPinned(t *testing.T) {
 }
 
 // TestBinaryRequestNeverRegrows: a request body is written into the one
-// buffer encodeRequest sizes for it — the projection's exact size plus the
-// header's bound — so encoding it allocates once.
+// buffer EncodeBinaryMatchRequest sizes for it — the projection's exact size
+// plus the header's bound — so encoding it allocates once.
 func TestBinaryRequestNeverRegrows(t *testing.T) {
 	for name, req := range binTestRequests() {
 		if allocs := testing.AllocsPerRun(20, func() { EncodeBinaryMatchRequest(req) }); allocs != 1 {
 			t.Errorf("%s: %v allocations per encode, want 1", name, allocs)
 		}
-		if b, _, proj := encodeRequest(req); proj > headerBound(req) {
-			t.Errorf("%s: %d-byte header over its %d-byte bound (%d-byte body)", name, proj, headerBound(req), len(b))
+		b := EncodeBinaryMatchRequest(req)
+		header := len(b)
+		if !req.ProjectionRef {
+			header -= projectionSize(req)
 		}
-	}
-}
-
-// TestClientBodyMatchesEncoder: for every codec-test request with a
-// projection, the client's one-pass body — the projection written once,
-// its digest filled in after — is EncodeBinaryMatchRequest's byte for byte,
-// the digest is ProjectionDigest's, and the shard's check over the section
-// as received agrees.
-func TestClientBodyMatchesEncoder(t *testing.T) {
-	for name, req := range binTestRequests() {
-		if req.ProjectionRef {
-			continue
-		}
-		client := *req
-		client.ProjectionHash = ""
-		body := encodeDigestedRequest(&client)
-		if client.ProjectionHash != req.ProjectionHash {
-			t.Errorf("%s: client digest %q, want %q", name, client.ProjectionHash, req.ProjectionHash)
-		}
-		if !bytes.Equal(body, EncodeBinaryMatchRequest(req)) {
-			t.Errorf("%s: client body differs from the encoder's", name)
-		}
-		dec, proj, err := decodeRequest(body)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := projectionDigest(dec, body[proj:]); got != req.ProjectionHash {
-			t.Errorf("%s: received section hashes to %q, want %q", name, got, req.ProjectionHash)
+		if header > headerBound(req) {
+			t.Errorf("%s: %d-byte header over its %d-byte bound (%d-byte body)", name, header, headerBound(req), len(b))
 		}
 	}
 }

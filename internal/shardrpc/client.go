@@ -75,7 +75,7 @@ func newShardTransportClient() *http.Client {
 // the daemon's status mapping and the router's strict mode treat remote
 // shards like local ones. One response is a protocol turn rather than a
 // failure and is handled inside the attempt, on the same endpoint: 428
-// (projection-needed — resend with the full projection).
+// (report-needed — resend the full request).
 type RemoteShard struct {
 	base string
 	view *labeling.View
@@ -83,13 +83,12 @@ type RemoteShard struct {
 	hc   *http.Client
 	cfg  RemoteShardConfig
 
-	// projKnown holds the projection digests this shard has confirmed
-	// cached (any 200 to a request that carried the digest). A slim
-	// request (ProjectionRef) is sent only for known digests; a 428
-	// forgets the digest and retries with the full payload. The set is
-	// cleared when it reaches maxKnownProjections.
-	projMu    sync.Mutex
-	projKnown map[string]struct{}
+	// answered holds the request signatures this shard has answered with
+	// a 200. A slim request (ProjectionRef) is sent only for those; a 428
+	// forgets the signature and resends the full request. The set is
+	// cleared when it reaches maxAnswered.
+	ansMu    sync.Mutex
+	answered map[string]struct{}
 
 	// Client-side stage timers: what this process spends translating to
 	// and from the wire and waiting on the network. Folded into Stats()
@@ -108,12 +107,12 @@ func NewRemoteShard(addr string, view *labeling.View, desc Descriptor, cfg Remot
 		addr = "http://" + addr
 	}
 	return &RemoteShard{
-		base:      strings.TrimSuffix(addr, "/"),
-		view:      view,
-		desc:      desc,
-		hc:        newShardTransportClient(),
-		cfg:       cfg,
-		projKnown: make(map[string]struct{}),
+		base:     strings.TrimSuffix(addr, "/"),
+		view:     view,
+		desc:     desc,
+		hc:       newShardTransportClient(),
+		cfg:      cfg,
+		answered: make(map[string]struct{}),
 	}
 }
 
@@ -121,53 +120,51 @@ func NewRemoteShard(addr string, view *labeling.View, desc Descriptor, cfg Remot
 // shut down — it belongs to its own process.
 func (rs *RemoteShard) Close() { rs.hc.CloseIdleConnections() }
 
-// maxKnownProjections bounds projKnown. The shard's own projection cache
-// holds far fewer entries (serve's projectionCacheSize), so almost every
-// remembered digest is stale long before the cap; clearing the set costs at
-// most one full-payload resend per digest that was still live.
-const maxKnownProjections = 4096
+// maxAnswered bounds answered. The shard's report cache holds far fewer
+// entries, so almost every remembered signature is stale long before the
+// cap; clearing the set costs at most one full resend per signature that
+// was still cached.
+const maxAnswered = 4096
 
-func (rs *RemoteShard) knowsProjection(hash string) bool {
-	rs.projMu.Lock()
-	defer rs.projMu.Unlock()
-	_, ok := rs.projKnown[hash]
+func (rs *RemoteShard) hasAnswered(sig string) bool {
+	rs.ansMu.Lock()
+	defer rs.ansMu.Unlock()
+	_, ok := rs.answered[sig]
 	return ok
 }
 
-func (rs *RemoteShard) markProjection(hash string) {
-	rs.projMu.Lock()
-	defer rs.projMu.Unlock()
-	if len(rs.projKnown) >= maxKnownProjections {
-		clear(rs.projKnown)
+func (rs *RemoteShard) markAnswered(sig string) {
+	rs.ansMu.Lock()
+	defer rs.ansMu.Unlock()
+	if len(rs.answered) >= maxAnswered {
+		clear(rs.answered)
 	}
-	rs.projKnown[hash] = struct{}{}
+	rs.answered[sig] = struct{}{}
 }
 
-func (rs *RemoteShard) forgetProjection(hash string) {
-	rs.projMu.Lock()
-	defer rs.projMu.Unlock()
-	delete(rs.projKnown, hash)
+func (rs *RemoteShard) forgetAnswered(sig string) {
+	rs.ansMu.Lock()
+	defer rs.ansMu.Unlock()
+	delete(rs.answered, sig)
 }
 
-// encodedRequest is one match request translated to the wire, with its
-// projection digest and lazily built bodies: the full request and, when a
-// projection is staged, the slim one that references it by digest. The
-// projection's wire structs are built only for a full body, from the staged
-// projection the request retains. Replicas of one shard share a single
-// encodedRequest — they hold the same view and descriptor — while each picks
-// the body its own projection knowledge calls for. One request's attempts
-// run one after another, so the bodies need no lock.
+// encodedRequest is one match request translated to the wire, with lazily
+// built bodies: the full request and the slim one that asks for the
+// shard's cached report instead. The projection's wire structs are built
+// only for a full body, from the staged projection the request retains.
+// Replicas of one shard share a single encodedRequest — they hold the same
+// view and descriptor — while each picks the body its own answered set
+// calls for. One request's attempts run one after another, so the bodies
+// need no lock.
 type encodedRequest struct {
 	req        MatchRequest // projection payload filled in with the full body
 	staged     serve.Staged
 	view       *labeling.View
-	hash       string // projection digest; "" when no projection is staged
 	full, slim []byte
 }
 
 // body returns (and keeps) the request in the given shape. slim sets
-// ProjectionRef, which leaves the projection payload out of the encoding —
-// valid only when hash is non-empty.
+// ProjectionRef, which leaves the projection payload out of the encoding.
 func (e *encodedRequest) body(slim bool) ([]byte, error) {
 	if slim {
 		if e.slim == nil {
@@ -204,15 +201,13 @@ func (e *encodedRequest) encodeProjection() error {
 	return nil
 }
 
-// encode translates one request to the wire — the projection digest and the
-// body the first attempt will most likely send, so the encode timer prices
+// encode translates one request to the wire and builds the body the first
+// attempt will most likely send — slim when this shard has answered the
+// request's signature before, full otherwise — so the encode timer prices
 // the real serialization work. With a staged projection — the router's
-// pre-pass path — the projected candidates and clusters ship in local-ID
-// space and the remote shard runs generation only; the zero Staged asks for
-// the remote shard's full pipeline. The projection's digest is computed once
-// per staged digest cell, as the hash of the full body's projection section
-// while that body is written: a cold request encodes its projection once,
-// and a repeat that finds the digest in the cell and goes slim encodes no
+// pre-pass path — a full body ships the projected candidates and clusters
+// in local-ID space and the remote shard runs generation only; the zero
+// Staged asks for the remote shard's full pipeline. A slim body encodes no
 // projection at all.
 func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*encodedRequest, error) {
 	if personal == nil || personal.Root() == nil {
@@ -241,40 +236,11 @@ func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts p
 	if staged.Cands != nil {
 		enc.req.HasCandidates, enc.req.HasClusters = true, true
 		enc.req.Iterations = staged.Iterations
-		if staged.Digest != nil {
-			if h := staged.Digest.Load(); h != nil {
-				enc.hash = *h
-			}
-		}
-		if enc.hash == "" {
-			if err := enc.encodeProjection(); err != nil {
-				return nil, err
-			}
-			// The digest comes from writing the full body, so it is built
-			// even when this shard turns out to know the digest already
-			// (another pre-pass entry projected identically). That costs
-			// what hashing the projection alone would, plus a header under
-			// 1 KB; the body stays for a 428 resend or a replica that
-			// lacks the digest.
-			enc.full = encodeDigestedRequest(&enc.req)
-			h := enc.req.ProjectionHash
-			enc.hash = h
-			if staged.Digest != nil {
-				staged.Digest.CompareAndSwap(nil, &h)
-			}
-		}
-		enc.req.ProjectionHash = enc.hash
 	}
-	if _, err := enc.body(rs.slim(enc)); err != nil {
+	if _, err := enc.body(rs.hasAnswered(enc.req.Signature)); err != nil {
 		return nil, err
 	}
 	return enc, nil
-}
-
-// slim reports whether this shard is known to hold the request's staged
-// projection, so the request may reference it instead of shipping it.
-func (rs *RemoteShard) slim(enc *encodedRequest) bool {
-	return enc.hash != "" && rs.knowsProjection(enc.hash)
 }
 
 // send runs one HTTP exchange.
@@ -292,7 +258,7 @@ func (rs *RemoteShard) send(cctx, rctx context.Context, body []byte) (*http.Resp
 
 // post runs one match attempt. transport reports whether the failure
 // happened below the protocol (no HTTP response decoded), i.e. whether a
-// retry could help. The one protocol turn — 428 projection-needed — is
+// retry could help. The one protocol turn — 428 report-needed — is
 // resolved inside the attempt, on this same endpoint: it is an answer, not
 // a failure, so it must not trigger replica failover or count against
 // health.
@@ -309,7 +275,7 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 	rctx, rsp := trace.StartSpan(cctx, "rpc.roundtrip")
 	defer rsp.End()
 
-	slim := rs.slim(enc)
+	slim := rs.hasAnswered(enc.req.Signature)
 	body, err := enc.body(slim)
 	if err != nil {
 		return nil, false, err
@@ -317,13 +283,12 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 	rtStart := time.Now()
 	resp, err := rs.send(cctx, rctx, body)
 	if err == nil && resp.StatusCode == http.StatusPreconditionRequired && slim {
-		// Projection-needed: the shard no longer holds the projection
-		// (restart, eviction). Resend with the payload inlined — same
-		// endpoint, same attempt; the full body is built from the retained
-		// projection, so it hashes to the digest the slim one carried.
+		// Report-needed: the shard no longer caches the report (restart,
+		// eviction). Resend the full request — same endpoint, same
+		// attempt; the full body is built from the retained projection.
 		drain(resp)
-		rs.forgetProjection(enc.hash)
-		rsp.SetAttr("projection", "resent")
+		rs.forgetAnswered(enc.req.Signature)
+		rsp.SetAttr("slim", "resent")
 		if body, err = enc.body(false); err != nil {
 			return nil, false, err
 		}
@@ -357,11 +322,9 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 	if err != nil {
 		return nil, false, err
 	}
-	// The shard served a request that carried the projection digest — it
-	// now holds the projection, so later identical shapes can go slim.
-	if enc.hash != "" {
-		rs.markProjection(enc.hash)
-	}
+	// The shard answered this signature, so it now caches the report and
+	// a repeat can go slim.
+	rs.markAnswered(enc.req.Signature)
 	// Stitch the shard-side spans into the caller's trace. A decode
 	// failure here loses observability, never correctness — drop quietly.
 	if tr := trace.FromContext(ctx); tr != nil && len(mr.Spans) > 0 {

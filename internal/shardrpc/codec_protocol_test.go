@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -39,7 +38,7 @@ func postRaw(t *testing.T, srv *httptest.Server, ct string, body []byte) *http.R
 }
 
 // stagedFixture returns a request shape with the router's pre-pass staged
-// for ts's shard — the projection-carrying path the cache protocol runs on.
+// for ts's shard — the projection-carrying path the slim protocol runs on.
 func stagedFixture(t *testing.T, ts *testShard) (*schema.Tree, pipeline.Options, serve.Staged) {
 	t.Helper()
 	personal := schema.MustParseSpec("address(name,email)")
@@ -96,9 +95,9 @@ func TestShardServerContentType(t *testing.T) {
 	retiredV2 := append([]byte{2}, binBody[1:]...)
 	retiredV3 := append([]byte{3}, binBody[1:]...)
 	candsOnly := good
-	candsOnly.HasClusters, candsOnly.Clusters, candsOnly.ProjectionHash = false, nil, ""
+	candsOnly.HasClusters, candsOnly.Clusters = false, nil
 	clustersOnly := good
-	clustersOnly.HasCandidates, clustersOnly.Candidates, clustersOnly.ProjectionHash = false, nil, ""
+	clustersOnly.HasCandidates, clustersOnly.Candidates = false, nil
 
 	cases := []struct {
 		name string
@@ -154,39 +153,40 @@ func TestShardServerContentType(t *testing.T) {
 	}
 }
 
-// TestProjectionCacheProtocol drives the content-addressed projection
-// flow end to end: a full staged request teaches both sides the digest,
-// the repeat goes out slim and resolves from the shard's cache, and a
+// TestSlimRequestProtocol drives the slim request end to end: a full staged
+// request teaches the client that the shard answered its signature, the
+// repeat goes out slim and the shard answers it from its report cache, and a
 // shard restart (empty cache, client still believes) recovers through the
 // 428 protocol turn inside the same attempt.
-func TestProjectionCacheProtocol(t *testing.T) {
+func TestSlimRequestProtocol(t *testing.T) {
 	ts := shardUnderTest(t)
 	rs, set := ts.rs, ts.set
 	personal, opts, staged := stagedFixture(t, ts)
+	ctx := context.Background()
 
-	first, err := set.MatchStaged(context.Background(), personal, opts, staged)
+	first, err := set.MatchStaged(ctx, personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := rs.encode(context.Background(), personal, opts, staged)
+	enc, err := rs.encode(ctx, personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc.hash == "" {
-		t.Fatal("staged request carries no projection digest")
+	if !rs.hasAnswered(enc.req.Signature) {
+		t.Fatal("client did not learn the signature from a served full request")
 	}
-	if !rs.knowsProjection(enc.hash) {
-		t.Fatal("client did not learn the digest from a served full request")
+	if enc.full != nil || enc.req.Candidates != nil {
+		t.Fatal("encoding an answered signature built the full body")
 	}
 	if st := ts.host.Stats(); st.ProjectionCacheHits != 0 || st.ProjectionCacheMisses != 0 {
-		t.Fatalf("full request touched the projection cache: hits=%d misses=%d", st.ProjectionCacheHits, st.ProjectionCacheMisses)
+		t.Fatalf("full request counted as slim: hits=%d misses=%d", st.ProjectionCacheHits, st.ProjectionCacheMisses)
 	}
 	fullLen, slimLen := len(mustBody(t, enc, false)), len(mustBody(t, enc, true))
 	if slimLen >= fullLen {
 		t.Fatalf("slim body (%d bytes) not smaller than full (%d bytes)", slimLen, fullLen)
 	}
 
-	second, err := set.MatchStaged(context.Background(), personal, opts, staged)
+	second, err := set.MatchStaged(ctx, personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +195,10 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	if st.ProjectionCacheHits != 1 || st.ProjectionCacheMisses != 0 {
 		t.Errorf("slim repeat: hits=%d misses=%d, want 1/0", st.ProjectionCacheHits, st.ProjectionCacheMisses)
 	}
+	// The repeat was the report cache's: one run, one hit, two requests.
+	if st.Requests != 2 || st.CacheHits != 1 || st.PipelineRuns != 1 {
+		t.Errorf("slim repeat: requests=%d cache hits=%d runs=%d, want 2/1/1", st.Requests, st.CacheHits, st.PipelineRuns)
+	}
 	// Exactly one full and one slim binary body arrived — the repeat
 	// really did skip the projection payload on the wire.
 	if got, want := st.WireBytes.InBinary, int64(fullLen+slimLen); got != want {
@@ -202,87 +206,67 @@ func TestProjectionCacheProtocol(t *testing.T) {
 	}
 
 	// Shard restart: fresh process, empty cache; the client still believes
-	// the digest is cached. The slim request bounces 428 and the client
-	// resends the full payload on the same endpoint, in the same attempt.
+	// the signature is answered. The slim request bounces 428 and the client
+	// resends the full request on the same replica, in the same attempt.
 	ts2 := shardUnderTest(t)
 	rs2 := NewRemoteShard(ts2.srv.URL, ts.clientView, ts2.host.desc, RemoteShardConfig{})
 	set2 := NewReplicaSet([]*RemoteShard{rs2}, serve.HealthConfig{})
 	defer set2.Close()
-	rs2.markProjection(enc.hash) // stale knowledge, as after a shard restart
-	third, err := set2.MatchStaged(context.Background(), personal, opts, staged)
+	rs2.markAnswered(enc.req.Signature) // stale knowledge, as after a shard restart
+	third, err := set2.MatchStaged(ctx, personal, opts, staged)
 	if err != nil {
-		t.Fatalf("projection-needed turn did not recover: %v", err)
+		t.Fatalf("report-needed turn did not recover: %v", err)
 	}
 	assertReportsEquivalent(t, "428 recovery", third, first)
-	if st2 := ts2.host.Stats(); st2.ProjectionCacheMisses != 1 {
-		t.Errorf("restart: misses = %d, want exactly the bounced slim request", st2.ProjectionCacheMisses)
+	if st2 := ts2.host.Stats(); st2.ProjectionCacheMisses != 1 || st2.ProjectionCacheHits != 0 || st2.PipelineRuns != 1 {
+		t.Errorf("restart: misses=%d hits=%d runs=%d, want exactly the bounced slim request and one run",
+			st2.ProjectionCacheMisses, st2.ProjectionCacheHits, st2.PipelineRuns)
 	}
-	if n := set2.unreachables.Load(); n != 0 {
-		t.Errorf("protocol turn charged %d unreachable requests", n)
+	if n, f := set2.unreachables.Load(), set2.failovers.Load(); n != 0 || f != 0 {
+		t.Errorf("protocol turn charged %d unreachable requests and %d failovers", n, f)
 	}
-	if !rs2.knowsProjection(enc.hash) {
-		t.Error("digest not re-learned after the full resend")
+	if !set2.mons[0].Healthy() {
+		t.Error("protocol turn marked the replica unhealthy")
 	}
-	if _, err := set2.MatchStaged(context.Background(), personal, opts, staged); err != nil {
+	if !rs2.hasAnswered(enc.req.Signature) {
+		t.Error("signature not re-learned after the full resend")
+	}
+	if _, err := set2.MatchStaged(ctx, personal, opts, staged); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := ts2.host.Stats(); st2.ProjectionCacheHits != 1 {
 		t.Errorf("post-recovery repeat: hits = %d, want 1", st2.ProjectionCacheHits)
 	}
 
-	// Raw protocol pins: unknown digest → 428; reference without a digest
-	// → 400; full payload whose digest does not match its claim → 400 (a
-	// corrupt projection must never be cached under the wrong address).
-	wopts, err := EncodeOptions(opts)
+	// Raw protocol pins: a slim request for a signature the shard has not
+	// cached → 428, counted as one miss; a slim request without a
+	// signature → 400, counted as nothing.
+	other := opts
+	other.TopN = opts.TopN + 3
+	wopts, err := EncodeOptions(other)
 	if err != nil {
 		t.Fatal(err)
 	}
 	slim := MatchRequest{
 		Descriptor: ts2.host.desc, Personal: EncodeTree(personal),
-		Signature: serve.Signature(personal, opts), Options: wopts,
-		ProjectionRef: true, ProjectionHash: "no-such-digest",
+		Signature: serve.Signature(personal, other), Options: wopts, ProjectionRef: true,
 	}
-	if resp := postRaw(t, ts2.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&slim)); resp.StatusCode != http.StatusPreconditionRequired {
-		t.Errorf("unknown digest: %d, want 428", resp.StatusCode)
-	}
-	slim.ProjectionHash = ""
-	if resp := postRaw(t, ts2.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&slim)); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("reference without digest: %d, want 400", resp.StatusCode)
-	}
-	forged := enc.req
-	forged.ProjectionHash = "forged"
-	if resp := postRaw(t, ts2.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&forged)); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("digest mismatch: %d, want 400", resp.StatusCode)
-	}
-
-	// The digest is checked over the bytes received, not over a re-encoding
-	// of what they decode to: a projection whose last varint (Iterations) is
-	// padded to a non-minimal two bytes decodes to the valid structs under
-	// the valid claim, yet is a 400 — and is not cached, so a fresh shard
-	// still answers a reference to that digest 428.
-	valid := EncodeBinaryMatchRequest(&enc.req)
-	last := valid[len(valid)-1]
-	if last >= 0x80 {
-		t.Fatalf("Iterations varint ends in %#x, not a one-byte varint", last)
-	}
-	padded := append(valid[:len(valid)-1:len(valid)-1], last|0x80, 0x00)
-	want, err := DecodeBinaryMatchRequest(valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodeBinaryMatchRequest(padded); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("padded body does not decode to the valid request: %v", err)
-	}
-	ts3 := shardUnderTest(t)
-	resp := postRaw(t, ts3.srv, ContentTypeBinary, padded)
+	misses := ts2.host.Stats().ProjectionCacheMisses
+	resp := postRaw(t, ts2.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&slim))
 	var e errorJSON
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusBadRequest ||
-		!strings.Contains(e.Error, "projection digest mismatch") {
-		t.Errorf("padded projection: %d %q, want 400 projection digest mismatch", resp.StatusCode, e.Error)
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusPreconditionRequired ||
+		!strings.Contains(e.Error, "report-needed") {
+		t.Errorf("uncached signature: %d %q, want 428 report-needed", resp.StatusCode, e.Error)
 	}
-	slim.ProjectionHash = enc.hash
-	if resp := postRaw(t, ts3.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&slim)); resp.StatusCode != http.StatusPreconditionRequired {
-		t.Errorf("reference after the rejected padded body: %d, want 428 (nothing cached)", resp.StatusCode)
+	if got := ts2.host.Stats().ProjectionCacheMisses; got != misses+1 {
+		t.Errorf("uncached signature: misses %d → %d, want one more", misses, got)
+	}
+	slim.Signature = ""
+	if resp := postRaw(t, ts2.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&slim)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("slim request without signature: %d, want 400", resp.StatusCode)
+	}
+	if got := ts2.host.Stats().ProjectionCacheMisses; got != misses+1 {
+		t.Errorf("slim request without signature counted as a miss: %d", got)
 	}
 }
 
@@ -327,50 +311,49 @@ func TestRemoteShardConnectionReuse(t *testing.T) {
 	}
 }
 
-// TestProjKnownBounded: the client's memory of which projections a shard
-// holds is capped — ten caps' worth of distinct projections never leaves
-// more than maxKnownProjections digests behind, and every request is still
-// answered (a forgotten digest costs one full-payload send, never an error).
-func TestProjKnownBounded(t *testing.T) {
+// TestAnsweredBounded: the client's memory of which signatures a shard
+// answered is capped — ten caps' worth of distinct signatures never leaves
+// more than maxAnswered behind, and every request is still answered (a
+// forgotten signature costs one full send, never an error).
+func TestAnsweredBounded(t *testing.T) {
 	ts := shardUnderTest(t)
 	rs, set := ts.rs, ts.set
 	personal, opts, staged := stagedFixture(t, ts)
 	ctx := context.Background()
 
 	// Real round trips across the boundary where the set is cleared; the
-	// iteration count is part of the digest, so each request is a distinct
-	// projection (and, being outside the signature, a report-cache hit on
-	// the shard after the first).
-	for i := 0; i < maxKnownProjections-2; i++ {
-		rs.markProjection(fmt.Sprintf("filler-%d", i))
+	// result count is part of the signature, so each request is a distinct
+	// report on the shard.
+	for i := 0; i < maxAnswered-2; i++ {
+		rs.markAnswered(fmt.Sprintf("filler-%d", i))
 	}
 	for i := 0; i < 5; i++ {
-		staged.Iterations = 1000 + i
+		opts.TopN = 3 + i
 		if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
 			t.Fatalf("request %d across the cap: %v", i, err)
 		}
-		if n := len(rs.projKnown); n > maxKnownProjections {
-			t.Fatalf("projKnown holds %d digests after request %d, cap %d", n, i, maxKnownProjections)
+		if n := len(rs.answered); n > maxAnswered {
+			t.Fatalf("answered holds %d signatures after request %d, cap %d", n, i, maxAnswered)
 		}
 	}
-	// The latest digest survived the clear, so its repeat goes out slim.
+	// The latest signature survived the clear, so its repeat goes out slim.
 	hits := ts.host.Stats().ProjectionCacheHits
 	if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
 		t.Fatal(err)
 	}
 	if got := ts.host.Stats().ProjectionCacheHits; got != hits+1 {
-		t.Errorf("repeat after the clear: projection cache hits %d → %d, want a slim request", hits, got)
+		t.Errorf("repeat after the clear: slim hits %d → %d, want a slim request", hits, got)
 	}
 
-	// Ten caps' worth of distinct digests.
-	for i := 0; i < 10*maxKnownProjections; i++ {
-		rs.markProjection(fmt.Sprintf("digest-%d", i))
-		if n := len(rs.projKnown); n > maxKnownProjections {
-			t.Fatalf("projKnown holds %d digests after %d marks, cap %d", n, i+1, maxKnownProjections)
+	// Ten caps' worth of distinct signatures.
+	for i := 0; i < 10*maxAnswered; i++ {
+		rs.markAnswered(fmt.Sprintf("sig-%d", i))
+		if n := len(rs.answered); n > maxAnswered {
+			t.Fatalf("answered holds %d signatures after %d marks, cap %d", n, i+1, maxAnswered)
 		}
 	}
-	// A digest the clear forgot is simply sent in full again.
+	// A signature the clear forgot is simply sent in full again.
 	if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
-		t.Fatalf("request after its digest was forgotten: %v", err)
+		t.Fatalf("request after its signature was forgotten: %v", err)
 	}
 }

@@ -28,19 +28,18 @@
 // /v1/shard/match speaks ONE codec, the length-prefixed binary encoding of
 // binary.go (Content-Type application/x-bellflower-shard; anything else is
 // 415). There is no negotiation: router and shards are deployed from the
-// same build. A repeated projection travels as its content hash alone; a
-// shard that no longer caches it answers 428 and the client resends the
-// payload in the same attempt. A cold request is one pass over its bytes
-// on each side: the client writes the full body once, into a buffer sized
-// so it never grows, and its digest is the hash of that body's projection
-// section; the shard reads the body into one buffer of its Content-Length
-// (trusted up to 1 MiB; a larger declared body is read as it arrives) and
-// checks the digest by hashing the section as received, so a body is cached only
-// under the hash of the bytes that crossed the wire. The client keeps the
-// digest in the projection's digest cell (serve.Staged.Digest) once per
-// router pre-pass entry, so a repeat encodes no projection; the payload's
-// wire form is built only when a full body is sent. JSON remains for
-// /v1/shard/stats and error bodies.
+// same build. A request a shard has already answered travels slim, without
+// its projection: it asks the shard for the report it cached under the
+// request signature (serve.Service.MatchCached), as an in-process shard
+// would look it up. A shard that no longer caches the report answers 428 and
+// the client resends the full request in the same attempt, on the same
+// replica. Each client remembers the signatures its shard answered with a
+// 200 (at most 4,096). A cold request is one pass over its bytes on each
+// side: the client writes the full body once, into a buffer sized so it
+// never grows; the shard reads it into one buffer of its Content-Length
+// (trusted up to 1 MiB; a larger declared body is read as it arrives). The
+// projection's wire form is built only when a full body is sent. JSON
+// remains for /v1/shard/stats and error bodies.
 //
 // # Pieces
 //

@@ -1,7 +1,6 @@
 package shardrpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -260,7 +259,6 @@ func FuzzShardWire(f *testing.F) {
 				Clusters:      wcsV,
 				Iterations:    rep.Iterations,
 			}
-			breq.ProjectionHash = ProjectionDigest(breq)
 
 			bdec, err := DecodeBinaryMatchRequest(EncodeBinaryMatchRequest(breq))
 			if err != nil {
@@ -275,31 +273,6 @@ func FuzzShardWire(f *testing.F) {
 			bb, _ := json.Marshal(bdec)
 			if string(jb) != string(bb) {
 				t.Fatalf("binary- and JSON-decoded requests disagree:\n%s\nvs\n%s", bb, jb)
-			}
-			// The content address must survive BOTH transports: the shard
-			// recomputes it over whatever codec the request arrived in.
-			if d := ProjectionDigest(bdec); d != breq.ProjectionHash {
-				t.Fatalf("projection digest drifted over binary: %q vs %q", d, breq.ProjectionHash)
-			}
-			if d := ProjectionDigest(&jdec); d != breq.ProjectionHash {
-				t.Fatalf("projection digest drifted over JSON: %q vs %q", d, breq.ProjectionHash)
-			}
-			// The client's one-pass body and digest are the encoder's, and
-			// the shard's check over the section as received agrees with
-			// ProjectionDigest — through the empty-list fallback whenever
-			// the view owns no cluster.
-			body := EncodeBinaryMatchRequest(breq)
-			client := *breq
-			client.ProjectionHash = ""
-			if got := encodeDigestedRequest(&client); !bytes.Equal(got, body) || client.ProjectionHash != breq.ProjectionHash {
-				t.Fatalf("client body or digest %q differs from the encoder's (digest %q)", client.ProjectionHash, breq.ProjectionHash)
-			}
-			sreq, proj, err := decodeRequest(body)
-			if err != nil {
-				t.Fatalf("binary request decode: %v", err)
-			}
-			if d := projectionDigest(sreq, body[proj:]); d != breq.ProjectionHash {
-				t.Fatalf("shard's check over the received section gives %q, want %q", d, breq.ProjectionHash)
 			}
 
 			bresp := &MatchResponse{Report: wr}

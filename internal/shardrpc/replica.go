@@ -148,7 +148,7 @@ func (z *ReplicaSet) Check(ctx context.Context) error {
 // MatchStaged implements serve.ShardBackend with replica failover. It
 // encodes the request ONCE (all replicas share the descriptor and view, so
 // one encoded request serves every attempt — each replica picks the body
-// shape its own projection-cache knowledge calls for) and walks the attempt
+// shape its own answered signatures call for) and walks the attempt
 // order: healthy replicas first, rotated round-robin so concurrent requests
 // spread across the group; unhealthy replicas last, as a live-traffic last
 // resort when every healthy attempt failed. A transport error feeds the

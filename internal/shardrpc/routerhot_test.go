@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -65,10 +66,10 @@ func newRemoteRouter(tb testing.TB, repo func() *schema.Repository, n int) *remo
 	return rr
 }
 
-// TestRouterResendsEntryProjectionAfter428: a shard that lost a pre-pass
-// entry's projection answers the slim repeat 428; the router resends the
-// full body built from the entry's retained projection, without a second
-// pre-pass, and the shard's digest check accepts and caches it.
+// TestRouterResendsEntryProjectionAfter428: a shard that lost a request's
+// report answers the slim repeat 428; the router resends the full body built
+// from the entry's retained projection, without a second pre-pass, and the
+// shard generates over it and caches the report.
 func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
 	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2)
 	opts := pipeline.DefaultOptions()
@@ -84,13 +85,13 @@ func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
 	first := match()
 	for i := range rr.hosts {
 		if st := rr.hosts[i].Load().Stats(); st.ProjectionCacheHits != 0 {
-			t.Fatalf("shard %d: a first request hit the projection cache", i)
+			t.Fatalf("shard %d: a first request was answered as slim", i)
 		}
 	}
 	assertReportsEquivalent(t, "slim repeat", match(), first)
 	for i := range rr.hosts {
 		if st := rr.hosts[i].Load().Stats(); st.ProjectionCacheHits != 1 {
-			t.Fatalf("shard %d: slim repeat: projection hits %d, want 1", i, st.ProjectionCacheHits)
+			t.Fatalf("shard %d: slim repeat: slim hits %d, want 1", i, st.ProjectionCacheHits)
 		}
 	}
 
@@ -98,21 +99,48 @@ func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
 	assertReportsEquivalent(t, "after the 428 turn", match(), first)
 	st := rr.hosts[0].Load().Stats()
 	if st.ProjectionCacheMisses != 1 || st.ProjectionCacheHits != 0 || st.Errors != 0 {
-		t.Fatalf("restarted shard: projection misses %d hits %d errors %d, want the one bounced slim request",
+		t.Fatalf("restarted shard: slim misses %d hits %d errors %d, want the one bounced slim request",
 			st.ProjectionCacheMisses, st.ProjectionCacheHits, st.Errors)
 	}
 	match()
 	if st := rr.hosts[0].Load().Stats(); st.ProjectionCacheHits != 1 {
-		t.Fatalf("restarted shard: projection hits %d after the resend, want 1: the full body was not cached", st.ProjectionCacheHits)
+		t.Fatalf("restarted shard: slim hits %d after the resend, want 1: the report was not cached", st.ProjectionCacheHits)
 	}
 	if n := rr.Stats().CandidatePrePass; n != 1 {
 		t.Fatalf("CandidatePrePass = %d, want every request served by the first entry", n)
 	}
 }
 
+// TestRouterOptionChangeSendsFullBody: a request that shares a cached
+// pre-pass entry with an answered one but differs in its generation options
+// has a signature no shard has answered, so each shard gets the full body —
+// no 428 turn — and generates over the entry's projection.
+func TestRouterOptionChangeSendsFullBody(t *testing.T) {
+	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2)
+	personal := schema.MustParseSpec("address(name,email)")
+	opts := pipeline.DefaultOptions()
+	opts.MinSim = 0.35
+	for _, topN := range []int{10, 10, 7, 9} {
+		opts.TopN = topN
+		if _, err := rr.Match(context.Background(), personal, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range rr.hosts {
+		st := rr.hosts[i].Load().Stats()
+		if st.ProjectionCacheMisses != 0 || st.ProjectionCacheHits != 1 || st.PipelineRuns != 3 {
+			t.Fatalf("shard %d: slim misses %d hits %d runs %d, want 0/1/3: only the top_n 10 repeat goes slim",
+				i, st.ProjectionCacheMisses, st.ProjectionCacheHits, st.PipelineRuns)
+		}
+	}
+	if n := rr.Stats().CandidatePrePass; n != 1 {
+		t.Fatalf("CandidatePrePass = %d, want every request served by one entry", n)
+	}
+}
+
 // TestRouterConcurrentRepeats: concurrent requests of one shape share one
-// pre-pass entry and its digest cells — whichever request fills a cell first,
-// every report matches the one-at-a-time answer. Run under -race.
+// pre-pass entry — whichever request a shard answers first, every report
+// matches the one-at-a-time answer. Run under -race.
 func TestRouterConcurrentRepeats(t *testing.T) {
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.35
@@ -149,9 +177,9 @@ func TestRouterConcurrentRepeats(t *testing.T) {
 	}
 }
 
-// TestHotEncodeAllocsFlat: once a projection's digest sits in its digest cell
-// and the shard knows it, encoding a request builds only the slim body, so
-// its allocations do not grow with the candidate count.
+// TestHotEncodeAllocsFlat: once the shard has answered a request's
+// signature, encoding the request builds only the slim body, so its
+// allocations do not grow with the candidate count.
 func TestHotEncodeAllocsFlat(t *testing.T) {
 	ts := shardUnderTest(t)
 	personal := schema.MustParseSpec("address(name,email)")
@@ -167,16 +195,9 @@ func TestHotEncodeAllocsFlat(t *testing.T) {
 			Cands:      cands.Restrict(ts.clientView.Contains),
 			Clusters:   clustersForView(ts.clientView, clusters),
 			Iterations: iterations,
-			Digest:     new(atomic.Pointer[string]),
 		}
-		enc, err := ts.rs.encode(context.Background(), personal, opts, staged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h := staged.Digest.Load(); h == nil || *h != enc.hash {
-			t.Fatal("a cold encode left the digest cell empty")
-		}
-		ts.rs.markProjection(enc.hash)
+		ts.rs.markAnswered(serve.Signature(personal, opts))
+		var enc *encodedRequest
 		allocs = testing.AllocsPerRun(20, func() {
 			enc, err = ts.rs.encode(context.Background(), personal, opts, staged)
 		})
@@ -208,7 +229,7 @@ func TestHotEncodeAllocsFlat(t *testing.T) {
 type paperCold struct {
 	personal *schema.Tree
 	opts     pipeline.Options
-	staged   []serve.Staged // no digest cells: every encode is cold
+	staged   []serve.Staged // no shard has answered them: every encode is cold
 	clients  []*RemoteShard
 }
 
@@ -261,11 +282,9 @@ func bytesPerRun(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestColdBodiesMatchEncoder: at the paper's scale the client's one-pass
-// full body of each shard's cold request is EncodeBinaryMatchRequest's, byte
-// for byte, and the digest it sends is ProjectionDigest's — shard 1, which
-// owns no cluster, through the empty-list fallback — and the shard's check
-// over the received section agrees.
+// TestColdBodiesMatchEncoder: at the paper's scale the client's full body of
+// each shard's cold request is EncodeBinaryMatchRequest's, byte for byte,
+// written into a buffer it never regrew, and decodes back to the request.
 func TestColdBodiesMatchEncoder(t *testing.T) {
 	pc := newPaperCold(t)
 	for i := range pc.staged {
@@ -276,28 +295,21 @@ func TestColdBodiesMatchEncoder(t *testing.T) {
 		if size := headerBound(&enc.req) + projectionSize(&enc.req); cap(enc.full) != size {
 			t.Errorf("shard %d: %d-byte body regrew its %d-byte buffer to %d", i, len(enc.full), size, cap(enc.full))
 		}
-		want := ProjectionDigest(&enc.req)
-		if enc.hash != want || enc.req.ProjectionHash != want {
-			t.Fatalf("shard %d: client digest %q (request carries %q), want %q", i, enc.hash, enc.req.ProjectionHash, want)
-		}
-		req, proj, err := decodeRequest(enc.full)
+		req, err := DecodeBinaryMatchRequest(enc.full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := projectionDigest(req, enc.full[proj:]); got != want {
-			t.Fatalf("shard %d: the received section hashes to %q, want %q", i, got, want)
+		if !reflect.DeepEqual(req, &enc.req) {
+			t.Fatalf("shard %d: the full body decodes to a different request", i)
 		}
-	}
-	if cl := pc.staged[1].Clusters; len(cl) != 0 {
-		t.Fatalf("shard 1 owns %d clusters: the request no longer covers the empty-list digest", len(cl))
 	}
 }
 
 // TestColdWireAllocs: at the paper's scale a cold request's ~35 KB body to
 // shard 0 costs the router's encode at most half the 369,597 bytes it cost
-// when the projection was encoded twice (for the digest, then for the body)
-// into buffers that grew by doubling, and the shard's decode plus digest
-// check at most half the 218,162 bytes they cost when the check re-encoded
+// when the projection was encoded twice (for a digest, then for the body)
+// into buffers that grew by doubling, and the shard's decode at most half
+// the 218,162 bytes decode and digest check cost when the check re-encoded
 // the decoded structs.
 func TestColdWireAllocs(t *testing.T) {
 	pc := newPaperCold(t)
@@ -308,24 +320,23 @@ func TestColdWireAllocs(t *testing.T) {
 		t.Fatalf("shard 0 body is %d bytes, want the ~35 KB request", n)
 	}
 	decBytes := bytesPerRun(10, func() {
-		req, proj, err := decodeRequest(body)
-		if err != nil || projectionDigest(req, body[proj:]) != req.ProjectionHash {
-			t.Fatalf("decode: %v, or the digest check failed", err)
+		if _, err := DecodeBinaryMatchRequest(body); err != nil {
+			t.Fatalf("decode: %v", err)
 		}
 	})
-	t.Logf("%d-byte body: encode %.0f B, decode and verify %.0f B", len(body), encBytes, decBytes)
+	t.Logf("%d-byte body: encode %.0f B, decode %.0f B", len(body), encBytes, decBytes)
 	if encBytes > 369597/2 {
 		t.Errorf("cold encode allocates %.0f bytes, want at most %d", encBytes, 369597/2)
 	}
 	if decBytes > 218162/2 {
-		t.Errorf("decode and digest check allocate %.0f bytes, want at most %d", decBytes, 218162/2)
+		t.Errorf("decode allocates %.0f bytes, want at most %d", decBytes, 218162/2)
 	}
 }
 
 // BenchmarkRouterColdRemote is a distinct request per op through a router
 // over two remote shards at the paper's scale: each op runs the pre-pass,
 // ships each shard its full projection over loopback HTTP, and each shard
-// decodes, verifies and caches it and generates over it.
+// decodes it and generates over it.
 func BenchmarkRouterColdRemote(b *testing.B) {
 	repo := repogen.MustGenerate(repogen.DefaultConfig())
 	rr := newRemoteRouter(b, func() *schema.Repository { return repo }, 2)

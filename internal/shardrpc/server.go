@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"bellflower/internal/labeling"
+	"bellflower/internal/pipeline"
 	"bellflower/internal/schema"
 	"bellflower/internal/serve"
 	"bellflower/internal/trace"
@@ -29,30 +30,31 @@ const maxMatchBody = 64 << 20
 // decodes requests against its own view, verifies the caller's descriptor
 // and request signature, and serves through the same Service.MatchStaged an
 // in-process router would call — so a remote fan-out's per-shard reports,
-// caches and dedupe behave identically to the local topology.
+// caches and dedupe behave identically to the local topology. A slim
+// request (MatchRequest.ProjectionRef) is answered from the service's
+// report cache alone (Service.MatchCached), or 428.
 //
 // Match requests and responses are binary (Content-Type
 // application/x-bellflower-shard); any other or absent Content-Type is
 // rejected with 415 rather than guessed at. Error bodies and the stats
 // endpoint are JSON.
 type ShardServer struct {
-	svc   *serve.Service
-	view  *labeling.View
-	desc  Descriptor
-	rec   *trace.Recorder // optional local ring; see SetTraceRecorder
-	projc *serve.ProjectionCache
+	svc  *serve.Service
+	view *labeling.View
+	desc Descriptor
+	rec  *trace.Recorder // optional local ring; see SetTraceRecorder
 
-	// Wire traffic counters (match body bytes by direction), surfaced
+	// Wire traffic counters (match body bytes by direction) and slim
+	// requests answered from the report cache or with 428, surfaced
 	// through Stats.
-	in, out atomic.Int64
+	in, out              atomic.Int64
+	slimHits, slimMisses atomic.Int64
 }
 
 // NewShardServer wraps a Service running on view
-// (pipeline.NewViewRunnerWithNameIndex) with the shard's descriptor. The
-// server resolves projection references out of a content-addressed cache
-// charged to the service's memory governor.
+// (pipeline.NewViewRunnerWithNameIndex) with the shard's descriptor.
 func NewShardServer(svc *serve.Service, view *labeling.View, desc Descriptor) *ShardServer {
-	return &ShardServer{svc: svc, view: view, desc: desc, projc: svc.NewProjectionCache()}
+	return &ShardServer{svc: svc, view: view, desc: desc}
 }
 
 // SetTraceRecorder attaches a local trace ring: every traced match is
@@ -67,19 +69,21 @@ func (s *ShardServer) SetTraceRecorder(rec *trace.Recorder) { s.rec = rec }
 // additional endpoints — metrics, health — against it).
 func (s *ShardServer) Service() *serve.Service { return s.svc }
 
-// Stats returns the service's snapshot with the shard server's transport
-// counters folded in (wire bytes by direction). The projection cache
-// counters are already the service's own.
+// Stats returns the service's snapshot with the shard server's own counters
+// folded in: wire bytes by direction, and slim requests answered from the
+// report cache (ProjectionCacheHits) or with 428 (ProjectionCacheMisses).
 func (s *ShardServer) Stats() serve.Stats {
 	st := s.svc.Stats()
 	st.WireBytes.InBinary += s.in.Load()
 	st.WireBytes.OutBinary += s.out.Load()
+	st.ProjectionCacheHits += s.slimHits.Load()
+	st.ProjectionCacheMisses += s.slimMisses.Load()
 	return st
 }
 
 // WritePrometheus renders the shard's full stats snapshot — the service
-// counters plus the wire-level figures only the shard server holds
-// (bellflower_wire_bytes_total, the projection-cache counters) — in the
+// counters plus the figures only the shard server holds
+// (bellflower_wire_bytes_total, the slim-request counters) — in the
 // Prometheus text exposition format. The shard daemon's /metrics endpoint
 // uses this instead of the bare service snapshot.
 func (s *ShardServer) WritePrometheus(w io.Writer) error {
@@ -174,7 +178,7 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.in.Add(int64(len(body)))
-	req, proj, err := decodeRequest(body)
+	req, err := DecodeBinaryMatchRequest(body)
 	if err != nil {
 		fail(dsp, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -209,16 +213,33 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	staged, status, msg := s.stagedFor(req, personal, body[proj:])
-	if status != 0 {
-		fail(dsp, status, msg)
+	if req.ProjectionRef && req.Signature == "" {
+		fail(dsp, http.StatusBadRequest, "slim request without signature")
+		return
+	}
+	staged, err := s.staged(req, personal)
+	if err != nil {
+		fail(dsp, http.StatusBadRequest, err.Error())
 		return
 	}
 	dsp.End()
 
 	mctx, msp := trace.StartSpan(ctx, "match")
-	rep, err := s.svc.MatchStaged(mctx, personal, opts, staged)
-	if err != nil {
+	var rep *pipeline.Report
+	if req.ProjectionRef {
+		// A slim request asks for the report cached under its signature.
+		// 428 tells the client to resend the full request; it is a
+		// protocol turn, not a failure, so clients neither fail over nor
+		// count it against replica health.
+		var ok bool
+		if rep, ok = s.svc.MatchCached(personal, opts); !ok {
+			s.slimMisses.Add(1)
+			fail(msp, http.StatusPreconditionRequired,
+				fmt.Sprintf("report-needed: %s is not cached on this shard", req.Signature))
+			return
+		}
+		s.slimHits.Add(1)
+	} else if rep, err = s.svc.MatchStaged(mctx, personal, opts, staged); err != nil {
 		fail(msp, matchStatus(err), err.Error())
 		return
 	}
@@ -247,62 +268,21 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
-// stagedFor resolves what the request stages: a projection reference out of
-// the projection cache, an inlined projection by decoding (and caching) it,
-// the zero Staged when the request asks for the full pipeline. section is
-// the projection section of the body as received. A non-zero status is the
-// rejection to answer with.
-func (s *ShardServer) stagedFor(req *MatchRequest, personal *schema.Tree, section []byte) (staged serve.Staged, status int, msg string) {
-	if req.ProjectionRef {
-		// The request references its projection by content address instead
-		// of shipping it. Resolve or ask for the payload — 428 tells the
-		// client to retry once with the projection inlined; it is a
-		// protocol turn, not a failure, so clients neither fail over nor
-		// count it against replica health.
-		if req.ProjectionHash == "" {
-			return staged, http.StatusBadRequest, "projection reference without projection hash"
-		}
-		var ok bool
-		if staged, ok = s.projc.Get(req.ProjectionHash); !ok {
-			return staged, http.StatusPreconditionRequired,
-				fmt.Sprintf("projection-needed: %s is not cached on this shard", req.ProjectionHash)
-		}
-		// The cached candidates are bound to the structurally identical
-		// personal tree of the request that populated the entry; rebind
-		// them to THIS request's decoded tree (O(|personal|), slices
-		// shared).
-		staged.Cands = staged.Cands.Rebind(personal)
-		return staged, 0, ""
-	}
+// staged decodes the projection a full request ships; the zero Staged when
+// it ships none and asks for the full pipeline.
+func (s *ShardServer) staged(req *MatchRequest, personal *schema.Tree) (staged serve.Staged, err error) {
 	if req.HasCandidates != req.HasClusters {
-		return staged, http.StatusBadRequest, "candidates and clusters must be staged together"
-	}
-	// A full payload carrying a content address must actually hash to it —
-	// self-verifying, so a corrupt or mislabelled projection is rejected
-	// instead of cached under the wrong key. The hash is over the bytes as
-	// received, so a section that decodes to the right structs through a
-	// non-canonical encoding is rejected too.
-	if req.ProjectionHash != "" {
-		if got := projectionDigest(req, section); got != req.ProjectionHash {
-			return staged, http.StatusBadRequest,
-				fmt.Sprintf("projection digest mismatch: payload hashes to %s, request claims %s", got, req.ProjectionHash)
-		}
+		return staged, errors.New("candidates and clusters must be staged together")
 	}
 	if !req.HasCandidates {
-		return staged, 0, ""
+		return staged, nil
 	}
-	var err error
 	staged.Iterations = req.Iterations
 	if staged.Cands, err = DecodeCandidates(s.view, personal, req.Candidates); err != nil {
-		return staged, http.StatusBadRequest, err.Error()
+		return staged, err
 	}
-	if staged.Clusters, err = DecodeClusters(s.view, req.Clusters); err != nil {
-		return staged, http.StatusBadRequest, err.Error()
-	}
-	if req.ProjectionHash != "" {
-		s.projc.Put(req.ProjectionHash, staged)
-	}
-	return staged, 0, ""
+	staged.Clusters, err = DecodeClusters(s.view, req.Clusters)
+	return staged, err
 }
 
 // maxPresizedBody caps how much of a declared Content-Length readBody

@@ -744,13 +744,11 @@ func DecodeReport(v *labeling.View, wr WireReport) (*pipeline.Report, error) {
 // and both clear asks for the shard's full pipeline; a request setting only
 // one is rejected.
 //
-// ProjectionHash content-addresses the projected pre-pass payload
-// (ProjectionDigest). A full request carries it alongside the payload so
-// the shard can verify and cache the projection; a slim request sets
-// ProjectionRef and OMITS Candidates/Clusters entirely, asking the shard
-// to resolve the hash from its projection cache — the shard answers 428
-// (projection-needed) when it cannot, and the client retries with the
-// full payload.
+// A slim request sets ProjectionRef and OMITS the projection entirely: it
+// asks the shard to answer with the report it cached under Signature, which
+// it must carry. The shard answers 428 (report-needed) when it holds none,
+// and the client resends the full request. ProjectionHash is still encoded
+// but nothing sets or reads it.
 type MatchRequest struct {
 	Descriptor     Descriptor         `json:"descriptor"`
 	Personal       WireTree           `json:"personal"`

@@ -1,19 +1,23 @@
 #!/usr/bin/env bash
 # Prints, for every package (directory) of the root module and in total, the
-# size ledger behind ROADMAP aim 2: non-test Go lines, exported identifiers
-# (top-level functions, types, vars and consts, and methods) and settable
-# fields (exported fields of structs named *Config or *Options). The line
-# count stays the first column. examples/, testdata/ fixtures and the
-# nested benchmark/ module are not part of the product and are left out.
+# size ledger behind ROADMAP aim 2, read from the working tree: non-test Go
+# lines, exported identifiers (top-level functions, types, vars and consts,
+# and methods) and settable fields (exported fields of structs named
+# *Config or *Options). The line count stays the first column. examples/,
+# testdata/ fixtures and the nested benchmark/ module are not part of the
+# product and are left out.
 # The identifier columns read gofmt-formatted source by layout, not by
 # type-checking; TestExportedSurface is the exact check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 printf '%6s %8s %8s  %s\n' lines exported settable package
-git ls-files '*.go' |
+# The working tree as it stands: tracked files that still exist and new
+# files git does not ignore.
+git ls-files --cached --others --exclude-standard '*.go' |
   grep -v -e '_test\.go$' -e '^examples/' -e '^benchmark/' -e '\(^\|/\)testdata/' |
   while read -r f; do
+    [ -f "$f" ] || continue
     awk -v pkg="$(dirname "$f")" '
       # Counts the exported names of one spec line: "A, b, C int" -> 2.
       function names(s,    n, i, parts) {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Multi-process smoke test for distributed serving: two shard-server
 # processes plus one router process, one end-to-end match through the
-# public API, and a stats scrape proving the fan-out actually crossed
-# process boundaries. Then the control-plane drill: kill one shard
+# public API, a stats scrape proving the fan-out actually crossed
+# process boundaries, and a repeat of the same match proving the shards
+# answer it as a slim request from their report caches. Then the
+# control-plane drill: kill one shard
 # mid-run, assert the -partial router keeps answering (Incomplete) and
 # reports the shard unhealthy, restart the shard, and assert probes
 # re-admit it. Run from anywhere; used by CI.
@@ -39,6 +41,15 @@ wait_healthy() {
 wait_healthy "$PORT_A"
 wait_healthy "$PORT_B"
 
+# shard_stat PORT FIELD prints one counter of a shard's /v1/shard/stats
+# (0 when the field is omitted as zero).
+shard_stat() {
+  local body n
+  body=$(curl -sf "http://127.0.0.1:$1/v1/shard/stats")
+  n=$(echo "$body" | grep -o "\"$2\": *[0-9]*" | grep -o '[0-9]*$' || true)
+  echo "${n:-0}"
+}
+
 # Partial mode with fast health probes, so the control-plane drill below
 # can observe mark-down and re-admission within seconds.
 "$BIN" $SYNTH -remote-shards "127.0.0.1:$PORT_A,127.0.0.1:$PORT_B" -addr "127.0.0.1:$PORT_R" \
@@ -48,8 +59,8 @@ wait_healthy "$PORT_R"
 
 # One end-to-end match through the router: must be a 200 with a pipeline
 # section and no incomplete marker (all shards are healthy).
-resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" \
-  -d '{"personal":"book(title,author)","options":{"delta":0.5,"min_sim":0.3,"top_n":5,"variant":"tree"}}')
+FIRST='{"personal":"book(title,author)","options":{"delta":0.5,"min_sim":0.3,"top_n":5,"variant":"tree"}}'
+resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$FIRST")
 echo "$resp" | grep -q '"pipeline"' || { echo "match response carries no pipeline stats: $resp" >&2; exit 1; }
 if echo "$resp" | grep -q '"incomplete": true'; then
   echo "healthy distributed fan-out reported incomplete: $resp" >&2
@@ -64,12 +75,26 @@ stats=$(curl -sf "http://127.0.0.1:$PORT_R/v1/stats")
 echo "$stats" | grep -q '"shards"' \
   || { echo "router stats carry no per-shard breakdown" >&2; exit 1; }
 for port in "$PORT_A" "$PORT_B"; do
-  runs=$(curl -sf "http://127.0.0.1:$port/v1/shard/stats" | grep -o '"pipeline_runs": *[0-9]*' | grep -o '[0-9]*$')
-  if [ "${runs:-0}" -lt 1 ]; then
+  if [ "$(shard_stat "$port" pipeline_runs)" -lt 1 ]; then
     echo "shard on port $port served no pipeline runs; fan-out never reached it" >&2
     exit 1
   fi
 done
+
+# The same body again: the router sends each shard a slim request (no
+# projection), which shard A answers from its report cache — a hit, and
+# no 428 report-needed turn.
+resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$FIRST")
+if echo "$resp" | grep -q '"incomplete": true'; then
+  echo "repeated match reported incomplete: $resp" >&2
+  exit 1
+fi
+hits=$(shard_stat "$PORT_A" projection_cache_hits)
+misses=$(shard_stat "$PORT_A" projection_cache_misses)
+if [ "$hits" -lt 1 ] || [ "$misses" -ne 0 ]; then
+  echo "shard A answered the repeat with $hits slim hits and $misses 428s, want >= 1 and 0" >&2
+  exit 1
+fi
 
 # --- Control-plane drill: kill shard B mid-run. ---------------------------
 kill "${PIDS[1]}" 2>/dev/null || true
@@ -113,6 +138,13 @@ if echo "$resp" | grep -q '"incomplete": true'; then
   echo "match after shard re-admission still incomplete: $resp" >&2
   exit 1
 fi
+# top_n 7 and 9 share the first request's pre-pass entry but not its
+# signature: shard A got them as full bodies, never a 428.
+if [ "$(shard_stat "$PORT_A" projection_cache_misses)" -ne 0 ]; then
+  echo "shard A answered a request with a new signature 428" >&2
+  exit 1
+fi
 
-echo "distributed smoke: 2 shard servers + 1 router served one match end to end,"
+echo "distributed smoke: 2 shard servers + 1 router served one match end to end"
+echo "  and its repeat as slim requests,"
 echo "  survived a shard kill as a partial result, and re-admitted the restarted shard"
