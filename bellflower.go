@@ -208,7 +208,7 @@ type (
 	TraceSummary = trace.Summary
 
 	// TraceRecorder is a bounded in-memory ring of recent (and slow)
-	// trace summaries; see NewTraceRecorder.
+	// request traces, summarized when read; see NewTraceRecorder.
 	TraceRecorder = trace.Recorder
 )
 
@@ -598,10 +598,12 @@ func StartTraceSpan(ctx context.Context, name string) (context.Context, *TraceSp
 	return trace.StartSpan(ctx, name)
 }
 
-// NewTraceRecorder builds a bounded ring of recent trace summaries plus a
-// separate ring for traces at least slowThreshold long (0 disables slow
-// capture). Non-positive caps select the defaults (64 recent, 32 slow).
-// The recorder backs bellflower-server's /v1/traces endpoint.
+// NewTraceRecorder builds a bounded ring of recent traces plus a separate
+// ring for traces whose root span took at least slowThreshold (0 disables
+// slow capture). Non-positive caps select the defaults (64 recent, 32
+// slow). A trace's summary is built when the ring is read, so it includes
+// spans that ended after the request did. The recorder backs
+// bellflower-server's /v1/traces endpoint.
 func NewTraceRecorder(recentCap, slowCap int, slowThreshold time.Duration) *TraceRecorder {
 	return trace.NewRecorder(recentCap, slowCap, slowThreshold)
 }

@@ -495,12 +495,13 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
-	sum := s.finishTrace(tr, root)
+	s.finishTrace(tr, root)
 	if err != nil {
 		writeJSON(w, status, errorJSON{Error: err.Error()})
 		return
 	}
-	if wantTrace(r) && sum.Tree != nil {
+	if wantTrace(r) {
+		sum := tr.Summarize()
 		if body, err = bellflower.AppendMatchTraceJSON(nil, body, &sum); err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
 			return
@@ -517,12 +518,14 @@ func (s *server) handleMatch(w http.ResponseWriter, r *http.Request) {
 // wantTrace reports whether the client asked for the inline span tree.
 func wantTrace(r *http.Request) bool { return r.URL.Query().Get("trace") == "1" }
 
-// finishTrace ends the request's root span, feeds the trace ring, and logs
-// a full span breakdown when the request crossed the -slow-ms threshold.
-func (s *server) finishTrace(tr *bellflower.RequestTrace, root *bellflower.TraceSpan) bellflower.TraceSummary {
+// finishTrace ends the request's root span and feeds the trace ring. Only
+// a request that crossed the -slow-ms threshold has its span tree built
+// here, for the log.
+func (s *server) finishTrace(tr *bellflower.RequestTrace, root *bellflower.TraceSpan) {
 	root.End()
-	sum := s.rec.Observe(tr)
-	if s.slow > 0 && sum.DurationMS >= float64(s.slow)/float64(time.Millisecond) {
+	s.rec.Observe(tr)
+	if s.slow > 0 && root.Duration >= s.slow {
+		sum := tr.Summarize()
 		s.logger.Warn("slow request",
 			"trace_id", sum.TraceID,
 			"root", sum.Root,
@@ -530,7 +533,6 @@ func (s *server) finishTrace(tr *bellflower.RequestTrace, root *bellflower.Trace
 			"spans", sum.Spans,
 			"tree", sum.Tree)
 	}
-	return sum
 }
 
 type batchRequestJSON struct {
@@ -600,11 +602,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	sum := s.finishTrace(tr, root)
+	s.finishTrace(tr, root)
 	var traceJSON []byte
 	if wantTrace(r) {
 		var err error
-		if traceJSON, err = json.MarshalIndent(sum, "  ", "  "); err != nil {
+		if traceJSON, err = json.MarshalIndent(tr.Summarize(), "  ", "  "); err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
 			return
 		}
@@ -616,13 +618,21 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// batchWriters recycles writeBatch's 32 KB buffered writers.
+var batchWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+
 // writeBatch streams the batch response — {"results": [{"result": ...,
 // "status": 200} | {"error": "...", "status": N}, ...]} plus the optional
-// "trace" — through one buffered writer: each result is its rendering
-// copied with the nesting's line prefix, byte for byte what encoding/json
-// prints for the same document in one piece.
+// "trace" — through one pooled buffered writer: each result is its
+// rendering copied with the nesting's line prefix, byte for byte what
+// encoding/json prints for the same document in one piece.
 func writeBatch(w io.Writer, entries []batchEntry, traceJSON []byte) error {
-	bw := bufio.NewWriterSize(w, 32<<10)
+	bw := batchWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	defer func() {
+		bw.Reset(nil) // a pooled writer must not pin the response
+		batchWriters.Put(bw)
+	}()
 	bw.WriteString("{\n  \"results\": [")
 	for i, e := range entries {
 		if i > 0 {

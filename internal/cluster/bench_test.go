@@ -85,6 +85,7 @@ func BenchmarkKMeans(b *testing.B) {
 		runs += res.MedoidRuns
 		kept += res.MedoidsKept
 		loaded += res.Loaded
+		res.Release()
 	}
 	b.ReportMetric(float64(runs)/float64(b.N), "medoid_runs/op")
 	b.ReportMetric(float64(kept)/float64(b.N), "medoids_kept/op")

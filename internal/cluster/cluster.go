@@ -156,6 +156,8 @@ type Result struct {
 	// because their member set had not changed, and so neither had their
 	// medoid. Both are zero for the other algorithms.
 	MedoidRuns, MedoidsKept int
+
+	store *store // the pooled backing of Clusters; see Release
 }
 
 // FullMask returns the mask with one bit set per node of an n-node personal

@@ -50,9 +50,10 @@
 // (schema.Repository numbers each tree in preorder), so the universe is
 // read off a bitmap of candidate IDs in one scan, without a sort, and each
 // candidate finds its element by the rank of its bit. The k-means working
-// state is flat arrays keyed by that order and lives in a sync.Pool: a warm
-// run allocates only its Result (five allocations, pinned by a test). No
-// step builds a map.
+// state is flat arrays keyed by that order and lives in a sync.Pool, and so
+// does the backing of a Result's clusters once its owner calls
+// Result.Release: a warm run allocates only its Result and its Moves (two
+// allocations, pinned by a test). No step builds a map.
 //
 // # The seeded universe
 //
@@ -95,12 +96,13 @@
 //
 // KMeans, Agglomerative and TreeClusters are pure functions of their
 // inputs: they read the immutable labelling index and candidate sets and
-// return freshly allocated Result values — pooled working state never
-// escapes a call — so any number of clustering runs may execute
-// concurrently (the serve worker pools do exactly that). The returned
-// clusters are not synchronized; treat a Result as owned by the goroutine
-// that produced it or as read-only once shared. The clusters of one Result
-// share backing arrays: appending to one cluster's Elements reallocates
-// rather than overwriting a neighbour, but the arrays live as long as any
-// cluster does.
+// return Result values no other live result shares storage with — pooled
+// working state never escapes a call — so any number of clustering runs may
+// execute concurrently (the serve worker pools do exactly that). The
+// returned clusters are not synchronized; treat a Result as owned by the
+// goroutine that produced it or as read-only once shared. The clusters of
+// one Result share backing arrays: appending to one cluster's Elements
+// reallocates rather than overwriting a neighbour, but the arrays live as
+// long as any cluster does, unless the owner hands them back with
+// Result.Release, after which none of them may be read.
 package cluster

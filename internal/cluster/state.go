@@ -476,30 +476,66 @@ func (st *state) farthestFrom(mem []int32, from int32) int32 {
 	return best
 }
 
+// store is the backing of one Result's clusters: the pointer list, the
+// cluster structs and their elements, pooled between runs (Result.Release).
+type store struct {
+	ptrs  []*Cluster
+	cls   []Cluster
+	elems []Element
+}
+
+var storePool = sync.Pool{New: func() any { return new(store) }}
+
+// maxPooledElements is the largest element backing, in elements, that
+// Result.Release keeps for reuse (1 MiB); a larger one is left to the
+// collector.
+const maxPooledElements = 1 << 16
+
 // emit converts the final state into res's exported clusters and counts
 // the elements loaded and the elements left in no cluster. The clusters
-// share one backing array each for their structs and their elements.
+// share one pooled backing array each for their pointers, their structs and
+// their elements.
 func (st *state) emit(res *Result) {
 	assigned := 0
 	for _, ref := range st.clusters {
 		assigned += int(ref.n)
 	}
-	out := make([]*Cluster, len(st.clusters))
-	cls := make([]Cluster, len(st.clusters))
-	elems := make([]Element, 0, assigned)
+	bk := storePool.Get().(*store)
+	bk.ptrs = resize(bk.ptrs, len(st.clusters))
+	bk.cls = resize(bk.cls, len(st.clusters))
+	elems := resize(bk.elems, assigned)[:0]
 	repo := st.ix.Repository()
 	for c, ref := range st.clusters {
 		lo := len(elems)
 		for _, e := range st.members(ref) {
 			elems = append(elems, st.element(e))
 		}
-		cls[c] = Cluster{
+		bk.cls[c] = Cluster{
 			ID:       c,
 			Medoid:   repo.Node(int(st.node[ref.medoid])),
 			TreeID:   int(st.tree[ref.medoid]),
 			Elements: elems[lo:len(elems):len(elems)],
 		}
-		out[c] = &cls[c]
+		bk.ptrs[c] = &bk.cls[c]
 	}
-	res.Clusters, res.Loaded, res.Unassigned = out, len(st.node), st.all-assigned
+	bk.elems = elems
+	n := len(bk.ptrs)
+	res.Clusters, res.Loaded, res.Unassigned = bk.ptrs[:n:n], len(st.node), st.all-assigned
+	res.store = bk
+}
+
+// Release hands the backing of res's clusters back for reuse by a later
+// run. Neither res.Clusters nor any cluster or element read from it may be
+// used afterwards, so the one caller that owns a result calls it after its
+// last use; a result never released is collected as usual. A second call
+// does nothing.
+func (res *Result) Release() {
+	bk := res.store
+	if bk == nil {
+		return
+	}
+	res.store, res.Clusters = nil, nil
+	if cap(bk.elems) <= maxPooledElements {
+		storePool.Put(bk)
+	}
 }

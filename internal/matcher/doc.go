@@ -18,9 +18,11 @@
 // FindCandidates may be running on many goroutines against one matcher at
 // once. A NameIndex and its Vocabularies are shared the same way: the
 // index's score-row memo is mutex-guarded, its stored rows are immutable and
-// shared by every caller that hits them, and each call still allocates the
-// Elems of its result afresh, so no two Candidates alias. Candidates values
-// returned by FindCandidates are read-only snapshots; Rescore builds a new
+// shared by every caller that hits them, and each call cuts the Elems of its
+// result from a slab no other live Candidates holds, so no two Candidates
+// alias; Candidates.Release hands the slab back for reuse, after which the
+// released value must not be read. Candidates values returned by
+// FindCandidates are read-only snapshots; Rescore builds a new
 // Candidates rather than mutating its input. Custom Matcher implementations
 // supplied through pipeline.Options.Matcher must offer the same guarantee
 // when used with the serve package, whose worker pools share one Options

@@ -159,8 +159,10 @@ func (v *Vocabulary) FindCandidates(personal *schema.Tree, m Matcher, cfg Config
 // value-identified matchers (memoKey) live in the NameIndex's bounded memo
 // for every view to share, and a recurring personal name is scored once per
 // repository generation; rows are resolved first and only the misses scored,
-// on a bounded worker set when there are enough. Each set is then emitted by
-// copying the node groups of its row's keys in row order — no per-set sort.
+// on a bounded worker set when there are enough. Once every row is known,
+// the caller's goroutine emits each set by copying the node groups of its
+// row's keys in row order — no per-set sort — into one pooled slab, which
+// Candidates.Release hands back.
 //
 // The result is bit-identical — scores and order — to the naive reference
 // kernel FindCandidatesAmong over the same universe, hit or miss: dedup only
@@ -178,14 +180,13 @@ func (v *Vocabulary) Match(personal *schema.Tree, m Matcher, cfg Config) (*Candi
 		return FindCandidatesAmong(personal, v.nodes, m, cfg), MatchInfo{}
 	}
 	pnodes := personal.Nodes()
-	out := &Candidates{Personal: personal, Sets: make([]CandidateSet, len(pnodes))}
+	rows := make([][]rowEntry, len(pnodes))
 	var info MatchInfo
 	var missed []int
 	for i, p := range pnodes {
-		out.Sets[i].Personal = p
 		if k, ok := memoKey(m, p, cfg.MinSim); ok {
 			if row, ok := ni.memo.get(k); ok {
-				out.Sets[i].Elems = v.emit(row)
+				rows[i] = row
 				info.MemoHits++
 				continue
 			}
@@ -193,10 +194,16 @@ func (v *Vocabulary) Match(personal *schema.Tree, m Matcher, cfg Config) (*Candi
 		}
 		missed = append(missed, i)
 	}
-	if len(missed) == 0 {
-		return out, info
+	if len(missed) > 0 {
+		v.scoreMissed(pnodes, missed, rows, m, cfg.MinSim)
 	}
+	return v.emitAll(personal, rows), info
+}
 
+// scoreMissed scores the rows of the personal nodes listed in missed into
+// rows, storing the memoizable ones in the memo.
+func (v *Vocabulary) scoreMissed(pnodes []*schema.Node, missed []int, rows [][]rowEntry, m Matcher, minSim float64) {
+	ni := v.ni
 	score, prune := compileScore(m), pruneEligible(m)
 	var next atomic.Int64
 	// A worker that panics (a matcher's Similarity can) hands the value to
@@ -215,12 +222,13 @@ func (v *Vocabulary) Match(personal *schema.Tree, m Matcher, cfg Config) (*Candi
 			p := pnodes[missed[j]]
 			ps.node, ps.prep = p, strsim.Prepare(p.Name)
 			ps.synFold, ps.typFold = fold(p.Name), fold(p.Type)
-			row := ni.scoreRow(&ps, score, prune, cfg.MinSim)
-			if k, ok := memoKey(m, p, cfg.MinSim); ok {
-				row = slices.Clone(row) // stored rows are immutable; ps.row is reused
+			// ps.row is reused; the clone is the row's own, and a stored row
+			// is immutable.
+			row := slices.Clone(ni.scoreRow(&ps, score, prune, minSim))
+			if k, ok := memoKey(m, p, minSim); ok {
 				ni.memo.put(k, row)
 			}
-			out.Sets[missed[j]].Elems = v.emit(row)
+			rows[missed[j]] = row
 			ni.savedCalls.Add(int64(max(0, len(v.nodes)-len(ni.keys))))
 		}
 	}
@@ -239,7 +247,55 @@ func (v *Vocabulary) Match(personal *schema.Tree, m Matcher, cfg Config) (*Candi
 	if panicked != nil {
 		panic(panicked)
 	}
-	return out, info
+}
+
+// maxPooledSlab is the largest candidate slab, in candidates, that Release
+// keeps for reuse (1 MiB); a larger one, from an unusually wide request, is
+// left to the collector.
+const maxPooledSlab = 1 << 16
+
+// slabPool recycles the slabs candidate sets are cut from.
+var slabPool = sync.Pool{New: func() any { return new([]Candidate) }}
+
+// emitAll builds the candidate sets of personal from their score rows, every
+// set cut from one pooled slab of exactly their total size.
+func (v *Vocabulary) emitAll(personal *schema.Tree, rows [][]rowEntry) *Candidates {
+	total := 0
+	for _, row := range rows {
+		total += v.setLen(row)
+	}
+	slab := slabPool.Get().(*[]Candidate)
+	if cap(*slab) < total {
+		*slab = make([]Candidate, 0, total)
+	}
+	out := &Candidates{Personal: personal, Sets: make([]CandidateSet, len(rows)), slab: slab}
+	elems := (*slab)[:0]
+	for i, row := range rows {
+		out.Sets[i].Personal = personal.NodeAt(i)
+		lo := len(elems)
+		elems = v.emit(elems, row)
+		if len(elems) > lo { // the naive kernel leaves empty sets nil
+			out.Sets[i].Elems = elems[lo:len(elems):len(elems)]
+		}
+	}
+	return out
+}
+
+// Release hands the storage of c's candidate sets back for reuse by a later
+// Match. Only candidates built by Vocabulary.Match hold pooled storage;
+// Release on any other value, or a second time, does nothing. Neither c nor
+// any set read from it may be used afterwards, so the one caller that owns a
+// result calls it after its last use; storage never handed back is
+// collected as usual.
+func (c *Candidates) Release() {
+	slab := c.slab
+	if slab == nil {
+		return
+	}
+	c.slab, c.Sets = nil, nil
+	if cap(*slab) <= maxPooledSlab {
+		slabPool.Put(slab)
+	}
 }
 
 // scoreRow scores ps's personal node against every interned key and returns
@@ -280,21 +336,23 @@ func (ni *NameIndex) scoreRow(ps *personalScratch, score scoreFunc, prune bool, 
 // distinct scores (datatype, synonym) at O(n log n) per run.
 const mergeGroups = 16
 
-// emit produces one candidate set from a score row: each row key present in
-// this universe contributes its node group at the key's score. Rows are
-// score-descending and groups ID-ascending, so copying groups in row order
-// yields (sim desc, node ID asc) once the groups inside a run of equal score
-// are merged by ID.
-func (v *Vocabulary) emit(row []rowEntry) []Candidate {
-	total := 0
+// setLen is the size of the candidate set emit produces from row: the
+// nodes of each row key present in this universe.
+func (v *Vocabulary) setLen(row []rowEntry) int {
+	n := 0
 	for _, e := range row {
-		total += len(v.groups[e.key])
+		n += len(v.groups[e.key])
 	}
-	if total == 0 {
-		return nil // the naive kernel leaves empty sets nil
-	}
-	elems := make([]Candidate, 0, total)
-	run, groups := 0, 0 // the current run starts at elems[run] and holds groups groups
+	return n
+}
+
+// emit appends the candidate set of one score row to elems, which must have
+// room for setLen(row) more: each row key present in this universe
+// contributes its node group at the key's score. Rows are score-descending
+// and groups ID-ascending, so copying groups in row order yields (sim desc,
+// node ID asc) once the groups inside a run of equal score are merged by ID.
+func (v *Vocabulary) emit(elems []Candidate, row []rowEntry) []Candidate {
+	run, groups := len(elems), 0 // the current run starts at elems[run] and holds groups groups
 	closeRun := func() {
 		if groups > mergeGroups {
 			slices.SortFunc(elems[run:], func(a, b Candidate) int { return a.Node.ID - b.Node.ID })

@@ -262,6 +262,8 @@ type CandidateSet struct {
 type Candidates struct {
 	Personal *schema.Tree
 	Sets     []CandidateSet
+
+	slab *[]Candidate // the pooled backing of Sets' elements (Vocabulary.Match), else nil
 }
 
 // TotalMappingElements returns the number of (personal node, repository

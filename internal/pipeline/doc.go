@@ -30,8 +30,12 @@
 //
 // A Runner is safe for concurrent use: the repository and labelling index
 // are built by NewRunner and only read afterwards, and every Run /
-// RunContext call keeps its working state (candidates, clusters, report) on
-// its own stack — the serve package's worker pools depend on this.
+// RunContext call keeps its working state (candidates, clusters, report) to
+// itself — the serve package's worker pools depend on this. RunContext hands
+// the storage of its candidate sets and clusters back to their pools
+// (matcher.Candidates.Release, cluster.Result.Release) on its own goroutine
+// once generation returns; the report keeps neither, so what a run leaves
+// behind is its report.
 // RunContext honours cancellation cooperatively: the context is checked
 // between pipeline stages and, by the generation search, between clusters,
 // so a cancelled run stops within one cluster's worth of work. Reports are

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -272,8 +273,9 @@ func (r *Report) Deltas() []float64 {
 // A Runner is safe for concurrent use: the repository, labelling index and
 // view are built once by the constructors and only read afterwards, and
 // every Run / RunContext call keeps its working state (candidates,
-// clusters, report) on its own stack. Many goroutines may call Run on one
-// Runner at once — the serve subsystem depends on this.
+// clusters, report) to itself, handing the pooled parts back when it is
+// done with them. Many goroutines may call Run on one Runner at once — the
+// serve subsystem depends on this.
 type Runner struct {
 	repo     *schema.Repository
 	ix       *labeling.Index
@@ -419,6 +421,7 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 
 	// Stage 2: clustering (step c).
 	if err := ctx.Err(); err != nil {
+		cands.Release()
 		return nil, err
 	}
 	t1 := time.Now()
@@ -426,6 +429,7 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 	res, err := computeClusters(r.ix, cands, opts)
 	if err != nil {
 		csp.End()
+		cands.Release()
 		return nil, err
 	}
 	if csp != nil {
@@ -437,7 +441,12 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 		csp.SetAttrInt("medoids_kept", int64(res.MedoidsKept))
 	}
 	csp.End()
-	return r.runGeneration(ctx, personal, cands, res.Clusters, res.Iterations, matchTime, time.Since(t1), opts)
+	rep, err := r.runGeneration(ctx, personal, cands, res.Clusters, res.Iterations, matchTime, time.Since(t1), opts)
+	// The report holds neither the candidates nor the clusters, and the
+	// generator is done with them: hand their storage back.
+	res.Release()
+	cands.Release()
+	return rep, err
 }
 
 // RunWithClusters executes only the mapping-generation stage: both the
@@ -536,8 +545,11 @@ func (r *Runner) runGeneration(ctx context.Context, personal *schema.Tree, cands
 	rep.MappingElements = cands.TotalMappingElements()
 	rep.Iterations = iterations
 	rep.Clusters = len(clusters)
-	for _, cl := range clusters {
-		rep.ClusterSizes = append(rep.ClusterSizes, cl.Len())
+	if len(clusters) > 0 {
+		rep.ClusterSizes = make([]int, len(clusters))
+		for i, cl := range clusters {
+			rep.ClusterSizes[i] = cl.Len()
+		}
 	}
 
 	// Stage 3: mapping generation (steps ④ and ⑤).
@@ -654,17 +666,22 @@ func collectPartials(ctx context.Context, rep *Report, gen *mapgen.Generator, no
 }
 
 // splitUseful partitions clusters by usefulness for an n-node personal
-// schema.
+// schema, each part in the clusters' order, both cut from one array.
 func splitUseful(clusters []*cluster.Cluster, n int) (useful, nonUseful []*cluster.Cluster) {
 	full := cluster.FullMask(n)
+	parts := make([]*cluster.Cluster, len(clusters))
+	u, nu := 0, len(parts)
 	for _, cl := range clusters {
 		if cl.Useful(full) {
-			useful = append(useful, cl)
+			parts[u] = cl
+			u++
 		} else {
-			nonUseful = append(nonUseful, cl)
+			nu--
+			parts[nu] = cl
 		}
 	}
-	return useful, nonUseful
+	slices.Reverse(parts[nu:])
+	return parts[:u:u], parts[nu:]
 }
 
 // memberPool recycles the dense node-ID sets behind cluster-membership

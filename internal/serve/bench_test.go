@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
 	"bellflower/internal/repogen"
 	"bellflower/internal/schema"
@@ -29,4 +31,28 @@ func BenchmarkRouterHot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServiceCold is one cold in-process request per op:
+// Service.MatchJSON with the cache off, cycling through the paper-scale
+// request list (distinct personal schemas of 3–7 nodes, ten best
+// mappings). B/op and allocs/op are what a cold request leaves behind;
+// gcs/op is the collections they cost.
+func BenchmarkServiceCold(b *testing.B) {
+	ix, personals := paperScale()
+	s := New(pipeline.NewRunnerFromIndexes(ix, matcher.NewNameIndex(ix.Repository())), Config{Workers: 1, CacheSize: -1})
+	defer s.Close()
+	opts := coldOptions()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.MatchJSON(context.Background(), personals[i%len(personals)], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 }

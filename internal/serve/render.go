@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -11,6 +12,27 @@ import (
 	"bellflower/internal/schema"
 	"bellflower/internal/trace"
 )
+
+// renderPool recycles the scratch buffers renderBody renders into.
+var renderPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRender is the largest render scratch, in bytes, kept for reuse;
+// a larger one, from an unusually long response, is left to the collector.
+const maxPooledRender = 1 << 20
+
+// renderBody is AppendReportJSON into pooled scratch, returning an
+// exact-size copy: the one allocation a response keeps, and the bytes a
+// report cache entry holds, with no growth garbage behind it.
+func renderBody(personal *schema.Tree, rep *pipeline.Report) []byte {
+	scratch := renderPool.Get().(*[]byte)
+	*scratch = AppendReportJSON((*scratch)[:0], personal, rep)
+	body := make([]byte, len(*scratch))
+	copy(body, *scratch)
+	if cap(*scratch) <= maxPooledRender {
+		renderPool.Put(scratch)
+	}
+	return body
+}
 
 // AppendReportJSON appends the HTTP match response for rep — the body of
 // POST /v1/match and of one /v1/match/batch result — to dst and returns the

@@ -339,14 +339,15 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 }
 
 // MatchJSON implements Backend: Match, then one rendering of the merged
-// report. The router caches no merged reports, so nothing is kept — the
-// shards' caches hold the per-shard reports the merge is rebuilt from.
+// report (renderBody). The router caches no merged reports, so nothing is
+// kept — the shards' caches hold the per-shard reports the merge is rebuilt
+// from.
 func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
 	rep, err := r.Match(ctx, personal, opts)
 	if err != nil {
 		return nil, err
 	}
-	return AppendReportJSON(nil, personal, rep), nil
+	return renderBody(personal, rep), nil
 }
 
 // runPrepass returns the full-repository matching + clustering result for
@@ -426,9 +427,13 @@ func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts
 	r.prepassRuns.Add(1)
 	r.stPrepass.observe(e.matchDur + e.clusterDur)
 	if err != nil {
+		cands.Release()
 		return nil, err
 	}
 	e.shards = r.project(cands, clusters, iterations)
+	// Every shard's candidates are a copy (Restrict); the clusters stay
+	// in the entry and are never handed back.
+	cands.Release()
 	return e, nil
 }
 

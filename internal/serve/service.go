@@ -287,7 +287,7 @@ func (s *Service) Match(ctx context.Context, personal *schema.Tree, opts pipelin
 }
 
 // MatchJSON is Match returning the report's HTTP rendering
-// (AppendReportJSON). The rendering lives in the report's own cache entry:
+// (renderBody). The rendering lives in the report's own cache entry:
 // a hit on an entry that has one returns those bytes without touching the
 // report; a miss, a flight join, or a hit on an entry only Match has read
 // so far renders once and attaches the result to the entry (same key and
@@ -302,7 +302,7 @@ func (s *Service) MatchJSON(ctx context.Context, personal *schema.Tree, opts pip
 	if hit.body != nil {
 		return hit.body, nil
 	}
-	return s.cache.Attach(hit.key, rep, AppendReportJSON(nil, personal, rep)), nil
+	return s.cache.Attach(hit.key, rep, renderBody(personal, rep)), nil
 }
 
 // MatchStaged implements ShardBackend: Match with the stages the caller

@@ -9,10 +9,13 @@ import (
 // trace enters the recent ring, and traces whose root span exceeds the
 // slow threshold also enter the slow ring. Both rings evict oldest-first
 // at fixed capacity, so memory stays bounded no matter the request rate.
+// The rings hold the traces themselves; a trace's Summary is built only
+// when Recent or Slow reads it, so it also shows the spans that ended
+// after Observe (a run that outlived its request).
 type Recorder struct {
 	mu        sync.Mutex
-	recent    []Summary
-	slow      []Summary
+	recent    []*Trace
+	slow      []*Trace
 	recentCap int
 	slowCap   int
 	threshold time.Duration
@@ -45,42 +48,56 @@ func (r *Recorder) Threshold() time.Duration {
 	return r.threshold
 }
 
-// Observe summarizes a finished trace into the rings and returns the
-// summary (so callers serving ?trace=1 don't summarize twice). A nil
-// trace — an untraced request — returns a zero Summary untouched.
-func (r *Recorder) Observe(t *Trace) Summary {
+// Observe records a trace whose root span has ended into the rings. A nil
+// trace — an untraced request — is ignored.
+func (r *Recorder) Observe(t *Trace) {
 	if t == nil {
-		return Summary{}
+		return
 	}
-	sum := t.Summarize()
+	t.mu.Lock()
+	dur := t.root.Duration
+	t.mu.Unlock()
 	r.mu.Lock()
-	r.recent = push(r.recent, sum, r.recentCap)
-	if r.threshold > 0 && sum.DurationMS >= float64(r.threshold)/float64(time.Millisecond) {
-		r.slow = push(r.slow, sum, r.slowCap)
+	r.recent = push(r.recent, t, r.recentCap)
+	if r.threshold > 0 && dur >= r.threshold {
+		r.slow = push(r.slow, t, r.slowCap)
 	}
 	r.mu.Unlock()
-	return sum
 }
 
 // push appends keeping at most cap entries, evicting oldest-first.
-func push(ring []Summary, s Summary, capacity int) []Summary {
-	ring = append(ring, s)
+func push(ring []*Trace, t *Trace, capacity int) []*Trace {
+	ring = append(ring, t)
 	if overflow := len(ring) - capacity; overflow > 0 {
 		ring = append(ring[:0], ring[overflow:]...)
 	}
 	return ring
 }
 
-// Recent returns the recent ring, newest last.
+// Recent summarizes the recent ring, newest last.
 func (r *Recorder) Recent() []Summary {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Summary(nil), r.recent...)
+	ring := append([]*Trace(nil), r.recent...)
+	r.mu.Unlock()
+	return summarize(ring)
 }
 
-// Slow returns the slow ring, newest last.
+// Slow summarizes the slow ring, newest last.
 func (r *Recorder) Slow() []Summary {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Summary(nil), r.slow...)
+	ring := append([]*Trace(nil), r.slow...)
+	r.mu.Unlock()
+	return summarize(ring)
+}
+
+// summarize builds the Summary of each trace, outside the recorder's lock.
+func summarize(ring []*Trace) []Summary {
+	if len(ring) == 0 {
+		return nil
+	}
+	out := make([]Summary, len(ring))
+	for i, t := range ring {
+		out[i] = t.Summarize()
+	}
+	return out
 }

@@ -28,11 +28,23 @@ import (
 
 // ID identifies a trace or a span. IDs are process-unique, not globally
 // unique: a trace crossing a process boundary keeps the originator's
-// trace ID, and remote span IDs are re-mapped on graft if they collide.
+// trace ID, and every remote span gets a fresh local ID on graft.
 type ID uint64
 
 // String renders the ID as fixed-width hex (the wire and JSON form).
-func (id ID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id ID) String() string {
+	var buf [16]byte
+	return string(id.appendHex(buf[:0]))
+}
+
+// appendHex appends the ID's 16 lowercase hex digits to dst.
+func (id ID) appendHex(dst []byte) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[uint64(id)>>uint(shift)&0xf])
+	}
+	return dst
+}
 
 // ParseID parses the fixed-width hex form produced by String.
 func ParseID(s string) (ID, error) {
@@ -117,7 +129,8 @@ func (s *Span) End() {
 // concurrent use: fan-out goroutines append spans while the root
 // goroutine may snapshot.
 type Trace struct {
-	id ID
+	id   ID
+	root *Span // the span New or Resume opened
 
 	mu    sync.Mutex
 	spans []*Span
@@ -147,18 +160,32 @@ func (t *Trace) Spans() []*Span {
 // Graft adopts spans finished in another process (decoded from a shard
 // response) into this trace. Callers must have arranged parentage via
 // the wire context: the remote root's Parent is the local span whose ID
-// crossed in the X-Bellflower-Trace header.
+// crossed in the X-Bellflower-Trace header. Every grafted span gets a fresh
+// local ID, so no remote ID can collide with a local one; a Parent naming a
+// span of the grafted set follows it to its new ID, and any other Parent
+// (the remote root's) is kept.
 func (t *Trace) Graft(spans []Span) {
 	t.mu.Lock()
-	for i := range spans {
-		if len(t.spans) >= maxSpans {
-			break
-		}
-		s := spans[i] // copy; the grafted span is owned by the trace
-		s.Remote = true
-		t.spans = append(t.spans, &s)
+	defer t.mu.Unlock()
+	n := min(len(spans), maxSpans-len(t.spans))
+	if n <= 0 {
+		return
 	}
-	t.mu.Unlock()
+	grafted := make([]Span, n) // owned by the trace
+	local := make(map[ID]ID, n)
+	for i := range grafted {
+		grafted[i] = spans[i]
+		grafted[i].Remote = true
+		grafted[i].ID = newID()
+		local[spans[i].ID] = grafted[i].ID
+	}
+	for i := range grafted {
+		s := &grafted[i]
+		if id, ok := local[s.Parent]; ok {
+			s.Parent = id
+		}
+		t.spans = append(t.spans, s)
+	}
 }
 
 // ctxKey carries the active trace position through a context.
@@ -181,6 +208,7 @@ func New(ctx context.Context, name string) (context.Context, *Trace, *Span) {
 func resume(ctx context.Context, name string, traceID, parent ID) (context.Context, *Trace, *Span) {
 	tr := &Trace{id: traceID}
 	sp := &Span{ID: newID(), Parent: parent, Name: name, Start: time.Now(), tr: tr}
+	tr.root = sp
 	return context.WithValue(ctx, ctxKey{}, &active{tr: tr, span: sp.ID}), tr, sp
 }
 
@@ -226,7 +254,8 @@ func HeaderValue(ctx context.Context) string {
 	if !ok {
 		return ""
 	}
-	return a.tr.id.String() + "-" + a.span.String()
+	var buf [33]byte
+	return string(a.span.appendHex(append(a.tr.id.appendHex(buf[:0]), '-')))
 }
 
 // ParseHeader decodes a HeaderValue into (traceID, parentSpanID).

@@ -240,11 +240,101 @@ func TestRecorderSlowThreshold(t *testing.T) {
 
 func TestRecorderObserveNil(t *testing.T) {
 	rec := NewRecorder(0, 0, 0)
-	if sum := rec.Observe(nil); sum.TraceID != "" {
-		t.Fatalf("nil trace produced summary %+v", sum)
-	}
+	rec.Observe(nil)
 	if len(rec.Recent()) != 0 {
 		t.Fatal("nil trace entered the ring")
+	}
+}
+
+// TestRecorderSummarizesOnRead: the ring holds the trace, so a span that
+// ends after Observe — a detached run outliving its request — shows up in
+// the next read.
+func TestRecorderSummarizesOnRead(t *testing.T) {
+	rec := NewRecorder(4, 4, 0)
+	ctx, tr, root := New(context.Background(), "request")
+	_, late := StartSpan(ctx, "pipeline.run")
+	root.End()
+	rec.Observe(tr)
+	if got := rec.Recent()[0].Spans; got != 1 {
+		t.Fatalf("before the late span ends: %d spans, want 1", got)
+	}
+	late.End()
+	sum := rec.Recent()[0]
+	if sum.Spans != 2 || len(sum.Tree.Children) != 1 || sum.Tree.Children[0].Name != "pipeline.run" {
+		t.Fatalf("after the late span ends: %+v", sum)
+	}
+}
+
+// TestGraftCollidingIDs: a shard response carrying a span with the ID of
+// the local span its root hangs under, parented to that root, used to make
+// the span tree a cycle and Summarize recurse until the stack overflowed.
+// Grafted spans get fresh IDs and the tree lists every span once.
+func TestGraftCollidingIDs(t *testing.T) {
+	ctx, tr, root := New(context.Background(), "serve.match")
+	_, shard := StartSpan(ctx, "shard")
+	r0 := newID()
+	tr.Graft([]Span{
+		{ID: r0, Parent: shard.ID, Name: "shard.serve"},
+		{ID: shard.ID, Parent: r0, Name: "decode"},
+	})
+	shard.End()
+	root.End()
+	sum := tr.Summarize()
+	if sum.Spans != 4 {
+		t.Fatalf("trace holds %d spans, want 4", sum.Spans)
+	}
+	seen := map[string]int{}
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		seen[n.Name]++
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(sum.Tree)
+	for _, name := range []string{"serve.match", "shard", "shard.serve", "decode"} {
+		if seen[name] != 1 {
+			t.Errorf("span %s listed %d times in the tree, want once: %v", name, seen[name], seen)
+		}
+	}
+	if len(seen) != 4 {
+		t.Errorf("tree lists %v, want the four spans", seen)
+	}
+	for _, s := range tr.Spans() {
+		if s.Remote && (s.ID == r0 || s.ID == shard.ID) {
+			t.Errorf("grafted span %s kept its remote ID %s", s.Name, s.ID)
+		}
+	}
+}
+
+// TestTreeCutsParentCycles: spans whose parent links form a cycle hang
+// under the root, each listed once, and the rest of the cycle keeps its
+// links.
+func TestTreeCutsParentCycles(t *testing.T) {
+	ctx, tr, root := New(context.Background(), "root")
+	_, a := StartSpan(ctx, "a")
+	a.End()
+	a1, b1, c1 := newID(), newID(), newID()
+	tr.mu.Lock()
+	for _, s := range []*Span{
+		{ID: a1, Parent: c1, Name: "x", Start: a.Start.Add(1)},
+		{ID: b1, Parent: a1, Name: "y", Start: a.Start.Add(2)},
+		{ID: c1, Parent: b1, Name: "z", Start: a.Start.Add(3)},
+	} {
+		tr.spans = append(tr.spans, s)
+	}
+	tr.mu.Unlock()
+	root.End()
+	tree := tr.Summarize().Tree
+	if len(tree.Children) != 2 || tree.Children[0].Name != "a" || tree.Children[1].Name != "x" {
+		t.Fatalf("root children = %+v, want [a x]", tree.Children)
+	}
+	x := tree.Children[1]
+	if len(x.Children) != 1 || x.Children[0].Name != "y" || len(x.Children[0].Children) != 1 || x.Children[0].Children[0].Name != "z" {
+		t.Fatalf("cycle x→z→y→x not cut at x: %+v", x)
+	}
+	if len(x.Children[0].Children[0].Children) != 0 {
+		t.Fatal("z still lists x as a child")
 	}
 }
 

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Node is the JSON-renderable span-tree form of a trace: one node per
 // finished span, children ordered by start time. Offsets are relative to
@@ -31,19 +28,70 @@ type Summary struct {
 }
 
 // buildTree builds the span tree from the finished spans and returns its
-// root node and root span. Spans whose parent never finished (or lives in a
-// snapshot taken mid-flight) attach to the root; with no spans at all the
-// root is nil.
+// root node and root span. Each span appears in the tree exactly once. A
+// span whose parent never finished (or lives in a snapshot taken
+// mid-flight), names itself, or closes a cycle of parent links attaches to
+// the root; with no spans at all the root is nil.
 func (t *Trace) buildTree() (*Node, *Span) {
 	spans := t.Spans()
 	if len(spans) == 0 {
 		return nil, nil
 	}
-	nodes := make(map[ID]*Node, len(spans))
-	for _, s := range spans {
-		n := &Node{
+	index := make(map[ID]int, len(spans))
+	for i, s := range spans {
+		index[s.ID] = i
+	}
+	// The root is the earliest span whose parent is not another finished
+	// span of this trace; Spans() is start-ordered, so the first orphan
+	// wins. A fully parented set (a cycle) falls back to the first span.
+	root := 0
+	parent := make([]int, len(spans))
+	for i := len(spans) - 1; i >= 0; i-- {
+		p, ok := index[spans[i].Parent]
+		if !ok || p == i {
+			p, root = -1, i
+		}
+		parent[i] = p
+	}
+	for i, p := range parent {
+		if p < 0 {
+			parent[i] = root
+		}
+	}
+	parent[root] = -1
+	// Cut every cycle of parent links: walk up from each span until a span
+	// already known to reach the root; a walk that meets itself re-parents
+	// the span it met to the root, once the walk's spans are settled.
+	const (
+		unseen = iota
+		onPath
+		reaches
+	)
+	state := make([]uint8, len(spans))
+	state[root] = reaches
+	for i := range spans {
+		j := i
+		for state[j] == unseen {
+			state[j] = onPath
+			j = parent[j]
+		}
+		cycle := state[j] == onPath
+		for k := i; state[k] == onPath; k = parent[k] {
+			state[k] = reaches
+		}
+		if cycle {
+			parent[j] = root
+		}
+	}
+
+	nodes := make([]Node, len(spans))
+	rootStart := spans[root].Start
+	for i, s := range spans {
+		n := &nodes[i]
+		*n = Node{
 			Name:       s.Name,
 			SpanID:     s.ID.String(),
+			OffsetUS:   s.Start.Sub(rootStart).Microseconds(),
 			DurationMS: float64(s.Duration) / float64(time.Millisecond),
 			Remote:     s.Remote,
 		}
@@ -53,42 +101,15 @@ func (t *Trace) buildTree() (*Node, *Span) {
 				n.Attrs[a.Key] = a.Value
 			}
 		}
-		nodes[s.ID] = n
 	}
-	// The root is the earliest span whose parent is not itself a finished
-	// span of this trace; Spans() is start-ordered, so the first orphan
-	// wins. A fully parented set (a cycle) falls back to the first span.
-	rootSpan := spans[0]
-	for _, s := range spans {
-		if _, ok := nodes[s.Parent]; !ok || nodes[s.Parent] == nodes[s.ID] {
-			rootSpan = s
-			break
+	// Spans are start-ordered, so appending in span order lists every
+	// node's children by start time.
+	for i, p := range parent {
+		if p >= 0 {
+			nodes[p].Children = append(nodes[p].Children, &nodes[i])
 		}
 	}
-	root := nodes[rootSpan.ID]
-	for _, s := range spans {
-		n := nodes[s.ID]
-		n.OffsetUS = s.Start.Sub(rootSpan.Start).Microseconds()
-		if n == root {
-			continue
-		}
-		parent, ok := nodes[s.Parent]
-		if !ok || parent == n {
-			parent = root
-		}
-		parent.Children = append(parent.Children, n)
-	}
-	var sortKids func(n *Node)
-	sortKids = func(n *Node) {
-		sort.SliceStable(n.Children, func(i, j int) bool {
-			return n.Children[i].OffsetUS < n.Children[j].OffsetUS
-		})
-		for _, c := range n.Children {
-			sortKids(c)
-		}
-	}
-	sortKids(root)
-	return root, rootSpan
+	return &nodes[root], spans[root]
 }
 
 // Summarize renders the trace into its wire Summary. The root span's
