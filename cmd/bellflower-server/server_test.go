@@ -35,13 +35,34 @@ func testRepo3() *bellflower.Repository {
 	return repo
 }
 
+// testBookRepo3 is testRepo3 with a complete match for book(title,author)
+// in each of its trees: on any partition every shard holds a useful cluster
+// of that request, so the router asks every shard. Tests that count
+// per-shard traffic use it.
+func testBookRepo3() *bellflower.Repository {
+	repo := bellflower.NewRepository()
+	for _, spec := range []string{
+		"lib(address,book(author,data(title),shelf))",
+		"store(book(title,author,isbn@),order(id,customer(name,email)))",
+		"catalog(book(title,author),publisher(name,address))",
+	} {
+		repo.MustAdd(bellflower.MustParseSchema(spec))
+	}
+	return repo
+}
+
 func testService(t *testing.T, cfg bellflower.ServiceConfig) (*server, *httptest.Server) {
 	return testShardedService(t, cfg, 1)
 }
 
 func testShardedService(t *testing.T, cfg bellflower.ServiceConfig, shards int) (*server, *httptest.Server) {
 	t.Helper()
-	srv := newServer(testRepo3(), "test", cfg, shards, bellflower.PartitionClustered, t.TempDir(), newQuietLogger())
+	return testShardedServiceOver(t, testRepo3(), cfg, shards)
+}
+
+func testShardedServiceOver(t *testing.T, repo *bellflower.Repository, cfg bellflower.ServiceConfig, shards int) (*server, *httptest.Server) {
+	t.Helper()
+	srv := newServer(repo, "test", cfg, shards, bellflower.PartitionClustered, t.TempDir(), newQuietLogger())
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(func() {
 		ts.Close()
@@ -840,8 +861,9 @@ func getJSON(t *testing.T, url string, v any) {
 }
 
 func TestShardedStatsRollupAndEquivalence(t *testing.T) {
-	_, sharded := testShardedService(t, bellflower.ServiceConfig{}, 2)
-	_, plain := testService(t, bellflower.ServiceConfig{})
+	// testBookRepo3: both shards hold a useful cluster, so both are asked.
+	_, sharded := testShardedServiceOver(t, testBookRepo3(), bellflower.ServiceConfig{}, 2)
+	_, plain := testShardedServiceOver(t, testBookRepo3(), bellflower.ServiceConfig{}, 1)
 
 	// The sharded answer is the unsharded one, rank for rank.
 	const body = `{"personal":"book(title,author)","options":{"delta":0.5}}`
@@ -891,7 +913,7 @@ func TestShardedStatsRollupAndEquivalence(t *testing.T) {
 		t.Fatalf("stats lists %d shards, want 2", len(stats.Shards))
 	}
 	if stats.Total.Requests != 4 {
-		t.Errorf("rolled-up requests = %d, want 4 (2 requests × 2 shards)", stats.Total.Requests)
+		t.Errorf("rolled-up requests = %d, want 4 (2 requests × 2 shards asked)", stats.Total.Requests)
 	}
 	if stats.Total.CacheHits < 2 {
 		t.Errorf("rolled-up cache hits = %d, want ≥ 2", stats.Total.CacheHits)
@@ -906,8 +928,47 @@ func TestShardedStatsRollupAndEquivalence(t *testing.T) {
 	}
 }
 
-func TestMetricsEndpoint(t *testing.T) {
+// TestIdleShardNotAsked: on testRepo3's two-way clustered partition the
+// catalog shard holds no useful cluster of book(title,author), so the
+// router never asks it — its counters stay at zero — and both /v1/stats
+// and /metrics count the skip.
+func TestIdleShardNotAsked(t *testing.T) {
 	_, ts := testShardedService(t, bellflower.ServiceConfig{}, 2)
+	for i := 0; i < 2; i++ {
+		if resp, data := postJSON(t, ts.URL+"/v1/match", `{"personal":"book(title,author)","options":{"delta":0.5}}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("match %d: %d (%s)", i, resp.StatusCode, data)
+		}
+	}
+	var stats struct {
+		Total  bellflower.ServiceStats   `json:"total"`
+		Shards []bellflower.ServiceStats `json:"shards"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if len(stats.Shards) != 2 || stats.Shards[0].Requests != 2 || stats.Shards[1].Requests != 0 {
+		t.Fatalf("per-shard requests = %+v, want shard 0 asked twice and shard 1 never", stats.Shards)
+	}
+	if stats.Total.IdleSkips != 2 || stats.Total.Requests != 2 {
+		t.Errorf("idle_skips = %d, requests = %d, want 2 and 2", stats.Total.IdleSkips, stats.Total.Requests)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, metric := range []string{"bellflower_idle_skips_total 2", `bellflower_shard_requests_total{shard="1"} 0`} {
+		if !strings.Contains(string(data), metric) {
+			t.Errorf("metrics output missing %q", metric)
+		}
+	}
+}
+
+func TestMetricsEndpoint(t *testing.T) {
+	// testBookRepo3: both shards hold a useful cluster, so both are asked.
+	_, ts := testShardedServiceOver(t, testBookRepo3(), bellflower.ServiceConfig{}, 2)
 	if resp, _ := postJSON(t, ts.URL+"/v1/match", `{"personal":"book(title,author)","options":{"delta":0.5}}`); resp.StatusCode != http.StatusOK {
 		t.Fatal("warmup match failed")
 	}
@@ -927,7 +988,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("content type = %q", ct)
 	}
 	for _, metric := range []string{
-		"bellflower_requests_total 2", // one request × two shards
+		"bellflower_requests_total 2", // one request × two shards asked
 		"bellflower_shards 2",
 		"bellflower_pipeline_runs_total",
 		"bellflower_request_latency_seconds_bucket{le=\"+Inf\"}",
@@ -1031,7 +1092,8 @@ func TestHotReloadColdPrePassRace(t *testing.T) {
 // snapshots never carry the router-level counter, and both JSON and
 // Prometheus surfaces agree.
 func TestStatsReportCandidatePrePass(t *testing.T) {
-	_, ts := testShardedService(t, bellflower.ServiceConfig{}, 2)
+	// testBookRepo3: both shards hold a useful cluster, so both are asked.
+	_, ts := testShardedServiceOver(t, testBookRepo3(), bellflower.ServiceConfig{}, 2)
 
 	for i := 0; i < 3; i++ {
 		// Same schema and matcher, unique top_n: three cold reports, one
@@ -1132,7 +1194,8 @@ func TestPartialResultsEndpoint(t *testing.T) {
 // TestMetricsShardLabelsAndMemoryGauges: the scrape exposes per-shard
 // labelled series plus the unified-cache and shared-index gauges.
 func TestMetricsShardLabelsAndMemoryGauges(t *testing.T) {
-	_, ts := testShardedService(t, bellflower.ServiceConfig{CacheBytes: 1 << 20}, 2)
+	// testBookRepo3: both shards hold a useful cluster, so both are asked.
+	_, ts := testShardedServiceOver(t, testBookRepo3(), bellflower.ServiceConfig{CacheBytes: 1 << 20}, 2)
 	if resp, _ := postJSON(t, ts.URL+"/v1/match", `{"personal":"book(title,author)","options":{"delta":0.5}}`); resp.StatusCode != http.StatusOK {
 		t.Fatal("warmup match failed")
 	}

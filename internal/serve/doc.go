@@ -81,8 +81,12 @@
 // answered the request before gets a slim request instead, answered from
 // its report cache, so a repeat encodes no projection either.
 // Shards then run only mapping generation (ShardBackend.MatchStaged with
-// the projection as its Staged argument → pipeline.Runner.RunWithClusters).
-// The projection is exact, so reports are identical to per-shard
+// the projection as its Staged argument → pipeline.Runner.RunWithClusters),
+// and only the shards that can add to the report are asked: a shard whose
+// projection holds no useful cluster (under IncludePartials, no cluster at
+// all) is idle, and the router runs the same generation stage over that
+// projection itself (Stats.IdleSkips counts these shards). The projection
+// is exact, so reports are identical to per-shard
 // computation — and because clustering is
 // global, even the k-means variants reproduce the unsharded result
 // exactly, which per-shard clustering only approximates. The pre-pass
@@ -113,7 +117,9 @@
 // merging the shards that succeeded when others fail: the report is
 // marked Incomplete and carries per-shard errors
 // (pipeline.Report.ShardErrors); requests that fail on every shard still
-// error. A failed pre-pass fails the request in both modes: it fails only
+// error. An idle shard is never asked, so in either mode its failure —
+// even its death — fails nothing and marks nothing Incomplete. A failed
+// pre-pass fails the request in both modes: it fails only
 // for an expired context, an invalid clustering configuration or a panic,
 // and every shard would run the same code on the same input and fail the
 // same way. Stats.PartialResults counts the degraded merges.

@@ -181,7 +181,7 @@ func (h *healthStub) Healthy() bool { return h.healthy.Load() }
 // the skip, and un-skip the moment the backend recovers; strict routing
 // must keep attempting the shard regardless.
 func TestRouterSkipsUnhealthyShard(t *testing.T) {
-	repo := testRepo(t)
+	repo := bookRepo(t) // both shards hold a useful cluster, so both are asked
 	ix := labeling.NewIndex(repo)
 	views := PartitionRepositoryViews(ix, 2, PartitionClustered)
 	down := &healthStub{stubShard: stubShard{rep: stubReport(0.9)}}

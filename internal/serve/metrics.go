@@ -50,7 +50,7 @@ type metric struct {
 // combines as the maximum under either rule.
 var metrics = []metric{
 	{field: "Requests", name: "bellflower_requests_total", typ: counter, shard: 1,
-		help: "Match requests received (batch entries count individually; a sharded request counts once per shard).", shardHelp: "Match requests received by the shard."},
+		help: "Match requests received (batch entries count individually; a sharded request counts once per shard asked).", shardHelp: "Match requests received by the shard."},
 	{field: "CacheHits", name: "bellflower_cache_hits_total", typ: counter, shard: 2,
 		help: "Requests served from the report cache.", shardHelp: "Shard requests served from its report cache."},
 	{field: "CacheMisses", name: "bellflower_cache_misses_total", typ: counter, shard: 3,
@@ -64,6 +64,7 @@ var metrics = []metric{
 	{field: "Failovers", name: "bellflower_failovers_total", typ: counter, shard: 12,
 		help: "Match attempts retried on a different replica after a transport error.", shardHelp: "Shard match attempts retried on a different replica after a transport error."},
 	{field: "HealthSkips", name: "bellflower_health_skips_total", typ: counter, help: "Shards skipped by the partial-results fan-out because every replica was unhealthy (no request sent)."},
+	{field: "IdleSkips", name: "bellflower_idle_skips_total", typ: counter, help: "Shards the fan-out did not ask because their share of the request's clusters could add no mapping (report built by the router)."},
 	{field: "Errors", name: "bellflower_errors_total", typ: counter, shard: 6,
 		help: "Requests that finished with an error, including cancellations and deadline expiries.", shardHelp: "Shard requests that finished with an error."},
 	{field: "Rejected", name: "bellflower_rejected_total", typ: counter, shard: 7,

@@ -14,7 +14,7 @@ import (
 // succeeded, marked Incomplete with the per-shard errors; with the
 // default strict routing the same failure fails the request.
 func TestRouterPartialResultsFanOut(t *testing.T) {
-	repo := testRepo(t)
+	repo := bookRepo(t) // every shard holds a useful cluster, so every shard is asked
 
 	// Strict (default): killing one shard fails every fanned-out request.
 	strict := NewRouterFromRepository(repo, 3, Config{Workers: 1})

@@ -181,7 +181,8 @@ func TestRouterPrePassRejections(t *testing.T) {
 // never reach a shard still surface in the rollup (they were invisible in
 // per-shard counters when the pre-pass path short-circuits).
 func TestRouterLevelStatsCounters(t *testing.T) {
-	r := NewRouterFromRepository(testRepo(t), 2, Config{MaxSchemaNodes: 4})
+	// bookRepo: both shards hold a useful cluster, so both are asked.
+	r := NewRouterFromRepository(bookRepo(t), 2, Config{MaxSchemaNodes: 4})
 	defer r.Close()
 
 	_, _ = r.Match(context.Background(), nil, testOpts())                                // rejected
@@ -193,7 +194,7 @@ func TestRouterLevelStatsCounters(t *testing.T) {
 	if total.Rejected != 2 {
 		t.Errorf("rollup rejected = %d, want 2", total.Rejected)
 	}
-	// 2 router-level rejections + 1 served request counted once per shard.
+	// 2 router-level rejections + 1 served request counted once per shard asked.
 	if want := int64(2 + 2); total.Requests != want {
 		t.Errorf("rollup requests = %d, want %d", total.Requests, want)
 	}

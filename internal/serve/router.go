@@ -39,7 +39,7 @@ type Backend interface {
 
 	// Stats returns a snapshot of the backend's instrumentation, rolled up
 	// across shards. In a rolled-up snapshot per-shard quantities are
-	// summed, so one fanned-out request counts once per shard.
+	// summed, so one fanned-out request counts once per shard asked.
 	Stats() Stats
 
 	// Snapshot returns the rollup and one snapshot per shard (length
@@ -78,7 +78,9 @@ type ShardBackend interface {
 	// pre-pass result projected onto the shard's tree set (see
 	// labeling.View), after which the shard runs mapping generation only;
 	// the zero Staged asks for the shard's full pipeline. See
-	// Service.MatchStaged.
+	// Service.MatchStaged. The router calls it only for a shard whose
+	// projection can add to the report (see Router); an idle shard is not
+	// asked, so its failure fails nothing.
 	MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged Staged) (*pipeline.Report, error)
 
 	// Stats returns a snapshot of the shard's instrumentation.
@@ -121,7 +123,12 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // its owning shard) and cached, projected, under the unified memory
 // governor once they succeed. A repeat only rebinds each shard's
 // candidates to its own personal tree. Shards then run only mapping
-// generation, via ShardBackend.MatchStaged.
+// generation, via ShardBackend.MatchStaged, and only those that can add to
+// the report: only a useful cluster (a candidate for every personal node)
+// yields a complete mapping, so a shard whose projection holds none — under
+// IncludePartials, no cluster at all — is idle. It is not asked; the router
+// runs the shard's generation stage over that projection itself. An idle
+// shard never fails a request nor makes it Incomplete, dead or alive.
 // The projection is exact, and because clustering is global the k-means
 // variants produce the SAME clusters as an unsharded run.
 //
@@ -153,6 +160,7 @@ type Router struct {
 	errored       atomic.Int64 // requests failed during the pre-pass
 	partialMerges atomic.Int64 // fan-outs served as Incomplete merges
 	healthSkips   atomic.Int64 // shards skipped by the fan-out as unhealthy (no request sent)
+	idleSkips     atomic.Int64 // shards not asked because they could add nothing (report built here)
 
 	// Router-level stage histograms (folded into Stats().Stages):
 	// pre-pass executions, fan-out wall time, merge time.
@@ -259,14 +267,15 @@ func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View
 	return r
 }
 
-// Match fans the request out to every shard concurrently and merges the
+// Match fans the request out concurrently to every shard that can add to
+// it (see Router; an idle shard's report is built here) and merges the
 // per-shard reports into one global report: mappings merged in Rank order
 // and truncated to opts.TopN, partial mappings in RankPartials order,
 // counters summed, stage times reported as the slowest shard's (the shards
 // run concurrently). ctx bounds the whole fan-out; each shard honours it
 // exactly as Service.Match does.
 //
-// If any shard fails — its deadline expired, the service closed, the
+// If any shard asked fails — its deadline expired, the service closed, the
 // request was rejected — Match returns that shard's error rather than a
 // silently incomplete merge: a report missing one shard's mappings would
 // present a wrong top-N as authoritative. Shards that already completed
@@ -461,19 +470,28 @@ func (r *Router) project(cands *matcher.Candidates, clusters []*cluster.Cluster,
 	return staged
 }
 
-// fanOut sends the request to every shard concurrently, each with its
-// pre-staged slice, and merges the per-shard reports. Under strict routing
-// (the default) any shard error fails the request; with partial results
-// enabled, a partially failed fan-out merges the shards that succeeded and
-// marks the report Incomplete with the per-shard errors.
+// fanOut sends the request concurrently to every shard that is not idle,
+// each with its pre-staged slice, builds the idle shards' reports itself,
+// and merges the per-shard reports. Under strict routing (the default) any
+// shard error fails the request; with partial results enabled, a partially
+// failed fan-out merges the shards that succeeded and marks the report
+// Incomplete with the per-shard errors.
 func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged []Staged) (*pipeline.Report, error) {
 	fanStart := time.Now()
 	fctx, fsp := trace.StartSpan(ctx, "fanout")
 	defer fsp.End()
 	reps := make([]*pipeline.Report, len(r.shards))
 	errs := make([]error, len(r.shards))
+	full := cluster.FullMask(personal.Len())
 	var wg sync.WaitGroup
 	for i, s := range r.shards {
+		// An idle shard is not asked: its report comes from the shard's
+		// generation code over the same projection, run here.
+		if idle(staged[i].Clusters, full, opts.IncludePartials) {
+			reps[i], errs[i] = r.runIdle(fctx, personal, opts, staged[i])
+			r.idleSkips.Add(1)
+			continue
+		}
 		// Control-plane skip: under partial results a shard whose backend
 		// reports itself unhealthy (every replica down, per its background
 		// monitors) is skipped WITHOUT sending a request — the fan-out pays
@@ -536,6 +554,28 @@ func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipelin
 		return rep, nil
 	}
 	return r.merge(fctx, reps, opts.TopN), nil
+}
+
+// idle reports whether a shard holding clusters can add nothing to a
+// request: none is useful (covers full), or, when partial mappings are
+// asked for, which come from the other clusters, there is none at all.
+func idle(clusters []*cluster.Cluster, full uint64, partials bool) bool {
+	if partials {
+		return len(clusters) == 0
+	}
+	for _, cl := range clusters {
+		if cl.Useful(full) {
+			return false
+		}
+	}
+	return true
+}
+
+// runIdle builds an idle shard's report on the router's full-repository
+// runner: the generation stage a shard runs, over the same projection.
+func (r *Router) runIdle(ctx context.Context, personal *schema.Tree, opts pipeline.Options, st Staged) (rep *pipeline.Report, err error) {
+	defer recoverRun(&err)
+	return r.fullRunner.RunWithClusters(ctx, personal, st.Cands, st.Clusters, st.Iterations, opts)
 }
 
 // merge wraps mergeReports with the router's merge-stage instrumentation.
@@ -648,6 +688,7 @@ func (r *Router) Snapshot() (Stats, []Stats) {
 	total.Errors += errored
 	total.PartialResults += r.partialMerges.Load()
 	total.HealthSkips += r.healthSkips.Load()
+	total.IdleSkips += r.idleSkips.Load()
 	total.CacheBytes += r.prepass.residentBytes()
 	total.Stages = mergeStages(total.Stages, r.routerStages())
 	own, remote := residentStats(r.gov, r.fullRunner), shards

@@ -288,7 +288,8 @@ func TestRouterRewriteRoutesToOwningShard(t *testing.T) {
 }
 
 func TestRouterStatsRollup(t *testing.T) {
-	r := NewRouterFromRepository(testRepo(t), 2, Config{})
+	// bookRepo: both shards hold a useful cluster, so both are asked.
+	r := NewRouterFromRepository(bookRepo(t), 2, Config{})
 	defer r.Close()
 
 	for i := 0; i < 2; i++ {
@@ -300,7 +301,7 @@ func TestRouterStatsRollup(t *testing.T) {
 	if len(per) != 2 {
 		t.Fatalf("Snapshot returned %d shard entries, want 2", len(per))
 	}
-	// Each router-level request counts once per shard in the rollup.
+	// Each router-level request counts once per shard asked in the rollup.
 	if st.Requests != 4 {
 		t.Errorf("rolled-up requests = %d, want 4 (2 requests × 2 shards)", st.Requests)
 	}
@@ -313,7 +314,7 @@ func TestRouterStatsRollup(t *testing.T) {
 	}
 
 	repoStats := r.RepositoryStats()
-	orig := testRepo(t).Stats()
+	orig := bookRepo(t).Stats()
 	if repoStats.Trees != orig.Trees || repoStats.Nodes != orig.Nodes {
 		t.Errorf("repository rollup = %+v, want %d trees / %d nodes", repoStats, orig.Trees, orig.Nodes)
 	}

@@ -26,6 +26,23 @@ func testRepo(t testing.TB) *schema.Repository {
 	return repo
 }
 
+// bookRepo is testRepo with a complete match for personal() in each of its
+// three trees: under any partition every shard holds a useful cluster of the
+// test request, so the router asks every shard. Fan-out tests whose shards
+// must all see the request use it.
+func bookRepo(t testing.TB) *schema.Repository {
+	t.Helper()
+	repo := schema.NewRepository()
+	for _, spec := range []string{
+		"lib(address,book(author,data(title),shelf))",
+		"store(book(title,author,isbn@),order(id,customer(name,email)))",
+		"catalog(book(title,author),publisher(name,address))",
+	} {
+		repo.MustAdd(schema.MustParseSpec(spec))
+	}
+	return repo
+}
+
 func testOpts() pipeline.Options {
 	opts := pipeline.DefaultOptions()
 	opts.Threshold = 0.5

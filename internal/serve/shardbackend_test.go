@@ -61,11 +61,11 @@ func backendRouter(t *testing.T, cfg Config) (*Router, []*stubShard) {
 	return stubRouter(t, cfg, stubs...), stubs
 }
 
-// stubRouter assembles a router over the test repository with one stub per
-// shard view.
+// stubRouter assembles a router over bookRepo with one stub per shard view:
+// every shard holds a useful cluster of personal(), so every stub is asked.
 func stubRouter(t *testing.T, cfg Config, stubs ...*stubShard) *Router {
 	t.Helper()
-	ix := labeling.NewIndex(testRepo(t))
+	ix := labeling.NewIndex(bookRepo(t))
 	views := PartitionRepositoryViews(ix, len(stubs), PartitionClustered)
 	backends := make([]ShardBackend, len(stubs))
 	for i := range stubs {

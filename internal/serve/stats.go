@@ -151,7 +151,8 @@ const (
 
 // Stats is a point-in-time snapshot of the service's instrumentation.
 type Stats struct {
-	// Requests counts Match calls (batch entries count individually).
+	// Requests counts Match calls (batch entries count individually). A
+	// router rollup counts a fanned-out request once per shard asked.
 	Requests int64 `json:"requests"`
 
 	// CacheHits counts requests served straight from the report cache.
@@ -282,6 +283,11 @@ type Stats struct {
 	// sent, so no per-request timeout was paid (router-level; always 0 for
 	// a plain Service and in per-shard snapshots).
 	HealthSkips int64 `json:"health_skips,omitempty"`
+
+	// IdleSkips counts shards the fan-out did not ask because their share
+	// of the request's clusters could add nothing (see Router; router-level,
+	// always 0 for a plain Service and in per-shard snapshots).
+	IdleSkips int64 `json:"idle_skips,omitempty"`
 
 	// Replicas holds the control-plane health snapshot of each replica
 	// behind this shard (replica-group shards only; absent elsewhere). A

@@ -7,12 +7,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"bellflower"
 	"bellflower/internal/cluster"
 	"bellflower/internal/labeling"
+	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
 	"bellflower/internal/repogen"
 	"bellflower/internal/schema"
@@ -45,6 +47,52 @@ func randomPersonal(rng *rand.Rand, repo *schema.Repository, extraNodes int) *sc
 	}
 	return b.MustTree()
 }
+
+// busyShards works out apart from the router which shards of the n-way
+// partition a request must reach: it clusters the request over the whole
+// repository and marks every shard that owns a cluster able to add to the
+// report — a useful one, or under IncludePartials any cluster. The router
+// asks no other shard.
+func busyShards(t testing.TB, repo *schema.Repository, n int, strategy serve.PartitionStrategy, personal *schema.Tree, opts pipeline.Options) []bool {
+	t.Helper()
+	run := pipeline.NewRunner(repo)
+	views := serve.PartitionRepositoryViews(run.Index(), n, strategy)
+	cands := run.MatchCandidates(personal, matcher.NameMatcher{}, matcher.Config{MinSim: opts.MinSim})
+	clusters, _, err := pipeline.ComputeClusters(run.Index(), cands, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := cluster.FullMask(personal.Len())
+	busy := make([]bool, len(views))
+	for _, cl := range clusters {
+		if cl.Len() == 0 || !(opts.IncludePartials || cl.Useful(full)) {
+			continue
+		}
+		for i, v := range views {
+			if v.Contains(cl.Elements[0].Node) {
+				busy[i] = true
+			}
+		}
+	}
+	return busy
+}
+
+// drawPersonal draws random personal schemas from rng until one's
+// busyShards over the n-way partition satisfy keep.
+func drawPersonal(t testing.TB, rng *rand.Rand, repo *schema.Repository, n int, strategy serve.PartitionStrategy, extraNodes int, opts pipeline.Options, keep func(busy []bool) bool) *schema.Tree {
+	t.Helper()
+	for range 500 {
+		p := randomPersonal(rng, repo, extraNodes)
+		if keep(busyShards(t, repo, n, strategy, p, opts)) {
+			return p
+		}
+	}
+	t.Fatal("no drawn request has the wanted busy shards")
+	return nil
+}
+
+// allBusy holds when every shard is busy: the router asks each of them.
+func allBusy(busy []bool) bool { return !slices.Contains(busy, false) }
 
 // rankKeys and cutReport mirror the serve package's equivalence harness:
 // one line per mapping (Δ, cluster ID, image node IDs) in rank order, then
@@ -130,7 +178,8 @@ func (f *shardFleet) stop() {
 // request exactly its cut to N, for both partition strategies,
 // several shard counts, and both the tree and k-means clustering variants
 // (the pre-pass clusters globally, so k-means stays exact even when the
-// generation runs in other processes).
+// generation runs in other processes). Exactly the shards holding a cluster
+// of the request see traffic, all of it binary; the others see none.
 func TestDistributedEquivalence(t *testing.T) {
 	cases := []struct {
 		seed       int64
@@ -141,6 +190,7 @@ func TestDistributedEquivalence(t *testing.T) {
 		{seed: 21, nodes: 350, extraNodes: 2, variant: pipeline.VariantTree},
 		{seed: 22, nodes: 500, extraNodes: 3, variant: pipeline.VariantMedium},
 	}
+	idleSeen := 0
 	for _, tc := range cases {
 		routerRepo := freshRepo(t, tc.nodes, tc.seed)
 		rng := rand.New(rand.NewSource(tc.seed * 7919))
@@ -216,11 +266,18 @@ func TestDistributedEquivalence(t *testing.T) {
 					t.Errorf("seed %d %v shards=%d: repeated distributed report drifted", tc.seed, strategy, shards)
 				}
 				backend.Close()
-				// Every shard was reached, over the one codec; anything else is
-				// refused by media type, not guessed at.
+				// Every shard with work was reached, over the one codec
+				// (anything else is refused by media type, not guessed at);
+				// an idle shard was sent nothing.
+				busy := busyShards(t, routerRepo, shards, strategy, personal, opts)
 				for i, host := range fleet.hosts {
-					if wb := host.Stats().WireBytes; wb.InBinary == 0 || wb.OutBinary == 0 || wb.InJSON != 0 || wb.OutJSON != 0 {
-						t.Errorf("seed %d %v shards=%d: shard %d wire bytes %+v, want binary traffic only", tc.seed, strategy, shards, i, wb)
+					wb := host.Stats().WireBytes
+					if !busy[i] {
+						idleSeen++
+					}
+					if (wb.InBinary == 0) == busy[i] || (wb.OutBinary == 0) == busy[i] || wb.InJSON != 0 || wb.OutJSON != 0 {
+						t.Errorf("seed %d %v shards=%d: shard %d (busy=%v) wire bytes %+v, want binary traffic on busy shards only",
+							tc.seed, strategy, shards, i, busy[i], wb)
 					}
 				}
 				resp, err := http.Post(fleet.addrs[0]+"/v1/shard/match", "application/json", strings.NewReader("{}"))
@@ -234,6 +291,9 @@ func TestDistributedEquivalence(t *testing.T) {
 				fleet.stop()
 			}
 		}
+	}
+	if idleSeen == 0 {
+		t.Fatal("no shard was idle for any case: the traffic check is vacuous")
 	}
 }
 

@@ -66,11 +66,12 @@ func TestHealthFlappingShard(t *testing.T) {
 
 	routerRepo := freshRepo(t, nodes, seed)
 	rng := rand.New(rand.NewSource(seed))
-	personal := randomPersonal(rng, routerRepo, 2)
 	opts := bellflower.DefaultOptions()
 	opts.Variant = bellflower.VariantTree
 	opts.MinSim = 0.4
 	opts.Threshold = 0.6
+	// Shard 1 must hold a useful cluster: an idle shard is never asked.
+	personal := drawPersonal(t, rng, routerRepo, shards, bellflower.PartitionClustered, 2, opts, allBusy)
 
 	backend, err := bellflower.NewDistributedService(routerRepo,
 		[]string{fleet.addrs[0], proxyURL},
@@ -176,6 +177,100 @@ func TestHealthFlappingShard(t *testing.T) {
 	}
 	if proxy.MatchRequests() == matchBase {
 		t.Fatal("re-admitted shard received no match traffic")
+	}
+}
+
+// TestIdleDeadRemoteShardFailsNothing: a remote shard whose process is
+// gone (its proxy drops every connection) but that holds no useful cluster
+// of a request is never asked, so it fails nothing — a strict request is
+// complete and equal to the unsharded report, a partial one is neither
+// Incomplete nor health-skipped although the control plane has marked the
+// shard down — while the same dead shard still fails a strict request it
+// holds a useful cluster of and degrades a partial one.
+func TestIdleDeadRemoteShardFailsNothing(t *testing.T) {
+	const nodes, seed, shards = 350, 51, 2
+	fleet := startFleet(t, nodes, seed, shards, bellflower.PartitionClustered)
+	proxy, proxyURL := proxied(t, fleet.addrs[1])
+	routerRepo := freshRepo(t, nodes, seed)
+	rng := rand.New(rand.NewSource(seed))
+	opts := bellflower.DefaultOptions()
+	opts.Variant = bellflower.VariantTree
+	opts.MinSim = 0.4
+	opts.Threshold = 0.6
+	idleReq := drawPersonal(t, rng, routerRepo, shards, bellflower.PartitionClustered, 2, opts,
+		func(busy []bool) bool { return busy[0] && !busy[1] })
+	busyReq := drawPersonal(t, rng, routerRepo, shards, bellflower.PartitionClustered, 2, opts,
+		func(busy []bool) bool { return busy[1] })
+	want, err := bellflower.NewMatcher(freshRepo(t, nodes, seed)).Match(idleReq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	addrs := []string{fleet.addrs[0], proxyURL}
+	strict, err := bellflower.NewDistributedService(routerRepo, addrs,
+		bellflower.ServiceConfig{Workers: 2}, bellflower.PartitionClustered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer strict.Close()
+	partial, err := bellflower.NewDistributedService(freshRepo(t, nodes, seed), addrs,
+		bellflower.ServiceConfig{
+			Workers:        2,
+			PartialResults: true,
+			HealthInterval: 15 * time.Millisecond,
+			HealthFailures: 2,
+		}, bellflower.PartitionClustered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer partial.Close()
+
+	proxy.SetDown(true)
+	waitFor(t, 10*time.Second, "shard 1 marked unhealthy", func() bool {
+		rh := shardReplicas(partial, 1)
+		return len(rh) == 1 && !rh[0].Healthy
+	})
+	matchBase := proxy.MatchRequests()
+
+	// Strict: the idle request never reaches the dead shard and is whole.
+	rep, err := strict.Match(context.Background(), idleReq, opts)
+	if err != nil {
+		t.Fatalf("strict: a dead idle shard failed the request: %v", err)
+	}
+	if rep.Incomplete || rankKeys(rep) != rankKeys(want) || rep.MappingElements != want.MappingElements {
+		t.Errorf("strict: report differs from unsharded\n--- unsharded\n%s--- distributed\n%s", rankKeys(want), rankKeys(rep))
+	}
+	if got := proxy.MatchRequests(); got != matchBase {
+		t.Errorf("strict: the idle dead shard was sent %d match requests, want 0", got-matchBase)
+	}
+	if _, err := strict.Match(context.Background(), busyReq, opts); err == nil {
+		t.Error("strict: a dead shard holding a useful cluster did not fail the request")
+	}
+	if proxy.MatchRequests() == matchBase {
+		t.Error("strict: the busy request never reached the dead shard")
+	}
+	matchBase = proxy.MatchRequests()
+
+	// Partial: the idle request is complete, with no health skip.
+	rep, err = partial.Match(context.Background(), idleReq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Incomplete || len(rep.ShardErrors) != 0 || rankKeys(rep) != rankKeys(want) {
+		t.Errorf("partial: incomplete=%v errors=%+v, want the complete unsharded report", rep.Incomplete, rep.ShardErrors)
+	}
+	if st := partial.Stats(); st.HealthSkips != 0 || st.IdleSkips != 1 {
+		t.Errorf("partial: HealthSkips=%d IdleSkips=%d, want 0 and 1", st.HealthSkips, st.IdleSkips)
+	}
+	rep, err = partial.Match(context.Background(), busyReq, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Incomplete || len(rep.ShardErrors) != 1 || rep.ShardErrors[0].Shard != 1 {
+		t.Errorf("partial: incomplete=%v errors=%+v, want Incomplete with shard 1", rep.Incomplete, rep.ShardErrors)
+	}
+	if got := proxy.MatchRequests(); got != matchBase {
+		t.Errorf("partial: the dead shard was sent %d match requests, want 0 (idle, then health-skipped)", got-matchBase)
 	}
 }
 

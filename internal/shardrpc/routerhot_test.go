@@ -66,6 +66,12 @@ func newRemoteRouter(tb testing.TB, repo func() *schema.Repository, n int) *remo
 	return rr
 }
 
+// hotPersonal is a request that gives both shards of newRemoteRouter's
+// two-way clustered partition of testRepo(400, 17) a useful cluster at
+// MinSim 0.35 (the small shard is one person(email@,name) tree), so the
+// router asks both.
+func hotPersonal() *schema.Tree { return schema.MustParseSpec("person(name,email)") }
+
 // TestRouterResendsEntryProjectionAfter428: a shard that lost a request's
 // report answers the slim repeat 428; the router resends the full body built
 // from the entry's retained projection, without a second pre-pass, and the
@@ -76,7 +82,7 @@ func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
 	opts.MinSim = 0.35
 	match := func() *pipeline.Report {
 		t.Helper()
-		rep, err := rr.Match(context.Background(), schema.MustParseSpec("address(name,email)"), opts)
+		rep, err := rr.Match(context.Background(), hotPersonal(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +123,7 @@ func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
 // no 428 turn — and generates over the entry's projection.
 func TestRouterOptionChangeSendsFullBody(t *testing.T) {
 	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2)
-	personal := schema.MustParseSpec("address(name,email)")
+	personal := hotPersonal()
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.35
 	for _, topN := range []int{10, 10, 7, 9} {

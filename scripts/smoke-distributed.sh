@@ -2,9 +2,10 @@
 # Multi-process smoke test for distributed serving: two shard-server
 # processes plus one router process, one end-to-end match through the
 # public API, a stats scrape proving the fan-out actually crossed
-# process boundaries, and a repeat of the same match proving the shards
-# answer it as a slim request from their report caches. Then the
-# control-plane drill: kill one shard
+# process boundaries, a repeat of the same match proving the shards
+# answer it as a slim request from their report caches, and a match that
+# is idle on shard B (no useful cluster there) proving the router does not
+# ask it. Then the control-plane drill: kill one shard
 # mid-run, assert the -partial router keeps answering (Incomplete) and
 # reports the shard unhealthy, restart the shard, and assert probes
 # re-admit it. Run from anywhere; used by CI.
@@ -41,14 +42,17 @@ wait_healthy() {
 wait_healthy "$PORT_A"
 wait_healthy "$PORT_B"
 
-# shard_stat PORT FIELD prints one counter of a shard's /v1/shard/stats
-# (0 when the field is omitted as zero).
-shard_stat() {
+# stat URL FIELD prints the first occurrence of one counter in a stats body
+# (0 when the field is omitted as zero); shard_stat PORT FIELD reads a
+# shard's /v1/shard/stats, router_stat FIELD the router's rollup total.
+stat() {
   local body n
-  body=$(curl -sf "http://127.0.0.1:$1/v1/shard/stats")
-  n=$(echo "$body" | grep -o "\"$2\": *[0-9]*" | grep -o '[0-9]*$' || true)
+  body=$(curl -sf "$1")
+  n=$(echo "$body" | grep -o "\"$2\": *[0-9]*" | head -n 1 | grep -o '[0-9]*$' || true)
   echo "${n:-0}"
 }
+shard_stat() { stat "http://127.0.0.1:$1/v1/shard/stats" "$2"; }
+router_stat() { stat "http://127.0.0.1:$PORT_R/v1/stats" "$1"; }
 
 # Partial mode with fast health probes, so the control-plane drill below
 # can observe mark-down and re-admission within seconds.
@@ -58,8 +62,11 @@ PIDS+=($!)
 wait_healthy "$PORT_R"
 
 # One end-to-end match through the router: must be a 200 with a pipeline
-# section and no incomplete marker (all shards are healthy).
-FIRST='{"personal":"book(title,author)","options":{"delta":0.5,"min_sim":0.3,"top_n":5,"variant":"tree"}}'
+# section and no incomplete marker (all shards are healthy). Shard B is the
+# one cd(price,titles) tree of the two-way clustered partition, so this
+# request holds a useful cluster on both shards and reaches both.
+match() { echo '{"personal":"'"$1"'","options":{"delta":0.5,"min_sim":0.3,"top_n":'"$2"',"variant":"tree"}}'; }
+FIRST=$(match 'cd(price,title)' 5)
 resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$FIRST")
 echo "$resp" | grep -q '"pipeline"' || { echo "match response carries no pipeline stats: $resp" >&2; exit 1; }
 if echo "$resp" | grep -q '"incomplete": true'; then
@@ -96,14 +103,48 @@ if [ "$hits" -lt 1 ] || [ "$misses" -ne 0 ]; then
   exit 1
 fi
 
+# book(title,author) holds no useful cluster on shard B: the router answers
+# it without asking B, whose counters stay put, and counts one idle skip.
+b_requests=$(shard_stat "$PORT_B" requests)
+b_runs=$(shard_stat "$PORT_B" pipeline_runs)
+idle=$(router_stat idle_skips)
+resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$(match 'book(title,author)' 5)")
+echo "$resp" | grep -q '"pipeline"' || { echo "idle-shard match failed: $resp" >&2; exit 1; }
+if [ "$(shard_stat "$PORT_B" requests)" -ne "$b_requests" ] || [ "$(shard_stat "$PORT_B" pipeline_runs)" -ne "$b_runs" ]; then
+  echo "shard B was asked a request it holds no useful cluster of" >&2
+  exit 1
+fi
+if [ "$(router_stat idle_skips)" -ne $((idle + 1)) ]; then
+  echo "router idle_skips went from $idle to $(router_stat idle_skips), want +1" >&2
+  exit 1
+fi
+
+# The drill request holds a useful cluster on shard B: it reaches B while B
+# is up, so its Incomplete answer below is B's death showing, not a shape
+# B never sees.
+b_requests=$(shard_stat "$PORT_B" requests)
+curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$(match 'cd(price,title)' 6)" >/dev/null
+if [ "$(shard_stat "$PORT_B" requests)" -le "$b_requests" ]; then
+  echo "the drill request never reached shard B" >&2
+  exit 1
+fi
+
 # --- Control-plane drill: kill shard B mid-run. ---------------------------
 kill "${PIDS[1]}" 2>/dev/null || true
 wait "${PIDS[1]}" 2>/dev/null || true
 
 # The router's probes must mark the dead shard unhealthy within seconds.
+# router_down prints the router's stats body and succeeds when it reports a
+# replica down; it fails on an unanswered scrape, which is no evidence
+# either way (the body is buffered: see the EPIPE note above).
+router_down() {
+  local body
+  body=$(curl -sf "http://127.0.0.1:$PORT_R/v1/stats") || return 2
+  grep -q '"healthy": false' <<<"$body"
+}
 down=0
 for _ in $(seq 1 50); do
-  if curl -sf "http://127.0.0.1:$PORT_R/v1/stats" | grep -q '"healthy": false'; then down=1; break; fi
+  if router_down; then down=1; break; fi
   sleep 0.2
 done
 if [ "$down" -ne 1 ]; then
@@ -113,8 +154,7 @@ fi
 
 # With the shard marked down, the -partial router must keep answering:
 # 200, Incomplete merge, and promptly (the skip pays no request timeout).
-resp=$(curl -sf --max-time 5 "http://127.0.0.1:$PORT_R/v1/match" \
-  -d '{"personal":"book(title,author)","options":{"delta":0.5,"min_sim":0.3,"top_n":7,"variant":"tree"}}')
+resp=$(curl -sf --max-time 5 "http://127.0.0.1:$PORT_R/v1/match" -d "$(match 'cd(price,title)' 7)")
 echo "$resp" | grep -q '"incomplete": true' \
   || { echo "match with a dead shard was not served as a partial result: $resp" >&2; exit 1; }
 
@@ -125,20 +165,21 @@ PIDS[1]=$!
 wait_healthy "$PORT_B"
 up=0
 for _ in $(seq 1 50); do
-  if ! curl -sf "http://127.0.0.1:$PORT_R/v1/stats" | grep -q '"healthy": false'; then up=1; break; fi
+  rc=0
+  router_down || rc=$?
+  if [ "$rc" -eq 1 ]; then up=1; break; fi
   sleep 0.2
 done
 if [ "$up" -ne 1 ]; then
   echo "router never re-admitted the restarted shard" >&2
   exit 1
 fi
-resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" \
-  -d '{"personal":"book(title,author)","options":{"delta":0.5,"min_sim":0.3,"top_n":9,"variant":"tree"}}')
+resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$(match 'cd(price,title)' 9)")
 if echo "$resp" | grep -q '"incomplete": true'; then
   echo "match after shard re-admission still incomplete: $resp" >&2
   exit 1
 fi
-# top_n 7 and 9 share the first request's pre-pass entry but not its
+# top_n 6, 7 and 9 share the first request's pre-pass entry but not its
 # signature: shard A got them as full bodies, never a 428.
 if [ "$(shard_stat "$PORT_A" projection_cache_misses)" -ne 0 ]; then
   echo "shard A answered a request with a new signature 428" >&2
@@ -146,5 +187,5 @@ if [ "$(shard_stat "$PORT_A" projection_cache_misses)" -ne 0 ]; then
 fi
 
 echo "distributed smoke: 2 shard servers + 1 router served one match end to end"
-echo "  and its repeat as slim requests,"
+echo "  and its repeat as slim requests, left an idle shard unasked,"
 echo "  survived a shard kill as a partial result, and re-admitted the restarted shard"
