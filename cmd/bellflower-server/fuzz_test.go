@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -21,16 +22,7 @@ import (
 // capped at 4 nodes, so even a body that asks for the most mappings it can
 // (top_n 1000, δ 0) stays cheap; the short default timeout bounds the rest.
 func FuzzMatchBody(f *testing.F) {
-	cfg := bellflower.DefaultSyntheticConfig()
-	cfg.TargetNodes, cfg.MeanTreeSize, cfg.Seed = 120, 6, 7
-	repo, err := bellflower.Synthetic(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	svcCfg := bellflower.ServiceConfig{Workers: 2, MaxSchemaNodes: 4, DefaultTimeout: 200 * time.Millisecond}
-	srv := newServer(repo, "synthetic", svcCfg, 1, bellflower.PartitionClustered, "", newQuietLogger())
-	f.Cleanup(srv.closeNow)
-	h := srv.routes()
+	h := fuzzServer(f)
 
 	// The request bodies the README shows for /v1/match.
 	f.Add(`{"personal":"book(title,author)","options":{"delta":0.6,"top_n":5}}`)
@@ -52,6 +44,70 @@ func FuzzMatchBody(f *testing.F) {
 		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusGatewayTimeout:
 		default:
 			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+	})
+}
+
+// fuzzServer is the daemon's routes over the fuzzers' small repository.
+func fuzzServer(f *testing.F) http.Handler {
+	cfg := bellflower.DefaultSyntheticConfig()
+	cfg.TargetNodes, cfg.MeanTreeSize, cfg.Seed = 120, 6, 7
+	repo, err := bellflower.Synthetic(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	svcCfg := bellflower.ServiceConfig{Workers: 2, MaxSchemaNodes: 4, DefaultTimeout: 200 * time.Millisecond}
+	srv := newServer(repo, "synthetic", svcCfg, 1, bellflower.PartitionClustered, "", newQuietLogger())
+	f.Cleanup(srv.closeNow)
+	return srv.routes()
+}
+
+// FuzzBatchBody posts arbitrary bytes to /v1/match/batch over the same
+// repository and config as FuzzMatchBody. The batch itself is a 200, 400
+// (bad body, empty batch) or 413 (too large, too many entries); a 200 must
+// be valid JSON — the renderings are spliced into it verbatim — with one
+// result per request, each with a status a single match could have: 200,
+// 400, 413 or 504.
+func FuzzBatchBody(f *testing.F) {
+	h := fuzzServer(f)
+
+	// The README's batch example, literally and filled in.
+	f.Add(`{"requests":[{...},{...}]}`)
+	f.Add(`{"requests":[{"personal":"book(title,author)","options":{"delta":0.6,"top_n":5}},{"personal":"customer(name,email)"}]}`)
+	// An entry whose rendering spans many lines, beside a failing entry and
+	// a duplicate.
+	f.Add(`{"requests":[{"personal":"book(title,author)","options":{"delta":0,"top_n":10}},{"personal":"((("},{"personal":"book(title,author)","options":{"delta":0,"top_n":10}}]}`)
+
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/match/batch", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("invalid JSON for body %q: %s", body, rec.Body)
+		}
+		var req struct{ Requests []json.RawMessage }
+		var resp struct{ Results []struct{ Status int } }
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatalf("a 200 for a body encoding/json rejects (%v): %q", err, body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != len(req.Requests) {
+			t.Fatalf("%d results for %d requests in %q", len(resp.Results), len(req.Requests), body)
+		}
+		for i, r := range resp.Results {
+			switch r.Status {
+			case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusGatewayTimeout:
+			default:
+				t.Fatalf("entry %d: status %d for body %q: %s", i, r.Status, body, rec.Body)
+			}
 		}
 	})
 }

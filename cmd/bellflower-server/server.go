@@ -623,9 +623,9 @@ var batchWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 3
 
 // writeBatch streams the batch response — {"results": [{"result": ...,
 // "status": 200} | {"error": "...", "status": N}, ...]} plus the optional
-// "trace" — through one pooled buffered writer: each result is its
-// rendering copied with the nesting's line prefix, byte for byte what
-// encoding/json prints for the same document in one piece.
+// "trace" — through one pooled buffered writer. Each result is that entry's
+// /v1/match body, verbatim: its rendering (for a hit, the cached bytes)
+// without the trailing newline, written in one piece.
 func writeBatch(w io.Writer, entries []batchEntry, traceJSON []byte) error {
 	bw := batchWriters.Get().(*bufio.Writer)
 	bw.Reset(w)
@@ -641,15 +641,7 @@ func writeBatch(w io.Writer, entries []batchEntry, traceJSON []byte) error {
 		bw.WriteString("\n    {\n      \"")
 		bw.WriteString(e.field)
 		bw.WriteString("\": ")
-		// A rendering ends in a newline the nested form has no use for; every
-		// other line break is followed by the entry's indent.
-		doc := bytes.TrimSuffix(e.value, []byte("\n"))
-		for nl := bytes.IndexByte(doc, '\n'); nl >= 0; nl = bytes.IndexByte(doc, '\n') {
-			bw.Write(doc[:nl+1])
-			bw.WriteString("      ")
-			doc = doc[nl+1:]
-		}
-		bw.Write(doc)
+		bw.Write(bytes.TrimSuffix(e.value, []byte("\n")))
 		bw.WriteString(",\n      \"status\": ")
 		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(e.status), 10))
 		bw.WriteString("\n    }")

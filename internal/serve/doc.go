@@ -86,10 +86,11 @@
 // projection holds no useful cluster (under IncludePartials, no cluster at
 // all) is idle, and the router runs the same generation stage over that
 // projection itself (Stats.IdleSkips counts these shards). The projection
-// is exact, so reports are identical to per-shard
-// computation — and because clustering is
-// global, even the k-means variants reproduce the unsharded result
-// exactly, which per-shard clustering only approximates. The pre-pass
+// is exact, so mappings and partials are identical to per-shard
+// computation — and because clustering is global, even the k-means
+// variants reproduce the unsharded ones exactly, which per-shard
+// clustering only approximates (Router lists the report counters that
+// depend on the topology). The pre-pass
 // executions are counted by Stats.CandidatePrePass, surfaced in /v1/stats
 // and as bellflower_candidate_prepass_total in the Prometheus scrape.
 //

@@ -106,9 +106,14 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // mapping lists into a single global report. Candidate matching is per-tree
 // and clusters never span repository trees (cross-tree distance is
 // infinite), so partitioning at tree granularity loses no candidate
-// mappings, and the router reproduces the unsharded report exactly — for
-// every clustering variant, rank for rank, ties included (golden- and
-// property-tested).
+// mappings: the merged mappings and partials are the unsharded report's
+// exactly — for every clustering variant, rank for rank, ties included
+// (golden- and property-tested) — as are MappingElements, Clusters,
+// UsefulClusters and SearchSpace. When a top-N request's useful clusters
+// sit on more than one busy shard, each shard's search prunes against its
+// own floor, so PartialMappings (partial_mappings_generated),
+// CompleteMappings, Found and FirstGoodAfter depend on the topology, and
+// ClusterSizes come in shard order.
 //
 // Every router indexes the repository exactly ONCE and sees its shards as
 // labeling.Views over that shared index — a shard is a set of member trees

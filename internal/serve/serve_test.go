@@ -276,6 +276,37 @@ func TestDefaultTimeout(t *testing.T) {
 	}
 }
 
+// A cache hit returns before the default deadline is derived: with
+// DefaultTimeout set, a warm MatchJSON allocates exactly what it allocates
+// without one (a timer context costs a few allocations of its own).
+func TestCacheHitStartsNoTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	warmAllocs := func(cfg Config) float64 {
+		s := NewFromRepository(testRepo(t), cfg)
+		defer s.Close()
+		ctx, p, opts := context.Background(), personal(), testOpts()
+		if _, err := s.MatchJSON(ctx, p, opts); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := s.MatchJSON(ctx, p, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if st := s.Stats(); st.PipelineRuns != 1 || st.CacheHits < 100 {
+			t.Fatalf("the measured requests were not hits: %d pipeline runs, %d hits", st.PipelineRuns, st.CacheHits)
+		}
+		return allocs
+	}
+	plain := warmAllocs(Config{Workers: 1})
+	timed := warmAllocs(Config{Workers: 1, DefaultTimeout: 30 * time.Second})
+	if timed != plain {
+		t.Errorf("a warm hit allocates %.0f times with DefaultTimeout set, %.0f without: the hit started a timer", timed, plain)
+	}
+}
+
 func TestRejections(t *testing.T) {
 	s := NewFromRepository(testRepo(t), Config{MaxSchemaNodes: 3})
 	if _, err := s.Match(context.Background(), nil, testOpts()); err == nil {

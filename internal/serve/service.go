@@ -84,8 +84,8 @@ type Config struct {
 	// pipeline's own 64-node bound (same ErrSchemaTooLarge).
 	MaxSchemaNodes int
 
-	// DefaultTimeout bounds requests whose context carries no deadline.
-	// 0 means no default bound.
+	// DefaultTimeout bounds requests whose context carries no deadline
+	// and that miss the report cache (a hit starts no timer). 0: no bound.
 	DefaultTimeout time.Duration
 }
 
@@ -280,8 +280,8 @@ func (s *Service) run(ctx context.Context, t *task) (rep *pipeline.Report, err e
 //
 // ctx bounds the request: if it expires while the request is queued or
 // running, Match returns ctx.Err() immediately, and the underlying run is
-// cancelled as soon as no other caller is waiting on it. Requests without
-// a deadline get Config.DefaultTimeout when one is configured.
+// cancelled as soon as no other caller is waiting on it. A request without
+// a deadline that misses the cache gets Config.DefaultTimeout, if set.
 func (s *Service) Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
 	return s.MatchStaged(ctx, personal, opts, Staged{})
 }
@@ -361,13 +361,6 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 		s.ct.rejected.Add(1)
 		return nil, cacheRef{}, fmt.Errorf("serve: %w: %d nodes > limit %d", ErrSchemaTooLarge, personal.Len(), max)
 	}
-	if s.cfg.DefaultTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-			defer cancel()
-		}
-	}
 
 	start := time.Now()
 	key := Signature(personal, opts)
@@ -387,6 +380,12 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 		}
 		if attempt == 0 {
 			s.ct.cacheMisses.Add(1)
+			// Only a miss can wait, so a hit returns before any timer exists.
+			if _, ok := ctx.Deadline(); !ok && s.cfg.DefaultTimeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
+				defer cancel()
+			}
 		}
 
 		if s.beforeJoin != nil {
