@@ -56,11 +56,12 @@
 // the per-shard ranked lists into one global top-N report. Shards are
 // views over a single shared labelling index, so index memory stays one
 // full-repository copy regardless of shard count, and all caches answer
-// to one byte-budget memory governor. A shared pre-pass runs element
-// matching and clustering once against the full repository per request
-// shape and hands each shard its projection, so the merged report is
-// exactly the unsharded one for every clustering variant and the cold
-// path pays the quadratic matching stage once.
+// to one byte-budget memory governor. The router answers repeated requests
+// from its own report cache without asking any shard; for the rest, a
+// shared pre-pass runs element matching and clustering once against the
+// full repository and hands each shard its projection, so the merged
+// report is exactly the unsharded one for every clustering variant and the
+// cold path pays the quadratic matching stage once.
 //
 // The same services back the bellflower-server HTTP daemon
 // (cmd/bellflower-server), which exposes /v1/match, /v1/match/batch,
@@ -381,11 +382,12 @@ func NewService(repo *Repository, cfg ServiceConfig) *Service {
 // them, keeping the default total worker budget equal to an unsharded
 // NewService.
 //
-// The router runs a shared pre-pass: the cold-path element matching and
-// clustering execute once against the full repository per request shape
-// and are projected onto each shard, so shards run only mapping
-// generation. Cache memory — every shard's report cache plus the pre-pass
-// cache — is governed by one byte budget (ServiceConfig.CacheBytes), and
+// The router answers a repeated request from its own cache of merged
+// reports, asking no shard. Any other request runs a shared pre-pass: the
+// cold-path element matching and clustering execute once against the full
+// repository and are projected onto each shard, so shards run only mapping
+// generation. Cache memory — every shard's report cache plus the router's
+// — is governed by one byte budget (ServiceConfig.CacheBytes), and
 // ServiceConfig.PartialResults opts into merging partially failed
 // fan-outs as Incomplete reports instead of failing them.
 //
@@ -436,11 +438,12 @@ func NewShardHost(repo *Repository, shard, shards int, cfg ServiceConfig, strate
 // OTHER processes: the repository (the same file or synthetic seed the
 // shard servers loaded) is partitioned into len(shardAddrs) views, shard i
 // is served by the bellflower-server -shard-of i/n process(es) at
-// shardAddrs[i], and every match request runs the shared pre-pass locally
-// — element matching and clustering once against the full repository —
-// then ships each shard its candidate projection and clusters over the
-// wire (view-local node IDs). Merged reports are byte-identical to an
-// unsharded run, exactly like the in-process NewShardedService.
+// shardAddrs[i], and every match request its report cache cannot answer
+// runs the shared pre-pass locally — element matching and clustering once
+// against the full repository — then ships each shard its candidate
+// projection and clusters over the wire (view-local node IDs). Merged
+// reports are byte-identical to an unsharded run, exactly like the
+// in-process NewShardedService.
 //
 // Each shardAddrs entry may name several REPLICAS of that shard separated
 // by '|' ("hostA:8081|hostB:8081"): identical -shard-of i/n processes the

@@ -320,33 +320,49 @@ func TestStatusWriterUnwraps(t *testing.T) {
 }
 
 // After a repository swap the same request body is answered from the new
-// repository: the old generation's renderings are unreachable.
+// repository: the old generation's renderings are unreachable — the
+// service's report cache and, with two shards, the router's.
 func TestHotReloadNeverServesAnOldRendering(t *testing.T) {
-	for _, path := range []string{"/v1/match", "/v1/match/batch"} {
-		_, ts := testService(t, bellflower.ServiceConfig{})
-		rq := `{"personal":"book(title,author)","options":{"delta":0.3,"top_n":5}}`
-		if path == "/v1/match/batch" {
-			rq = `{"requests":[` + rq + `,` + rq + `]}`
-		}
-		_, old := postJSON(t, ts.URL+path, rq)
-		if _, again := postJSON(t, ts.URL+path, rq); !bytes.Equal(old, again) {
-			t.Fatalf("%s: warm response differs from the first", path)
-		}
-		if resp, data := postJSON(t, ts.URL+"/v1/repository", `{"action":"synthetic","nodes":400,"seed":9}`); resp.StatusCode != http.StatusOK {
-			t.Fatalf("swap: %d %s", resp.StatusCode, data)
-		}
-		_, fresh := postJSON(t, ts.URL+path, rq)
-		if bytes.Equal(fresh, old) {
-			t.Errorf("%s: the swapped-out repository's rendering was served", path)
-		}
-		if strings.Contains(string(fresh), "/lib/") || strings.Contains(string(fresh), "/store/") {
-			t.Errorf("%s: post-swap answer names the old repository's trees: %s", path, fresh)
-		}
-		var stats bellflower.ServiceStats
-		getJSON(t, ts.URL+"/v1/stats", &stats)
-		if stats.PipelineRuns != 1 || stats.CacheMisses == 0 {
-			t.Errorf("%s: new generation shows %d pipeline runs, %d misses; it must have run the request itself",
-				path, stats.PipelineRuns, stats.CacheMisses)
+	for _, shards := range []int{1, 2} {
+		for _, path := range []string{"/v1/match", "/v1/match/batch"} {
+			_, ts := testShardedService(t, bellflower.ServiceConfig{}, shards)
+			rq := `{"personal":"book(title,author)","options":{"delta":0.3,"top_n":5}}`
+			if path == "/v1/match/batch" {
+				rq = `{"requests":[` + rq + `,` + rq + `]}`
+			}
+			_, old := postJSON(t, ts.URL+path, rq)
+			if _, again := postJSON(t, ts.URL+path, rq); !bytes.Equal(old, again) {
+				t.Fatalf("shards=%d %s: warm response differs from the first", shards, path)
+			}
+			if resp, data := postJSON(t, ts.URL+"/v1/repository", `{"action":"synthetic","nodes":400,"seed":9}`); resp.StatusCode != http.StatusOK {
+				t.Fatalf("swap: %d %s", resp.StatusCode, data)
+			}
+			_, fresh := postJSON(t, ts.URL+path, rq)
+			if bytes.Equal(fresh, old) {
+				t.Errorf("shards=%d %s: the swapped-out repository's rendering was served", shards, path)
+			}
+			if strings.Contains(string(fresh), "/lib/") || strings.Contains(string(fresh), "/store/") {
+				t.Errorf("shards=%d %s: post-swap answer names the old repository's trees: %s", shards, path, fresh)
+			}
+			if shards == 1 {
+				var stats bellflower.ServiceStats
+				getJSON(t, ts.URL+"/v1/stats", &stats)
+				if stats.PipelineRuns != 1 || stats.CacheMisses == 0 {
+					t.Errorf("%s: new generation shows %d pipeline runs, %d misses; it must have run the request itself",
+						path, stats.PipelineRuns, stats.CacheMisses)
+				}
+				continue
+			}
+			// The router matches and clusters above the shards, and builds an
+			// idle shard's report itself: the new generation ran the request
+			// if it ran a pre-pass.
+			var stats struct {
+				Total bellflower.ServiceStats `json:"total"`
+			}
+			getJSON(t, ts.URL+"/v1/stats", &stats)
+			if stats.Total.CandidatePrePass == 0 {
+				t.Errorf("%s: new generation shows no pre-pass; it must have run the request itself", path)
+			}
 		}
 	}
 }

@@ -13,9 +13,11 @@
 // shards concurrently and the per-shard ranked lists are merged into one
 // global top-N report. Shards are views over one shared labelling index —
 // the repository is indexed once regardless of N — and cold-path element
-// matching and clustering run once per request shape in a shared pre-pass
-// projected onto the shards, which run only mapping generation. Cache
-// memory across all shards answers to one byte budget (-cache-bytes);
+// matching and clustering run once per request in a shared pre-pass
+// projected onto the shards, which run only mapping generation; a repeated
+// request is answered from the router's own report cache and asks no
+// shard. Cache memory across the router and all shards answers to one byte
+// budget (-cache-bytes);
 // entries never expire, because a repository swap replaces the whole
 // backend and its caches. -partial serves partially failed fan-outs as
 // incomplete reports instead of errors.
@@ -111,8 +113,8 @@ func run(args []string) error {
 		seed         = fs.Int64("seed", 1, "seed for the synthetic repository")
 		workers      = fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 		queue        = fs.Int("queue", 0, "request queue depth (0 = 4x workers)")
-		cacheSize    = fs.Int("cache", 0, "report cache capacity in entries per shard (0 = 256, negative = disabled)")
-		cacheBytes   = fs.Int64("cache-bytes", 0, "byte budget for the unified cache (all shards' reports + pre-pass results; 0 = unbounded)")
+		cacheSize    = fs.Int("cache", 0, "report cache capacity in entries, per shard and for a sharded router's merged reports (0 = 256, negative = disabled)")
+		cacheBytes   = fs.Int64("cache-bytes", 0, "byte budget for the unified cache (all shards' reports + the router's merged reports; 0 = unbounded)")
 		maxNodes     = fs.Int("max-schema-nodes", 0, "reject personal schemas above this node count (0 = 64; negative = no service limit, the pipeline still refuses more than 64)")
 		timeout      = fs.Duration("timeout", 30*time.Second, "default per-request deadline (0 = none)")
 		shards       = fs.Int("shards", 1, "partition the repository into this many shards and fan match requests out across them")

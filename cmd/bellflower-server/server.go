@@ -857,8 +857,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// and build keys); sharded servers report the rollup plus the per-shard
 	// breakdown. Snapshot takes both together, so the shard-derived fields
 	// of total always equal the sum of the shards; router-level work — the
-	// candidate pre-pass and above-the-shards rejections — appears only in
-	// the total.
+	// candidate pre-pass, the router's own cache hits and above-the-shards
+	// rejections — appears only in the total.
 	total, shards := ref.backend.Snapshot()
 	if ref.backend.NumShards() == 1 {
 		writeJSON(w, http.StatusOK, struct {

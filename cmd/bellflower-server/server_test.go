@@ -900,7 +900,8 @@ func TestShardedStatsRollupAndEquivalence(t *testing.T) {
 		}
 	}
 
-	// Repeat the request so the rollup shows per-shard cache hits.
+	// Repeat the request: the router answers it from its own cache, so the
+	// rollup shows one hit that no shard saw.
 	if resp, _ := postJSON(t, sharded.URL+"/v1/match", body); resp.StatusCode != http.StatusOK {
 		t.Fatal("repeat match failed")
 	}
@@ -912,11 +913,16 @@ func TestShardedStatsRollupAndEquivalence(t *testing.T) {
 	if len(stats.Shards) != 2 {
 		t.Fatalf("stats lists %d shards, want 2", len(stats.Shards))
 	}
-	if stats.Total.Requests != 4 {
-		t.Errorf("rolled-up requests = %d, want 4 (2 requests × 2 shards asked)", stats.Total.Requests)
+	if stats.Total.Requests != 3 {
+		t.Errorf("rolled-up requests = %d, want 3 (1 request × 2 shards asked + 1 router hit)", stats.Total.Requests)
 	}
-	if stats.Total.CacheHits < 2 {
-		t.Errorf("rolled-up cache hits = %d, want ≥ 2", stats.Total.CacheHits)
+	if stats.Total.CacheHits != 1 {
+		t.Errorf("rolled-up cache hits = %d, want 1 (the repeat, at the router)", stats.Total.CacheHits)
+	}
+	for i, st := range stats.Shards {
+		if st.Requests != 1 || st.CacheHits != 0 {
+			t.Errorf("shard %d: %d requests, %d hits; want the first request only", i, st.Requests, st.CacheHits)
+		}
 	}
 	var repoInfo struct {
 		Trees  int `json:"trees"`
@@ -931,11 +937,13 @@ func TestShardedStatsRollupAndEquivalence(t *testing.T) {
 // TestIdleShardNotAsked: on testRepo3's two-way clustered partition the
 // catalog shard holds no useful cluster of book(title,author), so the
 // router never asks it — its counters stay at zero — and both /v1/stats
-// and /metrics count the skip.
+// and /metrics count the skip. The two requests differ in top_n, so the
+// router's report cache answers neither.
 func TestIdleShardNotAsked(t *testing.T) {
 	_, ts := testShardedService(t, bellflower.ServiceConfig{}, 2)
 	for i := 0; i < 2; i++ {
-		if resp, data := postJSON(t, ts.URL+"/v1/match", `{"personal":"book(title,author)","options":{"delta":0.5}}`); resp.StatusCode != http.StatusOK {
+		body := fmt.Sprintf(`{"personal":"book(title,author)","options":{"delta":0.5,"top_n":%d}}`, 5+i)
+		if resp, data := postJSON(t, ts.URL+"/v1/match", body); resp.StatusCode != http.StatusOK {
 			t.Fatalf("match %d: %d (%s)", i, resp.StatusCode, data)
 		}
 	}
@@ -1087,17 +1095,17 @@ func TestHotReloadColdPrePassRace(t *testing.T) {
 }
 
 // TestStatsReportCandidatePrePass pins the /v1/stats and /metrics wiring
-// of the pre-pass counter: cold requests that share one candidate
-// signature run the full-repository matching exactly once, per-shard
-// snapshots never carry the router-level counter, and both JSON and
-// Prometheus surfaces agree.
+// of the pre-pass counter: each cold request runs the full-repository
+// matching once — one after the other they share no pre-pass, which is
+// shared in flight but not cached — per-shard snapshots never carry the
+// router-level counter, and both JSON and Prometheus surfaces agree.
 func TestStatsReportCandidatePrePass(t *testing.T) {
 	// testBookRepo3: both shards hold a useful cluster, so both are asked.
 	_, ts := testShardedServiceOver(t, testBookRepo3(), bellflower.ServiceConfig{}, 2)
 
 	for i := 0; i < 3; i++ {
 		// Same schema and matcher, unique top_n: three cold reports, one
-		// candidate signature.
+		// candidate signature, one pre-pass each.
 		body := fmt.Sprintf(`{"personal":"book(title,author)","options":{"delta":0.5,"top_n":%d}}`, 100+i)
 		if resp, data := postJSON(t, ts.URL+"/v1/match", body); resp.StatusCode != http.StatusOK {
 			t.Fatalf("match %d: %d (%s)", i, resp.StatusCode, data)
@@ -1109,8 +1117,8 @@ func TestStatsReportCandidatePrePass(t *testing.T) {
 		Shards []bellflower.ServiceStats `json:"shards"`
 	}
 	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if stats.Total.CandidatePrePass != 1 {
-		t.Errorf("total candidate_pre_pass = %d, want 1 (three cold requests, one signature)", stats.Total.CandidatePrePass)
+	if stats.Total.CandidatePrePass != 3 {
+		t.Errorf("total candidate_pre_pass = %d, want 3 (three cold requests in turn)", stats.Total.CandidatePrePass)
 	}
 	if stats.Total.PipelineRuns != 6 {
 		t.Errorf("pipeline runs = %d, want 6 (three cold requests × two shards)", stats.Total.PipelineRuns)
@@ -1130,8 +1138,8 @@ func TestStatsReportCandidatePrePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "bellflower_candidate_prepass_total 1") {
-		t.Errorf("metrics missing bellflower_candidate_prepass_total 1:\n%s", data)
+	if !strings.Contains(string(data), "bellflower_candidate_prepass_total 3\n") {
+		t.Errorf("metrics missing bellflower_candidate_prepass_total 3:\n%s", data)
 	}
 
 	// A single-shard server has no pre-pass; the flat stats shape reports 0.

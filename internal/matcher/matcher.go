@@ -357,7 +357,7 @@ func candidateCompare(a, b Candidate) int {
 // parses of one spec): per-set personal nodes are swapped by preorder rank
 // and the candidate slices are shared, so the call is O(|personal|). The
 // caller is responsible for the structural identity; the serving layer
-// guarantees it by keying its pre-pass cache on the schema's canonical
+// guarantees it by keying its pre-pass flight on the schema's canonical
 // signature. Returns c itself when the tree is already the bound one.
 func (c *Candidates) Rebind(personal *schema.Tree) *Candidates {
 	if c.Personal == personal {

@@ -12,8 +12,8 @@ import (
 )
 
 // BenchmarkRouterHot is a repeated request through a router over two
-// in-process shards at the paper's scale: each op is a pre-pass cache hit,
-// two shard report-cache hits and the merge.
+// in-process shards at the paper's scale: each op is a router report-cache
+// hit, which asks no shard.
 func BenchmarkRouterHot(b *testing.B) {
 	r := NewRouterFromRepository(repogen.MustGenerate(repogen.DefaultConfig()), 2, Config{})
 	defer r.Close()

@@ -62,24 +62,22 @@
 // as local ones: per-shard errors, Report.Incomplete, per-shard metric
 // series.
 //
-// # Candidate pre-pass
+// # Report cache and candidate pre-pass
 //
-// Every router runs the cold-path stages once per request shape instead of
-// once per shard: element matching and clustering execute against the full
-// repository, keyed by a pre-pass signature
+// A router answers a repeated request from its own report cache of merged
+// reports and their renderings, and asks no shard. Only the requests it
+// cannot answer run the pre-pass: element matching and clustering execute
+// once against the full repository, keyed by a pre-pass signature
 // (personal schema + matcher + MinSim + clustering options), shared in
-// flight through the same flight group type a Service uses, projected
-// onto each shard, and cached once they succeed (a failed pre-pass is not
-// cached). Because shards
-// are views of the same repository, projection is pure filtering —
+// flight through the same flight group type a Service uses but kept once
+// the flight is over by nothing, and projected onto each shard. Because
+// shards are views of the same repository, projection is pure filtering —
 // matcher.Candidates.Restrict keeps each shard's member-tree candidates
 // with their original node objects and order, and each global cluster
 // (clusters never span trees) is handed wholesale to its owning shard.
-// Projection happens once per cache entry, which holds the per-shard
-// projections rather than the full result: a repeat only rebinds each
-// shard's candidates to its own personal tree. A remote shard that has
-// answered the request before gets a slim request instead, answered from
-// its report cache, so a repeat encodes no projection either.
+// A flight follower only rebinds each shard's candidates to its own
+// personal tree. A remote shard that has answered the request before gets
+// a slim request instead, answered from its report cache.
 // Shards then run only mapping generation (ShardBackend.MatchStaged with
 // the projection as its Staged argument → pipeline.Runner.RunWithClusters),
 // and only the shards that can add to the report are asked: a shard whose
@@ -96,14 +94,13 @@
 //
 // # Memory governance
 //
-// All serving caches answer to one byte-budget memory governor. It has two
-// member caches: every shard's report cache (reports with their attached
-// renderings) and the router's pre-pass cache charge their entries —
-// size-estimated in bytes — into a single account
-// (Config.CacheBytes). When the budget is exceeded the governor evicts
-// the globally least-recently-used entry across every member cache,
-// whichever kind it is; per-cache entry-count caps (Config.CacheSize, the
-// pre-pass's 64) remain as secondary limits. Entries have no TTL: a
+// All serving caches are report caches — every shard's and a router's own
+// — and answer to one byte-budget memory governor: each entry, a report
+// with its attached rendering, is size-estimated in bytes and charged to a
+// single account (Config.CacheBytes). When the budget is exceeded the
+// governor evicts the globally least-recently-used entry across every
+// member cache; per-cache entry-count caps (Config.CacheSize) remain as
+// secondary limits. Entries have no TTL: a
 // governor belongs to one backend over one immutable repository, and a
 // repository swap builds a new backend, so no cached entry can go stale.
 // Stats exposes the account (CacheBytes, CacheByteBudget, CacheEvictions)

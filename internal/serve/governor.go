@@ -4,23 +4,20 @@ import (
 	"container/list"
 	"sync"
 
-	"bellflower/internal/cluster"
-	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
 )
 
 // memGovernor is the unified memory governor behind every cache the serving
-// layer keeps: the per-shard report caches and the router's candidate
-// pre-pass cache both charge their finished entries, size-estimated in
+// layer keeps: the per-shard report caches and the router's report cache
+// of merged reports all charge their finished entries, size-estimated in
 // bytes, into one governor. Eviction is size-aware and global — when the
 // byte budget is exceeded, the least-recently-used entry across ALL member
-// caches goes, whatever kind it is — so an operator bounds total cache
-// memory with a single knob (Config.CacheBytes / -cache-bytes) instead of
-// sizing N shard caches and a pre-pass LRU independently. Per-cache
-// entry-count caps (Config.CacheSize, prepassCacheSize) are still enforced
-// as secondary limits. Entries never expire: a governor belongs to one
-// backend, which serves one immutable repository, and a repository swap
-// builds a new backend with a new governor.
+// caches goes — so an operator bounds total cache memory with a single
+// knob (Config.CacheBytes / -cache-bytes) instead of sizing N+1 caches
+// independently. Per-cache entry-count caps (Config.CacheSize) are still
+// enforced as secondary limits. Entries never expire: a governor belongs to
+// one backend, which serves one immutable repository, and a repository
+// swap builds a new backend with a new governor.
 //
 // A governor is safe for concurrent use. All state is guarded by one
 // mutex; member caches (cacheSpace) share the governor's LRU list and
@@ -124,29 +121,27 @@ func (s *cacheSpace) get(key string) (any, bool) {
 	return el.Value.(*govEntry).val, true
 }
 
-// put inserts or replaces the entry for key, charging bytes to the
-// governor and evicting as needed. An entry larger than the whole byte
-// budget is evicted immediately — oversized values simply don't cache.
-func (s *cacheSpace) put(key string, val any, bytes int64) {
+// add inserts val under key, charging bytes and evicting as needed, unless
+// an entry is resident there; it returns the resident value (val when the
+// space is disabled). An entry larger than the whole byte budget is evicted
+// at once — oversized values simply don't cache.
+func (s *cacheSpace) add(key string, val any, bytes int64) any {
 	if s.cap <= 0 {
-		return
+		return val
 	}
 	g := s.gov
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if el, ok := s.byKey[key]; ok {
-		e := el.Value.(*govEntry)
-		g.used += bytes - e.bytes
-		s.bytes += bytes - e.bytes
-		e.val, e.bytes = val, bytes
 		g.order.MoveToFront(el)
-	} else {
-		e := &govEntry{space: s, key: key, val: val, bytes: bytes}
-		s.byKey[key] = g.order.PushFront(e)
-		g.used += bytes
-		s.bytes += bytes
+		return el.Value.(*govEntry).val
 	}
+	e := &govEntry{space: s, key: key, val: val, bytes: bytes}
+	s.byKey[key] = g.order.PushFront(e)
+	g.used += bytes
+	s.bytes += bytes
 	g.enforce(s)
+	return val
 }
 
 // resize re-accounts the entry under key with a new byte size, if it is
@@ -185,8 +180,8 @@ func (s *cacheSpace) residentBytes() int64 {
 
 // --- size estimators ---
 //
-// The estimates cover the dominant growth terms (slices of mappings,
-// candidates, cluster elements) plus a flat struct overhead; pointer-shared
+// The estimates cover the dominant growth terms (slices of mappings and
+// their images) plus a flat struct overhead; pointer-shared
 // schema nodes are NOT charged — they belong to the repository, which the
 // governor does not manage. What matters for governance is that the
 // accounting is internally consistent: the governor's used figure always
@@ -214,34 +209,6 @@ func reportBytes(rep *pipeline.Report) int64 {
 	}
 	for i := range rep.ShardErrors {
 		b += int64(len(rep.ShardErrors[i].Err)) + 24
-	}
-	return b
-}
-
-// candidatesBytes estimates an element-matching result's resident size.
-func candidatesBytes(c *matcher.Candidates) int64 {
-	b := int64(len(c.Sets)) * 40 // CandidateSet headers
-	for i := range c.Sets {
-		b += int64(len(c.Sets[i].Elems)) * 16 // Candidate{*Node, float64}
-	}
-	return b
-}
-
-// clustersBytes estimates a clustering result's resident size.
-func clustersBytes(cls []*cluster.Cluster) int64 {
-	b := int64(len(cls)) * wordBytes
-	for _, cl := range cls {
-		b += 64 + int64(len(cl.Elements))*24 // Element{*Node, uint64, float64}
-	}
-	return b
-}
-
-// prepassEntryBytes estimates a completed pre-pass entry's resident size:
-// every shard's projection.
-func prepassEntryBytes(e *prepassEntry) int64 {
-	b := int64(structSlack)
-	for _, p := range e.shards {
-		b += structSlack + candidatesBytes(p.Cands) + clustersBytes(p.Clusters)
 	}
 	return b
 }

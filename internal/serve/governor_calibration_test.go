@@ -5,9 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
-	"bellflower/internal/cluster"
 	"bellflower/internal/mapgen"
-	"bellflower/internal/matcher"
 	"bellflower/internal/pipeline"
 	"bellflower/internal/schema"
 )
@@ -17,7 +15,7 @@ import (
 // deliberately excluded. This file calibrates them against an
 // unsafe.Sizeof sweep of the real structures — the measured resident bytes
 // of exactly what the estimator claims to cover — so silent drift (a new
-// heavy Report field, a grown Candidate struct) fails loudly instead of
+// heavy Report field, a grown Mapping struct) fails loudly instead of
 // quietly skewing every cache-byte account.
 
 // calibrationBand is the accepted estimate/measured ratio. The estimators
@@ -65,30 +63,12 @@ func measuredReportBytes(rep *pipeline.Report) int64 {
 	return b
 }
 
-func measuredCandidatesBytes(c *matcher.Candidates) int64 {
-	b := int64(unsafe.Sizeof(*c))
-	b += int64(cap(c.Sets)) * int64(unsafe.Sizeof(matcher.CandidateSet{}))
-	for i := range c.Sets {
-		b += int64(cap(c.Sets[i].Elems)) * int64(unsafe.Sizeof(matcher.Candidate{}))
-	}
-	return b
-}
-
-func measuredClustersBytes(cls []*cluster.Cluster) int64 {
-	b := int64(cap(cls)) * ptrSize
-	for _, cl := range cls {
-		b += int64(unsafe.Sizeof(*cl))
-		b += int64(cap(cl.Elements)) * int64(unsafe.Sizeof(cluster.Element{}))
-	}
-	return b
-}
-
 const ptrSize = int64(unsafe.Sizeof((*schema.Node)(nil)))
 
 // TestGovernorEstimatorCalibration sweeps synthetic shapes — mapping
-// counts × widths, candidate-set fans, cluster populations — and real
-// pipeline output, asserting every estimator stays within the calibration
-// band of its unsafe.Sizeof measurement.
+// counts × widths — and real pipeline output, asserting the report
+// estimator stays within the calibration band of its unsafe.Sizeof
+// measurement.
 func TestGovernorEstimatorCalibration(t *testing.T) {
 	// Reports: synthetic sweep over the dominant growth axes.
 	for _, nMappings := range []int{0, 1, 16, 256} {
@@ -105,46 +85,15 @@ func TestGovernorEstimatorCalibration(t *testing.T) {
 		}
 	}
 
-	// Candidates and clusters: real cold-path output at several scales,
-	// so the sweep covers realistic fan shapes, not just synthetic ones.
+	// Real pipeline output at several scales, so the sweep covers realistic
+	// report shapes, not just synthetic ones.
 	for _, nodes := range []int{200, 600} {
 		repo := syntheticRepo(t, nodes, int64(nodes))
 		p := schema.MustParseSpec("address(name,email)")
-		cands := matcher.FindCandidates(p, repo, matcher.NameMatcher{}, matcher.Config{MinSim: 0.3})
-		if cands.TotalMappingElements() == 0 {
-			t.Fatalf("nodes=%d: empty candidate sweep is vacuous", nodes)
-		}
-		checkBand(t, fmt.Sprintf("candidatesBytes(nodes=%d)", nodes),
-			candidatesBytes(cands), measuredCandidatesBytes(cands))
-
 		runner := pipeline.NewRunner(repo)
 		opts := pipeline.DefaultOptions()
 		opts.MinSim = 0.3
 		opts.Threshold = 0.5
-		clusters, _, err := pipeline.ComputeClusters(runner.Index(), cands, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(clusters) == 0 {
-			t.Fatalf("nodes=%d: empty cluster sweep is vacuous", nodes)
-		}
-		checkBand(t, fmt.Sprintf("clustersBytes(nodes=%d)", nodes),
-			clustersBytes(clusters), measuredClustersBytes(clusters))
-
-		// Pre-pass entries hold both, projected onto the shards.
-		r := NewRouterFromRepository(repo, 2, Config{})
-		e := &prepassEntry{shards: r.project(cands, clusters, 1)}
-		r.Close()
-		if len(e.shards) != 2 {
-			t.Fatalf("nodes=%d: %d shards, want a multi-shard entry", nodes, len(e.shards))
-		}
-		measured := int64(unsafe.Sizeof(*e)) + int64(cap(e.shards))*int64(unsafe.Sizeof(Staged{}))
-		for _, p := range e.shards {
-			measured += measuredCandidatesBytes(p.Cands) + measuredClustersBytes(p.Clusters)
-		}
-		checkBand(t, fmt.Sprintf("prepassEntryBytes(nodes=%d)", nodes), prepassEntryBytes(e), measured)
-
-		// And a real report end to end.
 		rep, err := runner.Run(p, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -48,8 +48,8 @@ func TestGovernorByteBudgetEviction(t *testing.T) {
 	g := newGovernor(100)
 	s := g.space(100)
 
-	s.put("a", "A", 40)
-	s.put("b", "B", 40)
+	s.add("a", "A", 40)
+	s.add("b", "B", 40)
 	auditGovernor(t, g)
 	if used, _, _ := g.snapshot(); used != 80 {
 		t.Fatalf("used = %d, want 80", used)
@@ -57,7 +57,7 @@ func TestGovernorByteBudgetEviction(t *testing.T) {
 
 	// 30 more bytes exceed the budget: the LRU entry (a) must go, and the
 	// account must reflect exactly the survivors.
-	s.put("c", "C", 30)
+	s.add("c", "C", 30)
 	if _, ok := s.get("a"); ok {
 		t.Error("a survived past the byte budget")
 	}
@@ -73,7 +73,7 @@ func TestGovernorByteBudgetEviction(t *testing.T) {
 
 	// Touching b, then overflowing, must evict c (the new LRU), not b.
 	s.get("b")
-	s.put("d", "D", 50) // 70+50=120 > 100 → evict c (30) → 90
+	s.add("d", "D", 50) // 70+50=120 > 100 → evict c (30) → 90
 	if _, ok := s.get("c"); ok {
 		t.Error("c survived although it was least recently used")
 	}
@@ -85,7 +85,7 @@ func TestGovernorByteBudgetEviction(t *testing.T) {
 	}
 
 	// An entry larger than the whole budget never stays resident.
-	s.put("huge", "H", 1000)
+	s.add("huge", "H", 1000)
 	if _, ok := s.get("huge"); ok {
 		t.Error("oversized entry stayed cached")
 	}
@@ -97,18 +97,18 @@ func TestGovernorByteBudgetEviction(t *testing.T) {
 
 func TestGovernorEvictsAcrossSpaces(t *testing.T) {
 	g := newGovernor(100)
-	reports := g.space(100)
-	prepass := g.space(100)
+	shard := g.space(100)
+	router := g.space(100)
 
-	reports.put("r1", "R", 60)
-	prepass.put("p1", "P", 30)
-	// The next put overflows; the globally oldest entry is r1 from the
+	shard.add("r1", "R", 60)
+	router.add("p1", "P", 30)
+	// The next add overflows; the globally oldest entry is r1 from the
 	// OTHER space — unified governance means it goes first.
-	prepass.put("p2", "P", 40)
-	if _, ok := reports.get("r1"); ok {
+	router.add("p2", "P", 40)
+	if _, ok := shard.get("r1"); ok {
 		t.Error("byte pressure did not evict across spaces")
 	}
-	if _, ok := prepass.get("p1"); !ok {
+	if _, ok := router.get("p1"); !ok {
 		t.Error("younger entry in the charging space was evicted instead")
 	}
 	auditGovernor(t, g)
@@ -119,10 +119,10 @@ func TestGovernorCountCapPerSpace(t *testing.T) {
 	a := g.space(2)
 	b := g.space(100)
 
-	b.put("keep", "K", 1)
-	a.put("x", 1, 1)
-	a.put("y", 2, 1)
-	a.put("z", 3, 1) // a over cap: evict a's own oldest (x), never b's
+	b.add("keep", "K", 1)
+	a.add("x", 1, 1)
+	a.add("y", 2, 1)
+	a.add("z", 3, 1) // a over cap: evict a's own oldest (x), never b's
 	if _, ok := a.get("x"); ok {
 		t.Error("x survived past the space cap")
 	}
@@ -140,7 +140,7 @@ func TestGovernorResize(t *testing.T) {
 	s := g.space(10)
 
 	v := "V"
-	s.put("k", v, 10)
+	s.add("k", v, 10)
 	s.resize("k", v, 42)
 	if used, _, _ := g.snapshot(); used != 42 {
 		t.Fatalf("resized entry accounts %d bytes, want 42", used)
@@ -165,7 +165,7 @@ func TestGovernorResize(t *testing.T) {
 func TestGovernorDisabledSpace(t *testing.T) {
 	g := newGovernor(100)
 	s := g.space(0)
-	s.put("a", "A", 10)
+	s.add("a", "A", 10)
 	if _, ok := s.get("a"); ok {
 		t.Error("disabled space stored an entry")
 	}
@@ -222,9 +222,9 @@ func TestServiceCacheByteAccounting(t *testing.T) {
 }
 
 // TestRouterUnifiedGovernor: the shards of one view-backed router and its
-// pre-pass cache all charge one governor, and the rollup reports the
-// governor's account (reports + pre-pass), a single shared budget, and a
-// single shared index.
+// own report cache all charge one governor, and the rollup reports the
+// governor's account (shard reports + merged reports), a single shared
+// budget, and a single shared index.
 func TestRouterUnifiedGovernor(t *testing.T) {
 	r := NewRouterFromRepository(testRepo(t), 3, Config{Workers: 1, CacheBytes: 1 << 20})
 	defer r.Close()
@@ -250,13 +250,16 @@ func TestRouterUnifiedGovernor(t *testing.T) {
 	for _, st := range shards {
 		shardCache += st.CacheBytes
 	}
-	prepassBytes := r.prepass.residentBytes()
-	if prepassBytes <= 0 {
-		t.Error("pre-pass entries not byte-accounted")
+	if n := r.cache.Len(); n != 3 {
+		t.Errorf("router caches %d merged reports, want 3", n)
 	}
-	if total.CacheBytes != shardCache+prepassBytes {
-		t.Errorf("rollup CacheBytes = %d, want shard reports %d + prepass %d",
-			total.CacheBytes, shardCache, prepassBytes)
+	routerBytes := r.cache.Bytes()
+	if routerBytes <= 0 {
+		t.Error("merged reports not byte-accounted")
+	}
+	if total.CacheBytes != shardCache+routerBytes {
+		t.Errorf("rollup CacheBytes = %d, want shard reports %d + merged reports %d",
+			total.CacheBytes, shardCache, routerBytes)
 	}
 	if total.CacheByteBudget != 1<<20 {
 		t.Errorf("rollup budget = %d, want %d", total.CacheByteBudget, 1<<20)

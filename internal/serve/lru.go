@@ -6,16 +6,16 @@ import (
 	"bellflower/internal/pipeline"
 )
 
-// reportCache is one service's completed-report cache, keyed by request
-// signature: a member space of the unified memory governor, so its entries
-// compete for the shared byte budget alongside every other shard's reports
-// and the router's pre-pass results. Cached *pipeline.Report values are
-// shared between callers and must be treated as immutable.
+// reportCache is one backend's completed-report cache, keyed by request
+// signature: a Service's reports, or a Router's merged ones. It is a member
+// space of the unified memory governor, so its entries compete for the
+// shared byte budget with every other cache of the same router. Cached
+// reports are shared between callers and must be treated as immutable.
 //
 // An entry is the report plus, once some request has asked for it, the
 // report's HTTP rendering (AppendReportJSON): one key, one LRU position and
-// one governor charge for both, so eviction and a replacing Put release
-// them together.
+// one governor charge for both, so eviction releases them together. The
+// first report cached under a key stays until it is evicted.
 type reportCache struct {
 	space *cacheSpace
 }
@@ -48,8 +48,15 @@ func (c *reportCache) Get(key string) (rep *pipeline.Report, body []byte, ok boo
 	return cr.rep, body, true
 }
 
-func (c *reportCache) Put(key string, rep *pipeline.Report) {
-	c.space.put(key, &cachedReport{rep: rep}, reportBytes(rep))
+// Add caches rep under key unless an entry is resident there, and returns
+// the resident report and rendering (nil until attached): identical
+// requests that missed together answer with the first one cached.
+func (c *reportCache) Add(key string, rep *pipeline.Report) (*pipeline.Report, []byte) {
+	cr := c.space.add(key, &cachedReport{rep: rep}, reportBytes(rep)).(*cachedReport)
+	if b := cr.body.Load(); b != nil {
+		return cr.rep, *b
+	}
+	return cr.rep, nil
 }
 
 // Attach stores body as the rendering of the entry under key and charges it

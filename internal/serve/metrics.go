@@ -50,7 +50,7 @@ type metric struct {
 // combines as the maximum under either rule.
 var metrics = []metric{
 	{field: "Requests", name: "bellflower_requests_total", typ: counter, shard: 1,
-		help: "Match requests received (batch entries count individually; a sharded request counts once per shard asked).", shardHelp: "Match requests received by the shard."},
+		help: "Match requests received (batch entries count individually; a sharded request counts once when the router answers it from its report cache, else once per shard asked).", shardHelp: "Match requests received by the shard."},
 	{field: "CacheHits", name: "bellflower_cache_hits_total", typ: counter, shard: 2,
 		help: "Requests served from the report cache.", shardHelp: "Shard requests served from its report cache."},
 	{field: "CacheMisses", name: "bellflower_cache_misses_total", typ: counter, shard: 3,
@@ -91,7 +91,7 @@ var metrics = []metric{
 		help: "Reports currently cached.", shardHelp: "Reports currently cached by the shard."},
 	{field: "CacheCap", name: "bellflower_report_cache_capacity", typ: gauge, help: "Report cache capacity."},
 	{field: "CacheBytes", name: "bellflower_cache_bytes", typ: gauge, shard: 11,
-		help: "Resident size-estimated bytes across the unified cache (reports + pre-pass).", shardHelp: "Resident size-estimated bytes of the shard's report cache."},
+		help: "Resident size-estimated bytes across the unified cache (shard reports + the router's merged reports).", shardHelp: "Resident size-estimated bytes of the shard's report cache."},
 	{field: "CacheByteBudget", name: "bellflower_cache_byte_budget", typ: gauge, rule: shared, help: "Unified cache byte budget (0 = unbounded)."},
 	{field: "IndexBytes", name: "bellflower_index_bytes", typ: gauge, rule: shared, help: "Resident labelling-index bytes (distinct indexes counted once; view-backed shards share one)."},
 	{field: "NameIndexBytes", name: "bellflower_name_index_bytes", typ: gauge, rule: shared, help: "Resident name-similarity-index bytes of the matching kernel (distinct indexes counted once; view-backed shards share one)."},

@@ -43,17 +43,26 @@ func TestCandidateSignature(t *testing.T) {
 	}
 }
 
-// TestRouterPrePassRunsOncePerSignature: requests that differ only in
-// report-shaping options share one full-repository matching run, and the
-// CandidatePrePass counter surfaces exactly the executions.
+// TestRouterPrePassRunsOncePerSignature: concurrent requests that differ
+// only in report-shaping options share one full-repository matching run,
+// and the CandidatePrePass counter surfaces exactly the executions. Nothing
+// keeps the pre-pass once its flight is over: a later request of the same
+// shape runs its own.
 func TestRouterPrePassRunsOncePerSignature(t *testing.T) {
 	r := NewRouterFromRepository(testRepo(t), 2, Config{})
 	defer r.Close()
 
-	for i := 0; i < 3; i++ {
+	matches := make([]func() error, 3)
+	for i := range matches {
 		opts := testOpts()
 		opts.TopN = 100 + i // unique report signature, same candidate signature
-		if _, err := r.Match(context.Background(), personal(), opts); err != nil {
+		matches[i] = func() error {
+			_, err := r.Match(context.Background(), personal(), opts)
+			return err
+		}
+	}
+	for _, err := range shareOnePrePass(t, r, prepassSignature(personal(), testOpts()), matches...) {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,6 +86,16 @@ func TestRouterPrePassRunsOncePerSignature(t *testing.T) {
 	if got := r.Stats().CandidatePrePass; got != 2 {
 		t.Errorf("CandidatePrePass = %d, want 2 after a new candidate signature", got)
 	}
+	// The first shape again, with a report signature not yet answered: the
+	// flight is over and no pre-pass was kept.
+	opts = testOpts()
+	opts.TopN = 200
+	if _, err := r.Match(context.Background(), personal(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().CandidatePrePass; got != 3 {
+		t.Errorf("CandidatePrePass = %d, want 3: a finished pre-pass is not cached", got)
+	}
 }
 
 // TestRouterPrePassConcurrentSharing: concurrent cold requests with one
@@ -86,28 +105,49 @@ func TestRouterPrePassConcurrentSharing(t *testing.T) {
 	defer r.Close()
 
 	const goroutines = 16
-	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer wg.Done()
-			opts := testOpts()
-			opts.TopN = 1000 + g // cache-busting per request, like a cold client
-			_, errs[g] = r.Match(context.Background(), personal(), opts)
-		}(g)
+	matches := make([]func() error, goroutines)
+	for g := range matches {
+		opts := testOpts()
+		opts.TopN = 1000 + g // cache-busting per request, like a cold client
+		matches[g] = func() error {
+			_, err := r.Match(context.Background(), personal(), opts)
+			return err
+		}
 	}
-	wg.Wait()
-	for g, err := range errs {
+	for g, err := range shareOnePrePass(t, r, prepassSignature(personal(), testOpts()), matches...) {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	if got := r.Stats().CandidatePrePass; got < 1 || got > 2 {
-		// Exactly 1 in practice; allow 2 for an unlucky eviction race, but
-		// never one per request.
-		t.Errorf("CandidatePrePass = %d for %d concurrent identical-signature requests", got, goroutines)
+	if got := r.Stats().CandidatePrePass; got != 1 {
+		t.Errorf("CandidatePrePass = %d for %d concurrent identical-signature requests, want 1", got, goroutines)
 	}
+}
+
+// shareOnePrePass starts every match concurrently while all of r's
+// pre-pass slots are taken, waits until each has joined the one pre-pass
+// flight under key — so the leader cannot have finished before the last
+// follower arrived — then frees the slots and returns the matches' errors.
+func shareOnePrePass(t *testing.T, r *Router, key string, matches ...func() error) []error {
+	t.Helper()
+	for len(r.prepassSem) < cap(r.prepassSem) {
+		r.prepassSem <- struct{}{}
+	}
+	errs := make([]error, len(matches))
+	var wg sync.WaitGroup
+	for i, m := range matches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = m()
+		}()
+	}
+	waitPrePassWaiters(t, r, key, len(matches))
+	for i := 0; i < cap(r.prepassSem); i++ {
+		<-r.prepassSem
+	}
+	wg.Wait()
+	return errs
 }
 
 // TestRouterPrePassMatchesNoPrePassRouter: the staged pre-pass path and
@@ -269,8 +309,8 @@ func waitPrePassWaiters(t *testing.T, r *Router, key string, n int) {
 
 // TestRouterPrePassLeaderGivesUpReleasesFollowers: a pre-pass leader whose
 // deadline expires while it waits for a prepassSem slot fails with its own
-// error; its followers, whose contexts are live, retry, and one more
-// pre-pass serves them all.
+// error; its followers, whose contexts are live, retry into one new flight,
+// and one more pre-pass serves them all.
 func TestRouterPrePassLeaderGivesUpReleasesFollowers(t *testing.T) {
 	r := NewRouterFromRepository(testRepo(t), 2, Config{Workers: 1})
 	defer r.Close()
@@ -301,6 +341,10 @@ func TestRouterPrePassLeaderGivesUpReleasesFollowers(t *testing.T) {
 	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("leader err = %v, want DeadlineExceeded", err)
 	}
+	// The followers retry into one new flight, whose leader waits for a
+	// slot: nothing caches a pre-pass, so a follower that came back after
+	// that flight finished would run its own.
+	waitPrePassWaiters(t, r, key, followers)
 	// Free the slots; the buffer is FIFO, so these receives take the test's
 	// own tokens even if a retrying follower has queued one behind them.
 	for i := 0; i < cap(r.prepassSem); i++ {

@@ -132,13 +132,15 @@ func TestMergeStatsAcrossBucketLayouts(t *testing.T) {
 }
 
 // TestWritePrometheusCandidatePrePass: a sharded router's rollup exports
-// the pre-pass counter in the scrape payload.
+// the pre-pass counter in the scrape payload: one execution per cold
+// request one after the other (the pre-pass is shared in flight, not
+// cached), none for a repeat the router answers itself.
 func TestWritePrometheusCandidatePrePass(t *testing.T) {
 	r := NewRouterFromRepository(testRepo(t), 2, Config{})
 	defer r.Close()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		opts := testOpts()
-		opts.TopN = 50 + i // cold, one candidate signature
+		opts.TopN = 50 + i%2 // two cold requests of one candidate signature, then a repeat
 		if _, err := r.Match(context.Background(), personal(), opts); err != nil {
 			t.Fatal(err)
 		}
@@ -147,8 +149,8 @@ func TestWritePrometheusCandidatePrePass(t *testing.T) {
 	if err := WritePrometheus(&b, r.Stats(), r.NumShards()); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "bellflower_candidate_prepass_total 1") {
-		t.Errorf("scrape missing bellflower_candidate_prepass_total 1:\n%s", b.String())
+	if !strings.Contains(b.String(), "bellflower_candidate_prepass_total 2\n") {
+		t.Errorf("scrape missing bellflower_candidate_prepass_total 2:\n%s", b.String())
 	}
 }
 
@@ -174,8 +176,13 @@ func TestWritePrometheusShardLabels(t *testing.T) {
 	if !strings.Contains(out, "bellflower_requests_total ") {
 		t.Error("rollup series missing from labelled scrape")
 	}
-	// ...and every shard appears in the labelled families.
-	sum := int64(0)
+	// ...and every shard appears in the labelled families. The repeat was
+	// answered by the router, which asked no shard: it counts once, in the
+	// rollup only.
+	if hits := r.hits.Load(); hits != 1 {
+		t.Fatalf("router answered %d requests from its cache, want the repeat", hits)
+	}
+	sum := r.hits.Load()
 	for i, st := range shards {
 		line := "bellflower_shard_requests_total{shard=\"" + strconv.Itoa(i) + "\"} " + strconv.FormatInt(st.Requests, 10)
 		if !strings.Contains(out, line) {
@@ -184,7 +191,7 @@ func TestWritePrometheusShardLabels(t *testing.T) {
 		sum += st.Requests
 	}
 	if sum != total.Requests {
-		t.Errorf("labelled shard requests sum to %d, rollup says %d", sum, total.Requests)
+		t.Errorf("labelled shard requests plus router hits sum to %d, rollup says %d", sum, total.Requests)
 	}
 	for _, name := range []string{
 		"bellflower_shard_cache_hits_total{shard=\"0\"}",

@@ -132,16 +132,19 @@ func TestRenderingLeavesWithItsReport(t *testing.T) {
 	})
 
 	t.Run("replacement", func(t *testing.T) {
+		// An entry is replaced only once evicted: its rendering leaves with
+		// it, and the key's newer report starts bare.
 		g := newGovernor(0)
-		c := newReportCache(g, 4)
+		c := newReportCache(g, 1)
 		rep := &pipeline.Report{}
-		c.Put("k", rep)
+		c.Add("k", rep)
 		c.Attach("k", rep, []byte("rendered"))
 		if want := reportBytes(rep) + int64(len("rendered")); c.Bytes() != want {
 			t.Fatalf("Bytes = %d, want %d", c.Bytes(), want)
 		}
+		c.Add("other", &pipeline.Report{}) // cap 1: evicts k
 		newer := &pipeline.Report{Clusters: 1}
-		c.Put("k", newer)
+		c.Add("k", newer)
 		if got, body, ok := c.Get("k"); !ok || got != newer || body != nil || c.Bytes() != reportBytes(newer) {
 			t.Errorf("after replacement: resident=%v newer=%v body=%q Bytes=%d", ok, got == newer, body, c.Bytes())
 		}
@@ -188,6 +191,28 @@ func TestConcurrentFirstRenderingsChargeOnce(t *testing.T) {
 	auditGovernor(t, s.gov)
 }
 
+// Add keeps the first report cached under a key: a later one is not stored,
+// and its caller gets the resident report and rendering instead.
+func TestReportCacheAddKeepsResident(t *testing.T) {
+	g := newGovernor(0)
+	c := newReportCache(g, 4)
+	first, second := &pipeline.Report{}, &pipeline.Report{Clusters: 1}
+	if rep, body := c.Add("k", first); rep != first || body != nil {
+		t.Fatalf("Add on an empty key returned %p %q, want its own report", rep, body)
+	}
+	attached := c.Attach("k", first, []byte("first rendering"))
+	if rep, body := c.Add("k", second); rep != first || !sameBytes(body, attached) {
+		t.Errorf("Add over a resident entry returned %p %q, want the resident report and rendering", rep, body)
+	}
+	if rep, _, _ := c.Get("k"); rep != first || c.Len() != 1 {
+		t.Errorf("the resident entry was replaced (rep=%p len=%d)", rep, c.Len())
+	}
+	if rep, _ := newReportCache(g, -1).Add("k", second); rep != second {
+		t.Error("a disabled cache did not hand the caller's report back")
+	}
+	auditGovernor(t, g)
+}
+
 // A rendering never brings an entry back: if the report was evicted, or the
 // key re-filled by a newer run, between reading it and attaching, the body
 // is served to its caller and the cache stays as it is.
@@ -195,8 +220,8 @@ func TestAttachDoesNotResurrectOrOverwrite(t *testing.T) {
 	g := newGovernor(0)
 	c := newReportCache(g, 1)
 	old, body := &pipeline.Report{}, []byte("old rendering")
-	c.Put("k", old)
-	c.Put("other", &pipeline.Report{}) // cap 1: evicts k
+	c.Add("k", old)
+	c.Add("other", &pipeline.Report{}) // cap 1: evicts k
 	if got := c.Attach("k", old, body); !sameBytes(got, body) {
 		t.Error("Attach to an evicted entry did not hand the caller's body back")
 	}
@@ -205,7 +230,7 @@ func TestAttachDoesNotResurrectOrOverwrite(t *testing.T) {
 	}
 
 	newer := &pipeline.Report{Clusters: 1}
-	c.Put("k", newer) // the key now holds a newer run's report
+	c.Add("k", newer) // the key now holds a newer run's report (evicts other)
 	if got := c.Attach("k", old, body); !sameBytes(got, body) {
 		t.Error("Attach against a replaced entry did not hand the caller's body back")
 	}
@@ -218,30 +243,51 @@ func TestAttachDoesNotResurrectOrOverwrite(t *testing.T) {
 	auditGovernor(t, g)
 }
 
-// The router renders what it merged and keeps nothing: its shards' caches
-// hold reports only.
-func TestRouterMatchJSONCachesNothing(t *testing.T) {
+// The router keeps its merged report's rendering in the report's own cache
+// entry, as a Service does: MatchJSON on a report Match cached renders once
+// and charges the body to the governor, and the next repeat returns those
+// same bytes. Neither repeat reaches a shard.
+func TestRouterMatchJSONCachesRendering(t *testing.T) {
 	router := NewRouterFromRepository(syntheticRepo(t, 400, 5), 2, Config{Workers: 2})
 	defer router.Close()
 	ctx := context.Background()
 	p, opts := personal(), testOpts()
-	rep, err := router.Match(ctx, p, opts) // warms the pre-pass and both shards
+	rep, err := router.Match(ctx, p, opts) // cold: the merged report is cached
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := router.Stats()
+	before, shardsBefore := router.Snapshot()
 	body, err := router.MatchJSON(ctx, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := router.Stats()
-	if after.CacheBytes != before.CacheBytes || after.PipelineRuns != before.PipelineRuns {
-		t.Errorf("MatchJSON moved CacheBytes %d → %d, pipeline runs %d → %d",
-			before.CacheBytes, after.CacheBytes, before.PipelineRuns, after.PipelineRuns)
-	}
-	// A warm merge is rebuilt from the cached shard reports and the cached
-	// pre-pass, timings included, so it renders the same every time.
 	if want := AppendReportJSON(nil, p, rep); !bytes.Equal(body, want) {
 		t.Errorf("router rendering differs from its report's:\n got: %s\nwant: %s", body, want)
 	}
+	mid := router.Stats()
+	if want := before.CacheBytes + int64(len(body)); mid.CacheBytes != want {
+		t.Errorf("CacheBytes = %d after the first rendering, want %d + the body's %d", mid.CacheBytes, before.CacheBytes, len(body))
+	}
+	again, err := router.MatchJSON(ctx, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBytes(again, body) {
+		t.Error("a repeat rendered again instead of serving the attached rendering")
+	}
+	after, shardsAfter := router.Snapshot()
+	if after.CacheBytes != mid.CacheBytes || after.PipelineRuns != before.PipelineRuns {
+		t.Errorf("the repeat moved CacheBytes %d → %d, pipeline runs %d → %d",
+			mid.CacheBytes, after.CacheBytes, before.PipelineRuns, after.PipelineRuns)
+	}
+	if after.CacheHits != before.CacheHits+2 || after.Requests != before.Requests+2 {
+		t.Errorf("two router hits moved hits %d → %d, requests %d → %d; want +2 each",
+			before.CacheHits, after.CacheHits, before.Requests, after.Requests)
+	}
+	for i := range shardsAfter {
+		if shardsAfter[i].Requests != shardsBefore[i].Requests {
+			t.Errorf("shard %d was asked a repeat", i)
+		}
+	}
+	auditGovernor(t, router.gov)
 }

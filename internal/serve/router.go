@@ -115,19 +115,23 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // CompleteMappings, Found and FirstGoodAfter depend on the topology, and
 // ClusterSizes come in shard order.
 //
+// A router with more than one shard answers a repeat from its own report
+// cache of complete merges (a Service's cache type, governor and
+// Config.CacheSize), asking no shard.
+//
 // Every router indexes the repository exactly ONCE and sees its shards as
 // labeling.Views over that shared index — a shard is a set of member trees
 // plus an ID translation, not a cloned sub-repository, so resident index
-// memory does not grow with the shard count. Every router runs a shared
-// pre-pass: element matching — the O(|personal| × |repo|) cold-path stage —
-// and clustering execute once against the full repository per pre-pass
-// signature (personal schema + matcher + MinSim + clustering options),
-// shared in flight like a Service's pipeline runs, projected onto each
-// shard by pure filtering (matcher.Candidates.Restrict for the candidates;
-// clusters never span trees, so each global cluster is handed wholesale to
-// its owning shard) and cached, projected, under the unified memory
-// governor once they succeed. A repeat only rebinds each shard's
-// candidates to its own personal tree. Shards then run only mapping
+// memory does not grow with the shard count. A request the report cache
+// cannot answer runs a shared pre-pass: element matching — the
+// O(|personal| × |repo|) cold-path stage — and clustering execute once
+// against the full repository per pre-pass signature (personal schema +
+// matcher + MinSim + clustering options), shared in flight like a
+// Service's pipeline runs and projected onto each shard by pure filtering
+// (matcher.Candidates.Restrict for the candidates; clusters never span
+// trees, so each global cluster is handed wholesale to its owning shard).
+// The pre-pass is not cached: a flight's followers only rebind each shard's
+// candidates to their own personal tree. Shards then run only mapping
 // generation, via ShardBackend.MatchStaged, and only those that can add to
 // the report: only a useful cluster (a candidate for every personal node)
 // yields a complete mapping, so a shard whose projection holds none — under
@@ -146,20 +150,22 @@ type Router struct {
 	shardOf map[*schema.Tree]int // routes clusters and mappings to their shard
 	once    sync.Once
 	closed  atomic.Bool
-	partial bool // Config.PartialResults: opt-in partial-results fan-out
+	partial bool         // Config.PartialResults: opt-in partial-results fan-out
+	gov     *memGovernor // unified cache governor shared with the local shards
+	cache   *reportCache // complete merged reports (and renderings) by Signature
 
 	// Pre-pass state.
 	fullRunner     *pipeline.Runner // shares the one index with the shard views
 	views          []*labeling.View // per shard: the view its backend serves
-	gov            *memGovernor     // unified cache governor shared with the local shards
-	prepass        *cacheSpace      // finished pre-pass entries by prepassSignature
 	prepassFlight  *flightGroup[*prepassEntry]
 	prepassSem     chan struct{} // bounds concurrent pre-pass executions to the shard worker budget
 	maxSchemaNodes int           // mirror of the shard services' guard
 
-	// Router-level instrumentation: work and rejections that happen above
-	// the shards on the pre-pass path and would otherwise be invisible in
-	// every per-shard snapshot. Folded into Stats().
+	// Router-level instrumentation: work, hits and rejections that happen
+	// above the shards and would otherwise be invisible in every per-shard
+	// snapshot. Folded into Stats().
+	hits          atomic.Int64 // requests answered from the report cache
+	hitLat        histogram    // their latencies
 	prepassRuns   atomic.Int64 // full-repository pre-pass executions
 	rejected      atomic.Int64 // requests refused before reaching any shard
 	errored       atomic.Int64 // requests failed during the pre-pass
@@ -188,7 +194,7 @@ func NewRouterFromRepository(repo *schema.Repository, n int, cfg Config) *Router
 // worker budget matches an unsharded Service instead of multiplying by n.
 //
 // The router also owns the unified memory governor: every shard's report
-// cache and the pre-pass cache charge into one byte budget
+// cache and the router's own charge into one byte budget
 // (cfg.CacheBytes). cfg.PartialResults opts into the partial-results
 // fan-out (see Match).
 func NewRouterWithPartition(repo *schema.Repository, n int, cfg Config, strategy PartitionStrategy) *Router {
@@ -249,8 +255,8 @@ func NewRouterWithShardBackends(ix *labeling.Index, views []*labeling.View, back
 }
 
 // newRouter wires the one topology: backends[i] serves views[i], the
-// pre-pass runs on a full-repository runner over ix and ni with its cache
-// under gov, and prepassConc bounds concurrent pre-pass executions.
+// report cache charges gov, the pre-pass runs on a full-repository runner
+// over ix and ni, and prepassConc bounds concurrent pre-pass executions.
 func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View, backends []ShardBackend, gov *memGovernor, cfg Config, prepassConc int) *Router {
 	r := &Router{
 		shards:         append([]ShardBackend(nil), backends...),
@@ -258,8 +264,8 @@ func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View
 		fullRunner:     pipeline.NewRunnerFromIndexes(ix, ni),
 		views:          views,
 		gov:            gov,
+		cache:          newReportCache(gov, cfg.withDefaults().CacheSize),
 		partial:        cfg.PartialResults,
-		prepass:        gov.space(prepassCacheSize),
 		prepassFlight:  newFlightGroup[*prepassEntry](),
 		prepassSem:     make(chan struct{}, prepassConc),
 		maxSchemaNodes: cfg.withDefaults().MaxSchemaNodes,
@@ -272,13 +278,14 @@ func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View
 	return r
 }
 
-// Match fans the request out concurrently to every shard that can add to
-// it (see Router; an idle shard's report is built here) and merges the
-// per-shard reports into one global report: mappings merged in Rank order
-// and truncated to opts.TopN, partial mappings in RankPartials order,
-// counters summed, stage times reported as the slowest shard's (the shards
-// run concurrently). ctx bounds the whole fan-out; each shard honours it
-// exactly as Service.Match does.
+// Match answers a repeat from the report cache; otherwise it fans the
+// request out concurrently to every shard that can add to it (see Router;
+// an idle shard's report is built here) and merges the per-shard reports
+// into one global report: mappings merged in Rank order and truncated to
+// opts.TopN, partial mappings in RankPartials order, counters summed, stage
+// times reported as the slowest shard's (the shards run concurrently). ctx
+// bounds the whole fan-out; each shard honours it exactly as Service.Match
+// does.
 //
 // If any shard asked fails — its deadline expired, the service closed, the
 // request was rejected — Match returns that shard's error rather than a
@@ -291,30 +298,61 @@ func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View
 // unless ctx itself has expired, every shard failed, or a shard reported
 // a topology mismatch (ErrShardMismatch), which still error. A failed
 // pre-pass fails the request in both modes: the shards would run the same
-// matching and clustering on the same input and fail the same way.
+// matching and clustering on the same input and fail the same way. The
+// returned Report may be shared and must be treated as read-only.
 func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
+	rep, _, err := r.match(ctx, personal, opts)
+	return rep, err
+}
+
+// MatchJSON implements Backend: Match returning the merged report's
+// rendering, kept in its cache entry as in Service.MatchJSON. The bytes are
+// shared and must be treated as read-only.
+func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
+	rep, hit, err := r.match(ctx, personal, opts)
+	if err != nil {
+		return nil, err
+	}
+	if hit.body != nil {
+		return hit.body, nil
+	}
+	// An uncached report has no key, so Attach hands its rendering back.
+	return r.cache.Attach(hit.key, rep, renderBody(personal, rep)), nil
+}
+
+// match is the shared body of Match and MatchJSON; the key is empty for a
+// report not cached here (a one-shard router's, or an Incomplete merge).
+func (r *Router) match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, cacheRef, error) {
 	if r.closed.Load() {
-		return nil, ErrClosed
+		return nil, cacheRef{}, ErrClosed
 	}
 	if len(r.shards) == 1 {
-		return r.shards[0].MatchStaged(ctx, personal, opts, Staged{})
+		rep, err := r.shards[0].MatchStaged(ctx, personal, opts, Staged{})
+		return rep, cacheRef{}, err
 	}
 
-	// Pre-pass: validate cheaply (the rejections the shard services would
-	// issue anyway — matching and clustering an invalid request would burn
-	// the cold-path stages for nothing), run element matching + clustering
-	// once against the full repository, project both per shard.
+	// Validate cheaply first: the rejections the shard services would
+	// make anyway, before a lookup or a pre-pass.
 	if personal == nil || personal.Root() == nil {
 		r.rejected.Add(1)
-		return nil, errors.New("serve: nil personal schema")
+		return nil, cacheRef{}, errors.New("serve: nil personal schema")
 	}
 	if r.maxSchemaNodes > 0 && personal.Len() > r.maxSchemaNodes {
 		r.rejected.Add(1)
-		return nil, fmt.Errorf("serve: %w: %d nodes > limit %d", ErrSchemaTooLarge, personal.Len(), r.maxSchemaNodes)
+		return nil, cacheRef{}, fmt.Errorf("serve: %w: %d nodes > limit %d", ErrSchemaTooLarge, personal.Len(), r.maxSchemaNodes)
 	}
 	if err := pipeline.CheckRequest(personal, opts); err != nil {
 		r.rejected.Add(1)
-		return nil, err
+		return nil, cacheRef{}, err
+	}
+
+	start := time.Now()
+	key := Signature(personal, opts)
+	rep, body, ok := r.cache.Get(key)
+	if ok {
+		r.hits.Add(1)
+		r.hitLat.observe(time.Since(start))
+		return rep, cacheRef{key, body}, nil
 	}
 	_, psp := trace.StartSpan(ctx, "prepass")
 	e, err := r.runPrepass(ctx, personal, opts)
@@ -324,73 +362,62 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 	psp.End()
 	if err != nil {
 		r.errored.Add(1)
-		return nil, err
+		return nil, cacheRef{}, err
 	}
-	// The entry is already projected per shard. A cache hit may carry an
-	// earlier request's personal-tree instance; equal pre-pass signatures
-	// guarantee structural identity, so rebind each shard's candidates to
-	// this request's tree (O(|personal|), candidate slices shared).
+	// The entry is already projected per shard, bound to the flight
+	// leader's personal tree; equal pre-pass signatures guarantee
+	// structural identity, so rebind each shard's candidates to this
+	// request's tree (O(|personal|), candidate slices shared).
 	staged := make([]Staged, len(e.shards))
 	for i, st := range e.shards {
 		st.Cands = st.Cands.Rebind(personal)
 		staged[i] = st
 	}
-	rep, err := r.fanOut(ctx, personal, opts, staged)
+	rep, err = r.fanOut(ctx, personal, opts, staged)
 	if err != nil {
-		return nil, err
+		return nil, cacheRef{}, err
 	}
 	// Shard reports carry zero match/cluster times (those stages ran
 	// here); account the pre-pass as the merged report's stage durations.
-	// A cache hit reports the original run's durations, mirroring how
-	// cached reports keep their timings.
+	// A follower reports its leader's run's durations.
 	if e.matchDur > rep.MatchTime {
 		rep.MatchTime = e.matchDur
 	}
 	if e.clusterDur > rep.ClusterTime {
 		rep.ClusterTime = e.clusterDur
 	}
-	return rep, nil
+	if rep.Incomplete {
+		return rep, cacheRef{}, nil
+	}
+	// Identical requests that missed together each merged a report of
+	// their own (timings differ): the first one cached answers them all.
+	rep, body = r.cache.Add(key, rep)
+	return rep, cacheRef{key, body}, nil
 }
 
-// MatchJSON implements Backend: Match, then one rendering of the merged
-// report (renderBody). The router caches no merged reports, so nothing is
-// kept — the shards' caches hold the per-shard reports the merge is rebuilt
-// from.
-func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
-	rep, err := r.Match(ctx, personal, opts)
-	if err != nil {
-		return nil, err
-	}
-	return renderBody(personal, rep), nil
+// prepassEntry is one pre-pass flight's result, projected per shard: the
+// candidates on its trees and the clusters that live there.
+type prepassEntry struct {
+	shards     []Staged
+	matchDur   time.Duration
+	clusterDur time.Duration
 }
 
 // runPrepass returns the full-repository matching + clustering result for
-// the request: the cached entry, or one run per pre-pass signature shared
-// through prepassFlight. Only a successful run is cached; a failed one
-// fails its waiters and nothing else. Followers whose own context expires
+// the request: one run per pre-pass signature in flight, shared through
+// prepassFlight and kept by nothing. Followers whose own context expires
 // leave without abandoning the shared run; followers that inherit another
 // caller's context error retry with their own live context, as in
 // Service.match.
 func (r *Router) runPrepass(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*prepassEntry, error) {
 	key := prepassSignature(personal, opts)
 	for {
-		if v, ok := r.prepass.get(key); ok {
-			return v.(*prepassEntry), nil
-		}
 		// The pre-pass runs on its leader's goroutine and is not
 		// cancellable, so the flight's run context has no owner to derive
 		// from.
 		c, leader := r.prepassFlight.join(key, context.Background())
 		if leader {
-			// A run that finished between the miss and the join cached its
-			// entry before freeing the key: look again before computing.
-			var e *prepassEntry
-			var err error
-			if v, ok := r.prepass.get(key); ok {
-				e = v.(*prepassEntry)
-			} else if e, err = r.computePrepass(ctx, personal, opts); err == nil {
-				r.prepass.put(key, e, prepassEntryBytes(e))
-			}
+			e, err := r.computePrepass(ctx, personal, opts)
 			r.prepassFlight.finish(key, c, e, err)
 			return e, err
 		}
@@ -663,12 +690,12 @@ func (r *Router) Stats() Stats {
 // Snapshot implements Backend: the rollup and the per-shard snapshots it
 // was computed from, taken once. The rollup is MergeStats of the shards plus
 // what only the router knows: its own counters and stage histograms — the
-// pre-pass, and requests rejected or failed above the shards — its pre-pass
-// cache's bytes, and the shared fields (see metrics), read once from the
-// router's own index, name index, generation counters and governor. In-process
-// shards run on exactly those resources, so a sharded rollup equals the
-// unsharded figure; external shards keep their own in their own processes,
-// and their snapshots' figures add on top for a fleet-wide total.
+// pre-pass, its cache hits, and requests rejected or failed above the
+// shards — its report cache's bytes, and the shared fields (see metrics),
+// read once from the router's own index, name index, generation counters
+// and governor. In-process shards run on exactly those resources, so a
+// sharded rollup equals the unsharded figure; external shards keep their
+// own in their own processes, and their snapshots' figures add on top.
 //
 // Shard snapshots are taken concurrently: a remote shard's Stats is a
 // network fetch with its own timeout, and a scrape of a fleet with several
@@ -687,14 +714,16 @@ func (r *Router) Snapshot() (Stats, []Stats) {
 
 	total := MergeStats(shards...)
 	total.CandidatePrePass += r.prepassRuns.Load()
-	rejected, errored := r.rejected.Load(), r.errored.Load()
-	total.Requests += rejected + errored
+	rejected, errored, hits := r.rejected.Load(), r.errored.Load(), r.hits.Load()
+	total.Requests += rejected + errored + hits
+	total.CacheHits += hits
+	mergeLatency(&total.Latency, r.hitLat.snapshot())
 	total.Rejected += rejected
 	total.Errors += errored
 	total.PartialResults += r.partialMerges.Load()
 	total.HealthSkips += r.healthSkips.Load()
 	total.IdleSkips += r.idleSkips.Load()
-	total.CacheBytes += r.prepass.residentBytes()
+	total.CacheBytes += r.cache.Bytes()
 	total.Stages = mergeStages(total.Stages, r.routerStages())
 	own, remote := residentStats(r.gov, r.fullRunner), shards
 	if r.local {
@@ -744,8 +773,8 @@ func (r *Router) NumShards() int { return len(r.shards) }
 func (r *Router) Close() {
 	r.once.Do(func() {
 		// Mark closed before draining the shards so Match rejects new
-		// requests up front instead of burning a candidate pre-pass whose
-		// fan-out is doomed to ErrClosed.
+		// requests up front — cache hits included — instead of burning a
+		// candidate pre-pass whose fan-out is doomed to ErrClosed.
 		r.closed.Store(true)
 		var wg sync.WaitGroup
 		wg.Add(len(r.shards))

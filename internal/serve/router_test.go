@@ -301,15 +301,21 @@ func TestRouterStatsRollup(t *testing.T) {
 	if len(per) != 2 {
 		t.Fatalf("Snapshot returned %d shard entries, want 2", len(per))
 	}
-	// Each router-level request counts once per shard asked in the rollup.
-	if st.Requests != 4 {
-		t.Errorf("rolled-up requests = %d, want 4 (2 requests × 2 shards)", st.Requests)
+	// The cold request counts once per shard asked in the rollup; the
+	// repeat, answered by the router's own cache, counts once.
+	if st.Requests != 3 {
+		t.Errorf("rolled-up requests = %d, want 3 (1 request × 2 shards + 1 router hit)", st.Requests)
 	}
-	if st.CacheHits < 2 {
-		t.Errorf("rolled-up cache hits = %d, want ≥ 2 (second request hits every shard)", st.CacheHits)
+	if st.CacheHits != 1 {
+		t.Errorf("rolled-up cache hits = %d, want 1 (the repeat, at the router)", st.CacheHits)
 	}
-	if st.Latency.Count != per[0].Latency.Count+per[1].Latency.Count {
-		t.Errorf("latency counts don't roll up: %d vs %d+%d",
+	for i, ps := range per {
+		if ps.Requests != 1 || ps.CacheHits != 0 {
+			t.Errorf("shard %d: %d requests, %d hits; want the cold request only", i, ps.Requests, ps.CacheHits)
+		}
+	}
+	if st.Latency.Count != per[0].Latency.Count+per[1].Latency.Count+1 {
+		t.Errorf("latency counts don't roll up: %d vs %d+%d+1 router hit",
 			st.Latency.Count, per[0].Latency.Count, per[1].Latency.Count)
 	}
 

@@ -378,16 +378,16 @@ func TestStatsLatencyHistogram(t *testing.T) {
 func TestReportCacheEviction(t *testing.T) {
 	c := newReportCache(newGovernor(0), 2)
 	r := func() *pipeline.Report { return &pipeline.Report{} }
-	c.Put("a", r())
-	c.Put("b", r())
-	c.Put("c", r()) // evicts a
+	c.Add("a", r())
+	c.Add("b", r())
+	c.Add("c", r()) // evicts a
 	if _, _, ok := c.Get("a"); ok {
 		t.Error("a should have been evicted")
 	}
 	if _, _, ok := c.Get("b"); !ok {
 		t.Error("b missing")
 	}
-	c.Put("d", r()) // c is LRU now (b was just touched): evicts c
+	c.Add("d", r()) // c is LRU now (b was just touched): evicts c
 	if _, _, ok := c.Get("c"); ok {
 		t.Error("c should have been evicted")
 	}
@@ -396,7 +396,7 @@ func TestReportCacheEviction(t *testing.T) {
 	}
 
 	disabled := newReportCache(newGovernor(0), 0)
-	disabled.Put("x", r())
+	disabled.Add("x", r())
 	if _, _, ok := disabled.Get("x"); ok {
 		t.Error("disabled cache stored an entry")
 	}

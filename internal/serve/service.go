@@ -40,14 +40,16 @@ type Config struct {
 	QueueDepth int
 
 	// CacheSize is the report cache capacity in reports. Default 256;
-	// negative disables caching.
+	// negative disables caching. A sharded Router applies it to its own
+	// cache of merged reports and to each in-process shard's.
 	CacheSize int
 
 	// CacheBytes bounds the unified cache memory in bytes: completed
-	// reports and (for a sharded router) pre-pass results are
-	// size-estimated and charged to one memory governor, which evicts the
-	// globally least-recently-used entry when the budget is exceeded.
-	// 0 or negative = no byte bound (entry-count caps still apply).
+	// reports — for a sharded router, its in-process shards' and its own
+	// merged ones — are size-estimated and charged to one memory governor,
+	// which evicts the globally least-recently-used entry when the budget
+	// is exceeded. 0 or negative = no byte bound (entry-count caps still
+	// apply).
 	CacheBytes int64
 
 	// PartialResults opts a sharded Router into partial-results fan-out:
@@ -256,7 +258,7 @@ func (s *Service) worker() {
 			rsp.End()
 			s.ct.runs.Add(1)
 			if err == nil {
-				s.cache.Put(t.key, rep)
+				s.cache.Add(t.key, rep)
 				s.ct.observeStages(rep.MatchTime, rep.ClusterTime, rep.GenTime)
 			}
 			s.flight.finish(t.key, t.c, rep, err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -162,13 +163,16 @@ func TestRouterWithShardBackendsPrepassPath(t *testing.T) {
 
 // recordingRouter is backendRouter whose stubs record every request they
 // are handed: seen[i] lists shard i's (personal tree, projection) pairs in
-// arrival order.
+// arrival order. Read it only once the requests have returned.
 func recordingRouter(t *testing.T) (*Router, [][]recordedRequest) {
 	t.Helper()
 	seen := make([][]recordedRequest, 2)
+	var mu sync.Mutex
 	stubs := []*stubShard{{rep: stubReport(0.9)}, {rep: stubReport(0.8)}}
 	for i, s := range stubs {
 		s.seen = func(personal *schema.Tree, staged Staged) {
+			mu.Lock()
+			defer mu.Unlock()
 			seen[i] = append(seen[i], recordedRequest{personal, staged})
 		}
 	}
@@ -180,31 +184,45 @@ type recordedRequest struct {
 	staged   Staged
 }
 
-// TestRouterRepeatReusesProjection: a repeat served from a pre-pass entry
-// hands every shard the entry's own projection — the same candidate element
-// slices and cluster list as the first request (nothing was
-// restricted again) — with the candidates rebound to the repeat's own
-// personal tree, a different instance of the same schema.
+// TestRouterRepeatReusesProjection: a repeat that arrives while the first
+// request's pre-pass is in flight shares it, and hands every shard the
+// flight's own projection — the same candidate element slices and cluster
+// list as the first request (nothing was restricted again) — with the
+// candidates rebound to the repeat's own personal tree, a different
+// instance of the same schema. Both miss the report cache, so each shard
+// sees both.
 func TestRouterRepeatReusesProjection(t *testing.T) {
 	r, seen := recordingRouter(t)
 	first, second := personal(), personal()
-	for _, p := range []*schema.Tree{first, second} {
-		if _, err := r.Match(context.Background(), p, testOpts()); err != nil {
+	matches := make([]func() error, 2)
+	for i, p := range []*schema.Tree{first, second} {
+		matches[i] = func() error {
+			_, err := r.Match(context.Background(), p, testOpts())
+			return err
+		}
+	}
+	for _, err := range shareOnePrePass(t, r, prepassSignature(first, testOpts()), matches...) {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := r.Stats().CandidatePrePass; n != 1 {
-		t.Fatalf("CandidatePrePass = %d, want both requests served by one entry", n)
+		t.Fatalf("CandidatePrePass = %d, want both requests served by one flight", n)
 	}
 	elems := 0
 	for i, reqs := range seen {
 		if len(reqs) != 2 {
 			t.Fatalf("shard %d saw %d requests, want 2", i, len(reqs))
 		}
+		// The two fan-outs run concurrently: either request may reach a
+		// shard first.
+		if reqs[0].personal == reqs[1].personal {
+			t.Fatalf("shard %d saw one personal tree twice, want each request's own", i)
+		}
 		a, b := reqs[0].staged, reqs[1].staged
-		for k, want := range []*schema.Tree{first, second} {
-			got := reqs[k].staged.Cands
-			if reqs[k].personal != want || got.Personal != want {
+		for k := range reqs {
+			want, got := reqs[k].personal, reqs[k].staged.Cands
+			if (want != first && want != second) || got.Personal != want {
 				t.Fatalf("shard %d request %d: candidates bound to %p, want the caller's own tree %p", i, k, got.Personal, want)
 			}
 			for j := range got.Sets {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"bellflower/internal/cluster"
@@ -50,7 +51,7 @@ func appendCandidateSig(b []byte, personal *schema.Tree, opts pipeline.Options) 
 // element matching and clustering: the candidate signature extended with
 // every option the clustering stage consumes. Still coarser than Signature
 // — requests differing only in report-shaping options (TopN, δ, ordering,
-// partials ...) share one pre-pass.
+// partials ...) share one pre-pass flight.
 func prepassSignature(personal *schema.Tree, opts pipeline.Options) string {
 	b := appendCandidateSig(make([]byte, 0, sigBufSize), personal, opts)
 	b = strconv.AppendInt(append(b, "|v="...), int64(opts.Variant), 10)
@@ -108,10 +109,27 @@ func appendOptionsSig(b []byte, o pipeline.Options) []byte {
 }
 
 // appendSigFloat appends f as fmt's %g prints it: strconv's shortest 'g'
-// form.
+// form, read from sigFloatText when f is one of the values most requests
+// carry.
 func appendSigFloat(b []byte, f float64) []byte {
+	for i, bits := range &sigFloatBits {
+		if bits == math.Float64bits(f) {
+			return append(b, sigFloatText[i]...)
+		}
+	}
 	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
+
+// sigFloatText spells every float of pipeline.DefaultOptions, and 0 and 1,
+// as appendSigFloat's strconv call does. Matching on sigFloatBits keeps -0
+// printing "-0".
+var sigFloatBits, sigFloatText = func() (bits [7]uint64, text [7]string) {
+	d := pipeline.DefaultOptions()
+	for i, f := range [...]float64{d.Objective.Alpha, d.Objective.K, d.Threshold, d.MinSim, d.StructureWeight, 0, 1} {
+		bits[i], text[i] = math.Float64bits(f), strconv.FormatFloat(f, 'g', -1, 64)
+	}
+	return bits, text
+}()
 
 // appendClusterConfigSig spells out an explicit clustering configuration.
 // No wire surface sets one, so this stays on fmt's struct printer.

@@ -152,10 +152,12 @@ const (
 // Stats is a point-in-time snapshot of the service's instrumentation.
 type Stats struct {
 	// Requests counts Match calls (batch entries count individually). A
-	// router rollup counts a fanned-out request once per shard asked.
+	// router rollup counts a request its report cache answers once, and a
+	// fanned-out request once per shard asked.
 	Requests int64 `json:"requests"`
 
-	// CacheHits counts requests served straight from the report cache.
+	// CacheHits counts requests served straight from a report cache — in
+	// a router rollup, the router's own and the shards'.
 	CacheHits int64 `json:"cache_hits"`
 
 	// CacheMisses counts requests that had to consult the flight group.
@@ -203,7 +205,7 @@ type Stats struct {
 
 	// CacheBytes is the resident size-estimated bytes of this backend's
 	// cached entries. For a Service it covers its report cache; a Router's
-	// rollup covers every shard's reports plus the pre-pass cache —
+	// rollup covers every shard's reports plus its own merged reports —
 	// everything the unified memory governor accounts.
 	CacheBytes int64 `json:"cache_bytes"`
 

@@ -11,9 +11,9 @@ import (
 )
 
 // The deprecated adaptive_top_n option is ignored by the pipeline, so it
-// must not split the cache, a flight or the router's pre-pass either: the
-// same request with and without it is ONE pipeline run per backend, the
-// second served from the report cache.
+// must not split the cache or a flight: the same request with and without
+// it is ONE pipeline run per backend, the second served from the report
+// cache — for a router, its own.
 func TestIgnoredAdaptiveOptionSharesOneRun(t *testing.T) {
 	plain := testOpts()
 	plain.TopN = 10
@@ -58,8 +58,9 @@ func TestIgnoredAdaptiveOptionSharesOneRun(t *testing.T) {
 	if after.CandidatePrePass != before.CandidatePrePass {
 		t.Errorf("Router: the flagged request cost %d more pre-pass runs", after.CandidatePrePass-before.CandidatePrePass)
 	}
-	if after.CacheHits == before.CacheHits {
-		t.Error("Router: the flagged request hit no shard's report cache")
+	if after.CacheHits != before.CacheHits+1 || after.Requests != before.Requests+1 {
+		t.Errorf("Router: the flagged request moved hits %d → %d, requests %d → %d; want one hit at the router",
+			before.CacheHits, after.CacheHits, before.Requests, after.Requests)
 	}
 }
 

@@ -313,13 +313,15 @@ func TestDistributedShardDeath(t *testing.T) {
 	opts.MinSim = 0.4
 	opts.Threshold = 0.6
 
-	strict, err := bellflower.NewDistributedService(routerRepo, fleet.addrs, bellflower.ServiceConfig{Workers: 2}, bellflower.PartitionClustered)
+	// Both routers' report caches are off: the request after the kill
+	// repeats the baseline, and must reach the shards to meet the dead one.
+	strict, err := bellflower.NewDistributedService(routerRepo, fleet.addrs, bellflower.ServiceConfig{Workers: 2, CacheSize: -1}, bellflower.PartitionClustered)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer strict.Close()
 	partial, err := bellflower.NewDistributedService(freshRepo(t, nodes, seed), fleet.addrs,
-		bellflower.ServiceConfig{Workers: 2, PartialResults: true}, bellflower.PartitionClustered)
+		bellflower.ServiceConfig{Workers: 2, PartialResults: true, CacheSize: -1}, bellflower.PartitionClustered)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,9 @@
 // /v1/shard/match speaks ONE codec, the length-prefixed binary encoding of
 // binary.go (Content-Type application/x-bellflower-shard; anything else is
 // 415). There is no negotiation: router and shards are deployed from the
-// same build. A request a shard has already answered travels slim, without
+// same build. The router answers repeats from its own report cache, so a
+// repeat reaches a shard only once the router has evicted it. A request a
+// shard has already answered travels slim, without
 // its projection: it asks the shard for the report it cached under the
 // request signature (serve.Service.MatchCached), as an in-process shard
 // would look it up. A shard that no longer caches the report answers 428 and

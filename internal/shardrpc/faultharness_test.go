@@ -308,9 +308,10 @@ func TestDistributedEquivalenceReplicated(t *testing.T) {
 	// Strict routing, background probing off: replica state moves only on
 	// live-traffic transport errors, so the dead replica keeps being
 	// offered and the mid-request failover path is exercised
-	// deterministically.
+	// deterministically. The router's report cache is off, or it would
+	// answer the repeats below itself.
 	backend, err := bellflower.NewDistributedService(routerRepo, addrs,
-		bellflower.ServiceConfig{Workers: 2, HealthInterval: -1}, bellflower.PartitionClustered)
+		bellflower.ServiceConfig{Workers: 2, HealthInterval: -1, CacheSize: -1}, bellflower.PartitionClustered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestDistributedEquivalenceReplicated(t *testing.T) {
 	// Kill replica A of EVERY shard.
 	fleetA.stop()
 
-	// The router holds no report cache, so each repeat fans out again; the
+	// With the router's report cache off each repeat fans out again; the
 	// round-robin cursor guarantees the dead replica is offered first on
 	// some of them, forcing the mid-request failover path.
 	for i := 0; i < 4; i++ {

@@ -21,17 +21,19 @@ import (
 	"bellflower/internal/serve"
 )
 
-// remoteRouter is a router in this process over n one-replica remote
-// shards, each hosted over httptest by a ShardServer with its own
-// repository copy. restart(i) replaces shard i's server with a fresh one —
-// same address, empty caches — as a shard process restart would.
+// remoteRouter is a router in this process, configured by cfg, over n
+// one-replica remote shards, each hosted over httptest by a ShardServer
+// with its own repository copy. restart(i) replaces shard i's server with a
+// fresh one — same address, empty caches — as a shard process restart
+// would. Tests of what shards do with a repeat turn the router's own report
+// cache off (CacheSize -1), or the router would answer the repeat itself.
 type remoteRouter struct {
 	*serve.Router
 	hosts   []atomic.Pointer[ShardServer]
 	restart func(i int)
 }
 
-func newRemoteRouter(tb testing.TB, repo func() *schema.Repository, n int) *remoteRouter {
+func newRemoteRouter(tb testing.TB, repo func() *schema.Repository, n int, cfg serve.Config) *remoteRouter {
 	tb.Helper()
 	host := func(i int) *ShardServer {
 		views := serve.PartitionRepositoryViews(labeling.NewIndex(repo()), n, serve.PartitionClustered)
@@ -61,7 +63,7 @@ func newRemoteRouter(tb testing.TB, repo func() *schema.Repository, n int) *remo
 		rs := NewRemoteShard(srv.URL, views[i], ViewDescriptor(views[i], i, n, serve.PartitionClustered), RemoteShardConfig{})
 		backends[i] = NewReplicaSet([]*RemoteShard{rs}, serve.HealthConfig{})
 	}
-	rr.Router = serve.NewRouterWithShardBackends(ix, views, backends, serve.Config{})
+	rr.Router = serve.NewRouterWithShardBackends(ix, views, backends, cfg)
 	tb.Cleanup(rr.Close)
 	return rr
 }
@@ -74,10 +76,10 @@ func hotPersonal() *schema.Tree { return schema.MustParseSpec("person(name,email
 
 // TestRouterResendsEntryProjectionAfter428: a shard that lost a request's
 // report answers the slim repeat 428; the router resends the full body built
-// from the entry's retained projection, without a second pre-pass, and the
+// from the request's own projection, without a second pre-pass, and the
 // shard generates over it and caches the report.
 func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
-	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2)
+	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2, noRouterCache)
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.35
 	match := func() *pipeline.Report {
@@ -112,17 +114,21 @@ func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
 	if st := rr.hosts[0].Load().Stats(); st.ProjectionCacheHits != 1 {
 		t.Fatalf("restarted shard: slim hits %d after the resend, want 1: the report was not cached", st.ProjectionCacheHits)
 	}
-	if n := rr.Stats().CandidatePrePass; n != 1 {
-		t.Fatalf("CandidatePrePass = %d, want every request served by the first entry", n)
+	if n := rr.Stats().CandidatePrePass; n != 4 {
+		t.Fatalf("CandidatePrePass = %d, want one per request: the 428 turn runs none", n)
 	}
 }
 
-// TestRouterOptionChangeSendsFullBody: a request that shares a cached
-// pre-pass entry with an answered one but differs in its generation options
-// has a signature no shard has answered, so each shard gets the full body —
-// no 428 turn — and generates over the entry's projection.
+// noRouterCache turns a router's report cache off, so every repeat reaches
+// the shards.
+var noRouterCache = serve.Config{CacheSize: -1}
+
+// TestRouterOptionChangeSendsFullBody: a request that shares its pre-pass
+// shape with an answered one but differs in its generation options has a
+// signature no shard has answered, so each shard gets the full body — no
+// 428 turn — and generates over the request's projection.
 func TestRouterOptionChangeSendsFullBody(t *testing.T) {
-	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2)
+	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2, noRouterCache)
 	personal := hotPersonal()
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.35
@@ -139,24 +145,25 @@ func TestRouterOptionChangeSendsFullBody(t *testing.T) {
 				i, st.ProjectionCacheMisses, st.ProjectionCacheHits, st.PipelineRuns)
 		}
 	}
-	if n := rr.Stats().CandidatePrePass; n != 1 {
-		t.Fatalf("CandidatePrePass = %d, want every request served by one entry", n)
+	if n := rr.Stats().CandidatePrePass; n != 4 {
+		t.Fatalf("CandidatePrePass = %d, want one per request", n)
 	}
 }
 
-// TestRouterConcurrentRepeats: concurrent requests of one shape share one
-// pre-pass entry — whichever request a shard answers first, every report
-// matches the one-at-a-time answer. Run under -race.
+// TestRouterConcurrentRepeats: concurrent requests of one shape reach the
+// shards as full and slim bodies in whatever order — whichever request a
+// shard answers first, every report matches the one-at-a-time answer, each
+// shard asked generates once and bounces no slim request. Run under -race.
 func TestRouterConcurrentRepeats(t *testing.T) {
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.35
 	spec := "address(name,email)"
-	want, err := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2).
+	want, err := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2, serve.Config{}).
 		Match(context.Background(), schema.MustParseSpec(spec), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2)
+	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2, noRouterCache)
 	const callers, repeats = 8, 5
 	reps := make([]*pipeline.Report, callers*repeats)
 	errs := make([]error, callers*repeats)
@@ -178,8 +185,67 @@ func TestRouterConcurrentRepeats(t *testing.T) {
 		}
 		assertReportsEquivalent(t, fmt.Sprintf("request %d", i), reps[i], want)
 	}
-	if n := rr.Stats().CandidatePrePass; n != 1 {
-		t.Fatalf("CandidatePrePass = %d, want one shared entry", n)
+	asked := 0
+	for i := range rr.hosts {
+		st := rr.hosts[i].Load().Stats()
+		if st.Requests == 0 {
+			continue
+		}
+		asked++
+		if st.Requests != callers*repeats || st.PipelineRuns != 1 || st.ProjectionCacheMisses != 0 {
+			t.Errorf("shard %d: %d requests, %d pipeline runs, %d bounced slim requests; want %d, 1, 0",
+				i, st.Requests, st.PipelineRuns, st.ProjectionCacheMisses, callers*repeats)
+		}
+	}
+	if asked == 0 {
+		t.Fatal("no shard was asked: the check is vacuous")
+	}
+}
+
+// TestRouterRepeatReachesNoRemoteShard: with its report cache on, the
+// router answers a repeat — a separately parsed identical schema, through
+// Match or MatchJSON — itself: no shard server sees a request or a byte,
+// the body is the cold body byte for byte, and the rollup counts one hit.
+func TestRouterRepeatReachesNoRemoteShard(t *testing.T) {
+	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2, serve.Config{})
+	opts := pipeline.DefaultOptions()
+	opts.MinSim = 0.35
+	cold, err := rr.MatchJSON(context.Background(), hotPersonal(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardStats := func() []serve.Stats {
+		out := make([]serve.Stats, len(rr.hosts))
+		for i := range rr.hosts {
+			out[i] = rr.hosts[i].Load().Stats()
+		}
+		return out
+	}
+	before, hits := shardStats(), rr.Stats().CacheHits
+	for i, st := range before {
+		if st.Requests != 1 {
+			t.Fatalf("shard %d: the cold request reached it %d times, want once", i, st.Requests)
+		}
+	}
+	rep, err := rr.Match(context.Background(), hotPersonal(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := rr.MatchJSON(context.Background(), hotPersonal(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, cold) || !bytes.Equal(serve.AppendReportJSON(nil, hotPersonal(), rep), cold) {
+		t.Errorf("a repeat's body differs from the cold one:\n got: %s\nwant: %s", body, cold)
+	}
+	for i, st := range shardStats() {
+		if st.Requests != before[i].Requests || st.WireBytes != before[i].WireBytes {
+			t.Errorf("shard %d: requests %d → %d, wire bytes %+v → %+v; a repeat reached it",
+				i, before[i].Requests, st.Requests, before[i].WireBytes, st.WireBytes)
+		}
+	}
+	if got := rr.Stats().CacheHits; got != hits+2 {
+		t.Errorf("router cache hits %d → %d, want +2", hits, got)
 	}
 }
 
@@ -345,7 +411,7 @@ func TestColdWireAllocs(t *testing.T) {
 // decodes it and generates over it.
 func BenchmarkRouterColdRemote(b *testing.B) {
 	repo := repogen.MustGenerate(repogen.DefaultConfig())
-	rr := newRemoteRouter(b, func() *schema.Repository { return repo }, 2)
+	rr := newRemoteRouter(b, func() *schema.Repository { return repo }, 2, serve.Config{})
 	// Every op varies the root and last child over the repository's
 	// vocabulary, so no two ops share a pre-pass entry or a projection.
 	seen := map[string]bool{}
@@ -370,11 +436,10 @@ func BenchmarkRouterColdRemote(b *testing.B) {
 }
 
 // BenchmarkRouterHotRemote is a repeated request through a router over two
-// remote shards at the paper's scale: each op is a pre-pass cache hit, two
-// slim shard requests over loopback HTTP, two shard report-cache hits and
-// the merge.
+// remote shards at the paper's scale: each op is a router report-cache hit,
+// which asks no shard.
 func BenchmarkRouterHotRemote(b *testing.B) {
-	rr := newRemoteRouter(b, func() *schema.Repository { return repogen.MustGenerate(repogen.DefaultConfig()) }, 2)
+	rr := newRemoteRouter(b, func() *schema.Repository { return repogen.MustGenerate(repogen.DefaultConfig()) }, 2, serve.Config{})
 	personal := schema.MustParseSpec("address(name,email,phone,city)")
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.25

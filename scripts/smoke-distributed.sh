@@ -2,10 +2,12 @@
 # Multi-process smoke test for distributed serving: two shard-server
 # processes plus one router process, one end-to-end match through the
 # public API, a stats scrape proving the fan-out actually crossed
-# process boundaries, a repeat of the same match proving the shards
-# answer it as a slim request from their report caches, and a match that
-# is idle on shard B (no useful cluster there) proving the router does not
-# ask it. Then the control-plane drill: kill one shard
+# process boundaries, a repeat of the same match proving the router answers
+# it from its own report cache without asking a shard, a match that is
+# idle on shard B (no useful cluster there) proving the router does not
+# ask it, and — once that match has evicted the first from the router's
+# one-entry cache — the first match again, proving shard A answers it as a
+# slim request from its report cache. Then the control-plane drill: kill one shard
 # mid-run, assert the -partial router keeps answering (Incomplete) and
 # reports the shard unhealthy, restart the shard, and assert probes
 # re-admit it. Run from anywhere; used by CI.
@@ -53,11 +55,22 @@ stat() {
 }
 shard_stat() { stat "http://127.0.0.1:$1/v1/shard/stats" "$2"; }
 router_stat() { stat "http://127.0.0.1:$PORT_R/v1/stats" "$1"; }
+# router_metric NAME reads one unlabelled series of the router's /metrics:
+# the rollup, router-level counters included (the /v1/stats body lists the
+# shards before the total, so router_stat would read a shard's figure for a
+# field every shard reports).
+router_metric() {
+  local body
+  body=$(curl -sf "http://127.0.0.1:$PORT_R/metrics")
+  awk -v n="$1" '$1 == n { print $2 }' <<<"$body"
+}
 
 # Partial mode with fast health probes, so the control-plane drill below
-# can observe mark-down and re-admission within seconds.
+# can observe mark-down and re-admission within seconds. The router caches
+# one merged report (-cache 1), so one other request evicts a repeat's
+# answer and the repeat after it reaches the shards again.
 "$BIN" $SYNTH -remote-shards "127.0.0.1:$PORT_A,127.0.0.1:$PORT_B" -addr "127.0.0.1:$PORT_R" \
-  -partial -health-interval 200ms -health-failures 2 &
+  -partial -health-interval 200ms -health-failures 2 -cache 1 &
 PIDS+=($!)
 wait_healthy "$PORT_R"
 
@@ -88,18 +101,21 @@ for port in "$PORT_A" "$PORT_B"; do
   fi
 done
 
-# The same body again: the router sends each shard a slim request (no
-# projection), which shard A answers from its report cache — a hit, and
-# no 428 report-needed turn.
+# The same body again: the router answers it from its own report cache —
+# one more hit in the rollup, and shard A is not asked.
+hits=$(router_metric bellflower_cache_hits_total)
+a_requests=$(shard_stat "$PORT_A" requests)
 resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$FIRST")
 if echo "$resp" | grep -q '"incomplete": true'; then
   echo "repeated match reported incomplete: $resp" >&2
   exit 1
 fi
-hits=$(shard_stat "$PORT_A" projection_cache_hits)
-misses=$(shard_stat "$PORT_A" projection_cache_misses)
-if [ "$hits" -lt 1 ] || [ "$misses" -ne 0 ]; then
-  echo "shard A answered the repeat with $hits slim hits and $misses 428s, want >= 1 and 0" >&2
+if [ "$(router_metric bellflower_cache_hits_total)" -ne $((hits + 1)) ]; then
+  echo "router cache hits went from $hits to $(router_metric bellflower_cache_hits_total) on a repeat, want +1" >&2
+  exit 1
+fi
+if [ "$(shard_stat "$PORT_A" requests)" -ne "$a_requests" ]; then
+  echo "the router sent shard A a repeat it had cached" >&2
   exit 1
 fi
 
@@ -116,6 +132,22 @@ if [ "$(shard_stat "$PORT_B" requests)" -ne "$b_requests" ] || [ "$(shard_stat "
 fi
 if [ "$(router_stat idle_skips)" -ne $((idle + 1)) ]; then
   echo "router idle_skips went from $idle to $(router_stat idle_skips), want +1" >&2
+  exit 1
+fi
+
+# That request evicted the first from the router's one-entry cache, so the
+# first body again reaches the shards: as a slim request (no projection),
+# which shard A answers from its report cache — a hit, and no 428
+# report-needed turn.
+resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$FIRST")
+if echo "$resp" | grep -q '"incomplete": true'; then
+  echo "match resent after eviction reported incomplete: $resp" >&2
+  exit 1
+fi
+hits=$(shard_stat "$PORT_A" projection_cache_hits)
+misses=$(shard_stat "$PORT_A" projection_cache_misses)
+if [ "$hits" -lt 1 ] || [ "$misses" -ne 0 ]; then
+  echo "shard A answered the resent match with $hits slim hits and $misses 428s, want >= 1 and 0" >&2
   exit 1
 fi
 
@@ -179,13 +211,14 @@ if echo "$resp" | grep -q '"incomplete": true'; then
   echo "match after shard re-admission still incomplete: $resp" >&2
   exit 1
 fi
-# top_n 6, 7 and 9 share the first request's pre-pass entry but not its
+# top_n 6, 7 and 9 share the first request's pre-pass shape but not its
 # signature: shard A got them as full bodies, never a 428.
 if [ "$(shard_stat "$PORT_A" projection_cache_misses)" -ne 0 ]; then
   echo "shard A answered a request with a new signature 428" >&2
   exit 1
 fi
 
-echo "distributed smoke: 2 shard servers + 1 router served one match end to end"
-echo "  and its repeat as slim requests, left an idle shard unasked,"
-echo "  survived a shard kill as a partial result, and re-admitted the restarted shard"
+echo "distributed smoke: 2 shard servers + 1 router served one match end to end,"
+echo "  its repeat from the router's cache, left an idle shard unasked, resent the"
+echo "  evicted match as slim requests, survived a shard kill as a partial result,"
+echo "  and re-admitted the restarted shard"
