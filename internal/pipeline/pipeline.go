@@ -426,7 +426,7 @@ func (r *Runner) RunContext(ctx context.Context, personal *schema.Tree, opts Opt
 	}
 	t1 := time.Now()
 	_, csp := trace.StartSpan(ctx, "pipeline.cluster")
-	res, err := computeClusters(r.ix, cands, opts)
+	res, err := ClusterCandidates(r.ix, cands, opts)
 	if err != nil {
 		csp.End()
 		cands.Release()
@@ -507,16 +507,17 @@ func (r *Runner) RunWithClusters(ctx context.Context, personal *schema.Tree, can
 // or tree clustering for VariantTree. ix must be the labelling index of the
 // repository the candidates reference.
 func ComputeClusters(ix *labeling.Index, cands *matcher.Candidates, opts Options) (clusters []*cluster.Cluster, iterations int, err error) {
-	res, err := computeClusters(ix, cands, opts)
+	res, err := ClusterCandidates(ix, cands, opts)
 	if err != nil {
 		return nil, 0, err
 	}
 	return res.Clusters, res.Iterations, nil
 }
 
-// computeClusters is ComputeClusters with the whole clustering result, run
-// counters included.
-func computeClusters(ix *labeling.Index, cands *matcher.Candidates, opts Options) (*cluster.Result, error) {
+// ClusterCandidates is ComputeClusters with the whole clustering result,
+// run counters included; its owner hands the clusters' storage back with
+// Result.Release after their last use.
+func ClusterCandidates(ix *labeling.Index, cands *matcher.Candidates, opts Options) (*cluster.Result, error) {
 	if err := cluster.CheckPersonal(cands.Personal.Len()); err != nil {
 		return nil, err
 	}

@@ -489,7 +489,7 @@ func TestClusterGenerateSpanAttrs(t *testing.T) {
 		t.Fatal("fixture generated no partial mapping")
 	}
 	cands := r.vocab.FindCandidates(personBooks(), matcher.NameMatcher{}, matcher.Config{MinSim: opts.MinSim})
-	res, err := computeClusters(r.ix, cands, opts)
+	res, err := ClusterCandidates(r.ix, cands, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,12 +72,16 @@
 // flight through the same flight group type a Service uses but kept once
 // the flight is over by nothing, and projected onto each shard. Because
 // shards are views of the same repository, projection is pure filtering —
-// matcher.Candidates.Restrict keeps each shard's member-tree candidates
-// with their original node objects and order, and each global cluster
-// (clusters never span trees) is handed wholesale to its owning shard.
-// A flight follower only rebinds each shard's candidates to its own
-// personal tree. A remote shard that has answered the request before gets
-// a slim request instead, answered from its report cache.
+// each global cluster (clusters never span trees) is handed wholesale to
+// its owning shard; matcher.Candidates.Restrict gives an in-process shard
+// its member-tree candidates with their original node objects and order,
+// and a remote shard's client writes just those from the whole set into
+// the request body. A flight follower only rebinds the candidates to its
+// own personal tree. The pre-pass entry's pooled storage goes back when
+// the last request it served and the last shard it was handed to let go
+// (Staged describes who holds a projection, and until when). A remote
+// shard that has answered the request before gets a slim request instead,
+// answered from its report cache.
 // Shards then run only mapping generation (ShardBackend.MatchStaged with
 // the projection as its Staged argument → pipeline.Runner.RunWithClusters),
 // and only the shards that can add to the report are asked: a shard whose

@@ -80,7 +80,8 @@ type ShardBackend interface {
 	// the zero Staged asks for the shard's full pipeline. See
 	// Service.MatchStaged. The router calls it only for a shard whose
 	// projection can add to the report (see Router); an idle shard is not
-	// asked, so its failure fails nothing.
+	// asked, so its failure fails nothing. The router's staged projections
+	// carry a Release the backend must call (see Staged for when).
 	MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged Staged) (*pipeline.Report, error)
 
 	// Stats returns a snapshot of the shard's instrumentation.
@@ -109,15 +110,16 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // mappings: the merged mappings and partials are the unsharded report's
 // exactly — for every clustering variant, rank for rank, ties included
 // (golden- and property-tested) — as are MappingElements, Clusters,
-// UsefulClusters and SearchSpace. When a top-N request's useful clusters
-// sit on more than one busy shard, each shard's search prunes against its
-// own floor, so PartialMappings (partial_mappings_generated),
-// CompleteMappings, Found and FirstGoodAfter depend on the topology, and
-// ClusterSizes come in shard order.
+// UsefulClusters, SearchSpace and ClusterSizes (in global cluster order).
+// When a top-N request's useful clusters sit on more than one busy shard,
+// each shard's search prunes against its own floor, so PartialMappings
+// (partial_mappings_generated), CompleteMappings, Found and FirstGoodAfter
+// depend on the topology.
 //
-// A router with more than one shard answers a repeat from its own report
-// cache of complete merges (a Service's cache type, governor and
-// Config.CacheSize), asking no shard.
+// A router answers a repeat from its own report cache of complete merges (a
+// Service's cache type, governor and Config.CacheSize), asking no shard —
+// except a one-shard router over an in-process Service, which answers
+// through that service's own cache instead of caching each report twice.
 //
 // Every router indexes the repository exactly ONCE and sees its shards as
 // labeling.Views over that shared index — a shard is a set of member trees
@@ -128,10 +130,13 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // against the full repository per pre-pass signature (personal schema +
 // matcher + MinSim + clustering options), shared in flight like a
 // Service's pipeline runs and projected onto each shard by pure filtering
-// (matcher.Candidates.Restrict for the candidates; clusters never span
-// trees, so each global cluster is handed wholesale to its owning shard).
-// The pre-pass is not cached: a flight's followers only rebind each shard's
-// candidates to their own personal tree. Shards then run only mapping
+// (clusters never span trees, so each global cluster is handed wholesale to
+// its owning shard; an in-process shard gets a copy of its own candidates,
+// matcher.Candidates.Restrict, and an external backend reads its own out of
+// the whole set). The pre-pass is not cached: a flight's followers only
+// rebind the candidates to their own personal tree, and its pooled storage
+// goes back when the last of them, and the last shard reading it, lets go
+// (see Staged). Shards then run only mapping
 // generation, via ShardBackend.MatchStaged, and only those that can add to
 // the report: only a useful cluster (a candidate for every personal node)
 // yields a complete mapping, so a shard whose projection holds none — under
@@ -147,6 +152,7 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 type Router struct {
 	shards  []ShardBackend
 	local   bool                 // the shards are this process's own services (NewRouterWithPartition), not external backends
+	single  *Service             // the one in-process shard of a one-shard router, which caches for it
 	shardOf map[*schema.Tree]int // routes clusters and mappings to their shard
 	once    sync.Once
 	closed  atomic.Bool
@@ -228,6 +234,9 @@ func NewRouterWithPartition(repo *schema.Repository, n int, cfg Config, strategy
 	// index, name index and governor above, every shared field of a shard's
 	// Stats is then the router's own figure.
 	r.local = true
+	if len(locals) == 1 {
+		r.single = locals[0]
+	}
 	for _, s := range locals {
 		s.runner.ShareGenStats(r.fullRunner.GenStats())
 	}
@@ -301,6 +310,9 @@ func newRouter(ix *labeling.Index, ni *matcher.NameIndex, views []*labeling.View
 // matching and clustering on the same input and fail the same way. The
 // returned Report may be shared and must be treated as read-only.
 func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
+	if r.single != nil {
+		return r.single.Match(ctx, personal, opts)
+	}
 	rep, _, err := r.match(ctx, personal, opts)
 	return rep, err
 }
@@ -309,6 +321,9 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 // rendering, kept in its cache entry as in Service.MatchJSON. The bytes are
 // shared and must be treated as read-only.
 func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
+	if r.single != nil {
+		return r.single.MatchJSON(ctx, personal, opts)
+	}
 	rep, hit, err := r.match(ctx, personal, opts)
 	if err != nil {
 		return nil, err
@@ -321,14 +336,10 @@ func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipe
 }
 
 // match is the shared body of Match and MatchJSON; the key is empty for a
-// report not cached here (a one-shard router's, or an Incomplete merge).
+// report not cached here (an Incomplete merge).
 func (r *Router) match(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, cacheRef, error) {
 	if r.closed.Load() {
 		return nil, cacheRef{}, ErrClosed
-	}
-	if len(r.shards) == 1 {
-		rep, err := r.shards[0].MatchStaged(ctx, personal, opts, Staged{})
-		return rep, cacheRef{}, err
 	}
 
 	// Validate cheaply first: the rejections the shard services would
@@ -354,37 +365,16 @@ func (r *Router) match(ctx context.Context, personal *schema.Tree, opts pipeline
 		r.hitLat.observe(time.Since(start))
 		return rep, cacheRef{key, body}, nil
 	}
-	_, psp := trace.StartSpan(ctx, "prepass")
-	e, err := r.runPrepass(ctx, personal, opts)
-	if err != nil {
-		setSpanError(psp, err)
+	var err error
+	if len(r.shards) == 1 {
+		// One external shard holds the whole repository: it runs its own
+		// pipeline, and there is nothing to pre-pass or merge.
+		rep, err = r.shards[0].MatchStaged(ctx, personal, opts, Staged{})
+	} else {
+		rep, err = r.matchSharded(ctx, personal, opts)
 	}
-	psp.End()
-	if err != nil {
-		r.errored.Add(1)
-		return nil, cacheRef{}, err
-	}
-	// The entry is already projected per shard, bound to the flight
-	// leader's personal tree; equal pre-pass signatures guarantee
-	// structural identity, so rebind each shard's candidates to this
-	// request's tree (O(|personal|), candidate slices shared).
-	staged := make([]Staged, len(e.shards))
-	for i, st := range e.shards {
-		st.Cands = st.Cands.Rebind(personal)
-		staged[i] = st
-	}
-	rep, err = r.fanOut(ctx, personal, opts, staged)
 	if err != nil {
 		return nil, cacheRef{}, err
-	}
-	// Shard reports carry zero match/cluster times (those stages ran
-	// here); account the pre-pass as the merged report's stage durations.
-	// A follower reports its leader's run's durations.
-	if e.matchDur > rep.MatchTime {
-		rep.MatchTime = e.matchDur
-	}
-	if e.clusterDur > rep.ClusterTime {
-		rep.ClusterTime = e.clusterDur
 	}
 	if rep.Incomplete {
 		return rep, cacheRef{}, nil
@@ -395,20 +385,70 @@ func (r *Router) match(ctx context.Context, personal *schema.Tree, opts pipeline
 	return rep, cacheRef{key, body}, nil
 }
 
+// matchSharded runs the pre-pass for a request the cache could not answer,
+// fans it out and merges the shards' reports.
+func (r *Router) matchSharded(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, error) {
+	_, psp := trace.StartSpan(ctx, "prepass")
+	e, err := r.runPrepass(ctx, personal, opts)
+	if err != nil {
+		setSpanError(psp, err)
+	}
+	psp.End()
+	if err != nil {
+		r.errored.Add(1)
+		return nil, err
+	}
+	defer e.drop()
+	rep, err := r.fanOut(ctx, personal, opts, e)
+	if err != nil {
+		return nil, err
+	}
+	// Shard reports carry zero match/cluster times (those stages ran
+	// here); account the pre-pass as the merged report's stage durations.
+	// A follower reports its leader's run's durations.
+	if e.matchDur > rep.MatchTime {
+		rep.MatchTime = e.matchDur
+	}
+	if e.clusterDur > rep.ClusterTime {
+		rep.ClusterTime = e.clusterDur
+	}
+	return rep, nil
+}
+
 // prepassEntry is one pre-pass flight's result, projected per shard: the
-// candidates on its trees and the clusters that live there.
+// candidates on its trees and the clusters that live there. It owns the
+// pooled storage behind them — the candidate set and the clustering
+// result — and counts its holders: each caller the flight hands it to (see
+// holder), and each busy shard a fan-out passes a projection to
+// (Staged.Release). The last to let go hands the storage back to the pools.
 type prepassEntry struct {
-	shards     []Staged
+	cands      *matcher.Candidates // the whole candidate set, bound to the flight leader's tree
+	shards     []Staged            // per shard: its clusters, and an in-process shard's own candidates
+	res        *cluster.Result     // the pre-pass clusters, in global ID order
 	matchDur   time.Duration
 	clusterDur time.Duration
+
+	refs    atomic.Int32
+	release func() // drop, as the one func value every shard hold shares
+}
+
+func (e *prepassEntry) hold(n int32) { e.refs.Add(n) }
+
+// drop lets go of one hold; the last hands the storage back.
+func (e *prepassEntry) drop() {
+	if e.refs.Add(-1) != 0 {
+		return
+	}
+	e.cands.Release()
+	e.res.Release()
 }
 
 // runPrepass returns the full-repository matching + clustering result for
-// the request: one run per pre-pass signature in flight, shared through
-// prepassFlight and kept by nothing. Followers whose own context expires
-// leave without abandoning the shared run; followers that inherit another
-// caller's context error retry with their own live context, as in
-// Service.match.
+// the request, held once for the caller (drop it when done): one run per
+// pre-pass signature in flight, shared through prepassFlight and kept by
+// nothing else. Followers whose own context expires leave without
+// abandoning the shared run; followers that inherit another caller's
+// context error retry with their own live context, as in Service.match.
 func (r *Router) runPrepass(ctx context.Context, personal *schema.Tree, opts pipeline.Options) (*prepassEntry, error) {
 	key := prepassSignature(personal, opts)
 	for {
@@ -424,7 +464,9 @@ func (r *Router) runPrepass(ctx context.Context, personal *schema.Tree, opts pip
 		select {
 		case <-c.done:
 		case <-ctx.Done():
-			r.prepassFlight.leave(key, c)
+			if r.prepassFlight.leave(key, c) && c.err == nil {
+				c.val.drop() // handed the entry as the flight finished
+			}
 			return nil, ctx.Err()
 		}
 		if c.err != nil && ctxError(c.err) && ctx.Err() == nil {
@@ -459,11 +501,12 @@ func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts
 		m = matcher.NameMatcher{}
 	}
 	e = &prepassEntry{}
+	e.release = e.drop
 	t0 := time.Now()
 	cands := r.fullRunner.MatchCandidates(personal, m, matcher.Config{MinSim: opts.MinSim})
 	e.matchDur = time.Since(t0)
 	t1 := time.Now()
-	clusters, iterations, err := pipeline.ComputeClusters(r.fullRunner.Index(), cands, opts)
+	e.res, err = pipeline.ClusterCandidates(r.fullRunner.Index(), cands, opts)
 	e.clusterDur = time.Since(t1)
 	r.prepassRuns.Add(1)
 	r.stPrepass.observe(e.matchDur + e.clusterDur)
@@ -471,10 +514,8 @@ func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts
 		cands.Release()
 		return nil, err
 	}
-	e.shards = r.project(cands, clusters, iterations)
-	// Every shard's candidates are a copy (Restrict); the clusters stay
-	// in the entry and are never handed back.
-	cands.Release()
+	e.cands = cands
+	e.shards = r.project(cands, e.res.Clusters, e.res.Iterations)
 	return e, nil
 }
 
@@ -483,44 +524,74 @@ func (r *Router) computePrepass(ctx context.Context, personal *schema.Tree, opts
 // against, so projection is pure filtering: candidates keep their original
 // node objects and order, and since clusters never span trees, each global
 // cluster is handed wholesale to the one shard that owns its tree (shared,
-// read-only).
+// read-only). Only an in-process shard gets a copy of its own candidates
+// (Restrict); an external backend reads its own out of the whole set.
 func (r *Router) project(cands *matcher.Candidates, clusters []*cluster.Cluster, iterations int) []Staged {
 	staged := make([]Staged, len(r.views))
 	for i, v := range r.views {
-		staged[i] = Staged{Cands: cands.Restrict(v.Contains), Iterations: iterations}
+		staged[i].Iterations = iterations
+		if r.local {
+			staged[i].Cands = cands.Restrict(v.Contains)
+		}
 	}
 	for _, cl := range clusters {
-		if cl.Len() == 0 {
-			continue
+		if i, ok := r.clusterShard(cl); ok {
+			staged[i].Clusters = append(staged[i].Clusters, cl)
 		}
-		i, ok := r.shardOf[cl.Elements[0].Node.Tree()]
-		if !ok {
-			continue // defensive: a cluster outside the partition cannot be served
-		}
-		staged[i].Clusters = append(staged[i].Clusters, cl)
 	}
 	return staged
 }
 
+// clusterShard returns the shard that owns a non-empty cluster's tree.
+func (r *Router) clusterShard(cl *cluster.Cluster) (int, bool) {
+	if cl.Len() == 0 {
+		return 0, false
+	}
+	// A cluster outside the partition cannot be served (defensive).
+	i, ok := r.shardOf[cl.Elements[0].Node.Tree()]
+	return i, ok
+}
+
 // fanOut sends the request concurrently to every shard that is not idle,
-// each with its pre-staged slice, builds the idle shards' reports itself,
-// and merges the per-shard reports. Under strict routing (the default) any
-// shard error fails the request; with partial results enabled, a partially
-// failed fan-out merges the shards that succeeded and marks the report
-// Incomplete with the per-shard errors.
-func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged []Staged) (*pipeline.Report, error) {
+// each with its projection from e and a hold on e, builds the idle shards'
+// reports itself, and merges the per-shard reports. Under strict routing
+// (the default) any shard error fails the request; with partial results
+// enabled, a partially failed fan-out merges the shards that succeeded and
+// marks the report Incomplete with the per-shard errors.
+func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipeline.Options, e *prepassEntry) (*pipeline.Report, error) {
 	fanStart := time.Now()
 	fctx, fsp := trace.StartSpan(ctx, "fanout")
 	defer fsp.End()
 	reps := make([]*pipeline.Report, len(r.shards))
 	errs := make([]error, len(r.shards))
 	full := cluster.FullMask(personal.Len())
+	var whole *matcher.Candidates // e.cands rebound, once, for the busy external backends
 	var wg sync.WaitGroup
 	for i, s := range r.shards {
+		st := e.shards[i]
+		isIdle := idle(st.Clusters, full, opts.IncludePartials)
+		// The entry is bound to the flight leader's personal tree; equal
+		// pre-pass signatures guarantee structural identity, so rebind the
+		// candidates to this request's tree (O(|personal|), candidate
+		// slices shared). A shard's report counts and searches its own
+		// candidates only, so a shard the router runs itself gets a copy of
+		// them when it has none; a busy external backend reads its own out
+		// of the whole set.
+		switch {
+		case st.Cands != nil:
+			st.Cands = st.Cands.Rebind(personal)
+		case isIdle:
+			st.Cands = e.cands.Restrict(r.views[i].Contains).Rebind(personal)
+		default:
+			if whole == nil {
+				whole = e.cands.Rebind(personal)
+			}
+			st.Cands = whole
+		}
 		// An idle shard is not asked: its report comes from the shard's
 		// generation code over the same projection, run here.
-		if idle(staged[i].Clusters, full, opts.IncludePartials) {
-			reps[i], errs[i] = r.runIdle(fctx, personal, opts, staged[i])
+		if isIdle {
+			reps[i], errs[i] = r.runIdle(fctx, personal, opts, st)
 			r.idleSkips.Add(1)
 			continue
 		}
@@ -537,12 +608,16 @@ func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipelin
 				continue
 			}
 		}
+		// The shard holds the projection until it calls Release, which may
+		// be after MatchStaged returns.
+		e.hold(1)
+		st.Release = e.release
 		wg.Add(1)
 		go func(i int, s ShardBackend) {
 			defer wg.Done()
 			sctx, ssp := trace.StartSpan(fctx, "shard")
 			ssp.SetAttrInt("shard", int64(i))
-			reps[i], errs[i] = s.MatchStaged(sctx, personal, opts, staged[i])
+			reps[i], errs[i] = s.MatchStaged(sctx, personal, opts, st)
 			if errs[i] != nil {
 				ssp.SetAttr("error", errs[i].Error())
 			}
@@ -580,12 +655,31 @@ func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipelin
 			return nil, firstErr
 		}
 		rep := r.merge(fctx, ok, opts.TopN)
+		rep.ClusterSizes = r.clusterSizes(e, errs)
 		rep.Incomplete = true
 		rep.ShardErrors = failed
 		r.partialMerges.Add(1)
 		return rep, nil
 	}
-	return r.merge(fctx, reps, opts.TopN), nil
+	rep := r.merge(fctx, reps, opts.TopN)
+	rep.ClusterSizes = r.clusterSizes(e, errs)
+	return rep, nil
+}
+
+// clusterSizes lists the sizes of the clusters the shards that answered
+// searched, in global cluster order — the order an unsharded report lists
+// them in — rather than shard by shard.
+func (r *Router) clusterSizes(e *prepassEntry, errs []error) []int {
+	var sizes []int
+	for _, cl := range e.res.Clusters {
+		if i, ok := r.clusterShard(cl); ok && errs[i] == nil {
+			if sizes == nil {
+				sizes = make([]int, 0, len(e.res.Clusters))
+			}
+			sizes = append(sizes, cl.Len())
+		}
+	}
+	return sizes
 }
 
 // idle reports whether a shard holding clusters can add nothing to a
@@ -624,7 +718,8 @@ func (r *Router) merge(ctx context.Context, reps []*pipeline.Report, topN int) *
 // and cluster IDs are global (every shard is a view over one index and
 // searches whole clusters of one pre-pass), so ranking by the generator's
 // own total orders gives the unsharded report's mappings and partials, in
-// its order.
+// its order. ClusterSizes are left to the caller, which knows the global
+// cluster order (Router.clusterSizes).
 func mergeReports(reps []*pipeline.Report, topN int) *pipeline.Report {
 	merged := &pipeline.Report{Variant: reps[0].Variant}
 	lists := make([][]mapgen.Mapping, len(reps))
@@ -635,7 +730,6 @@ func mergeReports(reps []*pipeline.Report, topN int) *pipeline.Report {
 		merged.Clusters += rep.Clusters
 		merged.UsefulClusters += rep.UsefulClusters
 		weightedAvg += rep.AvgElementsPerUsefulCluster * float64(rep.UsefulClusters)
-		merged.ClusterSizes = append(merged.ClusterSizes, rep.ClusterSizes...)
 		if rep.Iterations > merged.Iterations {
 			merged.Iterations = rep.Iterations
 		}

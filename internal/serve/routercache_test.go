@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"bellflower/internal/pipeline"
 	"bellflower/internal/schema"
@@ -273,4 +274,70 @@ func TestRouterConcurrentMissesAnswerOneReport(t *testing.T) {
 		t.Errorf("router cache holds %d entries, want one per signature", n)
 	}
 	auditGovernor(t, r.gov)
+}
+
+// A one-shard router answers a repeat with shared cached bytes. Over its
+// in-process service it answers through that service's own cache — one
+// governor entry per report, no router entry, and a Service hit's
+// allocations; over an external backend it answers from its own cache and
+// asks the backend nothing.
+func TestOneShardRouterRepeats(t *testing.T) {
+	ctx, p, opts := context.Background(), personal(), testOpts()
+	repeat := func(t *testing.T, r *Router) {
+		t.Helper()
+		first, err := r.MatchJSON(ctx, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := r.MatchJSON(ctx, personal(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unsafe.SliceData(first) != unsafe.SliceData(again) {
+			t.Error("the repeat was rendered afresh, not answered with the cached bytes")
+		}
+		if hits := r.Stats().CacheHits; hits != 1 {
+			t.Errorf("cache hits = %d, want 1 (the repeat)", hits)
+		}
+	}
+	t.Run("in-process shard", func(t *testing.T) {
+		r := NewRouterFromRepository(bookRepo(t), 1, Config{Workers: 1})
+		defer r.Close()
+		repeat(t, r)
+		if n := r.cache.Len(); n != 0 {
+			t.Errorf("the router cached %d reports its shard caches", n)
+		}
+		if used, shard := auditGovernor(t, r.gov), r.single.cache.Bytes(); used != shard || r.single.cache.Len() != 1 {
+			t.Errorf("the governor holds %d bytes, the shard's one report %d", used, shard)
+		}
+		if raceEnabled {
+			return
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := r.MatchJSON(ctx, p, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		svc := NewFromRepository(bookRepo(t), Config{Workers: 1})
+		defer svc.Close()
+		if _, err := svc.MatchJSON(ctx, p, opts); err != nil {
+			t.Fatal(err)
+		}
+		want := testing.AllocsPerRun(100, func() {
+			if _, err := svc.MatchJSON(ctx, p, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > want {
+			t.Errorf("a one-shard router hit allocates %.0f times, a Service hit %.0f", allocs, want)
+		}
+	})
+	t.Run("external shard", func(t *testing.T) {
+		stub := &stubShard{rep: stubReport(0.9)}
+		r := stubRouter(t, Config{}, stub)
+		repeat(t, r)
+		if n := stub.matchCalls.Load() + stub.stagedCalls.Load(); n != 1 {
+			t.Errorf("the backend was asked %d times, want once", n)
+		}
+	})
 }

@@ -122,17 +122,36 @@ func (c Config) Capacity() int {
 
 // Staged carries the stages that already ran upstream of a shard: the
 // router's pre-pass matches and clusters once against the full repository
-// and hands every shard its projection — the candidate set restricted to
-// the shard's trees and the clusters that live in them. The router projects
-// once, when it computes a pre-pass entry, and hands the same projection to
-// every request the entry serves. The zero value means nothing is staged:
-// the shard runs the full pipeline.
+// and hands every shard its projection — the clusters that live on the
+// shard's trees, and the candidates there. The router projects once, when
+// it computes a pre-pass entry, and hands the same projection to every
+// request the entry serves. The zero value means nothing is staged: the
+// shard runs the full pipeline.
 //
 // Cands and Clusters are read-only to the receiver; Cands may be bound to a
-// structurally identical personal tree (rebind with Candidates.Rebind).
+// structurally identical personal tree (rebind with Candidates.Rebind). An
+// in-process Service is handed exactly its own candidates (its runner
+// rejects a foreign one). A router over external backends
+// (NewRouterWithShardBackends) hands each the whole pre-pass candidate set
+// instead, of which a backend reads only the candidates on its own trees:
+// shardrpc's client encodes just those, as the shard's own restriction.
+//
+// Ownership: with Release nil, the caller keeps the projection valid for as
+// long as anything the backend started may read it — in practice it never
+// reuses the storage and leaves it to the collector. With Release set, the
+// backend that receives the Staged holds the projection and calls Release
+// exactly once, when nothing it started reads it any more: at once for a
+// request answered without running it (a cache hit, a flight follower, a
+// rejection), or when the worker that ran it finishes — which may be after
+// MatchStaged has returned, because a caller whose context expires leaves
+// while the run goes on. The caller must not reuse the storage before then.
+// The router's pre-pass entry is such a caller: its storage goes back to
+// the pools once every request it served and every shard it was handed to
+// has let go. A shard server reading a full request does the same with the
+// projection it decoded into pooled storage.
 type Staged struct {
-	// Cands is the projected element-matching result; nil means unstaged,
-	// and the other fields are then ignored.
+	// Cands is the element-matching result the projection was cut from;
+	// nil means unstaged, and the other fields are then ignored.
 	Cands *matcher.Candidates
 
 	// Clusters are the clusters built from Cands that lie on this shard
@@ -142,6 +161,17 @@ type Staged struct {
 	// Iterations is the upstream clustering's iteration count, echoed into
 	// the report.
 	Iterations int
+
+	// Release, when set, lets go of the backend's hold on the projection
+	// (see Ownership above).
+	Release func()
+}
+
+// release lets go of a hold on st's projection, if the caller handed one.
+func (st Staged) release() {
+	if st.Release != nil {
+		st.Release()
+	}
 }
 
 // task is one scheduled pipeline run: generation only over staged.Clusters
@@ -231,6 +261,7 @@ func (s *Service) Close() {
 			select {
 			case t := <-s.queue:
 				s.flight.finish(t.key, t.c, nil, ErrClosed)
+				t.staged.release()
 			default:
 				return
 			}
@@ -252,6 +283,7 @@ func (s *Service) worker() {
 			}
 			runCtx, rsp := trace.StartSpan(runCtx, "pipeline.run")
 			rep, err := s.run(runCtx, t)
+			t.staged.release()
 			if err != nil {
 				setSpanError(rsp, err)
 			}
@@ -314,7 +346,9 @@ func (s *Service) MatchJSON(ctx context.Context, personal *schema.Tree, opts pip
 // full-repository pre-pass projected onto this shard — so the report, and
 // therefore the cache entry under the shared request signature, is
 // identical to a from-scratch Match. Cache, deduplication and
-// instrumentation behave exactly as in Match.
+// instrumentation behave exactly as in Match. A staged Release is called as
+// Staged describes: by the worker that ran the projection, or before
+// MatchStaged returns when no run was scheduled with it.
 func (s *Service) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged Staged) (*pipeline.Report, error) {
 	rep, _, err := s.match(ctx, personal, opts, staged)
 	return rep, err
@@ -348,8 +382,17 @@ type cacheRef struct {
 	body []byte
 }
 
-// match is the shared body of MatchStaged and MatchJSON.
+// match is the shared body of MatchStaged and MatchJSON. A staged hold goes
+// to the task that runs it, or is let go of on return.
 func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged Staged) (*pipeline.Report, cacheRef, error) {
+	handed := false
+	if staged.Release != nil {
+		defer func() {
+			if !handed {
+				staged.Release()
+			}
+		}()
+	}
 	s.ct.requests.Add(1)
 	if err := s.root.Err(); err != nil {
 		s.ct.rejected.Add(1)
@@ -411,6 +454,7 @@ func (s *Service) match(ctx context.Context, personal *schema.Tree, opts pipelin
 			}
 			select {
 			case s.queue <- t:
+				handed = true
 			case <-ctx.Done():
 				// The run never got scheduled; unblock any followers with
 				// the leader's error (follower retry below shields the

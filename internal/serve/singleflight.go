@@ -65,32 +65,46 @@ func (g *flightGroup[T]) join(key string, base context.Context) (c *call[T], lea
 // leave records that one waiter abandoned c (its own context expired or
 // the caller gave up). When the last waiter leaves an unfinished call, the
 // shared run is cancelled and the key freed so a later identical request
-// starts a fresh run instead of joining a dying one.
-func (g *flightGroup[T]) leave(key string, c *call[T]) {
+// starts a fresh run instead of joining a dying one. It reports whether c
+// had already finished: the leaving waiter was then handed the result, and
+// holds it (see holder) like every other waiter.
+func (g *flightGroup[T]) leave(key string, c *call[T]) (held bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	c.waiters--
+	select {
+	case <-c.done:
+		return true
+	default:
+	}
 	if c.waiters <= 0 {
-		select {
-		case <-c.done: // already finished; nothing to tear down
-		default:
-			c.cancel()
-			if g.calls[key] == c {
-				delete(g.calls, key)
-			}
+		c.cancel()
+		if g.calls[key] == c {
+			delete(g.calls, key)
 		}
 	}
+	return false
 }
 
-// finish publishes the result, wakes every waiter and frees the key.
+// holder is a shared result that counts the callers holding it: finish
+// tells it how many waiters it was handed to before any of them can see it.
+type holder interface{ hold(n int32) }
+
+// finish publishes the result, wakes every waiter and frees the key. A
+// result that is a holder learns its waiter count under the group mutex,
+// so a waiter that leaves concurrently is either counted here or told by
+// leave that it was not.
 func (g *flightGroup[T]) finish(key string, c *call[T], val T, err error) {
 	g.mu.Lock()
 	if g.calls[key] == c {
 		delete(g.calls, key)
 	}
-	g.mu.Unlock()
 	c.val, c.err = val, err
+	if h, ok := any(val).(holder); ok && err == nil {
+		h.hold(int32(c.waiters))
+	}
 	close(c.done)
+	g.mu.Unlock()
 	c.cancel()
 }
 

@@ -17,18 +17,21 @@ import (
 // little-endian bits for float64s, and uvarint-length-prefixed UTF-8 for
 // strings.
 //
-// The codec is a pure transport: it encodes and decodes the wire structs
-// (MatchRequest, MatchResponse), so everything downstream of the parse —
-// descriptor verification, signature checks, Decode* semantics — sees
-// plain structs, and decode(binary(x)) equals decode(json(x)) structurally
-// for every request the client can build (pinned by FuzzShardWire, which
-// keeps the structs' JSON tags as its reference encoding).
+// The codec is a pure transport over the wire structs (MatchRequest,
+// MatchResponse), and decode(binary(x)) equals decode(json(x))
+// structurally for every request the client can build (pinned by
+// FuzzShardWire, which keeps the structs' JSON tags as its reference
+// encoding). A request's projection section is the one exception to
+// "structs in, structs out": the client writes it straight from a staged
+// projection and the shard reads it straight into pooled storage, through
+// the same writer and reader the structs go through (projection.go).
 //
-// Every body is written in one pass into a buffer sized before writing: a
-// request's from projectionSize, the one exact size the codec keeps (the
-// projection is nearly all of a full body), plus a generous bound on its
-// header. The encoders append to a local slice (b = appendX(b, …)) rather
-// than through a pointer, which would pay a GC write barrier per value.
+// Every body is written in one pass. EncodeBinaryMatchRequest sizes its
+// buffer before writing, from projectionSize (the projection is nearly all
+// of a full body) plus a generous bound on the header; the client writes
+// into a pooled buffer instead. The encoders append to a local slice
+// (b = appendX(b, …)) rather than through a pointer, which would pay a GC
+// write barrier per value.
 //
 // Requests and responses carry ContentTypeBinary; the shard answers any
 // other or absent Content-Type with 415 (Unsupported Media Type) rather
@@ -216,15 +219,17 @@ func (r *binReader) slice() (int, bool) {
 	return n, true
 }
 
-// The array readers decode with a local offset; the loop body is the
-// inlined binary.Uvarint.
+// The array readers decode into *buf's storage (grown as needed) with a
+// local offset; the loop body is the inlined binary.Uvarint. An absent
+// array reads as nil. varints, f64s and u64s read into fresh storage of
+// exactly the array's length.
 
-func varints[T int | int32](r *binReader) []T {
+func varintsInto[T int | int32](r *binReader, buf *[]T) []T {
 	n, ok := r.slice()
 	if !ok {
 		return nil
 	}
-	v := make([]T, n)
+	v := grow(buf, n)
 	off := r.off
 	for i := range v {
 		u, k := binary.Uvarint(r.b[off:])
@@ -239,7 +244,12 @@ func varints[T int | int32](r *binReader) []T {
 	return v
 }
 
-func (r *binReader) f64s() []float64 {
+func varints[T int | int32](r *binReader) []T {
+	var v []T
+	return varintsInto(r, &v)
+}
+
+func (r *binReader) f64sInto(buf *[]float64) []float64 {
 	n, ok := r.slice()
 	if !ok {
 		return nil
@@ -248,7 +258,7 @@ func (r *binReader) f64s() []float64 {
 		r.fail("truncated float64s at byte %d", r.off)
 		return nil
 	}
-	v := make([]float64, n)
+	v := grow(buf, n)
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off+8*i:]))
 	}
@@ -256,12 +266,17 @@ func (r *binReader) f64s() []float64 {
 	return v
 }
 
-func (r *binReader) u64s() []uint64 {
+func (r *binReader) f64s() []float64 {
+	var v []float64
+	return r.f64sInto(&v)
+}
+
+func (r *binReader) u64sInto(buf *[]uint64) []uint64 {
 	n, ok := r.slice()
 	if !ok {
 		return nil
 	}
-	v := make([]uint64, n)
+	v := grow(buf, n)
 	off := r.off
 	for i := range v {
 		u, k := binary.Uvarint(r.b[off:])
@@ -287,12 +302,13 @@ func appendDescriptor(b []byte, d Descriptor) []byte {
 	return appendStr(b, d.RepoHash)
 }
 
-func (r *binReader) descriptor() Descriptor {
+// descriptor reads a descriptor, its tree IDs into *ids's storage.
+func (r *binReader) descriptor(ids *[]int) Descriptor {
 	return Descriptor{
 		Shard:     int(r.varint()),
 		NumShards: int(r.varint()),
 		Strategy:  r.str(),
-		TreeIDs:   varints[int](r),
+		TreeIDs:   varintsInto(r, ids),
 		RepoNodes: int(r.varint()),
 		RepoHash:  r.str(),
 	}
@@ -392,27 +408,37 @@ func (r *binReader) options() WireOptions {
 	return o
 }
 
-// appendProjection writes the projected pre-pass payload, the last section
-// of a full request body.
-func appendProjection(b []byte, req *MatchRequest) []byte {
+// appendProjection writes the projection section, the last of a full
+// request body: req's Has* flags and Iterations, and the lists from src.
+// Only a staged source fails, on a cluster node outside the shard's view.
+func appendProjection(b []byte, req *MatchRequest, src projectionSrc, sc *scratch) ([]byte, error) {
 	b = appendBool(b, req.HasCandidates)
-	b = appendSlice(b, len(req.Candidates), req.Candidates == nil)
-	for _, s := range req.Candidates {
-		b = appendVarints(b, s.Local)
-		b = appendF64s(b, s.Sims)
+	n, present := src.sets()
+	b = appendSlice(b, n, !present)
+	for i := 0; i < n; i++ {
+		local, sims := src.set(i, sc)
+		b = appendVarints(b, local)
+		b = appendF64s(b, sims)
 	}
 	b = appendBool(b, req.HasClusters)
-	b = appendSlice(b, len(req.Clusters), req.Clusters == nil)
-	for _, c := range req.Clusters {
-		b = binary.AppendVarint(b, int64(c.ID))
-		b = binary.AppendVarint(b, int64(c.TreeID))
-		b = binary.AppendVarint(b, int64(c.Medoid))
-		b = appendVarints(b, c.Local)
-		b = appendU64s(b, c.Masks)
+	n, present = src.clusterList()
+	b = appendSlice(b, n, !present)
+	for i := 0; i < n; i++ {
+		h, local, masks, err := src.clusterAt(i, sc)
+		if err != nil {
+			return nil, err
+		}
+		b = binary.AppendVarint(b, int64(h.id))
+		b = binary.AppendVarint(b, int64(h.treeID))
+		b = binary.AppendVarint(b, int64(h.medoid))
+		b = appendVarints(b, local)
+		b = appendU64s(b, masks)
 	}
-	return binary.AppendVarint(b, int64(req.Iterations))
+	return binary.AppendVarint(b, int64(req.Iterations)), nil
 }
 
+// projectionSize is the exact size of a projection section written from
+// req's wire structs.
 func projectionSize(req *MatchRequest) int {
 	size := 2 + sliceSize(len(req.Candidates), req.Candidates == nil) +
 		sliceSize(len(req.Clusters), req.Clusters == nil) + varintSize(int64(req.Iterations))
@@ -426,29 +452,49 @@ func projectionSize(req *MatchRequest) int {
 	return size
 }
 
-// projection decodes the projection section.
-func (r *binReader) projection(req *MatchRequest) {
+// projection reads the projection section: req's Has* flags and
+// Iterations, and the lists into dst, through sc. It stops at the first
+// error, the body's or dst's.
+func (r *binReader) projection(req *MatchRequest, dst projectionDst, sc *scratch) error {
 	req.HasCandidates = r.bool()
-	if n, ok := r.slice(); ok {
-		req.Candidates = make([]WireCandidateSet, n)
-		for i := range req.Candidates {
-			req.Candidates[i] = WireCandidateSet{Local: varints[int32](r), Sims: r.f64s()}
+	n, present := r.slice()
+	if r.err != nil {
+		return r.err
+	}
+	if err := dst.beginSets(req.HasCandidates, n, present); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		local := varintsInto(r, &sc.locals)
+		sims := r.f64sInto(&sc.sims)
+		if r.err != nil {
+			return r.err
+		}
+		if err := dst.putSet(i, local, sims); err != nil {
+			return err
 		}
 	}
 	req.HasClusters = r.bool()
-	if n, ok := r.slice(); ok {
-		req.Clusters = make([]WireCluster, n)
-		for i := range req.Clusters {
-			req.Clusters[i] = WireCluster{
-				ID:     int(r.varint()),
-				TreeID: int(r.varint()),
-				Medoid: int32(r.varint()),
-				Local:  varints[int32](r),
-				Masks:  r.u64s(),
-			}
+	n, present = r.slice()
+	if r.err != nil {
+		return r.err
+	}
+	if err := dst.beginClusters(req.HasClusters, n, present); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		h := clusterHead{id: int(r.varint()), treeID: int(r.varint()), medoid: int32(r.varint())}
+		local := varintsInto(r, &sc.locals)
+		masks := r.u64sInto(&sc.masks)
+		if r.err != nil {
+			return r.err
+		}
+		if err := dst.putCluster(i, h, local, masks); err != nil {
+			return err
 		}
 	}
 	req.Iterations = int(r.varint())
+	return r.err
 }
 
 func appendScore(b []byte, s WireScore) []byte {
@@ -600,7 +646,13 @@ func EncodeBinaryMatchRequest(req *MatchRequest) []byte {
 	if !req.ProjectionRef {
 		size += projectionSize(req)
 	}
-	b := make([]byte, 0, size)
+	b, _ := appendRequest(make([]byte, 0, size), req, wireForm{req}, nil)
+	return b
+}
+
+// appendRequest writes req's header, then — unless it is slim — its
+// projection section from src.
+func appendRequest(b []byte, req *MatchRequest, src projectionSrc, sc *scratch) ([]byte, error) {
 	var flags byte
 	if req.ProjectionRef {
 		flags |= binFlagProjectionRef
@@ -611,10 +663,10 @@ func EncodeBinaryMatchRequest(req *MatchRequest) []byte {
 	b = appendStr(b, req.Signature)
 	b = appendStr(b, req.ProjectionHash)
 	b = appendOptions(b, req.Options)
-	if !req.ProjectionRef {
-		b = appendProjection(b, req)
+	if req.ProjectionRef {
+		return b, nil
 	}
-	return b
+	return appendProjection(b, req, src, sc)
 }
 
 // headerBound bounds a request's bytes before its projection section from
@@ -634,28 +686,48 @@ func headerBound(req *MatchRequest) int {
 // DecodeBinaryMatchRequest parses a binary match request body.
 func DecodeBinaryMatchRequest(b []byte) (*MatchRequest, error) {
 	r := &binReader{b: b}
+	req := r.header(new([]int))
+	if r.err != nil {
+		return nil, r.err
+	}
+	if !req.ProjectionRef {
+		if err := r.projection(req, wireForm{req}, &scratch{}); err != nil {
+			return nil, err
+		}
+	}
+	if err := r.end("match request"); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// header reads a request body up to its projection section, the
+// descriptor's tree IDs into *ids's storage.
+func (r *binReader) header(ids *[]int) *MatchRequest {
 	if v := r.u8(); r.err == nil && v != binaryVersion {
-		return nil, fmt.Errorf("shardrpc: binary: unsupported wire version %d (want %d)", v, binaryVersion)
+		r.err = fmt.Errorf("shardrpc: binary: unsupported wire version %d (want %d)", v, binaryVersion)
+		return nil
 	}
 	flags := r.u8()
-	req := &MatchRequest{
-		Descriptor:     r.descriptor(),
+	return &MatchRequest{
+		Descriptor:     r.descriptor(ids),
 		Personal:       r.tree(),
 		Signature:      r.str(),
 		ProjectionHash: r.str(),
 		Options:        r.options(),
 		ProjectionRef:  flags&binFlagProjectionRef != 0,
 	}
-	if !req.ProjectionRef {
-		r.projection(req)
-	}
+}
+
+// end checks that the body of the named kind was read to its last byte.
+func (r *binReader) end(what string) error {
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("shardrpc: binary: %d trailing bytes after match request", len(b)-r.off)
+	if r.off != len(r.b) {
+		return fmt.Errorf("shardrpc: binary: %d trailing bytes after %s", len(r.b)-r.off, what)
 	}
-	return req, nil
+	return nil
 }
 
 // responseRoom is the buffer a response body starts in. A ranked report
@@ -665,7 +737,11 @@ const responseRoom = 2 << 10
 // EncodeBinaryMatchResponse renders a match response in the binary wire
 // format.
 func EncodeBinaryMatchResponse(resp *MatchResponse) []byte {
-	b := make([]byte, 0, responseRoom)
+	return appendResponse(make([]byte, 0, responseRoom), resp)
+}
+
+// appendResponse writes a match response body after b.
+func appendResponse(b []byte, resp *MatchResponse) []byte {
 	b = append(b, binaryVersion)
 	b = appendReport(b, &resp.Report)
 	return appendSpans(b, resp.Spans)
@@ -678,11 +754,8 @@ func DecodeBinaryMatchResponse(b []byte) (*MatchResponse, error) {
 		return nil, fmt.Errorf("shardrpc: binary: unsupported wire version %d (want %d)", v, binaryVersion)
 	}
 	resp := &MatchResponse{Report: r.report(), Spans: r.spans()}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("shardrpc: binary: %d trailing bytes after match response", len(b)-r.off)
+	if err := r.end("match response"); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
@@ -706,6 +779,7 @@ func ProjectionDigest(req *MatchRequest) string {
 	if len(c.Clusters) == 0 {
 		c.Clusters = nil
 	}
-	sum := sha256.Sum256(appendProjection(make([]byte, 0, projectionSize(&c)), &c))
+	b, _ := appendProjection(make([]byte, 0, projectionSize(&c)), &c, wireForm{&c}, nil)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bellflower/internal/labeling"
@@ -48,18 +49,46 @@ const statsTimeout = 2 * time.Second
 // plus fresh handshakes for the rest. It has no client-level timeout:
 // deadlines come from RemoteShardConfig.Timeout and the request context.
 func newShardTransportClient() *http.Client {
+	dialer := &net.Dialer{
+		Timeout:   10 * time.Second,
+		KeepAlive: 30 * time.Second,
+	}
 	return &http.Client{Transport: &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
-		DialContext: (&net.Dialer{
-			Timeout:   10 * time.Second,
-			KeepAlive: 30 * time.Second,
-		}).DialContext,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := dialer.DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return copyConn{c}, nil
+		},
 		TLSHandshakeTimeout:   10 * time.Second,
 		ExpectContinueTimeout: 1 * time.Second,
 		MaxIdleConns:          4 * shardConns,
 		MaxIdleConnsPerHost:   shardConns,
 		IdleConnTimeout:       90 * time.Second,
 	}}
+}
+
+// copyConn is a shard connection that writes a full request body straight
+// from its pooled buffer. The transport hands a body it cannot tell is in
+// memory — a bodyReader — to the connection's ReadFrom, limited to its
+// Content-Length, which a plain TCP connection copies through a fresh 32 KB
+// buffer per request.
+type copyConn struct{ net.Conn }
+
+var _ io.ReaderFrom = copyConn{}
+
+func (c copyConn) ReadFrom(r io.Reader) (int64, error) {
+	w := struct{ io.Writer }{c.Conn} // hides this ReadFrom from io.Copy
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if br, ok := lr.R.(*bodyReader); ok && int64(br.Len()) <= lr.N {
+			n, err := br.WriteTo(w)
+			lr.N -= n
+			return n, err
+		}
+	}
+	return io.Copy(w, r)
 }
 
 // RemoteShard is the client for ONE shard server (bellflower-server
@@ -150,17 +179,18 @@ func (rs *RemoteShard) forgetAnswered(sig string) {
 
 // encodedRequest is one match request translated to the wire, with lazily
 // built bodies: the full request and the slim one that asks for the
-// shard's cached report instead. The projection's wire structs are built
-// only for a full body, from the staged projection the request retains.
+// shard's cached report instead. A full body is written straight from the
+// staged projection the request retains into a pooled buffer (outBody).
 // Replicas of one shard share a single encodedRequest — they hold the same
 // view and descriptor — while each picks the body its own answered set
 // calls for. One request's attempts run one after another, so the bodies
-// need no lock.
+// need no lock; close gives the full body back once the attempts are over.
 type encodedRequest struct {
-	req        MatchRequest // projection payload filled in with the full body
-	staged     serve.Staged
-	view       *labeling.View
-	full, slim []byte
+	req    MatchRequest // the header; the projection is written from staged
+	staged serve.Staged
+	view   *labeling.View
+	full   *outBody
+	slim   []byte
 }
 
 // body returns (and keeps) the request in the given shape. slim sets
@@ -175,29 +205,76 @@ func (e *encodedRequest) body(slim bool) ([]byte, error) {
 		return e.slim, nil
 	}
 	if e.full == nil {
-		if err := e.encodeProjection(); err != nil {
+		var src projectionSrc = wireForm{&e.req} // unstaged: no lists
+		if e.staged.Cands != nil {
+			src = stagedForm{v: e.view, cands: e.staged.Cands, clusters: e.staged.Clusters}
+		}
+		ob := outBodyPool.Get().(*outBody)
+		b, err := appendRequest(ob.b[:0], &e.req, src, &ob.sc)
+		if err != nil {
+			if cap(ob.b) <= maxPooledBody {
+				outBodyPool.Put(ob)
+			}
 			return nil, err
 		}
-		e.full = EncodeBinaryMatchRequest(&e.req)
+		ob.b = b
+		ob.refs.Store(1)
+		e.full = ob
 	}
-	return e.full, nil
+	return e.full.b, nil
 }
 
-// encodeProjection translates the staged projection to wire structs in the
-// view's local-ID space, once.
-func (e *encodedRequest) encodeProjection() error {
-	if e.staged.Cands == nil || e.req.Candidates != nil {
-		return nil
+// close lets go of the request's hold on its full body.
+func (e *encodedRequest) close() {
+	if e.full != nil {
+		e.full.unref()
 	}
-	cands, err := EncodeCandidates(e.view, e.staged.Cands)
-	if err != nil {
-		return err
+}
+
+// maxPooledBody is the largest body buffer, in bytes, that goes back to a
+// pool; a larger one is left to the collector. Real match bodies are tens
+// of KB.
+const maxPooledBody = 1 << 20
+
+// outBody is a full request body in a pooled buffer, with the scratch it
+// was written through. Every send reads it through a bodyReader of its
+// own, and net/http's transport may close that reader after RoundTrip has
+// returned, so the buffer goes back only when the request has let go of it
+// and every reader has been closed, whichever comes last.
+type outBody struct {
+	b    []byte
+	sc   scratch
+	refs atomic.Int32
+}
+
+var outBodyPool = sync.Pool{New: func() any { return new(outBody) }}
+
+// reader returns a new reader over the body for one send.
+func (ob *outBody) reader() *bodyReader {
+	ob.refs.Add(1)
+	br := &bodyReader{ob: ob}
+	br.Reset(ob.b)
+	return br
+}
+
+func (ob *outBody) unref() {
+	if ob.refs.Add(-1) == 0 && cap(ob.b) <= maxPooledBody {
+		outBodyPool.Put(ob)
 	}
-	clusters, err := EncodeClusters(e.view, e.staged.Clusters)
-	if err != nil {
-		return err
+}
+
+// bodyReader is one send's reader over an outBody; Close lets go of the
+// body once.
+type bodyReader struct {
+	bytes.Reader
+	ob     *outBody
+	closed atomic.Bool
+}
+
+func (br *bodyReader) Close() error {
+	if br.closed.CompareAndSwap(false, true) {
+		br.ob.unref()
 	}
-	e.req.Candidates, e.req.Clusters = cands, clusters
 	return nil
 }
 
@@ -208,7 +285,8 @@ func (e *encodedRequest) encodeProjection() error {
 // pre-pass path — a full body ships the projected candidates and clusters
 // in local-ID space and the remote shard runs generation only; the zero
 // Staged asks for the remote shard's full pipeline. A slim body encodes no
-// projection at all.
+// projection at all. The caller closes the request when its attempts are
+// over.
 func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*encodedRequest, error) {
 	if personal == nil || personal.Root() == nil {
 		return nil, fmt.Errorf("shardrpc: nil personal schema")
@@ -243,12 +321,21 @@ func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts p
 	return enc, nil
 }
 
-// send runs one HTTP exchange.
-func (rs *RemoteShard) send(cctx, rctx context.Context, body []byte) (*http.Response, error) {
-	hreq, err := http.NewRequestWithContext(cctx, http.MethodPost, rs.base+"/v1/shard/match", bytes.NewReader(body))
+// send runs one HTTP exchange of body. A full body (full set) is read
+// through readers the transport closes, so its pooled buffer outlives the
+// exchange for as long as the transport needs it.
+func (rs *RemoteShard) send(cctx, rctx context.Context, body []byte, full *outBody) (*http.Response, error) {
+	getBody := func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	if full != nil {
+		getBody = func() (io.ReadCloser, error) { return full.reader(), nil }
+	}
+	rd, _ := getBody()
+	hreq, err := http.NewRequestWithContext(cctx, http.MethodPost, rs.base+"/v1/shard/match", rd)
 	if err != nil {
+		rd.Close()
 		return nil, fmt.Errorf("shardrpc: %w", err)
 	}
+	hreq.ContentLength, hreq.GetBody = int64(len(body)), getBody
 	hreq.Header.Set("Content-Type", ContentTypeBinary)
 	if hv := trace.HeaderValue(rctx); hv != "" {
 		hreq.Header.Set(trace.Header, hv)
@@ -280,8 +367,12 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 	if err != nil {
 		return nil, false, err
 	}
+	full := enc.full
+	if slim {
+		full = nil
+	}
 	rtStart := time.Now()
-	resp, err := rs.send(cctx, rctx, body)
+	resp, err := rs.send(cctx, rctx, body, full)
 	if err == nil && resp.StatusCode == http.StatusPreconditionRequired && slim {
 		// Report-needed: the shard no longer caches the report (restart,
 		// eviction). Resend the full request — same endpoint, same
@@ -292,7 +383,7 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 		if body, err = enc.body(false); err != nil {
 			return nil, false, err
 		}
-		resp, err = rs.send(cctx, rctx, body)
+		resp, err = rs.send(cctx, rctx, body, enc.full)
 	}
 	if err != nil {
 		rsp.SetAttr("error", err.Error())
@@ -307,11 +398,15 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 
 	decStart := time.Now()
 	_, dsp := trace.StartSpan(rctx, "rpc.decode")
-	raw, err := readBody(io.LimitReader(resp.Body, maxMatchBody), resp.ContentLength)
+	// The decoded response shares nothing with the bytes it was read from.
+	buf := getBuf()
+	raw, err := readBody(io.LimitReader(resp.Body, maxMatchBody), resp.ContentLength, *buf)
 	var mr *MatchResponse
 	if err == nil {
 		mr, err = DecodeBinaryMatchResponse(raw)
 	}
+	*buf = raw
+	putBuf(buf)
 	if err != nil {
 		dsp.End()
 		return nil, true, fmt.Errorf("shardrpc: shard %s: bad response: %w", rs.base, err)

@@ -85,6 +85,12 @@ func TestShardServerContentType(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := enc.req
+	if good.Candidates, err = EncodeCandidates(ts.clientView, staged.Cands); err != nil {
+		t.Fatal(err)
+	}
+	if good.Clusters, err = EncodeClusters(ts.clientView, staged.Clusters); err != nil {
+		t.Fatal(err)
+	}
 	binBody := EncodeBinaryMatchRequest(&good)
 	jsonBody, err := json.Marshal(good)
 	if err != nil {

@@ -37,11 +37,15 @@
 // the client resends the full request in the same attempt, on the same
 // replica. Each client remembers the signatures its shard answered with a
 // 200 (at most 4,096). A cold request is one pass over its bytes on each
-// side: the client writes the full body once, into a buffer sized so it
-// never grows; the shard reads it into one buffer of its Content-Length
-// (trusted up to 1 MiB; a larger declared body is read as it arrives). The
-// projection's wire form is built only when a full body is sent. JSON
-// remains for /v1/shard/stats and error bodies.
+// side, and allocates no storage for its projection: the client writes the
+// full body once, straight from the router's staged projection (only its
+// shard's candidates) into a pooled buffer that goes back once the
+// transport has closed every reader of it; the shard reads it into a
+// pooled buffer of its Content-Length (trusted up to 1 MiB; a larger
+// declared body is read as it arrives) and decodes the projection straight
+// into pooled candidate and cluster storage on its view, which its service
+// holds until the run that reads it is over (serve.Staged). JSON remains
+// for /v1/shard/stats and error bodies.
 //
 // # Pieces
 //

@@ -155,8 +155,13 @@ func (z *ReplicaSet) Check(ctx context.Context) error {
 // failing replica's monitor and moves on; an HTTP-level error is the
 // shard's authoritative answer and returns immediately. Only a request that
 // EXHAUSTS its attempts counts as unreachable — one rescued by a later
-// attempt is a served request, not an error.
+// attempt is a served request, not an error. Every attempt's body is
+// written from the projection before MatchStaged returns, so a staged
+// Release is called on return.
 func (z *ReplicaSet) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*pipeline.Report, error) {
+	if staged.Release != nil {
+		defer staged.Release()
+	}
 	if z.closed.Load() {
 		return nil, serve.ErrClosed
 	}
@@ -164,6 +169,7 @@ func (z *ReplicaSet) MatchStaged(ctx context.Context, personal *schema.Tree, opt
 	if err != nil {
 		return nil, err
 	}
+	defer enc.close()
 
 	var lastErr error
 	prevFailed := -1

@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"mime"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"bellflower/internal/labeling"
@@ -172,56 +174,24 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	_, dsp := trace.StartSpan(ctx, "decode")
-	body, err := readBody(r.Body, r.ContentLength)
+	buf := getBuf()
+	body, err := readBody(r.Body, r.ContentLength, *buf)
+	*buf = body
+	var d decoded
+	status := http.StatusBadRequest
+	if err == nil {
+		s.in.Add(int64(len(body)))
+		status, err = s.decode(body, &d)
+	} else {
+		err = errors.New("bad request body: " + err.Error())
+	}
+	// Nothing decoded shares the body's bytes.
+	putBuf(buf)
 	if err != nil {
-		fail(dsp, http.StatusBadRequest, "bad request body: "+err.Error())
+		fail(dsp, status, err.Error())
 		return
 	}
-	s.in.Add(int64(len(body)))
-	req, err := DecodeBinaryMatchRequest(body)
-	if err != nil {
-		fail(dsp, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	// A descriptor mismatch means the caller partitioned differently (or
-	// holds a different repository): serving would return mappings in the
-	// wrong ID space. 409, not 400 — the request is well-formed, the
-	// topologies disagree.
-	if !req.Descriptor.Equal(s.desc) {
-		fail(dsp, http.StatusConflict,
-			fmt.Sprintf("descriptor mismatch: caller expects %s, this server hosts %s", req.Descriptor, s.desc))
-		return
-	}
-	personal, err := DecodeTree(req.Personal)
-	if err != nil {
-		fail(dsp, http.StatusBadRequest, err.Error())
-		return
-	}
-	opts, err := DecodeOptions(req.Options)
-	if err != nil {
-		fail(dsp, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Integrity: the canonical request signature must survive the codec
-	// round trip, otherwise the shard would compute (and cache) a subtly
-	// different request than the router merged.
-	if req.Signature != "" {
-		if got := serve.Signature(personal, opts); got != req.Signature {
-			fail(dsp, http.StatusBadRequest,
-				fmt.Sprintf("request signature mismatch after decode: got %q, want %q", got, req.Signature))
-			return
-		}
-	}
-
-	if req.ProjectionRef && req.Signature == "" {
-		fail(dsp, http.StatusBadRequest, "slim request without signature")
-		return
-	}
-	staged, err := s.staged(req, personal)
-	if err != nil {
-		fail(dsp, http.StatusBadRequest, err.Error())
-		return
-	}
+	req, personal, opts := &d.req, d.personal, d.opts
 	dsp.End()
 
 	mctx, msp := trace.StartSpan(ctx, "match")
@@ -239,7 +209,7 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.slimHits.Add(1)
-	} else if rep, err = s.svc.MatchStaged(mctx, personal, opts, staged); err != nil {
+	} else if rep, err = s.svc.MatchStaged(mctx, personal, opts, d.staged); err != nil {
 		fail(msp, matchStatus(err), err.Error())
 		return
 	}
@@ -260,29 +230,91 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 		root.End()
 		resp.Spans = EncodeSpans(tr.Spans())
 	}
-	b := EncodeBinaryMatchResponse(&resp)
+	// Write copies the body out, so its buffer goes back at once.
+	out := getBuf()
+	b := appendResponse((*out)[:0], &resp)
 	s.out.Add(int64(len(b)))
 	w.Header().Set("Content-Type", ContentTypeBinary)
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
+	*out = b
+	putBuf(out)
 }
 
-// staged decodes the projection a full request ships; the zero Staged when
-// it ships none and asks for the full pipeline.
-func (s *ShardServer) staged(req *MatchRequest, personal *schema.Tree) (staged serve.Staged, err error) {
-	if req.HasCandidates != req.HasClusters {
-		return staged, errors.New("candidates and clusters must be staged together")
+// decoded is a match request as the shard serves it.
+type decoded struct {
+	req      MatchRequest // the header and the projection's flags
+	personal *schema.Tree
+	opts     pipeline.Options
+	staged   serve.Staged // the zero Staged unless a projection is staged
+}
+
+// decode parses a match request body into d, checking it against this
+// shard, and returns the status of a failure. A staged projection is read
+// straight into pooled storage on the shard's view; d.staged then holds it
+// for the service (serve.Staged's Release).
+func (s *ShardServer) decode(body []byte, d *decoded) (int, error) {
+	st := getStagedStore(s.view)
+	defer func() {
+		if d.staged.Cands == nil {
+			st.put()
+		}
+	}()
+	r := &binReader{b: body}
+	hdr := r.header(&st.sc.ids)
+	if r.err != nil {
+		return http.StatusBadRequest, errors.New("bad request body: " + r.err.Error())
 	}
-	if !req.HasCandidates {
-		return staged, nil
+	d.req = *hdr
+	req := &d.req
+	// A descriptor mismatch means the caller partitioned differently (or
+	// holds a different repository): serving would return mappings in the
+	// wrong ID space. 409, not 400 — the request is well-formed, the
+	// topologies disagree.
+	if !req.Descriptor.Equal(s.desc) {
+		return http.StatusConflict, fmt.Errorf("descriptor mismatch: caller expects %s, this server hosts %s", req.Descriptor, s.desc)
 	}
-	staged.Iterations = req.Iterations
-	if staged.Cands, err = DecodeCandidates(s.view, personal, req.Candidates); err != nil {
-		return staged, err
+	req.Descriptor.TreeIDs = nil // the store's scratch; checked, and not needed again
+	var err error
+	if d.personal, err = DecodeTree(req.Personal); err != nil {
+		return http.StatusBadRequest, err
 	}
-	staged.Clusters, err = DecodeClusters(s.view, req.Clusters)
-	return staged, err
+	if d.opts, err = DecodeOptions(req.Options); err != nil {
+		return http.StatusBadRequest, err
+	}
+	// Integrity: the canonical request signature must survive the codec
+	// round trip, otherwise the shard would compute (and cache) a subtly
+	// different request than the router merged.
+	if req.Signature != "" {
+		if got := serve.Signature(d.personal, d.opts); got != req.Signature {
+			return http.StatusBadRequest, fmt.Errorf("request signature mismatch after decode: got %q, want %q", got, req.Signature)
+		}
+	}
+	if req.ProjectionRef {
+		if req.Signature == "" {
+			return http.StatusBadRequest, errors.New("slim request without signature")
+		}
+		if err := r.end("match request"); err != nil {
+			return http.StatusBadRequest, errors.New("bad request body: " + err.Error())
+		}
+		return 0, nil
+	}
+	st.personal = d.personal
+	err = r.projection(req, st, &st.sc)
+	if err == nil {
+		err = r.end("match request")
+	}
+	if err == nil && req.HasCandidates != req.HasClusters {
+		err = errors.New("candidates and clusters must be staged together")
+	}
+	if err != nil {
+		return http.StatusBadRequest, errors.New("bad request body: " + err.Error())
+	}
+	if req.HasCandidates {
+		d.staged = st.staged(req.Iterations)
+	}
+	return 0, nil
 }
 
 // maxPresizedBody caps how much of a declared Content-Length readBody
@@ -292,17 +324,31 @@ func (s *ShardServer) staged(req *MatchRequest, personal *schema.Tree) (staged s
 // this per connection.
 const maxPresizedBody = 1 << 20
 
-// readBody reads a match body. A declared length n up to maxPresizedBody
-// is read into one buffer of exactly n bytes; an unknown length (-1), or a
-// larger one, is read to EOF as the bytes arrive, within whatever bound r
-// applies.
-func readBody(r io.Reader, n int64) ([]byte, error) {
-	if n < 0 || n > maxPresizedBody {
-		return io.ReadAll(r)
+// bufPool recycles the buffers match bodies are read into, on both sides
+// of the hop; getBuf and putBuf take and give back one.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxPooledBody {
+		bufPool.Put(b)
 	}
-	b := make([]byte, n)
+}
+
+// readBody reads a match body into buf's storage, growing it as needed. A
+// declared length n up to maxPresizedBody is read into exactly n bytes; an
+// unknown length (-1), or a larger one, is read to EOF as the bytes arrive,
+// within whatever bound r applies.
+func readBody(r io.Reader, n int64, buf []byte) ([]byte, error) {
+	if n < 0 || n > maxPresizedBody {
+		bb := bytes.NewBuffer(buf[:0])
+		_, err := bb.ReadFrom(r)
+		return bb.Bytes(), err
+	}
+	b := grow(&buf, int(n))
 	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
+		return b, err
 	}
 	return b, nil
 }

@@ -376,78 +376,6 @@ type WireCandidateSet struct {
 	Sims  []float64 `json:"sims"`
 }
 
-// cut returns the next n elements of *slab, capacity capped at n so no set
-// can append into its neighbour.
-func cut[T any](slab *[]T, n int) []T {
-	s := *slab
-	*slab = s[n:]
-	return s[:n:n]
-}
-
-// EncodeCandidates translates a candidate set (already restricted to the
-// view) into local-ID wire form. A candidate outside the view is an
-// encoding error — it would silently vanish from the shard's result. Every
-// set's arrays are cut from one slab per element type; a set without
-// candidates keeps nil arrays.
-func EncodeCandidates(v *labeling.View, c *matcher.Candidates) ([]WireCandidateSet, error) {
-	out := make([]WireCandidateSet, len(c.Sets))
-	total := c.TotalMappingElements()
-	locals, sims := make([]int32, total), make([]float64, total)
-	for i := range c.Sets {
-		elems := c.Sets[i].Elems
-		if len(elems) == 0 {
-			continue
-		}
-		ws := WireCandidateSet{Local: cut(&locals, len(elems)), Sims: cut(&sims, len(elems))}
-		for j, cand := range elems {
-			lid := v.LocalID(cand.Node)
-			if lid < 0 {
-				return nil, fmt.Errorf("shardrpc: candidate node %v (set %d) is outside the shard view", cand.Node, i)
-			}
-			ws.Local[j] = int32(lid)
-			ws.Sims[j] = cand.Sim
-		}
-		out[i] = ws
-	}
-	return out, nil
-}
-
-// DecodeCandidates rebuilds a candidate set against the shard's own view,
-// bound to the decoded personal tree. Every set's candidates are cut from
-// one slab; a set without candidates keeps nil.
-func DecodeCandidates(v *labeling.View, personal *schema.Tree, sets []WireCandidateSet) (*matcher.Candidates, error) {
-	if len(sets) != personal.Len() {
-		return nil, fmt.Errorf("shardrpc: %d candidate sets for a %d-node personal schema", len(sets), personal.Len())
-	}
-	out := &matcher.Candidates{
-		Personal: personal,
-		Sets:     make([]matcher.CandidateSet, len(sets)),
-	}
-	total := 0
-	for i := range sets {
-		total += len(sets[i].Local)
-	}
-	slab := make([]matcher.Candidate, total)
-	for i := range sets {
-		if len(sets[i].Local) != len(sets[i].Sims) {
-			return nil, fmt.Errorf("shardrpc: candidate set %d: %d IDs, %d sims", i, len(sets[i].Local), len(sets[i].Sims))
-		}
-		out.Sets[i].Personal = personal.NodeAt(i)
-		if len(sets[i].Local) == 0 {
-			continue
-		}
-		elems := cut(&slab, len(sets[i].Local))
-		for j, lid := range sets[i].Local {
-			if lid < 0 || int(lid) >= v.Len() {
-				return nil, fmt.Errorf("shardrpc: candidate set %d: local ID %d outside view of %d nodes", i, lid, v.Len())
-			}
-			elems[j] = matcher.Candidate{Node: v.Node(int(lid)), Sim: sets[i].Sims[j]}
-		}
-		out.Sets[i].Elems = elems
-	}
-	return out, nil
-}
-
 // WireCluster is one cluster in local-ID form: parallel arrays for the
 // member elements plus the medoid and owning tree.
 type WireCluster struct {
@@ -456,83 +384,6 @@ type WireCluster struct {
 	Medoid int32    `json:"medoid"` // local ID, -1 when unset
 	Local  []int32  `json:"local"`
 	Masks  []uint64 `json:"masks"`
-}
-
-// EncodeClusters translates clusters (whole, never split — clusters never
-// span trees, so each belongs wholesale to one shard) into local-ID form,
-// cutting every cluster's arrays from one slab per element type.
-func EncodeClusters(v *labeling.View, cls []*cluster.Cluster) ([]WireCluster, error) {
-	out := make([]WireCluster, len(cls))
-	total := 0
-	for _, cl := range cls {
-		total += len(cl.Elements)
-	}
-	locals, masks := make([]int32, total), make([]uint64, total)
-	for i, cl := range cls {
-		wc := WireCluster{
-			ID:     cl.ID,
-			TreeID: cl.TreeID,
-			Medoid: -1,
-			Local:  cut(&locals, len(cl.Elements)),
-			Masks:  cut(&masks, len(cl.Elements)),
-		}
-		if cl.Medoid != nil {
-			lid := v.LocalID(cl.Medoid)
-			if lid < 0 {
-				return nil, fmt.Errorf("shardrpc: cluster %d medoid %v is outside the shard view", cl.ID, cl.Medoid)
-			}
-			wc.Medoid = int32(lid)
-		}
-		for j, e := range cl.Elements {
-			lid := v.LocalID(e.Node)
-			if lid < 0 {
-				return nil, fmt.Errorf("shardrpc: cluster %d element %v is outside the shard view", cl.ID, e.Node)
-			}
-			wc.Local[j] = int32(lid)
-			wc.Masks[j] = e.Mask
-		}
-		out[i] = wc
-	}
-	return out, nil
-}
-
-// DecodeClusters rebuilds clusters against the shard's own view. The
-// clusters and their elements are cut from one slab each.
-func DecodeClusters(v *labeling.View, wcs []WireCluster) ([]*cluster.Cluster, error) {
-	out := make([]*cluster.Cluster, len(wcs))
-	cls := make([]cluster.Cluster, len(wcs))
-	total := 0
-	for i := range wcs {
-		total += len(wcs[i].Local)
-	}
-	slab := make([]cluster.Element, total)
-	for i, wc := range wcs {
-		if len(wc.Local) != len(wc.Masks) {
-			return nil, fmt.Errorf("shardrpc: cluster %d: mismatched element arrays (%d/%d)", wc.ID, len(wc.Local), len(wc.Masks))
-		}
-		cl := &cls[i]
-		cl.ID, cl.TreeID = wc.ID, wc.TreeID
-		if wc.Medoid >= 0 {
-			if int(wc.Medoid) >= v.Len() {
-				return nil, fmt.Errorf("shardrpc: cluster %d: medoid local ID %d outside view", wc.ID, wc.Medoid)
-			}
-			cl.Medoid = v.Node(int(wc.Medoid))
-		}
-		if len(wc.Local) > 0 {
-			cl.Elements = cut(&slab, len(wc.Local))
-			for j, lid := range wc.Local {
-				if lid < 0 || int(lid) >= v.Len() {
-					return nil, fmt.Errorf("shardrpc: cluster %d: local ID %d outside view of %d nodes", wc.ID, lid, v.Len())
-				}
-				cl.Elements[j] = cluster.Element{Node: v.Node(int(lid)), Mask: wc.Masks[j]}
-			}
-			if got := v.TreeID(cl.Elements[0].Node); got != wc.TreeID {
-				return nil, fmt.Errorf("shardrpc: cluster %d claims tree %d but its elements live in tree %d", wc.ID, wc.TreeID, got)
-			}
-		}
-		out[i] = cl
-	}
-	return out, nil
 }
 
 // WireScore mirrors objective.Score.

@@ -44,21 +44,27 @@ wait_healthy() {
 wait_healthy "$PORT_A"
 wait_healthy "$PORT_B"
 
-# stat URL FIELD prints the first occurrence of one counter in a stats body
+# field BODY NAME prints the first occurrence of one counter in a stats body
 # (0 when the field is omitted as zero); shard_stat PORT FIELD reads a
-# shard's /v1/shard/stats, router_stat FIELD the router's rollup total.
-stat() {
-  local body n
-  body=$(curl -sf "$1")
-  n=$(echo "$body" | grep -o "\"$2\": *[0-9]*" | head -n 1 | grep -o '[0-9]*$' || true)
+# shard's /v1/shard/stats, router_stat FIELD the router's rollup: the
+# "total" object of its /v1/stats body, which lists the shards before it
+# (no shard object has a "total" key).
+field() {
+  local n
+  n=$(echo "$1" | grep -o "\"$2\": *[0-9]*" | head -n 1 | grep -o '[0-9]*$' || true)
   echo "${n:-0}"
 }
-shard_stat() { stat "http://127.0.0.1:$1/v1/shard/stats" "$2"; }
-router_stat() { stat "http://127.0.0.1:$PORT_R/v1/stats" "$1"; }
+shard_stat() { field "$(curl -sf "http://127.0.0.1:$1/v1/shard/stats")" "$2"; }
+router_stat() {
+  local body
+  body=$(curl -sf "http://127.0.0.1:$PORT_R/v1/stats")
+  case "$body" in
+    *'"total":'*) field "${body#*\"total\":}" "$1" ;;
+    *) echo "router stats carry no total: $body" >&2; return 1 ;;
+  esac
+}
 # router_metric NAME reads one unlabelled series of the router's /metrics:
-# the rollup, router-level counters included (the /v1/stats body lists the
-# shards before the total, so router_stat would read a shard's figure for a
-# field every shard reports).
+# the rollup, router-level counters included.
 router_metric() {
   local body
   body=$(curl -sf "http://127.0.0.1:$PORT_R/metrics")
