@@ -79,15 +79,15 @@
 // the request body. A flight follower only rebinds the candidates to its
 // own personal tree. The pre-pass entry's pooled storage goes back when
 // the last request it served and the last shard it was handed to let go
-// (Staged describes who holds a projection, and until when). A remote
-// shard that has answered the request before gets a slim request instead,
-// answered from its report cache.
+// (Staged describes who holds a projection, and until when). Every busy
+// remote shard gets the full request, once per attempt.
 // Shards then run only mapping generation (ShardBackend.MatchStaged with
 // the projection as its Staged argument → pipeline.Runner.RunWithClusters),
 // and only the shards that can add to the report are asked: a shard whose
 // projection holds no useful cluster (under IncludePartials, no cluster at
 // all) is idle, and the router runs the same generation stage over that
-// projection itself (Stats.IdleSkips counts these shards). The projection
+// projection itself — over no cluster, it only counts the shard's
+// candidates (Stats.IdleSkips counts these shards). The projection
 // is exact, so mappings and partials are identical to per-shard
 // computation — and because clustering is global, even the k-means
 // variants reproduce the unsharded ones exactly, which per-shard

@@ -270,3 +270,55 @@ func TestIdleDeadShardFailsNothing(t *testing.T) {
 type downShard struct{ ShardBackend }
 
 func (downShard) Healthy() bool { return false }
+
+// TestClusterlessReportIsRunIdles: for an idle shard whose projection holds
+// no cluster, the report the fan-out writes down without a run is, field
+// by field and timings aside, the one runIdle generates over the same
+// projection — on the paper-scale repository's clustered two- and four-way
+// partitions, under top-N, threshold and partial-mapping requests.
+func TestClusterlessReportIsRunIdles(t *testing.T) {
+	repo := repogen.MustGenerate(repogen.DefaultConfig())
+	specs := []string{"address(name,email,phone,city)", "book(title,author)", "order(id,date)", "proceedingsType(title,year)"}
+	modes := []func(*pipeline.Options){
+		func(o *pipeline.Options) { o.TopN = 10 },
+		func(o *pipeline.Options) { o.Threshold = 0.8 },
+		func(o *pipeline.Options) { o.TopN = 10; o.IncludePartials = true },
+	}
+	seen := 0
+	for _, n := range []int{2, 4} {
+		r := NewRouterWithPartition(repo, n, Config{}, PartitionClustered)
+		for _, spec := range specs {
+			for m, set := range modes {
+				personal := schema.MustParseSpec(spec)
+				opts := pipeline.DefaultOptions()
+				set(&opts)
+				e, err := r.runPrepass(context.Background(), personal, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, st := range e.shards {
+					if len(st.Clusters) != 0 {
+						continue
+					}
+					st.Cands = st.Cands.Rebind(personal)
+					want, err := r.runIdle(context.Background(), personal, opts, st)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want.MappingElements > 0 {
+						seen++
+					}
+					got := clusterless(e.cands, r.views[i], opts, st.Iterations)
+					if !reflect.DeepEqual(withoutTimes(got), withoutTimes(want)) {
+						t.Errorf("n=%d %s mode %d shard %d: report %+v, runIdle's %+v", n, spec, m, i, got, want)
+					}
+				}
+			}
+		}
+		r.Close()
+	}
+	if seen == 0 {
+		t.Fatal("no shard held candidates but no cluster: the check is vacuous")
+	}
+	t.Logf("%d cluster-less projections with candidates", seen)
+}

@@ -141,7 +141,9 @@ var ErrShardMismatch = errors.New("serve: shard topology mismatch")
 // the report: only a useful cluster (a candidate for every personal node)
 // yields a complete mapping, so a shard whose projection holds none — under
 // IncludePartials, no cluster at all — is idle. It is not asked; the router
-// runs the shard's generation stage over that projection itself. An idle
+// runs the shard's generation stage over that projection itself, or, when
+// the projection holds no cluster, writes down the report that run would
+// give (the shard's candidate count, nothing found). An idle
 // shard never fails a request nor makes it Incomplete, dead or alive.
 // The projection is exact, and because clustering is global the k-means
 // variants produce the SAME clusters as an unsharded run.
@@ -570,6 +572,13 @@ func (r *Router) fanOut(ctx context.Context, personal *schema.Tree, opts pipelin
 	for i, s := range r.shards {
 		st := e.shards[i]
 		isIdle := idle(st.Clusters, full, opts.IncludePartials)
+		if isIdle && len(st.Clusters) == 0 {
+			// Generation over no cluster finds nothing: the report is the
+			// shard's candidate count, read off the whole set.
+			reps[i] = clusterless(e.cands, r.views[i], opts, st.Iterations)
+			r.idleSkips.Add(1)
+			continue
+		}
 		// The entry is bound to the flight leader's personal tree; equal
 		// pre-pass signatures guarantee structural identity, so rebind the
 		// candidates to this request's tree (O(|personal|), candidate
@@ -702,6 +711,22 @@ func idle(clusters []*cluster.Cluster, full uint64, partials bool) bool {
 func (r *Router) runIdle(ctx context.Context, personal *schema.Tree, opts pipeline.Options, st Staged) (rep *pipeline.Report, err error) {
 	defer recoverRun(&err)
 	return r.fullRunner.RunWithClusters(ctx, personal, st.Cands, st.Clusters, st.Iterations, opts)
+}
+
+// clusterless is runIdle's report for a shard whose projection holds no
+// cluster, without the run: generation over no cluster yields no mapping,
+// partial or counter, so what is left is the shard's candidate count —
+// counted in the whole set, nothing copied.
+func clusterless(cands *matcher.Candidates, v *labeling.View, opts pipeline.Options, iterations int) *pipeline.Report {
+	n := 0
+	for i := range cands.Sets {
+		for _, c := range cands.Sets[i].Elems {
+			if v.Contains(c.Node) {
+				n++
+			}
+		}
+	}
+	return &pipeline.Report{Variant: opts.Variant, MappingElements: n, Iterations: iterations}
 }
 
 // merge wraps mergeReports with the router's merge-stage instrumentation.

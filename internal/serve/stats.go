@@ -299,8 +299,10 @@ type Stats struct {
 
 	// ProjectionCacheHits / ProjectionCacheMisses count a shard server's
 	// slim requests: a hit was answered from the report cache without the
-	// projection ever crossing the wire; a miss made the shard answer 428
-	// (report-needed) and cost the client one full resend. Always 0 off the
+	// projection ever crossing the wire; a miss was answered 428
+	// (report-needed). No router sends a slim request, so both read 0; they
+	// stay while the benchmark's wire ledger reads them, and go with the
+	// shard's slim handler once it does not. Always 0 off the
 	// shard-hosting path.
 	ProjectionCacheHits   int64 `json:"projection_cache_hits,omitempty"`
 	ProjectionCacheMisses int64 `json:"projection_cache_misses,omitempty"`

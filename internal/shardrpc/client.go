@@ -102,22 +102,13 @@ func (c copyConn) ReadFrom(r io.Reader) (int64, error) {
 //
 // Remote 504/503 map back to context.DeadlineExceeded / serve.ErrClosed so
 // the daemon's status mapping and the router's strict mode treat remote
-// shards like local ones. One response is a protocol turn rather than a
-// failure and is handled inside the attempt, on the same endpoint: 428
-// (report-needed — resend the full request).
+// shards like local ones.
 type RemoteShard struct {
 	base string
 	view *labeling.View
 	desc Descriptor
 	hc   *http.Client
 	cfg  RemoteShardConfig
-
-	// answered holds the request signatures this shard has answered with
-	// a 200. A slim request (ProjectionRef) is sent only for those; a 428
-	// forgets the signature and resends the full request. The set is
-	// cleared when it reaches maxAnswered.
-	ansMu    sync.Mutex
-	answered map[string]struct{}
 
 	// Client-side stage timers: what this process spends translating to
 	// and from the wire and waiting on the network. Folded into Stats()
@@ -136,12 +127,11 @@ func NewRemoteShard(addr string, view *labeling.View, desc Descriptor, cfg Remot
 		addr = "http://" + addr
 	}
 	return &RemoteShard{
-		base:     strings.TrimSuffix(addr, "/"),
-		view:     view,
-		desc:     desc,
-		hc:       newShardTransportClient(),
-		cfg:      cfg,
-		answered: make(map[string]struct{}),
+		base: strings.TrimSuffix(addr, "/"),
+		view: view,
+		desc: desc,
+		hc:   newShardTransportClient(),
+		cfg:  cfg,
 	}
 }
 
@@ -149,87 +139,18 @@ func NewRemoteShard(addr string, view *labeling.View, desc Descriptor, cfg Remot
 // shut down — it belongs to its own process.
 func (rs *RemoteShard) Close() { rs.hc.CloseIdleConnections() }
 
-// maxAnswered bounds answered. The shard's report cache holds far fewer
-// entries, so almost every remembered signature is stale long before the
-// cap; clearing the set costs at most one full resend per signature that
-// was still cached.
-const maxAnswered = 4096
-
-func (rs *RemoteShard) hasAnswered(sig string) bool {
-	rs.ansMu.Lock()
-	defer rs.ansMu.Unlock()
-	_, ok := rs.answered[sig]
-	return ok
-}
-
-func (rs *RemoteShard) markAnswered(sig string) {
-	rs.ansMu.Lock()
-	defer rs.ansMu.Unlock()
-	if len(rs.answered) >= maxAnswered {
-		clear(rs.answered)
-	}
-	rs.answered[sig] = struct{}{}
-}
-
-func (rs *RemoteShard) forgetAnswered(sig string) {
-	rs.ansMu.Lock()
-	defer rs.ansMu.Unlock()
-	delete(rs.answered, sig)
-}
-
-// encodedRequest is one match request translated to the wire, with lazily
-// built bodies: the full request and the slim one that asks for the
-// shard's cached report instead. A full body is written straight from the
-// staged projection the request retains into a pooled buffer (outBody).
-// Replicas of one shard share a single encodedRequest — they hold the same
-// view and descriptor — while each picks the body its own answered set
-// calls for. One request's attempts run one after another, so the bodies
-// need no lock; close gives the full body back once the attempts are over.
+// encodedRequest is one match request translated to the wire: its full
+// body, written straight from the staged projection the request retains
+// into a pooled buffer (outBody). Replicas of one shard share a single
+// encodedRequest — they hold the same view and descriptor — so failover
+// resends the same body; close gives it back once the attempts are over.
 type encodedRequest struct {
-	req    MatchRequest // the header; the projection is written from staged
-	staged serve.Staged
-	view   *labeling.View
-	full   *outBody
-	slim   []byte
+	req  MatchRequest // the header the body was written with
+	full *outBody
 }
 
-// body returns (and keeps) the request in the given shape. slim sets
-// ProjectionRef, which leaves the projection payload out of the encoding.
-func (e *encodedRequest) body(slim bool) ([]byte, error) {
-	if slim {
-		if e.slim == nil {
-			req := e.req
-			req.ProjectionRef = true
-			e.slim = EncodeBinaryMatchRequest(&req)
-		}
-		return e.slim, nil
-	}
-	if e.full == nil {
-		var src projectionSrc = wireForm{&e.req} // unstaged: no lists
-		if e.staged.Cands != nil {
-			src = stagedForm{v: e.view, cands: e.staged.Cands, clusters: e.staged.Clusters}
-		}
-		ob := outBodyPool.Get().(*outBody)
-		b, err := appendRequest(ob.b[:0], &e.req, src, &ob.sc)
-		if err != nil {
-			if cap(ob.b) <= maxPooledBody {
-				outBodyPool.Put(ob)
-			}
-			return nil, err
-		}
-		ob.b = b
-		ob.refs.Store(1)
-		e.full = ob
-	}
-	return e.full.b, nil
-}
-
-// close lets go of the request's hold on its full body.
-func (e *encodedRequest) close() {
-	if e.full != nil {
-		e.full.unref()
-	}
-}
+// close lets go of the request's hold on its body.
+func (e *encodedRequest) close() { e.full.unref() }
 
 // maxPooledBody is the largest body buffer, in bytes, that goes back to a
 // pool; a larger one is left to the collector. Real match bodies are tens
@@ -278,15 +199,12 @@ func (br *bodyReader) Close() error {
 	return nil
 }
 
-// encode translates one request to the wire and builds the body the first
-// attempt will most likely send — slim when this shard has answered the
-// request's signature before, full otherwise — so the encode timer prices
-// the real serialization work. With a staged projection — the router's
-// pre-pass path — a full body ships the projected candidates and clusters
-// in local-ID space and the remote shard runs generation only; the zero
-// Staged asks for the remote shard's full pipeline. A slim body encodes no
-// projection at all. The caller closes the request when its attempts are
-// over.
+// encode translates one request to the wire and writes its full body, so
+// the encode timer prices the real serialization work. With a staged
+// projection — the router's pre-pass path — the body ships the projected
+// candidates and clusters in local-ID space and the remote shard runs
+// generation only; the zero Staged asks for the remote shard's full
+// pipeline. The caller closes the request when its attempts are over.
 func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*encodedRequest, error) {
 	if personal == nil || personal.Root() == nil {
 		return nil, fmt.Errorf("shardrpc: nil personal schema")
@@ -301,41 +219,44 @@ func (rs *RemoteShard) encode(ctx context.Context, personal *schema.Tree, opts p
 	if err != nil {
 		return nil, err
 	}
-	enc := &encodedRequest{
-		req: MatchRequest{
-			Descriptor: rs.desc,
-			Personal:   EncodeTree(personal),
-			Signature:  serve.Signature(personal, opts),
-			Options:    wopts,
-		},
-		staged: staged,
-		view:   rs.view,
-	}
+	enc := &encodedRequest{req: MatchRequest{
+		Descriptor: rs.desc,
+		Personal:   EncodeTree(personal),
+		Signature:  serve.Signature(personal, opts),
+		Options:    wopts,
+	}}
+	var src projectionSrc = wireForm{&enc.req} // unstaged: no lists
 	if staged.Cands != nil {
 		enc.req.HasCandidates, enc.req.HasClusters = true, true
 		enc.req.Iterations = staged.Iterations
+		src = stagedForm{v: rs.view, cands: staged.Cands, clusters: staged.Clusters}
 	}
-	if _, err := enc.body(rs.hasAnswered(enc.req.Signature)); err != nil {
+	ob := outBodyPool.Get().(*outBody)
+	b, err := appendRequest(ob.b[:0], &enc.req, src, &ob.sc)
+	if err != nil {
+		if cap(ob.b) <= maxPooledBody {
+			outBodyPool.Put(ob)
+		}
 		return nil, err
 	}
+	ob.b = b
+	ob.refs.Store(1)
+	enc.full = ob
 	return enc, nil
 }
 
-// send runs one HTTP exchange of body. A full body (full set) is read
-// through readers the transport closes, so its pooled buffer outlives the
-// exchange for as long as the transport needs it.
-func (rs *RemoteShard) send(cctx, rctx context.Context, body []byte, full *outBody) (*http.Response, error) {
-	getBody := func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
-	if full != nil {
-		getBody = func() (io.ReadCloser, error) { return full.reader(), nil }
-	}
-	rd, _ := getBody()
+// send runs one HTTP exchange of the request's body, read through readers
+// the transport closes, so its pooled buffer outlives the exchange for as
+// long as the transport needs it.
+func (rs *RemoteShard) send(cctx, rctx context.Context, full *outBody) (*http.Response, error) {
+	rd := full.reader()
 	hreq, err := http.NewRequestWithContext(cctx, http.MethodPost, rs.base+"/v1/shard/match", rd)
 	if err != nil {
 		rd.Close()
 		return nil, fmt.Errorf("shardrpc: %w", err)
 	}
-	hreq.ContentLength, hreq.GetBody = int64(len(body)), getBody
+	hreq.ContentLength = int64(len(full.b))
+	hreq.GetBody = func() (io.ReadCloser, error) { return full.reader(), nil }
 	hreq.Header.Set("Content-Type", ContentTypeBinary)
 	if hv := trace.HeaderValue(rctx); hv != "" {
 		hreq.Header.Set(trace.Header, hv)
@@ -345,10 +266,7 @@ func (rs *RemoteShard) send(cctx, rctx context.Context, body []byte, full *outBo
 
 // post runs one match attempt. transport reports whether the failure
 // happened below the protocol (no HTTP response decoded), i.e. whether a
-// retry could help. The one protocol turn — 428 report-needed — is
-// resolved inside the attempt, on this same endpoint: it is an answer, not
-// a failure, so it must not trigger replica failover or count against
-// health.
+// retry could help.
 func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipeline.Report, transport bool, err error) {
 	cctx := ctx
 	if rs.cfg.Timeout > 0 {
@@ -362,29 +280,8 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 	rctx, rsp := trace.StartSpan(cctx, "rpc.roundtrip")
 	defer rsp.End()
 
-	slim := rs.hasAnswered(enc.req.Signature)
-	body, err := enc.body(slim)
-	if err != nil {
-		return nil, false, err
-	}
-	full := enc.full
-	if slim {
-		full = nil
-	}
 	rtStart := time.Now()
-	resp, err := rs.send(cctx, rctx, body, full)
-	if err == nil && resp.StatusCode == http.StatusPreconditionRequired && slim {
-		// Report-needed: the shard no longer caches the report (restart,
-		// eviction). Resend the full request — same endpoint, same
-		// attempt; the full body is built from the retained projection.
-		drain(resp)
-		rs.forgetAnswered(enc.req.Signature)
-		rsp.SetAttr("slim", "resent")
-		if body, err = enc.body(false); err != nil {
-			return nil, false, err
-		}
-		resp, err = rs.send(cctx, rctx, body, enc.full)
-	}
+	resp, err := rs.send(cctx, rctx, enc.full)
 	if err != nil {
 		rsp.SetAttr("error", err.Error())
 		return nil, true, fmt.Errorf("shardrpc: shard %s unreachable: %w", rs.base, err)
@@ -417,9 +314,6 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 	if err != nil {
 		return nil, false, err
 	}
-	// The shard answered this signature, so it now caches the report and
-	// a repeat can go slim.
-	rs.markAnswered(enc.req.Signature)
 	// Stitch the shard-side spans into the caller's trace. A decode
 	// failure here loses observability, never correctness — drop quietly.
 	if tr := trace.FromContext(ctx); tr != nil && len(mr.Spans) > 0 {
@@ -428,13 +322,6 @@ func (rs *RemoteShard) post(ctx context.Context, enc *encodedRequest) (rep *pipe
 		}
 	}
 	return rep, false, nil
-}
-
-// drain discards and closes an HTTP response body that will not be read,
-// keeping the connection reusable.
-func drain(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
 }
 
 // statusError maps a non-200 shard response back onto the error classes

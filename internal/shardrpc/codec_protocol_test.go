@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -38,7 +37,7 @@ func postRaw(t *testing.T, srv *httptest.Server, ct string, body []byte) *http.R
 }
 
 // stagedFixture returns a request shape with the router's pre-pass staged
-// for ts's shard — the projection-carrying path the slim protocol runs on.
+// for ts's shard — the projection-carrying path every router request takes.
 func stagedFixture(t *testing.T, ts *testShard) (*schema.Tree, pipeline.Options, serve.Staged) {
 	t.Helper()
 	personal := schema.MustParseSpec("address(name,email)")
@@ -54,16 +53,6 @@ func stagedFixture(t *testing.T, ts *testShard) (*schema.Tree, pipeline.Options,
 		Clusters:   clustersForView(ts.clientView, clusters),
 		Iterations: iterations,
 	}
-}
-
-// mustBody returns the encoded request's body in the given shape.
-func mustBody(t *testing.T, enc *encodedRequest, slim bool) []byte {
-	t.Helper()
-	b, err := enc.body(slim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // TestShardServerContentType pins the wire edge of /v1/shard/match: only
@@ -159,120 +148,77 @@ func TestShardServerContentType(t *testing.T) {
 	}
 }
 
-// TestSlimRequestProtocol drives the slim request end to end: a full staged
-// request teaches the client that the shard answered its signature, the
-// repeat goes out slim and the shard answers it from its report cache, and a
-// shard restart (empty cache, client still believes) recovers through the
-// 428 protocol turn inside the same attempt.
+// TestSlimRequestProtocol pins the shard's slim handler on raw bodies. No
+// router sends one, but the shard still answers it: a slim request for a
+// signature whose report the shard caches → 200 with that report, counted
+// as one hit; for an uncached signature → 428 report-needed, one miss;
+// without a signature → 400, counted as neither.
 func TestSlimRequestProtocol(t *testing.T) {
 	ts := shardUnderTest(t)
-	rs, set := ts.rs, ts.set
 	personal, opts, staged := stagedFixture(t, ts)
-	ctx := context.Background()
-
-	first, err := set.MatchStaged(ctx, personal, opts, staged)
+	first, err := ts.set.MatchStaged(context.Background(), personal, opts, staged)
 	if err != nil {
 		t.Fatal(err)
-	}
-	enc, err := rs.encode(ctx, personal, opts, staged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rs.hasAnswered(enc.req.Signature) {
-		t.Fatal("client did not learn the signature from a served full request")
-	}
-	if enc.full != nil || enc.req.Candidates != nil {
-		t.Fatal("encoding an answered signature built the full body")
 	}
 	if st := ts.host.Stats(); st.ProjectionCacheHits != 0 || st.ProjectionCacheMisses != 0 {
 		t.Fatalf("full request counted as slim: hits=%d misses=%d", st.ProjectionCacheHits, st.ProjectionCacheMisses)
 	}
-	fullLen, slimLen := len(mustBody(t, enc, false)), len(mustBody(t, enc, true))
-	if slimLen >= fullLen {
-		t.Fatalf("slim body (%d bytes) not smaller than full (%d bytes)", slimLen, fullLen)
+	slimFor := func(o pipeline.Options) MatchRequest {
+		t.Helper()
+		wopts, err := EncodeOptions(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MatchRequest{
+			Descriptor: ts.host.desc, Personal: EncodeTree(personal),
+			Signature: serve.Signature(personal, o), Options: wopts, ProjectionRef: true,
+		}
 	}
 
-	second, err := set.MatchStaged(ctx, personal, opts, staged)
+	cached := slimFor(opts)
+	resp := postRaw(t, ts.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&cached))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cached signature: %d, want 200", resp.StatusCode)
+	}
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertReportsEquivalent(t, "slim repeat", second, first)
+	mr, err := DecodeBinaryMatchResponse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := DecodeReport(ts.clientView, mr.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertReportsEquivalent(t, "slim hit", rep, first)
 	st := ts.host.Stats()
 	if st.ProjectionCacheHits != 1 || st.ProjectionCacheMisses != 0 {
-		t.Errorf("slim repeat: hits=%d misses=%d, want 1/0", st.ProjectionCacheHits, st.ProjectionCacheMisses)
+		t.Errorf("cached signature: hits=%d misses=%d, want 1/0", st.ProjectionCacheHits, st.ProjectionCacheMisses)
 	}
-	// The repeat was the report cache's: one run, one hit, two requests.
 	if st.Requests != 2 || st.CacheHits != 1 || st.PipelineRuns != 1 {
-		t.Errorf("slim repeat: requests=%d cache hits=%d runs=%d, want 2/1/1", st.Requests, st.CacheHits, st.PipelineRuns)
-	}
-	// Exactly one full and one slim binary body arrived — the repeat
-	// really did skip the projection payload on the wire.
-	if got, want := st.WireBytes.InBinary, int64(fullLen+slimLen); got != want {
-		t.Errorf("shard saw %d binary request bytes, want %d (full %d + slim %d)", got, want, fullLen, slimLen)
+		t.Errorf("cached signature: requests=%d cache hits=%d runs=%d, want 2/1/1", st.Requests, st.CacheHits, st.PipelineRuns)
 	}
 
-	// Shard restart: fresh process, empty cache; the client still believes
-	// the signature is answered. The slim request bounces 428 and the client
-	// resends the full request on the same replica, in the same attempt.
-	ts2 := shardUnderTest(t)
-	rs2 := NewRemoteShard(ts2.srv.URL, ts.clientView, ts2.host.desc, RemoteShardConfig{})
-	set2 := NewReplicaSet([]*RemoteShard{rs2}, serve.HealthConfig{})
-	defer set2.Close()
-	rs2.markAnswered(enc.req.Signature) // stale knowledge, as after a shard restart
-	third, err := set2.MatchStaged(ctx, personal, opts, staged)
-	if err != nil {
-		t.Fatalf("report-needed turn did not recover: %v", err)
-	}
-	assertReportsEquivalent(t, "428 recovery", third, first)
-	if st2 := ts2.host.Stats(); st2.ProjectionCacheMisses != 1 || st2.ProjectionCacheHits != 0 || st2.PipelineRuns != 1 {
-		t.Errorf("restart: misses=%d hits=%d runs=%d, want exactly the bounced slim request and one run",
-			st2.ProjectionCacheMisses, st2.ProjectionCacheHits, st2.PipelineRuns)
-	}
-	if n, f := set2.unreachables.Load(), set2.failovers.Load(); n != 0 || f != 0 {
-		t.Errorf("protocol turn charged %d unreachable requests and %d failovers", n, f)
-	}
-	if !set2.mons[0].Healthy() {
-		t.Error("protocol turn marked the replica unhealthy")
-	}
-	if !rs2.hasAnswered(enc.req.Signature) {
-		t.Error("signature not re-learned after the full resend")
-	}
-	if _, err := set2.MatchStaged(ctx, personal, opts, staged); err != nil {
-		t.Fatal(err)
-	}
-	if st2 := ts2.host.Stats(); st2.ProjectionCacheHits != 1 {
-		t.Errorf("post-recovery repeat: hits = %d, want 1", st2.ProjectionCacheHits)
-	}
-
-	// Raw protocol pins: a slim request for a signature the shard has not
-	// cached → 428, counted as one miss; a slim request without a
-	// signature → 400, counted as nothing.
 	other := opts
 	other.TopN = opts.TopN + 3
-	wopts, err := EncodeOptions(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slim := MatchRequest{
-		Descriptor: ts2.host.desc, Personal: EncodeTree(personal),
-		Signature: serve.Signature(personal, other), Options: wopts, ProjectionRef: true,
-	}
-	misses := ts2.host.Stats().ProjectionCacheMisses
-	resp := postRaw(t, ts2.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&slim))
+	uncached := slimFor(other)
+	resp = postRaw(t, ts.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&uncached))
 	var e errorJSON
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || resp.StatusCode != http.StatusPreconditionRequired ||
 		!strings.Contains(e.Error, "report-needed") {
 		t.Errorf("uncached signature: %d %q, want 428 report-needed", resp.StatusCode, e.Error)
 	}
-	if got := ts2.host.Stats().ProjectionCacheMisses; got != misses+1 {
-		t.Errorf("uncached signature: misses %d → %d, want one more", misses, got)
+	if st := ts.host.Stats(); st.ProjectionCacheHits != 1 || st.ProjectionCacheMisses != 1 {
+		t.Errorf("uncached signature: hits=%d misses=%d, want 1/1", st.ProjectionCacheHits, st.ProjectionCacheMisses)
 	}
-	slim.Signature = ""
-	if resp := postRaw(t, ts2.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&slim)); resp.StatusCode != http.StatusBadRequest {
+	uncached.Signature = ""
+	if resp := postRaw(t, ts.srv, ContentTypeBinary, EncodeBinaryMatchRequest(&uncached)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("slim request without signature: %d, want 400", resp.StatusCode)
 	}
-	if got := ts2.host.Stats().ProjectionCacheMisses; got != misses+1 {
-		t.Errorf("slim request without signature counted as a miss: %d", got)
+	if st := ts.host.Stats(); st.ProjectionCacheHits != 1 || st.ProjectionCacheMisses != 1 {
+		t.Errorf("slim request without signature counted: hits=%d misses=%d, want 1/1", st.ProjectionCacheHits, st.ProjectionCacheMisses)
 	}
 }
 
@@ -314,52 +260,5 @@ func TestRemoteShardConnectionReuse(t *testing.T) {
 	}
 	if reused < n-2 {
 		t.Errorf("only %d/%d requests reused a pooled connection", reused, conns)
-	}
-}
-
-// TestAnsweredBounded: the client's memory of which signatures a shard
-// answered is capped — ten caps' worth of distinct signatures never leaves
-// more than maxAnswered behind, and every request is still answered (a
-// forgotten signature costs one full send, never an error).
-func TestAnsweredBounded(t *testing.T) {
-	ts := shardUnderTest(t)
-	rs, set := ts.rs, ts.set
-	personal, opts, staged := stagedFixture(t, ts)
-	ctx := context.Background()
-
-	// Real round trips across the boundary where the set is cleared; the
-	// result count is part of the signature, so each request is a distinct
-	// report on the shard.
-	for i := 0; i < maxAnswered-2; i++ {
-		rs.markAnswered(fmt.Sprintf("filler-%d", i))
-	}
-	for i := 0; i < 5; i++ {
-		opts.TopN = 3 + i
-		if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
-			t.Fatalf("request %d across the cap: %v", i, err)
-		}
-		if n := len(rs.answered); n > maxAnswered {
-			t.Fatalf("answered holds %d signatures after request %d, cap %d", n, i, maxAnswered)
-		}
-	}
-	// The latest signature survived the clear, so its repeat goes out slim.
-	hits := ts.host.Stats().ProjectionCacheHits
-	if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
-		t.Fatal(err)
-	}
-	if got := ts.host.Stats().ProjectionCacheHits; got != hits+1 {
-		t.Errorf("repeat after the clear: slim hits %d → %d, want a slim request", hits, got)
-	}
-
-	// Ten caps' worth of distinct signatures.
-	for i := 0; i < 10*maxAnswered; i++ {
-		rs.markAnswered(fmt.Sprintf("sig-%d", i))
-		if n := len(rs.answered); n > maxAnswered {
-			t.Fatalf("answered holds %d signatures after %d marks, cap %d", n, i+1, maxAnswered)
-		}
-	}
-	// A signature the clear forgot is simply sent in full again.
-	if _, err := set.MatchStaged(ctx, personal, opts, staged); err != nil {
-		t.Fatalf("request after its signature was forgotten: %v", err)
 	}
 }

@@ -29,18 +29,16 @@
 // binary.go (Content-Type application/x-bellflower-shard; anything else is
 // 415). There is no negotiation: router and shards are deployed from the
 // same build. The router answers repeats from its own report cache, so a
-// repeat reaches a shard only once the router has evicted it. A request a
-// shard has already answered travels slim, without
-// its projection: it asks the shard for the report it cached under the
-// request signature (serve.Service.MatchCached), as an in-process shard
-// would look it up. A shard that no longer caches the report answers 428 and
-// the client resends the full request in the same attempt, on the same
-// replica. Each client remembers the signatures its shard answered with a
-// 200 (at most 4,096). A cold request is one pass over its bytes on each
-// side, and allocates no storage for its projection: the client writes the
-// full body once, straight from the router's staged projection (only its
-// shard's candidates) into a pooled buffer that goes back once the
-// transport has closed every reader of it; the shard reads it into a
+// repeat reaches a shard only once the router has evicted it, and then as
+// the full request, which the shard answers from its own report cache. The
+// router sends full requests only; a shard still answers a slim one (no
+// projection, "the report you cached under this signature", or 428), as
+// the one writer of the counters the benchmark's wire ledger reads. A
+// request is one pass over its bytes on each side, and allocates no
+// storage for its projection: the client writes the full body once,
+// straight from the router's staged projection (only its shard's
+// candidates) into a pooled buffer that goes back once the transport has
+// closed every reader of it; the shard reads it into a
 // pooled buffer of its Content-Length (trusted up to 1 MiB; a larger
 // declared body is read as it arrives) and decodes the projection straight
 // into pooled candidate and cluster storage on its view, which its service

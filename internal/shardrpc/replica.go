@@ -147,17 +147,16 @@ func (z *ReplicaSet) Check(ctx context.Context) error {
 
 // MatchStaged implements serve.ShardBackend with replica failover. It
 // encodes the request ONCE (all replicas share the descriptor and view, so
-// one encoded request serves every attempt — each replica picks the body
-// shape its own answered signatures call for) and walks the attempt
-// order: healthy replicas first, rotated round-robin so concurrent requests
+// one full body serves every attempt) and walks the attempt order:
+// healthy replicas first, rotated round-robin so concurrent requests
 // spread across the group; unhealthy replicas last, as a live-traffic last
 // resort when every healthy attempt failed. A transport error feeds the
 // failing replica's monitor and moves on; an HTTP-level error is the
 // shard's authoritative answer and returns immediately. Only a request that
 // EXHAUSTS its attempts counts as unreachable — one rescued by a later
-// attempt is a served request, not an error. Every attempt's body is
-// written from the projection before MatchStaged returns, so a staged
-// Release is called on return.
+// attempt is a served request, not an error. The body is written from the
+// projection before the first attempt, so a staged Release is called on
+// return.
 func (z *ReplicaSet) MatchStaged(ctx context.Context, personal *schema.Tree, opts pipeline.Options, staged serve.Staged) (*pipeline.Report, error) {
 	if staged.Release != nil {
 		defer staged.Release()

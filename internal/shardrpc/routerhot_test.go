@@ -74,11 +74,12 @@ func newRemoteRouter(tb testing.TB, repo func() *schema.Repository, n int, cfg s
 // router asks both.
 func hotPersonal() *schema.Tree { return schema.MustParseSpec("person(name,email)") }
 
-// TestRouterResendsEntryProjectionAfter428: a shard that lost a request's
-// report answers the slim repeat 428; the router resends the full body built
-// from the request's own projection, without a second pre-pass, and the
-// shard generates over it and caches the report.
-func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
+// TestRouterSendsOnlyFullBodies: with the router's report cache off, a
+// repeat reaches each busy shard as the full body again — never a slim
+// one — and the shard answers it from its own report cache; after a shard
+// restart the repeat is one full request that the shard runs, with no 428
+// turn; and the router runs one pre-pass per request.
+func TestRouterSendsOnlyFullBodies(t *testing.T) {
 	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2, noRouterCache)
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.35
@@ -90,32 +91,45 @@ func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
 		}
 		return rep
 	}
-	first := match()
-	for i := range rr.hosts {
-		if st := rr.hosts[i].Load().Stats(); st.ProjectionCacheHits != 0 {
-			t.Fatalf("shard %d: a first request was answered as slim", i)
+	noSlim := func(what string, i int, st serve.Stats) {
+		t.Helper()
+		if st.ProjectionCacheHits != 0 || st.ProjectionCacheMisses != 0 {
+			t.Fatalf("%s: shard %d: slim hits %d misses %d, want 0/0", what, i, st.ProjectionCacheHits, st.ProjectionCacheMisses)
 		}
 	}
-	assertReportsEquivalent(t, "slim repeat", match(), first)
+	first := match()
+	cold := make([]serve.Stats, len(rr.hosts))
 	for i := range rr.hosts {
-		if st := rr.hosts[i].Load().Stats(); st.ProjectionCacheHits != 1 {
-			t.Fatalf("shard %d: slim repeat: slim hits %d, want 1", i, st.ProjectionCacheHits)
+		cold[i] = rr.hosts[i].Load().Stats()
+		if cold[i].Requests != 1 || cold[i].WireBytes.InBinary == 0 {
+			t.Fatalf("shard %d: the cold request reached it %d times with %d bytes, want once", i, cold[i].Requests, cold[i].WireBytes.InBinary)
+		}
+		noSlim("cold", i, cold[i])
+	}
+
+	assertReportsEquivalent(t, "repeat", match(), first)
+	for i := range rr.hosts {
+		st := rr.hosts[i].Load().Stats()
+		noSlim("repeat", i, st)
+		if got, full := st.WireBytes.InBinary-cold[i].WireBytes.InBinary, cold[i].WireBytes.InBinary; got != full {
+			t.Errorf("shard %d: the repeat's body is %d bytes, want the full body's %d", i, got, full)
+		}
+		if st.CacheHits != cold[i].CacheHits+1 || st.PipelineRuns != cold[i].PipelineRuns {
+			t.Errorf("shard %d: cache hits %d → %d, runs %d → %d; want the repeat answered from the shard's cache",
+				i, cold[i].CacheHits, st.CacheHits, cold[i].PipelineRuns, st.PipelineRuns)
 		}
 	}
 
 	rr.restart(0)
-	assertReportsEquivalent(t, "after the 428 turn", match(), first)
+	assertReportsEquivalent(t, "after a shard restart", match(), first)
 	st := rr.hosts[0].Load().Stats()
-	if st.ProjectionCacheMisses != 1 || st.ProjectionCacheHits != 0 || st.Errors != 0 {
-		t.Fatalf("restarted shard: slim misses %d hits %d errors %d, want the one bounced slim request",
-			st.ProjectionCacheMisses, st.ProjectionCacheHits, st.Errors)
+	noSlim("restarted", 0, st)
+	if st.Requests != 1 || st.PipelineRuns != 1 || st.Errors != 0 || st.WireBytes.InBinary != cold[0].WireBytes.InBinary {
+		t.Errorf("restarted shard: requests %d runs %d errors %d, %d bytes in; want one full request of %d bytes, run once",
+			st.Requests, st.PipelineRuns, st.Errors, st.WireBytes.InBinary, cold[0].WireBytes.InBinary)
 	}
-	match()
-	if st := rr.hosts[0].Load().Stats(); st.ProjectionCacheHits != 1 {
-		t.Fatalf("restarted shard: slim hits %d after the resend, want 1: the report was not cached", st.ProjectionCacheHits)
-	}
-	if n := rr.Stats().CandidatePrePass; n != 4 {
-		t.Fatalf("CandidatePrePass = %d, want one per request: the 428 turn runs none", n)
+	if n := rr.Stats().CandidatePrePass; n != 3 {
+		t.Fatalf("CandidatePrePass = %d, want one per request", n)
 	}
 }
 
@@ -124,9 +138,10 @@ func TestRouterResendsEntryProjectionAfter428(t *testing.T) {
 var noRouterCache = serve.Config{CacheSize: -1}
 
 // TestRouterOptionChangeSendsFullBody: a request that shares its pre-pass
-// shape with an answered one but differs in its generation options has a
-// signature no shard has answered, so each shard gets the full body — no
-// 428 turn — and generates over the request's projection.
+// shape with an answered one but differs in its generation options reaches
+// each shard as a full body, and the shard generates over the request's
+// projection; the repeat is answered from the shard's cache. No request
+// goes slim.
 func TestRouterOptionChangeSendsFullBody(t *testing.T) {
 	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2, noRouterCache)
 	personal := hotPersonal()
@@ -140,9 +155,9 @@ func TestRouterOptionChangeSendsFullBody(t *testing.T) {
 	}
 	for i := range rr.hosts {
 		st := rr.hosts[i].Load().Stats()
-		if st.ProjectionCacheMisses != 0 || st.ProjectionCacheHits != 1 || st.PipelineRuns != 3 {
-			t.Fatalf("shard %d: slim misses %d hits %d runs %d, want 0/1/3: only the top_n 10 repeat goes slim",
-				i, st.ProjectionCacheMisses, st.ProjectionCacheHits, st.PipelineRuns)
+		if st.ProjectionCacheMisses != 0 || st.ProjectionCacheHits != 0 || st.PipelineRuns != 3 || st.CacheHits != 1 {
+			t.Fatalf("shard %d: slim misses %d hits %d, runs %d, cache hits %d; want 0/0, 3, 1: only the top_n 10 repeat is cached",
+				i, st.ProjectionCacheMisses, st.ProjectionCacheHits, st.PipelineRuns, st.CacheHits)
 		}
 	}
 	if n := rr.Stats().CandidatePrePass; n != 4 {
@@ -151,9 +166,9 @@ func TestRouterOptionChangeSendsFullBody(t *testing.T) {
 }
 
 // TestRouterConcurrentRepeats: concurrent requests of one shape reach the
-// shards as full and slim bodies in whatever order — whichever request a
-// shard answers first, every report matches the one-at-a-time answer, each
-// shard asked generates once and bounces no slim request. Run under -race.
+// shards as identical full bodies, which meet at the shard's flight group
+// and report cache — every report matches the one-at-a-time answer, each
+// shard asked generates once, and no request goes slim. Run under -race.
 func TestRouterConcurrentRepeats(t *testing.T) {
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.35
@@ -192,9 +207,9 @@ func TestRouterConcurrentRepeats(t *testing.T) {
 			continue
 		}
 		asked++
-		if st.Requests != callers*repeats || st.PipelineRuns != 1 || st.ProjectionCacheMisses != 0 {
-			t.Errorf("shard %d: %d requests, %d pipeline runs, %d bounced slim requests; want %d, 1, 0",
-				i, st.Requests, st.PipelineRuns, st.ProjectionCacheMisses, callers*repeats)
+		if st.Requests != callers*repeats || st.PipelineRuns != 1 || st.ProjectionCacheHits != 0 || st.ProjectionCacheMisses != 0 {
+			t.Errorf("shard %d: %d requests, %d pipeline runs, %d/%d slim hits/misses; want %d, 1, 0/0",
+				i, st.Requests, st.PipelineRuns, st.ProjectionCacheHits, st.ProjectionCacheMisses, callers*repeats)
 		}
 	}
 	if asked == 0 {
@@ -246,52 +261,6 @@ func TestRouterRepeatReachesNoRemoteShard(t *testing.T) {
 	}
 	if got := rr.Stats().CacheHits; got != hits+2 {
 		t.Errorf("router cache hits %d → %d, want +2", hits, got)
-	}
-}
-
-// TestHotEncodeAllocsFlat: once the shard has answered a request's
-// signature, encoding the request builds only the slim body, so its
-// allocations do not grow with the candidate count.
-func TestHotEncodeAllocsFlat(t *testing.T) {
-	ts := shardUnderTest(t)
-	personal := schema.MustParseSpec("address(name,email)")
-	opts := pipeline.DefaultOptions()
-	hot := func(minSim float64) (allocs float64, elems int) {
-		opts.MinSim = minSim
-		cands := matcher.FindCandidates(personal, ts.clientRepo, matcher.NameMatcher{}, matcher.Config{MinSim: minSim})
-		clusters, iterations, err := pipeline.ComputeClusters(ts.clientIx, cands, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		staged := serve.Staged{
-			Cands:      cands.Restrict(ts.clientView.Contains),
-			Clusters:   clustersForView(ts.clientView, clusters),
-			Iterations: iterations,
-		}
-		ts.rs.markAnswered(serve.Signature(personal, opts))
-		var enc *encodedRequest
-		allocs = testing.AllocsPerRun(20, func() {
-			enc, err = ts.rs.encode(context.Background(), personal, opts, staged)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if enc.full != nil {
-			t.Fatal("a hot encode built the full body")
-		}
-		return allocs, staged.Cands.TotalMappingElements()
-	}
-	few, nFew := hot(0.6)
-	many, nMany := hot(0.1)
-	if nMany < 2*nFew {
-		t.Fatalf("candidate counts %d and %d are too close to show growth", nFew, nMany)
-	}
-	// The request, its personal tree, signature and slim body: five
-	// allocations for a two-node schema, with headroom.
-	const ceiling = 10
-	if few != many || many > ceiling {
-		t.Fatalf("hot encode allocs: %v for %d candidates, %v for %d; want equal and at most %d",
-			few, nFew, many, nMany, ceiling)
 	}
 }
 

@@ -34,7 +34,10 @@ const maxMatchBody = 64 << 20
 // in-process router would call — so a remote fan-out's per-shard reports,
 // caches and dedupe behave identically to the local topology. A slim
 // request (MatchRequest.ProjectionRef) is answered from the service's
-// report cache alone (Service.MatchCached), or 428.
+// report cache alone (Service.MatchCached), or 428. No router sends one
+// any more: the handler stays only because the benchmark's wire ledger
+// reads its counters (Stats.ProjectionCacheHits/Misses), and those must
+// keep a real writer; it goes with them.
 //
 // Match requests and responses are binary (Content-Type
 // application/x-bellflower-shard); any other or absent Content-Type is
@@ -197,10 +200,10 @@ func (s *ShardServer) HandleMatch(w http.ResponseWriter, r *http.Request) {
 	mctx, msp := trace.StartSpan(ctx, "match")
 	var rep *pipeline.Report
 	if req.ProjectionRef {
-		// A slim request asks for the report cached under its signature.
-		// 428 tells the client to resend the full request; it is a
-		// protocol turn, not a failure, so clients neither fail over nor
-		// count it against replica health.
+		// A slim request asks for the report cached under its signature,
+		// or 428 (report-needed). The router only sends full requests;
+		// this branch is kept as the one writer of the slim counters the
+		// benchmark's wire ledger reads.
 		var ok bool
 		if rep, ok = s.svc.MatchCached(personal, opts); !ok {
 			s.slimMisses.Add(1)

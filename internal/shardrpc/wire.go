@@ -597,9 +597,10 @@ func DecodeReport(v *labeling.View, wr WireReport) (*pipeline.Report, error) {
 //
 // A slim request sets ProjectionRef and OMITS the projection entirely: it
 // asks the shard to answer with the report it cached under Signature, which
-// it must carry. The shard answers 428 (report-needed) when it holds none,
-// and the client resends the full request. ProjectionHash is still encoded
-// but nothing sets or reads it.
+// it must carry. The shard answers 428 (report-needed) when it holds none.
+// The router never sends one. ProjectionHash is still encoded; only the
+// benchmark's wire-ledger replay sets it (ProjectionDigest), and no shard
+// reads it.
 type MatchRequest struct {
 	Descriptor     Descriptor         `json:"descriptor"`
 	Personal       WireTree           `json:"personal"`

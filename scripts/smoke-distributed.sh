@@ -6,9 +6,9 @@
 # it from its own report cache without asking a shard, a match that is
 # idle on shard B (no useful cluster there) proving the router does not
 # ask it, and — once that match has evicted the first from the router's
-# one-entry cache — the first match again, proving shard A answers it as a
-# slim request from its report cache. Then the control-plane drill: kill one shard
-# mid-run, assert the -partial router keeps answering (Incomplete) and
+# one-entry cache — the first match again, proving it reaches shard A as one
+# full request that A answers from its report cache. Then the control-plane
+# drill: kill one shard mid-run, assert the -partial router keeps answering (Incomplete) and
 # reports the shard unhealthy, restart the shard, and assert probes
 # re-admit it. Run from anywhere; used by CI.
 set -euo pipefail
@@ -142,20 +142,30 @@ if [ "$(router_stat idle_skips)" -ne $((idle + 1)) ]; then
 fi
 
 # That request evicted the first from the router's one-entry cache, so the
-# first body again reaches the shards: as a slim request (no projection),
-# which shard A answers from its report cache — a hit, and no 428
-# report-needed turn.
+# first body again reaches the shards: as the full request, which shard A
+# answers from its report cache — one more cache hit, no pipeline run. The
+# router sends no slim request, so A's slim counters stay 0 throughout.
+no_slim() {
+  local hits misses
+  hits=$(shard_stat "$PORT_A" projection_cache_hits)
+  misses=$(shard_stat "$PORT_A" projection_cache_misses)
+  if [ "$hits" -ne 0 ] || [ "$misses" -ne 0 ]; then
+    echo "$1: shard A counts $hits slim hits and $misses 428s, want 0 and 0" >&2
+    exit 1
+  fi
+}
+a_hits=$(shard_stat "$PORT_A" cache_hits)
+a_runs=$(shard_stat "$PORT_A" pipeline_runs)
 resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$FIRST")
 if echo "$resp" | grep -q '"incomplete": true'; then
   echo "match resent after eviction reported incomplete: $resp" >&2
   exit 1
 fi
-hits=$(shard_stat "$PORT_A" projection_cache_hits)
-misses=$(shard_stat "$PORT_A" projection_cache_misses)
-if [ "$hits" -lt 1 ] || [ "$misses" -ne 0 ]; then
-  echo "shard A answered the resent match with $hits slim hits and $misses 428s, want >= 1 and 0" >&2
+if [ "$(shard_stat "$PORT_A" cache_hits)" -ne $((a_hits + 1)) ] || [ "$(shard_stat "$PORT_A" pipeline_runs)" -ne "$a_runs" ]; then
+  echo "shard A: cache hits $a_hits -> $(shard_stat "$PORT_A" cache_hits), runs $a_runs -> $(shard_stat "$PORT_A" pipeline_runs) on the resent match, want +1 and unchanged" >&2
   exit 1
 fi
+no_slim "resent match"
 
 # The drill request holds a useful cluster on shard B: it reaches B while B
 # is up, so its Incomplete answer below is B's death showing, not a shape
@@ -218,13 +228,10 @@ if echo "$resp" | grep -q '"incomplete": true'; then
   exit 1
 fi
 # top_n 6, 7 and 9 share the first request's pre-pass shape but not its
-# signature: shard A got them as full bodies, never a 428.
-if [ "$(shard_stat "$PORT_A" projection_cache_misses)" -ne 0 ]; then
-  echo "shard A answered a request with a new signature 428" >&2
-  exit 1
-fi
+# signature: shard A got them as full bodies, never a slim one.
+no_slim "end of the drill"
 
 echo "distributed smoke: 2 shard servers + 1 router served one match end to end,"
 echo "  its repeat from the router's cache, left an idle shard unasked, resent the"
-echo "  evicted match as slim requests, survived a shard kill as a partial result,"
-echo "  and re-admitted the restarted shard"
+echo "  evicted match as full requests answered from shard A's cache, survived a"
+echo "  shard kill as a partial result, and re-admitted the restarted shard"
