@@ -206,7 +206,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		srv := newRemoteServer(backend, repo, desc, logger)
+		srv := newRemoteServer(backend, repo, desc, svcCfg.CacheSize >= 0, logger)
 		srv.setTracing(rec, slowThreshold)
 		srv.setMaxBody(*maxBodyBytes)
 		logger.Info("serving",

@@ -96,7 +96,7 @@ func testDistributedServer(t *testing.T, cfg bellflower.ServiceConfig, shards in
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newRemoteServer(backend, repo, "test", newQuietLogger())
+	srv := newRemoteServer(backend, repo, "test", cfg.CacheSize >= 0, newQuietLogger())
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(func() {
 		ts.Close()

@@ -128,7 +128,7 @@ func TestOneGroupRouterStatsCarryReplicaHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := newRemoteServer(backend, repo, "test", logger)
+	router := newRemoteServer(backend, repo, "test", true, logger)
 	defer router.closeNow()
 	srv := httptest.NewServer(router.routes())
 	defer srv.Close()

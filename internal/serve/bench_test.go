@@ -48,7 +48,7 @@ func BenchmarkServiceCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.MatchJSON(context.Background(), personals[i%len(personals)], opts); err != nil {
+		if _, err := s.MatchJSON(context.Background(), personals[i%len(personals)], opts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

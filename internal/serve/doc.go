@@ -15,7 +15,12 @@
 //   - an LRU cache keyed by a canonical request signature serves repeated
 //     questions without running the pipeline at all — and, through
 //     MatchJSON, without rendering the answer again: a report's HTTP
-//     rendering (AppendReportJSON) is kept in the report's own cache entry.
+//     rendering (AppendReportJSON) is kept in the report's own cache entry;
+//   - in front of it, an alias index maps the raw bytes of requests the
+//     entry answered (MatchJSON's raw argument) to the entry, so that
+//     CachedJSON answers a byte-identical repeat before it is decoded,
+//     parsed or signed: a hash of the bytes, one map probe and a full byte
+//     comparison.
 //
 // Per-request deadlines and cancellation are honoured end to end: a
 // request context expiring while queued or running releases the caller
@@ -65,8 +70,9 @@
 // # Report cache and candidate pre-pass
 //
 // A router answers a repeated request from its own report cache of merged
-// reports and their renderings, and asks no shard. Only the requests it
-// cannot answer run the pre-pass: element matching and clustering execute
+// reports, their renderings and their aliases, and asks no shard. Only the
+// requests it cannot answer run the pre-pass: element matching and
+// clustering execute
 // once against the full repository, keyed by a pre-pass signature
 // (personal schema + matcher + MinSim + clustering options), shared in
 // flight through the same flight group type a Service uses but kept once
@@ -100,8 +106,9 @@
 //
 // All serving caches are report caches — every shard's and a router's own
 // — and answer to one byte-budget memory governor: each entry, a report
-// with its attached rendering, is size-estimated in bytes and charged to a
-// single account (Config.CacheBytes). When the budget is exceeded the
+// with its attached rendering and aliases, is size-estimated in bytes and
+// charged to a single account (Config.CacheBytes); an entry's aliases are
+// evicted with it. When the budget is exceeded the
 // governor evicts the globally least-recently-used entry across every
 // member cache; per-cache entry-count caps (Config.CacheSize) remain as
 // secondary limits. Entries have no TTL: a

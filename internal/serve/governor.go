@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
+	"hash/maphash"
 	"sync"
 
 	"bellflower/internal/pipeline"
@@ -33,22 +35,42 @@ type memGovernor struct {
 }
 
 // govEntry is one resident cache entry, owned by a cacheSpace and
-// accounted by the governor.
+// accounted by the governor. Its charge includes its aliases'.
 type govEntry struct {
-	space *cacheSpace
-	key   string
-	val   any
-	bytes int64
+	space   *cacheSpace
+	key     string
+	val     any
+	bytes   int64
+	aliases []uint64 // alias-index hashes of the raw requests aliased to it
 }
 
 // cacheSpace is one member cache of a governor: its own key namespace and
 // entry-count cap over the shared LRU order and byte budget.
+//
+// Beside the keys, a space keeps an alias index: the raw bytes of requests
+// an entry answered, found by their hash and confirmed by comparing them in
+// full, so a byte-identical repeat reaches its entry without being decoded.
+// An entry holds at most maxAliases, charged to it and evicted with it.
 type cacheSpace struct {
-	gov   *memGovernor
-	cap   int // max entries; <= 0 disables the space entirely
-	byKey map[string]*list.Element
-	bytes int64 // resident bytes of this space's entries
+	gov     *memGovernor
+	cap     int // max entries; <= 0 disables the space entirely
+	byKey   map[string]*list.Element
+	bytes   int64 // resident bytes of this space's entries
+	seed    maphash.Seed
+	aliases map[uint64]alias
 }
+
+// alias is one alias-index entry: the exact raw bytes and the entry they
+// were answered from.
+type alias struct {
+	raw []byte
+	el  *list.Element
+}
+
+const (
+	maxAliases = 4
+	aliasSlack = 64 // map slot, slice header and the entry's hash
+)
 
 func newGovernor(maxBytes int64) *memGovernor {
 	if maxBytes < 0 {
@@ -61,7 +83,8 @@ func newGovernor(maxBytes int64) *memGovernor {
 // non-positive capacity disables the space (every get misses, puts are
 // dropped), preserving the historical CacheSize < 0 semantics.
 func (g *memGovernor) space(capacity int) *cacheSpace {
-	return &cacheSpace{gov: g, cap: capacity, byKey: make(map[string]*list.Element)}
+	return &cacheSpace{gov: g, cap: capacity, byKey: make(map[string]*list.Element),
+		seed: maphash.MakeSeed(), aliases: make(map[uint64]alias)}
 }
 
 // snapshot returns the governor-level gauges and counters.
@@ -71,12 +94,15 @@ func (g *memGovernor) snapshot() (used, budget, evictions int64) {
 	return g.used, g.maxBytes, g.evictions
 }
 
-// remove unlinks an entry and returns its bytes to the account. Callers
-// hold g.mu.
+// remove unlinks an entry with its aliases and returns their bytes to the
+// account. Callers hold g.mu.
 func (g *memGovernor) remove(el *list.Element) {
 	e := el.Value.(*govEntry)
 	g.order.Remove(el)
 	delete(e.space.byKey, e.key)
+	for _, h := range e.aliases {
+		delete(e.space.aliases, h)
+	}
 	g.used -= e.bytes
 	e.space.bytes -= e.bytes
 }
@@ -144,9 +170,54 @@ func (s *cacheSpace) add(key string, val any, bytes int64) any {
 	return val
 }
 
-// resize re-accounts the entry under key with a new byte size, if it is
-// still resident and still holds val.
-func (s *cacheSpace) resize(key string, val any, bytes int64) {
+// grow charges delta more bytes to the entry under key, if it is still
+// resident and still holds val.
+func (s *cacheSpace) grow(key string, val any, delta int64) {
+	g := s.gov
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if el, ok := s.byKey[key]; ok && el.Value.(*govEntry).val == val {
+		g.charge(s, el, delta)
+	}
+}
+
+// charge adds delta bytes to a resident entry and evicts as needed. Callers
+// hold g.mu.
+func (g *memGovernor) charge(s *cacheSpace, el *list.Element, delta int64) {
+	el.Value.(*govEntry).bytes += delta
+	g.used += delta
+	s.bytes += delta
+	g.enforce(s)
+}
+
+// getAlias returns the value of the entry a byte-identical copy of raw was
+// aliased to, marking it most recently used. A disabled space hashes
+// nothing.
+func (s *cacheSpace) getAlias(raw []byte) (any, bool) {
+	if s.cap <= 0 {
+		return nil, false
+	}
+	h := maphash.Bytes(s.seed, raw)
+	g := s.gov
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	a, ok := s.aliases[h]
+	if !ok || !bytes.Equal(a.raw, raw) {
+		return nil, false
+	}
+	g.order.MoveToFront(a.el)
+	return a.el.Value.(*govEntry).val, true
+}
+
+// addAlias records a copy of raw as an alias of the entry under key and
+// charges it there, if the entry is still resident, still holds val and has
+// room. A hash already in the index keeps its alias.
+func (s *cacheSpace) addAlias(key string, val any, raw []byte) {
+	if s.cap <= 0 {
+		return
+	}
+	h := maphash.Bytes(s.seed, raw)
+	raw = bytes.Clone(raw)
 	g := s.gov
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -155,13 +226,12 @@ func (s *cacheSpace) resize(key string, val any, bytes int64) {
 		return
 	}
 	e := el.Value.(*govEntry)
-	if e.val != val {
+	if _, taken := s.aliases[h]; taken || e.val != val || len(e.aliases) == maxAliases {
 		return
 	}
-	g.used += bytes - e.bytes
-	s.bytes += bytes - e.bytes
-	e.bytes = bytes
-	g.enforce(s)
+	s.aliases[h] = alias{raw: raw, el: el}
+	e.aliases = append(e.aliases, h)
+	g.charge(s, el, int64(len(raw))+aliasSlack)
 }
 
 // len returns the space's resident entry count.

@@ -18,7 +18,7 @@ func auditGovernor(t *testing.T, g *memGovernor) int64 {
 	defer g.mu.Unlock()
 	var sum int64
 	var perSpace = map[*cacheSpace]int64{}
-	count := 0
+	count, aliases := 0, 0
 	for el := g.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*govEntry)
 		sum += e.bytes
@@ -26,6 +26,15 @@ func auditGovernor(t *testing.T, g *memGovernor) int64 {
 		if e.space.byKey[e.key] != el {
 			t.Fatalf("entry %q not reachable through its space", e.key)
 		}
+		if len(e.aliases) > maxAliases {
+			t.Fatalf("entry %q holds %d aliases", e.key, len(e.aliases))
+		}
+		for _, h := range e.aliases {
+			if a, ok := e.space.aliases[h]; !ok || a.el != el {
+				t.Fatalf("an alias of entry %q does not lead back to it", e.key)
+			}
+		}
+		aliases += len(e.aliases)
 		count++
 	}
 	total := 0
@@ -34,6 +43,10 @@ func auditGovernor(t *testing.T, g *memGovernor) int64 {
 			t.Fatalf("space accounts %d bytes, entries sum to %d", s.bytes, b)
 		}
 		total += len(s.byKey)
+		aliases -= len(s.aliases)
+	}
+	if aliases != 0 {
+		t.Fatalf("the alias indexes hold %d entries more than the entries list", -aliases)
 	}
 	if total != count {
 		t.Fatalf("%d entries in order list, %d in space maps", count, total)
@@ -141,20 +154,20 @@ func TestGovernorResize(t *testing.T) {
 
 	v := "V"
 	s.add("k", v, 10)
-	s.resize("k", v, 42)
+	s.grow("k", v, 32)
 	if used, _, _ := g.snapshot(); used != 42 {
-		t.Fatalf("resized entry accounts %d bytes, want 42", used)
+		t.Fatalf("grown entry accounts %d bytes, want 42", used)
 	}
-	// Resizing with a stale value, or a key that is not resident, is a
+	// Growing with a stale value, or a key that is not resident, is a
 	// no-op; growing past the budget evicts.
-	s.resize("k", "other", 9999)
-	s.resize("absent", v, 9999)
+	s.grow("k", "other", 9999)
+	s.grow("absent", v, 9999)
 	if used, _, _ := g.snapshot(); used != 42 {
-		t.Error("resize with a foreign value or key re-accounted an entry")
+		t.Error("grow with a foreign value or key re-accounted an entry")
 	}
-	s.resize("k", v, 101)
+	s.grow("k", v, 59)
 	if _, ok := s.get("k"); ok {
-		t.Error("entry resized past the whole budget stayed resident")
+		t.Error("entry grown past the whole budget stayed resident")
 	}
 	if used, _, _ := g.snapshot(); used != 0 {
 		t.Errorf("evicted entry still accounted: used = %d", used)

@@ -71,7 +71,7 @@ var metrics = []metric{
 		help: "Requests refused before running (closed service, oversized or nil schema).", shardHelp: "Shard requests refused before running."},
 	{field: "CacheEvictions", name: "bellflower_cache_evictions_total", typ: counter, rule: shared, help: "Cache entries evicted for space (byte budget or entry-count cap)."},
 	{field: "ProjectionCacheHits", name: "bellflower_projection_cache_hits_total", typ: counter, help: "Shard-server slim requests answered from the report cache (the projection never crossed the wire)."},
-	{field: "ProjectionCacheMisses", name: "bellflower_projection_cache_misses_total", typ: counter, help: "Shard-server slim requests answered 428 report-needed (the client resent the full request)."},
+	{field: "ProjectionCacheMisses", name: "bellflower_projection_cache_misses_total", typ: counter, help: "Shard-server slim requests answered 428 report-needed (their signature was not cached on the shard)."},
 	{field: "SimCallsSaved", name: "bellflower_sim_calls_saved_total", typ: counter, rule: shared, help: "Similarity evaluations avoided by the matching kernel's vocabulary dedup (distinct keys scored once, fanned out to nodes)."},
 	{field: "MatchPrunes", name: "bellflower_match_prunes_total", typ: counter, rule: shared, help: "Edit-distance passes skipped by the matching kernel's length-difference pruning bound."},
 	{field: "MatchMemoHits", name: "bellflower_match_memo_hits_total", typ: counter, rule: shared, help: "Personal nodes whose score row the matching kernel served from the name index's row memo (no similarity call)."},

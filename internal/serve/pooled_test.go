@@ -179,17 +179,17 @@ func TestCachedRenderingAfterPoolReuse(t *testing.T) {
 	defer s.Close()
 	opts := coldOptions()
 	ctx := context.Background()
-	first, err := s.MatchJSON(ctx, personals[0], opts)
+	first, err := s.MatchJSON(ctx, personals[0], opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Clone(first)
 	for _, p := range personals[1:201] {
-		if _, err := s.MatchJSON(ctx, p, opts); err != nil {
+		if _, err := s.MatchJSON(ctx, p, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	again, err := s.MatchJSON(ctx, personals[0], opts)
+	again, err := s.MatchJSON(ctx, personals[0], opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestColdRequestAllocationBudget(t *testing.T) {
 	opts := coldOptions()
 	ctx := context.Background()
 	for _, p := range personals[:64] {
-		if _, err := s.MatchJSON(ctx, p, opts); err != nil {
+		if _, err := s.MatchJSON(ctx, p, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestColdRequestAllocationBudget(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, p := range measured {
-		if _, err := s.MatchJSON(ctx, p, opts); err != nil {
+		if _, err := s.MatchJSON(ctx, p, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,11 +22,11 @@ func TestMatchJSONServesTheResidentRendering(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	first, err := s.MatchJSON(ctx, personal(), testOpts())
+	first, err := s.MatchJSON(ctx, personal(), testOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.MatchJSON(ctx, personal(), testOpts())
+	second, err := s.MatchJSON(ctx, personal(), testOpts(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestMatchJSONAttachesToAnEntryMatchCached(t *testing.T) {
 	}
 	var body []byte
 	for i := 0; i < 3; i++ {
-		if body, err = s.MatchJSON(ctx, personal(), testOpts()); err != nil {
+		if body, err = s.MatchJSON(ctx, personal(), testOpts(), nil); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := s.Stats().CacheBytes, reportBytes(rep)+int64(len(body)); got != want {
@@ -92,10 +92,10 @@ func TestRenderingLeavesWithItsReport(t *testing.T) {
 	t.Run("count cap", func(t *testing.T) {
 		s := NewFromRepository(testRepo(t), Config{Workers: 1, CacheSize: 1})
 		defer s.Close()
-		if _, err := s.MatchJSON(ctx, personal(), testOpts()); err != nil {
+		if _, err := s.MatchJSON(ctx, personal(), testOpts(), nil); err != nil {
 			t.Fatal(err)
 		}
-		body, err := s.MatchJSON(ctx, personal(), other) // evicts the first entry
+		body, err := s.MatchJSON(ctx, personal(), other, nil) // evicts the first entry
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestRenderingLeavesWithItsReport(t *testing.T) {
 		}
 		s := NewFromRepository(testRepo(t), Config{Workers: 1, CacheBytes: reportBytes(rep) + 64})
 		defer s.Close()
-		body, err := s.MatchJSON(ctx, personal(), testOpts())
+		body, err := s.MatchJSON(ctx, personal(), testOpts(), nil)
 		if err != nil || len(body) == 0 {
 			t.Fatalf("MatchJSON: %d bytes, %v", len(body), err)
 		}
@@ -171,7 +171,7 @@ func TestConcurrentFirstRenderingsChargeOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			b, err := s.MatchJSON(ctx, personal(), testOpts())
+			b, err := s.MatchJSON(ctx, personal(), testOpts(), nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -257,7 +257,7 @@ func TestRouterMatchJSONCachesRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, shardsBefore := router.Snapshot()
-	body, err := router.MatchJSON(ctx, p, opts)
+	body, err := router.MatchJSON(ctx, p, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRouterMatchJSONCachesRendering(t *testing.T) {
 	if want := before.CacheBytes + int64(len(body)); mid.CacheBytes != want {
 		t.Errorf("CacheBytes = %d after the first rendering, want %d + the body's %d", mid.CacheBytes, before.CacheBytes, len(body))
 	}
-	again, err := router.MatchJSON(ctx, p, opts)
+	again, err := router.MatchJSON(ctx, p, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

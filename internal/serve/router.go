@@ -29,9 +29,20 @@ type Backend interface {
 
 	// MatchJSON is Match returning the report's HTTP rendering
 	// (AppendReportJSON) — resident in the report's cache entry where the
-	// backend keeps one (Service.MatchJSON). The bytes may be shared and
-	// must be treated as read-only.
-	MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error)
+	// backend keeps one (Service.MatchJSON). raw, when not nil, is the
+	// request's bytes as the client sent them; once the rendering is
+	// cached they become its alias, for CachedJSON. The bytes may be
+	// shared and must be treated as read-only.
+	MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options, raw []byte) ([]byte, error)
+
+	// CachedJSON is the front of the report cache for requests not yet
+	// decoded: it fills bodies[i] with the rendering MatchJSON returned for
+	// a byte-identical copy of raws[i], if one is still cached, and reports
+	// whether every one was found. Only then does it count them, each as a
+	// cache hit; on false the caller decodes the requests and calls
+	// MatchJSON. It hashes nothing when the cache is off. The bytes are
+	// shared and must be treated as read-only.
+	CachedJSON(raws, bodies [][]byte) bool
 
 	// RewriteQuery translates a personal-schema XPath query through a
 	// mapping discovered by Match on this backend.
@@ -320,21 +331,28 @@ func (r *Router) Match(ctx context.Context, personal *schema.Tree, opts pipeline
 }
 
 // MatchJSON implements Backend: Match returning the merged report's
-// rendering, kept in its cache entry as in Service.MatchJSON. The bytes are
-// shared and must be treated as read-only.
-func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
+// rendering, kept in its cache entry with raw as its alias, as in
+// Service.MatchJSON. The bytes are shared and must be treated as read-only.
+func (r *Router) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options, raw []byte) ([]byte, error) {
 	if r.single != nil {
-		return r.single.MatchJSON(ctx, personal, opts)
+		return r.single.MatchJSON(ctx, personal, opts, raw)
 	}
 	rep, hit, err := r.match(ctx, personal, opts)
 	if err != nil {
 		return nil, err
 	}
-	if hit.body != nil {
-		return hit.body, nil
+	return r.cache.rendering(hit, personal, rep, raw), nil
+}
+
+// CachedJSON implements Backend over the router's report cache, as
+// Service.CachedJSON does over a service's; a hit counts as the router's
+// own, asking no shard. A one-shard router over an in-process Service
+// answers through that service.
+func (r *Router) CachedJSON(raws, bodies [][]byte) bool {
+	if r.single != nil {
+		return r.single.CachedJSON(raws, bodies)
 	}
-	// An uncached report has no key, so Attach hands its rendering back.
-	return r.cache.Attach(hit.key, rep, renderBody(personal, rep)), nil
+	return r.cache.serveRaw(r.closed.Load(), raws, bodies, &r.hitLat, &r.hits)
 }
 
 // match is the shared body of Match and MatchJSON; the key is empty for a

@@ -12,10 +12,11 @@ import (
 )
 
 // TestRouterRepeatAsksNoShard: a repeat — the same tree or a separately
-// parsed identical schema, through Match or MatchJSON — is answered by the
-// router's report cache. No shard is asked, the body is the cold body byte
-// for byte, and the rollup counts one more request and one more hit while
-// no per-shard counter moves.
+// parsed identical schema, through Match or MatchJSON, or the cold request's
+// bytes through CachedJSON — is answered by the router's report cache. No
+// shard is asked, the body is the cold body byte for byte, and the rollup
+// counts one more request and one more hit while no per-shard counter
+// moves.
 func TestRouterRepeatAsksNoShard(t *testing.T) {
 	t.Run("counting shard backends", func(t *testing.T) {
 		r, stubs := backendRouter(t, Config{})
@@ -47,7 +48,8 @@ func TestRouterRepeatAsksNoShard(t *testing.T) {
 func checkRepeatsAskNoShard(t *testing.T, r *Router, asked func() int64) {
 	t.Helper()
 	ctx, p, opts := context.Background(), personal(), testOpts()
-	cold, err := r.MatchJSON(ctx, p, opts)
+	raw := []byte(`{"personal":"book(title,author)","options":{"delta":0.5}}`)
+	cold, err := r.MatchJSON(ctx, p, opts, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,20 +58,28 @@ func checkRepeatsAskNoShard(t *testing.T, r *Router, asked func() int64) {
 		t.Fatalf("the cold request asked %d shards, want both: the check is vacuous", n)
 	}
 	for _, tc := range []struct {
-		name string
-		tree *schema.Tree
-		json bool
+		name      string
+		tree      *schema.Tree
+		json, raw bool
 	}{
-		{"Match, same tree", p, false},
-		{"Match, reparsed schema", personal(), false},
-		{"MatchJSON, same tree", p, true},
-		{"MatchJSON, reparsed schema", personal(), true},
+		{"Match, same tree", p, false, false},
+		{"Match, reparsed schema", personal(), false, false},
+		{"MatchJSON, same tree", p, true, false},
+		{"MatchJSON, reparsed schema", personal(), true, false},
+		{"CachedJSON, same bytes", nil, true, true},
 	} {
 		before, shardsBefore := r.Snapshot()
 		var body []byte
-		if tc.json {
-			body, err = r.MatchJSON(ctx, tc.tree, opts)
-		} else {
+		switch {
+		case tc.raw:
+			bodies := make([][]byte, 1)
+			if !r.CachedJSON([][]byte{bytes.Clone(raw)}, bodies) {
+				t.Fatalf("%s: no alias for the cold request's bytes", tc.name)
+			}
+			body = bodies[0]
+		case tc.json:
+			body, err = r.MatchJSON(ctx, tc.tree, opts, nil)
+		default:
 			var rep *pipeline.Report
 			if rep, err = r.Match(ctx, tc.tree, opts); err == nil {
 				body = AppendReportJSON(nil, tc.tree, rep)
@@ -114,7 +124,7 @@ func TestRouterCachesOnlyCompleteAnswers(t *testing.T) {
 		r, stubs := backendRouter(t, Config{PartialResults: true})
 		stubs[1].Close()
 		for i := 0; i < 2; i++ {
-			body, err := r.MatchJSON(ctx, personal(), opts)
+			body, err := r.MatchJSON(ctx, personal(), opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,13 +181,13 @@ func TestRouterCachesOnlyCompleteAnswers(t *testing.T) {
 		bad := testOpts()
 		bad.Threshold = 2
 		for i := 0; i < 2; i++ {
-			if _, err := r.MatchJSON(ctx, nil, opts); err == nil {
+			if _, err := r.MatchJSON(ctx, nil, opts, nil); err == nil {
 				t.Error("nil personal schema accepted")
 			}
-			if _, err := r.MatchJSON(ctx, schema.MustParseSpec("a(b,c,d,e)"), opts); !errors.Is(err, ErrSchemaTooLarge) {
+			if _, err := r.MatchJSON(ctx, schema.MustParseSpec("a(b,c,d,e)"), opts, nil); !errors.Is(err, ErrSchemaTooLarge) {
 				t.Errorf("oversized schema: err = %v", err)
 			}
-			if _, err := r.MatchJSON(ctx, personal(), bad); err == nil {
+			if _, err := r.MatchJSON(ctx, personal(), bad, nil); err == nil {
 				t.Error("invalid threshold accepted")
 			}
 		}
@@ -196,7 +206,7 @@ func TestRouterCachesOnlyCompleteAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Close()
-		if _, err := r.MatchJSON(ctx, personal(), opts); !errors.Is(err, ErrClosed) {
+		if _, err := r.MatchJSON(ctx, personal(), opts, nil); !errors.Is(err, ErrClosed) {
 			t.Errorf("cached request after Close: err = %v, want ErrClosed", err)
 		}
 	})
@@ -211,11 +221,11 @@ func TestRouterHitAllocs(t *testing.T) {
 	hitAllocs := func(b Backend) float64 {
 		defer b.Close()
 		ctx, p, opts := context.Background(), personal(), testOpts()
-		if _, err := b.MatchJSON(ctx, p, opts); err != nil {
+		if _, err := b.MatchJSON(ctx, p, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := b.MatchJSON(ctx, p, opts); err != nil {
+			if _, err := b.MatchJSON(ctx, p, opts, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -259,8 +269,8 @@ func TestRouterConcurrentMissesAnswerOneReport(t *testing.T) {
 
 	opts.TopN = 3 // a new signature, the same pre-pass shape
 	errs = shareOnePrePass(t, r, prepassSignature(personal(), opts),
-		func() (err error) { bodies[0], err = r.MatchJSON(ctx, personal(), opts); return err },
-		func() (err error) { bodies[1], err = r.MatchJSON(ctx, personal(), opts); return err },
+		func() (err error) { bodies[0], err = r.MatchJSON(ctx, personal(), opts, nil); return err },
+		func() (err error) { bodies[1], err = r.MatchJSON(ctx, personal(), opts, nil); return err },
 	)
 	for _, err := range errs {
 		if err != nil {
@@ -283,21 +293,28 @@ func TestRouterConcurrentMissesAnswerOneReport(t *testing.T) {
 // asks the backend nothing.
 func TestOneShardRouterRepeats(t *testing.T) {
 	ctx, p, opts := context.Background(), personal(), testOpts()
+	raw := []byte(`{"personal":"book(title,author)","options":{"delta":0.5}}`)
 	repeat := func(t *testing.T, r *Router) {
 		t.Helper()
-		first, err := r.MatchJSON(ctx, p, opts)
+		first, err := r.MatchJSON(ctx, p, opts, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := r.MatchJSON(ctx, personal(), opts)
+		again, err := r.MatchJSON(ctx, personal(), opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if unsafe.SliceData(first) != unsafe.SliceData(again) {
-			t.Error("the repeat was rendered afresh, not answered with the cached bytes")
+		bodies := make([][]byte, 1)
+		if !r.CachedJSON([][]byte{raw}, bodies) {
+			t.Fatal("the request's bytes found no cached rendering")
 		}
-		if hits := r.Stats().CacheHits; hits != 1 {
-			t.Errorf("cache hits = %d, want 1 (the repeat)", hits)
+		for _, body := range [][]byte{again, bodies[0]} {
+			if unsafe.SliceData(first) != unsafe.SliceData(body) {
+				t.Error("a repeat was rendered afresh, not answered with the cached bytes")
+			}
+		}
+		if hits := r.Stats().CacheHits; hits != 2 {
+			t.Errorf("cache hits = %d, want 2 (the repeats)", hits)
 		}
 	}
 	t.Run("in-process shard", func(t *testing.T) {
@@ -314,17 +331,17 @@ func TestOneShardRouterRepeats(t *testing.T) {
 			return
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := r.MatchJSON(ctx, p, opts); err != nil {
+			if _, err := r.MatchJSON(ctx, p, opts, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		svc := NewFromRepository(bookRepo(t), Config{Workers: 1})
 		defer svc.Close()
-		if _, err := svc.MatchJSON(ctx, p, opts); err != nil {
+		if _, err := svc.MatchJSON(ctx, p, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := testing.AllocsPerRun(100, func() {
-			if _, err := svc.MatchJSON(ctx, p, opts); err != nil {
+			if _, err := svc.MatchJSON(ctx, p, opts, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

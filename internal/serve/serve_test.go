@@ -287,11 +287,11 @@ func TestCacheHitStartsNoTimer(t *testing.T) {
 		s := NewFromRepository(testRepo(t), cfg)
 		defer s.Close()
 		ctx, p, opts := context.Background(), personal(), testOpts()
-		if _, err := s.MatchJSON(ctx, p, opts); err != nil {
+		if _, err := s.MatchJSON(ctx, p, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := s.MatchJSON(ctx, p, opts); err != nil {
+			if _, err := s.MatchJSON(ctx, p, opts, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

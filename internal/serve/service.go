@@ -326,17 +326,26 @@ func (s *Service) Match(ctx context.Context, personal *schema.Tree, opts pipelin
 // report; a miss, a flight join, or a hit on an entry only Match has read
 // so far renders once and attaches the result to the entry (same key and
 // LRU position; the governor is charged the body's length on top of the
-// report's). Counters and the latency histogram move exactly as for
-// Match. The returned bytes are shared and must be treated as read-only.
-func (s *Service) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options) ([]byte, error) {
+// report's). raw, when not nil, is the request's bytes as read off the
+// wire: once the rendering is attached it becomes an alias of the entry,
+// so CachedJSON answers a byte-identical repeat. Counters and the latency
+// histogram move exactly as for Match. The returned bytes are shared and
+// must be treated as read-only.
+func (s *Service) MatchJSON(ctx context.Context, personal *schema.Tree, opts pipeline.Options, raw []byte) ([]byte, error) {
 	rep, hit, err := s.match(ctx, personal, opts, Staged{})
 	if err != nil {
 		return nil, err
 	}
-	if hit.body != nil {
-		return hit.body, nil
-	}
-	return s.cache.Attach(hit.key, rep, renderBody(personal, rep)), nil
+	return s.cache.rendering(hit, personal, rep, raw), nil
+}
+
+// CachedJSON implements Backend: the renderings of byte-identical repeats,
+// found in the report cache's alias index without decoding anything. Only
+// when every one of raws is found does it fill bodies and count each as one
+// request served from the cache, as Match counts a hit. With the cache off
+// it returns false at once.
+func (s *Service) CachedJSON(raws, bodies [][]byte) bool {
+	return s.cache.serveRaw(s.root.Err() != nil, raws, bodies, &s.ct.lat, &s.ct.requests, &s.ct.cacheHits)
 }
 
 // MatchStaged implements ShardBackend: Match with the stages the caller
@@ -356,9 +365,9 @@ func (s *Service) MatchStaged(ctx context.Context, personal *schema.Tree, opts p
 
 // MatchCached answers (personal, opts) from the report cache alone, without
 // scheduling anything: the report Match would return for a repeat, or false.
-// A hit counts as one request served from the cache; a miss counts nothing,
-// because the Match that follows it counts. A closed service answers
-// nothing.
+// A hit counts as one request served from the cache; a miss counts nothing
+// here, because nothing is served (the shard answers it 428 and counts it
+// as a slim miss). A closed service answers nothing.
 func (s *Service) MatchCached(personal *schema.Tree, opts pipeline.Options) (*pipeline.Report, bool) {
 	if s.root.Err() != nil {
 		return nil, false

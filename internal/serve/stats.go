@@ -37,17 +37,20 @@ type histogram struct {
 	bkt   [numLatencyBuckets]atomic.Int64
 }
 
-func (h *histogram) observe(d time.Duration) {
-	h.count.Add(1)
-	h.sumNS.Add(d.Nanoseconds())
+func (h *histogram) observe(d time.Duration) { h.observeN(d, 1) }
+
+// observeN records n observations of d each.
+func (h *histogram) observeN(d time.Duration, n int64) {
+	h.count.Add(n)
+	h.sumNS.Add(d.Nanoseconds() * n)
 	ms := float64(d) / float64(time.Millisecond)
 	for i, ub := range latencyBucketsMS {
 		if ms <= ub {
-			h.bkt[i].Add(1)
+			h.bkt[i].Add(n)
 			return
 		}
 	}
-	h.bkt[len(latencyBucketsMS)].Add(1)
+	h.bkt[len(latencyBucketsMS)].Add(n)
 }
 
 func (h *histogram) snapshot() LatencyStats {

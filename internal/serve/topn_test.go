@@ -113,7 +113,7 @@ func TestCachedTopNReportsPinWhatTheyAreCharged(t *testing.T) {
 	chargedBefore := s.Stats().CacheBytes
 	var rendered int64
 	for i := 1; i < reports; i++ {
-		body, err := s.MatchJSON(context.Background(), p, distinct(i))
+		body, err := s.MatchJSON(context.Background(), p, distinct(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

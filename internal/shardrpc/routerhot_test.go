@@ -225,7 +225,7 @@ func TestRouterRepeatReachesNoRemoteShard(t *testing.T) {
 	rr := newRemoteRouter(t, func() *schema.Repository { return testRepo(t, 400, 17) }, 2, serve.Config{})
 	opts := pipeline.DefaultOptions()
 	opts.MinSim = 0.35
-	cold, err := rr.MatchJSON(context.Background(), hotPersonal(), opts)
+	cold, err := rr.MatchJSON(context.Background(), hotPersonal(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestRouterRepeatReachesNoRemoteShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := rr.MatchJSON(context.Background(), hotPersonal(), opts)
+	body, err := rr.MatchJSON(context.Background(), hotPersonal(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
