@@ -87,12 +87,13 @@ func fuzzServer(f *testing.F) http.Handler {
 // FuzzBatchBody posts arbitrary bytes to /v1/match/batch over the same
 // repository and config as FuzzMatchBody. The batch itself is a 200, 400
 // (bad body, empty batch) or 413 (too large, too many entries); a 200 must
-// be valid JSON — the renderings are spliced into it verbatim — with one
-// result per request, each with a status a single match could have: 200,
-// 400, 413 or 504. Unless an entry timed out, the batch is posted again —
-// when every element was answered 200 the repeat comes from the alias
-// index — and must get the same bytes; and each element, posted alone to
-// /v1/match, must get its entry's status and result or error.
+// be valid JSON — the renderings are spliced into it verbatim — under an
+// exact Content-Length, with one result per request, each with a status a
+// single match could have: 200, 400, 413 or 504. Unless an entry timed
+// out, the batch is posted again — when every element was answered 200 the
+// repeat comes from the alias index — and must get the same bytes; and each
+// element, posted alone to /v1/match, must get its entry's status and
+// result or error.
 func FuzzBatchBody(f *testing.F) {
 	h := fuzzServer(f)
 
@@ -116,6 +117,7 @@ func FuzzBatchBody(f *testing.F) {
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("invalid JSON for body %q: %s", body, rec.Body)
 		}
+		exactFraming(t, rec.Result(), rec.Body.Bytes())
 		var req struct{ Requests []json.RawMessage }
 		var resp struct {
 			Results []struct {

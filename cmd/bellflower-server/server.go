@@ -118,17 +118,19 @@ func defaultLogger() *slog.Logger {
 // (bellflower.NewDistributedService). Repository mutation stays disabled
 // (dataDir empty → POST /v1/repository is 403): the shard servers hold
 // their own repository copies, and swapping only the router's copy would
-// desynchronize the partition descriptors. aliasing says whether the
-// backend keeps a report cache (see server.aliasing).
-func newRemoteServer(backend bellflower.ServiceBackend, repo *bellflower.Repository, desc string, aliasing bool, logger *slog.Logger) *server {
+// desynchronize the partition descriptors. svcCfg is the one the backend
+// was built with: it sizes a batch's fan-out and says whether the backend
+// keeps a report cache (see server.aliasing).
+func newRemoteServer(backend bellflower.ServiceBackend, repo *bellflower.Repository, desc string, svcCfg bellflower.ServiceConfig, logger *slog.Logger) *server {
 	if logger == nil {
 		logger = defaultLogger()
 	}
 	ref := &backendRef{backend: backend, repo: repo, desc: desc}
 	ref.refs.Store(1)
 	return &server{
-		cur: ref, maxBody: defaultMaxBody, logger: logger, aliasing: aliasing,
-		rec: bellflower.NewTraceRecorder(0, 0, 0), start: time.Now(),
+		cur: ref, svcCfg: svcCfg, maxBody: defaultMaxBody, logger: logger,
+		aliasing: svcCfg.CacheSize >= 0,
+		rec:      bellflower.NewTraceRecorder(0, 0, 0), start: time.Now(),
 	}
 }
 
@@ -755,9 +757,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.respondBatch(w, entries, traceJSON)
 }
 
-// respondBatch answers 200 with the streamed batch response.
+// respondBatch answers 200 with the streamed batch response. Its exact
+// Content-Length, counted by the walk that writes it, spares net/http the
+// chunked framing, so each of writeBatch's flushes is one write to the
+// socket.
 func (s *server) respondBatch(w http.ResponseWriter, entries []batchEntry, traceJSON []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(batchLen(entries, traceJSON)))
 	w.WriteHeader(http.StatusOK)
 	if err := writeBatch(w, entries, traceJSON); err != nil {
 		s.logger.Warn("batch response write failed", "error", err)
@@ -844,14 +850,82 @@ func objectEnd(b []byte, i int) int {
 	return -1
 }
 
-// batchWriters recycles writeBatch's 32 KB buffered writers.
-var batchWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+// batchSegment is the size of writeBatch's pooled buffer, so of each write
+// a batch response makes to the socket but its last.
+const batchSegment = 64 << 10
 
-// writeBatch streams the batch response — {"results": [{"result": ...,
-// "status": 200} | {"error": "...", "status": N}, ...]} plus the optional
-// "trace" — through one pooled buffered writer. Each result is that entry's
-// /v1/match body, verbatim: its rendering (for a hit, the cached bytes)
-// without the trailing newline, written in one piece.
+// batchWriters recycles writeBatch's buffered writers.
+var batchWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, batchSegment) }}
+
+// batchOut takes the batch response's pieces in order: it counts them and,
+// unless bw is nil, writes them to bw.
+type batchOut struct {
+	bw *bufio.Writer
+	n  int
+}
+
+func (o *batchOut) str(s string) {
+	o.n += len(s)
+	if o.bw != nil {
+		o.bw.WriteString(s)
+	}
+}
+
+func (o *batchOut) raw(p []byte) {
+	o.n += len(p)
+	if o.bw != nil {
+		o.bw.Write(p)
+	}
+}
+
+func (o *batchOut) status(code int) {
+	if o.bw == nil {
+		var digits [20]byte
+		o.n += len(strconv.AppendInt(digits[:0], int64(code), 10))
+		return
+	}
+	o.raw(strconv.AppendInt(o.bw.AvailableBuffer(), int64(code), 10))
+}
+
+// putBatch is the batch response — {"results": [{"result": ..., "status":
+// 200} | {"error": "...", "status": N}, ...]} plus the optional "trace" —
+// piece by piece: the one spelling of its format, which both batchLen and
+// writeBatch walk. Each result is that entry's /v1/match body, verbatim: its
+// rendering (for a hit, the cached bytes) without the trailing newline, in
+// one piece.
+func putBatch(o *batchOut, entries []batchEntry, traceJSON []byte) {
+	o.str("{\n  \"results\": [")
+	for i, e := range entries {
+		if i > 0 {
+			o.str(",")
+		}
+		o.str("\n    {\n      \"")
+		o.str(e.field)
+		o.str("\": ")
+		o.raw(bytes.TrimSuffix(e.value, []byte("\n")))
+		o.str(",\n      \"status\": ")
+		o.status(e.status)
+		o.str("\n    }")
+	}
+	o.str("\n  ]")
+	if traceJSON != nil {
+		o.str(",\n  \"trace\": ")
+		o.raw(traceJSON)
+	}
+	o.str("\n}\n")
+}
+
+// batchLen is the length of the batch response writeBatch writes.
+func batchLen(entries []batchEntry, traceJSON []byte) int {
+	var o batchOut
+	putBatch(&o, entries, traceJSON)
+	return o.n
+}
+
+// writeBatch streams the batch response through one pooled writer of
+// batchSegment bytes: the response is never held whole, and each flush is
+// one large write. Renderings go through the buffer too — written straight
+// to w, the glue between them would be small writes of its own.
 func writeBatch(w io.Writer, entries []batchEntry, traceJSON []byte) error {
 	bw := batchWriters.Get().(*bufio.Writer)
 	bw.Reset(w)
@@ -859,25 +933,7 @@ func writeBatch(w io.Writer, entries []batchEntry, traceJSON []byte) error {
 		bw.Reset(nil) // a pooled writer must not pin the response
 		batchWriters.Put(bw)
 	}()
-	bw.WriteString("{\n  \"results\": [")
-	for i, e := range entries {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		bw.WriteString("\n    {\n      \"")
-		bw.WriteString(e.field)
-		bw.WriteString("\": ")
-		bw.Write(bytes.TrimSuffix(e.value, []byte("\n")))
-		bw.WriteString(",\n      \"status\": ")
-		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(e.status), 10))
-		bw.WriteString("\n    }")
-	}
-	bw.WriteString("\n  ]")
-	if traceJSON != nil {
-		bw.WriteString(",\n  \"trace\": ")
-		bw.Write(traceJSON)
-	}
-	bw.WriteString("\n}\n")
+	putBatch(&batchOut{bw: bw}, entries, traceJSON)
 	return bw.Flush()
 }
 

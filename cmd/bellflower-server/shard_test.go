@@ -123,12 +123,12 @@ func TestOneGroupRouterStatsCarryReplicaHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend, err := bellflower.NewDistributedService(repo, []string{strings.Join(addrs, "|")},
-		bellflower.ServiceConfig{Workers: 1, HealthInterval: -1}, bellflower.PartitionClustered)
+	cfg := bellflower.ServiceConfig{Workers: 1, HealthInterval: -1}
+	backend, err := bellflower.NewDistributedService(repo, []string{strings.Join(addrs, "|")}, cfg, bellflower.PartitionClustered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := newRemoteServer(backend, repo, "test", true, logger)
+	router := newRemoteServer(backend, repo, "test", cfg, logger)
 	defer router.closeNow()
 	srv := httptest.NewServer(router.routes())
 	defer srv.Close()
