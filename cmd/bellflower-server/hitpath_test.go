@@ -74,11 +74,11 @@ func TestBatchResultsAreMatchBodies(t *testing.T) {
 			t.Fatalf("traced=%v: batch trace %+v", traced, doc.Trace)
 		}
 		if traced {
-			tree, err := json.MarshalIndent(doc.Trace, "  ", "  ")
+			tree, err := json.Marshal(doc.Trace)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tail := ",\n  \"trace\": " + string(tree) + "\n}\n"; !strings.HasSuffix(string(got), tail) {
+			if tail := `,"trace":` + string(tree) + "}\n"; !strings.HasSuffix(string(got), tail) {
 				t.Errorf("the batch does not end in its span tree:\n got: %s\nwant suffix: %s", got, tail)
 			}
 		}
@@ -112,9 +112,8 @@ func TestBatchResultsAreMatchBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg, _ := json.Marshal(ej.Error)
-	want := "{\n  \"results\": [\n    {\n      \"result\": " + strings.TrimSuffix(string(hit), "\n") +
-		",\n      \"status\": 200\n    },\n    {\n      \"error\": " + string(msg) +
-		",\n      \"status\": 400\n    }\n  ]\n}\n"
+	want := `{"results":[{"result":` + strings.TrimSuffix(string(hit), "\n") +
+		`,"status":200},{"error":` + string(msg) + `,"status":400}]}` + "\n"
 	resp, got := postJSON(t, ts.URL+"/v1/match/batch", `{"requests":[`+requests[0]+`,`+requests[1]+`]}`)
 	if string(got) != want {
 		t.Errorf("batch framing:\n got: %s\nwant: %s", got, want)
@@ -578,11 +577,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 func TestBatchWriteBudget(t *testing.T) {
 	reqs := warmRequests(16)
 	h, _ := warmServer(t, reqs)
-	ts := httptest.NewUnstartedServer(h)
-	ln := &countingListener{Listener: ts.Listener}
-	ts.Listener = ln
-	ts.Start()
-	defer ts.Close()
+	ts, ln := countingServer(t, h)
 	entries := make([]string, 64)
 	for i := range entries {
 		entries[i] = reqs[i%len(reqs)]
@@ -597,6 +592,38 @@ func TestBatchWriteBudget(t *testing.T) {
 	t.Logf("a %d-byte batch took %d writes, budget %d", len(body), writes, budget)
 	if writes > budget {
 		t.Errorf("%d writes, budget %d", writes, budget)
+	}
+}
+
+// countingServer serves h over a loopback socket whose writes ln counts.
+func countingServer(t *testing.T, h http.Handler) (*httptest.Server, *countingListener) {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(h)
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts, ln
+}
+
+// A warm top-10 answer for the paper's book(title,author) leaves the daemon
+// in one write: header and body fit net/http's 4 KiB connection buffer,
+// flushed once when the handler returns. Indented, the same answer was
+// ~4.8 KB and took two writes, the buffer's worth and the rest.
+func TestMatchWriteBudget(t *testing.T) {
+	rq := warmRequests(2)[1]
+	h, _ := warmServer(t, []string{rq})
+	ts, ln := countingServer(t, h)
+	resp, body := postJSON(t, ts.URL+"/v1/match", rq)
+	writes := ln.writes.Load()
+	var doc struct{ Mappings []json.RawMessage }
+	if err := json.Unmarshal(body, &doc); resp.StatusCode != http.StatusOK || err != nil || len(doc.Mappings) != 10 {
+		t.Fatalf("status %d, %d mappings (%v): want a 200 with ten", resp.StatusCode, len(doc.Mappings), err)
+	}
+	exactFraming(t, resp, body)
+	t.Logf("a %d-byte answer took %d writes", len(body), writes)
+	if writes != 1 {
+		t.Errorf("%d writes, want 1", writes)
 	}
 }
 

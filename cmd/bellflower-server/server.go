@@ -749,7 +749,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var traceJSON []byte
 	if traced {
 		var err error
-		if traceJSON, err = json.MarshalIndent(tr.Summarize(), "  ", "  "); err != nil {
+		if traceJSON, err = json.Marshal(tr.Summarize()); err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
 			return
 		}
@@ -834,10 +834,8 @@ func objectEnd(b []byte, i int) int {
 	for ; i < len(b); i++ {
 		switch b[i] {
 		case '"':
-			for i++; i < len(b) && b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
-				}
+			if i = stringEnd(b, i+1); i < 0 {
+				return -1
 			}
 		case '{', '[':
 			depth++
@@ -848,6 +846,26 @@ func objectEnd(b []byte, i int) int {
 		}
 	}
 	return -1
+}
+
+// stringEnd returns the index of the quote that closes the string whose
+// contents start at b[i], or -1. A quote closes it unless an odd run of
+// backslashes precedes it, so the walk jumps from quote to quote.
+func stringEnd(b []byte, i int) int {
+	for start := i; ; i++ {
+		q := bytes.IndexByte(b[i:], '"')
+		if q < 0 {
+			return -1
+		}
+		i += q
+		j := i
+		for j > start && b[j-1] == '\\' {
+			j--
+		}
+		if (i-j)%2 == 0 {
+			return i
+		}
+	}
 }
 
 // batchSegment is the size of writeBatch's pooled buffer, so of each write
@@ -887,32 +905,32 @@ func (o *batchOut) status(code int) {
 	o.raw(strconv.AppendInt(o.bw.AvailableBuffer(), int64(code), 10))
 }
 
-// putBatch is the batch response — {"results": [{"result": ..., "status":
-// 200} | {"error": "...", "status": N}, ...]} plus the optional "trace" —
-// piece by piece: the one spelling of its format, which both batchLen and
-// writeBatch walk. Each result is that entry's /v1/match body, verbatim: its
-// rendering (for a hit, the cached bytes) without the trailing newline, in
-// one piece.
+// putBatch is the batch response — {"results":[{"result":…,"status":200}
+// | {"error":"…","status":N},…]} plus the optional "trace", compact like a
+// /v1/match body — piece by piece: the one spelling of its format, which
+// both batchLen and writeBatch walk. Each result is that entry's /v1/match
+// body, verbatim: its rendering (for a hit, the cached bytes) without the
+// trailing newline, in one piece.
 func putBatch(o *batchOut, entries []batchEntry, traceJSON []byte) {
-	o.str("{\n  \"results\": [")
+	o.str(`{"results":[`)
 	for i, e := range entries {
 		if i > 0 {
 			o.str(",")
 		}
-		o.str("\n    {\n      \"")
+		o.str(`{"`)
 		o.str(e.field)
-		o.str("\": ")
+		o.str(`":`)
 		o.raw(bytes.TrimSuffix(e.value, []byte("\n")))
-		o.str(",\n      \"status\": ")
+		o.str(`,"status":`)
 		o.status(e.status)
-		o.str("\n    }")
+		o.str("}")
 	}
-	o.str("\n  ]")
+	o.str("]")
 	if traceJSON != nil {
-		o.str(",\n  \"trace\": ")
+		o.str(`,"trace":`)
 		o.raw(traceJSON)
 	}
-	o.str("\n}\n")
+	o.str("}\n")
 }
 
 // batchLen is the length of the batch response writeBatch writes.

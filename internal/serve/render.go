@@ -39,11 +39,11 @@ func renderBody(personal *schema.Tree, rep *pipeline.Report) []byte {
 // extended slice. personal is the request's schema: mapping images are
 // listed against its nodes in preorder.
 //
-// The bytes are exactly what encoding/json's Encoder with
-// SetIndent("", "  ") writes for the response's wire struct (key order,
-// two-space indent, float formatting, HTML-safe string escaping,
-// "mappings": [] when empty, partials / incomplete / shard_errors omitted
-// when zero, one trailing newline); the struct itself lives on in
+// The bytes are exactly what encoding/json's Encoder, without SetIndent,
+// writes for the response's wire struct (key order, no whitespace between
+// tokens, float formatting, HTML-safe string escaping, "mappings":[] when
+// empty, partials / incomplete / shard_errors omitted when zero, one
+// trailing newline); the struct itself lives on in
 // render_test.go as the reference this function is pinned to. The
 // rendering is a pure function of (Signature(personal, opts), rep), which
 // is what lets the report cache keep it beside the report.
@@ -52,80 +52,74 @@ func renderBody(personal *schema.Tree, rep *pipeline.Report) []byte {
 // whole response instead); no pipeline stage produces one.
 func AppendReportJSON(dst []byte, personal *schema.Tree, rep *pipeline.Report) []byte {
 	nodes := personal.Nodes()
-	dst = append(dst, "{\n  \"mappings\": ["...)
+	dst = append(dst, `{"mappings":[`...)
 	for i := range rep.Mappings {
 		m := &rep.Mappings[i]
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendFloat(append(dst, "\n    {\n      \"delta\": "...), m.Score.Delta)
-		dst = appendFloat(append(dst, ",\n      \"sim\": "...), m.Score.Sim)
-		dst = appendFloat(append(dst, ",\n      \"path\": "...), m.Score.Path)
-		dst = strconv.AppendInt(append(dst, ",\n      \"cluster\": "...), int64(m.ClusterID), 10)
-		dst = append(dst, ",\n      \"pairs\": ["...)
+		dst = appendFloat(append(dst, `{"delta":`...), m.Score.Delta)
+		dst = appendFloat(append(dst, `,"sim":`...), m.Score.Sim)
+		dst = appendFloat(append(dst, `,"path":`...), m.Score.Path)
+		dst = strconv.AppendInt(append(dst, `,"cluster":`...), int64(m.ClusterID), 10)
+		dst = append(dst, `,"pairs":[`...)
 		for j, img := range m.Images {
 			if j > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendPath(append(dst, "\n        {\n          \"personal\": "...), nodes[j])
-			dst = appendPath(append(dst, ",\n          \"repository\": "...), img)
-			dst = append(dst, "\n        }"...)
+			dst = appendPath(append(dst, `{"personal":`...), nodes[j])
+			dst = appendPath(append(dst, `,"repository":`...), img)
+			dst = append(dst, '}')
 		}
-		if len(m.Images) > 0 {
-			dst = append(dst, "\n      "...)
-		}
-		dst = append(dst, "]\n    }"...)
-	}
-	if len(rep.Mappings) > 0 {
-		dst = append(dst, "\n  "...)
+		dst = append(dst, "]}"...)
 	}
 	dst = append(dst, ']')
 	if n := len(rep.Partials); n > 0 {
-		dst = strconv.AppendInt(append(dst, ",\n  \"partials\": "...), int64(n), 10)
+		dst = strconv.AppendInt(append(dst, `,"partials":`...), int64(n), 10)
 	}
-	dst = appendString(append(dst, ",\n  \"pipeline\": {\n    \"variant\": "...), rep.Variant.String())
-	dst = strconv.AppendInt(append(dst, ",\n    \"mapping_elements\": "...), int64(rep.MappingElements), 10)
-	dst = strconv.AppendInt(append(dst, ",\n    \"clusters\": "...), int64(rep.Clusters), 10)
-	dst = strconv.AppendInt(append(dst, ",\n    \"useful_clusters\": "...), int64(rep.UsefulClusters), 10)
-	dst = appendFloat(append(dst, ",\n    \"search_space\": "...), rep.Counters.SearchSpace)
-	dst = strconv.AppendInt(append(dst, ",\n    \"partial_mappings_generated\": "...), rep.Counters.PartialMappings, 10)
-	dst = appendFloat(append(dst, ",\n    \"match_ms\": "...), durationMS(rep.MatchTime))
-	dst = appendFloat(append(dst, ",\n    \"cluster_ms\": "...), durationMS(rep.ClusterTime))
-	dst = appendFloat(append(dst, ",\n    \"gen_ms\": "...), durationMS(rep.GenTime))
-	dst = append(dst, "\n  }"...)
+	dst = appendString(append(dst, `,"pipeline":{"variant":`...), rep.Variant.String())
+	dst = strconv.AppendInt(append(dst, `,"mapping_elements":`...), int64(rep.MappingElements), 10)
+	dst = strconv.AppendInt(append(dst, `,"clusters":`...), int64(rep.Clusters), 10)
+	dst = strconv.AppendInt(append(dst, `,"useful_clusters":`...), int64(rep.UsefulClusters), 10)
+	dst = appendFloat(append(dst, `,"search_space":`...), rep.Counters.SearchSpace)
+	dst = strconv.AppendInt(append(dst, `,"partial_mappings_generated":`...), rep.Counters.PartialMappings, 10)
+	dst = appendFloat(append(dst, `,"match_ms":`...), durationMS(rep.MatchTime))
+	dst = appendFloat(append(dst, `,"cluster_ms":`...), durationMS(rep.ClusterTime))
+	dst = appendFloat(append(dst, `,"gen_ms":`...), durationMS(rep.GenTime))
+	dst = append(dst, '}')
 	if rep.Incomplete {
-		dst = append(dst, ",\n  \"incomplete\": true"...)
+		dst = append(dst, `,"incomplete":true`...)
 	}
 	if len(rep.ShardErrors) > 0 {
-		dst = append(dst, ",\n  \"shard_errors\": ["...)
+		dst = append(dst, `,"shard_errors":[`...)
 		for i, se := range rep.ShardErrors {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = strconv.AppendInt(append(dst, "\n    {\n      \"shard\": "...), int64(se.Shard), 10)
-			dst = appendString(append(dst, ",\n      \"error\": "...), se.Err)
-			dst = append(dst, "\n    }"...)
+			dst = strconv.AppendInt(append(dst, `{"shard":`...), int64(se.Shard), 10)
+			dst = appendString(append(dst, `,"error":`...), se.Err)
+			dst = append(dst, '}')
 		}
-		dst = append(dst, "\n  ]"...)
+		dst = append(dst, ']')
 	}
 	return append(dst, reportTail...)
 }
 
 // reportTail closes a rendered report: AppendTraceJSON re-opens it there.
-const reportTail = "\n}\n"
+const reportTail = "}\n"
 
 // AppendTraceJSON appends body — a rendering by AppendReportJSON — with the
 // request's span tree spliced in as its last field, "trace": the ?trace=1
 // form of the same response. The span tree is diagnostic output with its
-// own wire shape (trace.Summary), encoded by encoding/json at the
-// response's indent.
+// own wire shape (trace.Summary), encoded by encoding/json, compact like
+// the rest of the body.
 func AppendTraceJSON(dst, body []byte, sum *trace.Summary) ([]byte, error) {
-	tree, err := json.MarshalIndent(sum, "  ", "  ")
+	tree, err := json.Marshal(sum)
 	if err != nil {
 		return dst, err
 	}
 	dst = append(dst, body[:len(body)-len(reportTail)]...)
-	dst = append(dst, ",\n  \"trace\": "...)
+	dst = append(dst, `,"trace":`...)
 	dst = append(dst, tree...)
 	return append(dst, reportTail...), nil
 }

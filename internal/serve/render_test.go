@@ -94,17 +94,14 @@ func renderReport(personal *schema.Tree, rep *pipeline.Report) matchResponseJSON
 	return resp
 }
 
-// referenceJSON is the old writeJSON body: the reflection encoder with a
-// two-space indent over the reference struct, the span tree set when the
-// request asked for one.
+// referenceJSON is the reflection encoder, without an indent, over the
+// reference struct, the span tree set when the request asked for one.
 func referenceJSON(t testing.TB, personal *schema.Tree, rep *pipeline.Report, sum *trace.Summary) []byte {
 	t.Helper()
 	resp := renderReport(personal, rep)
 	resp.Trace = sum
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(resp); err != nil {
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
 		t.Fatalf("reference encoder: %v", err)
 	}
 	return buf.Bytes()

@@ -128,7 +128,7 @@ func TestRouterCachesOnlyCompleteAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Contains(body, []byte(`"incomplete": true`)) {
+			if !bytes.Contains(body, []byte(`"incomplete":true`)) {
 				t.Fatalf("request %d: body is not an incomplete merge: %s", i, body)
 			}
 		}

@@ -88,7 +88,7 @@ match() { echo '{"personal":"'"$1"'","options":{"delta":0.5,"min_sim":0.3,"top_n
 FIRST=$(match 'cd(price,title)' 5)
 resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$FIRST")
 echo "$resp" | grep -q '"pipeline"' || { echo "match response carries no pipeline stats: $resp" >&2; exit 1; }
-if echo "$resp" | grep -q '"incomplete": true'; then
+if echo "$resp" | grep -Eq '"incomplete": *true'; then
   echo "healthy distributed fan-out reported incomplete: $resp" >&2
   exit 1
 fi
@@ -112,7 +112,7 @@ done
 hits=$(router_metric bellflower_cache_hits_total)
 a_requests=$(shard_stat "$PORT_A" requests)
 resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$FIRST")
-if echo "$resp" | grep -q '"incomplete": true'; then
+if echo "$resp" | grep -Eq '"incomplete": *true'; then
   echo "repeated match reported incomplete: $resp" >&2
   exit 1
 fi
@@ -157,7 +157,7 @@ no_slim() {
 a_hits=$(shard_stat "$PORT_A" cache_hits)
 a_runs=$(shard_stat "$PORT_A" pipeline_runs)
 resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$FIRST")
-if echo "$resp" | grep -q '"incomplete": true'; then
+if echo "$resp" | grep -Eq '"incomplete": *true'; then
   echo "match resent after eviction reported incomplete: $resp" >&2
   exit 1
 fi
@@ -203,7 +203,7 @@ fi
 # With the shard marked down, the -partial router must keep answering:
 # 200, Incomplete merge, and promptly (the skip pays no request timeout).
 resp=$(curl -sf --max-time 5 "http://127.0.0.1:$PORT_R/v1/match" -d "$(match 'cd(price,title)' 7)")
-echo "$resp" | grep -q '"incomplete": true' \
+echo "$resp" | grep -Eq '"incomplete": *true' \
   || { echo "match with a dead shard was not served as a partial result: $resp" >&2; exit 1; }
 
 # Restart shard B on the same port: probes must re-verify the descriptor
@@ -223,7 +223,7 @@ if [ "$up" -ne 1 ]; then
   exit 1
 fi
 resp=$(curl -sf "http://127.0.0.1:$PORT_R/v1/match" -d "$(match 'cd(price,title)' 9)")
-if echo "$resp" | grep -q '"incomplete": true'; then
+if echo "$resp" | grep -Eq '"incomplete": *true'; then
   echo "match after shard re-admission still incomplete: $resp" >&2
   exit 1
 fi
